@@ -12,6 +12,7 @@ use crate::exact::{analyze_nca, ExactConfig, StopPolicy};
 use crate::stats::{AnalysisStats, Verdict};
 use recama_nca::Nca;
 use recama_syntax::{normalize_for_nca, Regex, RepeatId, RepeatRewrite};
+use std::time::Instant;
 
 /// Relaxes every counting occurrence except `keep` to `body*`.
 ///
@@ -38,31 +39,69 @@ pub fn relax_except(regex: &Regex, keep: RepeatId) -> Regex {
 /// (occurrence ids refer to [`Regex::repeats`] of the given regex).
 ///
 /// Returns [`Verdict::Unambiguous`] (a proof) or [`Verdict::Unknown`]
-/// (inconclusive — the relaxed automaton was ambiguous or the pair budget
-/// ran out), plus exploration statistics.
+/// (inconclusive — the relaxed automaton was ambiguous, does not carry
+/// exactly one counter, or the pair budget ran out), plus exploration
+/// statistics.
 pub fn approx_occurrence(regex: &Regex, occ: RepeatId, max_pairs: u64) -> (Verdict, AnalysisStats) {
-    let relaxed = relax_except(regex, occ);
-    let normalized = normalize_for_nca(&relaxed);
-    let nca = crate::glushkov_build(&normalized);
+    relaxed_pass(regex, occ, max_pairs, StopPolicy::FirstAmbiguity)
+}
+
+/// The one per-occurrence routine behind every relaxed analysis: builds
+/// the automaton of `regex` with all occurrences but `occ` relaxed and
+/// explores it until the first disagreement `stop` halts on —
+/// [`StopPolicy::FirstAmbiguity`] for the paper's checker
+/// ([`approx_occurrence`], [`crate::check`]),
+/// [`StopPolicy::FirstBlockAmbiguity`] for the compiler
+/// ([`crate::classify`]). Running to exhaustion is the proof.
+///
+/// The proof projects every reachable token pair of the original onto
+/// `occ`'s counter, which needs the relaxed automaton to carry that
+/// counter exactly once. When re-normalizing duplicated it (a relaxed
+/// neighbour made an enclosing body nullable) the pass is inconclusive
+/// without an exploration. The statistics' duration covers building the
+/// relaxed automaton too.
+pub(crate) fn relaxed_pass(
+    regex: &Regex,
+    occ: RepeatId,
+    max_pairs: u64,
+    stop: StopPolicy,
+) -> (Verdict, AnalysisStats) {
+    debug_assert_ne!(stop, StopPolicy::FullClassification);
+    let start_time = Instant::now();
+    let nca = approx_occurrence_nca(regex, occ);
+    if nca.counters().len() != 1 {
+        let stats = AnalysisStats {
+            duration: start_time.elapsed(),
+            ..AnalysisStats::default()
+        };
+        return (Verdict::Unknown, stats);
+    }
     let result = analyze_nca(
         &nca,
         &ExactConfig {
             max_pairs,
             witness: false,
-            stop: StopPolicy::FirstAmbiguity,
+            stop,
         },
     );
-    let verdict = match result.nca_ambiguous() {
-        Some(false) => Verdict::Unambiguous,
-        // Ambiguity of the over-approximation proves nothing about the
-        // original — and a blown budget proves nothing either.
-        Some(true) | None => Verdict::Unknown,
+    // Either first-disagreement policy ends an exploration that met what
+    // it looks for — like one the budget cut — with `complete = false`.
+    // Ambiguity of the over-approximation proves nothing about the
+    // original, and a blown budget proves nothing either.
+    let verdict = if result.complete {
+        Verdict::Unambiguous
+    } else {
+        Verdict::Unknown
     };
-    (verdict, result.stats)
+    let stats = AnalysisStats {
+        duration: start_time.elapsed(),
+        ..result.stats
+    };
+    (verdict, stats)
 }
 
-/// Like [`approx_occurrence`], but returns the relaxed automaton too
-/// (used by tests and diagnostics).
+/// The relaxed automaton [`approx_occurrence`] explores (used by tests and
+/// diagnostics).
 pub fn approx_occurrence_nca(regex: &Regex, occ: RepeatId) -> Nca {
     crate::glushkov_build(&normalize_for_nca(&relax_except(regex, occ)))
 }

@@ -5,7 +5,10 @@
 //! The hybrid strategy follows the paper exactly: check each counting
 //! occurrence with the over-approximation; on the first inconclusive
 //! occurrence, abandon the approximation and run the exact algorithm on the
-//! whole regex; otherwise declare the regex counter-unambiguous.
+//! whole regex; otherwise declare the regex counter-unambiguous. The
+//! compiler's form of the same strategy, which wants a verdict per
+//! occurrence rather than per regex, is [`crate::classify`]; both run
+//! their relaxed passes through one routine.
 
 use crate::approx::approx_occurrence;
 use crate::exact::{analyze_nca, ExactConfig, NcaAnalysis, StopPolicy};
@@ -133,42 +136,28 @@ pub fn check(regex: &Regex, method: Method, config: &CheckConfig) -> RegexCheck 
                 stats,
             }
         }
-        Method::Approximate => {
+        Method::Approximate | Method::Hybrid | Method::HybridWitness => {
             let mut all_proven = true;
             for occ in occurrences.iter_mut() {
                 let (v, s) = approx_occurrence(&simplified, occ.id, config.max_pairs);
                 stats += s;
                 occ.verdict = v;
-                all_proven &= v == Verdict::Unambiguous;
-            }
-            let ambiguous = if all_proven { Some(false) } else { None };
-            RegexCheck {
-                ambiguous,
-                witness: None,
-                occurrences,
-                stats,
-            }
-        }
-        Method::Hybrid | Method::HybridWitness => {
-            let want_witness = method == Method::HybridWitness;
-            let mut inconclusive = false;
-            for occ in occurrences.iter_mut() {
-                let (v, s) = approx_occurrence(&simplified, occ.id, config.max_pairs);
-                stats += s;
-                occ.verdict = v;
                 if v != Verdict::Unambiguous {
-                    inconclusive = true;
-                    break; // halt the approximate pass (paper §3.3)
+                    all_proven = false;
+                    if method != Method::Approximate {
+                        break; // halt the approximate pass (paper §3.3)
+                    }
                 }
             }
-            if !inconclusive {
+            if all_proven || method == Method::Approximate {
                 return RegexCheck {
-                    ambiguous: Some(false),
+                    ambiguous: all_proven.then_some(false),
                     witness: None,
                     occurrences,
                     stats,
                 };
             }
+            let want_witness = method == Method::HybridWitness;
             let analysis = exact_whole(&simplified, config, want_witness, &mut stats);
             let ambiguous = analysis.nca_ambiguous();
             let witness = analysis.witness.clone();

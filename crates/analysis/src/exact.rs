@@ -14,12 +14,27 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
 /// When the exploration may stop.
+///
+/// The compiler never picks one of these directly: it calls
+/// [`crate::classify`], which runs a relaxed single-occurrence automaton
+/// under [`StopPolicy::FirstBlockAmbiguity`] per occurrence and, only for
+/// what those passes leave open, the whole automaton under
+/// [`StopPolicy::FullClassification`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopPolicy {
-    /// Stop at the first ambiguity witness (whole-regex yes/no check).
+    /// Stop at the first ambiguity witness (whole-regex yes/no check; the
+    /// paper's checker, [`crate::check`]).
     FirstAmbiguity,
-    /// Explore until every counted state is classified (or the space is
-    /// exhausted) — needed to hand per-state verdicts to the compiler.
+    /// Stop at the first pair of tokens that disagree on a shared counter,
+    /// on one state *or on two* — the block-level notion of
+    /// [`NcaAnalysis::block_ambiguous_counters`] that counter-module
+    /// selection needs. Every same-state disagreement is also a
+    /// block-level one, so this never stops later than
+    /// [`StopPolicy::FirstAmbiguity`].
+    FirstBlockAmbiguity,
+    /// Explore until every counted state and every counter is flagged at
+    /// both levels (or the space is exhausted) — needed to hand per-state
+    /// verdicts to the compiler.
     FullClassification,
 }
 
@@ -115,13 +130,28 @@ impl NcaAnalysis {
 /// assert_eq!(result.nca_ambiguous(), Some(false));
 /// ```
 pub fn analyze_nca(nca: &Nca, config: &ExactConfig) -> NcaAnalysis {
+    explore(nca, config, &vec![false; nca.counters().len()])
+}
+
+/// [`analyze_nca`] with some counters *settled*: `settled[c]` says counter
+/// `c` is already proven block-unambiguous (by a relaxed pass), so no
+/// reachable pair disagrees on it, and a state carrying only settled
+/// counters can never be flagged. [`StopPolicy::FullClassification`] then
+/// stops as soon as everything *else* is flagged instead of waiting for
+/// flags that cannot come.
+pub(crate) fn explore(nca: &Nca, config: &ExactConfig, settled: &[bool]) -> NcaAnalysis {
     let start_time = Instant::now();
     let prepared = Prepared::new(nca);
 
-    let counted_states: Vec<StateId> = (0..nca.state_count())
-        .map(|i| StateId(i as u32))
-        .filter(|&q| !nca.state(q).is_pure())
-        .collect();
+    let open_states = nca
+        .states()
+        .iter()
+        .filter(|s| s.counters.iter().any(|c| !settled[c.index()]))
+        .count();
+    let open_counters = settled.iter().filter(|&&s| !s).count();
+    // Flags FullClassification still waits for: one per open state, a
+    // same-state and a block-level one per open counter.
+    let mut unflagged = open_states + 2 * open_counters;
     let mut ambiguous_states = vec![false; nca.state_count()];
     let mut ambiguous_counters = vec![false; nca.counters().len()];
     let mut block_ambiguous_counters = vec![false; nca.counters().len()];
@@ -143,14 +173,9 @@ pub fn analyze_nca(nca: &Nca, config: &ExactConfig) -> NcaAnalysis {
     let mut witness: Option<Vec<u8>> = None;
     let mut first_witness_pair: Option<(Token, Token)> = None;
 
-    // Nothing to classify? (No counters, e.g. after full unfolding.)
-    let all_classified =
-        |states: &[bool], counters: &[bool], block: &[bool], counted: &[StateId]| {
-            counted.iter().all(|q| states[q.index()])
-                && counters.iter().all(|&b| b)
-                && block.iter().all(|&b| b)
-        };
-    let nothing_to_classify = counted_states.is_empty();
+    // Nothing to classify? (No counters, e.g. after full unfolding, or
+    // every counter settled.)
+    let nothing_to_classify = unflagged == 0;
 
     'bfs: while let Some(pair) = queue.pop_front() {
         if nothing_to_classify {
@@ -191,14 +216,20 @@ pub fn analyze_nca(nca: &Nca, config: &ExactConfig) -> NcaAnalysis {
                 // Ambiguity (Definition 3.1): same state, different valuation.
                 let same_state_ambiguous =
                     key.0.state == key.1.state && key.0.values != key.1.values;
+                let mut block_ambiguous = false;
                 if same_state_ambiguous {
                     let q = key.0.state;
-                    ambiguous_states[q.index()] = true;
                     let state = nca.state(q);
+                    let open = state.counters.iter().any(|c| !settled[c.index()]);
+                    raise(&mut ambiguous_states[q.index()], open, &mut unflagged);
                     for (slot, (&a, &b)) in key.0.values.iter().zip(&key.1.values).enumerate() {
                         if a != b {
-                            ambiguous_counters[state.counters[slot].index()] = true;
+                            let c = state.counters[slot].index();
+                            raise(&mut ambiguous_counters[c], !settled[c], &mut unflagged);
                         }
+                    }
+                    if first_witness_pair.is_none() {
+                        first_witness_pair = Some(key.clone());
                     }
                 }
                 // Block-level ambiguity: two tokens share a counter (on any
@@ -209,34 +240,33 @@ pub fn analyze_nca(nca: &Nca, config: &ExactConfig) -> NcaAnalysis {
                     for (slot0, c) in s0.counters.iter().enumerate() {
                         if let Some(slot1) = s1.slot(*c) {
                             if key.0.values[slot0] != key.1.values[slot1] {
-                                block_ambiguous_counters[c.index()] = true;
+                                let c = c.index();
+                                raise(
+                                    &mut block_ambiguous_counters[c],
+                                    !settled[c],
+                                    &mut unflagged,
+                                );
+                                block_ambiguous = true;
                             }
                         }
                     }
                 }
-                if same_state_ambiguous {
-                    if first_witness_pair.is_none() {
-                        first_witness_pair = Some(key.clone());
-                    }
-                    match config.stop {
-                        StopPolicy::FirstAmbiguity => {
-                            // `complete` stays true conceptually for the
-                            // regex-level question, but per-state verdicts
-                            // are not exhaustive — record that.
-                            complete = false;
+                let stop = match config.stop {
+                    StopPolicy::FirstAmbiguity => same_state_ambiguous,
+                    StopPolicy::FirstBlockAmbiguity => block_ambiguous,
+                    // A stop here leaves nothing unclassified: `complete`.
+                    StopPolicy::FullClassification => {
+                        if unflagged == 0 {
                             break 'bfs;
                         }
-                        StopPolicy::FullClassification => {
-                            if all_classified(
-                                &ambiguous_states,
-                                &ambiguous_counters,
-                                &block_ambiguous_counters,
-                                &counted_states,
-                            ) {
-                                break 'bfs;
-                            }
-                        }
+                        false
                     }
+                };
+                if stop {
+                    // The regex-level question is answered, but per-state
+                    // verdicts are not exhaustive — record that.
+                    complete = false;
+                    break 'bfs;
                 }
                 if stats.pairs_created >= config.max_pairs {
                     complete = false;
@@ -263,6 +293,16 @@ pub fn analyze_nca(nca: &Nca, config: &ExactConfig) -> NcaAnalysis {
         witness,
         stats,
     }
+}
+
+/// Sets a flag of the exploration; an open (unsettled) one that was still
+/// unset is one less for [`StopPolicy::FullClassification`] to wait for.
+fn raise(flag: &mut bool, open: bool, unflagged: &mut usize) {
+    debug_assert!(open, "a settled counter or state was flagged");
+    if open && !*flag {
+        *unflagged -= 1;
+    }
+    *flag = true;
 }
 
 /// Predecessor links of the pair exploration: child pair -> (parent pair,
@@ -523,5 +563,72 @@ mod block_tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn full_classification_stops_once_both_levels_are_flagged() {
+        // A two-state body: flags fall on cross-state (block-level) and
+        // same-state pairs alike, and the exploration ends with the pair
+        // that raises the last of them — 20 pairs, whatever the bound. (A
+        // same-state disagreement raises the counter's block-level flag
+        // too, so the last flag to fall is never a block-level one alone.)
+        for p in [".*[ab]([ab][ab]){2,5}y", ".*[ab]([ab][ab]){2,50}y"] {
+            let res = analyze(p);
+            assert!(res.complete);
+            assert_eq!(res.ambiguous_counters, vec![true]);
+            assert_eq!(res.block_ambiguous_counters, vec![true]);
+            assert_eq!(res.stats.pairs_created, 20, "{p}");
+        }
+    }
+
+    #[test]
+    fn first_block_ambiguity_stops_no_later_than_first_ambiguity() {
+        let run = |p: &str, stop| {
+            let nca = Nca::from_regex(&parse(p).unwrap().regex);
+            analyze_nca(
+                &nca,
+                &ExactConfig {
+                    stop,
+                    ..ExactConfig::default()
+                },
+            )
+        };
+        for p in [".*[ab]([ab][ab]){2,5}y", ".*a{4}", ".*a[ab]{3}b"] {
+            let block = run(p, StopPolicy::FirstBlockAmbiguity);
+            let state = run(p, StopPolicy::FirstAmbiguity);
+            assert!(!block.complete && !state.complete, "{p}");
+            assert!(block.block_ambiguous_counters[0], "{p}");
+            assert!(
+                block.stats.pairs_created <= state.stats.pairs_created,
+                "{p}"
+            );
+        }
+        // Nothing to find: both run to exhaustion over the same space.
+        let p = ".*x([ab][ab]){2,5}y";
+        let block = run(p, StopPolicy::FirstBlockAmbiguity);
+        assert!(block.complete && !block.block_ambiguous_counters[0]);
+        assert_eq!(
+            block.stats.pairs_created,
+            run(p, StopPolicy::FullClassification).stats.pairs_created
+        );
+    }
+
+    #[test]
+    fn settled_counters_let_full_classification_stop_early() {
+        // The guarded c-run is unambiguous, so the plain run waits for a
+        // flag that never comes and exhausts the space; told that counter
+        // is settled, it stops at b{20}'s first collision.
+        let nca = Nca::from_regex(&parse(".*(b{20}|[^c]c{300})").unwrap().regex);
+        let config = ExactConfig::default();
+        let plain = analyze_nca(&nca, &config);
+        let settled = explore(&nca, &config, &[false, true]);
+        assert!(plain.complete && settled.complete);
+        assert_eq!(plain.ambiguous_states, settled.ambiguous_states);
+        assert_eq!(plain.ambiguous_counters, settled.ambiguous_counters);
+        assert_eq!(
+            plain.block_ambiguous_counters,
+            settled.block_ambiguous_counters
+        );
+        assert!(settled.stats.pairs_created * 10 < plain.stats.pairs_created);
     }
 }

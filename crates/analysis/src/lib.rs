@@ -19,6 +19,10 @@
 //!   over-approximation (§3.2);
 //! * [`check`] / [`check_occurrence`] — the checker front end with the
 //!   Exact / Approximate / Hybrid / HybridWitness variants of Fig. 2;
+//! * [`classify`] — the hybrid strategy producing the per-state,
+//!   per-counter, block-level verdicts the compiler selects modules on:
+//!   relaxed per-occurrence proofs first, the exact exploration only for
+//!   what they leave open. It is the only analysis `recama-compiler` runs;
 //! * [`hardness`] — the subset-sum reduction of Lemma 3.3.
 //!
 //! ## Example
@@ -42,6 +46,7 @@
 
 mod approx;
 mod checker;
+mod classify;
 mod degree;
 mod exact;
 pub mod hardness;
@@ -51,6 +56,7 @@ pub use approx::{approx_occurrence, approx_occurrence_nca, relax_except};
 pub use checker::{
     check, check_occurrence, CheckConfig, Method, OccurrenceCheck, OccurrenceVerdict, RegexCheck,
 };
+pub use classify::{classify, Classification, DecidedBy};
 pub use degree::{degree, degree_at_least, DegreeAnalysis};
 pub use exact::{analyze_nca, ExactConfig, NcaAnalysis, StopPolicy};
 pub use stats::{AnalysisStats, Verdict};

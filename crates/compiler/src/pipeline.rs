@@ -3,7 +3,9 @@
 //! 1. rewrite/simplify (upper bounds < 2 unfolded, classes merged);
 //! 2. unfold counting occurrences up to the configured threshold (the knob
 //!    swept in Fig. 9/Fig. 10);
-//! 3. run the counter-ambiguity analysis;
+//! 3. run the counter-ambiguity analysis — the paper's hybrid strategy
+//!    ([`recama_analysis::classify`]): a relaxed proof per occurrence, the
+//!    exact product exploration only for what those leave open;
 //! 4. pick a module per surviving occurrence: **counter** for
 //!    (block-)unambiguous occurrences, **bit vector** for ambiguous
 //!    single-class bounded `σ{m,n}`, **partial unfolding** for everything
@@ -11,7 +13,7 @@
 //! 5. emit the MNRL network.
 
 use crate::codegen;
-use recama_analysis::{analyze_nca, AnalysisStats, ExactConfig, NcaAnalysis, StopPolicy};
+use recama_analysis::{classify, AnalysisStats, Classification, DecidedBy, NcaAnalysis};
 use recama_mnrl::MnrlNetwork;
 use recama_nca::{unfold, unfold_one, Nca, UnfoldPolicy};
 use recama_syntax::{normalize_for_nca, Regex, RepeatId};
@@ -31,7 +33,15 @@ pub struct CompileOptions {
     pub unfold: UnfoldPolicy,
     /// Largest repetition bound a bit-vector module supports.
     pub bitvector_capacity: u32,
-    /// Token-pair budget per analysis exploration.
+    /// Token-pair budget of *each* product exploration the analysis runs:
+    /// per analyze→decide→unfold iteration, one relaxed pass per counting
+    /// occurrence (none for a sole occurrence) and at most one exact pass,
+    /// so a rule with K occurrences creates at most `(K + 1) ×
+    /// analysis_budget` pairs per iteration. A relaxed pass the budget
+    /// cuts is merely inconclusive; a cut exact pass proves nothing, and
+    /// the rule then gets no counter module (bit vectors or unfolding
+    /// instead). A rule whose occurrences are all proven by their relaxed
+    /// passes never runs the exact pass and cannot exhaust it.
     pub analysis_budget: u64,
 }
 
@@ -80,6 +90,14 @@ pub struct CompileReport {
     pub unfolded_occurrences: u32,
     /// Aggregated analysis statistics across iterations.
     pub analysis_stats: AnalysisStats,
+    /// What decided each counting occurrence of the final regex (indexed
+    /// like [`CompileOutput::modules`]): its relaxed proof, the exact
+    /// exploration, or neither because the budget cut that exploration.
+    pub decided_by: Vec<DecidedBy>,
+    /// Relaxed single-occurrence explorations run, across iterations.
+    pub relaxed_explorations: u64,
+    /// Exact whole-automaton explorations run, across iterations.
+    pub exact_explorations: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +112,14 @@ enum Decision {
 /// The caller chooses the matching discipline first (e.g.
 /// [`recama_syntax::Parsed::for_stream`] for the streaming `Σ*r` form the
 /// accelerators execute).
+///
+/// There is one analysis path, [`recama_analysis::classify`]: every
+/// counting occurrence is first tried with a relaxed, linear-size proof
+/// of block-unambiguity, and the exact (quadratic) exploration runs only
+/// when some occurrence is left open, stopping once those are flagged. A
+/// counter-free automaton is not explored at all.
+/// [`CompileOptions::analysis_budget`] bounds each exploration;
+/// [`CompileReport`] says what decided each occurrence.
 ///
 /// # Examples
 ///
@@ -117,21 +143,15 @@ pub fn compile(regex: &Regex, options: &CompileOptions) -> CompileOutput {
         report.iterations += 1;
         let normalized = normalize_for_nca(&current);
         let nca = recama_analysis::glushkov_build(&normalized);
-        if nca.counters().is_empty() {
-            let analysis = analyze_nca(&nca, &exact_cfg(options));
-            report.analysis_stats += analysis.stats;
-            let network = codegen::emit(&nca, &[], "regex");
-            return CompileOutput {
-                network,
-                normalized,
-                nca,
-                modules: Vec::new(),
-                analysis,
-                report,
-            };
-        }
-        let analysis = analyze_nca(&nca, &exact_cfg(options));
+        let Classification {
+            analysis,
+            decided_by,
+            relaxed_explorations,
+            exact_explorations,
+        } = classify(&normalized, &nca, options.analysis_budget);
         report.analysis_stats += analysis.stats;
+        report.relaxed_explorations += relaxed_explorations;
+        report.exact_explorations += exact_explorations;
 
         let infos = normalized.repeats();
         debug_assert_eq!(infos.len(), nca.counters().len());
@@ -172,6 +192,7 @@ pub fn compile(regex: &Regex, options: &CompileOptions) -> CompileOutput {
                 })
                 .collect::<Vec<_>>();
             let network = codegen::emit(&nca, &modules, "regex");
+            report.decided_by = decided_by;
             return CompileOutput {
                 network,
                 normalized,
@@ -187,14 +208,6 @@ pub fn compile(regex: &Regex, options: &CompileOptions) -> CompileOutput {
             // Safety valve: unfold everything that is left.
             current = unfold(&current, UnfoldPolicy::All);
         }
-    }
-}
-
-fn exact_cfg(options: &CompileOptions) -> ExactConfig {
-    ExactConfig {
-        max_pairs: options.analysis_budget,
-        witness: false,
-        stop: StopPolicy::FullClassification,
     }
 }
 
@@ -235,7 +248,7 @@ fn resolve_nesting(infos: &[recama_syntax::RepeatInfo], decisions: &mut [Decisio
 
 /// Unfolds exactly the counting occurrences in `ids` (numbering per
 /// [`Regex::repeats`] of `regex`); language-preserving.
-fn unfold_by_ids(regex: &Regex, ids: &HashSet<RepeatId>) -> Regex {
+pub fn unfold_by_ids(regex: &Regex, ids: &HashSet<RepeatId>) -> Regex {
     fn walk(r: &Regex, next: &mut usize, ids: &HashSet<RepeatId>) -> Regex {
         match r {
             Regex::Empty | Regex::Void | Regex::Class(_) => r.clone(),

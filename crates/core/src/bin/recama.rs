@@ -8,7 +8,7 @@
 //! ```
 
 use recama::analysis::{check, CheckConfig, Method, Verdict};
-use recama::compiler::{compile, CompileOptions, ModuleKind};
+use recama::compiler::{compile, CompileOptions, DecidedBy, ModuleKind};
 use recama::hw::{run as hw_run, AreaGranularity};
 use recama::nca::UnfoldPolicy;
 use std::process::ExitCode;
@@ -143,16 +143,34 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         "compiled: {} STEs, {} counter modules, {} bit-vector modules ({} occurrences unfolded)",
         states, counters, bitvectors, out.report.unfolded_occurrences
     );
-    for (k, m) in out.modules.iter().enumerate() {
+    let stats = out.report.analysis_stats;
+    eprintln!(
+        "analysis: {} relaxed + {} exact explorations over {} iterations, {} token pairs{}",
+        out.report.relaxed_explorations,
+        out.report.exact_explorations,
+        out.report.iterations,
+        stats.pairs_created,
+        if stats.budget_exhausted {
+            " (budget exhausted)"
+        } else {
+            ""
+        }
+    );
+    for (k, (m, by)) in out.modules.iter().zip(&out.report.decided_by).enumerate() {
         let info = out.nca.counters()[k];
         eprintln!(
-            "  counter {k}: {} for bounds {{{},{}}}",
+            "  counter {k}: {} for bounds {{{},{}}}, decided by {}",
             match m {
                 ModuleKind::Counter => "counter",
                 ModuleKind::BitVector => "bit-vector",
             },
             info.min,
-            info.max.map_or("∞".into(), |n| n.to_string())
+            info.max.map_or("∞".into(), |n| n.to_string()),
+            match by {
+                DecidedBy::RelaxedProof => "relaxed proof",
+                DecidedBy::Exact => "exact exploration",
+                DecidedBy::BudgetCut => "budget cut",
+            }
         );
     }
     let json = out.network.to_json();

@@ -5,14 +5,26 @@
 //! * the over-approximation never contradicts the exact analysis;
 //! * ambiguity witnesses replay to ≥ 2 tokens on one state;
 //! * the compiled engine driven by analysis verdicts never observes a
-//!   `SingleValue` collision.
+//!   `SingleValue` collision;
+//! * the hybrid classifier the compiler runs reports exactly the exact
+//!   analysis's verdicts, and `compile()` exactly the networks a
+//!   compile driven by the exact analysis would — at a bounded, counted
+//!   cost, also under a hostile budget.
 
 use proptest::prelude::*;
 use recama::analysis::{
-    analyze_nca, approx_occurrence, check, CheckConfig, ExactConfig, Method, StopPolicy, Verdict,
+    analyze_nca, approx_occurrence, check, classify, glushkov_build, CheckConfig, DecidedBy,
+    ExactConfig, Method, NcaAnalysis, StopPolicy, Verdict,
 };
-use recama::nca::{CompilePlan, CompiledEngine, Engine, Nca, StateId, TokenSetEngine};
-use recama::syntax::{ByteClass, Regex};
+use recama::compiler::{
+    compile, compile_ruleset, emit, unfold_by_ids, CompileOptions, ModuleKind, COUNTER_MAX_BOUND,
+};
+use recama::nca::{
+    unfold, CompilePlan, CompiledEngine, Engine, Nca, StateId, TokenSetEngine, UnfoldPolicy,
+};
+use recama::syntax::{normalize_for_nca, parse, ByteClass, Regex, RepeatId};
+use recama::workloads::{generate, BenchmarkId};
+use std::collections::HashSet;
 
 fn arb_regex() -> impl Strategy<Value = Regex> {
     let leaf = prop::sample::select(vec![
@@ -31,6 +43,75 @@ fn arb_regex() -> impl Strategy<Value = Regex> {
                 .prop_map(|(r, m, extra)| { Regex::repeat(r, m, Some((m + extra).max(2))) }),
         ]
     })
+}
+
+fn arb_class() -> impl Strategy<Value = Regex> {
+    prop::sample::select(vec![
+        Regex::byte(b'a'),
+        Regex::byte(b'x'),
+        Regex::Class(ByteClass::from_bytes(b"ab")),
+        Regex::Class(ByteClass::from_bytes(b"bc")),
+        Regex::Class(ByteClass::from_bytes(b"ab").complement()),
+        Regex::any(),
+    ])
+}
+
+/// `Σ* g (c₁c₂){m,n} t` and `Σ* (g₁ (c₁c₂){m,n} | g₂ c₃{p,q})`: bodies of
+/// two states, where staggered entries disagree at the block level
+/// without ever colliding on one state.
+fn arb_multi_state_body() -> impl Strategy<Value = Regex> {
+    (
+        prop::collection::vec(arb_class(), 6..7),
+        (1u32..4, 0u32..4),
+        2u32..5,
+        any::<bool>(),
+    )
+        .prop_map(|(c, (m, extra), p, two_branches)| {
+            let body = Regex::concat(vec![c[1].clone(), c[2].clone()]);
+            let first = Regex::concat(vec![
+                c[0].clone(),
+                Regex::repeat(body, m, Some((m + extra).max(2))),
+            ]);
+            let counted = if two_branches {
+                let second = Regex::concat(vec![
+                    c[3].clone(),
+                    Regex::repeat(c[4].clone(), p, Some(p + 1)),
+                ]);
+                Regex::alt(vec![first, second])
+            } else {
+                first
+            };
+            Regex::concat(vec![Regex::star(Regex::any()), counted, c[5].clone()])
+        })
+}
+
+/// `Σ*? g (c₁{m,n} c₂ | c₃){p,q} t`: counting inside counting, so states
+/// of the inner body carry two counters and relaxing the inner occurrence
+/// makes nothing nullable while relaxing the outer one wraps the inner in
+/// a star.
+fn arb_nested() -> impl Strategy<Value = Regex> {
+    (
+        prop::collection::vec(arb_class(), 5..6),
+        (2u32..4, 0u32..3),
+        (2u32..4, 0u32..3),
+        any::<bool>(),
+    )
+        .prop_map(|(c, (m, extra), (p, outer_extra), streaming)| {
+            let inner = Regex::concat(vec![
+                Regex::repeat(c[1].clone(), m, Some(m + extra)),
+                c[2].clone(),
+            ]);
+            let body = Regex::alt(vec![inner, c[3].clone()]);
+            let mut parts = vec![
+                c[0].clone(),
+                Regex::repeat(body, p, Some(p + outer_extra)),
+                c[4].clone(),
+            ];
+            if streaming {
+                parts.insert(0, Regex::star(Regex::any()));
+            }
+            Regex::concat(parts)
+        })
 }
 
 fn inputs_upto(alpha: &[u8], maxlen: usize) -> Vec<Vec<u8>> {
@@ -173,4 +254,280 @@ fn block_ambiguity_is_stronger_than_state_ambiguity() {
             }
         }
     }
+}
+
+/// The four things the compiler and `CompilePlan::optimized` read off an
+/// analysis.
+fn verdicts(a: &NcaAnalysis) -> (&[bool], &[bool], &[bool], bool) {
+    (
+        &a.ambiguous_states,
+        &a.ambiguous_counters,
+        &a.block_ambiguous_counters,
+        a.complete,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hybrid_classifier_equals_the_exact_analysis(
+        r in prop_oneof![arb_regex(), arb_multi_state_body(), arb_nested()]
+    ) {
+        let normalized = normalize_for_nca(&r);
+        let nca = glushkov_build(&normalized);
+        prop_assume!(nca.state_count() < 80);
+        let exact = analyze_nca(&nca, &ExactConfig::default());
+        prop_assume!(exact.complete);
+        let hybrid = classify(&normalized, &nca, ExactConfig::default().max_pairs);
+        prop_assert_eq!(verdicts(&hybrid.analysis), verdicts(&exact), "{}", normalized);
+        // A relaxed proof is only ever claimed for a counter the exact
+        // analysis finds block-unambiguous.
+        for (k, by) in hybrid.decided_by.iter().enumerate() {
+            if *by == DecidedBy::RelaxedProof {
+                prop_assert!(!exact.block_ambiguous_counters[k], "{} counter {}", normalized, k);
+            }
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pick {
+    Counter,
+    BitVector,
+    Unfold,
+}
+
+/// The compile pipeline with its verdicts taken from the plain exact
+/// analysis, as `compile()` ran it before it switched to the hybrid
+/// classifier: the reference its output must stay byte-identical to.
+/// Returns the modules, the unfolded-occurrence count, the network JSON
+/// and the final automaton's exact analysis — or `None` if an exact run
+/// exhausted the budget, where the two are allowed to differ.
+fn reference_compile(
+    regex: &Regex,
+    options: &CompileOptions,
+) -> Option<(Vec<ModuleKind>, u32, String, NcaAnalysis)> {
+    let mut current = unfold(regex, options.unfold);
+    let mut unfolded = regex.repeats().len() - current.repeats().len();
+    for iteration in 1.. {
+        let normalized = normalize_for_nca(&current);
+        let nca = glushkov_build(&normalized);
+        let config = ExactConfig {
+            max_pairs: options.analysis_budget,
+            ..ExactConfig::default()
+        };
+        let exact = analyze_nca(&nca, &config);
+        if !exact.complete {
+            return None;
+        }
+        let infos = normalized.repeats();
+        let mut picks: Vec<Pick> = infos
+            .iter()
+            .enumerate()
+            .map(|(k, info)| {
+                let bound = info.max.unwrap_or(info.min);
+                if !exact.block_ambiguous_counters[k] && bound <= COUNTER_MAX_BOUND {
+                    Pick::Counter
+                } else if info.single_class_body.is_some()
+                    && info.max.is_some()
+                    && bound <= options.bitvector_capacity
+                {
+                    Pick::BitVector
+                } else {
+                    Pick::Unfold
+                }
+            })
+            .collect();
+        // A module cannot sit inside a module: of a module-picked
+        // ancestor and descendant the lighter one is unfolded.
+        let weight = |i: usize| {
+            u64::from(infos[i].max.unwrap_or(infos[i].min)) * infos[i].body_leaves.max(1) as u64
+        };
+        let mut ancestors: Vec<usize> = Vec::new();
+        for i in 0..infos.len() {
+            while ancestors
+                .last()
+                .is_some_and(|&top| infos[top].depth >= infos[i].depth)
+            {
+                ancestors.pop();
+            }
+            let module_above = ancestors.iter().rev().find(|&&a| picks[a] != Pick::Unfold);
+            if let (true, Some(&above)) = (picks[i] != Pick::Unfold, module_above) {
+                let lighter = if weight(i) > weight(above) { above } else { i };
+                picks[lighter] = Pick::Unfold;
+            }
+            ancestors.push(i);
+        }
+        if !picks.contains(&Pick::Unfold) {
+            let modules: Vec<ModuleKind> = picks
+                .iter()
+                .map(|p| match p {
+                    Pick::Counter => ModuleKind::Counter,
+                    _ => ModuleKind::BitVector,
+                })
+                .collect();
+            let json = emit(&nca, &modules, "regex").to_json();
+            return Some((modules, unfolded as u32, json, exact));
+        }
+        let to_unfold: HashSet<RepeatId> = infos
+            .iter()
+            .zip(&picks)
+            .filter(|(_, &pick)| pick == Pick::Unfold)
+            .map(|(info, _)| info.id)
+            .collect();
+        unfolded += to_unfold.len();
+        current = unfold_by_ids(&normalized, &to_unfold);
+        if iteration >= 12 {
+            current = unfold(&current, UnfoldPolicy::All);
+        }
+    }
+    unreachable!("the loop returns")
+}
+
+#[test]
+fn compile_is_byte_identical_to_the_exact_reference_on_every_profile() {
+    // A budget the debug-profile exact runs stay affordable under; the
+    // quadratic rules that exceed it are where the hybrid path may (and
+    // does) do better than the reference.
+    let options = CompileOptions {
+        analysis_budget: 100_000,
+        ..CompileOptions::default()
+    };
+    let mut counting_rules = 0;
+    for id in BenchmarkId::ALL {
+        for pattern in generate(id, 0.01, 2022).pattern_strings() {
+            let Ok(parsed) = parse(&pattern) else {
+                continue;
+            };
+            let regex = parsed.for_stream();
+            let Some((modules, unfolded, json, exact)) = reference_compile(&regex, &options) else {
+                continue;
+            };
+            let out = compile(&regex, &options);
+            assert_eq!(out.modules, modules, "{}: {pattern}", id.name());
+            assert_eq!(
+                out.report.unfolded_occurrences,
+                unfolded,
+                "{}: {pattern}",
+                id.name()
+            );
+            assert_eq!(out.network.to_json(), json, "{}: {pattern}", id.name());
+            assert_eq!(
+                verdicts(&out.analysis),
+                verdicts(&exact),
+                "{}: {pattern}",
+                id.name()
+            );
+            counting_rules += usize::from(regex.has_counting());
+        }
+    }
+    assert!(
+        counting_rules >= 60,
+        "only {counting_rules} rules with counting were compared"
+    );
+}
+
+#[test]
+fn snort_compiles_within_a_counted_number_of_pairs() {
+    // Counts, not timers: the exact analysis alone created 1.47 M pairs on
+    // the seed-2022 ruleset the benchmark uses.
+    for seed in [1, 2, 2022] {
+        let patterns = generate(BenchmarkId::Snort, 0.02, seed).pattern_strings();
+        let out = compile_ruleset(&patterns, &CompileOptions::default());
+        let pairs: u64 = out
+            .rules
+            .iter()
+            .map(|r| r.report.analysis_stats.pairs_created)
+            .sum();
+        assert!(pairs <= 100_000, "ruleset seed {seed}: {pairs} pairs");
+        assert!(out
+            .rules
+            .iter()
+            .all(|r| !r.report.analysis_stats.budget_exhausted));
+    }
+}
+
+#[test]
+fn a_hostile_budget_bounds_the_cost_and_picks_no_counter() {
+    // Four occurrences, each needing far more than 48 pairs: every
+    // exploration is cut, there are at most K + 1 of them, and nothing
+    // unproven gets a counter module.
+    let rule = parse(".*([^ac][ac]{300}|[^bc][bc]{300}|[^cd][cd]{300})e.*a{500}").unwrap();
+    let options = CompileOptions {
+        analysis_budget: 48,
+        ..CompileOptions::default()
+    };
+    let out = compile(&rule.for_stream(), &options);
+    let stats = out.report.analysis_stats;
+    assert_eq!(out.report.iterations, 1);
+    assert_eq!(out.modules, vec![ModuleKind::BitVector; 4]);
+    assert_eq!(out.report.decided_by, vec![DecidedBy::BudgetCut; 4]);
+    assert!(stats.budget_exhausted);
+    assert!(
+        stats.explorations <= 5,
+        "{} explorations",
+        stats.explorations
+    );
+    assert!(
+        stats.pairs_created <= 5 * 48,
+        "{} pairs",
+        stats.pairs_created
+    );
+    assert_eq!(
+        out.report.relaxed_explorations + out.report.exact_explorations,
+        stats.explorations
+    );
+    assert!(!out.analysis.complete);
+
+    // One occurrence's relaxed pass fits the budget and proves it, the
+    // other two's do not, and neither does the exact pass they force:
+    // `complete = false`, so not even the proven one is trusted.
+    let rule = parse("^x[ab]{3}y.*([^ac][ac]{300}|[^bc][bc]{300})").unwrap();
+    let out = compile(&rule.for_stream(), &options);
+    assert!(out.report.analysis_stats.budget_exhausted);
+    assert_eq!(
+        (
+            out.report.relaxed_explorations,
+            out.report.exact_explorations
+        ),
+        (3, 1)
+    );
+    assert!(
+        !out.modules.contains(&ModuleKind::Counter),
+        "{:?}",
+        out.modules
+    );
+    assert!(!out.analysis.complete);
+}
+
+#[test]
+fn relaxed_proofs_fit_a_budget_the_exact_product_exceeds() {
+    // Example 3.4: Θ(n²) pairs exact, Θ(n) per relaxed pass.
+    let rule = parse(".*([^ac][ac]{200}|[^bc][bc]{200})")
+        .unwrap()
+        .for_stream();
+    let options = CompileOptions {
+        analysis_budget: 5_000,
+        ..CompileOptions::default()
+    };
+    let nca = Nca::from_regex(&rule);
+    let config = ExactConfig {
+        max_pairs: options.analysis_budget,
+        ..ExactConfig::default()
+    };
+    assert!(analyze_nca(&nca, &config).stats.budget_exhausted);
+
+    let out = compile(&rule, &options);
+    assert_eq!(out.modules, vec![ModuleKind::Counter; 2]);
+    assert_eq!(out.report.decided_by, vec![DecidedBy::RelaxedProof; 2]);
+    assert_eq!(
+        (
+            out.report.relaxed_explorations,
+            out.report.exact_explorations
+        ),
+        (2, 0)
+    );
+    assert!(!out.report.analysis_stats.budget_exhausted);
+    assert!(out.analysis.complete);
 }

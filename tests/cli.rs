@@ -108,3 +108,27 @@ fn no_args_prints_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
+
+#[test]
+fn compile_says_what_decided_each_occurrence() {
+    // Example 3.4 next to a plainly ambiguous run: two relaxed proofs and
+    // one exact exploration for what they leave open.
+    let out = recama()
+        .args(["compile", "([^ac][ac]{30}|[^bc][bc]{30}|d{40})"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("analysis: 3 relaxed + 1 exact explorations over 1 iterations"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("counter 0: counter for bounds {30,30}, decided by relaxed proof"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("counter 2: bit-vector for bounds {40,40}, decided by exact exploration"),
+        "{stderr}"
+    );
+}
