@@ -268,7 +268,9 @@ fn main() {
             .expect("lossy builds are infallible")
     });
     let svc = engine.serve_with(service_workers, engine.serve_config());
-    let ids: Vec<FlowId> = (0..config.flows).map(|_| svc.open_flow()).collect();
+    let ids: Vec<FlowId> = (0..config.flows)
+        .map(|_| svc.try_open_flow().expect("default config never sheds"))
+        .collect();
     let run = Instant::now();
     let mut reload_wall = Duration::ZERO;
     for round in 0..config.rounds {
@@ -282,12 +284,16 @@ fn main() {
         }
         let at = round * config.chunk;
         for (fi, bytes) in streams.iter().enumerate() {
-            svc.push(ids[fi], &bytes[at..at + config.chunk]);
+            svc.push_checked(ids[fi], &bytes[at..at + config.chunk])
+                .expect("open flow on a healthy service");
         }
         svc.barrier();
     }
     let service_elapsed = run.elapsed();
-    let service_hits: usize = ids.iter().map(|id| svc.poll(*id).len()).sum();
+    let service_hits: usize = ids
+        .iter()
+        .map(|id| svc.poll_checked(*id).map_or(0, |hits| hits.len()))
+        .sum();
     let metrics = svc.metrics();
     svc.shutdown();
 

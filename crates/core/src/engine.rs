@@ -10,7 +10,7 @@
 //!
 //! * [`Engine::builder`] collects rules (with optional per-rule ids), a
 //!   [`ShardPolicy`], [`CompileOptions`], a worker count, and a
-//!   [`ServiceConfig`];
+//!   [`ServeConfig`];
 //! * [`EngineBuilder::build`] compiles everything into an [`Engine`] —
 //!   or a structured [`CompileError`] naming the failing rule's index,
 //!   source text, and pipeline phase;
@@ -18,8 +18,8 @@
 //!   [`scan`](Engine::scan) / [`scan_spans`](Engine::scan_spans) for
 //!   block mode, [`stream`](Engine::stream) for one resumable flow,
 //!   [`scheduler`](Engine::scheduler) for batch many-flow scanning, and
-//!   [`service`](Engine::service) for long-lived serving with
-//!   backpressure and idle-flow eviction.
+//!   [`serve`](Engine::serve) for long-lived serving with backpressure
+//!   and idle-flow eviction — two drivers over one serving core.
 //!
 //! The older entry points (`PatternSet::compile_many`,
 //! `ShardedPatternSet::compile_many_with`, `compile_filtered`) are thin
@@ -28,8 +28,6 @@
 use crate::prefilter::PrefilterMode;
 #[cfg(feature = "fault-inject")]
 use crate::service::FaultPlan;
-#[allow(deprecated)]
-use crate::service::FlowService;
 use crate::service::ServiceHandle;
 use crate::set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 use crate::FlowScheduler;
@@ -124,36 +122,6 @@ pub struct SkippedRule {
     pub error: ParseError,
 }
 
-/// Configuration of the long-lived [`FlowService`] an [`Engine`] serves
-/// flows with — the knobs of the backpressured serving loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceConfig {
-    /// Per-flow input budget in bytes — the admission rule of
-    /// [`FlowService::try_push`]: a chunk is accepted if the flow
-    /// currently buffers **nothing** (so chunks larger than the whole
-    /// budget still make progress), or if `buffered + chunk.len()`
-    /// stays within this budget; otherwise `Poll::Pending`. A flow
-    /// therefore never buffers more than `flow_budget` bytes beyond a
-    /// single oversized first chunk.
-    pub flow_budget: usize,
-    /// Evict (close) flows that have seen no push *attempt* for this
-    /// long — a backpressured producer whose `try_push` keeps returning
-    /// `Pending` still counts as activity. `None` disables eviction.
-    /// Eviction still scans every buffered byte and resolves
-    /// `$`-anchored finishing matches, exactly like an explicit
-    /// [`FlowService::close`].
-    pub idle_timeout: Option<Duration>,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> ServiceConfig {
-        ServiceConfig {
-            flow_budget: 1 << 20, // 1 MiB per flow
-            idle_timeout: None,
-        }
-    }
-}
-
 /// What the service does when a worker panics mid-scan — the fault
 /// policy of [`ServeConfig::fault_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -176,9 +144,7 @@ pub enum FaultPolicy {
     /// service — every blocking call on every flow then panics with the
     /// payload summary. This was the only behavior before the
     /// quarantine layer existed and remains available for callers that
-    /// prefer to die loudly; the deprecated scope-based [`FlowService`]
-    /// always runs fail-stop (its [`run`](FlowService::run) rethrows
-    /// the worker's payload).
+    /// prefer to die loudly.
     FailStop,
 }
 
@@ -212,14 +178,9 @@ pub struct OverloadPolicy {
 }
 
 /// Configuration of an owned [`ServiceHandle`] (see [`Engine::serve`]):
-/// the [`ServiceConfig`] knobs plus the bounded-flow-table,
-/// sweep-cadence, fault-tolerance, and overload-shedding controls the
-/// long-lived serving shape needs.
-///
-/// `ServiceConfig` predates this struct and is kept (frozen) for the
-/// deprecated scope-based [`FlowService`]; `ServeConfig` is its
-/// superset, and [`From<ServiceConfig>`] maps the old knobs over with
-/// the new ones at their defaults.
+/// the per-flow byte budget and idle timeout, plus the
+/// bounded-flow-table, sweep-cadence, fault-tolerance, and
+/// overload-shedding controls the long-lived serving shape needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Per-flow input budget in bytes — the admission rule of
@@ -235,10 +196,8 @@ pub struct ServeConfig {
     /// `$`-anchored finishing matches, exactly like an explicit close.
     pub idle_timeout: Option<Duration>,
     /// Cadence of the idle-eviction sweep. `None` (the default) follows
-    /// `idle_timeout`, the historical behavior of the scope-based
-    /// service where the sweep interval was hard-coded to the workers'
-    /// park timeout; set it explicitly to sweep more or less often than
-    /// flows time out.
+    /// `idle_timeout`; set it explicitly to sweep more or less often
+    /// than flows time out.
     pub sweep_interval: Option<Duration>,
     /// Flow-table budget: opening a flow beyond this many live flows
     /// first evicts the least-recently-pushed *drained* open flow
@@ -293,16 +252,6 @@ impl Default for ServeConfig {
     }
 }
 
-impl From<ServiceConfig> for ServeConfig {
-    fn from(config: ServiceConfig) -> ServeConfig {
-        ServeConfig {
-            flow_budget: config.flow_budget,
-            idle_timeout: config.idle_timeout,
-            ..ServeConfig::default()
-        }
-    }
-}
-
 /// Builder for an [`Engine`] — the single place every compile-time knob
 /// lives. Created by [`Engine::builder`].
 #[derive(Debug, Clone)]
@@ -311,8 +260,7 @@ pub struct EngineBuilder {
     options: CompileOptions,
     policy: ShardPolicy,
     workers: usize,
-    service: ServiceConfig,
-    serve: Option<ServeConfig>,
+    serve: ServeConfig,
     lossy: bool,
     scan_mode: ScanMode,
     prefilter: Option<PrefilterMode>,
@@ -327,8 +275,7 @@ impl Default for EngineBuilder {
             options: CompileOptions::default(),
             policy: ShardPolicy::default(),
             workers: 1,
-            service: ServiceConfig::default(),
-            serve: None,
+            serve: ServeConfig::default(),
             lossy: false,
             scan_mode: ScanMode::default(),
             prefilter: None,
@@ -394,23 +341,17 @@ impl EngineBuilder {
     }
 
     /// Sets the worker-thread count [`Engine::scheduler`] and
-    /// [`Engine::service`] scan with (at least one).
+    /// [`Engine::serve`] scan with (at least one).
     pub fn workers(mut self, workers: usize) -> EngineBuilder {
         self.workers = workers.max(1);
         self
     }
 
-    /// Sets the [`ServiceConfig`] for [`Engine::service`].
-    pub fn service_config(mut self, config: ServiceConfig) -> EngineBuilder {
-        self.service = config;
-        self
-    }
-
     /// Sets the [`ServeConfig`] new owned handles ([`Engine::serve`],
-    /// [`Engine::into_service`]) start with. When unset, they derive it
-    /// from the [`ServiceConfig`] via `From`.
+    /// [`Engine::into_service`]) start with. Default:
+    /// [`ServeConfig::default`].
     pub fn serve_config(mut self, config: ServeConfig) -> EngineBuilder {
-        self.serve = Some(config);
+        self.serve = config;
         self
     }
 
@@ -447,8 +388,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the deterministic [`FaultPlan`] every [`ServiceHandle`]
-    /// served from the built engine injects into its scan loop —
+    /// Sets the deterministic [`FaultPlan`] every [`ServiceHandle`] and
+    /// [`FlowScheduler`] of the built engine injects into its scan step —
     /// panics and artificial delays at the k-th scan of a chosen
     /// `(flow, shard)`, for chaos-testing the fault-tolerance layer.
     /// Only compiled in under the `fault-inject` cargo feature; release
@@ -520,7 +461,6 @@ impl EngineBuilder {
             indices,
             skipped,
             workers: self.workers,
-            service: self.service,
             serve: self.serve,
             #[cfg(feature = "fault-inject")]
             faults: self.faults,
@@ -568,8 +508,7 @@ pub struct Engine {
     indices: Vec<usize>,
     skipped: Vec<SkippedRule>,
     workers: usize,
-    service: ServiceConfig,
-    serve: Option<ServeConfig>,
+    serve: ServeConfig,
     /// The deterministic fault-injection plan every served handle
     /// inherits (chaos testing only — absent from normal builds).
     #[cfg(feature = "fault-inject")]
@@ -669,7 +608,7 @@ impl Engine {
     }
 
     /// The worker-thread count [`scheduler`](Engine::scheduler) and
-    /// [`service`](Engine::service) scan with.
+    /// [`serve`](Engine::serve) scan with.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -688,12 +627,6 @@ impl Engine {
         self.set.prefilter_mode()
     }
 
-    /// The [`ServiceConfig`] new [`service`](Engine::service) handles
-    /// start with.
-    pub fn service_config(&self) -> ServiceConfig {
-        self.service
-    }
-
     /// The underlying sharded set — the escape hatch to every lower
     /// layer (per-shard automata, spans, per-shard hardware).
     pub fn set(&self) -> &ShardedPatternSet {
@@ -705,11 +638,12 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if an owned [`ServiceHandle`] (from [`Engine::serve`]) is
-    /// still sharing the set as a live serving epoch.
+    /// Panics if an owned [`ServiceHandle`] (from [`Engine::serve`]) or
+    /// [`FlowScheduler`] (from [`Engine::scheduler`]) is still sharing
+    /// the set as a live serving epoch.
     pub fn into_set(self) -> ShardedPatternSet {
         Arc::try_unwrap(self.set).unwrap_or_else(|_| {
-            panic!("Engine::into_set while a ServiceHandle still serves this engine's set")
+            panic!("Engine::into_set while a ServiceHandle or FlowScheduler still serves its set")
         })
     }
 
@@ -746,35 +680,18 @@ impl Engine {
 
     /// A batch many-flow scheduler (`push`/`run`/`poll` cycles) over
     /// this engine, using the configured
-    /// [`workers`](EngineBuilder::workers).
-    pub fn scheduler(&self) -> FlowScheduler<'_> {
-        FlowScheduler::new(&self.set, self.workers)
+    /// [`workers`](EngineBuilder::workers): the same serving core as
+    /// [`serve`](Engine::serve), stepped by `run()` on the caller
+    /// instead of by resident workers, with flows addressed by
+    /// caller-chosen `u64` ids and matches by compiled pattern index.
+    pub fn scheduler(&self) -> FlowScheduler {
+        self.scheduler_with(self.workers)
     }
 
     /// Like [`scheduler`](Engine::scheduler) with an explicit worker
     /// count — for sweeps over the parallelism knob.
-    pub fn scheduler_with(&self, workers: usize) -> FlowScheduler<'_> {
-        FlowScheduler::new(&self.set, workers)
-    }
-
-    /// A long-lived flow-serving handle over this engine: workers park
-    /// on the readiness condvar, [`try_push`](FlowService::try_push)
-    /// applies backpressure at the configured per-flow budget, and idle
-    /// flows are evicted. Drive it inside [`FlowService::run`].
-    #[deprecated(note = "use Engine::serve — the owned ServiceHandle needs no enclosing scope")]
-    #[allow(deprecated)]
-    pub fn service(&self) -> FlowService<'_> {
-        FlowService::new(self, self.workers, self.service)
-    }
-
-    /// Like [`service`](Engine::service) with an explicit
-    /// [`ServiceConfig`] and worker count.
-    #[deprecated(
-        note = "use Engine::serve_with — the owned ServiceHandle needs no enclosing scope"
-    )]
-    #[allow(deprecated)]
-    pub fn service_with(&self, workers: usize, config: ServiceConfig) -> FlowService<'_> {
-        FlowService::new(self, workers.max(1), config)
+    pub fn scheduler_with(&self, workers: usize) -> FlowScheduler {
+        FlowScheduler::new(self, workers)
     }
 
     /// Spawns an owned, `'static` flow-serving handle over this engine:
@@ -792,23 +709,20 @@ impl Engine {
     /// Like [`serve`](Engine::serve) with an explicit worker count and
     /// [`ServeConfig`].
     pub fn serve_with(&self, workers: usize, config: ServeConfig) -> ServiceHandle {
-        ServiceHandle::spawn(self, workers.max(1), config)
+        ServiceHandle::spawn(self, self.ids_arc(), workers.max(1), config)
     }
 
     /// Consumes the engine into an owned [`ServiceHandle`] configured
     /// from the builder ([`EngineBuilder::workers`],
-    /// [`EngineBuilder::serve_config`] /
-    /// [`EngineBuilder::service_config`]).
+    /// [`EngineBuilder::serve_config`]).
     pub fn into_service(self) -> ServiceHandle {
         self.serve()
     }
 
-    /// The [`ServeConfig`] new owned handles start with: the explicit
-    /// [`EngineBuilder::serve_config`] if one was set, otherwise
-    /// derived from the [`ServiceConfig`].
+    /// The [`ServeConfig`] new owned handles start with (set via
+    /// [`EngineBuilder::serve_config`]).
     pub fn serve_config(&self) -> ServeConfig {
         self.serve
-            .unwrap_or_else(|| ServeConfig::from(self.service))
     }
 
     /// The shared machine image (the epoch unit of hot reload).
@@ -827,7 +741,7 @@ impl Engine {
         &self.template
     }
 
-    /// The fault-injection plan served handles inherit (chaos testing).
+    /// The fault-injection plan serving cores inherit (chaos testing).
     #[cfg(feature = "fault-inject")]
     pub(crate) fn fault_plan_clone(&self) -> FaultPlan {
         self.faults.clone()

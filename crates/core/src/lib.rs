@@ -51,15 +51,13 @@ mod set;
 
 pub use engine::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultPolicy, OverloadPolicy, ServeConfig,
-    ServiceConfig, SkippedRule,
+    SkippedRule,
 };
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
 pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
 pub use sched::{FlowMatch, FlowScheduler};
 #[cfg(feature = "fault-inject")]
 pub use service::FaultPlan;
-#[allow(deprecated)]
-pub use service::FlowService;
 pub use service::{
     FaultMetrics, FlowId, RuleMatch, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics,
 };

@@ -1,5 +1,5 @@
-//! [`FlowScheduler`]: a many-flow scanning service over a sharded
-//! pattern set.
+//! [`FlowScheduler`]: the batch driver over the crate's one serving
+//! core.
 //!
 //! The paper evaluates CAMA as an IDS-class engine (Snort/Suricata
 //! rulesets), and the workload such an engine serves is not one byte
@@ -9,41 +9,45 @@
 //! so the scheduling layer must keep every core busy with whatever flow
 //! has bytes pending instead of binding workers to flows.
 //!
-//! The scheduler owns `N flows × K shards` resumable engine states
-//! ([`ShardStream`]), fed through three moves:
+//! Every scheduling move — the flow table, the `(flow, shard)` readiness
+//! queue, checkout / unlocked scan / check-in, the literal-prefilter
+//! skip/wake decision, the watermark-ordered report merge,
+//! `$`-finishing, quarantine — lives once, in the
+//! [`ServiceHandle`]'s module; the long-lived
+//! service steps that core from resident worker threads. This module
+//! adds only what a *batch* caller needs on top of it:
 //!
-//! * [`push`](FlowScheduler::push) buffers a `(flow, chunk)` pair and
-//!   marks the flow's shard units *ready* (epoll-style readiness: a unit
-//!   is ready when its shard has unconsumed bytes and no worker holds its
-//!   engine);
-//! * [`run`](FlowScheduler::run) drains the readiness queue on a fixed
-//!   pool of scoped worker threads. The work unit is a **(flow, shard)**
-//!   pair, so two workers can advance *different shards of the same
-//!   flow* concurrently — that is why the per-shard states are split out
-//!   of [`ShardedSetStream`](crate::ShardedSetStream) individually;
+//! * flows are addressed by caller-chosen `u64` ids, opened on first
+//!   [`push`](FlowScheduler::push) and reusable after they close and
+//!   drain — a small `u64 → FlowId` table kept here;
+//! * [`run`](FlowScheduler::run) steps the core until the readiness
+//!   queue is empty, then returns — inline on the caller for one
+//!   worker, on scoped threads otherwise. The work unit is a
+//!   **(flow, shard)** pair, so two workers can advance *different
+//!   shards of the same flow* concurrently;
 //! * [`poll`](FlowScheduler::poll) drains a flow's ordered report queue;
 //!   [`drain_global`](FlowScheduler::drain_global) drains the global
-//!   sink of `(flow, match)` events.
+//!   sink of `(flow, match)` events — both as compiled pattern indices
+//!   ([`SetMatch`]), since a batch scheduler never reloads its rules.
 //!
 //! Per-flow reports are **byte-identical** (same reports, same order) to
 //! feeding that flow's chunks through its own independent
-//! [`ShardedSetStream`](crate::ShardedSetStream): shard report buffers
-//! are merged by `(end, pattern)` up to the *watermark* — the least
-//! position any shard of the flow has consumed — so ordering never
-//! depends on which worker ran first. Like the streams, the scheduler
-//! applies no trailing-`$` filter mid-flow (a flow has no end until it
-//! is [`close`](FlowScheduler::close)d); once a closed flow drains,
+//! [`ShardedSetStream`](crate::ShardedSetStream), and to pushing them
+//! through a [`ServiceHandle`]: it is the same core. Like the streams,
+//! the scheduler applies no trailing-`$` filter mid-flow (a flow has no
+//! end until it is
+//! [`close`](FlowScheduler::close)d); once a closed flow drains,
 //! [`finishing`](FlowScheduler::finishing) resolves which `$`-anchored
 //! candidates actually landed on the final byte, mirroring
 //! [`ShardedSetStream::finish`](crate::ShardedSetStream::finish).
 
-use crate::prefilter::{ChunkAction, PrefilterCounters, PrefilterMetrics, PrefilterState};
-use crate::set::DollarTracker;
-use crate::{SetMatch, ShardedPatternSet};
-use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream};
-use std::collections::{HashMap, VecDeque};
+use crate::prefilter::PrefilterMetrics;
+use crate::service::{FlowId, RuleMatch, ServiceHandle};
+use crate::{Engine, SetMatch};
+use recama_nca::HybridStats;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// A match attributed to a flow — the global-sink event type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -66,462 +70,88 @@ impl FlowMatch {
     }
 }
 
-/// A buffered input chunk: `bytes` starts at absolute stream offset
-/// `start` within its flow. Chunks are `Arc`-shared so workers can scan
-/// them outside the scheduler lock while slower shards still reference
-/// them.
-#[derive(Clone)]
-pub(crate) struct Segment {
-    pub(crate) start: u64,
-    pub(crate) bytes: Arc<[u8]>,
+/// The batch core reports identity rule ids, so a rule *is* a compiled
+/// pattern index.
+fn set_matches(reports: Vec<RuleMatch>) -> impl Iterator<Item = SetMatch> {
+    reports.into_iter().map(|m| SetMatch {
+        pattern: m.rule as usize,
+        end: m.end as usize,
+    })
 }
 
-impl Segment {
-    pub(crate) fn end(&self) -> u64 {
-        self.start + self.bytes.len() as u64
-    }
-}
-
-/// One checkout-able (flow, shard) engine unit.
-struct ShardSlot<'a> {
-    /// `None` while a worker holds the engine.
-    stream: Option<ShardStream<'a>>,
-    /// Reports not yet merged into the flow queue: global pattern ids,
-    /// absolute ends, sorted by `(end, pattern)`.
-    pending: VecDeque<MultiReport>,
-    /// Bytes of the flow this shard has consumed (as of last check-in).
-    pos: u64,
-    /// Whether the unit is in the ready queue *or* checked out — either
-    /// way it must not be enqueued again.
-    busy: bool,
-    /// Literal-prefilter state: the unit is skipped while cold (see
-    /// [`crate::PrefilterMode`]). Cold units are never queued, so their
-    /// engine is always present and fresh.
-    pre: PrefilterState,
-}
-
-/// Per-flow state: buffered input, one [`ShardSlot`] per shard, and the
-/// merged in-order report queue. Shared between the batch-mode
-/// [`FlowScheduler`] and the long-lived
-/// [`FlowService`](crate::FlowService).
-pub(crate) struct Flow<'a> {
-    segments: VecDeque<Segment>,
-    /// Total bytes pushed (absolute length of the flow so far).
-    total: u64,
-    pub(crate) closed: bool,
-    /// Empty once a closed flow has fully drained (engines freed).
-    shards: Vec<ShardSlot<'a>>,
-    reports: VecDeque<SetMatch>,
-    /// Last `$`-anchored candidates, so closing the flow can resolve
-    /// which of them land on the final byte (the stream `finish`
-    /// contract, per flow).
-    dollar: DollarTracker<'a>,
-    /// The resolved finishing set of a finished flow, until drained by
-    /// [`FlowScheduler::finishing`].
+/// One `u64`-addressed flow: its current incarnation in the core, plus
+/// what earlier incarnations of the id left undrained — a reopened id
+/// keeps those pollable, ahead of the new incarnation's reports.
+struct Incarnation {
+    id: FlowId,
+    reports: Vec<SetMatch>,
     finishing: Vec<SetMatch>,
-    /// Last `window` bytes of the flow, kept while any shard is cold so
-    /// a prefilter wake-up can replay the bytes a match may have
-    /// started in.
-    tail: Vec<u8>,
 }
 
-impl<'a> Flow<'a> {
-    fn new(set: &'a ShardedPatternSet) -> Flow<'a> {
-        Flow {
-            segments: VecDeque::new(),
-            total: 0,
-            closed: false,
-            shards: set
-                .shard_streams()
-                .into_iter()
-                .map(|stream| ShardSlot {
-                    stream: Some(stream),
-                    pending: VecDeque::new(),
-                    pos: 0,
-                    busy: false,
-                    pre: PrefilterState::default(),
-                })
-                .collect(),
-            reports: VecDeque::new(),
-            dollar: DollarTracker::new(set.anchored_end()),
-            finishing: Vec::new(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// Bytes pushed but not yet consumed by every shard — the quantity
-    /// the [`FlowService`](crate::FlowService) input budget bounds.
-    pub(crate) fn buffered(&self) -> u64 {
-        self.total - self.watermark()
-    }
-
-    /// The least position any shard has consumed — reports with ends at
-    /// or below it are final and safe to merge in order.
-    fn watermark(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|slot| slot.pos)
-            .min()
-            .unwrap_or(self.total)
-    }
-
-    /// Merges shard-pending reports up to the watermark into the flow
-    /// queue (ordered by `(end, pattern)`, the stream order) and the
-    /// global sink, then drops input segments every shard has consumed.
-    fn merge_ready_reports(&mut self, flow_id: u64, sink: &mut Vec<FlowMatch>) {
-        let watermark = self.watermark();
-        loop {
-            let mut best: Option<(usize, (u64, u32))> = None;
-            for (si, slot) in self.shards.iter().enumerate() {
-                if let Some(r) = slot.pending.front() {
-                    if r.end <= watermark && best.is_none_or(|(_, key)| (r.end, r.pattern) < key) {
-                        best = Some((si, (r.end, r.pattern)));
-                    }
-                }
-            }
-            let Some((si, _)) = best else { break };
-            let r = self.shards[si].pending.pop_front().expect("best exists");
-            self.dollar.observe(r.pattern as usize, r.end);
-            self.reports.push_back(SetMatch {
-                pattern: r.pattern as usize,
-                end: r.end as usize,
-            });
-            sink.push(FlowMatch {
-                flow: flow_id,
-                pattern: r.pattern as usize,
-                end: r.end as usize,
-            });
-        }
-        while self
-            .segments
-            .front()
-            .is_some_and(|seg| seg.end() <= watermark)
-        {
-            self.segments.pop_front();
-        }
-    }
-
-    /// Frees the engines of a closed, fully-consumed flow and resolves
-    /// its `$`-anchored finishing set. The report queue stays pollable;
-    /// a later [`FlowScheduler::push`] with the same id starts a fresh
-    /// stream at position 0.
-    fn try_finish(&mut self) {
-        if self.shards.is_empty() {
-            return; // already finished
-        }
-        let drained = self
-            .shards
-            .iter()
-            .all(|slot| slot.stream.is_some() && !slot.busy && slot.pos == self.total);
-        if self.closed && drained {
-            debug_assert!(self.shards.iter().all(|slot| slot.pending.is_empty()));
-            self.shards.clear();
-            self.segments.clear();
-            self.finishing.extend(self.dollar.finish(self.total));
-        }
-    }
-
-    /// Whether the flow is closed and its engines have been freed.
-    pub(crate) fn finished(&self) -> bool {
-        self.closed && self.shards.is_empty()
-    }
-}
-
-/// Everything the scheduler (or service) lock protects: the flow table,
-/// the readiness queue, and the global sink. The scheduling moves —
-/// open/buffer on push, checkout/check-in around an unlocked scan —
-/// live here so the batch-mode [`FlowScheduler`] and the long-lived
-/// [`FlowService`](crate::FlowService) share one implementation.
-pub(crate) struct Shared<'a> {
-    pub(crate) flows: HashMap<u64, Flow<'a>>,
-    /// Readiness queue of `(flow, shard)` units with unconsumed bytes.
-    pub(crate) ready: VecDeque<(u64, usize)>,
-    /// Units currently checked out by workers.
-    pub(crate) in_flight: usize,
-    /// Global sink: every merged match, attributed to its flow.
+/// The `u64` addressing layer: everything [`FlowScheduler`] keeps beside
+/// the core.
+#[derive(Default)]
+struct Table {
+    flows: HashMap<u64, Incarnation>,
+    /// Slab slot index → the `u64` of the slot's latest tenant. The core
+    /// recycles a slot once its flow has drained, so a sink event must
+    /// be attributed before the slot can change hands: [`Table::open`]
+    /// is the only place a slot gets a new tenant, and it absorbs the
+    /// core's sink first.
+    tenants: Vec<u64>,
+    /// Sink events already attributed to their `u64` flow.
     sink: Vec<FlowMatch>,
-    /// Prefilter skip/wake counters across all flows.
-    pre_counters: PrefilterCounters,
 }
 
-/// A `(flow, shard)` unit checked out of the readiness queue: the
-/// shard's engine plus the input segments it still has to consume,
-/// detached from the lock so the scan runs unlocked.
-pub(crate) struct CheckedOut<'a> {
-    flow: u64,
-    shard: usize,
-    stream: ShardStream<'a>,
-    segments: Vec<Segment>,
-}
-
-impl CheckedOut<'_> {
-    /// Scans every unconsumed byte of the checked-out segments,
-    /// returning the shard's reports (global pattern ids, absolute
-    /// ends). Runs WITHOUT the lock held.
-    pub(crate) fn scan(&mut self) -> Vec<MultiReport> {
-        let mut reports = Vec::new();
-        for seg in &self.segments {
-            let skip = (self.stream.position() - seg.start) as usize;
-            self.stream.feed_into(&seg.bytes[skip..], &mut reports);
-        }
-        reports
-    }
-}
-
-impl<'a> Shared<'a> {
-    pub(crate) fn new() -> Shared<'a> {
-        Shared {
-            flows: HashMap::new(),
-            ready: VecDeque::new(),
-            in_flight: 0,
-            sink: Vec::new(),
-            pre_counters: PrefilterCounters::default(),
-        }
+impl Table {
+    /// Moves the core's sink into ours, attributing every event to the
+    /// `u64` id of its flow.
+    fn absorb(&mut self, core: &ServiceHandle) {
+        let tenants = &self.tenants;
+        self.sink
+            .extend(core.drain_global().into_iter().map(|ev| FlowMatch {
+                flow: tenants[ev.flow.index() as usize],
+                pattern: ev.rule as usize,
+                end: ev.end as usize,
+            }));
     }
 
-    /// Opens (or reopens) `flow` for pushing and returns it. Reopening a
-    /// finished flow starts a fresh incarnation whose undrained reports
-    /// and finishing set survive. Fails if the flow is closed but not
-    /// yet drained — close is a promise that no more bytes come.
-    pub(crate) fn open_flow(
-        &mut self,
-        set: &'a ShardedPatternSet,
-        flow: u64,
-    ) -> Result<&mut Flow<'a>, PushToClosed> {
-        let f = self.flows.entry(flow).or_insert_with(|| Flow::new(set));
-        if f.finished() {
-            let kept_reports = std::mem::take(&mut f.reports);
-            let kept_finishing = std::mem::take(&mut f.finishing);
-            *f = Flow::new(set);
-            f.reports = kept_reports;
-            f.finishing = kept_finishing;
+    /// Opens a fresh core flow as `flow`'s current incarnation.
+    fn open(&mut self, core: &ServiceHandle, flow: u64) -> FlowId {
+        self.absorb(core);
+        let id = core
+            .try_open_flow()
+            .expect("the batch core neither sheds opens nor fail-stops");
+        let slot = id.index() as usize;
+        if self.tenants.len() <= slot {
+            self.tenants.resize(slot + 1, flow);
         }
-        if f.closed {
-            return Err(PushToClosed);
-        }
-        Ok(f)
-    }
-
-    /// Buffers `chunk` for an open `flow` and marks its idle shard units
-    /// ready — except units the literal prefilter proves cold, whose
-    /// position advances past the chunk without a scan. Returns the
-    /// flow's new total length. A zero-length chunk schedules no work.
-    pub(crate) fn buffer_chunk(
-        &mut self,
-        set: &'a ShardedPatternSet,
-        flow: u64,
-        chunk: &[u8],
-    ) -> u64 {
-        let f = self.flows.get_mut(&flow).expect("buffer_chunk: open flow");
-        if chunk.is_empty() {
-            return f.total;
-        }
-        let chunk_start = f.total;
-        f.segments.push_back(Segment {
-            start: chunk_start,
-            bytes: Arc::from(chunk),
-        });
-        f.total += chunk.len() as u64;
-        let Some(pf) = set.prefilter() else {
-            for (si, slot) in f.shards.iter_mut().enumerate() {
-                if !slot.busy {
-                    slot.busy = true;
-                    self.ready.push_back((flow, si));
-                }
-            }
-            return f.total;
+        self.tenants[slot] = flow;
+        let fresh = Incarnation {
+            id,
+            reports: Vec::new(),
+            finishing: Vec::new(),
         };
-        // Filter verdict per shard; the filter state advances over the
-        // chunk even when the scan is skipped.
-        let actions: Vec<ChunkAction> = f
-            .shards
-            .iter_mut()
-            .enumerate()
-            .map(|(si, slot)| pf.chunk_action(si, &mut slot.pre, chunk, chunk_start, 0))
-            .collect();
-        // A woken unit replays up to a window of bytes before the chunk;
-        // if those already fell off the segment queue, re-cover them
-        // with a synthetic segment sliced from the tail buffer (keeping
-        // the queue contiguous for `CheckedOut::scan`'s skip math).
-        let min_replay = actions
-            .iter()
-            .filter_map(|a| match a {
-                ChunkAction::Wake { replay_start } => Some(*replay_start),
-                _ => None,
-            })
-            .min();
-        if let Some(min_replay) = min_replay {
-            let front_start = f.segments.front().map_or(f.total, |s| s.start);
-            if min_replay < front_start {
-                let tail_start = chunk_start - f.tail.len() as u64;
-                debug_assert!(min_replay >= tail_start, "tail covers every replay window");
-                let a = (min_replay - tail_start) as usize;
-                let b = (front_start - tail_start) as usize;
-                f.segments.push_front(Segment {
-                    start: min_replay,
-                    bytes: Arc::from(&f.tail[a..b]),
-                });
-            }
-        }
-        let mut skipped = false;
-        for (si, (slot, action)) in f.shards.iter_mut().zip(&actions).enumerate() {
-            match action {
-                ChunkAction::Scan => {
-                    if !slot.busy {
-                        slot.busy = true;
-                        self.ready.push_back((flow, si));
-                    }
-                }
-                ChunkAction::Skip => {
-                    // Cold units are never queued, so the engine is home.
-                    debug_assert!(!slot.busy, "cold units are never busy");
-                    slot.pos = f.total;
-                    slot.stream
-                        .as_mut()
-                        .expect("cold units hold their engine")
-                        .restart_at(f.total);
-                    self.pre_counters.skipped_units.add(si, 1);
-                    self.pre_counters.skipped_bytes.add(si, chunk.len() as u64);
-                    skipped = true;
-                }
-                ChunkAction::Wake { replay_start } => {
-                    debug_assert!(!slot.busy, "cold units are never busy");
-                    slot.pos = *replay_start;
-                    slot.stream
-                        .as_mut()
-                        .expect("cold units hold their engine")
-                        .restart_at(*replay_start);
-                    self.pre_counters.candidate_hits += 1;
-                    slot.busy = true;
-                    self.ready.push_back((flow, si));
-                }
-            }
-        }
-        pf.extend_tail(&mut f.tail, chunk);
-        if skipped {
-            // Skips advance the watermark without a check-in: merge (and
-            // drop fully-consumed segments) promptly.
-            f.merge_ready_reports(flow, &mut self.sink);
-        }
-        f.total
+        self.flows.entry(flow).or_insert(fresh).id = id;
+        id
     }
 
-    /// Pops a ready `(flow, shard)` unit and checks its engine out,
-    /// along with the segments it has yet to consume.
-    pub(crate) fn checkout(&mut self) -> Option<CheckedOut<'a>> {
-        let (flow, si) = self.ready.pop_front()?;
-        let f = self
-            .flows
-            .get_mut(&flow)
-            .expect("ready unit belongs to a live flow");
-        let slot = &mut f.shards[si];
-        debug_assert!(slot.busy, "queued units are marked busy");
-        let stream = slot.stream.take().expect("ready slot holds its engine");
-        let from = stream.position();
-        let segments: Vec<Segment> = f
-            .segments
-            .iter()
-            .filter(|seg| seg.end() > from)
-            .cloned()
-            .collect();
-        self.in_flight += 1;
-        Some(CheckedOut {
-            flow,
-            shard: si,
-            stream,
-            segments,
-        })
-    }
-
-    /// Checks a scanned unit back in: publishes its reports, requeues it
-    /// if more bytes arrived while it was out, merges what became final,
-    /// and settles `in_flight`.
-    pub(crate) fn check_in(&mut self, unit: CheckedOut<'a>, reports: Vec<MultiReport>) {
-        let CheckedOut {
-            flow,
-            shard: si,
-            stream,
-            ..
-        } = unit;
-        let Some(f) = self.flows.get_mut(&flow) else {
-            // A sibling unit's panic dropped this flow while the unit
-            // was out scanning (see `InFlightGuard`): drop the late
-            // reports, settle the count.
-            self.in_flight -= 1;
-            return;
-        };
-        let slot = &mut f.shards[si];
-        slot.pos = stream.position();
-        slot.stream = Some(stream);
-        slot.pending.extend(reports);
-        if slot.pos < f.total {
-            self.ready.push_back((flow, si)); // more bytes arrived meanwhile
-        } else {
-            slot.busy = false;
-        }
-        f.merge_ready_reports(flow, &mut self.sink);
-        f.try_finish();
-        self.in_flight -= 1;
-    }
-
-    /// Marks `flow` closed and finishes it if already drained. Closing
-    /// an unknown id is a no-op.
-    pub(crate) fn close_flow(&mut self, flow: u64) {
-        if let Some(f) = self.flows.get_mut(&flow) {
-            f.closed = true;
-            f.merge_ready_reports(flow, &mut self.sink);
-            f.try_finish();
-        }
-    }
-
-    /// Drains `flow`'s ordered report queue, forgetting a fully-drained
-    /// finished flow.
-    pub(crate) fn poll_flow(&mut self, flow: u64) -> Vec<SetMatch> {
-        let Some(f) = self.flows.get_mut(&flow) else {
-            return Vec::new();
-        };
-        let out: Vec<SetMatch> = f.reports.drain(..).collect();
-        if f.finished() && f.finishing.is_empty() {
+    /// Forgets `flow` once the core has (its slot was freed: finished
+    /// and drained, or a quarantine acknowledged) and nothing carried
+    /// over from earlier incarnations is left to poll.
+    fn forget_if_drained(&mut self, core: &ServiceHandle, flow: u64) {
+        if self.flows.get(&flow).is_some_and(|inc| {
+            inc.reports.is_empty() && inc.finishing.is_empty() && !core.is_live(inc.id)
+        }) {
             self.flows.remove(&flow);
         }
-        out
-    }
-
-    /// Drains `flow`'s finishing set, forgetting a fully-drained
-    /// finished flow.
-    pub(crate) fn finishing_flow(&mut self, flow: u64) -> Vec<SetMatch> {
-        let Some(f) = self.flows.get_mut(&flow) else {
-            return Vec::new();
-        };
-        let out = std::mem::take(&mut f.finishing);
-        if f.finished() && f.reports.is_empty() {
-            self.flows.remove(&flow);
-        }
-        out
-    }
-
-    /// Drains the global sink.
-    pub(crate) fn drain_sink(&mut self) -> Vec<FlowMatch> {
-        std::mem::take(&mut self.sink)
-    }
-
-    /// Bytes pushed to `flow` so far (`None` for unknown flows).
-    pub(crate) fn flow_len(&self, flow: u64) -> Option<u64> {
-        self.flows.get(&flow).map(|f| f.total)
-    }
-
-    /// Total bytes buffered but not yet consumed by every shard.
-    pub(crate) fn pending_bytes(&self) -> u64 {
-        self.flows.values().map(Flow::buffered).sum()
     }
 }
 
-/// Rejected push: the flow is closed and has not finished draining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PushToClosed;
-
-/// A scanning service over a [`ShardedPatternSet`] for many concurrent
-/// flows. See the [module docs](self) for the architecture.
+/// A batch scanning scheduler for many concurrent flows over an
+/// [`Engine`]; create one with [`Engine::scheduler`] /
+/// [`Engine::scheduler_with`]. See the [module docs](self) for the
+/// architecture.
 ///
 /// # Examples
 ///
@@ -546,30 +176,30 @@ pub(crate) struct PushToClosed;
 /// // The global sink saw both, attributed to their flows.
 /// assert_eq!(sched.drain_global().len(), 2);
 /// ```
-pub struct FlowScheduler<'a> {
-    set: &'a ShardedPatternSet,
+pub struct FlowScheduler {
+    /// The serving core, without resident workers: pushes only buffer,
+    /// and [`run`](FlowScheduler::run) steps it.
+    handle: ServiceHandle,
     workers: usize,
-    shared: Mutex<Shared<'a>>,
-    /// Signalled when the ready queue grows or `in_flight` drops —
-    /// idle workers wait here instead of spinning.
-    wake: Condvar,
+    table: Mutex<Table>,
 }
 
-impl<'a> FlowScheduler<'a> {
-    /// A scheduler over `set` with a pool of `workers` threads (at least
-    /// one) for [`run`](FlowScheduler::run).
-    pub fn new(set: &'a ShardedPatternSet, workers: usize) -> FlowScheduler<'a> {
+impl FlowScheduler {
+    /// A scheduler over `engine` with a pool of `workers` threads (at
+    /// least one) for [`run`](FlowScheduler::run).
+    pub(crate) fn new(engine: &Engine, workers: usize) -> FlowScheduler {
         FlowScheduler {
-            set,
+            handle: ServiceHandle::batch(engine),
             workers: workers.max(1),
-            shared: Mutex::new(Shared::new()),
-            wake: Condvar::new(),
+            table: Mutex::new(Table::default()),
         }
     }
 
-    /// The compiled set this scheduler scans with.
-    pub fn set(&self) -> &'a ShardedPatternSet {
-        self.set
+    /// Locks the `u64` table — always *before* the core's lock.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table
+            .lock()
+            .expect("no scheduler call panics while holding the table lock")
     }
 
     /// The worker-pool size [`run`](FlowScheduler::run) uses.
@@ -582,27 +212,60 @@ impl<'a> FlowScheduler<'a> {
     /// a [`close`](FlowScheduler::close)d-and-drained id reopens it as a
     /// **fresh** flow (new engine states, positions restarting at 0);
     /// undrained reports of the previous incarnation stay pollable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow` is closed but has not drained yet — close is a
+    /// promise that no more bytes come — or if it is quarantined (a scan
+    /// over its bytes panicked; [`close`](FlowScheduler::close) it to
+    /// acknowledge, after which the id is reusable).
     pub fn push(&self, flow: u64, chunk: &[u8]) {
-        let mut shared = self.shared.lock().expect("scheduler lock");
-        if shared.open_flow(self.set, flow).is_err() {
+        let mut table = self.table();
+        let id = match table.flows.get(&flow) {
+            Some(inc) => inc.id,
+            None => table.open(&self.handle, flow),
+        };
+        if self.handle.try_push(id, chunk).is_ready() {
+            return;
+        }
+        // The core only turns a batch push away from a closed flow. One
+        // that has finished draining reopens as a fresh incarnation,
+        // carrying what the old one left unpolled.
+        if !self.handle.is_finished(id) {
+            let quarantined = self.handle.is_quarantined(id);
+            drop(table);
+            if quarantined {
+                panic!("push to quarantined flow {flow}: close() it to acknowledge the fault");
+            }
             panic!("push to closed flow {flow}: run() + poll() it first, or use a new id");
         }
-        shared.buffer_chunk(self.set, flow, chunk);
-        self.wake.notify_all();
+        let inc = table.flows.get_mut(&flow).expect("looked up above");
+        inc.reports.extend(set_matches(
+            self.handle.poll_checked(id).unwrap_or_default(),
+        ));
+        inc.finishing.extend(set_matches(self.handle.finishing(id)));
+        let id = table.open(&self.handle, flow);
+        let reopened = self.handle.try_push(id, chunk);
+        debug_assert!(reopened.is_ready(), "a fresh flow accepts any chunk");
     }
 
     /// Marks `flow` closed: already-buffered bytes are still scanned by
     /// the next [`run`](FlowScheduler::run), after which the flow's
     /// engine states are freed. Its reports stay pollable; the id can be
     /// reused afterwards (see [`push`](FlowScheduler::push)). Closing an
-    /// unknown id is a no-op.
+    /// unknown id is a no-op; closing a quarantined flow acknowledges
+    /// the fault and forgets the flow.
     ///
     /// # Panics
     ///
     /// [`push`](FlowScheduler::push)ing to a closed flow that has not
     /// drained yet panics — close is a promise that no more bytes come.
     pub fn close(&self, flow: u64) {
-        self.shared.lock().expect("scheduler lock").close_flow(flow);
+        let mut table = self.table();
+        if let Some(inc) = table.flows.get(&flow) {
+            self.handle.close(inc.id);
+            table.forget_if_drained(&self.handle, flow);
+        }
     }
 
     /// Scans everything buffered so far on the worker pool, returning
@@ -613,53 +276,31 @@ impl<'a> FlowScheduler<'a> {
     ///
     /// Engine states persist across calls — `push`/`run`/`poll` cycles
     /// can repeat forever, which is the serving loop.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside a scan quarantines only the flow it hit: the
+    /// flow's engines are freed and it accepts no more input, reports
+    /// merged before the fault stay [`poll`](FlowScheduler::poll)able,
+    /// and every other flow's batch completes untouched. Once the batch
+    /// has settled, `run` rethrows the (first) panic payload; a caller
+    /// that catches it can keep scheduling the other flows.
     pub fn run(&self) {
-        if self.workers == 1 {
-            self.worker_loop();
+        let core = &*self.handle.core;
+        let fault = if self.workers == 1 {
+            core.drain()
         } else {
             std::thread::scope(|scope| {
-                for _ in 0..self.workers {
-                    scope.spawn(|| self.worker_loop());
-                }
-            });
-        }
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            // Check a ready unit out (or conclude the batch is done).
-            let mut shared = self.shared.lock().expect("scheduler lock");
-            let mut unit = loop {
-                if let Some(unit) = shared.checkout() {
-                    break unit;
-                }
-                if shared.in_flight == 0 {
-                    return; // nothing ready, nothing pending: batch done
-                }
-                shared = self.wake.wait(shared).expect("scheduler lock");
-            };
-            drop(shared);
-
-            // If the scan panics while the unit is checked out, siblings
-            // waiting on `wake` would otherwise sleep forever (in_flight
-            // never drops) and thread::scope would never join — turning
-            // an engine panic into a deadlock. The guard settles the
-            // count on unwind so every worker exits and the panic
-            // propagates out of run().
-            let guard = InFlightGuard {
-                sched: self,
-                flow: unit.flow,
-            };
-
-            // Scan outside the lock; other workers may be advancing other
-            // shards of the same flow right now.
-            let reports = unit.scan();
-
-            // Check the unit back in and publish what became final.
-            let mut shared = self.shared.lock().expect("scheduler lock");
-            shared.check_in(unit, reports);
-            std::mem::forget(guard); // settled by check_in under the lock
-            self.wake.notify_all();
+                let pool: Vec<_> = (0..self.workers)
+                    .map(|_| scope.spawn(|| core.drain()))
+                    .collect();
+                pool.into_iter()
+                    .filter_map(|worker| worker.join().expect("drain catches scan panics"))
+                    .next()
+            })
+        };
+        if let Some(payload) = fault {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -668,7 +309,18 @@ impl<'a> FlowScheduler<'a> {
     /// and finishing set have all been drained is forgotten, freeing its
     /// table entry.
     pub fn poll(&self, flow: u64) -> Vec<SetMatch> {
-        self.shared.lock().expect("scheduler lock").poll_flow(flow)
+        let mut table = self.table();
+        let Some(inc) = table.flows.get_mut(&flow) else {
+            return Vec::new();
+        };
+        let mut out = std::mem::take(&mut inc.reports);
+        // A stale id, or a quarantined flow with nothing left, polls
+        // empty like any drained flow.
+        out.extend(set_matches(
+            self.handle.poll_checked(inc.id).unwrap_or_default(),
+        ));
+        table.forget_if_drained(&self.handle, flow);
+        out
     }
 
     /// Drains `flow`'s **finishing set**: the `$`-anchored matches that
@@ -683,10 +335,14 @@ impl<'a> FlowScheduler<'a> {
     ///
     /// [`ShardedSetStream::finish`]: crate::ShardedSetStream::finish
     pub fn finishing(&self, flow: u64) -> Vec<SetMatch> {
-        self.shared
-            .lock()
-            .expect("scheduler lock")
-            .finishing_flow(flow)
+        let mut table = self.table();
+        let Some(inc) = table.flows.get_mut(&flow) else {
+            return Vec::new();
+        };
+        let mut out = std::mem::take(&mut inc.finishing);
+        out.extend(set_matches(self.handle.finishing(inc.id)));
+        table.forget_if_drained(&self.handle, flow);
+        out
     }
 
     /// Drains the global sink: every merged match of every flow, in the
@@ -694,10 +350,9 @@ impl<'a> FlowScheduler<'a> {
     ///
     /// # Ordering contract
     ///
-    /// Pinned by `tests/service_reload.rs` (and shared by every
-    /// `drain_global` in the crate — [`FlowService`](crate::FlowService)
-    /// and [`ServiceHandle`](crate::ServiceHandle) have the same
-    /// contract):
+    /// Pinned by `tests/service_reload.rs` (and shared with
+    /// [`ServiceHandle::drain_global`](crate::ServiceHandle::drain_global)
+    /// — it is the same sink):
     ///
     /// * **within one flow**, events appear in stream order — ascending
     ///   end offset, ascending pattern index within one end — exactly
@@ -708,108 +363,61 @@ impl<'a> FlowScheduler<'a> {
     ///   by the call, and an event is never in both an earlier and a
     ///   later drain.
     pub fn drain_global(&self) -> Vec<FlowMatch> {
-        self.shared.lock().expect("scheduler lock").drain_sink()
+        let mut table = self.table();
+        table.absorb(&self.handle);
+        std::mem::take(&mut table.sink)
     }
 
     /// Number of flows currently tracked (open, or closed with undrained
     /// reports).
     pub fn flow_count(&self) -> usize {
-        self.shared.lock().expect("scheduler lock").flows.len()
+        self.table().flows.len()
     }
 
     /// Bytes pushed to `flow` so far (`None` for unknown flows). After a
     /// close + reopen this restarts from the new incarnation's bytes.
     pub fn flow_len(&self, flow: u64) -> Option<u64> {
-        self.shared.lock().expect("scheduler lock").flow_len(flow)
+        let id = self.table().flows.get(&flow)?.id;
+        self.handle.flow_len(id)
     }
 
     /// Total bytes buffered but not yet consumed by every shard — the
     /// scan debt the next [`run`](FlowScheduler::run) clears.
     pub fn pending_bytes(&self) -> u64 {
-        self.shared.lock().expect("scheduler lock").pending_bytes()
+        self.handle.pending_bytes()
     }
 
-    /// Aggregated hybrid-overlay statistics across every live flow's
-    /// shard engines, or `None` when the set scans in
-    /// [`ScanMode::Nca`]. Engines currently checked out by workers and
-    /// engines of finished flows (freed at close + drain) are not
-    /// counted — sample between [`run`](FlowScheduler::run)s, before
-    /// closing, for complete numbers.
+    /// Aggregated hybrid-overlay statistics across every flow's shard
+    /// engines — live ones and those already freed at close + drain —
+    /// or `None` when the engine scans in
+    /// [`ScanMode::Nca`](crate::ScanMode::Nca): the
+    /// [`hybrid`](crate::ServiceMetrics::hybrid) block of the core's
+    /// metrics snapshot. Engines currently checked out by workers are
+    /// not counted — sample between [`run`](FlowScheduler::run)s.
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
-        if matches!(self.set.scan_mode(), ScanMode::Nca) {
-            return None;
-        }
-        let shared = self.shared.lock().expect("scheduler lock");
-        let mut total = HybridStats::default();
-        for flow in shared.flows.values() {
-            for slot in &flow.shards {
-                if let Some(stats) = slot.stream.as_ref().and_then(ShardStream::hybrid_stats) {
-                    total.merge(&stats);
-                }
-            }
-        }
-        Some(total)
+        self.handle.metrics().hybrid
     }
 
     /// Aggregated literal-prefilter counters — skipped `(flow, shard)`
     /// chunk scans per shard, skipped bytes, cold→hot wake-ups — or
-    /// `None` when the set was built with
-    /// [`PrefilterMode::Off`](crate::PrefilterMode::Off). Counters
-    /// accumulate across [`push`](FlowScheduler::push)es for the
-    /// scheduler's lifetime.
+    /// `None` when the engine was built with
+    /// [`PrefilterMode::Off`](crate::PrefilterMode::Off): the
+    /// [`prefilter`](crate::ServiceMetrics::prefilter) block of the
+    /// core's metrics snapshot. Counters accumulate across
+    /// [`push`](FlowScheduler::push)es for the scheduler's lifetime.
     pub fn prefilter_stats(&self) -> Option<PrefilterMetrics> {
-        let pf = self.set.prefilter()?;
-        let shared = self.shared.lock().expect("scheduler lock");
-        Some(
-            shared
-                .pre_counters
-                .snapshot(self.set.shard_count(), pf.always_on_rules()),
-        )
+        self.handle.metrics().prefilter
     }
 }
 
-/// Unwind protection for a checked-out `(flow, shard)` unit: if the
-/// owning worker panics during its unlocked scan, dropping this
-/// quarantines the broken flow — removes it from the table and purges
-/// its queued units, since its engine is lost and it could never drain
-/// — then settles `in_flight` and wakes the siblings so they can
-/// observe the drained queue and exit (letting `thread::scope` join
-/// and propagate the panic). Every *other* flow's state survives, so a
-/// caller that catches the panic out of [`FlowScheduler::run`] can
-/// keep scheduling the rest. The normal check-in path settles the
-/// count under the lock and `mem::forget`s the guard.
-struct InFlightGuard<'s, 'a> {
-    sched: &'s FlowScheduler<'a>,
-    flow: u64,
-}
-
-impl Drop for InFlightGuard<'_, '_> {
-    fn drop(&mut self) {
-        // Never panic in drop: a poisoned lock (panic while merging
-        // under the lock) is taken anyway just to fix the count.
-        let mut shared = self
-            .sched
-            .shared
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let flow = self.flow;
-        shared.flows.remove(&flow);
-        shared.ready.retain(|&(rid, _)| rid != flow);
-        shared.in_flight -= 1;
-        self.sched.wake.notify_all();
-    }
-}
-
-impl fmt::Debug for FlowScheduler<'_> {
+impl fmt::Debug for FlowScheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let shared = self.shared.lock().expect("scheduler lock");
         write!(
             f,
-            "FlowScheduler({} flows, {} shards, {} workers, {} ready)",
-            shared.flows.len(),
-            self.set.shard_count(),
+            "FlowScheduler({} flows, {} workers, {} B pending)",
+            self.flow_count(),
             self.workers,
-            shared.ready.len()
+            self.pending_bytes()
         )
     }
 }
@@ -817,16 +425,15 @@ impl fmt::Debug for FlowScheduler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, ShardedPatternSet};
     use recama_hw::ShardPolicy;
 
-    fn sharded(patterns: &[&str], shards: usize) -> ShardedPatternSet {
+    fn sharded(patterns: &[&str], shards: usize) -> Engine {
         Engine::builder()
             .patterns(patterns)
             .shard_policy(ShardPolicy::Fixed(shards))
             .build()
             .unwrap()
-            .into_set()
     }
 
     /// Per-flow scheduler output must equal an independent stream fed the
@@ -842,11 +449,11 @@ mod tests {
 
     #[test]
     fn interleaved_flows_match_independent_streams() {
-        let set = sharded(&["ab{2,4}c", "x{3}", "q[rs]{2}t"], 3);
+        let engine = sharded(&["ab{2,4}c", "x{3}", "q[rs]{2}t"], 3);
         let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
         let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
         for workers in [1, 2, 5] {
-            let sched = FlowScheduler::new(&set, workers);
+            let sched = engine.scheduler_with(workers);
             // Interleave pushes; run mid-way and at the end.
             sched.push(1, flow_a[0]);
             sched.push(2, flow_b[0]);
@@ -856,16 +463,16 @@ mod tests {
             sched.push(2, flow_b[2]);
             sched.push(1, flow_a[2]);
             sched.run();
-            assert_eq!(sched.poll(1), expected_stream(&set, &flow_a));
-            assert_eq!(sched.poll(2), expected_stream(&set, &flow_b));
+            assert_eq!(sched.poll(1), expected_stream(engine.set(), &flow_a));
+            assert_eq!(sched.poll(2), expected_stream(engine.set(), &flow_b));
             assert_eq!(sched.pending_bytes(), 0);
         }
     }
 
     #[test]
     fn global_sink_attributes_every_match() {
-        let set = sharded(&["kk", "zz"], 2);
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = sharded(&["kk", "zz"], 2);
+        let sched = engine.scheduler_with(2);
         sched.push(10, b"akka");
         sched.push(20, b"zz");
         sched.run();
@@ -896,8 +503,8 @@ mod tests {
 
     #[test]
     fn close_frees_engines_and_id_reuse_starts_fresh() {
-        let set = sharded(&["ab"], 1);
-        let sched = FlowScheduler::new(&set, 1);
+        let engine = sharded(&["ab"], 1);
+        let sched = engine.scheduler_with(1);
         sched.push(5, b"..ab");
         sched.close(5); // close with bytes still pending
         sched.run();
@@ -913,8 +520,8 @@ mod tests {
 
     #[test]
     fn close_then_reopen_before_poll_keeps_old_reports() {
-        let set = sharded(&["ab"], 1);
-        let sched = FlowScheduler::new(&set, 1);
+        let engine = sharded(&["ab"], 1);
+        let sched = engine.scheduler_with(1);
         sched.push(5, b"ab");
         sched.close(5);
         sched.run();
@@ -933,8 +540,8 @@ mod tests {
 
     #[test]
     fn finishing_resolves_dollar_anchors_at_flow_end() {
-        let set = sharded(&["ab$", "ab", "cd$"], 2);
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = sharded(&["ab$", "ab", "cd$"], 2);
+        let sched = engine.scheduler_with(2);
         sched.push(1, b"ab.c");
         sched.push(1, b"d");
         sched.close(1);
@@ -950,7 +557,7 @@ mod tests {
         );
         // ...and the finishing set keeps only the $-match on the final
         // byte — exactly what the flow's own stream would finish with.
-        let mut stream = set.stream();
+        let mut stream = engine.stream();
         stream.feed(b"ab.c").count();
         stream.feed(b"d").count();
         assert_eq!(sched.finishing(1), stream.finish());
@@ -967,8 +574,8 @@ mod tests {
 
     #[test]
     fn zero_length_chunks_open_flows_but_schedule_nothing() {
-        let set = sharded(&["ab"], 1);
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = sharded(&["ab"], 1);
+        let sched = engine.scheduler_with(2);
         sched.push(1, b"");
         assert_eq!(sched.flow_count(), 1);
         assert_eq!(sched.pending_bytes(), 0);
@@ -984,8 +591,8 @@ mod tests {
 
     #[test]
     fn empty_set_and_unknown_flows_are_harmless() {
-        let set = Engine::new(Vec::<String>::new()).unwrap().into_set();
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = Engine::new(Vec::<String>::new()).unwrap();
+        let sched = engine.scheduler_with(2);
         sched.push(1, b"anything");
         sched.run();
         assert!(sched.poll(1).is_empty());
@@ -998,7 +605,7 @@ mod tests {
     #[test]
     fn scheduler_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<FlowScheduler<'static>>();
+        assert_send_sync::<FlowScheduler>();
         assert_send_sync::<FlowMatch>();
     }
 }

@@ -2,13 +2,25 @@
 //! serving loop over an [`Engine`](crate::Engine) — with epoch-based
 //! hot rule reload, a generational flow table, and a metrics snapshot.
 //!
-//! [`FlowScheduler`](crate::FlowScheduler) is a *batch* API: `run()`
-//! scans what is buffered and returns when the queue drains. A serving
-//! deployment wants the opposite lifecycle — workers that stay parked
-//! on the readiness condvar between bursts, producers that are pushed
-//! back when a flow buffers faster than it scans, and flows that go
-//! quiet getting evicted instead of leaking engine state. This module
-//! provides that lifecycle as an **owned** handle:
+//! This module is the crate's **one serving core**. Every scheduling
+//! move lives here, once, on `ServeState` (everything the service lock
+//! protects): the flow table (`open` / `free_slot`), admission and
+//! buffering with the literal-prefilter skip/wake/replay decision
+//! (`try_push_at` → `buffer_chunk`), `checkout` and `check_in` around an
+//! unlocked scan, the watermark-ordered report merge (`merge_ready`),
+//! `$`-finishing (`try_finish`), `close_flow`, quarantine and eviction.
+//! `ServiceCore::step` strings checkout → caught scan → check-in (or
+//! quarantine / fail-stop) together, and two drivers call it:
+//!
+//! * the resident workers of a [`ServiceHandle`], which park on the
+//!   readiness condvar between bursts and step forever;
+//! * [`FlowScheduler::run`](crate::FlowScheduler::run), the *batch*
+//!   driver in [`sched`](crate::sched), which steps until the readiness
+//!   queue is empty and returns.
+//!
+//! A serving deployment wants the first lifecycle — producers that are
+//! pushed back when a flow buffers faster than it scans, and flows that
+//! go quiet getting evicted instead of leaking engine state:
 //!
 //! * [`Engine::serve`](crate::Engine::serve) returns a `'static`
 //!   [`ServiceHandle`] that owns its worker threads: they spawn on
@@ -17,8 +29,8 @@
 //!   enclosing scope required, so the service embeds directly in a
 //!   server's state;
 //! * flows are addressed by generational [`FlowId`]s from
-//!   [`open_flow`](ServiceHandle::open_flow): slot reuse bumps the
-//!   generation, so a stale id held after its flow drained can never
+//!   [`try_open_flow`](ServiceHandle::try_open_flow): slot reuse bumps
+//!   the generation, so a stale id held after its flow drained can never
 //!   observe (or pollute) the slot's next tenant;
 //! * [`reload`](ServiceHandle::reload) /
 //!   [`reload_rules`](ServiceHandle::reload_rules) install a new
@@ -41,32 +53,25 @@
 //!   literal-prefilter block (per-shard skipped units/bytes, candidate
 //!   wake-ups, always-on rule count).
 //!
-//! Report semantics are identical to the scheduler's (and therefore
-//! byte-identical to one independent
-//! [`ShardedSetStream`](crate::ShardedSetStream) per flow): the service
-//! reuses the same segment buffering, readiness queue, and
-//! watermark-ordered merge, under its own worker lifecycle. Across a
-//! reload, a migrated flow's stream is **cut at the migration
-//! boundary**: bytes before the boundary were scanned by the old
-//! engine, bytes after it by the new engine starting fresh — exactly a
-//! fresh per-flow stream over the post-boundary suffix, which
-//! `tests/service_reload.rs` pins differentially.
-//!
-//! The scope-based [`FlowService`] (from the deprecated
-//! [`Engine::service`](crate::Engine::service)) survives as a thin
-//! wrapper over the same core: it spawns its handle's workers paused
-//! and only unparks them inside [`FlowService::run`].
+//! Per-flow reports are byte-identical to one independent
+//! [`ShardedSetStream`](crate::ShardedSetStream) per flow: shard report
+//! buffers are merged by `(end, pattern)` up to the *watermark* — the
+//! least position any shard of the flow has consumed — so ordering
+//! never depends on which worker ran first. Across a reload, a migrated
+//! flow's stream is **cut at the migration boundary**: bytes before the
+//! boundary were scanned by the old engine, bytes after it by the new
+//! engine starting fresh — exactly a fresh per-flow stream over the
+//! post-boundary suffix, which `tests/service_reload.rs` pins
+//! differentially.
 
-use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfig, ServiceConfig};
+use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfig};
 use crate::prefilter::{
     ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics, PrefilterState,
 };
-use crate::sched::Segment;
-use crate::{FlowMatch, SetMatch, ShardedPatternSet};
+use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStreamState};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::Poll;
@@ -75,7 +80,7 @@ use std::time::Instant;
 
 // ---- public value types ---------------------------------------------
 
-/// A generational flow handle from [`ServiceHandle::open_flow`].
+/// A generational flow handle from [`ServiceHandle::try_open_flow`].
 ///
 /// The service stores flows in a slab; a `FlowId` is the slot index
 /// plus the slot's **generation** at open time. Freeing a flow bumps
@@ -217,19 +222,16 @@ pub struct FaultMetrics {
     pub fail_stops: u64,
 }
 
-/// Why a checked [`ServiceHandle`] call could not proceed.
-///
-/// The original calls ([`push`](ServiceHandle::push),
-/// [`poll`](ServiceHandle::poll), [`open_flow`](ServiceHandle::open_flow))
-/// keep their panicking/silent signatures for compatibility; the
-/// `_checked` variants surface the same conditions as values.
+/// Why a [`ServiceHandle`] call could not proceed: the conditions
+/// [`try_open_flow`](ServiceHandle::try_open_flow),
+/// [`push_checked`](ServiceHandle::push_checked) and
+/// [`poll_checked`](ServiceHandle::poll_checked) surface as values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The flow is quarantined: a scan over its bytes panicked, its
     /// engines were freed, and it accepts no more input. Carries a
     /// summary of the panic payload. Reports merged before the fault
-    /// stay available via [`poll`](ServiceHandle::poll) /
-    /// [`poll_checked`](ServiceHandle::poll_checked);
+    /// stay available via [`poll_checked`](ServiceHandle::poll_checked);
     /// [`close`](ServiceHandle::close) acknowledges the quarantine and
     /// reclaims the slot.
     Quarantined {
@@ -250,7 +252,7 @@ pub enum ServeError {
     Overloaded,
     /// The flow id is closed, stale, or unknown.
     Closed,
-    /// The service has no consuming workers (paused or shut down).
+    /// The service has no consuming workers (it is shutting down).
     Stopped,
 }
 
@@ -371,40 +373,20 @@ impl FaultPlan {
 
 // ---- internal state -------------------------------------------------
 
-/// A merged match as stored per flow: stable rule id for the new API,
-/// epoch-local pattern index for the deprecated pattern-indexed
-/// wrapper, absolute end.
-#[derive(Debug, Clone, Copy)]
-struct StoredMatch {
-    rule: u64,
-    pattern: u32,
-    end: u64,
+/// A buffered input chunk: `bytes` starts at absolute stream offset
+/// `start` within its flow. Chunks are `Arc`-shared so workers can scan
+/// them outside the service lock while slower shards still reference
+/// them.
+#[derive(Clone)]
+struct Segment {
+    start: u64,
+    bytes: Arc<[u8]>,
 }
 
-impl StoredMatch {
-    fn rule_match(self) -> RuleMatch {
-        RuleMatch {
-            rule: self.rule,
-            end: self.end,
-        }
+impl Segment {
+    fn end(&self) -> u64 {
+        self.start + self.bytes.len() as u64
     }
-
-    fn set_match(self) -> SetMatch {
-        SetMatch {
-            pattern: self.pattern as usize,
-            end: self.end as usize,
-        }
-    }
-}
-
-/// A merged match in the global sink, carrying both addressings.
-#[derive(Debug, Clone, Copy)]
-struct SinkEvent {
-    flow: FlowId,
-    raw: Option<u64>,
-    rule: u64,
-    pattern: u32,
-    end: u64,
 }
 
 /// One engine installed behind the epoch counter. The `Arc`ed machine
@@ -420,9 +402,8 @@ struct EpochEngine {
     flows: usize,
 }
 
-/// One checkout-able (flow, shard) engine unit — the owned counterpart
-/// of the scheduler's `ShardSlot`, holding a detached
-/// [`ShardStreamState`] instead of a borrowed stream.
+/// One checkout-able (flow, shard) engine unit, holding a detached
+/// [`ShardStreamState`] so the flow table borrows nothing.
 struct OwnedShardSlot {
     /// `None` while a worker holds the engine.
     state: Option<ShardStreamState>,
@@ -444,12 +425,41 @@ struct OwnedShardSlot {
     scans: u64,
 }
 
+impl OwnedShardSlot {
+    /// Idle, cold slots around fresh engines that start counting at
+    /// absolute flow offset `pos`.
+    fn fresh(states: Vec<ShardStreamState>, pos: u64) -> Vec<OwnedShardSlot> {
+        states
+            .into_iter()
+            .map(|state| OwnedShardSlot {
+                state: Some(state),
+                pending: VecDeque::new(),
+                pos,
+                busy: false,
+                pre: PrefilterState::default(),
+                #[cfg(feature = "fault-inject")]
+                scans: 0,
+            })
+            .collect()
+    }
+
+    /// Repositions a cold unit's engine at absolute flow offset `pos`
+    /// (engine-relative `pos - base`): past a skipped chunk, or back to
+    /// a wake-up's replay point. Cold units are never queued, so the
+    /// engine is parked here and nothing holds it.
+    fn restart_at(&mut self, set: &ShardedPatternSet, pos: u64, base: u64) {
+        debug_assert!(!self.busy, "cold units are never busy");
+        let state = self.state.take().expect("cold units hold their engine");
+        let mut stream = set.resume_shard_stream(state);
+        stream.restart_at(pos - base);
+        self.state = Some(stream.into_state());
+        self.pos = pos;
+    }
+}
+
 /// Per-flow state in the slab: buffered input, one [`OwnedShardSlot`]
 /// per shard of the flow's epoch, and the merged in-order report queue.
 struct OwnedFlow {
-    /// The raw u64 id, when the flow came in through the deprecated
-    /// u64-addressed API.
-    raw: Option<u64>,
     /// The epoch whose engines this flow's shard slots hold.
     epoch: u64,
     /// Set once the flow's engines were freed and its epoch pin
@@ -465,14 +475,14 @@ struct OwnedFlow {
     closed: bool,
     /// Empty once a closed flow has fully drained (engines freed).
     shards: Vec<OwnedShardSlot>,
-    reports: VecDeque<StoredMatch>,
+    reports: VecDeque<RuleMatch>,
     /// Last `$`-anchored candidate per (epoch-local) pattern, so
     /// closing the flow can resolve which land on the final byte.
     /// Cleared at migration: old candidates cannot end at the final
     /// byte once more bytes arrive.
     dollar: HashMap<u32, u64>,
     /// The resolved finishing set of a finished flow, until drained.
-    finishing: Vec<StoredMatch>,
+    finishing: Vec<RuleMatch>,
     /// Last `window` bytes of the flow since the epoch base, kept while
     /// any shard is cold so a prefilter wake-up can replay the bytes a
     /// match may have started in. Cleared at migration (fresh engines
@@ -522,6 +532,18 @@ impl OwnedFlow {
     fn finished(&self) -> bool {
         self.closed && self.shards.is_empty()
     }
+
+    /// The hybrid-overlay counters of the flow's parked engines (a
+    /// checked-out engine reports when it is back).
+    fn hybrid_stats(&self) -> HybridStats {
+        let mut total = HybridStats::default();
+        for slot in &self.shards {
+            if let Some(stats) = slot.state.as_ref().and_then(ShardStreamState::hybrid_stats) {
+                total.merge(&stats);
+            }
+        }
+        total
+    }
 }
 
 /// One slab slot: the generation counts how many tenants the slot has
@@ -553,9 +575,6 @@ struct MetricsAcc {
 struct ServeState {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Deprecated u64-addressed flows: raw id → current incarnation.
-    /// Entries always point at occupied slots (removed at slot free).
-    raw: HashMap<u64, FlowId>,
     /// Open (not yet closed/evicted) flows — the quantity
     /// [`ServeConfig::max_flows`](crate::ServeConfig::max_flows)
     /// bounds.
@@ -572,23 +591,14 @@ struct ServeState {
     /// `pending_bytes` under a million-flow table.
     buffered_total: u64,
     /// Global sink: every merged match, attributed to its flow.
-    sink: Vec<SinkEvent>,
-    /// Workers park unconditionally while set (the wrapper's
-    /// outside-`run` state): no checkouts, no sweeps.
-    paused: bool,
-    /// Set while a [`FlowService::run`] scope is live.
-    wrapper_running: bool,
+    sink: Vec<ServiceEvent>,
     /// Workers drain and exit instead of parking.
     shutdown: bool,
     /// Set when a worker panicked mid-scan: its `(flow, shard)` engine
     /// unit is lost, so that flow can never drain — blocking producers
     /// must panic out instead of waiting forever.
     poisoned: bool,
-    /// The panicking worker's payload, so [`FlowService::run`] can
-    /// rethrow it like the scoped implementation did.
-    panic_payload: Option<Box<dyn Any + Send>>,
-    /// Human-readable summary of the first fail-stop panic payload;
-    /// survives `take_panic` (which consumes the payload itself).
+    /// Human-readable summary of the first fail-stop panic payload.
     panic_message: Option<String>,
     /// Worker restarts consumed from
     /// [`ServeConfig::restart_budget`](crate::ServeConfig::restart_budget),
@@ -600,9 +610,8 @@ struct ServeState {
     opened: u64,
     /// When the next idle sweep is due.
     next_sweep: Option<Instant>,
-    /// Evicted flows (with their raw id, if any) until drained by
-    /// [`ServiceHandle::evictions`].
-    evicted: Vec<(FlowId, Option<u64>)>,
+    /// Evicted flows until drained by [`ServiceHandle::evictions`].
+    evicted: Vec<FlowId>,
     /// Monotone counter behind `OwnedFlow::last_touch`.
     touch: u64,
     metrics: MetricsAcc,
@@ -612,16 +621,17 @@ struct ServeState {
 }
 
 impl ServeState {
-    fn new(engine: &Engine, paused: bool) -> ServeState {
+    /// An empty flow table serving `set` as epoch 0, reporting compiled
+    /// pattern `i` as rule `ids[i]`.
+    fn new(set: Arc<ShardedPatternSet>, ids: Arc<[u64]>) -> ServeState {
         ServeState {
             slots: Vec::new(),
             free: Vec::new(),
-            raw: HashMap::new(),
             open_count: 0,
             epochs: vec![EpochEngine {
                 epoch: 0,
-                set: engine.set_arc(),
-                ids: engine.ids_arc(),
+                set,
+                ids,
                 flows: 0,
             }],
             current_epoch: 0,
@@ -629,11 +639,8 @@ impl ServeState {
             in_flight: 0,
             buffered_total: 0,
             sink: Vec::new(),
-            paused,
-            wrapper_running: false,
             shutdown: false,
             poisoned: false,
-            panic_payload: None,
             panic_message: None,
             restarts: 0,
             #[cfg(feature = "fault-inject")]
@@ -705,7 +712,7 @@ impl ServeState {
 
     /// Opens a fresh flow on the current epoch, evicting the LRU
     /// drained flow first when the table is at its budget.
-    fn open(&mut self, raw: Option<u64>, cfg: &ServeConfig) -> FlowId {
+    fn open(&mut self, cfg: &ServeConfig) -> FlowId {
         if self.open_count >= cfg.max_flows && !self.evict_lru() {
             // Nothing evictable: the table overshoots, visibly.
             self.metrics.backpressure += 1;
@@ -721,25 +728,13 @@ impl ServeState {
             seq
         };
         let flow = Box::new(OwnedFlow {
-            raw,
             epoch,
             epoch_released: false,
             base: 0,
             segments: VecDeque::new(),
             total: 0,
             closed: false,
-            shards: states
-                .into_iter()
-                .map(|state| OwnedShardSlot {
-                    state: Some(state),
-                    pending: VecDeque::new(),
-                    pos: 0,
-                    busy: false,
-                    pre: PrefilterState::default(),
-                    #[cfg(feature = "fault-inject")]
-                    scans: 0,
-                })
-                .collect(),
+            shards: OwnedShardSlot::fresh(states, 0),
             reports: VecDeque::new(),
             dollar: HashMap::new(),
             finishing: Vec::new(),
@@ -768,9 +763,6 @@ impl ServeState {
             generation: self.slots[index as usize].generation,
         };
         self.open_count += 1;
-        if let Some(raw) = raw {
-            self.raw.insert(raw, id);
-        }
         id
     }
 
@@ -782,11 +774,6 @@ impl ServeState {
         let flow = slot.flow.take().expect("freeing an occupied slot");
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.index);
-        if let Some(raw) = flow.raw {
-            if self.raw.get(&raw) == Some(&id) {
-                self.raw.remove(&raw);
-            }
-        }
         if !flow.closed {
             self.open_count -= 1;
         }
@@ -798,10 +785,9 @@ impl ServeState {
     }
 
     /// Frees the slot once the flow is finished with both report
-    /// queues drained — mirrors the scheduler forgetting such flows.
-    /// Quarantined flows are exempt: they stay addressable (so pushes
-    /// and polls keep reporting the condition) until explicitly
-    /// closed.
+    /// queues drained. Quarantined flows are exempt: they stay
+    /// addressable (so pushes and polls keep reporting the condition)
+    /// until explicitly closed.
     fn free_if_drained(&mut self, id: FlowId) {
         if self.flow(id).is_some_and(|f| {
             f.quarantined.is_none()
@@ -818,15 +804,12 @@ impl ServeState {
     /// Poisons the whole service — the fail-stop path (explicit
     /// [`FaultPolicy::FailStop`], or an exhausted restart budget):
     /// every blocking call panics from now on. Records the transition
-    /// and the first panic's payload + summary.
-    fn fail_stop(&mut self, payload: Box<dyn Any + Send>) {
+    /// and the first panic's payload summary.
+    fn fail_stop(&mut self, payload: &(dyn Any + Send)) {
         if !self.poisoned {
+            self.poisoned = true;
             self.metrics.fail_stops += 1;
-        }
-        self.poisoned = true;
-        if self.panic_payload.is_none() {
-            self.panic_message = Some(payload_summary(payload.as_ref()));
-            self.panic_payload = Some(payload);
+            self.panic_message = Some(payload_summary(payload));
         }
     }
 
@@ -849,12 +832,7 @@ impl ServeState {
         let was_open = !f.closed;
         f.closed = true;
         f.quarantined = Some(summary.to_string());
-        let mut retired = HybridStats::default();
-        for slot in &f.shards {
-            if let Some(stats) = slot.state.as_ref().and_then(ShardStreamState::hybrid_stats) {
-                retired.merge(&stats);
-            }
-        }
+        let retired = f.hybrid_stats();
         f.shards.clear();
         f.segments.clear();
         f.dollar.clear();
@@ -916,21 +894,15 @@ impl ServeState {
         // a chunk is otherwise accepted when the flow buffers nothing
         // (so chunks larger than the whole budget still make progress)
         // or fits in the per-flow and global byte budgets.
-        if !chunk.is_empty()
-            && buffered > 0
-            && (buffered as usize).saturating_add(chunk.len()) > cfg.flow_budget
-        {
-            self.metrics.backpressure += 1;
-            return Poll::Pending;
-        }
-        if !chunk.is_empty()
-            && buffered_total > 0
-            && buffered_total.saturating_add(chunk.len() as u64) > cfg.max_buffered_bytes
-        {
-            self.metrics.backpressure += 1;
-            return Poll::Pending;
-        }
         if !chunk.is_empty() {
+            let over_flow_budget =
+                buffered > 0 && (buffered as usize).saturating_add(chunk.len()) > cfg.flow_budget;
+            let over_global_budget = buffered_total > 0
+                && buffered_total.saturating_add(chunk.len() as u64) > cfg.max_buffered_bytes;
+            if over_flow_budget || over_global_budget {
+                self.metrics.backpressure += 1;
+                return Poll::Pending;
+            }
             self.maybe_migrate(id);
         }
         Poll::Ready(self.buffer_chunk(id, chunk))
@@ -955,12 +927,7 @@ impl ServeState {
             .flow
             .as_deref_mut()
             .expect("migrating a live flow");
-        let mut retired = HybridStats::default();
-        for slot in &f.shards {
-            if let Some(stats) = slot.state.as_ref().and_then(ShardStreamState::hybrid_stats) {
-                retired.merge(&stats);
-            }
-        }
+        let retired = f.hybrid_stats();
         let old_epoch = f.epoch;
         let base = f.total;
         f.base = base;
@@ -970,18 +937,7 @@ impl ServeState {
         // straddling the migration boundary is cut like any match
         // there, so the filter state restarts with the engines.
         f.tail.clear();
-        f.shards = states
-            .into_iter()
-            .map(|state| OwnedShardSlot {
-                state: Some(state),
-                pending: VecDeque::new(),
-                pos: base,
-                busy: false,
-                pre: PrefilterState::default(),
-                #[cfg(feature = "fault-inject")]
-                scans: 0,
-            })
-            .collect();
+        f.shards = OwnedShardSlot::fresh(states, base);
         f.epoch = current;
         f.epoch_released = false;
         self.hybrid_retired.merge(&retired);
@@ -1014,6 +970,7 @@ impl ServeState {
             bytes: Arc::from(chunk),
         });
         f.total += chunk.len() as u64;
+        let total = f.total;
         let mut skipped = false;
         match set.prefilter() {
             None => {
@@ -1026,7 +983,6 @@ impl ServeState {
             }
             Some(pf) => {
                 let base = f.base;
-                let paused = self.paused;
                 // Filter verdict per shard; the filter state advances
                 // over the chunk even when the scan is skipped.
                 let actions: Vec<ChunkAction> = f
@@ -1035,101 +991,59 @@ impl ServeState {
                     .enumerate()
                     .map(|(si, slot)| pf.chunk_action(si, &mut slot.pre, chunk, chunk_start, base))
                     .collect();
-                // Each cold idle unit's engine is teleported somewhere
-                // this push decides (`None` ⇒ leave it alone):
-                //
-                // * no candidate, workers live → past the chunk (the
-                //   skip — its whole point);
-                // * no candidate, workers parked → *back* to the wake
-                //   window. A parked skip would silently consume bytes
-                //   the budget/backpressure contract says are still
-                //   buffered, so the unit is enqueued like any other —
-                //   restarted early enough that every future wake-up's
-                //   replay point lies at or after where this engine
-                //   starts, because once the unit is busy a wake cannot
-                //   teleport it (the engine may be checked out);
-                // * first candidate → back to this wake's replay point.
-                //
-                // Busy units are left alone everywhere: cold busy
-                // engines start at or before any replay point (the
-                // invariant above), so they scan the window natively.
-                // Rewinding a cold engine is always sound: it has no
-                // report ending in — and, being report-free, no match
-                // state worth more than — the region it re-scans.
-                let targets: Vec<Option<u64>> = actions
+                // A woken unit replays up to a window of bytes before
+                // the chunk; if those already fell off the segment
+                // queue, re-cover them with a synthetic segment sliced
+                // from the tail buffer (keeping the queue contiguous
+                // for `ServeUnit::scan`'s skip math).
+                let min_replay = actions
                     .iter()
-                    .enumerate()
-                    .zip(&f.shards)
-                    .map(|((si, action), slot)| match action {
-                        _ if slot.busy => None,
-                        ChunkAction::Scan => None,
-                        ChunkAction::Skip if paused => Some(
-                            (chunk_start + 1)
-                                .saturating_sub(
-                                    pf.shard(si).expect("cold shards have filters").window(),
-                                )
-                                .max(base),
-                        ),
-                        ChunkAction::Skip => Some(f.total),
+                    .filter_map(|a| match a {
                         ChunkAction::Wake { replay_start } => Some(*replay_start),
+                        _ => None,
                     })
-                    .collect();
-                // A teleport below the oldest buffered segment re-covers
-                // the gap with a synthetic segment sliced from the tail
-                // buffer, keeping the queue contiguous for
-                // `ServeUnit::scan`'s skip math.
-                if let Some(min_target) = targets.iter().flatten().min().copied() {
-                    let front_start = f.segments.front().map_or(f.total, |s| s.start);
-                    if min_target < front_start {
+                    .min();
+                if let Some(min_replay) = min_replay {
+                    let front_start = f.segments.front().map_or(total, |s| s.start);
+                    if min_replay < front_start {
                         let tail_start = chunk_start - f.tail.len() as u64;
-                        debug_assert!(min_target >= tail_start, "tail covers the replay window");
-                        let a = (min_target - tail_start) as usize;
+                        debug_assert!(min_replay >= tail_start, "tail covers every replay window");
+                        let a = (min_replay - tail_start) as usize;
                         let b = (front_start - tail_start) as usize;
                         f.segments.push_front(Segment {
-                            start: min_target,
+                            start: min_replay,
                             bytes: Arc::from(&f.tail[a..b]),
                         });
                     }
                 }
-                for (si, ((slot, action), target)) in
-                    f.shards.iter_mut().zip(&actions).zip(&targets).enumerate()
-                {
-                    if let Some(target) = *target {
-                        slot.pos = target;
-                        let state = slot.state.take().expect("idle slots hold their engine");
-                        let mut stream = set.resume_shard_stream(state);
-                        stream.restart_at(target - base);
-                        slot.state = Some(stream.into_state());
-                    }
-                    match action {
-                        ChunkAction::Skip if target == &Some(f.total) => {
+                for (si, (slot, action)) in f.shards.iter_mut().zip(&actions).enumerate() {
+                    let enqueue = match *action {
+                        ChunkAction::Scan => !slot.busy,
+                        ChunkAction::Skip => {
+                            slot.restart_at(&set, total, base);
                             self.metrics.prefilter.skipped_units.add(si, 1);
                             self.metrics
                                 .prefilter
                                 .skipped_bytes
                                 .add(si, chunk.len() as u64);
                             skipped = true;
+                            false
                         }
-                        ChunkAction::Wake { .. } => {
+                        ChunkAction::Wake { replay_start } => {
+                            slot.restart_at(&set, replay_start, base);
                             self.metrics.prefilter.candidate_hits += 1;
-                            if !slot.busy {
-                                slot.busy = true;
-                                self.ready.push_back((id, si));
-                            }
+                            true
                         }
-                        _ => {
-                            if !slot.busy {
-                                slot.busy = true;
-                                self.ready.push_back((id, si));
-                            }
-                        }
+                    };
+                    if enqueue {
+                        slot.busy = true;
+                        self.ready.push_back((id, si));
                     }
                 }
                 pf.extend_tail(&mut f.tail, chunk);
             }
         }
         let after = f.buffered();
-        let total = f.total;
         self.buffered_total += after - before;
         self.metrics.queue_peak = self.metrics.queue_peak.max(self.ready.len());
         if skipped {
@@ -1246,13 +1160,12 @@ impl ServeState {
             // `close` on a finished flow lands here.
             return;
         }
-        let raw = f.raw;
         let (set, ids) = {
             let e = self.epoch_entry(f.epoch);
             (Arc::clone(&e.set), Arc::clone(&e.ids))
         };
         let anchored = set.anchored_end();
-        let mut events: Vec<SinkEvent> = Vec::new();
+        let mut events: Vec<ServiceEvent> = Vec::new();
         let f = self
             .flow_mut(id)
             .expect("merge_ready: flow is still live here");
@@ -1272,16 +1185,10 @@ impl ServeState {
                 f.dollar.insert(r.pattern, r.end);
             }
             let rule = ids[r.pattern as usize];
-            f.reports.push_back(StoredMatch {
-                rule,
-                pattern: r.pattern,
-                end: r.end,
-            });
-            events.push(SinkEvent {
+            f.reports.push_back(RuleMatch { rule, end: r.end });
+            events.push(ServiceEvent {
                 flow: id,
-                raw,
                 rule,
-                pattern: r.pattern,
                 end: r.end,
             });
         }
@@ -1308,12 +1215,7 @@ impl ServeState {
             .flow_mut(id)
             .expect("try_finish: flow is still live here");
         debug_assert!(f.shards.iter().all(|slot| slot.pending.is_empty()));
-        let mut retired = HybridStats::default();
-        for slot in &f.shards {
-            if let Some(stats) = slot.state.as_ref().and_then(ShardStreamState::hybrid_stats) {
-                retired.merge(&stats);
-            }
-        }
+        let retired = f.hybrid_stats();
         f.shards.clear();
         f.segments.clear();
         let total = f.total;
@@ -1324,9 +1226,8 @@ impl ServeState {
             .collect();
         finals.sort_unstable();
         f.finishing
-            .extend(finals.into_iter().map(|pattern| StoredMatch {
+            .extend(finals.into_iter().map(|pattern| RuleMatch {
                 rule: ids[pattern as usize],
-                pattern,
                 end: total,
             }));
         f.epoch_released = true;
@@ -1351,62 +1252,15 @@ impl ServeState {
         self.try_finish(id);
     }
 
-    // ---- the deprecated raw-u64 addressing --------------------------
-
-    /// Resolves a raw id to the flow a push should land on: the live
-    /// incarnation, a fresh reopened one if the old finished draining
-    /// (carrying its undrained reports, like the scheduler), or `None`
-    /// while the flow is closed but not yet drained.
-    fn raw_push_target(&mut self, raw: u64, cfg: &ServeConfig) -> Option<FlowId> {
-        match self.raw.get(&raw).copied() {
-            Some(id) => {
-                let f = self.flow(id).expect("raw mappings point at live slots");
-                if f.finished() {
-                    Some(self.reopen_raw(raw, id, cfg))
-                } else if f.closed {
-                    None
-                } else {
-                    Some(id)
-                }
-            }
-            None => Some(self.open(Some(raw), cfg)),
-        }
-    }
-
-    /// Starts a fresh incarnation of a finished raw flow in a **new
-    /// slot** (the generation moves on — ABA safety), carrying the old
-    /// incarnation's undrained reports and finishing set forward.
-    fn reopen_raw(&mut self, raw: u64, old: FlowId, cfg: &ServeConfig) -> FlowId {
-        let f = self
-            .flow_mut(old)
-            .expect("reopening a finished flow in place");
-        let reports = std::mem::take(&mut f.reports);
-        let finishing = std::mem::take(&mut f.finishing);
-        self.free_slot(old);
-        let id = self.open(Some(raw), cfg);
-        let f = self.flow_mut(id).expect("just opened");
-        f.reports = reports;
-        f.finishing = finishing;
-        id
-    }
-
-    fn raw_lookup(&self, raw: u64) -> Option<FlowId> {
-        self.raw.get(&raw).copied()
-    }
-
     // ---- eviction ---------------------------------------------------
 
     /// Closes every open, drained flow whose last push attempt is older
-    /// than the idle timeout. Due-gated at the sweep cadence; skipped
-    /// while paused (the wrapper evicts only inside `run`). Returns
+    /// than the idle timeout. Due-gated at the sweep cadence. Returns
     /// whether any flow was evicted (the caller frees space).
     fn evict_idle(&mut self, cfg: &ServeConfig) -> bool {
         let Some(timeout) = cfg.idle_timeout else {
             return false;
         };
-        if self.paused {
-            return false;
-        }
         let now = Instant::now();
         match self.next_sweep {
             Some(due) if now < due => return false,
@@ -1432,9 +1286,8 @@ impl ServeState {
             .collect();
         let any = !expired.is_empty();
         for id in expired {
-            let raw = self.flow(id).and_then(|f| f.raw);
             self.close_flow(id);
-            self.evicted.push((id, raw));
+            self.evicted.push(id);
             self.metrics.idle_evictions += 1;
         }
         any
@@ -1462,35 +1315,18 @@ impl ServeState {
             }
         }
         let Some((_, id)) = lru else { return false };
-        let raw = self.flow(id).and_then(|f| f.raw);
         self.close_flow(id);
-        self.evicted.push((id, raw));
+        self.evicted.push(id);
         self.metrics.budget_evictions += 1;
         true
     }
 
     // ---- metrics ----------------------------------------------------
 
-    fn record_scan(&mut self, shard: usize, ns: u64, bytes: u64) {
-        self.metrics.shard_scan_ns.add(shard, ns);
-        self.metrics.shard_scan_bytes.add(shard, bytes);
-    }
-
     fn snapshot(&self) -> ServiceMetrics {
         let mut hybrid = self.hybrid_retired;
-        for slot in &self.slots {
-            let Some(f) = slot.flow.as_deref() else {
-                continue;
-            };
-            for shard in &f.shards {
-                if let Some(stats) = shard
-                    .state
-                    .as_ref()
-                    .and_then(ShardStreamState::hybrid_stats)
-                {
-                    hybrid.merge(&stats);
-                }
-            }
+        for f in self.slots.iter().filter_map(|slot| slot.flow.as_deref()) {
+            hybrid.merge(&f.hybrid_stats());
         }
         let hybrid = match self.current().set.scan_mode() {
             ScanMode::Hybrid { .. } => Some(hybrid),
@@ -1592,21 +1428,37 @@ impl ServeUnit {
 }
 
 /// The shared synchronization core: the state mutex plus the two
-/// condvars. `Arc`ed between the handle and its worker threads.
-struct ServiceCore {
+/// condvars. `Arc`ed between a [`ServiceHandle`] and its worker
+/// threads; borrowed by the batch driver's scoped workers.
+pub(crate) struct ServiceCore {
     config: ServeConfig,
     state: Mutex<ServeState>,
-    /// Parked workers wait here; signalled on push, close, reload,
+    /// Idle workers wait here; signalled on push, close, reload,
     /// shutdown, and check-in.
     wake: Condvar,
-    /// Producers blocked in `push` (and `barrier`, and the wrapper's
-    /// end-of-run drain) wait here; signalled when a worker checks a
-    /// unit in (bytes were consumed — space freed) or evicts.
+    /// Producers blocked in `push_checked` (and `barrier`) wait here;
+    /// signalled when a worker checks a unit in (bytes were consumed —
+    /// space freed) or evicts.
     space: Condvar,
     /// Deterministic fault-injection plan, from
     /// [`EngineBuilder::fault_plan`](crate::EngineBuilder::fault_plan).
     #[cfg(feature = "fault-inject")]
     fault_plan: FaultPlan,
+}
+
+/// What one [`ServiceCore::step`] did. The guard-carrying outcomes hand
+/// the state lock back so the driver decides, still under it, whether
+/// to step again, park, or stop.
+enum Step<'g> {
+    /// Nothing was ready; no unit was checked out.
+    Idle(MutexGuard<'g, ServeState>),
+    /// A unit was scanned and checked back in — or, under
+    /// [`FaultPolicy::FailStop`], its panic poisoned the service.
+    Ran(MutexGuard<'g, ServeState>),
+    /// The scan panicked under [`FaultPolicy::Isolate`]: the flow is
+    /// quarantined, the lock released, and the payload is the driver's
+    /// to rethrow.
+    Faulted(Box<dyn Any + Send>),
 }
 
 impl ServiceCore {
@@ -1625,15 +1477,97 @@ impl ServiceCore {
             .wait(guard)
             .unwrap_or_else(|poison| poison.into_inner())
     }
+
+    /// The one scheduling step both drivers run: check a ready
+    /// `(flow, shard)` unit out, scan it **without** the lock, and check
+    /// it back in, waking whoever waits on the readiness or space
+    /// condvars.
+    ///
+    /// Panic protection: the unlocked scan runs caught, so a panic loses
+    /// only the unit's engine — never the lock's consistency. What
+    /// happens next is the fault policy's call: `Isolate` quarantines
+    /// the one flow and hands the payload back (the resident worker
+    /// rethrows it into its supervisor, the batch driver out of
+    /// `run()`); `FailStop` poisons the whole service, so blocked
+    /// producers panic out of their waits instead of re-blocking on a
+    /// backlog that will never clear.
+    fn step<'g>(&'g self, mut st: MutexGuard<'g, ServeState>) -> Step<'g> {
+        let Some(unit) = st.checkout() else {
+            return Step::Idle(st);
+        };
+        let (id, shard) = (unit.id, unit.shard);
+        drop(st);
+        let started = Instant::now();
+        #[cfg(feature = "fault-inject")]
+        let probe = (unit.seq, unit.shard, unit.scan_no);
+        let scanned = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-inject")]
+            self.fault_plan.trigger(probe.0, probe.1, probe.2);
+            unit.scan()
+        }));
+        let ns = started.elapsed().as_nanos() as u64;
+        let mut st = self.lock();
+        let fault = match scanned {
+            Ok((state, reports, bytes)) => {
+                st.metrics.shard_scan_ns.add(shard, ns);
+                st.metrics.shard_scan_bytes.add(shard, bytes);
+                st.check_in(id, shard, state, reports);
+                None
+            }
+            Err(payload) => {
+                st.in_flight -= 1;
+                match self.config.fault_policy {
+                    FaultPolicy::Isolate => {
+                        st.quarantine(id, &payload_summary(payload.as_ref()));
+                        Some(payload)
+                    }
+                    FaultPolicy::FailStop => {
+                        st.fail_stop(payload.as_ref());
+                        None
+                    }
+                }
+            }
+        };
+        self.wake.notify_all();
+        self.space.notify_all();
+        match fault {
+            None => Step::Ran(st),
+            Some(payload) => Step::Faulted(payload),
+        }
+    }
+
+    /// The batch driver's worker ([`FlowScheduler::run`]): steps until
+    /// the batch has settled — nothing ready, nothing in flight — and
+    /// returns the first scan panic it absorbed on the way, if any. A
+    /// worker that finds the queue empty while siblings still hold units
+    /// waits: a checked-in unit may requeue.
+    ///
+    /// [`FlowScheduler::run`]: crate::FlowScheduler::run
+    pub(crate) fn drain(&self) -> Option<Box<dyn Any + Send>> {
+        let mut fault = None;
+        let mut st = self.lock();
+        loop {
+            st = match self.step(st) {
+                Step::Ran(st) => st,
+                Step::Faulted(payload) => {
+                    fault.get_or_insert(payload);
+                    self.lock()
+                }
+                Step::Idle(st) if st.in_flight == 0 => return fault,
+                Step::Idle(st) => self
+                    .wake
+                    .wait(st)
+                    .unwrap_or_else(|poison| poison.into_inner()),
+            };
+        }
+    }
 }
 
-/// One supervised pass of the worker loop: sweep, check out, scan
-/// unlocked, check in; park when idle, return on shutdown. A panic
-/// inside a scan is caught here: under [`FaultPolicy::Isolate`] the
-/// offending flow is quarantined and the panic rethrown into
-/// [`supervised_worker`] (which respawns the loop under the restart
-/// budget); under [`FaultPolicy::FailStop`] the service is poisoned
-/// and the loop keeps running, preserving the legacy contract.
+/// One supervised pass of the resident worker loop: sweep, step, park
+/// when idle, return on shutdown. A scan panic the step isolated (the
+/// offending flow is already quarantined) is rethrown into
+/// [`supervised_worker`], which respawns the loop under the restart
+/// budget.
 fn worker_loop(core: &ServiceCore) {
     let cfg = core.config;
     let mut st = core.lock();
@@ -1644,59 +1578,15 @@ fn worker_loop(core: &ServiceCore) {
         if st.evict_idle(&cfg) {
             core.space.notify_all();
         }
-        if !st.paused {
-            if let Some(unit) = st.checkout() {
-                let (id, shard) = (unit.id, unit.shard);
-                drop(st);
-                let started = Instant::now();
-                // Panic protection: the unlocked scan runs caught, so
-                // a panic loses only the unit's engine — never the
-                // lock's consistency. What happens next is the fault
-                // policy's call: Isolate quarantines the one flow and
-                // lets the supervisor respawn this worker; FailStop
-                // poisons the whole service (blocked producers panic
-                // out of their waits instead of re-blocking on a
-                // backlog that will never clear, and the wrapper
-                // rethrows the payload out of `FlowService::run`).
-                #[cfg(feature = "fault-inject")]
-                let probe = (unit.seq, unit.shard, unit.scan_no);
-                let scanned = catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-inject")]
-                    core.fault_plan.trigger(probe.0, probe.1, probe.2);
-                    unit.scan()
-                }));
-                let ns = started.elapsed().as_nanos() as u64;
-                let mut relocked = core.lock();
-                match scanned {
-                    Ok((state, reports, bytes)) => {
-                        relocked.record_scan(shard, ns, bytes);
-                        relocked.check_in(id, shard, state, reports);
-                    }
-                    Err(payload) => {
-                        relocked.in_flight -= 1;
-                        match cfg.fault_policy {
-                            FaultPolicy::Isolate => {
-                                let summary = payload_summary(payload.as_ref());
-                                relocked.quarantine(id, &summary);
-                                drop(relocked);
-                                core.wake.notify_all();
-                                core.space.notify_all();
-                                // Rethrow into the supervisor, which
-                                // respawns the loop under the restart
-                                // budget (or fail-stops past it).
-                                std::panic::resume_unwind(payload);
-                            }
-                            FaultPolicy::FailStop => relocked.fail_stop(payload),
-                        }
-                    }
-                }
-                core.wake.notify_all();
-                core.space.notify_all();
-                st = relocked;
+        let idle = match core.step(st) {
+            Step::Ran(guard) => {
+                st = guard;
                 continue;
             }
-        }
-        if st.shutdown && st.in_flight == 0 && (st.paused || st.ready.is_empty()) {
+            Step::Faulted(payload) => std::panic::resume_unwind(payload),
+            Step::Idle(guard) => guard,
+        };
+        if idle.shutdown && idle.in_flight == 0 {
             return;
         }
         st = match cfg.idle_timeout {
@@ -1704,14 +1594,14 @@ fn worker_loop(core: &ServiceCore) {
             // the service sits fully idle.
             Some(timeout) => {
                 let cadence = cfg.sweep_interval.unwrap_or(timeout);
-                match core.wake.wait_timeout(st, cadence) {
+                match core.wake.wait_timeout(idle, cadence) {
                     Ok((guard, _)) => guard,
                     Err(poison) => poison.into_inner().0,
                 }
             }
             None => core
                 .wake
-                .wait(st)
+                .wait(idle)
                 .unwrap_or_else(|poison| poison.into_inner()),
         };
     }
@@ -1742,7 +1632,7 @@ fn supervised_worker(core: &ServiceCore) {
                 || st.restarts >= cfg.restart_budget
                 || st.shutdown
             {
-                st.fail_stop(payload);
+                st.fail_stop(payload.as_ref());
                 drop(st);
                 core.wake.notify_all();
                 core.space.notify_all();
@@ -1782,18 +1672,20 @@ fn supervised_worker(core: &ServiceCore) {
 ///     .unwrap();
 ///
 /// let svc = engine.serve(); // workers spawn now, parked
-/// let flow = svc.open_flow();
-/// svc.push(flow, b"..ab"); // blocking push (waits if over budget)
-/// svc.push(flow, b"bc!"); // match straddles the chunks
+/// let flow = svc.try_open_flow().unwrap();
+/// svc.push_checked(flow, b"..ab").unwrap(); // blocks only while over budget
+/// svc.push_checked(flow, b"bc!").unwrap(); // match straddles the chunks
 /// svc.barrier(); // every pushed byte scanned
-/// let hits = svc.poll(flow);
+/// let hits = svc.poll_checked(flow).unwrap();
 /// assert_eq!(hits.len(), 1);
 /// assert_eq!((hits[0].rule, hits[0].end), (0, 6));
 /// svc.close(flow);
 /// svc.shutdown(); // joins the workers (Drop would too)
 /// ```
 pub struct ServiceHandle {
-    core: Arc<ServiceCore>,
+    /// Shared with the resident workers; the batch driver's `run()`
+    /// steps it directly.
+    pub(crate) core: Arc<ServiceCore>,
     threads: Vec<JoinHandle<()>>,
     workers: usize,
     /// The engine's builder (rules cleared), so
@@ -1803,26 +1695,34 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
-    pub(crate) fn spawn(engine: &Engine, workers: usize, config: ServeConfig) -> ServiceHandle {
-        ServiceHandle::spawn_inner(engine, workers, config, false)
+    /// The core the batch driver ([`FlowScheduler`](crate::FlowScheduler))
+    /// steps by hand: no resident workers, so pushes only buffer until
+    /// [`ServiceCore::drain`] runs; nothing bounds or evicts (a batch
+    /// caller owns its own pacing); and rule ids are the compiled
+    /// pattern indices, so `rule == pattern`.
+    pub(crate) fn batch(engine: &Engine) -> ServiceHandle {
+        let config = ServeConfig {
+            flow_budget: usize::MAX,
+            idle_timeout: None,
+            max_flows: usize::MAX,
+            max_buffered_bytes: u64::MAX,
+            ..ServeConfig::default()
+        };
+        let identity = (0..engine.len() as u64).collect();
+        ServiceHandle::spawn(engine, identity, 0, config)
     }
 
-    /// Spawns with the workers paused — the wrapper's outside-`run`
-    /// state: pushes buffer, nothing consumes.
-    fn spawn_paused(engine: &Engine, workers: usize, config: ServeConfig) -> ServiceHandle {
-        ServiceHandle::spawn_inner(engine, workers, config, true)
-    }
-
-    fn spawn_inner(
+    /// A handle over `engine` with `workers` resident worker threads,
+    /// reporting compiled pattern `i` as rule `ids[i]`.
+    pub(crate) fn spawn(
         engine: &Engine,
+        ids: Arc<[u64]>,
         workers: usize,
         config: ServeConfig,
-        paused: bool,
     ) -> ServiceHandle {
-        let workers = workers.max(1);
         let core = Arc::new(ServiceCore {
             config,
-            state: Mutex::new(ServeState::new(engine, paused)),
+            state: Mutex::new(ServeState::new(engine.set_arc(), ids)),
             wake: Condvar::new(),
             space: Condvar::new(),
             #[cfg(feature = "fault-inject")]
@@ -1895,6 +1795,16 @@ impl ServiceHandle {
             .is_some_and(|f| f.quarantined.is_some())
     }
 
+    /// Whether `flow` is closed and fully drained (its engines freed,
+    /// its `$`-finishing set resolved) — the state in which the batch
+    /// driver reopens a `u64` id. A quarantined flow never finishes.
+    pub(crate) fn is_finished(&self, flow: FlowId) -> bool {
+        self.core
+            .lock()
+            .flow(flow)
+            .is_some_and(|f| f.finished() && f.quarantined.is_none())
+    }
+
     /// Shuts the service down: parked workers exit (after draining the
     /// readiness queue) and are joined. Equivalent to dropping the
     /// handle, but explicit about where the join happens.
@@ -1915,12 +1825,6 @@ impl ServiceHandle {
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-    }
-
-    /// The panicking worker's payload, if any — taken once. Used by
-    /// the wrapper to rethrow out of [`FlowService::run`].
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.core.lock().panic_payload.take()
     }
 
     // ---- hot reload -------------------------------------------------
@@ -1952,14 +1856,15 @@ impl ServiceHandle {
     /// let v2 = Engine::builder().rule(7, "ab{2}c").rule(9, "xyz").build().unwrap();
     ///
     /// let svc = v1.serve();
-    /// let flow = svc.open_flow();
-    /// svc.push(flow, b".abbc"); // scanned by v1
+    /// let flow = svc.try_open_flow().unwrap();
+    /// svc.push_checked(flow, b".abbc").unwrap(); // scanned by v1
     /// svc.barrier(); // drain the flow: migration needs a drained boundary
     /// assert_eq!(svc.reload(&v2), 1);
-    /// svc.push(flow, b".xyz"); // flow migrates here; scanned by v2
+    /// svc.push_checked(flow, b".xyz").unwrap(); // flow migrates here; scanned by v2
     /// svc.close(flow);
     /// svc.barrier();
-    /// let rules: Vec<u64> = svc.poll(flow).iter().map(|m| m.rule).collect();
+    /// let hits = svc.poll_checked(flow).unwrap();
+    /// let rules: Vec<u64> = hits.iter().map(|m| m.rule).collect();
     /// assert_eq!(rules, vec![7, 9]);
     /// ```
     pub fn reload(&self, engine: &Engine) -> u64 {
@@ -2006,19 +1911,13 @@ impl ServiceHandle {
     /// generational [`FlowId`]. When the flow table is at
     /// [`max_flows`](crate::ServeConfig::max_flows), the
     /// least-recently-pushed drained flow is evicted first.
-    pub fn open_flow(&self) -> FlowId {
-        let mut st = self.core.lock();
-        let id = st.open(None, &self.core.config);
-        drop(st);
-        self.core.space.notify_all(); // a budget eviction may have freed a blocked producer's flow
-        id
-    }
-
-    /// Like [`open_flow`](ServiceHandle::open_flow), but sheds the
-    /// open — [`ServeError::Overloaded`] — while the service is past
-    /// the [`overload`](crate::ServeConfig::overload) high watermark
-    /// (queue depth or pending bytes), instead of admitting a flow the
-    /// backlog cannot serve. With
+    ///
+    /// # Errors
+    ///
+    /// The open is shed — [`ServeError::Overloaded`] — while the
+    /// service is past the [`overload`](crate::ServeConfig::overload)
+    /// high watermark (queue depth or pending bytes), instead of
+    /// admitting a flow the backlog cannot serve. With
     /// [`evict_on_shed`](crate::OverloadPolicy::evict_on_shed) set, a
     /// shed open also evicts the least-recently-pushed drained flow,
     /// so the table self-heals under sustained overload. Poisoning
@@ -2039,9 +1938,9 @@ impl ServiceHandle {
             }
             return Err(ServeError::Overloaded);
         }
-        let id = st.open(None, &self.core.config);
+        let id = st.open(&self.core.config);
         drop(st);
-        self.core.space.notify_all();
+        self.core.space.notify_all(); // a budget eviction may have freed a blocked producer's flow
         Ok(id)
     }
 
@@ -2051,7 +1950,7 @@ impl ServiceHandle {
     /// break the per-flow or global byte budget, or when the id is
     /// closed or stale (a [`FlowId`] is never reopened; open a new
     /// flow). On `Pending`, retry after the workers have consumed — or
-    /// use the blocking [`push`](ServiceHandle::push).
+    /// use the blocking [`push_checked`](ServiceHandle::push_checked).
     ///
     /// A chunk is always accepted when the flow buffers nothing, so a
     /// chunk larger than the whole budget still makes progress.
@@ -2076,61 +1975,20 @@ impl ServiceHandle {
         result
     }
 
-    /// Buffers `chunk` for `flow`, blocking while the budgets are
+    /// Buffers `chunk` for `flow`, blocking while the byte budgets are
     /// exceeded until the workers free space. Returns the flow's new
     /// byte length.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the service is poisoned, if `flow` is quarantined,
-    /// closed, or stale (it would block forever — open a new flow
-    /// instead), or if the service is shutting down. Prefer
-    /// [`push_checked`](ServiceHandle::push_checked) to handle those
-    /// conditions as values.
-    pub fn push(&self, flow: FlowId, chunk: &[u8]) -> u64 {
-        let mut st = self.core.lock();
-        loop {
-            if let Poll::Ready(total) = st.try_push_at(flow, chunk, &self.core.config) {
-                drop(st);
-                self.core.wake.notify_all();
-                return total;
-            }
-            if st.poisoned {
-                panic!(
-                    "ServiceHandle is poisoned: a worker panicked mid-scan ({}), \
-                     so this flow can never drain",
-                    st.panic_summary()
-                );
-            }
-            if let Some(message) = st.flow(flow).and_then(|f| f.quarantined.clone()) {
-                panic!(
-                    "ServiceHandle::push to a quarantined flow (a scan over its bytes \
-                     panicked: {message}): it accepts no more input — \
-                     use push_checked to handle this as a value"
-                );
-            }
-            assert!(
-                st.flow(flow).is_some_and(|f| !f.closed),
-                "ServiceHandle::push to a closed or stale FlowId would block forever: \
-                 FlowIds are never reopened — open a new flow with open_flow()"
-            );
-            assert!(
-                !st.paused && !st.shutdown,
-                "ServiceHandle::push would block forever with no workers consuming"
-            );
-            st = self.core.wait_space(st);
-        }
-    }
-
-    /// Like [`push`](ServiceHandle::push), but surfaces every
-    /// cannot-proceed condition as a [`ServeError`] instead of
-    /// panicking: [`Quarantined`](ServeError::Quarantined) (with the
-    /// panic summary) for a quarantined flow,
+    /// Every cannot-proceed condition is a [`ServeError`] value:
+    /// [`Quarantined`](ServeError::Quarantined) (with the panic
+    /// summary) for a quarantined flow,
     /// [`Poisoned`](ServeError::Poisoned) for a fail-stopped service,
-    /// [`Closed`](ServeError::Closed) for a closed/stale id, and
-    /// [`Stopped`](ServeError::Stopped) when no workers are consuming.
-    /// Still blocks, like `push`, while the byte budgets are the only
-    /// obstacle.
+    /// [`Closed`](ServeError::Closed) for a closed/stale id (a
+    /// [`FlowId`] is never reopened — open a new flow), and
+    /// [`Stopped`](ServeError::Stopped) when the push would wait with
+    /// no workers consuming.
     pub fn push_checked(&self, flow: FlowId, chunk: &[u8]) -> Result<u64, ServeError> {
         let mut st = self.core.lock();
         loop {
@@ -2150,7 +2008,7 @@ impl ServiceHandle {
             if st.flow(flow).is_none_or(|f| f.closed) {
                 return Err(ServeError::Closed);
             }
-            if st.paused || st.shutdown {
+            if st.shutdown {
                 return Err(ServeError::Stopped);
             }
             st = self.core.wait_space(st);
@@ -2175,8 +2033,8 @@ impl ServiceHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the service is poisoned, or if it has no consuming
-    /// workers (paused or shut down) while work is pending.
+    /// Panics if the service is poisoned, or if it is shutting down
+    /// (no consuming workers) while work is pending.
     pub fn barrier(&self) {
         let mut st = self.core.lock();
         while st.buffered_total > 0 || st.in_flight > 0 {
@@ -2188,7 +2046,7 @@ impl ServiceHandle {
                 );
             }
             assert!(
-                !st.paused && !st.shutdown,
+                !st.shutdown,
                 "ServiceHandle::barrier would block forever with no workers consuming"
             );
             st = self.core.wait_space(st);
@@ -2200,21 +2058,13 @@ impl ServiceHandle {
     /// Drains `flow`'s ordered report queue (stream order: ascending
     /// end; within one end, the compiled pattern order of the flow's
     /// epoch) — whatever has been merged so far; see
-    /// [`barrier`](ServiceHandle::barrier) for a flush point. Stale ids
-    /// return nothing. Once a finished flow is fully drained its slot
-    /// is recycled and the id goes stale.
-    pub fn poll(&self, flow: FlowId) -> Vec<RuleMatch> {
-        let mut st = self.core.lock();
-        let Some(f) = st.flow_mut(flow) else {
-            return Vec::new();
-        };
-        let out = f.reports.drain(..).map(StoredMatch::rule_match).collect();
-        st.free_if_drained(flow);
-        out
-    }
-
-    /// Like [`poll`](ServiceHandle::poll), but distinguishes the empty
-    /// cases: a stale/unknown id returns
+    /// [`barrier`](ServiceHandle::barrier) for a flush point. Once a
+    /// finished flow is fully drained its slot is recycled and the id
+    /// goes stale.
+    ///
+    /// # Errors
+    ///
+    /// The empty cases are told apart: a stale/unknown id returns
     /// [`Closed`](ServeError::Closed), and a quarantined flow with
     /// nothing left to drain returns
     /// [`Quarantined`](ServeError::Quarantined) with the panic summary
@@ -2229,7 +2079,7 @@ impl ServiceHandle {
                 return Err(ServeError::Quarantined { message });
             }
         }
-        let out = f.reports.drain(..).map(StoredMatch::rule_match).collect();
+        let out = f.reports.drain(..).collect();
         st.free_if_drained(flow);
         Ok(out)
     }
@@ -2242,10 +2092,7 @@ impl ServiceHandle {
         let Some(f) = st.flow_mut(flow) else {
             return Vec::new();
         };
-        let out = std::mem::take(&mut f.finishing)
-            .into_iter()
-            .map(StoredMatch::rule_match)
-            .collect();
+        let out = std::mem::take(&mut f.finishing);
         st.free_if_drained(flow);
         out
     }
@@ -2257,23 +2104,15 @@ impl ServiceHandle {
     ///
     /// Within one flow, events appear in stream order (ascending end;
     /// within one end, the epoch's compiled pattern order) — the same
-    /// order [`poll`](ServiceHandle::poll) yields. **Across** flows the
+    /// order [`poll_checked`](ServiceHandle::poll_checked) yields.
+    /// **Across** flows the
     /// interleaving follows merge completion and is nondeterministic
     /// under concurrency. Every merged match appears exactly once. This
     /// is the same contract as
     /// [`FlowScheduler::drain_global`](crate::FlowScheduler::drain_global),
     /// pinned by `tests/service_reload.rs`.
     pub fn drain_global(&self) -> Vec<ServiceEvent> {
-        self.core
-            .lock()
-            .sink
-            .drain(..)
-            .map(|ev| ServiceEvent {
-                flow: ev.flow,
-                rule: ev.rule,
-                end: ev.end,
-            })
-            .collect()
+        std::mem::take(&mut self.core.lock().sink)
     }
 
     /// Drains the ids of flows evicted (idle sweep or flow-table
@@ -2281,9 +2120,6 @@ impl ServiceHandle {
     /// explicitly [`close`](ServiceHandle::close)d ones.
     pub fn evictions(&self) -> Vec<FlowId> {
         std::mem::take(&mut self.core.lock().evicted)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
     }
 
     // ---- observability ----------------------------------------------
@@ -2299,9 +2135,9 @@ impl ServiceHandle {
     ///     .build()
     ///     .unwrap();
     /// let svc = engine.serve();
-    /// let flow = svc.open_flow();
-    /// svc.push(flow, b"......."); // no literal: skipped, not scanned
-    /// svc.push(flow, b"needle7z"); // literal: wakes the shard
+    /// let flow = svc.try_open_flow().unwrap();
+    /// svc.push_checked(flow, b".......").unwrap(); // no literal: skipped, not scanned
+    /// svc.push_checked(flow, b"needle7z").unwrap(); // literal: wakes the shard
     /// svc.barrier();
     ///
     /// let m = svc.metrics();
@@ -2310,7 +2146,7 @@ impl ServiceHandle {
     /// assert_eq!(pf.total_skipped_bytes(), 7);
     /// assert_eq!(pf.candidate_hits, 1);
     /// assert_eq!(pf.always_on_rules, 0);
-    /// assert_eq!(svc.poll(flow).len(), 1);
+    /// assert_eq!(svc.poll_checked(flow).unwrap().len(), 1);
     /// svc.shutdown();
     /// ```
     pub fn metrics(&self) -> ServiceMetrics {
@@ -2338,79 +2174,6 @@ impl ServiceHandle {
     pub fn is_live(&self, flow: FlowId) -> bool {
         self.core.lock().flow(flow).is_some()
     }
-
-    // ---- deprecated raw-u64 addressing ------------------------------
-
-    /// Like [`try_push`](ServiceHandle::try_push), addressing flows by
-    /// caller-chosen `u64` ids with the scheduler's reopen semantics
-    /// (pushing a finished id starts a fresh incarnation carrying
-    /// undrained reports).
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn try_push_raw(&self, flow: u64, chunk: &[u8]) -> Poll<u64> {
-        let mut st = self.core.lock();
-        if st.poisoned {
-            panic!(
-                "ServiceHandle is poisoned: a worker panicked mid-scan ({}), \
-                 so pending flows can never drain",
-                st.panic_summary()
-            );
-        }
-        let result = match st.raw_push_target(flow, &self.core.config) {
-            Some(id) => st.try_push_at(id, chunk, &self.core.config),
-            None => Poll::Pending, // closed, not yet drained
-        };
-        drop(st);
-        if result.is_ready() {
-            self.core.wake.notify_all();
-        }
-        result
-    }
-
-    /// Like [`close`](ServiceHandle::close) for a raw `u64` id.
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn close_raw(&self, flow: u64) {
-        let mut st = self.core.lock();
-        if let Some(id) = st.raw_lookup(flow) {
-            st.close_flow(id);
-        }
-        drop(st);
-        self.core.wake.notify_all();
-    }
-
-    /// Like [`poll`](ServiceHandle::poll) for a raw `u64` id, in the
-    /// legacy pattern-indexed [`SetMatch`] form.
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn poll_raw(&self, flow: u64) -> Vec<SetMatch> {
-        let mut st = self.core.lock();
-        let Some(id) = st.raw_lookup(flow) else {
-            return Vec::new();
-        };
-        let Some(f) = st.flow_mut(id) else {
-            return Vec::new();
-        };
-        let out = f.reports.drain(..).map(StoredMatch::set_match).collect();
-        st.free_if_drained(id);
-        out
-    }
-
-    /// Like [`finishing`](ServiceHandle::finishing) for a raw `u64` id,
-    /// in the legacy pattern-indexed [`SetMatch`] form.
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn finishing_raw(&self, flow: u64) -> Vec<SetMatch> {
-        let mut st = self.core.lock();
-        let Some(id) = st.raw_lookup(flow) else {
-            return Vec::new();
-        };
-        let Some(f) = st.flow_mut(id) else {
-            return Vec::new();
-        };
-        let out = std::mem::take(&mut f.finishing)
-            .into_iter()
-            .map(StoredMatch::set_match)
-            .collect();
-        st.free_if_drained(id);
-        out
-    }
 }
 
 impl Drop for ServiceHandle {
@@ -2434,324 +2197,93 @@ impl std::fmt::Debug for ServiceHandle {
     }
 }
 
-// ---- the deprecated scope-based wrapper -----------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PrefilterMode;
 
-/// A scope-based many-flow scanning service; create one with the
-/// deprecated [`Engine::service`](crate::Engine::service) and drive it
-/// inside [`run`](FlowService::run).
-///
-/// Since the introduction of the owned [`ServiceHandle`]
-/// ([`Engine::serve`](crate::Engine::serve)) this is a thin wrapper
-/// over the same core: the handle spawns with its workers **paused**,
-/// and [`run`](FlowService::run) unparks them for the closure's
-/// duration — preserving the original semantics (pushes outside `run`
-/// buffer without being consumed; state persists across runs).
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use recama::Engine;
-/// use std::task::Poll;
-///
-/// let engine = Engine::builder()
-///     .patterns(["ab{2}c", "xyz"])
-///     .workers(2)
-///     .build()
-///     .unwrap();
-///
-/// let hits = engine.service().run(|svc| {
-///     svc.push(7, b"..ab"); // blocking push (waits if over budget)
-///     svc.push(7, b"bc!");  // match straddles the chunks
-///     assert!(matches!(svc.try_push(9, b"xyz"), Poll::Ready(3)));
-///     svc.barrier();        // every pushed byte scanned
-///     (svc.poll(7), svc.poll(9))
-/// });
-/// assert_eq!(hits.0[0].end, 6);
-/// assert_eq!(hits.1[0].end, 3);
-/// ```
-#[deprecated(note = "use Engine::serve — the owned ServiceHandle needs no enclosing scope")]
-pub struct FlowService<'a> {
-    handle: ServiceHandle,
-    config: ServiceConfig,
-    /// The wrapper still presents the historical borrowed-from-engine
-    /// shape, though the core owns everything.
-    _scope: PhantomData<&'a Engine>,
-}
+    /// A flow table with no worker anywhere near it: nothing consumes
+    /// unless the test steps it, so the budget math is deterministic.
+    fn state(pattern: &str, mode: PrefilterMode) -> ServeState {
+        let engine = Engine::builder()
+            .patterns([pattern])
+            .prefilter(mode)
+            .build()
+            .unwrap();
+        ServeState::new(engine.set_arc(), engine.ids_arc())
+    }
 
-#[allow(deprecated)]
-impl<'a> FlowService<'a> {
-    pub(crate) fn new(
-        engine: &'a Engine,
-        workers: usize,
-        config: ServiceConfig,
-    ) -> FlowService<'a> {
-        // The wrapper's contract predates per-flow quarantine: a
-        // worker panic poisons the service and `run()` rethrows the
-        // payload. Pin the legacy fail-stop policy regardless of the
-        // default.
-        let mut serve = ServeConfig::from(config);
-        serve.fault_policy = FaultPolicy::FailStop;
-        FlowService {
-            handle: ServiceHandle::spawn_paused(engine, workers, serve),
-            config,
-            _scope: PhantomData,
+    /// What a worker does, on the test's thread: scan every ready unit.
+    fn drain(st: &mut ServeState) {
+        while let Some(unit) = st.checkout() {
+            let (id, shard) = (unit.id, unit.shard);
+            let (state, reports, _) = unit.scan();
+            st.check_in(id, shard, state, reports);
         }
     }
 
-    /// The worker-pool size [`run`](FlowService::run) activates.
-    pub fn workers(&self) -> usize {
-        self.handle.workers()
-    }
-
-    /// The backpressure/eviction configuration.
-    pub fn config(&self) -> ServiceConfig {
-        self.config
-    }
-
-    // ---- the serving scope ------------------------------------------
-
-    /// Serves flows for the duration of `producer`: unparks the worker
-    /// pool, runs the closure with the service handle, then pauses the
-    /// workers once it returns — after they have drained every buffered
-    /// byte. Returns the closure's value.
-    ///
-    /// The service handle is `Sync`, so the closure may fan pushes out
-    /// to its own scoped producer threads. `run` is not reentrant, but
-    /// the service can be run again after it returns (flow state,
-    /// undrained reports, and evictions persist across runs).
-    pub fn run<R>(&self, producer: impl FnOnce(&Self) -> R) -> R {
-        let core = &self.handle.core;
-        {
-            let mut st = core.lock();
-            assert!(!st.wrapper_running, "FlowService::run is not reentrant");
-            assert!(
-                !st.poisoned,
-                "FlowService is poisoned: a worker panicked mid-scan and its engine unit is lost"
-            );
-            st.wrapper_running = true;
-            st.paused = false;
-        }
-        core.wake.notify_all();
-        // Pause again (after the drain) even if the producer panics, so
-        // the unwound service is observably not-running.
-        let guard = RunGuard { core };
-        let result = producer(self);
-        drop(guard);
-        // A worker panic poisons the service; rethrow it here like the
-        // scoped implementation's thread::scope join did.
-        if let Some(payload) = self.handle.take_panic() {
-            std::panic::resume_unwind(payload);
-        }
-        result
-    }
-
-    // ---- producing --------------------------------------------------
-
-    /// Attempts to buffer `chunk` for `flow`, opening the flow on first
-    /// use. Returns `Poll::Ready(total)` — the flow's new byte length —
-    /// on acceptance, or [`Poll::Pending`] when accepting the chunk
-    /// would push the flow's buffered bytes past the configured
-    /// [`flow_budget`](crate::ServiceConfig::flow_budget) (or when the
-    /// flow is closed/evicted and not yet drained; once drained, the
-    /// next push reopens it fresh). On `Pending`, retry after the
-    /// workers have consumed — or use the blocking
-    /// [`push`](FlowService::push).
-    ///
-    /// A chunk is always accepted when the flow buffers nothing, so a
-    /// chunk larger than the whole budget still makes progress.
-    pub fn try_push(&self, flow: u64, chunk: &[u8]) -> Poll<u64> {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        if st.poisoned {
-            panic!(
-                "FlowService is poisoned: a worker panicked mid-scan ({}), \
-                 so pending flows can never drain",
-                st.panic_summary()
-            );
-        }
-        let result = match st.raw_push_target(flow, &core.config) {
-            Some(id) => st.try_push_at(id, chunk, &core.config),
-            None => Poll::Pending, // closed, not yet drained
+    #[test]
+    fn try_push_applies_backpressure_at_the_budget() {
+        let cfg = ServeConfig {
+            flow_budget: 8,
+            ..ServeConfig::default()
         };
-        drop(st);
-        if result.is_ready() {
-            core.wake.notify_all();
-        }
-        result
-    }
+        let mut st = state("ab", PrefilterMode::Off);
+        let one = st.open(&cfg);
+        // First chunk: empty buffer, always accepted.
+        assert_eq!(st.try_push_at(one, b"123456", &cfg), Poll::Ready(6));
+        // 6 buffered + 6 > 8: pushed back.
+        assert_eq!(st.try_push_at(one, b"abcdef", &cfg), Poll::Pending);
+        // A small chunk still fits under the budget.
+        assert_eq!(st.try_push_at(one, b"78", &cfg), Poll::Ready(8));
+        // Exactly at budget: the next byte is pushed back.
+        assert_eq!(st.try_push_at(one, b"9", &cfg), Poll::Pending);
+        // An empty chunk buffers nothing: accepted even over budget.
+        assert_eq!(st.try_push_at(one, b"", &cfg), Poll::Ready(8));
+        // Another flow has its own budget.
+        let two = st.open(&cfg);
+        assert_eq!(st.try_push_at(two, b"ab", &cfg), Poll::Ready(2));
+        assert_eq!(st.buffered_total, 10);
+        assert_eq!(st.metrics.backpressure, 2);
 
-    /// Buffers `chunk` for `flow`, blocking while the flow is over its
-    /// input budget until the workers free space. Returns the flow's
-    /// new byte length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if it would block with no workers running (outside
-    /// [`run`](FlowService::run)) — nothing would ever free the space.
-    pub fn push(&self, flow: u64, chunk: &[u8]) -> u64 {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        loop {
-            let attempt = match st.raw_push_target(flow, &core.config) {
-                Some(id) => st.try_push_at(id, chunk, &core.config),
-                None => Poll::Pending,
-            };
-            if let Poll::Ready(total) = attempt {
-                drop(st);
-                core.wake.notify_all();
-                return total;
-            }
-            if st.poisoned {
-                panic!(
-                    "FlowService is poisoned: a worker panicked mid-scan ({}), \
-                     so this flow can never drain",
-                    st.panic_summary()
-                );
-            }
-            assert!(
-                st.wrapper_running && !st.paused,
-                "FlowService::push would block forever with no workers running: \
-                 drive the service inside FlowService::run()"
+        // The backlog drains, space frees, pushes resume.
+        drain(&mut st);
+        assert_eq!(st.buffered_total, 0);
+        assert_eq!(st.try_push_at(one, b"9ab", &cfg), Poll::Ready(11));
+        // A chunk larger than the whole budget waits for an empty
+        // buffer, then is accepted whole.
+        assert_eq!(st.try_push_at(one, &[b'a'; 64], &cfg), Poll::Pending);
+        drain(&mut st);
+        assert_eq!(st.try_push_at(one, &[b'a'; 64], &cfg), Poll::Ready(75));
+        // Flow two's "ab" was scanned on the way.
+        let two = st.flow(two).expect("still open");
+        assert_eq!(two.reports, [RuleMatch { rule: 0, end: 2 }]);
+
+        // With the filter on, every shard skips a chunk without a
+        // candidate: its bytes are consumed at push time, so nothing is
+        // buffered, nothing is queued, and a budget-sized chunk fits
+        // every time.
+        let mut st = state("needle", PrefilterMode::On);
+        let flow = st.open(&cfg);
+        for round in 1..=4u64 {
+            assert_eq!(
+                st.try_push_at(flow, b"........", &cfg),
+                Poll::Ready(8 * round)
             );
-            st = core.wait_space(st);
+            assert_eq!(st.buffered_total, 0);
+            assert!(st.ready.is_empty());
         }
-    }
+        assert_eq!(st.metrics.backpressure, 0);
+        assert_eq!(st.snapshot().prefilter.unwrap().total_skipped_bytes(), 32);
 
-    /// Marks `flow` closed: buffered bytes are still scanned, after
-    /// which the flow's engines are freed and its `$`-anchored
-    /// [`finishing`](FlowService::finishing) set resolves. Reports stay
-    /// pollable; pushing the id again after it drains reopens it fresh.
-    /// Closing an unknown id is a no-op.
-    pub fn close(&self, flow: u64) {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        if let Some(id) = st.raw_lookup(flow) {
-            st.close_flow(id);
-        }
-        drop(st);
-        core.wake.notify_all();
-    }
-
-    /// Blocks until every pushed byte has been consumed by every shard
-    /// — a producer-side flush point before polling for a batch of
-    /// results. (Without it, `poll` simply returns whatever is merged
-    /// so far.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with work pending and no workers running.
-    pub fn barrier(&self) {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        while st.buffered_total > 0 || st.in_flight > 0 {
-            if st.poisoned {
-                panic!(
-                    "FlowService is poisoned: a worker panicked mid-scan ({}), \
-                     so the backlog can never drain",
-                    st.panic_summary()
-                );
-            }
-            assert!(
-                st.wrapper_running && !st.paused,
-                "FlowService::barrier would block forever with no workers running: \
-                 drive the service inside FlowService::run()"
-            );
-            st = core.wait_space(st);
-        }
-    }
-
-    // ---- consuming --------------------------------------------------
-
-    /// Drains `flow`'s ordered report queue (stream order: ascending
-    /// end, ascending rule within an end) — whatever has been merged so
-    /// far; see [`barrier`](FlowService::barrier) for a flush point.
-    pub fn poll(&self, flow: u64) -> Vec<SetMatch> {
-        self.handle.poll_raw(flow)
-    }
-
-    /// Drains `flow`'s finishing set: the `$`-anchored matches ending
-    /// exactly at the flow's final byte, resolved when the closed (or
-    /// evicted) flow finished draining.
-    pub fn finishing(&self, flow: u64) -> Vec<SetMatch> {
-        self.handle.finishing_raw(flow)
-    }
-
-    /// Drains the global sink: every merged match of every flow, in
-    /// merge order (see
-    /// [`ServiceHandle::drain_global`] for the ordering contract).
-    pub fn drain_global(&self) -> Vec<FlowMatch> {
-        self.handle
-            .core
-            .lock()
-            .sink
-            .drain(..)
-            .map(|ev| FlowMatch {
-                flow: ev.raw.unwrap_or(ev.flow.index as u64),
-                pattern: ev.pattern as usize,
-                end: ev.end as usize,
-            })
-            .collect()
-    }
-
-    /// Drains the ids of flows the idle sweep has evicted since the
-    /// last call. Evicted flows behave exactly like explicitly
-    /// [`close`](FlowService::close)d ones.
-    pub fn evictions(&self) -> Vec<u64> {
-        std::mem::take(&mut self.handle.core.lock().evicted)
-            .into_iter()
-            .map(|(id, raw)| raw.unwrap_or(id.index as u64))
-            .collect()
-    }
-
-    /// Number of flows currently tracked (open, or closed with
-    /// undrained reports).
-    pub fn flow_count(&self) -> usize {
-        self.handle.flow_count()
-    }
-
-    /// Bytes pushed to `flow` so far (`None` for unknown flows).
-    pub fn flow_len(&self, flow: u64) -> Option<u64> {
-        let st = self.handle.core.lock();
-        let id = st.raw_lookup(flow)?;
-        st.flow(id).map(|f| f.total)
-    }
-
-    /// Total bytes buffered but not yet consumed by every shard.
-    pub fn pending_bytes(&self) -> u64 {
-        self.handle.pending_bytes()
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for FlowService<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.handle.core.lock();
-        write!(
-            f,
-            "FlowService({} flows, {} shards, {} workers, running = {}, budget = {} B)",
-            st.occupied(),
-            st.current().set.shard_count(),
-            self.handle.workers,
-            st.wrapper_running,
-            self.config.flow_budget
-        )
-    }
-}
-
-/// Pauses the workers again when the producer closure ends (normally
-/// or by panic) — after waiting for the buffered work to drain, so a
-/// completed `run` leaves nothing half-scanned (the behavior of the
-/// old scoped join).
-struct RunGuard<'s> {
-    core: &'s ServiceCore,
-}
-
-impl Drop for RunGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = self.core.lock();
-        while !st.poisoned && (st.in_flight > 0 || !st.ready.is_empty()) {
-            st = self.core.wait_space(st);
-        }
-        st.paused = true;
-        st.wrapper_running = false;
+        // A candidate wakes the unit: now the bytes wait for a scan and
+        // the budget applies again.
+        assert_eq!(st.try_push_at(flow, b".needle.", &cfg), Poll::Ready(40));
+        assert!(st.buffered_total >= 8, "the woken chunk is buffered");
+        assert_eq!(st.try_push_at(flow, b"x", &cfg), Poll::Pending);
+        drain(&mut st);
+        assert_eq!(st.buffered_total, 0);
+        let flow = st.flow(flow).expect("still open");
+        assert_eq!(flow.reports, [RuleMatch { rule: 0, end: 39 }]);
     }
 }

@@ -84,17 +84,23 @@ fn main() {
     // and scans them on its own worker pool. Each flow carries the same
     // traffic here, so all flows must agree with each other.
     let svc = engine.serve();
-    let flows: Vec<_> = (0..4).map(|_| svc.open_flow()).collect();
+    let flows: Vec<_> = (0..4)
+        .map(|_| svc.try_open_flow().expect("nothing sheds by default"))
+        .collect();
     for chunk in input.chunks(1500) {
         for flow in &flows {
-            svc.push(*flow, chunk);
+            svc.push_checked(*flow, chunk)
+                .expect("open flow, healthy service");
         }
     }
     for flow in &flows {
         svc.close(*flow);
     }
     svc.barrier();
-    let per_flow: Vec<usize> = flows.iter().map(|f| svc.poll(*f).len()).collect();
+    let per_flow: Vec<usize> = flows
+        .iter()
+        .map(|f| svc.poll_checked(*f).expect("live flow").len())
+        .collect();
     let metrics = svc.metrics();
     println!(
         "served {} flows: {per_flow:?} reports; {} B scanned across {} shard(s), queue peak {}",

@@ -94,9 +94,10 @@ fn main() {
     // condvar between ticks — and `reload` installs a recompiled
     // monitor behind an epoch counter while traffic keeps flowing.
     let svc = monitor.serve();
-    let flow = svc.open_flow();
+    let flow = svc.try_open_flow().expect("nothing sheds by default");
     for tick in &trace[..20] {
-        svc.push(flow, &[*tick]);
+        svc.push_checked(flow, &[*tick])
+            .expect("open flow, healthy service");
     }
     svc.barrier();
 
@@ -112,12 +113,13 @@ fn main() {
     let epoch = svc.reload(&tightened);
     println!("\nhot-reloaded the monitor (deadline 8 -> 6 ticks), epoch {epoch}");
     for tick in &trace[20..] {
-        svc.push(flow, &[*tick]);
+        svc.push_checked(flow, &[*tick])
+            .expect("open flow, healthy service");
     }
     svc.close(flow);
     svc.barrier();
 
-    let alerts = svc.poll(flow);
+    let alerts = svc.poll_checked(flow).expect("live flow");
     assert!(alerts
         .iter()
         .all(|m| m.rule == VIOLATION || m.rule == GRANTED));

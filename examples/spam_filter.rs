@@ -99,35 +99,11 @@ fn main() {
     assert_eq!(hw.match_ends(email), ends, "hardware agrees with software");
     println!("hardware simulation agrees ({} reports)", ends.len());
 
-    // A mail gateway filters many messages concurrently. This example
-    // deliberately stays on the legacy scope-based service (deprecated
-    // in favor of the owned `Engine::serve()` handle) to keep the old
-    // API exercised: flows are raw u64 ids, and scanning happens only
-    // inside the `run` scope.
-    #[allow(deprecated)]
-    {
-        let inbox: &[&[u8]] = &[
-            email,
-            b"Meeting moved to 3pm, agenda attached.",
-            b"Final notice: your prize will soon expire so claim it now!",
-        ];
-        let flagged = engine.service().run(|svc| {
-            for (msg, mail) in inbox.iter().enumerate() {
-                svc.push(msg as u64, mail);
-            }
-            svc.barrier();
-            (0..inbox.len())
-                .map(|msg| svc.poll(msg as u64).iter().any(|m| m.pattern == demo_index))
-                .collect::<Vec<bool>>()
-        });
-        println!("inbox scan (legacy scope API): demo rule flags {flagged:?}");
-        assert_eq!(flagged, vec![true, false, true]);
-    }
-
-    // The owned handle is the production shape: `push_checked` /
-    // `poll_checked` surface quarantine (a scan over the flow's bytes
-    // panicked), overload shedding, and fail-stop as values, so one
-    // hostile message can be dropped without unwinding the gateway.
+    // A mail gateway filters many messages concurrently, one flow per
+    // message. `push_checked` / `poll_checked` surface quarantine (a
+    // scan over the flow's bytes panicked), overload shedding, and
+    // fail-stop as values, so one hostile message can be dropped without
+    // unwinding the gateway.
     let svc = engine.serve();
     let inbox: &[&[u8]] = &[
         email,
@@ -149,9 +125,8 @@ fn main() {
             Ok(_) => {
                 svc.close(flow);
                 svc.barrier();
-                svc.poll(flow)
-                    .iter()
-                    .any(|m| m.rule == engine.rule_id(demo_index))
+                svc.poll_checked(flow)
+                    .is_ok_and(|hits| hits.iter().any(|m| m.rule == engine.rule_id(demo_index)))
             }
             Err(e) => {
                 eprintln!("message dropped ({e})");
@@ -177,6 +152,6 @@ fn main() {
         );
     }
     svc.shutdown();
-    println!("inbox scan (owned handle):    demo rule flags {flagged:?}");
+    println!("inbox scan: demo rule flags {flagged:?}");
     assert_eq!(flagged, vec![true, false, true]);
 }

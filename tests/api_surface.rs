@@ -18,9 +18,9 @@ use recama::hw::ShardPolicy;
 use recama::syntax::ParseError;
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FaultPolicy, FlowId,
-    FlowMatch, FlowScheduler, FlowService, HybridStats, MatchSpan, OverloadPolicy, Pattern,
-    PatternSet, PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceConfig,
-    ServiceEvent, ServiceHandle, ServiceMetrics, SetCompileError, SetMatch, SetSpan, SetStream,
+    FlowMatch, FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, Pattern, PatternSet,
+    PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent,
+    ServiceHandle, ServiceMetrics, SetCompileError, SetMatch, SetSpan, SetStream,
     ShardedPatternSet, ShardedSetStream, SkippedRule,
 };
 use std::task::Poll;
@@ -42,7 +42,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "FlowId",
     "FlowMatch",
     "FlowScheduler",
-    "FlowService (deprecated = ServiceHandle)",
     "HybridStats",
     "MatchSpan",
     "OverloadPolicy",
@@ -54,7 +53,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "ScanMode",
     "ServeConfig",
     "ServeError",
-    "ServiceConfig",
     "ServiceEvent",
     "ServiceHandle",
     "ServiceMetrics",
@@ -97,7 +95,7 @@ fn engine_builder_signatures() {
     let _: fn(EngineBuilder, CompileOptions) -> EngineBuilder = EngineBuilder::options;
     let _: fn(EngineBuilder, ShardPolicy) -> EngineBuilder = EngineBuilder::shard_policy;
     let _: fn(EngineBuilder, usize) -> EngineBuilder = EngineBuilder::workers;
-    let _: fn(EngineBuilder, ServiceConfig) -> EngineBuilder = EngineBuilder::service_config;
+    let _: fn(EngineBuilder, ServeConfig) -> EngineBuilder = EngineBuilder::serve_config;
     let _: fn(EngineBuilder, bool) -> EngineBuilder = EngineBuilder::lossy;
     let _: fn(EngineBuilder, PrefilterMode) -> EngineBuilder = EngineBuilder::prefilter;
     let _: fn(EngineBuilder) -> Result<Engine, CompileError> = EngineBuilder::build;
@@ -109,11 +107,8 @@ fn engine_signatures() {
     let _: fn(&Engine, &[u8]) -> Vec<SetSpan> = |e, h| e.scan_spans(h);
     let _: fn(&Engine, &[u8]) -> bool = |e, h| e.is_match(h);
     let _: for<'a> fn(&'a Engine) -> ShardedSetStream<'a> = |e| e.stream();
-    let _: for<'a> fn(&'a Engine) -> FlowScheduler<'a> = |e| e.scheduler();
-    let _: for<'a> fn(&'a Engine, usize) -> FlowScheduler<'a> = |e, w| e.scheduler_with(w);
-    let _: for<'a> fn(&'a Engine) -> FlowService<'a> = |e| e.service();
-    let _: for<'a> fn(&'a Engine, usize, ServiceConfig) -> FlowService<'a> =
-        |e, w, c| e.service_with(w, c);
+    let _: fn(&Engine) -> FlowScheduler = |e| e.scheduler();
+    let _: fn(&Engine, usize) -> FlowScheduler = |e, w| e.scheduler_with(w);
     let _: fn(&Engine) -> ServiceHandle = |e| e.serve();
     let _: fn(&Engine, usize, ServeConfig) -> ServiceHandle = |e, w, c| e.serve_with(w, c);
     let _: fn(Engine) -> ServiceHandle = Engine::into_service;
@@ -127,26 +122,8 @@ fn engine_signatures() {
     let _: fn(&Engine) -> usize = Engine::shard_count;
     let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
     let _: fn(&Engine) -> usize = Engine::workers;
-    let _: fn(&Engine) -> ServiceConfig = Engine::service_config;
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
     let _: fn(Engine) -> ShardedPatternSet = Engine::into_set;
-}
-
-#[test]
-fn flow_service_signatures() {
-    let _: fn(&FlowService<'_>, u64, &[u8]) -> Poll<u64> = |s, f, c| s.try_push(f, c);
-    let _: fn(&FlowService<'_>, u64, &[u8]) -> u64 = |s, f, c| s.push(f, c);
-    let _: fn(&FlowService<'_>, u64) = |s, f| s.close(f);
-    let _: fn(&FlowService<'_>) = |s| s.barrier();
-    let _: fn(&FlowService<'_>, u64) -> Vec<SetMatch> = |s, f| s.poll(f);
-    let _: fn(&FlowService<'_>, u64) -> Vec<SetMatch> = |s, f| s.finishing(f);
-    let _: fn(&FlowService<'_>) -> Vec<FlowMatch> = |s| s.drain_global();
-    let _: fn(&FlowService<'_>) -> Vec<u64> = |s| s.evictions();
-    let _: fn(&FlowService<'_>) -> usize = |s| s.flow_count();
-    let _: fn(&FlowService<'_>, u64) -> Option<u64> = |s, f| s.flow_len(f);
-    let _: fn(&FlowService<'_>) -> u64 = |s| s.pending_bytes();
-    let _: fn(&FlowService<'_>) -> usize = |s| s.workers();
-    let _: fn(&FlowService<'_>) -> ServiceConfig = |s| s.config();
 }
 
 #[test]
@@ -155,12 +132,9 @@ fn service_handle_signatures() {
     fn assert_owned<T: Send + Sync + 'static>() {}
     assert_owned::<ServiceHandle>();
 
-    let _: fn(&ServiceHandle) -> FlowId = |s| s.open_flow();
     let _: fn(&ServiceHandle, FlowId, &[u8]) -> Poll<u64> = |s, f, c| s.try_push(f, c);
-    let _: fn(&ServiceHandle, FlowId, &[u8]) -> u64 = |s, f, c| s.push(f, c);
     let _: fn(&ServiceHandle, FlowId) = |s, f| s.close(f);
     let _: fn(&ServiceHandle) = |s| s.barrier();
-    let _: fn(&ServiceHandle, FlowId) -> Vec<RuleMatch> = |s, f| s.poll(f);
     let _: fn(&ServiceHandle, FlowId) -> Vec<RuleMatch> = |s, f| s.finishing(f);
     let _: fn(&ServiceHandle) -> Vec<ServiceEvent> = |s| s.drain_global();
     let _: fn(&ServiceHandle) -> Vec<FlowId> = |s| s.evictions();
@@ -174,8 +148,8 @@ fn service_handle_signatures() {
     let _: fn(&ServiceHandle, FlowId) -> bool = |s, f| s.is_live(f);
     let _: fn(&ServiceHandle) -> bool = |s| s.is_poisoned();
 
-    // The fault-tolerance surface: checked variants return ServeError
-    // where the originals panic or stay silent.
+    // One error convention: open, push and poll return ServeError
+    // values.
     let _: fn(&ServiceHandle) -> Result<FlowId, ServeError> = |s| s.try_open_flow();
     let _: fn(&ServiceHandle, FlowId, &[u8]) -> Result<u64, ServeError> =
         |s, f, c| s.push_checked(f, c);
@@ -187,12 +161,6 @@ fn service_handle_signatures() {
     let _: fn(&ServiceHandle) -> ServeConfig = |s| s.config();
     let _: fn(ServiceHandle) = ServiceHandle::shutdown;
 
-    // The deprecated raw-u64 shims keep the scheduler's addressing.
-    let _: fn(&ServiceHandle, u64, &[u8]) -> Poll<u64> = |s, f, c| s.try_push_raw(f, c);
-    let _: fn(&ServiceHandle, u64) = |s, f| s.close_raw(f);
-    let _: fn(&ServiceHandle, u64) -> Vec<SetMatch> = |s, f| s.poll_raw(f);
-    let _: fn(&ServiceHandle, u64) -> Vec<SetMatch> = |s, f| s.finishing_raw(f);
-
     // FlowId is an opaque generational handle.
     let _: fn(&FlowId) -> u32 = FlowId::index;
     let _: fn(&FlowId) -> u32 = FlowId::generation;
@@ -200,19 +168,23 @@ fn service_handle_signatures() {
 
 #[test]
 fn flow_scheduler_signatures() {
-    let _: for<'a> fn(&'a ShardedPatternSet, usize) -> FlowScheduler<'a> =
-        |s, w| FlowScheduler::new(s, w);
-    let _: fn(&FlowScheduler<'_>, u64, &[u8]) = |s, f, c| s.push(f, c);
-    let _: fn(&FlowScheduler<'_>) = |s| s.run();
-    let _: fn(&FlowScheduler<'_>, u64) = |s, f| s.close(f);
-    let _: fn(&FlowScheduler<'_>, u64) -> Vec<SetMatch> = |s, f| s.poll(f);
-    let _: fn(&FlowScheduler<'_>, u64) -> Vec<SetMatch> = |s, f| s.finishing(f);
-    let _: fn(&FlowScheduler<'_>) -> Vec<FlowMatch> = |s| s.drain_global();
-    let _: fn(&FlowScheduler<'_>) -> usize = |s| s.flow_count();
-    let _: fn(&FlowScheduler<'_>, u64) -> Option<u64> = |s, f| s.flow_len(f);
-    let _: fn(&FlowScheduler<'_>) -> u64 = |s| s.pending_bytes();
-    let _: fn(&FlowScheduler<'_>) -> Option<HybridStats> = |s| s.hybrid_stats();
-    let _: fn(&FlowScheduler<'_>) -> Option<PrefilterMetrics> = |s| s.prefilter_stats();
+    // Owned like the handle it drives: no engine borrow, and no public
+    // constructor — `Engine::scheduler{,_with}` is the way in.
+    fn assert_owned<T: Send + Sync + 'static>() {}
+    assert_owned::<FlowScheduler>();
+
+    let _: fn(&FlowScheduler, u64, &[u8]) = |s, f, c| s.push(f, c);
+    let _: fn(&FlowScheduler) = |s| s.run();
+    let _: fn(&FlowScheduler, u64) = |s, f| s.close(f);
+    let _: fn(&FlowScheduler, u64) -> Vec<SetMatch> = |s, f| s.poll(f);
+    let _: fn(&FlowScheduler, u64) -> Vec<SetMatch> = |s, f| s.finishing(f);
+    let _: fn(&FlowScheduler) -> Vec<FlowMatch> = |s| s.drain_global();
+    let _: fn(&FlowScheduler) -> usize = |s| s.flow_count();
+    let _: fn(&FlowScheduler, u64) -> Option<u64> = |s, f| s.flow_len(f);
+    let _: fn(&FlowScheduler) -> u64 = |s| s.pending_bytes();
+    let _: fn(&FlowScheduler) -> usize = |s| s.workers();
+    let _: fn(&FlowScheduler) -> Option<HybridStats> = |s| s.hybrid_stats();
+    let _: fn(&FlowScheduler) -> Option<PrefilterMetrics> = |s| s.prefilter_stats();
 }
 
 #[test]
@@ -274,15 +246,6 @@ fn pin_skipped_rule(s: SkippedRule) -> (usize, u64, String, ParseError) {
         error,
     } = s;
     (index, id, pattern, error)
-}
-
-#[allow(dead_code)]
-fn pin_service_config(c: ServiceConfig) -> (usize, Option<Duration>) {
-    let ServiceConfig {
-        flow_budget,
-        idle_timeout,
-    } = c;
-    (flow_budget, idle_timeout)
 }
 
 #[allow(dead_code)]

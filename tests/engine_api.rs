@@ -1,11 +1,14 @@
 //! The `Engine` facade, end to end: builder → scan / spans / stream /
 //! scheduler / service, structured compile errors, lossy builds,
-//! backpressure (`try_push` → `Poll::Pending` at the configured
-//! budget), idle-flow eviction, and the stream `reset()` regression
-//! (reset + rescan must equal a fresh scan, `finish()` included).
+//! blocking pushes through a small budget, idle-flow eviction, closed
+//! and stale ids as `ServeError` values, and the stream `reset()`
+//! regression (reset + rescan must equal a fresh scan, `finish()`
+//! included).
+
+#![deny(deprecated)]
 
 use recama::hw::ShardPolicy;
-use recama::{CompilePhase, Engine, ServiceConfig, SetMatch};
+use recama::{CompilePhase, Engine, RuleMatch, ServeConfig, ServeError, SetMatch};
 use std::task::Poll;
 use std::time::Duration;
 
@@ -228,21 +231,30 @@ fn service_reports_match_independent_streams() {
         .unwrap();
     let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
     let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
-    let (got_a, got_b, global) = engine.service().run(|svc| {
-        svc.push(1, flow_a[0]);
-        svc.push(2, flow_b[0]);
-        svc.push(2, flow_b[1]);
-        svc.push(1, flow_a[1]);
-        svc.push(2, flow_b[2]);
-        svc.push(1, flow_a[2]);
-        svc.barrier();
-        (svc.poll(1), svc.poll(2), svc.drain_global())
-    });
+    let svc = engine.serve();
+    let a = svc.try_open_flow().unwrap();
+    let b = svc.try_open_flow().unwrap();
+    svc.push_checked(a, flow_a[0]).unwrap();
+    svc.push_checked(b, flow_b[0]).unwrap();
+    svc.push_checked(b, flow_b[1]).unwrap();
+    svc.push_checked(a, flow_a[1]).unwrap();
+    svc.push_checked(b, flow_b[2]).unwrap();
+    svc.push_checked(a, flow_a[2]).unwrap();
+    svc.barrier();
+    let (got_a, got_b, global) = (
+        svc.poll_checked(a).unwrap(),
+        svc.poll_checked(b).unwrap(),
+        svc.drain_global(),
+    );
+    // Ids default to add-order indices, so `rule` is the pattern index.
     let expected = |chunks: &[&[u8]]| {
         let mut stream = engine.stream();
         let mut out = Vec::new();
         for chunk in chunks {
-            out.extend(stream.feed(chunk));
+            out.extend(stream.feed(chunk).map(|m| RuleMatch {
+                rule: m.pattern as u64,
+                end: m.end as u64,
+            }));
         }
         out
     };
@@ -252,54 +264,13 @@ fn service_reports_match_independent_streams() {
 }
 
 #[test]
-fn try_push_applies_backpressure_at_the_budget() {
-    let engine = Engine::builder()
-        .patterns(["ab"])
-        .service_config(ServiceConfig {
-            flow_budget: 8,
-            idle_timeout: None,
-        })
-        .build()
-        .unwrap();
-    let svc = engine.service();
-
-    // No workers are running yet, so nothing consumes: the budget math
-    // is deterministic. First chunk: empty buffer, always accepted.
-    assert_eq!(svc.try_push(1, b"123456"), Poll::Ready(6));
-    // 6 buffered + 6 > 8: pushed back.
-    assert_eq!(svc.try_push(1, b"abcdef"), Poll::Pending);
-    // A small chunk still fits under the budget.
-    assert_eq!(svc.try_push(1, b"78"), Poll::Ready(8));
-    // Exactly at budget: the next byte is pushed back.
-    assert_eq!(svc.try_push(1, b"9"), Poll::Pending);
-    // An empty chunk buffers nothing: accepted even over budget.
-    assert_eq!(svc.try_push(1, b""), Poll::Ready(8));
-    // Another flow has its own budget.
-    assert_eq!(svc.try_push(2, b"ab"), Poll::Ready(2));
-
-    // Run the workers: the backlog drains, space frees, pushes resume.
-    engine.service().run(|_| {}); // (fresh service: just exercises run/shutdown)
-    svc.run(|svc| {
-        svc.barrier();
-        assert_eq!(svc.pending_bytes(), 0);
-        assert_eq!(svc.try_push(1, b"9ab"), Poll::Ready(11));
-        // Blocking push: waits for the workers instead of returning
-        // Pending, even when the chunk exceeds the whole budget.
-        assert_eq!(svc.push(1, &[b'a'; 64]), 75);
-        svc.barrier();
-    });
-    // Flow 2's "ab" was scanned during the run.
-    assert_eq!(svc.poll(2), vec![SetMatch { pattern: 0, end: 2 }]);
-}
-
-#[test]
 fn blocking_push_streams_a_large_flow_through_a_small_budget() {
     let engine = Engine::builder()
         .patterns(["kk"])
         .workers(2)
-        .service_config(ServiceConfig {
+        .serve_config(ServeConfig {
             flow_budget: 64,
-            idle_timeout: None,
+            ..ServeConfig::default()
         })
         .build()
         .unwrap();
@@ -311,22 +282,16 @@ fn blocking_push_streams_a_large_flow_through_a_small_budget() {
         c[21] = b'k';
         c
     };
-    let hits = engine.service().run(|svc| {
-        for _ in 0..100 {
-            svc.push(9, &chunk);
-        }
-        svc.close(9);
-        svc.barrier();
-        svc.poll(9)
-    });
+    let svc = engine.serve();
+    let flow = svc.try_open_flow().unwrap();
+    for _ in 0..100 {
+        svc.push_checked(flow, &chunk).unwrap();
+    }
+    svc.close(flow);
+    svc.barrier();
+    let hits = svc.poll_checked(flow).unwrap();
     assert_eq!(hits.len(), 100);
-    assert_eq!(
-        hits[0],
-        SetMatch {
-            pattern: 0,
-            end: 22
-        }
-    );
+    assert_eq!(hits[0], RuleMatch { rule: 0, end: 22 });
 }
 
 #[test]
@@ -334,40 +299,35 @@ fn service_evicts_idle_flows() {
     let engine = Engine::builder()
         .patterns(["ab$", "ab"])
         .workers(1)
-        .service_config(ServiceConfig {
-            flow_budget: 1 << 20,
+        .serve_config(ServeConfig {
             idle_timeout: Some(Duration::from_millis(20)),
+            ..ServeConfig::default()
         })
         .build()
         .unwrap();
-    let svc = engine.service();
-    let (evicted, reports, finishing) = svc.run(|svc| {
-        assert_eq!(svc.try_push(5, b"..ab"), Poll::Ready(4));
-        svc.barrier();
-        // Go quiet: the parked worker's periodic sweep must close the
-        // flow. Wait generously for slow CI machines.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut evicted = svc.evictions();
-        while evicted.is_empty() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-            evicted = svc.evictions();
-        }
-        (evicted, svc.poll(5), svc.finishing(5))
-    });
-    assert_eq!(evicted, vec![5]);
+    let svc = engine.serve();
+    let flow = svc.try_open_flow().unwrap();
+    assert_eq!(svc.try_push(flow, b"..ab"), Poll::Ready(4));
+    svc.barrier();
+    // Go quiet: the parked worker's periodic sweep must close the
+    // flow. Wait generously for slow CI machines.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut evicted = svc.evictions();
+    while evicted.is_empty() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        evicted = svc.evictions();
+    }
+    assert_eq!(evicted, vec![flow]);
     // Eviction behaves exactly like close(): reports stay pollable and
     // the $-anchored finishing set resolves at the flow's final byte.
     assert_eq!(
-        reports,
-        vec![
-            SetMatch { pattern: 0, end: 4 },
-            SetMatch { pattern: 1, end: 4 },
-        ]
+        svc.poll_checked(flow).unwrap(),
+        vec![RuleMatch { rule: 0, end: 4 }, RuleMatch { rule: 1, end: 4 }]
     );
-    assert_eq!(finishing, vec![SetMatch { pattern: 0, end: 4 }]);
-    // Fully drained: the flow entry is gone; the id is reusable.
+    assert_eq!(svc.finishing(flow), vec![RuleMatch { rule: 0, end: 4 }]);
+    // Fully drained: the flow entry is gone and its id went stale.
     assert_eq!(svc.flow_count(), 0);
-    assert_eq!(svc.try_push(5, b"ab"), Poll::Ready(2));
+    assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
 }
 
 /// Regression pin: the idle sweep is due-gated inside the worker loop,
@@ -378,75 +338,72 @@ fn service_evicts_idle_flows_under_sustained_load() {
     let engine = Engine::builder()
         .patterns(["ab"])
         .workers(1)
-        .service_config(ServiceConfig {
-            flow_budget: 1 << 20,
+        .serve_config(ServeConfig {
             idle_timeout: Some(Duration::from_millis(20)),
+            ..ServeConfig::default()
         })
         .build()
         .unwrap();
-    let svc = engine.service();
-    let evicted = svc.run(|svc| {
-        assert_eq!(svc.try_push(2, b"..ab"), Poll::Ready(4)); // then silent
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut evicted = svc.evictions();
-        // Keep the single worker continuously busy with flow 1 while
-        // flow 2 sits idle past the timeout.
-        while evicted.is_empty() && std::time::Instant::now() < deadline {
-            svc.push(1, &[b'a'; 4096]);
-            evicted = svc.evictions();
+    let svc = engine.serve();
+    let mut busy = svc.try_open_flow().unwrap();
+    let quiet = svc.try_open_flow().unwrap();
+    assert_eq!(svc.try_push(quiet, b"..ab"), Poll::Ready(4)); // then silent
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut evicted = svc.evictions();
+    // Keep the single worker continuously busy with one flow while the
+    // other sits idle past the timeout.
+    while !evicted.contains(&quiet) && std::time::Instant::now() < deadline {
+        // On a starved 1-core box the producer itself can stall past
+        // the timeout, legitimately evicting the busy flow too: carry
+        // on with a fresh one — only the quiet flow is pinned.
+        if svc.push_checked(busy, &[b'a'; 4096]) == Err(ServeError::Closed) {
+            busy = svc.try_open_flow().unwrap();
         }
-        svc.close(1);
-        svc.barrier();
-        evicted
-    });
-    // On a starved 1-core box the producer itself can stall past the
-    // timeout, legitimately evicting flow 1 too — only flow 2 is pinned.
-    assert!(evicted.contains(&2), "the busy worker must still sweep");
+        evicted.extend(svc.evictions());
+    }
+    svc.close(busy);
+    svc.barrier();
+    assert!(evicted.contains(&quiet), "the busy worker must still sweep");
     assert_eq!(
-        svc.poll(2),
-        vec![SetMatch { pattern: 0, end: 4 }],
+        svc.poll_checked(quiet).unwrap(),
+        vec![RuleMatch { rule: 0, end: 4 }],
         "the evicted flow's reports stay pollable"
     );
 }
 
-#[test]
-fn service_state_persists_across_runs() {
-    let engine = Engine::builder().patterns(["abc"]).build().unwrap();
-    let svc = engine.service();
-    svc.run(|svc| {
-        svc.push(1, b"a");
-        svc.barrier();
-    });
-    // Between runs: no workers, state intact.
-    assert_eq!(svc.flow_len(1), Some(1));
-    assert_eq!(svc.try_push(1, b"b"), Poll::Ready(2));
-    let hits = svc.run(|svc| {
-        svc.push(1, b"c");
-        svc.barrier();
-        svc.poll(1)
-    });
-    assert_eq!(hits, vec![SetMatch { pattern: 0, end: 3 }]);
-}
-
+/// A `FlowId` is never reopened: closed, it rejects pushes as a value
+/// while it drains, and once drained it goes stale. Reopening means a
+/// new flow — possibly in the same slot, under the next generation,
+/// starting at position 0. (`u64` ids that *do* reopen are the batch
+/// scheduler's; `tests/flow_scheduler.rs` pins those.)
 #[test]
 fn closed_flows_reject_pushes_until_drained_then_reopen() {
     let engine = Engine::builder().patterns(["ab"]).build().unwrap();
-    let svc = engine.service();
-    assert_eq!(svc.try_push(3, b"ab"), Poll::Ready(2));
-    svc.close(3);
-    // Closed and not yet drained (no workers ran): pushed back.
-    assert_eq!(svc.try_push(3, b"cd"), Poll::Pending);
-    svc.run(|svc| svc.barrier());
-    // Drained: the same id reopens as a fresh flow at position 0.
-    assert_eq!(svc.try_push(3, b"ab"), Poll::Ready(2));
-    svc.run(|svc| svc.barrier());
-    let hits = svc.poll(3);
+    let svc = engine.serve();
+    let first = svc.try_open_flow().unwrap();
+    assert_eq!(svc.push_checked(first, b"ab"), Ok(2));
+    svc.close(first);
+    // Closed, drained or not: pushed back, and nothing was buffered.
+    assert_eq!(svc.push_checked(first, b"cd"), Err(ServeError::Closed));
+    assert_eq!(svc.try_push(first, b"cd"), Poll::Pending);
+    svc.barrier();
     assert_eq!(
-        hits,
-        vec![
-            SetMatch { pattern: 0, end: 2 }, // first incarnation
-            SetMatch { pattern: 0, end: 2 }, // reopened at position 0
-        ]
+        svc.poll_checked(first).unwrap(),
+        vec![RuleMatch { rule: 0, end: 2 }]
+    );
+    // Drained: the id is stale for pushes and polls alike.
+    assert!(!svc.is_live(first));
+    assert_eq!(svc.push_checked(first, b"ab"), Err(ServeError::Closed));
+    assert_eq!(svc.poll_checked(first), Err(ServeError::Closed));
+    // The slot reopens for a fresh flow at position 0.
+    let second = svc.try_open_flow().unwrap();
+    assert_eq!(second.index(), first.index());
+    assert_ne!(second.generation(), first.generation());
+    assert_eq!(svc.push_checked(second, b"ab"), Ok(2));
+    svc.barrier();
+    assert_eq!(
+        svc.poll_checked(second).unwrap(),
+        vec![RuleMatch { rule: 0, end: 2 }]
     );
 }
 
@@ -457,38 +414,42 @@ fn empty_engine_is_well_formed() {
     assert_eq!(engine.shard_count(), 1);
     assert!(engine.scan(b"anything").is_empty());
     assert!(engine.network(0).validate().is_empty());
-    let report = engine.service().run(|svc| {
-        svc.push(1, b"anything");
-        svc.barrier();
-        svc.poll(1)
-    });
-    assert!(report.is_empty());
+    let svc = engine.serve();
+    let flow = svc.try_open_flow().unwrap();
+    svc.push_checked(flow, b"anything").unwrap();
+    svc.barrier();
+    assert!(svc.poll_checked(flow).unwrap().is_empty());
 }
 
 #[test]
 fn engine_and_service_are_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine>();
-    assert_send_sync::<recama::FlowService<'static>>();
-    assert_send_sync::<ServiceConfig>();
+    assert_send_sync::<recama::ServiceHandle>();
+    assert_send_sync::<ServeConfig>();
 
-    // Producers really can fan out from inside the closure.
+    // Producers really can fan out over one shared handle.
     let engine = Engine::builder()
         .patterns(["kk"])
         .workers(2)
         .build()
         .unwrap();
-    let total: usize = engine.service().run(|svc| {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|fi| scope.spawn(move || svc.push(fi, b"..kk..")))
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-        svc.barrier();
-        (0..4).map(|fi| svc.poll(fi).len()).sum()
+    let svc = engine.serve();
+    let flows: Vec<_> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
+    std::thread::scope(|scope| {
+        let svc = &svc;
+        let handles: Vec<_> = flows
+            .iter()
+            .map(|&flow| scope.spawn(move || svc.push_checked(flow, b"..kk..")))
+            .collect();
+        for h in handles {
+            h.join().unwrap().unwrap();
+        }
     });
+    svc.barrier();
+    let total: usize = flows
+        .iter()
+        .map(|&flow| svc.poll_checked(flow).unwrap().len())
+        .sum();
     assert_eq!(total, 4);
 }

@@ -8,6 +8,8 @@
 //! counter-heavy rulesets that force the fallback/re-entry path on
 //! nearly every byte.
 
+#![deny(deprecated)]
+
 use proptest::prelude::*;
 use recama::{Engine, Pattern, ScanMode, SetMatch};
 

@@ -12,8 +12,11 @@
 //! `--features fault-inject` — a quarantined flow leaving every other
 //! flow's filter state intact.
 
+#![deny(deprecated)]
+
 use proptest::prelude::*;
-use recama::{Engine, FlowScheduler, Pattern, PrefilterMode, SetMatch};
+use recama::hw::ShardPolicy;
+use recama::{Engine, Pattern, PrefilterMode, RuleMatch, ServeConfig, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the left column
 /// carries a usable required literal (contiguous singleton-byte run at
@@ -72,7 +75,7 @@ fn chunked_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<SetMa
 /// Pushes `input` through a one-flow scheduler in `chunk_len` chunks —
 /// the checkout-skipping path, as opposed to the in-stream gate.
 fn scheduled_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<SetMatch> {
-    let sched = FlowScheduler::new(engine.set(), 2);
+    let sched = engine.scheduler_with(2);
     for chunk in input.chunks(chunk_len.max(1)) {
         sched.push(7, chunk);
     }
@@ -142,7 +145,7 @@ fn literals_split_across_every_chunk_boundary() {
         }
         // And through the scheduler, where the cold-unit skip rewinds
         // the parked engine rather than feeding it.
-        let sched = FlowScheduler::new(on.set(), 2);
+        let sched = on.scheduler_with(2);
         sched.push(1, &input[..cut]);
         sched.push(1, &input[cut..]);
         sched.run();
@@ -163,7 +166,7 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
     let input = b"..ba..xyxy..42x..ba";
     assert_eq!(on.scan(input), off.scan(input));
 
-    let sched = FlowScheduler::new(on.set(), 2);
+    let sched = on.scheduler_with(2);
     for chunk in input.chunks(3) {
         sched.push(1, chunk);
     }
@@ -195,7 +198,7 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     assert_eq!(on.scan(&input), off.scan(&input));
     assert!(on.scan(&input).is_empty());
 
-    let sched = FlowScheduler::new(on.set(), 2);
+    let sched = on.scheduler_with(2);
     for chunk in input.chunks(256) {
         sched.push(1, chunk);
         sched.push(2, chunk);
@@ -216,6 +219,131 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
         "every chunk of both flows must be skipped on every shard"
     );
     assert_eq!(stats.candidate_hits, 0);
+}
+
+/// Two drivers, one answer: the batch scheduler and the owned service
+/// step the same core, so the same ruleset, flows and chunking must
+/// give identical per-flow `(rule, end)` sequences and finishing sets
+/// through `scheduler_with(w)` and `serve_with(w)` — for one worker and
+/// several, with the filter on and off — and the scheduler's stats
+/// accessors must read what the service's metrics snapshot reads.
+#[test]
+fn scheduler_and_service_agree_for_every_worker_count_and_filter_mode() {
+    // Literal-bearing, `$`-anchored and always-on rules over three
+    // shards, so filtered and filterless shards serve every flow.
+    let patterns = [
+        "hdr[0-9]{2}end",
+        "magic$",
+        "nn[ab]{2,4}mm",
+        ".*ba",
+        "x[yz]w$",
+    ];
+    let flows: [&[u8]; 4] = [
+        b"..hdr42end..magic..nnababmm..xyw",
+        b"................................",
+        b"ba.xzw.magic",
+        b"",
+    ];
+    const CHUNK: usize = 5;
+    let rounds = flows.iter().map(|f| f.len().div_ceil(CHUNK)).max().unwrap();
+    let chunk_of = |fi: usize, round: usize| flows[fi].chunks(CHUNK).nth(round);
+
+    let mut answers = Vec::new();
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        for workers in [1usize, 3] {
+            let engine = Engine::builder()
+                .patterns(patterns)
+                .shard_policy(ShardPolicy::Fixed(3))
+                .prefilter(mode)
+                .build()
+                .unwrap();
+            let what = format!("{mode:?}, {workers} worker(s)");
+
+            // Batch driver: push a round, run(), poll.
+            let sched = engine.scheduler_with(workers);
+            let mut batch = vec![(Vec::new(), Vec::new()); flows.len()];
+            for round in 0..rounds {
+                for fi in 0..flows.len() {
+                    if let Some(chunk) = chunk_of(fi, round) {
+                        sched.push(fi as u64, chunk);
+                    }
+                }
+                sched.run();
+                for (fi, (polled, _)) in batch.iter_mut().enumerate() {
+                    polled.extend(sched.poll(fi as u64));
+                }
+            }
+            for fi in 0..flows.len() {
+                sched.close(fi as u64);
+            }
+            sched.run();
+            let batch_stats = (sched.hybrid_stats(), sched.prefilter_stats());
+            for (fi, (polled, finishing)) in batch.iter_mut().enumerate() {
+                polled.extend(sched.poll(fi as u64));
+                finishing.extend(sched.finishing(fi as u64));
+            }
+            assert_eq!(sched.flow_count(), 0, "{what}: drained flows are forgotten");
+
+            // Resident workers: push the same round, barrier(), poll.
+            let svc = engine.serve_with(workers, ServeConfig::default());
+            let ids: Vec<_> = flows
+                .iter()
+                .map(|f| (!f.is_empty()).then(|| svc.try_open_flow().unwrap()))
+                .collect();
+            let mut served = vec![(Vec::new(), Vec::new()); flows.len()];
+            for round in 0..rounds {
+                for (fi, id) in ids.iter().enumerate() {
+                    if let (Some(id), Some(chunk)) = (id, chunk_of(fi, round)) {
+                        svc.push_checked(*id, chunk).unwrap();
+                    }
+                }
+                svc.barrier();
+                for (id, (polled, _)) in ids.iter().zip(&mut served) {
+                    if let Some(id) = id {
+                        polled.extend(svc.poll_checked(*id).unwrap());
+                    }
+                }
+            }
+            for id in ids.iter().flatten() {
+                svc.close(*id);
+            }
+            svc.barrier();
+            let metrics = svc.metrics();
+            for (id, (polled, finishing)) in ids.iter().zip(&mut served) {
+                if let Some(id) = id {
+                    // poll before finishing: a drained id goes stale.
+                    polled.extend(svc.poll_checked(*id).unwrap());
+                    finishing.extend(svc.finishing(*id));
+                }
+            }
+            svc.shutdown();
+
+            // Default rule ids are add-order indices: rule == pattern.
+            let as_rules = |ms: &[SetMatch]| -> Vec<RuleMatch> {
+                ms.iter()
+                    .map(|m| RuleMatch {
+                        rule: m.pattern as u64,
+                        end: m.end as u64,
+                    })
+                    .collect()
+            };
+            for (fi, ((polled, finishing), served)) in batch.iter().zip(&served).enumerate() {
+                assert_eq!(as_rules(polled), served.0, "{what}: flow {fi} reports");
+                assert_eq!(as_rules(finishing), served.1, "{what}: flow {fi} finishing");
+            }
+            assert_eq!(batch_stats.0, metrics.hybrid, "{what}: hybrid block");
+            assert_eq!(batch_stats.1, metrics.prefilter, "{what}: prefilter block");
+            assert_eq!(batch_stats.1.is_some(), mode == PrefilterMode::On);
+            answers.push(served);
+        }
+    }
+    // ... and the answer is the same in every cell of the table.
+    assert!(answers.iter().all(|a| *a == answers[0]));
+    assert!(!answers[0][0].0.is_empty() && !answers[0][2].1.is_empty());
+    assert!(
+        answers[0][1].0.is_empty(),
+        "the benign flow reports nothing"
+    );
 }
 
 mod service {
@@ -247,7 +375,7 @@ mod service {
                 .wrapping_add(1442695040888963407);
             let len = 1 + (state >> 33) as usize % 5;
             let end = (offset + len).min(data.len());
-            svc.push(flow, &data[offset..end]);
+            svc.push_checked(flow, &data[offset..end]).unwrap();
             offset = end;
         }
     }
@@ -278,7 +406,7 @@ mod service {
         let post: &[u8] = b"ta9..delta5..omega";
 
         let svc = a.serve();
-        let flow = svc.open_flow();
+        let flow = svc.try_open_flow().unwrap();
         push_chunked(&svc, flow, pre, 0x9e37);
         svc.barrier(); // drained: the cut lands at the pre/post boundary
         assert_eq!(svc.reload(&b), 1);
@@ -290,7 +418,7 @@ mod service {
         let mut expected = scan_oracle(&a_oracle, pre, 0);
         expected.extend(scan_oracle(&b_oracle, post, boundary));
         assert_eq!(
-            svc.poll(flow),
+            svc.poll_checked(flow).unwrap(),
             expected,
             "reports must equal old-filter(pre) ++ fresh-new-filter(post)"
         );
@@ -312,11 +440,11 @@ mod service {
     fn metrics_block_absent_when_the_filter_is_off() {
         let eng = build(&[(1, "magic")], PrefilterMode::Off);
         let svc = eng.serve();
-        let flow = svc.open_flow();
-        svc.push(flow, b"..magic..");
+        let flow = svc.try_open_flow().unwrap();
+        svc.push_checked(flow, b"..magic..").unwrap();
         svc.close(flow);
         svc.barrier();
-        assert_eq!(svc.poll(flow).len(), 1);
+        assert_eq!(svc.poll_checked(flow).unwrap().len(), 1);
         assert!(svc.metrics().prefilter.is_none());
         svc.shutdown();
     }
@@ -375,7 +503,7 @@ mod quarantine {
         };
 
         let svc = engine.serve();
-        let flows: Vec<FlowId> = (0..3).map(|_| svc.open_flow()).collect();
+        let flows: Vec<FlowId> = (0..3).map(|_| svc.try_open_flow().unwrap()).collect();
 
         // Sibling rounds: benign, then a literal cut mid-word twice.
         let sibling_chunks: &[&[u8]] = &[b"........", b"....need", b"le7z...."];
@@ -400,7 +528,7 @@ mod quarantine {
         // must complete the straddled match.
         for chunk in &sibling_chunks[1..] {
             for &fi in &[0usize, 2] {
-                svc.push(flows[fi], chunk);
+                svc.push_checked(flows[fi], chunk).unwrap();
             }
             svc.barrier();
         }
@@ -409,7 +537,7 @@ mod quarantine {
         for &fi in &[0usize, 2] {
             svc.close(flows[fi]);
             assert_eq!(
-                svc.poll(flows[fi]),
+                svc.poll_checked(flows[fi]).unwrap(),
                 scan_oracle(&oracle, &full, 0),
                 "sibling flow {fi} must not notice the fault"
             );

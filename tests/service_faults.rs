@@ -15,6 +15,8 @@
 //! so the 1-based scan number a fault addresses equals the round
 //! number the chunk was pushed in.
 
+#![deny(deprecated)]
+
 use recama::{
     Engine, FaultPlan, FlowId, OverloadPolicy, RuleMatch, ServeConfig, ServeError, ServiceHandle,
     ServiceMetrics,
@@ -76,7 +78,7 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
     let engine = engine_with(plan, 2);
     let svc = engine.serve();
 
-    let flows: Vec<FlowId> = (0..4).map(|_| svc.open_flow()).collect();
+    let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
     drive(&svc, &flows, chunks);
 
     // The faulted flow (open order 1) is quarantined; nothing else is.
@@ -97,7 +99,7 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
         }
         svc.close(*flow);
         assert_eq!(
-            svc.poll(*flow),
+            svc.poll_checked(*flow).unwrap(),
             scan_oracle(&engine, &full, 0),
             "non-faulted flow {i} must not notice the fault"
         );
@@ -105,7 +107,7 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
 
     // The faulted flow: reports merged before the fault (scan 1 = chunk
     // 1) stay pollable, then the checked calls surface the payload.
-    let pre = svc.poll(flows[1]);
+    let pre = svc.poll_checked(flows[1]).unwrap();
     assert_eq!(pre, scan_oracle(&engine, chunks[0], 0));
     match svc.poll_checked(flows[1]) {
         Err(ServeError::Quarantined { message }) => {
@@ -120,28 +122,19 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
         Err(ServeError::Quarantined { .. }) => {}
         other => panic!("expected Quarantined, got {other:?}"),
     }
-    // The legacy blocking push panics with the payload in the message.
-    let blocked =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.push(flows[1], b"more")));
-    let panic_text = match blocked {
-        Err(payload) => *payload.downcast::<String>().expect("formatted panic"),
-        Ok(_) => panic!("push to a quarantined flow must panic"),
-    };
-    assert!(
-        panic_text.contains("injected: flow 1 dies at scan 2"),
-        "{panic_text}"
-    );
-
     // Close acknowledges the quarantine and reclaims the slot.
     svc.close(flows[1]);
     assert!(!svc.is_live(flows[1]));
 
     // The respawned pool still serves fresh traffic.
-    let fresh = svc.open_flow();
-    svc.push(fresh, b".abbc.");
+    let fresh = svc.try_open_flow().unwrap();
+    svc.push_checked(fresh, b".abbc.").unwrap();
     svc.close(fresh);
     svc.barrier();
-    assert_eq!(svc.poll(fresh), scan_oracle(&engine, b".abbc.", 0));
+    assert_eq!(
+        svc.poll_checked(fresh).unwrap(),
+        scan_oracle(&engine, b".abbc.", 0)
+    );
     svc.shutdown();
 }
 
@@ -174,7 +167,7 @@ fn randomized_faults_never_leak_into_sibling_flows() {
                 ..ServeConfig::default()
             },
         );
-        let flows: Vec<FlowId> = (0..FLOWS).map(|_| svc.open_flow()).collect();
+        let flows: Vec<FlowId> = (0..FLOWS).map(|_| svc.try_open_flow().unwrap()).collect();
         let mut out: Vec<Vec<RuleMatch>> = vec![Vec::new(); FLOWS];
         for round in 1..=(PRE_ROUNDS + POST_ROUNDS) {
             if round == PRE_ROUNDS + 1 {
@@ -188,14 +181,14 @@ fn randomized_faults_never_leak_into_sibling_flows() {
             }
             svc.barrier();
             for (i, flow) in flows.iter().enumerate() {
-                out[i].extend(svc.poll(*flow));
+                out[i].extend(svc.poll_checked(*flow).unwrap_or_default());
             }
         }
         let quarantined: Vec<bool> = flows.iter().map(|f| svc.is_quarantined(*f)).collect();
         for (i, flow) in flows.iter().enumerate() {
             svc.close(*flow);
             svc.barrier();
-            out[i].extend(svc.poll(*flow));
+            out[i].extend(svc.poll_checked(*flow).unwrap_or_default());
             out[i].extend(svc.finishing(*flow));
         }
         assert!(
@@ -278,7 +271,7 @@ fn exhausted_restart_budget_falls_back_to_fail_stop() {
         },
     );
 
-    let flows: Vec<FlowId> = (0..4).map(|_| svc.open_flow()).collect();
+    let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
     for flow in &flows {
         // A plain push: budgets are clear, so this never blocks; the
         // poisoning races behind it are irrelevant to admission.
@@ -335,13 +328,16 @@ fn injected_delays_change_timing_but_not_output() {
     let engine = engine_with(plan, 2);
     let svc = engine.serve();
 
-    let flows: Vec<FlowId> = (0..3).map(|_| svc.open_flow()).collect();
+    let flows: Vec<FlowId> = (0..3).map(|_| svc.try_open_flow().unwrap()).collect();
     drive(&svc, &flows, chunks);
 
     let full: Vec<u8> = chunks.concat();
     for flow in &flows {
         svc.close(*flow);
-        assert_eq!(svc.poll(*flow), scan_oracle(&engine, &full, 0));
+        assert_eq!(
+            svc.poll_checked(*flow).unwrap(),
+            scan_oracle(&engine, &full, 0)
+        );
     }
     assert_clean(&svc.metrics());
     assert!(!svc.is_poisoned());
@@ -368,9 +364,9 @@ fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
         },
     );
 
-    let idle = svc.open_flow(); // seq 0: drained, the LRU eviction victim
-    let busy = svc.open_flow(); // seq 1: its first scan stalls 300ms
-    svc.push(busy, b".abbc.");
+    let idle = svc.try_open_flow().unwrap(); // seq 0: drained, the LRU eviction victim
+    let busy = svc.try_open_flow().unwrap(); // seq 1: its first scan stalls 300ms
+    svc.push_checked(busy, b".abbc.").unwrap();
 
     // The delayed scan holds pending_bytes > 0 well past these calls.
     match svc.try_open_flow() {
@@ -395,9 +391,81 @@ fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
     svc.close(busy);
     svc.barrier();
     assert_eq!(
-        svc.poll(busy).len(),
+        svc.poll_checked(busy).unwrap().len(),
         1,
         "the delayed flow still scanned correctly"
     );
     svc.shutdown();
+}
+
+/// The batch scheduler runs the same step as the service, so a scan
+/// panic quarantines its flow instead of dropping it: reports merged
+/// before the fault stay pollable, sibling flows are byte-identical to
+/// a fault-free stream, and `run()` rethrows the payload only once the
+/// rest of the batch has settled — for the inline single worker and the
+/// scoped pool alike.
+#[test]
+fn batch_scheduler_quarantines_the_faulted_flow_and_rethrows_once_settled() {
+    let chunks: &[&[u8]] = &[b".abbc.", b"k12m..", b"xyz.ab", b"bc.xyz"];
+    // (reports, finishing set) of one fault-free stream over `data`.
+    let stream_oracle = |engine: &Engine, data: &[u8]| {
+        let mut stream = engine.stream();
+        let hits: Vec<_> = stream.feed(data).collect();
+        (hits, stream.finish())
+    };
+    for workers in [1usize, 3] {
+        let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: batch flow 1 dies at scan 2");
+        let engine = engine_with(plan, workers);
+        let sched = engine.scheduler();
+
+        for (round, chunk) in chunks.iter().enumerate() {
+            for flow in 0..4u64 {
+                if flow != 1 || round < 2 {
+                    sched.push(flow, chunk);
+                }
+            }
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.run()));
+            if round == 1 {
+                let payload = ran.expect_err("run() rethrows the scan panic");
+                let text = payload.downcast::<String>().expect("formatted panic");
+                assert!(text.contains("batch flow 1 dies at scan 2"), "{text}");
+            } else {
+                ran.expect("only the faulted round rethrows");
+            }
+            // Settled either way: the siblings' units all ran, and the
+            // quarantined flow's bytes left the gauge.
+            assert_eq!(
+                sched.pending_bytes(),
+                0,
+                "{workers} worker(s), round {round}"
+            );
+        }
+
+        // Every non-faulted flow: byte-identical to a fault-free stream.
+        let full: Vec<u8> = chunks.concat();
+        for flow in [0u64, 2, 3] {
+            sched.close(flow);
+            assert_eq!(
+                (sched.poll(flow), sched.finishing(flow)),
+                stream_oracle(&engine, &full),
+                "{workers} worker(s): flow {flow} must not notice the fault"
+            );
+        }
+
+        // The faulted flow is still there — not an unknown id: its
+        // pre-fault reports poll, it takes no more input, and closing it
+        // acknowledges the fault and frees the id for reuse.
+        assert_eq!(sched.flow_count(), 1);
+        assert_eq!(sched.poll(1), stream_oracle(&engine, chunks[0]).0);
+        assert!(sched.poll(1).is_empty());
+        assert_eq!(sched.flow_count(), 1, "quarantined flows wait for close");
+        let pushed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.push(1, b"more")));
+        assert!(pushed.is_err(), "a quarantined flow takes no more input");
+        sched.close(1);
+        assert_eq!(sched.flow_count(), 0);
+        sched.push(1, b".abbc.");
+        sched.run();
+        assert_eq!(sched.poll(1), stream_oracle(&engine, b".abbc.").0);
+    }
 }

@@ -13,7 +13,9 @@
 //! counting state does NOT leak across the cut; `$`-anchored rules pin
 //! that the finishing set resolves against the new engine only.
 
-use recama::{Engine, FlowId, RuleMatch, ServeConfig, ServiceHandle};
+#![deny(deprecated)]
+
+use recama::{Engine, FlowId, RuleMatch, ServeConfig, ServeError, ServiceHandle};
 use std::task::Poll;
 
 /// The old engine's reports over `data`, as stable rule ids with ends
@@ -53,7 +55,7 @@ fn push_chunked(svc: &ServiceHandle, flow: FlowId, data: &[u8], seed: u64) {
             .wrapping_add(1442695040888963407);
         let len = 1 + (state >> 33) as usize % 7;
         let end = (offset + len).min(data.len());
-        svc.push(flow, &data[offset..end]);
+        svc.push_checked(flow, &data[offset..end]).unwrap();
         offset = end;
     }
 }
@@ -96,7 +98,10 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
         (b"xyz", b"xyz"),
     ];
 
-    let flows: Vec<FlowId> = halves.iter().map(|_| svc.open_flow()).collect();
+    let flows: Vec<FlowId> = halves
+        .iter()
+        .map(|_| svc.try_open_flow().unwrap())
+        .collect();
     for (flow, (pre, _)) in flows.iter().zip(halves) {
         push_chunked(&svc, *flow, pre, 0x9e37 + flow.index() as u64);
     }
@@ -115,7 +120,7 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
         let mut expected = scan_oracle(&a, pre, 0);
         expected.extend(scan_oracle(&b, post, boundary));
         assert_eq!(
-            svc.poll(*flow),
+            svc.poll_checked(*flow).unwrap(),
             expected,
             "flow {flow}: reports must equal old-engine(pre) ++ fresh-new-engine(post)"
         );
@@ -133,16 +138,21 @@ fn reports_keep_stable_rule_ids_across_the_swap() {
     let a = v1();
     let b = v2();
     let svc = a.serve();
-    let flow = svc.open_flow();
+    let flow = svc.try_open_flow().unwrap();
 
-    svc.push(flow, b".xyz"); // rule 20 under engine A (pattern index 1)
+    svc.push_checked(flow, b".xyz").unwrap(); // rule 20 under engine A (pattern index 1)
     svc.barrier();
     svc.reload(&b);
-    svc.push(flow, b".xyz"); // rule 20 under engine B (pattern index 1 of a different set)
+    svc.push_checked(flow, b".xyz").unwrap(); // rule 20 under engine B (pattern index 1 of a different set)
     svc.close(flow);
     svc.barrier();
 
-    let rules: Vec<(u64, u64)> = svc.poll(flow).iter().map(|m| (m.rule, m.end)).collect();
+    let rules: Vec<(u64, u64)> = svc
+        .poll_checked(flow)
+        .unwrap()
+        .iter()
+        .map(|m| (m.rule, m.end))
+        .collect();
     assert_eq!(rules, vec![(20, 4), (20, 8)]);
     assert_eq!(
         svc.finishing(flow)
@@ -160,10 +170,10 @@ fn retired_epochs_free_when_their_last_flow_lets_go() {
     let b = v2();
     let svc = a.serve();
 
-    let migrator = svc.open_flow();
-    let holdout = svc.open_flow();
-    svc.push(migrator, b"abbc.");
-    svc.push(holdout, b"k12m.");
+    let migrator = svc.try_open_flow().unwrap();
+    let holdout = svc.try_open_flow().unwrap();
+    svc.push_checked(migrator, b"abbc.").unwrap();
+    svc.push_checked(holdout, b"k12m.").unwrap();
     svc.barrier();
 
     svc.reload(&b);
@@ -174,7 +184,7 @@ fn retired_epochs_free_when_their_last_flow_lets_go() {
     assert_eq!(m.epoch_flows, vec![(0, 2), (1, 0)]);
 
     // The migrator's next push moves it onto epoch 1.
-    svc.push(migrator, b"qqw");
+    svc.push_checked(migrator, b"qqw").unwrap();
     svc.barrier();
     assert_eq!(svc.metrics().epoch_flows, vec![(0, 1), (1, 1)]);
 
@@ -185,7 +195,7 @@ fn retired_epochs_free_when_their_last_flow_lets_go() {
     assert_eq!(svc.metrics().epoch_flows, vec![(1, 1)]);
 
     // New flows open on the current epoch.
-    let fresh = svc.open_flow();
+    let fresh = svc.try_open_flow().unwrap();
     assert_eq!(svc.metrics().epoch_flows, vec![(1, 2)]);
 
     // Drain everything; the service ends on the new epoch alone.
@@ -194,7 +204,7 @@ fn retired_epochs_free_when_their_last_flow_lets_go() {
     }
     svc.barrier();
     for flow in [migrator, holdout, fresh] {
-        svc.poll(flow);
+        svc.poll_checked(flow).unwrap();
         svc.finishing(flow);
     }
     assert_eq!(svc.metrics().epoch_flows, vec![(1, 0)]);
@@ -219,13 +229,14 @@ fn slot_reuse_never_leaks_a_stale_flows_matches() {
 
     let mut stale: Vec<FlowId> = Vec::new();
     for round in 0u64..50 {
-        let flow = svc.open_flow();
+        let flow = svc.try_open_flow().unwrap();
         // Every prior incarnation's id must be dead and silent, even
         // though some share this flow's slot index.
         for old in &stale {
             assert!(!svc.is_live(*old), "stale id {old} resurrected");
-            assert!(
-                svc.poll(*old).is_empty(),
+            assert_eq!(
+                svc.poll_checked(*old),
+                Err(ServeError::Closed),
                 "stale id {old} delivered matches"
             );
             assert!(svc.finishing(*old).is_empty());
@@ -239,7 +250,7 @@ fn slot_reuse_never_leaks_a_stale_flows_matches() {
         svc.close(flow);
         svc.barrier();
         let expected = scan_oracle(&engine, data, 0);
-        assert_eq!(svc.poll(flow), expected, "round {round}");
+        assert_eq!(svc.poll_checked(flow).unwrap(), expected, "round {round}");
         assert_eq!(svc.finishing(flow), finish_oracle(&engine, data, 0));
         // Fully drained: the slot recycles and this id goes stale.
         assert!(!svc.is_live(flow));
@@ -269,7 +280,10 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
         b"no matches here",
         b"abbcabbc.k99m",
     ];
-    let flows: Vec<FlowId> = payloads.iter().map(|_| svc.open_flow()).collect();
+    let flows: Vec<FlowId> = payloads
+        .iter()
+        .map(|_| svc.try_open_flow().unwrap())
+        .collect();
     for (flow, data) in flows.iter().zip(payloads) {
         push_chunked(&svc, *flow, data, 0xfeed + flow.index() as u64);
         svc.close(*flow);
@@ -320,12 +334,12 @@ fn mid_traffic_reload_loses_no_matches() {
         },
     );
 
-    let flows: Vec<FlowId> = (0..8).map(|_| svc.open_flow()).collect();
+    let flows: Vec<FlowId> = (0..8).map(|_| svc.try_open_flow().unwrap()).collect();
     let unit = b".abbc."; // one match per repetition, never straddling
     let mut pushed = 0u64;
     for round in 0..40 {
         for flow in &flows {
-            svc.push(*flow, unit);
+            svc.push_checked(*flow, unit).unwrap();
             pushed += 1;
         }
         if round == 20 {
@@ -341,7 +355,7 @@ fn mid_traffic_reload_loses_no_matches() {
 
     let mut matches = 0u64;
     for flow in &flows {
-        for m in svc.poll(*flow) {
+        for m in svc.poll_checked(*flow).unwrap() {
             assert_eq!(m.rule, 1);
             assert_eq!(m.end % unit.len() as u64, 5, "match ends stay on the grid");
             matches += 1;
@@ -364,15 +378,15 @@ fn double_close_after_reload() {
         .build()
         .unwrap();
     let svc = v1.serve();
-    let flow = svc.open_flow();
-    svc.push(flow, b".abc.");
+    let flow = svc.try_open_flow().unwrap();
+    svc.push_checked(flow, b".abc.").unwrap();
     svc.close(flow);
     svc.barrier();
     // flow is finished (engines freed, epoch pin released) but its
     // reports are still undrained, so the slot stays occupied.
     let _ = svc.reload(&v2); // epoch 0 now has zero pins -> retired
     svc.close(flow); // second close on a live-but-finished id
-    let hits = svc.poll(flow);
+    let hits = svc.poll_checked(flow).unwrap();
     assert_eq!(hits.len(), 1);
 }
 
@@ -394,13 +408,13 @@ fn metrics_snapshot_stays_coherent_while_reload_races_pushes() {
         // Producer: steady traffic over a rotating set of flows.
         scope.spawn(|| {
             for round in 0u64..30 {
-                let flows: Vec<FlowId> = (0..4).map(|_| svc.open_flow()).collect();
+                let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
                 for flow in &flows {
                     push_chunked(&svc, *flow, b".abbc.abbc.", round + 1);
                 }
                 for flow in &flows {
                     svc.close(*flow);
-                    svc.poll(*flow);
+                    svc.poll_checked(*flow).unwrap();
                 }
             }
         });
