@@ -422,10 +422,12 @@ fn main() {
             .map(|r| {
                 let overlay = match &r.overlay {
                     Some(s) => format!(
-                        ",\"dfa_states\":{},\"dfa_hit_rate\":{:.4},\"fallback_bytes\":{}",
+                        ",\"dfa_states\":{},\"dfa_hit_rate\":{:.4},\"fallback_bytes\":{},\
+                         \"exact_state_steps\":{}",
                         s.dfa_states,
                         s.dfa_hit_rate(),
-                        s.fallback_bytes
+                        s.fallback_bytes,
+                        s.exact_state_steps
                     ),
                     None => String::new(),
                 };

@@ -191,7 +191,8 @@ fn main() {
              {{\"scan_mode\":\"nca\",\"sequential_mib_per_s\":{:.3}}},\
              {{\"scan_mode\":\"hybrid\",\"sequential_mib_per_s\":{:.3},\
              \"state_budget\":{DEFAULT_STATE_BUDGET},\"dfa_states\":{},\
-             \"dfa_hit_rate\":{:.4},\"fallback_bytes\":{}}}]}}",
+             \"dfa_hit_rate\":{:.4},\"fallback_bytes\":{},\
+             \"exact_state_steps\":{}}}]}}",
             patterns.len(),
             engine.len(),
             engine.shard_count(),
@@ -206,6 +207,7 @@ fn main() {
             overlay.dfa_states,
             overlay.dfa_hit_rate(),
             overlay.fallback_bytes,
+            overlay.exact_state_steps,
         );
     }
 }

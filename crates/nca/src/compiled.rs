@@ -240,7 +240,12 @@ impl CountingQueue {
 #[derive(Debug, Clone)]
 pub(crate) enum Storage {
     PureBit(bool),
-    Single(Option<Vec<u32>>),
+    /// At most one valuation. The buffer outlives the token (`live` says
+    /// whether it holds one), so stepping never allocates or frees.
+    Single {
+        live: bool,
+        values: Vec<u32>,
+    },
     /// Bit `v` (1-based; bit 0 unused) set iff token with counter value `v`
     /// is live. Length `bound + 1` bits, word-packed.
     Bits {
@@ -259,7 +264,10 @@ impl Storage {
     pub(crate) fn new(mode: StorageMode, bound: u32) -> Storage {
         match mode {
             StorageMode::PureBit => Storage::PureBit(false),
-            StorageMode::SingleValue => Storage::Single(None),
+            StorageMode::SingleValue => Storage::Single {
+                live: false,
+                values: Vec::new(),
+            },
             StorageMode::BitVector => Storage::Bits {
                 words: vec![0; ((bound as usize + 1).div_ceil(64)).max(1)],
                 bound,
@@ -275,7 +283,7 @@ impl Storage {
     pub(crate) fn clear(&mut self) {
         match self {
             Storage::PureBit(b) => *b = false,
-            Storage::Single(v) => *v = None,
+            Storage::Single { live, .. } => *live = false,
             Storage::Bits { words, .. } => words.iter_mut().for_each(|w| *w = 0),
             Storage::Queue { queue, .. } => queue.clear(),
             Storage::Tokens(set) => set.clear(),
@@ -285,7 +293,7 @@ impl Storage {
     pub(crate) fn is_empty(&self) -> bool {
         match self {
             Storage::PureBit(b) => !*b,
-            Storage::Single(v) => v.is_none(),
+            Storage::Single { live, .. } => !*live,
             Storage::Bits { words, .. } => words.iter().all(|&w| w == 0),
             Storage::Queue { queue, .. } => queue.births.is_empty(),
             Storage::Tokens(set) => set.is_empty(),
@@ -297,8 +305,8 @@ impl Storage {
         match self {
             Storage::PureBit(true) => f(&[]),
             Storage::PureBit(false) => {}
-            Storage::Single(Some(v)) => f(v),
-            Storage::Single(None) => {}
+            Storage::Single { live: true, values } => f(values),
+            Storage::Single { live: false, .. } => {}
             Storage::Bits { words, .. } => {
                 for (wi, &w) in words.iter().enumerate() {
                     let mut w = w;
@@ -331,20 +339,23 @@ impl Storage {
                 *b = true;
                 false
             }
-            Storage::Single(slot) => match slot {
-                None => {
-                    *slot = Some(values.to_vec());
-                    false
+            Storage::Single {
+                live,
+                values: existing,
+            } => {
+                if *live && existing.as_slice() == values {
+                    return false;
                 }
-                Some(existing) if existing.as_slice() == values => false,
-                Some(existing) => {
-                    // Keep the smaller valuation for determinism; flag it.
-                    if values < existing.as_slice() {
-                        *existing = values.to_vec();
-                    }
-                    true
+                let conflict = *live;
+                // On a conflict keep the smaller valuation for
+                // determinism; the caller counts it.
+                if !conflict || values < existing.as_slice() {
+                    existing.clear();
+                    existing.extend_from_slice(values);
                 }
-            },
+                *live = true;
+                conflict
+            }
             Storage::Bits { words, bound } => {
                 let v = values[0];
                 debug_assert!(
@@ -723,6 +734,35 @@ mod tests {
         for w in exhaustive_inputs(b"abx", 5) {
             assert_eq!(fast.matches(&w), slow.matches(&w), "on {w:?}");
         }
+    }
+
+    #[test]
+    fn single_value_storage_reuses_its_buffer() {
+        let mut s = Storage::new(StorageMode::SingleValue, 0);
+        assert!(!s.insert(&[3, 1]));
+        let Storage::Single { values, .. } = &s else {
+            unreachable!()
+        };
+        let buffer = values.as_ptr();
+        for step in 0..4u32 {
+            s.clear();
+            assert!(s.is_empty());
+            let mut seen = 0;
+            s.for_each(|_| seen += 1);
+            assert_eq!(seen, 0, "a cleared slot yields no valuation");
+            assert!(!s.insert(&[step, 7]), "first valuation after a clear");
+            assert!(!s.insert(&[step, 7]), "same valuation again");
+            assert!(s.insert(&[step, 9]), "a second valuation is a conflict");
+            assert!(
+                s.insert(&[step, 2]),
+                "and so is a third; the smallest stays"
+            );
+            s.for_each(|v| assert_eq!(v, [step, 2]));
+        }
+        let Storage::Single { values, .. } = &s else {
+            unreachable!()
+        };
+        assert_eq!(values.as_ptr(), buffer, "no reallocation while stepping");
     }
 
     #[test]

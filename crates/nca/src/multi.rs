@@ -218,9 +218,10 @@ impl MultiNca {
     }
 
     /// Creates a hybrid lazy-DFA overlay engine (see
-    /// [`crate::HybridEngine`]): determinized byte-class rows for pure
-    /// frontiers, exact [`MultiEngine`] stepping while counters are
-    /// active, at most `state_budget` cached DFA states.
+    /// [`crate::HybridEngine`]): determinized byte-class rows for the
+    /// pure part of the frontier, exact [`MultiEngine`] stepping for the
+    /// live counter-carrying states only, at most `state_budget` cached
+    /// DFA states.
     pub fn hybrid_engine(&self, state_budget: usize) -> HybridEngine<'_> {
         HybridEngine::new(self, state_budget)
     }
@@ -614,6 +615,16 @@ pub(crate) struct OutEdge {
     pub(crate) dst: Vec<SlotSrc>,
 }
 
+/// One edge of the merged automaton that leaves a pure state and enters
+/// a counter-carrying one: `out_edges[from][edge]`. The hybrid overlay
+/// caches the entry edges of each `(DFA state, class)` and hands them to
+/// [`MultiEngine::step_counted`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EntryEdge {
+    pub(crate) from: u32,
+    pub(crate) edge: u32,
+}
+
 /// The immutable, shareable part of the batched engine: edge programs,
 /// finalization predicates, and class-membership bitsets. Built once per
 /// [`MultiNca`]; every engine instance borrows it.
@@ -627,7 +638,7 @@ pub(crate) struct EngineTables {
     /// equivalence class `c` is inside `class(q)`.
     pub(crate) class_member: Vec<Vec<u64>>,
     /// Bitset over states: bit `q` set iff state `q` carries a counter —
-    /// the O(words) quiescence mask of the hybrid overlay.
+    /// how the hybrid overlay tells its two halves apart.
     pub(crate) counted_mask: Vec<u64>,
     /// Whether each state uses the counting-set queue representation.
     is_queue: Vec<bool>,
@@ -852,14 +863,22 @@ impl<'a> MultiEngine<'a> {
 
     /// Returns to the initial configuration (stream position 0).
     pub fn reset(&mut self) {
+        self.clear_tokens();
+        self.cur[0] = Storage::PureBit(true);
+        self.active[0] = 1;
+    }
+
+    /// Drops every token — not even `q0` stays live — and rewinds the
+    /// stamps, position and conflict count. This is the empty counted
+    /// configuration `T = ∅` of the hybrid overlay, which keeps `q0` (a
+    /// pure state) in its DFA state instead.
+    pub(crate) fn clear_tokens(&mut self) {
         for w in &mut self.active {
             *w = 0;
         }
         for s in &mut self.cur {
             s.clear();
         }
-        self.cur[0] = Storage::PureBit(true);
-        self.active[0] = 1;
         self.stamp.iter_mut().for_each(|s| *s = 0);
         self.report_stamp.iter_mut().for_each(|s| *s = 0);
         self.queue_touch_stamp.iter_mut().for_each(|s| *s = 0);
@@ -898,54 +917,14 @@ impl<'a> MultiEngine<'a> {
     }
 
     /// Whether any counter-carrying state is live. O(state words): one
-    /// AND against the precomputed counted-state mask — the quiescence
-    /// test the hybrid overlay runs after every exact step.
+    /// AND against the precomputed counted-state mask. For the hybrid
+    /// overlay, whose exact engine holds counted states only, this is
+    /// "is `T` non-empty".
     pub fn counting_active(&self) -> bool {
         self.active
             .iter()
             .zip(&self.tables.counted_mask)
             .any(|(a, m)| a & m != 0)
-    }
-
-    /// Collects the live frontier (ascending state ids) into `out`.
-    /// Intended for pure frontiers (see
-    /// [`MultiEngine::load_pure_frontier`]); ascending order makes the
-    /// subset directly internable by the hybrid cache.
-    pub(crate) fn pure_frontier_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        for (wi, &word) in self.active.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                out.push((wi * 64 + bit) as u32);
-            }
-        }
-    }
-
-    /// Replaces the live configuration with a frontier of **pure**
-    /// states (each holding one anonymous token) at stream offset
-    /// `position` — how the hybrid overlay rehydrates the exact engine
-    /// when a cached DFA state must fall back to exact stepping.
-    pub(crate) fn load_pure_frontier(&mut self, states: &[u32], position: u64) {
-        for (wi, word) in self.active.iter_mut().enumerate() {
-            let mut w = std::mem::take(word);
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                self.cur[wi * 64 + bit].clear();
-            }
-        }
-        for &q in states {
-            let qi = q as usize;
-            debug_assert!(
-                self.tables.counted_mask[qi / 64] & (1 << (qi % 64)) == 0,
-                "hybrid frontiers contain only pure states"
-            );
-            self.cur[qi] = Storage::PureBit(true);
-            self.active[qi / 64] |= 1 << (qi % 64);
-        }
-        self.position = position;
     }
 
     /// Consumes one byte, appending `(pattern, end)` reports to `out`.
@@ -960,10 +939,56 @@ impl<'a> MultiEngine<'a> {
     /// stream offset.
     pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
         self.position += 1;
+        let class = self.multi.alphabet.class_of(byte);
+        self.advance::<false>(class, &[], &mut Vec::new());
+        self.collect_reports(self.position, out);
+    }
+
+    /// The counted half of one hybrid step — the counter and bit-vector
+    /// modules beside the STE array. The engine holds tokens on
+    /// **counter-carrying states only** (`T`; see [`crate::hybrid`]) and
+    /// advances them over one byte of `class`:
+    ///
+    /// * every out-edge of a live counted state fires exactly as in
+    ///   [`MultiEngine::step_into`], except that a token reaching a
+    ///   *pure* state leaves the engine — the state is appended to
+    ///   `pure_out` (unsorted, possibly repeated) for the caller to union
+    ///   into its pure frontier;
+    /// * `entries` — the edges from the caller's pure frontier into
+    ///   counted states on this class — put their constant valuations in;
+    /// * counted states accepting after the byte report at offset `end`,
+    ///   ascending by pattern, one report per pattern.
+    ///
+    /// Returns the number of states whose out-edges were walked.
+    pub(crate) fn step_counted(
+        &mut self,
+        class: usize,
+        entries: &[EntryEdge],
+        pure_out: &mut Vec<u32>,
+        end: u64,
+        out: &mut Vec<MultiReport>,
+    ) -> usize {
+        let walked = self.advance::<true>(class, entries, pure_out);
+        self.collect_reports(end, out);
+        walked
+    }
+
+    /// Moves every live token over one byte of `class` and swaps the
+    /// configuration buffers; returns the number of live states walked.
+    /// `entries` are fired from an anonymous pure token on their source.
+    /// With `SPLIT`, pure destinations go to `pure_out` instead of the
+    /// next configuration.
+    #[inline(always)]
+    fn advance<const SPLIT: bool>(
+        &mut self,
+        class: usize,
+        entries: &[EntryEdge],
+        pure_out: &mut Vec<u32>,
+    ) -> usize {
         self.generation = self.generation.wrapping_add(1);
         let generation = self.generation;
-        let class = self.multi.alphabet.class_of(byte);
-        let member_row = &self.tables.class_member[class];
+        let tables = self.tables;
+        let member_row = &tables.class_member[class];
         for w in &mut self.next_active {
             *w = 0;
         }
@@ -975,62 +1000,73 @@ impl<'a> MultiEngine<'a> {
         let touched_queues = &mut self.touched_queues;
         let queue_touch_stamp = &mut self.queue_touch_stamp;
         let queue_entry_hit = &mut self.queue_entry_hit;
-        let is_queue = &self.tables.is_queue;
         touched_queues.clear();
         let mut conflicts = 0u64;
+        let mut fire = |p: usize, src: &Storage, edge: &OutEdge| {
+            let q = edge.to as usize;
+            if member_row[q / 64] & (1 << (q % 64)) == 0 {
+                return;
+            }
+            if tables.is_queue[q] {
+                // Counting-set destinations are advanced by the
+                // specialized pass below; here only record that the state
+                // was reached and whether a (guarded) entry edge fired
+                // against the *current* configuration — queues must not
+                // mutate before every entry guard has been read (queue
+                // states may feed each other).
+                if queue_touch_stamp[q] != generation {
+                    queue_touch_stamp[q] = generation;
+                    queue_entry_hit[q] = false;
+                    touched_queues.push(q as u32);
+                }
+                if p != q && !queue_entry_hit[q] {
+                    let mut hit = false;
+                    src.for_each(|values| {
+                        hit = hit || edge.guard.iter().all(|g| g.eval(values));
+                    });
+                    queue_entry_hit[q] = hit;
+                }
+                return;
+            }
+            if stamp[q] != generation {
+                stamp[q] = generation;
+                nxt[q].clear();
+            }
+            let nxt_q = &mut nxt[q];
+            src.for_each(|values| {
+                if edge.guard.iter().all(|g| g.eval(values)) {
+                    value_scratch.clear();
+                    value_scratch.extend(edge.dst.iter().map(|s| s.eval(values)));
+                    if nxt_q.insert(value_scratch) {
+                        conflicts += 1;
+                    }
+                }
+            });
+            if !nxt_q.is_empty() {
+                if SPLIT && tables.counted_mask[q / 64] & (1 << (q % 64)) == 0 {
+                    pure_out.push(q as u32);
+                } else {
+                    next_active[q / 64] |= 1 << (q % 64);
+                }
+            }
+        };
+        let mut walked = 0;
         for (wi, &word) in self.active.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let p = wi * 64 + bit;
-                let src = &cur[p];
-                for edge in &self.tables.out_edges[p] {
-                    let q = edge.to as usize;
-                    if member_row[q / 64] & (1 << (q % 64)) == 0 {
-                        continue;
-                    }
-                    if is_queue[q] {
-                        // Counting-set destinations are advanced by the
-                        // specialized pass below; here only record that
-                        // the state was reached and whether a (guarded)
-                        // entry edge fired against the *current*
-                        // configuration — queues must not mutate before
-                        // every entry guard has been read (queue states
-                        // may feed each other).
-                        if queue_touch_stamp[q] != generation {
-                            queue_touch_stamp[q] = generation;
-                            queue_entry_hit[q] = false;
-                            touched_queues.push(q as u32);
-                        }
-                        if p != q && !queue_entry_hit[q] {
-                            let mut hit = false;
-                            src.for_each(|values| {
-                                hit = hit || edge.guard.iter().all(|g| g.eval(values));
-                            });
-                            queue_entry_hit[q] = hit;
-                        }
-                        continue;
-                    }
-                    if stamp[q] != generation {
-                        stamp[q] = generation;
-                        nxt[q].clear();
-                    }
-                    let nxt_q = &mut nxt[q];
-                    src.for_each(|values| {
-                        if edge.guard.iter().all(|g| g.eval(values)) {
-                            value_scratch.clear();
-                            value_scratch.extend(edge.dst.iter().map(|s| s.eval(values)));
-                            if nxt_q.insert(value_scratch) {
-                                conflicts += 1;
-                            }
-                        }
-                    });
-                    if !nxt_q.is_empty() {
-                        next_active[q / 64] |= 1 << (q % 64);
-                    }
+                walked += 1;
+                for edge in &tables.out_edges[p] {
+                    fire(p, &cur[p], edge);
                 }
             }
+        }
+        let pure_token = Storage::PureBit(true);
+        for entry in entries {
+            let p = entry.from as usize;
+            fire(p, &pure_token, &tables.out_edges[p][entry.edge as usize]);
         }
         // Counting-set pass: each touched queue advances with one clock
         // bump (`shift`) and at most one fresh value-1 token instead of an
@@ -1038,7 +1074,7 @@ impl<'a> MultiEngine<'a> {
         // match the byte, or no live predecessor reached them) simply stay
         // inactive; their stale storage is stamp-cleared on next touch.
         let cur = &mut self.cur;
-        let queue_self_loop = &self.tables.queue_self_loop;
+        let queue_self_loop = &tables.queue_self_loop;
         for &q in touched_queues.iter() {
             let qi = q as usize;
             if stamp[qi] != generation {
@@ -1070,10 +1106,12 @@ impl<'a> MultiEngine<'a> {
         self.conflicts += conflicts;
         std::mem::swap(&mut self.cur, &mut self.nxt);
         std::mem::swap(&mut self.active, &mut self.next_active);
-        self.collect_reports(out);
+        walked
     }
 
-    fn collect_reports(&mut self, out: &mut Vec<MultiReport>) {
+    /// Appends one report at offset `end` per pattern with a live
+    /// accepting token, in ascending pattern order.
+    fn collect_reports(&mut self, end: u64, out: &mut Vec<MultiReport>) {
         let generation = self.generation;
         for (wi, &word) in self.active.iter().enumerate() {
             let mut word = word;
@@ -1100,10 +1138,7 @@ impl<'a> MultiEngine<'a> {
                 });
                 if hit {
                     self.report_stamp[pattern as usize] = generation;
-                    out.push(MultiReport {
-                        pattern,
-                        end: self.position,
-                    });
+                    out.push(MultiReport { pattern, end });
                 }
             }
         }
@@ -1436,6 +1471,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Live counter-carrying states of `engine`.
+    fn counted_live(engine: &MultiEngine<'_>) -> u64 {
+        engine
+            .active
+            .iter()
+            .zip(&engine.tables.counted_mask)
+            .map(|(a, m)| u64::from((a & m).count_ones()))
+            .sum()
+    }
+
+    /// The hybrid overlay's stat definitions, against a reference exact
+    /// engine over the same bytes — the count-based, timer-free check
+    /// that only counted states are stepped exactly: a byte is a fallback
+    /// byte iff a counted token is live before or after it, and the exact
+    /// work on it is the counted states live before it, however many pure
+    /// states the frontier holds.
+    #[test]
+    fn hybrid_steps_only_counted_states_exactly() {
+        let mut patterns: Vec<String> = (0..24)
+            .map(|i| format!(".*w{}[a-f]x{}", i % 7, i / 7))
+            .collect();
+        patterns.push("h.{55}".into());
+        let patterns: Vec<&str> = patterns.iter().map(String::as_str).collect();
+        let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
+        let parts: Vec<(&Nca, CompilePlan)> = ncas
+            .iter()
+            .map(|n| (n, CompilePlan::optimized(n, |_| false)))
+            .collect();
+        let m = MultiNca::merge(&parts);
+        let mut input = Vec::new();
+        for i in 0..40u32 {
+            input.extend_from_slice(format!("w{}ax{} ", i % 7, i % 4).as_bytes());
+            if i % 5 == 0 {
+                input.extend_from_slice(b"h");
+            }
+            input.extend(std::iter::repeat_n(b'.', (i * 7 % 31) as usize));
+        }
+
+        let mut reference = m.engine();
+        let mut expected = Vec::new();
+        let (mut fallback_bytes, mut counted_steps, mut frontier) = (0u64, 0u64, 0u64);
+        for &b in &input {
+            let before = counted_live(&reference);
+            frontier += reference.active_states() as u64;
+            reference.step_into(b, &mut expected);
+            if before > 0 || reference.counting_active() {
+                fallback_bytes += 1;
+                counted_steps += before;
+            }
+        }
+        assert!(fallback_bytes > 0 && fallback_bytes < input.len() as u64);
+
+        for chunk_len in [1usize, 3, 7, input.len()] {
+            let mut hybrid = m.hybrid_engine(crate::DEFAULT_STATE_BUDGET);
+            let mut got = Vec::new();
+            for chunk in input.chunks(chunk_len) {
+                hybrid.feed_into(chunk, &mut got);
+            }
+            assert_eq!(got, expected, "chunk length {chunk_len}");
+            let stats = hybrid.stats();
+            assert_eq!(stats.fallback_bytes, fallback_bytes);
+            assert_eq!(stats.dfa_bytes + stats.fallback_bytes, input.len() as u64);
+            assert_eq!(stats.exact_state_steps, counted_steps);
+            assert!(stats.exact_state_steps <= 2 * stats.fallback_bytes);
+        }
+        // The whole frontier is an order of magnitude more than that.
+        assert!(
+            frontier > 10 * counted_steps,
+            "{frontier} vs {counted_steps}"
+        );
     }
 
     /// The optimized plan (analysis + counting sets) stays exact on the

@@ -350,6 +350,24 @@ fn pin_service_metrics(m: ServiceMetrics) {
 }
 
 #[allow(dead_code)]
+fn pin_hybrid_stats(h: HybridStats) {
+    let HybridStats {
+        dfa_bytes,
+        fallback_bytes,
+        exact_state_steps,
+        dfa_states,
+        flushes,
+    } = h;
+    let _: (u64, u64, u64, usize, u64) = (
+        dfa_bytes,
+        fallback_bytes,
+        exact_state_steps,
+        dfa_states,
+        flushes,
+    );
+}
+
+#[allow(dead_code)]
 fn pin_prefilter_metrics(p: PrefilterMetrics) {
     let PrefilterMetrics {
         skipped_units,

@@ -5,17 +5,20 @@
 //! equal the union of per-[`Pattern`] `find_ends` results. The property
 //! runs include pathological state budgets (as small as 1 cached DFA
 //! state, so the subset cache thrashes through flushes) and
-//! counter-heavy rulesets that force the fallback/re-entry path on
-//! nearly every byte.
+//! counter-heavy rulesets that keep counted tokens live — stepped
+//! exactly beside the DFA rows — on nearly every byte. A second property
+//! pushes the same rulesets through the serving path
+//! ([`Engine::serve_with`]) with the literal prefilter on and off.
 
 #![deny(deprecated)]
 
 use proptest::prelude::*;
-use recama::{Engine, Pattern, ScanMode, SetMatch};
+use recama::{Engine, Pattern, PrefilterMode, ScanMode, ServeConfig, SetMatch};
 
-/// Pattern pool the properties sample rulesets from: the left column is
-/// pure (counter-free after compilation, so the overlay can stay in DFA
-/// mode), the right column counts (forcing fallback and re-entry).
+/// Pattern pool the properties sample rulesets from: the first group is
+/// pure (counter-free after compilation, so every byte is one row load),
+/// the second counts (waking, stepping and exiting counted states beside
+/// the rows).
 const POOL: &[&str] = &[
     // pure
     "abc",
@@ -29,11 +32,17 @@ const POOL: &[&str] = &[
     "k[0-9]{2,4}z",
     "(xy){2,3}",
     "m{3}",
+    // sequential counters, a counter exiting into a pure tail that loops
+    // back, an anchored counter, an unbounded one
+    "a{2,3}c{2,3}",
+    "(ab{2,3}c)+d",
+    "^ab{2,4}c",
+    "a{3,}b",
 ];
 
 /// Input bytes biased toward the pool's literals so matches and partial
 /// matches actually occur.
-const INPUT_BYTES: &[u8] = b"abcxyzwqrstkm0123459_";
+const INPUT_BYTES: &[u8] = b"abcdxyzwqrstkm0123459_";
 
 fn union_of_per_pattern_matches(patterns: &[&str], input: &[u8]) -> Vec<SetMatch> {
     let mut expected = Vec::new();
@@ -106,10 +115,66 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// The serving path — `serve_with`, checked push/poll, the literal
+    /// prefilter's skip / wake-and-replay on or off — over hybrid engines
+    /// of every budget class reports the per-pattern union, whatever the
+    /// chunking.
+    #[test]
+    fn served_hybrid_reports_the_per_pattern_union(
+        picks in prop::collection::vec(0usize..POOL.len(), 1..6),
+        input in prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 0..200),
+        chunk_lens in prop::collection::vec(1usize..40, 1..8),
+    ) {
+        let mut picks = picks;
+        picks.sort_unstable();
+        picks.dedup();
+        let patterns: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
+        let expected = union_of_per_pattern_matches(&patterns, &input);
+
+        for budget in [1usize, 7, 4096] {
+            for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
+                let engine = Engine::builder()
+                    .patterns(&patterns)
+                    .scan_mode(ScanMode::Hybrid { state_budget: budget })
+                    .prefilter(prefilter)
+                    .build()
+                    .unwrap();
+                let svc = engine.serve_with(2, ServeConfig::default());
+                let flow = svc.try_open_flow().unwrap();
+                let mut rest = &input[..];
+                let mut lens = chunk_lens.iter().cycle();
+                while !rest.is_empty() {
+                    let (chunk, tail) = rest.split_at(rest.len().min(*lens.next().unwrap()));
+                    svc.push_checked(flow, chunk).unwrap();
+                    rest = tail;
+                }
+                svc.barrier();
+                // Default rule ids are add-order indices: rule == pattern.
+                let mut got: Vec<SetMatch> = svc
+                    .poll_checked(flow)
+                    .unwrap()
+                    .into_iter()
+                    .map(|m| SetMatch { pattern: m.rule as usize, end: m.end as usize })
+                    .collect();
+                svc.close(flow);
+                svc.shutdown();
+                got.sort();
+                prop_assert_eq!(
+                    &got, &expected,
+                    "budget {}, prefilter {:?}, chunks {:?}", budget, prefilter, &chunk_lens
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn counter_fallback_survives_every_chunk_boundary() {
     // Counting patterns keep counters live across most of the input, so
-    // the overlay exits and re-enters DFA mode repeatedly; every cut
+    // counted tokens are woken, stepped and retired repeatedly; every cut
     // point must leave the reports identical to the exact engine's.
     let patterns = ["ab{2,5}c", ".*a.{3}b", "m{3}", "abc"];
     let input = b"aabbbc.mmma...b.abbbbbc.mmmm.abcab";
@@ -177,6 +242,10 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
         "every byte is attributed to exactly one path"
     );
     assert!(stats.dfa_states > 0, "the overlay cached at least q0");
+    assert!(
+        (1..=stats.fallback_bytes).contains(&stats.exact_state_steps),
+        "one counted state at most is stepped exactly: {stats:?}"
+    );
 
     let exact = engine(&patterns, ScanMode::Nca);
     let sched = exact.scheduler();
