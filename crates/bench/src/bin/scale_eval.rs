@@ -149,7 +149,7 @@ fn main() {
         "\nscan of {} bytes: {hits} reports \
          \n  sequential, exact NCA:  {:>8.1} ms ({:.3} MiB/s)\
          \n  sequential, hybrid:     {:>8.1} ms ({:.3} MiB/s) \
-         [{:.2}x, {} DFA states, {:.1}% DFA bytes, {} fallback bytes]\
+         [{:.2}x, {} DFA states over the shard caches, {:.1}% DFA bytes, {} fallback bytes]\
          \n  parallel over shards:   {:>8.1} ms ({:.3} MiB/s)\
          \n  speedup: {:.2}x on {} core(s)",
         input.len(),

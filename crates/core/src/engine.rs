@@ -359,9 +359,12 @@ impl EngineBuilder {
     /// handle of the built engine walks bytes with. The default,
     /// [`ScanMode::Hybrid`] with
     /// [`DEFAULT_STATE_BUDGET`](recama_nca::DEFAULT_STATE_BUDGET)
-    /// cached DFA states per engine, overlays a lazy DFA on the pure
-    /// (counter-free) part of the frontier and falls back to exact NCA
-    /// stepping only while counters are live. [`ScanMode::Nca`] forces
+    /// cached DFA states per shard, overlays a lazy DFA on the pure
+    /// (counter-free) part of the frontier and steps exactly only the
+    /// counter-carrying states that are live. The determinized rows of a
+    /// shard are built once and shared by everything the engine scans —
+    /// block scans, streams, every flow of a scheduler or service handle
+    /// — so the budget bounds the shard, not each flow. [`ScanMode::Nca`] forces
     /// the exact per-byte engine everywhere — the paper-faithful
     /// baseline and the reference the hybrid is differentially tested
     /// against.

@@ -387,13 +387,15 @@ impl FlowScheduler {
         self.handle.pending_bytes()
     }
 
-    /// Aggregated hybrid-overlay statistics across every flow's shard
-    /// engines — live ones and those already freed at close + drain —
-    /// or `None` when the engine scans in
-    /// [`ScanMode::Nca`](crate::ScanMode::Nca): the
+    /// Aggregated hybrid-overlay statistics — byte counters across
+    /// every flow's shard engines, live ones and those already freed at
+    /// close + drain, plus the cached states and flushes of the shard
+    /// caches the flows share, each counted once — or `None` when the
+    /// engine scans in [`ScanMode::Nca`](crate::ScanMode::Nca): the
     /// [`hybrid`](crate::ServiceMetrics::hybrid) block of the core's
-    /// metrics snapshot. Engines currently checked out by workers are
-    /// not counted — sample between [`run`](FlowScheduler::run)s.
+    /// metrics snapshot. The byte counters of engines currently checked
+    /// out by workers are not counted — sample between
+    /// [`run`](FlowScheduler::run)s.
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
         self.handle.metrics().hybrid
     }

@@ -176,10 +176,16 @@ pub struct ServiceMetrics {
     /// Pushes rejected (`Poll::Pending`) by the per-flow or global byte
     /// budget, plus flow-table overshoots with nothing evictable.
     pub backpressure: u64,
-    /// Aggregate hybrid lazy-DFA counters (retired engines plus the
-    /// live flow table), when the current epoch scans in
-    /// [`ScanMode::Hybrid`]; `None` in pure-NCA mode. The interesting
-    /// roll-up is [`HybridStats::dfa_hit_rate`].
+    /// Aggregate hybrid lazy-DFA counters, when the current epoch scans
+    /// in [`ScanMode::Hybrid`]; `None` in pure-NCA mode. The byte
+    /// counters are cumulative over every engine that ever scanned
+    /// (retired engines plus the live flow table); `dfa_states` and
+    /// `flushes` are read from the installed epochs' per-shard caches
+    /// when the snapshot is taken, each shard cache counted once — so
+    /// `dfa_states` is what is cached *now* (at most shards ×
+    /// `state_budget` per installed epoch), not what flows long gone
+    /// once built. The interesting roll-up is
+    /// [`HybridStats::dfa_hit_rate`].
     pub hybrid: Option<HybridStats>,
     /// Literal-prefilter counters — per-shard skipped `(flow, shard)`
     /// chunk scans and bytes, cold→hot wake-ups, always-on rules — when
@@ -447,12 +453,12 @@ impl OwnedShardSlot {
     /// (engine-relative `pos - base`): past a skipped chunk, or back to
     /// a wake-up's replay point. Cold units are never queued, so the
     /// engine is parked here and nothing holds it.
-    fn restart_at(&mut self, set: &ShardedPatternSet, pos: u64, base: u64) {
+    fn restart_at(&mut self, pos: u64, base: u64) {
         debug_assert!(!self.busy, "cold units are never busy");
-        let state = self.state.take().expect("cold units hold their engine");
-        let mut stream = set.resume_shard_stream(state);
-        stream.restart_at(pos - base);
-        self.state = Some(stream.into_state());
+        self.state
+            .as_mut()
+            .expect("cold units hold their engine")
+            .restart_at(pos - base);
         self.pos = pos;
     }
 }
@@ -533,7 +539,7 @@ impl OwnedFlow {
         self.closed && self.shards.is_empty()
     }
 
-    /// The hybrid-overlay counters of the flow's parked engines (a
+    /// The hybrid byte counters of the flow's parked engines (a
     /// checked-out engine reports when it is back).
     fn hybrid_stats(&self) -> HybridStats {
         let mut total = HybridStats::default();
@@ -615,8 +621,10 @@ struct ServeState {
     /// Monotone counter behind `OwnedFlow::last_touch`.
     touch: u64,
     metrics: MetricsAcc,
-    /// Hybrid counters of engines that no longer exist (finished or
-    /// migrated flows), so the roll-up survives flow churn.
+    /// Hybrid byte counters of engines that no longer exist (finished,
+    /// migrated or quarantined flows), so the roll-up survives flow
+    /// churn. `dfa_states` and `flushes` stay 0 here: they are read from
+    /// the shard caches at snapshot time.
     hybrid_retired: HybridStats,
 }
 
@@ -1020,7 +1028,7 @@ impl ServeState {
                     let enqueue = match *action {
                         ChunkAction::Scan => !slot.busy,
                         ChunkAction::Skip => {
-                            slot.restart_at(&set, total, base);
+                            slot.restart_at(total, base);
                             self.metrics.prefilter.skipped_units.add(si, 1);
                             self.metrics
                                 .prefilter
@@ -1030,7 +1038,7 @@ impl ServeState {
                             false
                         }
                         ChunkAction::Wake { replay_start } => {
-                            slot.restart_at(&set, replay_start, base);
+                            slot.restart_at(replay_start, base);
                             self.metrics.prefilter.candidate_hits += 1;
                             true
                         }
@@ -1324,9 +1332,18 @@ impl ServeState {
     // ---- metrics ----------------------------------------------------
 
     fn snapshot(&self) -> ServiceMetrics {
+        // Byte counters: every engine that ever scanned, gone or parked.
+        // `dfa_states` / `flushes`: what the installed epochs' shard
+        // caches hold right now, each set counted once (reloading a
+        // clone of the serving engine installs the same set twice).
         let mut hybrid = self.hybrid_retired;
         for f in self.slots.iter().filter_map(|slot| slot.flow.as_deref()) {
             hybrid.merge(&f.hybrid_stats());
+        }
+        for (i, e) in self.epochs.iter().enumerate() {
+            if !self.epochs[..i].iter().any(|o| Arc::ptr_eq(&o.set, &e.set)) {
+                hybrid.merge(&e.set.hybrid_cache_stats());
+            }
         }
         let hybrid = match self.current().set.scan_mode() {
             ScanMode::Hybrid { .. } => Some(hybrid),

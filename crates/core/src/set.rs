@@ -29,8 +29,8 @@ use recama_compiler::{compile, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
 use recama_nca::{
-    CompilePlan, MultiNca, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti, StateId,
-    TokenSetEngine,
+    CompilePlan, HybridCache, HybridStats, MultiNca, MultiReport, Nca, ScanMode, ShardStream,
+    ShardedMulti, StateId, TokenSetEngine,
 };
 use recama_syntax::{ParseError, Parsed};
 use std::collections::HashMap;
@@ -134,6 +134,12 @@ pub struct ShardedPatternSet {
     /// How scans and streams walk input bytes (exact NCA vs. hybrid
     /// lazy-DFA overlay).
     scan_mode: ScanMode,
+    /// Under [`ScanMode::Hybrid`], the lazily determinized rows of each
+    /// shard (empty under [`ScanMode::Nca`]): one cache per shard,
+    /// shared by every scan, stream and served flow of this set on any
+    /// thread, and freed with the set — so an epoch of a serving handle
+    /// owns its rows by pinning its `Arc<ShardedPatternSet>`.
+    caches: Vec<HybridCache>,
     /// The literal prefilter (`None` under [`PrefilterMode::Off`]):
     /// per-shard Aho-Corasick filters over the shared alphabet that
     /// scans, streams, and the serving layers consult before running
@@ -278,6 +284,10 @@ impl ShardedPatternSet {
             })
             .collect();
         let multi = ShardedMulti::merge(&parts, plan.shards());
+        let caches = match scan_mode {
+            ScanMode::Nca => Vec::new(),
+            ScanMode::Hybrid { state_budget } => multi.hybrid_caches(state_budget),
+        };
 
         // Required-literal extraction over the raw rule ASTs, one AC
         // filter per shard, over the same alphabet the engines index
@@ -302,6 +312,7 @@ impl ShardedPatternSet {
             networks,
             multi,
             scan_mode,
+            caches,
             prefilter,
             reversed,
         }
@@ -389,10 +400,21 @@ impl ShardedPatternSet {
         self.prefilter.as_ref()
     }
 
-    /// One [`ShardStream`] per shard in this set's [`ScanMode`] — the
-    /// unit the flow scheduler checks out.
+    /// A fresh [`ShardStream`] over `shard` in this set's [`ScanMode`] —
+    /// the unit the flow scheduler checks out. A hybrid stream scans on
+    /// the shard's shared rows.
+    pub(crate) fn shard_stream(&self, shard: usize) -> ShardStream<'_> {
+        match self.caches.get(shard) {
+            Some(cache) => self.multi.shard_stream_on(shard, cache),
+            None => self.multi.shard_stream(shard),
+        }
+    }
+
+    /// One [`ShardedPatternSet::shard_stream`] per shard.
     pub(crate) fn shard_streams(&self) -> Vec<ShardStream<'_>> {
-        self.multi.shard_streams_with(self.scan_mode)
+        (0..self.multi.shard_count())
+            .map(|shard| self.shard_stream(shard))
+            .collect()
     }
 
     /// One detached [`ShardStreamState`] per shard — the owned form a
@@ -403,6 +425,17 @@ impl ShardedPatternSet {
             .into_iter()
             .map(ShardStream::into_state)
             .collect()
+    }
+
+    /// The shard caches' half of the hybrid counters — `dfa_states` and
+    /// `flushes` summed over this set's shards, each cache once (all
+    /// zero under [`ScanMode::Nca`]).
+    pub(crate) fn hybrid_cache_stats(&self) -> HybridStats {
+        let mut total = HybridStats::default();
+        for cache in &self.caches {
+            total.merge(&cache.stats());
+        }
+        total
     }
 
     /// Reattaches a detached per-shard scan state to this set's automata
@@ -448,10 +481,10 @@ impl ShardedPatternSet {
         out
     }
 
-    /// Scans one shard sequentially, translating local pattern indices to
-    /// global ones and applying the `$`-anchor filter. The per-shard
-    /// engine emits reports sorted by `(end, local pattern)`; ascending
-    /// members make that `(end, global pattern)` order.
+    /// Scans one shard sequentially on a fresh stream of the shard (in
+    /// hybrid mode: on the shard's shared, possibly warm rows) and
+    /// applies the `$`-anchor filter. The stream emits reports sorted by
+    /// `(end, global pattern)`.
     fn scan_shard(&self, shard: usize, haystack: &[u8]) -> Vec<SetMatch> {
         // Block-mode prefilter gate: a match is contained in the
         // haystack, so a haystack without any required literal cannot
@@ -462,18 +495,12 @@ impl ShardedPatternSet {
                 return Vec::new();
             }
         }
-        let reports = match self.scan_mode {
-            ScanMode::Nca => self.multi.shard(shard).engine().match_reports(haystack),
-            ScanMode::Hybrid { state_budget } => self
-                .multi
-                .shard(shard)
-                .hybrid_engine(state_budget)
-                .match_reports(haystack),
-        };
+        let mut reports = Vec::new();
+        self.shard_stream(shard).feed_into(haystack, &mut reports);
         reports
             .into_iter()
             .map(|r| SetMatch {
-                pattern: self.multi.global_pattern(shard, r.pattern) as usize,
+                pattern: r.pattern as usize,
                 end: r.end as usize,
             })
             .filter(|m| !self.anchored_end[m.pattern] || m.end == haystack.len())
@@ -1010,10 +1037,7 @@ impl PatternSet {
     /// ```
     pub fn stream(&self) -> SetStream<'_> {
         SetStream {
-            engine: self
-                .inner
-                .multi()
-                .shard_stream_with(0, self.inner.scan_mode()),
+            engine: self.inner.shard_stream(0),
             buf: Vec::new(),
             dollar: DollarTracker::new(self.inner.anchored_end()),
             prefilter: self.inner.prefilter(),

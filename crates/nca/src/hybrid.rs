@@ -1,5 +1,5 @@
 //! Hybrid lazy-DFA overlay over the batched multi-pattern engine: pure
-//! rows beside counter modules.
+//! rows beside counter modules, the rows shared by every flow of a shard.
 //!
 //! The exact [`MultiEngine`] walks outgoing edges over an activity bitset
 //! — faithful to the paper's hardware step, but tens of instructions per
@@ -19,10 +19,39 @@
 //!   stepped exactly** — by [`MultiEngine::step_counted`], and only while
 //!   `T` is non-empty. Typically that is one to three states, against the
 //!   tens of pure states a frontier holds.
-//! * **The cache is bounded** — at most `state_budget` determinized
-//!   states exist at once; on overflow the cache is flushed and rebuilt
-//!   from the traffic that is actually hot, so adversarial state blowup
-//!   degrades throughput instead of memory.
+//!
+//! # Who owns what
+//!
+//! The hardware programs the STE array **once per ruleset**; every input
+//! stream runs through the same image, and only the activity bits and the
+//! counter contents are per stream. Here the image is a [`HybridCache`]:
+//! the interned subsets, their rows and accept sets, the wake table and
+//! the byte → class map are a pure function of the shard's [`MultiNca`],
+//! so one cache serves every [`HybridEngine`] of that shard, on any
+//! thread. A flow's engine is what is left: the cache handle, the
+//! generation it reads, its state id `S`, its stream position, the
+//! counted tokens `T` and its byte counters.
+//!
+//! * **The cache is bounded per shard.** At most `state_budget`
+//!   determinized states are cached for a shard at once, however many
+//!   flows scan it, so adversarial state blowup degrades throughput
+//!   instead of memory.
+//! * **A flush is a generation change.** State ids mean something only
+//!   within one *generation* of the cache. When the budget is hit the
+//!   full generation is *retired* — nothing is ever written to it again —
+//!   and a fresh one, holding just the subset that did not fit, takes its
+//!   place. Rows already filled are immutable facts, so an engine in the
+//!   middle of a chunk keeps reading its retired generation; it notices
+//!   at its next chunk, at its next unfilled row or when it is parked,
+//!   copies the subset behind `S` out and interns it in the current
+//!   generation. A retired generation is freed with its last reader, and
+//!   a parked engine never pins one. `T` and the wake entries
+//!   ([`EntryEdge`] indexes the immutable automaton) are generation-free.
+//! * **Reading is one lock per chunk.** [`HybridEngine::feed_into`] takes
+//!   its generation's read lock once and walks plain `&[u32]` rows under
+//!   it. Only an unfilled row (or an unseen `S ∪ exits`) leaves the
+//!   guard, takes the current generation's write lock, re-checks, fills,
+//!   and goes back to reading.
 //!
 //! # Why the step factors
 //!
@@ -56,9 +85,10 @@
 use crate::multi::{EntryEdge, MultiEngine, MultiEngineState, MultiNca, MultiReport};
 use crate::nca::StateId;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Default bound on cached determinized states per hybrid engine.
+/// Default bound on the determinized states cached per shard.
 pub const DEFAULT_STATE_BUDGET: usize = 4096;
 
 /// How a pattern-set engine walks input bytes.
@@ -71,9 +101,11 @@ pub enum ScanMode {
     /// the pure frontier advances by one dense table row per byte, and
     /// only live counter-carrying states are stepped exactly.
     Hybrid {
-        /// Maximum number of cached determinized states per engine;
-        /// the cache flushes and rebuilds when exceeded. Tiny budgets
-        /// stay correct but thrash.
+        /// Maximum number of determinized states cached **per shard**,
+        /// shared by every flow scanning that shard (see
+        /// [`HybridCache`]); when a shard exceeds it, its cache is
+        /// flushed and rebuilt from the traffic that is hot. Tiny
+        /// budgets stay correct but thrash.
         state_budget: usize,
     },
 }
@@ -90,14 +122,17 @@ impl Default for ScanMode {
 /// Row entry: transition not yet computed.
 pub(crate) const UNKNOWN: u32 = u32::MAX;
 /// Row flag: the transition also wakes counters — the remaining bits
-/// index the overlay's side table of (successor id, entry edges). Plain
-/// successor ids stay below it, so one compare (`entry >= WAKES`) picks
-/// out every byte that needs more than a row load, [`UNKNOWN`] included.
+/// index the generation's side table of (successor id, entry edges).
+/// Plain successor ids stay below it, so one compare (`entry >= WAKES`)
+/// picks out every byte that needs more than a row load, [`UNKNOWN`]
+/// included.
 pub(crate) const WAKES: u32 = 1 << 31;
+/// [`Shared::accepting`] entry of a state that does not accept.
+const NO_PATTERN: u32 = u32::MAX;
 
 /// Shared dense-row subset interner: maps sorted NCA state sets to dense
 /// DFA ids and stores one flat `byte_class → next` row per id. Used by
-/// both [`HybridEngine`] and [`crate::DfaEngine`].
+/// both [`HybridCache`] and [`crate::DfaEngine`].
 #[derive(Debug)]
 pub(crate) struct SubsetCache {
     stride: usize,
@@ -128,6 +163,11 @@ impl SubsetCache {
         &self.subsets[id as usize]
     }
 
+    /// The id of `subset` (sorted, deduplicated), if it is interned.
+    pub(crate) fn lookup(&self, subset: &[u32]) -> Option<u32> {
+        self.ids.get(subset).copied()
+    }
+
     /// The cached transition of `(id, class)` ([`UNKNOWN`] if unfilled).
     #[inline]
     pub(crate) fn get(&self, id: u32, class: usize) -> u32 {
@@ -140,30 +180,26 @@ impl SubsetCache {
     }
 
     /// Interns `subset` (must be sorted, deduplicated); returns its id
-    /// and whether it is new.
+    /// and whether it is new. The map entry goes in last, so an id can
+    /// be looked up only once its subset and row exist.
     pub(crate) fn intern(&mut self, subset: &[u32]) -> (u32, bool) {
-        if let Some(&id) = self.ids.get(subset) {
+        if let Some(id) = self.lookup(subset) {
             return (id, false);
         }
         let id = self.subsets.len() as u32;
         let shared: Arc<[u32]> = subset.into();
-        self.ids.insert(Arc::clone(&shared), id);
-        self.subsets.push(shared);
+        self.subsets.push(Arc::clone(&shared));
         let filled = self.rows.len() + self.stride;
         self.rows.resize(filled, UNKNOWN);
+        self.ids.insert(shared, id);
         (id, true)
-    }
-
-    /// Drops every interned subset and row (the overflow flush).
-    pub(crate) fn clear(&mut self) {
-        self.ids.clear();
-        self.subsets.clear();
-        self.rows.clear();
     }
 }
 
-/// Cumulative counters of one [`HybridEngine`] (or an aggregate over
-/// several — see [`HybridStats::merge`]).
+/// Counters of the hybrid overlay. An engine owns the three byte
+/// counters; the shard's [`HybridCache`] owns `dfa_states` and `flushes`
+/// ([`HybridCache::stats`]). [`HybridEngine::stats`] shows both halves of
+/// one engine; an aggregate is built with [`HybridStats::merge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HybridStats {
     /// Bytes that cost one row load and nothing else: no counted token
@@ -179,10 +215,13 @@ pub struct HybridStats {
     /// exact work per fallback byte — the live *counted* states, since
     /// the pure ones ride rows.
     pub exact_state_steps: u64,
-    /// Determinized states currently cached (discovered since the last
-    /// flush).
+    /// Determinized states cached right now: the size of the shard
+    /// cache's current generation (at most the state budget). A property
+    /// of the **shard**, not of the flows that scanned it — an aggregate
+    /// sums it over shard caches, each counted once.
     pub dfa_states: usize,
-    /// Cache flushes forced by the state budget.
+    /// Cache flushes forced by the state budget, per shard cache like
+    /// `dfa_states`.
     pub flushes: u64,
 }
 
@@ -198,7 +237,11 @@ impl HybridStats {
         }
     }
 
-    /// Accumulates another engine's counters (summing states).
+    /// Adds `other` field by field. To aggregate a serving system, merge
+    /// every engine's own counters (`dfa_states` and `flushes` are 0
+    /// there) and every shard cache's [`HybridCache::stats`] **once** —
+    /// merging [`HybridEngine::stats`] of two engines on one cache would
+    /// count that cache's states twice.
     pub fn merge(&mut self, other: &HybridStats) {
         self.dfa_bytes += other.dfa_bytes;
         self.fallback_bytes += other.fallback_bytes;
@@ -209,7 +252,6 @@ impl HybridStats {
 }
 
 /// What a row marked [`WAKES`] stands for.
-#[derive(Debug)]
 struct Wake {
     /// The pure successor the row would hold if it woke nothing.
     next: u32,
@@ -230,11 +272,386 @@ impl Wake {
     }
 }
 
+/// The contents of one generation: everything a state id indexes.
+struct Tables {
+    cache: SubsetCache,
+    /// Patterns accepted in each DFA state (ascending, deduplicated) —
+    /// parallel to the cache's subsets.
+    accepts: Vec<Box<[u32]>>,
+    /// Side table of the rows marked [`WAKES`].
+    wakes: Vec<Wake>,
+}
+
+impl Tables {
+    /// The id of `subset` (sorted, deduplicated), interned if new.
+    ///
+    /// Write order is the invariant the poison recovery rests on: an id
+    /// becomes visible — in the interner's map here, in a row or a wake
+    /// slot later — only after its subset, its row and its accept set
+    /// exist, and a row is only ever written after its target is
+    /// interned. A writer that panics half-way therefore leaves nothing
+    /// a reader could follow into a missing entry.
+    fn intern(&mut self, subset: &[u32], accepting: &[u32]) -> u32 {
+        if let Some(id) = self.cache.lookup(subset) {
+            return id;
+        }
+        // Pure accepting states accept unconditionally, and the merge
+        // lays patterns out in ascending contiguous state ranges, so a
+        // sorted subset yields ascending patterns — the per-step report
+        // order contract of `MultiEngine::step_into`.
+        let mut patterns: Vec<u32> = subset
+            .iter()
+            .map(|&q| accepting[q as usize])
+            .filter(|&p| p != NO_PATTERN)
+            .collect();
+        patterns.dedup();
+        self.accepts.push(patterns.into_boxed_slice());
+        self.cache.intern(subset).0
+    }
+}
+
+/// One generation of a shard's rows: the tables behind a lock, and
+/// whether they are still being added to.
+struct Generation {
+    tables: RwLock<Tables>,
+    /// Set once, when the generation stops being the one new states go
+    /// to: under its own write lock by the flush that replaces it, or by
+    /// whoever finds its lock poisoned. Publishes nothing by itself (the
+    /// replacement travels through [`Shared::current`]'s mutex); Release
+    /// / Acquire so that an engine which sees it set also sees every row
+    /// written before.
+    retired: AtomicBool,
+}
+
+impl Generation {
+    fn new(stride: usize) -> Generation {
+        Generation {
+            tables: RwLock::new(Tables {
+                cache: SubsetCache::new(stride),
+                accepts: Vec::new(),
+                wakes: Vec::new(),
+            }),
+            retired: AtomicBool::new(false),
+        }
+    }
+
+    fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::Acquire)
+    }
+
+    fn retire(&self) {
+        self.retired.store(true, Ordering::Release);
+    }
+
+    /// The tables for reading. A lock poisoned by a panicking writer is
+    /// recovered, never propagated to the other flows of the shard: by
+    /// the write order of [`Tables::intern`] everything reachable from a
+    /// state id is complete, so readers go on; the generation is retired
+    /// so that nothing is added to tables that may be short an entry.
+    fn read(&self) -> RwLockReadGuard<'_, Tables> {
+        self.tables.read().unwrap_or_else(|poisoned| {
+            self.retire();
+            poisoned.into_inner()
+        })
+    }
+
+    /// The tables for writing; poison is handled as in
+    /// [`Generation::read`]. Callers check [`Generation::is_retired`]
+    /// under the guard before adding anything.
+    fn write(&self) -> RwLockWriteGuard<'_, Tables> {
+        self.tables.write().unwrap_or_else(|poisoned| {
+            self.retire();
+            poisoned.into_inner()
+        })
+    }
+}
+
+/// What every engine of one shard shares.
+struct Shared {
+    /// Flat byte → class table (u16 so an 8-byte lane of lookups
+    /// vectorizes without widening).
+    class_map: Box<[u16; 256]>,
+    /// Per automaton state: the pattern it accepts for, or
+    /// [`NO_PATTERN`].
+    accepting: Box<[u32]>,
+    /// Row width: the number of byte classes.
+    stride: usize,
+    state_budget: usize,
+    /// The generation new states are interned in. Replaced under this
+    /// mutex only; taken after a generation's write lock, never before.
+    current: Mutex<Arc<Generation>>,
+    /// Generations retired because the budget was hit (a statistic).
+    flushes: AtomicU64,
+}
+
+/// The lazily determinized rows of one shard, shared by all its flows:
+/// interned pure frontiers with their `byte class → next` rows and accept
+/// sets, the wake table, and the byte → class map — the software twin of
+/// an STE array programmed once per ruleset. Cloning the handle shares the
+/// cache; it is `Send + Sync`, and engines on any number of threads may
+/// scan on it at once.
+///
+/// At most `state_budget` states are cached at a time. When an unseen
+/// state does not fit, the cache is flushed: the full *generation* of
+/// tables is retired — engines in the middle of a chunk finish on it and
+/// then carry their one live state over — and an empty one takes its
+/// place, so the bound holds however many flows share the cache. The
+/// cache is a pure function of the [`MultiNca`] it was made for and must
+/// only be used with engines over that automaton.
+///
+/// # Examples
+///
+/// ```
+/// use recama_nca::{CompilePlan, MultiNca, Nca};
+/// let a = Nca::from_regex(&recama_syntax::parse("ab").unwrap().for_stream());
+/// let parts = [(&a, CompilePlan::conservative(&a))];
+/// let multi = MultiNca::merge(&parts);
+/// let cache = multi.hybrid_cache(64);
+/// multi.hybrid_engine_on(&cache).match_reports(b"xabab");
+/// let warm = cache.stats().dfa_states;
+/// // A second flow finds the rows already there.
+/// let mut second = multi.hybrid_engine_on(&cache);
+/// assert_eq!(second.match_reports(b"xabab").len(), 2);
+/// assert_eq!(cache.stats().dfa_states, warm);
+/// ```
+#[derive(Clone)]
+pub struct HybridCache(Arc<Shared>);
+
+impl std::fmt::Debug for HybridCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let stats = self.stats();
+        write!(
+            f,
+            "HybridCache(dfa_states = {}, flushes = {}, state_budget = {})",
+            stats.dfa_states, stats.flushes, self.0.state_budget
+        )
+    }
+}
+
+impl HybridCache {
+    /// An empty cache for engines over `multi`, holding at most
+    /// `state_budget` determinized states at a time
+    /// ([`MultiNca::hybrid_cache`]).
+    pub(crate) fn new(multi: &MultiNca, state_budget: usize) -> HybridCache {
+        let alphabet = multi.alphabet();
+        let mut class_map = Box::new([0u16; 256]);
+        for b in 0..=255u8 {
+            class_map[b as usize] = alphabet.class_of(b) as u16;
+        }
+        let accepting = multi
+            .tables()
+            .accepts
+            .iter()
+            .enumerate()
+            .map(|(q, accepts)| {
+                if accepts.is_empty() {
+                    NO_PATTERN
+                } else {
+                    multi
+                        .pattern_of(StateId(q as u32))
+                        .expect("the merged q0 never accepts")
+                }
+            })
+            .collect();
+        let stride = alphabet.len();
+        HybridCache(Arc::new(Shared {
+            class_map,
+            accepting,
+            stride,
+            // State ids must stay below the `WAKES` flag bit.
+            state_budget: state_budget.clamp(1, WAKES as usize),
+            current: Mutex::new(Arc::new(Generation::new(stride))),
+            flushes: AtomicU64::new(0),
+        }))
+    }
+
+    /// The cache's half of [`HybridStats`]: `dfa_states` (the current
+    /// generation's size) and `flushes`; the byte counters are 0.
+    pub fn stats(&self) -> HybridStats {
+        HybridStats {
+            dfa_states: self.current().read().cache.len(),
+            flushes: self.0.flushes.load(Ordering::Relaxed),
+            ..HybridStats::default()
+        }
+    }
+
+    /// The generation new states go to. Never a retired one: a flush
+    /// swaps in its replacement under this mutex, so the only retired
+    /// generation that can be found here is one whose lock was found
+    /// poisoned, and it is replaced by an empty one on the spot.
+    fn current(&self) -> Arc<Generation> {
+        let mut current = self
+            .0
+            .current
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if current.is_retired() {
+            *current = Arc::new(Generation::new(self.0.stride));
+        }
+        Arc::clone(&current)
+    }
+
+    /// Interns `subset` in the current generation — flushing first if it
+    /// is full — and runs `then(generation, tables, id)` under that
+    /// generation's write lock. Returns the generation with `then`'s
+    /// result; ids from before the call mean nothing in it unless it is
+    /// the generation they came from.
+    fn intern_with<R>(
+        &self,
+        subset: &[u32],
+        then: impl FnOnce(&Arc<Generation>, &mut Tables, u32) -> R,
+    ) -> (Arc<Generation>, R) {
+        let shared = &*self.0;
+        let run = |home: &Arc<Generation>, tables: &mut Tables| {
+            let id = tables.intern(subset, &shared.accepting);
+            then(home, tables, id)
+        };
+        loop {
+            let home = self.current();
+            let mut tables = home.write();
+            if home.is_retired() {
+                continue; // flushed (or found poisoned) since `current()`
+            }
+            if tables.cache.len() < shared.state_budget || tables.cache.lookup(subset).is_some() {
+                let result = run(&home, &mut tables);
+                drop(tables);
+                return (home, result);
+            }
+            // The flush: `home` is retired as it stands and a fresh
+            // generation takes over. The fresh one is written before any
+            // other engine can reach it and installed while `home` is
+            // still locked, so exactly one flush replaces `home`.
+            let fresh = Arc::new(Generation::new(shared.stride));
+            let mut fresh_tables = fresh.write();
+            {
+                let mut current = shared
+                    .current
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                home.retire();
+                *current = Arc::clone(&fresh);
+            }
+            shared.flushes.fetch_add(1, Ordering::Relaxed);
+            drop(tables);
+            let result = run(&fresh, &mut fresh_tables);
+            drop(fresh_tables);
+            return (fresh, result);
+        }
+    }
+}
+
+/// A flow's place in its shard's rows — what is left of the overlay once
+/// the rows are shared, and all of it free of the automaton borrow.
+struct Cursor {
+    cache: HybridCache,
+    /// The generation `cur` is an id of. Retired at worst since the last
+    /// [`Cursor::catch_up`].
+    generation: Arc<Generation>,
+    /// `S`: the pure part of the frontier, as a DFA state.
+    cur: u32,
+    /// Bytes consumed since the last reset.
+    position: u64,
+    /// This engine's byte counters (`dfa_states`, `flushes` stay 0).
+    stats: HybridStats,
+    succ_scratch: Vec<u32>,
+    entry_scratch: Vec<EntryEdge>,
+    /// Pure states the last counted step exited into.
+    exits: Vec<u32>,
+}
+
+impl Cursor {
+    /// A cursor on the start state at stream position 0.
+    fn new(cache: HybridCache) -> Cursor {
+        let mut cursor = Cursor {
+            generation: cache.current(),
+            cache,
+            cur: 0,
+            position: 0,
+            stats: HybridStats::default(),
+            succ_scratch: Vec::new(),
+            entry_scratch: Vec::new(),
+            exits: Vec::new(),
+        };
+        cursor.restart_at(0);
+        cursor
+    }
+
+    /// Moves to the DFA state of `subset` (sorted, deduplicated) in the
+    /// shard's current generation, interning it there if need be.
+    fn enter(&mut self, subset: &[u32]) {
+        let current = self.cache.current();
+        let found = current.read().cache.lookup(subset);
+        (self.generation, self.cur) = match found {
+            Some(id) => (current, id),
+            None => self.cache.intern_with(subset, |_, _, id| id),
+        };
+    }
+
+    /// Leaves a retired generation: carries the subset behind `cur` over
+    /// to the current one, so the retired tables can be freed.
+    fn catch_up(&mut self) {
+        if self.generation.is_retired() {
+            let mut subset = std::mem::take(&mut self.succ_scratch);
+            subset.clear();
+            subset.extend_from_slice(self.generation.read().cache.subset(self.cur));
+            self.enter(&subset);
+            self.succ_scratch = subset;
+        }
+    }
+
+    /// The start state, counting bytes from absolute offset `position`.
+    /// (The caller empties `T`.)
+    fn restart_at(&mut self, position: u64) {
+        self.position = position;
+        self.enter(&[0]);
+    }
+
+    /// A byte that is one row load and nothing else: move to `next`,
+    /// report its accepts.
+    #[inline]
+    fn advance_dfa(&mut self, rows: &Tables, next: u32, out: &mut Vec<MultiReport>) {
+        self.cur = next;
+        self.position += 1;
+        self.stats.dfa_bytes += 1;
+        self.push_accepts(rows, out);
+    }
+
+    /// Reports the patterns the current DFA state accepts.
+    #[inline]
+    fn push_accepts(&self, rows: &Tables, out: &mut Vec<MultiReport>) {
+        for &pattern in rows.accepts[self.cur as usize].iter() {
+            out.push(MultiReport {
+                pattern,
+                end: self.position,
+            });
+        }
+    }
+
+    /// `next ∪ exits` as a DFA state of `rows`: `next` itself when its
+    /// subset already holds every state the counted step exited into;
+    /// `None` — with the union left in `succ_scratch` — when the union
+    /// is not interned in `rows`.
+    fn joined(&mut self, rows: &Tables, next: u32) -> Option<u32> {
+        let subset = rows.cache.subset(next);
+        if self.exits.iter().all(|q| subset.binary_search(q).is_ok()) {
+            return Some(next);
+        }
+        let joined = &mut self.succ_scratch;
+        joined.clear();
+        joined.extend_from_slice(subset);
+        joined.extend_from_slice(&self.exits);
+        joined.sort_unstable();
+        joined.dedup();
+        rows.cache.lookup(joined)
+    }
+}
+
 /// The hybrid lazy-DFA engine. See the module docs.
 ///
 /// Report-for-report identical to [`MultiEngine`] on the same merged
 /// automaton — same `(pattern, end)` pairs in the same order, across any
-/// chunking — which the differential suites pin.
+/// chunking, state budget, and number of engines sharing its
+/// [`HybridCache`] — which the differential suites pin.
 ///
 /// # Examples
 ///
@@ -252,113 +669,82 @@ pub struct HybridEngine<'a> {
     /// The counter modules: holds `T`, the tokens on counter-carrying
     /// states, and never a pure one.
     exact: MultiEngine<'a>,
-    cache: SubsetCache,
-    /// Patterns accepted in each DFA state (ascending, deduplicated) —
-    /// parallel to the cache's subsets.
-    accepts: Vec<Box<[u32]>>,
-    /// Side table of the rows marked [`WAKES`]; flushed with the cache.
-    wakes: Vec<Wake>,
-    /// Flat byte → class table (u16 so an 8-byte lane of lookups
-    /// vectorizes without widening).
-    class_map: Box<[u16; 256]>,
-    state_budget: usize,
-    /// `S`: the pure part of the frontier, as a DFA state.
-    cur: u32,
-    /// Bytes consumed since the last reset.
-    position: u64,
-    stats: HybridStats,
-    succ_scratch: Vec<u32>,
-    entry_scratch: Vec<EntryEdge>,
-    /// Pure states the last counted step exited into.
-    exits: Vec<u32>,
+    at: Cursor,
 }
 
 /// The owned mutable half of a [`HybridEngine`]: the counted tokens (the
-/// exact engine's detached state) plus the overlay's interned DFA cache,
-/// accept sets, wake table, byte-class table, and counters — everything
-/// but the `&MultiNca` borrow. Detaching preserves the warm cache, so a
-/// flow parked between chunks resumes on hot rows, mid-count if need be.
+/// exact engine's detached state) and the flow's [`Cursor`] — everything
+/// but the `&MultiNca` borrow. The rows stay where they are, in the
+/// shard's cache, so a flow parked between chunks resumes on whatever is
+/// hot by then, mid-count if need be.
 pub(crate) struct HybridEngineState {
     exact: MultiEngineState,
-    cache: SubsetCache,
-    accepts: Vec<Box<[u32]>>,
-    wakes: Vec<Wake>,
-    class_map: Box<[u16; 256]>,
-    state_budget: usize,
-    cur: u32,
-    position: u64,
-    stats: HybridStats,
-    succ_scratch: Vec<u32>,
-    entry_scratch: Vec<EntryEdge>,
-    exits: Vec<u32>,
+    at: Cursor,
 }
 
 impl HybridEngineState {
     /// Bytes consumed when the state was detached.
     pub(crate) fn position(&self) -> u64 {
-        self.position
+        self.at.position
     }
 
-    /// Cumulative overlay counters as of the detach.
+    /// This engine's own counters as of the detach: the byte counters.
+    /// `dfa_states` and `flushes` are 0 — they belong to the shard's
+    /// cache ([`HybridCache::stats`]).
     pub(crate) fn stats(&self) -> HybridStats {
-        HybridStats {
-            dfa_states: self.cache.len(),
-            ..self.stats
-        }
+        self.at.stats
+    }
+
+    /// [`HybridEngine::restart_at`] on the parked state.
+    pub(crate) fn restart_at(&mut self, position: u64) {
+        self.exact.clear_tokens();
+        self.at.restart_at(position);
     }
 }
 
 impl<'a> HybridEngine<'a> {
-    /// Builds an overlay engine over `multi` caching at most
-    /// `state_budget` determinized states.
+    /// Builds an overlay engine over `multi` with a cache of its own,
+    /// holding at most `state_budget` determinized states.
     pub fn new(multi: &'a MultiNca, state_budget: usize) -> HybridEngine<'a> {
-        let alphabet = multi.alphabet();
-        let mut class_map = Box::new([0u16; 256]);
-        for b in 0..=255u8 {
-            class_map[b as usize] = alphabet.class_of(b) as u16;
-        }
-        let mut e = HybridEngine {
-            multi,
-            exact: multi.engine(),
-            cache: SubsetCache::new(alphabet.len()),
-            accepts: Vec::new(),
-            wakes: Vec::new(),
-            class_map,
-            // State ids must stay below the `WAKES` flag bit.
-            state_budget: state_budget.clamp(1, WAKES as usize),
-            cur: 0,
-            position: 0,
-            stats: HybridStats::default(),
-            succ_scratch: Vec::new(),
-            entry_scratch: Vec::new(),
-            exits: Vec::new(),
-        };
-        e.reset();
-        e
+        HybridEngine::on(multi, &HybridCache::new(multi, state_budget))
     }
 
-    /// Detaches the overlay's mutable state (including the warm DFA
-    /// cache and any live counted tokens) from the automaton borrow. The
-    /// inverse of [`HybridEngine::resume`].
-    pub(crate) fn into_state(self) -> HybridEngineState {
+    /// Builds an overlay engine over `multi` on the shared `cache`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` was made for an automaton with a different
+    /// number of states — the cheap structural check against pairing an
+    /// engine with another shard's rows.
+    pub(crate) fn on(multi: &'a MultiNca, cache: &HybridCache) -> HybridEngine<'a> {
+        assert_eq!(
+            cache.0.accepting.len(),
+            multi.nca().state_count(),
+            "hybrid cache used with an automaton it was not made for"
+        );
+        let mut exact = multi.engine();
+        exact.clear_tokens();
+        HybridEngine {
+            multi,
+            exact,
+            at: Cursor::new(cache.clone()),
+        }
+    }
+
+    /// Detaches the overlay's mutable state (including any live counted
+    /// tokens) from the automaton borrow, leaving a retired generation
+    /// first so that a parked flow never keeps one alive. The inverse of
+    /// [`HybridEngine::resume`].
+    pub(crate) fn into_state(mut self) -> HybridEngineState {
+        self.at.catch_up();
         HybridEngineState {
             exact: self.exact.into_state(),
-            cache: self.cache,
-            accepts: self.accepts,
-            wakes: self.wakes,
-            class_map: self.class_map,
-            state_budget: self.state_budget,
-            cur: self.cur,
-            position: self.position,
-            stats: self.stats,
-            succ_scratch: self.succ_scratch,
-            entry_scratch: self.entry_scratch,
-            exits: self.exits,
+            at: self.at,
         }
     }
 
     /// Reattaches a state detached by [`HybridEngine::into_state`] to
-    /// `multi`, resuming mid-stream with the cache intact.
+    /// `multi`, resuming mid-stream.
     ///
     /// # Panics
     ///
@@ -368,132 +754,74 @@ impl<'a> HybridEngine<'a> {
         HybridEngine {
             multi,
             exact: MultiEngine::resume(multi, state.exact),
-            cache: state.cache,
-            accepts: state.accepts,
-            wakes: state.wakes,
-            class_map: state.class_map,
-            state_budget: state.state_budget,
-            cur: state.cur,
-            position: state.position,
-            stats: state.stats,
-            succ_scratch: state.succ_scratch,
-            entry_scratch: state.entry_scratch,
-            exits: state.exits,
+            at: state.at,
         }
     }
 
     /// Returns to the initial configuration (stream position 0, no
-    /// counted token live). The state cache and cumulative
-    /// [`HybridEngine::stats`] persist across resets — a reused engine
-    /// keeps its hot rows.
+    /// counted token live). The shard's rows and this engine's
+    /// cumulative byte counters persist across resets.
     pub fn reset(&mut self) {
-        self.exact.clear_tokens();
-        self.position = 0;
-        self.cur = self.intern_subset_at(0);
+        self.restart_at(0);
     }
 
     /// Bytes consumed since the last reset.
     pub fn position(&self) -> u64 {
-        self.position
+        self.at.position
     }
 
     /// Returns to the initial configuration but continues the byte count
     /// from absolute offset `position` (see
     /// [`MultiEngine::restart_at`](crate::MultiEngine::restart_at)). The
-    /// cache and cumulative stats persist, exactly as with
+    /// rows and cumulative byte counters persist, exactly as with
     /// [`reset`](HybridEngine::reset).
     pub fn restart_at(&mut self, position: u64) {
-        self.reset();
-        self.position = position;
+        self.exact.clear_tokens();
+        self.at.restart_at(position);
     }
 
     /// Number of live NCA states behind the current configuration: the
     /// pure frontier's subset plus the live counted states.
     pub fn active_states(&self) -> usize {
-        self.cache.subset(self.cur).len() + self.exact.active_states()
+        let rows = self.at.generation.read();
+        rows.cache.subset(self.at.cur).len() + self.exact.active_states()
     }
 
-    /// Determinized states discovered since the last flush.
+    /// Determinized states the shard's cache holds right now (discovered
+    /// since its last flush, by any engine on it).
     pub fn discovered_states(&self) -> usize {
-        self.cache.len()
+        self.at.cache.stats().dfa_states
     }
 
-    /// Cumulative overlay counters ([`HybridStats::dfa_states`] reflects
-    /// the cache as of this call).
+    /// This engine's cumulative byte counters together with its cache's
+    /// [`HybridStats::dfa_states`] and [`HybridStats::flushes`] as of
+    /// this call.
     pub fn stats(&self) -> HybridStats {
-        HybridStats {
-            dfa_states: self.cache.len(),
-            ..self.stats
-        }
+        let mut stats = self.at.cache.stats();
+        stats.merge(&self.at.stats);
+        stats
     }
 
-    /// Interns the singleton subset `{q}` (used for the start state).
-    fn intern_subset_at(&mut self, q: u32) -> u32 {
-        let mut scratch = std::mem::take(&mut self.succ_scratch);
-        scratch.clear();
-        scratch.push(q);
-        let id = self.intern_subset(&scratch);
-        self.succ_scratch = scratch;
-        id
-    }
-
-    /// Interns `subset`, flushing the cache (rows, accept sets and wake
-    /// table) first if the budget is exhausted. Any previously returned
-    /// id or row entry is invalid after a flush; only the returned id is
-    /// guaranteed current.
-    fn intern_subset(&mut self, subset: &[u32]) -> u32 {
-        if let Some(&id) = self.cache.ids.get(subset) {
-            return id;
-        }
-        if self.cache.len() >= self.state_budget {
-            self.cache.clear();
-            self.accepts.clear();
-            self.wakes.clear();
-            self.stats.flushes += 1;
-        }
-        let (id, is_new) = self.cache.intern(subset);
-        if is_new {
-            self.accepts.push(self.accept_patterns(subset));
-        }
-        id
-    }
-
-    /// Patterns accepted by a pure frontier, ascending and deduplicated.
-    /// Pure accepting states accept unconditionally, and the merge lays
-    /// patterns out in ascending contiguous state ranges, so a sorted
-    /// subset yields ascending patterns — preserving the per-step report
-    /// order contract of [`MultiEngine::step_into`].
-    fn accept_patterns(&self, subset: &[u32]) -> Box<[u32]> {
+    /// Computes the row entry of the current DFA state on `class` — the
+    /// id of the pure successor subset, or, if the state has edges into
+    /// counted states on `class`, a [`WAKES`]-marked index of the
+    /// side-table slot holding that id and those edges — and caches it.
+    ///
+    /// The successor is interned in the shard's *current* generation.
+    /// When that is the engine's own, the row is written (unless another
+    /// flow filled it first); otherwise — the engine's generation was
+    /// retired, or this very call flushed it — the engine moves, the row
+    /// that asked is left behind with its generation, and only the
+    /// returned entry, which indexes the generation the engine is now
+    /// on, says where the byte leads.
+    fn successor(&mut self, class: usize) -> u32 {
         let tables = self.multi.tables();
-        let mut out: Vec<u32> = Vec::new();
-        for &q in subset {
-            if tables.accepts[q as usize].is_empty() {
-                continue;
-            }
-            let p = self
-                .multi
-                .pattern_of(StateId(q))
-                .expect("the merged q0 never accepts");
-            if out.last() != Some(&p) {
-                out.push(p);
-            }
-        }
-        out.into_boxed_slice()
-    }
-
-    /// Computes (and caches) the row entry of DFA state `state` on
-    /// `class`: the id of the pure successor subset, or — if `state` has
-    /// edges into counted states on `class` — a [`WAKES`]-marked index
-    /// of the side-table slot holding that id and those edges.
-    fn successor(&mut self, state: u32, class: usize) -> u32 {
-        let multi: &'a MultiNca = self.multi;
-        let tables = multi.tables();
         let member_row = &tables.class_member[class];
-        let mut next = std::mem::take(&mut self.succ_scratch);
-        let mut entries = std::mem::take(&mut self.entry_scratch);
+        let mut next = std::mem::take(&mut self.at.succ_scratch);
+        let mut entries = std::mem::take(&mut self.at.entry_scratch);
         next.clear();
         entries.clear();
-        for &p in self.cache.subset(state) {
+        for &p in self.at.generation.read().cache.subset(self.at.cur) {
             for (ei, edge) in tables.out_edges[p as usize].iter().enumerate() {
                 let q = edge.to as usize;
                 if member_row[q / 64] & (1 << (q % 64)) == 0 {
@@ -515,25 +843,34 @@ impl<'a> HybridEngine<'a> {
         }
         next.sort_unstable();
         next.dedup();
-        let flushes = self.stats.flushes;
-        let id = self.intern_subset(&next);
-        let entry = if entries.is_empty() {
-            id
-        } else {
-            let slot = self.wakes.len() as u32;
-            assert!(slot < WAKES - 1, "wake table outgrew its index bits");
-            self.wakes.push(Wake {
-                next: id,
-                entries: entries.as_slice().into(),
-            });
-            WAKES | slot
-        };
-        self.succ_scratch = next;
-        self.entry_scratch = entries;
-        // A flush invalidated `state`; only then is the row write wrong.
-        if self.stats.flushes == flushes {
-            self.cache.set(state, class, entry);
-        }
+        let (own, cur) = (&self.at.generation, self.at.cur);
+        let (home, entry) = self.at.cache.intern_with(&next, |home, rows, id| {
+            let stayed = Arc::ptr_eq(home, own);
+            if stayed {
+                let filled = rows.cache.get(cur, class);
+                if filled != UNKNOWN {
+                    return filled; // another flow got here first
+                }
+            }
+            let entry = if entries.is_empty() {
+                id
+            } else {
+                let slot = rows.wakes.len() as u32;
+                assert!(slot < WAKES - 1, "wake table outgrew its index bits");
+                rows.wakes.push(Wake {
+                    next: id,
+                    entries: entries.as_slice().into(),
+                });
+                WAKES | slot
+            };
+            if stayed {
+                rows.cache.set(cur, class, entry);
+            }
+            entry
+        });
+        self.at.generation = home;
+        self.at.succ_scratch = next;
+        self.at.entry_scratch = entries;
         entry
     }
 
@@ -541,114 +878,93 @@ impl<'a> HybridEngine<'a> {
     /// with the same dedup and ordering contract as
     /// [`MultiEngine::step_into`].
     pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
-        self.step_byte(byte, self.exact.counting_active(), out);
-    }
-
-    /// One byte through the full `(S, T)` step. `counting` says whether
-    /// `T` is non-empty before the byte; returns whether it is after.
-    fn step_byte(&mut self, byte: u8, counting: bool, out: &mut Vec<MultiReport>) -> bool {
-        let class = self.class_map[byte as usize] as usize;
-        let mut entry = self.cache.get(self.cur, class);
-        if entry == UNKNOWN {
-            entry = self.successor(self.cur, class);
-        }
-        if entry < WAKES && !counting {
-            self.advance_dfa(entry, out);
-            return false;
-        }
-        let (next, entries) = Wake::resolve(&self.wakes, entry);
-        self.position += 1;
-        self.stats.fallback_bytes += 1;
-        let first = out.len();
-        self.exits.clear();
-        let walked = self
-            .exact
-            .step_counted(class, entries, &mut self.exits, self.position, out);
-        self.stats.exact_state_steps += walked as u64;
-        self.cur = self.join_exits(next);
-        let counted = out.len() - first;
-        self.push_accepts(out);
-        if counted > 0 && out.len() - first > counted {
-            merge_step_reports(out, first);
-        }
-        self.exact.counting_active()
-    }
-
-    /// `next ∪ exits` as a DFA state: `next` itself when its subset
-    /// already holds every state the counted step exited into.
-    fn join_exits(&mut self, next: u32) -> u32 {
-        let subset = self.cache.subset(next);
-        if self.exits.iter().all(|q| subset.binary_search(q).is_ok()) {
-            return next;
-        }
-        let mut joined = std::mem::take(&mut self.succ_scratch);
-        joined.clear();
-        joined.extend_from_slice(subset);
-        joined.extend_from_slice(&self.exits);
-        joined.sort_unstable();
-        joined.dedup();
-        let id = self.intern_subset(&joined);
-        self.succ_scratch = joined;
-        id
-    }
-
-    /// Reports the patterns the current DFA state accepts.
-    #[inline]
-    fn push_accepts(&self, out: &mut Vec<MultiReport>) {
-        for &pattern in self.accepts[self.cur as usize].iter() {
-            out.push(MultiReport {
-                pattern,
-                end: self.position,
-            });
-        }
-    }
-
-    /// A byte that is one row load and nothing else: move to `next`,
-    /// report its accepts.
-    #[inline]
-    fn advance_dfa(&mut self, next: u32, out: &mut Vec<MultiReport>) {
-        self.cur = next;
-        self.position += 1;
-        self.stats.dfa_bytes += 1;
-        self.push_accepts(out);
+        self.feed_into(&[byte], out);
     }
 
     /// Feeds a whole chunk, appending reports to `out`. Stream position
     /// persists across calls, so chunked feeding is equivalent to one
     /// contiguous scan.
     ///
-    /// While no counted token is live, bytes are classified in 8-byte
-    /// lanes through the flat `u16` class table (a vectorizable gather)
-    /// before the row-walk consumes the lane; a marked or unfilled row
-    /// entry sends its byte through the full step. While counted tokens
-    /// are live every byte takes the full step: one row load plus one
-    /// counted step.
+    /// The engine's generation is read-locked once for the call. While
+    /// no counted token is live, bytes are classified in 8-byte lanes
+    /// through the flat `u16` class table (a vectorizable gather) before
+    /// the row-walk consumes the lane; a marked or unfilled row entry
+    /// sends its byte through the full `(S, T)` step below the lane
+    /// loop, as does every byte while counted tokens are live: one row
+    /// load plus one counted step. Only the two misses — an unfilled
+    /// row, an `S ∪ exits` not yet interned — let go of the read lock,
+    /// and take it again (on the generation the engine is on by then)
+    /// once the tables have the entry.
     pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
+        self.at.catch_up();
+        // A copy (512 B) rather than a borrow of the shared handle: the
+        // miss paths below need the whole engine.
+        let class_map: [u16; 256] = *self.at.cache.0.class_map;
+        let mut generation = Arc::clone(&self.at.generation);
+        let mut rows = generation.read();
         let mut counting = self.exact.counting_active();
         let mut i = 0;
-        'outer: while i < chunk.len() {
-            if counting {
-                counting = self.step_byte(chunk[i], true, out);
-                i += 1;
+        while i < chunk.len() {
+            if !counting {
+                let lane = &chunk[i..chunk.len().min(i + 8)];
+                let mut classes = [0u16; 8];
+                for (slot, &b) in classes.iter_mut().zip(lane) {
+                    *slot = class_map[b as usize];
+                }
+                let mut k = 0;
+                while k < lane.len() {
+                    let next = rows.cache.get(self.at.cur, classes[k] as usize);
+                    if next >= WAKES {
+                        break; // unfilled, or the row wakes a counter
+                    }
+                    self.at.advance_dfa(&rows, next, out);
+                    k += 1;
+                }
+                i += k;
+                if k == lane.len() {
+                    continue;
+                }
+            }
+            // One byte through the full `(S, T)` step.
+            let class = class_map[chunk[i] as usize] as usize;
+            i += 1;
+            let mut entry = rows.cache.get(self.at.cur, class);
+            if entry == UNKNOWN {
+                drop(rows);
+                entry = self.successor(class);
+                generation = Arc::clone(&self.at.generation);
+                rows = generation.read();
+            }
+            if entry < WAKES && !counting {
+                self.at.advance_dfa(&rows, entry, out);
                 continue;
             }
-            let lane = &chunk[i..chunk.len().min(i + 8)];
-            let mut classes = [0u16; 8];
-            for (slot, &b) in classes.iter_mut().zip(lane) {
-                *slot = self.class_map[b as usize];
-            }
-            for k in 0..lane.len() {
-                let next = self.cache.get(self.cur, classes[k] as usize);
-                if next >= WAKES {
-                    // Unfilled, or the row wakes a counter: this byte
-                    // takes the full step, then the lane loop restarts.
-                    counting = self.step_byte(lane[k], false, out);
-                    i += k + 1;
-                    continue 'outer;
+            let (next, entries) = Wake::resolve(&rows.wakes, entry);
+            self.at.position += 1;
+            self.at.stats.fallback_bytes += 1;
+            let first = out.len();
+            self.at.exits.clear();
+            let walked =
+                self.exact
+                    .step_counted(class, entries, &mut self.at.exits, self.at.position, out);
+            self.at.stats.exact_state_steps += walked as u64;
+            let counted = out.len() - first;
+            match self.at.joined(&rows, next) {
+                Some(id) => self.at.cur = id,
+                None => {
+                    drop(rows);
+                    let union = std::mem::take(&mut self.at.succ_scratch);
+                    self.at.enter(&union);
+                    self.at.succ_scratch = union;
+                    generation = Arc::clone(&self.at.generation);
+                    rows = generation.read();
                 }
-                self.advance_dfa(next, out);
             }
-            i += lane.len();
+            self.at.push_accepts(&rows, out);
+            if counted > 0 && out.len() - first > counted {
+                merge_step_reports(out, first);
+            }
+            counting = self.exact.counting_active();
         }
     }
 
@@ -684,9 +1000,9 @@ impl std::fmt::Debug for HybridEngine<'_> {
         write!(
             f,
             "HybridEngine(dfa_states = {}, counted_states = {}, position = {})",
-            self.cache.len(),
+            self.discovered_states(),
             self.exact.active_states(),
-            self.position
+            self.at.position
         )
     }
 }
@@ -767,23 +1083,23 @@ mod tests {
         let mut out = Vec::new();
         let mut events = Vec::new();
         for &b in input {
-            let class = h.class_map[b as usize] as usize;
-            let mut entry = h.cache.get(h.cur, class);
+            let class = h.at.cache.0.class_map[b as usize] as usize;
+            let mut entry = h.at.generation.read().cache.get(h.at.cur, class);
             if entry == UNKNOWN {
-                entry = h.successor(h.cur, class);
+                entry = h.successor(class);
             }
             let wakes = entry >= WAKES;
-            let next = Wake::resolve(&h.wakes, entry).0;
-            let fallback_bytes = h.stats.fallback_bytes;
+            let next = Wake::resolve(&h.at.generation.read().wakes, entry).0;
+            let fallback_bytes = h.at.stats.fallback_bytes;
             h.step_into(b, &mut out);
-            let stepped = h.stats.fallback_bytes > fallback_bytes;
+            let stepped = h.at.stats.fallback_bytes > fallback_bytes;
             events.push(Event {
                 wakes,
-                exits: if stepped { h.exits.len() } else { 0 },
-                joined: h.cur != next,
+                exits: if stepped { h.at.exits.len() } else { 0 },
+                joined: h.at.cur != next,
             });
         }
-        assert_eq!(h.stats.flushes, 0);
+        assert_eq!(h.stats().flushes, 0);
         events
     }
 
@@ -993,7 +1309,8 @@ mod tests {
             assert!(stats.flushes > 0, "budget {budget} must overflow");
             assert!(stats.fallback_bytes > 0);
             assert!(stats.dfa_states <= budget);
-            assert!(hybrid.wakes.len() <= budget * m.alphabet().len());
+            let wakes = hybrid.at.generation.read().wakes.len();
+            assert!(wakes <= budget * m.alphabet().len());
         }
     }
 
@@ -1069,14 +1386,308 @@ mod tests {
         // Fixpoint: expand every (state, class) row until no new state
         // appears.
         let mut done = 0;
-        while done < hybrid.cache.len() {
-            let state = done as u32;
+        while done < hybrid.discovered_states() {
             for class in 0..m.alphabet().len() {
-                let next = hybrid.successor(state, class);
+                hybrid.at.cur = done as u32;
+                let next = hybrid.successor(class);
                 assert!(next < WAKES, "counter-free sets wake nothing");
             }
             done += 1;
         }
         assert_eq!(hybrid.discovered_states(), expected);
+    }
+
+    // ---- one cache, many engines -------------------------------------
+
+    /// The counting rules the shared-cache tests exercise, beside more
+    /// than twenty pure ones.
+    const FLEET_RULES: [&str; 26] = [
+        "x[ab]{2,5}y",
+        "(ab{2,3}c)+d",
+        "h.{55}",
+        "abc",
+        "x[yz]",
+        "q",
+        "cab",
+        "needle",
+        "hay",
+        "foo",
+        "ba[rz]",
+        "hello",
+        "yx",
+        "dd",
+        "cd",
+        "bca",
+        "xa",
+        "yb",
+        "ha",
+        "hx",
+        "zz",
+        "[xy]a",
+        "k",
+        "plain",
+        "bb",
+        "o[ol]",
+    ];
+
+    /// `n` streams over the fleet rules' alphabet, all different: stream
+    /// `k` is the base text rotated by `13 k`.
+    fn fleet_streams(n: usize) -> Vec<Vec<u8>> {
+        let base: &[u8] = b"xabaay.abbcabbbcd.hello needle in the hay, plain foo bar baz qq \
+            xbby yx dd cd bca.habcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcab\
+            zz xa yb k.xababy abbcd hx ha ool";
+        (0..n)
+            .map(|k| {
+                let mut s = base.to_vec();
+                s.rotate_left((13 * k) % base.len());
+                s
+            })
+            .collect()
+    }
+
+    /// What a fleet run saw besides the reports.
+    #[derive(Debug, Default)]
+    struct FleetTrace {
+        flushes: u64,
+        /// Feeds that began on a retired generation with `T` non-empty:
+        /// another engine's flush landed while this one was mid-count.
+        moved_mid_count: usize,
+    }
+
+    /// One engine per stream, all on ONE cache of `budget` states, fed
+    /// round-robin one chunk of `chunk_len` bytes at a time; every
+    /// stream's reports must equal its own exact engine's. Also checks,
+    /// after every feed, the cache's bound and that no more generations
+    /// are alive than engines + 1.
+    fn assert_fleet_matches_exact(
+        m: &MultiNca,
+        streams: &[Vec<u8>],
+        budget: usize,
+        chunk_len: usize,
+    ) -> FleetTrace {
+        let cache = m.hybrid_cache(budget);
+        let mut engines: Vec<HybridEngine<'_>> =
+            streams.iter().map(|_| m.hybrid_engine_on(&cache)).collect();
+        let mut got: Vec<Vec<MultiReport>> = vec![Vec::new(); streams.len()];
+        let mut generations: Vec<std::sync::Weak<Generation>> = Vec::new();
+        let mut trace = FleetTrace::default();
+        let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
+        for start in (0..longest).step_by(chunk_len) {
+            for (k, engine) in engines.iter_mut().enumerate() {
+                let stream = &streams[k];
+                if start >= stream.len() {
+                    continue;
+                }
+                if engine.at.generation.is_retired() && engine.exact.counting_active() {
+                    trace.moved_mid_count += 1;
+                }
+                let end = stream.len().min(start + chunk_len);
+                engine.feed_into(&stream[start..end], &mut got[k]);
+                assert!(
+                    engine.discovered_states() <= budget,
+                    "{} states cached under budget {budget}",
+                    engine.discovered_states()
+                );
+                let seen = Arc::downgrade(&engine.at.generation);
+                if !generations.iter().any(|g| g.ptr_eq(&seen)) {
+                    generations.push(seen);
+                }
+                let alive = generations.iter().filter(|g| g.strong_count() > 0).count();
+                assert!(alive <= streams.len() + 1, "{alive} generations alive");
+            }
+        }
+        for (k, stream) in streams.iter().enumerate() {
+            assert_eq!(
+                got[k],
+                m.engine().match_reports(stream),
+                "stream {k}, budget {budget}, chunks of {chunk_len}"
+            );
+            assert_eq!(engines[k].position(), stream.len() as u64);
+        }
+        trace.flushes = cache.stats().flushes;
+        trace
+    }
+
+    #[test]
+    fn engines_sharing_a_cache_agree_with_exact_under_any_interleaving() {
+        let m = merged(&FLEET_RULES);
+        for fleet in [2usize, 5] {
+            let streams = fleet_streams(fleet);
+            for budget in [1usize, 2, 3, DEFAULT_STATE_BUDGET] {
+                for chunk_len in [1usize, 3, 7] {
+                    let trace = assert_fleet_matches_exact(&m, &streams, budget, chunk_len);
+                    if budget <= 3 {
+                        assert!(trace.flushes > 0, "budget {budget} must overflow");
+                        assert!(
+                            trace.moved_mid_count > 0,
+                            "no engine was flushed under mid-count: {trace:?}"
+                        );
+                    } else {
+                        assert_eq!(trace.flushes, 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_engine_resumes_after_the_cache_was_flushed_under_it() {
+        let m = merged(&FLEET_RULES);
+        let streams = fleet_streams(2);
+        let expected = m.engine().match_reports(&streams[0]);
+        for cut in [1usize, 5, 17, 90, 130] {
+            let cache = m.hybrid_cache(2);
+            let mut parked = m.hybrid_engine_on(&cache);
+            let mut got = Vec::new();
+            parked.feed_into(&streams[0][..cut], &mut got);
+            let state = parked.into_state();
+            assert!(
+                !state.at.generation.is_retired(),
+                "a parked flow must not pin a generation retired before it parked"
+            );
+            // Another flow of the shard flushes the cache at least twice.
+            let before = cache.stats().flushes;
+            let mut other = m.hybrid_engine_on(&cache);
+            other.feed_into(&streams[1], &mut Vec::new());
+            assert!(cache.stats().flushes >= before + 2);
+            assert!(state.at.generation.is_retired());
+            let mut resumed = HybridEngine::resume(&m, state);
+            resumed.feed_into(&streams[0][cut..], &mut got);
+            assert_eq!(got, expected, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_retired_generation_is_freed_with_its_last_engine() {
+        let m = merged(&["abc", "xy"]);
+        let cache = m.hybrid_cache(2);
+        let mut a = m.hybrid_engine_on(&cache);
+        let mut b = m.hybrid_engine_on(&cache);
+        let dropped = m.hybrid_engine_on(&cache);
+        let first = Arc::downgrade(&a.at.generation);
+        assert!(first.ptr_eq(&Arc::downgrade(&b.at.generation)));
+        // `a` outgrows the budget: the first generation is retired, and
+        // only the engines still on it keep it alive.
+        a.feed_into(b"abcxy", &mut Vec::new());
+        assert!(cache.stats().flushes > 0);
+        assert!(!first.ptr_eq(&Arc::downgrade(&a.at.generation)));
+        assert!(first.upgrade().is_some_and(|g| g.is_retired()));
+        drop(dropped);
+        assert!(first.upgrade().is_some(), "`b` still reads it");
+        // `b` migrates at its next feed (an empty one will do).
+        b.feed_into(b"", &mut Vec::new());
+        assert!(first.upgrade().is_none(), "freed with its last reader");
+        assert_eq!(
+            b.match_reports(b"abcxyabc"),
+            m.engine().match_reports(b"abcxyabc")
+        );
+    }
+
+    /// The count-based regression for sharing the rows: flows with the
+    /// traffic of an earlier flow intern nothing.
+    #[test]
+    fn identical_flows_intern_only_what_the_first_one_did() {
+        let m = merged(&FLEET_RULES);
+        let stream = &fleet_streams(1)[0];
+        let expected = m.engine().match_reports(stream);
+        let cache = m.hybrid_cache(DEFAULT_STATE_BUDGET);
+        let mut first = m.hybrid_engine_on(&cache);
+        assert_eq!(first.match_reports(stream), expected);
+        let interned = cache.stats().dfa_states;
+        assert!(interned > 10);
+        let own = first.stats();
+        for _ in 1..256 {
+            let mut flow = m.hybrid_engine_on(&cache);
+            let mut got = Vec::new();
+            for chunk in stream.chunks(64) {
+                flow.feed_into(chunk, &mut got);
+            }
+            assert_eq!(got, expected);
+            // Same bytes, same path: the rows were just already there.
+            assert_eq!(flow.stats(), own);
+        }
+        assert_eq!(cache.stats().dfa_states, interned);
+        assert_eq!(cache.stats().flushes, 0);
+    }
+
+    #[test]
+    fn a_poisoned_generation_is_retired_and_its_readers_go_on() {
+        let m = merged(&FLEET_RULES);
+        let streams = fleet_streams(2);
+        let cache = m.hybrid_cache(DEFAULT_STATE_BUDGET);
+        let mut reader = m.hybrid_engine_on(&cache);
+        let mut got = Vec::new();
+        reader.feed_into(&streams[0][..40], &mut got);
+        // A writer panics with the generation's write lock held.
+        let poisoned = Arc::clone(&reader.at.generation);
+        let writer = std::thread::spawn({
+            let poisoned = Arc::clone(&poisoned);
+            move || {
+                let _guard = poisoned.tables.write().unwrap();
+                panic!("injected: writer dies mid-update");
+            }
+        });
+        assert!(writer.join().is_err());
+        assert!(poisoned.tables.is_poisoned());
+        // The flow that was on it finishes byte-identically ...
+        reader.feed_into(&streams[0][40..], &mut got);
+        assert_eq!(got, m.engine().match_reports(&streams[0]));
+        // ... on a fresh generation: the poisoned one takes no more
+        // writes and is freed once nothing reads it.
+        assert!(poisoned.is_retired());
+        assert!(!Arc::ptr_eq(&poisoned, &reader.at.generation));
+        assert!(!cache.current().is_retired());
+        let freed = Arc::downgrade(&poisoned);
+        drop(poisoned);
+        assert!(freed.upgrade().is_none());
+        // New flows of the shard are unaffected.
+        let mut sibling = m.hybrid_engine_on(&cache);
+        assert_eq!(
+            sibling.match_reports(&streams[1]),
+            m.engine().match_reports(&streams[1])
+        );
+    }
+
+    /// Bounded stress (run it with `--release` too: debug builds barely
+    /// race): 4 threads × 64 short flows over one cache, thrashing and
+    /// roomy, each flow against its own exact engine.
+    #[test]
+    fn threads_sharing_a_cache_agree_with_exact() {
+        let m = merged(&FLEET_RULES);
+        let streams = fleet_streams(64);
+        let expected: Vec<Vec<MultiReport>> = streams
+            .iter()
+            .map(|s| m.engine().match_reports(s))
+            .collect();
+        for budget in [3usize, DEFAULT_STATE_BUDGET] {
+            let cache = m.hybrid_cache(budget);
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for t in 0..4usize {
+                    let (m, cache, start) = (&m, &cache, &start);
+                    let (streams, expected) = (&streams, &expected);
+                    scope.spawn(move || {
+                        start.wait();
+                        for k in 0..64 {
+                            // Each thread walks the flows from its own
+                            // offset and parks every flow between chunks.
+                            let k = (k + 16 * t) % 64;
+                            let mut state = m.hybrid_engine_on(cache).into_state();
+                            let mut got = Vec::new();
+                            for chunk in streams[k].chunks(5 + t) {
+                                let mut engine = HybridEngine::resume(m, state);
+                                engine.feed_into(chunk, &mut got);
+                                assert!(engine.discovered_states() <= budget);
+                                state = engine.into_state();
+                            }
+                            assert_eq!(got, expected[k], "thread {t}, flow {k}, budget {budget}");
+                        }
+                    });
+                }
+            });
+            let stats = cache.stats();
+            assert!(stats.dfa_states <= budget);
+            assert_eq!(stats.flushes > 0, budget == 3, "{stats:?}");
+        }
     }
 }

@@ -25,7 +25,7 @@
 //!   total automaton size the way `N × CompiledEngine` does.
 
 use crate::compiled::{counting_set_eligible, CompilePlan, Storage, StorageMode};
-use crate::hybrid::{HybridEngine, HybridEngineState, HybridStats, ScanMode};
+use crate::hybrid::{HybridCache, HybridEngine, HybridEngineState, HybridStats};
 use crate::nca::{ActionOp, GuardAtom, Nca, State, StateId, Transition};
 use crate::token::{resolve_guard, resolve_transition, SlotSrc, SlotTest};
 use recama_syntax::{ByteAlphabet, ByteClassSet};
@@ -222,8 +222,28 @@ impl MultiNca {
     /// pure part of the frontier, exact [`MultiEngine`] stepping for the
     /// live counter-carrying states only, at most `state_budget` cached
     /// DFA states.
+    /// The engine gets a [`HybridCache`] of its own; engines that should
+    /// share their rows are made with [`MultiNca::hybrid_engine_on`].
     pub fn hybrid_engine(&self, state_budget: usize) -> HybridEngine<'_> {
         HybridEngine::new(self, state_budget)
+    }
+
+    /// An empty [`HybridCache`] for this automaton: the determinized
+    /// rows every [`MultiNca::hybrid_engine_on`] engine of it can share,
+    /// at most `state_budget` states at a time.
+    pub fn hybrid_cache(&self, state_budget: usize) -> HybridCache {
+        HybridCache::new(self, state_budget)
+    }
+
+    /// Creates a hybrid engine that reads and fills the shared `cache`
+    /// (made by [`MultiNca::hybrid_cache`] **of this automaton**) — one
+    /// flow of many scanning the same rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` was made for an automaton of a different size.
+    pub fn hybrid_engine_on(&self, cache: &HybridCache) -> HybridEngine<'_> {
+        HybridEngine::on(self, cache)
     }
 
     /// The immutable engine tables (shared by every engine instance).
@@ -345,27 +365,38 @@ impl ShardedMulti {
         self.shards.iter().map(|m| m.engine()).collect()
     }
 
+    /// One empty [`HybridCache`] per shard, each bounded by
+    /// `state_budget` — the rows [`ShardedMulti::shard_stream_on`]
+    /// streams share. Whoever owns the set keeps them for as long as the
+    /// rows should stay warm.
+    pub fn hybrid_caches(&self, state_budget: usize) -> Vec<HybridCache> {
+        self.shards
+            .iter()
+            .map(|m| m.hybrid_cache(state_budget))
+            .collect()
+    }
+
     /// A resumable scanning state for shard `i`, reporting **global**
     /// pattern indices — the unit a many-flow scheduler checks out.
     /// Uses the exact NCA engine; see
-    /// [`ShardedMulti::shard_stream_with`] for the hybrid overlay.
+    /// [`ShardedMulti::shard_stream_on`] for the hybrid overlay.
     pub fn shard_stream(&self, i: usize) -> ShardStream<'_> {
-        self.shard_stream_with(i, ScanMode::Nca)
+        self.stream(i, StreamEngine::Nca(Box::new(self.shards[i].engine())))
     }
 
-    /// Like [`ShardedMulti::shard_stream`], but with an explicit
-    /// [`ScanMode`]: [`ScanMode::Hybrid`] overlays a lazy-DFA cache on
-    /// the shard's engine (see [`crate::HybridEngine`]).
-    pub fn shard_stream_with(&self, i: usize, mode: ScanMode) -> ShardStream<'_> {
-        let engine = match mode {
-            ScanMode::Nca => StreamEngine::Nca(Box::new(self.shards[i].engine())),
-            ScanMode::Hybrid { state_budget } => {
-                StreamEngine::Hybrid(Box::new(self.shards[i].hybrid_engine(state_budget)))
-            }
-        };
+    /// Like [`ShardedMulti::shard_stream`], but scanning with the hybrid
+    /// lazy-DFA overlay (see [`crate::HybridEngine`]) on `cache` — shard
+    /// `i`'s entry of [`ShardedMulti::hybrid_caches`], shared with every
+    /// other stream of that shard.
+    pub fn shard_stream_on(&self, i: usize, cache: &HybridCache) -> ShardStream<'_> {
+        let engine = self.shards[i].hybrid_engine_on(cache);
+        self.stream(i, StreamEngine::Hybrid(Box::new(engine)))
+    }
+
+    fn stream<'a>(&'a self, shard: usize, engine: StreamEngine<'a>) -> ShardStream<'a> {
         ShardStream {
-            members: &self.members[i],
-            shard: i,
+            members: &self.members[shard],
+            shard,
             engine,
         }
     }
@@ -378,18 +409,11 @@ impl ShardedMulti {
             .collect()
     }
 
-    /// Like [`ShardedMulti::shard_streams`], but every stream scans with
-    /// the given [`ScanMode`].
-    pub fn shard_streams_with(&self, mode: ScanMode) -> Vec<ShardStream<'_>> {
-        (0..self.shards.len())
-            .map(|i| self.shard_stream_with(i, mode))
-            .collect()
-    }
-
     /// Reattaches a detached [`ShardStreamState`] to this set, resuming
     /// the stream exactly where [`ShardStream::into_state`] left it —
-    /// position, token configuration, and (in hybrid mode) the warm
-    /// lazy-DFA cache all carry over. The inverse of `into_state`.
+    /// position and token configuration carry over, and a hybrid stream
+    /// is back on its shard's [`HybridCache`]. The inverse of
+    /// `into_state`.
     ///
     /// # Panics
     ///
@@ -412,11 +436,7 @@ impl ShardedMulti {
                 StreamEngine::Hybrid(Box::new(HybridEngine::resume(&self.shards[shard], *s)))
             }
         };
-        ShardStream {
-            members: &self.members[shard],
-            shard,
-            engine,
-        }
+        self.stream(shard, engine)
     }
 }
 
@@ -468,8 +488,9 @@ impl ShardStream<'_> {
         }
     }
 
-    /// Hybrid-overlay counters of this stream, if it scans in
-    /// [`ScanMode::Hybrid`] (`None` under [`ScanMode::Nca`]).
+    /// Hybrid-overlay counters of this stream's engine together with its
+    /// shard cache's ([`HybridEngine::stats`]), if it scans with the
+    /// overlay; `None` for an exact-NCA stream.
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
         match &self.engine {
             StreamEngine::Nca(_) => None,
@@ -517,8 +538,10 @@ impl ShardStream<'_> {
     /// producing an owned, `'static` [`ShardStreamState`] that can be
     /// parked in long-lived flow tables and later reattached with
     /// [`ShardedMulti::resume_shard_stream`]. Nothing is recomputed on
-    /// either side of the round trip: token storage, stream position,
-    /// and the hybrid overlay's interned DFA cache move as-is.
+    /// either side of the round trip: token storage and stream position
+    /// move as-is. A hybrid stream first leaves a flushed generation of
+    /// its shard's cache, so a parked state never keeps retired rows
+    /// alive.
     pub fn into_state(self) -> ShardStreamState {
         ShardStreamState {
             shard: self.shard,
@@ -536,7 +559,10 @@ impl ShardStream<'_> {
 /// scan progress in a flow table that outlives any particular borrow of
 /// the pattern set, and reattach it with
 /// [`ShardedMulti::resume_shard_stream`] only for the duration of each
-/// scan. In hybrid mode the detached state keeps its warm lazy-DFA cache.
+/// scan. A hybrid state is small: the counted tokens, a state id and a
+/// handle on the shard's [`HybridCache`] — the rows themselves stay in
+/// the cache, shared, and are as warm at resume as the shard's other
+/// flows have made them.
 pub struct ShardStreamState {
     shard: usize,
     engine: StreamEngineState,
@@ -562,12 +588,25 @@ impl ShardStreamState {
         }
     }
 
-    /// Hybrid-overlay counters carried by this state (`None` if it was
-    /// detached from a [`ScanMode::Nca`] stream).
+    /// The parked engine's **own** hybrid-overlay counters — the three
+    /// byte counters; `dfa_states` and `flushes` are 0 because they
+    /// belong to the shard's cache ([`HybridCache::stats`]), which an
+    /// aggregate counts once per shard, not once per flow. `None` if the
+    /// state was detached from an exact-NCA stream.
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
         match &self.engine {
             StreamEngineState::Nca(_) => None,
             StreamEngineState::Hybrid(s) => Some(s.stats()),
+        }
+    }
+
+    /// [`ShardStream::restart_at`] on the parked state: a fresh frontier
+    /// counting bytes from absolute offset `position`, without
+    /// reattaching the engine to its automaton.
+    pub fn restart_at(&mut self, position: u64) {
+        match &mut self.engine {
+            StreamEngineState::Nca(s) => s.restart_at(position),
+            StreamEngineState::Hybrid(s) => s.restart_at(position),
         }
     }
 }
@@ -721,6 +760,16 @@ pub struct MultiEngine<'a> {
     multi: &'a MultiNca,
     /// Shared immutable tables (owned by the [`MultiNca`]).
     tables: &'a EngineTables,
+    /// Everything the engine mutates while scanning.
+    s: MultiEngineState,
+}
+
+/// The owned mutable half of a [`MultiEngine`]: every field the engine
+/// mutates while scanning, with the `&MultiNca` / `&EngineTables` borrows
+/// stripped. [`MultiEngine::into_state`] hands it out and
+/// [`MultiEngine::resume`] takes it back; the detach/reattach round trip
+/// copies and recomputes nothing.
+pub(crate) struct MultiEngineState {
     /// Per-state token storage for the current / next configuration.
     cur: Vec<Storage>,
     nxt: Vec<Storage>,
@@ -741,29 +790,38 @@ pub struct MultiEngine<'a> {
     /// Whether a guarded entry edge fired into each touched queue state.
     queue_entry_hit: Vec<bool>,
     /// Stream position (bytes consumed since reset).
-    position: u64,
+    pub(crate) position: u64,
     conflicts: u64,
 }
 
-/// The owned mutable half of a [`MultiEngine`]: every field the engine
-/// mutates while scanning, with the `&MultiNca` / `&EngineTables` borrows
-/// stripped. Produced by [`MultiEngine::into_state`], consumed by
-/// [`MultiEngine::resume`]; the detach/reattach round trip copies and
-/// recomputes nothing.
-pub(crate) struct MultiEngineState {
-    pub(crate) cur: Vec<Storage>,
-    pub(crate) nxt: Vec<Storage>,
-    pub(crate) active: Vec<u64>,
-    pub(crate) next_active: Vec<u64>,
-    pub(crate) stamp: Vec<u64>,
-    pub(crate) generation: u64,
-    pub(crate) value_scratch: Vec<u32>,
-    pub(crate) report_stamp: Vec<u64>,
-    pub(crate) touched_queues: Vec<u32>,
-    pub(crate) queue_touch_stamp: Vec<u64>,
-    pub(crate) queue_entry_hit: Vec<bool>,
-    pub(crate) position: u64,
-    pub(crate) conflicts: u64,
+impl MultiEngineState {
+    /// Drops every token — not even `q0` stays live — and rewinds the
+    /// stamps, position and conflict count. This is the empty counted
+    /// configuration `T = ∅` of the hybrid overlay, which keeps `q0` (a
+    /// pure state) in its DFA state instead.
+    pub(crate) fn clear_tokens(&mut self) {
+        for w in &mut self.active {
+            *w = 0;
+        }
+        for s in &mut self.cur {
+            s.clear();
+        }
+        self.stamp.iter_mut().for_each(|s| *s = 0);
+        self.report_stamp.iter_mut().for_each(|s| *s = 0);
+        self.queue_touch_stamp.iter_mut().for_each(|s| *s = 0);
+        self.generation = 0;
+        self.position = 0;
+        self.conflicts = 0;
+    }
+
+    /// The initial configuration (only `q0` live), counting bytes from
+    /// absolute offset `position` — see [`MultiEngine::restart_at`].
+    pub(crate) fn restart_at(&mut self, position: u64) {
+        self.clear_tokens();
+        self.cur[0] = Storage::PureBit(true);
+        self.active[0] = 1;
+        self.position = position;
+    }
 }
 
 impl<'a> MultiEngine<'a> {
@@ -785,19 +843,21 @@ impl<'a> MultiEngine<'a> {
         let mut e = MultiEngine {
             multi,
             tables: &multi.tables,
-            cur: (0..n).map(storage_for).collect(),
-            nxt: (0..n).map(storage_for).collect(),
-            active: vec![0; words],
-            next_active: vec![0; words],
-            stamp: vec![0; n],
-            generation: 0,
-            value_scratch: Vec::new(),
-            report_stamp: vec![0; multi.pattern_count],
-            touched_queues: Vec::new(),
-            queue_touch_stamp: vec![0; n],
-            queue_entry_hit: vec![false; n],
-            position: 0,
-            conflicts: 0,
+            s: MultiEngineState {
+                cur: (0..n).map(storage_for).collect(),
+                nxt: (0..n).map(storage_for).collect(),
+                active: vec![0; words],
+                next_active: vec![0; words],
+                stamp: vec![0; n],
+                generation: 0,
+                value_scratch: Vec::new(),
+                report_stamp: vec![0; multi.pattern_count],
+                touched_queues: Vec::new(),
+                queue_touch_stamp: vec![0; n],
+                queue_entry_hit: vec![false; n],
+                position: 0,
+                conflicts: 0,
+            },
         };
         e.reset();
         e
@@ -806,21 +866,7 @@ impl<'a> MultiEngine<'a> {
     /// Detaches the engine's mutable state from the automaton borrow.
     /// The inverse of [`MultiEngine::resume`].
     pub(crate) fn into_state(self) -> MultiEngineState {
-        MultiEngineState {
-            cur: self.cur,
-            nxt: self.nxt,
-            active: self.active,
-            next_active: self.next_active,
-            stamp: self.stamp,
-            generation: self.generation,
-            value_scratch: self.value_scratch,
-            report_stamp: self.report_stamp,
-            touched_queues: self.touched_queues,
-            queue_touch_stamp: self.queue_touch_stamp,
-            queue_entry_hit: self.queue_entry_hit,
-            position: self.position,
-            conflicts: self.conflicts,
-        }
+        self.s
     }
 
     /// Reattaches a state detached by [`MultiEngine::into_state`] to
@@ -845,51 +891,24 @@ impl<'a> MultiEngine<'a> {
         MultiEngine {
             multi,
             tables: &multi.tables,
-            cur: state.cur,
-            nxt: state.nxt,
-            active: state.active,
-            next_active: state.next_active,
-            stamp: state.stamp,
-            generation: state.generation,
-            value_scratch: state.value_scratch,
-            report_stamp: state.report_stamp,
-            touched_queues: state.touched_queues,
-            queue_touch_stamp: state.queue_touch_stamp,
-            queue_entry_hit: state.queue_entry_hit,
-            position: state.position,
-            conflicts: state.conflicts,
+            s: state,
         }
     }
 
     /// Returns to the initial configuration (stream position 0).
     pub fn reset(&mut self) {
-        self.clear_tokens();
-        self.cur[0] = Storage::PureBit(true);
-        self.active[0] = 1;
+        self.s.restart_at(0);
     }
 
-    /// Drops every token — not even `q0` stays live — and rewinds the
-    /// stamps, position and conflict count. This is the empty counted
-    /// configuration `T = ∅` of the hybrid overlay, which keeps `q0` (a
-    /// pure state) in its DFA state instead.
+    /// Drops every token, `q0` included — see
+    /// [`MultiEngineState::clear_tokens`].
     pub(crate) fn clear_tokens(&mut self) {
-        for w in &mut self.active {
-            *w = 0;
-        }
-        for s in &mut self.cur {
-            s.clear();
-        }
-        self.stamp.iter_mut().for_each(|s| *s = 0);
-        self.report_stamp.iter_mut().for_each(|s| *s = 0);
-        self.queue_touch_stamp.iter_mut().for_each(|s| *s = 0);
-        self.generation = 0;
-        self.position = 0;
-        self.conflicts = 0;
+        self.s.clear_tokens();
     }
 
     /// Bytes consumed since the last reset.
     pub fn position(&self) -> u64 {
-        self.position
+        self.s.position
     }
 
     /// Returns to the initial configuration but reports subsequent
@@ -900,20 +919,19 @@ impl<'a> MultiEngine<'a> {
     /// subset of the true frontier there, and over-approximates nothing
     /// the search form `Σ*·r` would not restart anyway).
     pub fn restart_at(&mut self, position: u64) {
-        self.reset();
-        self.position = position;
+        self.s.restart_at(position);
     }
 
     /// Number of `SingleValue` collisions observed (must stay 0 when the
     /// plans came from a sound analysis; see [`crate::CompiledEngine`]).
     pub fn conflicts(&self) -> u64 {
-        self.conflicts
+        self.s.conflicts
     }
 
     /// Number of live (token-holding) states — the frontier size the
     /// per-byte work scales with.
     pub fn active_states(&self) -> usize {
-        self.active.iter().map(|w| w.count_ones() as usize).sum()
+        self.s.active.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether any counter-carrying state is live. O(state words): one
@@ -921,7 +939,8 @@ impl<'a> MultiEngine<'a> {
     /// overlay, whose exact engine holds counted states only, this is
     /// "is `T` non-empty".
     pub fn counting_active(&self) -> bool {
-        self.active
+        self.s
+            .active
             .iter()
             .zip(&self.tables.counted_mask)
             .any(|(a, m)| a & m != 0)
@@ -938,10 +957,10 @@ impl<'a> MultiEngine<'a> {
     /// per-shard reports byte-identically. `end` is the current 1-based
     /// stream offset.
     pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
-        self.position += 1;
+        self.s.position += 1;
         let class = self.multi.alphabet.class_of(byte);
         self.advance::<false>(class, &[], &mut Vec::new());
-        self.collect_reports(self.position, out);
+        self.collect_reports(self.s.position, out);
     }
 
     /// The counted half of one hybrid step — the counter and bit-vector
@@ -985,21 +1004,21 @@ impl<'a> MultiEngine<'a> {
         entries: &[EntryEdge],
         pure_out: &mut Vec<u32>,
     ) -> usize {
-        self.generation = self.generation.wrapping_add(1);
-        let generation = self.generation;
+        self.s.generation = self.s.generation.wrapping_add(1);
+        let generation = self.s.generation;
         let tables = self.tables;
         let member_row = &tables.class_member[class];
-        for w in &mut self.next_active {
+        for w in &mut self.s.next_active {
             *w = 0;
         }
-        let cur = &self.cur;
-        let nxt = &mut self.nxt;
-        let stamp = &mut self.stamp;
-        let next_active = &mut self.next_active;
-        let value_scratch = &mut self.value_scratch;
-        let touched_queues = &mut self.touched_queues;
-        let queue_touch_stamp = &mut self.queue_touch_stamp;
-        let queue_entry_hit = &mut self.queue_entry_hit;
+        let cur = &self.s.cur;
+        let nxt = &mut self.s.nxt;
+        let stamp = &mut self.s.stamp;
+        let next_active = &mut self.s.next_active;
+        let value_scratch = &mut self.s.value_scratch;
+        let touched_queues = &mut self.s.touched_queues;
+        let queue_touch_stamp = &mut self.s.queue_touch_stamp;
+        let queue_entry_hit = &mut self.s.queue_entry_hit;
         touched_queues.clear();
         let mut conflicts = 0u64;
         let mut fire = |p: usize, src: &Storage, edge: &OutEdge| {
@@ -1051,7 +1070,7 @@ impl<'a> MultiEngine<'a> {
             }
         };
         let mut walked = 0;
-        for (wi, &word) in self.active.iter().enumerate() {
+        for (wi, &word) in self.s.active.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
@@ -1073,7 +1092,7 @@ impl<'a> MultiEngine<'a> {
         // O(bound) bit-vector walk. Untouched queues (their class did not
         // match the byte, or no live predecessor reached them) simply stay
         // inactive; their stale storage is stamp-cleared on next touch.
-        let cur = &mut self.cur;
+        let cur = &mut self.s.cur;
         let queue_self_loop = &tables.queue_self_loop;
         for &q in touched_queues.iter() {
             let qi = q as usize;
@@ -1081,7 +1100,7 @@ impl<'a> MultiEngine<'a> {
                 stamp[qi] = generation;
                 nxt[qi].clear();
             }
-            let live = self.active[qi / 64] & (1 << (qi % 64)) != 0;
+            let live = self.s.active[qi / 64] & (1 << (qi % 64)) != 0;
             let survives = live && queue_self_loop[qi];
             if survives {
                 // Move the live queue into the next buffer; the cleared
@@ -1103,17 +1122,17 @@ impl<'a> MultiEngine<'a> {
                 next_active[qi / 64] |= 1 << (qi % 64);
             }
         }
-        self.conflicts += conflicts;
-        std::mem::swap(&mut self.cur, &mut self.nxt);
-        std::mem::swap(&mut self.active, &mut self.next_active);
+        self.s.conflicts += conflicts;
+        std::mem::swap(&mut self.s.cur, &mut self.s.nxt);
+        std::mem::swap(&mut self.s.active, &mut self.s.next_active);
         walked
     }
 
     /// Appends one report at offset `end` per pattern with a live
     /// accepting token, in ascending pattern order.
     fn collect_reports(&mut self, end: u64, out: &mut Vec<MultiReport>) {
-        let generation = self.generation;
-        for (wi, &word) in self.active.iter().enumerate() {
+        let generation = self.s.generation;
+        for (wi, &word) in self.s.active.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
@@ -1125,11 +1144,11 @@ impl<'a> MultiEngine<'a> {
                 }
                 let pattern = self.multi.pattern_of_state[q];
                 debug_assert_ne!(pattern, u32::MAX, "merged q0 never accepts");
-                if self.report_stamp[pattern as usize] == generation {
+                if self.s.report_stamp[pattern as usize] == generation {
                     continue; // this pattern already reported at this offset
                 }
                 let mut hit = false;
-                self.cur[q].for_each(|values| {
+                self.s.cur[q].for_each(|values| {
                     if !hit {
                         hit = disjuncts
                             .iter()
@@ -1137,7 +1156,7 @@ impl<'a> MultiEngine<'a> {
                     }
                 });
                 if hit {
-                    self.report_stamp[pattern as usize] = generation;
+                    self.s.report_stamp[pattern as usize] = generation;
                     out.push(MultiReport { pattern, end });
                 }
             }
@@ -1476,6 +1495,7 @@ mod tests {
     /// Live counter-carrying states of `engine`.
     fn counted_live(engine: &MultiEngine<'_>) -> u64 {
         engine
+            .s
             .active
             .iter()
             .zip(&engine.tables.counted_mask)

@@ -8,7 +8,8 @@
 //! counter-heavy rulesets that keep counted tokens live — stepped
 //! exactly beside the DFA rows — on nearly every byte. A second property
 //! pushes the same rulesets through the serving path
-//! ([`Engine::serve_with`]) with the literal prefilter on and off.
+//! ([`Engine::serve_with`]) with the literal prefilter on and off, and a
+//! third churns many short flows over the shard caches they share.
 
 #![deny(deprecated)]
 
@@ -166,6 +167,106 @@ proptest! {
                     &got, &expected,
                     "budget {}, prefilter {:?}, chunks {:?}", budget, prefilter, &chunk_lens
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// Flow churn over shared rows: many two-chunk flows are opened,
+    /// scanned and closed while others are in flight, on one and on
+    /// three workers. Every flow reports its own per-pattern union; the
+    /// rows the service holds stay within `shards × state_budget` at
+    /// every point, and serving the same traffic again as new flows adds
+    /// none (roomy budget: exactly none).
+    #[test]
+    fn churned_flows_share_bounded_rows_and_report_the_per_pattern_union(
+        picks in prop::collection::vec(0usize..POOL.len(), 1..6),
+        inputs in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 2..120),
+            4..8,
+        ),
+        cut in 1usize..64,
+    ) {
+        let mut picks = picks;
+        picks.sort_unstable();
+        picks.dedup();
+        let patterns: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
+        let expected: Vec<Vec<SetMatch>> = inputs
+            .iter()
+            .map(|input| union_of_per_pattern_matches(&patterns, input))
+            .collect();
+
+        for workers in [1usize, 3] {
+            for budget in [1usize, 7, 4096] {
+                for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
+                    let engine = Engine::builder()
+                        .patterns(&patterns)
+                        .scan_mode(ScanMode::Hybrid { state_budget: budget })
+                        .prefilter(prefilter)
+                        .build()
+                        .unwrap();
+                    let bound = engine.shard_count() * budget;
+                    let svc = engine.serve_with(workers, ServeConfig::default());
+                    let rows = |at: &str| {
+                        let rows = svc.metrics().hybrid.expect("hybrid mode").dfa_states;
+                        assert!(rows <= bound, "{rows} rows > {bound} {at}");
+                        rows
+                    };
+                    // One pass serves every input once, three flows in
+                    // flight: a flow gets its second chunk and is closed
+                    // while its successors are still being scanned.
+                    let pass = || {
+                        let mut in_flight = std::collections::VecDeque::new();
+                        let mut flows = Vec::new();
+                        for (k, input) in inputs.iter().enumerate() {
+                            let split = cut.min(input.len() - 1);
+                            let flow = svc.try_open_flow().unwrap();
+                            svc.push_checked(flow, &input[..split]).unwrap();
+                            in_flight.push_back((flow, k, split));
+                            flows.push(flow);
+                            if in_flight.len() == 3 {
+                                let (flow, k, split) = in_flight.pop_front().unwrap();
+                                svc.push_checked(flow, &inputs[k][split..]).unwrap();
+                                svc.close(flow);
+                                rows("mid-pass");
+                            }
+                        }
+                        for (flow, k, split) in in_flight {
+                            svc.push_checked(flow, &inputs[k][split..]).unwrap();
+                            svc.close(flow);
+                        }
+                        svc.barrier();
+                        flows
+                    };
+                    let mut served = pass();
+                    let after_one = rows("after one pass");
+                    for _ in 0..3 {
+                        served.extend(pass());
+                    }
+                    let after_four = rows("after four passes");
+                    if budget == 4096 {
+                        prop_assert_eq!(after_four, after_one, "rows grew with flows served");
+                    }
+                    for (i, flow) in served.into_iter().enumerate() {
+                        // Default rule ids are add-order indices.
+                        let mut got: Vec<SetMatch> = svc
+                            .poll_checked(flow)
+                            .unwrap()
+                            .into_iter()
+                            .map(|m| SetMatch { pattern: m.rule as usize, end: m.end as usize })
+                            .collect();
+                        got.sort();
+                        prop_assert_eq!(
+                            &got, &expected[i % inputs.len()],
+                            "flow {} of input {}: workers {}, budget {}, prefilter {:?}, cut {}",
+                            i, i % inputs.len(), workers, budget, prefilter, cut
+                        );
+                    }
+                    svc.shutdown();
+                }
             }
         }
     }

@@ -15,7 +15,7 @@
 
 #![deny(deprecated)]
 
-use recama::{Engine, FlowId, RuleMatch, ServeConfig, ServeError, ServiceHandle};
+use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceHandle};
 use std::task::Poll;
 
 /// The old engine's reports over `data`, as stable rule ids with ends
@@ -209,6 +209,72 @@ fn retired_epochs_free_when_their_last_flow_lets_go() {
     }
     assert_eq!(svc.metrics().epoch_flows, vec![(1, 0)]);
     assert_eq!(svc.flow_count(), 0);
+    svc.shutdown();
+}
+
+/// The determinized rows live and die with the epoch's set: the new
+/// epoch starts on empty caches of its own, a flow that migrates
+/// mid-stream builds rows there, and retiring the old epoch takes its
+/// rows out of the gauge and lets go of its set.
+#[test]
+fn shard_rows_belong_to_their_epoch() {
+    // Prefilter off, so a served flow and a block scan of the same
+    // bytes walk the same DFA states.
+    let build = |rules: [(u64, &str); 2]| {
+        let mut builder = Engine::builder().prefilter(PrefilterMode::Off).workers(2);
+        for (id, rule) in rules {
+            builder = builder.rule(id, rule);
+        }
+        builder.build().unwrap()
+    };
+    let a = build([(10, "ab{2,3}c"), (30, "k[0-9]{2,4}m")]);
+    let b = build([(40, "ab{2,3}c"), (50, "q{2,4}w")]);
+    let svc = a.serve();
+    let rows = || svc.metrics().hybrid.expect("hybrid by default").dfa_states;
+
+    let migrator = svc.try_open_flow().unwrap();
+    let holdout = svc.try_open_flow().unwrap();
+    svc.push_checked(migrator, b"abbc.k12m.").unwrap();
+    svc.push_checked(holdout, b"abbc.k12m.").unwrap();
+    svc.barrier();
+    let rows_a = rows();
+    assert!(rows_a > a.shard_count(), "more than the start states");
+    // Block scans of the serving engine ride the same rows.
+    a.scan(b"abbc.k12m.");
+    assert_eq!(rows(), rows_a);
+
+    svc.reload(&b);
+    assert_eq!(rows(), rows_a, "the new epoch's caches start empty");
+    // The migrating flow starts on the new epoch's rows, and builds them.
+    svc.push_checked(migrator, b"qqw.abbc").unwrap();
+    svc.barrier();
+    let rows_b = rows() - rows_a;
+    assert!(rows_b > b.shard_count());
+    assert_eq!(
+        svc.poll_checked(migrator).unwrap(),
+        [
+            scan_oracle(&a, b"abbc.k12m.", 0),
+            scan_oracle(&b, b"qqw.abbc", 10)
+        ]
+        .concat()
+    );
+    assert_eq!(rows(), rows_a + rows_b, "the oracle streams rode warm rows");
+
+    // The holdout was the last pin on epoch 0: its rows go with it.
+    let scanned = svc.metrics().hybrid.unwrap();
+    svc.close(holdout);
+    svc.barrier();
+    let after = svc.metrics().hybrid.unwrap();
+    assert_eq!(svc.metrics().epoch_flows, vec![(1, 1)]);
+    assert_eq!(after.dfa_states, rows_b);
+    assert_eq!(
+        (after.dfa_bytes, after.fallback_bytes),
+        (scanned.dfa_bytes, scanned.fallback_bytes),
+        "the byte counters of retired engines stay"
+    );
+    // ... and the service no longer shares the old set (this panics
+    // while an epoch still holds it).
+    drop(a.into_set());
     svc.shutdown();
 }
 
