@@ -1,12 +1,13 @@
-//! Multi-pattern matching throughput: the shared [`PatternSet`] engine
-//! against the loop-over-[`Pattern`] baseline on the synthetic Snort and
-//! Suricata workloads — the software-side payoff of compiling the whole
-//! ruleset into one machine image.
+//! Multi-pattern matching throughput: the shared set engine (one merged
+//! image, `ShardPolicy::Single`) against the loop-over-[`Pattern`]
+//! baseline on the synthetic Snort and Suricata workloads — the
+//! software-side payoff of compiling the whole ruleset into one machine
+//! image.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CritId, Criterion, Throughput};
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, Pattern, PatternSet};
+use recama::{Engine, Pattern};
 use recama_bench::{scale, seed, traffic_len};
 
 /// The unsharded (single-image) engine the benches compare against.
@@ -46,7 +47,10 @@ fn bench_shared_vs_loop(c: &mut Criterion) {
             |b, input| b.iter(|| set.find_ends(input).len()),
         );
 
-        let baseline = PatternSet::compile_baseline(&patterns).expect("baseline compiles");
+        let baseline: Vec<Pattern> = patterns
+            .iter()
+            .map(|p| Pattern::compile(p).expect("baseline compiles"))
+            .collect();
         group.bench_with_input(
             CritId::new("pattern_loop", id.name()),
             &input,
@@ -54,7 +58,7 @@ fn bench_shared_vs_loop(c: &mut Criterion) {
                 b.iter(|| {
                     baseline
                         .iter()
-                        .map(|p: &Pattern| p.find_ends(input).len())
+                        .map(|p| p.find_ends(input).len())
                         .sum::<usize>()
                 })
             },

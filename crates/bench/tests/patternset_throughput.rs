@@ -1,6 +1,6 @@
 //! Guards the acceptance claim of the multi-pattern subsystem: on the
-//! 1%-scale synthetic Snort workload, one scan of the shared
-//! [`PatternSet`] engine is faster than running every [`Pattern`] engine
+//! 1%-scale synthetic Snort workload, one scan of the shared set engine
+//! (one merged image) is faster than running every [`Pattern`] engine
 //! over the input separately. The margin is enormous (the loop pays
 //! per-pattern full-automaton sweeps per byte; the shared engine visits
 //! only the live frontier once), so a plain faster-than assertion is
@@ -8,7 +8,7 @@
 
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, PatternSet};
+use recama::{Engine, Pattern};
 use std::time::Instant;
 
 #[test]
@@ -34,7 +34,10 @@ fn shared_engine_beats_pattern_loop_on_snort() {
         .build()
         .expect("set compiles")
         .into_set();
-    let baseline = PatternSet::compile_baseline(&patterns).expect("baseline compiles");
+    let baseline: Vec<Pattern> = patterns
+        .iter()
+        .map(|p| Pattern::compile(p).expect("baseline compiles"))
+        .collect();
 
     // Warm-up + correctness cross-check in the same pass.
     let shared_hits = set.find_ends(&input).len();

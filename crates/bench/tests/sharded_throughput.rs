@@ -1,6 +1,6 @@
 //! Guards the sharding acceptance claims on a synthetic Snort workload:
-//! the sharded parallel scan must be **byte-identical** to the unsharded
-//! [`PatternSet`] scan (reports *and* order), and — on machines with at
+//! the sharded parallel scan must be **byte-identical** to the one-bank
+//! (`ShardPolicy::Single`) scan (reports *and* order), and — on machines with at
 //! least four cores — the parallel multi-engine must beat the single
 //! shared engine. The timing half is skipped on smaller machines (a
 //! 1-core CI box cannot demonstrate parallel speedup); use

@@ -298,41 +298,12 @@ pub struct RulesetOutput {
     pub rejected: Vec<(usize, String)>,
 }
 
-impl RulesetOutput {
-    /// Merges the networks of an accepted-rule subset into one per-shard
-    /// machine image — the compile output a banked deployment loads into
-    /// a single bank. Node ids keep their `r{original_index}_` prefixes
-    /// and reporting nodes keep `report_id = member` (numbering the full
-    /// accepted set), so per-shard hardware reports attribute globally
-    /// without remapping.
-    ///
-    /// `members` indexes [`RulesetOutput::rules`] (the accepted rules),
-    /// like the shard plans produced by the `recama-hw` sharding layer.
-    pub fn shard_network(&self, members: &[usize], name: &str) -> MnrlNetwork {
-        merge_rule_networks(
-            name,
-            members
-                .iter()
-                .map(|&k| (self.rule_sources[k], k as u32, &self.rules[k].network)),
-        )
-    }
-
-    /// Per-shard machine images for a whole partition (one call per
-    /// shard of `shards`, named `shard{i}`).
-    pub fn shard_networks(&self, shards: &[Vec<usize>]) -> Vec<MnrlNetwork> {
-        shards
-            .iter()
-            .enumerate()
-            .map(|(i, members)| self.shard_network(members, &format!("shard{i}")))
-            .collect()
-    }
-}
-
 /// Merges rule networks into one machine image: each `(prefix_id,
 /// report_id, network)` entry contributes its nodes under the id prefix
 /// `r{prefix_id}_` with reporting nodes stamped `report_id`. The single
-/// merge loop behind [`RulesetOutput::shard_network`] and the `recama`
-/// pattern-set builders (which pass the same id for both roles).
+/// merge loop behind [`compile_ruleset`] (source index as prefix, accepted
+/// index as report id) and the per-shard machine images of the `recama`
+/// engine builder (which passes the global rule index for both roles).
 pub fn merge_rule_networks<'a>(
     name: &str,
     parts: impl IntoIterator<Item = (usize, u32, &'a MnrlNetwork)>,
@@ -485,30 +456,6 @@ mod tests {
         assert_eq!(out.rejected[0].0, 1);
         assert!(out.network.node_count() > 0);
         assert!(out.network.validate().is_empty());
-    }
-
-    #[test]
-    fn shard_networks_partition_the_merged_image() {
-        let patterns: Vec<String> = vec![
-            "^a{30}".into(),
-            "bad(".into(), // rejected: accepted rule k=1 is the next one
-            "^[xy]{5}z".into(),
-            "k\\d{3}".into(),
-        ];
-        let out = compile_ruleset(&patterns, &CompileOptions::default());
-        assert_eq!(out.rules.len(), 3);
-        let shards = out.shard_networks(&[vec![0, 1], vec![2]]);
-        assert_eq!(shards.len(), 2);
-        // Every shard validates on its own and node counts add up to the
-        // full merged image.
-        let total: usize = shards.iter().map(|n| n.node_count()).sum();
-        assert_eq!(total, out.network.node_count());
-        for shard in &shards {
-            assert!(shard.validate().is_empty(), "{:?}", shard.validate());
-        }
-        // Report ids stay global: shard 1 holds accepted rule 2 only.
-        assert_eq!(shards[0].report_ids(), vec![0, 1]);
-        assert_eq!(shards[1].report_ids(), vec![2]);
     }
 
     #[test]

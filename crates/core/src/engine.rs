@@ -21,9 +21,9 @@
 //!   [`serve`](Engine::serve) for long-lived serving with backpressure
 //!   and idle-flow eviction — two drivers over one serving core.
 //!
-//! The older entry points (`PatternSet::compile_many`,
-//! `ShardedPatternSet::compile_many_with`, `compile_filtered`) are thin
-//! deprecated wrappers over this builder.
+//! The builder is the only way to compile a ruleset: one merged machine
+//! image is [`ShardPolicy::Single`], a tolerant compile is
+//! [`EngineBuilder::lossy`].
 
 use crate::prefilter::PrefilterMode;
 #[cfg(feature = "fault-inject")]
@@ -636,8 +636,8 @@ impl Engine {
         &self.set
     }
 
-    /// Unwraps the engine into its underlying [`ShardedPatternSet`]
-    /// (what the deprecated `compile_many` wrappers return).
+    /// Unwraps the engine into its underlying [`ShardedPatternSet`], for
+    /// callers that only want the compiled set.
     ///
     /// # Panics
     ///
@@ -653,9 +653,11 @@ impl Engine {
     // ---- block mode -------------------------------------------------
 
     /// All matches in `haystack`, in stream order (ascending end,
-    /// ascending rule index within one end). Shards scan in parallel on
-    /// scoped threads for large inputs; reports are byte-identical for
-    /// any shard plan.
+    /// ascending rule index within one end): a fresh
+    /// [`stream`](Engine::stream) fed the haystack once, keeping of each
+    /// trailing-`$` rule only the matches that end the haystack. Shards
+    /// scan in parallel on scoped threads for large inputs; reports are
+    /// byte-identical for any shard plan.
     pub fn scan(&self, haystack: &[u8]) -> Vec<SetMatch> {
         self.set.find_ends(haystack)
     }

@@ -61,9 +61,7 @@ pub use service::FaultPlan;
 pub use service::{
     FaultMetrics, FlowId, RuleMatch, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics,
 };
-#[allow(deprecated)]
-pub use set::SetCompileError;
-pub use set::{PatternSet, SetMatch, SetSpan, SetStream, ShardedPatternSet, ShardedSetStream};
+pub use set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 
 use recama_compiler::{compile, CompileOptions, CompileOutput};
 // The nca `Engine` trait is imported anonymously: only its methods are
@@ -231,7 +229,7 @@ impl Pattern {
         let mut engine = recama_nca::TokenSetEngine::new(reversed);
         ends.into_iter()
             .map(|end| MatchSpan {
-                start: earliest_start(&mut engine, haystack, end),
+                start: earliest_start(&mut engine, haystack, end).0,
                 end,
             })
             .collect()
@@ -247,23 +245,31 @@ impl Pattern {
 
 /// Runs `engine` — an engine over a *reversed* automaton — backward over
 /// `haystack[..end]` and returns the earliest start of a match ending at
-/// `end` (leftmost-longest flavor): accepting after `k` reversed bytes
-/// means a match starts at `end - k`, and the largest `k` wins. Shared by
+/// `end` (leftmost-longest flavor), with the number of reversed bytes it
+/// stepped: accepting after `k` reversed bytes means a match starts at
+/// `end - k`, and the largest `k` wins. The reversed automaton is built
+/// from the raw regex (no `Σ*` prefix), so a configuration that has died
+/// cannot revive and the walk stops there. Shared by
 /// [`Pattern::find_spans`] and [`ShardedPatternSet::find_spans`].
 pub(crate) fn earliest_start(
     engine: &mut recama_nca::TokenSetEngine<'_>,
     haystack: &[u8],
     end: usize,
-) -> usize {
+) -> (usize, usize) {
     engine.reset();
     let mut start = end; // empty-match fallback
-    for (steps, &b) in haystack[..end].iter().rev().enumerate() {
+    let mut stepped = 0;
+    for &b in haystack[..end].iter().rev() {
+        if engine.config().is_empty() {
+            break;
+        }
         engine.step(b);
+        stepped += 1;
         if engine.is_accepting() {
-            start = end - (steps + 1);
+            start = end - stepped;
         }
     }
-    start
+    (start, stepped)
 }
 
 #[cfg(test)]
@@ -291,6 +297,19 @@ mod span_tests {
         assert_eq!(spans.len(), 2); // ends at 3 (aa) and 4 (aaa)
         assert_eq!(spans[0], MatchSpan { start: 1, end: 3 });
         assert_eq!(spans[1], MatchSpan { start: 1, end: 4 });
+    }
+
+    /// Locating a span costs the match, not the haystack before it: the
+    /// backward walk ends one byte after the reversed automaton dies.
+    #[test]
+    fn earliest_start_stops_when_the_reversed_automaton_dies() {
+        let p = Pattern::compile("ab{2,3}c").unwrap();
+        let mut hay = vec![b'z'; 64 << 10];
+        hay.extend_from_slice(b"abbbc");
+        let mut engine = recama_nca::TokenSetEngine::new(p.reversed_nca());
+        let (start, stepped) = earliest_start(&mut engine, &hay, hay.len());
+        assert_eq!(start, hay.len() - 5);
+        assert!(stepped <= 5 + 1, "stepped {stepped} reversed bytes");
     }
 
     #[test]

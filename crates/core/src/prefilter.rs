@@ -414,13 +414,6 @@ impl ShardPrefilter {
         *node = n as u32;
         false
     }
-
-    /// Whether any literal occurs in `haystack` (block-mode gate: a
-    /// one-shot scan of a haystack with no candidate cannot match).
-    pub(crate) fn contains(&self, alphabet: &ByteAlphabet, haystack: &[u8]) -> bool {
-        let mut node = 0u32;
-        self.advance(&mut node, alphabet, haystack)
-    }
 }
 
 /// The compiled prefilter of a whole set: one optional
@@ -472,11 +465,6 @@ impl SetPrefilter {
     /// Shard `i`'s filter (`None` ⇒ always-on).
     pub(crate) fn shard(&self, i: usize) -> Option<&ShardPrefilter> {
         self.shards.get(i).and_then(Option::as_ref)
-    }
-
-    /// The shared byte-class alphabet the filters index with.
-    pub(crate) fn alphabet(&self) -> &ByteAlphabet {
-        &self.alphabet
     }
 
     /// Rules with no usable literal.
@@ -628,10 +616,12 @@ mod tests {
         }
         let pf = SetPrefilter::build(&parsed, &[vec![0, 1]], classes.freeze());
         let f = pf.shard(0).expect("both rules have literals");
-        let al = pf.alphabet();
-        assert!(f.contains(al, b"..abbc.."));
-        assert!(f.contains(al, b"xyz"));
-        assert!(!f.contains(al, b"ab bc xy z"));
+        let al = &pf.alphabet;
+        // From a fresh node, advancing over a whole buffer is the block
+        // gate: does any literal occur in it?
+        assert!(f.advance(&mut 0, al, b"..abbc.."));
+        assert!(f.advance(&mut 0, al, b"xyz"));
+        assert!(!f.advance(&mut 0, al, b"ab bc xy z"));
         // Streaming: "xy|z" split across an advance boundary.
         let mut node = 0u32;
         assert!(!f.advance(&mut node, al, b"..xy"));

@@ -1,38 +1,34 @@
-//! [`PatternSet`] / [`ShardedPatternSet`]: whole rulesets compiled into
-//! shared machine images and software engines.
+//! [`ShardedPatternSet`]: a whole ruleset compiled into bank-sized
+//! machine images and shared software engines.
 //!
 //! The paper's evaluation operates on rulesets (Snort, Suricata,
 //! Protomata, SpamAssassin, ClamAV — Table 1), and deployments of this
 //! class of matcher always compile the full set into shared automata
-//! scanned once per input stream. Two deployment shapes live here:
+//! scanned once per input stream. There is one ruleset type: a
+//! [`ShardPlan`](recama_hw::ShardPlan) partitions the rules into shards
+//! whose sub-networks each fit one bank
+//! ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
+//! capacity), one [`MultiNca`](recama_nca::MultiNca) per shard shares a
+//! single byte-class alphabet computed once over the whole set, and a
+//! [`ShardedSetStream`] advances the shard engines in lockstep — large
+//! chunks in parallel on scoped threads — recombining reports with an
+//! ordered merge that keeps the output **byte-identical** for any plan.
 //!
-//! * [`PatternSet`] — ONE merged network + ONE batched engine, the shape
-//!   that fits a single CAMA bank;
-//! * [`ShardedPatternSet`] — the banked shape: a
-//!   [`ShardPlan`](recama_hw::ShardPlan) partitions the rules into shards
-//!   whose sub-networks each fit one bank
-//!   ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
-//!   capacity), one [`MultiNca`](recama_nca::MultiNca) per shard shares a
-//!   single byte-class alphabet computed once over the whole set, and
-//!   [`ShardedPatternSet::find_ends`] scans the shards in parallel with
-//!   scoped threads, recombining reports with an ordered merge that keeps
-//!   the output **byte-identical** to the unsharded scan.
-//!
-//! `PatternSet` is simply the single-shard (`N = 1`) case of the sharded
-//! machinery — same compile front-end, same per-pattern pipeline (parse →
-//! analysis → module selection), same report semantics.
+//! One merged network + one engine for the whole set (the shape that
+//! fits a single CAMA bank) is the one-bank plan, `ShardPolicy::Single`.
+//! A block scan ([`ShardedPatternSet::find_ends`]) is a fresh stream fed
+//! the haystack once, so there is one scan loop.
 
-use crate::engine::{CompileError, CompilePhase};
 use crate::prefilter::{ChunkAction, PrefilterMode, PrefilterState, SetPrefilter};
-use crate::{Engine, MatchSpan, Pattern};
+use crate::MatchSpan;
 use recama_compiler::{compile, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
 use recama_nca::{
-    CompilePlan, HybridCache, HybridStats, MultiNca, MultiReport, Nca, ScanMode, ShardStream,
-    ShardedMulti, StateId, TokenSetEngine,
+    CompilePlan, HybridCache, HybridStats, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti,
+    StateId, TokenSetEngine,
 };
-use recama_syntax::{ParseError, Parsed};
+use recama_syntax::Parsed;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -69,35 +65,25 @@ impl SetSpan {
     }
 }
 
-/// The old name of the ruleset compile failure type. [`CompileError`]
-/// additionally carries the failing rule's source text and the pipeline
-/// phase; the `index` and `error` fields this name always had are still
-/// there.
-#[deprecated(
-    since = "0.2.0",
-    note = "use recama::CompileError (from Engine::builder)"
-)]
-pub type SetCompileError = CompileError;
-
 /// A compiled ruleset partitioned into bank-sized shards: one merged
 /// extended-MNRL network and one shared software automaton **per shard**,
 /// with a single byte-class alphabet shared by every shard.
 ///
-/// Mirrors [`PatternSet`]'s API at set granularity — [`compile_many`] /
+/// Mirrors [`Pattern`](crate::Pattern)'s API at set granularity —
 /// [`find_ends`] / [`find_spans`] / [`stream`] / [`hardware`] — and its
-/// report semantics exactly: for any shard plan (including the trivial
-/// one), [`find_ends`] returns the same reports in the same order as the
-/// unsharded [`PatternSet::find_ends`].
+/// report semantics exactly: for any shard plan (including the one-bank
+/// `ShardPolicy::Single`), [`find_ends`] returns the union of the
+/// per-pattern reports in the same order.
 ///
-/// [`compile_many`]: ShardedPatternSet::compile_many
 /// [`find_ends`]: ShardedPatternSet::find_ends
 /// [`find_spans`]: ShardedPatternSet::find_spans
 /// [`stream`]: ShardedPatternSet::stream
 /// [`hardware`]: ShardedPatternSet::hardware
 ///
-/// New code should reach this type through
+/// The only way to compile one is
 /// [`Engine::builder`](crate::Engine::builder) (every compile knob lives
-/// there); the `compile_*` constructors here are deprecated wrappers.
+/// there), then [`Engine::set`](crate::Engine::set) or
+/// [`Engine::into_set`](crate::Engine::into_set).
 ///
 /// # Examples
 ///
@@ -112,7 +98,7 @@ pub type SetCompileError = CompileError;
 ///     .unwrap()
 ///     .into_set();
 /// assert_eq!(set.shard_count(), 2);
-/// // Reports are identical to the unsharded PatternSet, in the same order.
+/// // Reports are identical for any shard plan, in the same order.
 /// let matches = set.find_ends(b"zabbc..xyz..k1234");
 /// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
 /// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
@@ -151,73 +137,6 @@ pub struct ShardedPatternSet {
 }
 
 impl ShardedPatternSet {
-    /// Compiles all `patterns` with default options under the default
-    /// policy (one CAMA bank per shard).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first pattern that does not parse (or is outside the
-    /// supported fragment), identifying its index. Use
-    /// [`ShardedPatternSet::compile_filtered`] to skip bad patterns.
-    #[deprecated(since = "0.2.0", note = "use Engine::builder().patterns(..).build()")]
-    pub fn compile_many<S: AsRef<str>>(patterns: &[S]) -> Result<ShardedPatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .build()
-            .map(Engine::into_set)
-    }
-
-    /// Compiles all `patterns` with explicit [`CompileOptions`] and
-    /// [`ShardPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedPatternSet::compile_many`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().patterns(..).options(..).shard_policy(..).build()"
-    )]
-    pub fn compile_many_with<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-        policy: ShardPolicy,
-    ) -> Result<ShardedPatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(policy)
-            .build()
-            .map(Engine::into_set)
-    }
-
-    /// Compiles the parseable subset of `patterns`, returning the set and
-    /// the rejected `(index, error)` pairs — the tolerant entry point for
-    /// real rulesets, which always contain out-of-fragment rules
-    /// (Table 1's unsupported rows).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().lossy(true) and Engine::skipped()"
-    )]
-    pub fn compile_filtered<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-        policy: ShardPolicy,
-    ) -> (ShardedPatternSet, Vec<(usize, ParseError)>) {
-        let engine = Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(policy)
-            .lossy(true)
-            .build()
-            .expect("lossy builds are infallible");
-        let rejected = engine
-            .skipped()
-            .iter()
-            .map(|s| (s.index, s.error.clone()))
-            .collect();
-        (engine.into_set(), rejected)
-    }
-
     pub(crate) fn build(
         accepted: Vec<(String, Parsed)>,
         options: &CompileOptions,
@@ -239,7 +158,7 @@ impl ShardedPatternSet {
 
         // Bank-aware partition, costed with the mapper's own estimates.
         // The trivial policy never looks at costs, so skip the per-rule
-        // placements there (PatternSet compiles route through it).
+        // placements there.
         let plan = if policy == ShardPolicy::Single {
             ShardPlan::single(outputs.len())
         } else {
@@ -400,20 +319,15 @@ impl ShardedPatternSet {
         self.prefilter.as_ref()
     }
 
-    /// A fresh [`ShardStream`] over `shard` in this set's [`ScanMode`] —
+    /// One fresh [`ShardStream`] per shard in this set's [`ScanMode`] —
     /// the unit the flow scheduler checks out. A hybrid stream scans on
     /// the shard's shared rows.
-    pub(crate) fn shard_stream(&self, shard: usize) -> ShardStream<'_> {
-        match self.caches.get(shard) {
-            Some(cache) => self.multi.shard_stream_on(shard, cache),
-            None => self.multi.shard_stream(shard),
-        }
-    }
-
-    /// One [`ShardedPatternSet::shard_stream`] per shard.
     pub(crate) fn shard_streams(&self) -> Vec<ShardStream<'_>> {
         (0..self.multi.shard_count())
-            .map(|shard| self.shard_stream(shard))
+            .map(|shard| match self.caches.get(shard) {
+                Some(cache) => self.multi.shard_stream_on(shard, cache),
+                None => self.multi.shard_stream(shard),
+            })
             .collect()
     }
 
@@ -448,61 +362,24 @@ impl ShardedPatternSet {
     }
 
     /// All matches in `haystack`, in stream order (ascending end offset,
-    /// ascending pattern within one offset) — byte-identical to
-    /// [`PatternSet::find_ends`] on the same patterns, for any shard
-    /// plan. Large haystacks are scanned one scoped thread per shard;
-    /// small ones sequentially (thread spawn would cost more than the
-    /// scan).
+    /// ascending pattern within one offset) — byte-identical for any
+    /// shard plan. A block scan is a fresh [`stream`] fed the haystack
+    /// once: the stream's one loop consults the prefilter (a fresh
+    /// filter state on the only chunk is the block gate — a haystack
+    /// without any required literal of a shard cannot contain one of its
+    /// matches), fans large haystacks out to one scoped thread per
+    /// shard, and merges the reports in order.
     ///
-    /// Semantics per pattern match [`Pattern::find_ends`]: search form
+    /// Semantics per pattern match
+    /// [`Pattern::find_ends`](crate::Pattern::find_ends): search form
     /// `Σ*·r` unless `^`-anchored, one report per (pattern, end), and a
     /// trailing `$` keeps only that pattern's matches ending at the end
     /// of the haystack.
+    ///
+    /// [`stream`]: ShardedPatternSet::stream
     pub fn find_ends(&self, haystack: &[u8]) -> Vec<SetMatch> {
-        let n = self.multi.shard_count();
-        if n <= 1 {
-            return self.scan_shard(0, haystack);
-        }
-        let per_shard: Vec<Vec<SetMatch>> = if haystack.len() >= PARALLEL_MIN_BYTES {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .map(|si| scope.spawn(move || self.scan_shard(si, haystack)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard scan panicked"))
-                    .collect()
-            })
-        } else {
-            (0..n).map(|si| self.scan_shard(si, haystack)).collect()
-        };
-        let mut out = Vec::with_capacity(per_shard.iter().map(|v| v.len()).sum());
-        merge_ordered_by(&per_shard, |_, m| m, &mut out);
-        out
-    }
-
-    /// Scans one shard sequentially on a fresh stream of the shard (in
-    /// hybrid mode: on the shard's shared, possibly warm rows) and
-    /// applies the `$`-anchor filter. The stream emits reports sorted by
-    /// `(end, global pattern)`.
-    fn scan_shard(&self, shard: usize, haystack: &[u8]) -> Vec<SetMatch> {
-        // Block-mode prefilter gate: a match is contained in the
-        // haystack, so a haystack without any required literal cannot
-        // contain one.
-        if let Some(filter) = self.prefilter.as_ref().and_then(|p| p.shard(shard)) {
-            let alphabet = self.prefilter.as_ref().expect("checked above").alphabet();
-            if !filter.contains(alphabet, haystack) {
-                return Vec::new();
-            }
-        }
-        let mut reports = Vec::new();
-        self.shard_stream(shard).feed_into(haystack, &mut reports);
-        reports
-            .into_iter()
-            .map(|r| SetMatch {
-                pattern: r.pattern as usize,
-                end: r.end as usize,
-            })
+        self.stream()
+            .feed(haystack)
             .filter(|m| !self.anchored_end[m.pattern] || m.end == haystack.len())
             .collect()
     }
@@ -515,8 +392,9 @@ impl ShardedPatternSet {
     /// Locates full match spans per pattern: for every reported match
     /// end, the matching pattern's *reversed* automaton runs backward
     /// from the end to the earliest start (leftmost-longest flavor), as
-    /// in [`Pattern::find_spans`]. Reversed automata are built lazily per
-    /// pattern and cached for the set's lifetime.
+    /// in [`Pattern::find_spans`](crate::Pattern::find_spans). Reversed
+    /// automata are built lazily per pattern and cached for the set's
+    /// lifetime.
     pub fn find_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
         let matches = self.find_ends(haystack);
         if matches.is_empty() {
@@ -532,7 +410,7 @@ impl ShardedPatternSet {
                     .or_insert_with(|| TokenSetEngine::new(self.reversed_nca(m.pattern)));
                 SetSpan {
                     pattern: m.pattern,
-                    start: crate::earliest_start(engine, haystack, m.end),
+                    start: crate::earliest_start(engine, haystack, m.end).0,
                     end: m.end,
                 }
             })
@@ -551,9 +429,9 @@ impl ShardedPatternSet {
     ///
     /// Note that a stream has no "end" until [`finish`] declares one, so
     /// trailing-`$` anchors are not applied during [`feed`]: `$`-anchored
-    /// patterns report every candidate end offset (same contract as
-    /// [`PatternSet::stream`]). Call [`finish`] at end-of-stream to learn
-    /// which `$`-anchored matches actually end on the final byte.
+    /// patterns report every candidate end offset. Call [`finish`] at
+    /// end-of-stream to learn which `$`-anchored matches actually end on
+    /// the final byte.
     ///
     /// [`feed`]: ShardedSetStream::feed
     /// [`finish`]: ShardedSetStream::finish
@@ -826,355 +704,29 @@ impl fmt::Debug for ShardedSetStream<'_> {
     }
 }
 
-/// A compiled ruleset: one merged extended-MNRL network and one shared
-/// software engine for the entire set — the single-shard (`N = 1`) case
-/// of [`ShardedPatternSet`], which it wraps.
-///
-/// Mirrors [`Pattern`]'s API at set granularity: [`compile_many`] /
-/// [`find_ends`] / [`stream`] / [`network`] / [`hardware`].
-///
-/// [`compile_many`]: PatternSet::compile_many
-/// [`find_ends`]: PatternSet::find_ends
-/// [`stream`]: PatternSet::stream
-/// [`network`]: PatternSet::network
-/// [`hardware`]: PatternSet::hardware
-///
-/// New code should use [`Engine::builder`](crate::Engine::builder) with
-/// [`ShardPolicy::Single`](recama_hw::ShardPolicy::Single); the
-/// `compile_*` constructors here are deprecated wrappers.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use recama::PatternSet;
-///
-/// let set = PatternSet::compile_many(&["ab{2,3}c", "xyz", "k\\d{4}"]).unwrap();
-/// let matches = set.find_ends(b"zabbc..xyz..k1234");
-/// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
-/// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
-/// // One merged network with per-pattern report ids:
-/// assert_eq!(set.network().report_ids(), vec![0, 1, 2]);
-/// ```
-#[derive(Debug)]
-pub struct PatternSet {
-    inner: ShardedPatternSet,
-}
-
-impl PatternSet {
-    /// Compiles all `patterns` with default options.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first pattern that does not parse (or is outside the
-    /// supported fragment), identifying its index. Use
-    /// [`PatternSet::compile_filtered`] to skip bad patterns instead.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().patterns(..).shard_policy(ShardPolicy::Single).build()"
-    )]
-    pub fn compile_many<S: AsRef<str>>(patterns: &[S]) -> Result<PatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .shard_policy(ShardPolicy::Single)
-            .build()
-            .map(|e| PatternSet {
-                inner: e.into_set(),
-            })
-    }
-
-    /// Compiles all `patterns` with explicit [`CompileOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PatternSet::compile_many`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().patterns(..).options(..).shard_policy(ShardPolicy::Single).build()"
-    )]
-    pub fn compile_many_with<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-    ) -> Result<PatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(ShardPolicy::Single)
-            .build()
-            .map(|e| PatternSet {
-                inner: e.into_set(),
-            })
-    }
-
-    /// Compiles the parseable subset of `patterns`, returning the set and
-    /// the rejected `(index, error)` pairs — the tolerant entry point for
-    /// real rulesets, which always contain out-of-fragment rules
-    /// (Table 1's unsupported rows).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().lossy(true) and Engine::skipped()"
-    )]
-    pub fn compile_filtered<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-    ) -> (PatternSet, Vec<(usize, ParseError)>) {
-        let engine = Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(ShardPolicy::Single)
-            .lossy(true)
-            .build()
-            .expect("lossy builds are infallible");
-        let rejected = engine
-            .skipped()
-            .iter()
-            .map(|s| (s.index, s.error.clone()))
-            .collect();
-        (
-            PatternSet {
-                inner: engine.into_set(),
-            },
-            rejected,
-        )
-    }
-
-    /// Number of compiled patterns.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The source text of pattern `i`.
-    pub fn pattern(&self, i: usize) -> &str {
-        self.inner.pattern(i)
-    }
-
-    /// Per-pattern compiler outputs (module decisions, analyses, NCAs),
-    /// indexed like the patterns.
-    pub fn outputs(&self) -> &[CompileOutput] {
-        self.inner.outputs()
-    }
-
-    /// The merged extended-MNRL network for the whole set. Reporting
-    /// nodes of pattern `i` carry `report_id = i`.
-    pub fn network(&self) -> &MnrlNetwork {
-        self.inner.network(0)
-    }
-
-    /// The merged shared automaton (one `q0`, shared byte-class
-    /// alphabet, per-pattern state ranges).
-    pub fn multi(&self) -> &MultiNca {
-        self.inner.multi().shard(0)
-    }
-
-    /// The sharded view of this set (a single shard holding every
-    /// pattern).
-    pub fn sharded(&self) -> &ShardedPatternSet {
-        &self.inner
-    }
-
-    /// All matches in `haystack`, in stream order (ascending end offset).
-    ///
-    /// Semantics per pattern match [`Pattern::find_ends`]: search form
-    /// `Σ*·r` unless `^`-anchored, one report per (pattern, end), and a
-    /// trailing `$` keeps only that pattern's matches ending at the end
-    /// of the haystack.
-    pub fn find_ends(&self, haystack: &[u8]) -> Vec<SetMatch> {
-        self.inner.find_ends(haystack)
-    }
-
-    /// Whether any pattern matches in `haystack`.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        self.inner.is_match(haystack)
-    }
-
-    /// Locates full match spans per pattern — the set-level analogue of
-    /// [`Pattern::find_spans`], reusing cached reversed automata.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # #![allow(deprecated)]
-    /// use recama::{PatternSet, SetSpan};
-    ///
-    /// let set = PatternSet::compile_many(&["ab{2,3}c", "xyz"]).unwrap();
-    /// let spans = set.find_spans(b"zzabbc.xyz");
-    /// assert_eq!(
-    ///     spans,
-    ///     vec![
-    ///         SetSpan { pattern: 0, start: 2, end: 6 },
-    ///         SetSpan { pattern: 1, start: 7, end: 10 },
-    ///     ]
-    /// );
-    /// ```
-    pub fn find_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
-        self.inner.find_spans(haystack)
-    }
-
-    /// A resumable streaming matcher: feed traffic in chunks and drain
-    /// reports incrementally, without re-scanning previous chunks.
-    ///
-    /// Note that a stream has no "end", so trailing-`$` anchors are not
-    /// applied: `$`-anchored patterns report every candidate end offset.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # #![allow(deprecated)]
-    /// use recama::PatternSet;
-    ///
-    /// let set = PatternSet::compile_many(&["ab{2}c"]).unwrap();
-    /// let mut stream = set.stream();
-    /// // The match straddles the chunk boundary.
-    /// assert!(stream.feed(b"..ab").next().is_none());
-    /// let hits: Vec<_> = stream.feed(b"bc..").collect();
-    /// assert_eq!(hits.len(), 1);
-    /// assert_eq!((hits[0].pattern, hits[0].end), (0, 6));
-    /// ```
-    pub fn stream(&self) -> SetStream<'_> {
-        SetStream {
-            engine: self.inner.shard_stream(0),
-            buf: Vec::new(),
-            dollar: DollarTracker::new(self.inner.anchored_end()),
-            prefilter: self.inner.prefilter(),
-            pre: PrefilterState::default(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// A hardware simulator for the merged network; its report vector
-    /// attributes events to patterns via the stamped report ids.
-    pub fn hardware(&self) -> recama_hw::HwSimulator<'_> {
-        self.inner.hardware(0)
-    }
-}
-
-/// A resumable chunk-at-a-time matcher over a [`PatternSet`]; create one
-/// with [`PatternSet::stream`]. The stream is `Send`, so per-flow engine
-/// states can move onto worker threads.
-pub struct SetStream<'a> {
-    engine: ShardStream<'a>,
-    buf: Vec<recama_nca::MultiReport>,
-    dollar: DollarTracker<'a>,
-    /// The set's literal prefilter (`None` under
-    /// [`PrefilterMode`](crate::PrefilterMode)`::Off`).
-    prefilter: Option<&'a SetPrefilter>,
-    /// Streaming filter state of the single shard.
-    pre: PrefilterState,
-    /// Last `window` bytes fed, for cold→hot wake-up replay.
-    tail: Vec<u8>,
-}
-
-impl SetStream<'_> {
-    /// Consumes `chunk` and returns the matches it completed, in stream
-    /// order. End offsets are 1-based and *absolute* (counted from the
-    /// start of the stream, across all chunks fed so far).
-    pub fn feed(&mut self, chunk: &[u8]) -> impl Iterator<Item = SetMatch> + '_ {
-        let chunk_start = self.engine.position();
-        let action = match self.prefilter {
-            Some(pf) if !chunk.is_empty() => {
-                pf.chunk_action(0, &mut self.pre, chunk, chunk_start, 0)
-            }
-            _ => ChunkAction::Scan,
-        };
-        self.buf.clear();
-        match action {
-            ChunkAction::Scan => self.engine.feed_into(chunk, &mut self.buf),
-            ChunkAction::Skip => self.engine.restart_at(chunk_start + chunk.len() as u64),
-            ChunkAction::Wake { replay_start } => {
-                self.engine.restart_at(replay_start);
-                let need = (chunk_start - replay_start) as usize;
-                if need > 0 {
-                    let from = self.tail.len() - need;
-                    self.engine.feed_into(&self.tail[from..], &mut self.buf);
-                }
-                self.engine.feed_into(chunk, &mut self.buf);
-            }
-        }
-        if let Some(pf) = self.prefilter {
-            pf.extend_tail(&mut self.tail, chunk);
-        }
-        for r in &self.buf {
-            self.dollar.observe(r.pattern as usize, r.end);
-        }
-        self.buf.iter().map(|r| SetMatch {
-            pattern: r.pattern as usize,
-            end: r.end as usize,
-        })
-    }
-
-    /// Declares end-of-stream and returns the `$`-anchored matches that
-    /// end exactly at the final byte — same contract as
-    /// [`ShardedSetStream::finish`].
-    pub fn finish(self) -> Vec<SetMatch> {
-        self.dollar.finish(self.engine.position())
-    }
-
-    /// Total bytes consumed since creation (or the last reset).
-    pub fn position(&self) -> u64 {
-        self.engine.position()
-    }
-
-    /// Restarts the stream at position 0.
-    pub fn reset(&mut self) {
-        self.engine.reset();
-        self.pre.reset();
-        self.tail.clear();
-        self.dollar.clear();
-    }
-}
-
-impl fmt::Debug for SetStream<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SetStream(position = {})", self.position())
-    }
-}
-
-/// [`Pattern`]-compatibility helpers on the set.
-impl PatternSet {
-    /// Compiles each pattern independently (the loop-over-patterns
-    /// baseline the shared engine is benchmarked against).
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`PatternSet::compile_many`] on the first bad pattern.
-    pub fn compile_baseline<S: AsRef<str>>(patterns: &[S]) -> Result<Vec<Pattern>, CompileError> {
-        patterns
-            .iter()
-            .enumerate()
-            .map(|(index, p)| {
-                Pattern::compile(p.as_ref()).map_err(|error| CompileError {
-                    index,
-                    pattern: p.as_ref().to_string(),
-                    phase: CompilePhase::Parse,
-                    error,
-                })
-            })
-            .collect()
-    }
-}
-
-// The deprecated wrappers stay covered on purpose: their contract is
-// byte-identical delegation to the builder.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, Pattern};
     use recama_hw::ShardBudget;
+
+    fn set_with(patterns: &[&str], policy: ShardPolicy) -> ShardedPatternSet {
+        Engine::builder()
+            .patterns(patterns)
+            .shard_policy(policy)
+            .build()
+            .unwrap()
+            .into_set()
+    }
 
     #[test]
     fn mirrors_per_pattern_find_ends() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
-        let set = PatternSet::compile_many(&patterns).unwrap();
-        let baseline = PatternSet::compile_baseline(&patterns).unwrap();
+        let set = set_with(&patterns, ShardPolicy::Single);
         let haystack = b"abbc.aaa.cab.xyz.abbbc";
         let mut expected: Vec<SetMatch> = Vec::new();
-        for (pi, p) in baseline.iter().enumerate() {
-            for end in p.find_ends(haystack) {
+        for (pi, p) in patterns.iter().enumerate() {
+            for end in Pattern::compile(p).unwrap().find_ends(haystack) {
                 expected.push(SetMatch { pattern: pi, end });
             }
         }
@@ -1185,38 +737,22 @@ mod tests {
     }
 
     #[test]
-    fn compile_many_reports_offending_index() {
-        let err = PatternSet::compile_many(&["ok", "bad(", "ok2"]).unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(err.to_string().contains("#1"));
-    }
-
-    #[test]
-    fn compile_filtered_skips_bad_patterns() {
-        let (set, rejected) =
-            PatternSet::compile_filtered(&["a{2}", r"(x)\1", "b{3}"], &CompileOptions::default());
-        assert_eq!(set.len(), 2);
-        assert_eq!(rejected.len(), 1);
-        assert_eq!(rejected[0].0, 1);
-        assert!(set.is_match(b"bbb"));
-    }
-
-    #[test]
     fn network_is_merged_and_valid_with_report_ids() {
-        let set = PatternSet::compile_many(&["^a{30}", "[xy]{5}z"]).unwrap();
+        let set = set_with(&["^a{30}", "[xy]{5}z"], ShardPolicy::Single);
+        assert_eq!(set.shard_count(), 1);
         assert!(
-            set.network().validate().is_empty(),
+            set.network(0).validate().is_empty(),
             "{:?}",
-            set.network().validate()
+            set.network(0).validate()
         );
-        assert_eq!(set.network().report_ids(), vec![0, 1]);
+        assert_eq!(set.network(0).report_ids(), vec![0, 1]);
         // Module decisions surface per pattern.
         assert_eq!(set.outputs().len(), 2);
     }
 
     #[test]
     fn dollar_anchor_filters_set_matches() {
-        let set = PatternSet::compile_many(&["ab$", "ab"]).unwrap();
+        let set = set_with(&["ab$", "ab"], ShardPolicy::Single);
         let got = set.find_ends(b"ab.ab");
         // "ab$" only at the final position; "ab" at both.
         assert_eq!(
@@ -1231,7 +767,7 @@ mod tests {
 
     #[test]
     fn stream_positions_are_absolute() {
-        let set = PatternSet::compile_many(&["kk"]).unwrap();
+        let set = set_with(&["kk"], ShardPolicy::Single);
         let mut stream = set.stream();
         assert_eq!(stream.feed(b"....").count(), 0);
         let hits: Vec<SetMatch> = stream.feed(b"kk").collect();
@@ -1250,53 +786,40 @@ mod tests {
     fn stream_finish_survives_empty_final_chunk() {
         let patterns = ["ab$", "ab", "cd$"];
         let input: &[u8] = b"ab.cd";
-        let single = PatternSet::compile_many(&patterns).unwrap();
-        let expected = single.find_ends(input); // the $-filtered one-shot scan
+        // What the $-filtered one-shot scan keeps.
+        let expected = vec![
+            SetMatch { pattern: 1, end: 2 },
+            SetMatch { pattern: 2, end: 5 },
+        ];
 
-        // Unsharded stream: non-$ feed reports + finish == find_ends.
-        let mut stream = single.stream();
-        let mut got = Vec::new();
-        for chunk in [&b"ab"[..], b".c", b"d", b""] {
-            got.extend(
-                stream
-                    .feed(chunk)
-                    .filter(|m| !["ab$", "cd$"].contains(&patterns[m.pattern])),
+        // One bank or two: non-$ feed reports + finish == find_ends.
+        for policy in [ShardPolicy::Single, ShardPolicy::Fixed(2)] {
+            let set = set_with(&patterns, policy);
+            assert_eq!(set.find_ends(input), expected, "policy {policy:?}");
+            let mut stream = set.stream();
+            let mut got = Vec::new();
+            for chunk in [&b"ab"[..], b".c", b"d", b""] {
+                got.extend(
+                    stream
+                        .feed(chunk)
+                        .filter(|m| !["ab$", "cd$"].contains(&patterns[m.pattern])),
+                );
+            }
+            let finishing = stream.finish();
+            assert_eq!(
+                finishing,
+                vec![SetMatch { pattern: 2, end: 5 }],
+                "the cd$ candidate arrived two feeds before the empty final chunk"
             );
+            got.extend(finishing);
+            got.sort();
+            assert_eq!(got, expected, "policy {policy:?}");
         }
-        let finishing = stream.finish();
-        assert_eq!(
-            finishing,
-            vec![SetMatch { pattern: 2, end: 5 }],
-            "the cd$ candidate arrived two feeds before the empty final chunk"
-        );
-        got.extend(finishing);
-        got.sort();
-        assert_eq!(got, expected);
-
-        // Sharded stream, same chunking, same contract.
-        let sharded = ShardedPatternSet::compile_many_with(
-            &patterns,
-            &CompileOptions::default(),
-            ShardPolicy::Fixed(2),
-        )
-        .unwrap();
-        let mut stream = sharded.stream();
-        let mut got = Vec::new();
-        for chunk in [&b"ab"[..], b".c", b"d", b""] {
-            got.extend(
-                stream
-                    .feed(chunk)
-                    .filter(|m| !["ab$", "cd$"].contains(&patterns[m.pattern])),
-            );
-        }
-        got.extend(stream.finish());
-        got.sort();
-        assert_eq!(got, expected);
     }
 
     #[test]
     fn stream_finish_is_empty_when_no_dollar_match_ends_the_stream() {
-        let set = PatternSet::compile_many(&["ab$", "xy"]).unwrap();
+        let set = set_with(&["ab$", "xy"], ShardPolicy::Single);
         // Candidate at 2, but the stream continues past it.
         let mut stream = set.stream();
         assert_eq!(stream.feed(b"ab").count(), 1);
@@ -1304,38 +827,36 @@ mod tests {
         assert!(stream.finish().is_empty());
         // A never-fed stream finishes empty too.
         assert!(set.stream().finish().is_empty());
-        assert!(set.sharded().stream().finish().is_empty());
     }
 
     #[test]
     fn hardware_simulator_attributes_reports() {
-        let set = PatternSet::compile_many(&["^ab{2}c", "xyz"]).unwrap();
-        let mut hw = set.hardware();
+        let set = set_with(&["^ab{2}c", "xyz"], ShardPolicy::Single);
+        let mut hw = set.hardware(0);
         let ends = hw.match_ends(b"abbc..xyz");
         assert_eq!(ends, vec![4, 9]);
     }
 
     #[test]
     fn empty_set_is_well_formed() {
-        let set = PatternSet::compile_many::<&str>(&[]).unwrap();
-        assert!(set.is_empty());
-        assert!(set.find_ends(b"anything").is_empty());
-        assert!(set.network().validate().is_empty());
-        // The sharded view compiles to one empty shard.
-        assert_eq!(set.sharded().shard_count(), 1);
-        let sharded = ShardedPatternSet::compile_many::<&str>(&[]).unwrap();
-        assert!(sharded.find_ends(b"anything").is_empty());
-        assert_eq!(sharded.stream().feed(b"xy").count(), 0);
+        // Under any policy the empty set compiles to one empty shard.
+        for policy in [ShardPolicy::Single, ShardPolicy::default()] {
+            let set = set_with(&[], policy);
+            assert!(set.is_empty());
+            assert_eq!(set.shard_count(), 1);
+            assert!(set.network(0).validate().is_empty());
+            assert!(set.find_ends(b"anything").is_empty());
+            assert_eq!(set.stream().feed(b"xy").count(), 0);
+        }
     }
 
     #[test]
     fn sharded_reports_are_byte_identical_to_unsharded() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}"];
-        let single = PatternSet::compile_many(&patterns).unwrap();
+        let single = set_with(&patterns, ShardPolicy::Single);
         let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
         let expected = single.find_ends(haystack);
         for policy in [
-            ShardPolicy::Single,
             ShardPolicy::Fixed(2),
             ShardPolicy::Fixed(3),
             ShardPolicy::Fixed(5),
@@ -1345,9 +866,7 @@ mod tests {
                 bitvector_bits: 2000,
             }),
         ] {
-            let sharded =
-                ShardedPatternSet::compile_many_with(&patterns, &CompileOptions::default(), policy)
-                    .unwrap();
+            let sharded = set_with(&patterns, policy);
             // No sort: the order must match too.
             assert_eq!(sharded.find_ends(haystack), expected, "policy {policy:?}");
         }
@@ -1356,12 +875,7 @@ mod tests {
     #[test]
     fn sharded_networks_carry_global_report_ids() {
         let patterns = ["^a{30}", "[xy]{5}z", "k\\d{2}"];
-        let set = ShardedPatternSet::compile_many_with(
-            &patterns,
-            &CompileOptions::default(),
-            ShardPolicy::Fixed(2),
-        )
-        .unwrap();
+        let set = set_with(&patterns, ShardPolicy::Fixed(2));
         assert_eq!(set.shard_count(), 2);
         let mut all_ids = Vec::new();
         for si in 0..set.shard_count() {
@@ -1375,12 +889,7 @@ mod tests {
     #[test]
     fn sharded_stream_agrees_with_oneshot() {
         let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
-        let set = ShardedPatternSet::compile_many_with(
-            &patterns,
-            &CompileOptions::default(),
-            ShardPolicy::Fixed(3),
-        )
-        .unwrap();
+        let set = set_with(&patterns, ShardPolicy::Fixed(3));
         let input = b"zabbbc_xxx_qrst_abbc_xxxx";
         let oneshot = set.find_ends(input);
         for chunk_len in [1usize, 2, 7, input.len()] {
@@ -1397,7 +906,7 @@ mod tests {
     #[test]
     fn find_spans_locates_starts_per_pattern() {
         let patterns = ["ab{2,3}c", "xyz"];
-        let set = PatternSet::compile_many(&patterns).unwrap();
+        let set = set_with(&patterns, ShardPolicy::Single);
         let spans = set.find_spans(b"zzabbc..xyz..abbbc");
         assert_eq!(
             spans,
@@ -1435,15 +944,13 @@ mod tests {
     #[test]
     fn streams_are_send_and_debug() {
         fn assert_send<T: Send>() {}
-        assert_send::<SetStream<'static>>();
         assert_send::<ShardedSetStream<'static>>();
         assert_send::<SetMatch>();
         assert_send::<SetSpan>();
         assert_send::<ShardedPatternSet>();
-        assert_send::<PatternSet>();
 
         // Engines really do move onto worker threads.
-        let set = PatternSet::compile_many(&["kk"]).unwrap();
+        let set = set_with(&["kk"], ShardPolicy::Single);
         let mut stream = set.stream();
         let hits = std::thread::scope(|scope| {
             scope
@@ -1452,7 +959,7 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(hits, 1);
-        assert!(format!("{:?}", set.stream()).contains("position = 0"));
-        assert!(format!("{:?}", set.sharded().stream()).contains("1 shards"));
+        let debug = format!("{:?}", set.stream());
+        assert!(debug.contains("1 shards") && debug.contains("position = 0"));
     }
 }

@@ -11,17 +11,14 @@
 //! When an intentional API change lands, update the listing/pins in the
 //! same commit — that is the review hook.
 
-#![allow(deprecated)] // the deprecated wrappers are part of the pinned surface
-
 use recama::compiler::CompileOptions;
 use recama::hw::ShardPolicy;
 use recama::syntax::ParseError;
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FaultPolicy, FlowId,
-    FlowMatch, FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, Pattern, PatternSet,
-    PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent,
-    ServiceHandle, ServiceMetrics, SetCompileError, SetMatch, SetSpan, SetStream,
-    ShardedPatternSet, ShardedSetStream, SkippedRule,
+    FlowMatch, FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, PrefilterMetrics,
+    PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics,
+    SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream, SkippedRule,
 };
 use std::task::Poll;
 use std::time::Duration;
@@ -46,7 +43,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "MatchSpan",
     "OverloadPolicy",
     "Pattern",
-    "PatternSet",
     "PrefilterMetrics",
     "PrefilterMode",
     "RuleMatch",
@@ -56,10 +52,8 @@ const ROOT_EXPORTS: &[&str] = &[
     "ServiceEvent",
     "ServiceHandle",
     "ServiceMetrics",
-    "SetCompileError (deprecated = CompileError)",
     "SetMatch",
     "SetSpan",
-    "SetStream",
     "ShardedPatternSet",
     "ShardedSetStream",
     "SkippedRule",
@@ -189,38 +183,11 @@ fn flow_scheduler_signatures() {
 
 #[test]
 fn stream_signatures() {
-    let _: fn(&mut SetStream<'_>, &[u8]) -> Vec<SetMatch> = |s, c| s.feed(c).collect();
-    let _: fn(&SetStream<'_>) -> u64 = |s| s.position();
-    let _: fn(&mut SetStream<'_>) = |s| s.reset();
-    let _: fn(SetStream<'_>) -> Vec<SetMatch> = |s| s.finish();
     let _: fn(&mut ShardedSetStream<'_>, &[u8]) -> Vec<SetMatch> = |s, c| s.feed(c).collect();
     let _: fn(&ShardedSetStream<'_>) -> u64 = |s| s.position();
     let _: fn(&ShardedSetStream<'_>) -> usize = |s| s.shard_count();
     let _: fn(&mut ShardedSetStream<'_>) = |s| s.reset();
     let _: fn(ShardedSetStream<'_>) -> Vec<SetMatch> = |s| s.finish();
-}
-
-#[allow(clippy::type_complexity)] // the pins ARE the explicit types
-#[test]
-fn deprecated_wrapper_signatures() {
-    // The old constructors must keep compiling with their historical
-    // shapes (the differential suites depend on them verbatim).
-    let _: fn(&[&str]) -> Result<PatternSet, SetCompileError> = |p| PatternSet::compile_many(p);
-    let _: fn(&[&str], &CompileOptions) -> Result<PatternSet, SetCompileError> =
-        |p, o| PatternSet::compile_many_with(p, o);
-    let _: fn(&[&str], &CompileOptions) -> (PatternSet, Vec<(usize, ParseError)>) =
-        |p, o| PatternSet::compile_filtered(p, o);
-    let _: fn(&[&str]) -> Result<Vec<Pattern>, CompileError> = |p| PatternSet::compile_baseline(p);
-    let _: fn(&[&str]) -> Result<ShardedPatternSet, SetCompileError> =
-        |p| ShardedPatternSet::compile_many(p);
-    let _: fn(&[&str], &CompileOptions, ShardPolicy) -> Result<ShardedPatternSet, SetCompileError> =
-        |p, o, s| ShardedPatternSet::compile_many_with(p, o, s);
-    let _: fn(
-        &[&str],
-        &CompileOptions,
-        ShardPolicy,
-    ) -> (ShardedPatternSet, Vec<(usize, ParseError)>) =
-        |p, o, s| ShardedPatternSet::compile_filtered(p, o, s);
 }
 
 // ---- field pins (struct shapes) ---------------------------------------

@@ -5,8 +5,9 @@
 //! regression (reset + rescan must equal a fresh scan, `finish()`
 //! included).
 
-#![deny(deprecated)]
+mod common;
 
+use common::union_of_per_pattern_matches;
 use recama::hw::ShardPolicy;
 use recama::{CompilePhase, Engine, RuleMatch, ServeConfig, ServeError, SetMatch};
 use std::task::Poll;
@@ -14,22 +15,6 @@ use std::time::Duration;
 
 const PATTERNS: [&str; 4] = ["ab{2,3}c", "a{3}", "x[yz]{2}", "k\\d{2}$"];
 const HAYSTACK: &[u8] = b"abbc.aaa.xyz.abbbc_k42";
-
-/// Per-pattern loop baseline for the expected (pattern, end) reports.
-fn baseline(patterns: &[&str], haystack: &[u8]) -> Vec<SetMatch> {
-    let mut expected = Vec::new();
-    for (pi, p) in recama::PatternSet::compile_baseline(patterns)
-        .unwrap()
-        .iter()
-        .enumerate()
-    {
-        for end in p.find_ends(haystack) {
-            expected.push(SetMatch { pattern: pi, end });
-        }
-    }
-    expected.sort();
-    expected
-}
 
 #[test]
 fn builder_scan_matches_per_pattern_baseline() {
@@ -45,7 +30,11 @@ fn builder_scan_matches_per_pattern_baseline() {
             .unwrap();
         let mut got = engine.scan(HAYSTACK);
         got.sort();
-        assert_eq!(got, baseline(&PATTERNS, HAYSTACK), "policy {policy:?}");
+        assert_eq!(
+            got,
+            union_of_per_pattern_matches(&PATTERNS, HAYSTACK),
+            "policy {policy:?}"
+        );
     }
 }
 

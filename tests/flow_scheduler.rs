@@ -8,12 +8,13 @@
 //! spread over many workers, many flows on one worker, and flow ids
 //! closed and reopened.
 
-#![deny(deprecated)]
+mod common;
 
+use common::sample_patterns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recama::hw::ShardPolicy;
-use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
+use recama::workloads::{generate, traffic, BenchmarkId};
 use recama::{Engine, FlowMatch, SetMatch, ShardedPatternSet};
 use std::collections::HashMap;
 
@@ -25,23 +26,6 @@ fn engine<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> Engine {
         .shard_policy(policy)
         .build()
         .unwrap()
-}
-
-/// The parseable patterns of a scaled synthetic ruleset, bounded to keep
-/// compile times test-friendly (same sampling as the sharded suite).
-fn sample_patterns(id: BenchmarkId, scale: f64, seed: u64, max_mu: u32) -> Vec<String> {
-    let ruleset = generate(id, scale, seed);
-    ruleset
-        .patterns
-        .iter()
-        .filter(|(_, class)| *class != PatternClass::Unsupported)
-        .map(|(p, _)| p.clone())
-        .filter(|p| {
-            recama::syntax::parse(p)
-                .map(|parsed| parsed.regex.mu() <= max_mu)
-                .unwrap_or(false)
-        })
-        .collect()
 }
 
 /// Splits `input` into randomized chunks (including occasional empty

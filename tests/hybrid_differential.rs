@@ -11,10 +11,11 @@
 //! ([`Engine::serve_with`]) with the literal prefilter on and off, and a
 //! third churns many short flows over the shard caches they share.
 
-#![deny(deprecated)]
+mod common;
 
+use common::union_of_per_pattern_matches;
 use proptest::prelude::*;
-use recama::{Engine, Pattern, PrefilterMode, ScanMode, ServeConfig, SetMatch};
+use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the first group is
 /// pure (counter-free after compilation, so every byte is one row load),
@@ -44,18 +45,6 @@ const POOL: &[&str] = &[
 /// Input bytes biased toward the pool's literals so matches and partial
 /// matches actually occur.
 const INPUT_BYTES: &[u8] = b"abcdxyzwqrstkm0123459_";
-
-fn union_of_per_pattern_matches(patterns: &[&str], input: &[u8]) -> Vec<SetMatch> {
-    let mut expected = Vec::new();
-    for (pi, p) in patterns.iter().enumerate() {
-        let pattern = Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"));
-        for end in pattern.find_ends(input) {
-            expected.push(SetMatch { pattern: pi, end });
-        }
-    }
-    expected.sort();
-    expected
-}
 
 fn engine(patterns: &[&str], mode: ScanMode) -> Engine {
     Engine::builder()

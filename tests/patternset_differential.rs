@@ -1,60 +1,86 @@
 //! Differential testing of the multi-pattern subsystem: on synthetic
 //! Snort- and Suricata-profile rulesets (several seeds, small scale), the
-//! shared [`PatternSet`] engine must report exactly the union of
-//! per-[`Pattern`] results tagged by pattern id, chunked streaming must
-//! agree with one-shot scanning at every chunk boundary, and the merged
-//! MNRL network must validate, place, and carry per-pattern report ids.
+//! shared set engine must report exactly the union of per-[`Pattern`]
+//! results tagged by pattern id — for every shard plan, with the literal
+//! prefilter on and off, on the hybrid and the exact scan path — chunked
+//! streaming must agree with one-shot scanning at every chunk boundary,
+//! and the merged MNRL network must validate, place, and carry
+//! per-pattern report ids.
+//!
+//! A block scan is the stream fed once, so "stream == one-shot scan"
+//! compares the code with itself; the per-`Pattern` union (its own
+//! `CompiledEngine`, no sharding, no prefilter, no merge) is the
+//! independent oracle that carries the block scan.
+//!
+//! [`Pattern`]: recama::Pattern
 
+mod common;
+
+use common::{sample_patterns, set_with, tiny_budget, union_of_per_pattern_matches};
 use recama::compiler::CompileOptions;
-use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Pattern, PatternSet, SetMatch};
-
-/// The parseable patterns of a scaled synthetic ruleset, bounded to keep
-/// compile times test-friendly.
-fn sample_patterns(id: BenchmarkId, scale: f64, seed: u64, max_mu: u32) -> Vec<String> {
-    let ruleset = generate(id, scale, seed);
-    ruleset
-        .patterns
-        .iter()
-        .filter(|(_, class)| *class != PatternClass::Unsupported)
-        .map(|(p, _)| p.clone())
-        .filter(|p| {
-            recama::syntax::parse(p)
-                .map(|parsed| parsed.regex.mu() <= max_mu)
-                .unwrap_or(false)
-        })
-        .collect()
-}
-
-fn union_of_per_pattern_matches(patterns: &[String], input: &[u8]) -> Vec<SetMatch> {
-    let mut expected = Vec::new();
-    for (pi, p) in patterns.iter().enumerate() {
-        let pattern = Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"));
-        for end in pattern.find_ends(input) {
-            expected.push(SetMatch { pattern: pi, end });
-        }
-    }
-    expected.sort();
-    expected
-}
+use recama::hw::ShardPolicy;
+use recama::workloads::{generate, traffic, BenchmarkId};
+use recama::{Engine, PrefilterMode, ScanMode, SetMatch, DEFAULT_STATE_BUDGET};
 
 #[test]
 fn snort_and_suricata_sets_match_per_pattern_union() {
     for id in [BenchmarkId::Snort, BenchmarkId::Suricata] {
         for seed in [1u64, 7, 2022] {
-            let patterns = sample_patterns(id, 0.004, seed, 400);
+            let mut patterns = sample_patterns(id, 0.004, seed, 400);
             assert!(patterns.len() >= 10, "{id:?}/{seed}: degenerate sample");
-            let set = PatternSet::compile_many(&patterns).unwrap();
+            // A trailing-`$` rule with one candidate inside the haystack
+            // and one on its final byte, and a rule without a required
+            // literal (always-on: its shard scans every byte).
+            patterns.push("tail[0-9]{2}$".into());
+            patterns.push("[xy]{3}[0-9]".into());
             let ruleset = generate(id, 0.004, seed);
-            let input = traffic(&ruleset, 4096, 0.002, seed);
+            let mut input = traffic(&ruleset, 4096, 0.002, seed);
+            input.extend_from_slice(b"tail07..xyx4..tail42");
+            // Long enough that a sharded scan fans out on scoped threads.
+            assert!(input.len() >= 4096);
 
-            let mut got = set.find_ends(&input);
-            got.sort();
+            // Stream order: ascending end, ascending pattern within one end.
+            let mut expected = union_of_per_pattern_matches(&patterns, &input);
+            expected.sort_by_key(|m| (m.end, m.pattern));
+            let on_nothing = union_of_per_pattern_matches(&patterns, b"");
+            let dollar = patterns.len() - 2;
             assert_eq!(
-                got,
-                union_of_per_pattern_matches(&patterns, &input),
-                "{id:?} seed {seed}: shared engine diverges from per-pattern union"
+                expected.iter().filter(|m| m.pattern == dollar).count(),
+                1,
+                "the `$` rule keeps only the match that ends the haystack"
             );
+
+            for policy in [ShardPolicy::Single, ShardPolicy::Fixed(3), tiny_budget()] {
+                for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
+                    for scan_mode in [
+                        ScanMode::Hybrid {
+                            state_budget: DEFAULT_STATE_BUDGET,
+                        },
+                        ScanMode::Nca,
+                    ] {
+                        let cell =
+                            format!("{id:?} seed {seed} {policy:?} {prefilter:?} {scan_mode:?}");
+                        let set = Engine::builder()
+                            .patterns(&patterns)
+                            .shard_policy(policy)
+                            .prefilter(prefilter)
+                            .scan_mode(scan_mode)
+                            .build()
+                            .unwrap()
+                            .into_set();
+                        if prefilter == PrefilterMode::On {
+                            assert!(set.always_on_rules() >= 1, "{cell}");
+                        }
+                        // No sort: the order must match too.
+                        assert_eq!(
+                            set.find_ends(&input),
+                            expected,
+                            "{cell}: shared engine diverges from per-pattern union"
+                        );
+                        assert_eq!(set.find_ends(b""), on_nothing, "{cell}: empty haystack");
+                    }
+                }
+            }
         }
     }
 }
@@ -65,20 +91,20 @@ fn one_percent_snort_acceptance() {
     // network with per-pattern report ids, reports equal to the
     // per-pattern union on generated traffic.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.01, 2022, 600);
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = set_with(&patterns, ShardPolicy::Single);
 
     // One merged network, valid, every pattern represented by report id.
     assert!(
-        set.network().validate().is_empty(),
+        set.network(0).validate().is_empty(),
         "{:?}",
-        set.network().validate()
+        set.network(0).validate()
     );
     let expected_ids: Vec<u32> = (0..patterns.len() as u32).collect();
-    assert_eq!(set.network().report_ids(), expected_ids);
+    assert_eq!(set.network(0).report_ids(), expected_ids);
 
     // Placement covers the merged image.
-    let placement = recama::hw::place(set.network());
-    assert_eq!(placement.per_node.len(), set.network().node_count());
+    let placement = recama::hw::place(set.network(0));
+    assert_eq!(placement.per_node.len(), set.network(0).node_count());
 
     let ruleset = generate(BenchmarkId::Snort, 0.01, 2022);
     let input = traffic(&ruleset, 4096, 0.001, 2022);
@@ -91,7 +117,7 @@ fn one_percent_snort_acceptance() {
 fn chunked_streaming_agrees_with_oneshot_at_every_boundary() {
     for (id, seed) in [(BenchmarkId::Snort, 3u64), (BenchmarkId::Suricata, 11)] {
         let patterns = sample_patterns(id, 0.003, seed, 300);
-        let set = PatternSet::compile_many(&patterns).unwrap();
+        let set = set_with(&patterns, ShardPolicy::Single);
         let ruleset = generate(id, 0.003, seed);
         let input = traffic(&ruleset, 2048, 0.003, seed);
 
@@ -122,7 +148,7 @@ fn streaming_matches_survive_pathological_boundaries() {
         "k[ab]{3,9}z".into(),
         "exact{2}".into(),
     ];
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = set_with(&patterns, ShardPolicy::Single);
     let input = b"..header1234end..kabababz..exactexact..";
     let mut oneshot_stream = set.stream();
     let oneshot: Vec<SetMatch> = oneshot_stream.feed(input).collect();
@@ -140,7 +166,7 @@ fn module_decisions_are_preserved_per_pattern() {
     // Merging must not change what the compiler decided per pattern:
     // compile the same patterns alone and as a set and compare modules.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = set_with(&patterns, ShardPolicy::Single);
     for (i, p) in patterns.iter().enumerate() {
         let alone = recama::compiler::compile(
             &recama::syntax::parse(p).unwrap().for_stream(),
@@ -157,11 +183,11 @@ fn module_decisions_are_preserved_per_pattern() {
 #[test]
 fn hardware_reports_agree_with_software_on_the_merged_image() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.002, 13, 120);
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = set_with(&patterns, ShardPolicy::Single);
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 1024, 0.004, 13);
 
-    let mut hw = set.hardware();
+    let mut hw = set.hardware(0);
     let mut hw_reports: Vec<SetMatch> = hw
         .match_ends_by_rule(&input)
         .into_iter()

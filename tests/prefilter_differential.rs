@@ -12,11 +12,12 @@
 //! `--features fault-inject` — a quarantined flow leaving every other
 //! flow's filter state intact.
 
-#![deny(deprecated)]
+mod common;
 
+use common::union_of_per_pattern_matches;
 use proptest::prelude::*;
 use recama::hw::ShardPolicy;
-use recama::{Engine, Pattern, PrefilterMode, RuleMatch, ServeConfig, SetMatch};
+use recama::{Engine, PrefilterMode, RuleMatch, ServeConfig, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the left column
 /// carries a usable required literal (contiguous singleton-byte run at
@@ -40,18 +41,6 @@ const POOL: &[&str] = &[
 /// Input bytes biased toward the pool's literals so hits, near-misses,
 /// and partial literals at chunk boundaries all occur.
 const INPUT_BYTES: &[u8] = b"abcxyzwhdrendmagicn0123459_";
-
-fn union_of_per_pattern_matches(patterns: &[&str], input: &[u8]) -> Vec<SetMatch> {
-    let mut expected = Vec::new();
-    for (pi, p) in patterns.iter().enumerate() {
-        let pattern = Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"));
-        for end in pattern.find_ends(input) {
-            expected.push(SetMatch { pattern: pi, end });
-        }
-    }
-    expected.sort();
-    expected
-}
 
 fn engine(patterns: &[&str], mode: PrefilterMode) -> Engine {
     Engine::builder()

@@ -15,8 +15,6 @@
 //! so the 1-based scan number a fault addresses equals the round
 //! number the chunk was pushed in.
 
-#![deny(deprecated)]
-
 use recama::{
     Engine, FaultPlan, FlowId, OverloadPolicy, RuleMatch, ServeConfig, ServeError, ServiceHandle,
     ServiceMetrics,

@@ -13,8 +13,6 @@
 //! counting state does NOT leak across the cut; `$`-anchored rules pin
 //! that the finishing set resolves against the new engine only.
 
-#![deny(deprecated)]
-
 use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceHandle};
 use std::task::Poll;
 
