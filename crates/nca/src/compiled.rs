@@ -232,8 +232,20 @@ impl CountingQueue {
         self.births.clear();
     }
 
-    fn values(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.births.is_empty()
+    }
+
+    /// Live counter values, largest (oldest token) first.
+    pub(crate) fn values(&self) -> impl Iterator<Item = u32> + '_ {
         self.births.iter().map(|&b| self.value_of(b))
+    }
+
+    /// Whether some token's value lies in `lo..=hi`. Values descend, so
+    /// the first one not above `hi` decides: O(1) for an exit test
+    /// `m ≤ x ≤ n` against the bound.
+    pub(crate) fn any_in(&self, lo: u32, hi: u32) -> bool {
+        self.values().find(|&v| v <= hi).is_some_and(|v| v >= lo)
     }
 }
 
@@ -295,7 +307,7 @@ impl Storage {
             Storage::PureBit(b) => !*b,
             Storage::Single { live, .. } => !*live,
             Storage::Bits { words, .. } => words.iter().all(|&w| w == 0),
-            Storage::Queue { queue, .. } => queue.births.is_empty(),
+            Storage::Queue { queue, .. } => queue.is_empty(),
             Storage::Tokens(set) => set.is_empty(),
         }
     }

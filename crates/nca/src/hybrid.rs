@@ -16,9 +16,11 @@
 //!   dense `byte_class → next_state` row filled on demand; it advances by
 //!   one indexed load per byte whether or not anything is counting.
 //! * **`T`, the tokens on counter-carrying states, is the only thing
-//!   stepped exactly** — by [`MultiEngine::step_counted`], and only while
-//!   `T` is non-empty. Typically that is one to three states, against the
-//!   tens of pure states a frontier holds.
+//!   stepped exactly** — by the shard's bank of counter modules
+//!   ([`crate::bank`]), and only while `T` is non-empty. Typically that
+//!   is one to three modules, against the tens of pure states a frontier
+//!   holds, and a counting rule costs about what the paper charges it:
+//!   one register or queue update per byte.
 //!
 //! # Who owns what
 //!
@@ -28,9 +30,14 @@
 //! the interned subsets, their rows and accept sets, the wake table and
 //! the byte → class map are a pure function of the shard's [`MultiNca`],
 //! so one cache serves every [`HybridEngine`] of that shard, on any
-//! thread. A flow's engine is what is left: the cache handle, the
-//! generation it reads, its state id `S`, its stream position, the
-//! counted tokens `T` and its byte counters.
+//! thread. The counter modules are programmed once per ruleset too: the
+//! [`MultiNca`] owns a [`crate::bank::CounterBank`] — the counted states
+//! indexed densely, their out-edges compiled flat — beside its engine
+//! tables. A flow's engine is what is left: the cache handle, the
+//! generation it reads, its state id `S`, its stream position, its byte
+//! counters, and `T` as a [`BankState`] — a live mask and one cell per
+//! counted state of the shard (a `u32` register, a counting queue, or
+//! bit-vector / token-set storage), never anything per pure state.
 //!
 //! * **The cache is bounded per shard.** At most `state_budget`
 //!   determinized states are cached for a shard at once, however many
@@ -45,8 +52,8 @@
 //!   at its next chunk, at its next unfilled row or when it is parked,
 //!   copies the subset behind `S` out and interns it in the current
 //!   generation. A retired generation is freed with its last reader, and
-//!   a parked engine never pins one. `T` and the wake entries
-//!   ([`EntryEdge`] indexes the immutable automaton) are generation-free.
+//!   a parked engine never pins one. `T` and the wake records (module
+//!   indices of the immutable bank) are generation-free.
 //! * **Reading is one lock per chunk.** [`HybridEngine::feed_into`] takes
 //!   its generation's read lock once and walks plain `&[u32]` rows under
 //!   it. Only an unfilled row (or an unseen `S ∪ exits`) leaves the
@@ -76,13 +83,41 @@
 //! A row entry below [`WAKES`] is the id of `succ_pure(S, c)` and nothing
 //! else happens on that byte. An entry with the [`WAKES`] bit set says
 //! *this row also wakes counters*: its low bits index a side table
-//! holding the same successor id plus the entry edges to fire. The byte
-//! loop sends exactly the marked (and the still-[`UNKNOWN`]) entries to
-//! the slow path; a token leaving `T` for a pure state rejoins `S` by set
-//! union — one cache probe per exit, and none when the row's subset
+//! holding the same successor id plus the entries to fire, precompiled —
+//! their source is pure — as `(module, constant valuation)` records. The
+//! byte loop sends exactly the marked (and the still-[`UNKNOWN`]) entries
+//! to the slow path; a token leaving `T` for a pure state rejoins `S` by
+//! set union — one cache probe per exit, and none when the row's subset
 //! already holds the state.
+//!
+//! A wake also carries its **quiet mask**, computed once when the row is
+//! filled: the byte classes of the *next* byte on which every token the
+//! wake puts in is provably dead — no out-edge of its module, guards
+//! ignored, leads to a state whose predicate holds that class. Most
+//! wakes of a rule like `[^ac][ac]{316}` are of this kind: the token dies
+//! on the very next byte, and taking the wake costs two counted steps
+//! for nothing. So the byte loop looks one byte ahead before waking a
+//! counter (the two-character transitions of PALEALE, SNIPPETS.md §1),
+//! and a marked row is taken as a plain row byte — successor id, nothing
+//! else — under two exactness conditions:
+//!
+//! * **nothing is owed on the wake byte**: no entry's module accepts
+//!   under its entry valuation (such a wake has an empty mask), and no
+//!   counted token is live — while `T` is non-empty every wake is taken;
+//! * **the next byte is in sight and in the mask**: it is the next byte
+//!   of the *same chunk*. The last byte of a chunk, and so every byte of
+//!   [`HybridEngine::step_into`], always takes the wake — the engine
+//!   never waits for input to decide.
+//!
+//! Reports are therefore identical under every chunking. The byte
+//! counters [`HybridStats::dfa_bytes`] and [`HybridStats::fallback_bytes`]
+//! are not: a wake that dies at once is a fallback byte (and its kill
+//! another) exactly when it falls on the last byte of a chunk.
+//!
+//! [`MultiEngine`]: crate::MultiEngine
 
-use crate::multi::{EntryEdge, MultiEngine, MultiEngineState, MultiNca, MultiReport};
+use crate::bank::{has_class, BankState, ClassSet, PURE};
+use crate::multi::{MultiNca, MultiReport};
 use crate::nca::StateId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -200,20 +235,29 @@ impl SubsetCache {
 /// counters; the shard's [`HybridCache`] owns `dfa_states` and `flushes`
 /// ([`HybridCache::stats`]). [`HybridEngine::stats`] shows both halves of
 /// one engine; an aggregate is built with [`HybridStats::merge`].
+///
+/// The reports of a stream never depend on how it was cut into chunks;
+/// `dfa_bytes` and `fallback_bytes` may, by the wakes that fall on a
+/// chunk's last byte (see `fallback_bytes`). Their sum does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HybridStats {
-    /// Bytes that cost one row load and nothing else: no counted token
-    /// was live before the byte and its row wakes none.
-    /// `dfa_bytes + fallback_bytes` is every byte consumed.
+    /// Bytes that cost one row load and nothing else: every byte that is
+    /// not a fallback byte. `dfa_bytes + fallback_bytes` is every byte
+    /// consumed.
     pub dfa_bytes: u64,
-    /// Bytes on which the exact engine ran: a counted token was live
-    /// before the byte, or the byte's row wakes one. (The pure frontier
-    /// still advances by its row on these bytes.)
+    /// Bytes on which the counter modules were stepped: a counted token
+    /// was live before the byte, or the byte's row wakes one that
+    /// reports on it, may survive the next byte, or sits on the last
+    /// byte of its chunk (where the next byte is not in sight). A wake
+    /// whose every token provably dies on the next byte of the same
+    /// chunk, having reported nothing, is not taken and counts as a
+    /// `dfa_byte`. (The pure frontier advances by its row on fallback
+    /// bytes too.)
     pub fallback_bytes: u64,
-    /// Live states whose out-edges the exact engine walked, summed over
-    /// the fallback bytes. `exact_state_steps / fallback_bytes` is the
-    /// exact work per fallback byte — the live *counted* states, since
-    /// the pure ones ride rows.
+    /// Counter modules (live counted states) whose out-edges were
+    /// walked, summed over the fallback bytes: the tokens live *before*
+    /// each. `exact_state_steps / fallback_bytes` is the exact work per
+    /// fallback byte — the pure states ride rows.
     pub exact_state_steps: u64,
     /// Determinized states cached right now: the size of the shard
     /// cache's current generation (at most the state budget). A property
@@ -255,19 +299,25 @@ impl HybridStats {
 struct Wake {
     /// The pure successor the row would hold if it woke nothing.
     next: u32,
-    /// Edges from the row's subset into counted states on its class.
-    entries: Box<[EntryEdge]>,
+    /// The edges from the row's subset into counted states on its class,
+    /// precompiled — their source is pure — as flat
+    /// `[module, constant valuation…]` records for [`BankState::step`].
+    entries: Box<[u32]>,
+    /// Classes of the *next* byte on which every token `entries` puts in
+    /// is provably dead, having reported nothing
+    /// ([`crate::bank::CounterBank::quiet_classes`]).
+    quiet: ClassSet,
 }
 
 impl Wake {
-    /// Splits a filled row entry into the pure successor id and the
-    /// entry edges the row wakes (none for an unmarked entry).
-    fn resolve(wakes: &[Wake], entry: u32) -> (u32, &[EntryEdge]) {
+    /// Splits a filled row entry into the pure successor id and the wake
+    /// the row is marked with (none for an unmarked entry).
+    fn resolve(wakes: &[Wake], entry: u32) -> (u32, Option<&Wake>) {
         if entry < WAKES {
-            (entry, &[])
+            (entry, None)
         } else {
             let wake = &wakes[(entry & !WAKES) as usize];
-            (wake.next, &wake.entries)
+            (wake.next, Some(wake))
         }
     }
 }
@@ -553,8 +603,11 @@ struct Cursor {
     position: u64,
     /// This engine's byte counters (`dfa_states`, `flushes` stay 0).
     stats: HybridStats,
+    /// No byte was consumed since the last restart: `cur` is the start
+    /// state and `T` is empty.
+    untouched: bool,
     succ_scratch: Vec<u32>,
-    entry_scratch: Vec<EntryEdge>,
+    entry_scratch: Vec<u32>,
     /// Pure states the last counted step exited into.
     exits: Vec<u32>,
 }
@@ -568,6 +621,7 @@ impl Cursor {
             cur: 0,
             position: 0,
             stats: HybridStats::default(),
+            untouched: false,
             succ_scratch: Vec::new(),
             entry_scratch: Vec::new(),
             exits: Vec::new(),
@@ -600,10 +654,16 @@ impl Cursor {
     }
 
     /// The start state, counting bytes from absolute offset `position`.
-    /// (The caller empties `T`.)
+    /// (The caller empties `T`.) An engine that is still there, on a
+    /// generation that is still written to, moves its position and takes
+    /// no lock: the serving layer restarts every cold engine of a flow
+    /// once per skipped chunk.
     fn restart_at(&mut self, position: u64) {
         self.position = position;
-        self.enter(&[0]);
+        if !self.untouched || self.generation.is_retired() {
+            self.enter(&[0]);
+            self.untouched = true;
+        }
     }
 
     /// A byte that is one row load and nothing else: move to `next`,
@@ -653,6 +713,8 @@ impl Cursor {
 /// chunking, state budget, and number of engines sharing its
 /// [`HybridCache`] — which the differential suites pin.
 ///
+/// [`MultiEngine`]: crate::MultiEngine
+///
 /// # Examples
 ///
 /// ```
@@ -666,19 +728,18 @@ impl Cursor {
 /// ```
 pub struct HybridEngine<'a> {
     multi: &'a MultiNca,
-    /// The counter modules: holds `T`, the tokens on counter-carrying
-    /// states, and never a pure one.
-    exact: MultiEngine<'a>,
+    /// `T`: this flow's cells of the counter bank.
+    counters: BankState,
     at: Cursor,
 }
 
-/// The owned mutable half of a [`HybridEngine`]: the counted tokens (the
-/// exact engine's detached state) and the flow's [`Cursor`] — everything
-/// but the `&MultiNca` borrow. The rows stay where they are, in the
-/// shard's cache, so a flow parked between chunks resumes on whatever is
-/// hot by then, mid-count if need be.
+/// The owned mutable half of a [`HybridEngine`]: the counted tokens and
+/// the flow's [`Cursor`] — everything but the `&MultiNca` borrow. The
+/// rows stay where they are, in the shard's cache, so a flow parked
+/// between chunks resumes on whatever is hot by then, mid-count if need
+/// be.
 pub(crate) struct HybridEngineState {
-    exact: MultiEngineState,
+    counters: BankState,
     at: Cursor,
 }
 
@@ -697,8 +758,14 @@ impl HybridEngineState {
 
     /// [`HybridEngine::restart_at`] on the parked state.
     pub(crate) fn restart_at(&mut self, position: u64) {
-        self.exact.clear_tokens();
+        self.counters.clear();
         self.at.restart_at(position);
+    }
+
+    /// Per-flow storage cells the state holds for counted tokens.
+    #[cfg(test)]
+    fn storage_cells(&self) -> usize {
+        self.counters.cells()
     }
 }
 
@@ -722,11 +789,9 @@ impl<'a> HybridEngine<'a> {
             multi.nca().state_count(),
             "hybrid cache used with an automaton it was not made for"
         );
-        let mut exact = multi.engine();
-        exact.clear_tokens();
         HybridEngine {
             multi,
-            exact,
+            counters: BankState::new(multi.bank()),
             at: Cursor::new(cache.clone()),
         }
     }
@@ -738,7 +803,7 @@ impl<'a> HybridEngine<'a> {
     pub(crate) fn into_state(mut self) -> HybridEngineState {
         self.at.catch_up();
         HybridEngineState {
-            exact: self.exact.into_state(),
+            counters: self.counters,
             at: self.at,
         }
     }
@@ -748,12 +813,18 @@ impl<'a> HybridEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics under the [`MultiEngine::resume`] shape checks if `multi`
-    /// does not match the automaton the state was detached from.
+    /// Panics if `multi` has a different number of counted states than
+    /// the automaton the state was detached from — the structural check
+    /// against resuming on the wrong automaton.
     pub(crate) fn resume(multi: &'a MultiNca, state: HybridEngineState) -> HybridEngine<'a> {
+        assert_eq!(
+            state.counters.cells(),
+            multi.bank().len(),
+            "engine state resumed on an automaton with a different counter bank"
+        );
         HybridEngine {
             multi,
-            exact: MultiEngine::resume(multi, state.exact),
+            counters: state.counters,
             at: state.at,
         }
     }
@@ -776,7 +847,7 @@ impl<'a> HybridEngine<'a> {
     /// rows and cumulative byte counters persist, exactly as with
     /// [`reset`](HybridEngine::reset).
     pub fn restart_at(&mut self, position: u64) {
-        self.exact.clear_tokens();
+        self.counters.clear();
         self.at.restart_at(position);
     }
 
@@ -784,7 +855,7 @@ impl<'a> HybridEngine<'a> {
     /// pure frontier's subset plus the live counted states.
     pub fn active_states(&self) -> usize {
         let rows = self.at.generation.read();
-        rows.cache.subset(self.at.cur).len() + self.exact.active_states()
+        rows.cache.subset(self.at.cur).len() + self.counters.live_count()
     }
 
     /// Determinized states the shard's cache holds right now (discovered
@@ -805,7 +876,8 @@ impl<'a> HybridEngine<'a> {
     /// Computes the row entry of the current DFA state on `class` — the
     /// id of the pure successor subset, or, if the state has edges into
     /// counted states on `class`, a [`WAKES`]-marked index of the
-    /// side-table slot holding that id and those edges — and caches it.
+    /// side-table slot holding that id, those edges as wake records and
+    /// their quiet mask — and caches it.
     ///
     /// The successor is interned in the shard's *current* generation.
     /// When that is the engine's own, the row is written (unless another
@@ -815,14 +887,14 @@ impl<'a> HybridEngine<'a> {
     /// returned entry, which indexes the generation the engine is now
     /// on, says where the byte leads.
     fn successor(&mut self, class: usize) -> u32 {
-        let tables = self.multi.tables();
+        let (tables, bank) = (self.multi.tables(), self.multi.bank());
         let member_row = &tables.class_member[class];
         let mut next = std::mem::take(&mut self.at.succ_scratch);
         let mut entries = std::mem::take(&mut self.at.entry_scratch);
         next.clear();
         entries.clear();
         for &p in self.at.generation.read().cache.subset(self.at.cur) {
-            for (ei, edge) in tables.out_edges[p as usize].iter().enumerate() {
+            for edge in &tables.out_edges[p as usize] {
                 let q = edge.to as usize;
                 if member_row[q / 64] & (1 << (q % 64)) == 0 {
                     continue;
@@ -831,13 +903,14 @@ impl<'a> HybridEngine<'a> {
                     edge.guard.is_empty(),
                     "edges out of pure states are unguarded"
                 );
-                if tables.counted_mask[q / 64] & (1 << (q % 64)) != 0 {
-                    entries.push(EntryEdge {
-                        from: p,
-                        edge: ei as u32,
-                    });
-                } else {
-                    next.push(q as u32);
+                match bank.module_of[q] {
+                    PURE => next.push(q as u32),
+                    module => {
+                        // A pure source has no counters to copy: the
+                        // valuation it hands over is a constant.
+                        entries.push(module);
+                        entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
+                    }
                 }
             }
         }
@@ -860,6 +933,7 @@ impl<'a> HybridEngine<'a> {
                 rows.wakes.push(Wake {
                     next: id,
                     entries: entries.as_slice().into(),
+                    quiet: bank.quiet_classes(&entries),
                 });
                 WAKES | slot
             };
@@ -877,6 +951,8 @@ impl<'a> HybridEngine<'a> {
     /// Consumes one byte, appending `(pattern, end)` reports to `out`
     /// with the same dedup and ordering contract as
     /// [`MultiEngine::step_into`].
+    ///
+    /// [`MultiEngine::step_into`]: crate::MultiEngine::step_into
     pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
         self.feed_into(&[byte], out);
     }
@@ -889,20 +965,24 @@ impl<'a> HybridEngine<'a> {
     /// no counted token is live, bytes are classified in 8-byte lanes
     /// through the flat `u16` class table (a vectorizable gather) before
     /// the row-walk consumes the lane; a marked or unfilled row entry
-    /// sends its byte through the full `(S, T)` step below the lane
-    /// loop, as does every byte while counted tokens are live: one row
-    /// load plus one counted step. Only the two misses — an unfilled
-    /// row, an `S ∪ exits` not yet interned — let go of the read lock,
-    /// and take it again (on the generation the engine is on by then)
-    /// once the tables have the entry.
+    /// leaves the lane loop. A marked row first looks one byte ahead —
+    /// within this chunk only — and stays a plain row byte when the wake
+    /// cannot outlive that byte; otherwise the byte goes through the
+    /// full `(S, T)` step, as does every byte while counted tokens are
+    /// live: one row load plus one step of the counter bank. Only the
+    /// two misses — an unfilled row, an `S ∪ exits` not yet interned —
+    /// let go of the read lock, and take it again (on the generation the
+    /// engine is on by then) once the tables have the entry.
     pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
         self.at.catch_up();
+        self.at.untouched &= chunk.is_empty();
+        let bank = self.multi.bank();
         // A copy (512 B) rather than a borrow of the shared handle: the
         // miss paths below need the whole engine.
         let class_map: [u16; 256] = *self.at.cache.0.class_map;
         let mut generation = Arc::clone(&self.at.generation);
         let mut rows = generation.read();
-        let mut counting = self.exact.counting_active();
+        let mut counting = self.counters.any_live();
         let mut i = 0;
         while i < chunk.len() {
             if !counting {
@@ -935,18 +1015,26 @@ impl<'a> HybridEngine<'a> {
                 generation = Arc::clone(&self.at.generation);
                 rows = generation.read();
             }
-            if entry < WAKES && !counting {
-                self.at.advance_dfa(&rows, entry, out);
-                continue;
+            let (next, wake) = Wake::resolve(&rows.wakes, entry);
+            if !counting {
+                // A wake is not taken when nothing would come of it: its
+                // tokens report nothing on this byte and are dead after
+                // the next one, which must be in sight.
+                let ahead = chunk.get(i).map(|&b| class_map[b as usize] as usize);
+                let taken = wake
+                    .is_some_and(|wake| !ahead.is_some_and(|class| has_class(&wake.quiet, class)));
+                if !taken {
+                    self.at.advance_dfa(&rows, next, out);
+                    continue;
+                }
             }
-            let (next, entries) = Wake::resolve(&rows.wakes, entry);
+            let entries = wake.map_or(&[][..], |wake| &wake.entries);
             self.at.position += 1;
             self.at.stats.fallback_bytes += 1;
             let first = out.len();
             self.at.exits.clear();
-            let walked =
-                self.exact
-                    .step_counted(class, entries, &mut self.at.exits, self.at.position, out);
+            let (exits, end) = (&mut self.at.exits, self.at.position);
+            let walked = self.counters.step(bank, class, entries, exits, end, out);
             self.at.stats.exact_state_steps += walked as u64;
             let counted = out.len() - first;
             match self.at.joined(&rows, next) {
@@ -964,7 +1052,7 @@ impl<'a> HybridEngine<'a> {
             if counted > 0 && out.len() - first > counted {
                 merge_step_reports(out, first);
             }
-            counting = self.exact.counting_active();
+            counting = self.counters.any_live();
         }
     }
 
@@ -1001,7 +1089,7 @@ impl std::fmt::Debug for HybridEngine<'_> {
             f,
             "HybridEngine(dfa_states = {}, counted_states = {}, position = {})",
             self.discovered_states(),
-            self.exact.active_states(),
+            self.counters.live_count(),
             self.at.position
         )
     }
@@ -1010,7 +1098,7 @@ impl std::fmt::Debug for HybridEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompilePlan;
+    use crate::compiled::{CompilePlan, StorageMode};
     use crate::dfa::full_dfa_size;
     use crate::nca::Nca;
     use recama_syntax::parse;
@@ -1294,6 +1382,171 @@ mod tests {
             exact.match_reports(input);
             assert_eq!(exact.conflicts(), 0);
         }
+        // A queue that feeds a queue (the second's entry is guarded by
+        // the first's count), and a two-counter token set entered
+        // straight from a pure state.
+        let patterns = ["a{2,3}c{2,3}", "z(a{2,3}b){2,3}", "plain"];
+        let m = merged_with(&patterns, queues);
+        let modes = |mode| m.plan().iter().filter(|&(_, m)| m == mode).count();
+        assert_eq!(modes(StorageMode::CountingSet), 2);
+        assert!(modes(StorageMode::TokenSet) > 0);
+        for plan in [queues, CompilePlan::conservative] {
+            let m = merged_with(&patterns, plan);
+            for input in [
+                &b"aacc.aaaccc.acc.aac.aaacccc"[..],
+                b"zaabaab.zaaabaabaaab.zaab.zabaab",
+                b"aaccaacc zaabaaccaab plain",
+            ] {
+                assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
+            }
+        }
+        // A register whose token exits to a pure state and comes back in
+        // through it.
+        let m = merged_with(&["^(ab{2,3}c)+d", "bc"], single);
+        for input in [
+            &b"abbcabbbcd"[..],
+            b"abbcd",
+            b"abbcabcd",
+            b"abbbcabbcabbbcdd",
+        ] {
+            assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
+            assert!(!m.engine().match_reports(input).is_empty());
+        }
+    }
+
+    /// The count-based footprint check: a flow holds one storage cell per
+    /// *counted* state of its shard, however many pure states there are.
+    #[test]
+    fn a_flow_holds_one_cell_per_counted_state() {
+        let mut patterns: Vec<String> = (0..24).map(|i| format!("w{i}[a-f]x")).collect();
+        patterns.push("h.{55}".into());
+        let patterns: Vec<&str> = patterns.iter().map(String::as_str).collect();
+        let m = merged(&patterns);
+        let counted = m.nca().states().iter().filter(|s| !s.is_pure()).count();
+        assert_eq!(counted, 1, "only `.{{55}}` counts");
+        assert!(m.nca().state_count() > 24 * 3);
+        let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
+        hybrid.feed_into(b"w3ax h w17fx", &mut Vec::new());
+        assert_eq!(hybrid.into_state().storage_cells(), counted);
+    }
+
+    // ---- the look-ahead ----------------------------------------------
+
+    /// Hybrid scans of `input` cut into chunks of 1/2/3/7 bytes and in
+    /// one piece, each against the exact engine; returns the five runs'
+    /// counters in that order.
+    fn lookahead_stats(m: &MultiNca, input: &[u8], budget: usize) -> [HybridStats; 5] {
+        let expected = m.engine().match_reports(input);
+        [1, 2, 3, 7, input.len()].map(|chunk_len| {
+            let mut engine = m.hybrid_engine(budget);
+            let mut got = Vec::new();
+            for chunk in input.chunks(chunk_len) {
+                engine.feed_into(chunk, &mut got);
+            }
+            assert_eq!(got, expected, "chunk length {chunk_len}, budget {budget}");
+            let stats = engine.stats();
+            assert_eq!(stats.dfa_bytes + stats.fallback_bytes, input.len() as u64);
+            stats
+        })
+    }
+
+    /// Budgets that flush on nearly every row fill — so one lands
+    /// between a wake byte and the byte looked ahead at — and a roomy one.
+    const LOOKAHEAD_BUDGETS: [usize; 4] = [1, 2, 3, DEFAULT_STATE_BUDGET];
+
+    #[test]
+    fn a_wake_the_next_byte_kills_is_taken_only_on_a_chunks_last_byte() {
+        // 'a' after 'x' wakes `[ac]{3}` at value 1; 'b' kills it.
+        for plan in [single, queues, CompilePlan::conservative] {
+            let m = merged_with(&["[^ac][ac]{3}", "plain"], plan);
+            for budget in LOOKAHEAD_BUDGETS {
+                let [ones, twos, threes, sevens, whole] = lookahead_stats(&m, b"xab", budget);
+                assert_eq!(whole.fallback_bytes, 0, "the wake dies in sight");
+                assert_eq!(threes, whole);
+                assert_eq!(sevens, whole);
+                // "xa" | "b": the wake byte ends its chunk, so the wake
+                // is taken and its token dies on the next chunk's first.
+                assert_eq!(twos.fallback_bytes, 2);
+                assert_eq!(ones.fallback_bytes, 2);
+                assert_eq!(ones.exact_state_steps, 1);
+                // Dying and surviving wakes, all chunkings, reports only.
+                lookahead_stats(&m, b"xab.xaca.xacc.bcab plain xccab", budget);
+            }
+        }
+    }
+
+    #[test]
+    fn a_wake_that_reports_at_once_is_never_skipped() {
+        // `a{1,3}` accepts on its entry valuation, and 'b' would kill it.
+        let m = merged(&["xa{1,3}", "plain"]);
+        assert!(!m.nca().counters().is_empty());
+        for budget in LOOKAHEAD_BUDGETS {
+            for stats in lookahead_stats(&m, b"xab", budget) {
+                assert_eq!(stats.fallback_bytes, 2, "the wake byte and the kill");
+            }
+            lookahead_stats(&m, b"xab.xaab.xaaaab.xb.xa", budget);
+        }
+    }
+
+    #[test]
+    fn a_wake_while_counting_is_taken() {
+        // `.{4}` is counting when `[ac]{3}` wakes on 'a' and dies on 'b'.
+        let m = merged(&["k.{4}z", "[^ac][ac]{3}"]);
+        for budget in LOOKAHEAD_BUDGETS {
+            for stats in lookahead_stats(&m, b"kxab.z", budget) {
+                assert_eq!(stats.fallback_bytes, 5, "every byte after 'k'");
+                // `.{4}` alone, but for the byte `[ac]{3}` is live on.
+                assert_eq!(stats.exact_state_steps, 4 + 1);
+            }
+            lookahead_stats(&m, b"kxab.z.xab.kxacc.z", budget);
+        }
+    }
+
+    #[test]
+    fn of_two_entries_of_one_wake_only_one_need_die() {
+        // After 'x', 'a' wakes both counters; 'd' kills the first only,
+        // 'b' both.
+        for plan in [single, queues, CompilePlan::conservative] {
+            let m = merged_with(&["[^ac][ac]{3}", "[^ad][ad]{3}"], plan);
+            for budget in LOOKAHEAD_BUDGETS {
+                let [.., whole] = lookahead_stats(&m, b"xab", budget);
+                assert_eq!(whole.fallback_bytes, 0, "both die in sight");
+                let [.., whole] = lookahead_stats(&m, b"xadab", budget);
+                // 'a' wakes both; 'd' kills the first, which the second
+                // 'a' wakes again; 'b' kills both.
+                assert_eq!(whole.fallback_bytes, 4);
+                assert_eq!(whole.exact_state_steps, 2 + 1 + 2);
+                lookahead_stats(&m, b"xadd.xacc.xaca.xada.xab.xdab", budget);
+            }
+        }
+    }
+
+    #[test]
+    fn restarting_an_untouched_engine_moves_only_its_position() {
+        let m = merged(&FLEET_RULES);
+        let stream = &fleet_streams(1)[0];
+        let cache = m.hybrid_cache(2);
+        let mut idle = m.hybrid_engine_on(&cache).into_state();
+        let home = Arc::downgrade(&idle.at.generation);
+        for position in [7, 4096] {
+            idle.restart_at(position);
+            assert_eq!(idle.position(), position);
+            assert!(home.ptr_eq(&Arc::downgrade(&idle.at.generation)));
+        }
+        // Once its generation is retired a restart moves it on ...
+        m.hybrid_engine_on(&cache)
+            .feed_into(stream, &mut Vec::new());
+        assert!(idle.at.generation.is_retired());
+        idle.restart_at(9);
+        assert!(!idle.at.generation.is_retired());
+        // ... and it scans from there like a restarted exact engine.
+        let mut exact = m.engine();
+        exact.restart_at(9);
+        let mut resumed = HybridEngine::resume(&m, idle);
+        let (mut got, mut expected) = (Vec::new(), Vec::new());
+        resumed.feed_into(stream, &mut got);
+        exact.feed_into(stream, &mut expected);
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -1325,12 +1578,12 @@ mod tests {
             let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
             let mut got = Vec::new();
             hybrid.feed_into(&input[..cut], &mut got);
-            let counting = hybrid.exact.counting_active();
+            let counting = hybrid.counters.any_live();
             let live = hybrid.active_states();
             let state = hybrid.into_state();
             assert_eq!(state.position(), cut as u64);
             let mut hybrid = HybridEngine::resume(&m, state);
-            assert_eq!(hybrid.exact.counting_active(), counting);
+            assert_eq!(hybrid.counters.any_live(), counting);
             assert_eq!(hybrid.active_states(), live);
             hybrid.feed_into(&input[cut..], &mut got);
             assert_eq!(got, expected, "cut at {cut}");
@@ -1352,7 +1605,7 @@ mod tests {
         let mut mid_count = m.hybrid_engine(DEFAULT_STATE_BUDGET);
         mid_count.feed_into(b"xab", &mut Vec::new());
         assert!(
-            mid_count.exact.counting_active(),
+            mid_count.counters.any_live(),
             "the cuts above do park mid-count"
         );
     }
@@ -1478,7 +1731,7 @@ mod tests {
                 if start >= stream.len() {
                     continue;
                 }
-                if engine.at.generation.is_retired() && engine.exact.counting_active() {
+                if engine.at.generation.is_retired() && engine.counters.any_live() {
                     trace.moved_mid_count += 1;
                 }
                 let end = stream.len().min(start + chunk_len);

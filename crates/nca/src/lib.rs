@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod bank;
 mod compiled;
 mod dfa;
 mod engine;

@@ -24,6 +24,7 @@
 //!   states (typically a few per pattern on benign traffic), not with the
 //!   total automaton size the way `N × CompiledEngine` does.
 
+use crate::bank::CounterBank;
 use crate::compiled::{counting_set_eligible, CompilePlan, Storage, StorageMode};
 use crate::hybrid::{HybridCache, HybridEngine, HybridEngineState, HybridStats};
 use crate::nca::{ActionOp, GuardAtom, Nca, State, StateId, Transition};
@@ -58,6 +59,9 @@ pub struct MultiNca {
     /// Immutable engine tables, built once here so every
     /// [`MultiNca::engine`] call only allocates mutable state.
     tables: EngineTables,
+    /// The counted states as counter modules, built once here for every
+    /// [`HybridEngine`] of this automaton.
+    bank: CounterBank,
 }
 
 impl MultiNca {
@@ -174,6 +178,7 @@ impl MultiNca {
         );
         let plan = CompilePlan::from_modes(modes);
         let tables = EngineTables::build(&nca, &plan, &alphabet);
+        let bank = CounterBank::build(&nca, &plan, &alphabet, &pattern_of_state);
         MultiNca {
             nca,
             plan,
@@ -181,6 +186,7 @@ impl MultiNca {
             pattern_of_state,
             pattern_count: parts.len(),
             tables,
+            bank,
         }
     }
 
@@ -219,9 +225,9 @@ impl MultiNca {
 
     /// Creates a hybrid lazy-DFA overlay engine (see
     /// [`crate::HybridEngine`]): determinized byte-class rows for the
-    /// pure part of the frontier, exact [`MultiEngine`] stepping for the
-    /// live counter-carrying states only, at most `state_budget` cached
-    /// DFA states.
+    /// pure part of the frontier, a bank of counter modules stepped
+    /// exactly for the live counter-carrying states only, at most
+    /// `state_budget` cached DFA states.
     /// The engine gets a [`HybridCache`] of its own; engines that should
     /// share their rows are made with [`MultiNca::hybrid_engine_on`].
     pub fn hybrid_engine(&self, state_budget: usize) -> HybridEngine<'_> {
@@ -249,6 +255,11 @@ impl MultiNca {
     /// The immutable engine tables (shared by every engine instance).
     pub(crate) fn tables(&self) -> &EngineTables {
         &self.tables
+    }
+
+    /// The counter modules (shared by every hybrid engine instance).
+    pub(crate) fn bank(&self) -> &CounterBank {
+        &self.bank
     }
 }
 
@@ -654,16 +665,6 @@ pub(crate) struct OutEdge {
     pub(crate) dst: Vec<SlotSrc>,
 }
 
-/// One edge of the merged automaton that leaves a pure state and enters
-/// a counter-carrying one: `out_edges[from][edge]`. The hybrid overlay
-/// caches the entry edges of each `(DFA state, class)` and hands them to
-/// [`MultiEngine::step_counted`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EntryEdge {
-    pub(crate) from: u32,
-    pub(crate) edge: u32,
-}
-
 /// The immutable, shareable part of the batched engine: edge programs,
 /// finalization predicates, and class-membership bitsets. Built once per
 /// [`MultiNca`]; every engine instance borrows it.
@@ -676,9 +677,8 @@ pub(crate) struct EngineTables {
     /// `class_member[c]` is a bitset over states: bit `q` set iff the
     /// equivalence class `c` is inside `class(q)`.
     pub(crate) class_member: Vec<Vec<u64>>,
-    /// Bitset over states: bit `q` set iff state `q` carries a counter —
-    /// how the hybrid overlay tells its two halves apart.
-    pub(crate) counted_mask: Vec<u64>,
+    /// Bitset over states: bit `q` set iff state `q` carries a counter.
+    counted_mask: Vec<u64>,
     /// Whether each state uses the counting-set queue representation.
     is_queue: Vec<bool>,
     /// For queue states: whether the state has the self-loop increment
@@ -795,11 +795,10 @@ pub(crate) struct MultiEngineState {
 }
 
 impl MultiEngineState {
-    /// Drops every token — not even `q0` stays live — and rewinds the
-    /// stamps, position and conflict count. This is the empty counted
-    /// configuration `T = ∅` of the hybrid overlay, which keeps `q0` (a
-    /// pure state) in its DFA state instead.
-    pub(crate) fn clear_tokens(&mut self) {
+    /// The initial configuration (only `q0` live, stamps and conflict
+    /// count rewound), counting bytes from absolute offset `position` —
+    /// see [`MultiEngine::restart_at`].
+    pub(crate) fn restart_at(&mut self, position: u64) {
         for w in &mut self.active {
             *w = 0;
         }
@@ -810,14 +809,7 @@ impl MultiEngineState {
         self.report_stamp.iter_mut().for_each(|s| *s = 0);
         self.queue_touch_stamp.iter_mut().for_each(|s| *s = 0);
         self.generation = 0;
-        self.position = 0;
         self.conflicts = 0;
-    }
-
-    /// The initial configuration (only `q0` live), counting bytes from
-    /// absolute offset `position` — see [`MultiEngine::restart_at`].
-    pub(crate) fn restart_at(&mut self, position: u64) {
-        self.clear_tokens();
         self.cur[0] = Storage::PureBit(true);
         self.active[0] = 1;
         self.position = position;
@@ -900,12 +892,6 @@ impl<'a> MultiEngine<'a> {
         self.s.restart_at(0);
     }
 
-    /// Drops every token, `q0` included — see
-    /// [`MultiEngineState::clear_tokens`].
-    pub(crate) fn clear_tokens(&mut self) {
-        self.s.clear_tokens();
-    }
-
     /// Bytes consumed since the last reset.
     pub fn position(&self) -> u64 {
         self.s.position
@@ -935,9 +921,7 @@ impl<'a> MultiEngine<'a> {
     }
 
     /// Whether any counter-carrying state is live. O(state words): one
-    /// AND against the precomputed counted-state mask. For the hybrid
-    /// overlay, whose exact engine holds counted states only, this is
-    /// "is `T` non-empty".
+    /// AND against the precomputed counted-state mask.
     pub fn counting_active(&self) -> bool {
         self.s
             .active
@@ -959,51 +943,13 @@ impl<'a> MultiEngine<'a> {
     pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
         self.s.position += 1;
         let class = self.multi.alphabet.class_of(byte);
-        self.advance::<false>(class, &[], &mut Vec::new());
-        self.collect_reports(self.s.position, out);
-    }
-
-    /// The counted half of one hybrid step — the counter and bit-vector
-    /// modules beside the STE array. The engine holds tokens on
-    /// **counter-carrying states only** (`T`; see [`crate::hybrid`]) and
-    /// advances them over one byte of `class`:
-    ///
-    /// * every out-edge of a live counted state fires exactly as in
-    ///   [`MultiEngine::step_into`], except that a token reaching a
-    ///   *pure* state leaves the engine — the state is appended to
-    ///   `pure_out` (unsorted, possibly repeated) for the caller to union
-    ///   into its pure frontier;
-    /// * `entries` — the edges from the caller's pure frontier into
-    ///   counted states on this class — put their constant valuations in;
-    /// * counted states accepting after the byte report at offset `end`,
-    ///   ascending by pattern, one report per pattern.
-    ///
-    /// Returns the number of states whose out-edges were walked.
-    pub(crate) fn step_counted(
-        &mut self,
-        class: usize,
-        entries: &[EntryEdge],
-        pure_out: &mut Vec<u32>,
-        end: u64,
-        out: &mut Vec<MultiReport>,
-    ) -> usize {
-        let walked = self.advance::<true>(class, entries, pure_out);
-        self.collect_reports(end, out);
-        walked
+        self.advance(class);
+        self.collect_reports(out);
     }
 
     /// Moves every live token over one byte of `class` and swaps the
-    /// configuration buffers; returns the number of live states walked.
-    /// `entries` are fired from an anonymous pure token on their source.
-    /// With `SPLIT`, pure destinations go to `pure_out` instead of the
-    /// next configuration.
-    #[inline(always)]
-    fn advance<const SPLIT: bool>(
-        &mut self,
-        class: usize,
-        entries: &[EntryEdge],
-        pure_out: &mut Vec<u32>,
-    ) -> usize {
+    /// configuration buffers.
+    fn advance(&mut self, class: usize) {
         self.s.generation = self.s.generation.wrapping_add(1);
         let generation = self.s.generation;
         let tables = self.tables;
@@ -1062,30 +1008,19 @@ impl<'a> MultiEngine<'a> {
                 }
             });
             if !nxt_q.is_empty() {
-                if SPLIT && tables.counted_mask[q / 64] & (1 << (q % 64)) == 0 {
-                    pure_out.push(q as u32);
-                } else {
-                    next_active[q / 64] |= 1 << (q % 64);
-                }
+                next_active[q / 64] |= 1 << (q % 64);
             }
         };
-        let mut walked = 0;
         for (wi, &word) in self.s.active.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let p = wi * 64 + bit;
-                walked += 1;
                 for edge in &tables.out_edges[p] {
                     fire(p, &cur[p], edge);
                 }
             }
-        }
-        let pure_token = Storage::PureBit(true);
-        for entry in entries {
-            let p = entry.from as usize;
-            fire(p, &pure_token, &tables.out_edges[p][entry.edge as usize]);
         }
         // Counting-set pass: each touched queue advances with one clock
         // bump (`shift`) and at most one fresh value-1 token instead of an
@@ -1125,13 +1060,13 @@ impl<'a> MultiEngine<'a> {
         self.s.conflicts += conflicts;
         std::mem::swap(&mut self.s.cur, &mut self.s.nxt);
         std::mem::swap(&mut self.s.active, &mut self.s.next_active);
-        walked
     }
 
-    /// Appends one report at offset `end` per pattern with a live
+    /// Appends one report at the current offset per pattern with a live
     /// accepting token, in ascending pattern order.
-    fn collect_reports(&mut self, end: u64, out: &mut Vec<MultiReport>) {
+    fn collect_reports(&mut self, out: &mut Vec<MultiReport>) {
         let generation = self.s.generation;
+        let end = self.s.position;
         for (wi, &word) in self.s.active.iter().enumerate() {
             let mut word = word;
             while word != 0 {
@@ -1505,10 +1440,16 @@ mod tests {
 
     /// The hybrid overlay's stat definitions, against a reference exact
     /// engine over the same bytes — the count-based, timer-free check
-    /// that only counted states are stepped exactly: a byte is a fallback
-    /// byte iff a counted token is live before or after it, and the exact
-    /// work on it is the counted states live before it, however many pure
-    /// states the frontier holds.
+    /// that only counted states are stepped exactly. A byte is a fallback
+    /// byte iff a counted token is live before it, or its row wakes one
+    /// that reports on it, may survive the next byte, or sits on a
+    /// chunk's last byte; the exact work on it is the counted states live
+    /// before it, however many pure states the frontier holds. The one
+    /// counting rule here loops on `.`: its wakes survive any next byte,
+    /// so every wake is taken and, whatever the chunking, the fallback
+    /// bytes are those with a counted token live before or after them in
+    /// the reference. (Wakes that die at once, whose count does depend on
+    /// the chunking, are pinned by the look-ahead tests in `hybrid.rs`.)
     #[test]
     fn hybrid_steps_only_counted_states_exactly() {
         let mut patterns: Vec<String> = (0..24)

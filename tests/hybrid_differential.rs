@@ -9,7 +9,9 @@
 //! exactly beside the DFA rows — on nearly every byte. A second property
 //! pushes the same rulesets through the serving path
 //! ([`Engine::serve_with`]) with the literal prefilter on and off, and a
-//! third churns many short flows over the shard caches they share.
+//! third churns many short flows over the shard caches they share. One
+//! count-based test bounds the share of the Snort profile's bytes that
+//! counters are live on.
 
 mod common;
 
@@ -314,6 +316,50 @@ fn scan_mode_is_exposed_and_defaults_to_hybrid() {
     );
     let forced = engine(&["abc"], ScanMode::Nca);
     assert_eq!(forced.scan_mode(), ScanMode::Nca);
+}
+
+/// The count-based regression for the counted half of the scan (the
+/// harness's `snort_hits` profile, one flow): counters must be live on
+/// few bytes, and few of them when they are. Counts only — they repeat
+/// exactly, whatever the machine.
+///
+/// On these 256 KiB the parent of the counter bank counted 179 446 of
+/// the 1 048 576 `(byte, shard)` steps as fallback bytes, a share of
+/// 0.171; with wakes that cannot outlive the next byte no longer taken,
+/// this tree counts 124 694, or 0.119 (0.177 → 0.123 on the harness's
+/// 3 MiB). The bound sits midway between the two trees.
+#[test]
+fn snort_profile_fallback_is_bounded() {
+    use recama::hw::ShardPolicy;
+    use recama::workloads::{generate, traffic, BenchmarkId};
+
+    let ruleset = generate(BenchmarkId::Snort, 0.02, 2022);
+    let engine = Engine::builder()
+        .patterns(ruleset.pattern_strings())
+        .shard_policy(ShardPolicy::Fixed(4))
+        // The counts must not depend on the `RECAMA_PREFILTER` leg.
+        .prefilter(PrefilterMode::Off)
+        .lossy(true)
+        .build()
+        .unwrap();
+    let input = traffic(&ruleset, 256 << 10, 0.0005, 302);
+    let sched = engine.scheduler_with(1);
+    for chunk in input.chunks(2 << 10) {
+        sched.push(1, chunk);
+        sched.run();
+    }
+    let stats = sched.hybrid_stats().expect("hybrid is the default mode");
+    let total = stats.dfa_bytes + stats.fallback_bytes;
+    assert_eq!(total, 4 * input.len() as u64, "four shards scan every byte");
+    assert!(
+        stats.exact_state_steps <= 4 * stats.fallback_bytes,
+        "whole frontiers are being stepped exactly again: {stats:?}"
+    );
+    assert!(
+        stats.fallback_bytes as f64 <= 0.145 * total as f64,
+        "counters are live on {:.3} of all bytes: {stats:?}",
+        stats.fallback_bytes as f64 / total as f64
+    );
 }
 
 #[test]
