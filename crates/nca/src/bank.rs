@@ -19,6 +19,27 @@
 //! bit-vector and token-set modules that conservative plans and nested
 //! counting produce.
 //!
+//! # Sleeping
+//!
+//! Between the byte a token enters on and the first value at which a
+//! guard of its module can hold, nothing the module does is observable:
+//! it counts. A module is a *sleeper* when that stretch can be read off
+//! its cell — a register or a queue, every guard a range, exactly one
+//! self-edge that increments (taken from value 0 up; for a queue the one
+//! [`BankState::step`] takes in place). What is kept per sleeper is its
+//! body — the self-edge's class set — and `first_due`, the smallest value
+//! a token can have after a byte on which, or right after which, something
+//! else can happen: an accept, an exit, a hand-off, the loop guard giving
+//! out. With `front` the oldest value in the cell, the module sleeps
+//! `first_due − front − 1` bytes as long as they are in its body, and
+//! `T` sleeps the least of its live modules' horizons through the
+//! intersection of their bodies ([`BankState::horizon`]) — 0 as soon as a
+//! module is live that is no sleeper. [`BankState::skip`]`(k)` is then the
+//! whole effect of `k` bytes. Nothing of it is per-flow state: the queue
+//! *is* the sorted list of due times.
+//!
+//! # Stepping
+//!
 //! One byte is two passes. The *walk* visits the live modules in order;
 //! each reads only its **own** cell (guards resolve against source-state
 //! counters, a [`crate::nca`] invariant), stages what it hands to other
@@ -129,6 +150,73 @@ struct Module {
     edges: Box<[Edge]>,
     /// Byte classes on which some out-edge can fire, guards ignored.
     successor_classes: ClassSet,
+    /// Set when the module can count unobserved.
+    sleeper: Option<Sleeper>,
+}
+
+/// What lets a module count unobserved: see "Sleeping" in the module
+/// docs.
+#[derive(Debug)]
+struct Sleeper {
+    /// The body predicate: the class set of the incrementing self-edge.
+    loop_classes: ClassSet,
+    /// The smallest value a token can have *after* a byte on which, or
+    /// right after which, anything but that self-edge can happen: the
+    /// least `lo` over the accept guards (read after the byte), `lo + 1`
+    /// over every other edge's guard (read before the next one), and two
+    /// past the self-edge guard's upper end (one past it the token is
+    /// still there, at the counter's bound, and dies on the next byte).
+    first_due: u32,
+}
+
+impl Sleeper {
+    /// The sleeper in module `own`, if it is one: a register or a queue
+    /// with exactly one incrementing self-edge, taken from value 0 up.
+    fn of(
+        own: u32,
+        kind: CellKind,
+        bound: u32,
+        edges: &[Edge],
+        accept: &[Guard],
+    ) -> Option<Sleeper> {
+        if let CellKind::General(_) = kind {
+            return None;
+        }
+        let mut body = None;
+        let mut first_due = u32::MAX;
+        for edge in edges {
+            let Guard::Range(lo, hi) = edge.guard else {
+                return None;
+            };
+            let loop_hi = match edge.dest {
+                // `BankState::step` replaces this guard by the bound.
+                Dest::QueueLoop => Some(bound - 1),
+                Dest::Register {
+                    module,
+                    value: SlotSrc::Inc(_),
+                } if module == own && lo == 0 => Some(hi),
+                _ => None,
+            };
+            match loop_hi {
+                Some(_) if body.is_some() => return None,
+                Some(hi) => body = Some((edge.classes, hi)),
+                // A guard reads the value before the byte, an accept
+                // (below) the one after it.
+                None => first_due = first_due.min(lo.saturating_add(1)),
+            }
+        }
+        for guard in accept {
+            let Guard::Range(lo, _) = *guard else {
+                return None;
+            };
+            first_due = first_due.min(lo);
+        }
+        let (loop_classes, loop_hi) = body?;
+        Some(Sleeper {
+            loop_classes,
+            first_due: first_due.min(loop_hi.saturating_add(2)),
+        })
+    }
 }
 
 /// The immutable half: see the module docs.
@@ -174,6 +262,7 @@ impl CounterBank {
             .filter(|&q| !nca.state(q).is_pure())
             .map(|q| {
                 let state = nca.state(q);
+                let (kind, bound) = (kind_of(q), nca.counter(state.counters[0]).bound());
                 let single_counter = state.counters.len() == 1;
                 let edges: Box<[Edge]> = nca
                     .transitions_from(q)
@@ -206,16 +295,18 @@ impl CounterBank {
                         *word |= more;
                     }
                 }
+                let accept: Box<[Guard]> = state
+                    .accepts
+                    .iter()
+                    .map(|conj| Guard::compile(resolve_guard(nca, q, conj), single_counter))
+                    .collect();
                 Module {
                     pattern: pattern_of_state[q.index()],
-                    kind: kind_of(q),
-                    bound: nca.counter(state.counters[0]).bound(),
+                    kind,
+                    bound,
                     width: state.counters.len(),
-                    accept: state
-                        .accepts
-                        .iter()
-                        .map(|conj| Guard::compile(resolve_guard(nca, q, conj), single_counter))
-                        .collect(),
+                    sleeper: Sleeper::of(module_of[q.index()], kind, bound, &edges, &accept),
+                    accept,
                     edges,
                     successor_classes,
                 }
@@ -347,6 +438,45 @@ impl BankState {
         }
     }
 
+    /// How long `T` can go unobserved: `(h, body)` such that on each of
+    /// the next `h` bytes, as long as they are all of a class in `body`,
+    /// every live token takes its module's incrementing self-edge and
+    /// nothing else happens — [`BankState::skip`] is then the whole
+    /// effect. `h` is 0 as soon as one live module is not a sleeper or is
+    /// due. Nothing of this is stored: it is read off the cells. (With
+    /// `T` empty there is nothing to look at: `h` is `u32::MAX`.)
+    pub(crate) fn horizon(&self, bank: &CounterBank) -> (u32, ClassSet) {
+        let (mut h, mut body) = (u32::MAX, [u64::MAX; 4]);
+        for m in live_modules(&self.live) {
+            let Some(sleeper) = &bank.modules[m].sleeper else {
+                return (0, body);
+            };
+            // The oldest token is the first one due.
+            let front = match &self.cells[m] {
+                Cell::Register(value) => *value,
+                Cell::Queue(queue) => queue.values().next().expect("live queues hold a token"),
+                Cell::General(_) => unreachable!("general cells are never sleepers"),
+            };
+            h = h.min(sleeper.first_due.saturating_sub(front.saturating_add(1)));
+            for (word, more) in body.iter_mut().zip(&sleeper.loop_classes) {
+                *word &= more;
+            }
+        }
+        (h, body)
+    }
+
+    /// The effect of `k` bytes inside the [`BankState::horizon`]: every
+    /// live token is `k` older.
+    pub(crate) fn skip(&mut self, k: u32) {
+        for m in live_modules(&self.live) {
+            match &mut self.cells[m] {
+                Cell::Register(value) => *value += k,
+                Cell::Queue(queue) => queue.advance(k),
+                Cell::General(_) => unreachable!("general cells are never sleepers"),
+            }
+        }
+    }
+
     /// Advances `T` over one byte of `class` — the counter and bit-vector
     /// modules' half of one hybrid step:
     ///
@@ -466,6 +596,11 @@ impl BankState {
     }
 }
 
+/// The modules of a live mask, ascending.
+fn live_modules(live: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    (live.iter().enumerate()).flat_map(|(wi, &word)| bits(word).map(move |bit| wi * 64 + bit))
+}
+
 /// The set bits of `word`, ascending.
 fn bits(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -480,6 +615,119 @@ fn bits(mut word: u64) -> impl Iterator<Item = usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi::MultiNca;
+
+    /// `pattern` in stream form, merged alone under `plan`.
+    fn merged(pattern: &str, plan: fn(&Nca) -> CompilePlan) -> MultiNca {
+        let nca = Nca::from_regex(&recama_syntax::parse(pattern).unwrap().for_stream());
+        MultiNca::merge(&[(&nca, plan(&nca))])
+    }
+
+    /// Every live token, as `(module, value)`.
+    fn tokens(state: &BankState) -> Vec<(usize, u32)> {
+        let mut tokens = Vec::new();
+        for m in live_modules(&state.live) {
+            state.cells[m].for_each(|values| tokens.push((m, values[0])));
+        }
+        tokens
+    }
+
+    /// Steps `state` over one byte of `class` with no entry and says
+    /// whether nothing could be seen of it: no report, no exit, the live
+    /// mask unchanged, every token one older.
+    fn steps_unseen(state: &mut BankState, bank: &CounterBank, class: usize) -> bool {
+        let (live, mut older) = (state.live.clone(), tokens(state));
+        older.iter_mut().for_each(|(_, value)| *value += 1);
+        let (mut exits, mut out) = (Vec::new(), Vec::new());
+        state.step(bank, class, &[], &mut exits, 0, &mut out);
+        exits.is_empty() && out.is_empty() && state.live == live && tokens(state) == older
+    }
+
+    /// From every cell the one module of `pattern` reaches within nine
+    /// bytes of `byte` — an entry on any subset of them — the horizon
+    /// `h` is exact: `skip(h)` is `h` unseen steps, and step `h + 1` is
+    /// seen, or stopped by the loop guard.
+    fn assert_horizon_is_tight(pattern: &str, plan: fn(&Nca) -> CompilePlan, byte: u8) {
+        const LEN: usize = 9;
+        let multi = merged(pattern, plan);
+        let bank = multi.bank();
+        assert_eq!(bank.len(), 1, "{pattern} has one counted state");
+        assert!(bank.modules[0].sleeper.is_some(), "{pattern} can sleep");
+        let class = multi.alphabet().class_of(byte);
+        let replay = |schedule: usize, len: usize| {
+            let mut state = BankState::new(bank);
+            for t in 0..len {
+                let entries: &[u32] = if schedule >> t & 1 == 1 { &[0, 1] } else { &[] };
+                state.step(bank, class, entries, &mut Vec::new(), 0, &mut Vec::new());
+            }
+            state
+        };
+        let mut slept = 0;
+        for schedule in 0..1usize << LEN {
+            // A prefix is a shorter schedule's whole: take each once.
+            let len = (usize::BITS - schedule.leading_zeros()) as usize;
+            for len in len.max(1)..=LEN {
+                let mut stepped = replay(schedule, len);
+                if !stepped.any_live() {
+                    continue;
+                }
+                let (h, body) = stepped.horizon(bank);
+                assert!(has_class(&body, class), "{pattern}: {byte} is in the body");
+                let mut skipped = replay(schedule, len);
+                skipped.skip(h);
+                for k in 0..h {
+                    assert!(
+                        steps_unseen(&mut stepped, bank, class),
+                        "{pattern}, entries {schedule:#b} + {len}: the horizon {h} is too long at {k}"
+                    );
+                }
+                assert_eq!(tokens(&skipped), tokens(&stepped), "{pattern}");
+                assert_eq!(skipped.live, stepped.live);
+                assert!(
+                    !steps_unseen(&mut stepped, bank, class),
+                    "{pattern}, entries {schedule:#b} + {len}: the horizon {h} is too short"
+                );
+                slept += h;
+            }
+        }
+        assert!(slept > 0, "{pattern} never slept");
+    }
+
+    #[test]
+    fn the_horizon_is_tight_and_skip_is_that_many_steps() {
+        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::with_unambiguous_states(n, |_| true);
+        let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
+        // A register: asleep to the bound, then stopped by the loop guard
+        // (its exit is on 'z', outside the body).
+        assert_horizon_is_tight("k[ab]{6}z", single, b'a');
+        // A counting set: due when its oldest token reaches the count.
+        assert_horizon_is_tight("h.{6}", queues, b'x');
+        // A range exit: awake from the first value that may leave on 'z'
+        // until the last token is gone.
+        assert_horizon_is_tight("k.{3,6}z", queues, b'z');
+        assert_horizon_is_tight("k.{3,6}", queues, b'x');
+    }
+
+    #[test]
+    fn only_registers_and_queues_with_one_counting_loop_sleep() {
+        let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
+        // (modules, those that can sleep)
+        let sleepers = |pattern, plan| {
+            let multi = merged(pattern, plan);
+            let modules = &multi.bank().modules;
+            let sleepers = modules.iter().filter(|m| m.sleeper.is_some()).count();
+            (modules.len(), sleepers)
+        };
+        assert_eq!(sleepers("h.{6}", queues), (1, 1));
+        // Bit vectors, token sets and saturating `{m,}` counters do not.
+        assert_eq!(sleepers("h.{6}", CompilePlan::conservative), (1, 0));
+        assert_eq!(sleepers("z(a{2,3}b){2,3}", queues), (2, 0));
+        assert_eq!(sleepers("ka{3,}b", queues), (1, 0));
+        // Nor does a counter two states hand back and forth.
+        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::with_unambiguous_states(n, |_| true);
+        assert_eq!(sleepers("^k(ab){6}z", single), (2, 0));
+        assert_eq!(sleepers("^k[ab]{6}z", single), (1, 1));
+    }
 
     /// The report-for-report checks against [`crate::MultiEngine`] live
     /// with the engine that owns the bank (`hybrid.rs`); this pins the

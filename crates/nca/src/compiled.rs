@@ -221,6 +221,13 @@ impl CountingQueue {
         }
     }
 
+    /// `k` increments at once, for a caller that knows no token passes
+    /// the bound on the way: the whole of [`CountingQueue::shift`] is then
+    /// the clock.
+    pub(crate) fn advance(&mut self, k: u32) {
+        self.clock += u64::from(k);
+    }
+
     /// Insert a fresh token with value 1 (deduplicated).
     pub(crate) fn set_first(&mut self) {
         if self.births.back() != Some(&self.clock) {

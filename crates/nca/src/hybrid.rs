@@ -17,10 +17,11 @@
 //!   one indexed load per byte whether or not anything is counting.
 //! * **`T`, the tokens on counter-carrying states, is the only thing
 //!   stepped exactly** — by the shard's bank of counter modules
-//!   ([`crate::bank`]), and only while `T` is non-empty. Typically that
-//!   is one to three modules, against the tens of pure states a frontier
-//!   holds, and a counting rule costs about what the paper charges it:
-//!   one register or queue update per byte.
+//!   ([`crate::bank`]), and only on the bytes where a module can be seen
+//!   from outside: a wake, a value some guard can hold at, a byte that
+//!   ends the count. In between `T` *sleeps* (below) and the rows carry
+//!   the bytes alone. Awake, it is typically one to three modules,
+//!   against the tens of pure states a frontier holds.
 //!
 //! # Who owns what
 //!
@@ -103,7 +104,14 @@
 //!
 //! * **nothing is owed on the wake byte**: no entry's module accepts
 //!   under its entry valuation (such a wake has an empty mask), and no
-//!   counted token is live — while `T` is non-empty every wake is taken;
+//!   counted token is being stepped on it — `T` is empty or asleep.
+//!   (The argument does not need `T` empty: when the next byte is in the
+//!   mask, *every* token of the entry modules is dead after it, old ones
+//!   included; that byte is outside the body of any of them that sleeps,
+//!   so it is stepped and clears them. A register the skipped entry
+//!   would have overwritten with the smaller valuation dies there too,
+//!   having accepted under neither.) While a module is awake every wake
+//!   is taken;
 //! * **the next byte is in sight and in the mask**: it is the next byte
 //!   of the *same chunk*. The last byte of a chunk, and so every byte of
 //!   [`HybridEngine::step_into`], always takes the wake — the engine
@@ -113,6 +121,43 @@
 //! counters [`HybridStats::dfa_bytes`] and [`HybridStats::fallback_bytes`]
 //! are not: a wake that dies at once is a fallback byte (and its kill
 //! another) exactly when it falls on the last byte of a chunk.
+//!
+//! # When `T` sleeps
+//!
+//! In the hardware a module that is counting is invisible to the array
+//! until its count reaches a guard. A token of `h.{55}` is seen twice in
+//! 56 bytes — when it enters and when it is due — and the counted body
+//! of `[^ac][ac]{394}` not at all until the run of `[ac]` ends or the
+//! count is full. So `T` non-empty does not by itself send a byte to the
+//! bank. Before a run of bytes the engine asks the bank for `T`'s *sleep
+//! horizon* ([`BankState::horizon`]): a number of bytes `h` and a class
+//! set `body`. A byte is slept through — it rides its row exactly as if
+//! `T` were empty, and the bank is not stepped — under three conditions:
+//!
+//! * **every live module is a sleeper**: a register or a counting-set
+//!   queue with range guards and exactly one incrementing self-edge
+//!   (bit vectors, token sets, multi-counter states and saturating
+//!   `{m,}` counters never are — `h` is 0 while one is live);
+//! * **no module is due**: before the byte no guard but the self-edge's
+//!   can hold of any live token, and after it no accept can. The oldest
+//!   token of a module decides, so `h` is a minimum of subtractions;
+//! * **the byte is in every live body**: its class is in the self-edge's
+//!   class set of every live module (`body`, their intersection).
+//!
+//! On such a byte every live token takes its self-edge and nothing else
+//! happens: no exit, no hand-off, no report, the live mask unchanged. `k`
+//! of them are [`BankState::skip`]`(k)` — a clock bump per queue, an add
+//! per register. Every other byte takes the full `(S, T)` step: a wake
+//! that is taken, the first due byte, the byte that leaves `body`, any
+//! byte with a module live that cannot sleep. A marked row met asleep
+//! gets the same one-byte look-ahead as with `T` empty.
+//!
+//! **Nothing is stored to sleep.** The horizon is a function of the
+//! cells, recomputed after every bank step and at the start of every
+//! chunk; a flow holds no due list and no timer, so a chunk boundary, a
+//! flush, a detach or a restart in the middle of a sleep needs no care.
+//! The counting-set queue already *is* the sorted list of due offsets a
+//! timer wheel would keep — birth clocks, oldest first.
 //!
 //! [`MultiEngine`]: crate::MultiEngine
 
@@ -237,23 +282,38 @@ impl SubsetCache {
 /// one engine; an aggregate is built with [`HybridStats::merge`].
 ///
 /// The reports of a stream never depend on how it was cut into chunks;
-/// `dfa_bytes` and `fallback_bytes` may, by the wakes that fall on a
-/// chunk's last byte (see `fallback_bytes`). Their sum does not.
+/// `dfa_bytes`, `slept_bytes` and `fallback_bytes` may, by the wakes that
+/// fall on a chunk's last byte (see `fallback_bytes`). The sum of the
+/// first and the last does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HybridStats {
     /// Bytes that cost one row load and nothing else: every byte that is
     /// not a fallback byte. `dfa_bytes + fallback_bytes` is every byte
     /// consumed.
     pub dfa_bytes: u64,
-    /// Bytes on which the counter modules were stepped: a counted token
-    /// was live before the byte, or the byte's row wakes one that
-    /// reports on it, may survive the next byte, or sits on the last
-    /// byte of its chunk (where the next byte is not in sight). A wake
-    /// whose every token provably dies on the next byte of the same
-    /// chunk, having reported nothing, is not taken and counts as a
-    /// `dfa_byte`. (The pure frontier advances by its row on fallback
-    /// bytes too.)
+    /// Bytes on which the counter modules were stepped:
+    ///
+    /// * a wake that is taken — the byte's row wakes a counter that
+    ///   reports on it, may survive the next byte, or sits on the last
+    ///   byte of its chunk (where the next byte is not in sight), or a
+    ///   live module is awake on it anyway. A wake whose every token
+    ///   provably dies on the next byte of the same chunk, having
+    ///   reported nothing, is not taken;
+    /// * a byte with a module live that cannot sleep (a bit vector, a
+    ///   token set, a saturating counter);
+    /// * a byte at or past a live module's first due value: one before
+    ///   which a guard other than the counting loop's can hold of its
+    ///   oldest token, or after which an accept can;
+    /// * a byte outside the body of a live module.
+    ///
+    /// Every other byte is a `dfa_byte`, also while counted tokens are
+    /// live (`slept_bytes`). (The pure frontier advances by its row on
+    /// fallback bytes too.)
     pub fallback_bytes: u64,
+    /// The `dfa_bytes` that rode a row while a counted token was live:
+    /// every live counter was between a token's entry and its first due
+    /// value, the byte inside its body, so none was stepped.
+    pub slept_bytes: u64,
     /// Counter modules (live counted states) whose out-edges were
     /// walked, summed over the fallback bytes: the tokens live *before*
     /// each. `exact_state_steps / fallback_bytes` is the exact work per
@@ -289,6 +349,7 @@ impl HybridStats {
     pub fn merge(&mut self, other: &HybridStats) {
         self.dfa_bytes += other.dfa_bytes;
         self.fallback_bytes += other.fallback_bytes;
+        self.slept_bytes += other.slept_bytes;
         self.exact_state_steps += other.exact_state_steps;
         self.dfa_states += other.dfa_states;
         self.flushes += other.flushes;
@@ -965,11 +1026,15 @@ impl<'a> HybridEngine<'a> {
     /// no counted token is live, bytes are classified in 8-byte lanes
     /// through the flat `u16` class table (a vectorizable gather) before
     /// the row-walk consumes the lane; a marked or unfilled row entry
-    /// leaves the lane loop. A marked row first looks one byte ahead —
-    /// within this chunk only — and stays a plain row byte when the wake
-    /// cannot outlive that byte; otherwise the byte goes through the
-    /// full `(S, T)` step, as does every byte while counted tokens are
-    /// live: one row load plus one step of the counter bank. Only the
+    /// leaves the lane loop. While the counted tokens sleep (module
+    /// docs, "When `T` sleeps") the rows carry the bytes too, in a loop
+    /// of their own — the first one measurably pays for anything put in
+    /// it — that the end of the sleep or a byte outside its body leaves
+    /// as well. A marked row first looks one byte ahead — within this
+    /// chunk only — and stays a plain row byte when the wake cannot
+    /// outlive that byte; otherwise the byte goes through the full
+    /// `(S, T)` step, as does every byte on which a counted token is
+    /// awake: one row load plus one step of the counter bank. Only the
     /// two misses — an unfilled row, an `S ∪ exits` not yet interned —
     /// let go of the read lock, and take it again (on the generation the
     /// engine is on by then) once the tables have the entry.
@@ -985,6 +1050,10 @@ impl<'a> HybridEngine<'a> {
         let mut counting = self.counters.any_live();
         let mut i = 0;
         while i < chunk.len() {
+            // The bytes the rows carry alone: all of them while `T` is
+            // empty, and while it sleeps the next `nap`, as long as
+            // their class is in `body`.
+            let (mut nap, mut body) = (0, ClassSet::default());
             if !counting {
                 let lane = &chunk[i..chunk.len().min(i + 8)];
                 let mut classes = [0u16; 8];
@@ -1004,6 +1073,28 @@ impl<'a> HybridEngine<'a> {
                 if k == lane.len() {
                     continue;
                 }
+            } else {
+                (nap, body) = self.counters.horizon(bank);
+                let woken = chunk.len().min(i.saturating_add(nap as usize));
+                let fell_asleep = i;
+                while i < woken {
+                    let class = class_map[chunk[i] as usize] as usize;
+                    let next = rows.cache.get(self.at.cur, class);
+                    if next >= WAKES || !has_class(&body, class) {
+                        break;
+                    }
+                    self.at.advance_dfa(&rows, next, out);
+                    i += 1;
+                }
+                let slept = (i - fell_asleep) as u32;
+                if slept > 0 {
+                    self.counters.skip(slept);
+                    self.at.stats.slept_bytes += u64::from(slept);
+                    nap -= slept;
+                }
+                if i == chunk.len() {
+                    break;
+                }
             }
             // One byte through the full `(S, T)` step.
             let class = class_map[chunk[i] as usize] as usize;
@@ -1016,7 +1107,8 @@ impl<'a> HybridEngine<'a> {
                 rows = generation.read();
             }
             let (next, wake) = Wake::resolve(&rows.wakes, entry);
-            if !counting {
+            let sleeping = nap > 0 && has_class(&body, class);
+            if !counting || sleeping {
                 // A wake is not taken when nothing would come of it: its
                 // tokens report nothing on this byte and are dead after
                 // the next one, which must be in sight.
@@ -1025,6 +1117,10 @@ impl<'a> HybridEngine<'a> {
                     .is_some_and(|wake| !ahead.is_some_and(|class| has_class(&wake.quiet, class)));
                 if !taken {
                     self.at.advance_dfa(&rows, next, out);
+                    if sleeping {
+                        self.counters.skip(1);
+                        self.at.stats.slept_bytes += 1;
+                    }
                     continue;
                 }
             }
@@ -1446,6 +1542,7 @@ mod tests {
             assert_eq!(got, expected, "chunk length {chunk_len}, budget {budget}");
             let stats = engine.stats();
             assert_eq!(stats.dfa_bytes + stats.fallback_bytes, input.len() as u64);
+            assert!(stats.slept_bytes <= stats.dfa_bytes);
             stats
         })
     }
@@ -1490,14 +1587,26 @@ mod tests {
 
     #[test]
     fn a_wake_while_counting_is_taken() {
-        // `.{4}` is counting when `[ac]{3}` wakes on 'a' and dies on 'b'.
         let m = merged(&["k.{4}z", "[^ac][ac]{3}"]);
         for budget in LOOKAHEAD_BUDGETS {
-            for stats in lookahead_stats(&m, b"kxab.z", budget) {
-                assert_eq!(stats.fallback_bytes, 5, "every byte after 'k'");
-                // `.{4}` alone, but for the byte `[ac]{3}` is live on.
-                assert_eq!(stats.exact_state_steps, 4 + 1);
+            // `.{4}` is at its bound when `[ac]{3}` wakes on 'a': it is
+            // stepped (and dies), so the wake is taken although 'b' kills
+            // it. Before that `.{4}` slept three bytes.
+            for stats in lookahead_stats(&m, b"k...xab", budget) {
+                assert_eq!(stats.fallback_bytes, 3, "`.{{4}}` wakes; 'a'; 'b'");
+                assert_eq!(stats.slept_bytes, 3);
+                assert_eq!(stats.exact_state_steps, 1 + 1);
             }
+            // Asleep it is not in the way: the same wake, while `.{4}` is
+            // at 1, gets its look-ahead, and only `.{4}`'s own wake and
+            // its due byte 'z' are stepped — unless 'a' ends a chunk.
+            let [ones, twos, threes, sevens, whole] = lookahead_stats(&m, b"kxab.z", budget);
+            assert_eq!((whole.fallback_bytes, whole.slept_bytes), (2, 3));
+            assert_eq!(whole.exact_state_steps, 1, "`.{{4}}` on 'z'");
+            assert_eq!([twos, sevens], [whole; 2]);
+            assert_eq!((ones.fallback_bytes, ones.slept_bytes), (4, 1));
+            assert_eq!(ones.exact_state_steps, 1 + 2 + 1, "'a', 'b', 'z'");
+            assert_eq!(threes, ones, "\"kxa\" | \"b.z\"");
             lookahead_stats(&m, b"kxab.z.xab.kxacc.z", budget);
         }
     }
@@ -1517,6 +1626,166 @@ mod tests {
                 assert_eq!(whole.fallback_bytes, 4);
                 assert_eq!(whole.exact_state_steps, 2 + 1 + 2);
                 lookahead_stats(&m, b"xadd.xacc.xaca.xada.xab.xdab", budget);
+            }
+        }
+    }
+
+    // ---- sleeping ----------------------------------------------------
+
+    /// `(fallback_bytes, slept_bytes, exact_state_steps)` of each run of
+    /// [`lookahead_stats`].
+    fn sleep_stats(m: &MultiNca, input: &[u8], budget: usize) -> [(u64, u64, u64); 5] {
+        lookahead_stats(m, input, budget)
+            .map(|s| (s.fallback_bytes, s.slept_bytes, s.exact_state_steps))
+    }
+
+    /// `len` bytes of '.', but for the `(index, byte)` pairs of `at`.
+    fn dots(len: usize, at: &[(usize, u8)]) -> Vec<u8> {
+        let mut input = vec![b'.'; len];
+        for &(i, b) in at {
+            input[i] = b;
+        }
+        input
+    }
+
+    #[test]
+    fn a_wake_lands_while_an_older_token_of_the_set_sleeps() {
+        // An 'h' every 7 bytes, six of them: the token of each enters on
+        // the byte after, at 1, 8, .., 36.
+        let hs: Vec<(usize, u8)> = (0..6).map(|k| (7 * k, b'h')).collect();
+        let input = dots(120, &hs);
+        for budget in LOOKAHEAD_BUDGETS {
+            // A counting set holds all six. Of each, three bytes are
+            // stepped — its wake, the byte it is due on (54 later) and
+            // the one that drops it — and no two of the eighteen
+            // coincide; the set is live before bytes 2..=91.
+            let m = merged_with(&["h.{55}", "plain"], queues);
+            assert_eq!(m.engine().match_reports(&input).len(), 6);
+            assert_eq!(sleep_stats(&m, &input, budget), [(18, 90 - 17, 17); 5]);
+            // One valuation: every wake overwrites it with the younger
+            // token, so only the last one comes due.
+            let m = merged_with(&["h.{55}", "plain"], single);
+            assert_eq!(m.engine().match_reports(&input).len(), 1);
+            assert_eq!(sleep_stats(&m, &input, budget), [(6 + 2, 90 - 7, 7); 5]);
+            // A bit vector is stepped on every byte it is live before.
+            let m = merged_with(&["h.{55}", "plain"], CompilePlan::conservative);
+            assert_eq!(sleep_stats(&m, &input, budget), [(1 + 90, 0, 90); 5]);
+        }
+    }
+
+    #[test]
+    fn a_range_exit_sleeps_to_its_lower_end_and_is_awake_to_its_upper() {
+        // The first token enters at byte 1, sleeps through 2..=9 (value
+        // 9: it may leave on the next byte) and is stepped on 10..=15,
+        // where it leaves on the 'z' and is dropped at last. The second
+        // enters at 12 — the set is awake, so nothing new — is at 4 when
+        // the first goes, sleeps 16..=20 and is stepped on 21..=26.
+        let input = dots(30, &[(0, b'k'), (10, b'z'), (11, b'k'), (22, b'z')]);
+        for budget in LOOKAHEAD_BUDGETS {
+            let m = merged_with(&["k.{9,14}z", "plain"], queues);
+            assert_eq!(m.engine().match_reports(&input).len(), 2);
+            assert_eq!(sleep_stats(&m, &input, budget), [(1 + 6 + 6, 8 + 5, 12); 5]);
+            // One valuation: the second wake overwrites the first token
+            // at byte 12, and the register sleeps 13..=20.
+            let m = merged_with(&["k.{9,14}z", "plain"], single);
+            assert_eq!(m.engine().match_reports(&input).len(), 2);
+            assert_eq!(sleep_stats(&m, &input, budget), [(1 + 3 + 6, 8 + 8, 9); 5]);
+            let m = merged_with(&["k.{9,14}z", "plain"], CompilePlan::conservative);
+            assert!(sleep_stats(&m, &input, budget).iter().all(|s| s.1 == 0));
+        }
+    }
+
+    #[test]
+    fn a_class_body_is_slept_through_until_a_byte_leaves_it() {
+        // 'x', 20 × 'a', 'x': the token sleeps 19 bytes and is killed by
+        // the second 'x', which wakes the next one; that one sleeps 38 of
+        // its 40 × 'a', reports on the last and dies on the '.'.
+        let mut input = b"x".to_vec();
+        input.extend([b'a'; 20]);
+        input.push(b'x');
+        input.extend([b'a'; 40]);
+        input.extend(b"..");
+        for plan in [single, queues] {
+            let m = merged_with(&["[^ac][ac]{40}", "plain"], plan);
+            assert_eq!(m.engine().match_reports(&input).len(), 1);
+            for budget in LOOKAHEAD_BUDGETS {
+                assert_eq!(sleep_stats(&m, &input, budget), [(5, 19 + 38, 3); 5]);
+            }
+        }
+        let m = merged_with(&["[^ac][ac]{40}", "plain"], CompilePlan::conservative);
+        assert!(sleep_stats(&m, &input, 2).iter().all(|s| s.1 == 0));
+    }
+
+    #[test]
+    fn two_sleepers_sleep_the_shorter_time_through_the_narrower_body() {
+        let digits = |n: usize| (0..n).map(|i| (2 + i, b'0' + (i % 10) as u8));
+        // `.{55}` enters on the 'x' (byte 1), `\d{30}` on the first digit
+        // (byte 2). Both sleep the 29 digits `\d{30}` has left; the 'q'
+        // is its due byte; `.{55}`, at 32, sleeps the 22 bytes to its
+        // own, and is dropped on the byte after.
+        let mut at = vec![(0, b'h'), (1, b'x'), (32, b'q')];
+        at.extend(digits(30));
+        let matched = dots(58, &at);
+        // Ten digits only: the '.' after them is in `.{55}`'s body but
+        // not in `\d{30}`'s, so it is stepped, and kills the latter.
+        let mut at = vec![(0, b'h'), (1, b'x')];
+        at.extend(digits(10));
+        let cut_short = dots(58, &at);
+        for plan in [single, queues] {
+            let m = merged_with(&["h.{55}", "x\\d{30}q"], plan);
+            assert_eq!(m.engine().match_reports(&matched).len(), 2);
+            assert_eq!(m.engine().match_reports(&cut_short).len(), 1);
+            for budget in LOOKAHEAD_BUDGETS {
+                assert_eq!(sleep_stats(&m, &matched, budget), [(5, 29 + 22, 5); 5]);
+                assert_eq!(sleep_stats(&m, &cut_short, budget), [(5, 9 + 42, 5); 5]);
+            }
+        }
+        // Unanchored, every digit wakes `\d{30}` again: it never sleeps,
+        // and nothing beside it does while it lives.
+        let m = merged(&["h.{55}", "\\d{30}q"]);
+        let mut at = vec![(0, b'h'), (1, b'x'), (42, b'q')];
+        at.extend(digits(40));
+        for budget in LOOKAHEAD_BUDGETS {
+            let [.., whole] = sleep_stats(&m, &dots(70, &at), budget);
+            assert_eq!(whole, (1 + 40 + 1 + 2, 55 - 41 - 2, 40 + 39 + 2 + 2));
+        }
+    }
+
+    #[test]
+    fn nothing_sleeps_beside_a_module_that_cannot() {
+        // 'z' starts both rules; the token set of the second is live on
+        // every byte the counting set of the first is.
+        let patterns = ["z.{6}", "z(a{2,3}b){2,3}"];
+        let m = merged(&patterns);
+        assert_eq!(m.engine().match_reports(b"zaabaabx").len(), 2);
+        for budget in LOOKAHEAD_BUDGETS {
+            assert_eq!(sleep_stats(&m, b"zaabaabx", budget), [(7, 0, 6 + 6); 5]);
+            // Alone it sleeps from 1 to 5.
+            assert_eq!(sleep_stats(&m, b"zxxxxxx.", budget), [(3, 4, 2); 5]);
+        }
+        // Bit vectors never do.
+        let m = merged_with(&patterns, CompilePlan::conservative);
+        for input in [&b"zaabaabx"[..], b"zxxxxxx."] {
+            assert!(sleep_stats(&m, input, 3).iter().all(|s| s.1 == 0));
+        }
+    }
+
+    #[test]
+    fn a_wake_met_asleep_is_looked_ahead_of_like_any_other() {
+        // `.{20}` sleeps from byte 2 on. 'a' after 'x' wakes `[ac]{3}`,
+        // 'b' kills it: in sight of each other the wake is not taken and
+        // both bytes are slept through; when 'a' ends a chunk it is, and
+        // 'b', outside `[ac]{3}`'s body, is stepped to kill it.
+        let input = dots(24, &[(0, b'h'), (2, b'x'), (3, b'a'), (4, b'b')]);
+        for plan in [single, queues] {
+            let m = merged_with(&["h.{20}", "[^ac][ac]{3}"], plan);
+            assert_eq!(m.engine().match_reports(&input).len(), 1);
+            for budget in LOOKAHEAD_BUDGETS {
+                let [ones, twos, threes, sevens, whole] = sleep_stats(&m, &input, budget);
+                assert_eq!(whole, (3, 18, 2), "the wake, the due byte, the drop");
+                assert_eq!([threes, sevens], [whole; 2]);
+                assert_eq!(twos, (3 + 2, 18 - 2, 2 + 1 + 2), "\"hx\" | \"xa\" | \"b.\"");
+                assert_eq!(ones, twos);
             }
         }
     }
@@ -1565,20 +1834,37 @@ mod tests {
             let wakes = hybrid.at.generation.read().wakes.len();
             assert!(wakes <= budget * m.alphabet().len());
         }
+        // A flush in the middle of a sleep: `.{4}` is at 2 when 'p' asks
+        // for a row the one-state cache has no room for.
+        let m = merged(&patterns);
+        let mut hybrid = m.hybrid_engine(1);
+        let mut got = Vec::new();
+        hybrid.feed_into(b"k..", &mut got);
+        let before = hybrid.stats();
+        hybrid.feed_into(b"p", &mut got);
+        let after = hybrid.stats();
+        assert!(after.flushes > before.flushes);
+        assert_eq!(after.slept_bytes, before.slept_bytes + 1);
+        assert_eq!(after.fallback_bytes, before.fallback_bytes);
+        hybrid.feed_into(b".z", &mut got);
+        assert_eq!(got, m.engine().match_reports(b"k..p.z"));
+        assert_eq!(got.len(), 1);
     }
 
     #[test]
     fn detach_and_restart_with_counted_tokens_live() {
-        let patterns = ["x[ab]{2,5}y", "k.{4}z", "(a{2}b){3}", "plain"];
+        let patterns = ["x[ab]{2,5}y", "k.{4}z", "(a{2}b){3}", "plain", "h.{12}"];
         let m = merged(&patterns);
-        let input = b"xabkab.zaby.aabaabaab.k...z";
+        let input = b"xabkab.zaby.aabaabaab.k...z.h.....k......z";
         let expected = m.engine().match_reports(input);
+        let mut asleep = 0;
         for cut in 1..input.len() {
             // Park the engine at `cut` and resume it from the owned state.
             let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
             let mut got = Vec::new();
             hybrid.feed_into(&input[..cut], &mut got);
             let counting = hybrid.counters.any_live();
+            asleep += usize::from(counting && hybrid.counters.horizon(m.bank()).0 > 0);
             let live = hybrid.active_states();
             let state = hybrid.into_state();
             assert_eq!(state.position(), cut as u64);
@@ -1608,6 +1894,7 @@ mod tests {
             mid_count.counters.any_live(),
             "the cuts above do park mid-count"
         );
+        assert!(asleep >= 10, "and in the middle of a sleep: {asleep}");
     }
 
     #[test]
@@ -1654,10 +1941,11 @@ mod tests {
 
     /// The counting rules the shared-cache tests exercise, beside more
     /// than twenty pure ones.
-    const FLEET_RULES: [&str; 26] = [
+    const FLEET_RULES: [&str; 27] = [
         "x[ab]{2,5}y",
         "(ab{2,3}c)+d",
         "h.{55}",
+        "\\d{30}q",
         "abc",
         "x[yz]",
         "q",
@@ -1688,7 +1976,7 @@ mod tests {
     fn fleet_streams(n: usize) -> Vec<Vec<u8>> {
         let base: &[u8] = b"xabaay.abbcabbbcd.hello needle in the hay, plain foo bar baz qq \
             xbby yx dd cd bca.habcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcab\
-            zz xa yb k.xababy abbcd hx ha ool";
+            zz xa yb k.xababy abbcd hx ha ool 012345678901234567890123456789q 12q";
         (0..n)
             .map(|k| {
                 let mut s = base.to_vec();

@@ -1438,18 +1438,19 @@ mod tests {
             .sum()
     }
 
-    /// The hybrid overlay's stat definitions, against a reference exact
-    /// engine over the same bytes — the count-based, timer-free check
-    /// that only counted states are stepped exactly. A byte is a fallback
-    /// byte iff a counted token is live before it, or its row wakes one
-    /// that reports on it, may survive the next byte, or sits on a
-    /// chunk's last byte; the exact work on it is the counted states live
-    /// before it, however many pure states the frontier holds. The one
-    /// counting rule here loops on `.`: its wakes survive any next byte,
-    /// so every wake is taken and, whatever the chunking, the fallback
-    /// bytes are those with a counted token live before or after them in
-    /// the reference. (Wakes that die at once, whose count does depend on
-    /// the chunking, are pinned by the look-ahead tests in `hybrid.rs`.)
+    /// The hybrid overlay's stat definitions
+    /// ([`HybridStats::fallback_bytes`](crate::HybridStats::fallback_bytes)),
+    /// against a reference exact engine over the same bytes — the
+    /// count-based, timer-free check that only counted states are stepped
+    /// exactly, and only on bytes where one can be seen. The one counting
+    /// rule here is the counting set `.{55}`: every wake of it is taken
+    /// (it loops on `.`, so its token survives any next byte); it is due
+    /// when its oldest token goes from 54 to 55, and stepped once more to
+    /// drop that token; on every other byte it is live before, it sleeps.
+    /// The exact work on a fallback byte is the counted states live
+    /// before it, however many pure states the frontier holds. None of it
+    /// depends on the chunking. (Wakes that die at once, whose count
+    /// does, are pinned by the look-ahead tests in `hybrid.rs`.)
     #[test]
     fn hybrid_steps_only_counted_states_exactly() {
         let mut patterns: Vec<String> = (0..24)
@@ -1472,19 +1473,33 @@ mod tests {
             input.extend(std::iter::repeat_n(b'.', (i * 7 % 31) as usize));
         }
 
+        let counting = m.nca().states().iter().position(|s| !s.is_pure()).unwrap();
+        // The values of the counting set's tokens.
+        let values = |engine: &MultiEngine<'_>| {
+            let mut values = Vec::new();
+            if counted_live(engine) > 0 {
+                engine.s.cur[counting].for_each(|v| values.push(v[0]));
+            }
+            values
+        };
         let mut reference = m.engine();
         let mut expected = Vec::new();
-        let (mut fallback_bytes, mut counted_steps, mut frontier) = (0u64, 0u64, 0u64);
+        let (mut fallback_bytes, mut slept_bytes, mut counted_steps) = (0u64, 0u64, 0u64);
+        let mut frontier = 0u64;
         for &b in &input {
             let before = counted_live(&reference);
+            let due = values(&reference).iter().any(|&v| v >= 54);
             frontier += reference.active_states() as u64;
             reference.step_into(b, &mut expected);
-            if before > 0 || reference.counting_active() {
+            let woken = values(&reference).contains(&1);
+            if woken || due {
                 fallback_bytes += 1;
                 counted_steps += before;
+            } else {
+                slept_bytes += before;
             }
         }
-        assert!(fallback_bytes > 0 && fallback_bytes < input.len() as u64);
+        assert!(fallback_bytes > 0 && slept_bytes > 5 * fallback_bytes);
 
         for chunk_len in [1usize, 3, 7, input.len()] {
             let mut hybrid = m.hybrid_engine(crate::DEFAULT_STATE_BUDGET);
@@ -1495,6 +1510,7 @@ mod tests {
             assert_eq!(got, expected, "chunk length {chunk_len}");
             let stats = hybrid.stats();
             assert_eq!(stats.fallback_bytes, fallback_bytes);
+            assert_eq!(stats.slept_bytes, slept_bytes);
             assert_eq!(stats.dfa_bytes + stats.fallback_bytes, input.len() as u64);
             assert_eq!(stats.exact_state_steps, counted_steps);
             assert!(stats.exact_state_steps <= 2 * stats.fallback_bytes);

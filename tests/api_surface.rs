@@ -321,13 +321,15 @@ fn pin_hybrid_stats(h: HybridStats) {
     let HybridStats {
         dfa_bytes,
         fallback_bytes,
+        slept_bytes,
         exact_state_steps,
         dfa_states,
         flushes,
     } = h;
-    let _: (u64, u64, u64, usize, u64) = (
+    let _: (u64, u64, u64, u64, usize, u64) = (
         dfa_bytes,
         fallback_bytes,
+        slept_bytes,
         exact_state_steps,
         dfa_states,
         flushes,
