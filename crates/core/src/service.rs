@@ -76,7 +76,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::Poll;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 // ---- public value types ---------------------------------------------
 
@@ -600,6 +600,15 @@ struct ServeState {
     sink: Vec<ServiceEvent>,
     /// Workers drain and exit instead of parking.
     shutdown: bool,
+    /// Threads inside a wait on [`ServiceCore::wake`] (idle workers),
+    /// on [`ServiceCore::space`] in `push_checked`, and on it in
+    /// `barrier`. Counted under the lock around each wait, so whoever
+    /// changes what a waiter waits for — under the same lock — knows
+    /// whether a notify (a futex syscall, waiter or not) has anyone to
+    /// reach.
+    parked: usize,
+    push_waiters: usize,
+    barrier_waiters: usize,
     /// Set when a worker panicked mid-scan: its `(flow, shard)` engine
     /// unit is lost, so that flow can never drain — blocking producers
     /// must panic out instead of waiting forever.
@@ -648,6 +657,9 @@ impl ServeState {
             buffered_total: 0,
             sink: Vec::new(),
             shutdown: false,
+            parked: 0,
+            push_waiters: 0,
+            barrier_waiters: 0,
             poisoned: false,
             panic_message: None,
             restarts: 0,
@@ -1450,12 +1462,14 @@ impl ServeUnit {
 pub(crate) struct ServiceCore {
     config: ServeConfig,
     state: Mutex<ServeState>,
-    /// Idle workers wait here; signalled on push, close, reload,
-    /// shutdown, and check-in.
+    /// Idle workers wait here ([`ServiceCore::park`]); signalled on
+    /// reload, shutdown and every fault, and — when a worker is parked —
+    /// on push, close, and a check-in that leaves something to do.
     wake: Condvar,
-    /// Producers blocked in `push_checked` (and `barrier`) wait here;
-    /// signalled when a worker checks a unit in (bytes were consumed —
-    /// space freed) or evicts.
+    /// Producers blocked in `push_checked` and `barrier` wait here;
+    /// signalled on eviction, shutdown and every fault, and when a worker
+    /// checks a unit in (bytes were consumed — space freed) while a
+    /// pusher waits, or settles the last one while a barrier does.
     space: Condvar,
     /// Deterministic fault-injection plan, from
     /// [`EngineBuilder::fault_plan`](crate::EngineBuilder::fault_plan).
@@ -1489,10 +1503,42 @@ impl ServiceCore {
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
+    /// Waits on `space`. The caller counts itself in `push_waiters` or
+    /// `barrier_waiters` around the call, under the guard it passes.
     fn wait_space<'g>(&self, guard: MutexGuard<'g, ServeState>) -> MutexGuard<'g, ServeState> {
         self.space
             .wait(guard)
             .unwrap_or_else(|poison| poison.into_inner())
+    }
+
+    /// Parks an idle worker on `wake` — for at most `timeout`, if given —
+    /// counted in `parked` for as long as it waits.
+    fn park<'g>(
+        &self,
+        mut guard: MutexGuard<'g, ServeState>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'g, ServeState> {
+        guard.parked += 1;
+        let mut guard = match timeout {
+            Some(timeout) => match self.wake.wait_timeout(guard, timeout) {
+                Ok((guard, _)) => guard,
+                Err(poison) => poison.into_inner().0,
+            },
+            None => self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(|poison| poison.into_inner()),
+        };
+        guard.parked -= 1;
+        guard
+    }
+
+    /// Wakes the idle workers after a push or a close, if there are any;
+    /// `parked` was read under the lock the caller has just released.
+    fn wake_parked(&self, parked: usize) {
+        if parked > 0 {
+            self.wake.notify_all();
+        }
     }
 
     /// The one scheduling step both drivers run: check a ready
@@ -1545,8 +1591,21 @@ impl ServiceCore {
                 }
             }
         };
-        self.wake.notify_all();
-        self.space.notify_all();
+        // Notify only a waiter that exists and whose predicate can have
+        // changed: a parked worker has a unit to take, or the batch (or
+        // the shutdown) it waits out has settled; a pusher may fit now;
+        // a barrier sees everything consumed. A fault changes more than
+        // that — a quarantine frees buffers, a fail-stop must reach every
+        // blocked producer — and is rare: it notifies everyone.
+        let faulted = fault.is_some() || st.poisoned;
+        let settled = st.in_flight == 0;
+        if faulted || (st.parked > 0 && (settled || !st.ready.is_empty() || st.shutdown)) {
+            self.wake.notify_all();
+        }
+        let drained = settled && st.buffered_total == 0;
+        if faulted || st.push_waiters > 0 || (st.barrier_waiters > 0 && drained) {
+            self.space.notify_all();
+        }
         match fault {
             None => Step::Ran(st),
             Some(payload) => Step::Faulted(payload),
@@ -1571,10 +1630,7 @@ impl ServiceCore {
                     self.lock()
                 }
                 Step::Idle(st) if st.in_flight == 0 => return fault,
-                Step::Idle(st) => self
-                    .wake
-                    .wait(st)
-                    .unwrap_or_else(|poison| poison.into_inner()),
+                Step::Idle(st) => self.park(st, None),
             };
         }
     }
@@ -1606,21 +1662,10 @@ fn worker_loop(core: &ServiceCore) {
         if idle.shutdown && idle.in_flight == 0 {
             return;
         }
-        st = match cfg.idle_timeout {
-            // Periodic wake so the due-gated sweep keeps running while
-            // the service sits fully idle.
-            Some(timeout) => {
-                let cadence = cfg.sweep_interval.unwrap_or(timeout);
-                match core.wake.wait_timeout(idle, cadence) {
-                    Ok((guard, _)) => guard,
-                    Err(poison) => poison.into_inner().0,
-                }
-            }
-            None => core
-                .wake
-                .wait(idle)
-                .unwrap_or_else(|poison| poison.into_inner()),
-        };
+        // Periodic wake so the due-gated sweep keeps running while the
+        // service sits fully idle.
+        let cadence = (cfg.idle_timeout).map(|timeout| cfg.sweep_interval.unwrap_or(timeout));
+        st = core.park(idle, cadence);
     }
 }
 
@@ -1985,9 +2030,10 @@ impl ServiceHandle {
             );
         }
         let result = st.try_push_at(flow, chunk, &self.core.config);
+        let parked = st.parked;
         drop(st);
         if result.is_ready() {
-            self.core.wake.notify_all();
+            self.core.wake_parked(parked);
         }
         result
     }
@@ -2018,8 +2064,9 @@ impl ServiceHandle {
                 });
             }
             if let Poll::Ready(total) = st.try_push_at(flow, chunk, &self.core.config) {
+                let parked = st.parked;
                 drop(st);
-                self.core.wake.notify_all();
+                self.core.wake_parked(parked);
                 return Ok(total);
             }
             if st.flow(flow).is_none_or(|f| f.closed) {
@@ -2028,7 +2075,9 @@ impl ServiceHandle {
             if st.shutdown {
                 return Err(ServeError::Stopped);
             }
+            st.push_waiters += 1;
             st = self.core.wait_space(st);
+            st.push_waiters -= 1;
         }
     }
 
@@ -2040,8 +2089,9 @@ impl ServiceHandle {
     pub fn close(&self, flow: FlowId) {
         let mut st = self.core.lock();
         st.close_flow(flow);
+        let parked = st.parked;
         drop(st);
-        self.core.wake.notify_all();
+        self.core.wake_parked(parked);
     }
 
     /// Blocks until every pushed byte has been consumed by every shard
@@ -2066,7 +2116,9 @@ impl ServiceHandle {
                 !st.shutdown,
                 "ServiceHandle::barrier would block forever with no workers consuming"
             );
+            st.barrier_waiters += 1;
             st = self.core.wait_space(st);
+            st.barrier_waiters -= 1;
         }
     }
 
