@@ -69,7 +69,7 @@ use crate::prefilter::{
     ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics, PrefilterState,
 };
 use crate::ShardedPatternSet;
-use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStreamState};
+use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -408,11 +408,11 @@ struct EpochEngine {
     flows: usize,
 }
 
-/// One checkout-able (flow, shard) engine unit, holding a detached
-/// [`ShardStreamState`] so the flow table borrows nothing.
+/// One checkout-able (flow, shard) engine unit. The [`ShardStream`] owns
+/// all it scans with, so the flow table borrows nothing.
 struct OwnedShardSlot {
     /// `None` while a worker holds the engine.
-    state: Option<ShardStreamState>,
+    state: Option<ShardStream>,
     /// Reports not yet merged: epoch-local pattern ids, **absolute**
     /// ends, sorted by `(end, pattern)`.
     pending: VecDeque<MultiReport>,
@@ -434,7 +434,7 @@ struct OwnedShardSlot {
 impl OwnedShardSlot {
     /// Idle, cold slots around fresh engines that start counting at
     /// absolute flow offset `pos`.
-    fn fresh(states: Vec<ShardStreamState>, pos: u64) -> Vec<OwnedShardSlot> {
+    fn fresh(states: Vec<ShardStream>, pos: u64) -> Vec<OwnedShardSlot> {
         states
             .into_iter()
             .map(|state| OwnedShardSlot {
@@ -544,7 +544,7 @@ impl OwnedFlow {
     fn hybrid_stats(&self) -> HybridStats {
         let mut total = HybridStats::default();
         for slot in &self.shards {
-            if let Some(stats) = slot.state.as_ref().and_then(ShardStreamState::hybrid_stats) {
+            if let Some(stats) = slot.state.as_ref().and_then(ShardStream::hybrid_stats) {
                 total.merge(&stats);
             }
         }
@@ -738,7 +738,7 @@ impl ServeState {
             self.metrics.backpressure += 1;
         }
         let epoch = self.current_epoch;
-        let states = self.current().set.shard_stream_states();
+        let states = self.current().set.shard_streams();
         self.bind_epoch(epoch);
         self.touch += 1;
         #[cfg(feature = "fault-inject")]
@@ -942,7 +942,7 @@ impl ServeState {
                 return;
             }
         }
-        let states = self.current().set.shard_stream_states();
+        let states = self.current().set.shard_streams();
         let f = self.slots[id.index as usize]
             .flow
             .as_deref_mut()
@@ -1075,20 +1075,15 @@ impl ServeState {
     }
 
     /// Pops a ready `(flow, shard)` unit and checks its engine out,
-    /// along with the segments it has yet to consume and the `Arc`ed
-    /// machine image of the flow's epoch (so the scan runs unlocked
-    /// and survives a concurrent reload).
+    /// along with the segments it has yet to consume. The engine owns
+    /// its handles on the epoch's automaton and rows, so the scan runs
+    /// unlocked and survives a concurrent reload.
     fn checkout(&mut self) -> Option<ServeUnit> {
         let (id, si) = self.ready.pop_front()?;
-        let (epoch, base) = {
-            let f = self.flow(id).expect("ready unit belongs to a live flow");
-            (f.epoch, f.base)
-        };
-        let set = Arc::clone(&self.epoch_entry(epoch).set);
-        let f = self.slots[id.index as usize]
-            .flow
-            .as_deref_mut()
+        let f = self
+            .flow_mut(id)
             .expect("ready unit belongs to a live flow");
+        let base = f.base;
         #[cfg(feature = "fault-inject")]
         let seq = f.seq;
         let slot = &mut f.shards[si];
@@ -1111,7 +1106,6 @@ impl ServeState {
             id,
             shard: si,
             base,
-            set,
             state,
             segments,
             #[cfg(feature = "fault-inject")]
@@ -1124,13 +1118,7 @@ impl ServeState {
     /// Checks a scanned unit back in: publishes its reports (already
     /// absolute), requeues it if more bytes arrived while it was out,
     /// merges what became final, and settles `in_flight`.
-    fn check_in(
-        &mut self,
-        id: FlowId,
-        si: usize,
-        state: ShardStreamState,
-        reports: Vec<MultiReport>,
-    ) {
+    fn check_in(&mut self, id: FlowId, si: usize, state: ShardStream, reports: Vec<MultiReport>) {
         // A sibling shard's panic may have quarantined the flow — and
         // an acknowledging `close` may even have freed its slot —
         // while this unit was out scanning. Retire the late engine's
@@ -1406,8 +1394,7 @@ fn payload_summary(payload: &(dyn Any + Send)) -> String {
 }
 
 /// A `(flow, shard)` unit checked out of the readiness queue: the
-/// shard's detached engine state, the `Arc`ed machine image of the
-/// flow's epoch, and the input segments it still has to consume —
+/// shard's engine and the input segments it still has to consume —
 /// fully owned, so the scan runs unlocked and survives a concurrent
 /// reload (in-flight units always drain against the engine they
 /// started on).
@@ -1416,8 +1403,7 @@ struct ServeUnit {
     shard: usize,
     /// Absolute offset where this epoch's engines started in the flow.
     base: u64,
-    set: Arc<ShardedPatternSet>,
-    state: ShardStreamState,
+    state: ShardStream,
     segments: Vec<Segment>,
     /// The flow's open-order sequence number (fault-injection address).
     #[cfg(feature = "fault-inject")]
@@ -1430,17 +1416,15 @@ struct ServeUnit {
 
 impl ServeUnit {
     /// Scans every unconsumed byte of the checked-out segments,
-    /// returning the shard's parked state and its reports rebased to
+    /// returning the shard's engine and its reports rebased to
     /// **absolute** flow offsets. Runs WITHOUT the lock held.
-    fn scan(self) -> (ShardStreamState, Vec<MultiReport>, u64) {
+    fn scan(self) -> (ShardStream, Vec<MultiReport>, u64) {
         let ServeUnit {
             base,
-            set,
-            state,
+            state: mut stream,
             segments,
             ..
         } = self;
-        let mut stream = set.resume_shard_stream(state);
         let mut reports = Vec::new();
         let mut bytes = 0u64;
         for seg in &segments {
@@ -1448,11 +1432,10 @@ impl ServeUnit {
             bytes += (seg.bytes.len() - skip) as u64;
             stream.feed_into(&seg.bytes[skip..], &mut reports);
         }
-        let state = stream.into_state();
         for r in &mut reports {
             r.end += base;
         }
-        (state, reports, bytes)
+        (stream, reports, bytes)
     }
 }
 

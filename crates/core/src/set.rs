@@ -320,24 +320,13 @@ impl ShardedPatternSet {
     }
 
     /// One fresh [`ShardStream`] per shard in this set's [`ScanMode`] —
-    /// the unit the flow scheduler checks out. A hybrid stream scans on
+    /// the unit the flow scheduler checks out, and what a `'static` flow
+    /// table keeps between scans (see
+    /// [`ServiceHandle`](crate::ServiceHandle)). A hybrid stream scans on
     /// the shard's shared rows.
-    pub(crate) fn shard_streams(&self) -> Vec<ShardStream<'_>> {
+    pub(crate) fn shard_streams(&self) -> Vec<ShardStream> {
         (0..self.multi.shard_count())
-            .map(|shard| match self.caches.get(shard) {
-                Some(cache) => self.multi.shard_stream_on(shard, cache),
-                None => self.multi.shard_stream(shard),
-            })
-            .collect()
-    }
-
-    /// One detached [`ShardStreamState`] per shard — the owned form a
-    /// `'static` flow table parks between scans (see
-    /// [`ServiceHandle`](crate::ServiceHandle)).
-    pub(crate) fn shard_stream_states(&self) -> Vec<recama_nca::ShardStreamState> {
-        self.shard_streams()
-            .into_iter()
-            .map(ShardStream::into_state)
+            .map(|shard| self.multi.shard_stream(shard, self.caches.get(shard)))
             .collect()
     }
 
@@ -350,15 +339,6 @@ impl ShardedPatternSet {
             total.merge(&cache.stats());
         }
         total
-    }
-
-    /// Reattaches a detached per-shard scan state to this set's automata
-    /// (the inverse of [`ShardStream::into_state`]).
-    pub(crate) fn resume_shard_stream(
-        &self,
-        state: recama_nca::ShardStreamState,
-    ) -> ShardStream<'_> {
-        self.multi.resume_shard_stream(state)
     }
 
     /// All matches in `haystack`, in stream order (ascending end offset,
@@ -555,12 +535,13 @@ impl<'a> DollarTracker<'a> {
 /// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`] (one
 /// [`ShardStream`] per shard); create one with
 /// [`ShardedPatternSet::stream`]. The stream is `Send`, so per-flow
-/// states can move onto worker threads — and its per-shard states are
-/// individually detachable ([`ShardedMulti::shard_stream`]), which is
-/// what [`FlowScheduler`](crate::sched::FlowScheduler) builds on to let
-/// two workers advance different shards of the same flow.
+/// states can move onto worker threads — and each shard's engine is a
+/// value of its own ([`ShardedMulti::shard_stream`]), which is what
+/// [`FlowScheduler`](crate::sched::FlowScheduler) builds on to let two
+/// workers advance different shards of the same flow. The `'a` is the
+/// set's prefilter and `$` table, which the stream borrows.
 pub struct ShardedSetStream<'a> {
-    shards: Vec<ShardStream<'a>>,
+    shards: Vec<ShardStream>,
     bufs: Vec<Vec<MultiReport>>,
     merged: Vec<SetMatch>,
     dollar: DollarTracker<'a>,
@@ -600,7 +581,7 @@ impl ShardedSetStream<'_> {
             _ => vec![ChunkAction::Scan; self.shards.len()],
         };
         let tail = &self.tail;
-        let run = |shard: &mut ShardStream<'_>, buf: &mut Vec<MultiReport>, action: ChunkAction| {
+        let run = |shard: &mut ShardStream, buf: &mut Vec<MultiReport>, action: ChunkAction| {
             buf.clear();
             match action {
                 ChunkAction::Scan => shard.feed_into(chunk, buf),

@@ -413,6 +413,7 @@ impl BankState {
     }
 
     /// Per-flow storage cells: one per module.
+    #[cfg(test)]
     pub(crate) fn cells(&self) -> usize {
         self.cells.len()
     }

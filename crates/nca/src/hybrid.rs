@@ -34,11 +34,13 @@
 //! thread. The counter modules are programmed once per ruleset too: the
 //! [`MultiNca`] owns a [`crate::bank::CounterBank`] — the counted states
 //! indexed densely, their out-edges compiled flat — beside its engine
-//! tables. A flow's engine is what is left: the cache handle, the
-//! generation it reads, its state id `S`, its stream position, its byte
-//! counters, and `T` as a [`BankState`] — a live mask and one cell per
-//! counted state of the shard (a `u32` register, a counting queue, or
-//! bit-vector / token-set storage), never anything per pure state.
+//! tables. A flow's engine is what is left: a handle on each of the two
+//! images, the generation it reads, its state id `S`, its stream
+//! position, its byte counters, and `T` as a [`BankState`] — a live mask
+//! and one cell per counted state of the shard (a `u32` register, a
+//! counting queue, or bit-vector / token-set storage), never anything
+//! per pure state. It borrows nothing, so a serving layer keeps it in
+//! its flow table between chunks as it is.
 //!
 //! * **The cache is bounded per shard.** At most `state_budget`
 //!   determinized states are cached for a shard at once, however many
@@ -50,11 +52,12 @@
 //!   and a fresh one, holding just the subset that did not fit, takes its
 //!   place. Rows already filled are immutable facts, so an engine in the
 //!   middle of a chunk keeps reading its retired generation; it notices
-//!   at its next chunk, at its next unfilled row or when it is parked,
-//!   copies the subset behind `S` out and interns it in the current
-//!   generation. A retired generation is freed with its last reader, and
-//!   a parked engine never pins one. `T` and the wake records (module
-//!   indices of the immutable bank) are generation-free.
+//!   at its next unfilled row and at either end of a chunk, copies the
+//!   subset behind `S` out and interns it in the current generation. A
+//!   retired generation is freed with its last reader, and an engine
+//!   that rests between chunks never pins one retired before it came to
+//!   rest. `T` and the wake records (module indices of the immutable
+//!   bank) are generation-free.
 //! * **Reading is one lock per chunk.** [`HybridEngine::feed_into`] takes
 //!   its generation's read lock once and walks plain `&[u32]` rows under
 //!   it. Only an unfilled row (or an unseen `S ∪ exits`) leaves the
@@ -155,7 +158,7 @@
 //! **Nothing is stored to sleep.** The horizon is a function of the
 //! cells, recomputed after every bank step and at the start of every
 //! chunk; a flow holds no due list and no timer, so a chunk boundary, a
-//! flush, a detach or a restart in the middle of a sleep needs no care.
+//! flush, a park or a restart in the middle of a sleep needs no care.
 //! The counting-set queue already *is* the sorted list of due offsets a
 //! timer wheel would keep — birth clocks, oldest first.
 //!
@@ -652,7 +655,7 @@ impl HybridCache {
 }
 
 /// A flow's place in its shard's rows — what is left of the overlay once
-/// the rows are shared, and all of it free of the automaton borrow.
+/// the rows are shared.
 struct Cursor {
     cache: HybridCache,
     /// The generation `cur` is an id of. Retired at worst since the last
@@ -765,6 +768,81 @@ impl Cursor {
         joined.dedup();
         rows.cache.lookup(joined)
     }
+
+    /// Computes the row entry of the current DFA state on `class` — the
+    /// id of the pure successor subset, or, if the state has edges into
+    /// counted states on `class`, a [`WAKES`]-marked index of the
+    /// side-table slot holding that id, those edges as wake records and
+    /// their quiet mask — and caches it.
+    ///
+    /// The successor is interned in the shard's *current* generation.
+    /// When that is the engine's own, the row is written (unless another
+    /// flow filled it first); otherwise — the engine's generation was
+    /// retired, or this very call flushed it — the engine moves, the row
+    /// that asked is left behind with its generation, and only the
+    /// returned entry, which indexes the generation the engine is now
+    /// on, says where the byte leads.
+    fn successor(&mut self, multi: &MultiNca, class: usize) -> u32 {
+        let (tables, bank) = (multi.tables(), multi.bank());
+        let member_row = &tables.class_member[class];
+        let mut next = std::mem::take(&mut self.succ_scratch);
+        let mut entries = std::mem::take(&mut self.entry_scratch);
+        next.clear();
+        entries.clear();
+        for &p in self.generation.read().cache.subset(self.cur) {
+            for edge in &tables.out_edges[p as usize] {
+                let q = edge.to as usize;
+                if member_row[q / 64] & (1 << (q % 64)) == 0 {
+                    continue;
+                }
+                debug_assert!(
+                    edge.guard.is_empty(),
+                    "edges out of pure states are unguarded"
+                );
+                match bank.module_of[q] {
+                    PURE => next.push(q as u32),
+                    module => {
+                        // A pure source has no counters to copy: the
+                        // valuation it hands over is a constant.
+                        entries.push(module);
+                        entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
+                    }
+                }
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        let (own, cur) = (&self.generation, self.cur);
+        let (home, entry) = self.cache.intern_with(&next, |home, rows, id| {
+            let stayed = Arc::ptr_eq(home, own);
+            if stayed {
+                let filled = rows.cache.get(cur, class);
+                if filled != UNKNOWN {
+                    return filled; // another flow got here first
+                }
+            }
+            let entry = if entries.is_empty() {
+                id
+            } else {
+                let slot = rows.wakes.len() as u32;
+                assert!(slot < WAKES - 1, "wake table outgrew its index bits");
+                rows.wakes.push(Wake {
+                    next: id,
+                    entries: entries.as_slice().into(),
+                    quiet: bank.quiet_classes(&entries),
+                });
+                WAKES | slot
+            };
+            if stayed {
+                rows.cache.set(cur, class, entry);
+            }
+            entry
+        });
+        self.generation = home;
+        self.succ_scratch = next;
+        self.entry_scratch = entries;
+        entry
+    }
 }
 
 /// The hybrid lazy-DFA engine. See the module docs.
@@ -787,53 +865,17 @@ impl Cursor {
 /// assert_eq!(reports.len(), 2);
 /// assert!(multi.hybrid_engine(64).stats().dfa_hit_rate() >= 0.0);
 /// ```
-pub struct HybridEngine<'a> {
-    multi: &'a MultiNca,
+pub struct HybridEngine {
+    multi: MultiNca,
     /// `T`: this flow's cells of the counter bank.
     counters: BankState,
     at: Cursor,
 }
 
-/// The owned mutable half of a [`HybridEngine`]: the counted tokens and
-/// the flow's [`Cursor`] — everything but the `&MultiNca` borrow. The
-/// rows stay where they are, in the shard's cache, so a flow parked
-/// between chunks resumes on whatever is hot by then, mid-count if need
-/// be.
-pub(crate) struct HybridEngineState {
-    counters: BankState,
-    at: Cursor,
-}
-
-impl HybridEngineState {
-    /// Bytes consumed when the state was detached.
-    pub(crate) fn position(&self) -> u64 {
-        self.at.position
-    }
-
-    /// This engine's own counters as of the detach: the byte counters.
-    /// `dfa_states` and `flushes` are 0 — they belong to the shard's
-    /// cache ([`HybridCache::stats`]).
-    pub(crate) fn stats(&self) -> HybridStats {
-        self.at.stats
-    }
-
-    /// [`HybridEngine::restart_at`] on the parked state.
-    pub(crate) fn restart_at(&mut self, position: u64) {
-        self.counters.clear();
-        self.at.restart_at(position);
-    }
-
-    /// Per-flow storage cells the state holds for counted tokens.
-    #[cfg(test)]
-    fn storage_cells(&self) -> usize {
-        self.counters.cells()
-    }
-}
-
-impl<'a> HybridEngine<'a> {
+impl HybridEngine {
     /// Builds an overlay engine over `multi` with a cache of its own,
     /// holding at most `state_budget` determinized states.
-    pub fn new(multi: &'a MultiNca, state_budget: usize) -> HybridEngine<'a> {
+    pub fn new(multi: &MultiNca, state_budget: usize) -> HybridEngine {
         HybridEngine::on(multi, &HybridCache::new(multi, state_budget))
     }
 
@@ -844,49 +886,16 @@ impl<'a> HybridEngine<'a> {
     /// Panics if `cache` was made for an automaton with a different
     /// number of states — the cheap structural check against pairing an
     /// engine with another shard's rows.
-    pub(crate) fn on(multi: &'a MultiNca, cache: &HybridCache) -> HybridEngine<'a> {
+    pub(crate) fn on(multi: &MultiNca, cache: &HybridCache) -> HybridEngine {
         assert_eq!(
             cache.0.accepting.len(),
             multi.nca().state_count(),
             "hybrid cache used with an automaton it was not made for"
         );
         HybridEngine {
-            multi,
+            multi: multi.clone(),
             counters: BankState::new(multi.bank()),
             at: Cursor::new(cache.clone()),
-        }
-    }
-
-    /// Detaches the overlay's mutable state (including any live counted
-    /// tokens) from the automaton borrow, leaving a retired generation
-    /// first so that a parked flow never keeps one alive. The inverse of
-    /// [`HybridEngine::resume`].
-    pub(crate) fn into_state(mut self) -> HybridEngineState {
-        self.at.catch_up();
-        HybridEngineState {
-            counters: self.counters,
-            at: self.at,
-        }
-    }
-
-    /// Reattaches a state detached by [`HybridEngine::into_state`] to
-    /// `multi`, resuming mid-stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `multi` has a different number of counted states than
-    /// the automaton the state was detached from — the structural check
-    /// against resuming on the wrong automaton.
-    pub(crate) fn resume(multi: &'a MultiNca, state: HybridEngineState) -> HybridEngine<'a> {
-        assert_eq!(
-            state.counters.cells(),
-            multi.bank().len(),
-            "engine state resumed on an automaton with a different counter bank"
-        );
-        HybridEngine {
-            multi,
-            counters: state.counters,
-            at: state.at,
         }
     }
 
@@ -934,79 +943,11 @@ impl<'a> HybridEngine<'a> {
         stats
     }
 
-    /// Computes the row entry of the current DFA state on `class` — the
-    /// id of the pure successor subset, or, if the state has edges into
-    /// counted states on `class`, a [`WAKES`]-marked index of the
-    /// side-table slot holding that id, those edges as wake records and
-    /// their quiet mask — and caches it.
-    ///
-    /// The successor is interned in the shard's *current* generation.
-    /// When that is the engine's own, the row is written (unless another
-    /// flow filled it first); otherwise — the engine's generation was
-    /// retired, or this very call flushed it — the engine moves, the row
-    /// that asked is left behind with its generation, and only the
-    /// returned entry, which indexes the generation the engine is now
-    /// on, says where the byte leads.
-    fn successor(&mut self, class: usize) -> u32 {
-        let (tables, bank) = (self.multi.tables(), self.multi.bank());
-        let member_row = &tables.class_member[class];
-        let mut next = std::mem::take(&mut self.at.succ_scratch);
-        let mut entries = std::mem::take(&mut self.at.entry_scratch);
-        next.clear();
-        entries.clear();
-        for &p in self.at.generation.read().cache.subset(self.at.cur) {
-            for edge in &tables.out_edges[p as usize] {
-                let q = edge.to as usize;
-                if member_row[q / 64] & (1 << (q % 64)) == 0 {
-                    continue;
-                }
-                debug_assert!(
-                    edge.guard.is_empty(),
-                    "edges out of pure states are unguarded"
-                );
-                match bank.module_of[q] {
-                    PURE => next.push(q as u32),
-                    module => {
-                        // A pure source has no counters to copy: the
-                        // valuation it hands over is a constant.
-                        entries.push(module);
-                        entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
-                    }
-                }
-            }
-        }
-        next.sort_unstable();
-        next.dedup();
-        let (own, cur) = (&self.at.generation, self.at.cur);
-        let (home, entry) = self.at.cache.intern_with(&next, |home, rows, id| {
-            let stayed = Arc::ptr_eq(home, own);
-            if stayed {
-                let filled = rows.cache.get(cur, class);
-                if filled != UNKNOWN {
-                    return filled; // another flow got here first
-                }
-            }
-            let entry = if entries.is_empty() {
-                id
-            } else {
-                let slot = rows.wakes.len() as u32;
-                assert!(slot < WAKES - 1, "wake table outgrew its index bits");
-                rows.wakes.push(Wake {
-                    next: id,
-                    entries: entries.as_slice().into(),
-                    quiet: bank.quiet_classes(&entries),
-                });
-                WAKES | slot
-            };
-            if stayed {
-                rows.cache.set(cur, class, entry);
-            }
-            entry
-        });
-        self.at.generation = home;
-        self.at.succ_scratch = next;
-        self.at.entry_scratch = entries;
-        entry
+    /// This engine's own half of [`HybridEngine::stats`]: the byte
+    /// counters. `dfa_states` and `flushes` are 0 — they belong to the
+    /// shard's cache ([`HybridCache::stats`]).
+    pub(crate) fn byte_counters(&self) -> HybridStats {
+        self.at.stats
     }
 
     /// Consumes one byte, appending `(pattern, end)` reports to `out`
@@ -1043,7 +984,7 @@ impl<'a> HybridEngine<'a> {
         self.at.untouched &= chunk.is_empty();
         let bank = self.multi.bank();
         // A copy (512 B) rather than a borrow of the shared handle: the
-        // miss paths below need the whole engine.
+        // miss paths below need the whole cursor.
         let class_map: [u16; 256] = *self.at.cache.0.class_map;
         let mut generation = Arc::clone(&self.at.generation);
         let mut rows = generation.read();
@@ -1102,7 +1043,7 @@ impl<'a> HybridEngine<'a> {
             let mut entry = rows.cache.get(self.at.cur, class);
             if entry == UNKNOWN {
                 drop(rows);
-                entry = self.successor(class);
+                entry = self.at.successor(&self.multi, class);
                 generation = Arc::clone(&self.at.generation);
                 rows = generation.read();
             }
@@ -1150,6 +1091,10 @@ impl<'a> HybridEngine<'a> {
             }
             counting = self.counters.any_live();
         }
+        // At rest the engine is on a generation that is still written to:
+        // kept between chunks, it never pins rows retired under it here.
+        drop(rows);
+        self.at.catch_up();
     }
 
     /// One-shot scan: resets, consumes `input`, returns all reports in
@@ -1179,7 +1124,7 @@ fn merge_step_reports(out: &mut Vec<MultiReport>, first: usize) {
     out.truncate(kept);
 }
 
-impl std::fmt::Debug for HybridEngine<'_> {
+impl std::fmt::Debug for HybridEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -1270,7 +1215,7 @@ mod tests {
             let class = h.at.cache.0.class_map[b as usize] as usize;
             let mut entry = h.at.generation.read().cache.get(h.at.cur, class);
             if entry == UNKNOWN {
-                entry = h.successor(class);
+                entry = h.at.successor(&h.multi, class);
             }
             let wakes = entry >= WAKES;
             let next = Wake::resolve(&h.at.generation.read().wakes, entry).0;
@@ -1523,7 +1468,7 @@ mod tests {
         assert!(m.nca().state_count() > 24 * 3);
         let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
         hybrid.feed_into(b"w3ax h w17fx", &mut Vec::new());
-        assert_eq!(hybrid.into_state().storage_cells(), counted);
+        assert_eq!(hybrid.counters.cells(), counted);
     }
 
     // ---- the look-ahead ----------------------------------------------
@@ -1795,7 +1740,7 @@ mod tests {
         let m = merged(&FLEET_RULES);
         let stream = &fleet_streams(1)[0];
         let cache = m.hybrid_cache(2);
-        let mut idle = m.hybrid_engine_on(&cache).into_state();
+        let mut idle = m.hybrid_engine_on(&cache);
         let home = Arc::downgrade(&idle.at.generation);
         for position in [7, 4096] {
             idle.restart_at(position);
@@ -1811,9 +1756,8 @@ mod tests {
         // ... and it scans from there like a restarted exact engine.
         let mut exact = m.engine();
         exact.restart_at(9);
-        let mut resumed = HybridEngine::resume(&m, idle);
         let (mut got, mut expected) = (Vec::new(), Vec::new());
-        resumed.feed_into(stream, &mut got);
+        idle.feed_into(stream, &mut got);
         exact.feed_into(stream, &mut expected);
         assert_eq!(got, expected);
     }
@@ -1859,16 +1803,16 @@ mod tests {
         let expected = m.engine().match_reports(input);
         let mut asleep = 0;
         for cut in 1..input.len() {
-            // Park the engine at `cut` and resume it from the owned state.
+            // Park the engine at `cut`: moved to another thread and back,
+            // it goes on from where it was.
             let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
             let mut got = Vec::new();
             hybrid.feed_into(&input[..cut], &mut got);
             let counting = hybrid.counters.any_live();
             asleep += usize::from(counting && hybrid.counters.horizon(m.bank()).0 > 0);
             let live = hybrid.active_states();
-            let state = hybrid.into_state();
-            assert_eq!(state.position(), cut as u64);
-            let mut hybrid = HybridEngine::resume(&m, state);
+            let mut hybrid = std::thread::spawn(move || hybrid).join().unwrap();
+            assert_eq!(hybrid.position(), cut as u64);
             assert_eq!(hybrid.counters.any_live(), counting);
             assert_eq!(hybrid.active_states(), live);
             hybrid.feed_into(&input[cut..], &mut got);
@@ -1929,7 +1873,7 @@ mod tests {
         while done < hybrid.discovered_states() {
             for class in 0..m.alphabet().len() {
                 hybrid.at.cur = done as u32;
-                let next = hybrid.successor(class);
+                let next = hybrid.at.successor(&hybrid.multi, class);
                 assert!(next < WAKES, "counter-free sets wake nothing");
             }
             done += 1;
@@ -2007,7 +1951,7 @@ mod tests {
         chunk_len: usize,
     ) -> FleetTrace {
         let cache = m.hybrid_cache(budget);
-        let mut engines: Vec<HybridEngine<'_>> =
+        let mut engines: Vec<HybridEngine> =
             streams.iter().map(|_| m.hybrid_engine_on(&cache)).collect();
         let mut got: Vec<Vec<MultiReport>> = vec![Vec::new(); streams.len()];
         let mut generations: Vec<std::sync::Weak<Generation>> = Vec::new();
@@ -2081,9 +2025,8 @@ mod tests {
             let mut parked = m.hybrid_engine_on(&cache);
             let mut got = Vec::new();
             parked.feed_into(&streams[0][..cut], &mut got);
-            let state = parked.into_state();
             assert!(
-                !state.at.generation.is_retired(),
+                !parked.at.generation.is_retired(),
                 "a parked flow must not pin a generation retired before it parked"
             );
             // Another flow of the shard flushes the cache at least twice.
@@ -2091,9 +2034,8 @@ mod tests {
             let mut other = m.hybrid_engine_on(&cache);
             other.feed_into(&streams[1], &mut Vec::new());
             assert!(cache.stats().flushes >= before + 2);
-            assert!(state.at.generation.is_retired());
-            let mut resumed = HybridEngine::resume(&m, state);
-            resumed.feed_into(&streams[0][cut..], &mut got);
+            assert!(parked.at.generation.is_retired());
+            parked.feed_into(&streams[0][cut..], &mut got);
             assert_eq!(got, expected, "cut at {cut}");
         }
     }
@@ -2211,15 +2153,14 @@ mod tests {
                         start.wait();
                         for k in 0..64 {
                             // Each thread walks the flows from its own
-                            // offset and parks every flow between chunks.
+                            // offset; a flow rests between its chunks
+                            // while the other threads flush the cache.
                             let k = (k + 16 * t) % 64;
-                            let mut state = m.hybrid_engine_on(cache).into_state();
+                            let mut engine = m.hybrid_engine_on(cache);
                             let mut got = Vec::new();
                             for chunk in streams[k].chunks(5 + t) {
-                                let mut engine = HybridEngine::resume(m, state);
                                 engine.feed_into(chunk, &mut got);
                                 assert!(engine.discovered_states() <= budget);
-                                state = engine.into_state();
                             }
                             assert_eq!(got, expected[k], "thread {t}, flow {k}, budget {budget}");
                         }

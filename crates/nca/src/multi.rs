@@ -26,10 +26,11 @@
 
 use crate::bank::CounterBank;
 use crate::compiled::{counting_set_eligible, CompilePlan, Storage, StorageMode};
-use crate::hybrid::{HybridCache, HybridEngine, HybridEngineState, HybridStats};
+use crate::hybrid::{HybridCache, HybridEngine, HybridStats};
 use crate::nca::{ActionOp, GuardAtom, Nca, State, StateId, Transition};
 use crate::token::{resolve_guard, resolve_transition, SlotSrc, SlotTest};
 use recama_syntax::{ByteAlphabet, ByteClassSet};
+use std::sync::Arc;
 
 /// A report of the multi-pattern engine: pattern `pattern` matched with
 /// its last byte at 1-based offset `end`.
@@ -48,8 +49,17 @@ pub struct MultiReport {
 /// The merged `q0` never accepts: like the hardware (which cannot report
 /// "before the first symbol"), the multi-pattern machinery only reports
 /// matches ending at offset ≥ 1.
+///
+/// The value is a cheap `Clone` handle on the immutable image — automaton,
+/// plan, alphabet and the tables built from them — which every engine of
+/// it keeps a clone of, so an engine borrows nothing.
+#[derive(Debug, Clone)]
+pub struct MultiNca(Arc<Image>);
+
+/// What a [`MultiNca`] handle shares: built once by the merge, never
+/// written again.
 #[derive(Debug)]
-pub struct MultiNca {
+struct Image {
     nca: Nca,
     plan: CompilePlan,
     alphabet: ByteAlphabet,
@@ -179,7 +189,7 @@ impl MultiNca {
         let plan = CompilePlan::from_modes(modes);
         let tables = EngineTables::build(&nca, &plan, &alphabet);
         let bank = CounterBank::build(&nca, &plan, &alphabet, &pattern_of_state);
-        MultiNca {
+        MultiNca(Arc::new(Image {
             nca,
             plan,
             alphabet,
@@ -187,39 +197,39 @@ impl MultiNca {
             pattern_count: parts.len(),
             tables,
             bank,
-        }
+        }))
     }
 
     /// The merged automaton.
     pub fn nca(&self) -> &Nca {
-        &self.nca
+        &self.0.nca
     }
 
     /// The merged storage plan.
     pub fn plan(&self) -> &CompilePlan {
-        &self.plan
+        &self.0.plan
     }
 
     /// The shared byte-class alphabet of the whole set.
     pub fn alphabet(&self) -> &ByteAlphabet {
-        &self.alphabet
+        &self.0.alphabet
     }
 
     /// Number of merged patterns.
     pub fn pattern_count(&self) -> usize {
-        self.pattern_count
+        self.0.pattern_count
     }
 
     /// The pattern owning state `q` (`None` for the merged `q0`).
     pub fn pattern_of(&self, q: StateId) -> Option<u32> {
-        match self.pattern_of_state[q.index()] {
+        match self.0.pattern_of_state[q.index()] {
             u32::MAX => None,
             p => Some(p),
         }
     }
 
     /// Creates a batched engine over the merged automaton.
-    pub fn engine(&self) -> MultiEngine<'_> {
+    pub fn engine(&self) -> MultiEngine {
         MultiEngine::new(self)
     }
 
@@ -230,7 +240,7 @@ impl MultiNca {
     /// `state_budget` cached DFA states.
     /// The engine gets a [`HybridCache`] of its own; engines that should
     /// share their rows are made with [`MultiNca::hybrid_engine_on`].
-    pub fn hybrid_engine(&self, state_budget: usize) -> HybridEngine<'_> {
+    pub fn hybrid_engine(&self, state_budget: usize) -> HybridEngine {
         HybridEngine::new(self, state_budget)
     }
 
@@ -248,18 +258,18 @@ impl MultiNca {
     /// # Panics
     ///
     /// Panics if `cache` was made for an automaton of a different size.
-    pub fn hybrid_engine_on(&self, cache: &HybridCache) -> HybridEngine<'_> {
+    pub fn hybrid_engine_on(&self, cache: &HybridCache) -> HybridEngine {
         HybridEngine::on(self, cache)
     }
 
     /// The immutable engine tables (shared by every engine instance).
     pub(crate) fn tables(&self) -> &EngineTables {
-        &self.tables
+        &self.0.tables
     }
 
     /// The counter modules (shared by every hybrid engine instance).
     pub(crate) fn bank(&self) -> &CounterBank {
-        &self.bank
+        &self.0.bank
     }
 }
 
@@ -278,8 +288,9 @@ impl MultiNca {
 #[derive(Debug)]
 pub struct ShardedMulti {
     shards: Vec<MultiNca>,
-    /// Global pattern index per (shard, local pattern index).
-    members: Vec<Vec<u32>>,
+    /// Global pattern index per (shard, local pattern index); each
+    /// [`ShardStream`] of a shard shares its slice.
+    members: Vec<Arc<[u32]>>,
     alphabet: ByteAlphabet,
     pattern_count: usize,
 }
@@ -371,15 +382,10 @@ impl ShardedMulti {
         self.members[shard][local as usize]
     }
 
-    /// One engine per shard, ready for parallel stepping.
-    pub fn engines(&self) -> Vec<MultiEngine<'_>> {
-        self.shards.iter().map(|m| m.engine()).collect()
-    }
-
     /// One empty [`HybridCache`] per shard, each bounded by
-    /// `state_budget` — the rows [`ShardedMulti::shard_stream_on`]
-    /// streams share. Whoever owns the set keeps them for as long as the
-    /// rows should stay warm.
+    /// `state_budget` — the rows the hybrid [`ShardedMulti::shard_stream`]s
+    /// of a shard share. Whoever owns the set keeps them for as long as
+    /// the rows should stay warm.
     pub fn hybrid_caches(&self, state_budget: usize) -> Vec<HybridCache> {
         self.shards
             .iter()
@@ -387,97 +393,56 @@ impl ShardedMulti {
             .collect()
     }
 
-    /// A resumable scanning state for shard `i`, reporting **global**
-    /// pattern indices — the unit a many-flow scheduler checks out.
-    /// Uses the exact NCA engine; see
-    /// [`ShardedMulti::shard_stream_on`] for the hybrid overlay.
-    pub fn shard_stream(&self, i: usize) -> ShardStream<'_> {
-        self.stream(i, StreamEngine::Nca(Box::new(self.shards[i].engine())))
-    }
-
-    /// Like [`ShardedMulti::shard_stream`], but scanning with the hybrid
-    /// lazy-DFA overlay (see [`crate::HybridEngine`]) on `cache` — shard
-    /// `i`'s entry of [`ShardedMulti::hybrid_caches`], shared with every
-    /// other stream of that shard.
-    pub fn shard_stream_on(&self, i: usize, cache: &HybridCache) -> ShardStream<'_> {
-        let engine = self.shards[i].hybrid_engine_on(cache);
-        self.stream(i, StreamEngine::Hybrid(Box::new(engine)))
-    }
-
-    fn stream<'a>(&'a self, shard: usize, engine: StreamEngine<'a>) -> ShardStream<'a> {
+    /// A fresh scanning state for shard `i`, reporting **global** pattern
+    /// indices — the unit a many-flow scheduler checks out. On `cache` —
+    /// shard `i`'s entry of [`ShardedMulti::hybrid_caches`], shared with
+    /// every other stream of that shard — it scans with the hybrid
+    /// lazy-DFA overlay (see [`crate::HybridEngine`]); without one, with
+    /// the exact NCA engine.
+    pub fn shard_stream(&self, i: usize, cache: Option<&HybridCache>) -> ShardStream {
+        let multi = &self.shards[i];
         ShardStream {
-            members: &self.members[shard],
-            shard,
-            engine,
+            members: Arc::clone(&self.members[i]),
+            shard: i,
+            engine: match cache {
+                Some(cache) => StreamEngine::Hybrid(Box::new(multi.hybrid_engine_on(cache))),
+                None => StreamEngine::Nca(Box::new(multi.engine())),
+            },
         }
-    }
-
-    /// One detachable [`ShardStream`] per shard — together they scan one
-    /// logical byte stream (every shard must be fed the same bytes).
-    pub fn shard_streams(&self) -> Vec<ShardStream<'_>> {
-        (0..self.shards.len())
-            .map(|i| self.shard_stream(i))
-            .collect()
-    }
-
-    /// Reattaches a detached [`ShardStreamState`] to this set, resuming
-    /// the stream exactly where [`ShardStream::into_state`] left it —
-    /// position and token configuration carry over, and a hybrid stream
-    /// is back on its shard's [`HybridCache`]. The inverse of
-    /// `into_state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` did not come from a stream of an identically
-    /// shaped set (same shard count, same per-shard automaton shape) —
-    /// the cheap structural check that catches resuming against the
-    /// wrong [`ShardedMulti`].
-    pub fn resume_shard_stream(&self, state: ShardStreamState) -> ShardStream<'_> {
-        let shard = state.shard;
-        assert!(
-            shard < self.shards.len(),
-            "ShardStreamState for shard {shard} resumed on a set with {} shard(s)",
-            self.shards.len()
-        );
-        let engine = match state.engine {
-            StreamEngineState::Nca(s) => {
-                StreamEngine::Nca(Box::new(MultiEngine::resume(&self.shards[shard], *s)))
-            }
-            StreamEngineState::Hybrid(s) => {
-                StreamEngine::Hybrid(Box::new(HybridEngine::resume(&self.shards[shard], *s)))
-            }
-        };
-        self.stream(shard, engine)
     }
 }
 
 /// A resumable per-shard scanning state: ONE shard's batched engine plus
-/// the shard-local → global report translation, detached from its sibling
-/// shards so each can be advanced independently.
+/// the shard-local → global report translation, independent of its
+/// sibling shards so each can be advanced on its own.
 ///
 /// All shards of a [`ShardedMulti`] scan the *same* logical byte stream;
 /// a `ShardStream` tracks its own position in that stream, so a scheduler
 /// can hand different shards of one flow to different workers and let
-/// them progress at different rates. The stream is `Send` (it owns its
-/// mutable engine state and only borrows the immutable automaton), and
-/// reports already carry global pattern indices, so no per-shard
-/// translation table travels with it.
-pub struct ShardStream<'a> {
-    members: &'a [u32],
+/// them progress at different rates. The stream owns everything it
+/// scans with — its mutable engine state, a handle on the shard's
+/// immutable [`MultiNca`] (and, for a hybrid stream, on the shard's
+/// [`HybridCache`]: the rows stay there, shared, as warm as the shard's
+/// other flows have made them) and the shard's slice of global pattern
+/// indices — so it is `'static + Send`: a serving layer parks it in a
+/// flow table between scans as it is, and it outlives the
+/// [`ShardedMulti`] it came from.
+pub struct ShardStream {
+    members: Arc<[u32]>,
     shard: usize,
-    engine: StreamEngine<'a>,
+    engine: StreamEngine,
 }
 
 /// The execution strategy behind one [`ShardStream`]: the exact batched
 /// NCA engine, or the lazy-DFA hybrid overlay. Both variants are boxed:
 /// streams move between workers at every checkout/check-in, and the
 /// engines are hundreds of bytes of inline state.
-enum StreamEngine<'a> {
-    Nca(Box<MultiEngine<'a>>),
-    Hybrid(Box<HybridEngine<'a>>),
+enum StreamEngine {
+    Nca(Box<MultiEngine>),
+    Hybrid(Box<HybridEngine>),
 }
 
-impl ShardStream<'_> {
+impl ShardStream {
     /// The shard index this stream advances.
     pub fn shard(&self) -> usize {
         self.shard
@@ -491,30 +456,20 @@ impl ShardStream<'_> {
         }
     }
 
-    /// Number of live states in this shard's frontier.
-    pub fn active_states(&self) -> usize {
-        match &self.engine {
-            StreamEngine::Nca(e) => e.active_states(),
-            StreamEngine::Hybrid(e) => e.active_states(),
-        }
-    }
-
-    /// Hybrid-overlay counters of this stream's engine together with its
-    /// shard cache's ([`HybridEngine::stats`]), if it scans with the
-    /// overlay; `None` for an exact-NCA stream.
+    /// This stream's **own** hybrid-overlay counters — the byte counters;
+    /// `dfa_states` and `flushes` are 0 because they belong to the
+    /// shard's cache ([`HybridCache::stats`]), which an aggregate counts
+    /// once per shard, not once per flow. `None` for an exact-NCA stream.
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
         match &self.engine {
             StreamEngine::Nca(_) => None,
-            StreamEngine::Hybrid(e) => Some(e.stats()),
+            StreamEngine::Hybrid(e) => Some(e.byte_counters()),
         }
     }
 
     /// Returns this shard to the start of the stream.
     pub fn reset(&mut self) {
-        match &mut self.engine {
-            StreamEngine::Nca(e) => e.reset(),
-            StreamEngine::Hybrid(e) => e.reset(),
-        }
+        self.restart_at(0);
     }
 
     /// Resets this shard's frontier and resumes counting bytes from
@@ -544,96 +499,9 @@ impl ShardStream<'_> {
             r.pattern = self.members[r.pattern as usize];
         }
     }
-
-    /// Detaches this stream's mutable state from the borrowed automaton,
-    /// producing an owned, `'static` [`ShardStreamState`] that can be
-    /// parked in long-lived flow tables and later reattached with
-    /// [`ShardedMulti::resume_shard_stream`]. Nothing is recomputed on
-    /// either side of the round trip: token storage and stream position
-    /// move as-is. A hybrid stream first leaves a flushed generation of
-    /// its shard's cache, so a parked state never keeps retired rows
-    /// alive.
-    pub fn into_state(self) -> ShardStreamState {
-        ShardStreamState {
-            shard: self.shard,
-            engine: match self.engine {
-                StreamEngine::Nca(e) => StreamEngineState::Nca(Box::new(e.into_state())),
-                StreamEngine::Hybrid(e) => StreamEngineState::Hybrid(Box::new(e.into_state())),
-            },
-        }
-    }
 }
 
-/// The owned, automaton-free state of one [`ShardStream`]: everything a
-/// stream mutates while scanning, detached from the [`ShardedMulti`] it
-/// borrows. `'static` and `Send`, so a serving layer can park per-flow
-/// scan progress in a flow table that outlives any particular borrow of
-/// the pattern set, and reattach it with
-/// [`ShardedMulti::resume_shard_stream`] only for the duration of each
-/// scan. A hybrid state is small: the counted tokens, a state id and a
-/// handle on the shard's [`HybridCache`] — the rows themselves stay in
-/// the cache, shared, and are as warm at resume as the shard's other
-/// flows have made them.
-pub struct ShardStreamState {
-    shard: usize,
-    engine: StreamEngineState,
-}
-
-/// Owned counterpart of [`StreamEngine`].
-enum StreamEngineState {
-    Nca(Box<MultiEngineState>),
-    Hybrid(Box<HybridEngineState>),
-}
-
-impl ShardStreamState {
-    /// The shard index this state belongs to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Bytes of the logical stream consumed when the state was detached.
-    pub fn position(&self) -> u64 {
-        match &self.engine {
-            StreamEngineState::Nca(s) => s.position,
-            StreamEngineState::Hybrid(s) => s.position(),
-        }
-    }
-
-    /// The parked engine's **own** hybrid-overlay counters — the three
-    /// byte counters; `dfa_states` and `flushes` are 0 because they
-    /// belong to the shard's cache ([`HybridCache::stats`]), which an
-    /// aggregate counts once per shard, not once per flow. `None` if the
-    /// state was detached from an exact-NCA stream.
-    pub fn hybrid_stats(&self) -> Option<HybridStats> {
-        match &self.engine {
-            StreamEngineState::Nca(_) => None,
-            StreamEngineState::Hybrid(s) => Some(s.stats()),
-        }
-    }
-
-    /// [`ShardStream::restart_at`] on the parked state: a fresh frontier
-    /// counting bytes from absolute offset `position`, without
-    /// reattaching the engine to its automaton.
-    pub fn restart_at(&mut self, position: u64) {
-        match &mut self.engine {
-            StreamEngineState::Nca(s) => s.restart_at(position),
-            StreamEngineState::Hybrid(s) => s.restart_at(position),
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardStreamState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardStreamState(shard = {}, position = {})",
-            self.shard,
-            self.position()
-        )
-    }
-}
-
-impl std::fmt::Debug for ShardStream<'_> {
+impl std::fmt::Debug for ShardStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -667,7 +535,7 @@ pub(crate) struct OutEdge {
 
 /// The immutable, shareable part of the batched engine: edge programs,
 /// finalization predicates, and class-membership bitsets. Built once per
-/// [`MultiNca`]; every engine instance borrows it.
+/// [`MultiNca`]; every engine instance reads it through its handle.
 #[derive(Debug)]
 pub(crate) struct EngineTables {
     /// Outgoing edge programs per state.
@@ -756,20 +624,11 @@ impl EngineTables {
 }
 
 /// The batched multi-pattern engine. See the module docs.
-pub struct MultiEngine<'a> {
-    multi: &'a MultiNca,
-    /// Shared immutable tables (owned by the [`MultiNca`]).
-    tables: &'a EngineTables,
-    /// Everything the engine mutates while scanning.
-    s: MultiEngineState,
-}
-
-/// The owned mutable half of a [`MultiEngine`]: every field the engine
-/// mutates while scanning, with the `&MultiNca` / `&EngineTables` borrows
-/// stripped. [`MultiEngine::into_state`] hands it out and
-/// [`MultiEngine::resume`] takes it back; the detach/reattach round trip
-/// copies and recomputes nothing.
-pub(crate) struct MultiEngineState {
+///
+/// It owns its mutable state and a handle on the [`MultiNca`] it steps,
+/// so it is `'static + Send` and can be kept wherever a scan left it.
+pub struct MultiEngine {
+    multi: MultiNca,
     /// Per-state token storage for the current / next configuration.
     cur: Vec<Storage>,
     nxt: Vec<Storage>,
@@ -790,15 +649,65 @@ pub(crate) struct MultiEngineState {
     /// Whether a guarded entry edge fired into each touched queue state.
     queue_entry_hit: Vec<bool>,
     /// Stream position (bytes consumed since reset).
-    pub(crate) position: u64,
+    position: u64,
     conflicts: u64,
 }
 
-impl MultiEngineState {
-    /// The initial configuration (only `q0` live, stamps and conflict
-    /// count rewound), counting bytes from absolute offset `position` —
-    /// see [`MultiEngine::restart_at`].
-    pub(crate) fn restart_at(&mut self, position: u64) {
+impl MultiEngine {
+    /// Builds an engine over `multi`'s shared tables; only the mutable
+    /// per-engine state (token storage, frontiers, stamps) is allocated.
+    pub fn new(multi: &MultiNca) -> MultiEngine {
+        let nca = multi.nca();
+        let n = nca.state_count();
+        let words = n.div_ceil(64);
+        let storage_for = |qi: usize| {
+            let s = &nca.states()[qi];
+            let bound = s
+                .counters
+                .first()
+                .map(|&c| nca.counter(c).bound())
+                .unwrap_or(0);
+            Storage::new(multi.plan().mode(StateId(qi as u32)), bound)
+        };
+        let mut e = MultiEngine {
+            multi: multi.clone(),
+            cur: (0..n).map(storage_for).collect(),
+            nxt: (0..n).map(storage_for).collect(),
+            active: vec![0; words],
+            next_active: vec![0; words],
+            stamp: vec![0; n],
+            generation: 0,
+            value_scratch: Vec::new(),
+            report_stamp: vec![0; multi.pattern_count()],
+            touched_queues: Vec::new(),
+            queue_touch_stamp: vec![0; n],
+            queue_entry_hit: vec![false; n],
+            position: 0,
+            conflicts: 0,
+        };
+        e.reset();
+        e
+    }
+
+    /// Returns to the initial configuration (stream position 0).
+    pub fn reset(&mut self) {
+        self.restart_at(0);
+    }
+
+    /// Bytes consumed since the last reset.
+    pub fn position(&self) -> u64 {
+        self.position
+    }
+
+    /// Returns to the initial configuration (only `q0` live, stamps and
+    /// conflict count rewound) but reports subsequent matches as if the
+    /// stream started at absolute offset `position` — the primitive
+    /// behind prefilter wake-up, where a cold shard's engine teleports
+    /// past skipped bytes and resumes with a fresh `Σ*` frontier (sound
+    /// because a fresh frontier at any offset is a subset of the true
+    /// frontier there, and over-approximates nothing the search form
+    /// `Σ*·r` would not restart anyway).
+    pub fn restart_at(&mut self, position: u64) {
         for w in &mut self.active {
             *w = 0;
         }
@@ -814,119 +723,25 @@ impl MultiEngineState {
         self.active[0] = 1;
         self.position = position;
     }
-}
-
-impl<'a> MultiEngine<'a> {
-    /// Builds an engine over `multi`'s shared tables; only the mutable
-    /// per-engine state (token storage, frontiers, stamps) is allocated.
-    pub fn new(multi: &'a MultiNca) -> MultiEngine<'a> {
-        let nca = &multi.nca;
-        let n = nca.state_count();
-        let words = n.div_ceil(64);
-        let storage_for = |qi: usize| {
-            let s = &nca.states()[qi];
-            let bound = s
-                .counters
-                .first()
-                .map(|&c| nca.counter(c).bound())
-                .unwrap_or(0);
-            Storage::new(multi.plan.mode(StateId(qi as u32)), bound)
-        };
-        let mut e = MultiEngine {
-            multi,
-            tables: &multi.tables,
-            s: MultiEngineState {
-                cur: (0..n).map(storage_for).collect(),
-                nxt: (0..n).map(storage_for).collect(),
-                active: vec![0; words],
-                next_active: vec![0; words],
-                stamp: vec![0; n],
-                generation: 0,
-                value_scratch: Vec::new(),
-                report_stamp: vec![0; multi.pattern_count],
-                touched_queues: Vec::new(),
-                queue_touch_stamp: vec![0; n],
-                queue_entry_hit: vec![false; n],
-                position: 0,
-                conflicts: 0,
-            },
-        };
-        e.reset();
-        e
-    }
-
-    /// Detaches the engine's mutable state from the automaton borrow.
-    /// The inverse of [`MultiEngine::resume`].
-    pub(crate) fn into_state(self) -> MultiEngineState {
-        self.s
-    }
-
-    /// Reattaches a state detached by [`MultiEngine::into_state`] to
-    /// `multi`, resuming mid-stream with no recomputation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state's shape (state count, pattern count) does not
-    /// match `multi` — the structural check against resuming on the
-    /// wrong automaton.
-    pub(crate) fn resume(multi: &'a MultiNca, state: MultiEngineState) -> MultiEngine<'a> {
-        assert_eq!(
-            state.cur.len(),
-            multi.nca.state_count(),
-            "engine state resumed on an automaton with a different state count"
-        );
-        assert_eq!(
-            state.report_stamp.len(),
-            multi.pattern_count,
-            "engine state resumed on an automaton with a different pattern count"
-        );
-        MultiEngine {
-            multi,
-            tables: &multi.tables,
-            s: state,
-        }
-    }
-
-    /// Returns to the initial configuration (stream position 0).
-    pub fn reset(&mut self) {
-        self.s.restart_at(0);
-    }
-
-    /// Bytes consumed since the last reset.
-    pub fn position(&self) -> u64 {
-        self.s.position
-    }
-
-    /// Returns to the initial configuration but reports subsequent
-    /// matches as if the stream started at absolute offset `position` —
-    /// the primitive behind prefilter wake-up, where a cold shard's
-    /// engine teleports past skipped bytes and resumes with a fresh
-    /// `Σ*` frontier (sound because a fresh frontier at any offset is a
-    /// subset of the true frontier there, and over-approximates nothing
-    /// the search form `Σ*·r` would not restart anyway).
-    pub fn restart_at(&mut self, position: u64) {
-        self.s.restart_at(position);
-    }
 
     /// Number of `SingleValue` collisions observed (must stay 0 when the
     /// plans came from a sound analysis; see [`crate::CompiledEngine`]).
     pub fn conflicts(&self) -> u64 {
-        self.s.conflicts
+        self.conflicts
     }
 
     /// Number of live (token-holding) states — the frontier size the
     /// per-byte work scales with.
     pub fn active_states(&self) -> usize {
-        self.s.active.iter().map(|w| w.count_ones() as usize).sum()
+        self.active.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether any counter-carrying state is live. O(state words): one
     /// AND against the precomputed counted-state mask.
     pub fn counting_active(&self) -> bool {
-        self.s
-            .active
+        self.active
             .iter()
-            .zip(&self.tables.counted_mask)
+            .zip(&self.multi.tables().counted_mask)
             .any(|(a, m)| a & m != 0)
     }
 
@@ -941,8 +756,8 @@ impl<'a> MultiEngine<'a> {
     /// per-shard reports byte-identically. `end` is the current 1-based
     /// stream offset.
     pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
-        self.s.position += 1;
-        let class = self.multi.alphabet.class_of(byte);
+        self.position += 1;
+        let class = self.multi.alphabet().class_of(byte);
         self.advance(class);
         self.collect_reports(out);
     }
@@ -950,21 +765,21 @@ impl<'a> MultiEngine<'a> {
     /// Moves every live token over one byte of `class` and swaps the
     /// configuration buffers.
     fn advance(&mut self, class: usize) {
-        self.s.generation = self.s.generation.wrapping_add(1);
-        let generation = self.s.generation;
-        let tables = self.tables;
+        self.generation = self.generation.wrapping_add(1);
+        let generation = self.generation;
+        let tables = self.multi.tables();
         let member_row = &tables.class_member[class];
-        for w in &mut self.s.next_active {
+        for w in &mut self.next_active {
             *w = 0;
         }
-        let cur = &self.s.cur;
-        let nxt = &mut self.s.nxt;
-        let stamp = &mut self.s.stamp;
-        let next_active = &mut self.s.next_active;
-        let value_scratch = &mut self.s.value_scratch;
-        let touched_queues = &mut self.s.touched_queues;
-        let queue_touch_stamp = &mut self.s.queue_touch_stamp;
-        let queue_entry_hit = &mut self.s.queue_entry_hit;
+        let cur = &self.cur;
+        let nxt = &mut self.nxt;
+        let stamp = &mut self.stamp;
+        let next_active = &mut self.next_active;
+        let value_scratch = &mut self.value_scratch;
+        let touched_queues = &mut self.touched_queues;
+        let queue_touch_stamp = &mut self.queue_touch_stamp;
+        let queue_entry_hit = &mut self.queue_entry_hit;
         touched_queues.clear();
         let mut conflicts = 0u64;
         let mut fire = |p: usize, src: &Storage, edge: &OutEdge| {
@@ -1011,7 +826,7 @@ impl<'a> MultiEngine<'a> {
                 next_active[q / 64] |= 1 << (q % 64);
             }
         };
-        for (wi, &word) in self.s.active.iter().enumerate() {
+        for (wi, &word) in self.active.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
@@ -1027,7 +842,7 @@ impl<'a> MultiEngine<'a> {
         // O(bound) bit-vector walk. Untouched queues (their class did not
         // match the byte, or no live predecessor reached them) simply stay
         // inactive; their stale storage is stamp-cleared on next touch.
-        let cur = &mut self.s.cur;
+        let cur = &mut self.cur;
         let queue_self_loop = &tables.queue_self_loop;
         for &q in touched_queues.iter() {
             let qi = q as usize;
@@ -1035,7 +850,7 @@ impl<'a> MultiEngine<'a> {
                 stamp[qi] = generation;
                 nxt[qi].clear();
             }
-            let live = self.s.active[qi / 64] & (1 << (qi % 64)) != 0;
+            let live = self.active[qi / 64] & (1 << (qi % 64)) != 0;
             let survives = live && queue_self_loop[qi];
             if survives {
                 // Move the live queue into the next buffer; the cleared
@@ -1057,33 +872,34 @@ impl<'a> MultiEngine<'a> {
                 next_active[qi / 64] |= 1 << (qi % 64);
             }
         }
-        self.s.conflicts += conflicts;
-        std::mem::swap(&mut self.s.cur, &mut self.s.nxt);
-        std::mem::swap(&mut self.s.active, &mut self.s.next_active);
+        self.conflicts += conflicts;
+        std::mem::swap(&mut self.cur, &mut self.nxt);
+        std::mem::swap(&mut self.active, &mut self.next_active);
     }
 
     /// Appends one report at the current offset per pattern with a live
     /// accepting token, in ascending pattern order.
     fn collect_reports(&mut self, out: &mut Vec<MultiReport>) {
-        let generation = self.s.generation;
-        let end = self.s.position;
-        for (wi, &word) in self.s.active.iter().enumerate() {
+        let generation = self.generation;
+        let end = self.position;
+        let tables = self.multi.tables();
+        for (wi, &word) in self.active.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let q = wi * 64 + bit;
-                let disjuncts = &self.tables.accepts[q];
+                let disjuncts = &tables.accepts[q];
                 if disjuncts.is_empty() {
                     continue;
                 }
-                let pattern = self.multi.pattern_of_state[q];
+                let pattern = self.multi.0.pattern_of_state[q];
                 debug_assert_ne!(pattern, u32::MAX, "merged q0 never accepts");
-                if self.s.report_stamp[pattern as usize] == generation {
+                if self.report_stamp[pattern as usize] == generation {
                     continue; // this pattern already reported at this offset
                 }
                 let mut hit = false;
-                self.s.cur[q].for_each(|values| {
+                self.cur[q].for_each(|values| {
                     if !hit {
                         hit = disjuncts
                             .iter()
@@ -1091,7 +907,7 @@ impl<'a> MultiEngine<'a> {
                     }
                 });
                 if hit {
-                    self.s.report_stamp[pattern as usize] = generation;
+                    self.report_stamp[pattern as usize] = generation;
                     out.push(MultiReport { pattern, end });
                 }
             }
@@ -1287,8 +1103,8 @@ mod tests {
         ] {
             let sm = sharded(&patterns, &shards);
             let mut got = Vec::new();
-            for (si, mut engine) in sm.engines().into_iter().enumerate() {
-                for r in engine.match_reports(input) {
+            for (si, shard) in sm.shards().iter().enumerate() {
+                for r in shard.engine().match_reports(input) {
                     got.push(MultiReport {
                         pattern: sm.global_pattern(si, r.pattern),
                         end: r.end,
@@ -1348,7 +1164,9 @@ mod tests {
         expected.sort();
 
         let sm = sharded(&patterns, &[vec![0, 1], vec![2, 3], vec![4]]);
-        let mut streams = sm.shard_streams();
+        let mut streams: Vec<ShardStream> = (0..sm.shard_count())
+            .map(|si| sm.shard_stream(si, None))
+            .collect();
         let mut got = Vec::new();
         // Advance shards at *different* rates and in arbitrary order —
         // each keeps its own position in the logical stream.
@@ -1361,6 +1179,50 @@ mod tests {
         }
         got.sort();
         assert_eq!(got, expected, "reports carry global pattern ids");
+    }
+
+    /// What owning the handle promises, checked by the compiler.
+    #[test]
+    fn engines_are_static_and_send() {
+        fn assert_static_send<T: Send + 'static>() {}
+        fn assert_shared<T: Clone + Send + Sync>() {}
+        assert_static_send::<HybridEngine>();
+        assert_static_send::<MultiEngine>();
+        assert_static_send::<ShardStream>();
+        assert_shared::<MultiNca>();
+    }
+
+    #[test]
+    fn a_stream_outlives_the_set_it_came_from() {
+        let patterns = ["k.{4}z", "x[ab]{2,5}y", "plain"];
+        let input = b"plain k.xabz xbby plain k....z";
+        let cut = 10; // "k.xa": both counters are counting
+        let mut exact = multi(&patterns).engine();
+        let mut expected = Vec::new();
+        exact.feed_into(&input[..cut], &mut expected);
+        assert!(exact.counting_active(), "the cut is mid-count");
+        exact.feed_into(&input[cut..], &mut expected);
+        assert_eq!(expected.len(), 5);
+        expected.sort();
+        for hybrid in [false, true] {
+            let sm = sharded(&patterns, &[vec![0], vec![1, 2]]);
+            let caches = sm.hybrid_caches(crate::DEFAULT_STATE_BUDGET);
+            let mut streams: Vec<ShardStream> = (0..sm.shard_count())
+                .map(|si| sm.shard_stream(si, hybrid.then(|| &caches[si])))
+                .collect();
+            let mut got = Vec::new();
+            for stream in &mut streams {
+                assert_eq!(stream.hybrid_stats().is_some(), hybrid);
+                stream.feed_into(&input[..cut], &mut got);
+            }
+            drop((sm, caches));
+            for stream in &mut streams {
+                stream.feed_into(&input[cut..], &mut got);
+                assert_eq!(stream.position(), input.len() as u64);
+            }
+            got.sort();
+            assert_eq!(got, expected, "hybrid: {hybrid}");
+        }
     }
 
     #[test]
@@ -1428,12 +1290,11 @@ mod tests {
     }
 
     /// Live counter-carrying states of `engine`.
-    fn counted_live(engine: &MultiEngine<'_>) -> u64 {
+    fn counted_live(engine: &MultiEngine) -> u64 {
         engine
-            .s
             .active
             .iter()
-            .zip(&engine.tables.counted_mask)
+            .zip(&engine.multi.tables().counted_mask)
             .map(|(a, m)| u64::from((a & m).count_ones()))
             .sum()
     }
@@ -1475,10 +1336,10 @@ mod tests {
 
         let counting = m.nca().states().iter().position(|s| !s.is_pure()).unwrap();
         // The values of the counting set's tokens.
-        let values = |engine: &MultiEngine<'_>| {
+        let values = |engine: &MultiEngine| {
             let mut values = Vec::new();
             if counted_live(engine) > 0 {
-                engine.s.cur[counting].for_each(|v| values.push(v[0]));
+                engine.cur[counting].for_each(|v| values.push(v[0]));
             }
             values
         };

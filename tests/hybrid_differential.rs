@@ -111,9 +111,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// The serving path — `serve_with`, checked push/poll, the literal
-    /// prefilter's skip / wake-and-replay on or off — over hybrid engines
-    /// of every budget class reports the per-pattern union, whatever the
-    /// chunking.
+    /// prefilter's skip / wake-and-replay on or off — over the exact
+    /// engine and hybrid engines of every budget class, kept mid-count
+    /// between checkouts on two workers, reports the per-pattern union,
+    /// whatever the chunking.
     #[test]
     fn served_hybrid_reports_the_per_pattern_union(
         picks in prop::collection::vec(0usize..POOL.len(), 1..6),
@@ -126,11 +127,12 @@ proptest! {
         let patterns: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
         let expected = union_of_per_pattern_matches(&patterns, &input);
 
-        for budget in [1usize, 7, 4096] {
+        let modes = [1usize, 7, 4096].map(|state_budget| ScanMode::Hybrid { state_budget });
+        for mode in [ScanMode::Nca].into_iter().chain(modes) {
             for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
                 let engine = Engine::builder()
                     .patterns(&patterns)
-                    .scan_mode(ScanMode::Hybrid { state_budget: budget })
+                    .scan_mode(mode)
                     .prefilter(prefilter)
                     .build()
                     .unwrap();
@@ -156,7 +158,7 @@ proptest! {
                 got.sort();
                 prop_assert_eq!(
                     &got, &expected,
-                    "budget {}, prefilter {:?}, chunks {:?}", budget, prefilter, &chunk_lens
+                    "{:?}, prefilter {:?}, chunks {:?}", mode, prefilter, &chunk_lens
                 );
             }
         }
