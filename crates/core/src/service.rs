@@ -209,8 +209,8 @@ impl ServiceMetrics {
 }
 
 /// Cumulative fault-tolerance counters, in [`ServiceMetrics::faults`].
-/// On clean traffic every field stays 0 — CI's perf-smoke summary
-/// warns otherwise.
+/// On clean traffic every field stays 0 (the benchmark harness reports
+/// their sum as `service.faults_total`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultMetrics {
     /// Flows quarantined after a panic inside one of their scans
