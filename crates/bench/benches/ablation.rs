@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for three design choices:
 //!
 //! * storage plans: analysis-informed `SingleValue` registers vs the
 //!   always-sound conservative bit vectors (what the static analysis buys

@@ -3,7 +3,7 @@
 //!
 //! The paper obtains the per-component energy/delay/area scalars from SPICE
 //! simulation of a TSMC 28 nm implementation; we reproduce the evaluation
-//! starting from the same scalars (see DESIGN.md §4, substitutions).
+//! starting from the same scalars (arXiv 2209.05686, Table 2).
 //! Interpretation used throughout: the Table 2 "CAMA Bank" row describes
 //! one 256-STE CAM block access — the reading consistent with the per-STE
 //! energies visible in Fig. 8 (~65 fJ/STE/byte) and the chip areas of

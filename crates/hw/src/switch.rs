@@ -10,9 +10,9 @@
 //! Default per-signal energies are expressed as fractions of one CAM block
 //! access (16 780 fJ): 0.5% local, 2% intra-array, 4% intra-bank, 8%
 //! inter-bank — wire/crossbar energy grows with distance. They are
-//! estimates (documented in DESIGN.md §4); the figure-level comparisons do
-//! not depend on them, which `cost::tests` checks by re-running Fig. 8
-//! comparisons with switches enabled.
+//! this model's estimates, not values from the paper; the figure-level
+//! comparisons do not depend on them, which `cost::tests` checks by
+//! re-running Fig. 8 comparisons with switches enabled.
 
 use crate::params::CAM_BLOCK;
 use crate::place::{Loc, Placement};

@@ -768,81 +768,6 @@ impl Cursor {
         joined.dedup();
         rows.cache.lookup(joined)
     }
-
-    /// Computes the row entry of the current DFA state on `class` — the
-    /// id of the pure successor subset, or, if the state has edges into
-    /// counted states on `class`, a [`WAKES`]-marked index of the
-    /// side-table slot holding that id, those edges as wake records and
-    /// their quiet mask — and caches it.
-    ///
-    /// The successor is interned in the shard's *current* generation.
-    /// When that is the engine's own, the row is written (unless another
-    /// flow filled it first); otherwise — the engine's generation was
-    /// retired, or this very call flushed it — the engine moves, the row
-    /// that asked is left behind with its generation, and only the
-    /// returned entry, which indexes the generation the engine is now
-    /// on, says where the byte leads.
-    fn successor(&mut self, multi: &MultiNca, class: usize) -> u32 {
-        let (tables, bank) = (multi.tables(), multi.bank());
-        let member_row = &tables.class_member[class];
-        let mut next = std::mem::take(&mut self.succ_scratch);
-        let mut entries = std::mem::take(&mut self.entry_scratch);
-        next.clear();
-        entries.clear();
-        for &p in self.generation.read().cache.subset(self.cur) {
-            for edge in &tables.out_edges[p as usize] {
-                let q = edge.to as usize;
-                if member_row[q / 64] & (1 << (q % 64)) == 0 {
-                    continue;
-                }
-                debug_assert!(
-                    edge.guard.is_empty(),
-                    "edges out of pure states are unguarded"
-                );
-                match bank.module_of[q] {
-                    PURE => next.push(q as u32),
-                    module => {
-                        // A pure source has no counters to copy: the
-                        // valuation it hands over is a constant.
-                        entries.push(module);
-                        entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
-                    }
-                }
-            }
-        }
-        next.sort_unstable();
-        next.dedup();
-        let (own, cur) = (&self.generation, self.cur);
-        let (home, entry) = self.cache.intern_with(&next, |home, rows, id| {
-            let stayed = Arc::ptr_eq(home, own);
-            if stayed {
-                let filled = rows.cache.get(cur, class);
-                if filled != UNKNOWN {
-                    return filled; // another flow got here first
-                }
-            }
-            let entry = if entries.is_empty() {
-                id
-            } else {
-                let slot = rows.wakes.len() as u32;
-                assert!(slot < WAKES - 1, "wake table outgrew its index bits");
-                rows.wakes.push(Wake {
-                    next: id,
-                    entries: entries.as_slice().into(),
-                    quiet: bank.quiet_classes(&entries),
-                });
-                WAKES | slot
-            };
-            if stayed {
-                rows.cache.set(cur, class, entry);
-            }
-            entry
-        });
-        self.generation = home;
-        self.succ_scratch = next;
-        self.entry_scratch = entries;
-        entry
-    }
 }
 
 /// The hybrid lazy-DFA engine. See the module docs.
@@ -950,6 +875,81 @@ impl HybridEngine {
         self.at.stats
     }
 
+    /// Computes the row entry of the current DFA state on `class` — the
+    /// id of the pure successor subset, or, if the state has edges into
+    /// counted states on `class`, a [`WAKES`]-marked index of the
+    /// side-table slot holding that id, those edges as wake records and
+    /// their quiet mask — and caches it.
+    ///
+    /// The successor is interned in the shard's *current* generation.
+    /// When that is the engine's own, the row is written (unless another
+    /// flow filled it first); otherwise — the engine's generation was
+    /// retired, or this very call flushed it — the engine moves, the row
+    /// that asked is left behind with its generation, and only the
+    /// returned entry, which indexes the generation the engine is now
+    /// on, says where the byte leads.
+    fn successor(multi: &MultiNca, at: &mut Cursor, class: usize) -> u32 {
+        let (tables, bank) = (multi.tables(), multi.bank());
+        let member_row = &tables.class_member[class];
+        let mut next = std::mem::take(&mut at.succ_scratch);
+        let mut entries = std::mem::take(&mut at.entry_scratch);
+        next.clear();
+        entries.clear();
+        for &p in at.generation.read().cache.subset(at.cur) {
+            for edge in &tables.out_edges[p as usize] {
+                let q = edge.to as usize;
+                if member_row[q / 64] & (1 << (q % 64)) == 0 {
+                    continue;
+                }
+                debug_assert!(
+                    edge.guard.is_empty(),
+                    "edges out of pure states are unguarded"
+                );
+                match bank.module_of[q] {
+                    PURE => next.push(q as u32),
+                    module => {
+                        // A pure source has no counters to copy: the
+                        // valuation it hands over is a constant.
+                        entries.push(module);
+                        entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
+                    }
+                }
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        let (own, cur) = (&at.generation, at.cur);
+        let (home, entry) = at.cache.intern_with(&next, |home, rows, id| {
+            let stayed = Arc::ptr_eq(home, own);
+            if stayed {
+                let filled = rows.cache.get(cur, class);
+                if filled != UNKNOWN {
+                    return filled; // another flow got here first
+                }
+            }
+            let entry = if entries.is_empty() {
+                id
+            } else {
+                let slot = rows.wakes.len() as u32;
+                assert!(slot < WAKES - 1, "wake table outgrew its index bits");
+                rows.wakes.push(Wake {
+                    next: id,
+                    entries: entries.as_slice().into(),
+                    quiet: bank.quiet_classes(&entries),
+                });
+                WAKES | slot
+            };
+            if stayed {
+                rows.cache.set(cur, class, entry);
+            }
+            entry
+        });
+        at.generation = home;
+        at.succ_scratch = next;
+        at.entry_scratch = entries;
+        entry
+    }
+
     /// Consumes one byte, appending `(pattern, end)` reports to `out`
     /// with the same dedup and ordering contract as
     /// [`MultiEngine::step_into`].
@@ -1043,7 +1043,7 @@ impl HybridEngine {
             let mut entry = rows.cache.get(self.at.cur, class);
             if entry == UNKNOWN {
                 drop(rows);
-                entry = self.at.successor(&self.multi, class);
+                entry = Self::successor(&self.multi, &mut self.at, class);
                 generation = Arc::clone(&self.at.generation);
                 rows = generation.read();
             }
@@ -1215,7 +1215,7 @@ mod tests {
             let class = h.at.cache.0.class_map[b as usize] as usize;
             let mut entry = h.at.generation.read().cache.get(h.at.cur, class);
             if entry == UNKNOWN {
-                entry = h.at.successor(&h.multi, class);
+                entry = HybridEngine::successor(&h.multi, &mut h.at, class);
             }
             let wakes = entry >= WAKES;
             let next = Wake::resolve(&h.at.generation.read().wakes, entry).0;
@@ -1803,15 +1803,13 @@ mod tests {
         let expected = m.engine().match_reports(input);
         let mut asleep = 0;
         for cut in 1..input.len() {
-            // Park the engine at `cut`: moved to another thread and back,
-            // it goes on from where it was.
+            // Park the engine at `cut`: at rest between two feeds.
             let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
             let mut got = Vec::new();
             hybrid.feed_into(&input[..cut], &mut got);
             let counting = hybrid.counters.any_live();
             asleep += usize::from(counting && hybrid.counters.horizon(m.bank()).0 > 0);
             let live = hybrid.active_states();
-            let mut hybrid = std::thread::spawn(move || hybrid).join().unwrap();
             assert_eq!(hybrid.position(), cut as u64);
             assert_eq!(hybrid.counters.any_live(), counting);
             assert_eq!(hybrid.active_states(), live);
@@ -1873,7 +1871,7 @@ mod tests {
         while done < hybrid.discovered_states() {
             for class in 0..m.alphabet().len() {
                 hybrid.at.cur = done as u32;
-                let next = hybrid.at.successor(&hybrid.multi, class);
+                let next = HybridEngine::successor(&hybrid.multi, &mut hybrid.at, class);
                 assert!(next < WAKES, "counter-free sets wake nothing");
             }
             done += 1;

@@ -5,8 +5,8 @@
 //! consumes only their distributional properties — how many patterns,
 //! which fraction uses counting, which fraction is counter-ambiguous, and
 //! how large the bounds are. The generators below produce pattern sets
-//! with those properties **by construction** (see DESIGN.md §4), using
-//! shape families whose ambiguity classification is known:
+//! with those properties **by construction**, using shape families whose
+//! ambiguity classification is known:
 //!
 //! * *ambiguous counting*: an unanchored prefix whose last symbols can
 //!   recur inside the counted class (`lit.{m,n}`, `w[a-z ]{m,n}w'`,

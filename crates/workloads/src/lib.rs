@@ -4,9 +4,8 @@
 //! (Snort, Suricata, Protomata, SpamAssassin, ClamAV) and their input
 //! streams. Every experiment of the paper consumes only the rulesets'
 //! *distributional* properties — pattern counts, counting fraction,
-//! ambiguity fraction, bound distribution (Table 1, Fig. 9) — which the
-//! generators reproduce by construction; see DESIGN.md §4 for the
-//! substitution rationale.
+//! ambiguity fraction, bound distribution (arXiv 2209.05686, Table 1 and
+//! Fig. 9) — which the generators reproduce by construction.
 //!
 //! ## Example
 //!
