@@ -44,6 +44,7 @@ pub use recama_syntax as syntax;
 pub use recama_workloads as workloads;
 
 mod engine;
+mod flow;
 mod prefilter;
 pub mod sched;
 mod service;

@@ -531,14 +531,6 @@ pub(crate) struct PrefilterState {
     pub(crate) hot: bool,
 }
 
-impl PrefilterState {
-    /// Back to cold at the start of a (new) stream — used when a flow
-    /// opens, reopens, or migrates to a new engine epoch.
-    pub(crate) fn reset(&mut self) {
-        *self = PrefilterState::default();
-    }
-}
-
 /// What a unit does with one buffered chunk (see
 /// [`SetPrefilter::chunk_action`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -65,13 +65,12 @@
 //! differentially.
 
 use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfig};
-use crate::prefilter::{
-    ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics, PrefilterState,
-};
+use crate::flow::Flow;
+use crate::prefilter::{ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics};
 use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::Poll;
@@ -408,92 +407,33 @@ struct EpochEngine {
     flows: usize,
 }
 
-/// One checkout-able (flow, shard) engine unit. The [`ShardStream`] owns
-/// all it scans with, so the flow table borrows nothing.
-struct OwnedShardSlot {
-    /// `None` while a worker holds the engine.
-    state: Option<ShardStream>,
-    /// Reports not yet merged: epoch-local pattern ids, **absolute**
-    /// ends, sorted by `(end, pattern)`.
-    pending: VecDeque<MultiReport>,
-    /// Absolute bytes of the flow this shard has consumed (as of last
-    /// check-in). Starts at the flow's migration `base` after a reload.
-    pos: u64,
-    /// Whether the unit is in the ready queue *or* checked out.
-    busy: bool,
-    /// Literal-prefilter state: the unit is skipped while cold (see
-    /// [`crate::PrefilterMode`]). Cold units are never queued, so their
-    /// engine is always parked. Resets at epoch migration.
-    pre: PrefilterState,
-    /// Scans checked out for this unit so far — the fault-injection
-    /// address. Resets when the flow migrates to a new epoch.
-    #[cfg(feature = "fault-inject")]
-    scans: u64,
-}
-
-impl OwnedShardSlot {
-    /// Idle, cold slots around fresh engines that start counting at
-    /// absolute flow offset `pos`.
-    fn fresh(states: Vec<ShardStream>, pos: u64) -> Vec<OwnedShardSlot> {
-        states
-            .into_iter()
-            .map(|state| OwnedShardSlot {
-                state: Some(state),
-                pending: VecDeque::new(),
-                pos,
-                busy: false,
-                pre: PrefilterState::default(),
-                #[cfg(feature = "fault-inject")]
-                scans: 0,
-            })
-            .collect()
-    }
-
-    /// Repositions a cold unit's engine at absolute flow offset `pos`
-    /// (engine-relative `pos - base`): past a skipped chunk, or back to
-    /// a wake-up's replay point. Cold units are never queued, so the
-    /// engine is parked here and nothing holds it.
-    fn restart_at(&mut self, pos: u64, base: u64) {
-        debug_assert!(!self.busy, "cold units are never busy");
-        self.state
-            .as_mut()
-            .expect("cold units hold their engine")
-            .restart_at(pos - base);
-        self.pos = pos;
-    }
-}
-
-/// Per-flow state in the slab: buffered input, one [`OwnedShardSlot`]
-/// per shard of the flow's epoch, and the merged in-order report queue.
+/// A served flow in the slab: its [`Flow`] — engines, positions, pending
+/// reports, replay tail, `$` candidates — plus what only a served flow
+/// has: buffered input, scheduling bits, the report queue and the table's
+/// bookkeeping.
 struct OwnedFlow {
-    /// The epoch whose engines this flow's shard slots hold.
+    /// The epoch whose engines this flow holds.
     epoch: u64,
     /// Set once the flow's engines were freed and its epoch pin
     /// released (so slot-free does not release twice).
     epoch_released: bool,
-    /// Absolute offset where the current epoch's engines started: 0
-    /// for a flow that never migrated, the flow length at migration
-    /// otherwise. Engine-relative positions + `base` = absolute.
-    base: u64,
+    /// Freed once a closed flow has fully drained, or on quarantine.
+    /// Restarted at migration, at `base` = the flow's length: old `$`
+    /// candidates cannot end at the final byte once more bytes arrive,
+    /// and fresh engines start cold.
+    flow: Flow,
     segments: VecDeque<Segment>,
-    /// Total bytes pushed (absolute length of the flow so far).
-    total: u64,
     closed: bool,
-    /// Empty once a closed flow has fully drained (engines freed).
-    shards: Vec<OwnedShardSlot>,
+    /// Per unit: whether it is in the ready queue *or* checked out. A
+    /// cold unit is never queued, so its engine is always parked.
+    busy: Vec<bool>,
+    /// Per unit: scans checked out so far — the fault-injection address.
+    /// Resets when the flow migrates to a new epoch.
+    #[cfg(feature = "fault-inject")]
+    scans: Vec<u64>,
     reports: VecDeque<RuleMatch>,
-    /// Last `$`-anchored candidate per (epoch-local) pattern, so
-    /// closing the flow can resolve which land on the final byte.
-    /// Cleared at migration: old candidates cannot end at the final
-    /// byte once more bytes arrive.
-    dollar: HashMap<u32, u64>,
     /// The resolved finishing set of a finished flow, until drained.
     finishing: Vec<RuleMatch>,
-    /// Last `window` bytes of the flow since the epoch base, kept while
-    /// any shard is cold so a prefilter wake-up can replay the bytes a
-    /// match may have started in. Cleared at migration (fresh engines
-    /// start cold at the new base).
-    tail: Vec<u8>,
     /// The panic payload summary that quarantined this flow, when a
     /// scan over its bytes panicked under
     /// [`FaultPolicy::Isolate`](crate::FaultPolicy::Isolate). A
@@ -511,44 +451,19 @@ struct OwnedFlow {
 }
 
 impl OwnedFlow {
-    /// Bytes pushed but not yet consumed by every shard.
-    fn buffered(&self) -> u64 {
-        self.total - self.watermark()
-    }
-
-    /// The least absolute position any shard has consumed — reports
-    /// with ends at or below it are final and safe to merge in order.
-    fn watermark(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|slot| slot.pos)
-            .min()
-            .unwrap_or(self.total)
-    }
-
-    /// Whether every shard engine is parked and caught up — the only
-    /// state in which the flow can migrate to a new epoch or finish.
-    fn drained(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|slot| slot.state.is_some() && !slot.busy && slot.pos == self.total)
+    /// Swaps in `flow` with every unit idle, returning the old one.
+    fn rebind(&mut self, flow: Flow) -> Flow {
+        self.busy = vec![false; flow.unit_count()];
+        #[cfg(feature = "fault-inject")]
+        {
+            self.scans = vec![0; flow.unit_count()];
+        }
+        std::mem::replace(&mut self.flow, flow)
     }
 
     /// Whether the flow is closed and its engines have been freed.
     fn finished(&self) -> bool {
-        self.closed && self.shards.is_empty()
-    }
-
-    /// The hybrid byte counters of the flow's parked engines (a
-    /// checked-out engine reports when it is back).
-    fn hybrid_stats(&self) -> HybridStats {
-        let mut total = HybridStats::default();
-        for slot in &self.shards {
-            if let Some(stats) = slot.state.as_ref().and_then(ShardStream::hybrid_stats) {
-                total.merge(&stats);
-            }
-        }
-        total
+        self.closed && self.flow.is_freed()
     }
 }
 
@@ -679,13 +594,6 @@ impl ServeState {
         self.epochs.last().expect("the current epoch is installed")
     }
 
-    fn epoch_entry(&self, epoch: u64) -> &EpochEngine {
-        self.epochs
-            .iter()
-            .find(|e| e.epoch == epoch)
-            .expect("pinned epochs stay installed")
-    }
-
     fn bind_epoch(&mut self, epoch: u64) {
         self.epochs
             .iter_mut()
@@ -719,11 +627,7 @@ impl ServeState {
     }
 
     fn flow_mut(&mut self, id: FlowId) -> Option<&mut OwnedFlow> {
-        let slot = self.slots.get_mut(id.index as usize)?;
-        if slot.generation != id.generation {
-            return None;
-        }
-        slot.flow.as_deref_mut()
+        flow_in(&mut self.slots, id)
     }
 
     fn occupied(&self) -> usize {
@@ -738,7 +642,7 @@ impl ServeState {
             self.metrics.backpressure += 1;
         }
         let epoch = self.current_epoch;
-        let states = self.current().set.shard_streams();
+        let flow = Flow::new(&self.current().set, 0);
         self.bind_epoch(epoch);
         self.touch += 1;
         #[cfg(feature = "fault-inject")]
@@ -750,15 +654,14 @@ impl ServeState {
         let flow = Box::new(OwnedFlow {
             epoch,
             epoch_released: false,
-            base: 0,
+            busy: vec![false; flow.unit_count()],
+            #[cfg(feature = "fault-inject")]
+            scans: vec![0; flow.unit_count()],
+            flow,
             segments: VecDeque::new(),
-            total: 0,
             closed: false,
-            shards: OwnedShardSlot::fresh(states, 0),
             reports: VecDeque::new(),
-            dollar: HashMap::new(),
             finishing: Vec::new(),
-            tail: Vec::new(),
             quarantined: None,
             #[cfg(feature = "fault-inject")]
             seq,
@@ -848,15 +751,12 @@ impl ServeState {
         self.metrics.quarantined += 1;
         self.ready.retain(|&(rid, _)| rid != id);
         let f = self.flow_mut(id).expect("quarantining a live flow");
-        let before = f.buffered();
+        let before = f.flow.buffered();
         let was_open = !f.closed;
         f.closed = true;
         f.quarantined = Some(summary.to_string());
-        let retired = f.hybrid_stats();
-        f.shards.clear();
+        let retired = f.flow.free();
         f.segments.clear();
-        f.dollar.clear();
-        f.tail = Vec::new();
         let epoch = f.epoch;
         let release = !f.epoch_released;
         f.epoch_released = true;
@@ -909,7 +809,7 @@ impl ServeState {
             f.last_activity = Instant::now();
         }
         f.last_touch = touch;
-        let buffered = f.buffered();
+        let buffered = f.flow.buffered();
         // Empty chunks buffer nothing and are accepted unconditionally;
         // a chunk is otherwise accepted when the flow buffers nothing
         // (so chunks larger than the whole budget still make progress)
@@ -929,35 +829,22 @@ impl ServeState {
     }
 
     /// Migrates a drained flow onto the current epoch at this chunk
-    /// boundary: fresh engines starting at `base = total`, old engines
-    /// (and their epoch pin) released. Called only for a non-empty
-    /// accepted push, so clearing the `$` candidates is safe — more
-    /// bytes are coming, and the old candidates cannot end at the
-    /// final byte.
+    /// boundary: a fresh [`Flow`] whose engines start at `base` = the
+    /// flow's length, old engines (and their epoch pin) released. Called
+    /// only for a non-empty accepted push, so dropping the `$` candidates
+    /// is safe — more bytes are coming. A literal straddling the boundary
+    /// is cut like any match there: the filter restarts with the engines.
     fn maybe_migrate(&mut self, id: FlowId) {
         let current = self.current_epoch;
-        {
-            let Some(f) = self.flow(id) else { return };
-            if f.epoch == current || f.closed || !f.drained() {
-                return;
-            }
+        let Some(f) = self.flow(id) else { return };
+        if f.epoch == current || f.closed || !f.flow.drained() {
+            return;
         }
-        let states = self.current().set.shard_streams();
-        let f = self.slots[id.index as usize]
-            .flow
-            .as_deref_mut()
-            .expect("migrating a live flow");
-        let retired = f.hybrid_stats();
+        let fresh = Flow::new(&self.current().set, f.flow.total());
+        let f = self.flow_mut(id).expect("migrating a live flow");
+        let retired = f.rebind(fresh).hybrid_stats();
         let old_epoch = f.epoch;
-        let base = f.total;
-        f.base = base;
         f.segments.clear(); // drained ⇒ already empty
-        f.dollar.clear();
-        // Fresh engines start cold at the new base: a literal
-        // straddling the migration boundary is cut like any match
-        // there, so the filter state restarts with the engines.
-        f.tail.clear();
-        f.shards = OwnedShardSlot::fresh(states, base);
         f.epoch = current;
         f.epoch_released = false;
         self.hybrid_retired.merge(&retired);
@@ -965,107 +852,72 @@ impl ServeState {
         self.bind_epoch(current);
     }
 
-    /// Buffers `chunk` for an open flow and marks its idle shard units
-    /// ready — except units the literal prefilter proves cold, whose
-    /// position advances past the chunk without a scan. Returns the
-    /// flow's new total length.
+    /// Buffers `chunk` for an open flow and marks its idle units ready —
+    /// except units the literal prefilter proves cold, whose position
+    /// advances past the chunk without a scan. Returns the flow's new
+    /// total length.
     fn buffer_chunk(&mut self, id: FlowId, chunk: &[u8]) -> u64 {
-        let epoch = self.slots[id.index as usize]
-            .flow
-            .as_deref()
-            .expect("buffer_chunk: open flow")
-            .epoch;
-        let set = Arc::clone(&self.epoch_entry(epoch).set);
-        let f = self.slots[id.index as usize]
-            .flow
-            .as_deref_mut()
-            .expect("buffer_chunk: open flow");
+        let ServeState {
+            slots,
+            epochs,
+            ready,
+            metrics,
+            buffered_total,
+            ..
+        } = self;
+        let f = flow_in(slots, id).expect("buffer_chunk: open flow");
         if chunk.is_empty() {
-            return f.total;
+            return f.flow.total();
         }
-        let before = f.buffered();
-        let chunk_start = f.total;
+        let set = &epoch_of(epochs, f.epoch).set;
+        let before = f.flow.buffered();
+        let chunk_start = f.flow.total();
         f.segments.push_back(Segment {
             start: chunk_start,
             bytes: Arc::from(chunk),
         });
-        f.total += chunk.len() as u64;
-        let total = f.total;
-        let mut skipped = false;
-        match set.prefilter() {
-            None => {
-                for (si, slot) in f.shards.iter_mut().enumerate() {
-                    if !slot.busy {
-                        slot.busy = true;
-                        self.ready.push_back((id, si));
-                    }
-                }
+        // A woken unit replays bytes before the chunk; where those
+        // already fell off the segment queue, re-cover them with a
+        // synthetic segment (keeping the queue contiguous for
+        // `ServeUnit::scan`'s skip math).
+        let segments = &mut f.segments;
+        let verdicts = f.flow.admit(set, chunk, |start, bytes| {
+            let front_start = segments.front().map_or(chunk_start, |s| s.start);
+            if start < front_start {
+                segments.push_front(Segment {
+                    start,
+                    bytes: Arc::from(&bytes[..(front_start - start) as usize]),
+                });
             }
-            Some(pf) => {
-                let base = f.base;
-                // Filter verdict per shard; the filter state advances
-                // over the chunk even when the scan is skipped.
-                let actions: Vec<ChunkAction> = f
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(si, slot)| pf.chunk_action(si, &mut slot.pre, chunk, chunk_start, base))
-                    .collect();
-                // A woken unit replays up to a window of bytes before
-                // the chunk; if those already fell off the segment
-                // queue, re-cover them with a synthetic segment sliced
-                // from the tail buffer (keeping the queue contiguous
-                // for `ServeUnit::scan`'s skip math).
-                let min_replay = actions
-                    .iter()
-                    .filter_map(|a| match a {
-                        ChunkAction::Wake { replay_start } => Some(*replay_start),
-                        _ => None,
-                    })
-                    .min();
-                if let Some(min_replay) = min_replay {
-                    let front_start = f.segments.front().map_or(total, |s| s.start);
-                    if min_replay < front_start {
-                        let tail_start = chunk_start - f.tail.len() as u64;
-                        debug_assert!(min_replay >= tail_start, "tail covers every replay window");
-                        let a = (min_replay - tail_start) as usize;
-                        let b = (front_start - tail_start) as usize;
-                        f.segments.push_front(Segment {
-                            start: min_replay,
-                            bytes: Arc::from(&f.tail[a..b]),
-                        });
-                    }
+        });
+        let mut skipped = false;
+        for (si, verdict) in verdicts.into_iter().enumerate() {
+            debug_assert!(
+                verdict == ChunkAction::Scan || !f.busy[si],
+                "cold units are never busy"
+            );
+            let enqueue = match verdict {
+                ChunkAction::Scan => !f.busy[si],
+                ChunkAction::Skip => {
+                    metrics.prefilter.skipped_units.add(si, 1);
+                    let bytes = chunk.len() as u64;
+                    metrics.prefilter.skipped_bytes.add(si, bytes);
+                    skipped = true;
+                    false
                 }
-                for (si, (slot, action)) in f.shards.iter_mut().zip(&actions).enumerate() {
-                    let enqueue = match *action {
-                        ChunkAction::Scan => !slot.busy,
-                        ChunkAction::Skip => {
-                            slot.restart_at(total, base);
-                            self.metrics.prefilter.skipped_units.add(si, 1);
-                            self.metrics
-                                .prefilter
-                                .skipped_bytes
-                                .add(si, chunk.len() as u64);
-                            skipped = true;
-                            false
-                        }
-                        ChunkAction::Wake { replay_start } => {
-                            slot.restart_at(replay_start, base);
-                            self.metrics.prefilter.candidate_hits += 1;
-                            true
-                        }
-                    };
-                    if enqueue {
-                        slot.busy = true;
-                        self.ready.push_back((id, si));
-                    }
+                ChunkAction::Wake { .. } => {
+                    metrics.prefilter.candidate_hits += 1;
+                    true
                 }
-                pf.extend_tail(&mut f.tail, chunk);
+            };
+            if enqueue {
+                f.busy[si] = true;
+                ready.push_back((id, si));
             }
         }
-        let after = f.buffered();
-        self.buffered_total += after - before;
-        self.metrics.queue_peak = self.metrics.queue_peak.max(self.ready.len());
+        let total = f.flow.total();
+        *buffered_total += f.flow.buffered() - before;
+        metrics.queue_peak = metrics.queue_peak.max(ready.len());
         if skipped {
             // Skips advance the watermark without a check-in: merge
             // (and drop fully-consumed segments) promptly.
@@ -1083,18 +935,15 @@ impl ServeState {
         let f = self
             .flow_mut(id)
             .expect("ready unit belongs to a live flow");
-        let base = f.base;
         #[cfg(feature = "fault-inject")]
         let seq = f.seq;
-        let slot = &mut f.shards[si];
-        debug_assert!(slot.busy, "queued units are marked busy");
+        debug_assert!(f.busy[si], "queued units are marked busy");
         #[cfg(feature = "fault-inject")]
         let scan_no = {
-            slot.scans += 1;
-            slot.scans
+            f.scans[si] += 1;
+            f.scans[si]
         };
-        let state = slot.state.take().expect("ready slot holds its engine");
-        let from = slot.pos;
+        let (state, from) = f.flow.checkout(si);
         let segments: Vec<Segment> = f
             .segments
             .iter()
@@ -1105,7 +954,7 @@ impl ServeState {
         Some(ServeUnit {
             id,
             shard: si,
-            base,
+            from,
             state,
             segments,
             #[cfg(feature = "fault-inject")]
@@ -1115,15 +964,14 @@ impl ServeState {
         })
     }
 
-    /// Checks a scanned unit back in: publishes its reports (already
-    /// absolute), requeues it if more bytes arrived while it was out,
+    /// Checks a scanned unit back in: publishes its reports, requeues it if more bytes arrived while it was out,
     /// merges what became final, and settles `in_flight`.
     fn check_in(&mut self, id: FlowId, si: usize, state: ShardStream, reports: Vec<MultiReport>) {
         // A sibling shard's panic may have quarantined the flow — and
         // an acknowledging `close` may even have freed its slot —
         // while this unit was out scanning. Retire the late engine's
         // hybrid counters, drop its now-unmergeable reports, settle.
-        if self.flow(id).is_none_or(|f| f.shards.is_empty()) {
+        if self.flow(id).is_none_or(|f| f.flow.is_freed()) {
             if let Some(stats) = state.hybrid_stats() {
                 self.hybrid_retired.merge(&stats);
             }
@@ -1134,110 +982,75 @@ impl ServeState {
             .flow
             .as_deref_mut()
             .expect("flows persist while checked out");
-        let before = f.buffered();
-        let base = f.base;
-        let total = f.total;
-        let slot = &mut f.shards[si];
-        slot.pos = base + state.position();
-        slot.state = Some(state);
-        slot.pending.extend(reports);
-        if slot.pos < total {
+        let before = f.flow.buffered();
+        if f.flow.check_in(si, state, reports) < f.flow.total() {
             self.ready.push_back((id, si)); // more bytes arrived meanwhile
         } else {
-            slot.busy = false;
+            f.busy[si] = false;
         }
         // Scan progress counts as activity: a flow whose backlog is
         // still draining is not idle.
         f.last_activity = Instant::now();
-        let after = f.buffered();
-        self.buffered_total -= before - after;
+        self.buffered_total -= before - f.flow.buffered();
         self.merge_ready(id);
         self.try_finish(id);
         self.in_flight -= 1;
     }
 
-    /// Merges shard-pending reports up to the watermark into the flow
-    /// queue (ordered by `(end, pattern)`, the stream order) and the
-    /// global sink, then drops input segments every shard has consumed.
+    /// Merges what the flow's units have finalized into the flow queue
+    /// (as stable rule ids) and the global sink, then drops input
+    /// segments every unit has consumed.
     fn merge_ready(&mut self, id: FlowId) {
-        let Some(f) = self.flow(id) else { return };
-        if f.shards.is_empty() {
+        let ServeState {
+            slots,
+            epochs,
+            sink,
+            ..
+        } = self;
+        let Some(f) = flow_in(slots, id) else { return };
+        if f.flow.is_freed() {
             // Already finished (engines freed, epoch pin released —
             // the epoch may since have been retired by a reload) or a
             // zero-shard set: nothing pending to merge. A second
             // `close` on a finished flow lands here.
             return;
         }
-        let (set, ids) = {
-            let e = self.epoch_entry(f.epoch);
-            (Arc::clone(&e.set), Arc::clone(&e.ids))
-        };
-        let anchored = set.anchored_end();
-        let mut events: Vec<ServiceEvent> = Vec::new();
-        let f = self
-            .flow_mut(id)
-            .expect("merge_ready: flow is still live here");
-        let watermark = f.watermark();
-        loop {
-            let mut best: Option<(usize, (u64, u32))> = None;
-            for (si, slot) in f.shards.iter().enumerate() {
-                if let Some(r) = slot.pending.front() {
-                    if r.end <= watermark && best.is_none_or(|(_, key)| (r.end, r.pattern) < key) {
-                        best = Some((si, (r.end, r.pattern)));
-                    }
-                }
-            }
-            let Some((si, _)) = best else { break };
-            let r = f.shards[si].pending.pop_front().expect("best exists");
-            if anchored[r.pattern as usize] {
-                f.dollar.insert(r.pattern, r.end);
-            }
-            let rule = ids[r.pattern as usize];
-            f.reports.push_back(RuleMatch { rule, end: r.end });
-            events.push(ServiceEvent {
+        let e = epoch_of(epochs, f.epoch);
+        let reports = &mut f.reports;
+        f.flow.merge(&e.set, |r| {
+            let rule = e.ids[r.pattern as usize];
+            reports.push_back(RuleMatch { rule, end: r.end });
+            sink.push(ServiceEvent {
                 flow: id,
                 rule,
                 end: r.end,
             });
-        }
+        });
+        let watermark = f.flow.watermark();
         while f.segments.front().is_some_and(|seg| seg.end() <= watermark) {
             f.segments.pop_front();
         }
-        self.sink.extend(events);
     }
 
     /// Frees the engines of a closed, fully-consumed flow, resolves its
     /// `$`-anchored finishing set (as stable rule ids), retires its
     /// hybrid counters, and releases its epoch pin.
     fn try_finish(&mut self, id: FlowId) {
-        let Some(f) = self.flow(id) else { return };
-        if f.shards.is_empty() {
-            return; // already finished, or a zero-shard set
-        }
-        if !(f.closed && f.drained()) {
+        let Some(f) = flow_in(&mut self.slots, id) else {
             return;
+        };
+        if f.flow.is_freed() || !(f.closed && f.flow.drained()) {
+            return; // already finished, a zero-shard set, or not yet due
         }
         let epoch = f.epoch;
-        let ids = Arc::clone(&self.epoch_entry(epoch).ids);
-        let f = self
-            .flow_mut(id)
-            .expect("try_finish: flow is still live here");
-        debug_assert!(f.shards.iter().all(|slot| slot.pending.is_empty()));
-        let retired = f.hybrid_stats();
-        f.shards.clear();
+        let ids = &epoch_of(&self.epochs, epoch).ids;
+        let finals = f.flow.finishing().into_iter().map(|r| RuleMatch {
+            rule: ids[r.pattern as usize],
+            end: r.end,
+        });
+        f.finishing.extend(finals);
+        let retired = f.flow.free();
         f.segments.clear();
-        let total = f.total;
-        let mut finals: Vec<u32> = f
-            .dollar
-            .iter()
-            .filter_map(|(&pattern, &end)| (end == total).then_some(pattern))
-            .collect();
-        finals.sort_unstable();
-        f.finishing
-            .extend(finals.into_iter().map(|pattern| RuleMatch {
-                rule: ids[pattern as usize],
-                end: total,
-            }));
         f.epoch_released = true;
         self.hybrid_retired.merge(&retired);
         self.release_epoch(epoch);
@@ -1285,7 +1098,7 @@ impl ServeState {
             .enumerate()
             .filter_map(|(i, slot)| {
                 let f = slot.flow.as_deref()?;
-                (!f.closed && f.buffered() == 0 && now.duration_since(f.last_activity) >= timeout)
+                (!f.closed && f.flow.buffered() == 0 && now.duration_since(f.last_activity) >= timeout)
                     .then_some(FlowId {
                         index: i as u32,
                         generation: slot.generation,
@@ -1309,7 +1122,7 @@ impl ServeState {
             let Some(f) = slot.flow.as_deref() else {
                 continue;
             };
-            if f.closed || f.buffered() != 0 {
+            if f.closed || f.flow.buffered() != 0 {
                 continue;
             }
             if lru.is_none_or(|(touch, _)| f.last_touch < touch) {
@@ -1338,7 +1151,7 @@ impl ServeState {
         // clone of the serving engine installs the same set twice).
         let mut hybrid = self.hybrid_retired;
         for f in self.slots.iter().filter_map(|slot| slot.flow.as_deref()) {
-            hybrid.merge(&f.hybrid_stats());
+            hybrid.merge(&f.flow.hybrid_stats());
         }
         for (i, e) in self.epochs.iter().enumerate() {
             if !self.epochs[..i].iter().any(|o| Arc::ptr_eq(&o.set, &e.set)) {
@@ -1381,6 +1194,21 @@ impl ServeState {
     }
 }
 
+/// The flow `id` addresses, borrowing only the slab — so a caller can
+/// read `epochs` and write the queues beside it.
+fn flow_in(slots: &mut [Slot], id: FlowId) -> Option<&mut OwnedFlow> {
+    let slot = slots.get_mut(id.index as usize)?;
+    if slot.generation != id.generation {
+        return None;
+    }
+    slot.flow.as_deref_mut()
+}
+
+/// The installed engine a flow pinned to `epoch` scans with.
+fn epoch_of(epochs: &[EpochEngine], epoch: u64) -> &EpochEngine {
+    (epochs.iter().find(|e| e.epoch == epoch)).expect("pinned epochs stay installed")
+}
+
 /// A human-readable summary of a panic payload: `&str` and `String`
 /// payloads verbatim, anything else opaquely.
 fn payload_summary(payload: &(dyn Any + Send)) -> String {
@@ -1401,8 +1229,8 @@ fn payload_summary(payload: &(dyn Any + Send)) -> String {
 struct ServeUnit {
     id: FlowId,
     shard: usize,
-    /// Absolute offset where this epoch's engines started in the flow.
-    base: u64,
+    /// Absolute flow offset the engine stands at.
+    from: u64,
     state: ShardStream,
     segments: Vec<Segment>,
     /// The flow's open-order sequence number (fault-injection address).
@@ -1416,26 +1244,22 @@ struct ServeUnit {
 
 impl ServeUnit {
     /// Scans every unconsumed byte of the checked-out segments,
-    /// returning the shard's engine and its reports rebased to
-    /// **absolute** flow offsets. Runs WITHOUT the lock held.
+    /// returning the shard's engine, the reports it appended and the
+    /// bytes it walked. Runs WITHOUT the lock held.
     fn scan(self) -> (ShardStream, Vec<MultiReport>, u64) {
         let ServeUnit {
-            base,
+            from,
             state: mut stream,
             segments,
             ..
         } = self;
         let mut reports = Vec::new();
-        let mut bytes = 0u64;
+        let mut at = from;
         for seg in &segments {
-            let skip = ((base + stream.position()) - seg.start) as usize;
-            bytes += (seg.bytes.len() - skip) as u64;
-            stream.feed_into(&seg.bytes[skip..], &mut reports);
+            stream.feed_into(&seg.bytes[(at - seg.start) as usize..], &mut reports);
+            at = seg.end();
         }
-        for r in &mut reports {
-            r.end += base;
-        }
-        (stream, reports, bytes)
+        (stream, reports, at - from)
     }
 }
 
@@ -2213,7 +2037,7 @@ impl ServiceHandle {
 
     /// Bytes pushed to `flow` so far (`None` for stale/unknown ids).
     pub fn flow_len(&self, flow: FlowId) -> Option<u64> {
-        self.core.lock().flow(flow).map(|f| f.total)
+        self.core.lock().flow(flow).map(|f| f.flow.total())
     }
 
     /// Total bytes buffered but not yet consumed by every shard. O(1).

@@ -19,7 +19,8 @@
 //! A block scan ([`ShardedPatternSet::find_ends`]) is a fresh stream fed
 //! the haystack once, so there is one scan loop.
 
-use crate::prefilter::{ChunkAction, PrefilterMode, PrefilterState, SetPrefilter};
+use crate::flow::Flow;
+use crate::prefilter::{ChunkAction, PrefilterMode, SetPrefilter};
 use crate::MatchSpan;
 use recama_compiler::{compile, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
@@ -417,13 +418,9 @@ impl ShardedPatternSet {
     /// [`finish`]: ShardedSetStream::finish
     pub fn stream(&self) -> ShardedSetStream<'_> {
         ShardedSetStream {
-            shards: self.shard_streams(),
-            bufs: vec![Vec::new(); self.multi.shard_count()],
+            set: self,
+            flow: Flow::new(self, 0),
             merged: Vec::new(),
-            dollar: DollarTracker::new(&self.anchored_end),
-            prefilter: self.prefilter.as_ref(),
-            pre: vec![PrefilterState::default(); self.multi.shard_count()],
-            tail: Vec::new(),
         }
     }
 
@@ -441,118 +438,18 @@ impl ShardedPatternSet {
     }
 }
 
-/// Merges per-shard report lists into one list sorted by `(end,
-/// pattern)` — the order the unsharded engine emits. `translate` maps a
-/// shard-local entry to its global report; translated lists must arrive
-/// already sorted by `(end, pattern)` (guaranteed by
-/// [`MultiEngine`](recama_nca::MultiEngine)'s within-step ordering
-/// contract plus ascending shard members).
-fn merge_ordered_by<T: Copy>(
-    per_shard: &[Vec<T>],
-    translate: impl Fn(usize, T) -> SetMatch,
-    out: &mut Vec<SetMatch>,
-) {
-    debug_assert!(
-        per_shard.iter().enumerate().all(|(si, reports)| {
-            reports.windows(2).all(|w| {
-                let (a, b) = (translate(si, w[0]), translate(si, w[1]));
-                (a.end, a.pattern) < (b.end, b.pattern)
-            })
-        }),
-        "per-shard reports must arrive sorted by (end, pattern) — \
-         see MultiEngine::step_into's ordering contract"
-    );
-    let total: usize = per_shard.iter().map(|v| v.len()).sum();
-    let mut cursors = vec![0usize; per_shard.len()];
-    for _ in 0..total {
-        let mut best: Option<(usize, SetMatch)> = None;
-        for (si, reports) in per_shard.iter().enumerate() {
-            if let Some(&r) = reports.get(cursors[si]) {
-                let m = translate(si, r);
-                if best.is_none_or(|(_, b)| (m.end, m.pattern) < (b.end, b.pattern)) {
-                    best = Some((si, m));
-                }
-            }
-        }
-        let (si, m) = best.expect("total counted a remaining report");
-        out.push(m);
-        cursors[si] += 1;
-    }
-}
-
-/// Tracks the last candidate end per trailing-`$` pattern. Streams (and
-/// the flow scheduler) report every candidate end of a `$`-anchored
-/// pattern because mid-stream the end is unknown; this records the most
-/// recent one so declaring end-of-stream can resolve which candidates
-/// actually land on the final byte. State lives across feeds —
-/// including zero-byte ones — so a candidate two chunks old still
-/// finishes correctly when the stream ends on an empty chunk.
-#[derive(Debug)]
-pub(crate) struct DollarTracker<'a> {
-    /// Trailing-`$` flags per (global) pattern.
-    anchored_end: &'a [bool],
-    last: HashMap<usize, u64>,
-}
-
-impl<'a> DollarTracker<'a> {
-    pub(crate) fn new(anchored_end: &'a [bool]) -> DollarTracker<'a> {
-        DollarTracker {
-            anchored_end,
-            last: HashMap::new(),
-        }
-    }
-
-    /// Records a reported candidate `(pattern, end)`; non-`$` patterns
-    /// are ignored.
-    pub(crate) fn observe(&mut self, pattern: usize, end: u64) {
-        if self.anchored_end[pattern] {
-            self.last.insert(pattern, end);
-        }
-    }
-
-    /// The finishing set for a stream ending at `position`: `$`-anchored
-    /// matches whose last candidate ends exactly there, sorted by
-    /// pattern — what a one-shot `find_ends` would have kept of them.
-    pub(crate) fn finish(&self, position: u64) -> Vec<SetMatch> {
-        let mut out: Vec<SetMatch> = self
-            .last
-            .iter()
-            .filter(|&(_, &end)| end == position)
-            .map(|(&pattern, &end)| SetMatch {
-                pattern,
-                end: end as usize,
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.last.clear();
-    }
-}
-
-/// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`] (one
-/// [`ShardStream`] per shard); create one with
-/// [`ShardedPatternSet::stream`]. The stream is `Send`, so per-flow
-/// states can move onto worker threads — and each shard's engine is a
-/// value of its own ([`ShardedMulti::shard_stream`]), which is what
-/// [`FlowScheduler`](crate::sched::FlowScheduler) builds on to let two
-/// workers advance different shards of the same flow. The `'a` is the
-/// set's prefilter and `$` table, which the stream borrows.
+/// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`];
+/// create one with [`ShardedPatternSet::stream`]. It is the synchronous
+/// driver of one flow (`flow.rs`): every chunk is admitted, scanned by
+/// the shard engines the literal prefilter did not skip — on scoped
+/// threads when the chunk is large — and merged before
+/// [`feed`](ShardedSetStream::feed) returns, so the chunk stays borrowed.
+/// The stream is `Send`, so per-flow states can move onto worker
+/// threads. The `'a` is the set, which the stream borrows.
 pub struct ShardedSetStream<'a> {
-    shards: Vec<ShardStream>,
-    bufs: Vec<Vec<MultiReport>>,
+    set: &'a ShardedPatternSet,
+    flow: Flow,
     merged: Vec<SetMatch>,
-    dollar: DollarTracker<'a>,
-    /// The set's literal prefilter (`None` under
-    /// [`PrefilterMode`](crate::PrefilterMode)`::Off`): cold shards
-    /// skip the engines entirely until a literal candidate appears.
-    prefilter: Option<&'a SetPrefilter>,
-    /// Per-shard streaming filter state (AC node + sticky hot flag).
-    pre: Vec<PrefilterState>,
-    /// Last `window` bytes fed, for cold→hot wake-up replay.
-    tail: Vec<u8>,
 }
 
 /// Inputs at least this large are fanned out to shard engines on scoped
@@ -566,73 +463,42 @@ impl ShardedSetStream<'_> {
     /// start of the stream, across all chunks fed so far).
     pub fn feed(&mut self, chunk: &[u8]) -> impl Iterator<Item = SetMatch> + '_ {
         let chunk_start = self.position();
-        // Consult the prefilter per shard before any engine runs. Cold
-        // shards skip the scan (their engines stay fresh and teleport
-        // via restart_at); a first candidate wakes the shard with a
-        // bounded tail replay. Empty chunks scan (a no-op) so the
-        // filter state never advances past bytes that were never fed.
-        let actions: Vec<ChunkAction> = match self.prefilter {
-            Some(pf) if !chunk.is_empty() => self
-                .pre
-                .iter_mut()
-                .enumerate()
-                .map(|(si, st)| pf.chunk_action(si, st, chunk, chunk_start, 0))
-                .collect(),
-            _ => vec![ChunkAction::Scan; self.shards.len()],
-        };
-        let tail = &self.tail;
-        let run = |shard: &mut ShardStream, buf: &mut Vec<MultiReport>, action: ChunkAction| {
-            buf.clear();
-            match action {
-                ChunkAction::Scan => shard.feed_into(chunk, buf),
-                ChunkAction::Skip => shard.restart_at(chunk_start + chunk.len() as u64),
-                ChunkAction::Wake { replay_start } => {
-                    shard.restart_at(replay_start);
-                    let need = (chunk_start - replay_start) as usize;
-                    if need > 0 {
-                        shard.feed_into(&tail[tail.len() - need..], buf);
-                    }
-                    shard.feed_into(chunk, buf);
-                }
+        // A woken unit stands at its replay point, before the chunk: the
+        // bytes in between are `replay`, which starts at `replay_from`.
+        let (mut replay_from, mut replay) = (chunk_start, Vec::new());
+        let verdicts = self.flow.admit(self.set, chunk, |start, bytes| {
+            replay_from = start;
+            replay.extend_from_slice(bytes);
+        });
+        let mut scans: Vec<(usize, ShardStream, u64, Vec<MultiReport>)> = Vec::new();
+        for (si, verdict) in verdicts.into_iter().enumerate() {
+            if verdict != ChunkAction::Skip {
+                let (engine, from) = self.flow.checkout(si);
+                scans.push((si, engine, from, Vec::new()));
             }
+        }
+        // A stream counts from 0, so engine positions are absolute.
+        let scan = |(_, engine, from, reports): &mut (usize, ShardStream, u64, Vec<_>)| {
+            if *from < chunk_start {
+                engine.feed_into(&replay[(*from - replay_from) as usize..], reports);
+            }
+            engine.feed_into(chunk, reports);
         };
-        if self.shards.len() > 1 && chunk.len() >= PARALLEL_MIN_BYTES {
+        if scans.len() > 1 && chunk.len() >= PARALLEL_MIN_BYTES {
             std::thread::scope(|scope| {
-                let run = &run;
-                for ((shard, buf), action) in self
-                    .shards
-                    .iter_mut()
-                    .zip(self.bufs.iter_mut())
-                    .zip(actions.iter().copied())
-                {
-                    scope.spawn(move || run(shard, buf, action));
+                for unit in &mut scans {
+                    scope.spawn(|| scan(unit));
                 }
             });
         } else {
-            for ((shard, buf), action) in self
-                .shards
-                .iter_mut()
-                .zip(self.bufs.iter_mut())
-                .zip(actions.iter().copied())
-            {
-                run(shard, buf, action);
-            }
+            scans.iter_mut().for_each(scan);
         }
-        if let Some(pf) = self.prefilter {
-            pf.extend_tail(&mut self.tail, chunk);
+        for (si, engine, _, reports) in scans {
+            self.flow.check_in(si, engine, reports);
         }
         self.merged.clear();
-        merge_ordered_by(
-            &self.bufs,
-            |_, r: MultiReport| SetMatch {
-                pattern: r.pattern as usize,
-                end: r.end as usize,
-            },
-            &mut self.merged,
-        );
-        for m in &self.merged {
-            self.dollar.observe(m.pattern, m.end as u64);
-        }
+        let merged = &mut self.merged;
+        self.flow.merge(self.set, |r| merged.push(set_match(r)));
         self.merged.iter().copied()
     }
 
@@ -648,29 +514,29 @@ impl ShardedSetStream<'_> {
     /// on the final byte is reported even if the last `feed` before
     /// `finish` consumed zero bytes.
     pub fn finish(self) -> Vec<SetMatch> {
-        self.dollar.finish(self.position())
+        self.flow.finishing().into_iter().map(set_match).collect()
     }
 
     /// Number of shard engines this stream advances in lockstep.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.flow.unit_count()
     }
 
     /// Total bytes consumed since creation (or the last reset).
     pub fn position(&self) -> u64 {
-        self.shards.first().map(|s| s.position()).unwrap_or(0)
+        self.flow.total()
     }
 
     /// Restarts the stream at position 0.
     pub fn reset(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset();
-        }
-        for st in &mut self.pre {
-            st.reset();
-        }
-        self.tail.clear();
-        self.dollar.clear();
+        self.flow = Flow::new(self.set, 0);
+    }
+}
+
+fn set_match(r: MultiReport) -> SetMatch {
+    SetMatch {
+        pattern: r.pattern as usize,
+        end: r.end as usize,
     }
 }
 
