@@ -160,7 +160,10 @@ impl Flow {
         if replay_from < chunk_start {
             let tail_start = chunk_start - self.tail.len() as u64;
             debug_assert!(replay_from >= tail_start, "tail covers every replay window");
-            replay(replay_from, &self.tail[(replay_from - tail_start) as usize..]);
+            replay(
+                replay_from,
+                &self.tail[(replay_from - tail_start) as usize..],
+            );
         }
         match set.prefilter() {
             Some(pf) if any_cold => pf.extend_tail(&mut self.tail, chunk),
@@ -190,16 +193,22 @@ impl Flow {
         let unit = &mut self.units[si];
         unit.pos = base + engine.position();
         unit.engine = Some(engine);
-        unit.pending.extend(reports.into_iter().map(|r| MultiReport {
-            end: r.end + base,
-            ..r
-        }));
+        unit.pending
+            .extend(reports.into_iter().map(|r| MultiReport {
+                end: r.end + base,
+                ..r
+            }));
         unit.pos
     }
 
     /// Merges the units' pending reports up to the watermark into `emit`,
     /// in stream order: ascending end, ascending pattern within one end.
-    pub(crate) fn merge(&mut self, set: &ShardedPatternSet, mut emit: impl FnMut(MultiReport)) {
+    /// Returns the watermark.
+    pub(crate) fn merge(
+        &mut self,
+        set: &ShardedPatternSet,
+        mut emit: impl FnMut(MultiReport),
+    ) -> u64 {
         let watermark = self.watermark();
         let anchored = set.anchored_end();
         loop {
@@ -211,7 +220,9 @@ impl Flow {
                     }
                 }
             }
-            let Some((si, key)) = best else { break };
+            let Some((si, key)) = best else {
+                return watermark;
+            };
             let pending = &mut self.units[si].pending;
             let r = pending.pop_front().expect("best exists");
             debug_assert!(
@@ -231,6 +242,10 @@ impl Flow {
     /// what a one-shot scan would have kept of them. Candidates live
     /// across chunks, empty ones included.
     pub(crate) fn finishing(&self) -> Vec<MultiReport> {
+        debug_assert!(
+            self.drained() && self.units.iter().all(|u| u.pending.is_empty()),
+            "a stream ends with every byte scanned and every report merged"
+        );
         let mut out: Vec<MultiReport> = (self.dollar.iter())
             .filter(|&(_, &end)| end == self.total)
             .map(|(&pattern, &end)| MultiReport { pattern, end })
@@ -264,5 +279,178 @@ impl Flow {
         self.tail = Vec::new();
         self.dollar = HashMap::new();
         retired
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Engine, PrefilterMode};
+    use recama_hw::ShardPolicy;
+
+    fn set_with(patterns: &[&str], policy: ShardPolicy, mode: PrefilterMode) -> ShardedPatternSet {
+        Engine::builder()
+            .patterns(patterns)
+            .shard_policy(policy)
+            .prefilter(mode)
+            .build()
+            .unwrap()
+            .into_set()
+    }
+
+    /// Everything final right now, as `(end, pattern)`.
+    fn merged(flow: &mut Flow, set: &ShardedPatternSet) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        flow.merge(set, |r| out.push((r.end, r.pattern)));
+        out
+    }
+
+    /// What a worker does with unit `si`: scan `stream[position..upto]`
+    /// (`stream` holds the flow's bytes since its base).
+    fn scan(flow: &mut Flow, si: usize, stream: &[u8], upto: usize) {
+        let base = flow.base;
+        let (mut engine, from) = flow.checkout(si);
+        let mut reports = Vec::new();
+        engine.feed_into(&stream[(from - base) as usize..upto], &mut reports);
+        flow.check_in(si, engine, reports);
+    }
+
+    /// What `admit` handed to `replay`, if it called it.
+    type Replayed = Option<(u64, Vec<u8>)>;
+
+    /// The synchronous driver: admit, scan what was not skipped, merge.
+    fn feed(flow: &mut Flow, set: &ShardedPatternSet, chunk: &[u8]) -> (Vec<(u64, u32)>, Replayed) {
+        let mut replayed = None;
+        let verdicts = flow.admit(set, chunk, |start, bytes| {
+            replayed = Some((start, bytes.to_vec()));
+        });
+        let chunk_start = flow.total() - chunk.len() as u64;
+        let (replay_from, replay) = replayed.clone().unwrap_or((chunk_start, Vec::new()));
+        for (si, verdict) in verdicts.into_iter().enumerate() {
+            if verdict != ChunkAction::Skip {
+                let (mut engine, from) = flow.checkout(si);
+                let mut reports = Vec::new();
+                engine.feed_into(&replay[(from - replay_from) as usize..], &mut reports);
+                engine.feed_into(chunk, &mut reports);
+                flow.check_in(si, engine, reports);
+            }
+        }
+        (merged(flow, set), replayed)
+    }
+
+    #[test]
+    fn merge_orders_by_end_then_pattern_and_stops_at_the_watermark() {
+        let set = set_with(&["xab", "ab"], ShardPolicy::Fixed(2), PrefilterMode::Off);
+        assert_eq!(
+            (set.shard_members(0), set.shard_members(1)),
+            (&[0][..], &[1][..])
+        );
+        let stream = b"xab.ab";
+        let mut flow = Flow::new(&set, 0);
+        flow.admit(&set, &stream[..4], |_, _| unreachable!("nothing wakes"));
+        flow.admit(&set, &stream[4..], |_, _| unreachable!("nothing wakes"));
+        assert_eq!((flow.watermark(), flow.buffered()), (0, 6));
+
+        // Unit 1 runs ahead over both chunks: its reports wait for unit 0.
+        scan(&mut flow, 1, stream, 6);
+        assert_eq!(flow.watermark(), 0);
+        assert!(merged(&mut flow, &set).is_empty() && !flow.drained());
+        // Unit 0 passes the first chunk: the equal ends come out in
+        // ascending pattern order, the end above the watermark stays.
+        scan(&mut flow, 0, stream, 4);
+        assert_eq!(flow.watermark(), 4);
+        assert_eq!(merged(&mut flow, &set), [(3, 0), (3, 1)]);
+        assert!(merged(&mut flow, &set).is_empty());
+        // The lagging unit's later check-in releases the rest.
+        scan(&mut flow, 0, stream, 6);
+        assert_eq!(merged(&mut flow, &set), [(6, 1)]);
+        assert!(flow.drained() && flow.buffered() == 0);
+    }
+
+    /// The `$` candidates live across chunks, not in the last chunk's
+    /// reports: an empty final chunk must not lose a candidate that ended
+    /// on the final byte two chunks ago.
+    #[test]
+    fn finishing_survives_an_empty_final_chunk() {
+        for policy in [ShardPolicy::Single, ShardPolicy::Fixed(2)] {
+            let set = set_with(&["ab$", "ab", "cd$"], policy, PrefilterMode::On);
+            let mut flow = Flow::new(&set, 0);
+            let mut got = Vec::new();
+            for chunk in [&b"ab"[..], b".c", b"d", b""] {
+                got.extend(feed(&mut flow, &set, chunk).0);
+            }
+            assert_eq!(got, [(2, 0), (2, 1), (5, 2)], "policy {policy:?}");
+            let finishing = flow.finishing();
+            assert_eq!(finishing, [MultiReport { pattern: 2, end: 5 }]);
+        }
+    }
+
+    #[test]
+    fn finishing_is_empty_when_no_dollar_match_ends_the_stream() {
+        let set = set_with(&["ab$", "xy"], ShardPolicy::Single, PrefilterMode::On);
+        let mut flow = Flow::new(&set, 0);
+        assert_eq!(feed(&mut flow, &set, b"ab").0, [(2, 0)]);
+        assert_eq!(feed(&mut flow, &set, b"xy").0, [(4, 1)]);
+        assert!(flow.finishing().is_empty(), "the stream went on past 2");
+        assert!(Flow::new(&set, 0).finishing().is_empty());
+    }
+
+    #[test]
+    fn a_wake_replays_the_window_and_the_tail_dies_with_the_last_cold_unit() {
+        // Window = lead of "needle" behind four digits = 11 bytes.
+        let set = set_with(&["k\\d{4}needle"], ShardPolicy::Single, PrefilterMode::On);
+        let mut flow = Flow::new(&set, 0);
+        let mut stream = Vec::new();
+        for _ in 0..40 {
+            let (hits, replayed) = feed(&mut flow, &set, b"................");
+            stream.extend_from_slice(b"................");
+            assert!(hits.is_empty() && replayed.is_none());
+            assert_eq!((flow.buffered(), flow.tail.len()), (0, 11));
+        }
+        // The match starts in one chunk, the literal ends two later.
+        for chunk in [&b".......k12"[..], b"34nee"] {
+            assert_eq!(feed(&mut flow, &set, chunk), (Vec::new(), None));
+            stream.extend_from_slice(chunk);
+        }
+        let chunk_start = stream.len() as u64;
+        let (hits, replayed) = feed(&mut flow, &set, b"dle...");
+        let replay_start = chunk_start + 1 - 11;
+        let window = stream[replay_start as usize..].to_vec();
+        assert_eq!(replayed, Some((replay_start, window)));
+        assert_eq!(hits, [(chunk_start + 3, 0)]);
+
+        // Every unit is hot: nothing can wake, so nothing is kept.
+        for _ in 0..8 {
+            feed(&mut flow, &set, b"k1234needle.....");
+            assert_eq!(flow.tail.capacity(), 0);
+        }
+
+        // Hot from the first chunk (no usable literal): never a tail.
+        let set = set_with(&["[ab]{3}"], ShardPolicy::Single, PrefilterMode::On);
+        let mut flow = Flow::new(&set, 0);
+        for _ in 0..8 {
+            feed(&mut flow, &set, b"..abab..");
+            assert_eq!(flow.tail.capacity(), 0);
+        }
+    }
+
+    /// After a migration the engines count from `base`: a wake in the
+    /// first bytes must not replay (or restart) before it.
+    #[test]
+    fn a_wake_right_after_the_base_is_clamped_to_it() {
+        let set = set_with(&["k\\d{4}needle"], ShardPolicy::Single, PrefilterMode::On);
+        let mut flow = Flow::new(&set, 100);
+        assert_eq!((flow.total(), flow.watermark()), (100, 100));
+        let verdicts = flow.admit(&set, b"needle", |_, _| unreachable!("nothing before base"));
+        assert_eq!(verdicts, [ChunkAction::Wake { replay_start: 100 }]);
+        assert_eq!((flow.total(), flow.watermark()), (106, 100));
+        scan(&mut flow, 0, b"needle", 6);
+        assert!(merged(&mut flow, &set).is_empty() && flow.drained());
+
+        let mut flow = Flow::new(&set, 100);
+        assert_eq!(feed(&mut flow, &set, b"k98"), (Vec::new(), None));
+        let (hits, replayed) = feed(&mut flow, &set, b"76needle");
+        assert_eq!(replayed, Some((100, b"k98".to_vec())));
+        assert_eq!(hits, [(111, 0)]);
     }
 }

@@ -9,13 +9,15 @@
 //! so the scheduling layer must keep every core busy with whatever flow
 //! has bytes pending instead of binding workers to flows.
 //!
-//! Every scheduling move — the flow table, the `(flow, shard)` readiness
-//! queue, checkout / unlocked scan / check-in, the literal-prefilter
-//! skip/wake decision, the watermark-ordered report merge,
-//! `$`-finishing, quarantine — lives once, in the
-//! [`ServiceHandle`]'s module; the long-lived
-//! service steps that core from resident worker threads. This module
-//! adds only what a *batch* caller needs on top of it:
+//! A flow has three drivers. What a flow does with a chunk — the
+//! literal-prefilter skip/wake decision, the watermark-ordered report
+//! merge, `$`-finishing — is written once, in `flow.rs`;
+//! [`ShardedSetStream`](crate::ShardedSetStream) drives one flow
+//! synchronously. What many flows share — the flow table, the
+//! `(flow, shard)` readiness queue, checkout / unlocked scan / check-in,
+//! quarantine — lives once, in the [`ServiceHandle`]'s module; the
+//! long-lived (resident) service steps that core from worker threads.
+//! This module adds only what a *batch* caller needs on top of it:
 //!
 //! * flows are addressed by caller-chosen `u64` ids, opened on first
 //!   [`push`](FlowScheduler::push) and reusable after they close and
@@ -33,9 +35,9 @@
 //! Per-flow reports are **byte-identical** (same reports, same order) to
 //! feeding that flow's chunks through its own independent
 //! [`ShardedSetStream`](crate::ShardedSetStream), and to pushing them
-//! through a [`ServiceHandle`]: it is the same core. Like the streams,
-//! the scheduler applies no trailing-`$` filter mid-flow (a flow has no
-//! end until it is
+//! through a [`ServiceHandle`]: it is the same flow on the same core.
+//! Like the streams, the scheduler applies no trailing-`$` filter
+//! mid-flow (a flow has no end until it is
 //! [`close`](FlowScheduler::close)d); once a closed flow drains,
 //! [`finishing`](FlowScheduler::finishing) resolves which `$`-anchored
 //! candidates actually landed on the final byte, mirroring

@@ -2,13 +2,17 @@
 //! serving loop over an [`Engine`](crate::Engine) — with epoch-based
 //! hot rule reload, a generational flow table, and a metrics snapshot.
 //!
-//! This module is the crate's **one serving core**. Every scheduling
-//! move lives here, once, on `ServeState` (everything the service lock
-//! protects): the flow table (`open` / `free_slot`), admission and
-//! buffering with the literal-prefilter skip/wake/replay decision
-//! (`try_push_at` → `buffer_chunk`), `checkout` and `check_in` around an
-//! unlocked scan, the watermark-ordered report merge (`merge_ready`),
-//! `$`-finishing (`try_finish`), `close_flow`, quarantine and eviction.
+//! This module is the crate's **one serving core**. It owns what many
+//! flows share, on `ServeState` (everything the service lock protects):
+//! the flow table (`open` / `free_slot`), admission and buffering
+//! (`try_push_at` → `buffer_chunk`), the readiness queue, `checkout` and
+//! `check_in` around an unlocked scan, `close_flow`, quarantine,
+//! eviction and the epochs. What *one* flow does with a chunk — the
+//! literal prefilter's skip / wake / replay, the watermark-ordered
+//! report merge, `$`-finishing — is the flow's own (`flow.rs`), the same
+//! code [`ShardedSetStream`](crate::ShardedSetStream) drives
+//! synchronously; this module only says where the bytes wait (segments)
+//! and where the reports go (the flow's queue and the global sink).
 //! `ServiceCore::step` strings checkout → caught scan → check-in (or
 //! quarantine / fail-stop) together, and two drivers call it:
 //!
@@ -54,10 +58,12 @@
 //!   wake-ups, always-on rule count).
 //!
 //! Per-flow reports are byte-identical to one independent
-//! [`ShardedSetStream`](crate::ShardedSetStream) per flow: shard report
-//! buffers are merged by `(end, pattern)` up to the *watermark* — the
-//! least position any shard of the flow has consumed — so ordering
-//! never depends on which worker ran first. Across a reload, a migrated
+//! [`ShardedSetStream`](crate::ShardedSetStream) per flow — it is the
+//! same flow: reports are merged by `(end, pattern)` up to the
+//! *watermark*, the least position any shard of the flow has consumed,
+//! so ordering never depends on which worker ran first (the suites
+//! compare against per-pattern engines, which share none of this).
+//! Across a reload, a migrated
 //! flow's stream is **cut at the migration boundary**: bytes before the
 //! boundary were scanned by the old engine, bytes after it by the new
 //! engine starting fresh — exactly a fresh per-flow stream over the
@@ -964,7 +970,8 @@ impl ServeState {
         })
     }
 
-    /// Checks a scanned unit back in: publishes its reports, requeues it if more bytes arrived while it was out,
+    /// Checks a scanned unit back in: publishes its reports, requeues
+    /// it if more bytes arrived while it was out,
     /// merges what became final, and settles `in_flight`.
     fn check_in(&mut self, id: FlowId, si: usize, state: ShardStream, reports: Vec<MultiReport>) {
         // A sibling shard's panic may have quarantined the flow — and
@@ -1017,7 +1024,7 @@ impl ServeState {
         }
         let e = epoch_of(epochs, f.epoch);
         let reports = &mut f.reports;
-        f.flow.merge(&e.set, |r| {
+        let watermark = f.flow.merge(&e.set, |r| {
             let rule = e.ids[r.pattern as usize];
             reports.push_back(RuleMatch { rule, end: r.end });
             sink.push(ServiceEvent {
@@ -1026,7 +1033,6 @@ impl ServeState {
                 end: r.end,
             });
         });
-        let watermark = f.flow.watermark();
         while f.segments.front().is_some_and(|seg| seg.end() <= watermark) {
             f.segments.pop_front();
         }
@@ -1098,7 +1104,9 @@ impl ServeState {
             .enumerate()
             .filter_map(|(i, slot)| {
                 let f = slot.flow.as_deref()?;
-                (!f.closed && f.flow.buffered() == 0 && now.duration_since(f.last_activity) >= timeout)
+                (!f.closed
+                    && f.flow.buffered() == 0
+                    && now.duration_since(f.last_activity) >= timeout)
                     .then_some(FlowId {
                         index: i as u32,
                         generation: slot.generation,

@@ -11,8 +11,11 @@
 //! capacity), one [`MultiNca`](recama_nca::MultiNca) per shard shares a
 //! single byte-class alphabet computed once over the whole set, and a
 //! [`ShardedSetStream`] advances the shard engines in lockstep — large
-//! chunks in parallel on scoped threads — recombining reports with an
-//! ordered merge that keeps the output **byte-identical** for any plan.
+//! chunks in parallel on scoped threads. What the stream does with a
+//! chunk (the literal prefilter's skip / wake / replay, the ordered
+//! merge that keeps the output **byte-identical** for any plan, the
+//! trailing-`$` bookkeeping) is one flow's (`flow.rs`), the same value
+//! the serving core schedules; the stream is its synchronous driver.
 //!
 //! One merged network + one engine for the whole set (the shape that
 //! fits a single CAMA bank) is the one-bank plan, `ShardPolicy::Single`.
@@ -464,7 +467,8 @@ impl ShardedSetStream<'_> {
     pub fn feed(&mut self, chunk: &[u8]) -> impl Iterator<Item = SetMatch> + '_ {
         let chunk_start = self.position();
         // A woken unit stands at its replay point, before the chunk: the
-        // bytes in between are `replay`, which starts at `replay_from`.
+        // bytes in between are the end of `replay`, which starts at
+        // `replay_from` (and is empty for a unit at the chunk's start).
         let (mut replay_from, mut replay) = (chunk_start, Vec::new());
         let verdicts = self.flow.admit(self.set, chunk, |start, bytes| {
             replay_from = start;
@@ -479,9 +483,7 @@ impl ShardedSetStream<'_> {
         }
         // A stream counts from 0, so engine positions are absolute.
         let scan = |(_, engine, from, reports): &mut (usize, ShardStream, u64, Vec<_>)| {
-            if *from < chunk_start {
-                engine.feed_into(&replay[(*from - replay_from) as usize..], reports);
-            }
+            engine.feed_into(&replay[(*from - replay_from) as usize..], reports);
             engine.feed_into(chunk, reports);
         };
         if scans.len() > 1 && chunk.len() >= PARALLEL_MIN_BYTES {

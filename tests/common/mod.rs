@@ -4,8 +4,9 @@
 #![allow(dead_code)]
 
 use recama::hw::{ShardBudget, ShardPolicy};
+use recama::nca::Engine as _;
 use recama::workloads::{generate, BenchmarkId, PatternClass};
-use recama::{Engine, Pattern, SetMatch, ShardedPatternSet};
+use recama::{Engine, FlowId, Pattern, RuleMatch, ServiceHandle, SetMatch, ShardedPatternSet};
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
 /// compile times test-friendly.
@@ -59,4 +60,70 @@ pub fn set_with<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> ShardedPa
         .build()
         .unwrap()
         .into_set()
+}
+
+/// The independent oracle of every *streamed* scan of `set` over `data`:
+/// each pattern compiled and scanned alone, every candidate end reported
+/// (a stream has no end, so a trailing `$` filters nothing), in stream
+/// order — ascending end, ascending pattern within one end. No sharding,
+/// prefilter, hybrid rows or flow code is involved.
+pub fn stream_oracle(set: &ShardedPatternSet, data: &[u8]) -> Vec<SetMatch> {
+    let mut expected = Vec::new();
+    for pi in 0..set.len() {
+        let pattern = Pattern::compile(set.pattern(pi)).unwrap();
+        let ends = pattern.engine().match_ends(data);
+        expected.extend(
+            ends.into_iter()
+                .filter(|&end| end > 0)
+                .map(|end| SetMatch { pattern: pi, end }),
+        );
+    }
+    expected.sort_by_key(|m| (m.end, m.pattern));
+    expected
+}
+
+/// [`stream_oracle`] as the service reports it: stable rule ids, ends
+/// offset by `base` (where in its flow `data` starts).
+pub fn scan_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
+    let rule_match = |m: SetMatch| RuleMatch {
+        rule: engine.rule_id(m.pattern),
+        end: m.end as u64 + base,
+    };
+    stream_oracle(engine.set(), data)
+        .into_iter()
+        .map(rule_match)
+        .collect()
+}
+
+/// The finishing set of a stream that ends after `data`: what each
+/// trailing-`$` pattern, scanned alone, keeps ([`Pattern::find_ends`]) —
+/// sorted by pattern, as stable rule ids with ends offset by `base`.
+pub fn finish_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
+    let mut expected = Vec::new();
+    for pi in 0..engine.len() {
+        let pattern = Pattern::compile(engine.pattern(pi)).unwrap();
+        if pattern.parsed().anchored_end {
+            expected.extend(pattern.find_ends(data).into_iter().map(|end| RuleMatch {
+                rule: engine.rule_id(pi),
+                end: end as u64 + base,
+            }));
+        }
+    }
+    expected
+}
+
+/// Splits `data` into uneven deterministic chunks of 1 to `max_len`
+/// bytes and pushes them.
+pub fn push_chunked(svc: &ServiceHandle, flow: FlowId, data: &[u8], seed: u64, max_len: usize) {
+    let mut offset = 0usize;
+    let mut state = seed | 1;
+    while offset < data.len() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let len = 1 + (state >> 33) as usize % max_len;
+        let end = (offset + len).min(data.len());
+        svc.push_checked(flow, &data[offset..end]).unwrap();
+        offset = end;
+    }
 }

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::union_of_per_pattern_matches;
+use common::{scan_oracle, union_of_per_pattern_matches};
 use recama::hw::ShardPolicy;
 use recama::{CompilePhase, Engine, RuleMatch, ServeConfig, ServeError, SetMatch};
 use std::task::Poll;
@@ -143,9 +143,9 @@ fn stream_agrees_with_scan_across_chunkings() {
 }
 
 /// Regression pin (reset bug): a reset stream must behave exactly like
-/// a fresh one — `feed` reports AND the `$`-anchor `finish()` set. A
-/// stale `DollarTracker` would resurrect the pre-reset candidates or
-/// report them at stale offsets.
+/// a fresh one — `feed` reports AND the `$`-anchor `finish()` set.
+/// Stale `$` candidates would resurrect the pre-reset ends or report
+/// them at stale offsets.
 #[test]
 fn reset_stream_equals_fresh_stream_including_finish() {
     let patterns = ["ab$", "ab", "cd$"];
@@ -235,18 +235,7 @@ fn service_reports_match_independent_streams() {
         svc.poll_checked(b).unwrap(),
         svc.drain_global(),
     );
-    // Ids default to add-order indices, so `rule` is the pattern index.
-    let expected = |chunks: &[&[u8]]| {
-        let mut stream = engine.stream();
-        let mut out = Vec::new();
-        for chunk in chunks {
-            out.extend(stream.feed(chunk).map(|m| RuleMatch {
-                rule: m.pattern as u64,
-                end: m.end as u64,
-            }));
-        }
-        out
-    };
+    let expected = |chunks: &[&[u8]]| scan_oracle(&engine, &chunks.concat(), 0);
     assert_eq!(got_a, expected(&flow_a));
     assert_eq!(got_b, expected(&flow_b));
     assert_eq!(global.len(), got_a.len() + got_b.len());

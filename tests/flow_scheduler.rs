@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::sample_patterns;
+use common::{sample_patterns, stream_oracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recama::hw::ShardPolicy;
@@ -44,14 +44,10 @@ fn random_chunks<'i>(input: &'i [u8], rng: &mut StdRng) -> Vec<&'i [u8]> {
     chunks
 }
 
-/// What an independent per-flow stream reports for this chunk sequence.
+/// What this chunk sequence must report as one stream: the per-pattern
+/// oracle over the concatenation.
 fn expected_for(set: &ShardedPatternSet, chunks: &[&[u8]]) -> Vec<SetMatch> {
-    let mut stream = set.stream();
-    let mut out = Vec::new();
-    for chunk in chunks {
-        out.extend(stream.feed(chunk));
-    }
-    out
+    stream_oracle(set, &chunks.concat())
 }
 
 #[test]

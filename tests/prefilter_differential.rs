@@ -143,6 +143,48 @@ fn literals_split_across_every_chunk_boundary() {
 }
 
 #[test]
+fn a_wake_replays_the_tail_on_the_parallel_stream_path() {
+    // Chunks this large fan the units that scan out to scoped threads
+    // (`PARALLEL_MIN_BYTES` in set.rs). Each rule's literal sits behind
+    // a bounded lead, and the first chunk — benign until its last bytes —
+    // ends inside that lead: both units skip it, then wake on the second
+    // chunk and replay the match's start from the tail, in parallel.
+    const LARGE: usize = 4096;
+    let patterns = ["k\\d{4}needle", "q\\d{3}magic"];
+    let build = |mode| {
+        Engine::builder()
+            .patterns(patterns)
+            .shard_policy(ShardPolicy::Fixed(2))
+            .prefilter(mode)
+            .build()
+            .unwrap()
+    };
+    let (on, off) = (build(PrefilterMode::On), build(PrefilterMode::Off));
+    assert_eq!(on.shard_count(), 2);
+
+    let mut first = vec![b'.'; LARGE];
+    first.extend_from_slice(b"q123mk12");
+    let mut second = b"34needle..q456magic".to_vec();
+    second.resize(LARGE + 7, b'.');
+    second.extend_from_slice(b"k9876needle");
+    let input = [&first[..], &second[..]].concat();
+
+    let mut expected = union_of_per_pattern_matches(&patterns, &input);
+    expected.sort_by_key(|m| (m.end, m.pattern));
+    assert_eq!(
+        expected.len(),
+        3,
+        "one match straddles the chunks, two lie in the second"
+    );
+    for eng in [&on, &off] {
+        let mut stream = eng.stream();
+        assert_eq!(stream.feed(&first).count(), 0);
+        let got: Vec<SetMatch> = stream.feed(&second).collect();
+        assert_eq!(got, expected, "{:?}", eng.prefilter());
+    }
+}
+
+#[test]
 fn always_on_only_rulesets_never_skip_and_never_miss() {
     // No rule yields a usable literal, so the filter compiles to
     // nothing: every chunk scans, nothing is skipped, and the output
@@ -339,35 +381,8 @@ mod service {
     //! The owned-service half of the contract: hot reload with a changed
     //! literal set, and the metrics block.
 
-    use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServiceHandle};
-
-    /// Stable-rule-id oracle: one fresh stream of an **unfiltered**
-    /// build over `data`, ends offset by `base`.
-    fn scan_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
-        let mut stream = engine.stream();
-        let hits: Vec<_> = stream.feed(data).collect();
-        hits.into_iter()
-            .map(|m| RuleMatch {
-                rule: engine.rule_id(m.pattern),
-                end: m.end as u64 + base,
-            })
-            .collect()
-    }
-
-    /// Splits `data` into uneven deterministic chunks and pushes them.
-    fn push_chunked(svc: &ServiceHandle, flow: FlowId, data: &[u8], seed: u64) {
-        let mut offset = 0usize;
-        let mut state = seed | 1;
-        while offset < data.len() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let len = 1 + (state >> 33) as usize % 5;
-            let end = (offset + len).min(data.len());
-            svc.push_checked(flow, &data[offset..end]).unwrap();
-            offset = end;
-        }
-    }
+    use crate::common::{push_chunked, scan_oracle};
+    use recama::{Engine, PrefilterMode};
 
     fn build(rules: &[(u64, &str)], mode: PrefilterMode) -> Engine {
         let mut b = Engine::builder().workers(2).prefilter(mode);
@@ -396,10 +411,10 @@ mod service {
 
         let svc = a.serve();
         let flow = svc.try_open_flow().unwrap();
-        push_chunked(&svc, flow, pre, 0x9e37);
+        push_chunked(&svc, flow, pre, 0x9e37, 5);
         svc.barrier(); // drained: the cut lands at the pre/post boundary
         assert_eq!(svc.reload(&b), 1);
-        push_chunked(&svc, flow, post, 0x5bd1);
+        push_chunked(&svc, flow, post, 0x5bd1, 5);
         svc.close(flow);
         svc.barrier();
 
@@ -445,21 +460,11 @@ mod quarantine {
     //! filter state intact — including an Aho–Corasick automaton parked
     //! mid-literal across the fault.
 
-    use recama::{Engine, FaultPlan, FlowId, PrefilterMode, RuleMatch, ServeError};
+    use crate::common::scan_oracle;
+    use recama::{Engine, FaultPlan, FlowId, PrefilterMode, ServeError};
 
     fn rules() -> [(u64, &'static str); 2] {
         [(1, "needle[0-9]z"), (2, "magicword")]
-    }
-
-    fn scan_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
-        let mut stream = engine.stream();
-        let hits: Vec<_> = stream.feed(data).collect();
-        hits.into_iter()
-            .map(|m| RuleMatch {
-                rule: engine.rule_id(m.pattern),
-                end: m.end as u64 + base,
-            })
-            .collect()
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! so the 1-based scan number a fault addresses equals the round
 //! number the chunk was pushed in.
 
+mod common;
+
+use common::scan_oracle;
 use recama::{
     Engine, FaultPlan, FlowId, OverloadPolicy, RuleMatch, ServeConfig, ServeError, ServiceHandle,
     ServiceMetrics,
@@ -30,18 +33,6 @@ fn engine_with(plan: FaultPlan, workers: usize) -> Engine {
         .fault_plan(plan)
         .build()
         .unwrap()
-}
-
-/// Stable-rule-id oracle: one fresh stream over `data`.
-fn scan_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
-    let mut stream = engine.stream();
-    let hits: Vec<_> = stream.feed(data).collect();
-    hits.into_iter()
-        .map(|m| RuleMatch {
-            rule: engine.rule_id(m.pattern),
-            end: m.end as u64 + base,
-        })
-        .collect()
 }
 
 /// The round-robin driver: pushes `chunks[round]` to every flow per

@@ -13,50 +13,11 @@
 //! counting state does NOT leak across the cut; `$`-anchored rules pin
 //! that the finishing set resolves against the new engine only.
 
-use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceHandle};
+mod common;
+
+use common::{finish_oracle, scan_oracle};
+use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServeError};
 use std::task::Poll;
-
-/// The old engine's reports over `data`, as stable rule ids with ends
-/// offset by `base` — the per-flow oracle for one side of the cut.
-fn scan_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
-    let mut stream = engine.stream();
-    let hits: Vec<_> = stream.feed(data).collect();
-    hits.into_iter()
-        .map(|m| RuleMatch {
-            rule: engine.rule_id(m.pattern),
-            end: m.end as u64 + base,
-        })
-        .collect()
-}
-
-/// The `$`-anchored finishing set of a fresh stream over `data`.
-fn finish_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
-    let mut stream = engine.stream();
-    stream.feed(data).for_each(drop);
-    stream
-        .finish()
-        .into_iter()
-        .map(|m| RuleMatch {
-            rule: engine.rule_id(m.pattern),
-            end: m.end as u64 + base,
-        })
-        .collect()
-}
-
-/// Splits `data` into uneven deterministic chunks and pushes them.
-fn push_chunked(svc: &ServiceHandle, flow: FlowId, data: &[u8], seed: u64) {
-    let mut offset = 0usize;
-    let mut state = seed | 1;
-    while offset < data.len() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let len = 1 + (state >> 33) as usize % 7;
-        let end = (offset + len).min(data.len());
-        svc.push_checked(flow, &data[offset..end]).unwrap();
-        offset = end;
-    }
-}
 
 fn v1() -> Engine {
     Engine::builder()
@@ -101,14 +62,14 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
         .map(|_| svc.try_open_flow().unwrap())
         .collect();
     for (flow, (pre, _)) in flows.iter().zip(halves) {
-        push_chunked(&svc, *flow, pre, 0x9e37 + flow.index() as u64);
+        common::push_chunked(&svc, *flow, pre, 0x9e37 + flow.index() as u64, 7);
     }
     svc.barrier(); // every flow drained: the cut lands at the pre/post boundary
     assert_eq!(svc.reload(&b), 1);
     assert_eq!(svc.epoch(), 1);
     for (flow, (_, post)) in flows.iter().zip(halves) {
         // The first accepted non-empty push migrates the drained flow.
-        push_chunked(&svc, *flow, post, 0x5bd1 + flow.index() as u64);
+        common::push_chunked(&svc, *flow, post, 0x5bd1 + flow.index() as u64, 7);
         svc.close(*flow);
     }
     svc.barrier();
@@ -310,7 +271,7 @@ fn slot_reuse_never_leaks_a_stale_flows_matches() {
         // Alternate payloads so a leak is visible as a wrong-rule or
         // wrong-end report, not a harmless duplicate.
         let data: &[u8] = if round % 2 == 0 { b".abbc." } else { b"..xyz" };
-        push_chunked(&svc, flow, data, round + 1);
+        common::push_chunked(&svc, flow, data, round + 1, 7);
         svc.close(flow);
         svc.barrier();
         let expected = scan_oracle(&engine, data, 0);
@@ -349,7 +310,7 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
         .map(|_| svc.try_open_flow().unwrap())
         .collect();
     for (flow, data) in flows.iter().zip(payloads) {
-        push_chunked(&svc, *flow, data, 0xfeed + flow.index() as u64);
+        common::push_chunked(&svc, *flow, data, 0xfeed + flow.index() as u64, 7);
         svc.close(*flow);
     }
     svc.barrier();
@@ -474,7 +435,7 @@ fn metrics_snapshot_stays_coherent_while_reload_races_pushes() {
             for round in 0u64..30 {
                 let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
                 for flow in &flows {
-                    push_chunked(&svc, *flow, b".abbc.abbc.", round + 1);
+                    common::push_chunked(&svc, *flow, b".abbc.abbc.", round + 1, 7);
                 }
                 for flow in &flows {
                     svc.close(*flow);
