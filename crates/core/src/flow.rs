@@ -1,15 +1,16 @@
 //! [`Flow`]: what one byte stream does with a chunk, written once.
 //!
-//! A flow is one unit per shard of its set — the shard's engine, its
-//! literal-filter state, the position it has consumed and the reports it
-//! has produced — plus what the units share: where the engines started
-//! (`base`), how many bytes arrived (`total`), the replay tail and the
-//! `$` candidates. It borrows nothing (the set is an argument) and makes
+//! A flow is one unit per shard of its set — the shard's engine, the
+//! position it has consumed and the reports it has produced — plus what
+//! the units share: where the engines started (`base`), how many bytes
+//! arrived (`total`), the literal filter's one node and the set of units
+//! still cold, the replay tail and the `$` candidates. It borrows nothing (the set is an argument) and makes
 //! the four decisions every driver of a flow needs:
 //!
-//! 1. **admit** — what each unit does with a chunk on the filter's
-//!    verdict: scan it, skip it (`restart_at(end)`), or wake
-//!    (`restart_at(replay_start)`, replaying the tail first);
+//! 1. **admit** — one filter pass over the chunk for every cold unit,
+//!    and what each unit does on its verdict: scan the chunk, skip it
+//!    (`restart_at(end)`), or wake (`restart_at(replay_start)`,
+//!    replaying the tail first);
 //! 2. **the replay tail** — the last window of bytes, kept exactly as
 //!    long as a unit is cold (a hot unit never wakes again);
 //! 3. **the merge** — one k-way merge of the units' reports by
@@ -32,22 +33,30 @@
 //! the watermark may step *back* to `replay_start` on a wake without
 //! un-finalizing anything already merged.
 
-use crate::prefilter::{ChunkAction, PrefilterState};
+use crate::prefilter::{shards_in, ChunkAction};
 use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ShardStream};
 use std::collections::{HashMap, VecDeque};
 
 /// One `(flow, shard)` unit.
 struct Unit {
-    /// `None` while a driver has the engine checked out.
+    /// `None` while a driver has the engine checked out; a cold unit is
+    /// skipped, never checked out.
     engine: Option<ShardStream>,
-    /// The unit is skipped while cold; cold units are never checked out.
-    pre: PrefilterState,
     /// Absolute bytes of the flow this unit has consumed (as of its last
     /// check-in, skip or wake).
     pos: u64,
     /// Reports not yet merged: absolute ends, sorted by `(end, pattern)`.
     pending: VecDeque<MultiReport>,
+}
+
+impl Unit {
+    /// Moves a cold unit's fresh engine to absolute offset `pos`.
+    fn restart_at(&mut self, pos: u64, base: u64) {
+        let engine = self.engine.as_mut().expect("cold units hold their engine");
+        engine.restart_at(pos - base);
+        self.pos = pos;
+    }
 }
 
 /// Per-stream matching state over a [`ShardedPatternSet`]; see the
@@ -61,6 +70,12 @@ pub(crate) struct Flow {
     base: u64,
     /// Absolute length of the stream so far.
     total: u64,
+    /// The literal filter's node after the bytes admitted since `base`,
+    /// while any unit is cold: one automaton answers for all of them.
+    node: u32,
+    /// The units still cold, one bit per shard: no literal of the shard
+    /// has ended in the flow's bytes yet, so no match of its rules has.
+    cold: Vec<u64>,
     /// Last window of bytes admitted since `base`, while any unit is cold.
     tail: Vec<u8>,
     /// Last merged candidate end per trailing-`$` pattern.
@@ -73,7 +88,6 @@ impl Flow {
     pub(crate) fn new(set: &ShardedPatternSet, base: u64) -> Flow {
         let units = set.shard_streams().into_iter().map(|engine| Unit {
             engine: Some(engine),
-            pre: PrefilterState::default(),
             pos: base,
             pending: VecDeque::new(),
         });
@@ -81,6 +95,8 @@ impl Flow {
             units: units.collect(),
             base,
             total: base,
+            node: 0,
+            cold: (set.prefilter()).map_or(Vec::new(), |pf| pf.filterable().to_vec()),
             tail: Vec::new(),
             dollar: HashMap::new(),
         }
@@ -112,8 +128,10 @@ impl Flow {
     }
 
     /// Admits `chunk` as the next bytes of the stream and returns each
-    /// unit's verdict. A skipped unit is already past the chunk. A woken
-    /// unit is repositioned at its `replay_start`; when any of those lies
+    /// unit's verdict, and the bytes the literal filter walked: one pass
+    /// over the chunk for all the cold units, cut short once none is left.
+    /// A skipped unit is already past the chunk. A woken unit is
+    /// repositioned at its `replay_start`; when any of those lies
     /// before the chunk, `replay(start, bytes)` is handed the bytes
     /// `[start, chunk start)` from the earliest of them on, to put in
     /// front of the chunk. Units told to scan consume the chunk through
@@ -126,37 +144,34 @@ impl Flow {
         set: &ShardedPatternSet,
         chunk: &[u8],
         replay: impl FnOnce(u64, &[u8]),
-    ) -> Vec<ChunkAction> {
+    ) -> (Vec<ChunkAction>, usize) {
         if chunk.is_empty() {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         let (base, chunk_start) = (self.base, self.total);
         let end = chunk_start + chunk.len() as u64;
         self.total = end;
+        let mut verdicts = vec![ChunkAction::Scan; self.units.len()];
+        let Some(pf) = (set.prefilter()).filter(|_| self.cold.iter().any(|&w| w != 0)) else {
+            // `hot` is sticky: nothing is left that could wake.
+            self.tail = Vec::new();
+            return (verdicts, 0);
+        };
+        let units = &mut self.units;
         let mut replay_from = chunk_start;
-        let mut any_cold = false;
-        let verdicts = (self.units.iter_mut().enumerate())
-            .map(|(si, unit)| {
-                let verdict = set.prefilter().map_or(ChunkAction::Scan, |pf| {
-                    pf.chunk_action(si, &mut unit.pre, chunk, chunk_start, base)
-                });
-                let restart = match verdict {
-                    ChunkAction::Scan => return verdict,
-                    ChunkAction::Skip => {
-                        any_cold = true;
-                        end
-                    }
-                    ChunkAction::Wake { replay_start } => {
-                        replay_from = replay_from.min(replay_start);
-                        replay_start
-                    }
-                };
-                let engine = unit.engine.as_mut().expect("cold units hold their engine");
-                engine.restart_at(restart - base);
-                unit.pos = restart;
-                verdict
-            })
-            .collect();
+        let walked = pf.advance(&mut self.node, chunk, &mut self.cold, |si| {
+            // The first literal end in the flow is at or after
+            // chunk_start + 1, so every match ending from here on
+            // starts at or after chunk_start + 1 − window.
+            let replay_start = (chunk_start + 1).saturating_sub(pf.window(si)).max(base);
+            replay_from = replay_from.min(replay_start);
+            units[si].restart_at(replay_start, base);
+            verdicts[si] = ChunkAction::Wake { replay_start };
+        });
+        for si in shards_in(&self.cold) {
+            units[si].restart_at(end, base);
+            verdicts[si] = ChunkAction::Skip;
+        }
         if replay_from < chunk_start {
             let tail_start = chunk_start - self.tail.len() as u64;
             debug_assert!(replay_from >= tail_start, "tail covers every replay window");
@@ -165,12 +180,12 @@ impl Flow {
                 &self.tail[(replay_from - tail_start) as usize..],
             );
         }
-        match set.prefilter() {
-            Some(pf) if any_cold => pf.extend_tail(&mut self.tail, chunk),
-            // `hot` is sticky: nothing is left that could wake.
-            _ => self.tail = Vec::new(),
+        if self.cold.iter().any(|&w| w != 0) {
+            pf.extend_tail(&mut self.tail, chunk);
+        } else {
+            self.tail = Vec::new();
         }
-        verdicts
+        (verdicts, walked)
     }
 
     /// Takes unit `si`'s engine for a scan, with the absolute position it
@@ -276,6 +291,7 @@ impl Flow {
     pub(crate) fn free(&mut self) -> HybridStats {
         let retired = self.hybrid_stats();
         self.units = Vec::new();
+        self.cold = Vec::new();
         self.tail = Vec::new();
         self.dollar = HashMap::new();
         retired
@@ -321,7 +337,7 @@ mod tests {
     /// The synchronous driver: admit, scan what was not skipped, merge.
     fn feed(flow: &mut Flow, set: &ShardedPatternSet, chunk: &[u8]) -> (Vec<(u64, u32)>, Replayed) {
         let mut replayed = None;
-        let verdicts = flow.admit(set, chunk, |start, bytes| {
+        let (verdicts, _) = flow.admit(set, chunk, |start, bytes| {
             replayed = Some((start, bytes.to_vec()));
         });
         let chunk_start = flow.total() - chunk.len() as u64;
@@ -395,29 +411,51 @@ mod tests {
         assert!(Flow::new(&set, 0).finishing().is_empty());
     }
 
+    /// Two shards, two windows: "needle" behind `k` and four digits
+    /// leads 11 bytes, "magic" behind `q` and one digit leads 7.
+    fn two_windows() -> ShardedPatternSet {
+        let set = set_with(
+            &["k\\d{4}needle", "q\\dmagic"],
+            ShardPolicy::Fixed(2),
+            PrefilterMode::On,
+        );
+        let pf = set.prefilter().unwrap();
+        assert_eq!((pf.window(0), pf.window(1)), (11, 7));
+        set
+    }
+
     #[test]
     fn a_wake_replays_the_window_and_the_tail_dies_with_the_last_cold_unit() {
-        // Window = lead of "needle" behind four digits = 11 bytes.
-        let set = set_with(&["k\\d{4}needle"], ShardPolicy::Single, PrefilterMode::On);
+        let set = two_windows();
         let mut flow = Flow::new(&set, 0);
         let mut stream = Vec::new();
         for _ in 0..40 {
             let (hits, replayed) = feed(&mut flow, &set, b"................");
             stream.extend_from_slice(b"................");
             assert!(hits.is_empty() && replayed.is_none());
+            // The tail is the longer window, whoever wakes first.
             assert_eq!((flow.buffered(), flow.tail.len()), (0, 11));
         }
-        // The match starts in one chunk, the literal ends two later.
+        // Unit 0's match starts in one chunk, its literal ends two later.
         for chunk in [&b".......k12"[..], b"34nee"] {
             assert_eq!(feed(&mut flow, &set, chunk), (Vec::new(), None));
             stream.extend_from_slice(chunk);
         }
         let chunk_start = stream.len() as u64;
-        let (hits, replayed) = feed(&mut flow, &set, b"dle...");
+        let (hits, replayed) = feed(&mut flow, &set, b"dle..q");
+        stream.extend_from_slice(b"dle..q");
         let replay_start = chunk_start + 1 - 11;
-        let window = stream[replay_start as usize..].to_vec();
+        let window = stream[replay_start as usize..chunk_start as usize].to_vec();
         assert_eq!(replayed, Some((replay_start, window)));
         assert_eq!(hits, [(chunk_start + 3, 0)]);
+        // Unit 1 is still cold: it skipped that chunk, and the tail lives.
+        assert_eq!((flow.cold.as_slice(), flow.tail.len()), (&[0b10][..], 11));
+
+        // It wakes from its own window: six bytes back, not unit 0's ten.
+        let chunk_start = stream.len() as u64;
+        let (hits, replayed) = feed(&mut flow, &set, b"7magic");
+        assert_eq!(replayed, Some((chunk_start + 1 - 7, b"dle..q".to_vec())));
+        assert_eq!(hits, [(chunk_start + 6, 1)]);
 
         // Every unit is hot: nothing can wake, so nothing is kept.
         for _ in 0..8 {
@@ -435,22 +473,41 @@ mod tests {
     }
 
     /// After a migration the engines count from `base`: a wake in the
-    /// first bytes must not replay (or restart) before it.
+    /// first bytes must not replay (or restart) before it, and the filter
+    /// starts over with them — at the root, every filterable unit cold.
     #[test]
     fn a_wake_right_after_the_base_is_clamped_to_it() {
-        let set = set_with(&["k\\d{4}needle"], ShardPolicy::Single, PrefilterMode::On);
+        let set = two_windows();
         let mut flow = Flow::new(&set, 100);
         assert_eq!((flow.total(), flow.watermark()), (100, 100));
-        let verdicts = flow.admit(&set, b"needle", |_, _| unreachable!("nothing before base"));
-        assert_eq!(verdicts, [ChunkAction::Wake { replay_start: 100 }]);
-        assert_eq!((flow.total(), flow.watermark()), (106, 100));
-        scan(&mut flow, 0, b"needle", 6);
+        assert_eq!((flow.node, flow.cold.as_slice()), (0, &[0b11][..]));
+        // Both literals end in the first chunk after the base: both
+        // windows reach before it, both replays are clamped.
+        let chunk = b"magicneedle";
+        let (verdicts, walked) =
+            flow.admit(&set, chunk, |_, _| unreachable!("nothing before base"));
+        let wake = ChunkAction::Wake { replay_start: 100 };
+        assert_eq!((verdicts, walked), (vec![wake, wake], chunk.len()));
+        assert_eq!((flow.total(), flow.watermark()), (111, 100));
+        scan(&mut flow, 0, chunk, chunk.len());
+        scan(&mut flow, 1, chunk, chunk.len());
         assert!(merged(&mut flow, &set).is_empty() && flow.drained());
 
+        // Each unit replays from its own window, clamped or not: at 108
+        // unit 1's reaches back to 102, unit 0's to the base.
         let mut flow = Flow::new(&set, 100);
         assert_eq!(feed(&mut flow, &set, b"k98"), (Vec::new(), None));
-        let (hits, replayed) = feed(&mut flow, &set, b"76needle");
-        assert_eq!(replayed, Some((100, b"k98".to_vec())));
-        assert_eq!(hits, [(111, 0)]);
+        assert_eq!(feed(&mut flow, &set, b"76nee"), (Vec::new(), None));
+        let (verdicts, _) = flow.admit(&set, b"dle.q5magic", |start, bytes| {
+            assert_eq!((start, bytes), (100, &b"k9876nee"[..]));
+        });
+        let woken = [100, 102].map(|replay_start| ChunkAction::Wake { replay_start });
+        assert_eq!(verdicts, woken);
+        assert_eq!((flow.units[0].pos, flow.units[1].pos), (100, 102));
+        assert!(flow.cold == [0] && flow.tail.capacity() == 0);
+        let stream = b"k9876needle.q5magic";
+        scan(&mut flow, 0, stream, stream.len());
+        scan(&mut flow, 1, stream, stream.len());
+        assert_eq!(merged(&mut flow, &set), [(111, 0), (119, 1)]);
     }
 }

@@ -1,12 +1,13 @@
 //! Literal prefiltering (multi-pattern matching): compile-time required-
-//! literal extraction plus per-shard Aho-Corasick filters that let the
-//! serving layers skip scanning cold `(flow, shard)` units entirely.
+//! literal extraction plus one set-level Aho-Corasick filter that lets
+//! the serving layers skip scanning cold `(flow, shard)` units entirely.
 //!
 //! Production IDS engines never run the full automaton over benign
-//! bytes: Suricata routes every rule through a prefilter/MPM stage, and
-//! the hardware literature (Wu-Manber, Aho-Corasick codesign) scales
-//! literal filtering to malware-grade rulesets. This module is that
-//! stage for recama:
+//! bytes: Suricata routes every rule through a prefilter/MPM stage — one
+//! MPM context per signature group, whose hits carry rule sets — and the
+//! hardware literature (Wu-Manber, Aho-Corasick codesign) scales literal
+//! filtering to malware-grade rulesets. This module is that stage for
+//! recama:
 //!
 //! * **Extraction** ([`extract`]) is a conservative analysis over the
 //!   parsed [`Regex`]: a rule contributes a literal only if *every*
@@ -15,25 +16,35 @@
 //!   literal occurrence. Rules with no usable literal (alternations,
 //!   classes, unbounded repetition before every literal, nullable
 //!   rules) are marked **always-on**.
-//! * **Filtering** ([`ShardPrefilter`]) builds one flat goto-table
-//!   Aho-Corasick automaton per shard over the set's shared byte-class
-//!   alphabet, streaming-resumable (a [`PrefilterState`] node survives
-//!   chunk boundaries, so a literal split across chunks is still
-//!   found). A shard containing any always-on rule gets no filter.
+//! * **Filtering** ([`SetPrefilter`]) builds **one** flat goto-table
+//!   Aho-Corasick automaton over every literal of every filterable
+//!   shard, over the set's shared byte-class alphabet. A node's output
+//!   is the *set of shards* with a literal ending there (propagated
+//!   along failure links, so `dle` ending inside `needle` is seen), and
+//!   a flow keeps **one** node for all its units: a byte is looked at
+//!   once, whatever the shard count, as the paper's machine shows an
+//!   input symbol to every STE in the same cycle. The node survives
+//!   chunk boundaries, so a literal split across chunks is still found.
+//!   A shard containing any always-on rule contributes no literal and
+//!   is never cold; a set without a literal has no automaton at all.
 //! * **Skipping** is *sticky-cold → sticky-hot*: a `(flow, shard)` unit
-//!   is **cold** until the filter sees any literal end in the flow's
-//!   bytes. While cold, no match of the shard's rules can end anywhere
-//!   (every match needs a literal that has not occurred), so the chunk
-//!   is skipped — it still advances the filter state and the flow
-//!   offsets. On the first candidate the unit turns hot **forever** and
-//!   the engine teleports to `chunk_start + 1 − lead_window` via
+//!   is **cold** until the filter sees a literal of its shard end in
+//!   the flow's bytes. While cold, no match of the shard's rules can
+//!   end anywhere (every match needs a literal that has not occurred),
+//!   so the chunk is skipped — it still advances the flow's filter node
+//!   and the unit's offset. On the first candidate the unit turns hot
+//!   **forever** and the engine teleports to `chunk_start + 1 −
+//!   window`, the shard's largest lead, via
 //!   [`ShardStream::restart_at`](recama_nca::ShardStream::restart_at),
-//!   replaying at most `lead_window` tail bytes: any true match ending
-//!   at or after the candidate chunk starts inside the replayed window
-//!   (its literal ends after the chunk start, and the lead bound caps
-//!   how far back it begins), and a fresh `Σ*` frontier finds all such
-//!   matches identically — so filtered output is **byte-identical** to
-//!   unfiltered, pinned by `tests/prefilter_differential.rs`.
+//!   replaying at most `window` tail bytes: any true match ending at or
+//!   after the candidate chunk starts inside the replayed window (its
+//!   literal ends after the chunk start, and the lead bound caps how far
+//!   back it begins), and a fresh `Σ*` frontier finds all such matches
+//!   identically — so filtered output is **byte-identical** to
+//!   unfiltered, pinned by `tests/prefilter_differential.rs`. The walk
+//!   over a chunk goes on past a hit while another unit of the flow is
+//!   still cold, and stops on the byte that wakes the last one: a flow
+//!   without a cold unit never consults the filter again.
 
 use recama_syntax::{ByteAlphabet, Parsed, Regex};
 
@@ -66,6 +77,11 @@ pub struct PrefilterMetrics {
     /// Cold units woken by a literal candidate (each wake is the unit's
     /// single cold→hot transition; hot units scan everything).
     pub candidate_hits: u64,
+    /// Bytes the literal automaton walked: one pass over a chunk serves
+    /// every cold unit of its flow, so this is at most the bytes pushed —
+    /// less where a chunk woke the flow's last cold unit before its end,
+    /// and nothing once a flow has no cold unit.
+    pub filter_bytes: u64,
     /// Rules with no usable required literal; a shard containing one
     /// always scans.
     pub always_on_rules: usize,
@@ -116,6 +132,7 @@ pub(crate) struct PrefilterCounters {
     pub(crate) skipped_units: PerShard,
     pub(crate) skipped_bytes: PerShard,
     pub(crate) candidate_hits: u64,
+    pub(crate) filter_bytes: u64,
 }
 
 impl PrefilterCounters {
@@ -124,6 +141,7 @@ impl PrefilterCounters {
             skipped_units: self.skipped_units.snapshot(shards),
             skipped_bytes: self.skipped_bytes.snapshot(shards),
             candidate_hits: self.candidate_hits,
+            filter_bytes: self.filter_bytes,
             always_on_rules,
         }
     }
@@ -317,52 +335,108 @@ impl Walk {
     }
 }
 
-/// A flat goto-table Aho-Corasick automaton over the set's shared
-/// byte-class alphabet (`goto[node × stride + class]`), fully
-/// determinized at build time (failure links are folded into the table,
-/// so advancing is one lookup per byte). Matching over classes instead
-/// of raw bytes can only *over*-report (two bytes sharing a class are
-/// indistinguishable), which wakes a unit early but never skips a real
-/// candidate — and singleton predicates get singleton classes from the
-/// set's alphabet anyway, so in practice the filter is exact.
+/// The compiled prefilter of a whole set: **one** flat goto-table
+/// Aho-Corasick automaton over every literal of every filterable shard
+/// (`table[node × stride + class]`, over the set's shared byte-class
+/// alphabet), fully determinized at build time (failure links are folded
+/// into the table, so advancing is one lookup per byte). A node's output
+/// is the *set of shards* with a literal ending there, so one walk over
+/// a chunk answers for every cold unit of the flow at once. Matching
+/// over classes instead of raw bytes can only *over*-report (two bytes
+/// sharing a class are indistinguishable), which wakes a unit early but
+/// never skips a real candidate — and singleton predicates get
+/// singleton classes from the set's alphabet anyway, so in practice the
+/// filter is exact.
 #[derive(Debug)]
-pub(crate) struct ShardPrefilter {
+pub(crate) struct SetPrefilter {
+    alphabet: ByteAlphabet,
+    /// Empty when no filterable shard has a literal: nothing to walk.
     table: Vec<u32>,
-    out: Vec<bool>,
     stride: usize,
-    /// Max lead among this shard's literals: the wake-up replay window.
-    window: u64,
+    /// Per node: whether any shard has a literal ending there.
+    hit: Vec<bool>,
+    /// Per node, `words` mask words: the shards with a literal ending
+    /// there (one bit per shard, so the plan's width sets `words`).
+    out: Vec<u64>,
+    words: usize,
+    /// The shards without an always-on rule — the units that start cold.
+    filterable: Vec<u64>,
+    /// Per shard, the max lead among its literals: its wake-up replay
+    /// window (0 for a shard that is not filterable).
+    windows: Vec<u64>,
+    always_on_rules: usize,
+    /// Max window over all shards: how many trailing bytes a flow's tail
+    /// buffer must retain for wake-up replay.
+    max_window: u64,
 }
 
-impl ShardPrefilter {
-    fn build(lits: &[&Extraction], alphabet: &ByteAlphabet) -> ShardPrefilter {
+/// The shard indices set in `mask`, ascending.
+pub(crate) fn shards_in(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut left = word;
+        std::iter::from_fn(move || {
+            (left != 0).then(|| {
+                let bit = left.trailing_zeros() as usize;
+                left &= left - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+impl SetPrefilter {
+    /// Builds the set's automaton from the rules' parse trees and the
+    /// shard plan. `alphabet` is the set's shared byte-class alphabet. A
+    /// shard containing an always-on rule contributes no literal and is
+    /// never cold.
+    pub(crate) fn build(
+        parsed: &[Parsed],
+        shards: &[Vec<usize>],
+        alphabet: ByteAlphabet,
+    ) -> SetPrefilter {
         const NONE: u32 = u32::MAX;
+        let extractions: Vec<Option<Extraction>> = parsed.iter().map(extract).collect();
+        let always_on_rules = extractions.iter().filter(|e| e.is_none()).count();
         let stride = alphabet.len().max(1);
+        let words = shards.len().div_ceil(64);
+        let mut filterable = vec![0u64; words];
+        let mut windows = vec![0u64; shards.len()];
         let mut table: Vec<u32> = vec![NONE; stride];
-        let mut out = vec![false];
-        let mut window = 0u64;
-        for ex in lits {
-            window = window.max(ex.lead);
-            let mut node = 0usize;
-            for &b in &ex.lit {
-                let c = alphabet.class_of(b);
-                let next = table[node * stride + c];
-                node = if next == NONE {
-                    let fresh = out.len();
-                    table[node * stride + c] = fresh as u32;
-                    table.extend(std::iter::repeat_n(NONE, stride));
-                    out.push(false);
-                    fresh
-                } else {
-                    next as usize
-                };
+        let mut out = vec![0u64; words];
+        for (si, members) in shards.iter().enumerate() {
+            let lits: Option<Vec<&Extraction>> =
+                members.iter().map(|&g| extractions[g].as_ref()).collect();
+            let Some(lits) = lits else { continue };
+            filterable[si / 64] |= 1 << (si % 64);
+            for ex in lits {
+                windows[si] = windows[si].max(ex.lead);
+                let mut node = 0usize;
+                for &b in &ex.lit {
+                    let c = alphabet.class_of(b);
+                    let next = table[node * stride + c];
+                    node = if next == NONE {
+                        let fresh = table.len() / stride;
+                        table[node * stride + c] = fresh as u32;
+                        table.extend(std::iter::repeat_n(NONE, stride));
+                        out.extend(std::iter::repeat_n(0, words));
+                        fresh
+                    } else {
+                        next as usize
+                    };
+                }
+                out[node * words + si / 64] |= 1 << (si % 64);
             }
-            out[node] = true;
+        }
+        let nodes = table.len() / stride;
+        if nodes == 1 {
+            // Extracted literals are never empty, so a lone root means
+            // no literal at all: there is no automaton.
+            table = Vec::new();
         }
         // BFS determinization: missing root edges self-loop, missing
         // deeper edges inherit the failure node's (already determinized)
-        // edge, and outputs propagate along failure links.
-        let mut fail = vec![0u32; out.len()];
+        // edge, and shard sets propagate along failure links.
+        let mut fail = vec![0u32; nodes];
         let mut queue = std::collections::VecDeque::new();
         for slot in table.iter_mut().take(stride) {
             if *slot == NONE {
@@ -373,7 +447,9 @@ impl ShardPrefilter {
         }
         while let Some(u) = queue.pop_front() {
             let f = fail[u] as usize;
-            out[u] = out[u] || out[f];
+            for w in 0..words {
+                out[u * words + w] |= out[f * words + w];
+            }
             for c in 0..stride {
                 let v = table[u * stride + c];
                 if v == NONE {
@@ -384,87 +460,34 @@ impl ShardPrefilter {
                 }
             }
         }
-        ShardPrefilter {
-            table,
-            out,
-            stride,
-            window,
-        }
-    }
-
-    /// The wake-up replay window: no match ending at or after a cold
-    /// unit's first candidate starts more than this many bytes before
-    /// the candidate chunk's first literal end.
-    pub(crate) fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Advances `node` over `chunk`, returning `true` as soon as any
-    /// literal ends. On a hit the node is **not** advanced further —
-    /// the unit turns hot and never consults the filter again.
-    pub(crate) fn advance(&self, node: &mut u32, alphabet: &ByteAlphabet, chunk: &[u8]) -> bool {
-        let mut n = *node as usize;
-        for &b in chunk {
-            n = self.table[n * self.stride + alphabet.class_of(b)] as usize;
-            if self.out[n] {
-                *node = n as u32;
-                return true;
-            }
-        }
-        *node = n as u32;
-        false
-    }
-}
-
-/// The compiled prefilter of a whole set: one optional
-/// [`ShardPrefilter`] per shard (`None` ⇒ the shard contains an
-/// always-on rule and must scan everything), sharing the set's
-/// byte-class alphabet.
-#[derive(Debug)]
-pub(crate) struct SetPrefilter {
-    alphabet: ByteAlphabet,
-    shards: Vec<Option<ShardPrefilter>>,
-    always_on_rules: usize,
-    /// Max window over all shard filters: how many trailing bytes a
-    /// flow's tail buffer must retain for wake-up replay.
-    max_window: u64,
-}
-
-impl SetPrefilter {
-    /// Builds the per-shard filters from the rules' parse trees and the
-    /// shard plan. `alphabet` is the set's shared byte-class alphabet.
-    pub(crate) fn build(
-        parsed: &[Parsed],
-        shards: &[Vec<usize>],
-        alphabet: ByteAlphabet,
-    ) -> SetPrefilter {
-        let extractions: Vec<Option<Extraction>> = parsed.iter().map(extract).collect();
-        let always_on_rules = extractions.iter().filter(|e| e.is_none()).count();
-        let shard_filters: Vec<Option<ShardPrefilter>> = shards
-            .iter()
-            .map(|members| {
-                let lits: Option<Vec<&Extraction>> =
-                    members.iter().map(|&g| extractions[g].as_ref()).collect();
-                lits.map(|lits| ShardPrefilter::build(&lits, &alphabet))
-            })
+        let hit = out
+            .chunks(words.max(1))
+            .map(|set| set.iter().any(|&w| w != 0))
             .collect();
-        let max_window = shard_filters
-            .iter()
-            .flatten()
-            .map(ShardPrefilter::window)
-            .max()
-            .unwrap_or(0);
         SetPrefilter {
             alphabet,
-            shards: shard_filters,
+            table,
+            stride,
+            hit,
+            out,
+            words,
+            filterable,
+            max_window: windows.iter().copied().max().unwrap_or(0),
+            windows,
             always_on_rules,
-            max_window,
         }
     }
 
-    /// Shard `i`'s filter (`None` ⇒ always-on).
-    pub(crate) fn shard(&self, i: usize) -> Option<&ShardPrefilter> {
-        self.shards.get(i).and_then(Option::as_ref)
+    /// The shards whose units start cold, as mask words.
+    pub(crate) fn filterable(&self) -> &[u64] {
+        &self.filterable
+    }
+
+    /// Shard `si`'s wake-up replay window: no match ending at or after a
+    /// cold unit's first candidate starts more than this many bytes
+    /// before the candidate chunk's first literal end.
+    pub(crate) fn window(&self, si: usize) -> u64 {
+        self.windows[si]
     }
 
     /// Rules with no usable literal.
@@ -472,36 +495,40 @@ impl SetPrefilter {
         self.always_on_rules
     }
 
-    /// Decides what a cold-capable `(flow, shard)` unit does with a
-    /// chunk starting at absolute offset `chunk_start` (≥ `base`, the
-    /// position the unit's engine counts from — 0 for schedulers and
-    /// streams, the epoch base for the service). Hot units and
-    /// filterless shards always scan.
-    pub(crate) fn chunk_action(
+    /// Advances a flow's `node` over `chunk`. Each shard of `cold` that
+    /// has a literal ending in the chunk is removed from it and handed
+    /// to `woke`; the walk stops once `cold` is empty — no unit is left
+    /// that could consult the filter again. Returns the bytes walked.
+    pub(crate) fn advance(
         &self,
-        shard: usize,
-        state: &mut PrefilterState,
+        node: &mut u32,
         chunk: &[u8],
-        chunk_start: u64,
-        base: u64,
-    ) -> ChunkAction {
-        if state.hot {
-            return ChunkAction::Scan;
+        cold: &mut [u64],
+        mut woke: impl FnMut(usize),
+    ) -> usize {
+        if self.table.is_empty() {
+            return 0;
         }
-        let Some(filter) = self.shard(shard) else {
-            state.hot = true;
-            return ChunkAction::Scan;
-        };
-        if filter.advance(&mut state.node, &self.alphabet, chunk) {
-            state.hot = true;
-            // The first literal end in the flow is at or after
-            // chunk_start + 1, so every match ending from here on
-            // starts at or after chunk_start + 1 − window.
-            let replay_start = (chunk_start + 1).saturating_sub(filter.window()).max(base);
-            ChunkAction::Wake { replay_start }
-        } else {
-            ChunkAction::Skip
+        let mut n = *node as usize;
+        for (i, &b) in chunk.iter().enumerate() {
+            n = self.table[n * self.stride + self.alphabet.class_of(b)] as usize;
+            if self.hit[n] {
+                let mut left = 0;
+                for (w, (cold, set)) in cold.iter_mut().zip(&self.out[n * self.words..]).enumerate()
+                {
+                    let woken = *cold & set;
+                    *cold &= !woken;
+                    left |= *cold;
+                    shards_in(&[woken]).for_each(|bit| woke(w * 64 + bit));
+                }
+                if left == 0 {
+                    *node = n as u32;
+                    return i + 1;
+                }
+            }
         }
+        *node = n as u32;
+        chunk.len()
     }
 
     /// Appends `chunk` to a flow's tail buffer, keeping only the last
@@ -522,17 +549,7 @@ impl SetPrefilter {
     }
 }
 
-/// The streaming filter state of one `(flow, shard)` unit: the AC node
-/// (literals straddling chunk boundaries resume here) and the sticky
-/// hot flag.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PrefilterState {
-    pub(crate) node: u32,
-    pub(crate) hot: bool,
-}
-
-/// What a unit does with one buffered chunk (see
-/// [`SetPrefilter::chunk_action`]).
+/// What a unit does with one buffered chunk: `Flow::admit`'s verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkAction {
     /// Scan normally (hot unit, filterless shard, or prefilter off).
@@ -594,70 +611,149 @@ mod tests {
         assert_eq!((e.lit.as_slice(), e.lead), (&b"xyz"[..], 3));
     }
 
+    /// The filter of `rules` under the plan `shards`, over an alphabet
+    /// with a singleton class per byte `rules` mention — as the NCA
+    /// alphabet would see their singleton predicates.
+    fn filter(rules: &[&str], shards: &[Vec<usize>]) -> SetPrefilter {
+        let parsed: Vec<Parsed> = rules.iter().map(|r| parse(r).unwrap()).collect();
+        let mut classes = recama_syntax::ByteClassSet::new();
+        for byte in rules.iter().flat_map(|r| r.bytes()) {
+            classes.add(&recama_syntax::ByteClass::singleton(byte));
+        }
+        SetPrefilter::build(&parsed, shards, classes.freeze())
+    }
+
+    /// Walks `chunk` for the shards of `cold`: who woke, in order, and
+    /// how many bytes it took.
+    fn walk(
+        pf: &SetPrefilter,
+        node: &mut u32,
+        cold: &mut [u64],
+        chunk: &[u8],
+    ) -> (Vec<usize>, usize) {
+        let mut woken = Vec::new();
+        let walked = pf.advance(node, chunk, cold, |si| woken.push(si));
+        (woken, walked)
+    }
+
     #[test]
     fn ac_filter_finds_literals_across_chunks() {
-        let a = parse("abbc").unwrap();
-        let b = parse("xyz").unwrap();
-        let parsed = vec![a, b];
-        let mut classes = recama_syntax::ByteClassSet::new();
-        for p in &parsed {
-            // Singleton predicates, as the NCA alphabet would see them.
-            for byte in p.regex.to_string().bytes() {
-                classes.add(&recama_syntax::ByteClass::singleton(byte));
-            }
-        }
-        let pf = SetPrefilter::build(&parsed, &[vec![0, 1]], classes.freeze());
-        let f = pf.shard(0).expect("both rules have literals");
-        let al = &pf.alphabet;
+        let pf = filter(&["abbc", "xyz"], &[vec![0, 1]]);
+        assert_eq!(pf.filterable(), [1], "both rules have literals");
         // From a fresh node, advancing over a whole buffer is the block
-        // gate: does any literal occur in it?
-        assert!(f.advance(&mut 0, al, b"..abbc.."));
-        assert!(f.advance(&mut 0, al, b"xyz"));
-        assert!(!f.advance(&mut 0, al, b"ab bc xy z"));
+        // gate: does any literal occur in it? The walk ends on the byte
+        // that woke the last cold shard.
+        assert_eq!(walk(&pf, &mut 0, &mut [1], b"..abbc.."), (vec![0], 6));
+        assert_eq!(walk(&pf, &mut 0, &mut [1], b"xyz"), (vec![0], 3));
+        assert_eq!(walk(&pf, &mut 0, &mut [1], b"ab bc xy z"), (vec![], 10));
         // Streaming: "xy|z" split across an advance boundary.
-        let mut node = 0u32;
-        assert!(!f.advance(&mut node, al, b"..xy"));
-        assert!(f.advance(&mut node, al, b"z.."));
+        let (mut node, mut cold) = (0u32, [1u64]);
+        assert_eq!(walk(&pf, &mut node, &mut cold, b"..xy"), (vec![], 4));
+        assert_eq!(walk(&pf, &mut node, &mut cold, b"z.."), (vec![0], 1));
+        assert_eq!(cold, [0]);
+    }
+
+    #[test]
+    fn a_shared_suffix_wakes_both_shards_on_one_byte() {
+        // "dle" is a proper suffix of "needle": the node that spells
+        // "needle" inherits shard 1 along its failure link.
+        let pf = filter(&["needle", "dle"], &[vec![0], vec![1]]);
+        assert_eq!((pf.window(0), pf.window(1)), (6, 3));
+        let (mut node, mut cold) = (0u32, [0b11u64]);
+        assert_eq!(walk(&pf, &mut node, &mut cold, b"..nee"), (vec![], 5));
+        assert_eq!(walk(&pf, &mut node, &mut cold, b"dle.."), (vec![0, 1], 3));
+        assert_eq!(cold, [0]);
+        // Alone, the suffix wakes only its own shard, and the walk goes on.
+        let mut cold = [0b11u64];
+        assert_eq!(walk(&pf, &mut 0, &mut cold, b"..dle.."), (vec![1], 7));
+        assert_eq!(cold, [0b01]);
+    }
+
+    #[test]
+    fn a_hot_shard_neither_stops_the_walk_nor_wakes_again() {
+        let pf = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
+        // Shard 0 is hot already: its literal ends at byte 3, the walk
+        // goes on to shard 1's at byte 8 and reports only that one.
+        let (mut node, mut cold) = (0u32, [0b10u64]);
+        assert_eq!(walk(&pf, &mut node, &mut cold, b"abc..xyz.."), (vec![1], 8));
+        // While shard 1 stays cold, shard 0's literals pass unreported.
+        let mut cold = [0b10u64];
+        assert_eq!(walk(&pf, &mut 0, &mut cold, b"abcabc"), (vec![], 6));
+        assert_eq!(cold, [0b10]);
+    }
+
+    #[test]
+    fn shard_sets_are_as_wide_as_the_plan() {
+        let rules: Vec<String> = (0..72).map(|i| format!("lit{i:02}x")).collect();
+        let engine = (crate::Engine::builder().patterns(&rules))
+            .shard_policy(recama_hw::ShardPolicy::Fixed(70))
+            .prefilter(PrefilterMode::On)
+            .build()
+            .unwrap();
+        let set = engine.set();
+        assert_eq!(set.shard_count(), 70);
+        let pf = set.prefilter().unwrap();
+        assert_eq!(pf.filterable(), [u64::MAX, (1 << 6) - 1]);
+        let last = &rules[*set.shard_members(69).last().unwrap()];
+        let mut cold = pf.filterable().to_vec();
+        let (woken, walked) = walk(pf, &mut 0, &mut cold, format!("..{last}..").as_bytes());
+        assert_eq!((woken, walked), (vec![69], last.len() + 4));
+        assert_eq!(cold, [u64::MAX, (1 << 5) - 1]);
+
+        // The same through a flow: 69 units skip, the last one wakes.
+        let mut flow = crate::flow::Flow::new(set, 0);
+        let (verdicts, walked) = flow.admit(set, format!("..{last}").as_bytes(), |_, _| {});
+        assert_eq!(walked, last.len() + 2);
+        assert!(verdicts[..69].iter().all(|v| *v == ChunkAction::Skip));
+        assert_eq!(verdicts[69], ChunkAction::Wake { replay_start: 0 });
+    }
+
+    #[test]
+    fn no_literal_means_no_automaton() {
+        // Every shard always-on, no rule at all, one empty shard, and an
+        // empty shard beside an always-on one: nothing to walk, and the
+        // empty shard — cold, with nothing that could wake it — stays so.
+        let cases: [(&[&str], &[Vec<usize>]); 4] = [
+            (&["[ab]{3}", ".*xyz"], &[vec![0], vec![1]]),
+            (&[], &[]),
+            (&[], &[vec![]]),
+            (&["a*"], &[vec![], vec![0]]),
+        ];
+        for (rules, shards) in cases {
+            let pf = filter(rules, shards);
+            assert!(pf.table.is_empty(), "{rules:?} over {shards:?}");
+            assert_eq!(pf.always_on_rules(), rules.len());
+            let mut cold = pf.filterable().to_vec();
+            assert_eq!(walk(&pf, &mut 0, &mut cold, b"abxyz"), (vec![], 0));
+            assert_eq!(cold, pf.filterable());
+            let mut tail = Vec::new();
+            pf.extend_tail(&mut tail, b"abxyz");
+            assert!(tail.is_empty(), "window 0 keeps nothing");
+        }
     }
 
     #[test]
     fn chunk_action_wakes_with_bounded_replay() {
-        let parsed = vec![parse("ab{2,3}c").unwrap()];
-        let mut classes = recama_syntax::ByteClassSet::new();
-        for byte in [b'a', b'b', b'c'] {
-            classes.add(&recama_syntax::ByteClass::singleton(byte));
-        }
-        let pf = SetPrefilter::build(&parsed, &[vec![0]], classes.freeze());
-        let mut st = PrefilterState::default();
-        assert_eq!(
-            pf.chunk_action(0, &mut st, b"....", 0, 0),
-            ChunkAction::Skip
-        );
-        assert!(!st.hot);
+        let engine = (crate::Engine::builder().patterns(["ab{2,3}c"]))
+            .prefilter(PrefilterMode::On)
+            .build()
+            .unwrap();
+        let set = engine.set();
+        let mut flow = crate::flow::Flow::new(set, 0);
+        let mut admit = |chunk: &[u8]| flow.admit(set, chunk, |_, _| {});
+        assert_eq!(admit(b"...."), (vec![ChunkAction::Skip], 4));
         // "ab" then "b" across the boundary: the literal "abb" ends in
-        // the second chunk, with lead 3 ⇒ replay from 6 + 1 − 3 = 4.
-        assert_eq!(
-            pf.chunk_action(0, &mut st, b"..ab", 4, 0),
-            ChunkAction::Skip
-        );
-        assert_eq!(
-            pf.chunk_action(0, &mut st, b"bc", 8, 0),
-            ChunkAction::Wake { replay_start: 6 }
-        );
-        assert!(st.hot);
-        // Hot units scan unconditionally.
-        assert_eq!(
-            pf.chunk_action(0, &mut st, b"....", 10, 0),
-            ChunkAction::Scan
-        );
+        // the second chunk, with lead 3 ⇒ replay from 8 + 1 − 3 = 6.
+        assert_eq!(admit(b"..ab"), (vec![ChunkAction::Skip], 4));
+        let wake = ChunkAction::Wake { replay_start: 6 };
+        assert_eq!(admit(b"bc"), (vec![wake], 1));
+        // Hot units scan unconditionally, and nothing walks the filter.
+        assert_eq!(admit(b"...."), (vec![ChunkAction::Scan], 0));
     }
 
     #[test]
     fn tail_buffer_keeps_the_window() {
-        let parsed = vec![parse("ab{2,3}c").unwrap()]; // window 3
-        let mut classes = recama_syntax::ByteClassSet::new();
-        classes.add(&recama_syntax::ByteClass::singleton(b'a'));
-        let pf = SetPrefilter::build(&parsed, &[vec![0]], classes.freeze());
+        let pf = filter(&["ab{2,3}c"], &[vec![0]]); // window 3
         let mut tail = Vec::new();
         pf.extend_tail(&mut tail, b"xy");
         assert_eq!(tail, b"xy");

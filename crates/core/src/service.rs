@@ -887,7 +887,7 @@ impl ServeState {
         // synthetic segment (keeping the queue contiguous for
         // `ServeUnit::scan`'s skip math).
         let segments = &mut f.segments;
-        let verdicts = f.flow.admit(set, chunk, |start, bytes| {
+        let (verdicts, walked) = f.flow.admit(set, chunk, |start, bytes| {
             let front_start = segments.front().map_or(chunk_start, |s| s.start);
             if start < front_start {
                 segments.push_front(Segment {
@@ -896,6 +896,7 @@ impl ServeState {
                 });
             }
         });
+        metrics.prefilter.filter_bytes += walked as u64;
         let mut skipped = false;
         for (si, verdict) in verdicts.into_iter().enumerate() {
             debug_assert!(

@@ -130,10 +130,10 @@ pub struct ShardedPatternSet {
     /// thread, and freed with the set — so an epoch of a serving handle
     /// owns its rows by pinning its `Arc<ShardedPatternSet>`.
     caches: Vec<HybridCache>,
-    /// The literal prefilter (`None` under [`PrefilterMode::Off`]):
-    /// per-shard Aho-Corasick filters over the shared alphabet that
-    /// scans, streams, and the serving layers consult before running
-    /// the automata.
+    /// The literal prefilter (`None` under [`PrefilterMode::Off`]): one
+    /// Aho-Corasick automaton over the shared alphabet, with shard-set
+    /// outputs, that scans, streams, and the serving layers consult
+    /// before running the automata.
     prefilter: Option<SetPrefilter>,
     /// Reversed automata for span location, built per pattern on first
     /// use (repeated `find_spans` calls must not re-run Glushkov).
@@ -213,7 +213,7 @@ impl ShardedPatternSet {
         };
 
         // Required-literal extraction over the raw rule ASTs, one AC
-        // filter per shard, over the same alphabet the engines index
+        // filter for the set, over the same alphabet the engines index
         // with (singleton predicates get singleton classes, so the
         // class-indexed filter is exact on extracted literals).
         let prefilter = match prefilter_mode {
@@ -470,7 +470,7 @@ impl ShardedSetStream<'_> {
         // bytes in between are the end of `replay`, which starts at
         // `replay_from` (and is empty for a unit at the chunk's start).
         let (mut replay_from, mut replay) = (chunk_start, Vec::new());
-        let verdicts = self.flow.admit(self.set, chunk, |start, bytes| {
+        let (verdicts, _) = self.flow.admit(self.set, chunk, |start, bytes| {
             replay_from = start;
             replay.extend_from_slice(bytes);
         });

@@ -342,10 +342,11 @@ fn pin_prefilter_metrics(p: PrefilterMetrics) {
         skipped_units,
         skipped_bytes,
         candidate_hits,
+        filter_bytes,
         always_on_rules,
     } = p;
     let _: (Vec<u64>, Vec<u64>) = (skipped_units, skipped_bytes);
-    let _: (u64, usize) = (candidate_hits, always_on_rules);
+    let _: (u64, u64, usize) = (candidate_hits, filter_bytes, always_on_rules);
     let _: fn(&PrefilterMetrics) -> u64 = PrefilterMetrics::total_skipped_units;
     let _: fn(&PrefilterMetrics) -> u64 = PrefilterMetrics::total_skipped_bytes;
 }

@@ -252,6 +252,169 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     assert_eq!(stats.candidate_hits, 0);
 }
 
+/// Pushes `input`, cut into `chunk_lens` (cycled), through a one-flow
+/// scheduler over `literals` — plain literal rules, so each rule's
+/// required literal is itself — under `Fixed(shards)`, and after every
+/// push checks the filter's counters against a reference that knows no
+/// automaton: per cold shard, a naive substring search for the first end
+/// of any of its literals in the stream so far. Per-shard `skipped_units`
+/// say which units skipped the chunk, `candidate_hits` how many woke, and
+/// a unit is cold exactly until it wakes, so together they are every
+/// `(shard, chunk)` verdict; `filter_bytes` is the one pass, cut short
+/// where the last cold unit woke. The reports pin the replay windows.
+fn check_verdicts(literals: &[String], shards: usize, input: &[u8], chunk_lens: &[usize]) {
+    let build = |mode| {
+        Engine::builder()
+            .patterns(literals)
+            .shard_policy(ShardPolicy::Fixed(shards))
+            .prefilter(mode)
+            .build()
+            .unwrap()
+    };
+    let (on, off) = (build(PrefilterMode::On), build(PrefilterMode::Off));
+    let what = format!("{literals:?} / Fixed({shards}) / {chunk_lens:?}");
+    // The first offset past `from` at which a literal of `shard` ends.
+    let first_end = |shard: usize, from: usize, upto: usize| {
+        (from + 1..=upto).find(|&end| {
+            let members = on.set().shard_members(shard).iter();
+            members
+                .into_iter()
+                .any(|&g| input[..end].ends_with(literals[g].as_bytes()))
+        })
+    };
+
+    let sched = on.scheduler_with(1);
+    let mut cold = vec![true; on.shard_count()];
+    let (mut units, mut bytes) = (vec![0u64; cold.len()], vec![0u64; cold.len()]);
+    let (mut hits, mut walked) = (0u64, 0u64);
+    let (mut at, mut lens) = (0usize, chunk_lens.iter().cycle());
+    while at < input.len() {
+        let end = (at + lens.next().unwrap()).min(input.len());
+        let mut pass = if cold.contains(&true) { 0 } else { at };
+        for shard in 0..cold.len() {
+            if !cold[shard] {
+                continue;
+            }
+            match first_end(shard, at, end) {
+                Some(woke_at) => {
+                    cold[shard] = false;
+                    hits += 1;
+                    pass = pass.max(woke_at);
+                }
+                None => {
+                    units[shard] += 1;
+                    bytes[shard] += (end - at) as u64;
+                    pass = end;
+                }
+            }
+        }
+        walked += (pass - at) as u64;
+        sched.push(1, &input[at..end]);
+        let got = sched.prefilter_stats().expect("the filter is on");
+        assert_eq!(
+            (
+                got.skipped_units,
+                got.skipped_bytes,
+                got.candidate_hits,
+                got.filter_bytes
+            ),
+            (units.clone(), bytes.clone(), hits, walked),
+            "{what}: after the chunk {at}..{end}"
+        );
+        at = end;
+    }
+    sched.run();
+    assert_eq!(sched.poll(1), off.scan(input), "{what}: reports");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Literals over three letters share prefixes and suffixes, contain
+    /// one another and repeat across shards; the input is mostly those
+    /// letters; chunks run from one byte up.
+    #[test]
+    fn every_verdict_agrees_with_a_naive_substring_search(
+        literals in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(b"abc".to_vec()), 1..5),
+            1..9,
+        ),
+        shards in 1usize..6,
+        input in prop::collection::vec(prop::sample::select(b"abcabc.".to_vec()), 0..160),
+        chunk_lens in prop::collection::vec(1usize..12, 1..6),
+    ) {
+        let literals: Vec<String> =
+            literals.into_iter().map(|l| String::from_utf8(l).unwrap()).collect();
+        check_verdicts(&literals, shards, &input, &chunk_lens);
+    }
+}
+
+#[test]
+fn verdicts_hold_for_one_byte_chunks_and_a_cut_at_every_boundary() {
+    // "dle" ends where "needle" ends, "need" where "nee" did a byte ago,
+    // and "magic" stands alone: five shards, of which the walk must wake
+    // two on one byte and keep going for the rest.
+    let literals = ["needle", "dle", "nee", "need", "magic"].map(String::from);
+    let input = b"..nee.needle..magi.magic..dle";
+    check_verdicts(&literals, 5, input, &[1]);
+    check_verdicts(&literals, 2, input, &[1]);
+    for cut in 1..input.len() {
+        check_verdicts(&literals, 5, input, &[cut, input.len()]);
+    }
+}
+
+#[test]
+fn the_filter_walks_a_chunk_once_whatever_the_shard_count() {
+    let literals = ["alpha", "bravo", "charlie", "delta"];
+    let on = Engine::builder()
+        .patterns(literals)
+        .shard_policy(ShardPolicy::Fixed(4))
+        .prefilter(PrefilterMode::On)
+        .build()
+        .unwrap();
+    assert_eq!((on.shard_count(), on.set().always_on_rules()), (4, 0));
+    let sched = on.scheduler_with(1);
+    let stats = || sched.prefilter_stats().expect("the filter is on");
+
+    // Benign chunks: four cold units, one pass.
+    let benign = [b'.'; 512];
+    for _ in 0..8 {
+        sched.push(1, &benign);
+    }
+    assert_eq!(stats().filter_bytes, 8 * 512, "not once per shard");
+    assert_eq!(stats().skipped_units, [8; 4]);
+
+    // Every chunk ends a literal of every shard: the pass stops on the
+    // byte that wakes the flow's last cold unit — the "o" of "bravo" —
+    // and a flow without a cold unit never consults the filter again.
+    let dense = b"..delta.alpha.charlie.bravo.delta.alpha.charlie.bravo.";
+    let last_first_end = 27;
+    assert!(dense[..last_first_end].ends_with(b"bravo"));
+    for round in 0..6 {
+        sched.push(1, dense);
+        assert_eq!(
+            stats().filter_bytes,
+            8 * 512 + last_first_end as u64,
+            "round {round}"
+        );
+        assert_eq!(stats().candidate_hits, 4);
+    }
+    // The same on a flow of its own, dense from its first byte: what the
+    // filter costs literal-dense traffic is bounded by where the chunk
+    // first completes the set, not by the chunk.
+    for round in 0..6 {
+        sched.push(2, dense);
+        assert_eq!(
+            stats().filter_bytes,
+            8 * 512 + 2 * last_first_end as u64,
+            "round {round}"
+        );
+    }
+    sched.run();
+    assert_eq!(sched.poll(1).len(), 6 * 8);
+    assert_eq!(sched.poll(2).len(), 6 * 8);
+}
+
 /// Two drivers, one answer: the batch scheduler and the owned service
 /// step the same core, so the same ruleset, flows and chunking must
 /// give identical per-flow `(rule, end)` sequences and finishing sets
