@@ -33,7 +33,7 @@
 //! the watermark may step *back* to `replay_start` on a wake without
 //! un-finalizing anything already merged.
 
-use crate::prefilter::{shards_in, ChunkAction};
+use crate::prefilter::{has, ChunkAction};
 use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ShardStream};
 use std::collections::{HashMap, VecDeque};
@@ -50,15 +50,6 @@ struct Unit {
     pending: VecDeque<MultiReport>,
 }
 
-impl Unit {
-    /// Moves a cold unit's fresh engine to absolute offset `pos`.
-    fn restart_at(&mut self, pos: u64, base: u64) {
-        let engine = self.engine.as_mut().expect("cold units hold their engine");
-        engine.restart_at(pos - base);
-        self.pos = pos;
-    }
-}
-
 /// Per-stream matching state over a [`ShardedPatternSet`]; see the
 /// module docs. Every method that takes a set must be given the one the
 /// flow was created on.
@@ -71,10 +62,10 @@ pub(crate) struct Flow {
     /// Absolute length of the stream so far.
     total: u64,
     /// The literal filter's node after the bytes admitted since `base`,
-    /// while any unit is cold: one automaton answers for all of them.
+    /// advanced while any unit is cold.
     node: u32,
     /// The units still cold, one bit per shard: no literal of the shard
-    /// has ended in the flow's bytes yet, so no match of its rules has.
+    /// has ended in the flow's bytes, so no match of its rules has.
     cold: Vec<u64>,
     /// Last window of bytes admitted since `base`, while any unit is cold.
     tail: Vec<u8>,
@@ -127,50 +118,59 @@ impl Flow {
         (self.units.iter()).all(|u| u.engine.is_some() && u.pos == self.total)
     }
 
-    /// Admits `chunk` as the next bytes of the stream and returns each
-    /// unit's verdict, and the bytes the literal filter walked: one pass
-    /// over the chunk for all the cold units, cut short once none is left.
-    /// A skipped unit is already past the chunk. A woken unit is
+    /// Admits `chunk` as the next bytes of the stream, leaves each unit's
+    /// verdict in `verdicts` (the caller's, so a push allocates nothing)
+    /// and returns the bytes the literal filter walked: one pass for all
+    /// the cold units. A skipped unit is already past the chunk. A woken unit is
     /// repositioned at its `replay_start`; when any of those lies
     /// before the chunk, `replay(start, bytes)` is handed the bytes
     /// `[start, chunk start)` from the earliest of them on, to put in
     /// front of the chunk. Units told to scan consume the chunk through
     /// [`checkout`](Flow::checkout) / [`check_in`](Flow::check_in).
     ///
-    /// An empty chunk admits nothing, so the filter state never runs
-    /// ahead of bytes that were fed.
+    /// An empty chunk admits nothing (no verdicts), so the filter state
+    /// never runs ahead of bytes that were fed.
     pub(crate) fn admit(
         &mut self,
         set: &ShardedPatternSet,
         chunk: &[u8],
+        verdicts: &mut Vec<ChunkAction>,
         replay: impl FnOnce(u64, &[u8]),
-    ) -> (Vec<ChunkAction>, usize) {
+    ) -> usize {
+        use ChunkAction::{Scan, Skip, Wake};
+        verdicts.clear();
         if chunk.is_empty() {
-            return (Vec::new(), 0);
+            return 0;
         }
         let (base, chunk_start) = (self.base, self.total);
         let end = chunk_start + chunk.len() as u64;
         self.total = end;
-        let mut verdicts = vec![ChunkAction::Scan; self.units.len()];
-        let Some(pf) = (set.prefilter()).filter(|_| self.cold.iter().any(|&w| w != 0)) else {
+        let cold_or_hot = |si| if has(&self.cold, si) { Skip } else { Scan };
+        verdicts.extend((0..self.units.len()).map(cold_or_hot));
+        let Some(pf) = set.prefilter().filter(|_| verdicts.contains(&Skip)) else {
             // `hot` is sticky: nothing is left that could wake.
             self.tail = Vec::new();
-            return (verdicts, 0);
+            return 0;
         };
-        let units = &mut self.units;
+        let walked = pf.advance(&mut self.node, chunk, &mut self.cold);
         let mut replay_from = chunk_start;
-        let walked = pf.advance(&mut self.node, chunk, &mut self.cold, |si| {
-            // The first literal end in the flow is at or after
-            // chunk_start + 1, so every match ending from here on
-            // starts at or after chunk_start + 1 − window.
-            let replay_start = (chunk_start + 1).saturating_sub(pf.window(si)).max(base);
-            replay_from = replay_from.min(replay_start);
-            units[si].restart_at(replay_start, base);
-            verdicts[si] = ChunkAction::Wake { replay_start };
-        });
-        for si in shards_in(&self.cold) {
-            units[si].restart_at(end, base);
-            verdicts[si] = ChunkAction::Skip;
+        for (si, (unit, verdict)) in self.units.iter_mut().zip(&mut *verdicts).enumerate() {
+            let restart = match verdict {
+                Scan => continue,
+                _ if has(&self.cold, si) => end,
+                _ => {
+                    // The first literal end in the flow is at or after
+                    // chunk_start + 1, so every match ending from here on
+                    // starts at or after chunk_start + 1 − window.
+                    let replay_start = (chunk_start + 1).saturating_sub(pf.window(si)).max(base);
+                    replay_from = replay_from.min(replay_start);
+                    *verdict = Wake { replay_start };
+                    replay_start
+                }
+            };
+            let engine = unit.engine.as_mut().expect("cold units hold their engine");
+            engine.restart_at(restart - base);
+            unit.pos = restart;
         }
         if replay_from < chunk_start {
             let tail_start = chunk_start - self.tail.len() as u64;
@@ -180,12 +180,12 @@ impl Flow {
                 &self.tail[(replay_from - tail_start) as usize..],
             );
         }
-        if self.cold.iter().any(|&w| w != 0) {
+        if verdicts.contains(&Skip) {
             pf.extend_tail(&mut self.tail, chunk);
         } else {
             self.tail = Vec::new();
         }
-        (verdicts, walked)
+        walked
     }
 
     /// Takes unit `si`'s engine for a scan, with the absolute position it
@@ -291,7 +291,6 @@ impl Flow {
     pub(crate) fn free(&mut self) -> HybridStats {
         let retired = self.hybrid_stats();
         self.units = Vec::new();
-        self.cold = Vec::new();
         self.tail = Vec::new();
         self.dollar = HashMap::new();
         retired
@@ -331,13 +330,25 @@ mod tests {
         flow.check_in(si, engine, reports);
     }
 
+    /// `Flow::admit` with verdicts of its own.
+    fn admit(
+        flow: &mut Flow,
+        set: &ShardedPatternSet,
+        chunk: &[u8],
+        replay: impl FnOnce(u64, &[u8]),
+    ) -> (Vec<ChunkAction>, usize) {
+        let mut verdicts = Vec::new();
+        let walked = flow.admit(set, chunk, &mut verdicts, replay);
+        (verdicts, walked)
+    }
+
     /// What `admit` handed to `replay`, if it called it.
     type Replayed = Option<(u64, Vec<u8>)>;
 
     /// The synchronous driver: admit, scan what was not skipped, merge.
     fn feed(flow: &mut Flow, set: &ShardedPatternSet, chunk: &[u8]) -> (Vec<(u64, u32)>, Replayed) {
         let mut replayed = None;
-        let (verdicts, _) = flow.admit(set, chunk, |start, bytes| {
+        let (verdicts, _) = admit(flow, set, chunk, |start, bytes| {
             replayed = Some((start, bytes.to_vec()));
         });
         let chunk_start = flow.total() - chunk.len() as u64;
@@ -363,8 +374,12 @@ mod tests {
         );
         let stream = b"xab.ab";
         let mut flow = Flow::new(&set, 0);
-        flow.admit(&set, &stream[..4], |_, _| unreachable!("nothing wakes"));
-        flow.admit(&set, &stream[4..], |_, _| unreachable!("nothing wakes"));
+        admit(&mut flow, &set, &stream[..4], |_, _| {
+            unreachable!("nothing wakes")
+        });
+        admit(&mut flow, &set, &stream[4..], |_, _| {
+            unreachable!("nothing wakes")
+        });
         assert_eq!((flow.watermark(), flow.buffered()), (0, 6));
 
         // Unit 1 runs ahead over both chunks: its reports wait for unit 0.
@@ -484,8 +499,9 @@ mod tests {
         // Both literals end in the first chunk after the base: both
         // windows reach before it, both replays are clamped.
         let chunk = b"magicneedle";
-        let (verdicts, walked) =
-            flow.admit(&set, chunk, |_, _| unreachable!("nothing before base"));
+        let (verdicts, walked) = admit(&mut flow, &set, chunk, |_, _| {
+            unreachable!("nothing before base")
+        });
         let wake = ChunkAction::Wake { replay_start: 100 };
         assert_eq!((verdicts, walked), (vec![wake, wake], chunk.len()));
         assert_eq!((flow.total(), flow.watermark()), (111, 100));
@@ -498,7 +514,7 @@ mod tests {
         let mut flow = Flow::new(&set, 100);
         assert_eq!(feed(&mut flow, &set, b"k98"), (Vec::new(), None));
         assert_eq!(feed(&mut flow, &set, b"76nee"), (Vec::new(), None));
-        let (verdicts, _) = flow.admit(&set, b"dle.q5magic", |start, bytes| {
+        let (verdicts, _) = admit(&mut flow, &set, b"dle.q5magic", |start, bytes| {
             assert_eq!((start, bytes), (100, &b"k9876nee"[..]));
         });
         let woken = [100, 102].map(|replay_start| ChunkAction::Wake { replay_start });

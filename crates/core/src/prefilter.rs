@@ -3,11 +3,10 @@
 //! the serving layers skip scanning cold `(flow, shard)` units entirely.
 //!
 //! Production IDS engines never run the full automaton over benign
-//! bytes: Suricata routes every rule through a prefilter/MPM stage — one
-//! MPM context per signature group, whose hits carry rule sets — and the
+//! bytes: Suricata routes every rule through a prefilter/MPM stage (one
+//! MPM context per signature group, whose hits carry rule sets), and the
 //! hardware literature (Wu-Manber, Aho-Corasick codesign) scales literal
-//! filtering to malware-grade rulesets. This module is that stage for
-//! recama:
+//! filtering to malware-grade rulesets. This module is that stage:
 //!
 //! * **Extraction** ([`extract`]) is a conservative analysis over the
 //!   parsed [`Regex`]: a rule contributes a literal only if *every*
@@ -16,35 +15,26 @@
 //!   literal occurrence. Rules with no usable literal (alternations,
 //!   classes, unbounded repetition before every literal, nullable
 //!   rules) are marked **always-on**.
-//! * **Filtering** ([`SetPrefilter`]) builds **one** flat goto-table
-//!   Aho-Corasick automaton over every literal of every filterable
-//!   shard, over the set's shared byte-class alphabet. A node's output
-//!   is the *set of shards* with a literal ending there (propagated
-//!   along failure links, so `dle` ending inside `needle` is seen), and
-//!   a flow keeps **one** node for all its units: a byte is looked at
-//!   once, whatever the shard count, as the paper's machine shows an
-//!   input symbol to every STE in the same cycle. The node survives
-//!   chunk boundaries, so a literal split across chunks is still found.
-//!   A shard containing any always-on rule contributes no literal and
-//!   is never cold; a set without a literal has no automaton at all.
+//! * **Filtering** ([`SetPrefilter`]) is **one** Aho-Corasick automaton
+//!   over every literal of every shard without an always-on rule. A
+//!   node's output is the *set of shards* with a literal ending there,
+//!   and a flow keeps one node for all its units: a byte is looked at
+//!   once whatever the shard count, as the paper's machine shows a
+//!   symbol to every STE in the same cycle. The node survives chunk
+//!   boundaries, so a literal split across chunks is still found.
 //! * **Skipping** is *sticky-cold → sticky-hot*: a `(flow, shard)` unit
-//!   is **cold** until the filter sees a literal of its shard end in
-//!   the flow's bytes. While cold, no match of the shard's rules can
-//!   end anywhere (every match needs a literal that has not occurred),
-//!   so the chunk is skipped — it still advances the flow's filter node
-//!   and the unit's offset. On the first candidate the unit turns hot
-//!   **forever** and the engine teleports to `chunk_start + 1 −
-//!   window`, the shard's largest lead, via
-//!   [`ShardStream::restart_at`](recama_nca::ShardStream::restart_at),
+//!   is **cold** until a literal of its shard ends in the flow's bytes.
+//!   While cold, no match of the shard's rules can end anywhere (every
+//!   match needs a literal that has not occurred), so the chunk is
+//!   skipped — it still advances the flow's node and the unit's offset.
+//!   On the first candidate the unit turns hot **forever** and its
+//!   engine teleports to `chunk_start + 1 − window` (the shard's largest
+//!   lead) via [`ShardStream::restart_at`](recama_nca::ShardStream::restart_at),
 //!   replaying at most `window` tail bytes: any true match ending at or
-//!   after the candidate chunk starts inside the replayed window (its
-//!   literal ends after the chunk start, and the lead bound caps how far
-//!   back it begins), and a fresh `Σ*` frontier finds all such matches
-//!   identically — so filtered output is **byte-identical** to
-//!   unfiltered, pinned by `tests/prefilter_differential.rs`. The walk
-//!   over a chunk goes on past a hit while another unit of the flow is
-//!   still cold, and stops on the byte that wakes the last one: a flow
-//!   without a cold unit never consults the filter again.
+//!   after the candidate chunk starts inside the replayed window, and a
+//!   fresh `Σ*` frontier finds all such matches identically — so
+//!   filtered output is **byte-identical** to unfiltered, pinned by
+//!   `tests/prefilter_differential.rs`.
 
 use recama_syntax::{ByteAlphabet, Parsed, Regex};
 
@@ -78,9 +68,8 @@ pub struct PrefilterMetrics {
     /// single cold→hot transition; hot units scan everything).
     pub candidate_hits: u64,
     /// Bytes the literal automaton walked: one pass over a chunk serves
-    /// every cold unit of its flow, so this is at most the bytes pushed —
-    /// less where a chunk woke the flow's last cold unit before its end,
-    /// and nothing once a flow has no cold unit.
+    /// every cold unit of its flow, ends on the byte that wakes the last
+    /// of them, and is not made for a flow without a cold unit.
     pub filter_bytes: u64,
     /// Rules with no usable required literal; a shard containing one
     /// always scans.
@@ -335,34 +324,30 @@ impl Walk {
     }
 }
 
-/// The compiled prefilter of a whole set: **one** flat goto-table
-/// Aho-Corasick automaton over every literal of every filterable shard
-/// (`table[node × stride + class]`, over the set's shared byte-class
-/// alphabet), fully determinized at build time (failure links are folded
-/// into the table, so advancing is one lookup per byte). A node's output
-/// is the *set of shards* with a literal ending there, so one walk over
-/// a chunk answers for every cold unit of the flow at once. Matching
-/// over classes instead of raw bytes can only *over*-report (two bytes
-/// sharing a class are indistinguishable), which wakes a unit early but
-/// never skips a real candidate — and singleton predicates get
-/// singleton classes from the set's alphabet anyway, so in practice the
-/// filter is exact.
+/// The compiled prefilter of a whole set: a flat goto table over the
+/// set's shared byte-class alphabet, fully determinized at build time
+/// (failure links are folded in, so advancing is one lookup per byte),
+/// whose outputs are shard sets. Matching over classes instead of raw
+/// bytes can only *over*-report (two bytes sharing a class are
+/// indistinguishable), which wakes a unit early but never skips a real
+/// candidate — and singleton predicates get singleton classes from the
+/// set's alphabet anyway, so in practice the filter is exact.
 #[derive(Debug)]
 pub(crate) struct SetPrefilter {
     alphabet: ByteAlphabet,
-    /// Empty when no filterable shard has a literal: nothing to walk.
+    /// `table[row + class]` is the next node's row offset. Empty when no
+    /// filterable shard has a literal: nothing to walk.
     table: Vec<u32>,
     stride: usize,
-    /// Per node: whether any shard has a literal ending there.
-    hit: Vec<bool>,
-    /// Per node, `words` mask words: the shards with a literal ending
-    /// there (one bit per shard, so the plan's width sets `words`).
+    /// The least row offset of a node where a literal ends.
+    first_hit: usize,
+    /// Per node from `first_hit` on, `words` mask words: the shards with
+    /// a literal ending there (one bit per shard: as wide as the plan).
     out: Vec<u64>,
     words: usize,
     /// The shards without an always-on rule — the units that start cold.
     filterable: Vec<u64>,
-    /// Per shard, the max lead among its literals: its wake-up replay
-    /// window (0 for a shard that is not filterable).
+    /// Per shard, its wake-up replay window: the max lead of its literals.
     windows: Vec<u64>,
     always_on_rules: usize,
     /// Max window over all shards: how many trailing bytes a flow's tail
@@ -370,25 +355,15 @@ pub(crate) struct SetPrefilter {
     max_window: u64,
 }
 
-/// The shard indices set in `mask`, ascending.
-pub(crate) fn shards_in(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    mask.iter().enumerate().flat_map(|(w, &word)| {
-        let mut left = word;
-        std::iter::from_fn(move || {
-            (left != 0).then(|| {
-                let bit = left.trailing_zeros() as usize;
-                left &= left - 1;
-                w * 64 + bit
-            })
-        })
-    })
+/// Whether `shard`'s bit is set in `mask` (one bit per shard, 64 a word).
+pub(crate) fn has(mask: &[u64], shard: usize) -> bool {
+    (mask.get(shard / 64)).is_some_and(|word| word >> (shard % 64) & 1 != 0)
 }
 
 impl SetPrefilter {
     /// Builds the set's automaton from the rules' parse trees and the
-    /// shard plan. `alphabet` is the set's shared byte-class alphabet. A
-    /// shard containing an always-on rule contributes no literal and is
-    /// never cold.
+    /// shard plan, over the set's shared byte-class `alphabet`. A shard
+    /// with an always-on rule contributes no literal and is never cold.
     pub(crate) fn build(
         parsed: &[Parsed],
         shards: &[Vec<usize>],
@@ -428,11 +403,6 @@ impl SetPrefilter {
             }
         }
         let nodes = table.len() / stride;
-        if nodes == 1 {
-            // Extracted literals are never empty, so a lone root means
-            // no literal at all: there is no automaton.
-            table = Vec::new();
-        }
         // BFS determinization: missing root edges self-loop, missing
         // deeper edges inherit the failure node's (already determinized)
         // edge, and shard sets propagate along failure links.
@@ -460,15 +430,29 @@ impl SetPrefilter {
                 }
             }
         }
-        let hit = out
-            .chunks(words.max(1))
-            .map(|set| set.iter().any(|&w| w != 0))
-            .collect();
+        // Nodes with an output go last (the root has none and stays first)
+        // and a transition word is its target's row offset: a step is one
+        // add and one load, and whether a literal ended is a compare on
+        // the word just read. Only those nodes keep a shard set.
+        let set = |v: &usize| &out[v * words..][..words];
+        let has_out = |v: &usize| set(v).iter().any(|&w| w != 0);
+        let mut order: Vec<usize> = (0..nodes).collect();
+        order.sort_by_key(has_out);
+        let first_hit = order.partition_point(|v| !has_out(v));
+        let mut offset = vec![0u32; nodes];
+        for (new, &old) in order.iter().enumerate() {
+            offset[old] = u32::try_from(new * stride).expect("the filter's table fits u32 offsets");
+        }
+        let row = |v: &usize| &table[v * stride..][..stride];
+        let table = (order.iter().flat_map(row).map(|&v| offset[v as usize])).collect();
+        let out = order[first_hit..].iter().flat_map(set).copied().collect();
         SetPrefilter {
             alphabet,
-            table,
+            // Extracted literals are never empty, so a lone root means
+            // no literal at all: there is no automaton.
+            table: if nodes == 1 { Vec::new() } else { table },
             stride,
-            hit,
+            first_hit: first_hit * stride,
             out,
             words,
             filterable,
@@ -495,39 +479,31 @@ impl SetPrefilter {
         self.always_on_rules
     }
 
-    /// Advances a flow's `node` over `chunk`. Each shard of `cold` that
-    /// has a literal ending in the chunk is removed from it and handed
-    /// to `woke`; the walk stops once `cold` is empty — no unit is left
-    /// that could consult the filter again. Returns the bytes walked.
-    pub(crate) fn advance(
-        &self,
-        node: &mut u32,
-        chunk: &[u8],
-        cold: &mut [u64],
-        mut woke: impl FnMut(usize),
-    ) -> usize {
+    /// Advances a flow's `node` over `chunk`, removing from `cold` each
+    /// shard that has a literal ending in it; the walk stops once `cold`
+    /// is empty — no unit is left that could consult the filter again.
+    /// Returns the bytes walked.
+    pub(crate) fn advance(&self, node: &mut u32, chunk: &[u8], cold: &mut [u64]) -> usize {
         if self.table.is_empty() {
             return 0;
         }
-        let mut n = *node as usize;
+        let mut at = *node as usize;
         for (i, &b) in chunk.iter().enumerate() {
-            n = self.table[n * self.stride + self.alphabet.class_of(b)] as usize;
-            if self.hit[n] {
+            at = self.table[at + self.alphabet.class_of(b)] as usize;
+            if at >= self.first_hit {
+                let set = &self.out[(at - self.first_hit) / self.stride * self.words..];
                 let mut left = 0;
-                for (w, (cold, set)) in cold.iter_mut().zip(&self.out[n * self.words..]).enumerate()
-                {
-                    let woken = *cold & set;
-                    *cold &= !woken;
+                for (cold, set) in cold.iter_mut().zip(set) {
+                    *cold &= !set;
                     left |= *cold;
-                    shards_in(&[woken]).for_each(|bit| woke(w * 64 + bit));
                 }
                 if left == 0 {
-                    *node = n as u32;
+                    *node = at as u32;
                     return i + 1;
                 }
             }
         }
-        *node = n as u32;
+        *node = at as u32;
         chunk.len()
     }
 
@@ -535,17 +511,9 @@ impl SetPrefilter {
     /// `max_window` bytes (all any wake-up can replay).
     pub(crate) fn extend_tail(&self, tail: &mut Vec<u8>, chunk: &[u8]) {
         let w = self.max_window as usize;
-        if w == 0 {
-            return;
-        }
-        if chunk.len() >= w {
-            tail.clear();
-            tail.extend_from_slice(&chunk[chunk.len() - w..]);
-        } else {
-            let keep = (w - chunk.len()).min(tail.len());
-            tail.drain(..tail.len() - keep);
-            tail.extend_from_slice(chunk);
-        }
+        let keep = w.saturating_sub(chunk.len()).min(tail.len());
+        tail.drain(..tail.len() - keep);
+        tail.extend_from_slice(&chunk[chunk.len().saturating_sub(w)..]);
     }
 }
 
@@ -623,17 +591,12 @@ mod tests {
         SetPrefilter::build(&parsed, shards, classes.freeze())
     }
 
-    /// Walks `chunk` for the shards of `cold`: who woke, in order, and
-    /// how many bytes it took.
-    fn walk(
-        pf: &SetPrefilter,
-        node: &mut u32,
-        cold: &mut [u64],
-        chunk: &[u8],
-    ) -> (Vec<usize>, usize) {
-        let mut woken = Vec::new();
-        let walked = pf.advance(node, chunk, cold, |si| woken.push(si));
-        (woken, walked)
+    /// Walks `chunk` from `node` for the shards of `cold`: who is still
+    /// cold after it, and how many bytes it took.
+    fn walk(pf: &SetPrefilter, node: &mut u32, cold: &[u64], chunk: &[u8]) -> (Vec<u64>, usize) {
+        let mut cold = cold.to_vec();
+        let walked = pf.advance(node, chunk, &mut cold);
+        (cold, walked)
     }
 
     #[test]
@@ -643,14 +606,13 @@ mod tests {
         // From a fresh node, advancing over a whole buffer is the block
         // gate: does any literal occur in it? The walk ends on the byte
         // that woke the last cold shard.
-        assert_eq!(walk(&pf, &mut 0, &mut [1], b"..abbc.."), (vec![0], 6));
-        assert_eq!(walk(&pf, &mut 0, &mut [1], b"xyz"), (vec![0], 3));
-        assert_eq!(walk(&pf, &mut 0, &mut [1], b"ab bc xy z"), (vec![], 10));
+        assert_eq!(walk(&pf, &mut 0, &[1], b"..abbc.."), (vec![0], 6));
+        assert_eq!(walk(&pf, &mut 0, &[1], b"xyz"), (vec![0], 3));
+        assert_eq!(walk(&pf, &mut 0, &[1], b"ab bc xy z"), (vec![1], 10));
         // Streaming: "xy|z" split across an advance boundary.
-        let (mut node, mut cold) = (0u32, [1u64]);
-        assert_eq!(walk(&pf, &mut node, &mut cold, b"..xy"), (vec![], 4));
-        assert_eq!(walk(&pf, &mut node, &mut cold, b"z.."), (vec![0], 1));
-        assert_eq!(cold, [0]);
+        let mut node = 0;
+        assert_eq!(walk(&pf, &mut node, &[1], b"..xy"), (vec![1], 4));
+        assert_eq!(walk(&pf, &mut node, &[1], b"z.."), (vec![0], 1));
     }
 
     #[test]
@@ -659,27 +621,21 @@ mod tests {
         // "needle" inherits shard 1 along its failure link.
         let pf = filter(&["needle", "dle"], &[vec![0], vec![1]]);
         assert_eq!((pf.window(0), pf.window(1)), (6, 3));
-        let (mut node, mut cold) = (0u32, [0b11u64]);
-        assert_eq!(walk(&pf, &mut node, &mut cold, b"..nee"), (vec![], 5));
-        assert_eq!(walk(&pf, &mut node, &mut cold, b"dle.."), (vec![0, 1], 3));
-        assert_eq!(cold, [0]);
+        let mut node = 0;
+        assert_eq!(walk(&pf, &mut node, &[0b11], b"..nee"), (vec![0b11], 5));
+        assert_eq!(walk(&pf, &mut node, &[0b11], b"dle.."), (vec![0], 3));
         // Alone, the suffix wakes only its own shard, and the walk goes on.
-        let mut cold = [0b11u64];
-        assert_eq!(walk(&pf, &mut 0, &mut cold, b"..dle.."), (vec![1], 7));
-        assert_eq!(cold, [0b01]);
+        assert_eq!(walk(&pf, &mut 0, &[0b11], b"..dle.."), (vec![0b01], 7));
     }
 
     #[test]
     fn a_hot_shard_neither_stops_the_walk_nor_wakes_again() {
         let pf = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
         // Shard 0 is hot already: its literal ends at byte 3, the walk
-        // goes on to shard 1's at byte 8 and reports only that one.
-        let (mut node, mut cold) = (0u32, [0b10u64]);
-        assert_eq!(walk(&pf, &mut node, &mut cold, b"abc..xyz.."), (vec![1], 8));
-        // While shard 1 stays cold, shard 0's literals pass unreported.
-        let mut cold = [0b10u64];
-        assert_eq!(walk(&pf, &mut 0, &mut cold, b"abcabc"), (vec![], 6));
-        assert_eq!(cold, [0b10]);
+        // goes on to shard 1's at byte 8 and its bit stays clear.
+        assert_eq!(walk(&pf, &mut 0, &[0b10], b"abc..xyz.."), (vec![0], 8));
+        // While shard 1 stays cold, shard 0's literals change nothing.
+        assert_eq!(walk(&pf, &mut 0, &[0b10], b"abcabc"), (vec![0b10], 6));
     }
 
     #[test]
@@ -695,15 +651,16 @@ mod tests {
         let pf = set.prefilter().unwrap();
         assert_eq!(pf.filterable(), [u64::MAX, (1 << 6) - 1]);
         let last = &rules[*set.shard_members(69).last().unwrap()];
-        let mut cold = pf.filterable().to_vec();
-        let (woken, walked) = walk(pf, &mut 0, &mut cold, format!("..{last}..").as_bytes());
-        assert_eq!((woken, walked), (vec![69], last.len() + 4));
-        assert_eq!(cold, [u64::MAX, (1 << 5) - 1]);
+        let chunk = format!("..{last}..");
+        let (cold, walked) = walk(pf, &mut 0, pf.filterable(), chunk.as_bytes());
+        assert_eq!((cold, walked), (vec![u64::MAX, (1 << 5) - 1], chunk.len()));
+        assert!(has(pf.filterable(), 69) && !has(pf.filterable(), 70));
 
         // The same through a flow: 69 units skip, the last one wakes.
         let mut flow = crate::flow::Flow::new(set, 0);
-        let (verdicts, walked) = flow.admit(set, format!("..{last}").as_bytes(), |_, _| {});
-        assert_eq!(walked, last.len() + 2);
+        let mut verdicts = Vec::new();
+        let walked = flow.admit(set, chunk.as_bytes(), &mut verdicts, |_, _| {});
+        assert_eq!(walked, chunk.len());
         assert!(verdicts[..69].iter().all(|v| *v == ChunkAction::Skip));
         assert_eq!(verdicts[69], ChunkAction::Wake { replay_start: 0 });
     }
@@ -723,9 +680,8 @@ mod tests {
             let pf = filter(rules, shards);
             assert!(pf.table.is_empty(), "{rules:?} over {shards:?}");
             assert_eq!(pf.always_on_rules(), rules.len());
-            let mut cold = pf.filterable().to_vec();
-            assert_eq!(walk(&pf, &mut 0, &mut cold, b"abxyz"), (vec![], 0));
-            assert_eq!(cold, pf.filterable());
+            let cold = pf.filterable();
+            assert_eq!(walk(&pf, &mut 0, cold, b"abxyz"), (cold.to_vec(), 0));
             let mut tail = Vec::new();
             pf.extend_tail(&mut tail, b"abxyz");
             assert!(tail.is_empty(), "window 0 keeps nothing");
@@ -740,7 +696,11 @@ mod tests {
             .unwrap();
         let set = engine.set();
         let mut flow = crate::flow::Flow::new(set, 0);
-        let mut admit = |chunk: &[u8]| flow.admit(set, chunk, |_, _| {});
+        let mut admit = |chunk: &[u8]| {
+            let mut verdicts = Vec::new();
+            let walked = flow.admit(set, chunk, &mut verdicts, |_, _| {});
+            (verdicts, walked)
+        };
         assert_eq!(admit(b"...."), (vec![ChunkAction::Skip], 4));
         // "ab" then "b" across the boundary: the literal "abb" ends in
         // the second chunk, with lead 3 ⇒ replay from 8 + 1 − 3 = 6.

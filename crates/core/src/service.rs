@@ -550,6 +550,8 @@ struct ServeState {
     evicted: Vec<FlowId>,
     /// Monotone counter behind `OwnedFlow::last_touch`.
     touch: u64,
+    /// The last push's verdicts, kept for their capacity.
+    verdicts: Vec<ChunkAction>,
     metrics: MetricsAcc,
     /// Hybrid byte counters of engines that no longer exist (finished,
     /// migrated or quarantined flows), so the roll-up survives flow
@@ -589,6 +591,7 @@ impl ServeState {
             next_sweep: None,
             evicted: Vec::new(),
             touch: 0,
+            verdicts: Vec::new(),
             metrics: MetricsAcc::default(),
             hybrid_retired: HybridStats::default(),
         }
@@ -867,6 +870,7 @@ impl ServeState {
             slots,
             epochs,
             ready,
+            verdicts,
             metrics,
             buffered_total,
             ..
@@ -878,16 +882,12 @@ impl ServeState {
         let set = &epoch_of(epochs, f.epoch).set;
         let before = f.flow.buffered();
         let chunk_start = f.flow.total();
-        f.segments.push_back(Segment {
-            start: chunk_start,
-            bytes: Arc::from(chunk),
-        });
         // A woken unit replays bytes before the chunk; where those
         // already fell off the segment queue, re-cover them with a
         // synthetic segment (keeping the queue contiguous for
         // `ServeUnit::scan`'s skip math).
         let segments = &mut f.segments;
-        let (verdicts, walked) = f.flow.admit(set, chunk, |start, bytes| {
+        let walked = f.flow.admit(set, chunk, verdicts, |start, bytes| {
             let front_start = segments.front().map_or(chunk_start, |s| s.start);
             if start < front_start {
                 segments.push_front(Segment {
@@ -897,10 +897,9 @@ impl ServeState {
             }
         });
         metrics.prefilter.filter_bytes += walked as u64;
-        let mut skipped = false;
-        for (si, verdict) in verdicts.into_iter().enumerate() {
+        for (si, verdict) in verdicts.iter().enumerate() {
             debug_assert!(
-                verdict == ChunkAction::Scan || !f.busy[si],
+                *verdict == ChunkAction::Scan || !f.busy[si],
                 "cold units are never busy"
             );
             let enqueue = match verdict {
@@ -909,7 +908,6 @@ impl ServeState {
                     metrics.prefilter.skipped_units.add(si, 1);
                     let bytes = chunk.len() as u64;
                     metrics.prefilter.skipped_bytes.add(si, bytes);
-                    skipped = true;
                     false
                 }
                 ChunkAction::Wake { .. } => {
@@ -922,15 +920,18 @@ impl ServeState {
                 ready.push_back((id, si));
             }
         }
-        let total = f.flow.total();
+        // A chunk every unit skipped is consumed already: cold units hold
+        // no reports and no earlier segment, so there is nothing to keep,
+        // merge or drop.
+        if f.flow.buffered() > 0 {
+            f.segments.push_back(Segment {
+                start: chunk_start,
+                bytes: Arc::from(chunk),
+            });
+        }
         *buffered_total += f.flow.buffered() - before;
         metrics.queue_peak = metrics.queue_peak.max(ready.len());
-        if skipped {
-            // Skips advance the watermark without a check-in: merge
-            // (and drop fully-consumed segments) promptly.
-            self.merge_ready(id);
-        }
-        total
+        f.flow.total()
     }
 
     /// Pops a ready `(flow, shard)` unit and checks its engine out,

@@ -423,6 +423,7 @@ impl ShardedPatternSet {
         ShardedSetStream {
             set: self,
             flow: Flow::new(self, 0),
+            verdicts: Vec::new(),
             merged: Vec::new(),
         }
     }
@@ -452,6 +453,9 @@ impl ShardedPatternSet {
 pub struct ShardedSetStream<'a> {
     set: &'a ShardedPatternSet,
     flow: Flow,
+    /// The last chunk's verdicts and merged matches, kept for their
+    /// capacity: a chunk every unit skips allocates nothing.
+    verdicts: Vec<ChunkAction>,
     merged: Vec<SetMatch>,
 }
 
@@ -470,13 +474,14 @@ impl ShardedSetStream<'_> {
         // bytes in between are the end of `replay`, which starts at
         // `replay_from` (and is empty for a unit at the chunk's start).
         let (mut replay_from, mut replay) = (chunk_start, Vec::new());
-        let (verdicts, _) = self.flow.admit(self.set, chunk, |start, bytes| {
-            replay_from = start;
-            replay.extend_from_slice(bytes);
-        });
+        self.flow
+            .admit(self.set, chunk, &mut self.verdicts, |start, bytes| {
+                replay_from = start;
+                replay.extend_from_slice(bytes);
+            });
         let mut scans: Vec<(usize, ShardStream, u64, Vec<MultiReport>)> = Vec::new();
-        for (si, verdict) in verdicts.into_iter().enumerate() {
-            if verdict != ChunkAction::Skip {
+        for (si, verdict) in self.verdicts.iter().enumerate() {
+            if *verdict != ChunkAction::Skip {
                 let (engine, from) = self.flow.checkout(si);
                 scans.push((si, engine, from, Vec::new()));
             }
