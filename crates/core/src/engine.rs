@@ -375,9 +375,10 @@ impl EngineBuilder {
 
     /// Sets the [`PrefilterMode`]. The default, [`PrefilterMode::On`],
     /// extracts a required literal per rule at compile time and builds
-    /// one Aho-Corasick filter per shard; scans, streams, schedulers,
-    /// and service handles then skip any `(flow, shard)` unit whose
-    /// filter has seen no candidate — with output byte-identical to
+    /// one Aho-Corasick filter for the set, whose hits name the shards
+    /// they belong to; scans, streams, schedulers, and service handles
+    /// then skip any `(flow, shard)` unit for which the filter has seen
+    /// no candidate — with output byte-identical to
     /// [`PrefilterMode::Off`], which disables the filter entirely (the
     /// escape hatch, and the measuring stick for the filter's effect).
     ///

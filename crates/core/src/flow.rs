@@ -3,9 +3,9 @@
 //! A flow is one unit per shard of its set — the shard's engine, the
 //! position it has consumed and the reports it has produced — plus what
 //! the units share: where the engines started (`base`), how many bytes
-//! arrived (`total`), the literal filter's one node and the set of units
-//! still cold, the replay tail and the `$` candidates. It borrows nothing (the set is an argument) and makes
-//! the four decisions every driver of a flow needs:
+//! arrived (`total`), the filter's one node and the set of units still
+//! cold, the replay tail and the `$` candidates. It borrows nothing (the
+//! set is an argument) and makes the four decisions every driver needs:
 //!
 //! 1. **admit** — one filter pass over the chunk for every cold unit,
 //!    and what each unit does on its verdict: scan the chunk, skip it

@@ -55,7 +55,7 @@
 //!   depth, eviction / backpressure / reload counters, per-epoch flow
 //!   counts, the hybrid lazy-DFA hit-rate roll-up, and the
 //!   literal-prefilter block (per-shard skipped units/bytes, candidate
-//!   wake-ups, always-on rule count).
+//!   wake-ups, bytes the filter walked, always-on rule count).
 //!
 //! Per-flow reports are byte-identical to one independent
 //! [`ShardedSetStream`](crate::ShardedSetStream) per flow — it is the
@@ -193,7 +193,8 @@ pub struct ServiceMetrics {
     /// [`HybridStats::dfa_hit_rate`].
     pub hybrid: Option<HybridStats>,
     /// Literal-prefilter counters — per-shard skipped `(flow, shard)`
-    /// chunk scans and bytes, cold→hot wake-ups, always-on rules — when
+    /// chunk scans and bytes, cold→hot wake-ups, the bytes the one
+    /// literal automaton walked, always-on rules — when
     /// the current epoch was built with
     /// [`PrefilterMode::On`](crate::PrefilterMode::On); `None` under
     /// [`PrefilterMode::Off`](crate::PrefilterMode::Off). The
@@ -923,13 +924,14 @@ impl ServeState {
         // A chunk every unit skipped is consumed already: cold units hold
         // no reports and no earlier segment, so there is nothing to keep,
         // merge or drop.
-        if f.flow.buffered() > 0 {
+        let buffered = f.flow.buffered();
+        if buffered > 0 {
             f.segments.push_back(Segment {
                 start: chunk_start,
                 bytes: Arc::from(chunk),
             });
         }
-        *buffered_total += f.flow.buffered() - before;
+        *buffered_total += buffered - before;
         metrics.queue_peak = metrics.queue_peak.max(ready.len());
         f.flow.total()
     }
@@ -2147,8 +2149,8 @@ mod tests {
 
         // With the filter on, every shard skips a chunk without a
         // candidate: its bytes are consumed at push time, so nothing is
-        // buffered, nothing is queued, and a budget-sized chunk fits
-        // every time.
+        // buffered (not even for the length of the call), nothing is
+        // queued, and a budget-sized chunk fits every time.
         let mut st = state("needle", PrefilterMode::On);
         let flow = st.open(&cfg);
         for round in 1..=4u64 {
@@ -2158,6 +2160,7 @@ mod tests {
             );
             assert_eq!(st.buffered_total, 0);
             assert!(st.ready.is_empty());
+            assert!(st.flow(flow).expect("still open").segments.is_empty());
         }
         assert_eq!(st.metrics.backpressure, 0);
         assert_eq!(st.snapshot().prefilter.unwrap().total_skipped_bytes(), 32);

@@ -276,10 +276,8 @@ fn check_verdicts(literals: &[String], shards: usize, input: &[u8], chunk_lens: 
     // The first offset past `from` at which a literal of `shard` ends.
     let first_end = |shard: usize, from: usize, upto: usize| {
         (from + 1..=upto).find(|&end| {
-            let members = on.set().shard_members(shard).iter();
-            members
-                .into_iter()
-                .any(|&g| input[..end].ends_with(literals[g].as_bytes()))
+            let members = on.set().shard_members(shard);
+            (members.iter()).any(|&g| input[..end].ends_with(literals[g].as_bytes()))
         })
     };
 
