@@ -160,7 +160,7 @@ pub enum FaultPolicy {
 /// policy disables both watermarks — nothing sheds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OverloadPolicy {
-    /// Readiness-queue depth (pending `(flow, shard)` scan units) at or
+    /// Readiness-queue depth (pending `(flow, group)` scan units) at or
     /// above which new opens are shed. `None` (default) disables the
     /// watermark.
     pub max_queue_depth: Option<usize>,
@@ -332,9 +332,13 @@ impl EngineBuilder {
     }
 
     /// Sets the [`ShardPolicy`] partitioning rules into bank-sized
-    /// shards. Default: one CAMA bank per shard.
-    /// [`ShardPolicy::Single`] collapses to the unsharded (`N = 1`)
-    /// machine image.
+    /// shards: the machine images behind [`Engine::network`],
+    /// [`Engine::hardware`] and the cost model. Default: one CAMA bank
+    /// per shard. [`ShardPolicy::Single`] collapses to the unsharded
+    /// (`N = 1`) machine image. The policy does not change what a flow
+    /// scans — software groups the rules by whether their lazy-DFA rows
+    /// fit (see [`scan_mode`](EngineBuilder::scan_mode)) — so it moves
+    /// no report and no scan-time number.
     pub fn shard_policy(mut self, policy: ShardPolicy) -> EngineBuilder {
         self.policy = policy;
         self
@@ -359,15 +363,22 @@ impl EngineBuilder {
     /// handle of the built engine walks bytes with. The default,
     /// [`ScanMode::Hybrid`] with
     /// [`DEFAULT_STATE_BUDGET`](recama_nca::DEFAULT_STATE_BUDGET)
-    /// cached DFA states per shard, overlays a lazy DFA on the pure
+    /// cached DFA states per scan group, overlays a lazy DFA on the pure
     /// (counter-free) part of the frontier and steps exactly only the
     /// counter-carrying states that are live. The determinized rows of a
-    /// shard are built once and shared by everything the engine scans —
+    /// group are built once and shared by everything the engine scans —
     /// block scans, streams, every flow of a scheduler or service handle
-    /// — so the budget bounds the shard, not each flow. [`ScanMode::Nca`] forces
-    /// the exact per-byte engine everywhere — the paper-faithful
-    /// baseline and the reference the hybrid is differentially tested
-    /// against.
+    /// — so the budget bounds the group, not each flow.
+    ///
+    /// The budget also draws the groups ([`Engine::scan_groups`]): rules
+    /// are packed in index order, a rule weighing its NCA's states, and
+    /// a group closes when the next rule would pass the budget (a
+    /// heavier rule gets a group of its own), so a ruleset whose rows
+    /// fit one cache is scanned once per byte and a larger one is cut
+    /// before its cache starts flushing. [`ScanMode::Nca`] has no rows
+    /// to fit: it scans one group with the exact per-byte engine — the
+    /// paper-faithful baseline and the reference the hybrid is
+    /// differentially tested against.
     pub fn scan_mode(mut self, mode: ScanMode) -> EngineBuilder {
         self.scan_mode = mode;
         self
@@ -375,9 +386,9 @@ impl EngineBuilder {
 
     /// Sets the [`PrefilterMode`]. The default, [`PrefilterMode::On`],
     /// extracts a required literal per rule at compile time and builds
-    /// one Aho-Corasick filter for the set, whose hits name the shards
-    /// they belong to; scans, streams, schedulers, and service handles
-    /// then skip any `(flow, shard)` unit for which the filter has seen
+    /// one Aho-Corasick filter for the set, whose hits name the scan
+    /// groups they belong to; scans, streams, schedulers, and service
+    /// handles then skip any `(flow, group)` unit for which the filter has seen
     /// no candidate — with output byte-identical to
     /// [`PrefilterMode::Off`], which disables the filter entirely (the
     /// escape hatch, and the measuring stick for the filter's effect).
@@ -395,7 +406,7 @@ impl EngineBuilder {
     /// Sets the deterministic [`FaultPlan`] every [`ServiceHandle`] and
     /// [`FlowScheduler`] of the built engine injects into its scan step —
     /// panics and artificial delays at the k-th scan of a chosen
-    /// `(flow, shard)`, for chaos-testing the fault-tolerance layer.
+    /// `(flow, group)`, for chaos-testing the fault-tolerance layer.
     /// Only compiled in under the `fault-inject` cargo feature; release
     /// builds carry no injection hook at all.
     #[cfg(feature = "fault-inject")]
@@ -585,14 +596,27 @@ impl Engine {
         self.set.outputs()
     }
 
-    /// Number of bank-sized shards the ruleset compiled into (≥ 1).
+    /// Number of bank-sized shards — machine images — the ruleset
+    /// compiled into (≥ 1). Not the number of engines a flow runs: that
+    /// is [`scan_groups`](Engine::scan_groups).
     pub fn shard_count(&self) -> usize {
         self.set.shard_count()
     }
 
-    /// The shard plan (which rule lives in which shard).
+    /// The bank plan (which rule lives in which shard's machine image),
+    /// as the [`ShardPolicy`] cut it.
     pub fn plan(&self) -> &ShardPlan {
         self.set.plan()
+    }
+
+    /// The scan partition (which rule a flow scans in which group): the
+    /// units of a stream, a scheduler or a service handle, and the index
+    /// of every per-unit metric. It follows from the rules and the
+    /// [`ScanMode`] alone — next-fit over the rules' NCA states under
+    /// the hybrid `state_budget`, one group under [`ScanMode::Nca`] —
+    /// and the [`ShardPolicy`] has no say in it.
+    pub fn scan_groups(&self) -> &ShardPlan {
+        self.set.scan_groups()
     }
 
     /// The merged extended-MNRL machine image of shard `shard`;
@@ -632,7 +656,7 @@ impl Engine {
     }
 
     /// The underlying sharded set — the escape hatch to every lower
-    /// layer (per-shard automata, spans, per-shard hardware).
+    /// layer (per-group automata, spans, per-shard hardware).
     pub fn set(&self) -> &ShardedPatternSet {
         &self.set
     }
@@ -656,9 +680,10 @@ impl Engine {
     /// All matches in `haystack`, in stream order (ascending end,
     /// ascending rule index within one end): a fresh
     /// [`stream`](Engine::stream) fed the haystack once, keeping of each
-    /// trailing-`$` rule only the matches that end the haystack. Shards
-    /// scan in parallel on scoped threads for large inputs; reports are
-    /// byte-identical for any shard plan.
+    /// trailing-`$` rule only the matches that end the haystack. Scan
+    /// groups scan in parallel on scoped threads for large inputs;
+    /// reports are byte-identical for any bank plan and any scan
+    /// partition.
     pub fn scan(&self, haystack: &[u8]) -> Vec<SetMatch> {
         self.set.find_ends(haystack)
     }

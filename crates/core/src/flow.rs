@@ -1,6 +1,6 @@
 //! [`Flow`]: what one byte stream does with a chunk, written once.
 //!
-//! A flow is one unit per shard of its set — the shard's engine, the
+//! A flow is one unit per scan group of its set — the group's engine, the
 //! position it has consumed and the reports it has produced — plus what
 //! the units share: where the engines started (`base`), how many bytes
 //! arrived (`total`), the filter's one node and the set of units still
@@ -22,7 +22,7 @@
 //! Where the bytes wait and where reports go is the driver's business:
 //! [`ShardedSetStream`](crate::ShardedSetStream) scans the borrowed
 //! chunk at once, the serving core (`service.rs`) buffers segments and
-//! scans `(flow, shard)` units on workers. Both check an engine out,
+//! scans `(flow, group)` units on workers. Both check an engine out,
 //! feed it, and check it back in.
 //!
 //! Two invariants make the merge order independent of who scanned what
@@ -38,7 +38,7 @@ use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ShardStream};
 use std::collections::{HashMap, VecDeque};
 
-/// One `(flow, shard)` unit.
+/// One `(flow, group)` unit.
 struct Unit {
     /// `None` while a driver has the engine checked out; a cold unit is
     /// skipped, never checked out.
@@ -64,7 +64,7 @@ pub(crate) struct Flow {
     /// The literal filter's node after the bytes admitted since `base`,
     /// advanced while any unit is cold.
     node: u32,
-    /// The units still cold, one bit per shard: no literal of the shard
+    /// The units still cold, one bit per scan group: no literal of the group
     /// has ended in the flow's bytes, so no match of its rules has.
     cold: Vec<u64>,
     /// Last window of bytes admitted since `base`, while any unit is cold.
@@ -77,7 +77,7 @@ impl Flow {
     /// Fresh engines and cold units of `set`, for a stream whose bytes
     /// from absolute offset `base` on they will see.
     pub(crate) fn new(set: &ShardedPatternSet, base: u64) -> Flow {
-        let units = set.shard_streams().into_iter().map(|engine| Unit {
+        let units = set.group_streams().into_iter().map(|engine| Unit {
             engine: Some(engine),
             pos: base,
             pending: VecDeque::new(),
@@ -242,7 +242,7 @@ impl Flow {
             let r = pending.pop_front().expect("best exists");
             debug_assert!(
                 pending.front().is_none_or(|n| key < (n.end, n.pattern)),
-                "per-shard reports must arrive sorted by (end, pattern) — \
+                "per-group reports must arrive sorted by (end, pattern) — \
                  see MultiEngine::step_into's ordering contract"
             );
             if anchored[r.pattern as usize] {
@@ -300,17 +300,15 @@ impl Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set::in_scan_groups;
     use crate::{Engine, PrefilterMode};
-    use recama_hw::ShardPolicy;
 
-    fn set_with(patterns: &[&str], policy: ShardPolicy, mode: PrefilterMode) -> ShardedPatternSet {
-        Engine::builder()
-            .patterns(patterns)
-            .shard_policy(policy)
-            .prefilter(mode)
-            .build()
-            .unwrap()
-            .into_set()
+    /// `patterns` as `groups` units per flow.
+    fn set_with(patterns: &[&str], groups: usize, mode: PrefilterMode) -> ShardedPatternSet {
+        let builder = Engine::builder().patterns(patterns).prefilter(mode);
+        let set = in_scan_groups(builder, groups).into_set();
+        assert_eq!(set.scan_groups().shard_count(), groups);
+        set
     }
 
     /// Everything final right now, as `(end, pattern)`.
@@ -367,11 +365,9 @@ mod tests {
 
     #[test]
     fn merge_orders_by_end_then_pattern_and_stops_at_the_watermark() {
-        let set = set_with(&["xab", "ab"], ShardPolicy::Fixed(2), PrefilterMode::Off);
-        assert_eq!(
-            (set.shard_members(0), set.shard_members(1)),
-            (&[0][..], &[1][..])
-        );
+        let set = set_with(&["xab", "ab"], 2, PrefilterMode::Off);
+        let groups = set.scan_groups();
+        assert_eq!((groups.members(0), groups.members(1)), (&[0][..], &[1][..]));
         let stream = b"xab.ab";
         let mut flow = Flow::new(&set, 0);
         admit(&mut flow, &set, &stream[..4], |_, _| {
@@ -403,14 +399,14 @@ mod tests {
     /// on the final byte two chunks ago.
     #[test]
     fn finishing_survives_an_empty_final_chunk() {
-        for policy in [ShardPolicy::Single, ShardPolicy::Fixed(2)] {
-            let set = set_with(&["ab$", "ab", "cd$"], policy, PrefilterMode::On);
+        for groups in [1, 2] {
+            let set = set_with(&["ab$", "ab", "cd$"], groups, PrefilterMode::On);
             let mut flow = Flow::new(&set, 0);
             let mut got = Vec::new();
             for chunk in [&b"ab"[..], b".c", b"d", b""] {
                 got.extend(feed(&mut flow, &set, chunk).0);
             }
-            assert_eq!(got, [(2, 0), (2, 1), (5, 2)], "policy {policy:?}");
+            assert_eq!(got, [(2, 0), (2, 1), (5, 2)], "{groups} groups");
             let finishing = flow.finishing();
             assert_eq!(finishing, [MultiReport { pattern: 2, end: 5 }]);
         }
@@ -418,7 +414,7 @@ mod tests {
 
     #[test]
     fn finishing_is_empty_when_no_dollar_match_ends_the_stream() {
-        let set = set_with(&["ab$", "xy"], ShardPolicy::Single, PrefilterMode::On);
+        let set = set_with(&["ab$", "xy"], 1, PrefilterMode::On);
         let mut flow = Flow::new(&set, 0);
         assert_eq!(feed(&mut flow, &set, b"ab").0, [(2, 0)]);
         assert_eq!(feed(&mut flow, &set, b"xy").0, [(4, 1)]);
@@ -426,14 +422,10 @@ mod tests {
         assert!(Flow::new(&set, 0).finishing().is_empty());
     }
 
-    /// Two shards, two windows: "needle" behind `k` and four digits
+    /// Two groups, two windows: "needle" behind `k` and four digits
     /// leads 11 bytes, "magic" behind `q` and one digit leads 7.
     fn two_windows() -> ShardedPatternSet {
-        let set = set_with(
-            &["k\\d{4}needle", "q\\dmagic"],
-            ShardPolicy::Fixed(2),
-            PrefilterMode::On,
-        );
+        let set = set_with(&["k\\d{4}needle", "q\\dmagic"], 2, PrefilterMode::On);
         let pf = set.prefilter().unwrap();
         assert_eq!((pf.window(0), pf.window(1)), (11, 7));
         set
@@ -479,7 +471,7 @@ mod tests {
         }
 
         // Hot from the first chunk (no usable literal): never a tail.
-        let set = set_with(&["[ab]{3}"], ShardPolicy::Single, PrefilterMode::On);
+        let set = set_with(&["[ab]{3}"], 1, PrefilterMode::On);
         let mut flow = Flow::new(&set, 0);
         for _ in 0..8 {
             feed(&mut flow, &set, b"..abab..");

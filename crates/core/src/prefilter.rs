@@ -1,6 +1,6 @@
 //! Literal prefiltering (multi-pattern matching): compile-time required-
 //! literal extraction plus one set-level Aho-Corasick filter that lets
-//! the serving layers skip scanning cold `(flow, shard)` units entirely.
+//! the serving layers skip scanning cold `(flow, group)` units entirely.
 //!
 //! Production IDS engines never run the full automaton over benign
 //! bytes: Suricata routes every rule through a prefilter/MPM stage (one
@@ -16,19 +16,19 @@
 //!   classes, unbounded repetition before every literal, nullable
 //!   rules) are marked **always-on**.
 //! * **Filtering** ([`SetPrefilter`]) is **one** Aho-Corasick automaton
-//!   over every literal of every shard without an always-on rule. A
-//!   node's output is the *set of shards* with a literal ending there,
+//!   over every literal of every group without an always-on rule. A
+//!   node's output is the *set of scan groups* with a literal ending there,
 //!   and a flow keeps one node for all its units: a byte is looked at
-//!   once whatever the shard count, as the paper's machine shows a
+//!   once whatever the group count, as the paper's machine shows a
 //!   symbol to every STE in the same cycle. The node survives chunk
 //!   boundaries, so a literal split across chunks is still found.
-//! * **Skipping** is *sticky-cold → sticky-hot*: a `(flow, shard)` unit
-//!   is **cold** until a literal of its shard ends in the flow's bytes.
-//!   While cold, no match of the shard's rules can end anywhere (every
+//! * **Skipping** is *sticky-cold → sticky-hot*: a `(flow, group)` unit
+//!   is **cold** until a literal of its group ends in the flow's bytes.
+//!   While cold, no match of the group's rules can end anywhere (every
 //!   match needs a literal that has not occurred), so the chunk is
 //!   skipped — it still advances the flow's node and the unit's offset.
 //!   On the first candidate the unit turns hot **forever** and its
-//!   engine teleports to `chunk_start + 1 − window` (the shard's largest
+//!   engine teleports to `chunk_start + 1 − window` (the group's largest
 //!   lead) via [`ShardStream::restart_at`](recama_nca::ShardStream::restart_at),
 //!   replaying at most `window` tail bytes: any true match ending at or
 //!   after the candidate chunk starts inside the replayed window, and a
@@ -42,7 +42,7 @@ use recama_syntax::{ByteAlphabet, Parsed, Regex};
 /// time via [`EngineBuilder::prefilter`](crate::EngineBuilder::prefilter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrefilterMode {
-    /// Extract literals and skip cold `(flow, shard)` units (the
+    /// Extract literals and skip cold `(flow, group)` units (the
     /// default). Output is byte-identical to [`PrefilterMode::Off`].
     #[default]
     On,
@@ -59,10 +59,10 @@ pub enum PrefilterMode {
 /// (`None` under [`PrefilterMode::Off`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefilterMetrics {
-    /// Per shard: `(flow, shard)` chunk scans skipped because the unit
+    /// Per scan group: `(flow, group)` chunk scans skipped because the unit
     /// was cold.
     pub skipped_units: Vec<u64>,
-    /// Per shard: bytes those skipped scans would have walked.
+    /// Per scan group: bytes those skipped scans would have walked.
     pub skipped_bytes: Vec<u64>,
     /// Cold units woken by a literal candidate (each wake is the unit's
     /// single cold→hot transition; hot units scan everything).
@@ -71,44 +71,44 @@ pub struct PrefilterMetrics {
     /// every cold unit of its flow, ends on the byte that wakes the last
     /// of them, and is not made for a flow without a cold unit.
     pub filter_bytes: u64,
-    /// Rules with no usable required literal; a shard containing one
+    /// Rules with no usable required literal; a group containing one
     /// always scans.
     pub always_on_rules: usize,
 }
 
 impl PrefilterMetrics {
     /// Sum of [`skipped_units`](PrefilterMetrics::skipped_units) across
-    /// shards.
+    /// groups.
     pub fn total_skipped_units(&self) -> u64 {
         self.skipped_units.iter().sum()
     }
 
     /// Sum of [`skipped_bytes`](PrefilterMetrics::skipped_bytes) across
-    /// shards.
+    /// groups.
     pub fn total_skipped_bytes(&self) -> u64 {
         self.skipped_bytes.iter().sum()
     }
 }
 
-/// Auto-resizing per-shard counter vector — the one accumulation
+/// Auto-resizing per-group counter vector — the one accumulation
 /// primitive shared by the scheduler's and the service's metrics paths
 /// (scan counts, scan bytes, and both prefilter counters all use it).
 #[derive(Debug, Default, Clone)]
-pub(crate) struct PerShard(Vec<u64>);
+pub(crate) struct PerGroup(Vec<u64>);
 
-impl PerShard {
-    pub(crate) fn add(&mut self, shard: usize, n: u64) {
-        if self.0.len() <= shard {
-            self.0.resize(shard + 1, 0);
+impl PerGroup {
+    pub(crate) fn add(&mut self, group: usize, n: u64) {
+        if self.0.len() <= group {
+            self.0.resize(group + 1, 0);
         }
-        self.0[shard] += n;
+        self.0[group] += n;
     }
 
-    /// The counters, padded with zeros to at least `shards` entries.
-    pub(crate) fn snapshot(&self, shards: usize) -> Vec<u64> {
+    /// The counters, padded with zeros to at least `groups` entries.
+    pub(crate) fn snapshot(&self, groups: usize) -> Vec<u64> {
         let mut v = self.0.clone();
-        if v.len() < shards {
-            v.resize(shards, 0);
+        if v.len() < groups {
+            v.resize(groups, 0);
         }
         v
     }
@@ -118,17 +118,17 @@ impl PerShard {
 /// service); snapshotted into [`PrefilterMetrics`].
 #[derive(Debug, Default)]
 pub(crate) struct PrefilterCounters {
-    pub(crate) skipped_units: PerShard,
-    pub(crate) skipped_bytes: PerShard,
+    pub(crate) skipped_units: PerGroup,
+    pub(crate) skipped_bytes: PerGroup,
     pub(crate) candidate_hits: u64,
     pub(crate) filter_bytes: u64,
 }
 
 impl PrefilterCounters {
-    pub(crate) fn snapshot(&self, shards: usize, always_on_rules: usize) -> PrefilterMetrics {
+    pub(crate) fn snapshot(&self, groups: usize, always_on_rules: usize) -> PrefilterMetrics {
         PrefilterMetrics {
-            skipped_units: self.skipped_units.snapshot(shards),
-            skipped_bytes: self.skipped_bytes.snapshot(shards),
+            skipped_units: self.skipped_units.snapshot(groups),
+            skipped_bytes: self.skipped_bytes.snapshot(groups),
             candidate_hits: self.candidate_hits,
             filter_bytes: self.filter_bytes,
             always_on_rules,
@@ -327,7 +327,7 @@ impl Walk {
 /// The compiled prefilter of a whole set: a flat goto table over the
 /// set's shared byte-class alphabet, fully determinized at build time
 /// (failure links are folded in, so advancing is one lookup per byte),
-/// whose outputs are shard sets. Matching over classes instead of raw
+/// whose outputs are group sets. Matching over classes instead of raw
 /// bytes can only *over*-report (two bytes sharing a class are
 /// indistinguishable), which wakes a unit early but never skips a real
 /// candidate — and singleton predicates get singleton classes from the
@@ -336,49 +336,49 @@ impl Walk {
 pub(crate) struct SetPrefilter {
     alphabet: ByteAlphabet,
     /// `table[row + class]` is the next node's row offset. Empty when no
-    /// filterable shard has a literal: nothing to walk.
+    /// filterable group has a literal: nothing to walk.
     table: Vec<u32>,
     stride: usize,
     /// The least row offset of a node where a literal ends.
     first_hit: usize,
-    /// Per node from `first_hit` on, `words` mask words: the shards with
-    /// a literal ending there (one bit per shard: as wide as the plan).
+    /// Per node from `first_hit` on, `words` mask words: the groups with
+    /// a literal ending there (one bit per scan group: as wide as the plan).
     out: Vec<u64>,
     words: usize,
-    /// The shards without an always-on rule — the units that start cold.
+    /// The groups without an always-on rule — the units that start cold.
     filterable: Vec<u64>,
-    /// Per shard, its wake-up replay window: the max lead of its literals.
+    /// Per scan group, its wake-up replay window: the max lead of its literals.
     windows: Vec<u64>,
     always_on_rules: usize,
-    /// Max window over all shards: how many trailing bytes a flow's tail
+    /// Max window over all groups: how many trailing bytes a flow's tail
     /// buffer must retain for wake-up replay.
     max_window: u64,
 }
 
-/// Whether `shard`'s bit is set in `mask` (one bit per shard, 64 a word).
-pub(crate) fn has(mask: &[u64], shard: usize) -> bool {
-    (mask.get(shard / 64)).is_some_and(|word| word >> (shard % 64) & 1 != 0)
+/// Whether `group`'s bit is set in `mask` (one bit per scan group, 64 a word).
+pub(crate) fn has(mask: &[u64], group: usize) -> bool {
+    (mask.get(group / 64)).is_some_and(|word| word >> (group % 64) & 1 != 0)
 }
 
 impl SetPrefilter {
     /// Builds the set's automaton from the rules' parse trees and the
-    /// shard plan, over the set's shared byte-class `alphabet`. A shard
+    /// scan partition, over the set's shared byte-class `alphabet`. A group
     /// with an always-on rule contributes no literal and is never cold.
     pub(crate) fn build(
         parsed: &[Parsed],
-        shards: &[Vec<usize>],
+        groups: &[Vec<usize>],
         alphabet: ByteAlphabet,
     ) -> SetPrefilter {
         const NONE: u32 = u32::MAX;
         let extractions: Vec<Option<Extraction>> = parsed.iter().map(extract).collect();
         let always_on_rules = extractions.iter().filter(|e| e.is_none()).count();
         let stride = alphabet.len().max(1);
-        let words = shards.len().div_ceil(64);
+        let words = groups.len().div_ceil(64);
         let mut filterable = vec![0u64; words];
-        let mut windows = vec![0u64; shards.len()];
+        let mut windows = vec![0u64; groups.len()];
         let mut table: Vec<u32> = vec![NONE; stride];
         let mut out = vec![0u64; words];
-        for (si, members) in shards.iter().enumerate() {
+        for (si, members) in groups.iter().enumerate() {
             let lits: Option<Vec<&Extraction>> =
                 members.iter().map(|&g| extractions[g].as_ref()).collect();
             let Some(lits) = lits else { continue };
@@ -405,7 +405,7 @@ impl SetPrefilter {
         let nodes = table.len() / stride;
         // BFS determinization: missing root edges self-loop, missing
         // deeper edges inherit the failure node's (already determinized)
-        // edge, and shard sets propagate along failure links.
+        // edge, and group sets propagate along failure links.
         let mut fail = vec![0u32; nodes];
         let mut queue = std::collections::VecDeque::new();
         for slot in table.iter_mut().take(stride) {
@@ -433,7 +433,7 @@ impl SetPrefilter {
         // Nodes with an output go last (the root has none and stays first)
         // and a transition word is its target's row offset: a step is one
         // add and one load, and whether a literal ended is a compare on
-        // the word just read. Only those nodes keep a shard set.
+        // the word just read. Only those nodes keep a group set.
         let set = |v: &usize| &out[v * words..][..words];
         let has_out = |v: &usize| set(v).iter().any(|&w| w != 0);
         let mut order: Vec<usize> = (0..nodes).collect();
@@ -462,12 +462,12 @@ impl SetPrefilter {
         }
     }
 
-    /// The shards whose units start cold, as mask words.
+    /// The groups whose units start cold, as mask words.
     pub(crate) fn filterable(&self) -> &[u64] {
         &self.filterable
     }
 
-    /// Shard `si`'s wake-up replay window: no match ending at or after a
+    /// Group `si`'s wake-up replay window: no match ending at or after a
     /// cold unit's first candidate starts more than this many bytes
     /// before the candidate chunk's first literal end.
     pub(crate) fn window(&self, si: usize) -> u64 {
@@ -480,7 +480,7 @@ impl SetPrefilter {
     }
 
     /// Advances a flow's `node` over `chunk`, removing from `cold` each
-    /// shard that has a literal ending in it; the walk stops once `cold`
+    /// group that has a literal ending in it; the walk stops once `cold`
     /// is empty — no unit is left that could consult the filter again.
     /// Returns the bytes walked.
     pub(crate) fn advance(&self, node: &mut u32, chunk: &[u8], cold: &mut [u64]) -> usize {
@@ -520,7 +520,7 @@ impl SetPrefilter {
 /// What a unit does with one buffered chunk: `Flow::admit`'s verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkAction {
-    /// Scan normally (hot unit, filterless shard, or prefilter off).
+    /// Scan normally (hot unit, filterless group, or prefilter off).
     Scan,
     /// Cold and no candidate: advance the unit's position past the
     /// chunk without scanning (the engine stays fresh).
@@ -640,29 +640,28 @@ mod tests {
 
     #[test]
     fn shard_sets_are_as_wide_as_the_plan() {
+        // Equal rules under a budget that holds one: a group each, and
+        // the mask spills into a second word.
         let rules: Vec<String> = (0..72).map(|i| format!("lit{i:02}x")).collect();
-        let engine = (crate::Engine::builder().patterns(&rules))
-            .shard_policy(recama_hw::ShardPolicy::Fixed(70))
-            .prefilter(PrefilterMode::On)
-            .build()
-            .unwrap();
+        let builder = (crate::Engine::builder().patterns(&rules)).prefilter(PrefilterMode::On);
+        let engine = crate::set::in_scan_groups(builder, 70);
         let set = engine.set();
-        assert_eq!(set.shard_count(), 70);
+        assert_eq!(set.scan_groups().shard_count(), 72);
         let pf = set.prefilter().unwrap();
-        assert_eq!(pf.filterable(), [u64::MAX, (1 << 6) - 1]);
-        let last = &rules[*set.shard_members(69).last().unwrap()];
+        assert_eq!(pf.filterable(), [u64::MAX, (1 << 8) - 1]);
+        let last = &rules[*set.scan_groups().members(71).last().unwrap()];
         let chunk = format!("..{last}..");
         let (cold, walked) = walk(pf, &mut 0, pf.filterable(), chunk.as_bytes());
-        assert_eq!((cold, walked), (vec![u64::MAX, (1 << 5) - 1], chunk.len()));
-        assert!(has(pf.filterable(), 69) && !has(pf.filterable(), 70));
+        assert_eq!((cold, walked), (vec![u64::MAX, (1 << 7) - 1], chunk.len()));
+        assert!(has(pf.filterable(), 71) && !has(pf.filterable(), 72));
 
-        // The same through a flow: 69 units skip, the last one wakes.
+        // The same through a flow: 71 units skip, the last one wakes.
         let mut flow = crate::flow::Flow::new(set, 0);
         let mut verdicts = Vec::new();
         let walked = flow.admit(set, chunk.as_bytes(), &mut verdicts, |_, _| {});
         assert_eq!(walked, chunk.len());
-        assert!(verdicts[..69].iter().all(|v| *v == ChunkAction::Skip));
-        assert_eq!(verdicts[69], ChunkAction::Wake { replay_start: 0 });
+        assert!(verdicts[..71].iter().all(|v| *v == ChunkAction::Skip));
+        assert_eq!(verdicts[71], ChunkAction::Wake { replay_start: 0 });
     }
 
     #[test]

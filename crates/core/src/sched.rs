@@ -14,7 +14,7 @@
 //! merge, `$`-finishing — is written once, in `flow.rs`;
 //! [`ShardedSetStream`](crate::ShardedSetStream) drives one flow
 //! synchronously. What many flows share — the flow table, the
-//! `(flow, shard)` readiness queue, checkout / unlocked scan / check-in,
+//! `(flow, group)` readiness queue, checkout / unlocked scan / check-in,
 //! quarantine — lives once, in the [`ServiceHandle`]'s module; the
 //! long-lived (resident) service steps that core from worker threads.
 //! This module adds only what a *batch* caller needs on top of it:
@@ -25,8 +25,8 @@
 //! * [`run`](FlowScheduler::run) steps the core until the readiness
 //!   queue is empty, then returns — inline on the caller for one
 //!   worker, on scoped threads otherwise. The work unit is a
-//!   **(flow, shard)** pair, so two workers can advance *different
-//!   shards of the same flow* concurrently;
+//!   **(flow, group)** pair, so two workers can advance *different
+//!   groups of the same flow* concurrently;
 //! * [`poll`](FlowScheduler::poll) drains a flow's ordered report queue;
 //!   [`drain_global`](FlowScheduler::drain_global) drains the global
 //!   sink of `(flow, match)` events — both as compiled pattern indices
@@ -271,8 +271,8 @@ impl FlowScheduler {
     }
 
     /// Scans everything buffered so far on the worker pool, returning
-    /// once every flow's shards have consumed every pushed byte. Workers
-    /// pull `(flow, shard)` units off the readiness queue, scan outside
+    /// once every flow's groups have consumed every pushed byte. Workers
+    /// pull `(flow, group)` units off the readiness queue, scan outside
     /// the lock, and check the engine back in; a unit that received more
     /// bytes while checked out goes straight back on the queue.
     ///
@@ -383,15 +383,15 @@ impl FlowScheduler {
         self.handle.flow_len(id)
     }
 
-    /// Total bytes buffered but not yet consumed by every shard — the
+    /// Total bytes buffered but not yet consumed by every group — the
     /// scan debt the next [`run`](FlowScheduler::run) clears.
     pub fn pending_bytes(&self) -> u64 {
         self.handle.pending_bytes()
     }
 
     /// Aggregated hybrid-overlay statistics — byte counters across
-    /// every flow's shard engines, live ones and those already freed at
-    /// close + drain, plus the cached states and flushes of the shard
+    /// every flow's group engines, live ones and those already freed at
+    /// close + drain, plus the cached states and flushes of the group
     /// caches the flows share, each counted once — or `None` when the
     /// engine scans in [`ScanMode::Nca`](crate::ScanMode::Nca): the
     /// [`hybrid`](crate::ServiceMetrics::hybrid) block of the core's
@@ -402,8 +402,8 @@ impl FlowScheduler {
         self.handle.metrics().hybrid
     }
 
-    /// Aggregated literal-prefilter counters — skipped `(flow, shard)`
-    /// chunk scans per shard, skipped bytes, cold→hot wake-ups — or
+    /// Aggregated literal-prefilter counters — skipped `(flow, group)`
+    /// chunk scans per scan group, skipped bytes, cold→hot wake-ups — or
     /// `None` when the engine was built with
     /// [`PrefilterMode::Off`](crate::PrefilterMode::Off): the
     /// [`prefilter`](crate::ServiceMetrics::prefilter) block of the
@@ -430,14 +430,12 @@ impl fmt::Debug for FlowScheduler {
 mod tests {
     use super::*;
     use crate::{Engine, ShardedPatternSet};
-    use recama_hw::ShardPolicy;
 
-    fn sharded(patterns: &[&str], shards: usize) -> Engine {
-        Engine::builder()
-            .patterns(patterns)
-            .shard_policy(ShardPolicy::Fixed(shards))
-            .build()
-            .unwrap()
+    /// `patterns` as `groups` units per flow.
+    fn sharded(patterns: &[&str], groups: usize) -> Engine {
+        let engine = crate::set::in_scan_groups(Engine::builder().patterns(patterns), groups);
+        assert_eq!(engine.scan_groups().shard_count(), groups);
+        engine
     }
 
     /// Per-flow scheduler output must equal an independent stream fed the

@@ -51,16 +51,16 @@
 //!   [`max_flows`](crate::ServeConfig::max_flows) evicts the
 //!   least-recently-pushed drained flow first;
 //! * [`metrics`](ServiceHandle::metrics) snapshots the service
-//!   ([`ServiceMetrics`]): per-shard scan time and volume, queue
+//!   ([`ServiceMetrics`]): per-group scan time and volume, queue
 //!   depth, eviction / backpressure / reload counters, per-epoch flow
 //!   counts, the hybrid lazy-DFA hit-rate roll-up, and the
-//!   literal-prefilter block (per-shard skipped units/bytes, candidate
+//!   literal-prefilter block (per-group skipped units/bytes, candidate
 //!   wake-ups, bytes the filter walked, always-on rule count).
 //!
 //! Per-flow reports are byte-identical to one independent
 //! [`ShardedSetStream`](crate::ShardedSetStream) per flow — it is the
 //! same flow: reports are merged by `(end, pattern)` up to the
-//! *watermark*, the least position any shard of the flow has consumed,
+//! *watermark*, the least position any group of the flow has consumed,
 //! so ordering never depends on which worker ran first (the suites
 //! compare against per-pattern engines, which share none of this).
 //! Across a reload, a migrated
@@ -72,7 +72,7 @@
 
 use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfig};
 use crate::flow::Flow;
-use crate::prefilter::{ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics};
+use crate::prefilter::{ChunkAction, PerGroup, PrefilterCounters, PrefilterMetrics};
 use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream};
 use std::any::Any;
@@ -123,7 +123,7 @@ impl std::fmt::Display for FlowId {
 /// Rule ids — not compiled pattern indices — survive
 /// [`ServiceHandle::reload`]: a rule kept across a reload reports the
 /// same id even though the recompiled set may place it at a different
-/// index (or shard).
+/// index (or group).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleMatch {
     /// Stable rule id.
@@ -160,18 +160,23 @@ pub struct ServiceMetrics {
     /// disappear from this list when their last flow releases the
     /// retired machine image.
     pub epoch_flows: Vec<(u64, usize)>,
-    /// Bytes buffered but not yet consumed by every shard.
+    /// Bytes buffered but not yet consumed by every group.
     pub pending_bytes: u64,
-    /// Current readiness-queue depth (`(flow, shard)` units awaiting a
+    /// Current readiness-queue depth (`(flow, group)` units awaiting a
     /// worker).
     pub queue_depth: usize,
     /// High-water mark of the readiness queue since spawn.
     pub queue_depth_peak: usize,
     /// Units currently checked out by workers.
     pub in_flight: usize,
-    /// Cumulative unlocked scan time per shard, in nanoseconds.
+    /// Cumulative unlocked scan time per scan group, in nanoseconds:
+    /// one entry per group of
+    /// [`Engine::scan_groups`](crate::Engine::scan_groups), whatever the
+    /// bank count (the field predates the split of the two partitions
+    /// and keeps its name).
     pub shard_scan_ns: Vec<u64>,
-    /// Cumulative bytes scanned per shard.
+    /// Cumulative bytes scanned per scan group, indexed like
+    /// [`shard_scan_ns`](ServiceMetrics::shard_scan_ns).
     pub shard_scan_bytes: Vec<u64>,
     /// Flows closed by the idle sweep.
     pub idle_evictions: u64,
@@ -185,14 +190,14 @@ pub struct ServiceMetrics {
     /// in [`ScanMode::Hybrid`]; `None` in pure-NCA mode. The byte
     /// counters are cumulative over every engine that ever scanned
     /// (retired engines plus the live flow table); `dfa_states` and
-    /// `flushes` are read from the installed epochs' per-shard caches
-    /// when the snapshot is taken, each shard cache counted once — so
-    /// `dfa_states` is what is cached *now* (at most shards ×
+    /// `flushes` are read from the installed epochs' per-group caches
+    /// when the snapshot is taken, each group cache counted once — so
+    /// `dfa_states` is what is cached *now* (at most groups ×
     /// `state_budget` per installed epoch), not what flows long gone
     /// once built. The interesting roll-up is
     /// [`HybridStats::dfa_hit_rate`].
     pub hybrid: Option<HybridStats>,
-    /// Literal-prefilter counters — per-shard skipped `(flow, shard)`
+    /// Literal-prefilter counters — per-group skipped `(flow, group)`
     /// chunk scans and bytes, cold→hot wake-ups, the bytes the one
     /// literal automaton walked, always-on rules — when
     /// the current epoch was built with
@@ -291,10 +296,10 @@ impl std::error::Error for ServeError {}
 /// [`EngineBuilder::fault_plan`](crate::EngineBuilder::fault_plan)
 /// before the engine is served.
 ///
-/// Faults address the **k-th scan** (1-based) of a given shard of a
+/// Faults address the **k-th scan** (1-based) of a given group of a
 /// given flow, flows numbered in open order (0-based, across reopens).
 /// With a [`barrier`](ServiceHandle::barrier) between pushes, every
-/// non-empty push triggers exactly one scan per shard, so the scan
+/// non-empty push triggers exactly one scan per scan group, so the scan
 /// number equals the chunk number — `tests/service_faults.rs` leans on
 /// that to place faults deterministically.
 #[cfg(feature = "fault-inject")]
@@ -307,7 +312,7 @@ pub struct FaultPlan {
 #[derive(Debug, Clone)]
 struct InjectedFault {
     flow_seq: u64,
-    shard: usize,
+    group: usize,
     scan: u64,
     action: FaultAction,
 }
@@ -332,17 +337,17 @@ impl FaultPlan {
     }
 
     /// Panics with `message` at the `scan`-th scan (1-based) of
-    /// `shard` of the `flow_seq`-th opened flow (0-based).
+    /// `group` of the `flow_seq`-th opened flow (0-based).
     pub fn panic_at(
         mut self,
         flow_seq: u64,
-        shard: usize,
+        group: usize,
         scan: u64,
         message: impl Into<String>,
     ) -> FaultPlan {
         self.faults.push(InjectedFault {
             flow_seq,
-            shard,
+            group,
             scan,
             action: FaultAction::Panic(message.into()),
         });
@@ -350,18 +355,18 @@ impl FaultPlan {
     }
 
     /// Sleeps for `delay` before the `scan`-th scan (1-based) of
-    /// `shard` of the `flow_seq`-th opened flow (0-based), then scans
+    /// `group` of the `flow_seq`-th opened flow (0-based), then scans
     /// normally — for racing slow scans against reloads and closes.
     pub fn delay_at(
         mut self,
         flow_seq: u64,
-        shard: usize,
+        group: usize,
         scan: u64,
         delay: std::time::Duration,
     ) -> FaultPlan {
         self.faults.push(InjectedFault {
             flow_seq,
-            shard,
+            group,
             scan,
             action: FaultAction::Delay(delay),
         });
@@ -371,9 +376,9 @@ impl FaultPlan {
     /// Fires the matching fault, if any: sleeps through delays, panics
     /// with the configured message. Runs on the worker thread, outside
     /// the service lock, inside its panic protection.
-    pub(crate) fn trigger(&self, flow_seq: u64, shard: usize, scan: u64) {
+    pub(crate) fn trigger(&self, flow_seq: u64, group: usize, scan: u64) {
         for fault in &self.faults {
-            if fault.flow_seq == flow_seq && fault.shard == shard && fault.scan == scan {
+            if fault.flow_seq == flow_seq && fault.group == group && fault.scan == scan {
                 match &fault.action {
                     FaultAction::Delay(delay) => std::thread::sleep(*delay),
                     FaultAction::Panic(message) => panic!("{message}"),
@@ -387,7 +392,7 @@ impl FaultPlan {
 
 /// A buffered input chunk: `bytes` starts at absolute stream offset
 /// `start` within its flow. Chunks are `Arc`-shared so workers can scan
-/// them outside the service lock while slower shards still reference
+/// them outside the service lock while slower groups still reference
 /// them.
 #[derive(Clone)]
 struct Segment {
@@ -409,7 +414,7 @@ struct EpochEngine {
     epoch: u64,
     set: Arc<ShardedPatternSet>,
     ids: Arc<[u64]>,
-    /// Flows still pinned to this epoch (their shard engines came from
+    /// Flows still pinned to this epoch (their group engines came from
     /// this set). A non-current epoch with zero flows is retired.
     flows: usize,
 }
@@ -490,8 +495,8 @@ struct MetricsAcc {
     budget_evictions: u64,
     backpressure: u64,
     queue_peak: usize,
-    shard_scan_ns: PerShard,
-    shard_scan_bytes: PerShard,
+    shard_scan_ns: PerGroup,
+    shard_scan_bytes: PerGroup,
     prefilter: PrefilterCounters,
     quarantined: u64,
     worker_restarts: u64,
@@ -511,7 +516,7 @@ struct ServeState {
     /// current one. Non-current entries retire when `flows` hits 0.
     epochs: Vec<EpochEngine>,
     current_epoch: u64,
-    /// Readiness queue of `(flow, shard)` units with unconsumed bytes.
+    /// Readiness queue of `(flow, group)` units with unconsumed bytes.
     ready: VecDeque<(FlowId, usize)>,
     /// Units currently checked out by workers.
     in_flight: usize,
@@ -531,7 +536,7 @@ struct ServeState {
     parked: usize,
     push_waiters: usize,
     barrier_waiters: usize,
-    /// Set when a worker panicked mid-scan: its `(flow, shard)` engine
+    /// Set when a worker panicked mid-scan: its `(flow, group)` engine
     /// unit is lost, so that flow can never drain — blocking producers
     /// must panic out instead of waiting forever.
     poisoned: bool,
@@ -557,7 +562,7 @@ struct ServeState {
     /// Hybrid byte counters of engines that no longer exist (finished,
     /// migrated or quarantined flows), so the roll-up survives flow
     /// churn. `dfa_states` and `flushes` stay 0 here: they are read from
-    /// the shard caches at snapshot time.
+    /// the group caches at snapshot time.
     hybrid_retired: HybridStats,
 }
 
@@ -711,7 +716,7 @@ impl ServeState {
             self.open_count -= 1;
         }
         if !flow.epoch_released {
-            // Flows whose `try_finish` never ran (zero-shard sets)
+            // Flows whose `try_finish` never ran (zero-group sets)
             // release their epoch pin here.
             self.release_epoch(flow.epoch);
         }
@@ -756,7 +761,7 @@ impl ServeState {
     fn quarantine(&mut self, id: FlowId, summary: &str) {
         let Some(f) = self.flow(id) else { return };
         if f.quarantined.is_some() {
-            return; // a sibling shard already quarantined this flow
+            return; // a sibling group already quarantined this flow
         }
         self.metrics.quarantined += 1;
         self.ready.retain(|&(rid, _)| rid != id);
@@ -936,7 +941,7 @@ impl ServeState {
         f.flow.total()
     }
 
-    /// Pops a ready `(flow, shard)` unit and checks its engine out,
+    /// Pops a ready `(flow, group)` unit and checks its engine out,
     /// along with the segments it has yet to consume. The engine owns
     /// its handles on the epoch's automaton and rows, so the scan runs
     /// unlocked and survives a concurrent reload.
@@ -963,7 +968,7 @@ impl ServeState {
         self.in_flight += 1;
         Some(ServeUnit {
             id,
-            shard: si,
+            group: si,
             from,
             state,
             segments,
@@ -978,7 +983,7 @@ impl ServeState {
     /// it if more bytes arrived while it was out,
     /// merges what became final, and settles `in_flight`.
     fn check_in(&mut self, id: FlowId, si: usize, state: ShardStream, reports: Vec<MultiReport>) {
-        // A sibling shard's panic may have quarantined the flow — and
+        // A sibling group's panic may have quarantined the flow — and
         // an acknowledging `close` may even have freed its slot —
         // while this unit was out scanning. Retire the late engine's
         // hybrid counters, drop its now-unmergeable reports, settle.
@@ -1022,7 +1027,7 @@ impl ServeState {
         if f.flow.is_freed() {
             // Already finished (engines freed, epoch pin released —
             // the epoch may since have been retired by a reload) or a
-            // zero-shard set: nothing pending to merge. A second
+            // zero-group set: nothing pending to merge. A second
             // `close` on a finished flow lands here.
             return;
         }
@@ -1050,7 +1055,7 @@ impl ServeState {
             return;
         };
         if f.flow.is_freed() || !(f.closed && f.flow.drained()) {
-            return; // already finished, a zero-shard set, or not yet due
+            return; // already finished, a zero-group set, or not yet due
         }
         let epoch = f.epoch;
         let ids = &epoch_of(&self.epochs, epoch).ids;
@@ -1158,7 +1163,7 @@ impl ServeState {
 
     fn snapshot(&self) -> ServiceMetrics {
         // Byte counters: every engine that ever scanned, gone or parked.
-        // `dfa_states` / `flushes`: what the installed epochs' shard
+        // `dfa_states` / `flushes`: what the installed epochs' group
         // caches hold right now, each set counted once (reloading a
         // clone of the serving engine installs the same set twice).
         let mut hybrid = self.hybrid_retired;
@@ -1174,11 +1179,13 @@ impl ServeState {
             ScanMode::Hybrid { .. } => Some(hybrid),
             ScanMode::Nca => None,
         };
-        let shards = self.current().set.shard_count();
+        // Per-unit vectors are as long as the scan partition, whatever
+        // the bank count.
+        let groups = self.current().set.scan_groups().shard_count();
         let prefilter = self.current().set.prefilter().map(|pf| {
             self.metrics
                 .prefilter
-                .snapshot(shards, pf.always_on_rules())
+                .snapshot(groups, pf.always_on_rules())
         });
         ServiceMetrics {
             epoch: self.current_epoch,
@@ -1189,8 +1196,8 @@ impl ServeState {
             queue_depth: self.ready.len(),
             queue_depth_peak: self.metrics.queue_peak,
             in_flight: self.in_flight,
-            shard_scan_ns: self.metrics.shard_scan_ns.snapshot(shards),
-            shard_scan_bytes: self.metrics.shard_scan_bytes.snapshot(shards),
+            shard_scan_ns: self.metrics.shard_scan_ns.snapshot(groups),
+            shard_scan_bytes: self.metrics.shard_scan_bytes.snapshot(groups),
             idle_evictions: self.metrics.idle_evictions,
             budget_evictions: self.metrics.budget_evictions,
             backpressure: self.metrics.backpressure,
@@ -1233,14 +1240,14 @@ fn payload_summary(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A `(flow, shard)` unit checked out of the readiness queue: the
-/// shard's engine and the input segments it still has to consume —
+/// A `(flow, group)` unit checked out of the readiness queue: the
+/// group's engine and the input segments it still has to consume —
 /// fully owned, so the scan runs unlocked and survives a concurrent
 /// reload (in-flight units always drain against the engine they
 /// started on).
 struct ServeUnit {
     id: FlowId,
-    shard: usize,
+    group: usize,
     /// Absolute flow offset the engine stands at.
     from: u64,
     state: ShardStream,
@@ -1248,7 +1255,7 @@ struct ServeUnit {
     /// The flow's open-order sequence number (fault-injection address).
     #[cfg(feature = "fault-inject")]
     seq: u64,
-    /// Which scan of this `(flow, shard)` unit this checkout is
+    /// Which scan of this `(flow, group)` unit this checkout is
     /// (1-based; fault-injection address).
     #[cfg(feature = "fault-inject")]
     scan_no: u64,
@@ -1256,7 +1263,7 @@ struct ServeUnit {
 
 impl ServeUnit {
     /// Scans every unconsumed byte of the checked-out segments,
-    /// returning the shard's engine, the reports it appended and the
+    /// returning the group's engine, the reports it appended and the
     /// bytes it walked. Runs WITHOUT the lock held.
     fn scan(self) -> (ShardStream, Vec<MultiReport>, u64) {
         let ServeUnit {
@@ -1361,7 +1368,7 @@ impl ServiceCore {
     }
 
     /// The one scheduling step both drivers run: check a ready
-    /// `(flow, shard)` unit out, scan it **without** the lock, and check
+    /// `(flow, group)` unit out, scan it **without** the lock, and check
     /// it back in, waking whoever waits on the readiness or space
     /// condvars.
     ///
@@ -1377,11 +1384,11 @@ impl ServiceCore {
         let Some(unit) = st.checkout() else {
             return Step::Idle(st);
         };
-        let (id, shard) = (unit.id, unit.shard);
+        let (id, group) = (unit.id, unit.group);
         drop(st);
         let started = Instant::now();
         #[cfg(feature = "fault-inject")]
-        let probe = (unit.seq, unit.shard, unit.scan_no);
+        let probe = (unit.seq, unit.group, unit.scan_no);
         let scanned = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
             self.fault_plan.trigger(probe.0, probe.1, probe.2);
@@ -1391,9 +1398,9 @@ impl ServiceCore {
         let mut st = self.lock();
         let fault = match scanned {
             Ok((state, reports, bytes)) => {
-                st.metrics.shard_scan_ns.add(shard, ns);
-                st.metrics.shard_scan_bytes.add(shard, bytes);
-                st.check_in(id, shard, state, reports);
+                st.metrics.shard_scan_ns.add(group, ns);
+                st.metrics.shard_scan_bytes.add(group, bytes);
+                st.check_in(id, group, state, reports);
                 None
             }
             Err(payload) => {
@@ -1721,7 +1728,7 @@ impl ServiceHandle {
     ///   scanned by the old engine, bytes after it by the new engine
     ///   starting fresh (the stream is *cut* at the boundary — exactly
     ///   a fresh stream over the post-boundary suffix);
-    /// * `(flow, shard)` units already checked out keep scanning
+    /// * `(flow, group)` units already checked out keep scanning
     ///   against the engine they started on — the reload never blocks
     ///   on them, and they never see a half-installed set;
     /// * a retired epoch's machine image is freed when its last
@@ -1913,7 +1920,7 @@ impl ServiceHandle {
         self.core.wake_parked(parked);
     }
 
-    /// Blocks until every pushed byte has been consumed by every shard
+    /// Blocks until every pushed byte has been consumed by every group
     /// — a producer-side flush point before polling for a batch of
     /// results.
     ///
@@ -2025,7 +2032,7 @@ impl ServiceHandle {
     /// let svc = engine.serve();
     /// let flow = svc.try_open_flow().unwrap();
     /// svc.push_checked(flow, b".......").unwrap(); // no literal: skipped, not scanned
-    /// svc.push_checked(flow, b"needle7z").unwrap(); // literal: wakes the shard
+    /// svc.push_checked(flow, b"needle7z").unwrap(); // literal: wakes the group
     /// svc.barrier();
     ///
     /// let m = svc.metrics();
@@ -2052,7 +2059,7 @@ impl ServiceHandle {
         self.core.lock().flow(flow).map(|f| f.flow.total())
     }
 
-    /// Total bytes buffered but not yet consumed by every shard. O(1).
+    /// Total bytes buffered but not yet consumed by every group. O(1).
     pub fn pending_bytes(&self) -> u64 {
         self.core.lock().buffered_total
     }
@@ -2075,10 +2082,10 @@ impl std::fmt::Debug for ServiceHandle {
         let st = self.core.lock();
         write!(
             f,
-            "ServiceHandle(epoch {}, {} flows, {} shards, {} workers, budget = {} B)",
+            "ServiceHandle(epoch {}, {} flows, {} scan groups, {} workers, budget = {} B)",
             st.current_epoch,
             st.occupied(),
-            st.current().set.shard_count(),
+            st.current().set.scan_groups().shard_count(),
             self.workers,
             self.core.config.flow_budget
         )
@@ -2104,7 +2111,7 @@ mod tests {
     /// What a worker does, on the test's thread: scan every ready unit.
     fn drain(st: &mut ServeState) {
         while let Some(unit) = st.checkout() {
-            let (id, shard) = (unit.id, unit.shard);
+            let (id, shard) = (unit.id, unit.group);
             let (state, reports, _) = unit.scan();
             st.check_in(id, shard, state, reports);
         }

@@ -4,29 +4,44 @@
 //! The paper's evaluation operates on rulesets (Snort, Suricata,
 //! Protomata, SpamAssassin, ClamAV — Table 1), and deployments of this
 //! class of matcher always compile the full set into shared automata
-//! scanned once per input stream. There is one ruleset type: a
-//! [`ShardPlan`](recama_hw::ShardPlan) partitions the rules into shards
-//! whose sub-networks each fit one bank
-//! ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
-//! capacity), one [`MultiNca`](recama_nca::MultiNca) per shard shares a
-//! single byte-class alphabet computed once over the whole set, and a
-//! [`ShardedSetStream`] advances the shard engines in lockstep — large
+//! scanned once per input stream. There is one ruleset type, and it
+//! holds two partitions of its rules, both [`ShardPlan`]s:
+//!
+//! * the **bank plan** ([`ShardedPatternSet::plan`]) cuts the rules into
+//!   *shards* whose sub-networks each fit one bank
+//!   ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
+//!   capacity). It decides the machine images — `network`, `hardware`,
+//!   placement, energy and area — and nothing else;
+//! * the **scan partition** ([`ShardedPatternSet::scan_groups`]) cuts
+//!   them into *scan groups*, the units a software flow scans. In the
+//!   machine a bank is free parallelism (one decoder shows a symbol to
+//!   every bank), in software every group is one more table walk over
+//!   the same byte, so the partition is the coarsest order-preserving
+//!   one whose lazy-DFA rows can be expected to fit: next-fit over the
+//!   rules, a rule weighing its NCA's states, a group closing when the
+//!   next rule would pass the [`ScanMode::Hybrid`] `state_budget`.
+//!   [`ScanMode::Nca`] has no rows to fit and scans one group. The
+//!   shard policy never reaches it.
+//!
+//! One [`MultiNca`](recama_nca::MultiNca) per scan group shares a single
+//! byte-class alphabet computed once over the whole set, and a
+//! [`ShardedSetStream`] advances the group engines in lockstep — large
 //! chunks in parallel on scoped threads. What the stream does with a
 //! chunk (the literal prefilter's skip / wake / replay, the ordered
-//! merge that keeps the output **byte-identical** for any plan, the
+//! merge that keeps the output **byte-identical** for any partition, the
 //! trailing-`$` bookkeeping) is one flow's (`flow.rs`), the same value
 //! the serving core schedules; the stream is its synchronous driver.
 //!
-//! One merged network + one engine for the whole set (the shape that
-//! fits a single CAMA bank) is the one-bank plan, `ShardPolicy::Single`.
-//! A block scan ([`ShardedPatternSet::find_ends`]) is a fresh stream fed
-//! the haystack once, so there is one scan loop.
+//! One merged network for the whole set (the shape that fits a single
+//! CAMA bank) is the one-bank plan, `ShardPolicy::Single`. A block scan
+//! ([`ShardedPatternSet::find_ends`]) is a fresh stream fed the haystack
+//! once, so there is one scan loop.
 
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PrefilterMode, SetPrefilter};
 use crate::MatchSpan;
 use recama_compiler::{compile, CompileOptions, CompileOutput};
-use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
+use recama_hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
 use recama_nca::{
     CompilePlan, HybridCache, HybridStats, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti,
@@ -69,15 +84,16 @@ impl SetSpan {
     }
 }
 
-/// A compiled ruleset partitioned into bank-sized shards: one merged
-/// extended-MNRL network and one shared software automaton **per shard**,
-/// with a single byte-class alphabet shared by every shard.
+/// A compiled ruleset: one merged extended-MNRL network **per bank-sized
+/// shard**, one shared software automaton **per scan group** (see the
+/// module docs for the two partitions), and a single byte-class alphabet
+/// shared by every automaton.
 ///
 /// Mirrors [`Pattern`](crate::Pattern)'s API at set granularity —
 /// [`find_ends`] / [`find_spans`] / [`stream`] / [`hardware`] — and its
-/// report semantics exactly: for any shard plan (including the one-bank
-/// `ShardPolicy::Single`), [`find_ends`] returns the union of the
-/// per-pattern reports in the same order.
+/// report semantics exactly: for any bank plan (including the one-bank
+/// `ShardPolicy::Single`) and any scan partition, [`find_ends`] returns
+/// the union of the per-pattern reports in the same order.
 ///
 /// [`find_ends`]: ShardedPatternSet::find_ends
 /// [`find_spans`]: ShardedPatternSet::find_spans
@@ -102,7 +118,9 @@ impl SetSpan {
 ///     .unwrap()
 ///     .into_set();
 /// assert_eq!(set.shard_count(), 2);
-/// // Reports are identical for any shard plan, in the same order.
+/// // Three small rules fit one group of lazy-DFA rows: a flow scans once.
+/// assert_eq!(set.scan_groups().shard_count(), 1);
+/// // Reports are identical for any partition, in the same order.
 /// let matches = set.find_ends(b"zabbc..xyz..k1234");
 /// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
 /// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
@@ -116,22 +134,26 @@ pub struct ShardedPatternSet {
     parsed: Vec<Parsed>,
     outputs: Vec<CompileOutput>,
     anchored_end: Vec<bool>,
+    /// The bank plan: which rule lives in which machine image.
     plan: ShardPlan,
     /// One merged machine image per shard (reporting nodes carry global
     /// pattern ids).
     networks: Vec<MnrlNetwork>,
+    /// The scan partition: which rule a flow scans in which group.
+    scan: ShardPlan,
+    /// One merged automaton per scan group.
     multi: ShardedMulti,
     /// How scans and streams walk input bytes (exact NCA vs. hybrid
     /// lazy-DFA overlay).
     scan_mode: ScanMode,
     /// Under [`ScanMode::Hybrid`], the lazily determinized rows of each
-    /// shard (empty under [`ScanMode::Nca`]): one cache per shard,
+    /// scan group (empty under [`ScanMode::Nca`]): one cache per group,
     /// shared by every scan, stream and served flow of this set on any
     /// thread, and freed with the set — so an epoch of a serving handle
     /// owns its rows by pinning its `Arc<ShardedPatternSet>`.
     caches: Vec<HybridCache>,
     /// The literal prefilter (`None` under [`PrefilterMode::Off`]): one
-    /// Aho-Corasick automaton over the shared alphabet, with shard-set
+    /// Aho-Corasick automaton over the shared alphabet, with group-set
     /// outputs, that scans, streams, and the serving layers consult
     /// before running the automata.
     prefilter: Option<SetPrefilter>,
@@ -160,8 +182,8 @@ impl ShardedPatternSet {
             outputs.push(out);
         }
 
-        // Bank-aware partition, costed with the mapper's own estimates.
-        // The trivial policy never looks at costs, so skip the per-rule
+        // The bank plan, costed with the mapper's own estimates. The
+        // trivial policy never looks at costs, so skip the per-rule
         // placements there.
         let plan = if policy == ShardPolicy::Single {
             ShardPlan::single(outputs.len())
@@ -192,7 +214,18 @@ impl ShardedPatternSet {
             })
             .collect();
 
-        // One shared automaton per shard over a single union alphabet.
+        // The scan partition, from the rules alone: how many banks the
+        // machine would need says nothing about whether a table-driven
+        // engine's rows fit. NCA states bound the determinized rows from
+        // above on every generator in `workloads`, so a group closes
+        // when the next rule's states would pass the budget.
+        let scan = match scan_mode {
+            ScanMode::Nca => ShardPlan::single(outputs.len()),
+            ScanMode::Hybrid { state_budget } => scan_partition(&outputs, state_budget),
+        };
+
+        // One shared automaton per scan group over a single union
+        // alphabet.
         // The optimized plan keeps the analysis-informed SingleValue
         // selection and adds counting-set queues for eligible ambiguous
         // bounded repeats (O(1) increments + O(1) quiescence for the
@@ -206,7 +239,7 @@ impl ShardedPatternSet {
                 (&out.nca, plan)
             })
             .collect();
-        let multi = ShardedMulti::merge(&parts, plan.shards());
+        let multi = ShardedMulti::merge(&parts, scan.shards());
         let caches = match scan_mode {
             ScanMode::Nca => Vec::new(),
             ScanMode::Hybrid { state_budget } => multi.hybrid_caches(state_budget),
@@ -219,7 +252,7 @@ impl ShardedPatternSet {
         let prefilter = match prefilter_mode {
             PrefilterMode::On => Some(SetPrefilter::build(
                 &parsed_list,
-                plan.shards(),
+                scan.shards(),
                 multi.alphabet().clone(),
             )),
             PrefilterMode::Off => None,
@@ -233,6 +266,7 @@ impl ShardedPatternSet {
             anchored_end,
             plan,
             networks,
+            scan,
             multi,
             scan_mode,
             caches,
@@ -262,19 +296,31 @@ impl ShardedPatternSet {
         &self.outputs
     }
 
-    /// Number of shards (≥ 1; the empty set compiles to one empty shard).
+    /// Number of bank-sized shards, i.e. machine images (≥ 1; the empty
+    /// set compiles to one empty shard). Not the number of engines a
+    /// flow runs: that is [`scan_groups`](ShardedPatternSet::scan_groups).
     pub fn shard_count(&self) -> usize {
         self.networks.len()
     }
 
-    /// The shard plan (which pattern lives in which shard).
+    /// The bank plan (which pattern lives in which shard's image).
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
     }
 
-    /// Global pattern indices of shard `shard`, ascending.
+    /// Global pattern indices of shard `shard`'s image, ascending.
     pub fn shard_members(&self, shard: usize) -> &[usize] {
         self.plan.members(shard)
+    }
+
+    /// The scan partition (which pattern a flow scans in which group):
+    /// what [`multi`](ShardedPatternSet::multi), the prefilter, a
+    /// stream's engines, the serving units and every per-unit metric are
+    /// indexed by. It follows from the rules and the [`ScanMode`] alone
+    /// (see the module docs), never from the
+    /// [`ShardPolicy`](recama_hw::ShardPolicy).
+    pub fn scan_groups(&self) -> &ShardPlan {
+        &self.scan
     }
 
     /// The merged extended-MNRL network of shard `shard`. Reporting nodes
@@ -288,8 +334,9 @@ impl ShardedPatternSet {
         &self.networks
     }
 
-    /// The sharded automata (one merged `MultiNca` per shard, shared
-    /// byte-class alphabet).
+    /// The software automata: one merged `MultiNca` per **scan group**
+    /// (`multi().shards()[g]` holds the rules of
+    /// `scan_groups().members(g)`), shared byte-class alphabet.
     pub fn multi(&self) -> &ShardedMulti {
         &self.multi
     }
@@ -310,8 +357,8 @@ impl ShardedPatternSet {
         }
     }
 
-    /// Number of rules with no usable required literal (their shards
-    /// scan every byte). 0 under [`PrefilterMode::Off`].
+    /// Number of rules with no usable required literal (their scan
+    /// groups scan every byte). 0 under [`PrefilterMode::Off`].
     pub fn always_on_rules(&self) -> usize {
         self.prefilter
             .as_ref()
@@ -323,20 +370,20 @@ impl ShardedPatternSet {
         self.prefilter.as_ref()
     }
 
-    /// One fresh [`ShardStream`] per shard in this set's [`ScanMode`] —
-    /// the unit the flow scheduler checks out, and what a `'static` flow
-    /// table keeps between scans (see
+    /// One fresh [`ShardStream`] per scan group in this set's
+    /// [`ScanMode`] — the unit the flow scheduler checks out, and what a
+    /// `'static` flow table keeps between scans (see
     /// [`ServiceHandle`](crate::ServiceHandle)). A hybrid stream scans on
-    /// the shard's shared rows.
-    pub(crate) fn shard_streams(&self) -> Vec<ShardStream> {
+    /// the group's shared rows.
+    pub(crate) fn group_streams(&self) -> Vec<ShardStream> {
         (0..self.multi.shard_count())
-            .map(|shard| self.multi.shard_stream(shard, self.caches.get(shard)))
+            .map(|group| self.multi.shard_stream(group, self.caches.get(group)))
             .collect()
     }
 
-    /// The shard caches' half of the hybrid counters — `dfa_states` and
-    /// `flushes` summed over this set's shards, each cache once (all
-    /// zero under [`ScanMode::Nca`]).
+    /// The group caches' half of the hybrid counters — `dfa_states` and
+    /// `flushes` summed over this set's scan groups, each cache once
+    /// (all zero under [`ScanMode::Nca`]).
     pub(crate) fn hybrid_cache_stats(&self) -> HybridStats {
         let mut total = HybridStats::default();
         for cache in &self.caches {
@@ -347,12 +394,12 @@ impl ShardedPatternSet {
 
     /// All matches in `haystack`, in stream order (ascending end offset,
     /// ascending pattern within one offset) — byte-identical for any
-    /// shard plan. A block scan is a fresh [`stream`] fed the haystack
+    /// partition. A block scan is a fresh [`stream`] fed the haystack
     /// once: the stream's one loop consults the prefilter (a fresh
     /// filter state on the only chunk is the block gate — a haystack
-    /// without any required literal of a shard cannot contain one of its
-    /// matches), fans large haystacks out to one scoped thread per
-    /// shard, and merges the reports in order.
+    /// without any required literal of a scan group cannot contain one
+    /// of its matches), fans large haystacks out to one scoped thread
+    /// per group, and merges the reports in order.
     ///
     /// Semantics per pattern match
     /// [`Pattern::find_ends`](crate::Pattern::find_ends): search form
@@ -406,10 +453,10 @@ impl ShardedPatternSet {
         self.reversed[i].get_or_init(|| Nca::from_regex(&self.parsed[i].regex.reverse()))
     }
 
-    /// A resumable streaming matcher holding one engine state per shard:
-    /// feed traffic in chunks and drain reports incrementally, without
-    /// re-scanning previous chunks. Large chunks are fanned out to the
-    /// shard engines on scoped threads.
+    /// A resumable streaming matcher holding one engine state per scan
+    /// group: feed traffic in chunks and drain reports incrementally,
+    /// without re-scanning previous chunks. Large chunks are fanned out
+    /// to the group engines on scoped threads.
     ///
     /// Note that a stream has no "end" until [`finish`] declares one, so
     /// trailing-`$` anchors are not applied during [`feed`]: `$`-anchored
@@ -442,10 +489,25 @@ impl ShardedPatternSet {
     }
 }
 
+/// Next-fit over the rules in index order, a rule weighing its NCA's
+/// states and a group holding `state_budget` of them: the bank plan's
+/// packing, with states for columns.
+fn scan_partition(outputs: &[CompileOutput], state_budget: usize) -> ShardPlan {
+    let states = |out: &CompileOutput| RuleCost {
+        columns: out.nca.state_count(),
+        ..RuleCost::default()
+    };
+    let budget = ShardBudget {
+        columns: state_budget,
+        ..ShardBudget::unbounded()
+    };
+    ShardPlan::next_fit(&outputs.iter().map(states).collect::<Vec<_>>(), &budget)
+}
+
 /// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`];
 /// create one with [`ShardedPatternSet::stream`]. It is the synchronous
 /// driver of one flow (`flow.rs`): every chunk is admitted, scanned by
-/// the shard engines the literal prefilter did not skip — on scoped
+/// the group engines the literal prefilter did not skip — on scoped
 /// threads when the chunk is large — and merged before
 /// [`feed`](ShardedSetStream::feed) returns, so the chunk stays borrowed.
 /// The stream is `Send`, so per-flow states can move onto worker
@@ -459,7 +521,7 @@ pub struct ShardedSetStream<'a> {
     merged: Vec<SetMatch>,
 }
 
-/// Inputs at least this large are fanned out to shard engines on scoped
+/// Inputs at least this large are fanned out to group engines on scoped
 /// threads; smaller ones are processed sequentially (thread spawn would
 /// cost more than the scan).
 const PARALLEL_MIN_BYTES: usize = 4096;
@@ -524,8 +586,9 @@ impl ShardedSetStream<'_> {
         self.flow.finishing().into_iter().map(set_match).collect()
     }
 
-    /// Number of shard engines this stream advances in lockstep.
-    pub fn shard_count(&self) -> usize {
+    /// Number of engines this stream advances in lockstep: one per scan
+    /// group of its set.
+    pub fn group_count(&self) -> usize {
         self.flow.unit_count()
     }
 
@@ -551,18 +614,46 @@ impl fmt::Debug for ShardedSetStream<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ShardedSetStream({} shards, position = {})",
-            self.shard_count(),
+            "ShardedSetStream({} scan groups, position = {})",
+            self.group_count(),
             self.position()
         )
     }
+}
+
+/// `builder`'s engine cut into at least `groups` scan groups the way a
+/// user gets them: by a hybrid `state_budget` the rules do not fit. A
+/// default build weighs the rules, and the budget is the largest under
+/// which next-fit — the set's own rule — closes that many groups.
+/// (`tests/common/mod.rs` holds the twin for the integration suites.)
+#[cfg(test)]
+pub(crate) fn in_scan_groups(builder: crate::EngineBuilder, groups: usize) -> crate::Engine {
+    let probe = builder.clone().build().unwrap();
+    let total: usize = (probe.outputs().iter())
+        .map(|out| out.nca.state_count())
+        .sum();
+    let state_budget = (1..=total)
+        .rev()
+        .find(|&b| scan_partition(probe.outputs(), b).shard_count() >= groups)
+        .expect("no more groups than rules");
+    let engine = (builder.scan_mode(ScanMode::Hybrid { state_budget }))
+        .build()
+        .unwrap();
+    assert!(engine.scan_groups().shard_count() >= groups);
+    engine
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Engine, Pattern};
-    use recama_hw::ShardBudget;
+
+    /// `patterns` in `groups` scan groups, one bank.
+    fn grouped(patterns: &[&str], groups: usize) -> ShardedPatternSet {
+        let set = in_scan_groups(Engine::builder().patterns(patterns), groups).into_set();
+        assert_eq!(set.scan_groups().shard_count(), groups);
+        set
+    }
 
     fn set_with(patterns: &[&str], policy: ShardPolicy) -> ShardedPatternSet {
         Engine::builder()
@@ -646,10 +737,10 @@ mod tests {
             SetMatch { pattern: 2, end: 5 },
         ];
 
-        // One bank or two: non-$ feed reports + finish == find_ends.
-        for policy in [ShardPolicy::Single, ShardPolicy::Fixed(2)] {
-            let set = set_with(&patterns, policy);
-            assert_eq!(set.find_ends(input), expected, "policy {policy:?}");
+        // One engine or two: non-$ feed reports + finish == find_ends.
+        for groups in [1, 2] {
+            let set = grouped(&patterns, groups);
+            assert_eq!(set.find_ends(input), expected, "{groups} groups");
             let mut stream = set.stream();
             let mut got = Vec::new();
             for chunk in [&b"ab"[..], b".c", b"d", b""] {
@@ -667,7 +758,7 @@ mod tests {
             );
             got.extend(finishing);
             got.sort();
-            assert_eq!(got, expected, "policy {policy:?}");
+            assert_eq!(got, expected, "{groups} groups");
         }
     }
 
@@ -708,21 +799,32 @@ mod tests {
     fn sharded_reports_are_byte_identical_to_unsharded() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}"];
         let single = set_with(&patterns, ShardPolicy::Single);
+        assert_eq!(single.scan_groups().shard_count(), 1);
         let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
         let expected = single.find_ends(haystack);
-        for policy in [
-            ShardPolicy::Fixed(2),
-            ShardPolicy::Fixed(3),
-            ShardPolicy::Fixed(5),
-            ShardPolicy::Banked(ShardBudget {
-                columns: 4,
-                counters: 8,
-                bitvector_bits: 2000,
-            }),
+        // Neither partition moves a report, together or apart.
+        let tight = ShardPolicy::Banked(ShardBudget {
+            columns: 4,
+            counters: 8,
+            bitvector_bits: 2000,
+        });
+        for (policy, groups) in [
+            (ShardPolicy::Fixed(2), 2),
+            (ShardPolicy::Fixed(3), 3),
+            (ShardPolicy::Fixed(5), 5),
+            (tight, 2),
+            (ShardPolicy::Single, 5),
+            (ShardPolicy::Fixed(5), 1),
         ] {
-            let sharded = set_with(&patterns, policy);
+            let builder = Engine::builder().patterns(patterns).shard_policy(policy);
+            let sharded = in_scan_groups(builder, groups).into_set();
+            assert_eq!(sharded.scan_groups().shard_count(), groups);
             // No sort: the order must match too.
-            assert_eq!(sharded.find_ends(haystack), expected, "policy {policy:?}");
+            assert_eq!(
+                sharded.find_ends(haystack),
+                expected,
+                "policy {policy:?}, {groups} groups"
+            );
         }
     }
 
@@ -743,7 +845,7 @@ mod tests {
     #[test]
     fn sharded_stream_agrees_with_oneshot() {
         let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
-        let set = set_with(&patterns, ShardPolicy::Fixed(3));
+        let set = grouped(&patterns, 3);
         let input = b"zabbbc_xxx_qrst_abbc_xxxx";
         let oneshot = set.find_ends(input);
         for chunk_len in [1usize, 2, 7, input.len()] {
@@ -814,6 +916,6 @@ mod tests {
         });
         assert_eq!(hits, 1);
         let debug = format!("{:?}", set.stream());
-        assert!(debug.contains("1 shards") && debug.contains("position = 0"));
+        assert!(debug.contains("1 scan groups") && debug.contains("position = 0"));
     }
 }

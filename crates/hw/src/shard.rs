@@ -3,8 +3,12 @@
 //! At full ruleset scale (Table 1: 5839 Snort rules) one merged machine
 //! image exceeds the STE/counter/bit-vector capacity of a single CAMA
 //! bank (Fig. 5), so a deployment partitions the set into *shards* whose
-//! sub-networks each fit one bank — and the software twin mirrors the
-//! partition with one engine per shard on its own thread.
+//! sub-networks each fit one bank. A bank is free parallelism in the
+//! machine — one input decoder shows every symbol to all banks at once —
+//! so the bank plan says nothing about how software should scan: the
+//! software twin groups the same rules by whether its lazy-DFA rows fit
+//! (its *scan groups*, a second [`ShardPlan`] packed by
+//! [`ShardPlan::next_fit`] under a budget of automaton states).
 //!
 //! * [`RuleCost`] measures a rule's footprint with the same estimates the
 //!   mapper ([`crate::place()`]) uses: CAM columns under the two-nibble
@@ -12,9 +16,9 @@
 //! * [`ShardBudget`] is the capacity of one bank (or any coarser unit) in
 //!   those terms, derived from the [`crate::params`] hierarchy constants;
 //! * [`ShardPlan::plan`] partitions rules under a [`ShardPolicy`]. Plans
-//!   are *order-preserving* (every shard is a contiguous, ascending index
-//!   range), so merged per-shard reports can be recombined with a k-way
-//!   ordered merge and stay byte-identical to the unsharded scan.
+//!   are *order-preserving* (every part is a contiguous, ascending index
+//!   range), so reports merged per part can be recombined with a k-way
+//!   ordered merge and stay byte-identical to the unpartitioned scan.
 
 use crate::params::{
     ARRAYS_PER_BANK, BITS_PER_BITVECTOR, BITVECTORS_PER_PE, COUNTERS_PER_PE, PES_PER_ARRAY,
@@ -129,9 +133,10 @@ pub enum ShardPolicy {
     /// rule that alone exceeds the budget gets a shard of its own (it
     /// spills across banks, which the placement then reports).
     Banked(ShardBudget),
-    /// Exactly `n` contiguous shards of roughly equal cost — the software
-    /// parallelism knob (one engine per core), ignoring bank capacity.
-    /// Produces `min(n, rules)` shards, at least one.
+    /// Exactly `n` contiguous shards of roughly equal cost, ignoring bank
+    /// capacity: `n` machine images to place, simulate and cost. It does
+    /// not decide how many engines a software flow runs. Produces
+    /// `min(n, rules)` shards, at least one.
     Fixed(usize),
 }
 
@@ -168,7 +173,12 @@ impl ShardPlan {
         }
     }
 
-    fn next_fit(costs: &[RuleCost], budget: &ShardBudget) -> ShardPlan {
+    /// Greedy order-preserving packing: a part closes when the next rule
+    /// would overflow `budget`, and a rule that alone exceeds it gets a
+    /// part of its own. [`ShardPolicy::Banked`] packs bank images with
+    /// it; the software twin packs its scan groups with it, a rule
+    /// weighing its automaton's states in `columns`.
+    pub fn next_fit(costs: &[RuleCost], budget: &ShardBudget) -> ShardPlan {
         let mut shards = Vec::new();
         let mut current = Vec::new();
         let mut load = RuleCost::default();

@@ -277,11 +277,12 @@ impl MultiNca {
 /// all sharing a single [`ByteAlphabet`] computed once over the union of
 /// every pattern's predicates.
 ///
-/// Sharding is the banked deployment shape: each shard's automaton fits
-/// one accelerator bank, and the software twin runs one engine per shard
-/// (typically on its own thread). Because the alphabet is shared, every
-/// shard classifies an input byte identically, mirroring the single
-/// input decoder that feeds all banks.
+/// A shard here is whatever part of the partition the caller hands to
+/// [`ShardedMulti::merge`]: `recama` passes its *scan groups* — the rules
+/// whose lazy-DFA rows are expected to fit one cache — not the bank plan
+/// of the hardware images, and a flow runs one engine per part. Because
+/// the alphabet is shared, every part classifies an input byte
+/// identically, mirroring the single input decoder that feeds all banks.
 ///
 /// Per-shard reports carry *local* pattern indices; translate them with
 /// [`ShardedMulti::global_pattern`].

@@ -57,8 +57,9 @@ fn main() {
     println!("\nenergy reduction of the augmented design vs unfolding: {reduction:.1}%");
 
     // The software twin of the same deployment: the whole ruleset behind
-    // the `Engine` facade (bank-aware sharding, parallel scan), attributing
-    // hits to rules.
+    // the `Engine` facade, attributing hits to rules. The bank plan cuts
+    // the machine images; what a flow scans is cut by whether the
+    // lazy-DFA rows fit, so the two counts need not agree.
     let engine = recama::Engine::builder()
         .patterns(&patterns)
         .lossy(true)
@@ -71,8 +72,10 @@ fn main() {
     }
     if let Some((rule, count)) = per_rule.iter().enumerate().max_by_key(|&(_, n)| n) {
         println!(
-            "software engine: {} shard(s), {} reports; hottest rule {:?} with {} hits",
+            "software engine: {} bank image(s), {} scan group(s), {} reports; \
+             hottest rule {:?} with {} hits",
             engine.shard_count(),
+            engine.scan_groups().shard_count(),
             hits.len(),
             engine.pattern(rule),
             count
@@ -103,7 +106,7 @@ fn main() {
         .collect();
     let metrics = svc.metrics();
     println!(
-        "served {} flows: {per_flow:?} reports; {} B scanned across {} shard(s), queue peak {}",
+        "served {} flows: {per_flow:?} reports; {} B scanned across {} scan group(s), queue peak {}",
         flows.len(),
         metrics.shard_scan_bytes.iter().sum::<u64>(),
         metrics.shard_scan_bytes.len(),
@@ -114,15 +117,15 @@ fn main() {
         "identical flows must report identically"
     );
 
-    // The literal-prefilter block: per-(flow, shard) chunks skipped
+    // The literal-prefilter block: per-(flow, group) chunks skipped
     // because no required literal appeared, and how many rules opted
-    // out of filtering. Snort-profile sets keep their Σ*-family
-    // counting rules (no extractable literal) spread across the
-    // shards, so those shards stay always-on — the counters make that
-    // cost visible per deployment.
+    // out of filtering. Snort-profile sets carry Σ*-family counting
+    // rules (no extractable literal), and a scan group that holds one
+    // stays always-on — the counters make that cost visible per
+    // deployment.
     if let Some(pf) = &metrics.prefilter {
         println!(
-            "prefilter: skipped units per shard {:?} ({} B total), {} candidate wakes, \
+            "prefilter: skipped units per scan group {:?} ({} B total), {} candidate wakes, \
              {} always-on rules",
             pf.skipped_units,
             pf.total_skipped_bytes(),

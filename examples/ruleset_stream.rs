@@ -1,7 +1,9 @@
 //! Whole-ruleset streaming: compile a Snort-like ruleset into ONE shared
 //! machine image with `Engine::builder()` (single-shard policy), stream
 //! traffic through it in MTU-sized chunks, and compare against the
-//! loop-over-`Pattern` baseline.
+//! loop-over-`Pattern` baseline. How many engines the stream runs is not
+//! the policy's business: the rules are cut into scan groups by whether
+//! their lazy-DFA rows fit the state budget, and these fit one.
 //!
 //! ```sh
 //! cargo run --release --example ruleset_stream
@@ -36,6 +38,11 @@ fn main() {
         engine.len(),
         start.elapsed(),
         engine.skipped().len()
+    );
+    println!(
+        "{} bank image(s) for the machine, {} scan group(s) for a software flow",
+        engine.shard_count(),
+        engine.scan_groups().shard_count()
     );
     let (stes, counters, bitvectors) = engine.network(0).counts_by_type();
     println!("merged network: {stes} STEs + {counters} counters + {bitvectors} bit vectors");

@@ -12,7 +12,7 @@
 //! same commit — that is the review hook.
 
 use recama::compiler::CompileOptions;
-use recama::hw::ShardPolicy;
+use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama::syntax::ParseError;
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FaultPolicy, FlowId,
@@ -114,6 +114,11 @@ fn engine_signatures() {
     let _: fn(&Engine, usize) -> usize = Engine::source_index;
     let _: for<'a> fn(&'a Engine) -> &'a [SkippedRule] = |e| e.skipped();
     let _: fn(&Engine) -> usize = Engine::shard_count;
+    // Two partitions, one type: the bank plan and the scan partition.
+    let _: for<'a> fn(&'a Engine) -> &'a ShardPlan = |e| e.plan();
+    let _: for<'a> fn(&'a Engine) -> &'a ShardPlan = |e| e.scan_groups();
+    let _: for<'a> fn(&'a ShardedPatternSet) -> &'a ShardPlan = |s| s.scan_groups();
+    let _: fn(&[RuleCost], &ShardBudget) -> ShardPlan = ShardPlan::next_fit;
     let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
     let _: fn(&Engine) -> usize = Engine::workers;
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
@@ -185,7 +190,7 @@ fn flow_scheduler_signatures() {
 fn stream_signatures() {
     let _: fn(&mut ShardedSetStream<'_>, &[u8]) -> Vec<SetMatch> = |s, c| s.feed(c).collect();
     let _: fn(&ShardedSetStream<'_>) -> u64 = |s| s.position();
-    let _: fn(&ShardedSetStream<'_>) -> usize = |s| s.shard_count();
+    let _: fn(&ShardedSetStream<'_>) -> usize = |s| s.group_count();
     let _: fn(&mut ShardedSetStream<'_>) = |s| s.reset();
     let _: fn(ShardedSetStream<'_>) -> Vec<SetMatch> = |s| s.finish();
 }

@@ -3,10 +3,13 @@
 // Every suite compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
 
-use recama::hw::{ShardBudget, ShardPolicy};
+use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama::nca::Engine as _;
 use recama::workloads::{generate, BenchmarkId, PatternClass};
-use recama::{Engine, FlowId, Pattern, RuleMatch, ServiceHandle, SetMatch, ShardedPatternSet};
+use recama::{
+    Engine, EngineBuilder, FlowId, Pattern, RuleMatch, ScanMode, ServiceHandle, SetMatch,
+    ShardedPatternSet,
+};
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
 /// compile times test-friendly.
@@ -42,7 +45,41 @@ pub fn union_of_per_pattern_matches<S: AsRef<str>>(patterns: &[S], input: &[u8])
     expected
 }
 
-/// A budget small enough to force several shards on tiny test rulesets.
+/// `builder`'s engine cut into at least `groups` scan groups — the units
+/// of a flow — the way a user gets them: by a hybrid `state_budget` the
+/// rules do not fit. A default build weighs the rules, and the budget is
+/// the largest under which next-fit, the set's own rule, closes that
+/// many groups. (The shard policy only cuts machine images; the twin for
+/// `core`'s unit tests is `set::in_scan_groups`.)
+pub fn in_scan_groups(builder: EngineBuilder, groups: usize) -> Engine {
+    let probe = builder.clone().build().unwrap();
+    let weights: Vec<RuleCost> = (probe.outputs().iter())
+        .map(|out| RuleCost {
+            columns: out.nca.state_count(),
+            ..RuleCost::default()
+        })
+        .collect();
+    let cut = |state_budget| {
+        let budget = ShardBudget {
+            columns: state_budget,
+            ..ShardBudget::unbounded()
+        };
+        ShardPlan::next_fit(&weights, &budget).shard_count()
+    };
+    let total: usize = weights.iter().map(|w| w.columns).sum();
+    let state_budget = (1..=total)
+        .rev()
+        .find(|&b| cut(b) >= groups)
+        .expect("no more groups than rules");
+    let engine = (builder.scan_mode(ScanMode::Hybrid { state_budget }))
+        .build()
+        .unwrap();
+    assert!(engine.scan_groups().shard_count() >= groups);
+    engine
+}
+
+/// A bank budget small enough to force several shards on tiny test
+/// rulesets.
 pub fn tiny_budget() -> ShardPolicy {
     ShardPolicy::Banked(ShardBudget {
         columns: 24,
@@ -60,6 +97,12 @@ pub fn set_with<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> ShardedPa
         .build()
         .unwrap()
         .into_set()
+}
+
+/// `patterns` scanned as at least `groups` units per flow (one bank
+/// image, every other knob at its default); see [`in_scan_groups`].
+pub fn set_in_groups<S: AsRef<str>>(patterns: &[S], groups: usize) -> ShardedPatternSet {
+    in_scan_groups(Engine::builder().patterns(patterns), groups).into_set()
 }
 
 /// The independent oracle of every *streamed* scan of `set` over `data`:

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{scan_oracle, union_of_per_pattern_matches};
+use common::{in_scan_groups, scan_oracle, union_of_per_pattern_matches};
 use recama::hw::ShardPolicy;
 use recama::{CompilePhase, Engine, RuleMatch, ServeConfig, ServeError, SetMatch};
 use std::task::Poll;
@@ -18,22 +18,21 @@ const HAYSTACK: &[u8] = b"abbc.aaa.xyz.abbbc_k42";
 
 #[test]
 fn builder_scan_matches_per_pattern_baseline() {
-    for policy in [
-        ShardPolicy::Single,
-        ShardPolicy::Fixed(2),
-        ShardPolicy::default(),
+    // Banks and scan groups are cut independently; neither moves a report.
+    for (policy, groups) in [
+        (ShardPolicy::Single, 1),
+        (ShardPolicy::Fixed(2), 2),
+        (ShardPolicy::default(), 3),
     ] {
-        let engine = Engine::builder()
-            .patterns(PATTERNS)
-            .shard_policy(policy)
-            .build()
-            .unwrap();
+        let builder = Engine::builder().patterns(PATTERNS).shard_policy(policy);
+        let engine = in_scan_groups(builder, groups);
+        assert_eq!(engine.scan_groups().shard_count(), groups);
         let mut got = engine.scan(HAYSTACK);
         got.sort();
         assert_eq!(
             got,
             union_of_per_pattern_matches(&PATTERNS, HAYSTACK),
-            "policy {policy:?}"
+            "policy {policy:?}, {groups} groups"
         );
     }
 }
@@ -125,11 +124,10 @@ fn strict_build_is_lossless_or_fails() {
 
 #[test]
 fn stream_agrees_with_scan_across_chunkings() {
-    let engine = Engine::builder()
-        .patterns(["ab{2,4}c", "x{3}", "q[rs]{2}t"])
-        .shard_policy(ShardPolicy::Fixed(3))
-        .build()
-        .unwrap();
+    let engine = in_scan_groups(
+        Engine::builder().patterns(["ab{2,4}c", "x{3}", "q[rs]{2}t"]),
+        3,
+    );
     let input = b"zabbbc_xxx_qrst_abbc_xxxx";
     let oneshot = engine.scan(input);
     for chunk_len in [1usize, 3, 9, input.len()] {
@@ -149,12 +147,9 @@ fn stream_agrees_with_scan_across_chunkings() {
 #[test]
 fn reset_stream_equals_fresh_stream_including_finish() {
     let patterns = ["ab$", "ab", "cd$"];
-    for policy in [ShardPolicy::Single, ShardPolicy::Fixed(2)] {
-        let engine = Engine::builder()
-            .patterns(patterns)
-            .shard_policy(policy)
-            .build()
-            .unwrap();
+    for groups in [1, 2] {
+        let engine = in_scan_groups(Engine::builder().patterns(patterns), groups);
+        assert_eq!(engine.stream().group_count(), groups);
 
         // Fresh stream over the second input: the reference behavior.
         let second: &[&[u8]] = &[b"zz", b"a", b"b"];
@@ -183,19 +178,15 @@ fn reset_stream_equals_fresh_stream_including_finish() {
         for chunk in second {
             reused_feed.extend(reused.feed(chunk));
         }
-        assert_eq!(reused_feed, fresh_feed, "policy {policy:?}");
-        assert_eq!(reused.finish(), fresh_finish, "policy {policy:?}");
+        assert_eq!(reused_feed, fresh_feed, "{groups} groups");
+        assert_eq!(reused.finish(), fresh_finish, "{groups} groups");
     }
 }
 
 #[test]
 fn scheduler_from_engine_serves_flows() {
-    let engine = Engine::builder()
-        .patterns(["ab{2}c", "xyz"])
-        .shard_policy(ShardPolicy::Fixed(2))
-        .workers(2)
-        .build()
-        .unwrap();
+    let builder = Engine::builder().patterns(["ab{2}c", "xyz"]).workers(2);
+    let engine = in_scan_groups(builder, 2);
     assert_eq!(engine.workers(), 2);
     let sched = engine.scheduler();
     sched.push(7, b"..ab");
@@ -212,12 +203,8 @@ fn scheduler_from_engine_serves_flows() {
 
 #[test]
 fn service_reports_match_independent_streams() {
-    let engine = Engine::builder()
-        .patterns(["ab{2,4}c", "x{3}", "q[rs]{2}t"])
-        .shard_policy(ShardPolicy::Fixed(3))
-        .workers(3)
-        .build()
-        .unwrap();
+    let builder = Engine::builder().patterns(["ab{2,4}c", "x{3}", "q[rs]{2}t"]);
+    let engine = in_scan_groups(builder.workers(3), 3);
     let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
     let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
     let svc = engine.serve();
@@ -390,6 +377,7 @@ fn empty_engine_is_well_formed() {
     let engine = Engine::new(Vec::<String>::new()).unwrap();
     assert!(engine.is_empty());
     assert_eq!(engine.shard_count(), 1);
+    assert_eq!(engine.scan_groups().shard_count(), 1);
     assert!(engine.scan(b"anything").is_empty());
     assert!(engine.network(0).validate().is_empty());
     let svc = engine.serve();

@@ -1,6 +1,6 @@
 //! Differential testing of the many-flow scheduling layer: for ANY
 //! interleaving of chunks across flows, any worker-pool size, and any
-//! shard plan, [`FlowScheduler`](recama::FlowScheduler) must deliver per-flow reports
+//! number of scan groups, [`FlowScheduler`](recama::FlowScheduler) must deliver per-flow reports
 //! **byte-identical** (same reports, same order) to feeding each flow's
 //! chunks through its own independent
 //! [`ShardedSetStream`](recama::ShardedSetStream) — plus the
@@ -10,22 +10,17 @@
 
 mod common;
 
-use common::{sample_patterns, stream_oracle};
+use common::{in_scan_groups, sample_patterns, stream_oracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
 use recama::{Engine, FlowMatch, SetMatch, ShardedPatternSet};
 use std::collections::HashMap;
 
 /// The only way to a [`FlowScheduler`](recama::FlowScheduler): an
-/// [`Engine`] built with the shard policy under test.
-fn engine<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> Engine {
-    Engine::builder()
-        .patterns(patterns)
-        .shard_policy(policy)
-        .build()
-        .unwrap()
+/// [`Engine`], here one whose flows scan at least `groups` units each.
+fn engine<S: AsRef<str>>(patterns: &[S], groups: usize) -> Engine {
+    in_scan_groups(Engine::builder().patterns(patterns), groups)
 }
 
 /// Splits `input` into randomized chunks (including occasional empty
@@ -58,7 +53,7 @@ fn randomized_interleavings_match_independent_streams() {
         "degenerate sample: {}",
         patterns.len()
     );
-    let engine = engine(&patterns, ShardPolicy::Fixed(3));
+    let engine = engine(&patterns, 3);
     let set = engine.set();
     let ruleset = generate(BenchmarkId::Snort, 0.004, 2022);
 
@@ -127,10 +122,10 @@ fn randomized_interleavings_match_independent_streams() {
 
 #[test]
 fn single_flow_spreads_over_many_workers() {
-    // One flow, eight workers: only shard-level parallelism is available,
+    // One flow, eight workers: only unit-level parallelism is available,
     // and the merged output must still be in stream order.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 7, 400);
-    let engine = engine(&patterns, ShardPolicy::Fixed(4));
+    let engine = engine(&patterns, 4);
     let set = engine.set();
     let ruleset = generate(BenchmarkId::Snort, 0.004, 7);
     let input = traffic(&ruleset, 8 * 1024, 0.002, 7);
@@ -149,7 +144,7 @@ fn single_flow_spreads_over_many_workers() {
 #[test]
 fn many_flows_on_one_worker() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.004, 1, 400);
-    let engine = engine(&patterns, ShardPolicy::Fixed(2));
+    let engine = engine(&patterns, 2);
     let set = engine.set();
     let ruleset = generate(BenchmarkId::Suricata, 0.004, 1);
 
@@ -183,7 +178,7 @@ fn many_flows_on_one_worker() {
 
 #[test]
 fn close_and_reopen_cycles_keep_flows_independent() {
-    let engine = engine(&["ab{2}c", "xyz"], ShardPolicy::Fixed(2));
+    let engine = engine(&["ab{2}c", "xyz"], 2);
     let sched = engine.scheduler_with(2);
 
     // Three incarnations of the same flow id, each a fresh stream: the
@@ -217,7 +212,7 @@ fn close_and_reopen_cycles_keep_flows_independent() {
 fn closed_flows_finish_like_their_streams() {
     // Patterns 0 and 2 are $-anchored; 1 and 3 are not.
     let patterns = ["ab$", "ab", "a{2,3}$", "cd"];
-    let engine = engine(&patterns, ShardPolicy::Fixed(2));
+    let engine = engine(&patterns, 2);
     let set = engine.set();
     let dollar = [true, false, true, false];
 
@@ -246,7 +241,7 @@ fn closed_flows_finish_like_their_streams() {
 
 #[test]
 fn reports_group_by_flow_consistently_between_queue_and_sink() {
-    let engine = engine(&["kk"], ShardPolicy::Single);
+    let engine = engine(&["kk"], 1);
     let sched = engine.scheduler_with(3);
     for flow in 0..10u64 {
         sched.push(flow, b"..kk..kk");

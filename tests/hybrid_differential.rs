@@ -201,7 +201,9 @@ proptest! {
                         .prefilter(prefilter)
                         .build()
                         .unwrap();
-                    let bound = engine.shard_count() * budget;
+                    // One cache per scan group, and the budget cuts
+                    // the groups: 1 and 7 make several.
+                    let bound = engine.scan_groups().shard_count() * budget;
                     let svc = engine.serve_with(workers, ServeConfig::default());
                     let rows = |at: &str| {
                         let rows = svc.metrics().hybrid.expect("hybrid mode").dfa_states;
@@ -321,31 +323,31 @@ fn scan_mode_is_exposed_and_defaults_to_hybrid() {
 }
 
 /// The count-based regression for the counted half of the scan (the
-/// harness's `snort_hits` profile, one flow): counters must be stepped
-/// on few bytes — far fewer than they are live on — and few of them when
-/// they are. Counts only — they repeat exactly, whatever the machine.
+/// harness's `snort_hits` rules, one flow, cut into four scan groups by
+/// a 400-state budget): counters must be stepped on few bytes — far
+/// fewer than they are live on — and few of them when they are. Counts
+/// only — they repeat exactly, whatever the machine.
 ///
-/// On these 256 KiB the tree before counters slept stepped the bank on
-/// 124 694 of the 1 048 576 `(byte, shard)` steps, a share of 0.119:
-/// every byte with a counted token live. With `T` asleep from a token's
-/// entry to its first due byte this tree steps it on 13 493 (0.013) and
-/// sleeps through 111 201 more, 8.2 per byte stepped. The share's bound
-/// sits midway between the two trees on the log scale, so the parent
-/// fails it.
+/// On these 256 KiB, in four units of equal bank cost, the tree before
+/// counters slept stepped the bank on 124 694 of the 1 048 576
+/// `(byte, unit)` steps, a share of 0.119: every byte with a counted
+/// token live. With `T` asleep from a token's entry to its first due
+/// byte the bank is stepped on 13 493 of them (0.013; 12 005 in these
+/// four groups) and sleeps through 111 201 more (109 458), 8.2 (9.1) per
+/// byte stepped. The share's bound sits midway between the two trees on
+/// the log scale, so a tree whose counters never sleep fails it.
 #[test]
 fn snort_profile_fallback_is_bounded() {
-    use recama::hw::ShardPolicy;
     use recama::workloads::{generate, traffic, BenchmarkId};
 
     let ruleset = generate(BenchmarkId::Snort, 0.02, 2022);
-    let engine = Engine::builder()
+    let builder = Engine::builder()
         .patterns(ruleset.pattern_strings())
-        .shard_policy(ShardPolicy::Fixed(4))
         // The counts must not depend on the `RECAMA_PREFILTER` leg.
         .prefilter(PrefilterMode::Off)
-        .lossy(true)
-        .build()
-        .unwrap();
+        .lossy(true);
+    let engine = common::in_scan_groups(builder, 4);
+    let units = engine.scan_groups().shard_count() as u64;
     let input = traffic(&ruleset, 256 << 10, 0.0005, 302);
     let sched = engine.scheduler_with(1);
     for chunk in input.chunks(2 << 10) {
@@ -354,7 +356,11 @@ fn snort_profile_fallback_is_bounded() {
     }
     let stats = sched.hybrid_stats().expect("hybrid is the default mode");
     let total = stats.dfa_bytes + stats.fallback_bytes;
-    assert_eq!(total, 4 * input.len() as u64, "four shards scan every byte");
+    assert_eq!(
+        total,
+        units * input.len() as u64,
+        "every unit scans every byte"
+    );
     assert!(
         stats.exact_state_steps <= 4 * stats.fallback_bytes,
         "whole frontiers are being stepped exactly again: {stats:?}"

@@ -16,11 +16,13 @@
 
 mod common;
 
-use common::{sample_patterns, set_with, tiny_budget, union_of_per_pattern_matches};
+use common::{
+    in_scan_groups, sample_patterns, set_with, tiny_budget, union_of_per_pattern_matches,
+};
 use recama::compiler::CompileOptions;
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::{Engine, PrefilterMode, ScanMode, SetMatch, DEFAULT_STATE_BUDGET};
+use recama::{Engine, PrefilterMode, ScanMode, SetMatch};
 
 #[test]
 fn snort_and_suricata_sets_match_per_pattern_union() {
@@ -30,13 +32,13 @@ fn snort_and_suricata_sets_match_per_pattern_union() {
             assert!(patterns.len() >= 10, "{id:?}/{seed}: degenerate sample");
             // A trailing-`$` rule with one candidate inside the haystack
             // and one on its final byte, and a rule without a required
-            // literal (always-on: its shard scans every byte).
+            // literal (always-on: its scan group scans every byte).
             patterns.push("tail[0-9]{2}$".into());
             patterns.push("[xy]{3}[0-9]".into());
             let ruleset = generate(id, 0.004, seed);
             let mut input = traffic(&ruleset, 4096, 0.002, seed);
             input.extend_from_slice(b"tail07..xyx4..tail42");
-            // Long enough that a sharded scan fans out on scoped threads.
+            // Long enough that a multi-group scan fans out on scoped threads.
             assert!(input.len() >= 4096);
 
             // Stream order: ascending end, ascending pattern within one end.
@@ -50,35 +52,36 @@ fn snort_and_suricata_sets_match_per_pattern_union() {
                 "the `$` rule keeps only the match that ends the haystack"
             );
 
-            for policy in [ShardPolicy::Single, ShardPolicy::Fixed(3), tiny_budget()] {
+            // Banks and scan groups are cut independently: `Some(g)` is
+            // the hybrid under a budget that makes at least `g` groups,
+            // `None` the exact engine, which scans one group.
+            for (policy, groups) in [
+                (ShardPolicy::Single, Some(1)),
+                (ShardPolicy::Fixed(3), Some(3)),
+                (tiny_budget(), Some(4)),
+                (ShardPolicy::Fixed(3), None),
+            ] {
                 for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
-                    for scan_mode in [
-                        ScanMode::Hybrid {
-                            state_budget: DEFAULT_STATE_BUDGET,
-                        },
-                        ScanMode::Nca,
-                    ] {
-                        let cell =
-                            format!("{id:?} seed {seed} {policy:?} {prefilter:?} {scan_mode:?}");
-                        let set = Engine::builder()
-                            .patterns(&patterns)
-                            .shard_policy(policy)
-                            .prefilter(prefilter)
-                            .scan_mode(scan_mode)
-                            .build()
-                            .unwrap()
-                            .into_set();
-                        if prefilter == PrefilterMode::On {
-                            assert!(set.always_on_rules() >= 1, "{cell}");
-                        }
-                        // No sort: the order must match too.
-                        assert_eq!(
-                            set.find_ends(&input),
-                            expected,
-                            "{cell}: shared engine diverges from per-pattern union"
-                        );
-                        assert_eq!(set.find_ends(b""), on_nothing, "{cell}: empty haystack");
+                    let cell = format!("{id:?} seed {seed} {policy:?} {prefilter:?} {groups:?}");
+                    let builder = Engine::builder()
+                        .patterns(&patterns)
+                        .shard_policy(policy)
+                        .prefilter(prefilter);
+                    let set = match groups {
+                        Some(groups) => in_scan_groups(builder, groups),
+                        None => builder.scan_mode(ScanMode::Nca).build().unwrap(),
                     }
+                    .into_set();
+                    if prefilter == PrefilterMode::On {
+                        assert!(set.always_on_rules() >= 1, "{cell}");
+                    }
+                    // No sort: the order must match too.
+                    assert_eq!(
+                        set.find_ends(&input),
+                        expected,
+                        "{cell}: shared engine diverges from per-pattern union"
+                    );
+                    assert_eq!(set.find_ends(b""), on_nothing, "{cell}: empty haystack");
                 }
             }
         }

@@ -14,9 +14,8 @@
 
 mod common;
 
-use common::union_of_per_pattern_matches;
+use common::{in_scan_groups, union_of_per_pattern_matches};
 use proptest::prelude::*;
-use recama::hw::ShardPolicy;
 use recama::{Engine, PrefilterMode, RuleMatch, ServeConfig, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the left column
@@ -151,16 +150,9 @@ fn a_wake_replays_the_tail_on_the_parallel_stream_path() {
     // chunk and replay the match's start from the tail, in parallel.
     const LARGE: usize = 4096;
     let patterns = ["k\\d{4}needle", "q\\d{3}magic"];
-    let build = |mode| {
-        Engine::builder()
-            .patterns(patterns)
-            .shard_policy(ShardPolicy::Fixed(2))
-            .prefilter(mode)
-            .build()
-            .unwrap()
-    };
+    let build = |mode| in_scan_groups(Engine::builder().patterns(patterns).prefilter(mode), 2);
     let (on, off) = (build(PrefilterMode::On), build(PrefilterMode::Off));
-    assert_eq!(on.shard_count(), 2);
+    assert_eq!(on.scan_groups().shard_count(), 2);
 
     let mut first = vec![b'.'; LARGE];
     first.extend_from_slice(b"q123mk12");
@@ -211,7 +203,7 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
     assert_eq!(
         stats.total_skipped_units(),
         0,
-        "always-on shards never skip"
+        "always-on groups never skip"
     );
     assert_eq!(stats.total_skipped_bytes(), 0);
     assert_eq!(stats.candidate_hits, 0, "no filter, no candidates");
@@ -219,7 +211,7 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
 
 #[test]
 fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
-    // Purely benign bytes on a literal-only ruleset: every (flow, shard)
+    // Purely benign bytes on a literal-only ruleset: every (flow, group)
     // unit stays cold, every chunk is skipped, and the output is empty —
     // exactly what the unfiltered engine says.
     let patterns = ["magic", "hdr[0-9]{2}end"];
@@ -246,62 +238,57 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     );
     assert_eq!(
         stats.total_skipped_bytes(),
-        2 * input.len() as u64 * on.shard_count() as u64,
-        "every chunk of both flows must be skipped on every shard"
+        2 * input.len() as u64 * on.scan_groups().shard_count() as u64,
+        "every chunk of both flows must be skipped on every unit"
     );
     assert_eq!(stats.candidate_hits, 0);
 }
 
 /// Pushes `input`, cut into `chunk_lens` (cycled), through a one-flow
 /// scheduler over `literals` — plain literal rules, so each rule's
-/// required literal is itself — under `Fixed(shards)`, and after every
-/// push checks the filter's counters against a reference that knows no
-/// automaton: per cold shard, a naive substring search for the first end
-/// of any of its literals in the stream so far. Per-shard `skipped_units`
-/// say which units skipped the chunk, `candidate_hits` how many woke, and
-/// a unit is cold exactly until it wakes, so together they are every
-/// `(shard, chunk)` verdict; `filter_bytes` is the one pass, cut short
+/// required literal is itself — cut into at least `groups` scan groups
+/// (as many as there are rules, if fewer), and after every push checks
+/// the filter's counters against a reference that knows no automaton:
+/// per cold group, a naive substring search for the first end of any of
+/// its literals in the stream so far. Per-group `skipped_units` say
+/// which units skipped the chunk, `candidate_hits` how many woke, and a
+/// unit is cold exactly until it wakes, so together they are every
+/// `(group, chunk)` verdict; `filter_bytes` is the one pass, cut short
 /// where the last cold unit woke. The reports pin the replay windows.
-fn check_verdicts(literals: &[String], shards: usize, input: &[u8], chunk_lens: &[usize]) {
-    let build = |mode| {
-        Engine::builder()
-            .patterns(literals)
-            .shard_policy(ShardPolicy::Fixed(shards))
-            .prefilter(mode)
-            .build()
-            .unwrap()
-    };
+fn check_verdicts(literals: &[String], groups: usize, input: &[u8], chunk_lens: &[usize]) {
+    let groups = groups.min(literals.len());
+    let build = |mode| in_scan_groups(Engine::builder().patterns(literals).prefilter(mode), groups);
     let (on, off) = (build(PrefilterMode::On), build(PrefilterMode::Off));
-    let what = format!("{literals:?} / Fixed({shards}) / {chunk_lens:?}");
-    // The first offset past `from` at which a literal of `shard` ends.
-    let first_end = |shard: usize, from: usize, upto: usize| {
+    let what = format!("{literals:?} / {:?} / {chunk_lens:?}", on.scan_groups());
+    // The first offset past `from` at which a literal of `group` ends.
+    let first_end = |group: usize, from: usize, upto: usize| {
         (from + 1..=upto).find(|&end| {
-            let members = on.set().shard_members(shard);
+            let members = on.scan_groups().members(group);
             (members.iter()).any(|&g| input[..end].ends_with(literals[g].as_bytes()))
         })
     };
 
     let sched = on.scheduler_with(1);
-    let mut cold = vec![true; on.shard_count()];
+    let mut cold = vec![true; on.scan_groups().shard_count()];
     let (mut units, mut bytes) = (vec![0u64; cold.len()], vec![0u64; cold.len()]);
     let (mut hits, mut walked) = (0u64, 0u64);
     let (mut at, mut lens) = (0usize, chunk_lens.iter().cycle());
     while at < input.len() {
         let end = (at + lens.next().unwrap()).min(input.len());
         let mut pass = if cold.contains(&true) { 0 } else { at };
-        for shard in 0..cold.len() {
-            if !cold[shard] {
+        for group in 0..cold.len() {
+            if !cold[group] {
                 continue;
             }
-            match first_end(shard, at, end) {
+            match first_end(group, at, end) {
                 Some(woke_at) => {
-                    cold[shard] = false;
+                    cold[group] = false;
                     hits += 1;
                     pass = pass.max(woke_at);
                 }
                 None => {
-                    units[shard] += 1;
-                    bytes[shard] += (end - at) as u64;
+                    units[group] += 1;
+                    bytes[group] += (end - at) as u64;
                     pass = end;
                 }
             }
@@ -329,7 +316,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Literals over three letters share prefixes and suffixes, contain
-    /// one another and repeat across shards; the input is mostly those
+    /// one another and repeat across groups; the input is mostly those
     /// letters; chunks run from one byte up.
     #[test]
     fn every_verdict_agrees_with_a_naive_substring_search(
@@ -337,20 +324,20 @@ proptest! {
             prop::collection::vec(prop::sample::select(b"abc".to_vec()), 1..5),
             1..9,
         ),
-        shards in 1usize..6,
+        groups in 1usize..6,
         input in prop::collection::vec(prop::sample::select(b"abcabc.".to_vec()), 0..160),
         chunk_lens in prop::collection::vec(1usize..12, 1..6),
     ) {
         let literals: Vec<String> =
             literals.into_iter().map(|l| String::from_utf8(l).unwrap()).collect();
-        check_verdicts(&literals, shards, &input, &chunk_lens);
+        check_verdicts(&literals, groups, &input, &chunk_lens);
     }
 }
 
 #[test]
 fn verdicts_hold_for_one_byte_chunks_and_a_cut_at_every_boundary() {
     // "dle" ends where "needle" ends, "need" where "nee" did a byte ago,
-    // and "magic" stands alone: five shards, of which the walk must wake
+    // and "magic" stands alone: five groups, of which the walk must wake
     // two on one byte and keep going for the rest.
     let literals = ["needle", "dle", "nee", "need", "magic"].map(String::from);
     let input = b"..nee.needle..magi.magic..dle";
@@ -364,13 +351,10 @@ fn verdicts_hold_for_one_byte_chunks_and_a_cut_at_every_boundary() {
 #[test]
 fn the_filter_walks_a_chunk_once_whatever_the_shard_count() {
     let literals = ["alpha", "bravo", "charlie", "delta"];
-    let on = Engine::builder()
-        .patterns(literals)
-        .shard_policy(ShardPolicy::Fixed(4))
-        .prefilter(PrefilterMode::On)
-        .build()
-        .unwrap();
-    assert_eq!((on.shard_count(), on.set().always_on_rules()), (4, 0));
+    let builder = Engine::builder().patterns(literals);
+    let on = in_scan_groups(builder.prefilter(PrefilterMode::On), 4);
+    let groups = on.scan_groups().shard_count();
+    assert_eq!((groups, on.set().always_on_rules()), (4, 0));
     let sched = on.scheduler_with(1);
     let stats = || sched.prefilter_stats().expect("the filter is on");
 
@@ -379,10 +363,10 @@ fn the_filter_walks_a_chunk_once_whatever_the_shard_count() {
     for _ in 0..8 {
         sched.push(1, &benign);
     }
-    assert_eq!(stats().filter_bytes, 8 * 512, "not once per shard");
+    assert_eq!(stats().filter_bytes, 8 * 512, "not once per unit");
     assert_eq!(stats().skipped_units, [8; 4]);
 
-    // Every chunk ends a literal of every shard: the pass stops on the
+    // Every chunk ends a literal of every group: the pass stops on the
     // byte that wakes the flow's last cold unit — the "o" of "bravo" —
     // and a flow without a cold unit never consults the filter again.
     let dense = b"..delta.alpha.charlie.bravo.delta.alpha.charlie.bravo.";
@@ -421,8 +405,8 @@ fn the_filter_walks_a_chunk_once_whatever_the_shard_count() {
 /// accessors must read what the service's metrics snapshot reads.
 #[test]
 fn scheduler_and_service_agree_for_every_worker_count_and_filter_mode() {
-    // Literal-bearing, `$`-anchored and always-on rules over three
-    // shards, so filtered and filterless shards serve every flow.
+    // Literal-bearing, `$`-anchored and always-on rules over three scan
+    // groups, so filtered and filterless units serve every flow.
     let patterns = [
         "hdr[0-9]{2}end",
         "magic$",
@@ -443,12 +427,7 @@ fn scheduler_and_service_agree_for_every_worker_count_and_filter_mode() {
     let mut answers = Vec::new();
     for mode in [PrefilterMode::On, PrefilterMode::Off] {
         for workers in [1usize, 3] {
-            let engine = Engine::builder()
-                .patterns(patterns)
-                .shard_policy(ShardPolicy::Fixed(3))
-                .prefilter(mode)
-                .build()
-                .unwrap();
+            let engine = in_scan_groups(Engine::builder().patterns(patterns).prefilter(mode), 3);
             let what = format!("{mode:?}, {workers} worker(s)");
 
             // Batch driver: push a round, run(), poll.

@@ -12,7 +12,8 @@
 //! so the fault path's wake-ups — a quarantine frees buffers a barrier
 //! may be waiting on — are covered too.
 
-use recama::hw::ShardPolicy;
+mod common;
+
 use recama::{Engine, EngineBuilder, RuleMatch, ServeConfig, ServeError, ServiceHandle};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -27,7 +28,6 @@ fn builder() -> EngineBuilder {
         .rule(20, "k[0-9]{2,4}m")
         .rule(30, "xyz")
         .rule(40, "h.{9}")
-        .shard_policy(ShardPolicy::Fixed(2))
         .workers(2)
         .serve_config(ServeConfig {
             // Two 5-byte chunks do not fit: the second push of a pair
@@ -35,6 +35,13 @@ fn builder() -> EngineBuilder {
             flow_budget: 8,
             ..ServeConfig::default()
         })
+}
+
+/// Two scan groups, so two workers can hold units of one flow at once.
+fn two_units(builder: EngineBuilder) -> Engine {
+    let engine = common::in_scan_groups(builder, 2);
+    assert_eq!(engine.scan_groups().shard_count(), 2);
+    engine
 }
 
 /// The chunks producer `p` pushes to its `f`-th flow: 5 bytes each, cut
@@ -156,12 +163,12 @@ fn stress(engine: Engine) -> usize {
 #[test]
 fn blocked_producers_and_parked_workers_are_always_woken() {
     for _ in 0..10 {
-        assert_eq!(stress(builder().build().unwrap()), 0);
+        assert_eq!(stress(two_units(builder())), 0);
     }
 }
 
 /// The same run with the second scan of the fourth flow opened panicking
-/// on shard 1: that flow is quarantined — its buffers leave the gauge a
+/// on unit 1: that flow is quarantined — its buffers leave the gauge a
 /// `barrier` may be waiting on — the worker respawns, and everybody else
 /// finishes byte-identically.
 #[cfg(feature = "fault-inject")]
@@ -170,6 +177,6 @@ fn and_across_an_injected_panic() {
     use recama::FaultPlan;
     for _ in 0..10 {
         let plan = FaultPlan::new().panic_at(3, 1, 2, "injected: flow 3 dies at scan 2");
-        assert_eq!(stress(builder().fault_plan(plan).build().unwrap()), 1);
+        assert_eq!(stress(two_units(builder().fault_plan(plan))), 1);
     }
 }

@@ -1,20 +1,21 @@
-//! Differential testing of the sharding layer: for any shard plan —
+//! Differential testing of the two partitions: for any bank plan —
 //! bank-budget next-fit, fixed shard counts, and the trivial `N = 1`
-//! partition — [`ShardedPatternSet`] must report **byte-for-byte** what
-//! the one-bank plan (`ShardPolicy::Single`) reports on
-//! Snort/Suricata-profile rulesets across seeds (same reports, same
-//! order; `patternset_differential` pins every plan against the
-//! per-`Pattern` union), sharded chunked streaming must agree with
-//! one-shot scanning at every chunk boundary, per-shard machine images
-//! must validate and respect the bank budget, and set-level spans must
-//! equal the per-pattern reversed-automaton results.
+//! partition — and any number of scan groups (the units a flow scans,
+//! cut by the hybrid `state_budget`, never by the policy),
+//! [`ShardedPatternSet`] must report **byte-for-byte** what the one-bank,
+//! one-group set reports on Snort/Suricata-profile rulesets across seeds
+//! (same reports, same order; `patternset_differential` pins every plan
+//! against the per-`Pattern` union), multi-group chunked streaming must
+//! agree with one-shot scanning at every chunk boundary, per-shard
+//! machine images must validate and respect the bank budget, and
+//! set-level spans must equal the per-pattern reversed-automaton results.
 
 mod common;
 
-use common::{sample_patterns, set_with, tiny_budget};
+use common::{in_scan_groups, sample_patterns, set_in_groups, set_with, tiny_budget};
 use recama::hw::{RuleCost, ShardBudget, ShardPolicy};
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::{Pattern, SetMatch};
+use recama::{Engine, Pattern, SetMatch};
 
 #[test]
 fn sharded_reports_equal_unsharded_across_policies_and_seeds() {
@@ -23,23 +24,27 @@ fn sharded_reports_equal_unsharded_across_policies_and_seeds() {
             let patterns = sample_patterns(id, 0.004, seed, 400);
             assert!(patterns.len() >= 10, "{id:?}/{seed}: degenerate sample");
             let single = set_with(&patterns, ShardPolicy::Single);
+            assert_eq!(single.scan_groups().shard_count(), 1);
             let ruleset = generate(id, 0.004, seed);
             let input = traffic(&ruleset, 4096, 0.002, seed);
             let expected = single.find_ends(&input);
 
-            for policy in [
-                ShardPolicy::Single,
-                ShardPolicy::Fixed(1),
-                ShardPolicy::Fixed(3),
-                ShardPolicy::Fixed(7),
-                tiny_budget(),
+            // Banks and scan groups, cut together and apart.
+            for (policy, groups) in [
+                (ShardPolicy::Single, 1),
+                (ShardPolicy::Fixed(1), 3),
+                (ShardPolicy::Fixed(3), 3),
+                (ShardPolicy::Fixed(7), 7),
+                (ShardPolicy::Fixed(7), 1),
+                (tiny_budget(), 4),
             ] {
-                let sharded = set_with(&patterns, policy);
+                let builder = Engine::builder().patterns(&patterns).shard_policy(policy);
+                let sharded = in_scan_groups(builder, groups).into_set();
                 // Byte-identical: same reports in the same order, no sort.
                 assert_eq!(
                     sharded.find_ends(&input),
                     expected,
-                    "{id:?} seed {seed} policy {policy:?}: sharded scan diverges"
+                    "{id:?} seed {seed} policy {policy:?}, {groups} groups: the scan diverges"
                 );
             }
         }
@@ -54,7 +59,9 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
         counters: 8,
         bitvector_bits: 4000,
     };
-    let set = set_with(&patterns, ShardPolicy::Banked(budget));
+    // Three scan groups beside the banks, for the alphabet check below.
+    let builder = Engine::builder().patterns(&patterns);
+    let set = in_scan_groups(builder.shard_policy(ShardPolicy::Banked(budget)), 3).into_set();
     assert!(
         set.shard_count() > 1,
         "tiny budget must force several shards"
@@ -80,11 +87,12 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
     }
     assert_eq!(next, set.len(), "every pattern must land in some shard");
 
-    // The shared alphabet really is shared: every shard indexes the same
-    // number of byte classes.
+    // The shared alphabet really is shared: every scan group's automaton
+    // indexes the same number of byte classes.
     let class_count = set.multi().alphabet().len();
-    for shard in set.multi().shards() {
-        assert_eq!(shard.alphabet().len(), class_count);
+    assert!(set.multi().shards().len() >= 3);
+    for group in set.multi().shards() {
+        assert_eq!(group.alphabet().len(), class_count);
     }
 }
 
@@ -92,7 +100,7 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
 fn sharded_chunked_streaming_agrees_with_oneshot_at_every_boundary() {
     for (id, seed) in [(BenchmarkId::Snort, 3u64), (BenchmarkId::Suricata, 11)] {
         let patterns = sample_patterns(id, 0.003, seed, 300);
-        let set = set_with(&patterns, ShardPolicy::Fixed(4));
+        let set = set_in_groups(&patterns, 4);
         let ruleset = generate(id, 0.003, seed);
         let input = traffic(&ruleset, 2048, 0.003, seed);
 
@@ -120,7 +128,9 @@ fn sharded_stream_agrees_with_unsharded_stream_on_large_chunks() {
     // fan-out path; the reports must match the single-engine stream.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
     let single = set_with(&patterns, ShardPolicy::Single);
-    let sharded = set_with(&patterns, ShardPolicy::Fixed(3));
+    let sharded = set_in_groups(&patterns, 3);
+    assert_eq!(single.stream().group_count(), 1);
+    assert!(sharded.stream().group_count() >= 3);
     let ruleset = generate(BenchmarkId::Snort, 0.004, 5);
     let input = traffic(&ruleset, 3 * 8192, 0.002, 5);
 
@@ -137,14 +147,14 @@ fn sharded_stream_agrees_with_unsharded_stream_on_large_chunks() {
 #[test]
 fn streaming_matches_survive_pathological_boundaries_under_sharding() {
     // Boundaries placed inside every match: each pattern's planted match
-    // is split across two feeds, on a multi-shard set.
+    // is split across two feeds, on a multi-group set.
     let patterns: Vec<String> = vec![
         "header[0-9]{4}end".into(),
         "k[ab]{3,9}z".into(),
         "exact{2}".into(),
     ];
-    let set = set_with(&patterns, ShardPolicy::Fixed(3));
-    assert_eq!(set.shard_count(), 3);
+    let set = set_in_groups(&patterns, 3);
+    assert_eq!(set.scan_groups().shard_count(), 3);
     let input = b"..header1234end..kabababz..exactexact..";
     let mut oneshot_stream = set.stream();
     let oneshot: Vec<SetMatch> = oneshot_stream.feed(input).collect();
@@ -160,7 +170,7 @@ fn streaming_matches_survive_pathological_boundaries_under_sharding() {
 #[test]
 fn set_spans_equal_per_pattern_spans() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.002, 13, 120);
-    let sharded = set_with(&patterns, ShardPolicy::Fixed(4));
+    let sharded = set_in_groups(&patterns, 4);
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 2048, 0.004, 13);
 
@@ -180,7 +190,7 @@ fn set_spans_equal_per_pattern_spans() {
     got.sort();
     assert_eq!(got, expected, "sharded spans diverge from per-pattern");
 
-    // The unsharded set agrees too (same code path, N = 1).
+    // The one-group set agrees too (same code path, N = 1).
     let single = set_with(&patterns, ShardPolicy::Single);
     let mut got_single: Vec<(usize, usize, usize)> = single
         .find_spans(&input)
@@ -221,10 +231,11 @@ fn sharded_hardware_images_agree_with_software() {
 
 #[test]
 fn sharded_streams_move_across_threads() {
-    // One resumable engine state per shard per flow, with flows owned by
-    // worker threads — the multi-stream scheduler shape.
+    // One resumable engine state per scan group per flow, with flows
+    // owned by worker threads — the multi-stream scheduler shape.
     let patterns: Vec<String> = vec!["flow[0-9]{2}end".into(), "k[ab]{2,5}z".into()];
-    let set = set_with(&patterns, ShardPolicy::Fixed(2));
+    let set = set_in_groups(&patterns, 2);
+    assert_eq!(set.stream().group_count(), 2);
     let flows: [&[u8]; 2] = [b"..flow42end..", b"..kabz..flow07end"];
     let counts: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = flows
