@@ -376,9 +376,10 @@ impl EngineBuilder {
     /// heavier rule gets a group of its own), so a ruleset whose rows
     /// fit one cache is scanned once per byte and a larger one is cut
     /// before its cache starts flushing. [`ScanMode::Nca`] has no rows
-    /// to fit: it scans one group with the exact per-byte engine — the
-    /// paper-faithful baseline and the reference the hybrid is
-    /// differentially tested against.
+    /// to fit: it scans one group with the same engine without rows,
+    /// every byte the edge walk a row fill makes beside the counter bank.
+    /// Both modes are differentially tested against the patterns
+    /// scanned one by one.
     pub fn scan_mode(mut self, mode: ScanMode) -> EngineBuilder {
         self.scan_mode = mode;
         self

@@ -243,7 +243,7 @@ impl Flow {
             debug_assert!(
                 pending.front().is_none_or(|n| key < (n.end, n.pattern)),
                 "per-group reports must arrive sorted by (end, pattern) — \
-                 see MultiEngine::step_into's ordering contract"
+                 see HybridEngine::step_into's ordering contract"
             );
             if anchored[r.pattern as usize] {
                 self.dollar.insert(r.pattern, r.end);

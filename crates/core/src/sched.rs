@@ -393,7 +393,9 @@ impl FlowScheduler {
     /// every flow's group engines, live ones and those already freed at
     /// close + drain, plus the cached states and flushes of the group
     /// caches the flows share, each counted once — or `None` when the
-    /// engine scans in [`ScanMode::Nca`](crate::ScanMode::Nca): the
+    /// engine scans without rows
+    /// ([`ScanMode::Nca`](crate::ScanMode::Nca)), where there is nothing
+    /// to split between rows and counter modules: the
     /// [`hybrid`](crate::ServiceMetrics::hybrid) block of the core's
     /// metrics snapshot. The byte counters of engines currently checked
     /// out by workers are not counted — sample between

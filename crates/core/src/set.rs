@@ -143,8 +143,8 @@ pub struct ShardedPatternSet {
     scan: ShardPlan,
     /// One merged automaton per scan group.
     multi: ShardedMulti,
-    /// How scans and streams walk input bytes (exact NCA vs. hybrid
-    /// lazy-DFA overlay).
+    /// How scans and streams walk input bytes (the hybrid engine with or
+    /// without lazy-DFA rows).
     scan_mode: ScanMode,
     /// Under [`ScanMode::Hybrid`], the lazily determinized rows of each
     /// scan group (empty under [`ScanMode::Nca`]): one cache per group,

@@ -3,8 +3,10 @@
 //! modules the paper puts *beside* the STE array (§3.2.1, §4).
 //!
 //! [`crate::HybridEngine`] keeps the pure part of the frontier on DFA
-//! rows; what is left to step exactly is `T`, the tokens on counted
-//! states. A [`CounterBank`] is built once per [`crate::MultiNca`] and
+//! rows, or without rows as a subset; what is left to step exactly is
+//! `T`, the tokens on counted states — this bank, under both modes the
+//! one implementation of the counting semantics outside the reference
+//! engines. A [`CounterBank`] is built once per [`crate::MultiNca`] and
 //! indexes those states densely `0..k` **in state order**, so ascending
 //! module index is ascending pattern — the per-step report order
 //! contract. Each module's out-edges are compiled flat: the guard of a
@@ -393,6 +395,9 @@ pub(crate) struct BankState {
     next_live: Vec<u64>,
     /// Scratch: the records staged by the byte being stepped.
     staged: Vec<u32>,
+    /// Valuations a single-valued cell was handed beside the one it kept
+    /// ([`BankState::conflicts`]).
+    conflicts: u64,
 }
 
 impl BankState {
@@ -409,6 +414,7 @@ impl BankState {
             live: vec![0; words],
             next_live: vec![0; words],
             staged: Vec::new(),
+            conflicts: 0,
         }
     }
 
@@ -416,6 +422,27 @@ impl BankState {
     #[cfg(test)]
     pub(crate) fn cells(&self) -> usize {
         self.cells.len()
+    }
+
+    /// Every live token as `(module, valuation)`, sorted.
+    #[cfg(test)]
+    pub(crate) fn tokens(&self) -> Vec<(usize, Vec<u32>)> {
+        let mut tokens = Vec::new();
+        for m in live_modules(&self.live) {
+            self.cells[m].for_each(|values| tokens.push((m, values.to_vec())));
+        }
+        tokens.sort();
+        tokens
+    }
+
+    /// How many times, since the last [`BankState::clear`], a cell the
+    /// plan declared single-valued was handed a second, different
+    /// valuation on one byte — a register, or a multi-counter
+    /// single-valuation cell. Both keep the smaller. It stays 0 when the
+    /// plan came from a sound analysis: the runtime cross-check of the
+    /// analysis, as in [`crate::CompiledEngine::conflicts`].
+    pub(crate) fn conflicts(&self) -> u64 {
+        self.conflicts
     }
 
     /// Whether `T` is non-empty.
@@ -428,8 +455,9 @@ impl BankState {
         self.live.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Drops every token.
+    /// Drops every token, and rewinds the conflict count.
     pub(crate) fn clear(&mut self) {
+        self.conflicts = 0;
         for (wi, word) in self.live.iter_mut().enumerate() {
             for bit in bits(std::mem::take(word)) {
                 if let Cell::Queue(queue) = &mut self.cells[wi * 64 + bit] {
@@ -481,11 +509,11 @@ impl BankState {
     /// Advances `T` over one byte of `class` — the counter and bit-vector
     /// modules' half of one hybrid step:
     ///
-    /// * every out-edge of a live module fires exactly as in
-    ///   [`crate::MultiEngine::step_into`], except that a token reaching
-    ///   a *pure* state leaves the bank — the state is appended to
-    ///   `exits` (unsorted, possibly repeated) for the caller to union
-    ///   into its pure frontier;
+    /// * every out-edge of a live module fires — guard against the
+    ///   module's own cell, class against the destination's predicate —
+    ///   and a token reaching a *pure* state leaves the bank: the state
+    ///   is appended to `exits` (unsorted, possibly repeated) for the
+    ///   caller to union into its pure frontier;
     /// * `entries` — the wake records of the caller's row: the edges
     ///   from its pure frontier into counted states on this class, as
     ///   `[module, constant valuation…]` — are put in;
@@ -564,15 +592,19 @@ impl BankState {
             *word |= bit;
             match &mut self.cells[m] {
                 // Two valuations on a state the plan calls unambiguous:
-                // keep the smaller, as `Storage::insert` does.
+                // keep the smaller, as `Storage::insert` does, and count
+                // the conflict.
                 Cell::Register(value) if first => *value = values[0],
-                Cell::Register(value) => *value = (*value).min(values[0]),
+                Cell::Register(value) => {
+                    self.conflicts += u64::from(*value != values[0]);
+                    *value = (*value).min(values[0]);
+                }
                 Cell::Queue(queue) => queue.set_first(),
                 Cell::General(storage) => {
                     if first {
                         storage.clear();
                     }
-                    storage.insert(values);
+                    self.conflicts += u64::from(storage.insert(values));
                 }
             }
         }
@@ -624,24 +656,15 @@ mod tests {
         MultiNca::merge(&[(&nca, plan(&nca))])
     }
 
-    /// Every live token, as `(module, value)`.
-    fn tokens(state: &BankState) -> Vec<(usize, u32)> {
-        let mut tokens = Vec::new();
-        for m in live_modules(&state.live) {
-            state.cells[m].for_each(|values| tokens.push((m, values[0])));
-        }
-        tokens
-    }
-
     /// Steps `state` over one byte of `class` with no entry and says
     /// whether nothing could be seen of it: no report, no exit, the live
     /// mask unchanged, every token one older.
     fn steps_unseen(state: &mut BankState, bank: &CounterBank, class: usize) -> bool {
-        let (live, mut older) = (state.live.clone(), tokens(state));
-        older.iter_mut().for_each(|(_, value)| *value += 1);
+        let (live, mut older) = (state.live.clone(), state.tokens());
+        older.iter_mut().for_each(|(_, values)| values[0] += 1);
         let (mut exits, mut out) = (Vec::new(), Vec::new());
         state.step(bank, class, &[], &mut exits, 0, &mut out);
-        exits.is_empty() && out.is_empty() && state.live == live && tokens(state) == older
+        exits.is_empty() && out.is_empty() && state.live == live && state.tokens() == older
     }
 
     /// From every cell the one module of `pattern` reaches within nine
@@ -682,7 +705,7 @@ mod tests {
                         "{pattern}, entries {schedule:#b} + {len}: the horizon {h} is too long at {k}"
                     );
                 }
-                assert_eq!(tokens(&skipped), tokens(&stepped), "{pattern}");
+                assert_eq!(skipped.tokens(), stepped.tokens(), "{pattern}");
                 assert_eq!(skipped.live, stepped.live);
                 assert!(
                     !steps_unseen(&mut stepped, bank, class),
@@ -730,9 +753,10 @@ mod tests {
         assert_eq!(sleepers("^k[ab]{6}z", single), (1, 1));
     }
 
-    /// The report-for-report checks against [`crate::MultiEngine`] live
-    /// with the engine that owns the bank (`hybrid.rs`); this pins the
-    /// one step of the compilation that rewrites a predicate.
+    /// The report-for-report checks of the bank — both engines, against
+    /// the per-pattern oracle — live with the engine that owns it
+    /// (`hybrid.rs`); this pins the one step of the compilation that
+    /// rewrites a predicate.
     #[test]
     fn a_single_counter_guard_compiles_to_one_range() {
         use SlotTest::{Eq, Ge, Lt, Range};
@@ -751,6 +775,23 @@ mod tests {
                 let expected = tests.iter().all(|t| t.eval(&[value]));
                 assert_eq!(guard.eval(&[value]), expected, "{tests:?} on {value}");
             }
+        }
+    }
+
+    /// The twin of `compiled.rs`'s test of the same name, on the bank:
+    /// `.*a{2}` is counter-ambiguous (Example 3.2), so a plan that calls
+    /// every state single-valued must conflict on `aaa` — with rows and
+    /// without.
+    #[test]
+    fn single_value_plan_detects_bad_claims() {
+        let multi = merged(".*a{2}", |n| {
+            CompilePlan::with_unambiguous_states(n, |_| true)
+        });
+        for mut engine in [multi.engine(), multi.hybrid_engine(64)] {
+            engine.match_reports(b"aaa");
+            assert!(engine.conflicts() > 0, "{engine:?}");
+            engine.reset();
+            assert_eq!(engine.conflicts(), 0, "a reset rewinds the count");
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Hybrid lazy-DFA overlay over the batched multi-pattern engine: pure
+//! Hybrid lazy-DFA engine over a merged multi-pattern automaton: pure
 //! rows beside counter modules, the rows shared by every flow of a shard.
 //!
-//! The exact [`MultiEngine`] walks outgoing edges over an activity bitset
-//! — faithful to the paper's hardware step, but tens of instructions per
+//! Stepping the automaton walks the outgoing edges of every live state —
+//! faithful to the paper's hardware step, but tens of instructions per
 //! live state per input byte in software. A classical DFA costs **one
 //! table row per byte**, yet determinizing a counting automaton can blow
 //! up exponentially ([`crate::full_dfa_size`]). The paper's hardware does
@@ -162,11 +162,19 @@
 //! The counting-set queue already *is* the sorted list of due offsets a
 //! timer wheel would keep — birth clocks, oldest first.
 //!
-//! [`MultiEngine`]: crate::MultiEngine
+//! # Without rows
+//!
+//! [`MultiNca::engine`] makes the same engine with no cache: the
+//! [`ScanMode::Nca`] engine. `S` is then the sorted subset itself, and
+//! every byte is what a row miss computes — the edge walk out of `S`
+//! that fills a row, the bank step with the entries that walk found,
+//! `S ∪ exits`, the pure accepts. Nothing is looked ahead at and nothing
+//! sleeps; the reports are the same. So the counting semantics have one
+//! implementation under both modes, the bank, and
+//! [`HybridEngine::conflicts`] counts on it in both.
 
 use crate::bank::{has_class, BankState, ClassSet, PURE};
-use crate::multi::{MultiNca, MultiReport};
-use crate::nca::StateId;
+use crate::multi::{MultiNca, MultiReport, NO_PATTERN};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -177,12 +185,15 @@ pub const DEFAULT_STATE_BUDGET: usize = 4096;
 /// How a pattern-set engine walks input bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
-    /// Exact batched NCA stepping: per-byte edge walks over the activity
-    /// frontier — the software twin of the paper's hardware step.
+    /// The hybrid engine without rows ([`MultiNca::engine`]): every byte
+    /// walks the out-edges of the pure frontier, as a row fill does, and
+    /// steps the counter bank beside it — the paper's STE array and
+    /// counter modules without determinized rows.
     Nca,
-    /// Lazy-DFA overlay over the exact engine (see [`HybridEngine`]):
-    /// the pure frontier advances by one dense table row per byte, and
-    /// only live counter-carrying states are stepped exactly.
+    /// The hybrid engine on lazily determinized rows (see
+    /// [`HybridEngine`]): the pure frontier advances by one dense table
+    /// row per byte, and only live counter-carrying states are stepped
+    /// exactly.
     Hybrid {
         /// Maximum number of determinized states cached **per shard**,
         /// shared by every flow scanning that shard (see
@@ -210,8 +221,6 @@ pub(crate) const UNKNOWN: u32 = u32::MAX;
 /// picks out every byte that needs more than a row load, [`UNKNOWN`]
 /// included.
 pub(crate) const WAKES: u32 = 1 << 31;
-/// [`Shared::accepting`] entry of a state that does not accept.
-const NO_PATTERN: u32 = u32::MAX;
 
 /// Shared dense-row subset interner: maps sorted NCA state sets to dense
 /// DFA ids and stores one flat `byte_class → next` row per id. Used by
@@ -409,19 +418,22 @@ impl Tables {
         if let Some(id) = self.cache.lookup(subset) {
             return id;
         }
-        // Pure accepting states accept unconditionally, and the merge
-        // lays patterns out in ascending contiguous state ranges, so a
-        // sorted subset yields ascending patterns — the per-step report
-        // order contract of `MultiEngine::step_into`.
-        let mut patterns: Vec<u32> = subset
-            .iter()
-            .map(|&q| accepting[q as usize])
-            .filter(|&p| p != NO_PATTERN)
-            .collect();
-        patterns.dedup();
-        self.accepts.push(patterns.into_boxed_slice());
+        self.accepts.push(accepted(accepting, subset).collect());
         self.cache.intern(subset).0
     }
+}
+
+/// The patterns the pure states of the sorted `subset` accept, ascending
+/// and once each. Pure accepting states accept unconditionally, and the
+/// merge lays patterns out in ascending contiguous state ranges, so a
+/// sorted subset yields ascending patterns — the per-step report order
+/// contract of [`HybridEngine::step_into`] — and a repeat is the last one.
+fn accepted<'a>(accepting: &'a [u32], subset: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    let mut last = NO_PATTERN;
+    subset
+        .iter()
+        .map(|&q| accepting[q as usize])
+        .filter(move |&p| p != NO_PATTERN && std::mem::replace(&mut last, p) != p)
 }
 
 /// One generation of a shard's rows: the tables behind a lock, and
@@ -486,8 +498,8 @@ struct Shared {
     /// vectorizes without widening).
     class_map: Box<[u16; 256]>,
     /// Per automaton state: the pattern it accepts for, or
-    /// [`NO_PATTERN`].
-    accepting: Box<[u32]>,
+    /// [`NO_PATTERN`] — the [`MultiNca`]'s own table.
+    accepting: Arc<[u32]>,
     /// Row width: the number of byte classes.
     stride: usize,
     state_budget: usize,
@@ -552,25 +564,10 @@ impl HybridCache {
         for b in 0..=255u8 {
             class_map[b as usize] = alphabet.class_of(b) as u16;
         }
-        let accepting = multi
-            .tables()
-            .accepts
-            .iter()
-            .enumerate()
-            .map(|(q, accepts)| {
-                if accepts.is_empty() {
-                    NO_PATTERN
-                } else {
-                    multi
-                        .pattern_of(StateId(q as u32))
-                        .expect("the merged q0 never accepts")
-                }
-            })
-            .collect();
         let stride = alphabet.len();
         HybridCache(Arc::new(Shared {
             class_map,
-            accepting,
+            accepting: Arc::clone(multi.accepting()),
             stride,
             // State ids must stay below the `WAKES` flag bit.
             state_budget: state_budget.clamp(1, WAKES as usize),
@@ -772,12 +769,14 @@ impl Cursor {
 
 /// The hybrid lazy-DFA engine. See the module docs.
 ///
-/// Report-for-report identical to [`MultiEngine`] on the same merged
-/// automaton — same `(pattern, end)` pairs in the same order, across any
-/// chunking, state budget, and number of engines sharing its
-/// [`HybridCache`] — which the differential suites pin.
-///
-/// [`MultiEngine`]: crate::MultiEngine
+/// An engine from [`MultiNca::hybrid_engine`] or
+/// [`MultiNca::hybrid_engine_on`] keeps `S` on the rows of a
+/// [`HybridCache`]; one from [`MultiNca::engine`] caches no rows and
+/// keeps `S` as the subset itself ("Without rows" in the module docs).
+/// Either reports what the merged patterns report when each is scanned
+/// alone — the same `(pattern, end)` pairs in the same order, across any
+/// chunking, state budget, and number of engines sharing a cache — which
+/// the differential suites pin.
 ///
 /// # Examples
 ///
@@ -788,13 +787,43 @@ impl Cursor {
 /// let multi = MultiNca::merge(&parts);
 /// let reports = multi.hybrid_engine(64).match_reports(b"xabab");
 /// assert_eq!(reports.len(), 2);
+/// assert_eq!(multi.engine().match_reports(b"xabab"), reports);
 /// assert!(multi.hybrid_engine(64).stats().dfa_hit_rate() >= 0.0);
 /// ```
 pub struct HybridEngine {
     multi: MultiNca,
+    config: Config,
+}
+
+/// A flow's configuration `(S, T)` and its place in the stream, with `S`
+/// kept one of two ways.
+enum Config {
+    Rows(OnRows),
+    Rowless(Rowless),
+}
+
+/// `S` as a DFA state of the shard's rows.
+struct OnRows {
     /// `T`: this flow's cells of the counter bank.
     counters: BankState,
     at: Cursor,
+}
+
+/// `S` as the sorted subset itself: each byte is what a row miss
+/// computes, and nothing is cached.
+struct Rowless {
+    /// `T`: this flow's cells of the counter bank.
+    counters: BankState,
+    /// `S`, sorted.
+    pure: Vec<u32>,
+    /// Bytes consumed since the last reset.
+    position: u64,
+    /// Scratch: `S` after the byte being stepped.
+    next: Vec<u32>,
+    /// Scratch: the wake records of the byte being stepped.
+    entries: Vec<u32>,
+    /// Scratch: pure states the counted step exited into.
+    exits: Vec<u32>,
 }
 
 impl HybridEngine {
@@ -819,8 +848,25 @@ impl HybridEngine {
         );
         HybridEngine {
             multi: multi.clone(),
-            counters: BankState::new(multi.bank()),
-            at: Cursor::new(cache.clone()),
+            config: Config::Rows(OnRows {
+                counters: BankState::new(multi.bank()),
+                at: Cursor::new(cache.clone()),
+            }),
+        }
+    }
+
+    /// Builds an engine over `multi` without rows ([`MultiNca::engine`]).
+    pub(crate) fn rowless(multi: &MultiNca) -> HybridEngine {
+        HybridEngine {
+            multi: multi.clone(),
+            config: Config::Rowless(Rowless {
+                counters: BankState::new(multi.bank()),
+                pure: vec![0],
+                position: 0,
+                next: Vec::new(),
+                entries: Vec::new(),
+                exits: Vec::new(),
+            }),
         }
     }
 
@@ -833,46 +879,92 @@ impl HybridEngine {
 
     /// Bytes consumed since the last reset.
     pub fn position(&self) -> u64 {
-        self.at.position
+        match &self.config {
+            Config::Rows(rows) => rows.at.position,
+            Config::Rowless(rowless) => rowless.position,
+        }
     }
 
-    /// Returns to the initial configuration but continues the byte count
-    /// from absolute offset `position` (see
-    /// [`MultiEngine::restart_at`](crate::MultiEngine::restart_at)). The
-    /// rows and cumulative byte counters persist, exactly as with
+    /// Returns to the initial configuration (only `q0` live, no counted
+    /// token, the conflict count rewound) but reports subsequent matches
+    /// as if the stream started at absolute offset `position` — the
+    /// primitive behind prefilter wake-up, where a cold shard's engine
+    /// teleports past skipped bytes and resumes with a fresh `Σ*`
+    /// frontier (sound because a fresh frontier at any offset is a subset
+    /// of the true frontier there, and over-approximates nothing the
+    /// search form `Σ*·r` would not restart anyway). The rows and
+    /// cumulative byte counters persist, exactly as with
     /// [`reset`](HybridEngine::reset).
     pub fn restart_at(&mut self, position: u64) {
-        self.counters.clear();
-        self.at.restart_at(position);
+        match &mut self.config {
+            Config::Rows(rows) => {
+                rows.counters.clear();
+                rows.at.restart_at(position);
+            }
+            Config::Rowless(rowless) => {
+                rowless.counters.clear();
+                rowless.pure.clear();
+                rowless.pure.push(0);
+                rowless.position = position;
+            }
+        }
     }
 
     /// Number of live NCA states behind the current configuration: the
     /// pure frontier's subset plus the live counted states.
     pub fn active_states(&self) -> usize {
-        let rows = self.at.generation.read();
-        rows.cache.subset(self.at.cur).len() + self.counters.live_count()
+        let pure = match &self.config {
+            Config::Rows(rows) => rows.at.generation.read().cache.subset(rows.at.cur).len(),
+            Config::Rowless(rowless) => rowless.pure.len(),
+        };
+        pure + self.counters().live_count()
     }
 
     /// Determinized states the shard's cache holds right now (discovered
-    /// since its last flush, by any engine on it).
+    /// since its last flush, by any engine on it); 0 without rows.
     pub fn discovered_states(&self) -> usize {
-        self.at.cache.stats().dfa_states
+        self.stats().dfa_states
     }
 
     /// This engine's cumulative byte counters together with its cache's
     /// [`HybridStats::dfa_states`] and [`HybridStats::flushes`] as of
-    /// this call.
+    /// this call. An engine without rows counts nothing: all 0.
     pub fn stats(&self) -> HybridStats {
-        let mut stats = self.at.cache.stats();
-        stats.merge(&self.at.stats);
+        let mut stats = HybridStats::default();
+        if let Config::Rows(rows) = &self.config {
+            stats = rows.at.cache.stats();
+            stats.merge(&rows.at.stats);
+        }
         stats
     }
 
     /// This engine's own half of [`HybridEngine::stats`]: the byte
     /// counters. `dfa_states` and `flushes` are 0 — they belong to the
-    /// shard's cache ([`HybridCache::stats`]).
-    pub(crate) fn byte_counters(&self) -> HybridStats {
-        self.at.stats
+    /// shard's cache ([`HybridCache::stats`]). `None` without rows.
+    pub(crate) fn byte_counters(&self) -> Option<HybridStats> {
+        match &self.config {
+            Config::Rows(rows) => Some(rows.at.stats),
+            Config::Rowless(_) => None,
+        }
+    }
+
+    /// Number of valuations a counter module the plan declared
+    /// single-valued was handed beside the one it kept, since the last
+    /// reset — a nonzero value means the plan (or the analysis that
+    /// produced it) is wrong; see [`crate::CompiledEngine::conflicts`].
+    /// The engine with rows may count fewer than the one without: a wake
+    /// it does not take (module docs, "What a marked row means") hands
+    /// over nothing.
+    pub fn conflicts(&self) -> u64 {
+        self.counters().conflicts()
+    }
+
+    /// `T`: this flow's cells of the counter bank.
+    pub(crate) fn counters(&self) -> &BankState {
+        match &self.config {
+            Config::Rows(rows) => &rows.counters,
+            Config::Rowless(rowless) => &rowless.counters,
+        }
     }
 
     /// Computes the row entry of the current DFA state on `class` — the
@@ -889,35 +981,18 @@ impl HybridEngine {
     /// returned entry, which indexes the generation the engine is now
     /// on, says where the byte leads.
     fn successor(multi: &MultiNca, at: &mut Cursor, class: usize) -> u32 {
-        let (tables, bank) = (multi.tables(), multi.bank());
-        let member_row = &tables.class_member[class];
+        let bank = multi.bank();
         let mut next = std::mem::take(&mut at.succ_scratch);
         let mut entries = std::mem::take(&mut at.entry_scratch);
-        next.clear();
-        entries.clear();
-        for &p in at.generation.read().cache.subset(at.cur) {
-            for edge in &tables.out_edges[p as usize] {
-                let q = edge.to as usize;
-                if member_row[q / 64] & (1 << (q % 64)) == 0 {
-                    continue;
-                }
-                debug_assert!(
-                    edge.guard.is_empty(),
-                    "edges out of pure states are unguarded"
-                );
-                match bank.module_of[q] {
-                    PURE => next.push(q as u32),
-                    module => {
-                        // A pure source has no counters to copy: the
-                        // valuation it hands over is a constant.
-                        entries.push(module);
-                        entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
-                    }
-                }
-            }
-        }
-        next.sort_unstable();
-        next.dedup();
+        let rows = at.generation.read();
+        walk_pure(
+            multi,
+            rows.cache.subset(at.cur),
+            class,
+            &mut next,
+            &mut entries,
+        );
+        drop(rows); // before the write lock below
         let (own, cur) = (&at.generation, at.cur);
         let (home, entry) = at.cache.intern_with(&next, |home, rows, id| {
             let stayed = Arc::ptr_eq(home, own);
@@ -950,11 +1025,12 @@ impl HybridEngine {
         entry
     }
 
-    /// Consumes one byte, appending `(pattern, end)` reports to `out`
-    /// with the same dedup and ordering contract as
-    /// [`MultiEngine::step_into`].
-    ///
-    /// [`MultiEngine::step_into`]: crate::MultiEngine::step_into
+    /// Consumes one byte, appending one `(pattern, end)` report per
+    /// pattern that accepts at the new offset `end` to `out`, in
+    /// ascending pattern order. That order is a guaranteed contract:
+    /// the merge lays each pattern's states out contiguously in pattern
+    /// order, and the sharded ordered merge (`Flow` in `recama`) relies
+    /// on it to recombine per-shard reports byte-identically.
     pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
         self.feed_into(&[byte], out);
     }
@@ -978,11 +1054,31 @@ impl HybridEngine {
     /// awake: one row load plus one step of the counter bank. Only the
     /// two misses — an unfilled row, an `S ∪ exits` not yet interned —
     /// let go of the read lock, and take it again (on the generation the
-    /// engine is on by then) once the tables have the entry.
+    /// engine is on by then) once the tables have the entry. Without
+    /// rows every byte is a full step (module docs, "Without rows").
     pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
+        match &mut self.config {
+            Config::Rows(rows) => rows.feed_into(&self.multi, chunk, out),
+            Config::Rowless(rowless) => rowless.feed_into(&self.multi, chunk, out),
+        }
+    }
+
+    /// One-shot scan: resets, consumes `input`, returns all reports in
+    /// stream order.
+    pub fn match_reports(&mut self, input: &[u8]) -> Vec<MultiReport> {
+        self.reset();
+        let mut out = Vec::new();
+        self.feed_into(input, &mut out);
+        out
+    }
+}
+
+impl OnRows {
+    /// [`HybridEngine::feed_into`] on the rows.
+    fn feed_into(&mut self, multi: &MultiNca, chunk: &[u8], out: &mut Vec<MultiReport>) {
         self.at.catch_up();
         self.at.untouched &= chunk.is_empty();
-        let bank = self.multi.bank();
+        let bank = multi.bank();
         // A copy (512 B) rather than a borrow of the shared handle: the
         // miss paths below need the whole cursor.
         let class_map: [u16; 256] = *self.at.cache.0.class_map;
@@ -1043,7 +1139,7 @@ impl HybridEngine {
             let mut entry = rows.cache.get(self.at.cur, class);
             if entry == UNKNOWN {
                 drop(rows);
-                entry = Self::successor(&self.multi, &mut self.at, class);
+                entry = HybridEngine::successor(multi, &mut self.at, class);
                 generation = Arc::clone(&self.at.generation);
                 rows = generation.read();
             }
@@ -1096,15 +1192,78 @@ impl HybridEngine {
         drop(rows);
         self.at.catch_up();
     }
+}
 
-    /// One-shot scan: resets, consumes `input`, returns all reports in
-    /// stream order.
-    pub fn match_reports(&mut self, input: &[u8]) -> Vec<MultiReport> {
-        self.reset();
-        let mut out = Vec::new();
-        self.feed_into(input, &mut out);
-        out
+impl Rowless {
+    /// [`HybridEngine::feed_into`] without rows: per byte, the pure edge
+    /// walk, the bank step, `S ∪ exits` and the pure accepts.
+    fn feed_into(&mut self, multi: &MultiNca, chunk: &[u8], out: &mut Vec<MultiReport>) {
+        let (alphabet, bank, accepting) = (multi.alphabet(), multi.bank(), multi.accepting());
+        for &byte in chunk {
+            let class = alphabet.class_of(byte);
+            self.position += 1;
+            let end = self.position;
+            walk_pure(multi, &self.pure, class, &mut self.next, &mut self.entries);
+            let first = out.len();
+            if !self.entries.is_empty() || self.counters.any_live() {
+                self.exits.clear();
+                let (entries, exits) = (&self.entries, &mut self.exits);
+                self.counters.step(bank, class, entries, exits, end, out);
+                if !self.exits.is_empty() {
+                    self.next.extend_from_slice(&self.exits);
+                    self.next.sort_unstable();
+                    self.next.dedup();
+                }
+            }
+            std::mem::swap(&mut self.pure, &mut self.next);
+            let counted = out.len() - first;
+            out.extend(accepted(accepting, &self.pure).map(|pattern| MultiReport { pattern, end }));
+            if counted > 0 && out.len() - first > counted {
+                merge_step_reports(out, first);
+            }
+        }
     }
+}
+
+/// The pure half of one byte of `class` out of the pure frontier
+/// `subset` — the edge walk of a row fill, and of every byte without
+/// rows: the pure targets go to `next` (sorted, deduplicated), the edges
+/// into counted states to `entries` as wake records
+/// `[module, constant valuation…]`.
+fn walk_pure(
+    multi: &MultiNca,
+    subset: &[u32],
+    class: usize,
+    next: &mut Vec<u32>,
+    entries: &mut Vec<u32>,
+) {
+    let (tables, bank) = (multi.tables(), multi.bank());
+    let member_row = &tables.class_member[class];
+    next.clear();
+    entries.clear();
+    for &p in subset {
+        for edge in &tables.out_edges[p as usize] {
+            let q = edge.to as usize;
+            if member_row[q / 64] & (1 << (q % 64)) == 0 {
+                continue;
+            }
+            debug_assert!(
+                edge.guard.is_empty(),
+                "edges out of pure states are unguarded"
+            );
+            match bank.module_of[q] {
+                PURE => next.push(q as u32),
+                module => {
+                    // A pure source has no counters to copy: the
+                    // valuation it hands over is a constant.
+                    entries.push(module);
+                    entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
+                }
+            }
+        }
+    }
+    next.sort_unstable();
+    next.dedup();
 }
 
 /// Restores the per-step report contract (ascending patterns, one report
@@ -1130,8 +1289,8 @@ impl std::fmt::Debug for HybridEngine {
             f,
             "HybridEngine(dfa_states = {}, counted_states = {}, position = {})",
             self.discovered_states(),
-            self.counters.live_count(),
-            self.at.position
+            self.counters().live_count(),
+            self.position()
         )
     }
 }
@@ -1141,8 +1300,19 @@ mod tests {
     use super::*;
     use crate::compiled::{CompilePlan, StorageMode};
     use crate::dfa::full_dfa_size;
+    use crate::multi::per_pattern_reports;
     use crate::nca::Nca;
     use recama_syntax::parse;
+
+    impl HybridEngine {
+        /// The cursor of an engine on rows.
+        fn at(&mut self) -> &mut Cursor {
+            match &mut self.config {
+                Config::Rows(rows) => &mut rows.at,
+                Config::Rowless(_) => panic!("an engine without rows has no cursor"),
+            }
+        }
+    }
 
     /// Queues where eligible, bit vectors / token sets elsewhere.
     fn queues(n: &Nca) -> CompilePlan {
@@ -1154,23 +1324,55 @@ mod tests {
         CompilePlan::with_unambiguous_states(n, |_| true)
     }
 
-    fn merged_with(patterns: &[&str], plan: fn(&Nca) -> CompilePlan) -> MultiNca {
+    /// A merge, and the patterns it was merged from.
+    struct Merged {
+        multi: MultiNca,
+        patterns: Vec<String>,
+    }
+
+    impl std::ops::Deref for Merged {
+        type Target = MultiNca;
+
+        fn deref(&self) -> &MultiNca {
+            &self.multi
+        }
+    }
+
+    impl Merged {
+        /// The referee: what the patterns report scanned one by one.
+        fn oracle(&self, input: &[u8]) -> Vec<MultiReport> {
+            self.oracle_from(0, input)
+        }
+
+        /// [`Merged::oracle`] of a stream restarted at `position`.
+        fn oracle_from(&self, position: u64, input: &[u8]) -> Vec<MultiReport> {
+            let mut reports = per_pattern_reports(&self.patterns, input);
+            reports.iter_mut().for_each(|r| r.end += position);
+            reports
+        }
+    }
+
+    fn merged_with(patterns: &[&str], plan: fn(&Nca) -> CompilePlan) -> Merged {
         let ncas: Vec<Nca> = patterns
             .iter()
             .map(|p| Nca::from_regex(&parse(p).unwrap().for_stream()))
             .collect();
         let parts: Vec<(&Nca, CompilePlan)> = ncas.iter().map(|n| (n, plan(n))).collect();
-        MultiNca::merge(&parts)
+        Merged {
+            multi: MultiNca::merge(&parts),
+            patterns: patterns.iter().map(|p| p.to_string()).collect(),
+        }
     }
 
-    fn merged(patterns: &[&str]) -> MultiNca {
+    fn merged(patterns: &[&str]) -> Merged {
         merged_with(patterns, queues)
     }
 
-    /// One-shot and chunked (1/3/7) hybrid scans of `input` against the
-    /// exact engine on the same merge.
-    fn assert_matches_exact(m: &MultiNca, input: &[u8], budget: usize) {
-        let expected = m.engine().match_reports(input);
+    /// One-shot and chunked (1/3/7) hybrid scans of `input`, and a scan
+    /// without rows, against the per-pattern oracle.
+    fn assert_matches_exact(m: &Merged, input: &[u8], budget: usize) {
+        let expected = m.oracle(input);
+        assert_eq!(m.engine().match_reports(input), expected, "without rows");
         let mut hybrid = m.hybrid_engine(budget);
         assert_eq!(
             hybrid.match_reports(input),
@@ -1212,20 +1414,22 @@ mod tests {
         let mut out = Vec::new();
         let mut events = Vec::new();
         for &b in input {
-            let class = h.at.cache.0.class_map[b as usize] as usize;
-            let mut entry = h.at.generation.read().cache.get(h.at.cur, class);
+            let at = h.at();
+            let class = at.cache.0.class_map[b as usize] as usize;
+            let mut entry = at.generation.read().cache.get(at.cur, class);
             if entry == UNKNOWN {
-                entry = HybridEngine::successor(&h.multi, &mut h.at, class);
+                entry = HybridEngine::successor(m, at, class);
             }
             let wakes = entry >= WAKES;
-            let next = Wake::resolve(&h.at.generation.read().wakes, entry).0;
-            let fallback_bytes = h.at.stats.fallback_bytes;
+            let next = Wake::resolve(&at.generation.read().wakes, entry).0;
+            let fallback_bytes = at.stats.fallback_bytes;
             h.step_into(b, &mut out);
-            let stepped = h.at.stats.fallback_bytes > fallback_bytes;
+            let at = h.at();
+            let stepped = at.stats.fallback_bytes > fallback_bytes;
             events.push(Event {
                 wakes,
-                exits: if stepped { h.at.exits.len() } else { 0 },
-                joined: h.at.cur != next,
+                exits: if stepped { at.exits.len() } else { 0 },
+                joined: at.cur != next,
             });
         }
         assert_eq!(h.stats().flushes, 0);
@@ -1237,7 +1441,7 @@ mod tests {
         let m = merged(&["abc", "x[yz]", "q"]);
         let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
         let reports = hybrid.match_reports(b"abcxzqq abc");
-        assert_eq!(reports, m.engine().match_reports(b"abcxzqq abc"));
+        assert_eq!(reports, m.oracle(b"abcxzqq abc"));
         let stats = hybrid.stats();
         assert_eq!(stats.fallback_bytes, 0, "no counters, no exact steps");
         assert_eq!(stats.dfa_bytes, 11);
@@ -1253,7 +1457,7 @@ mod tests {
         let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
         hybrid.match_reports(input);
         let stats = hybrid.stats();
-        assert!(stats.fallback_bytes > 0, "counting runs the exact engine");
+        assert!(stats.fallback_bytes > 0, "counting steps the counter bank");
         assert!(stats.dfa_bytes > 0, "benign bytes are row loads only");
     }
 
@@ -1419,9 +1623,10 @@ mod tests {
             b"xaaaaaaay",
         ] {
             assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
-            let mut exact = m.engine();
-            exact.match_reports(input);
-            assert_eq!(exact.conflicts(), 0);
+            for mut engine in [m.engine(), m.hybrid_engine(DEFAULT_STATE_BUDGET)] {
+                engine.match_reports(input);
+                assert_eq!(engine.conflicts(), 0);
+            }
         }
         // A queue that feeds a queue (the second's entry is guarded by
         // the first's count), and a two-counter token set entered
@@ -1451,7 +1656,7 @@ mod tests {
             b"abbbcabbcabbbcdd",
         ] {
             assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
-            assert!(!m.engine().match_reports(input).is_empty());
+            assert!(!m.oracle(input).is_empty());
         }
     }
 
@@ -1468,16 +1673,25 @@ mod tests {
         assert!(m.nca().state_count() > 24 * 3);
         let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
         hybrid.feed_into(b"w3ax h w17fx", &mut Vec::new());
-        assert_eq!(hybrid.counters.cells(), counted);
+        assert_eq!(hybrid.counters().cells(), counted);
     }
 
     // ---- the look-ahead ----------------------------------------------
 
     /// Hybrid scans of `input` cut into chunks of 1/2/3/7 bytes and in
-    /// one piece, each against the exact engine; returns the five runs'
-    /// counters in that order.
-    fn lookahead_stats(m: &MultiNca, input: &[u8], budget: usize) -> [HybridStats; 5] {
-        let expected = m.engine().match_reports(input);
+    /// one piece, each against the per-pattern oracle; returns the five
+    /// runs' counters in that order.
+    fn lookahead_stats(m: &Merged, input: &[u8], budget: usize) -> [HybridStats; 5] {
+        chunked_stats(m, &m.oracle(input), input, budget)
+    }
+
+    /// [`lookahead_stats`] against `expected`.
+    fn chunked_stats(
+        m: &MultiNca,
+        expected: &[MultiReport],
+        input: &[u8],
+        budget: usize,
+    ) -> [HybridStats; 5] {
         [1, 2, 3, 7, input.len()].map(|chunk_len| {
             let mut engine = m.hybrid_engine(budget);
             let mut got = Vec::new();
@@ -1579,7 +1793,7 @@ mod tests {
 
     /// `(fallback_bytes, slept_bytes, exact_state_steps)` of each run of
     /// [`lookahead_stats`].
-    fn sleep_stats(m: &MultiNca, input: &[u8], budget: usize) -> [(u64, u64, u64); 5] {
+    fn sleep_stats(m: &Merged, input: &[u8], budget: usize) -> [(u64, u64, u64); 5] {
         lookahead_stats(m, input, budget)
             .map(|s| (s.fallback_bytes, s.slept_bytes, s.exact_state_steps))
     }
@@ -1605,13 +1819,20 @@ mod tests {
             // the one that drops it — and no two of the eighteen
             // coincide; the set is live before bytes 2..=91.
             let m = merged_with(&["h.{55}", "plain"], queues);
-            assert_eq!(m.engine().match_reports(&input).len(), 6);
+            assert_eq!(m.oracle(&input).len(), 6);
             assert_eq!(sleep_stats(&m, &input, budget), [(18, 90 - 17, 17); 5]);
-            // One valuation: every wake overwrites it with the younger
-            // token, so only the last one comes due.
+            // One valuation, which the rule is too ambiguous for: every
+            // wake overwrites it with the younger token — a conflict — so
+            // only the last one comes due. Only the engine without rows
+            // knows that answer.
             let m = merged_with(&["h.{55}", "plain"], single);
-            assert_eq!(m.engine().match_reports(&input).len(), 1);
-            assert_eq!(sleep_stats(&m, &input, budget), [(6 + 2, 90 - 7, 7); 5]);
+            let mut rowless = m.engine();
+            let expected = rowless.match_reports(&input);
+            assert_eq!(expected.len(), 1);
+            assert_eq!(rowless.conflicts(), 5);
+            let stats = chunked_stats(&m, &expected, &input, budget)
+                .map(|s| (s.fallback_bytes, s.slept_bytes, s.exact_state_steps));
+            assert_eq!(stats, [(6 + 2, 90 - 7, 7); 5]);
             // A bit vector is stepped on every byte it is live before.
             let m = merged_with(&["h.{55}", "plain"], CompilePlan::conservative);
             assert_eq!(sleep_stats(&m, &input, budget), [(1 + 90, 0, 90); 5]);
@@ -1628,12 +1849,12 @@ mod tests {
         let input = dots(30, &[(0, b'k'), (10, b'z'), (11, b'k'), (22, b'z')]);
         for budget in LOOKAHEAD_BUDGETS {
             let m = merged_with(&["k.{9,14}z", "plain"], queues);
-            assert_eq!(m.engine().match_reports(&input).len(), 2);
+            assert_eq!(m.oracle(&input).len(), 2);
             assert_eq!(sleep_stats(&m, &input, budget), [(1 + 6 + 6, 8 + 5, 12); 5]);
             // One valuation: the second wake overwrites the first token
             // at byte 12, and the register sleeps 13..=20.
             let m = merged_with(&["k.{9,14}z", "plain"], single);
-            assert_eq!(m.engine().match_reports(&input).len(), 2);
+            assert_eq!(m.oracle(&input).len(), 2);
             assert_eq!(sleep_stats(&m, &input, budget), [(1 + 3 + 6, 8 + 8, 9); 5]);
             let m = merged_with(&["k.{9,14}z", "plain"], CompilePlan::conservative);
             assert!(sleep_stats(&m, &input, budget).iter().all(|s| s.1 == 0));
@@ -1652,7 +1873,7 @@ mod tests {
         input.extend(b"..");
         for plan in [single, queues] {
             let m = merged_with(&["[^ac][ac]{40}", "plain"], plan);
-            assert_eq!(m.engine().match_reports(&input).len(), 1);
+            assert_eq!(m.oracle(&input).len(), 1);
             for budget in LOOKAHEAD_BUDGETS {
                 assert_eq!(sleep_stats(&m, &input, budget), [(5, 19 + 38, 3); 5]);
             }
@@ -1678,8 +1899,8 @@ mod tests {
         let cut_short = dots(58, &at);
         for plan in [single, queues] {
             let m = merged_with(&["h.{55}", "x\\d{30}q"], plan);
-            assert_eq!(m.engine().match_reports(&matched).len(), 2);
-            assert_eq!(m.engine().match_reports(&cut_short).len(), 1);
+            assert_eq!(m.oracle(&matched).len(), 2);
+            assert_eq!(m.oracle(&cut_short).len(), 1);
             for budget in LOOKAHEAD_BUDGETS {
                 assert_eq!(sleep_stats(&m, &matched, budget), [(5, 29 + 22, 5); 5]);
                 assert_eq!(sleep_stats(&m, &cut_short, budget), [(5, 9 + 42, 5); 5]);
@@ -1702,7 +1923,7 @@ mod tests {
         // every byte the counting set of the first is.
         let patterns = ["z.{6}", "z(a{2,3}b){2,3}"];
         let m = merged(&patterns);
-        assert_eq!(m.engine().match_reports(b"zaabaabx").len(), 2);
+        assert_eq!(m.oracle(b"zaabaabx").len(), 2);
         for budget in LOOKAHEAD_BUDGETS {
             assert_eq!(sleep_stats(&m, b"zaabaabx", budget), [(7, 0, 6 + 6); 5]);
             // Alone it sleeps from 1 to 5.
@@ -1724,7 +1945,7 @@ mod tests {
         let input = dots(24, &[(0, b'h'), (2, b'x'), (3, b'a'), (4, b'b')]);
         for plan in [single, queues] {
             let m = merged_with(&["h.{20}", "[^ac][ac]{3}"], plan);
-            assert_eq!(m.engine().match_reports(&input).len(), 1);
+            assert_eq!(m.oracle(&input).len(), 1);
             for budget in LOOKAHEAD_BUDGETS {
                 let [ones, twos, threes, sevens, whole] = sleep_stats(&m, &input, budget);
                 assert_eq!(whole, (3, 18, 2), "the wake, the due byte, the drop");
@@ -1741,25 +1962,22 @@ mod tests {
         let stream = &fleet_streams(1)[0];
         let cache = m.hybrid_cache(2);
         let mut idle = m.hybrid_engine_on(&cache);
-        let home = Arc::downgrade(&idle.at.generation);
+        let home = Arc::downgrade(&idle.at().generation);
         for position in [7, 4096] {
             idle.restart_at(position);
             assert_eq!(idle.position(), position);
-            assert!(home.ptr_eq(&Arc::downgrade(&idle.at.generation)));
+            assert!(home.ptr_eq(&Arc::downgrade(&idle.at().generation)));
         }
         // Once its generation is retired a restart moves it on ...
         m.hybrid_engine_on(&cache)
             .feed_into(stream, &mut Vec::new());
-        assert!(idle.at.generation.is_retired());
+        assert!(idle.at().generation.is_retired());
         idle.restart_at(9);
-        assert!(!idle.at.generation.is_retired());
-        // ... and it scans from there like a restarted exact engine.
-        let mut exact = m.engine();
-        exact.restart_at(9);
-        let (mut got, mut expected) = (Vec::new(), Vec::new());
+        assert!(!idle.at().generation.is_retired());
+        // ... and it scans from there like a stream started at 9.
+        let mut got = Vec::new();
         idle.feed_into(stream, &mut got);
-        exact.feed_into(stream, &mut expected);
-        assert_eq!(got, expected);
+        assert_eq!(got, m.oracle_from(9, stream));
     }
 
     #[test]
@@ -1775,7 +1993,7 @@ mod tests {
             assert!(stats.flushes > 0, "budget {budget} must overflow");
             assert!(stats.fallback_bytes > 0);
             assert!(stats.dfa_states <= budget);
-            let wakes = hybrid.at.generation.read().wakes.len();
+            let wakes = hybrid.at().generation.read().wakes.len();
             assert!(wakes <= budget * m.alphabet().len());
         }
         // A flush in the middle of a sleep: `.{4}` is at 2 when 'p' asks
@@ -1791,7 +2009,7 @@ mod tests {
         assert_eq!(after.slept_bytes, before.slept_bytes + 1);
         assert_eq!(after.fallback_bytes, before.fallback_bytes);
         hybrid.feed_into(b".z", &mut got);
-        assert_eq!(got, m.engine().match_reports(b"k..p.z"));
+        assert_eq!(got, m.oracle(b"k..p.z"));
         assert_eq!(got.len(), 1);
     }
 
@@ -1800,27 +2018,24 @@ mod tests {
         let patterns = ["x[ab]{2,5}y", "k.{4}z", "(a{2}b){3}", "plain", "h.{12}"];
         let m = merged(&patterns);
         let input = b"xabkab.zaby.aabaabaab.k...z.h.....k......z";
-        let expected = m.engine().match_reports(input);
+        let expected = m.oracle(input);
         let mut asleep = 0;
         for cut in 1..input.len() {
             // Park the engine at `cut`: at rest between two feeds.
             let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
             let mut got = Vec::new();
             hybrid.feed_into(&input[..cut], &mut got);
-            let counting = hybrid.counters.any_live();
-            asleep += usize::from(counting && hybrid.counters.horizon(m.bank()).0 > 0);
+            let counting = hybrid.counters().any_live();
+            asleep += usize::from(counting && hybrid.counters().horizon(m.bank()).0 > 0);
             let live = hybrid.active_states();
             assert_eq!(hybrid.position(), cut as u64);
-            assert_eq!(hybrid.counters.any_live(), counting);
+            assert_eq!(hybrid.counters().any_live(), counting);
             assert_eq!(hybrid.active_states(), live);
             hybrid.feed_into(&input[cut..], &mut got);
             assert_eq!(got, expected, "cut at {cut}");
 
             // Restart at `cut`: counted tokens must not leak across it.
-            let mut exact = m.engine();
-            exact.restart_at(cut as u64);
-            let mut fresh = Vec::new();
-            exact.feed_into(&input[cut..], &mut fresh);
+            let fresh = m.oracle_from(cut as u64, &input[cut..]);
             let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
             hybrid.feed_into(&input[..cut], &mut Vec::new());
             hybrid.restart_at(cut as u64);
@@ -1833,10 +2048,63 @@ mod tests {
         let mut mid_count = m.hybrid_engine(DEFAULT_STATE_BUDGET);
         mid_count.feed_into(b"xab", &mut Vec::new());
         assert!(
-            mid_count.counters.any_live(),
+            mid_count.counters().any_live(),
             "the cuts above do park mid-count"
         );
         assert!(asleep >= 10, "and in the middle of a sleep: {asleep}");
+    }
+
+    /// What an engine holds between chunks, whatever it keeps `S` in: its
+    /// position, `S`, and the live modules of `T` with their tokens.
+    type Configuration = (u64, Vec<u32>, Vec<(usize, Vec<u32>)>);
+
+    fn configuration(h: &HybridEngine) -> Configuration {
+        let pure = match &h.config {
+            Config::Rows(rows) => rows.at.generation.read().cache.subset(rows.at.cur).to_vec(),
+            Config::Rowless(rowless) => rowless.pure.clone(),
+        };
+        (h.position(), pure, h.counters().tokens())
+    }
+
+    /// The hand-over that lets an engine leave its rows in the middle of
+    /// a stream and come back: after every chunk, the engine without rows
+    /// and engines on a thrashing and on a roomy cache hold one
+    /// configuration — nothing is converted between the two ways of
+    /// keeping `S` — on counter-heavy input that is mid-count at every
+    /// cut.
+    #[test]
+    fn engines_with_and_without_rows_agree_at_every_cut() {
+        let patterns = [
+            "h.{55}",
+            "x[ab]{2,5}y",
+            "(a{2}b){3}",
+            "k.{4,9}z",
+            "[^ac][ac]{3}",
+            "plain",
+        ];
+        let input = b"hxabaybaabaabaab.k....zxacab.plain.".repeat(8);
+        for plan in [queues, CompilePlan::conservative] {
+            let m = merged_with(&patterns, plan);
+            let mut engines = [m.engine(), m.hybrid_engine(1), m.hybrid_engine(4096)];
+            let mut got = [Vec::new(), Vec::new(), Vec::new()];
+            let (mut rest, mut lens) = (&input[..], [2usize, 3, 5, 7, 11].iter().cycle());
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rest.len().min(*lens.next().unwrap()));
+                rest = tail;
+                for (engine, got) in engines.iter_mut().zip(&mut got) {
+                    engine.feed_into(chunk, got);
+                }
+                let rowless = configuration(&engines[0]);
+                assert!(!rowless.2.is_empty(), "mid-count at {}", rowless.0);
+                for engine in &engines[1..] {
+                    assert_eq!(configuration(engine), rowless, "{engine:?}");
+                }
+            }
+            assert!(engines[1].stats().flushes > 0);
+            for got in got {
+                assert_eq!(got, m.oracle(&input));
+            }
+        }
     }
 
     #[test]
@@ -1870,8 +2138,8 @@ mod tests {
         let mut done = 0;
         while done < hybrid.discovered_states() {
             for class in 0..m.alphabet().len() {
-                hybrid.at.cur = done as u32;
-                let next = HybridEngine::successor(&hybrid.multi, &mut hybrid.at, class);
+                hybrid.at().cur = done as u32;
+                let next = HybridEngine::successor(&m, hybrid.at(), class);
                 assert!(next < WAKES, "counter-free sets wake nothing");
             }
             done += 1;
@@ -1939,11 +2207,11 @@ mod tests {
 
     /// One engine per stream, all on ONE cache of `budget` states, fed
     /// round-robin one chunk of `chunk_len` bytes at a time; every
-    /// stream's reports must equal its own exact engine's. Also checks,
+    /// stream's reports must equal its own oracle's. Also checks,
     /// after every feed, the cache's bound and that no more generations
     /// are alive than engines + 1.
     fn assert_fleet_matches_exact(
-        m: &MultiNca,
+        m: &Merged,
         streams: &[Vec<u8>],
         budget: usize,
         chunk_len: usize,
@@ -1961,7 +2229,7 @@ mod tests {
                 if start >= stream.len() {
                     continue;
                 }
-                if engine.at.generation.is_retired() && engine.counters.any_live() {
+                if engine.at().generation.is_retired() && engine.counters().any_live() {
                     trace.moved_mid_count += 1;
                 }
                 let end = stream.len().min(start + chunk_len);
@@ -1971,7 +2239,7 @@ mod tests {
                     "{} states cached under budget {budget}",
                     engine.discovered_states()
                 );
-                let seen = Arc::downgrade(&engine.at.generation);
+                let seen = Arc::downgrade(&engine.at().generation);
                 if !generations.iter().any(|g| g.ptr_eq(&seen)) {
                     generations.push(seen);
                 }
@@ -1982,7 +2250,7 @@ mod tests {
         for (k, stream) in streams.iter().enumerate() {
             assert_eq!(
                 got[k],
-                m.engine().match_reports(stream),
+                m.oracle(stream),
                 "stream {k}, budget {budget}, chunks of {chunk_len}"
             );
             assert_eq!(engines[k].position(), stream.len() as u64);
@@ -2017,14 +2285,14 @@ mod tests {
     fn a_parked_engine_resumes_after_the_cache_was_flushed_under_it() {
         let m = merged(&FLEET_RULES);
         let streams = fleet_streams(2);
-        let expected = m.engine().match_reports(&streams[0]);
+        let expected = m.oracle(&streams[0]);
         for cut in [1usize, 5, 17, 90, 130] {
             let cache = m.hybrid_cache(2);
             let mut parked = m.hybrid_engine_on(&cache);
             let mut got = Vec::new();
             parked.feed_into(&streams[0][..cut], &mut got);
             assert!(
-                !parked.at.generation.is_retired(),
+                !parked.at().generation.is_retired(),
                 "a parked flow must not pin a generation retired before it parked"
             );
             // Another flow of the shard flushes the cache at least twice.
@@ -2032,7 +2300,7 @@ mod tests {
             let mut other = m.hybrid_engine_on(&cache);
             other.feed_into(&streams[1], &mut Vec::new());
             assert!(cache.stats().flushes >= before + 2);
-            assert!(parked.at.generation.is_retired());
+            assert!(parked.at().generation.is_retired());
             parked.feed_into(&streams[0][cut..], &mut got);
             assert_eq!(got, expected, "cut at {cut}");
         }
@@ -2045,23 +2313,20 @@ mod tests {
         let mut a = m.hybrid_engine_on(&cache);
         let mut b = m.hybrid_engine_on(&cache);
         let dropped = m.hybrid_engine_on(&cache);
-        let first = Arc::downgrade(&a.at.generation);
-        assert!(first.ptr_eq(&Arc::downgrade(&b.at.generation)));
+        let first = Arc::downgrade(&a.at().generation);
+        assert!(first.ptr_eq(&Arc::downgrade(&b.at().generation)));
         // `a` outgrows the budget: the first generation is retired, and
         // only the engines still on it keep it alive.
         a.feed_into(b"abcxy", &mut Vec::new());
         assert!(cache.stats().flushes > 0);
-        assert!(!first.ptr_eq(&Arc::downgrade(&a.at.generation)));
+        assert!(!first.ptr_eq(&Arc::downgrade(&a.at().generation)));
         assert!(first.upgrade().is_some_and(|g| g.is_retired()));
         drop(dropped);
         assert!(first.upgrade().is_some(), "`b` still reads it");
         // `b` migrates at its next feed (an empty one will do).
         b.feed_into(b"", &mut Vec::new());
         assert!(first.upgrade().is_none(), "freed with its last reader");
-        assert_eq!(
-            b.match_reports(b"abcxyabc"),
-            m.engine().match_reports(b"abcxyabc")
-        );
+        assert_eq!(b.match_reports(b"abcxyabc"), m.oracle(b"abcxyabc"));
     }
 
     /// The count-based regression for sharing the rows: flows with the
@@ -2070,7 +2335,7 @@ mod tests {
     fn identical_flows_intern_only_what_the_first_one_did() {
         let m = merged(&FLEET_RULES);
         let stream = &fleet_streams(1)[0];
-        let expected = m.engine().match_reports(stream);
+        let expected = m.oracle(stream);
         let cache = m.hybrid_cache(DEFAULT_STATE_BUDGET);
         let mut first = m.hybrid_engine_on(&cache);
         assert_eq!(first.match_reports(stream), expected);
@@ -2100,7 +2365,7 @@ mod tests {
         let mut got = Vec::new();
         reader.feed_into(&streams[0][..40], &mut got);
         // A writer panics with the generation's write lock held.
-        let poisoned = Arc::clone(&reader.at.generation);
+        let poisoned = Arc::clone(&reader.at().generation);
         let writer = std::thread::spawn({
             let poisoned = Arc::clone(&poisoned);
             move || {
@@ -2112,34 +2377,28 @@ mod tests {
         assert!(poisoned.tables.is_poisoned());
         // The flow that was on it finishes byte-identically ...
         reader.feed_into(&streams[0][40..], &mut got);
-        assert_eq!(got, m.engine().match_reports(&streams[0]));
+        assert_eq!(got, m.oracle(&streams[0]));
         // ... on a fresh generation: the poisoned one takes no more
         // writes and is freed once nothing reads it.
         assert!(poisoned.is_retired());
-        assert!(!Arc::ptr_eq(&poisoned, &reader.at.generation));
+        assert!(!Arc::ptr_eq(&poisoned, &reader.at().generation));
         assert!(!cache.current().is_retired());
         let freed = Arc::downgrade(&poisoned);
         drop(poisoned);
         assert!(freed.upgrade().is_none());
         // New flows of the shard are unaffected.
         let mut sibling = m.hybrid_engine_on(&cache);
-        assert_eq!(
-            sibling.match_reports(&streams[1]),
-            m.engine().match_reports(&streams[1])
-        );
+        assert_eq!(sibling.match_reports(&streams[1]), m.oracle(&streams[1]));
     }
 
     /// Bounded stress (run it with `--release` too: debug builds barely
     /// race): 4 threads × 64 short flows over one cache, thrashing and
-    /// roomy, each flow against its own exact engine.
+    /// roomy, each flow against its own oracle.
     #[test]
     fn threads_sharing_a_cache_agree_with_exact() {
         let m = merged(&FLEET_RULES);
         let streams = fleet_streams(64);
-        let expected: Vec<Vec<MultiReport>> = streams
-            .iter()
-            .map(|s| m.engine().match_reports(s))
-            .collect();
+        let expected: Vec<Vec<MultiReport>> = streams.iter().map(|s| m.oracle(s)).collect();
         for budget in [3usize, DEFAULT_STATE_BUDGET] {
             let cache = m.hybrid_cache(budget);
             let start = std::sync::Barrier::new(4);

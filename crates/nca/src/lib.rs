@@ -50,7 +50,7 @@ pub use compiled::{CompilePlan, CompiledEngine, StorageMode};
 pub use dfa::{full_dfa_size, DfaEngine};
 pub use engine::{match_ends, matches, Engine, TokenSetEngine};
 pub use hybrid::{HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
-pub use multi::{MultiEngine, MultiNca, MultiReport, ShardStream, ShardedMulti};
+pub use multi::{MultiNca, MultiReport, ShardStream, ShardedMulti};
 pub use nca::{ActionOp, CounterId, CounterInfo, GuardAtom, Nca, State, StateId, Transition};
 pub use nfa::NfaEngine;
 pub use token::{Prepared, Token};

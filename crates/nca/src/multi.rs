@@ -1,6 +1,5 @@
 //! Multi-pattern execution: many per-pattern NCAs merged into **one**
-//! shared automaton, stepped by a batched engine over dense state
-//! frontiers.
+//! shared automaton, scanned in one pass by one engine.
 //!
 //! This is the software twin of a whole machine image: production
 //! deployments of automata accelerators compile the entire ruleset into
@@ -11,26 +10,24 @@
 //! static analysis — carry over unchanged, and every accepting state
 //! remembers which pattern it reports for.
 //!
-//! Two batching effects make [`MultiEngine`] faster than a loop over
-//! single-pattern engines:
-//!
-//! * **shared byte-class alphabet** — the union of all patterns'
-//!   predicates partitions Σ into equivalence classes
-//!   ([`recama_syntax::ByteClassSet`]); each input byte is classified
-//!   once, and destination-class tests become one bit probe instead of a
-//!   256-bit membership test per state;
-//! * **dense activity frontiers** — one bitset marks the live states of
-//!   the whole set, so per-byte work scales with the number of *active*
-//!   states (typically a few per pattern on benign traffic), not with the
-//!   total automaton size the way `N × CompiledEngine` does.
+//! The union of all patterns' predicates partitions Σ into equivalence
+//! classes ([`recama_syntax::ByteClassSet`]), so each input byte is
+//! classified once for the whole set. Every engine over a [`MultiNca`] is
+//! a [`HybridEngine`]: the pure part of the frontier beside the counter
+//! bank, on the lazily determinized rows of a [`HybridCache`] or — from
+//! [`MultiNca::engine`] — without rows, stepped through the same edge
+//! walk a row fill makes.
 
 use crate::bank::CounterBank;
-use crate::compiled::{counting_set_eligible, CompilePlan, Storage, StorageMode};
+use crate::compiled::{counting_set_eligible, CompilePlan, StorageMode};
 use crate::hybrid::{HybridCache, HybridEngine, HybridStats};
 use crate::nca::{ActionOp, GuardAtom, Nca, State, StateId, Transition};
-use crate::token::{resolve_guard, resolve_transition, SlotSrc, SlotTest};
+use crate::token::{resolve_transition, SlotSrc, SlotTest};
 use recama_syntax::{ByteAlphabet, ByteClassSet};
 use std::sync::Arc;
+
+/// [`MultiNca::accepting`] entry of a state that does not accept.
+pub(crate) const NO_PATTERN: u32 = u32::MAX;
 
 /// A report of the multi-pattern engine: pattern `pattern` matched with
 /// its last byte at 1-based offset `end`.
@@ -65,6 +62,9 @@ struct Image {
     alphabet: ByteAlphabet,
     /// Pattern owning each state; `u32::MAX` for the merged `q0`.
     pattern_of_state: Vec<u32>,
+    /// Per state: the pattern it accepts for, or [`NO_PATTERN`]. Shared
+    /// with every [`HybridCache`] of the automaton.
+    accepting: Arc<[u32]>,
     pattern_count: usize,
     /// Immutable engine tables, built once here so every
     /// [`MultiNca::engine`] call only allocates mutable state.
@@ -187,13 +187,23 @@ impl MultiNca {
             "merge must preserve counting-set eligibility"
         );
         let plan = CompilePlan::from_modes(modes);
-        let tables = EngineTables::build(&nca, &plan, &alphabet);
+        let tables = EngineTables::build(&nca, &alphabet);
         let bank = CounterBank::build(&nca, &plan, &alphabet, &pattern_of_state);
+        let accepting = (nca.states().iter().zip(&pattern_of_state))
+            .map(|(s, &pattern)| {
+                if s.accepts.is_empty() {
+                    NO_PATTERN
+                } else {
+                    pattern
+                }
+            })
+            .collect();
         MultiNca(Arc::new(Image {
             nca,
             plan,
             alphabet,
             pattern_of_state,
+            accepting,
             pattern_count: parts.len(),
             tables,
             bank,
@@ -228,9 +238,12 @@ impl MultiNca {
         }
     }
 
-    /// Creates a batched engine over the merged automaton.
-    pub fn engine(&self) -> MultiEngine {
-        MultiEngine::new(self)
+    /// Creates an engine over the merged automaton that caches no rows
+    /// (see [`crate::HybridEngine`]): every byte steps the pure part of
+    /// the frontier through the edge walk a row fill makes, beside the
+    /// bank of counter modules — the [`crate::ScanMode::Nca`] engine.
+    pub fn engine(&self) -> HybridEngine {
+        HybridEngine::rowless(self)
     }
 
     /// Creates a hybrid lazy-DFA overlay engine (see
@@ -265,6 +278,11 @@ impl MultiNca {
     /// The immutable engine tables (shared by every engine instance).
     pub(crate) fn tables(&self) -> &EngineTables {
         &self.0.tables
+    }
+
+    /// Per state: the pattern it accepts for, or [`NO_PATTERN`].
+    pub(crate) fn accepting(&self) -> &Arc<[u32]> {
+        &self.0.accepting
     }
 
     /// The counter modules (shared by every hybrid engine instance).
@@ -397,18 +415,18 @@ impl ShardedMulti {
     /// A fresh scanning state for shard `i`, reporting **global** pattern
     /// indices — the unit a many-flow scheduler checks out. On `cache` —
     /// shard `i`'s entry of [`ShardedMulti::hybrid_caches`], shared with
-    /// every other stream of that shard — it scans with the hybrid
-    /// lazy-DFA overlay (see [`crate::HybridEngine`]); without one, with
-    /// the exact NCA engine.
+    /// every other stream of that shard — it scans on those lazy-DFA
+    /// rows (see [`crate::HybridEngine`]); without one, without rows
+    /// ([`MultiNca::engine`]).
     pub fn shard_stream(&self, i: usize, cache: Option<&HybridCache>) -> ShardStream {
         let multi = &self.shards[i];
         ShardStream {
             members: Arc::clone(&self.members[i]),
             shard: i,
-            engine: match cache {
-                Some(cache) => StreamEngine::Hybrid(Box::new(multi.hybrid_engine_on(cache))),
-                None => StreamEngine::Nca(Box::new(multi.engine())),
-            },
+            engine: Box::new(match cache {
+                Some(cache) => multi.hybrid_engine_on(cache),
+                None => multi.engine(),
+            }),
         }
     }
 }
@@ -431,16 +449,9 @@ impl ShardedMulti {
 pub struct ShardStream {
     members: Arc<[u32]>,
     shard: usize,
-    engine: StreamEngine,
-}
-
-/// The execution strategy behind one [`ShardStream`]: the exact batched
-/// NCA engine, or the lazy-DFA hybrid overlay. Both variants are boxed:
-/// streams move between workers at every checkout/check-in, and the
-/// engines are hundreds of bytes of inline state.
-enum StreamEngine {
-    Nca(Box<MultiEngine>),
-    Hybrid(Box<HybridEngine>),
+    /// Boxed: streams move between workers at every checkout/check-in,
+    /// and an engine is hundreds of bytes of inline state.
+    engine: Box<HybridEngine>,
 }
 
 impl ShardStream {
@@ -451,21 +462,16 @@ impl ShardStream {
 
     /// Bytes of the logical stream this shard has consumed.
     pub fn position(&self) -> u64 {
-        match &self.engine {
-            StreamEngine::Nca(e) => e.position(),
-            StreamEngine::Hybrid(e) => e.position(),
-        }
+        self.engine.position()
     }
 
     /// This stream's **own** hybrid-overlay counters — the byte counters;
     /// `dfa_states` and `flushes` are 0 because they belong to the
     /// shard's cache ([`HybridCache::stats`]), which an aggregate counts
-    /// once per shard, not once per flow. `None` for an exact-NCA stream.
+    /// once per shard, not once per flow. `None` for a stream without
+    /// rows.
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
-        match &self.engine {
-            StreamEngine::Nca(_) => None,
-            StreamEngine::Hybrid(e) => Some(e.byte_counters()),
-        }
+        self.engine.byte_counters()
     }
 
     /// Returns this shard to the start of the stream.
@@ -478,10 +484,7 @@ impl ShardStream {
     /// primitive (a cold shard's engine skips ahead without scanning the
     /// skipped bytes).
     pub fn restart_at(&mut self, position: u64) {
-        match &mut self.engine {
-            StreamEngine::Nca(e) => e.restart_at(position),
-            StreamEngine::Hybrid(e) => e.restart_at(position),
-        }
+        self.engine.restart_at(position);
     }
 
     /// Consumes `chunk`, appending reports with **global** pattern
@@ -492,10 +495,7 @@ impl ShardStream {
     /// globally.
     pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
         let start = out.len();
-        match &mut self.engine {
-            StreamEngine::Nca(e) => e.feed_into(chunk, out),
-            StreamEngine::Hybrid(e) => e.feed_into(chunk, out),
-        }
+        self.engine.feed_into(chunk, out);
         for r in &mut out[start..] {
             r.pattern = self.members[r.pattern as usize];
         }
@@ -534,29 +534,20 @@ pub(crate) struct OutEdge {
     pub(crate) dst: Vec<SlotSrc>,
 }
 
-/// The immutable, shareable part of the batched engine: edge programs,
-/// finalization predicates, and class-membership bitsets. Built once per
-/// [`MultiNca`]; every engine instance reads it through its handle.
+/// The immutable tables of the pure edge walk: edge programs and
+/// class-membership bitsets. Built once per [`MultiNca`]; every engine
+/// instance reads it through its handle.
 #[derive(Debug)]
 pub(crate) struct EngineTables {
     /// Outgoing edge programs per state.
     pub(crate) out_edges: Vec<Vec<OutEdge>>,
-    /// Slot-resolved finalization DNF per state.
-    pub(crate) accepts: Vec<Vec<Vec<SlotTest>>>,
     /// `class_member[c]` is a bitset over states: bit `q` set iff the
     /// equivalence class `c` is inside `class(q)`.
     pub(crate) class_member: Vec<Vec<u64>>,
-    /// Bitset over states: bit `q` set iff state `q` carries a counter.
-    counted_mask: Vec<u64>,
-    /// Whether each state uses the counting-set queue representation.
-    is_queue: Vec<bool>,
-    /// For queue states: whether the state has the self-loop increment
-    /// edge (its tokens survive a matching byte).
-    queue_self_loop: Vec<bool>,
 }
 
 impl EngineTables {
-    fn build(nca: &Nca, plan: &CompilePlan, alphabet: &ByteAlphabet) -> EngineTables {
+    fn build(nca: &Nca, alphabet: &ByteAlphabet) -> EngineTables {
         let n = nca.state_count();
         let words = n.div_ceil(64);
         let out_edges = (0..n)
@@ -573,17 +564,6 @@ impl EngineTables {
                     .collect()
             })
             .collect();
-        let accepts = nca
-            .states()
-            .iter()
-            .enumerate()
-            .map(|(qi, s)| {
-                s.accepts
-                    .iter()
-                    .map(|conj| resolve_guard(nca, StateId(qi as u32), conj))
-                    .collect()
-            })
-            .collect();
         let class_member = alphabet
             .classes()
             .map(|(_, rep)| {
@@ -596,349 +576,41 @@ impl EngineTables {
                 row
             })
             .collect();
-        let mut counted_mask = vec![0u64; words];
-        for (qi, s) in nca.states().iter().enumerate() {
-            if !s.counters.is_empty() {
-                counted_mask[qi / 64] |= 1 << (qi % 64);
-            }
-        }
-        let is_queue: Vec<bool> = (0..n)
-            .map(|qi| plan.mode(StateId(qi as u32)) == StorageMode::CountingSet)
-            .collect();
-        let queue_self_loop = (0..n)
-            .map(|qi| {
-                is_queue[qi]
-                    && nca
-                        .transitions_into(StateId(qi as u32))
-                        .any(|t| t.from.index() == qi)
-            })
-            .collect();
         EngineTables {
             out_edges,
-            accepts,
             class_member,
-            counted_mask,
-            is_queue,
-            queue_self_loop,
         }
     }
 }
 
-/// The batched multi-pattern engine. See the module docs.
-///
-/// It owns its mutable state and a handle on the [`MultiNca`] it steps,
-/// so it is `'static + Send` and can be kept wherever a scan left it.
-pub struct MultiEngine {
-    multi: MultiNca,
-    /// Per-state token storage for the current / next configuration.
-    cur: Vec<Storage>,
-    nxt: Vec<Storage>,
-    /// Bitset over states: `cur[q]` holds at least one token.
-    active: Vec<u64>,
-    next_active: Vec<u64>,
-    /// Generation stamps for lazy clearing of `nxt`.
-    stamp: Vec<u64>,
-    generation: u64,
-    /// Reusable destination-valuation buffer.
-    value_scratch: Vec<u32>,
-    /// Per-pattern stamp deduplicating reports within one step.
-    report_stamp: Vec<u64>,
-    /// Counting-set scratch: queue states reached by this step's frontier.
-    touched_queues: Vec<u32>,
-    /// Generation stamp marking queue states already in `touched_queues`.
-    queue_touch_stamp: Vec<u64>,
-    /// Whether a guarded entry edge fired into each touched queue state.
-    queue_entry_hit: Vec<bool>,
-    /// Stream position (bytes consumed since reset).
-    position: u64,
-    conflicts: u64,
-}
-
-impl MultiEngine {
-    /// Builds an engine over `multi`'s shared tables; only the mutable
-    /// per-engine state (token storage, frontiers, stamps) is allocated.
-    pub fn new(multi: &MultiNca) -> MultiEngine {
-        let nca = multi.nca();
-        let n = nca.state_count();
-        let words = n.div_ceil(64);
-        let storage_for = |qi: usize| {
-            let s = &nca.states()[qi];
-            let bound = s
-                .counters
-                .first()
-                .map(|&c| nca.counter(c).bound())
-                .unwrap_or(0);
-            Storage::new(multi.plan().mode(StateId(qi as u32)), bound)
-        };
-        let mut e = MultiEngine {
-            multi: multi.clone(),
-            cur: (0..n).map(storage_for).collect(),
-            nxt: (0..n).map(storage_for).collect(),
-            active: vec![0; words],
-            next_active: vec![0; words],
-            stamp: vec![0; n],
-            generation: 0,
-            value_scratch: Vec::new(),
-            report_stamp: vec![0; multi.pattern_count()],
-            touched_queues: Vec::new(),
-            queue_touch_stamp: vec![0; n],
-            queue_entry_hit: vec![false; n],
-            position: 0,
-            conflicts: 0,
-        };
-        e.reset();
-        e
-    }
-
-    /// Returns to the initial configuration (stream position 0).
-    pub fn reset(&mut self) {
-        self.restart_at(0);
-    }
-
-    /// Bytes consumed since the last reset.
-    pub fn position(&self) -> u64 {
-        self.position
-    }
-
-    /// Returns to the initial configuration (only `q0` live, stamps and
-    /// conflict count rewound) but reports subsequent matches as if the
-    /// stream started at absolute offset `position` — the primitive
-    /// behind prefilter wake-up, where a cold shard's engine teleports
-    /// past skipped bytes and resumes with a fresh `Σ*` frontier (sound
-    /// because a fresh frontier at any offset is a subset of the true
-    /// frontier there, and over-approximates nothing the search form
-    /// `Σ*·r` would not restart anyway).
-    pub fn restart_at(&mut self, position: u64) {
-        for w in &mut self.active {
-            *w = 0;
-        }
-        for s in &mut self.cur {
-            s.clear();
-        }
-        self.stamp.iter_mut().for_each(|s| *s = 0);
-        self.report_stamp.iter_mut().for_each(|s| *s = 0);
-        self.queue_touch_stamp.iter_mut().for_each(|s| *s = 0);
-        self.generation = 0;
-        self.conflicts = 0;
-        self.cur[0] = Storage::PureBit(true);
-        self.active[0] = 1;
-        self.position = position;
-    }
-
-    /// Number of `SingleValue` collisions observed (must stay 0 when the
-    /// plans came from a sound analysis; see [`crate::CompiledEngine`]).
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
-    }
-
-    /// Number of live (token-holding) states — the frontier size the
-    /// per-byte work scales with.
-    pub fn active_states(&self) -> usize {
-        self.active.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether any counter-carrying state is live. O(state words): one
-    /// AND against the precomputed counted-state mask.
-    pub fn counting_active(&self) -> bool {
-        self.active
-            .iter()
-            .zip(&self.multi.tables().counted_mask)
-            .any(|(a, m)| a & m != 0)
-    }
-
-    /// Consumes one byte, appending `(pattern, end)` reports to `out`.
-    ///
-    /// Reports are deduplicated per pattern and appended in merged state
-    /// order. Because [`MultiNca::merge`] lays out each pattern's states
-    /// contiguously in pattern order and the frontier is walked in state
-    /// order, this is **ascending pattern order within one step** — a
-    /// guaranteed contract: the sharded ordered merge
-    /// (`ShardedPatternSet` in `recama`) relies on it to recombine
-    /// per-shard reports byte-identically. `end` is the current 1-based
-    /// stream offset.
-    pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
-        self.position += 1;
-        let class = self.multi.alphabet().class_of(byte);
-        self.advance(class);
-        self.collect_reports(out);
-    }
-
-    /// Moves every live token over one byte of `class` and swaps the
-    /// configuration buffers.
-    fn advance(&mut self, class: usize) {
-        self.generation = self.generation.wrapping_add(1);
-        let generation = self.generation;
-        let tables = self.multi.tables();
-        let member_row = &tables.class_member[class];
-        for w in &mut self.next_active {
-            *w = 0;
-        }
-        let cur = &self.cur;
-        let nxt = &mut self.nxt;
-        let stamp = &mut self.stamp;
-        let next_active = &mut self.next_active;
-        let value_scratch = &mut self.value_scratch;
-        let touched_queues = &mut self.touched_queues;
-        let queue_touch_stamp = &mut self.queue_touch_stamp;
-        let queue_entry_hit = &mut self.queue_entry_hit;
-        touched_queues.clear();
-        let mut conflicts = 0u64;
-        let mut fire = |p: usize, src: &Storage, edge: &OutEdge| {
-            let q = edge.to as usize;
-            if member_row[q / 64] & (1 << (q % 64)) == 0 {
-                return;
-            }
-            if tables.is_queue[q] {
-                // Counting-set destinations are advanced by the
-                // specialized pass below; here only record that the state
-                // was reached and whether a (guarded) entry edge fired
-                // against the *current* configuration — queues must not
-                // mutate before every entry guard has been read (queue
-                // states may feed each other).
-                if queue_touch_stamp[q] != generation {
-                    queue_touch_stamp[q] = generation;
-                    queue_entry_hit[q] = false;
-                    touched_queues.push(q as u32);
-                }
-                if p != q && !queue_entry_hit[q] {
-                    let mut hit = false;
-                    src.for_each(|values| {
-                        hit = hit || edge.guard.iter().all(|g| g.eval(values));
-                    });
-                    queue_entry_hit[q] = hit;
-                }
-                return;
-            }
-            if stamp[q] != generation {
-                stamp[q] = generation;
-                nxt[q].clear();
-            }
-            let nxt_q = &mut nxt[q];
-            src.for_each(|values| {
-                if edge.guard.iter().all(|g| g.eval(values)) {
-                    value_scratch.clear();
-                    value_scratch.extend(edge.dst.iter().map(|s| s.eval(values)));
-                    if nxt_q.insert(value_scratch) {
-                        conflicts += 1;
-                    }
-                }
-            });
-            if !nxt_q.is_empty() {
-                next_active[q / 64] |= 1 << (q % 64);
-            }
-        };
-        for (wi, &word) in self.active.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let p = wi * 64 + bit;
-                for edge in &tables.out_edges[p] {
-                    fire(p, &cur[p], edge);
-                }
-            }
-        }
-        // Counting-set pass: each touched queue advances with one clock
-        // bump (`shift`) and at most one fresh value-1 token instead of an
-        // O(bound) bit-vector walk. Untouched queues (their class did not
-        // match the byte, or no live predecessor reached them) simply stay
-        // inactive; their stale storage is stamp-cleared on next touch.
-        let cur = &mut self.cur;
-        let queue_self_loop = &tables.queue_self_loop;
-        for &q in touched_queues.iter() {
-            let qi = q as usize;
-            if stamp[qi] != generation {
-                stamp[qi] = generation;
-                nxt[qi].clear();
-            }
-            let live = self.active[qi / 64] & (1 << (qi % 64)) != 0;
-            let survives = live && queue_self_loop[qi];
-            if survives {
-                // Move the live queue into the next buffer; the cleared
-                // one swaps back and is reused on a later step.
-                std::mem::swap(&mut cur[qi], &mut nxt[qi]);
-            }
-            match &mut nxt[qi] {
-                Storage::Queue { queue, bound } => {
-                    if survives {
-                        queue.shift(*bound);
-                    }
-                    if queue_entry_hit[qi] {
-                        queue.set_first();
-                    }
-                }
-                _ => unreachable!("counting-set states use Queue storage"),
-            }
-            if !nxt[qi].is_empty() {
-                next_active[qi / 64] |= 1 << (qi % 64);
-            }
-        }
-        self.conflicts += conflicts;
-        std::mem::swap(&mut self.cur, &mut self.nxt);
-        std::mem::swap(&mut self.active, &mut self.next_active);
-    }
-
-    /// Appends one report at the current offset per pattern with a live
-    /// accepting token, in ascending pattern order.
-    fn collect_reports(&mut self, out: &mut Vec<MultiReport>) {
-        let generation = self.generation;
-        let end = self.position;
-        let tables = self.multi.tables();
-        for (wi, &word) in self.active.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let q = wi * 64 + bit;
-                let disjuncts = &tables.accepts[q];
-                if disjuncts.is_empty() {
-                    continue;
-                }
-                let pattern = self.multi.0.pattern_of_state[q];
-                debug_assert_ne!(pattern, u32::MAX, "merged q0 never accepts");
-                if self.report_stamp[pattern as usize] == generation {
-                    continue; // this pattern already reported at this offset
-                }
-                let mut hit = false;
-                self.cur[q].for_each(|values| {
-                    if !hit {
-                        hit = disjuncts
-                            .iter()
-                            .any(|conj| conj.iter().all(|g| g.eval(values)));
-                    }
+/// The referee of the unit tests that scan a merge: each of `patterns`
+/// in stream form, scanned alone by a conservative
+/// [`crate::CompiledEngine`], its ends > 0 tagged with its index, in
+/// stream order — ascending end, ascending pattern within one end. No
+/// merge, row or counter module is involved.
+#[cfg(test)]
+pub(crate) fn per_pattern_reports<S: AsRef<str>>(patterns: &[S], input: &[u8]) -> Vec<MultiReport> {
+    use crate::engine::Engine;
+    let mut expected = Vec::new();
+    for (pi, p) in patterns.iter().enumerate() {
+        let nca = Nca::from_regex(&recama_syntax::parse(p.as_ref()).unwrap().for_stream());
+        let mut engine = crate::CompiledEngine::conservative(&nca);
+        for end in engine.match_ends(input) {
+            if end > 0 {
+                expected.push(MultiReport {
+                    pattern: pi as u32,
+                    end: end as u64,
                 });
-                if hit {
-                    self.report_stamp[pattern as usize] = generation;
-                    out.push(MultiReport { pattern, end });
-                }
             }
         }
     }
-
-    /// Feeds a whole chunk, appending reports to `out`. Stream position
-    /// persists across calls, so chunked feeding is equivalent to one
-    /// contiguous scan.
-    pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
-        for &b in chunk {
-            self.step_into(b, out);
-        }
-    }
-
-    /// One-shot scan: resets, consumes `input`, returns all reports in
-    /// stream order.
-    pub fn match_reports(&mut self, input: &[u8]) -> Vec<MultiReport> {
-        self.reset();
-        let mut out = Vec::new();
-        self.feed_into(input, &mut out);
-        out
-    }
+    expected.sort_by_key(|r| (r.end, r.pattern));
+    expected
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
-    use crate::CompiledEngine;
     use recama_syntax::parse;
 
     fn stream_nca(pattern: &str) -> Nca {
@@ -956,30 +628,10 @@ mod tests {
         m
     }
 
-    fn per_pattern_reports(patterns: &[&str], input: &[u8]) -> Vec<MultiReport> {
-        let mut expected = Vec::new();
-        for (pi, p) in patterns.iter().enumerate() {
-            let nca = stream_nca(p);
-            let mut engine = CompiledEngine::conservative(&nca);
-            for end in engine.match_ends(input) {
-                if end > 0 {
-                    expected.push(MultiReport {
-                        pattern: pi as u32,
-                        end: end as u64,
-                    });
-                }
-            }
-        }
-        expected.sort();
-        expected
-    }
-
     fn assert_agrees(patterns: &[&str], input: &[u8]) {
         let m = multi(patterns);
-        let mut got = m.engine().match_reports(input);
-        got.sort();
         assert_eq!(
-            got,
+            m.engine().match_reports(input),
             per_pattern_reports(patterns, input),
             "{patterns:?} on {:?}",
             String::from_utf8_lossy(input)
@@ -1046,6 +698,7 @@ mod tests {
         let input = b"zabbbc_xxx_qrst_abbc_xxxx".to_vec();
         let mut engine = m.engine();
         let oneshot = engine.match_reports(&input);
+        assert_eq!(oneshot, per_pattern_reports(&patterns, &input));
         for chunk_len in [1usize, 2, 3, 7, input.len()] {
             let mut engine = m.engine();
             let mut chunked = Vec::new();
@@ -1093,9 +746,7 @@ mod tests {
     fn sharded_union_equals_single_merge() {
         let patterns = ["ab{2,3}c", "a{3}", "x[yz]{2}", "cab", "k\\d{2}"];
         let input = b"abbc.aaa.xyz.cab.k42.abbbc";
-        let single = multi(&patterns);
-        let mut expected = single.engine().match_reports(input);
-        expected.sort();
+        let expected = per_pattern_reports(&patterns, input);
         for shards in [
             vec![vec![0, 1, 2, 3, 4]],
             vec![vec![0, 1], vec![2, 3], vec![4]],
@@ -1112,7 +763,7 @@ mod tests {
                     });
                 }
             }
-            got.sort();
+            got.sort_by_key(|r| (r.end, r.pattern));
             assert_eq!(got, expected, "shards {shards:?}");
         }
     }
@@ -1161,9 +812,7 @@ mod tests {
     fn shard_streams_translate_and_resume_independently() {
         let patterns = ["ab{2,3}c", "a{3}", "x[yz]{2}", "cab", "k\\d{2}"];
         let input = b"abbc.aaa.xyz.cab.k42.abbbc";
-        let mut expected = multi(&patterns).engine().match_reports(input);
-        expected.sort();
-
+        let expected = per_pattern_reports(&patterns, input);
         let sm = sharded(&patterns, &[vec![0, 1], vec![2, 3], vec![4]]);
         let mut streams: Vec<ShardStream> = (0..sm.shard_count())
             .map(|si| sm.shard_stream(si, None))
@@ -1178,7 +827,7 @@ mod tests {
             }
             assert_eq!(stream.position(), input.len() as u64);
         }
-        got.sort();
+        got.sort_by_key(|r| (r.end, r.pattern));
         assert_eq!(got, expected, "reports carry global pattern ids");
     }
 
@@ -1188,7 +837,6 @@ mod tests {
         fn assert_static_send<T: Send + 'static>() {}
         fn assert_shared<T: Clone + Send + Sync>() {}
         assert_static_send::<HybridEngine>();
-        assert_static_send::<MultiEngine>();
         assert_static_send::<ShardStream>();
         assert_shared::<MultiNca>();
     }
@@ -1199,12 +847,10 @@ mod tests {
         let input = b"plain k.xabz xbby plain k....z";
         let cut = 10; // "k.xa": both counters are counting
         let mut exact = multi(&patterns).engine();
-        let mut expected = Vec::new();
-        exact.feed_into(&input[..cut], &mut expected);
-        assert!(exact.counting_active(), "the cut is mid-count");
-        exact.feed_into(&input[cut..], &mut expected);
+        exact.feed_into(&input[..cut], &mut Vec::new());
+        assert!(exact.counters().any_live(), "the cut is mid-count");
+        let expected = per_pattern_reports(&patterns, input);
         assert_eq!(expected.len(), 5);
-        expected.sort();
         for hybrid in [false, true] {
             let sm = sharded(&patterns, &[vec![0], vec![1, 2]]);
             let caches = sm.hybrid_caches(crate::DEFAULT_STATE_BUDGET);
@@ -1221,7 +867,7 @@ mod tests {
                 stream.feed_into(&input[cut..], &mut got);
                 assert_eq!(stream.position(), input.len() as u64);
             }
-            got.sort();
+            got.sort_by_key(|r| (r.end, r.pattern));
             assert_eq!(got, expected, "hybrid: {hybrid}");
         }
     }
@@ -1229,15 +875,39 @@ mod tests {
     #[test]
     fn conflicts_stay_zero_with_sound_plans() {
         let patterns = [".*a{3}", "k.{2,5}z"];
-        let m = multi(&patterns);
-        let mut engine = m.engine();
-        engine.match_reports(b"aaaa k..z aaa kzzzzz");
-        assert_eq!(engine.conflicts(), 0);
+        let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
+        // One valuation per counted state: sound on these anchored rules.
+        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::with_unambiguous_states(n, |_| true);
+        let anchored = ["^k.{2,5}z", "^(a{2}b){3}", "^a{3}"];
+        for (patterns, plan) in [
+            (
+                &patterns[..],
+                CompilePlan::conservative as fn(&Nca) -> CompilePlan,
+            ),
+            (&patterns, queues),
+            (&anchored, single),
+        ] {
+            let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
+            let parts: Vec<(&Nca, CompilePlan)> = ncas.iter().map(|n| (n, plan(n))).collect();
+            let m = MultiNca::merge(&parts);
+            for input in [
+                &b"aaaa k..z aaa kzzzzz"[..],
+                b"k...z",
+                b"aabaabaab",
+                b"aaab",
+            ] {
+                for mut engine in [m.engine(), m.hybrid_engine(crate::DEFAULT_STATE_BUDGET)] {
+                    let reports = engine.match_reports(input);
+                    assert_eq!(reports, per_pattern_reports(patterns, input));
+                    assert_eq!(engine.conflicts(), 0, "{patterns:?}, {engine:?}");
+                }
+            }
+        }
     }
 
-    /// Differential: the ported counting-set queue pass must be
-    /// byte-identical to the bit-vector plan on bounded-repeat rulesets,
-    /// across chunk boundaries.
+    /// Differential: the counting-set queue cells must report what the
+    /// bit-vector plan and the per-pattern oracle do on bounded-repeat
+    /// rulesets, across chunk boundaries.
     #[test]
     fn counting_set_multi_engine_matches_bitvector_plan() {
         let rulesets: [&[&str]; 3] = [
@@ -1270,14 +940,15 @@ mod tests {
                 b"bbbb qqt abxxx kaaz",
                 b"",
             ] {
-                let expected = bits.engine().match_reports(input);
+                let expected = per_pattern_reports(patterns, input);
+                assert_eq!(bits.engine().match_reports(input), expected);
                 assert_eq!(
                     queues.engine().match_reports(input),
                     expected,
                     "{patterns:?} on {:?}",
                     String::from_utf8_lossy(input)
                 );
-                // Chunked feeding hits the stamp-based lazy clears too.
+                // Chunked feeding too.
                 for chunk_len in [1usize, 2, 5] {
                     let mut engine = queues.engine();
                     let mut got = Vec::new();
@@ -1290,19 +961,9 @@ mod tests {
         }
     }
 
-    /// Live counter-carrying states of `engine`.
-    fn counted_live(engine: &MultiEngine) -> u64 {
-        engine
-            .active
-            .iter()
-            .zip(&engine.multi.tables().counted_mask)
-            .map(|(a, m)| u64::from((a & m).count_ones()))
-            .sum()
-    }
-
     /// The hybrid overlay's stat definitions
     /// ([`HybridStats::fallback_bytes`](crate::HybridStats::fallback_bytes)),
-    /// against a reference exact engine over the same bytes — the
+    /// against the engine without rows over the same bytes — the
     /// count-based, timer-free check that only counted states are stepped
     /// exactly, and only on bytes where one can be seen. The one counting
     /// rule here is the counting set `.{55}`: every wake of it is taken
@@ -1335,14 +996,12 @@ mod tests {
             input.extend(std::iter::repeat_n(b'.', (i * 7 % 31) as usize));
         }
 
-        let counting = m.nca().states().iter().position(|s| !s.is_pure()).unwrap();
-        // The values of the counting set's tokens.
-        let values = |engine: &MultiEngine| {
-            let mut values = Vec::new();
-            if counted_live(engine) > 0 {
-                engine.cur[counting].for_each(|v| values.push(v[0]));
-            }
-            values
+        assert_eq!(m.bank().len(), 1, "only `.{{55}}` counts");
+        // Live counted states, and the values of the counting set's tokens.
+        let counted_live = |engine: &HybridEngine| engine.counters().live_count() as u64;
+        let values = |engine: &HybridEngine| {
+            let tokens = engine.counters().tokens();
+            tokens.into_iter().map(|(_, v)| v[0]).collect::<Vec<u32>>()
         };
         let mut reference = m.engine();
         let mut expected = Vec::new();
@@ -1362,6 +1021,7 @@ mod tests {
             }
         }
         assert!(fallback_bytes > 0 && slept_bytes > 5 * fallback_bytes);
+        assert_eq!(expected, per_pattern_reports(&patterns, &input));
 
         for chunk_len in [1usize, 3, 7, input.len()] {
             let mut hybrid = m.hybrid_engine(crate::DEFAULT_STATE_BUDGET);
@@ -1395,11 +1055,10 @@ mod tests {
             .map(|n| (n, CompilePlan::optimized(n, |_| false)))
             .collect();
         let opt = MultiNca::merge(&opt_parts);
-        let baseline = multi(&patterns);
         for input in [&b"aaaa abbc xyz kxxz"[..], b"abbbc k....z aaa"] {
             assert_eq!(
                 opt.engine().match_reports(input),
-                baseline.engine().match_reports(input)
+                per_pattern_reports(&patterns, input)
             );
         }
     }

@@ -1,8 +1,10 @@
-//! Differential testing of the hybrid lazy-DFA overlay: on random
+//! Differential testing of the hybrid lazy-DFA engine: on random
 //! rulesets mixing pure and counting patterns, random inputs, and random
-//! chunk boundaries, a [`ScanMode::Hybrid`] engine must report exactly
-//! what the exact [`ScanMode::Nca`] engine reports — which in turn must
-//! equal the union of per-[`Pattern`] `find_ends` results. The property
+//! chunk boundaries, a [`ScanMode::Hybrid`] engine and the
+//! [`ScanMode::Nca`] engine — the same engine without rows, every byte
+//! the edge walk of a row fill beside the counter bank — must both
+//! report the referee's answer: the union of per-[`Pattern`] `find_ends`
+//! results, each pattern scanned alone. The property
 //! runs include pathological state budgets (as small as 1 cached DFA
 //! state, so the subset cache thrashes through flushes) and
 //! counter-heavy rulesets that keep counted tokens live — stepped
