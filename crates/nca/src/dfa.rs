@@ -10,7 +10,8 @@
 //! ([`crate::HybridEngine`]): both intern sorted state subsets in the
 //! dense-row [`SubsetCache`], indexed by byte *class* rather than raw
 //! byte, so a transition row costs one `u32` per equivalence class
-//! instead of 256.
+//! instead of 256. Both name a DFA state by its *handle*, the offset of
+//! its row, so a cached transition is one add and one load.
 
 use crate::engine::Engine;
 use crate::hybrid::{SubsetCache, UNKNOWN};
@@ -21,7 +22,8 @@ use recama_syntax::{ByteAlphabet, ByteClassSet};
 ///
 /// States are discovered on demand and memoized; each input byte costs one
 /// transition-table lookup once the state is cached (the "single memory
-/// lookup" behavior of DFA matchers).
+/// lookup" behavior of DFA matchers) — one add and one load, since the
+/// engine holds the current state as the offset of its row.
 ///
 /// # Examples
 ///
@@ -39,7 +41,9 @@ pub struct DfaEngine<'a> {
     /// predicates; row lookups are class-indexed.
     alphabet: ByteAlphabet,
     cache: SubsetCache,
+    /// Per DFA state, by dense id: whether it holds a final state.
     accepting: Vec<bool>,
+    /// Handles of the current and the start state.
     current: u32,
     start: u32,
 }
@@ -74,7 +78,7 @@ impl<'a> DfaEngine<'a> {
     }
 
     fn intern(&mut self, subset: &[u32]) -> u32 {
-        let (id, is_new) = self.cache.intern(subset);
+        let (handle, is_new) = self.cache.intern(subset);
         if is_new {
             self.accepting.push(
                 subset
@@ -82,9 +86,10 @@ impl<'a> DfaEngine<'a> {
                     .any(|&q| self.nca.state(StateId(q)).is_final()),
             );
         }
-        id
+        handle
     }
 
+    /// The handle of the successor of the state with handle `state`.
     fn successor(&mut self, state: u32, byte: u8) -> u32 {
         let class = self.alphabet.class_of(byte);
         let cached = self.cache.get(state, class);
@@ -106,9 +111,9 @@ impl<'a> DfaEngine<'a> {
         }
         next.sort_unstable();
         next.dedup();
-        let id = self.intern(&next);
-        self.cache.set(state, class, id);
-        id
+        let handle = self.intern(&next);
+        self.cache.set(state, class, handle);
+        handle
     }
 
     /// Number of DFA states materialized so far.
@@ -127,7 +132,7 @@ impl Engine for DfaEngine<'_> {
     }
 
     fn is_accepting(&self) -> bool {
-        self.accepting[self.current as usize]
+        self.accepting[self.cache.index(self.current)]
     }
 }
 

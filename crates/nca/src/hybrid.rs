@@ -14,7 +14,7 @@
 //! * **`S`, the pure part of the frontier, always rides DFA rows.** The
 //!   set of live counter-free states is interned as a DFA state with a
 //!   dense `byte_class → next_state` row filled on demand; it advances by
-//!   one indexed load per byte whether or not anything is counting.
+//!   one add and one load per byte whether or not anything is counting.
 //! * **`T`, the tokens on counter-carrying states, is the only thing
 //!   stepped exactly** — by the shard's bank of counter modules
 //!   ([`crate::bank`]), and only on the bytes where a module can be seen
@@ -35,7 +35,7 @@
 //! [`MultiNca`] owns a [`crate::bank::CounterBank`] — the counted states
 //! indexed densely, their out-edges compiled flat — beside its engine
 //! tables. A flow's engine is what is left: a handle on each of the two
-//! images, the generation it reads, its state id `S`, its stream
+//! images, the generation it reads, its DFA state `S`, its stream
 //! position, its byte counters, and `T` as a [`BankState`] — a live mask
 //! and one cell per counted state of the shard (a `u32` register, a
 //! counting queue, or bit-vector / token-set storage), never anything
@@ -46,7 +46,7 @@
 //!   determinized states are cached for a shard at once, however many
 //!   flows scan it, so adversarial state blowup degrades throughput
 //!   instead of memory.
-//! * **A flush is a generation change.** State ids mean something only
+//! * **A flush is a generation change.** State handles mean something only
 //!   within one *generation* of the cache. When the budget is hit the
 //!   full generation is *retired* — nothing is ever written to it again —
 //!   and a fresh one, holding just the subset that did not fit, takes its
@@ -84,15 +84,28 @@
 //!
 //! # What a marked row means
 //!
-//! A row entry below [`WAKES`] is the id of `succ_pure(S, c)` and nothing
-//! else happens on that byte. An entry with the [`WAKES`] bit set says
-//! *this row also wakes counters*: its low bits index a side table
-//! holding the same successor id plus the entries to fire, precompiled —
-//! their source is pure — as `(module, constant valuation)` records. The
-//! byte loop sends exactly the marked (and the still-[`UNKNOWN`]) entries
-//! to the slow path; a token leaving `T` for a pure state rejoins `S` by
-//! set union — one cache probe per exit, and none when the row's subset
-//! already holds the state.
+//! A DFA state is named by its *handle*, the offset of its row in the
+//! generation's flat row table (dense id × number of classes), so a row
+//! entry is the handle of its target and a byte is one add and one load,
+//! `rows[S + c]`. Two high bits mark the entries after which more happens
+//! than moving to the target:
+//!
+//! * **below [`ACCEPTS`]**: the entry is the handle of `succ_pure(S, c)`,
+//!   which accepts no pattern, and nothing else happens on that byte;
+//! * **[`ACCEPTS`] set** (bit 30): the same handle in the low bits, and
+//!   the target accepts a pattern — the byte reports;
+//! * **[`WAKES`] set** (bit 31): *this row also wakes counters*: the low
+//!   bits index a side table holding the successor's handle (unflagged)
+//!   plus the entries to fire, precompiled — their source is pure — as
+//!   `(module, constant valuation)` records.
+//!
+//! So the byte loops test one compare, `entry >= ACCEPTS`, and send
+//! exactly the flagged (and the still-[`UNKNOWN`]) entries to the slow
+//! path, which reports the target's accepts; `S` itself never carries a
+//! flag. A token leaving `T` for a pure state rejoins `S` by set union —
+//! one cache probe per exit, and none when the row's subset already holds
+//! the state. Handles stay below [`ACCEPTS`] because the state budget is
+//! clamped to `ACCEPTS / classes` (4 Mi states at 256 classes).
 //!
 //! A wake also carries its **quiet mask**, computed once when the row is
 //! filled: the byte classes of the *next* byte on which every token the
@@ -102,7 +115,7 @@
 //! on the very next byte, and taking the wake costs two counted steps
 //! for nothing. So the byte loop looks one byte ahead before waking a
 //! counter (the two-character transitions of PALEALE, SNIPPETS.md §1),
-//! and a marked row is taken as a plain row byte — successor id, nothing
+//! and a marked row is taken as a plain row byte — successor handle, nothing
 //! else — under two exactness conditions:
 //!
 //! * **nothing is owed on the wake byte**: no entry's module accepts
@@ -216,22 +229,32 @@ impl Default for ScanMode {
 /// Row entry: transition not yet computed.
 pub(crate) const UNKNOWN: u32 = u32::MAX;
 /// Row flag: the transition also wakes counters — the remaining bits
-/// index the generation's side table of (successor id, entry edges).
-/// Plain successor ids stay below it, so one compare (`entry >= WAKES`)
-/// picks out every byte that needs more than a row load, [`UNKNOWN`]
-/// included.
+/// index the generation's side table of (successor handle, entry edges).
 pub(crate) const WAKES: u32 = 1 << 31;
+/// Row flag: the pure successor accepts a pattern — the remaining bits
+/// are its handle. Plain handles stay below it (the state budget is
+/// clamped so), so one compare (`entry >= ACCEPTS`) picks out every byte
+/// that needs more than a row load: an accept, a wake, [`UNKNOWN`].
+pub(crate) const ACCEPTS: u32 = 1 << 30;
 
-/// Shared dense-row subset interner: maps sorted NCA state sets to dense
-/// DFA ids and stores one flat `byte_class → next` row per id. Used by
+/// Shared dense-row subset interner: maps sorted NCA state sets to DFA
+/// states and stores one flat `byte_class → next` row per state. Used by
 /// both [`HybridCache`] and [`crate::DfaEngine`].
+///
+/// A state is named by its *handle*: its dense id times `stride`, which
+/// is the offset of its row. So a row entry holds the handle of its
+/// target, and stepping a byte is one add and one load,
+/// `rows[handle + class]`, with no multiply on the dependency chain. The
+/// dense id (`handle / stride`) indexes whatever runs parallel to the
+/// subsets; only the slow paths — a fill, a join, a catch-up — ask for it.
 #[derive(Debug)]
 pub(crate) struct SubsetCache {
     stride: usize,
-    /// Subset → id; each key shares its allocation with `subsets[id]`.
-    ids: HashMap<Arc<[u32]>, u32>,
+    /// Subset → handle; each key shares its allocation with
+    /// `subsets[handle / stride]`.
+    handles: HashMap<Arc<[u32]>, u32>,
     subsets: Vec<Arc<[u32]>>,
-    /// `rows[id * stride + class]`; [`UNKNOWN`] until filled.
+    /// `rows[handle + class]`; [`UNKNOWN`] until filled.
     rows: Vec<u32>,
 }
 
@@ -239,7 +262,7 @@ impl SubsetCache {
     pub(crate) fn new(stride: usize) -> SubsetCache {
         SubsetCache {
             stride,
-            ids: HashMap::new(),
+            handles: HashMap::new(),
             subsets: Vec::new(),
             rows: Vec::new(),
         }
@@ -250,41 +273,46 @@ impl SubsetCache {
         self.subsets.len()
     }
 
-    /// The sorted NCA state set behind DFA state `id`.
-    pub(crate) fn subset(&self, id: u32) -> &[u32] {
-        &self.subsets[id as usize]
+    /// The dense id of the state with handle `handle`.
+    pub(crate) fn index(&self, handle: u32) -> usize {
+        handle as usize / self.stride
     }
 
-    /// The id of `subset` (sorted, deduplicated), if it is interned.
+    /// The sorted NCA state set behind the state with handle `handle`.
+    pub(crate) fn subset(&self, handle: u32) -> &[u32] {
+        &self.subsets[self.index(handle)]
+    }
+
+    /// The handle of `subset` (sorted, deduplicated), if it is interned.
     pub(crate) fn lookup(&self, subset: &[u32]) -> Option<u32> {
-        self.ids.get(subset).copied()
+        self.handles.get(subset).copied()
     }
 
-    /// The cached transition of `(id, class)` ([`UNKNOWN`] if unfilled).
+    /// The cached transition of `(handle, class)` ([`UNKNOWN`] if
+    /// unfilled).
     #[inline]
-    pub(crate) fn get(&self, id: u32, class: usize) -> u32 {
-        self.rows[id as usize * self.stride + class]
+    pub(crate) fn get(&self, handle: u32, class: usize) -> u32 {
+        self.rows[handle as usize + class]
     }
 
-    /// Fills the transition of `(id, class)`.
-    pub(crate) fn set(&mut self, id: u32, class: usize, next: u32) {
-        self.rows[id as usize * self.stride + class] = next;
+    /// Fills the transition of `(handle, class)`.
+    pub(crate) fn set(&mut self, handle: u32, class: usize, next: u32) {
+        self.rows[handle as usize + class] = next;
     }
 
-    /// Interns `subset` (must be sorted, deduplicated); returns its id
-    /// and whether it is new. The map entry goes in last, so an id can
-    /// be looked up only once its subset and row exist.
+    /// Interns `subset` (must be sorted, deduplicated); returns its
+    /// handle and whether it is new. The map entry goes in last, so a
+    /// handle can be looked up only once its subset and row exist.
     pub(crate) fn intern(&mut self, subset: &[u32]) -> (u32, bool) {
-        if let Some(id) = self.lookup(subset) {
-            return (id, false);
+        if let Some(handle) = self.lookup(subset) {
+            return (handle, false);
         }
-        let id = self.subsets.len() as u32;
+        let handle = u32::try_from(self.rows.len()).expect("row offsets outgrew u32");
         let shared: Arc<[u32]> = subset.into();
         self.subsets.push(Arc::clone(&shared));
-        let filled = self.rows.len() + self.stride;
-        self.rows.resize(filled, UNKNOWN);
-        self.ids.insert(shared, id);
-        (id, true)
+        self.rows.resize(self.rows.len() + self.stride, UNKNOWN);
+        self.handles.insert(shared, handle);
+        (handle, true)
     }
 }
 
@@ -370,7 +398,8 @@ impl HybridStats {
 
 /// What a row marked [`WAKES`] stands for.
 struct Wake {
-    /// The pure successor the row would hold if it woke nothing.
+    /// The handle of the pure successor the row would hold if it woke
+    /// nothing (never flagged [`ACCEPTS`]).
     next: u32,
     /// The edges from the row's subset into counted states on its class,
     /// precompiled — their source is pure — as flat
@@ -383,11 +412,12 @@ struct Wake {
 }
 
 impl Wake {
-    /// Splits a filled row entry into the pure successor id and the wake
-    /// the row is marked with (none for an unmarked entry).
+    /// Splits a filled row entry into the pure successor's handle, its
+    /// [`ACCEPTS`] flag stripped, and the wake the row is marked with
+    /// (none for an entry below [`WAKES`]).
     fn resolve(wakes: &[Wake], entry: u32) -> (u32, Option<&Wake>) {
         if entry < WAKES {
-            (entry, None)
+            (entry & !ACCEPTS, None)
         } else {
             let wake = &wakes[(entry & !WAKES) as usize];
             (wake.next, Some(wake))
@@ -395,7 +425,7 @@ impl Wake {
     }
 }
 
-/// The contents of one generation: everything a state id indexes.
+/// The contents of one generation: everything a state handle indexes.
 struct Tables {
     cache: SubsetCache,
     /// Patterns accepted in each DFA state (ascending, deduplicated) —
@@ -406,20 +436,25 @@ struct Tables {
 }
 
 impl Tables {
-    /// The id of `subset` (sorted, deduplicated), interned if new.
+    /// The handle of `subset` (sorted, deduplicated), interned if new.
     ///
-    /// Write order is the invariant the poison recovery rests on: an id
-    /// becomes visible — in the interner's map here, in a row or a wake
-    /// slot later — only after its subset, its row and its accept set
-    /// exist, and a row is only ever written after its target is
+    /// Write order is the invariant the poison recovery rests on: a
+    /// handle becomes visible — in the interner's map here, in a row or
+    /// a wake slot later — only after its subset, its row and its accept
+    /// set exist, and a row is only ever written after its target is
     /// interned. A writer that panics half-way therefore leaves nothing
     /// a reader could follow into a missing entry.
     fn intern(&mut self, subset: &[u32], accepting: &[u32]) -> u32 {
-        if let Some(id) = self.cache.lookup(subset) {
-            return id;
+        if let Some(handle) = self.cache.lookup(subset) {
+            return handle;
         }
         self.accepts.push(accepted(accepting, subset).collect());
         self.cache.intern(subset).0
+    }
+
+    /// The patterns the state with handle `handle` accepts.
+    fn accepts(&self, handle: u32) -> &[u32] {
+        &self.accepts[self.cache.index(handle)]
     }
 }
 
@@ -472,7 +507,7 @@ impl Generation {
     /// The tables for reading. A lock poisoned by a panicking writer is
     /// recovered, never propagated to the other flows of the shard: by
     /// the write order of [`Tables::intern`] everything reachable from a
-    /// state id is complete, so readers go on; the generation is retired
+    /// state handle is complete, so readers go on; the generation is retired
     /// so that nothing is added to tables that may be short an entry.
     fn read(&self) -> RwLockReadGuard<'_, Tables> {
         self.tables.read().unwrap_or_else(|poisoned| {
@@ -569,8 +604,8 @@ impl HybridCache {
             class_map,
             accepting: Arc::clone(multi.accepting()),
             stride,
-            // State ids must stay below the `WAKES` flag bit.
-            state_budget: state_budget.clamp(1, WAKES as usize),
+            // Handles must stay below the `ACCEPTS` flag bit.
+            state_budget: state_budget.clamp(1, ACCEPTS as usize / stride),
             current: Mutex::new(Arc::new(Generation::new(stride))),
             flushes: AtomicU64::new(0),
         }))
@@ -603,10 +638,10 @@ impl HybridCache {
     }
 
     /// Interns `subset` in the current generation — flushing first if it
-    /// is full — and runs `then(generation, tables, id)` under that
+    /// is full — and runs `then(generation, tables, handle)` under that
     /// generation's write lock. Returns the generation with `then`'s
-    /// result; ids from before the call mean nothing in it unless it is
-    /// the generation they came from.
+    /// result; handles from before the call mean nothing in it unless it
+    /// is the generation they came from.
     fn intern_with<R>(
         &self,
         subset: &[u32],
@@ -614,8 +649,8 @@ impl HybridCache {
     ) -> (Arc<Generation>, R) {
         let shared = &*self.0;
         let run = |home: &Arc<Generation>, tables: &mut Tables| {
-            let id = tables.intern(subset, &shared.accepting);
-            then(home, tables, id)
+            let handle = tables.intern(subset, &shared.accepting);
+            then(home, tables, handle)
         };
         loop {
             let home = self.current();
@@ -655,10 +690,11 @@ impl HybridCache {
 /// the rows are shared.
 struct Cursor {
     cache: HybridCache,
-    /// The generation `cur` is an id of. Retired at worst since the last
-    /// [`Cursor::catch_up`].
+    /// The generation `cur` is a handle in. Retired at worst since the
+    /// last [`Cursor::catch_up`].
     generation: Arc<Generation>,
-    /// `S`: the pure part of the frontier, as a DFA state.
+    /// `S`: the pure part of the frontier, as the handle of a DFA state
+    /// (never flagged [`ACCEPTS`]).
     cur: u32,
     /// Bytes consumed since the last reset.
     position: u64,
@@ -697,8 +733,8 @@ impl Cursor {
         let current = self.cache.current();
         let found = current.read().cache.lookup(subset);
         (self.generation, self.cur) = match found {
-            Some(id) => (current, id),
-            None => self.cache.intern_with(subset, |_, _, id| id),
+            Some(handle) => (current, handle),
+            None => self.cache.intern_with(subset, |_, _, handle| handle),
         };
     }
 
@@ -727,8 +763,8 @@ impl Cursor {
         }
     }
 
-    /// A byte that is one row load and nothing else: move to `next`,
-    /// report its accepts.
+    /// A byte that rides its row but left the row loops — it accepts,
+    /// or its wake is not taken: move to `next`, report its accepts.
     #[inline]
     fn advance_dfa(&mut self, rows: &Tables, next: u32, out: &mut Vec<MultiReport>) {
         self.cur = next;
@@ -740,7 +776,7 @@ impl Cursor {
     /// Reports the patterns the current DFA state accepts.
     #[inline]
     fn push_accepts(&self, rows: &Tables, out: &mut Vec<MultiReport>) {
-        for &pattern in rows.accepts[self.cur as usize].iter() {
+        for &pattern in rows.accepts(self.cur) {
             out.push(MultiReport {
                 pattern,
                 end: self.position,
@@ -748,10 +784,10 @@ impl Cursor {
         }
     }
 
-    /// `next ∪ exits` as a DFA state of `rows`: `next` itself when its
-    /// subset already holds every state the counted step exited into;
-    /// `None` — with the union left in `succ_scratch` — when the union
-    /// is not interned in `rows`.
+    /// `next ∪ exits` as the handle of a DFA state of `rows`: `next`
+    /// itself when its subset already holds every state the counted step
+    /// exited into; `None` — with the union left in `succ_scratch` — when
+    /// the union is not interned in `rows`.
     fn joined(&mut self, rows: &Tables, next: u32) -> Option<u32> {
         let subset = rows.cache.subset(next);
         if self.exits.iter().all(|q| subset.binary_search(q).is_ok()) {
@@ -968,10 +1004,11 @@ impl HybridEngine {
     }
 
     /// Computes the row entry of the current DFA state on `class` — the
-    /// id of the pure successor subset, or, if the state has edges into
-    /// counted states on `class`, a [`WAKES`]-marked index of the
-    /// side-table slot holding that id, those edges as wake records and
-    /// their quiet mask — and caches it.
+    /// handle of the pure successor subset, flagged [`ACCEPTS`] if that
+    /// accepts a pattern, or, if the state has edges into counted states
+    /// on `class`, a [`WAKES`]-marked index of the side-table slot
+    /// holding that handle, those edges as wake records and their quiet
+    /// mask — and caches it.
     ///
     /// The successor is interned in the shard's *current* generation.
     /// When that is the engine's own, the row is written (unless another
@@ -994,7 +1031,7 @@ impl HybridEngine {
         );
         drop(rows); // before the write lock below
         let (own, cur) = (&at.generation, at.cur);
-        let (home, entry) = at.cache.intern_with(&next, |home, rows, id| {
+        let (home, entry) = at.cache.intern_with(&next, |home, rows, handle| {
             let stayed = Arc::ptr_eq(home, own);
             if stayed {
                 let filled = rows.cache.get(cur, class);
@@ -1002,17 +1039,19 @@ impl HybridEngine {
                     return filled; // another flow got here first
                 }
             }
-            let entry = if entries.is_empty() {
-                id
-            } else {
+            let entry = if !entries.is_empty() {
                 let slot = rows.wakes.len() as u32;
                 assert!(slot < WAKES - 1, "wake table outgrew its index bits");
                 rows.wakes.push(Wake {
-                    next: id,
+                    next: handle,
                     entries: entries.as_slice().into(),
                     quiet: bank.quiet_classes(&entries),
                 });
                 WAKES | slot
+            } else if rows.accepts(handle).is_empty() {
+                handle
+            } else {
+                handle | ACCEPTS
             };
             if stayed {
                 rows.cache.set(cur, class, entry);
@@ -1042,20 +1081,24 @@ impl HybridEngine {
     /// The engine's generation is read-locked once for the call. While
     /// no counted token is live, bytes are classified in 8-byte lanes
     /// through the flat `u16` class table (a vectorizable gather) before
-    /// the row-walk consumes the lane; a marked or unfilled row entry
-    /// leaves the lane loop. While the counted tokens sleep (module
-    /// docs, "When `T` sleeps") the rows carry the bytes too, in a loop
-    /// of their own — the first one measurably pays for anything put in
-    /// it — that the end of the sleep or a byte outside its body leaves
-    /// as well. A marked row first looks one byte ahead — within this
-    /// chunk only — and stays a plain row byte when the wake cannot
-    /// outlive that byte; otherwise the byte goes through the full
-    /// `(S, T)` step, as does every byte on which a counted token is
-    /// awake: one row load plus one step of the counter bank. Only the
-    /// two misses — an unfilled row, an `S ∪ exits` not yet interned —
-    /// let go of the read lock, and take it again (on the generation the
-    /// engine is on by then) once the tables have the entry. Without
-    /// rows every byte is a full step (module docs, "Without rows").
+    /// the row-walk consumes the lane: one add and one load per byte
+    /// (module docs, "What a marked row means"), the position and the
+    /// byte counter moved once per lane. An entry flagged `ACCEPTS` or
+    /// `WAKES`, or unfilled, leaves the lane loop. While the counted
+    /// tokens sleep (module docs, "When `T` sleeps") the rows carry the
+    /// bytes too, in a loop of their own — the first one measurably pays
+    /// for anything put in it — that the same entries, the end of the
+    /// sleep or a byte outside its body leave as well. An accepting byte
+    /// that wakes nothing then rides its row and reports. A marked row
+    /// first looks one byte ahead — within this chunk only — and stays a
+    /// plain row byte when the wake cannot outlive that byte; otherwise
+    /// the byte goes through the full `(S, T)` step, as does every byte
+    /// on which a counted token is awake: one row load plus one step of
+    /// the counter bank. Only the two misses — an unfilled row, an
+    /// `S ∪ exits` not yet interned — let go of the read lock, and take
+    /// it again (on the generation the engine is on by then) once the
+    /// tables have the entry. Without rows every byte is a full step
+    /// (module docs, "Without rows").
     pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
         match &mut self.config {
             Config::Rows(rows) => rows.feed_into(&self.multi, chunk, out),
@@ -1089,8 +1132,11 @@ impl OnRows {
         while i < chunk.len() {
             // The bytes the rows carry alone: all of them while `T` is
             // empty, and while it sleeps the next `nap`, as long as
-            // their class is in `body`.
+            // their class is in `body`. Each is one add and one load:
+            // `cur` is a row offset, and an entry that asks for anything
+            // more is at or above `ACCEPTS`.
             let (mut nap, mut body) = (0, ClassSet::default());
+            let mut cur = self.at.cur;
             if !counting {
                 let lane = &chunk[i..chunk.len().min(i + 8)];
                 let mut classes = [0u16; 8];
@@ -1099,13 +1145,16 @@ impl OnRows {
                 }
                 let mut k = 0;
                 while k < lane.len() {
-                    let next = rows.cache.get(self.at.cur, classes[k] as usize);
-                    if next >= WAKES {
-                        break; // unfilled, or the row wakes a counter
+                    let next = rows.cache.get(cur, classes[k] as usize);
+                    if next >= ACCEPTS {
+                        break; // unfilled, accepting, or waking a counter
                     }
-                    self.at.advance_dfa(&rows, next, out);
+                    cur = next;
                     k += 1;
                 }
+                self.at.cur = cur;
+                self.at.position += k as u64;
+                self.at.stats.dfa_bytes += k as u64;
                 i += k;
                 if k == lane.len() {
                     continue;
@@ -1116,15 +1165,18 @@ impl OnRows {
                 let fell_asleep = i;
                 while i < woken {
                     let class = class_map[chunk[i] as usize] as usize;
-                    let next = rows.cache.get(self.at.cur, class);
-                    if next >= WAKES || !has_class(&body, class) {
+                    let next = rows.cache.get(cur, class);
+                    if next >= ACCEPTS || !has_class(&body, class) {
                         break;
                     }
-                    self.at.advance_dfa(&rows, next, out);
+                    cur = next;
                     i += 1;
                 }
                 let slept = (i - fell_asleep) as u32;
                 if slept > 0 {
+                    self.at.cur = cur;
+                    self.at.position += u64::from(slept);
+                    self.at.stats.dfa_bytes += u64::from(slept);
                     self.counters.skip(slept);
                     self.at.stats.slept_bytes += u64::from(slept);
                     nap -= slept;
@@ -1171,7 +1223,7 @@ impl OnRows {
             self.at.stats.exact_state_steps += walked as u64;
             let counted = out.len() - first;
             match self.at.joined(&rows, next) {
-                Some(id) => self.at.cur = id,
+                Some(handle) => self.at.cur = handle,
                 None => {
                     drop(rows);
                     let union = std::mem::take(&mut self.at.succ_scratch);
@@ -1685,7 +1737,10 @@ mod tests {
         chunked_stats(m, &m.oracle(input), input, budget)
     }
 
-    /// [`lookahead_stats`] against `expected`.
+    /// [`lookahead_stats`] against `expected`. The row loops move the
+    /// position and `dfa_bytes` once per run of bytes, so after every
+    /// chunk the byte counters must still add up to the position, and
+    /// to the same sum under every chunking.
     fn chunked_stats(
         m: &MultiNca,
         expected: &[MultiReport],
@@ -1697,6 +1752,8 @@ mod tests {
             let mut got = Vec::new();
             for chunk in input.chunks(chunk_len) {
                 engine.feed_into(chunk, &mut got);
+                let stats = engine.stats();
+                assert_eq!(stats.dfa_bytes + stats.fallback_bytes, engine.position());
             }
             assert_eq!(got, expected, "chunk length {chunk_len}, budget {budget}");
             let stats = engine.stats();
@@ -1957,6 +2014,27 @@ mod tests {
     }
 
     #[test]
+    fn a_pure_accept_met_asleep_is_slept_through() {
+        // 'a' accepts a pure rule, so its row entry is flagged and leaves
+        // the sleeping loop; it reports and is still a slept byte. The
+        // bank does exactly what it does on the same input without them.
+        let accepts = [(2, b'a'), (5, b'a'), (6, b'a'), (12, b'a'), (23, b'a')];
+        let mut at = vec![(0, b'h')];
+        at.extend(accepts);
+        let with_accepts = dots(24, &at);
+        let without = dots(24, &[(0, b'h')]);
+        for plan in [single, queues] {
+            let m = merged_with(&["h.{20}", "a", "plain"], plan);
+            assert_eq!(m.oracle(&with_accepts).len(), 1 + accepts.len());
+            for budget in LOOKAHEAD_BUDGETS {
+                let counts = sleep_stats(&m, &with_accepts, budget);
+                assert_eq!(counts, sleep_stats(&m, &without, budget));
+                assert_eq!(counts[4], (3, 18, 2), "the wake, the due byte, the drop");
+            }
+        }
+    }
+
+    #[test]
     fn restarting_an_untouched_engine_moves_only_its_position() {
         let m = merged(&FLEET_RULES);
         let stream = &fleet_streams(1)[0];
@@ -2133,18 +2211,98 @@ mod tests {
         );
         let expected = full_dfa_size(m.nca(), 1 << 12).expect("small DFA");
         let mut hybrid = m.hybrid_engine(1 << 12);
-        // Fixpoint: expand every (state, class) row until no new state
-        // appears.
+        saturate(&m, &mut hybrid);
+        assert_eq!(hybrid.discovered_states(), expected);
+        let rows = hybrid.at().generation.read();
+        assert!((0..rows.cache.len() * m.alphabet().len())
+            .all(|offset| rows.cache.rows[offset] < WAKES));
+    }
+
+    /// Fixpoint: expands every `(state, class)` row of the engine's
+    /// generation — states are numbered densely, so the `k`th has handle
+    /// `k × classes` — until no new state appears. Leaves the engine on
+    /// the last state expanded; the budget must hold every state.
+    fn saturate(m: &MultiNca, hybrid: &mut HybridEngine) {
+        let stride = m.alphabet().len();
         let mut done = 0;
         while done < hybrid.discovered_states() {
-            for class in 0..m.alphabet().len() {
-                hybrid.at().cur = done as u32;
-                let next = HybridEngine::successor(&m, hybrid.at(), class);
-                assert!(next < WAKES, "counter-free sets wake nothing");
+            for class in 0..stride {
+                hybrid.at().cur = (done * stride) as u32;
+                HybridEngine::successor(m, hybrid.at(), class);
             }
             done += 1;
         }
-        assert_eq!(hybrid.discovered_states(), expected);
+        assert_eq!(hybrid.stats().flushes, 0);
+    }
+
+    /// The invariant the row loops rest on: every filled entry is a row
+    /// offset, flagged [`ACCEPTS`] exactly when its target accepts a
+    /// pattern and [`WAKES`] exactly when the byte enters a counted state.
+    #[test]
+    fn row_flags_match_the_tables() {
+        // Counters, pure accepts, and rule 1 accepting from both halves.
+        let patterns = [
+            "b",
+            "([ab]{2,3}|b)",
+            "[ab]b",
+            "x[ab]{2,5}y",
+            "k.{4}z",
+            "plain",
+        ];
+        let m = merged(&patterns);
+        let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
+        // A scan first, so that states only `S ∪ exits` reaches are in.
+        let input = b"xababy.abab.bb.k....z.plain.xaby.kab..z";
+        assert_eq!(hybrid.match_reports(input), m.oracle(input));
+        saturate(&m, &mut hybrid);
+        let stride = m.alphabet().len();
+        let rows = hybrid.at().generation.read();
+        let (mut next, mut entries) = (Vec::new(), Vec::new());
+        let mut seen = [0usize; 3]; // plain, accepting, waking
+        for id in 0..rows.cache.len() {
+            let handle = (id * stride) as u32;
+            for class in 0..stride {
+                let entry = rows.cache.get(handle, class);
+                assert_ne!(entry, UNKNOWN, "saturated");
+                let (target, wake) = Wake::resolve(&rows.wakes, entry);
+                assert_eq!(target as usize % stride, 0, "a handle is a row offset");
+                assert!(target < ACCEPTS);
+                walk_pure(
+                    &m,
+                    rows.cache.subset(handle),
+                    class,
+                    &mut next,
+                    &mut entries,
+                );
+                assert_eq!(rows.cache.subset(target), next);
+                let accepts: Vec<u32> = accepted(m.accepting(), &next).collect();
+                assert_eq!(rows.accepts(target), accepts);
+                match wake {
+                    Some(wake) => {
+                        assert_eq!(*wake.entries, *entries);
+                        seen[2] += 1;
+                    }
+                    None => {
+                        assert!(entries.is_empty(), "a byte into a counter wakes it");
+                        assert_eq!(entry >= ACCEPTS, !accepts.is_empty());
+                        seen[usize::from(entry >= ACCEPTS)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    #[test]
+    fn handles_stay_below_the_accepts_flag_at_any_budget() {
+        let bytes: Vec<String> = (0..=255u8).map(|b| format!("\\x{b:02x}")).collect();
+        let bytes: Vec<&str> = bytes.iter().map(String::as_str).collect();
+        let m = merged(&bytes);
+        assert_eq!(m.alphabet().len(), 256);
+        let shared = &*m.hybrid_cache(usize::MAX).0;
+        // Every handle is below `state_budget × stride`.
+        assert!(shared.state_budget * shared.stride <= ACCEPTS as usize);
+        assert_eq!(shared.state_budget, 1 << 22);
     }
 
     // ---- one cache, many engines -------------------------------------
