@@ -22,6 +22,16 @@
 //!   once whatever the group count, as the paper's machine shows a
 //!   symbol to every STE in the same cycle. The node survives chunk
 //!   boundaries, so a literal split across chunks is still found.
+//!
+//!   Four lanes prove a clean chunk; the exact walk decides the rest. A
+//!   long chunk is cut into four segments walked as interleaved chains,
+//!   each started `depth` (the longest literal) bytes early, and when no
+//!   literal of a cold group ends in it that walk is the whole pass:
+//!   ≈ 0.7 ns/B on SpamAssassin 0.02 benign traffic (2-core Xeon VM),
+//!   against ≈ 2.2 for the exact walk's one add and one dependent load
+//!   per byte. Any other chunk gets the exact walk, so every verdict is
+//!   its verdict, and the lanes' failed proofs are at most
+//!   `candidate_hits`.
 //! * **Skipping** is *sticky-cold → sticky-hot*: a `(flow, group)` unit
 //!   is **cold** until a literal of its group ends in the flow's bytes.
 //!   While cold, no match of the group's rules can end anywhere (every
@@ -353,7 +363,14 @@ pub(crate) struct SetPrefilter {
     /// Max window over all groups: how many trailing bytes a flow's tail
     /// buffer must retain for wake-up replay.
     max_window: u64,
+    /// The longest literal: no node lies deeper, so a walk started from
+    /// the root this many bytes early is on the exact walk's node.
+    depth: usize,
 }
+
+/// Independent walks the clean-chunk proof keeps in flight (eight ran
+/// slower than four).
+const LANES: usize = 4;
 
 /// Whether `group`'s bit is set in `mask` (one bit per scan group, 64 a word).
 pub(crate) fn has(mask: &[u64], group: usize) -> bool {
@@ -378,6 +395,7 @@ impl SetPrefilter {
         let mut windows = vec![0u64; groups.len()];
         let mut table: Vec<u32> = vec![NONE; stride];
         let mut out = vec![0u64; words];
+        let mut depth = 0;
         for (si, members) in groups.iter().enumerate() {
             let lits: Option<Vec<&Extraction>> =
                 members.iter().map(|&g| extractions[g].as_ref()).collect();
@@ -385,6 +403,7 @@ impl SetPrefilter {
             filterable[si / 64] |= 1 << (si % 64);
             for ex in lits {
                 windows[si] = windows[si].max(ex.lead);
+                depth = depth.max(ex.lit.len());
                 let mut node = 0usize;
                 for &b in &ex.lit {
                     let c = alphabet.class_of(b);
@@ -459,6 +478,7 @@ impl SetPrefilter {
             max_window: windows.iter().copied().max().unwrap_or(0),
             windows,
             always_on_rules,
+            depth,
         }
     }
 
@@ -483,17 +503,36 @@ impl SetPrefilter {
     /// group that has a literal ending in it; the walk stops once `cold`
     /// is empty — no unit is left that could consult the filter again.
     /// Returns the bytes walked.
+    ///
+    /// Four lanes prove a clean chunk; the exact walk decides the rest. A
+    /// chunk long enough to cut is first walked as [`LANES`] interleaved
+    /// chains ([`clean`](SetPrefilter::clean)): if no literal of a `cold`
+    /// group ends in it, the node they end on is the answer, and the
+    /// chunk costs ≈ 0.7 ns/B instead of ≈ 2.2 (SpamAssassin 0.02, 2-core
+    /// Xeon VM). Otherwise (a short chunk, or a cold literal in it) the
+    /// exact walk runs from the chunk's start, so every verdict, node and
+    /// byte count is the exact walk's, and a failed proof costs one extra
+    /// pass over a chunk that wakes a unit: extra passes ≤ `candidate_hits`.
     pub(crate) fn advance(&self, node: &mut u32, chunk: &[u8], cold: &mut [u64]) -> usize {
         if self.table.is_empty() {
             return 0;
         }
+        if let Some(end) = self.clean(*node, chunk, cold) {
+            *node = end;
+            return chunk.len();
+        }
+        self.walk_exact(node, chunk, cold)
+    }
+
+    /// The exact walk: one add and one dependent load per byte, stopping
+    /// on the byte that leaves `cold` empty.
+    fn walk_exact(&self, node: &mut u32, chunk: &[u8], cold: &mut [u64]) -> usize {
         let mut at = *node as usize;
         for (i, &b) in chunk.iter().enumerate() {
             at = self.table[at + self.alphabet.class_of(b)] as usize;
             if at >= self.first_hit {
-                let set = &self.out[(at - self.first_hit) / self.stride * self.words..];
                 let mut left = 0;
-                for (cold, set) in cold.iter_mut().zip(set) {
+                for (cold, set) in cold.iter_mut().zip(self.groups(at)) {
                     *cold &= !set;
                     left |= *cold;
                 }
@@ -505,6 +544,49 @@ impl SetPrefilter {
         }
         *node = at as u32;
         chunk.len()
+    }
+
+    /// The clean-chunk proof: the node the exact walk ends `chunk` on, if
+    /// no literal of a `cold` group ends in it; `None` if one may, if
+    /// `cold` is empty, or if `chunk` is too short to cut.
+    ///
+    /// The chunk is cut into [`LANES`] segments of at least
+    /// `4 × max(depth, 8)` bytes (so the head start below costs at most a
+    /// quarter more steps), one walk each, stepped in lockstep so their
+    /// loads are in flight together. Lane 0 starts from `node`; lane k
+    /// starts from the root `depth` bytes before its segment, so from the
+    /// segment's first byte on it is on the exact walk's node (no node is
+    /// deeper). Before that its node spells a suffix of the exact walk's,
+    /// so its groups are a subset: it fails the proof only where the exact
+    /// walk wakes a unit too. The lanes run equally long, so the last one
+    /// ends on the chunk's last byte.
+    fn clean(&self, node: u32, chunk: &[u8], cold: &[u64]) -> Option<u32> {
+        let seg = chunk.len() / LANES;
+        if seg < 4 * self.depth.max(8) || cold.iter().all(|&w| w == 0) {
+            return None;
+        }
+        let len = chunk.len() - (LANES - 1) * seg + self.depth;
+        let lanes: [&[u8]; LANES] =
+            std::array::from_fn(|k| &chunk[(k * seg).saturating_sub(self.depth)..][..len]);
+        let wakes = |at: usize| {
+            at >= self.first_hit && (self.groups(at).iter().zip(cold)).any(|(g, c)| g & c != 0)
+        };
+        let mut at = [0usize; LANES];
+        at[0] = node as usize;
+        for i in 0..len {
+            for (at, lane) in at.iter_mut().zip(&lanes) {
+                *at = self.table[*at + self.alphabet.class_of(lane[i])] as usize;
+            }
+            if at.iter().max() >= Some(&self.first_hit) && at.into_iter().any(wakes) {
+                return None;
+            }
+        }
+        Some(at[LANES - 1] as u32)
+    }
+
+    /// The groups with a literal ending at the output node `at`.
+    fn groups(&self, at: usize) -> &[u64] {
+        &self.out[(at - self.first_hit) / self.stride * self.words..][..self.words]
     }
 
     /// Appends `chunk` to a flow's tail buffer, keeping only the last
@@ -537,6 +619,7 @@ pub(crate) enum ChunkAction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use recama_syntax::parse;
 
     fn ex(pattern: &str) -> Option<Extraction> {
@@ -708,6 +791,131 @@ mod tests {
         assert_eq!(admit(b"bc"), (vec![wake], 1));
         // Hot units scan unconditionally, and nothing walks the filter.
         assert_eq!(admit(b"...."), (vec![ChunkAction::Scan], 0));
+    }
+
+    /// Runs `advance` and the exact walk from the same `node` and `cold`
+    /// over `chunk`, asserts that they agree on `(cold, walked, node)`,
+    /// leaves that state behind and says whether the lanes proved the
+    /// chunk clean.
+    fn agree(pf: &SetPrefilter, node: &mut u32, cold: &mut Vec<u64>, chunk: &[u8]) -> bool {
+        let proved = pf.clean(*node, chunk, cold).is_some();
+        let (mut exact_node, mut exact_cold) = (*node, cold.clone());
+        let exact = pf.walk_exact(&mut exact_node, chunk, &mut exact_cold);
+        let walked = pf.advance(node, chunk, cold);
+        let what = String::from_utf8_lossy(chunk);
+        assert_eq!(
+            (&*cold, walked, *node),
+            (&exact_cold, exact, exact_node),
+            "{what}"
+        );
+        proved
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Literals over three letters in one to five groups, some hot
+        /// from the start, and a letter density that ranges from none to
+        /// every byte. The longest literal (the one the lanes' head start
+        /// is sized for) is planted, and `n`-byte chunks are cut so that its
+        /// last byte lands on each lane start `k·seg − 1 ..= k·seg + 1` and
+        /// on either end of the chunk; the whole input is then walked in
+        /// chunks of `n` bytes.
+        #[test]
+        fn the_lanes_agree_with_the_exact_walk(
+            literals in prop::collection::vec(
+                prop::collection::vec(prop::sample::select(b"abc".to_vec()), 1..13),
+                1..9,
+            ),
+            groups in 1usize..6,
+            hot in 0usize..32,
+            letters in 0usize..64,
+            input in prop::collection::vec(0usize..64, 0..4096),
+            n in 1usize..1500,
+            plant in 0usize..4096,
+        ) {
+            let rules: Vec<String> =
+                literals.iter().map(|l| String::from_utf8(l.clone()).unwrap()).collect();
+            let groups = groups.min(rules.len());
+            let shards: Vec<Vec<usize>> =
+                (0..groups).map(|g| (g..rules.len()).step_by(groups).collect()).collect();
+            let pf = filter(&rules.iter().map(String::as_str).collect::<Vec<_>>(), &shards);
+            let start = vec![pf.filterable()[0] & !(hot as u64)];
+            let mut input: Vec<u8> = (input.iter())
+                .map(|&x| if x < letters { b"abc"[x % 3] } else { b'.' })
+                .collect();
+            let lit = literals.iter().max_by_key(|l| l.len()).unwrap();
+            let n = n.min(input.len() / 2);
+            prop_assume!(n >= lit.len());
+            let end = n - 1 + plant % (input.len() - 2 * n + 2);
+            input[end + 1 - lit.len()..=end].copy_from_slice(lit);
+
+            let seg = n / LANES;
+            let lane_starts = (1..LANES).flat_map(|k| [(k * seg).saturating_sub(1), k * seg, k * seg + 1]);
+            for at in lane_starts.chain([0, n - 1]).filter(|&at| at < n) {
+                let (mut node, mut cold) = (0, start.clone());
+                let from = end - at;
+                pf.walk_exact(&mut node, &input[..from], &mut cold);
+                agree(&pf, &mut node, &mut cold, &input[from..from + n]);
+            }
+            let (mut node, mut cold) = (0, start.clone());
+            for chunk in input.chunks(n) {
+                agree(&pf, &mut node, &mut cold, chunk);
+            }
+        }
+    }
+
+    #[test]
+    fn a_hot_groups_literal_alone_passes_the_proof() {
+        let pf = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
+        let mut chunk = [b'.'; 256];
+        for at in [10, 63, 64, 130, 200, 253] {
+            chunk[at..at + 3].copy_from_slice(b"abc");
+        }
+        // Group 0 is hot: its literal in every lane changes nothing.
+        let (mut node, mut cold) = (0, vec![0b10]);
+        assert!(agree(&pf, &mut node, &mut cold, &chunk));
+        assert_eq!(cold, [0b10]);
+        // Cold, the same literal fails the proof and the exact walk wakes it.
+        let (mut node, mut cold) = (0, vec![0b11]);
+        assert!(!agree(&pf, &mut node, &mut cold, &chunk));
+        assert_eq!(cold, [0b10]);
+    }
+
+    #[test]
+    fn a_cold_literal_ending_in_lane_zeros_carried_prefix_fails_the_proof() {
+        let pf = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
+        let mut chunk = vec![b'c'];
+        chunk.resize(256, b'.');
+        // From the root the chunk is clean ...
+        assert!(agree(&pf, &mut 0, &mut vec![0b11], &chunk));
+        // ... but after "ab" its first byte ends "abc": the walk goes on
+        // for the still-cold group 1, to the end of the chunk.
+        let (mut node, mut cold) = (0, vec![0b11]);
+        assert!(!agree(&pf, &mut node, &mut cold, b"..ab"));
+        assert!(!agree(&pf, &mut node, &mut cold, &chunk));
+        assert_eq!(cold, [0b10]);
+    }
+
+    #[test]
+    fn a_benign_spamassassin_chunk_passes_the_proof() {
+        use recama_workloads::{generate, traffic, BenchmarkId};
+        let ruleset = generate(BenchmarkId::SpamAssassin, 0.02, 2022);
+        let builder = crate::Engine::builder().patterns(ruleset.pattern_strings());
+        let engine = builder
+            .prefilter(PrefilterMode::On)
+            .lossy(true)
+            .build()
+            .unwrap();
+        let pf = engine.set().prefilter().unwrap();
+        let chunk = traffic(&ruleset, 2048, 0.0, 2022);
+        let (mut node, mut cold) = (0, pf.filterable().to_vec());
+        assert!(
+            agree(pf, &mut node, &mut cold, &chunk),
+            "depth {}",
+            pf.depth
+        );
+        assert_eq!(cold, pf.filterable(), "benign: nothing woke");
     }
 
     #[test]

@@ -334,6 +334,31 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The same referee on chunks long enough for the filter's lanes:
+    /// a mostly benign input, so some chunks are clean and proved so by
+    /// the lanes, and others end a literal and go to the exact walk.
+    #[test]
+    fn every_verdict_agrees_on_chunks_the_lanes_walk(
+        literals in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(b"abc".to_vec()), 1..9),
+            1..9,
+        ),
+        groups in 1usize..6,
+        input in prop::collection::vec(
+            prop::sample::select(b"abc.....................".to_vec()),
+            0..4096,
+        ),
+        chunk_lens in prop::collection::vec(100usize..1500, 1..6),
+    ) {
+        let literals: Vec<String> =
+            literals.into_iter().map(|l| String::from_utf8(l).unwrap()).collect();
+        check_verdicts(&literals, groups, &input, &chunk_lens);
+    }
+}
+
 #[test]
 fn verdicts_hold_for_one_byte_chunks_and_a_cut_at_every_boundary() {
     // "dle" ends where "needle" ends, "need" where "nee" did a byte ago,
