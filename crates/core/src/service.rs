@@ -14,7 +14,9 @@
 //! synchronously; this module only says where the bytes wait (segments)
 //! and where the reports go (the flow's queue and the global sink).
 //! `ServiceCore::step` strings checkout → caught scan → check-in (or
-//! quarantine / fail-stop) together, and two drivers call it:
+//! quarantine / fail-stop) together — for a *batch* of up to four units
+//! of one scan group, whose rows it steps in lockstep
+//! ([`ShardStream::feed_lockstep`]) — and two drivers call it:
 //!
 //! * the resident workers of a [`ServiceHandle`], which park on the
 //!   readiness condvar between bursts and step forever;
@@ -74,7 +76,7 @@ use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfi
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PerGroup, PrefilterCounters, PrefilterMetrics};
 use crate::ShardedPatternSet;
-use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream};
+use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream, LOCKSTEP_LANES};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -169,11 +171,17 @@ pub struct ServiceMetrics {
     pub queue_depth_peak: usize,
     /// Units currently checked out by workers.
     pub in_flight: usize,
+    /// Units scanned in a batch of two or more. A worker checks out up to
+    /// [`LOCKSTEP_LANES`](crate::nca::LOCKSTEP_LANES) ready units of one
+    /// scan group and epoch at once and steps their rows in lockstep;
+    /// this says whether such batches form.
+    pub batched_units: u64,
     /// Cumulative unlocked scan time per scan group, in nanoseconds:
     /// one entry per group of
     /// [`Engine::scan_groups`](crate::Engine::scan_groups), whatever the
     /// bank count (the field predates the split of the two partitions
-    /// and keeps its name).
+    /// and keeps its name). A batch's scan is counted once, against its
+    /// group, however many units it held.
     pub shard_scan_ns: Vec<u64>,
     /// Cumulative bytes scanned per scan group, indexed like
     /// [`shard_scan_ns`](ServiceMetrics::shard_scan_ns).
@@ -390,6 +398,12 @@ impl FaultPlan {
 
 // ---- internal state -------------------------------------------------
 
+/// How many queue entries past the first a checkout looks through for
+/// units of the same scan group and epoch to batch with it: enough to
+/// reach the same group of the next few flows on a set of several groups,
+/// while a checkout stays O(1) under any queue depth.
+const BATCH_WINDOW: usize = 64;
+
 /// A buffered input chunk: `bytes` starts at absolute stream offset
 /// `start` within its flow. Chunks are `Arc`-shared so workers can scan
 /// them outside the service lock while slower groups still reference
@@ -495,6 +509,7 @@ struct MetricsAcc {
     budget_evictions: u64,
     backpressure: u64,
     queue_peak: usize,
+    batched_units: u64,
     shard_scan_ns: PerGroup,
     shard_scan_bytes: PerGroup,
     prefilter: PrefilterCounters,
@@ -941,12 +956,37 @@ impl ServeState {
         f.flow.total()
     }
 
-    /// Pops a ready `(flow, group)` unit and checks its engine out,
-    /// along with the segments it has yet to consume. The engine owns
-    /// its handles on the epoch's automaton and rows, so the scan runs
-    /// unlocked and survives a concurrent reload.
-    fn checkout(&mut self) -> Option<ServeUnit> {
-        let (id, si) = self.ready.pop_front()?;
+    /// Pops a ready `(flow, group)` unit, and up to
+    /// [`LOCKSTEP_LANES`] − 1 more of the same scan group and epoch from
+    /// the next [`BATCH_WINDOW`] queue entries, and checks their engines
+    /// out with the segments each has yet to consume: a batch of
+    /// distinct flows whose engines read one group's rows, which
+    /// [`ServiceCore::step`] scans in lockstep. The engines own their
+    /// handles on the epoch's automaton and rows, so the scan runs
+    /// unlocked and survives a concurrent reload. Empty when nothing is
+    /// ready.
+    fn checkout(&mut self) -> Vec<ServeUnit> {
+        let Some((id, group)) = self.ready.pop_front() else {
+            return Vec::new();
+        };
+        let epoch = self.flow(id).map(|f| f.epoch);
+        let mut batch = vec![self.check_out(id, group)];
+        let mut at = 0;
+        while batch.len() < LOCKSTEP_LANES && at < self.ready.len().min(BATCH_WINDOW) {
+            let (other, g) = self.ready[at];
+            if g == group && self.flow(other).map(|f| f.epoch) == epoch {
+                self.ready.remove(at);
+                batch.push(self.check_out(other, g));
+            } else {
+                at += 1;
+            }
+        }
+        batch
+    }
+
+    /// Checks the engine of the dequeued unit `(id, si)` out, along with
+    /// the segments it has yet to consume.
+    fn check_out(&mut self, id: FlowId, si: usize) -> ServeUnit {
         let f = self
             .flow_mut(id)
             .expect("ready unit belongs to a live flow");
@@ -966,7 +1006,7 @@ impl ServeState {
             .cloned()
             .collect();
         self.in_flight += 1;
-        Some(ServeUnit {
+        ServeUnit {
             id,
             group: si,
             from,
@@ -976,7 +1016,7 @@ impl ServeState {
             seq,
             #[cfg(feature = "fault-inject")]
             scan_no,
-        })
+        }
     }
 
     /// Checks a scanned unit back in: publishes its reports, requeues
@@ -1196,6 +1236,7 @@ impl ServeState {
             queue_depth: self.ready.len(),
             queue_depth_peak: self.metrics.queue_peak,
             in_flight: self.in_flight,
+            batched_units: self.metrics.batched_units,
             shard_scan_ns: self.metrics.shard_scan_ns.snapshot(groups),
             shard_scan_bytes: self.metrics.shard_scan_bytes.snapshot(groups),
             idle_evictions: self.metrics.idle_evictions,
@@ -1262,23 +1303,34 @@ struct ServeUnit {
 }
 
 impl ServeUnit {
-    /// Scans every unconsumed byte of the checked-out segments,
-    /// returning the group's engine, the reports it appended and the
-    /// bytes it walked. Runs WITHOUT the lock held.
-    fn scan(self) -> (ShardStream, Vec<MultiReport>, u64) {
-        let ServeUnit {
-            from,
-            state: mut stream,
-            segments,
-            ..
-        } = self;
-        let mut reports = Vec::new();
-        let mut at = from;
-        for seg in &segments {
-            stream.feed_into(&seg.bytes[(at - seg.start) as usize..], &mut reports);
-            at = seg.end();
-        }
-        (stream, reports, at - from)
+    /// Scans every unconsumed byte of a batch's checked-out segments: the
+    /// first segment of every unit in lockstep
+    /// ([`ShardStream::feed_lockstep`]), any later ones unit by unit.
+    /// Returns, per unit, the reports its engine appended and the bytes
+    /// it walked. Runs WITHOUT the lock held.
+    fn scan(units: &mut [ServeUnit]) -> Vec<(Vec<MultiReport>, u64)> {
+        let mut reports = vec![Vec::new(); units.len()];
+        let mut firsts: Vec<(&mut ShardStream, &[u8], &mut Vec<MultiReport>)> = (units.iter_mut())
+            .zip(&mut reports)
+            .map(|(unit, out)| {
+                let first = (unit.segments.first()).map_or(&[][..], |seg| {
+                    &seg.bytes[(unit.from - seg.start) as usize..]
+                });
+                (&mut unit.state, first, out)
+            })
+            .collect();
+        ShardStream::feed_lockstep(&mut firsts);
+        (units.iter_mut().zip(reports))
+            .map(|(unit, mut out)| {
+                let mut at = unit.segments.first().map_or(unit.from, Segment::end);
+                for seg in unit.segments.iter().skip(1) {
+                    unit.state
+                        .feed_into(&seg.bytes[(at - seg.start) as usize..], &mut out);
+                    at = seg.end();
+                }
+                (out, at - unit.from)
+            })
+            .collect()
     }
 }
 
@@ -1309,13 +1361,14 @@ pub(crate) struct ServiceCore {
 enum Step<'g> {
     /// Nothing was ready; no unit was checked out.
     Idle(MutexGuard<'g, ServeState>),
-    /// A unit was scanned and checked back in — or, under
-    /// [`FaultPolicy::FailStop`], its panic poisoned the service.
+    /// A batch was scanned and checked back in — or, under
+    /// [`FaultPolicy::FailStop`], a panic in it poisoned the service.
     Ran(MutexGuard<'g, ServeState>),
-    /// The scan panicked under [`FaultPolicy::Isolate`]: the flow is
-    /// quarantined, the lock released, and the payload is the driver's
-    /// to rethrow.
-    Faulted(Box<dyn Any + Send>),
+    /// Part of the batch panicked under [`FaultPolicy::Isolate`]: the
+    /// flows it lost are quarantined, the rest checked in, the lock
+    /// released, and the payloads — one per panic, never none — are the
+    /// driver's to rethrow.
+    Faulted(Vec<Box<dyn Any + Send>>),
 }
 
 impl ServiceCore {
@@ -1367,63 +1420,85 @@ impl ServiceCore {
         }
     }
 
-    /// The one scheduling step both drivers run: check a ready
-    /// `(flow, group)` unit out, scan it **without** the lock, and check
-    /// it back in, waking whoever waits on the readiness or space
-    /// condvars.
+    /// The one scheduling step both drivers run: check a batch of ready
+    /// units out — up to [`LOCKSTEP_LANES`] of one scan group and epoch,
+    /// under one lock acquisition (`ServeState::checkout`) — scan them
+    /// **without** the lock, the first segment of each in lockstep and
+    /// any later ones unit by unit, and check them all back in under one
+    /// acquisition, waking whoever waits on the readiness or space
+    /// condvars. The scan time is counted once per batch, against its
+    /// group.
     ///
-    /// Panic protection: the unlocked scan runs caught, so a panic loses
-    /// only the unit's engine — never the lock's consistency. What
-    /// happens next is the fault policy's call: `Isolate` quarantines
-    /// the one flow and hands the payload back (the resident worker
-    /// rethrows it into its supervisor, the batch driver out of
-    /// `run()`); `FailStop` poisons the whole service, so blocked
-    /// producers panic out of their waits instead of re-blocking on a
-    /// backlog that will never clear.
+    /// Panic protection: each unit's planted fault fires alone, before
+    /// the lockstep, so a panic there loses that unit's engine only and
+    /// quarantines its flow alone; the batch's other flows scan as if
+    /// nothing happened. The lockstep itself runs caught too, but its
+    /// lanes share one loop: a panic inside it loses every engine of the
+    /// batch, and every flow of the batch is quarantined with its
+    /// payload. Never is the lock's consistency lost. What happens next
+    /// is the fault policy's call: `Isolate` quarantines and hands each
+    /// payload back (the resident worker rethrows them into its
+    /// supervisor, which counts a restart per panic; the batch driver
+    /// rethrows the first out of `run()`); `FailStop` poisons the whole
+    /// service, so blocked producers panic out of their waits instead of
+    /// re-blocking on a backlog that will never clear.
     fn step<'g>(&'g self, mut st: MutexGuard<'g, ServeState>) -> Step<'g> {
-        let Some(unit) = st.checkout() else {
+        let mut batch = st.checkout();
+        let Some(group) = batch.first().map(|unit| unit.group) else {
             return Step::Idle(st);
         };
-        let (id, group) = (unit.id, unit.group);
         drop(st);
         let started = Instant::now();
+        // The flows each panic took down, with its payload.
+        let mut lost: Vec<(Vec<FlowId>, Box<dyn Any + Send>)> = Vec::new();
         #[cfg(feature = "fault-inject")]
-        let probe = (unit.seq, unit.group, unit.scan_no);
-        let scanned = catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-inject")]
-            self.fault_plan.trigger(probe.0, probe.1, probe.2);
-            unit.scan()
-        }));
+        batch.retain(|unit| {
+            let fired = catch_unwind(AssertUnwindSafe(|| {
+                (self.fault_plan).trigger(unit.seq, unit.group, unit.scan_no)
+            }));
+            fired
+                .map_err(|payload| lost.push((vec![unit.id], payload)))
+                .is_ok()
+        });
+        let scanned = catch_unwind(AssertUnwindSafe(|| ServeUnit::scan(&mut batch)));
         let ns = started.elapsed().as_nanos() as u64;
         let mut st = self.lock();
-        let fault = match scanned {
-            Ok((state, reports, bytes)) => {
-                st.metrics.shard_scan_ns.add(group, ns);
-                st.metrics.shard_scan_bytes.add(group, bytes);
-                st.check_in(id, group, state, reports);
-                None
-            }
-            Err(payload) => {
-                st.in_flight -= 1;
-                match self.config.fault_policy {
-                    FaultPolicy::Isolate => {
-                        st.quarantine(id, &payload_summary(payload.as_ref()));
-                        Some(payload)
-                    }
-                    FaultPolicy::FailStop => {
-                        st.fail_stop(payload.as_ref());
-                        None
-                    }
+        match scanned {
+            Ok(results) => {
+                if !batch.is_empty() {
+                    st.metrics.shard_scan_ns.add(group, ns);
+                }
+                if batch.len() > 1 {
+                    st.metrics.batched_units += batch.len() as u64;
+                }
+                for (unit, (reports, bytes)) in batch.into_iter().zip(results) {
+                    st.metrics.shard_scan_bytes.add(group, bytes);
+                    st.check_in(unit.id, unit.group, unit.state, reports);
                 }
             }
-        };
+            Err(payload) => lost.push((batch.iter().map(|unit| unit.id).collect(), payload)),
+        }
+        let mut payloads = Vec::new();
+        for (flows, payload) in lost {
+            st.in_flight -= flows.len();
+            match self.config.fault_policy {
+                FaultPolicy::Isolate => {
+                    let summary = payload_summary(payload.as_ref());
+                    for id in flows {
+                        st.quarantine(id, &summary);
+                    }
+                    payloads.push(payload);
+                }
+                FaultPolicy::FailStop => st.fail_stop(payload.as_ref()),
+            }
+        }
         // Notify only a waiter that exists and whose predicate can have
         // changed: a parked worker has a unit to take, or the batch (or
         // the shutdown) it waits out has settled; a pusher may fit now;
         // a barrier sees everything consumed. A fault changes more than
         // that — a quarantine frees buffers, a fail-stop must reach every
         // blocked producer — and is rare: it notifies everyone.
-        let faulted = fault.is_some() || st.poisoned;
+        let faulted = !payloads.is_empty() || st.poisoned;
         let settled = st.in_flight == 0;
         if faulted || (st.parked > 0 && (settled || !st.ready.is_empty() || st.shutdown)) {
             self.wake.notify_all();
@@ -1432,9 +1507,10 @@ impl ServiceCore {
         if faulted || st.push_waiters > 0 || (st.barrier_waiters > 0 && drained) {
             self.space.notify_all();
         }
-        match fault {
-            None => Step::Ran(st),
-            Some(payload) => Step::Faulted(payload),
+        if payloads.is_empty() {
+            Step::Ran(st)
+        } else {
+            Step::Faulted(payloads)
         }
     }
 
@@ -1451,8 +1527,8 @@ impl ServiceCore {
         loop {
             st = match self.step(st) {
                 Step::Ran(st) => st,
-                Step::Faulted(payload) => {
-                    fault.get_or_insert(payload);
+                Step::Faulted(payloads) => {
+                    fault = fault.or(payloads.into_iter().next());
                     self.lock()
                 }
                 Step::Idle(st) if st.in_flight == 0 => return fault,
@@ -1463,11 +1539,11 @@ impl ServiceCore {
 }
 
 /// One supervised pass of the resident worker loop: sweep, step, park
-/// when idle, return on shutdown. A scan panic the step isolated (the
-/// offending flow is already quarantined) is rethrown into
+/// when idle, return on shutdown. The scan panics a step isolated (the
+/// offending flows are already quarantined) end the pass and go back to
 /// [`supervised_worker`], which respawns the loop under the restart
-/// budget.
-fn worker_loop(core: &ServiceCore) {
+/// budget; a clean shutdown returns none.
+fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
     let cfg = core.config;
     let mut st = core.lock();
     loop {
@@ -1482,11 +1558,11 @@ fn worker_loop(core: &ServiceCore) {
                 st = guard;
                 continue;
             }
-            Step::Faulted(payload) => std::panic::resume_unwind(payload),
+            Step::Faulted(payloads) => return payloads,
             Step::Idle(guard) => guard,
         };
         if idle.shutdown && idle.in_flight == 0 {
-            return;
+            return Vec::new();
         }
         // Periodic wake so the due-gated sweep keeps running while the
         // service sits fully idle.
@@ -1497,43 +1573,47 @@ fn worker_loop(core: &ServiceCore) {
 
 /// The worker thread body: reruns [`worker_loop`] across panics.
 ///
-/// Under [`FaultPolicy::Isolate`], a panicked pass (which already
-/// quarantined the offending flow before rethrowing) respawns the loop
-/// while the pool-wide [`restart_budget`](ServeConfig::restart_budget)
-/// lasts, sleeping an exponential backoff first — starting at
+/// Under [`FaultPolicy::Isolate`], each panic of a pass (a batch may
+/// hold several, each already quarantined) costs one restart of the
+/// pool-wide [`restart_budget`](ServeConfig::restart_budget) while it
+/// lasts, after an exponential backoff — starting at
 /// [`restart_backoff`](ServeConfig::restart_backoff) and doubling per
-/// restart this thread has absorbed (saturating; exponent capped).
-/// Once the budget is spent — or under [`FaultPolicy::FailStop`],
-/// where `worker_loop` only rethrows non-scan panics — the payload
-/// fail-stops the whole service and the thread exits.
+/// restart this thread has absorbed (saturating; exponent capped) —
+/// and the loop respawns. Once the budget is spent — or under
+/// [`FaultPolicy::FailStop`], where `worker_loop` only sees non-scan
+/// panics — the payload fail-stops the whole service and the thread
+/// exits.
 fn supervised_worker(core: &ServiceCore) {
     let cfg = core.config;
     let mut consecutive: u32 = 0;
     loop {
-        let payload = match catch_unwind(AssertUnwindSafe(|| worker_loop(core))) {
-            Ok(()) => return, // clean shutdown
-            Err(payload) => payload,
+        let payloads = match catch_unwind(AssertUnwindSafe(|| worker_loop(core))) {
+            Ok(payloads) if payloads.is_empty() => return, // clean shutdown
+            Ok(payloads) => payloads,
+            Err(payload) => vec![payload],
         };
-        let backoff = {
-            let mut st = core.lock();
-            if cfg.fault_policy == FaultPolicy::FailStop
-                || st.restarts >= cfg.restart_budget
-                || st.shutdown
-            {
-                st.fail_stop(payload.as_ref());
-                drop(st);
-                core.wake.notify_all();
-                core.space.notify_all();
-                return;
+        for payload in payloads {
+            let backoff = {
+                let mut st = core.lock();
+                if cfg.fault_policy == FaultPolicy::FailStop
+                    || st.restarts >= cfg.restart_budget
+                    || st.shutdown
+                {
+                    st.fail_stop(payload.as_ref());
+                    drop(st);
+                    core.wake.notify_all();
+                    core.space.notify_all();
+                    return;
+                }
+                st.restarts += 1;
+                st.metrics.worker_restarts += 1;
+                consecutive += 1;
+                cfg.restart_backoff
+                    .saturating_mul(1u32 << (consecutive - 1).min(16))
+            };
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
             }
-            st.restarts += 1;
-            st.metrics.worker_restarts += 1;
-            consecutive += 1;
-            cfg.restart_backoff
-                .saturating_mul(1u32 << (consecutive - 1).min(16))
-        };
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
         }
     }
 }
@@ -2110,10 +2190,15 @@ mod tests {
 
     /// What a worker does, on the test's thread: scan every ready unit.
     fn drain(st: &mut ServeState) {
-        while let Some(unit) = st.checkout() {
-            let (id, shard) = (unit.id, unit.group);
-            let (state, reports, _) = unit.scan();
-            st.check_in(id, shard, state, reports);
+        loop {
+            let mut batch = st.checkout();
+            if batch.is_empty() {
+                return;
+            }
+            let scanned = ServeUnit::scan(&mut batch);
+            for (unit, (reports, _)) in batch.into_iter().zip(scanned) {
+                st.check_in(unit.id, unit.group, unit.state, reports);
+            }
         }
     }
 
@@ -2181,5 +2266,59 @@ mod tests {
         assert_eq!(st.buffered_total, 0);
         let flow = st.flow(flow).expect("still open");
         assert_eq!(flow.reports, [RuleMatch { rule: 0, end: 39 }]);
+    }
+
+    #[test]
+    fn a_checkout_batches_ready_units_of_one_group_and_epoch() {
+        let builder = Engine::builder()
+            .patterns(["ab{2,3}c", "xyz"])
+            .prefilter(PrefilterMode::Off);
+        let engine = crate::set::in_scan_groups(builder, 2);
+        // No resident worker: the units wait in the queue until `drain`.
+        let handle = ServiceHandle::batch(&engine);
+        let flows: Vec<FlowId> = (0..6).map(|_| handle.try_open_flow().unwrap()).collect();
+        for &flow in &flows {
+            assert!(handle.try_push(flow, b"..abbc..xyz..").is_ready());
+        }
+        {
+            // The queue holds each flow's two units in turn; a checkout
+            // skips the other group's.
+            let mut st = handle.core.lock();
+            let batch = st.checkout();
+            let units: Vec<(FlowId, usize)> = batch.iter().map(|u| (u.id, u.group)).collect();
+            let first_four: Vec<(FlowId, usize)> = flows[..4].iter().map(|&f| (f, 0)).collect();
+            assert_eq!(units, first_four);
+            assert_eq!(st.in_flight, 4);
+            let mut batch = batch;
+            let scanned = ServeUnit::scan(&mut batch);
+            for (unit, (reports, bytes)) in batch.into_iter().zip(scanned) {
+                assert_eq!(bytes, 13);
+                st.check_in(unit.id, unit.group, unit.state, reports);
+            }
+            assert_eq!(st.in_flight, 0);
+        }
+        // The rest go through the step: (four of group 1), (two of each).
+        assert!(handle.core.drain().is_none());
+        let m = handle.metrics();
+        assert_eq!(m.batched_units, 4 + 2 + 2);
+        assert_eq!(m.shard_scan_bytes, [2 * 13, 6 * 13]);
+        for &flow in &flows {
+            let hits = [
+                RuleMatch { rule: 0, end: 6 },
+                RuleMatch { rule: 1, end: 11 },
+            ];
+            assert_eq!(handle.poll_checked(flow).unwrap(), hits);
+        }
+        // Epochs never share a batch: `old` still has bytes buffered on
+        // epoch 0 when the reload lands, `new` opens on epoch 1.
+        let old = flows[0];
+        assert!(handle.try_push(old, b"abbc").is_ready());
+        handle.reload(&engine);
+        let new = handle.try_open_flow().unwrap();
+        assert!(handle.try_push(new, b"abbc").is_ready());
+        assert!(handle.core.drain().is_none());
+        assert_eq!(handle.metrics().batched_units, 4 + 2 + 2);
+        assert_eq!(handle.poll_checked(old).unwrap().len(), 1);
+        assert_eq!(handle.poll_checked(new).unwrap().len(), 1);
     }
 }

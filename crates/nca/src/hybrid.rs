@@ -175,6 +175,28 @@
 //! The counting-set queue already *is* the sorted list of due offsets a
 //! timer wheel would keep — birth clocks, oldest first.
 //!
+//! # Many flows at once
+//!
+//! A pure byte is one add and one *dependent* load: the next row offset
+//! comes out of the load before it, so one engine walks its rows only as
+//! fast as memory answers. Engines of different flows depend on nothing
+//! of each other, and the hardware steps every stream's activity against
+//! the one programmed array at once (§3.2.1, §4) — the one-thread-per-
+//! packet setting of GPU pattern matchers. [`HybridEngine::feed_lockstep`]
+//! does the same for up to [`LOCKSTEP_LANES`] engines on the rows of one
+//! [`HybridCache`], each with a chunk of its own: a round loads every
+//! lane's `rows[S_l + c_l]` — four loads in flight instead of one — and
+//! tests the OR of the entries with the one compare, `>= ACCEPTS`. A lane
+//! whose entry is flagged, or whose `T` is live, takes its bytes through
+//! the path a single engine takes — the full `(S, T)` step, the sleeping
+//! loop, the look-ahead inside its own chunk — until `T` is empty again,
+//! and then rejoins the group; the others wait. Nothing is guessed, so
+//! every engine's reports, position and byte counters are what its own
+//! [`HybridEngine::feed_into`] leaves, and `feed_into` is the one-lane
+//! case of the same loop. A lane that a flush moves to a new generation
+//! ends the group: its handles and the others' name rows of different
+//! tables, so the lanes finish their chunks one after another.
+//!
 //! # Without rows
 //!
 //! [`MultiNca::engine`] makes the same engine with no cache: the
@@ -1106,6 +1128,50 @@ impl HybridEngine {
         }
     }
 
+    /// Feeds each engine its own chunk, appending to its own reports —
+    /// exactly what one [`feed_into`](HybridEngine::feed_into) per engine
+    /// would do, down to its position and its byte counters — with the
+    /// row walks of the engines interleaved (module docs, "Many flows at
+    /// once"). Engines on the rows of one [`HybridCache`] go in lockstep,
+    /// [`LOCKSTEP_LANES`] at a time in the order given; a group of them
+    /// that holds an engine without rows, or one on another cache, is fed
+    /// one engine after another.
+    pub fn feed_lockstep(lanes: &mut [(&mut HybridEngine, &[u8], &mut Vec<MultiReport>)]) {
+        let cache = |engine: &HybridEngine| match &engine.config {
+            Config::Rows(on) => Some(Arc::as_ptr(&on.at.cache.0)),
+            Config::Rowless(_) => None,
+        };
+        for group in lanes.chunks_mut(LOCKSTEP_LANES) {
+            let first = cache(group[0].0);
+            if group.len() == 1 || first.is_none() || group.iter().any(|(e, ..)| cache(e) != first)
+            {
+                for (engine, chunk, out) in group.iter_mut() {
+                    engine.feed_into(chunk, out);
+                }
+                continue;
+            }
+            let mut rows: Vec<Lane<'_>> = (group.iter_mut())
+                .map(|(engine, chunk, out)| {
+                    let HybridEngine {
+                        multi,
+                        config: Config::Rows(on),
+                    } = &mut **engine
+                    else {
+                        unreachable!("every engine of the group is on rows");
+                    };
+                    Lane {
+                        multi,
+                        on,
+                        chunk,
+                        i: 0,
+                        out,
+                    }
+                })
+                .collect();
+            feed_lanes(&mut rows);
+        }
+    }
+
     /// One-shot scan: resets, consumes `input`, returns all reports in
     /// stream order.
     pub fn match_reports(&mut self, input: &[u8]) -> Vec<MultiReport> {
@@ -1117,18 +1183,104 @@ impl HybridEngine {
 }
 
 impl OnRows {
-    /// [`HybridEngine::feed_into`] on the rows.
+    /// [`HybridEngine::feed_into`] on the rows: [`feed_lanes`] with one
+    /// lane.
     fn feed_into(&mut self, multi: &MultiNca, chunk: &[u8], out: &mut Vec<MultiReport>) {
-        self.at.catch_up();
-        self.at.untouched &= chunk.is_empty();
+        feed_lanes(&mut [Lane {
+            multi,
+            on: self,
+            chunk,
+            i: 0,
+            out,
+        }]);
+    }
+}
+
+/// Engines whose row walks one [`HybridEngine::feed_lockstep`] call
+/// interleaves at most (module docs, "Many flows at once"): four loads in
+/// flight at once. Eight were slower than four.
+pub const LOCKSTEP_LANES: usize = 4;
+
+/// One engine's part of a [`feed_lanes`] call: its rows, its chunk and
+/// how far into it it is, and where its reports go.
+struct Lane<'a> {
+    multi: &'a MultiNca,
+    on: &'a mut OnRows,
+    chunk: &'a [u8],
+    /// Bytes of `chunk` consumed.
+    i: usize,
+    out: &'a mut Vec<MultiReport>,
+}
+
+/// Feeds each lane its chunk — at most [`LOCKSTEP_LANES`] engines on
+/// the rows of one cache — exactly as one [`HybridEngine::feed_into`]
+/// per lane would (module docs, "Many flows at once").
+///
+/// While two or more lanes have bytes left, `T` empty, on one
+/// generation, their row walks go in lockstep ([`walk_group`]). A lane
+/// whose entry asks for more than a row load, or whose `T` is live,
+/// leaves the group for the *slow path*: the per-lane loop below, which
+/// takes the byte through the full `(S, T)` step and goes on — sleeping
+/// loop, full steps, look-ahead inside the lane's own chunk — until `T`
+/// is empty again, and then returns the lane to the group. Without a
+/// group (one lane left with bytes, or a flush moved a lane to another
+/// generation than the others') the same loop takes one lane at a time
+/// to the end of its chunk, and its `T`-empty branch is the single-lane
+/// row walk: bytes classified in 8-byte lanes through the flat `u16`
+/// class table, then one add and one load each.
+fn feed_lanes(lanes: &mut [Lane<'_>]) {
+    for lane in lanes.iter_mut() {
+        lane.on.at.catch_up();
+        lane.on.at.untouched &= lane.chunk.is_empty();
+    }
+    // A copy (512 B) rather than a borrow of the shared handle: the
+    // miss paths below need the whole cursor.
+    let class_map: [u16; 256] = *lanes[0].on.at.cache.0.class_map;
+    let mut generation = Arc::clone(&lanes[0].on.at.generation);
+    let mut rows = generation.read();
+    let mut lockstep = lanes.len() > 1
+        && (lanes.iter()).all(|lane| Arc::ptr_eq(&lane.on.at.generation, &generation));
+    // Lanes owed a trip through the slow path before the next walk.
+    let mut stopped = 0u32;
+    if lockstep {
+        for (l, lane) in lanes.iter().enumerate() {
+            stopped |= u32::from(lane.on.counters.any_live()) << l;
+        }
+    }
+    loop {
+        let (l, rejoin) = if stopped != 0 {
+            let l = stopped.trailing_zeros() as usize;
+            stopped &= stopped - 1;
+            (l, lockstep)
+        } else if lockstep {
+            match walk_group(lanes, &rows, &class_map) {
+                Some(halted) => stopped = halted,
+                None => lockstep = false,
+            }
+            continue;
+        } else if let Some(l) = lanes.iter().position(|lane| lane.i < lane.chunk.len()) {
+            (l, false)
+        } else {
+            break;
+        };
+        let Lane {
+            multi,
+            on,
+            chunk,
+            i: consumed,
+            out,
+        } = &mut lanes[l];
+        let (multi, chunk, on, out): (&MultiNca, &[u8], &mut OnRows, &mut Vec<_>) =
+            (multi, chunk, on, out);
         let bank = multi.bank();
-        // A copy (512 B) rather than a borrow of the shared handle: the
-        // miss paths below need the whole cursor.
-        let class_map: [u16; 256] = *self.at.cache.0.class_map;
-        let mut generation = Arc::clone(&self.at.generation);
-        let mut rows = generation.read();
-        let mut counting = self.counters.any_live();
-        let mut i = 0;
+        if !Arc::ptr_eq(&generation, &on.at.generation) {
+            drop(rows);
+            generation = Arc::clone(&on.at.generation);
+            rows = generation.read();
+        }
+        let home = Arc::as_ptr(&generation);
+        let mut counting = on.counters.any_live();
+        let mut i = *consumed;
         while i < chunk.len() {
             // The bytes the rows carry alone: all of them while `T` is
             // empty, and while it sleeps the next `nap`, as long as
@@ -1136,7 +1288,7 @@ impl OnRows {
             // `cur` is a row offset, and an entry that asks for anything
             // more is at or above `ACCEPTS`.
             let (mut nap, mut body) = (0, ClassSet::default());
-            let mut cur = self.at.cur;
+            let mut cur = on.at.cur;
             if !counting {
                 let lane = &chunk[i..chunk.len().min(i + 8)];
                 let mut classes = [0u16; 8];
@@ -1152,15 +1304,15 @@ impl OnRows {
                     cur = next;
                     k += 1;
                 }
-                self.at.cur = cur;
-                self.at.position += k as u64;
-                self.at.stats.dfa_bytes += k as u64;
+                on.at.cur = cur;
+                on.at.position += k as u64;
+                on.at.stats.dfa_bytes += k as u64;
                 i += k;
                 if k == lane.len() {
                     continue;
                 }
             } else {
-                (nap, body) = self.counters.horizon(bank);
+                (nap, body) = on.counters.horizon(bank);
                 let woken = chunk.len().min(i.saturating_add(nap as usize));
                 let fell_asleep = i;
                 while i < woken {
@@ -1174,11 +1326,11 @@ impl OnRows {
                 }
                 let slept = (i - fell_asleep) as u32;
                 if slept > 0 {
-                    self.at.cur = cur;
-                    self.at.position += u64::from(slept);
-                    self.at.stats.dfa_bytes += u64::from(slept);
-                    self.counters.skip(slept);
-                    self.at.stats.slept_bytes += u64::from(slept);
+                    on.at.cur = cur;
+                    on.at.position += u64::from(slept);
+                    on.at.stats.dfa_bytes += u64::from(slept);
+                    on.counters.skip(slept);
+                    on.at.stats.slept_bytes += u64::from(slept);
                     nap -= slept;
                 }
                 if i == chunk.len() {
@@ -1188,11 +1340,11 @@ impl OnRows {
             // One byte through the full `(S, T)` step.
             let class = class_map[chunk[i] as usize] as usize;
             i += 1;
-            let mut entry = rows.cache.get(self.at.cur, class);
+            let mut entry = rows.cache.get(on.at.cur, class);
             if entry == UNKNOWN {
                 drop(rows);
-                entry = HybridEngine::successor(multi, &mut self.at, class);
-                generation = Arc::clone(&self.at.generation);
+                entry = HybridEngine::successor(multi, &mut on.at, class);
+                generation = Arc::clone(&on.at.generation);
                 rows = generation.read();
             }
             let (next, wake) = Wake::resolve(&rows.wakes, entry);
@@ -1205,45 +1357,131 @@ impl OnRows {
                 let taken = wake
                     .is_some_and(|wake| !ahead.is_some_and(|class| has_class(&wake.quiet, class)));
                 if !taken {
-                    self.at.advance_dfa(&rows, next, out);
+                    on.at.advance_dfa(&rows, next, out);
                     if sleeping {
-                        self.counters.skip(1);
-                        self.at.stats.slept_bytes += 1;
+                        on.counters.skip(1);
+                        on.at.stats.slept_bytes += 1;
+                    } else if rejoin {
+                        break; // `T` is still empty: back to the group
                     }
                     continue;
                 }
             }
             let entries = wake.map_or(&[][..], |wake| &wake.entries);
-            self.at.position += 1;
-            self.at.stats.fallback_bytes += 1;
+            on.at.position += 1;
+            on.at.stats.fallback_bytes += 1;
             let first = out.len();
-            self.at.exits.clear();
-            let (exits, end) = (&mut self.at.exits, self.at.position);
-            let walked = self.counters.step(bank, class, entries, exits, end, out);
-            self.at.stats.exact_state_steps += walked as u64;
+            on.at.exits.clear();
+            let (exits, end) = (&mut on.at.exits, on.at.position);
+            let walked = on.counters.step(bank, class, entries, exits, end, out);
+            on.at.stats.exact_state_steps += walked as u64;
             let counted = out.len() - first;
-            match self.at.joined(&rows, next) {
-                Some(handle) => self.at.cur = handle,
+            match on.at.joined(&rows, next) {
+                Some(handle) => on.at.cur = handle,
                 None => {
                     drop(rows);
-                    let union = std::mem::take(&mut self.at.succ_scratch);
-                    self.at.enter(&union);
-                    self.at.succ_scratch = union;
-                    generation = Arc::clone(&self.at.generation);
+                    let union = std::mem::take(&mut on.at.succ_scratch);
+                    on.at.enter(&union);
+                    on.at.succ_scratch = union;
+                    generation = Arc::clone(&on.at.generation);
                     rows = generation.read();
                 }
             }
-            self.at.push_accepts(&rows, out);
+            on.at.push_accepts(&rows, out);
             if counted > 0 && out.len() - first > counted {
                 merge_step_reports(out, first);
             }
-            counting = self.counters.any_live();
+            counting = on.counters.any_live();
+            if rejoin && !counting {
+                break;
+            }
         }
-        // At rest the engine is on a generation that is still written to:
-        // kept between chunks, it never pins rows retired under it here.
-        drop(rows);
-        self.at.catch_up();
+        *consumed = i;
+        // The other lanes' handles name rows of the generation this one
+        // has just left.
+        lockstep &= std::ptr::eq(home, Arc::as_ptr(&generation));
     }
+    // At rest an engine is on a generation that is still written to:
+    // kept between chunks, it never pins rows retired under it here.
+    drop(rows);
+    for lane in lanes.iter_mut() {
+        lane.on.at.catch_up();
+    }
+}
+
+/// One walk of the group: every lane with bytes left steps its rows in
+/// lockstep with the others until one meets an entry at or above
+/// [`ACCEPTS`] or one runs out of chunk. Returns the lanes stopped at
+/// such an entry, a bit each; `None` when fewer than two lanes have
+/// bytes left. Every lane of the group reads `rows`' generation.
+fn walk_group(lanes: &mut [Lane<'_>], rows: &Tables, class_map: &[u16; 256]) -> Option<u32> {
+    let mut members = [0usize; LOCKSTEP_LANES];
+    let mut n = 0;
+    for (l, lane) in lanes.iter().enumerate() {
+        if lane.i < lane.chunk.len() {
+            members[n] = l;
+            n += 1;
+        }
+    }
+    Some(match n {
+        0 | 1 => return None,
+        2 => walk_rounds::<2>(lanes, &members, rows, class_map),
+        3 => walk_rounds::<3>(lanes, &members, rows, class_map),
+        _ => walk_rounds::<4>(lanes, &members, rows, class_map),
+    })
+}
+
+/// [`walk_group`] over `N` members. A round loads each lane's next entry,
+/// `rows[cur_l + class_l]` — `N` independent loads — and tests the OR of
+/// the `N` entries once; the round in which any of them is flagged is
+/// not taken.
+fn walk_rounds<const N: usize>(
+    lanes: &mut [Lane<'_>],
+    members: &[usize; LOCKSTEP_LANES],
+    rows: &Tables,
+    class_map: &[u16; 256],
+) -> u32 {
+    let table = &rows.cache.rows[..];
+    let len = (members[..N].iter())
+        .map(|&l| lanes[l].chunk.len() - lanes[l].i)
+        .min()
+        .unwrap_or(0);
+    let mut curs = [0u32; N];
+    let mut bytes: [&[u8]; N] = [&[]; N];
+    for k in 0..N {
+        let lane = &lanes[members[k]];
+        let chunk = lane.chunk;
+        curs[k] = lane.on.at.cur;
+        bytes[k] = &chunk[lane.i..lane.i + len];
+    }
+    let mut r = 0;
+    while r < len {
+        let mut next = [0u32; N];
+        let mut any = 0;
+        for k in 0..N {
+            next[k] = table[curs[k] as usize + class_map[bytes[k][r] as usize] as usize];
+            any |= next[k];
+        }
+        if any >= ACCEPTS {
+            break; // unfilled, accepting, or waking a counter
+        }
+        curs = next;
+        r += 1;
+    }
+    let mut stopped = 0;
+    for k in 0..N {
+        let l = members[k];
+        let lane = &mut lanes[l];
+        lane.on.at.cur = curs[k];
+        lane.on.at.position += r as u64;
+        lane.on.at.stats.dfa_bytes += r as u64;
+        lane.i += r;
+        if r < len {
+            let class = class_map[lane.chunk[lane.i] as usize] as usize;
+            stopped |= u32::from(rows.cache.get(curs[k], class) >= ACCEPTS) << l;
+        }
+    }
+    stopped
 }
 
 impl Rowless {
@@ -2586,5 +2824,94 @@ mod tests {
             assert!(stats.dfa_states <= budget);
             assert_eq!(stats.flushes > 0, budget == 3, "{stats:?}");
         }
+    }
+
+    // ---- many flows at once ------------------------------------------
+
+    /// Lockstep ≡ serial: batches of 1–4 engines on one cache, each fed a
+    /// chunk of its own stream, of random length, by
+    /// [`HybridEngine::feed_lockstep`], against twins on a cache of their
+    /// own fed the same chunks one [`HybridEngine::feed_into`] at a time.
+    /// The streams are the fleet's, cut into random pieces with runs of
+    /// dots between them, so lanes ride the group for a while and then
+    /// leave it, and a batch finds its engines cold, hot, counting or
+    /// asleep. After every batch each engine's reports, position and byte
+    /// counters are its twin's; at budget 2 generations are flushed in
+    /// the middle of batches.
+    #[test]
+    fn lockstep_equals_serial() {
+        let m = merged(&FLEET_RULES);
+        let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            lcg = (lcg.wrapping_mul(6364136223846793005)).wrapping_add(1442695040888963407);
+            (lcg >> 33) as usize % n
+        };
+        let streams: Vec<Vec<u8>> = (fleet_streams(8).iter())
+            .map(|fleet| {
+                let mut stream = Vec::new();
+                for piece in fleet.chunks(1 + next(40)) {
+                    stream.extend_from_slice(piece);
+                    stream.resize(stream.len() + next(200), b'.');
+                }
+                stream
+            })
+            .collect();
+        let oracles: Vec<Vec<MultiReport>> = streams.iter().map(|s| m.oracle(s)).collect();
+        let (mut counting, mut asleep, mut flushed) = (0, 0, 0);
+        for budget in [2usize, 3, DEFAULT_STATE_BUDGET] {
+            let (shared, own) = (m.hybrid_cache(budget), m.hybrid_cache(budget));
+            let mut engines: Vec<HybridEngine> = streams
+                .iter()
+                .map(|_| m.hybrid_engine_on(&shared))
+                .collect();
+            let mut twins: Vec<HybridEngine> =
+                streams.iter().map(|_| m.hybrid_engine_on(&own)).collect();
+            let mut got = vec![Vec::new(); streams.len()];
+            let mut want = vec![Vec::new(); streams.len()];
+            let mut at = vec![0usize; streams.len()];
+            loop {
+                let mut live: Vec<usize> = (0..streams.len())
+                    .filter(|&s| at[s] < streams[s].len())
+                    .collect();
+                if live.is_empty() {
+                    break;
+                }
+                let mut batch = Vec::new();
+                for _ in 0..1 + next(LOCKSTEP_LANES.min(live.len())) {
+                    let s = live.swap_remove(next(live.len()));
+                    batch.push((s, (1 + next(600)).min(streams[s].len() - at[s])));
+                }
+                for &(s, _) in &batch {
+                    let counters = engines[s].counters();
+                    counting += usize::from(counters.any_live());
+                    asleep += usize::from(counters.any_live() && counters.horizon(m.bank()).0 > 0);
+                }
+                let flushes = shared.stats().flushes;
+                let mut slots: Vec<Option<(&mut HybridEngine, &mut Vec<MultiReport>)>> =
+                    engines.iter_mut().zip(&mut got).map(Some).collect();
+                let mut lanes: Vec<(&mut HybridEngine, &[u8], &mut Vec<MultiReport>)> = (batch
+                    .iter())
+                .map(|&(s, len)| {
+                    let (engine, out) = slots[s].take().expect("a stream is in a batch once");
+                    (engine, &streams[s][at[s]..at[s] + len], out)
+                })
+                .collect();
+                HybridEngine::feed_lockstep(&mut lanes);
+                flushed += usize::from(batch.len() > 1 && shared.stats().flushes > flushes);
+                for &(s, len) in &batch {
+                    twins[s].feed_into(&streams[s][at[s]..at[s] + len], &mut want[s]);
+                    at[s] += len;
+                    assert_eq!(got[s], want[s], "stream {s}, budget {budget}");
+                    assert_eq!(engines[s].position(), twins[s].position());
+                    assert_eq!(engines[s].byte_counters(), twins[s].byte_counters());
+                }
+            }
+            assert_eq!(got, oracles, "budget {budget}");
+        }
+        assert!(
+            counting > 0 && asleep > 0,
+            "{counting} counting, {asleep} asleep"
+        );
+        assert!(flushed > 0, "no generation was flushed in a batch");
     }
 }

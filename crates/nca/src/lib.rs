@@ -49,7 +49,9 @@ mod unfold;
 pub use compiled::{CompilePlan, CompiledEngine, StorageMode};
 pub use dfa::{full_dfa_size, DfaEngine};
 pub use engine::{match_ends, matches, Engine, TokenSetEngine};
-pub use hybrid::{HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
+pub use hybrid::{
+    HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET, LOCKSTEP_LANES,
+};
 pub use multi::{MultiNca, MultiReport, ShardStream, ShardedMulti};
 pub use nca::{ActionOp, CounterId, CounterInfo, GuardAtom, Nca, State, StateId, Transition};
 pub use nfa::NfaEngine;

@@ -496,7 +496,33 @@ impl ShardStream {
     pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
         let start = out.len();
         self.engine.feed_into(chunk, out);
-        for r in &mut out[start..] {
+        self.globalize(&mut out[start..]);
+    }
+
+    /// [`HybridEngine::feed_lockstep`] over streams: each stream consumes
+    /// its own chunk and appends to its own reports exactly as its own
+    /// [`feed_into`](ShardStream::feed_into) would, while the streams of
+    /// one shard on one [`HybridCache`] step their rows in lockstep — the
+    /// batch a serving worker checks out.
+    pub fn feed_lockstep(lanes: &mut [(&mut ShardStream, &[u8], &mut Vec<MultiReport>)]) {
+        if let [(stream, chunk, out)] = lanes {
+            return stream.feed_into(chunk, out);
+        }
+        let starts: Vec<usize> = lanes.iter().map(|(_, _, out)| out.len()).collect();
+        let mut engines: Vec<(&mut HybridEngine, &[u8], &mut Vec<MultiReport>)> = (lanes
+            .iter_mut())
+        .map(|(stream, chunk, out)| (&mut *stream.engine, *chunk, &mut **out))
+        .collect();
+        HybridEngine::feed_lockstep(&mut engines);
+        for ((stream, _, out), start) in lanes.iter_mut().zip(starts) {
+            stream.globalize(&mut out[start..]);
+        }
+    }
+
+    /// Translates the shard-local pattern indices of `reports` to global
+    /// ones.
+    fn globalize(&self, reports: &mut [MultiReport]) {
+        for r in reports {
             r.pattern = self.members[r.pattern as usize];
         }
     }

@@ -228,6 +228,66 @@ fn service_reports_match_independent_streams() {
     assert_eq!(global.len(), got_a.len() + got_b.len());
 }
 
+/// Many flows pushed, then one barrier: a worker checks out up to four
+/// ready units of one scan group at a time and steps their rows in
+/// lockstep. Each flow still reports what its own stream does, every
+/// byte is counted once per group, and a batch's scan time is counted
+/// once, so the groups' scan time fits in the workers' wall time.
+#[test]
+fn batched_units_report_like_streams_and_count_their_scan_once() {
+    let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t", "hello"];
+    let flows: Vec<Vec<u8>> = (0..24)
+        .map(|i| {
+            let mut data = b"..... ".repeat(100 + 40 * (i % 5));
+            for (k, planted) in [&b"abbbc"[..], b"xxx", b"qrst", b"hello"]
+                .iter()
+                .enumerate()
+            {
+                let at = (97 * (i + 1) * (k + 1)) % (data.len() - 8);
+                data[at..at + planted.len()].copy_from_slice(planted);
+            }
+            data
+        })
+        .collect();
+    let scanned: u64 = flows.iter().map(|f| f.len() as u64).sum();
+    for workers in [1usize, 2] {
+        let builder = Engine::builder()
+            .patterns(patterns)
+            .prefilter(recama::PrefilterMode::Off)
+            .workers(workers);
+        let engine = in_scan_groups(builder, 2);
+        let svc = engine.serve();
+        let ids: Vec<_> = flows.iter().map(|_| svc.try_open_flow().unwrap()).collect();
+        let started = std::time::Instant::now();
+        for (id, data) in ids.iter().zip(&flows) {
+            svc.push_checked(*id, data).unwrap();
+        }
+        svc.barrier();
+        let wall = started.elapsed().as_nanos() as u64;
+        let m = svc.metrics();
+        for (id, data) in ids.iter().zip(&flows) {
+            svc.close(*id);
+            assert_eq!(
+                svc.poll_checked(*id).unwrap(),
+                scan_oracle(&engine, data, 0)
+            );
+        }
+        assert_eq!(
+            m.shard_scan_bytes,
+            [scanned, scanned],
+            "{workers} worker(s)"
+        );
+        let scan_ns: u64 = m.shard_scan_ns.iter().sum();
+        assert!(
+            scan_ns <= wall * workers as u64,
+            "{workers} worker(s): {scan_ns} ns of scans in {wall} ns"
+        );
+        assert!(m.batched_units <= 2 * flows.len() as u64);
+        assert_eq!(m.in_flight, 0);
+        svc.shutdown();
+    }
+}
+
 #[test]
 fn blocking_push_streams_a_large_flow_through_a_small_budget() {
     let engine = Engine::builder()

@@ -387,6 +387,73 @@ fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
     svc.shutdown();
 }
 
+/// A worker checks out up to four ready units of one group as a batch,
+/// and each unit's planted fault fires alone before the lockstep: a
+/// panic on one unit quarantines that flow only, and the batch's other
+/// flows are byte-identical to a fault-free run. The batch driver with
+/// one worker holds all four flows' units until `run()`, so they are one
+/// batch, whichever of them is faulted; the resident service settles
+/// `in_flight` whatever batches its workers formed.
+#[test]
+fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
+    let chunks: &[&[u8]] = &[b".abbc.k12m", b"xyz.abbbc.", b"k1234m.xyz"];
+    let full: Vec<u8> = chunks.concat();
+    let stream_oracle = |engine: &Engine, data: &[u8]| {
+        let mut stream = engine.stream();
+        let hits: Vec<_> = stream.feed(data).collect();
+        (hits, stream.finish())
+    };
+    for faulted in 0..4u64 {
+        let plan = FaultPlan::new().panic_at(faulted, 0, 2, "injected: one unit of a batch");
+        let engine = engine_with(plan, 1);
+        let sched = engine.scheduler();
+        for (round, chunk) in chunks.iter().enumerate() {
+            for flow in 0..4u64 {
+                if flow != faulted || round < 2 {
+                    sched.push(flow, chunk);
+                }
+            }
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.run()));
+            assert_eq!(
+                ran.is_err(),
+                round == 1,
+                "flow {faulted} faulted, round {round}"
+            );
+            assert_eq!(sched.pending_bytes(), 0);
+        }
+        for flow in (0..4u64).filter(|&flow| flow != faulted) {
+            sched.close(flow);
+            assert_eq!(
+                (sched.poll(flow), sched.finishing(flow)),
+                stream_oracle(&engine, &full),
+                "flow {faulted} faulted: flow {flow} must not notice"
+            );
+        }
+        assert_eq!(sched.poll(faulted), stream_oracle(&engine, chunks[0]).0);
+    }
+    for workers in [1, 2] {
+        let plan = FaultPlan::new().panic_at(2, 0, 2, "injected: flow 2 dies at scan 2");
+        let engine = engine_with(plan, workers);
+        let svc = engine.serve();
+        let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
+        drive(&svc, &flows, chunks);
+        let m = svc.metrics();
+        assert_eq!(m.in_flight, 0, "{workers} worker(s)");
+        assert_eq!(m.faults.quarantined_flows, 1);
+        assert_eq!(m.faults.worker_restarts, 1);
+        assert!(svc.is_quarantined(flows[2]));
+        for (i, flow) in flows.iter().enumerate().filter(|&(i, _)| i != 2) {
+            svc.close(*flow);
+            assert_eq!(
+                svc.poll_checked(*flow).unwrap(),
+                scan_oracle(&engine, &full, 0),
+                "{workers} worker(s): flow {i} must not notice the fault"
+            );
+        }
+        svc.shutdown();
+    }
+}
+
 /// The batch scheduler runs the same step as the service, so a scan
 /// panic quarantines its flow instead of dropping it: reports merged
 /// before the fault stay pollable, sibling flows are byte-identical to
