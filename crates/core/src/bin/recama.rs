@@ -10,7 +10,7 @@
 use recama::analysis::{check, CheckConfig, Method, Verdict};
 use recama::compiler::{compile, CompileOptions, DecidedBy, ModuleKind};
 use recama::hw::{run as hw_run, AreaGranularity};
-use recama::nca::UnfoldPolicy;
+use recama::nca::{CompilePlan, CounterId, MultiNca, StateId, UnfoldPolicy};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -156,10 +156,18 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             ""
         }
     );
+    // The scan engines' counter bank, for this rule merged alone.
+    let plan = CompilePlan::optimized(&out.nca, |q| out.analysis.state_unambiguous(q));
+    let multi = MultiNca::merge(&[(&out.nca, plan)]);
     for (k, (m, by)) in out.modules.iter().zip(&out.report.decided_by).enumerate() {
         let info = out.nca.counters()[k];
+        let mut cells: Vec<String> = (out.nca.states().iter().enumerate())
+            .filter(|(_, state)| state.counters.contains(&CounterId(k as u32)))
+            .filter_map(|(q, _)| multi.scan_cell(StateId(q as u32)))
+            .collect();
+        cells.dedup();
         eprintln!(
-            "  counter {k}: {} for bounds {{{},{}}}, decided by {}",
+            "  counter {k}: {} for bounds {{{},{}}}, decided by {}; scans as {}",
             match m {
                 ModuleKind::Counter => "counter",
                 ModuleKind::BitVector => "bit-vector",
@@ -170,7 +178,8 @@ fn cmd_compile(args: &[String]) -> ExitCode {
                 DecidedBy::RelaxedProof => "relaxed proof",
                 DecidedBy::Exact => "exact exploration",
                 DecidedBy::BudgetCut => "budget cut",
-            }
+            },
+            cells.join(" and ")
         );
     }
     let json = out.network.to_json();

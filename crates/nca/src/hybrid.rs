@@ -150,8 +150,9 @@
 //! set `body`. A byte is slept through — it rides its row exactly as if
 //! `T` were empty, and the bank is not stepped — under three conditions:
 //!
-//! * **every live module is a sleeper**: a register or a counting-set
-//!   queue with range guards and exactly one incrementing self-edge
+//! * **every live module is a sleeper**: a register, a counting-set word
+//!   or a counting-set queue with range guards and exactly one
+//!   incrementing self-edge
 //!   (bit vectors, token sets, multi-counter states and saturating
 //!   `{m,}` counters never are — `h` is 0 while one is live);
 //! * **no module is due**: before the byte no guard but the self-edge's
@@ -162,18 +163,20 @@
 //!
 //! On such a byte every live token takes its self-edge and nothing else
 //! happens: no exit, no hand-off, no report, the live mask unchanged. `k`
-//! of them are [`BankState::skip`]`(k)` — a clock bump per queue, an add
-//! per register. Every other byte takes the full `(S, T)` step: a wake
+//! of them are [`BankState::skip`]`(k)` — an add per register, a shift
+//! per word, a clock bump per queue, which the bank makes when it next
+//! reads the cells. Every other byte takes the full `(S, T)` step: a wake
 //! that is taken, the first due byte, the byte that leaves `body`, any
 //! byte with a module live that cannot sleep. A marked row met asleep
 //! gets the same one-byte look-ahead as with `T` empty.
 //!
-//! **Nothing is stored to sleep.** The horizon is a function of the
-//! cells, recomputed after every bank step and at the start of every
-//! chunk; a flow holds no due list and no timer, so a chunk boundary, a
-//! flush, a park or a restart in the middle of a sleep needs no care.
-//! The counting-set queue already *is* the sorted list of due offsets a
-//! timer wheel would keep — birth clocks, oldest first.
+//! **No timer is kept to sleep.** The horizon is a function of the
+//! cells: every bank step reads it off the cells it has just written
+//! and keeps it beside them, and a skip takes its bytes off. A flow
+//! holds no due list and no timer, so a chunk boundary, a flush, a park
+//! or a restart in the middle of a sleep needs no care. A counting-set
+//! word or queue already *is* the sorted list of due offsets a timer
+//! wheel would keep — bits by value, or birth clocks, oldest first.
 //!
 //! # Many flows at once
 //!
@@ -376,9 +379,9 @@ pub struct HybridStats {
     /// every live counter was between a token's entry and its first due
     /// value, the byte inside its body, so none was stepped.
     pub slept_bytes: u64,
-    /// Counter modules (live counted states) whose out-edges were
-    /// walked, summed over the fallback bytes: the tokens live *before*
-    /// each. `exact_state_steps / fallback_bytes` is the exact work per
+    /// Live counter modules stepped, counted before each fallback byte
+    /// (live counted states, summed over the fallback bytes).
+    /// `exact_state_steps / fallback_bytes` is the exact work per
     /// fallback byte — the pure states ride rows.
     pub exact_state_steps: u64,
     /// Determinized states cached right now: the size of the shard
@@ -1312,7 +1315,7 @@ fn feed_lanes(lanes: &mut [Lane<'_>]) {
                     continue;
                 }
             } else {
-                (nap, body) = on.counters.horizon(bank);
+                (nap, body) = on.counters.horizon();
                 let woken = chunk.len().min(i.saturating_add(nap as usize));
                 let fell_asleep = i;
                 while i < woken {
@@ -2342,7 +2345,7 @@ mod tests {
             let mut got = Vec::new();
             hybrid.feed_into(&input[..cut], &mut got);
             let counting = hybrid.counters().any_live();
-            asleep += usize::from(counting && hybrid.counters().horizon(m.bank()).0 > 0);
+            asleep += usize::from(counting && hybrid.counters().horizon().0 > 0);
             let live = hybrid.active_states();
             assert_eq!(hybrid.position(), cut as u64);
             assert_eq!(hybrid.counters().any_live(), counting);
@@ -2884,7 +2887,7 @@ mod tests {
                 for &(s, _) in &batch {
                     let counters = engines[s].counters();
                     counting += usize::from(counters.any_live());
-                    asleep += usize::from(counters.any_live() && counters.horizon(m.bank()).0 > 0);
+                    asleep += usize::from(counters.any_live() && counters.horizon().0 > 0);
                 }
                 let flushes = shared.stats().flushes;
                 let mut slots: Vec<Option<(&mut HybridEngine, &mut Vec<MultiReport>)>> =

@@ -238,6 +238,16 @@ impl MultiNca {
         }
     }
 
+    /// How the counter bank of the engines scans counted state `q`, for a
+    /// reader: the cell it keeps per flow — `a register`, `a 55-bit
+    /// word` (a counting set of bound at most 64), `a counting-set
+    /// queue`, `a bit vector`, `a token set` or `a multi-counter
+    /// register` — followed by ` (flat)` when one fixed record steps it
+    /// in place. `None` for a pure state.
+    pub fn scan_cell(&self, q: StateId) -> Option<String> {
+        self.0.bank.describe(q)
+    }
+
     /// Creates an engine over the merged automaton that caches no rows
     /// (see [`crate::HybridEngine`]): every byte steps the pure part of
     /// the frontier through the edge walk a row fill makes, beside the

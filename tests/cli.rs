@@ -110,6 +110,29 @@ fn no_args_prints_usage() {
 }
 
 #[test]
+fn compile_says_how_the_scan_steps_each_counter() {
+    // `h.{55}`'s counting set fits a machine word, stepped from one flat
+    // record; `.{69}` does not fit, and `{3,}` saturates.
+    for (pattern, line) in [
+        (
+            "h.{55}",
+            "counter 0: bit-vector for bounds {55,55}, decided by exact exploration; \
+             scans as a 55-bit word (flat)",
+        ),
+        ("cgzndh.{69}", "scans as a counting-set queue\n"),
+        ("ka{3,}b", "scans as a register\n"),
+    ] {
+        let out = recama()
+            .args(["compile", pattern])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(line), "{pattern}: {stderr}");
+    }
+}
+
+#[test]
 fn compile_says_what_decided_each_occurrence() {
     // Example 3.4 next to a plainly ambiguous run: two relaxed proofs and
     // one exact exploration for what they leave open.

@@ -44,11 +44,18 @@ const POOL: &[&str] = &[
     "(ab{2,3}c)+d",
     "^ab{2,4}c",
     "a{3,}b",
+    // counting sets at a machine word's width: one bit short of it, the
+    // full word, straddling it, a register just that long, and a queue
+    ".*h.{63}",
+    "h.{64}",
+    "k.{60,66}z",
+    "[^ac][ac]{64}",
+    ".*a.{65}b",
 ];
 
 /// Input bytes biased toward the pool's literals so matches and partial
 /// matches actually occur.
-const INPUT_BYTES: &[u8] = b"abcdxyzwqrstkm0123459_";
+const INPUT_BYTES: &[u8] = b"abcdhxyzwqrstkm0123459_";
 
 fn engine(patterns: &[&str], mode: ScanMode) -> Engine {
     Engine::builder()
@@ -75,7 +82,7 @@ proptest! {
     #[test]
     fn hybrid_agrees_with_nca_and_per_pattern_union(
         picks in prop::collection::vec(0usize..POOL.len(), 1..6),
-        input in prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 0..200),
+        input in prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 0..300),
         budget in prop_oneof![Just(1usize), Just(2), Just(7), Just(4096)],
         chunk_len in 1usize..40,
     ) {
@@ -120,7 +127,7 @@ proptest! {
     #[test]
     fn served_hybrid_reports_the_per_pattern_union(
         picks in prop::collection::vec(0usize..POOL.len(), 1..6),
-        input in prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 0..200),
+        input in prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 0..300),
         chunk_lens in prop::collection::vec(1usize..40, 1..8),
     ) {
         let mut picks = picks;
@@ -285,6 +292,46 @@ fn counter_fallback_survives_every_chunk_boundary() {
         let mut got: Vec<SetMatch> = stream.feed(&input[..cut]).collect();
         got.extend(stream.feed(&input[cut..]));
         assert_eq!(got, oneshot, "cut at {cut}");
+    }
+}
+
+#[test]
+fn word_width_counters_count_through_long_runs() {
+    // Runs long enough for every token of the pool's word-width rules to
+    // reach its bound: `[ac]` runs of 63 to 66 after a `[^ac]`, and `h`,
+    // `k` and `a` followed by 60 to 70 bytes before the next trigger.
+    let patterns = [
+        ".*h.{63}",
+        "h.{64}",
+        "k.{60,66}z",
+        "[^ac][ac]{64}",
+        ".*a.{65}b",
+    ];
+    let mut input = Vec::new();
+    for (i, run) in [63usize, 64, 65, 66, 64].into_iter().enumerate() {
+        input.push(b'x');
+        input.extend((0..run).map(|j| if (i + j) % 3 == 0 { b'c' } else { b'a' }));
+        input.extend(b"hk");
+        input.extend(std::iter::repeat_n(b'y', 55 + 3 * i));
+        input.extend(b"zbh");
+        input.extend(std::iter::repeat_n(b'y', 60 + i));
+        input.extend(b"zb");
+    }
+    let expected = union_of_per_pattern_matches(&patterns, &input);
+    for (pattern, source) in patterns.iter().enumerate() {
+        assert!(
+            expected.iter().any(|m| m.pattern == pattern),
+            "{source} must match the test input"
+        );
+    }
+    let modes = [1usize, 7, 4096].map(|state_budget| ScanMode::Hybrid { state_budget });
+    for mode in [ScanMode::Nca].into_iter().chain(modes) {
+        let engine = engine(&patterns, mode);
+        for chunk_len in [1, 7, 64, input.len()] {
+            let mut got = chunked_reports(&engine, &input, chunk_len);
+            got.sort();
+            assert_eq!(got, expected, "{mode:?}, chunks of {chunk_len}");
+        }
     }
 }
 
