@@ -1305,10 +1305,13 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (lcg >> 33) as usize % n
         };
-        // (exits, reports, conflicts, skipped bytes) seen
-        let mut seen = (0, 0, 0, 0);
-        for _ in 0..60 {
-            let picks: Vec<usize> = (0..1 + next(4)).map(|_| next(FLAT_RULES.len())).collect();
+        // (exits, reports, conflicts, skipped bytes, most modules) seen
+        let mut seen = (0, 0, 0, 0, 0);
+        for round in 0..60 {
+            // Every tenth mix is large enough for more than one word of
+            // modules.
+            let rules = if round % 10 == 0 { 60 } else { 1 + next(4) };
+            let picks: Vec<usize> = (0..rules).map(|_| next(FLAT_RULES.len())).collect();
             let ncas: Vec<Nca> = (picks.iter())
                 .map(|&i| {
                     Nca::from_regex(&recama_syntax::parse(FLAT_RULES[i].0).unwrap().for_stream())
@@ -1324,6 +1327,7 @@ mod tests {
             let bank = multi.bank();
             let modules = bank.len();
             assert!((0..modules).all(|m| bank.flat.is_flat(m)), "{picks:?}");
+            seen.4 = seen.4.max(modules);
             let (mut flat, mut edges) = (BankState::new(bank), BankState::new(bank));
             for end in 1..400 {
                 let class = multi.alphabet().class_of(b"abchkxyz\n"[next(9)]);
