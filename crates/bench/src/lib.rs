@@ -1,5 +1,4 @@
-//! Shared harness for the table/figure regeneration binaries and the
-//! criterion benches.
+//! Shared knobs and helpers for the table/figure regeneration binaries.
 //!
 //! Scale knobs (environment variables, so `cargo run --bin table1` works
 //! out of the box and full-scale runs remain possible):

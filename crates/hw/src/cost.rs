@@ -11,6 +11,9 @@
 //!   segment length (the Fig. 8 micro-benchmark provisions length-n
 //!   vectors).
 //!
+//! Switch-network energy is no separate term: Table 2 folds it into the
+//! CAM block access figure.
+//!
 //! Area comes in two granularities: `WholeModule` (provisioned hardware:
 //! whole CAM-block pairs per PE, whole 2000-bit bit-vector modules with an
 //! explicit **waste** term for unused bits — the Fig. 10 accounting) and
@@ -44,15 +47,12 @@ pub struct EnergyReport {
     pub counter_fj: f64,
     /// Bit-vector-module energy (fJ).
     pub bitvector_fj: f64,
-    /// Switch-network energy (fJ); 0 unless the optional switch model is
-    /// enabled (see [`crate::switch`]).
-    pub switch_fj: f64,
 }
 
 impl EnergyReport {
     /// Total energy in femtojoules.
     pub fn total_fj(&self) -> f64 {
-        self.match_fj + self.counter_fj + self.bitvector_fj + self.switch_fj
+        self.match_fj + self.counter_fj + self.bitvector_fj
     }
 
     /// Average energy per input byte in nanojoules — the Fig. 8/Fig. 10
@@ -109,7 +109,6 @@ pub fn energy_report(placement: &Placement, sim: &HwSimulator) -> EnergyReport {
         match_fj,
         counter_fj,
         bitvector_fj,
-        switch_fj: 0.0,
     }
 }
 
@@ -159,24 +158,10 @@ pub struct HwRun {
 /// Places `network`, runs `input` through the simulator, and prices the
 /// run with `granularity` area accounting.
 pub fn run(network: &MnrlNetwork, input: &[u8], granularity: AreaGranularity) -> HwRun {
-    run_with(network, input, granularity, None)
-}
-
-/// Like [`run`], optionally adding the switch-network energy model.
-pub fn run_with(
-    network: &MnrlNetwork,
-    input: &[u8],
-    granularity: AreaGranularity,
-    switch: Option<&crate::switch::SwitchParams>,
-) -> HwRun {
     let placement = place(network);
     let mut sim = HwSimulator::new(network);
     let match_ends = sim.match_ends(input);
-    let mut energy = energy_report(&placement, &sim);
-    if let Some(params) = switch {
-        energy.switch_fj =
-            crate::switch::switch_energy_fj(network, &placement, &sim.activation_counts(), params);
-    }
+    let energy = energy_report(&placement, &sim);
     let area = area_report(&placement, granularity);
     HwRun {
         placement,

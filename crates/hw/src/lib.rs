@@ -41,14 +41,10 @@ pub mod params;
 pub mod place;
 pub mod shard;
 mod sim;
-pub mod switch;
 pub mod throughput;
 
-pub use cost::{
-    area_report, energy_report, run, run_with, AreaGranularity, AreaReport, EnergyReport, HwRun,
-};
+pub use cost::{area_report, energy_report, run, AreaGranularity, AreaReport, EnergyReport, HwRun};
 pub use place::{place, EdgeStats, Loc, Placement};
 pub use shard::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 pub use sim::{Activity, HwSimulator};
-pub use switch::SwitchParams;
 pub use throughput::{throughput, ThroughputReport};

@@ -54,7 +54,7 @@ struct ModInfo {
 pub struct Activity {
     /// Input bytes processed.
     pub cycles: u64,
-    /// Total STE activations (for switch-activity statistics).
+    /// Total STE activations.
     pub ste_activations: u64,
     /// Reports raised.
     pub reports: u64,
@@ -91,9 +91,6 @@ pub struct HwSimulator<'a> {
     /// multi-pattern images).
     ste_report_ids: Vec<Option<u32>>,
     mod_report_ids: Vec<Option<u32>>,
-    /// Per-STE / per-module-output activation counts (switch model input).
-    ste_activations: Vec<u64>,
-    mod_output_events: Vec<u64>,
     /// Report node indices of the most recent cycle (STE-index space and
     /// module-index space respectively).
     last_ste_reports: Vec<usize>,
@@ -183,7 +180,6 @@ impl<'a> HwSimulator<'a> {
             }
         }
         let n = stes.len();
-        let m = modules.len();
         let mut sim = HwSimulator {
             network,
             stes,
@@ -197,8 +193,6 @@ impl<'a> HwSimulator<'a> {
             mod_ids,
             ste_report_ids,
             mod_report_ids,
-            ste_activations: vec![0; n],
-            mod_output_events: vec![0; m],
             last_ste_reports: Vec::new(),
             last_mod_reports: Vec::new(),
         };
@@ -236,8 +230,6 @@ impl<'a> HwSimulator<'a> {
             }
         }
         self.activity = Activity::default();
-        self.ste_activations.iter_mut().for_each(|c| *c = 0);
-        self.mod_output_events.iter_mut().for_each(|c| *c = 0);
         self.last_ste_reports.clear();
         self.last_mod_reports.clear();
     }
@@ -257,7 +249,6 @@ impl<'a> HwSimulator<'a> {
             self.active[i] = a;
             if a {
                 self.activity.ste_activations += 1;
-                self.ste_activations[i] += 1;
                 if self.stes[i].report {
                     report = true;
                     self.last_ste_reports.push(i);
@@ -305,9 +296,6 @@ impl<'a> HwSimulator<'a> {
                     report = true;
                     self.last_mod_reports.push(mi);
                 }
-            }
-            if outputs.en_out || outputs.en_loop {
-                self.mod_output_events[mi] += 1;
             }
         }
         self.enabled = next_enabled;
@@ -403,20 +391,6 @@ impl<'a> HwSimulator<'a> {
                         .collect(),
                 ));
             }
-        }
-        out
-    }
-
-    /// Per-node activation counts (STEs) and output-event counts (modules)
-    /// since the last reset, keyed by node id — the input of the
-    /// switch-network energy model.
-    pub fn activation_counts(&self) -> HashMap<String, u64> {
-        let mut out = HashMap::new();
-        for (i, id) in self.ste_ids.iter().enumerate() {
-            out.insert(id.clone(), self.ste_activations[i]);
-        }
-        for (i, id) in self.mod_ids.iter().enumerate() {
-            out.insert(id.clone(), self.mod_output_events[i]);
         }
         out
     }

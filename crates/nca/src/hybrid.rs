@@ -264,7 +264,8 @@ pub(crate) const ACCEPTS: u32 = 1 << 30;
 
 /// Shared dense-row subset interner: maps sorted NCA state sets to DFA
 /// states and stores one flat `byte_class → next` row per state. Used by
-/// both [`HybridCache`] and [`crate::DfaEngine`].
+/// both [`HybridCache`] and the subset walk behind
+/// [`crate::full_dfa_size`].
 ///
 /// A state is named by its *handle*: its dense id times `stride`, which
 /// is the offset of its row. So a row entry holds the handle of its
@@ -1790,6 +1791,33 @@ mod tests {
     }
 
     #[test]
+    fn class_indexed_rows_agree_across_all_bytes() {
+        // Bytes of one equivalence class share a row entry: a row filled
+        // from any member answers for every other, for every byte of Σ,
+        // including ones no pattern literal names.
+        let m = merged(&[".*a[bc]{2}", "zz", "x[ab]{2,4}c"]);
+        assert!(m.alphabet().len() < 256, "the sweep must cross classes");
+        let mut rowless = m.engine();
+        let mut hybrids = [m.hybrid_engine(1), m.hybrid_engine(4096)];
+        for prefix in [&b""[..], b"a", b"ab", b"zza"] {
+            for b in 0..=255u8 {
+                let mut input = prefix.to_vec();
+                input.push(b);
+                let expected = m.oracle(&input);
+                let at = format!("byte {b:#04x} after {prefix:?}");
+                assert_eq!(
+                    rowless.match_reports(&input),
+                    expected,
+                    "without rows, {at}"
+                );
+                for hybrid in &mut hybrids {
+                    assert_eq!(hybrid.match_reports(&input), expected, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cache_persists_across_resets() {
         let m = merged(&["abc", "xy"]);
         let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
@@ -2440,9 +2468,9 @@ mod tests {
         }
     }
 
-    /// Regression (satellite of the DfaEngine rewrite): driving the
-    /// hybrid cache to saturation discovers exactly the reachable DFA
-    /// states [`full_dfa_size`] counts on the same merged automaton.
+    /// Driving the hybrid cache to saturation discovers exactly the
+    /// reachable DFA states [`full_dfa_size`] counts on the same merged
+    /// automaton.
     #[test]
     fn saturated_cache_agrees_with_full_dfa_size() {
         let m = merged(&["abc", "x[yz]x", ".*ba"]);

@@ -12,11 +12,11 @@
 //!   per counting occurrence; states carry enclosing counters, Fig. 1);
 //! * [`Token`]/[`Prepared`] — fast token stepping shared by the engines and
 //!   the static analysis;
-//! * three execution engines behind the [`Engine`] trait:
-//!   [`TokenSetEngine`] (reference semantics), [`CompiledEngine`]
+//! * two execution engines behind the [`Engine`] trait:
+//!   [`TokenSetEngine`] (reference semantics) and [`CompiledEngine`]
 //!   (counter registers + bit vectors, the software twin of the augmented
-//!   hardware), and [`NfaEngine`] (bitset execution of unfolded automata,
-//!   the baseline);
+//!   hardware), plus [`full_dfa_size`], the subset construction that
+//!   counts the DFA blowup of unfolded counting;
 //! * [`unfold`] — the unfolding rewrite with the threshold knob of Fig. 9.
 //!
 //! ## Example
@@ -42,18 +42,16 @@ pub mod glushkov;
 mod hybrid;
 mod multi;
 mod nca;
-mod nfa;
 mod token;
 mod unfold;
 
 pub use compiled::{CompilePlan, CompiledEngine, StorageMode};
-pub use dfa::{full_dfa_size, DfaEngine};
+pub use dfa::full_dfa_size;
 pub use engine::{match_ends, matches, Engine, TokenSetEngine};
 pub use hybrid::{
     HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET, LOCKSTEP_LANES,
 };
 pub use multi::{MultiNca, MultiReport, ShardStream, ShardedMulti};
 pub use nca::{ActionOp, CounterId, CounterInfo, GuardAtom, Nca, State, StateId, Transition};
-pub use nfa::NfaEngine;
 pub use token::{Prepared, Token};
 pub use unfold::{unfold, unfold_one, unfolded_leaves, UnfoldPolicy};

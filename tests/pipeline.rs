@@ -187,49 +187,6 @@ fn per_rule_report_attribution() {
 }
 
 #[test]
-fn switch_model_is_additive_and_preserves_comparisons() {
-    use recama::hw::{run_with, SwitchParams};
-    let parsed = recama::syntax::parse("a{300}").unwrap();
-    let augmented = compile(&parsed.for_stream(), &CompileOptions::default());
-    let baseline = compile(
-        &parsed.for_stream(),
-        &CompileOptions {
-            unfold: UnfoldPolicy::All,
-            ..Default::default()
-        },
-    );
-    let input: Vec<u8> = std::iter::repeat_n(b'a', 2048).collect();
-    let params = SwitchParams::default();
-    for networks in [&augmented, &baseline] {
-        let without = run_with(&networks.network, &input, AreaGranularity::ProRata, None);
-        let with = run_with(
-            &networks.network,
-            &input,
-            AreaGranularity::ProRata,
-            Some(&params),
-        );
-        assert_eq!(without.energy.switch_fj, 0.0);
-        assert!(with.energy.switch_fj > 0.0);
-        assert!(with.energy.total_fj() > without.energy.total_fj());
-        assert_eq!(with.match_ends, without.match_ends);
-    }
-    // The augmented design still wins with switches included.
-    let aug = run_with(
-        &augmented.network,
-        &input,
-        AreaGranularity::ProRata,
-        Some(&params),
-    );
-    let base = run_with(
-        &baseline.network,
-        &input,
-        AreaGranularity::ProRata,
-        Some(&params),
-    );
-    assert!(aug.energy.total_fj() * 5.0 < base.energy.total_fj());
-}
-
-#[test]
 fn throughput_is_constant_at_cama_clock() {
     use recama::hw::throughput;
     let t = throughput(
