@@ -37,10 +37,12 @@
 //! tables. A flow's engine is what is left: a handle on each of the two
 //! images, the generation it reads, its DFA state `S`, its stream
 //! position, its byte counters, and `T` as a [`BankState`] — a live mask
-//! and one cell per counted state of the shard (a `u32` register, a
-//! counting queue, or bit-vector / token-set storage), never anything
-//! per pure state. It borrows nothing, so a serving layer keeps it in
-//! its flow table between chunks as it is.
+//! and, per counted state of the shard, a `u64` value (a register's
+//! count, or a counting set of bound at most 64 as a word) beside a
+//! cell that holds a counting queue or bit-vector / token-set storage
+//! where the value cannot; never anything per pure state. It borrows
+//! nothing, so a serving layer keeps it in its flow table between
+//! chunks as it is.
 //!
 //! * **The cache is bounded per shard.** At most `state_budget`
 //!   determinized states are cached for a shard at once, however many

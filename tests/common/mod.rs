@@ -28,23 +28,6 @@ pub fn sample_patterns(id: BenchmarkId, scale: f64, seed: u64, max_mu: u32) -> V
         .collect()
 }
 
-/// The independent oracle of every set-level scan: each pattern compiled
-/// and scanned alone ([`Pattern::find_ends`], the per-pattern
-/// `CompiledEngine`), tagged by pattern index and sorted by
-/// `(pattern, end)`.
-pub fn union_of_per_pattern_matches<S: AsRef<str>>(patterns: &[S], input: &[u8]) -> Vec<SetMatch> {
-    let mut expected = Vec::new();
-    for (pi, p) in patterns.iter().enumerate() {
-        let p = p.as_ref();
-        let pattern = Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"));
-        for end in pattern.find_ends(input) {
-            expected.push(SetMatch { pattern: pi, end });
-        }
-    }
-    expected.sort();
-    expected
-}
-
 /// `builder`'s engine cut into at least `groups` scan groups — the units
 /// of a flow — the way a user gets them: by a hybrid `state_budget` the
 /// rules do not fit. A default build weighs the rules, and the budget is
@@ -99,60 +82,79 @@ pub fn set_with<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> ShardedPa
         .into_set()
 }
 
-/// `patterns` scanned as at least `groups` units per flow (one bank
-/// image, every other knob at its default); see [`in_scan_groups`].
-pub fn set_in_groups<S: AsRef<str>>(patterns: &[S], groups: usize) -> ShardedPatternSet {
-    in_scan_groups(Engine::builder().patterns(patterns), groups).into_set()
+/// The independent oracle of every scan: each pattern of a ruleset
+/// compiled and scanned alone ([`Pattern`], its own `CompiledEngine`).
+/// No sharding, prefilter, hybrid rows or flow code is involved. The
+/// patterns compile once and answer any number of inputs.
+pub struct Oracle {
+    pub patterns: Vec<Pattern>,
 }
 
-/// The independent oracle of every *streamed* scan of `set` over `data`:
-/// each pattern compiled and scanned alone, every candidate end reported
-/// (a stream has no end, so a trailing `$` filters nothing), in stream
-/// order — ascending end, ascending pattern within one end. No sharding,
-/// prefilter, hybrid rows or flow code is involved.
-pub fn stream_oracle(set: &ShardedPatternSet, data: &[u8]) -> Vec<SetMatch> {
-    let mut expected = Vec::new();
-    for pi in 0..set.len() {
-        let pattern = Pattern::compile(set.pattern(pi)).unwrap();
-        let ends = pattern.engine().match_ends(data);
-        expected.extend(
-            ends.into_iter()
-                .filter(|&end| end > 0)
-                .map(|end| SetMatch { pattern: pi, end }),
-        );
+impl Oracle {
+    pub fn new<S: AsRef<str>>(patterns: &[S]) -> Oracle {
+        let compile = |p: &S| {
+            let p = p.as_ref();
+            Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"))
+        };
+        let patterns = patterns.iter().map(compile).collect();
+        Oracle { patterns }
     }
-    expected.sort_by_key(|m| (m.end, m.pattern));
-    expected
+
+    /// The oracle of `engine`'s rules.
+    pub fn of(engine: &Engine) -> Oracle {
+        let patterns: Vec<&str> = (0..engine.len()).map(|pi| engine.pattern(pi)).collect();
+        Oracle::new(&patterns)
+    }
+
+    /// Every candidate end over `data` as a stream reports it (a stream
+    /// has no end, so a trailing `$` filters nothing), in stream order:
+    /// ascending end, ascending pattern within one end.
+    pub fn stream(&self, data: &[u8]) -> Vec<SetMatch> {
+        let mut expected = Vec::new();
+        for (pi, pattern) in self.patterns.iter().enumerate() {
+            let ends = pattern.engine().match_ends(data);
+            expected.extend(
+                ends.into_iter()
+                    .filter(|&end| end > 0)
+                    .map(|end| SetMatch { pattern: pi, end }),
+            );
+        }
+        expected.sort_by_key(|m| (m.end, m.pattern));
+        expected
+    }
+
+    /// The finishing set of a stream that ends after `data`: what each
+    /// trailing-`$` pattern keeps ([`Pattern::find_ends`]), by pattern.
+    pub fn finish(&self, data: &[u8]) -> Vec<SetMatch> {
+        let mut expected = Vec::new();
+        for (pi, pattern) in self.patterns.iter().enumerate() {
+            if pattern.parsed().anchored_end {
+                let ends = pattern.find_ends(data).into_iter();
+                expected.extend(ends.map(|end| SetMatch { pattern: pi, end }));
+            }
+        }
+        expected
+    }
 }
 
-/// [`stream_oracle`] as the service reports it: stable rule ids, ends
-/// offset by `base` (where in its flow `data` starts).
+/// [`Oracle::stream`] over `engine`'s patterns as the service reports
+/// it: stable rule ids, ends offset by `base` (where in its flow `data`
+/// starts).
 pub fn scan_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
+    as_rules(engine, Oracle::of(engine).stream(data), base)
+}
+
+/// [`Oracle::finish`] over `engine`'s patterns, as [`scan_oracle`].
+pub fn finish_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
+    as_rules(engine, Oracle::of(engine).finish(data), base)
+}
+
+fn as_rules(engine: &Engine, matches: Vec<SetMatch>, base: u64) -> Vec<RuleMatch> {
     let rule_match = |m: SetMatch| RuleMatch {
         rule: engine.rule_id(m.pattern),
         end: m.end as u64 + base,
     };
-    stream_oracle(engine.set(), data)
-        .into_iter()
-        .map(rule_match)
-        .collect()
-}
-
-/// The finishing set of a stream that ends after `data`: what each
-/// trailing-`$` pattern, scanned alone, keeps ([`Pattern::find_ends`]) —
-/// sorted by pattern, as stable rule ids with ends offset by `base`.
-pub fn finish_oracle(engine: &Engine, data: &[u8], base: u64) -> Vec<RuleMatch> {
-    let mut expected = Vec::new();
-    for pi in 0..engine.len() {
-        let pattern = Pattern::compile(engine.pattern(pi)).unwrap();
-        if pattern.parsed().anchored_end {
-            expected.extend(pattern.find_ends(data).into_iter().map(|end| RuleMatch {
-                rule: engine.rule_id(pi),
-                end: end as u64 + base,
-            }));
-        }
-    }
-    expected
+    matches.into_iter().map(rule_match).collect()
 }
 
 /// Splits `data` into uneven deterministic chunks of 1 to `max_len`

@@ -1,57 +1,23 @@
-//! The `Engine` facade, end to end: builder → scan / spans / stream /
-//! scheduler / service, structured compile errors, lossy builds,
-//! blocking pushes through a small budget, idle-flow eviction, closed
-//! and stale ids as `ServeError` values, and the stream `reset()`
-//! regression (reset + rescan must equal a fresh scan, `finish()`
-//! included).
+//! The `Engine` facade, end to end: rule ids, structured compile
+//! errors, lossy builds, the scan mode and its stats, streams that move
+//! across threads, scheduler ids that close and reopen, batched units
+//! counting their scans, blocking pushes through a small budget,
+//! idle-flow eviction, closed and stale ids as `ServeError` values, and
+//! the stream `reset()` regression (reset + rescan must equal a fresh
+//! scan, `finish()` included). That every driver reports what each rule
+//! scanned alone does is `tests/differential.rs`.
 
 mod common;
 
-use common::{in_scan_groups, scan_oracle, union_of_per_pattern_matches};
-use recama::hw::ShardPolicy;
-use recama::{CompilePhase, Engine, RuleMatch, ServeConfig, ServeError, SetMatch};
+use common::in_scan_groups;
+use recama::{
+    CompilePhase, Engine, RuleMatch, ScanMode, ServeConfig, ServeError, SetMatch,
+    DEFAULT_STATE_BUDGET,
+};
 use std::task::Poll;
 use std::time::Duration;
 
 const PATTERNS: [&str; 4] = ["ab{2,3}c", "a{3}", "x[yz]{2}", "k\\d{2}$"];
-const HAYSTACK: &[u8] = b"abbc.aaa.xyz.abbbc_k42";
-
-#[test]
-fn builder_scan_matches_per_pattern_baseline() {
-    // Banks and scan groups are cut independently; neither moves a report.
-    for (policy, groups) in [
-        (ShardPolicy::Single, 1),
-        (ShardPolicy::Fixed(2), 2),
-        (ShardPolicy::default(), 3),
-    ] {
-        let builder = Engine::builder().patterns(PATTERNS).shard_policy(policy);
-        let engine = in_scan_groups(builder, groups);
-        assert_eq!(engine.scan_groups().shard_count(), groups);
-        let mut got = engine.scan(HAYSTACK);
-        got.sort();
-        assert_eq!(
-            got,
-            union_of_per_pattern_matches(&PATTERNS, HAYSTACK),
-            "policy {policy:?}, {groups} groups"
-        );
-    }
-}
-
-#[test]
-fn scan_spans_agree_with_per_pattern_spans() {
-    let engine = Engine::new(["ab{2,3}c", "xyz"]).unwrap();
-    let spans = engine.scan_spans(b"zzabbc..xyz..abbbc");
-    for (pi, p) in ["ab{2,3}c", "xyz"].iter().enumerate() {
-        let pattern = recama::Pattern::compile(p).unwrap();
-        let expected: Vec<_> = pattern.find_spans(b"zzabbc..xyz..abbbc");
-        let got: Vec<_> = spans
-            .iter()
-            .filter(|s| s.pattern == pi)
-            .map(|s| s.span())
-            .collect();
-        assert_eq!(got, expected, "pattern {p}");
-    }
-}
 
 #[test]
 fn rules_carry_explicit_ids() {
@@ -122,24 +88,6 @@ fn strict_build_is_lossless_or_fails() {
     assert_eq!(engine.len(), PATTERNS.len());
 }
 
-#[test]
-fn stream_agrees_with_scan_across_chunkings() {
-    let engine = in_scan_groups(
-        Engine::builder().patterns(["ab{2,4}c", "x{3}", "q[rs]{2}t"]),
-        3,
-    );
-    let input = b"zabbbc_xxx_qrst_abbc_xxxx";
-    let oneshot = engine.scan(input);
-    for chunk_len in [1usize, 3, 9, input.len()] {
-        let mut stream = engine.stream();
-        let mut got = Vec::new();
-        for chunk in input.chunks(chunk_len) {
-            got.extend(stream.feed(chunk));
-        }
-        assert_eq!(got, oneshot, "chunk length {chunk_len}");
-    }
-}
-
 /// Regression pin (reset bug): a reset stream must behave exactly like
 /// a fresh one — `feed` reports AND the `$`-anchor `finish()` set.
 /// Stale `$` candidates would resurrect the pre-reset ends or report
@@ -201,40 +149,14 @@ fn scheduler_from_engine_serves_flows() {
     assert_eq!(hits, vec![(1, 3)]);
 }
 
-#[test]
-fn service_reports_match_independent_streams() {
-    let builder = Engine::builder().patterns(["ab{2,4}c", "x{3}", "q[rs]{2}t"]);
-    let engine = in_scan_groups(builder.workers(3), 3);
-    let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
-    let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
-    let svc = engine.serve();
-    let a = svc.try_open_flow().unwrap();
-    let b = svc.try_open_flow().unwrap();
-    svc.push_checked(a, flow_a[0]).unwrap();
-    svc.push_checked(b, flow_b[0]).unwrap();
-    svc.push_checked(b, flow_b[1]).unwrap();
-    svc.push_checked(a, flow_a[1]).unwrap();
-    svc.push_checked(b, flow_b[2]).unwrap();
-    svc.push_checked(a, flow_a[2]).unwrap();
-    svc.barrier();
-    let (got_a, got_b, global) = (
-        svc.poll_checked(a).unwrap(),
-        svc.poll_checked(b).unwrap(),
-        svc.drain_global(),
-    );
-    let expected = |chunks: &[&[u8]]| scan_oracle(&engine, &chunks.concat(), 0);
-    assert_eq!(got_a, expected(&flow_a));
-    assert_eq!(got_b, expected(&flow_b));
-    assert_eq!(global.len(), got_a.len() + got_b.len());
-}
-
 /// Many flows pushed, then one barrier: a worker checks out up to four
 /// ready units of one scan group at a time and steps their rows in
-/// lockstep. Each flow still reports what its own stream does, every
-/// byte is counted once per group, and a batch's scan time is counted
-/// once, so the groups' scan time fits in the workers' wall time.
+/// lockstep. Every byte is counted once per group, and a batch's scan
+/// time is counted once, so the groups' scan time fits in the workers'
+/// wall time. (That each flow still reports what its own stream does is
+/// the differential suite's `batched` pin.)
 #[test]
-fn batched_units_report_like_streams_and_count_their_scan_once() {
+fn batched_units_count_their_scan_once() {
     let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t", "hello"];
     let flows: Vec<Vec<u8>> = (0..24)
         .map(|i| {
@@ -265,13 +187,6 @@ fn batched_units_report_like_streams_and_count_their_scan_once() {
         svc.barrier();
         let wall = started.elapsed().as_nanos() as u64;
         let m = svc.metrics();
-        for (id, data) in ids.iter().zip(&flows) {
-            svc.close(*id);
-            assert_eq!(
-                svc.poll_checked(*id).unwrap(),
-                scan_oracle(&engine, data, 0)
-            );
-        }
         assert_eq!(
             m.shard_scan_bytes,
             [scanned, scanned],
@@ -400,7 +315,7 @@ fn service_evicts_idle_flows_under_sustained_load() {
 /// while it drains, and once drained it goes stale. Reopening means a
 /// new flow — possibly in the same slot, under the next generation,
 /// starting at position 0. (`u64` ids that *do* reopen are the batch
-/// scheduler's; `tests/flow_scheduler.rs` pins those.)
+/// scheduler's: `close_and_reopen_cycles_keep_flows_independent`.)
 #[test]
 fn closed_flows_reject_pushes_until_drained_then_reopen() {
     let engine = Engine::builder().patterns(["ab"]).build().unwrap();
@@ -478,4 +393,106 @@ fn engine_and_service_are_send_sync() {
         .map(|&flow| svc.poll_checked(flow).unwrap().len())
         .sum();
     assert_eq!(total, 4);
+}
+
+#[test]
+fn scan_mode_is_exposed_and_defaults_to_hybrid() {
+    let default_mode = Engine::builder()
+        .patterns(["abc"])
+        .build()
+        .unwrap()
+        .scan_mode();
+    assert_eq!(
+        default_mode,
+        ScanMode::Hybrid {
+            state_budget: DEFAULT_STATE_BUDGET
+        }
+    );
+    let forced = Engine::builder().patterns(["abc"]).scan_mode(ScanMode::Nca);
+    assert_eq!(forced.build().unwrap().scan_mode(), ScanMode::Nca);
+}
+
+#[test]
+fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
+    let patterns = ["abc", "ab{2,3}c"];
+    let input = b"zabcz.abbc.abbbc.abc";
+    let engine = |mode| {
+        let builder = Engine::builder().patterns(patterns).scan_mode(mode);
+        builder.build().unwrap()
+    };
+
+    let hybrid = engine(ScanMode::Hybrid { state_budget: 128 });
+    let sched = hybrid.scheduler();
+    sched.push(1, input);
+    sched.run();
+    let stats = sched.hybrid_stats().expect("hybrid mode exposes stats");
+    assert_eq!(
+        stats.dfa_bytes + stats.fallback_bytes,
+        input.len() as u64,
+        "every byte is attributed to exactly one path"
+    );
+    assert!(stats.dfa_states > 0, "the overlay cached at least q0");
+    assert!(
+        (1..=stats.fallback_bytes).contains(&stats.exact_state_steps),
+        "one counted state at most is stepped exactly: {stats:?}"
+    );
+
+    let exact = engine(ScanMode::Nca);
+    let sched = exact.scheduler();
+    sched.push(1, input);
+    sched.run();
+    assert_eq!(sched.hybrid_stats(), None, "Nca mode has no overlay");
+}
+
+#[test]
+fn close_and_reopen_cycles_keep_flows_independent() {
+    let engine = in_scan_groups(Engine::builder().patterns(["ab{2}c", "xyz"]), 2);
+    let sched = engine.scheduler_with(2);
+
+    // Three incarnations of the same flow id, each a fresh stream: the
+    // match must be found at the *incarnation-local* offset every time,
+    // proving no engine state leaks across close/reopen.
+    for incarnation in 0..3u64 {
+        sched.push(9, b"..ab");
+        sched.push(9, b"bc");
+        sched.close(9);
+        sched.run();
+        assert_eq!(
+            sched.poll(9),
+            vec![SetMatch { pattern: 0, end: 6 }],
+            "incarnation {incarnation}"
+        );
+        assert_eq!(sched.flow_count(), 0, "drained flows are forgotten");
+    }
+
+    // A flow closed while another stays open: the survivor is unaffected.
+    sched.push(1, b"xy");
+    sched.push(2, b"..a");
+    sched.close(1);
+    sched.run();
+    sched.push(2, b"bbc");
+    sched.run();
+    assert!(sched.poll(1).is_empty());
+    assert_eq!(sched.poll(2), vec![SetMatch { pattern: 0, end: 6 }]);
+}
+
+#[test]
+fn sharded_streams_move_across_threads() {
+    // One resumable engine state per scan group per flow, with flows
+    // owned by worker threads — the multi-stream scheduler shape.
+    let patterns = ["flow[0-9]{2}end", "k[ab]{2,5}z"];
+    let engine = in_scan_groups(Engine::builder().patterns(patterns), 2);
+    assert_eq!(engine.stream().group_count(), 2);
+    let flows: [&[u8]; 2] = [b"..flow42end..", b"..kabz..flow07end"];
+    let counts: Vec<usize> = std::thread::scope(|scope| {
+        let handles: Vec<_> = flows
+            .iter()
+            .map(|flow| {
+                let mut stream = engine.stream();
+                scope.spawn(move || stream.feed(flow).count())
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(counts, vec![1, 2]);
 }
