@@ -431,13 +431,46 @@ impl fmt::Debug for FlowScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, ShardedPatternSet};
 
     /// `patterns` as `groups` units per flow.
     fn sharded(patterns: &[&str], groups: usize) -> Engine {
         let engine = crate::set::in_scan_groups(Engine::builder().patterns(patterns), groups);
         assert_eq!(engine.scan_groups().shard_count(), groups);
         engine
+    }
+
+    /// Per-flow scheduler output must equal an independent stream fed the
+    /// same chunks.
+    fn expected_stream(set: &ShardedPatternSet, chunks: &[&[u8]]) -> Vec<SetMatch> {
+        let mut stream = set.stream();
+        let mut out = Vec::new();
+        for chunk in chunks {
+            out.extend(stream.feed(chunk));
+        }
+        out
+    }
+
+    #[test]
+    fn interleaved_flows_match_independent_streams() {
+        let engine = sharded(&["ab{2,4}c", "x{3}", "q[rs]{2}t"], 3);
+        let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
+        let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
+        for workers in [1, 2, 5] {
+            let sched = engine.scheduler_with(workers);
+            // Interleave pushes; run mid-way and at the end.
+            sched.push(1, flow_a[0]);
+            sched.push(2, flow_b[0]);
+            sched.run();
+            sched.push(2, flow_b[1]);
+            sched.push(1, flow_a[1]);
+            sched.push(2, flow_b[2]);
+            sched.push(1, flow_a[2]);
+            sched.run();
+            assert_eq!(sched.poll(1), expected_stream(engine.set(), &flow_a));
+            assert_eq!(sched.poll(2), expected_stream(engine.set(), &flow_b));
+            assert_eq!(sched.pending_bytes(), 0);
+        }
     }
 
     #[test]

@@ -666,6 +666,23 @@ mod tests {
     }
 
     #[test]
+    fn mirrors_per_pattern_find_ends() {
+        let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
+        let set = set_with(&patterns, ShardPolicy::Single);
+        let haystack = b"abbc.aaa.cab.xyz.abbbc";
+        let mut expected: Vec<SetMatch> = Vec::new();
+        for (pi, p) in patterns.iter().enumerate() {
+            for end in Pattern::compile(p).unwrap().find_ends(haystack) {
+                expected.push(SetMatch { pattern: pi, end });
+            }
+        }
+        expected.sort();
+        let mut got = set.find_ends(haystack);
+        got.sort();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
     fn network_is_merged_and_valid_with_report_ids() {
         let set = set_with(&["^a{30}", "[xy]{5}z"], ShardPolicy::Single);
         assert_eq!(set.shard_count(), 1);
@@ -780,6 +797,39 @@ mod tests {
     }
 
     #[test]
+    fn sharded_reports_are_byte_identical_to_unsharded() {
+        let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}"];
+        let single = set_with(&patterns, ShardPolicy::Single);
+        assert_eq!(single.scan_groups().shard_count(), 1);
+        let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
+        let expected = single.find_ends(haystack);
+        // Neither partition moves a report, together or apart.
+        let tight = ShardPolicy::Banked(ShardBudget {
+            columns: 4,
+            counters: 8,
+            bitvector_bits: 2000,
+        });
+        for (policy, groups) in [
+            (ShardPolicy::Fixed(2), 2),
+            (ShardPolicy::Fixed(3), 3),
+            (ShardPolicy::Fixed(5), 5),
+            (tight, 2),
+            (ShardPolicy::Single, 5),
+            (ShardPolicy::Fixed(5), 1),
+        ] {
+            let builder = Engine::builder().patterns(patterns).shard_policy(policy);
+            let sharded = in_scan_groups(builder, groups).into_set();
+            assert_eq!(sharded.scan_groups().shard_count(), groups);
+            // No sort: the order must match too.
+            assert_eq!(
+                sharded.find_ends(haystack),
+                expected,
+                "policy {policy:?}, {groups} groups"
+            );
+        }
+    }
+
+    #[test]
     fn sharded_networks_carry_global_report_ids() {
         let patterns = ["^a{30}", "[xy]{5}z", "k\\d{2}"];
         let set = set_with(&patterns, ShardPolicy::Fixed(2));
@@ -791,6 +841,23 @@ mod tests {
         }
         all_ids.sort();
         assert_eq!(all_ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn sharded_stream_agrees_with_oneshot() {
+        let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
+        let set = grouped(&patterns, 3);
+        let input = b"zabbbc_xxx_qrst_abbc_xxxx";
+        let oneshot = set.find_ends(input);
+        for chunk_len in [1usize, 2, 7, input.len()] {
+            let mut stream = set.stream();
+            let mut got = Vec::new();
+            for chunk in input.chunks(chunk_len) {
+                got.extend(stream.feed(chunk));
+            }
+            assert_eq!(got, oneshot, "chunk length {chunk_len}");
+            assert_eq!(stream.position(), input.len() as u64);
+        }
     }
 
     #[test]

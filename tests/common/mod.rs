@@ -3,6 +3,8 @@
 // Every suite compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
 
+pub mod matrix;
+
 use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama::nca::Engine as _;
 use recama::workloads::{generate, BenchmarkId, PatternClass};

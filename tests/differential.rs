@@ -8,597 +8,29 @@
 //! and off, and three bank policies, over three kinds of rulesets: random
 //! picks from a pool of pure, counting, literal-bearing, always-on and
 //! `$`-anchored rules; pinned rules and inputs, cut at every position or
-//! pushed in chunks of 4 KiB; and Snort and Suricata samples on their
-//! generator's traffic. The chunk lengths of every flow are part of its
-//! case: fixed, random with empty chunks mixed in, one cut per flow, or
-//! large enough for the stream's scoped threads.
+//! in fixed chunks; and Snort and Suricata samples on their generator's
+//! traffic. The chunk lengths of every flow are part of its case: fixed,
+//! random with empty chunks mixed in, one cut per flow, or large enough
+//! for the stream's scoped threads.
 //!
 //! A pool case is a function of `(seed, index)` alone, and a failure
 //! prints that pair and the case shrunk to what still fails.
 //!
-//! The hardware simulator has no end of input, so it is held to the
-//! stream oracle: every candidate end, `$` included.
+//! The oracle, the case type and the drivers are `common::matrix`; the
+//! other suites run named slices of the same matrix.
 
 mod common;
 
-use common::{in_scan_groups, sample_patterns, tiny_budget, Oracle};
+use common::matrix::{
+    expect, minimise, pin, policies, pool_case, profile_sample, random_chunks, run_cells, verify,
+    Case, Flow, DRIVERS, PINS, PREFILTERS, SCANS, SEED,
+};
+use common::Oracle;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use recama::hw::ShardPolicy;
+use rand::SeedableRng;
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch, SetSpan};
+use recama::SetMatch;
 use std::collections::HashSet;
-use std::fmt;
-
-/// The rules pool cases pick from: pure ones (one row load a byte),
-/// counting ones (woken, stepped and retired beside the rows; the last
-/// five at a machine word's width), literal-bearing ones the prefilter
-/// can skip for, always-on ones it cannot, and `$`-anchored ones.
-const POOL: &[&str] = &[
-    "abc",
-    "x[yz]w",
-    ".*ba",
-    "q(r|s)t",
-    "[0-9][0-9]k",
-    "ab{2,5}c",
-    ".*a.{3}b",
-    "k[0-9]{2,4}z",
-    "(xy){2,3}",
-    "m{3}",
-    "a{2,3}c{2,3}",
-    "(ab{2,3}c)+d",
-    "^ab{2,4}c",
-    "a{3,}b",
-    "hdr[0-9]{2}end",
-    "nn[ab]{2,4}mm",
-    "magic",
-    "[xy]{2,5}",
-    "[0-9][0-9][xy]",
-    "k\\d{4}needle",
-    "magic$",
-    "omega$",
-    "ab$",
-    "cd$",
-    "a{2,3}$",
-    "tail[0-9]{2}$",
-    ".*h.{63}",
-    "h.{64}",
-    "k.{60,66}z",
-    "[^ac][ac]{64}",
-    ".*a.{65}b",
-];
-
-/// Bytes of pool inputs, biased toward the pool's literals, and whole
-/// words planted among them so that long literals match too.
-const INPUT_BYTES: &[u8] = b"abcdeghiklmnoqrstwxyz0123459_.";
-const WORDS: &[&str] = &[
-    "magic",
-    "omega",
-    "hdr42end",
-    "k1234needle",
-    "nnababmm",
-    "tail07",
-    "abbbc",
-    "xyxy",
-    "qrt",
-];
-
-/// How a case's engine scans: `Groups(k)` is the hybrid under a budget
-/// that cuts the rules into `k` scan groups (fewer if there are fewer
-/// rules).
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Scan {
-    Nca,
-    Hybrid(usize),
-    Groups(usize),
-}
-
-const SCANS: [Scan; 5] = [
-    Scan::Nca,
-    Scan::Hybrid(1),
-    Scan::Hybrid(7),
-    Scan::Hybrid(4096),
-    Scan::Groups(3),
-];
-const PREFILTERS: [PrefilterMode; 2] = [PrefilterMode::On, PrefilterMode::Off];
-
-fn policies() -> [ShardPolicy; 3] {
-    [ShardPolicy::Single, ShardPolicy::Fixed(3), tiny_budget()]
-}
-
-/// Knob cell `k` of the `5 × 2 × 3` grid.
-fn knobs(k: usize) -> (Scan, PrefilterMode, ShardPolicy) {
-    (SCANS[k % 5], PREFILTERS[k / 5 % 2], policies()[k / 10 % 3])
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Driver {
-    Block,
-    Spans,
-    Stream,
-    Scheduler(usize),
-    Service(usize),
-    Hardware,
-}
-
-const DRIVERS: [Driver; 8] = [
-    Driver::Block,
-    Driver::Spans,
-    Driver::Stream,
-    Driver::Scheduler(1),
-    Driver::Scheduler(3),
-    Driver::Service(1),
-    Driver::Service(3),
-    Driver::Hardware,
-];
-
-/// One flow: its bytes, and the lengths of the chunks it is pushed in
-/// (they sum to its length; a zero is an empty push).
-#[derive(Clone)]
-struct Flow {
-    data: Vec<u8>,
-    chunks: Vec<usize>,
-}
-
-impl fmt::Debug for Flow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "b\"{}\" in {:?}", self.data.escape_ascii(), self.chunks)
-    }
-}
-
-impl Flow {
-    fn chunks(&self) -> Vec<&[u8]> {
-        let mut at = 0;
-        (self.chunks.iter())
-            .map(|&len| {
-                at += len;
-                &self.data[at - len..at]
-            })
-            .collect()
-    }
-
-    /// `data` in chunks of `len` bytes (the last one shorter).
-    fn fixed(data: &[u8], len: usize) -> Flow {
-        let chunks = data.chunks(len).map(<[u8]>::len).collect();
-        Flow {
-            data: data.to_vec(),
-            chunks,
-        }
-    }
-
-    /// One flow per cut of `data` into two non-empty chunks.
-    fn every_cut(data: &[u8]) -> Vec<Flow> {
-        (1..data.len())
-            .map(|cut| Flow {
-                data: data.to_vec(),
-                chunks: vec![cut, data.len() - cut],
-            })
-            .collect()
-    }
-}
-
-/// One run of the matrix: a ruleset, its knobs and its flows.
-#[derive(Clone, Debug)]
-struct Case {
-    rules: Vec<String>,
-    scan: Scan,
-    prefilter: PrefilterMode,
-    policy: ShardPolicy,
-    flows: Vec<Flow>,
-}
-
-impl Case {
-    fn new(rules: &[String], k: usize, flows: &[Flow]) -> Case {
-        let (scan, prefilter, policy) = knobs(k);
-        Case {
-            rules: rules.to_vec(),
-            scan,
-            prefilter,
-            policy,
-            flows: flows.to_vec(),
-        }
-    }
-
-    fn build(&self) -> Engine {
-        let builder = (Engine::builder().patterns(&self.rules))
-            .prefilter(self.prefilter)
-            .shard_policy(self.policy);
-        let mode = match self.scan {
-            Scan::Nca => ScanMode::Nca,
-            Scan::Hybrid(state_budget) => ScanMode::Hybrid { state_budget },
-            Scan::Groups(groups) => return in_scan_groups(builder, groups.min(self.rules.len())),
-        };
-        builder.scan_mode(mode).build().unwrap()
-    }
-
-    /// The cell of the coverage grid that `driver` ran in on this case.
-    fn cell(&self, driver: Driver) -> String {
-        format!(
-            "{:?} {:?} {:?} {driver:?}",
-            self.scan, self.prefilter, self.policy
-        )
-    }
-}
-
-/// Pool case `index` of run `seed`: knob cell `index % 30`, one to six
-/// rules (three or more for scan groups), one to three flows of up to
-/// 300 bytes in fixed or random chunks.
-fn pool_case(seed: u64, index: usize) -> Case {
-    let mut rng = StdRng::seed_from_u64(seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let (scan, ..) = knobs(index);
-    let count = rng.gen_range(if scan == Scan::Groups(3) { 3 } else { 1 }..7);
-    let mut picks = Vec::new();
-    while picks.len() < count {
-        let pick = rng.gen_range(0..POOL.len());
-        if !picks.contains(&pick) {
-            picks.push(pick);
-        }
-    }
-    picks.sort_unstable();
-    let rules: Vec<String> = picks.iter().map(|&i| POOL[i].to_string()).collect();
-    let flows: Vec<Flow> = (0..rng.gen_range(1..4))
-        .map(|_| {
-            let len = rng.gen_range(0..300);
-            let mut data = Vec::with_capacity(len + 16);
-            while data.len() < len {
-                if rng.gen_bool(0.04) {
-                    data.extend(WORDS[rng.gen_range(0..WORDS.len())].bytes());
-                } else {
-                    data.push(INPUT_BYTES[rng.gen_range(0..INPUT_BYTES.len())]);
-                }
-            }
-            if rng.gen_bool(0.5) {
-                return Flow::fixed(&data, rng.gen_range(1..40));
-            }
-            let chunks = random_chunks(data.len(), &mut rng);
-            Flow { data, chunks }
-        })
-        .collect();
-    Case::new(&rules, index, &flows)
-}
-
-/// Random chunk lengths of 1 to 64 bytes summing to `len`, with empty
-/// chunks mixed in.
-fn random_chunks(len: usize, rng: &mut StdRng) -> Vec<usize> {
-    let mut chunks = Vec::new();
-    let mut rest = len;
-    while rest > 0 {
-        if rng.gen_bool(0.1) {
-            chunks.push(0);
-        }
-        let len = rng.gen_range(1..=rest.min(64));
-        chunks.push(len);
-        rest -= len;
-    }
-    chunks
-}
-
-/// What every driver must report for one flow.
-struct Expected {
-    /// Every candidate end, in stream order.
-    stream: Vec<SetMatch>,
-    /// What the `$`-anchored rules keep at the flow's end, by pattern.
-    finish: Vec<SetMatch>,
-}
-
-fn expect(oracle: &Oracle, flows: &[Flow]) -> Vec<Expected> {
-    (flows.iter())
-        .map(|flow| Expected {
-            stream: oracle.stream(&flow.data),
-            finish: oracle.finish(&flow.data),
-        })
-        .collect()
-}
-
-fn same<T: PartialEq + fmt::Debug>(got: T, want: T, what: &str) -> Result<(), String> {
-    if got == want {
-        return Ok(());
-    }
-    Err(format!("{what}:\n  got  {got:?}\n  want {want:?}"))
-}
-
-/// Runs `drivers` on `case` against `expected` (one per flow), marking
-/// each driver's cell in `ran` once it agreed on every flow.
-fn check(
-    case: &Case,
-    oracle: &Oracle,
-    expected: &[Expected],
-    drivers: &[Driver],
-    ran: &mut HashSet<String>,
-) -> Result<(), String> {
-    let engine = case.build();
-    for &driver in drivers {
-        let what = |fi: usize, part: &str| format!("{driver:?}, flow {fi}: {part}");
-        match driver {
-            Driver::Block => {
-                for (fi, (flow, want)) in case.flows.iter().zip(expected).enumerate() {
-                    let dollar = |m: &&SetMatch| oracle.patterns[m.pattern].parsed().anchored_end;
-                    let mut block: Vec<SetMatch> =
-                        want.stream.iter().filter(|m| !dollar(m)).copied().collect();
-                    block.extend(&want.finish);
-                    block.sort_by_key(|m| (m.end, m.pattern));
-                    same(engine.scan(&flow.data), block, &what(fi, "scan"))?;
-                }
-            }
-            Driver::Spans => {
-                for (fi, flow) in case.flows.iter().enumerate() {
-                    let mut want = Vec::new();
-                    for (pattern, p) in oracle.patterns.iter().enumerate() {
-                        let spans = p.find_spans(&flow.data).into_iter();
-                        want.extend(spans.map(|s| SetSpan {
-                            pattern,
-                            start: s.start,
-                            end: s.end,
-                        }));
-                    }
-                    want.sort();
-                    let mut got = engine.scan_spans(&flow.data);
-                    got.sort();
-                    same(got, want, &what(fi, "spans"))?;
-                }
-            }
-            Driver::Stream => {
-                for (fi, (flow, want)) in case.flows.iter().zip(expected).enumerate() {
-                    let mut stream = engine.stream();
-                    let mut got = Vec::new();
-                    for chunk in flow.chunks() {
-                        got.extend(stream.feed(chunk));
-                    }
-                    same(
-                        stream.position(),
-                        flow.data.len() as u64,
-                        &what(fi, "position"),
-                    )?;
-                    same(got, want.stream.clone(), &what(fi, "feed"))?;
-                    same(stream.finish(), want.finish.clone(), &what(fi, "finish"))?;
-                }
-            }
-            Driver::Scheduler(workers) => {
-                let sched = engine.scheduler_with(workers);
-                let polled = drive(
-                    &case.flows,
-                    workers,
-                    |fi, chunk| sched.push(fi as u64, chunk),
-                    || sched.run(),
-                    |fi| sched.poll(fi as u64),
-                    |fi| sched.close(fi as u64),
-                );
-                let sink = (sched.drain_global().iter())
-                    .map(|m| (m.flow as usize, m.set_match()))
-                    .collect();
-                let finishing = (0..polled.len())
-                    .map(|fi| sched.finishing(fi as u64))
-                    .collect();
-                agree(polled, finishing, sink, expected, what)?;
-                same(sched.pending_bytes(), 0, "every pushed byte is scanned")?;
-                same(sched.flow_count(), 0, "drained flows are forgotten")?;
-            }
-            Driver::Service(workers) => {
-                let svc = engine.serve_with(workers, ServeConfig::default());
-                let ids: Vec<_> = (case.flows.iter())
-                    .map(|_| svc.try_open_flow().unwrap())
-                    .collect();
-                // Default rule ids are add-order indices: rule == pattern.
-                let set_match = |rule: u64, end: u64| SetMatch {
-                    pattern: rule as usize,
-                    end: end as usize,
-                };
-                let as_set = |ms: Vec<recama::RuleMatch>| -> Vec<SetMatch> {
-                    ms.into_iter().map(|m| set_match(m.rule, m.end)).collect()
-                };
-                let polled = drive(
-                    &case.flows,
-                    workers,
-                    |fi, chunk| {
-                        svc.push_checked(ids[fi], chunk).unwrap();
-                    },
-                    || svc.barrier(),
-                    |fi| as_set(svc.poll_checked(ids[fi]).unwrap()),
-                    |fi| svc.close(ids[fi]),
-                );
-                let sink = (svc.drain_global().iter())
-                    .map(|ev| {
-                        let fi = ids.iter().position(|&id| id == ev.flow).unwrap();
-                        (fi, set_match(ev.rule, ev.end))
-                    })
-                    .collect();
-                let finishing = ids.iter().map(|&id| as_set(svc.finishing(id))).collect();
-                svc.shutdown();
-                agree(polled, finishing, sink, expected, what)?;
-            }
-            Driver::Hardware => {
-                let mut seen = HashSet::new();
-                for (fi, (flow, want)) in case.flows.iter().zip(expected).enumerate() {
-                    if !seen.insert(&flow.data) {
-                        continue;
-                    }
-                    let mut got = Vec::new();
-                    for bank in 0..engine.shard_count() {
-                        let reports = engine.hardware(bank).match_ends_by_rule(&flow.data);
-                        got.extend(reports.into_iter().map(|(rule, end)| SetMatch {
-                            pattern: rule as usize,
-                            end,
-                        }));
-                    }
-                    got.sort_by_key(|m| (m.end, m.pattern));
-                    same(got, want.stream.clone(), &what(fi, "bank images"))?;
-                }
-            }
-        }
-        ran.insert(case.cell(driver));
-    }
-    Ok(())
-}
-
-/// Pushes every flow's chunks through a flow driver round by round —
-/// chunk `r` of each flow in round `r` — with `sync` (`run` or
-/// `barrier`) and a `poll` of every flow after every `every`-th round,
-/// then closes every flow, syncs and polls once more. Returns what each
-/// flow polled.
-fn drive(
-    flows: &[Flow],
-    every: usize,
-    push: impl Fn(usize, &[u8]),
-    sync: impl Fn(),
-    poll: impl Fn(usize) -> Vec<SetMatch>,
-    close: impl Fn(usize),
-) -> Vec<Vec<SetMatch>> {
-    let chunks: Vec<_> = flows.iter().map(Flow::chunks).collect();
-    let rounds = chunks.iter().map(Vec::len).max().unwrap_or(0);
-    let mut polled = vec![Vec::new(); flows.len()];
-    let mut sync_and_poll = || {
-        sync();
-        for (fi, polled) in polled.iter_mut().enumerate() {
-            polled.extend(poll(fi));
-        }
-    };
-    for round in 0..rounds {
-        for (fi, chunks) in chunks.iter().enumerate() {
-            if let Some(chunk) = chunks.get(round) {
-                push(fi, chunk);
-            }
-        }
-        if round % every == 0 {
-            sync_and_poll();
-        }
-    }
-    (0..flows.len()).for_each(close);
-    sync_and_poll();
-    polled
-}
-
-/// A flow driver's answer — per flow what it polled and its finishing
-/// set, and the global sink as `(flow, match)` — against the oracle.
-/// Each flow's sink events are its polled reports, in order.
-fn agree(
-    polled: Vec<Vec<SetMatch>>,
-    finishing: Vec<Vec<SetMatch>>,
-    sink: Vec<(usize, SetMatch)>,
-    expected: &[Expected],
-    what: impl Fn(usize, &str) -> String,
-) -> Result<(), String> {
-    let flows = polled.into_iter().zip(finishing).zip(expected);
-    for (fi, ((polled, finishing), want)) in flows.enumerate() {
-        let sunk: Vec<SetMatch> = (sink.iter())
-            .filter(|(flow, _)| *flow == fi)
-            .map(|(_, m)| *m)
-            .collect();
-        same(&sunk, &polled, &what(fi, "sink"))?;
-        same(&polled, &want.stream, &what(fi, "poll"))?;
-        same(&finishing, &want.finish, &what(fi, "finishing"))?;
-    }
-    Ok(())
-}
-
-/// Runs `case` and, when a driver disagrees, panics with `replay`, the
-/// case shrunk to what still fails, and both failures.
-fn verify(
-    replay: &str,
-    case: &Case,
-    oracle: &Oracle,
-    expected: &[Expected],
-    drivers: &[Driver],
-    ran: &mut HashSet<String>,
-) {
-    let Err(failure) = check(case, oracle, expected, drivers, ran) else {
-        return;
-    };
-    let rerun = |case: &Case| {
-        let oracle = Oracle::new(&case.rules);
-        let expected = expect(&oracle, &case.flows);
-        check(case, &oracle, &expected, drivers, &mut HashSet::new())
-    };
-    let small = minimise(case, |c| rerun(c).is_err());
-    let small_failure = rerun(&small).unwrap_err();
-    panic!("{replay}: {failure}\n\nshrunk to {small:#?}\n{small_failure}");
-}
-
-/// Shrinks a failing case: drops rules one at a time, then flows, then
-/// halves and trims each flow's bytes, keeping every step that still
-/// `fails`. Chunk lengths are cut to fit the bytes that are left.
-fn minimise(case: &Case, fails: impl Fn(&Case) -> bool) -> Case {
-    let mut best = case.clone();
-    let try_take = |best: &mut Case, candidate: Case| {
-        let better = fails(&candidate);
-        if better {
-            *best = candidate;
-        }
-        better
-    };
-    let mut i = 0;
-    while best.rules.len() > 1 && i < best.rules.len() {
-        let mut candidate = best.clone();
-        candidate.rules.remove(i);
-        i += usize::from(!try_take(&mut best, candidate));
-    }
-    let mut i = 0;
-    while best.flows.len() > 1 && i < best.flows.len() {
-        let mut candidate = best.clone();
-        candidate.flows.remove(i);
-        i += usize::from(!try_take(&mut best, candidate));
-    }
-    for fi in 0..best.flows.len() {
-        loop {
-            let n = best.flows[fi].data.len();
-            let cuts = [(0, n / 2), (n / 2, n), (1, n), (0, n.saturating_sub(1))];
-            let shrunk = cuts
-                .into_iter()
-                .filter(|&(a, b)| a <= b && b - a < n)
-                .any(|(a, b)| {
-                    let mut candidate = best.clone();
-                    let flow = &mut candidate.flows[fi];
-                    flow.data = flow.data[a..b].to_vec();
-                    let mut rest = flow.data.len();
-                    flow.chunks = (flow.chunks.iter())
-                        .map(|&len| {
-                            let len = len.min(rest);
-                            rest -= len;
-                            len
-                        })
-                        .collect();
-                    flow.chunks.retain(|&len| len > 0);
-                    if rest > 0 {
-                        flow.chunks.push(rest);
-                    }
-                    try_take(&mut best, candidate)
-                });
-            if !shrunk {
-                break;
-            }
-        }
-    }
-    best
-}
-
-/// Runs every cell in `cells` on one ruleset and its flows. Spans are a
-/// block scan's ends, which every cell checks, walked back per pattern:
-/// they run in the first cell only. The hardware runs once per bank
-/// policy, the one knob its images depend on.
-fn run_cells(what: &str, rules: &[String], flows: &[Flow], cells: &[usize]) -> Vec<Expected> {
-    let oracle = Oracle::new(rules);
-    let expected = expect(&oracle, flows);
-    let mut imaged = Vec::new();
-    for (i, &k) in cells.iter().enumerate() {
-        let case = Case::new(rules, k, flows);
-        let drivers: Vec<Driver> = (DRIVERS.into_iter())
-            .filter(|&d| d != Driver::Spans || i == 0)
-            .filter(|&d| d != Driver::Hardware || !imaged.contains(&case.policy))
-            .collect();
-        imaged.push(case.policy);
-        let replay = format!("{what}, knob cell {k} ({:?})", knobs(k));
-        verify(
-            &replay,
-            &case,
-            &oracle,
-            &expected,
-            &drivers,
-            &mut HashSet::new(),
-        );
-    }
-    expected
-}
-
-const SEED: u64 = 0x5eed_d1ff;
 
 #[test]
 fn every_driver_reports_the_oracle_on_random_pool_cases() {
@@ -617,209 +49,19 @@ fn every_driver_reports_the_oracle_on_random_pool_cases() {
     );
 }
 
-/// Hand-written rules and inputs, each in the ten cells of scan ×
-/// prefilter (the policy turning with them).
+/// Hand-written rules and inputs (`common::matrix::pin`), each in the
+/// ten cells of scan × prefilter (the policy turning with them).
 #[test]
 fn every_driver_reports_the_oracle_on_pinned_inputs() {
     let cells: Vec<usize> = (0..10).map(|k| k + 10 * (k % 3)).collect();
-    let fixed = |data: &[&[u8]], len| data.iter().map(|d| Flow::fixed(d, len)).collect();
-    let split = |data: &[u8], chunks: Vec<usize>| Flow {
-        data: data.to_vec(),
-        chunks,
-    };
-    // Many flows pushed whole before one barrier: the service scans them
-    // in batches of up to four units of one scan group.
-    let batched = (0..24).map(|i| {
-        let mut data = b"..... ".repeat(20 + 8 * (i % 5));
-        for (k, planted) in [&b"abbbc"[..], b"xxx", b"qrst", b"hello"]
-            .iter()
-            .enumerate()
-        {
-            let at = (97 * (i + 1) * (k + 1)) % (data.len() - 8);
-            data[at..at + planted.len()].copy_from_slice(planted);
-        }
-        Flow::fixed(&data, data.len())
-    });
-    let pins: [(&str, &[&str], Vec<Flow>); 12] = [
-        // Counters woken, stepped and retired over most of the input.
-        (
-            "counting",
-            &["ab{2,5}c", ".*a.{3}b", "m{3}", "abc"],
-            Flow::every_cut(b"aabbbc.mmma...b.abbbbbc.mmmm.abcab"),
-        ),
-        // Under a budget of 1 the cache cannot hold q0's successor.
-        (
-            "pure",
-            &["abc", "x[yz]w", ".*ba", "q(r|s)t"],
-            Flow::every_cut(b"xabcyxzwbaqrtqstxywabcba"),
-        ),
-        // Each rule's match split across two feeds.
-        (
-            "split",
-            &["header[0-9]{4}end", "k[ab]{3,9}z", "exact{2}"],
-            Flow::every_cut(b"..header1234end..kabababz..exactexact.."),
-        ),
-        // Required literals split inside: the filter's automaton state
-        // and its replay tail carry over.
-        (
-            "literals",
-            &["hdr[0-9]{2}end", "magic", "nn[ab]{2,4}mm"],
-            Flow::every_cut(b"..hdr42end..magic..nnababmm..hdr9"),
-        ),
-        // No rule yields a literal: the filter must never skip.
-        (
-            "always-on",
-            &[".*ba", "[xy]{2,5}", "[0-9][0-9][xy]"],
-            fixed(&[b"..ba..xyxy..42x..ba"], 3),
-        ),
-        // Literal-bearing, `$`-anchored and always-on rules; one flow
-        // benign, one empty.
-        (
-            "mixed",
-            &[
-                "hdr[0-9]{2}end",
-                "magic$",
-                "nn[ab]{2,4}mm",
-                ".*ba",
-                "x[yz]w$",
-            ],
-            fixed(
-                &[
-                    b"..hdr42end..magic..nnababmm..xyw",
-                    &[b'.'; 32],
-                    b"ba.xzw.magic",
-                    b"",
-                ],
-                5,
-            ),
-        ),
-        // Cut every 4 bytes, "k1234needle" starts in the first chunk and
-        // its literal ends in the fourth: the unit wakes and replays.
-        (
-            "replay",
-            &[
-                "k\\d{4}needle",
-                "magic$",
-                "hdr[0-9]{2}end",
-                "[xy]{3}[0-9]",
-                "nn[ab]{2,4}mm",
-                "omega$",
-            ],
-            fixed(
-                &[b"...k1234needle..magic.hdr42end.xyx7.nnababmm..magic.k99needle.omega"],
-                4,
-            ),
-        ),
-        (
-            "dollars",
-            &["ab$", "ab", "a{2,3}$", "cd", "cd$", "k\\d{2}$"],
-            fixed(
-                &[b"xx.ab", b"cd.aaa", b"ab.cd.ab", b"", b"abbc.aaa.xyz.k42"],
-                2,
-            ),
-        ),
-        (
-            "api",
-            &["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}", "xyz"],
-            fixed(&[b"abbc.aaa.cab.xyz.k42.abbbc", b"zzabbc..xyz..abbbc"], 2),
-        ),
-        (
-            "interleaved",
-            &["ab{2,4}c", "x{3}", "q[rs]{2}t"],
-            [1, 3, 9, 25]
-                .map(|n| Flow::fixed(b"zabbbc_xxx_qrst_abbc_xxxx", n))
-                .into_iter()
-                .chain([
-                    split(b"zabbbc_xxx", vec![3, 5, 2]),
-                    split(b"qrst_abbc", vec![4, 0, 5]),
-                ])
-                .collect(),
-        ),
-        (
-            "batched",
-            &["ab{2,4}c", "x{3}", "q[rs]{2}t", "hello"],
-            batched.collect(),
-        ),
-        // Ten flows that each report on the same ends: the sink must
-        // still tell them apart.
-        ("sink", &["kk"], vec![Flow::fixed(b"..kk..kk", 8); 10]),
-    ];
-    for (what, rules, flows) in pins {
-        let rules: Vec<String> = rules.iter().map(|r| r.to_string()).collect();
-        let expected = run_cells(what, &rules, &flows, &cells);
+    for what in PINS {
+        let pin = pin(what);
+        let expected = run_cells(what, &pin.rules, &pin.flows, &cells);
         assert!(
             !expected[0].stream.is_empty(),
             "{what}: the input must contain matches"
         );
     }
-}
-
-/// Runs long enough for every token of the word-width rules to reach
-/// its bound: `[ac]` runs of 63 to 66 after a `[^ac]`, and `h`, `k` and
-/// `a` followed by 60 to 70 bytes before the next trigger.
-#[test]
-fn word_width_counters_count_through_long_runs() {
-    let rules: Vec<String> = [
-        ".*h.{63}",
-        "h.{64}",
-        "k.{60,66}z",
-        "[^ac][ac]{64}",
-        ".*a.{65}b",
-    ]
-    .map(String::from)
-    .into();
-    let mut input = Vec::new();
-    for (i, run) in [63usize, 64, 65, 66, 64].into_iter().enumerate() {
-        input.push(b'x');
-        input.extend((0..run).map(|j| if (i + j) % 3 == 0 { b'c' } else { b'a' }));
-        input.extend(b"hk");
-        input.extend(std::iter::repeat_n(b'y', 55 + 3 * i));
-        input.extend(b"zbh");
-        input.extend(std::iter::repeat_n(b'y', 60 + i));
-        input.extend(b"zb");
-    }
-    let flows = [5, 64, input.len()].map(|n| Flow::fixed(&input, n));
-    let expected = run_cells("word width", &rules, &flows, &[0, 11, 22, 3, 14]);
-    for (pattern, source) in rules.iter().enumerate() {
-        assert!(
-            expected[0].stream.iter().any(|m| m.pattern == pattern),
-            "{source} must match the test input"
-        );
-    }
-}
-
-/// Chunks of 4 KiB on a multi-group set fan out on scoped threads. Each
-/// rule's literal sits behind a bounded lead, and the first chunk —
-/// benign until its last bytes — ends inside that lead: both units skip
-/// it, then wake on the second chunk and replay the match's start from
-/// the tail, in parallel. Purely benign 4 KiB flows report nothing.
-#[test]
-fn large_chunks_wake_and_replay_on_the_parallel_stream_path() {
-    const LARGE: usize = 4096;
-    let rules: Vec<String> = ["k\\d{4}needle", "q\\d{3}magic", "magic", "hdr[0-9]{2}end"]
-        .map(String::from)
-        .into();
-    let mut first = vec![b'.'; LARGE];
-    first.extend_from_slice(b"q123mk12");
-    let mut second = b"34needle..q456magic".to_vec();
-    second.resize(LARGE + 7, b'.');
-    second.extend_from_slice(b"k9876needle");
-    let flows = [
-        Flow {
-            data: [&first[..], &second[..]].concat(),
-            chunks: vec![first.len(), second.len()],
-        },
-        Flow::fixed(&[b'.'; LARGE], 256),
-        Flow::fixed(&[b'.'; 2 * LARGE], LARGE),
-    ];
-    // The multi-group cells, the filter on and off, and the exact engine.
-    let expected = run_cells("parallel wake", &rules, &flows, &[4, 9, 1, 6, 0]);
-    assert_eq!(
-        expected[0].stream.len(),
-        4,
-        "one match straddles the chunks, three lie in the second"
-    );
-    assert!(expected[1].stream.is_empty() && expected[2].stream.is_empty());
 }
 
 /// A Snort or Suricata sample at scale 0.004, seeds 1, 7 and 2022, plus
@@ -833,20 +75,13 @@ fn large_chunks_wake_and_replay_on_the_parallel_stream_path() {
 fn profile_samples(id: BenchmarkId) {
     for (j, seed) in [1u64, 7, 2022].into_iter().enumerate() {
         let r = 3 * usize::from(id == BenchmarkId::Suricata) + j;
-        let mut rules = sample_patterns(id, 0.004, seed, 400);
-        assert!(rules.len() >= 10, "{id:?}/{seed}: degenerate sample");
-        rules.extend(["tail[0-9]{2}$".into(), "[xy]{3}[0-9]".into()]);
+        let (rules, main) = profile_sample(id, seed);
         let ruleset = generate(id, 0.004, seed);
-        let mut main = traffic(&ruleset, 4096, 0.002, seed);
-        main.extend_from_slice(b"tail07..xyx4..tail42");
         let shorter = traffic(&ruleset, 1024, 0.002, seed * 31 + 1);
         let chunks = random_chunks(shorter.len(), &mut StdRng::seed_from_u64(seed));
         let flows = [
             Flow::fixed(&main, 4096),
-            Flow {
-                data: shorter,
-                chunks,
-            },
+            Flow::split(&shorter, chunks),
             Flow::fixed(&traffic(&ruleset, 512, 0.004, seed * 31 + 2), 13),
         ];
         let pair = 5 * (r % 2) + 10 * (r / 2);
@@ -876,128 +111,6 @@ fn every_driver_reports_the_oracle_on_snort_samples() {
 #[test]
 fn every_driver_reports_the_oracle_on_suricata_samples() {
     profile_samples(BenchmarkId::Suricata);
-}
-
-/// Flow churn over shared rows: two-chunk flows are opened, scanned and
-/// closed while others are in flight, on one and on three workers. The
-/// rows the service holds stay within `groups × state_budget` at every
-/// point, and serving the same traffic again as new flows adds none
-/// under a roomy budget. (What the flows report is the matrix's.)
-#[test]
-fn churned_flows_share_bounded_rows() {
-    for index in 0..3 {
-        let rules = pool_case(SEED, index).rules;
-        let inputs: Vec<Vec<u8>> = (index..index + 3)
-            .flat_map(|i| pool_case(SEED ^ 1, i).flows)
-            .map(|flow| flow.data)
-            .filter(|data| data.len() >= 2)
-            .collect();
-        for (workers, budget, prefilter) in [1usize, 3]
-            .into_iter()
-            .flat_map(|w| [1usize, 7, 4096].map(|b| (w, b)))
-            .flat_map(|(w, b)| PREFILTERS.map(|p| (w, b, p)))
-        {
-            let engine = (Engine::builder().patterns(&rules))
-                .scan_mode(ScanMode::Hybrid {
-                    state_budget: budget,
-                })
-                .prefilter(prefilter)
-                .build()
-                .unwrap();
-            let what = format!("{rules:?}: {workers} worker(s), budget {budget}, {prefilter:?}");
-            // One cache per scan group, and the budget cuts the groups.
-            let bound = engine.scan_groups().shard_count() * budget;
-            let svc = engine.serve_with(workers, ServeConfig::default());
-            let rows = |at: &str| {
-                let rows = svc.metrics().hybrid.expect("hybrid mode").dfa_states;
-                assert!(rows <= bound, "{what}: {rows} rows > {bound} {at}");
-                rows
-            };
-            // One pass serves every input once, three flows in flight: a
-            // flow gets its second chunk and is closed while its
-            // successors are still being scanned.
-            let pass = || {
-                let mut in_flight = std::collections::VecDeque::new();
-                for input in &inputs {
-                    let split = 17.min(input.len() - 1);
-                    let flow = svc.try_open_flow().unwrap();
-                    svc.push_checked(flow, &input[..split]).unwrap();
-                    in_flight.push_back((flow, &input[split..]));
-                    if in_flight.len() == 3 {
-                        let (flow, rest) = in_flight.pop_front().unwrap();
-                        svc.push_checked(flow, rest).unwrap();
-                        svc.close(flow);
-                        rows("mid-pass");
-                    }
-                }
-                for (flow, rest) in in_flight {
-                    svc.push_checked(flow, rest).unwrap();
-                    svc.close(flow);
-                }
-                svc.barrier();
-            };
-            pass();
-            let after_one = rows("after one pass");
-            (0..3).for_each(|_| pass());
-            let after_four = rows("after four passes");
-            if budget == 4096 {
-                assert_eq!(after_four, after_one, "{what}: rows grew with flows served");
-            }
-            svc.shutdown();
-        }
-    }
-}
-
-/// The count-based regression for the counted half of the scan (the
-/// harness's `snort_hits` rules, one flow, cut into four scan groups by
-/// a 400-state budget): counters must be stepped on few bytes — far
-/// fewer than they are live on — and few of them when they are. Counts
-/// only — they repeat exactly, whatever the machine.
-///
-/// On these 256 KiB, in four units of equal bank cost, the tree before
-/// counters slept stepped the bank on 124 694 of the 1 048 576
-/// `(byte, unit)` steps, a share of 0.119: every byte with a counted
-/// token live. With `T` asleep from a token's entry to its first due
-/// byte the bank is stepped on 13 493 of them (0.013; 12 005 in these
-/// four groups) and sleeps through 111 201 more (109 458), 8.2 (9.1) per
-/// byte stepped. The share's bound sits midway between the two trees on
-/// the log scale, so a tree whose counters never sleep fails it.
-#[test]
-fn snort_profile_fallback_is_bounded() {
-    let ruleset = generate(BenchmarkId::Snort, 0.02, 2022);
-    let builder = Engine::builder()
-        .patterns(ruleset.pattern_strings())
-        // The counts must not depend on the `RECAMA_PREFILTER` leg.
-        .prefilter(PrefilterMode::Off)
-        .lossy(true);
-    let engine = in_scan_groups(builder, 4);
-    let units = engine.scan_groups().shard_count() as u64;
-    let input = traffic(&ruleset, 256 << 10, 0.0005, 302);
-    let sched = engine.scheduler_with(1);
-    for chunk in input.chunks(2 << 10) {
-        sched.push(1, chunk);
-        sched.run();
-    }
-    let stats = sched.hybrid_stats().expect("hybrid is the default mode");
-    let total = stats.dfa_bytes + stats.fallback_bytes;
-    assert_eq!(
-        total,
-        units * input.len() as u64,
-        "every unit scans every byte"
-    );
-    assert!(
-        stats.exact_state_steps <= 4 * stats.fallback_bytes,
-        "whole frontiers are being stepped exactly again: {stats:?}"
-    );
-    assert!(
-        stats.fallback_bytes as f64 <= 0.04 * total as f64,
-        "counters are stepped on {:.3} of all bytes: {stats:?}",
-        stats.fallback_bytes as f64 / total as f64
-    );
-    assert!(
-        stats.slept_bytes >= 5 * stats.fallback_bytes,
-        "counters that are live are mostly awake: {stats:?}"
-    );
 }
 
 #[test]

@@ -1,23 +1,59 @@
-//! The `Engine` facade, end to end: rule ids, structured compile
-//! errors, lossy builds, the scan mode and its stats, streams that move
-//! across threads, scheduler ids that close and reopen, batched units
-//! counting their scans, blocking pushes through a small budget,
-//! idle-flow eviction, closed and stale ids as `ServeError` values, and
-//! the stream `reset()` regression (reset + rescan must equal a fresh
-//! scan, `finish()` included). That every driver reports what each rule
-//! scanned alone does is `tests/differential.rs`.
+//! The `Engine` facade, end to end: builder → scan / spans / stream /
+//! scheduler / service, structured compile errors, lossy builds,
+//! batched units counting their scans, blocking pushes through a small
+//! budget, idle-flow eviction, closed and stale ids as `ServeError`
+//! values, and the stream `reset()` regression (reset + rescan must
+//! equal a fresh scan, `finish()` included). The scan, spans, stream and
+//! service tests are slices of the differential matrix
+//! (`common::matrix`, crossed in full by `tests/differential.rs`).
 
 mod common;
 
-use common::in_scan_groups;
+use common::matrix::{in_groups, run_knobs, Driver, Flow, Scan};
+use common::{in_scan_groups, scan_oracle};
+use recama::hw::ShardPolicy;
 use recama::{
-    CompilePhase, Engine, RuleMatch, ScanMode, ServeConfig, ServeError, SetMatch,
+    CompilePhase, Engine, PrefilterMode, RuleMatch, ServeConfig, ServeError, SetMatch,
     DEFAULT_STATE_BUDGET,
 };
 use std::task::Poll;
 use std::time::Duration;
 
 const PATTERNS: [&str; 4] = ["ab{2,3}c", "a{3}", "x[yz]{2}", "k\\d{2}$"];
+const HAYSTACK: &[u8] = b"abbc.aaa.xyz.abbbc_k42";
+
+#[test]
+fn builder_scan_matches_per_pattern_baseline() {
+    // Banks and scan groups are cut independently; neither moves a report.
+    let cuts = [
+        (ShardPolicy::Single, 1),
+        (ShardPolicy::Fixed(2), 2),
+        (ShardPolicy::default(), 3),
+    ];
+    for (policy, groups) in cuts {
+        let builder = Engine::builder().patterns(PATTERNS).shard_policy(policy);
+        let engine = in_scan_groups(builder, groups);
+        assert_eq!(engine.scan_groups().shard_count(), groups);
+    }
+    let knobs = cuts.map(|(policy, groups)| (Scan::Groups(groups), PrefilterMode::On, policy));
+    let flows = [Flow::fixed(HAYSTACK, HAYSTACK.len())];
+    run_knobs("haystack", &PATTERNS, &flows, &knobs, &[Driver::Block]);
+}
+
+#[test]
+fn scan_spans_agree_with_per_pattern_spans() {
+    let haystack = b"zzabbc..xyz..abbbc";
+    let flows = [Flow::fixed(haystack, haystack.len())];
+    let default = Scan::Hybrid(DEFAULT_STATE_BUDGET);
+    let knobs = [(default, PrefilterMode::On, ShardPolicy::default())];
+    run_knobs(
+        "spans",
+        &["ab{2,3}c", "xyz"],
+        &flows,
+        &knobs,
+        &[Driver::Spans],
+    );
+}
 
 #[test]
 fn rules_carry_explicit_ids() {
@@ -88,6 +124,15 @@ fn strict_build_is_lossless_or_fails() {
     assert_eq!(engine.len(), PATTERNS.len());
 }
 
+#[test]
+fn stream_agrees_with_scan_across_chunkings() {
+    let input = b"zabbbc_xxx_qrst_abbc_xxxx";
+    let flows = [1, 3, 9, input.len()].map(|n| Flow::fixed(input, n));
+    let rules = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
+    let drivers = [Driver::Block, Driver::Stream];
+    run_knobs("chunkings", &rules, &flows, &[in_groups(3)], &drivers);
+}
+
 /// Regression pin (reset bug): a reset stream must behave exactly like
 /// a fresh one — `feed` reports AND the `$`-anchor `finish()` set.
 /// Stale `$` candidates would resurrect the pre-reset ends or report
@@ -149,14 +194,27 @@ fn scheduler_from_engine_serves_flows() {
     assert_eq!(hits, vec![(1, 3)]);
 }
 
+/// Two flows, one with an empty chunk, pushed interleaved into a
+/// three-worker service: each polls its own stream's reports, and the
+/// global sink holds both flows' and nothing else.
+#[test]
+fn service_reports_match_independent_streams() {
+    let flows = [
+        Flow::split(b"zabbbc_xxx", vec![3, 5, 2]),
+        Flow::split(b"qrst_abbc", vec![4, 0, 5]),
+    ];
+    let rules = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
+    let drivers = [Driver::Service(3)];
+    run_knobs("two flows", &rules, &flows, &[in_groups(3)], &drivers);
+}
+
 /// Many flows pushed, then one barrier: a worker checks out up to four
 /// ready units of one scan group at a time and steps their rows in
-/// lockstep. Every byte is counted once per group, and a batch's scan
-/// time is counted once, so the groups' scan time fits in the workers'
-/// wall time. (That each flow still reports what its own stream does is
-/// the differential suite's `batched` pin.)
+/// lockstep. Each flow still reports what its own stream does, every
+/// byte is counted once per group, and a batch's scan time is counted
+/// once, so the groups' scan time fits in the workers' wall time.
 #[test]
-fn batched_units_count_their_scan_once() {
+fn batched_units_report_like_streams_and_count_their_scan_once() {
     let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t", "hello"];
     let flows: Vec<Vec<u8>> = (0..24)
         .map(|i| {
@@ -187,6 +245,13 @@ fn batched_units_count_their_scan_once() {
         svc.barrier();
         let wall = started.elapsed().as_nanos() as u64;
         let m = svc.metrics();
+        for (id, data) in ids.iter().zip(&flows) {
+            svc.close(*id);
+            assert_eq!(
+                svc.poll_checked(*id).unwrap(),
+                scan_oracle(&engine, data, 0)
+            );
+        }
         assert_eq!(
             m.shard_scan_bytes,
             [scanned, scanned],
@@ -315,7 +380,7 @@ fn service_evicts_idle_flows_under_sustained_load() {
 /// while it drains, and once drained it goes stale. Reopening means a
 /// new flow — possibly in the same slot, under the next generation,
 /// starting at position 0. (`u64` ids that *do* reopen are the batch
-/// scheduler's: `close_and_reopen_cycles_keep_flows_independent`.)
+/// scheduler's; `tests/flow_scheduler.rs` pins those.)
 #[test]
 fn closed_flows_reject_pushes_until_drained_then_reopen() {
     let engine = Engine::builder().patterns(["ab"]).build().unwrap();
@@ -393,106 +458,4 @@ fn engine_and_service_are_send_sync() {
         .map(|&flow| svc.poll_checked(flow).unwrap().len())
         .sum();
     assert_eq!(total, 4);
-}
-
-#[test]
-fn scan_mode_is_exposed_and_defaults_to_hybrid() {
-    let default_mode = Engine::builder()
-        .patterns(["abc"])
-        .build()
-        .unwrap()
-        .scan_mode();
-    assert_eq!(
-        default_mode,
-        ScanMode::Hybrid {
-            state_budget: DEFAULT_STATE_BUDGET
-        }
-    );
-    let forced = Engine::builder().patterns(["abc"]).scan_mode(ScanMode::Nca);
-    assert_eq!(forced.build().unwrap().scan_mode(), ScanMode::Nca);
-}
-
-#[test]
-fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
-    let patterns = ["abc", "ab{2,3}c"];
-    let input = b"zabcz.abbc.abbbc.abc";
-    let engine = |mode| {
-        let builder = Engine::builder().patterns(patterns).scan_mode(mode);
-        builder.build().unwrap()
-    };
-
-    let hybrid = engine(ScanMode::Hybrid { state_budget: 128 });
-    let sched = hybrid.scheduler();
-    sched.push(1, input);
-    sched.run();
-    let stats = sched.hybrid_stats().expect("hybrid mode exposes stats");
-    assert_eq!(
-        stats.dfa_bytes + stats.fallback_bytes,
-        input.len() as u64,
-        "every byte is attributed to exactly one path"
-    );
-    assert!(stats.dfa_states > 0, "the overlay cached at least q0");
-    assert!(
-        (1..=stats.fallback_bytes).contains(&stats.exact_state_steps),
-        "one counted state at most is stepped exactly: {stats:?}"
-    );
-
-    let exact = engine(ScanMode::Nca);
-    let sched = exact.scheduler();
-    sched.push(1, input);
-    sched.run();
-    assert_eq!(sched.hybrid_stats(), None, "Nca mode has no overlay");
-}
-
-#[test]
-fn close_and_reopen_cycles_keep_flows_independent() {
-    let engine = in_scan_groups(Engine::builder().patterns(["ab{2}c", "xyz"]), 2);
-    let sched = engine.scheduler_with(2);
-
-    // Three incarnations of the same flow id, each a fresh stream: the
-    // match must be found at the *incarnation-local* offset every time,
-    // proving no engine state leaks across close/reopen.
-    for incarnation in 0..3u64 {
-        sched.push(9, b"..ab");
-        sched.push(9, b"bc");
-        sched.close(9);
-        sched.run();
-        assert_eq!(
-            sched.poll(9),
-            vec![SetMatch { pattern: 0, end: 6 }],
-            "incarnation {incarnation}"
-        );
-        assert_eq!(sched.flow_count(), 0, "drained flows are forgotten");
-    }
-
-    // A flow closed while another stays open: the survivor is unaffected.
-    sched.push(1, b"xy");
-    sched.push(2, b"..a");
-    sched.close(1);
-    sched.run();
-    sched.push(2, b"bbc");
-    sched.run();
-    assert!(sched.poll(1).is_empty());
-    assert_eq!(sched.poll(2), vec![SetMatch { pattern: 0, end: 6 }]);
-}
-
-#[test]
-fn sharded_streams_move_across_threads() {
-    // One resumable engine state per scan group per flow, with flows
-    // owned by worker threads — the multi-stream scheduler shape.
-    let patterns = ["flow[0-9]{2}end", "k[ab]{2,5}z"];
-    let engine = in_scan_groups(Engine::builder().patterns(patterns), 2);
-    assert_eq!(engine.stream().group_count(), 2);
-    let flows: [&[u8]; 2] = [b"..flow42end..", b"..kabz..flow07end"];
-    let counts: Vec<usize> = std::thread::scope(|scope| {
-        let handles: Vec<_> = flows
-            .iter()
-            .map(|flow| {
-                let mut stream = engine.stream();
-                scope.spawn(move || stream.feed(flow).count())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert_eq!(counts, vec![1, 2]);
 }

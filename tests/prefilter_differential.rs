@@ -1,8 +1,11 @@
 //! The literal prefilter (MPM) on its own terms. Whether a prefiltered
 //! engine reports what every other driver does is `tests/differential.rs`
-//! (the filter is one axis of its matrix); this suite referees what the
-//! filter decides. Every `(group, chunk)` verdict — skip, or wake at the
-//! first literal end — and the bytes the filter walks are checked against
+//! (the filter is one axis of its matrix); this suite runs three slices
+//! of that matrix — random rulesets with the filter on and off, required
+//! literals split at every chunk boundary, and a wake that replays the
+//! tail on the stream's parallel path — and referees what the filter
+//! decides. Every `(group, chunk)` verdict — skip, or wake at the first
+//! literal end — and the bytes the filter walks are checked against
 //! a naive substring search, on short chunks and on chunks long enough
 //! for its lanes; a chunk is walked once whatever the number of scan
 //! groups; rulesets where every rule is always-on never skip, benign
@@ -14,8 +17,10 @@
 mod common;
 
 use common::in_scan_groups;
+use common::matrix::{grid, pin, pool_case, run_cells, run_knobs, Driver, Flow, Scan, PREFILTERS};
 use proptest::prelude::*;
-use recama::{Engine, PrefilterMode, ServeConfig};
+use recama::hw::ShardPolicy;
+use recama::{Engine, PrefilterMode, ServeConfig, DEFAULT_STATE_BUDGET};
 
 fn engine(patterns: &[&str], mode: PrefilterMode) -> Engine {
     Engine::builder()
@@ -23,6 +28,76 @@ fn engine(patterns: &[&str], mode: PrefilterMode) -> Engine {
         .prefilter(mode)
         .build()
         .unwrap()
+}
+
+/// Forty pool cases — literal-bearing, always-on and `$` rules mixed —
+/// with the filter on and off: block scans, chunked streams and the
+/// scheduler's checkout skipping all report the per-pattern oracle, so
+/// the filtered and unfiltered engines are byte-identical.
+#[test]
+fn prefiltered_agrees_with_unfiltered_and_per_pattern_union() {
+    let drivers = [Driver::Block, Driver::Stream, Driver::Scheduler(2)];
+    for index in 0..40 {
+        let case = pool_case(0xf11e, index);
+        for mode in PREFILTERS {
+            let built = Engine::builder().patterns(&case.rules).prefilter(mode);
+            assert_eq!(built.build().unwrap().prefilter(), mode);
+        }
+        let knobs = grid(&[case.scan], &PREFILTERS, &[case.policy]);
+        let what = format!("pool_case(0xf11e, {index})");
+        run_knobs(&what, &case.rules, &case.flows, &knobs, &drivers);
+    }
+}
+
+/// Boundaries placed inside every required literal: the filter's
+/// automaton state and the replay tail must reassemble matches the
+/// skipped chunks began, in a stream and through the scheduler, where
+/// the cold-unit skip rewinds the parked engine rather than feeding it.
+#[test]
+fn literals_split_across_every_chunk_boundary() {
+    let pin = pin("literals");
+    let scan = Scan::Hybrid(DEFAULT_STATE_BUDGET);
+    let knobs = grid(&[scan], &PREFILTERS, &[ShardPolicy::Single]);
+    let drivers = [Driver::Stream, Driver::Scheduler(2)];
+    let expected = run_knobs("literals", &pin.rules, &pin.flows, &knobs, &drivers);
+    assert!(
+        !expected[0].stream.is_empty(),
+        "test input must contain matches"
+    );
+}
+
+/// Chunks of 4 KiB on a multi-group set fan out on scoped threads. Each
+/// rule's literal sits behind a bounded lead, and the first chunk —
+/// benign until its last bytes — ends inside that lead: both units skip
+/// it, then wake on the second chunk and replay the match's start from
+/// the tail, in parallel. Purely benign 4 KiB flows report nothing.
+#[test]
+fn a_wake_replays_the_tail_on_the_parallel_stream_path() {
+    const LARGE: usize = 4096;
+    let rules: Vec<String> = ["k\\d{4}needle", "q\\d{3}magic", "magic", "hdr[0-9]{2}end"]
+        .map(String::from)
+        .into();
+    let mut first = vec![b'.'; LARGE];
+    first.extend_from_slice(b"q123mk12");
+    let mut second = b"34needle..q456magic".to_vec();
+    second.resize(LARGE + 7, b'.');
+    second.extend_from_slice(b"k9876needle");
+    let flows = [
+        Flow {
+            data: [&first[..], &second[..]].concat(),
+            chunks: vec![first.len(), second.len()],
+        },
+        Flow::fixed(&[b'.'; LARGE], 256),
+        Flow::fixed(&[b'.'; 2 * LARGE], LARGE),
+    ];
+    // The multi-group cells, the filter on and off, and the exact engine.
+    let expected = run_cells("parallel wake", &rules, &flows, &[4, 9, 1, 6, 0]);
+    assert_eq!(
+        expected[0].stream.len(),
+        4,
+        "one match straddles the chunks, three lie in the second"
+    );
+    assert!(expected[1].stream.is_empty() && expected[2].stream.is_empty());
 }
 
 #[test]
@@ -59,7 +134,8 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
 fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     // Purely benign bytes on a literal-only ruleset: every (flow, group)
     // unit stays cold and every chunk is skipped. (That the reports stay
-    // empty on and off is the differential suite's large-chunk run.)
+    // empty on and off is the benign half of
+    // `a_wake_replays_the_tail_on_the_parallel_stream_path`.)
     let patterns = ["magic", "hdr[0-9]{2}end"];
     let on = engine(&patterns, PrefilterMode::On);
     let input = vec![b'.'; 4096];

@@ -5,22 +5,18 @@
 //! (`Engine::scan_groups`) cuts what a flow scans, from the rules and the
 //! hybrid `state_budget` alone. This suite checks that the policy moves
 //! the first and nothing of the second, that the scan partition is the
-//! next-fit the docs promise, that a flow's units skip and wake apart,
-//! that the serving metrics are as long as the scan partition whatever
-//! the bank count, and that the bank images validate, fit their budget
-//! and keep each rule's report id and compile decisions. (That every
-//! partition reports what each rule scanned alone does is
-//! `tests/differential.rs`.)
+//! next-fit the docs promise, that a multi-group set still reports the
+//! per-pattern union byte for byte, and that the serving metrics are as
+//! long as the scan partition whatever the bank count.
 
 mod common;
 
-use common::{in_scan_groups, sample_patterns, set_with};
-use recama::compiler::CompileOptions;
-use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
+use common::{finish_oracle, in_scan_groups, scan_oracle};
+use recama::hw::{RuleCost, ShardPlan, ShardPolicy};
 use recama::workloads::{generate, traffic, BenchmarkId, Ruleset};
 use recama::{
-    Engine, EngineBuilder, PrefilterMode, ScanMode, ServeConfig, ServiceMetrics, SetMatch,
-    DEFAULT_STATE_BUDGET,
+    Engine, EngineBuilder, PrefilterMode, RuleMatch, ScanMode, ServeConfig, ServiceMetrics,
+    SetMatch, DEFAULT_STATE_BUDGET,
 };
 
 /// Everything a policy must not move: the scan partition, the reports,
@@ -199,9 +195,9 @@ fn clamav_rows_fit_their_scan_groups() {
     assert!(stats.dfa_states > engine.scan_groups().shard_count());
 }
 
-/// Rules in different scan groups: literal-bearing ones, trailing-`$`
-/// ones, an always-on one, and `k\d{4}needle`, whose literal sits behind
-/// a five-byte lead — the wake that replays.
+/// Rules for the byte-identity run: literal-bearing ones in different
+/// groups, a trailing-`$` one, an always-on one, and `k\d{4}needle`,
+/// whose literal sits behind a five-byte lead — the wake that replays.
 const RULES: [&str; 6] = [
     "k\\d{4}needle",
     "magic$",
@@ -212,36 +208,72 @@ const RULES: [&str; 6] = [
 ];
 
 #[test]
-fn a_multi_group_flow_wakes_some_units_and_skips_others() {
+fn a_multi_group_set_reports_the_per_pattern_union() {
     // Cut every 4 bytes, "k1234needle" starts in the first chunk and
     // its literal ends in the fourth: the unit wakes there and replays
-    // the tail, two whole chunks and the end of a third. (What the flow
-    // reports is the differential suite's `replay` pin.)
+    // the tail, two whole chunks and the end of a third.
     let data: &[u8] = b"...k1234needle..magic.hdr42end.xyx7.nnababmm..magic.k99needle.omega";
     const CHUNK: usize = 4;
     assert!(data[..CHUNK].ends_with(b"k") && data[..3 * CHUNK].ends_with(b"need"));
 
-    let builder = Engine::builder().patterns(RULES);
-    let engine = in_scan_groups(builder.prefilter(PrefilterMode::On), 3);
-    assert!(engine.scan_groups().shard_count() >= 3);
-    assert_eq!(engine.shard_count(), 1);
-    for workers in [1, 2] {
-        let svc = engine.serve_with(workers, ServeConfig::default());
-        let flow = svc.try_open_flow().unwrap();
-        for chunk in data.chunks(CHUNK) {
-            svc.push_checked(flow, chunk).unwrap();
-            if workers == 1 {
-                svc.barrier();
-            }
-        }
-        svc.close(flow);
-        svc.barrier();
-        let pf = svc.metrics().prefilter.expect("the filter is on");
-        assert!(
-            pf.candidate_hits >= 2 && pf.total_skipped_units() > 0,
-            "{workers} worker(s): {pf:?}"
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        let engine = in_scan_groups(Engine::builder().patterns(RULES).prefilter(mode), 3);
+        assert!(engine.scan_groups().shard_count() >= 3);
+        assert_eq!(engine.shard_count(), 1);
+        let expected = scan_oracle(&engine, data, 0);
+        let finishing = finish_oracle(&engine, data, 0);
+        assert_eq!(
+            finishing.len(),
+            1,
+            "omega$ ends the stream, magic$ does not"
         );
-        svc.shutdown();
+        for workers in [1, 2] {
+            let what = format!("{mode:?}, {workers} worker(s)");
+            let svc = engine.serve_with(workers, ServeConfig::default());
+            let flow = svc.try_open_flow().unwrap();
+            let mut got = Vec::new();
+            for chunk in data.chunks(CHUNK) {
+                svc.push_checked(flow, chunk).unwrap();
+                if workers == 1 {
+                    svc.barrier();
+                    got.extend(svc.poll_checked(flow).unwrap());
+                }
+            }
+            svc.close(flow);
+            svc.barrier();
+            got.extend(svc.poll_checked(flow).unwrap());
+            assert_eq!(got, expected, "{what}");
+            assert_eq!(svc.finishing(flow), finishing, "{what}");
+            if mode == PrefilterMode::On {
+                let pf = svc.metrics().prefilter.expect("the filter is on");
+                assert!(
+                    pf.candidate_hits >= 2 && pf.total_skipped_units() > 0,
+                    "{what}: {pf:?}"
+                );
+            }
+            svc.shutdown();
+
+            // The synchronous driver of the same flow.
+            let mut stream = engine.stream();
+            let mut streamed = Vec::new();
+            for chunk in data.chunks(CHUNK) {
+                streamed.extend(stream.feed(chunk));
+            }
+            let as_rules = |ms: Vec<SetMatch>| -> Vec<RuleMatch> {
+                (ms.into_iter())
+                    .map(|m| RuleMatch {
+                        rule: engine.rule_id(m.pattern),
+                        end: m.end as u64,
+                    })
+                    .collect()
+            };
+            assert_eq!(as_rules(streamed), expected, "{what}: stream");
+            assert_eq!(
+                as_rules(stream.finish()),
+                finishing,
+                "{what}: stream finish"
+            );
+        }
     }
 }
 
@@ -295,87 +327,4 @@ fn per_unit_metrics_are_as_long_as_the_scan_partition() {
         );
         svc.shutdown();
     }
-}
-
-#[test]
-fn bank_budget_produces_contiguous_shards_within_budget() {
-    let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 2022, 400);
-    let budget = ShardBudget {
-        columns: 24,
-        counters: 8,
-        bitvector_bits: 4000,
-    };
-    // Three scan groups beside the banks, for the alphabet check below.
-    let builder = Engine::builder().patterns(&patterns);
-    let set = in_scan_groups(builder.shard_policy(ShardPolicy::Banked(budget)), 3).into_set();
-    assert!(
-        set.shard_count() > 1,
-        "tiny budget must force several shards"
-    );
-    let mut next = 0usize;
-    for si in 0..set.shard_count() {
-        // Contiguous, ordered members (the invariant the ordered report
-        // merge relies on).
-        for &m in set.shard_members(si) {
-            assert_eq!(m, next, "shard members must be contiguous");
-            next += 1;
-        }
-        // Each shard's merged image validates, and — since merging is a
-        // disjoint union — its footprint respects the budget unless a
-        // single oversize rule got its own shard.
-        let network = set.network(si);
-        assert!(network.validate().is_empty(), "{:?}", network.validate());
-        let cost = RuleCost::of_network(network);
-        assert!(
-            cost.fits(&budget) || set.shard_members(si).len() == 1,
-            "shard {si} overflows the budget with multiple rules: {cost:?}"
-        );
-    }
-    assert_eq!(next, set.len(), "every pattern must land in some shard");
-
-    // The shared alphabet really is shared: every scan group's automaton
-    // indexes the same number of byte classes.
-    let class_count = set.multi().alphabet().len();
-    assert!(set.multi().shards().len() >= 3);
-    for group in set.multi().shards() {
-        assert_eq!(group.alphabet().len(), class_count);
-    }
-}
-
-#[test]
-fn module_decisions_are_preserved_per_pattern() {
-    // Merging must not change what the compiler decided per pattern:
-    // compile the same patterns alone and as a set and compare modules.
-    let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
-    let set = set_with(&patterns, ShardPolicy::Single);
-    for (i, p) in patterns.iter().enumerate() {
-        let alone = recama::compiler::compile(
-            &recama::syntax::parse(p).unwrap().for_stream(),
-            &CompileOptions::default(),
-        );
-        assert_eq!(
-            alone.modules,
-            set.outputs()[i].modules,
-            "pattern {p}: module decisions changed under merging"
-        );
-    }
-}
-
-#[test]
-fn one_percent_snort_acceptance() {
-    // The acceptance-criteria configuration: 1%-scale Snort, one merged
-    // network, valid and placed, with per-pattern report ids.
-    let patterns = sample_patterns(BenchmarkId::Snort, 0.01, 2022, 600);
-    let set = set_with(&patterns, ShardPolicy::Single);
-    assert!(
-        set.network(0).validate().is_empty(),
-        "{:?}",
-        set.network(0).validate()
-    );
-    let expected_ids: Vec<u32> = (0..patterns.len() as u32).collect();
-    assert_eq!(set.network(0).report_ids(), expected_ids);
-
-    // Placement covers the merged image.
-    let placement = recama::hw::place(set.network(0));
-    assert_eq!(placement.per_node.len(), set.network(0).node_count());
 }
