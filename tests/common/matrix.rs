@@ -2,8 +2,10 @@
 //! and scanned alone), one `Case` type, and one runner per way a ruleset
 //! is scanned — a block scan, spans, a chunked stream, the batch
 //! scheduler and the resident service at any number of workers, and
-//! each bank's hardware simulator. `tests/differential.rs` crosses the
-//! drivers with every knob; the other suites run named slices of it.
+//! each bank's hardware simulator. Each suite runs its own slice of it,
+//! and no two run the same rules, inputs and knobs:
+//! `tests/differential.rs` crosses every driver with every knob on a
+//! share of the pool cases and on the pins no other suite owns.
 //!
 //! The hardware simulator has no end of input, so it is held to the
 //! stream oracle: every candidate end, `$` included.
@@ -14,8 +16,9 @@ use rand::{Rng, SeedableRng};
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
 use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch, SetSpan};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
 /// The rules pool cases pick from: pure ones (one row load a byte),
 /// counting ones (woken, stepped and retired beside the rows; the last
@@ -117,6 +120,12 @@ pub fn grid(scans: &[Scan], prefilters: &[PrefilterMode], policies: &[ShardPolic
     grid
 }
 
+/// The ten cells of scan × prefilter, the bank policy turning with them:
+/// every scan, and every bank image once policy by policy.
+pub fn cells() -> Vec<Knobs> {
+    (0..10).map(|k| knobs(k + 10 * (k % 3))).collect()
+}
+
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Driver {
     Block,
@@ -203,11 +212,6 @@ pub struct Case {
 }
 
 impl Case {
-    /// `rules` and `flows` under knob cell `k`.
-    pub fn new(rules: &[String], k: usize, flows: &[Flow]) -> Case {
-        Case::of(rules, flows, knobs(k))
-    }
-
     /// `rules` and `flows` under `knobs`.
     pub fn of<S: AsRef<str>>(rules: &[S], flows: &[Flow], knobs: Knobs) -> Case {
         let (scan, prefilter, policy) = knobs;
@@ -234,7 +238,11 @@ impl Case {
     }
 
     /// The cell of the coverage grid that `driver` ran in on this case.
+    /// The bank images depend on the bank policy alone.
     pub fn cell(&self, driver: Driver) -> String {
+        if driver == Driver::Hardware {
+            return format!("{:?} {driver:?}", self.policy);
+        }
         format!(
             "{:?} {:?} {:?} {driver:?}",
             self.scan, self.prefilter, self.policy
@@ -263,14 +271,7 @@ pub fn pool_case(seed: u64, index: usize) -> Case {
     let flows: Vec<Flow> = (0..rng.gen_range(1..4))
         .map(|_| {
             let len = rng.gen_range(0..300);
-            let mut data = Vec::with_capacity(len + 16);
-            while data.len() < len {
-                if rng.gen_bool(0.04) {
-                    data.extend(WORDS[rng.gen_range(0..WORDS.len())].bytes());
-                } else {
-                    data.push(INPUT_BYTES[rng.gen_range(0..INPUT_BYTES.len())]);
-                }
-            }
+            let data = pool_bytes(len, &mut rng);
             if rng.gen_bool(0.5) {
                 return Flow::fixed(&data, rng.gen_range(1..40));
             }
@@ -278,7 +279,38 @@ pub fn pool_case(seed: u64, index: usize) -> Case {
             Flow { data, chunks }
         })
         .collect();
-    Case::new(&rules, index, &flows)
+    Case::of(&rules, &flows, knobs(index))
+}
+
+/// Runs every driver on pool cases `30 × block` to `30 × block + 29` of
+/// [`SEED`] — each knob cell once — and asserts that every cell of scan ×
+/// prefilter × policy × driver ran (the hardware one per policy). Each
+/// pool test takes its own block.
+pub fn run_pool(block: usize) {
+    let mut ran = HashSet::new();
+    for index in 30 * block..30 * block + 30 {
+        let case = pool_case(SEED, index);
+        let oracle = Oracle::new(&case.rules);
+        let expected = expect(&oracle, &case.flows);
+        let replay = format!("pool_case({SEED:#x}, {index})");
+        verify(&replay, &case, &oracle, &expected, &DRIVERS, &mut ran);
+    }
+    let flow_drivers = DRIVERS.len() - 1;
+    let cells = SCANS.len() * PREFILTERS.len() * policies().len() * flow_drivers;
+    assert_eq!(ran.len(), cells + policies().len(), "cells that ran");
+}
+
+/// At least `len` random bytes, biased toward the pool's literals.
+pub fn pool_bytes(len: usize, rng: &mut StdRng) -> Vec<u8> {
+    let mut data = Vec::with_capacity(len + 16);
+    while data.len() < len {
+        if rng.gen_bool(0.04) {
+            data.extend(WORDS[rng.gen_range(0..WORDS.len())].bytes());
+        } else {
+            data.push(INPUT_BYTES[rng.gen_range(0..INPUT_BYTES.len())]);
+        }
+    }
+    data
 }
 
 /// Random chunk lengths of 1 to 64 bytes summing to `len`, with empty
@@ -331,22 +363,9 @@ pub struct Pin {
     pub flows: Vec<Flow>,
 }
 
-pub const PINS: [&str; 12] = [
-    "counting",
-    "pure",
-    "split",
-    "literals",
-    "always-on",
-    "mixed",
-    "replay",
-    "dollars",
-    "api",
-    "interleaved",
-    "batched",
-    "sink",
-];
-
-/// The pinned input `name` (one of [`PINS`]).
+/// The pinned input `name`. Each pin is run by one test: the five no
+/// other suite owns by `tests/differential.rs`, the rest by the test of
+/// the behaviour it pins.
 pub fn pin(name: &str) -> Pin {
     let fixed = |data: &[&[u8]], len| data.iter().map(|d| Flow::fixed(d, len)).collect();
     let (rules, flows): (&[&str], Vec<Flow>) = match name {
@@ -423,17 +442,6 @@ pub fn pin(name: &str) -> Pin {
             &["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}", "xyz"],
             fixed(&[b"abbc.aaa.cab.xyz.k42.abbbc", b"zzabbc..xyz..abbbc"], 2),
         ),
-        "interleaved" => (
-            &["ab{2,4}c", "x{3}", "q[rs]{2}t"],
-            [1, 3, 9, 25]
-                .map(|n| Flow::fixed(b"zabbbc_xxx_qrst_abbc_xxxx", n))
-                .into_iter()
-                .chain([
-                    Flow::split(b"zabbbc_xxx", vec![3, 5, 2]),
-                    Flow::split(b"qrst_abbc", vec![4, 0, 5]),
-                ])
-                .collect(),
-        ),
         // Many flows pushed whole before one barrier: the service scans
         // them in batches of up to four units of one scan group.
         "batched" => (
@@ -464,6 +472,7 @@ pub fn pin(name: &str) -> Pin {
 }
 
 /// What every driver must report for one flow.
+#[derive(Clone)]
 pub struct Expected {
     /// Every candidate end, in stream order.
     pub stream: Vec<SetMatch>,
@@ -471,11 +480,17 @@ pub struct Expected {
     pub finish: Vec<SetMatch>,
 }
 
+/// The oracle's answer for each flow, computed once per distinct input.
 pub fn expect(oracle: &Oracle, flows: &[Flow]) -> Vec<Expected> {
+    let mut known: HashMap<&[u8], Expected> = HashMap::new();
     (flows.iter())
-        .map(|flow| Expected {
-            stream: oracle.stream(&flow.data),
-            finish: oracle.finish(&flow.data),
+        .map(|flow| {
+            let data = &flow.data[..];
+            let answer = known.entry(data).or_insert_with(|| Expected {
+                stream: oracle.stream(data),
+                finish: oracle.finish(data),
+            });
+            answer.clone()
         })
         .collect()
 }
@@ -497,11 +512,18 @@ fn check(
     ran: &mut HashSet<String>,
 ) -> Result<(), String> {
     let engine = case.build();
+    // The whole-input drivers see a flow's bytes, not its chunks: they
+    // run once per distinct input.
+    let mut seen = HashSet::new();
+    let distinct: Vec<usize> = (0..case.flows.len())
+        .filter(|&fi| seen.insert(&case.flows[fi].data))
+        .collect();
     for &driver in drivers {
         let what = |fi: usize, part: &str| format!("{driver:?}, flow {fi}: {part}");
         match driver {
             Driver::Block => {
-                for (fi, (flow, want)) in case.flows.iter().zip(expected).enumerate() {
+                for &fi in &distinct {
+                    let (flow, want) = (&case.flows[fi], &expected[fi]);
                     let dollar = |m: &&SetMatch| oracle.patterns[m.pattern].parsed().anchored_end;
                     let mut block: Vec<SetMatch> =
                         want.stream.iter().filter(|m| !dollar(m)).copied().collect();
@@ -511,7 +533,8 @@ fn check(
                 }
             }
             Driver::Spans => {
-                for (fi, flow) in case.flows.iter().enumerate() {
+                for &fi in &distinct {
+                    let flow = &case.flows[fi];
                     let mut want = Vec::new();
                     for (pattern, p) in oracle.patterns.iter().enumerate() {
                         let spans = p.find_spans(&flow.data).into_iter();
@@ -597,11 +620,8 @@ fn check(
                 agree(polled, finishing, sink, expected, what)?;
             }
             Driver::Hardware => {
-                let mut seen = HashSet::new();
-                for (fi, (flow, want)) in case.flows.iter().zip(expected).enumerate() {
-                    if !seen.insert(&flow.data) {
-                        continue;
-                    }
+                for &fi in &distinct {
+                    let (flow, want) = (&case.flows[fi], &expected[fi]);
                     let mut got = Vec::new();
                     for bank in 0..engine.shard_count() {
                         let reports = engine.hardware(bank).match_ends_by_rule(&flow.data);
@@ -704,8 +724,27 @@ fn agree(
     Ok(())
 }
 
-/// Runs `case` and, when a driver disagrees, panics with `replay`, the
-/// case shrunk to what still fails, and both failures.
+/// `check`, with a driver's panic taken as its failure.
+fn try_check(
+    case: &Case,
+    oracle: &Oracle,
+    expected: &[Expected],
+    drivers: &[Driver],
+    ran: &mut HashSet<String>,
+) -> Result<(), String> {
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        check(case, oracle, expected, drivers, ran)
+    }))
+    .unwrap_or_else(|panic| {
+        let message = (panic.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("a panic");
+        Err(format!("panicked: {message}"))
+    })
+}
+
+/// Runs `case` and, when a driver disagrees or panics, panics with
+/// `replay`, the case shrunk to what still fails, and both failures.
 pub fn verify(
     replay: &str,
     case: &Case,
@@ -714,13 +753,13 @@ pub fn verify(
     drivers: &[Driver],
     ran: &mut HashSet<String>,
 ) {
-    let Err(failure) = check(case, oracle, expected, drivers, ran) else {
+    let Err(failure) = try_check(case, oracle, expected, drivers, ran) else {
         return;
     };
     let rerun = |case: &Case| {
         let oracle = Oracle::new(&case.rules);
         let expected = expect(&oracle, &case.flows);
-        check(case, &oracle, &expected, drivers, &mut HashSet::new())
+        try_check(case, &oracle, &expected, drivers, &mut HashSet::new())
     };
     let small = minimise(case, |c| rerun(c).is_err());
     let small_failure = rerun(&small).unwrap_err();
@@ -784,37 +823,12 @@ pub fn minimise(case: &Case, fails: impl Fn(&Case) -> bool) -> Case {
     best
 }
 
-/// Runs every cell in `cells` on one ruleset and its flows. Spans are a
-/// block scan's ends, which every cell checks, walked back per pattern:
-/// they run in the first cell only. The hardware runs once per bank
-/// policy, the one knob its images depend on.
-pub fn run_cells(what: &str, rules: &[String], flows: &[Flow], cells: &[usize]) -> Vec<Expected> {
-    let oracle = Oracle::new(rules);
-    let expected = expect(&oracle, flows);
-    let mut imaged = Vec::new();
-    for (i, &k) in cells.iter().enumerate() {
-        let case = Case::new(rules, k, flows);
-        let drivers: Vec<Driver> = (DRIVERS.into_iter())
-            .filter(|&d| d != Driver::Spans || i == 0)
-            .filter(|&d| d != Driver::Hardware || !imaged.contains(&case.policy))
-            .collect();
-        imaged.push(case.policy);
-        let replay = format!("{what}, knob cell {k} ({:?})", knobs(k));
-        verify(
-            &replay,
-            &case,
-            &oracle,
-            &expected,
-            &drivers,
-            &mut HashSet::new(),
-        );
-    }
-    expected
-}
-
 /// Runs `drivers` on `rules` and `flows` under each of `knobs` — one
-/// named slice of the matrix — and returns what the oracle expected of
-/// each flow.
+/// slice of the matrix — and returns what the oracle expected of each
+/// flow. The hardware runs once per bank policy, the one knob its
+/// images depend on. Spans are a block scan's ends, which every knob's
+/// block scan checks, walked back per pattern: they run under the first
+/// knob only.
 pub fn run_knobs<S: AsRef<str>>(
     what: &str,
     rules: &[S],
@@ -824,15 +838,21 @@ pub fn run_knobs<S: AsRef<str>>(
 ) -> Vec<Expected> {
     let oracle = Oracle::new(rules);
     let expected = expect(&oracle, flows);
-    for &knobs in knobs {
+    let mut imaged = Vec::new();
+    for (i, &knobs) in knobs.iter().enumerate() {
         let case = Case::of(rules, flows, knobs);
+        let drivers: Vec<Driver> = (drivers.iter().copied())
+            .filter(|&d| d != Driver::Spans || i == 0)
+            .filter(|&d| d != Driver::Hardware || !imaged.contains(&case.policy))
+            .collect();
+        imaged.push(case.policy);
         let replay = format!("{what}, {knobs:?}");
         verify(
             &replay,
             &case,
             &oracle,
             &expected,
-            drivers,
+            &drivers,
             &mut HashSet::new(),
         );
     }

@@ -2,115 +2,50 @@
 //! scan, spans, a chunked stream, the batch scheduler and the resident
 //! service at one and at three workers, and each bank's hardware
 //! simulator — must report what one oracle says: each pattern compiled
-//! and scanned alone (`common::Oracle`). The matrix crosses those drivers
-//! with the scan mode (the exact engine, hybrid rows under budgets of 1,
-//! 7 and 4096 states, and three scan groups), the literal prefilter on
-//! and off, and three bank policies, over three kinds of rulesets: random
-//! picks from a pool of pure, counting, literal-bearing, always-on and
-//! `$`-anchored rules; pinned rules and inputs, cut at every position or
-//! in fixed chunks; and Snort and Suricata samples on their generator's
-//! traffic. The chunk lengths of every flow are part of its case: fixed,
-//! random with empty chunks mixed in, one cut per flow, or large enough
-//! for the stream's scoped threads.
+//! and scanned alone (`common::Oracle`). The matrix (`common::matrix`)
+//! crosses those drivers with the scan mode (the exact engine, hybrid
+//! rows under budgets of 1, 7 and 4096 states, and three scan groups),
+//! the literal prefilter on and off, and three bank policies. The chunk
+//! lengths of every flow are part of its case: fixed, random with empty
+//! chunks mixed in, one cut per flow, or large enough for the stream's
+//! scoped threads.
+//!
+//! Each rules-and-inputs pair runs in one test only. This suite runs the
+//! first block of thirty random pool cases and the pins that belong to
+//! no other suite; the other pool blocks, pins and profile samples are
+//! the slices named after what they pin, in the hybrid, pattern-set,
+//! sharded, flow-scheduler, engine-API and prefilter suites.
 //!
 //! A pool case is a function of `(seed, index)` alone, and a failure
-//! prints that pair and the case shrunk to what still fails.
-//!
-//! The oracle, the case type and the drivers are `common::matrix`; the
-//! other suites run named slices of the same matrix.
+//! prints that pair (or the pin and its knobs) and the case shrunk to
+//! what still fails.
 
 mod common;
 
-use common::matrix::{
-    expect, minimise, pin, policies, pool_case, profile_sample, random_chunks, run_cells, verify,
-    Case, Flow, DRIVERS, PINS, PREFILTERS, SCANS, SEED,
-};
-use common::Oracle;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::SetMatch;
-use std::collections::HashSet;
+use common::matrix::{cells, minimise, pin, pool_case, run_knobs, run_pool, Case, Flow};
+use common::matrix::{DRIVERS, SEED};
 
+/// Thirty pool cases, one per knob cell, under every driver.
 #[test]
 fn every_driver_reports_the_oracle_on_random_pool_cases() {
-    let mut ran = HashSet::new();
-    for index in 0..120 {
-        let case = pool_case(SEED, index);
-        let oracle = Oracle::new(&case.rules);
-        let expected = expect(&oracle, &case.flows);
-        let replay = format!("pool_case({SEED:#x}, {index})");
-        verify(&replay, &case, &oracle, &expected, &DRIVERS, &mut ran);
-    }
-    // Every cell of scan × prefilter × policy × driver ran.
-    assert_eq!(
-        ran.len(),
-        SCANS.len() * PREFILTERS.len() * policies().len() * DRIVERS.len()
-    );
+    run_pool(0);
 }
 
-/// Hand-written rules and inputs (`common::matrix::pin`), each in the
-/// ten cells of scan × prefilter (the policy turning with them).
+/// The hand-written rules and inputs no other suite owns, each in the
+/// ten cells of scan × prefilter (the policy turning with them): no
+/// literal at all, literal-bearing rules beside `$`-anchored and
+/// always-on ones, a wake that replays, the API's rules, and many flows
+/// batched before one barrier.
 #[test]
 fn every_driver_reports_the_oracle_on_pinned_inputs() {
-    let cells: Vec<usize> = (0..10).map(|k| k + 10 * (k % 3)).collect();
-    for what in PINS {
+    for what in ["always-on", "mixed", "replay", "api", "batched"] {
         let pin = pin(what);
-        let expected = run_cells(what, &pin.rules, &pin.flows, &cells);
+        let expected = run_knobs(what, &pin.rules, &pin.flows, &cells(), &DRIVERS);
         assert!(
             !expected[0].stream.is_empty(),
             "{what}: the input must contain matches"
         );
     }
-}
-
-/// A Snort or Suricata sample at scale 0.004, seeds 1, 7 and 2022, plus
-/// a trailing-`$` rule and an always-on one, on its generator's traffic:
-/// a flow of 4 KiB pushed as one large chunk and a short one, and two
-/// shorter flows in random and fixed chunks. Each sample runs the exact
-/// engine, three scan groups and the hybrid under a budget of 7 or 4096
-/// states, under one (prefilter, policy) pair; the six samples take each
-/// pair once. (A budget of 1 flushes on every byte of these rules; the
-/// pool and the pins take it.)
-fn profile_samples(id: BenchmarkId) {
-    for (j, seed) in [1u64, 7, 2022].into_iter().enumerate() {
-        let r = 3 * usize::from(id == BenchmarkId::Suricata) + j;
-        let (rules, main) = profile_sample(id, seed);
-        let ruleset = generate(id, 0.004, seed);
-        let shorter = traffic(&ruleset, 1024, 0.002, seed * 31 + 1);
-        let chunks = random_chunks(shorter.len(), &mut StdRng::seed_from_u64(seed));
-        let flows = [
-            Flow::fixed(&main, 4096),
-            Flow::split(&shorter, chunks),
-            Flow::fixed(&traffic(&ruleset, 512, 0.004, seed * 31 + 2), 13),
-        ];
-        let pair = 5 * (r % 2) + 10 * (r / 2);
-        let cells = [0, 4, 2 + r % 2].map(|scan| pair + scan);
-        let expected = run_cells(&format!("{id:?} seed {seed}"), &rules, &flows, &cells);
-        let dollar = rules.len() - 2;
-        let kept: Vec<_> = (expected[0].finish.iter())
-            .filter(|m| m.pattern == dollar)
-            .collect();
-        let last = SetMatch {
-            pattern: dollar,
-            end: main.len(),
-        };
-        assert_eq!(
-            kept,
-            [&last],
-            "{id:?}/{seed}: `$` keeps only the last match"
-        );
-    }
-}
-
-#[test]
-fn every_driver_reports_the_oracle_on_snort_samples() {
-    profile_samples(BenchmarkId::Snort);
-}
-
-#[test]
-fn every_driver_reports_the_oracle_on_suricata_samples() {
-    profile_samples(BenchmarkId::Suricata);
 }
 
 #[test]

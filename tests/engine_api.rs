@@ -5,11 +5,11 @@
 //! values, and the stream `reset()` regression (reset + rescan must
 //! equal a fresh scan, `finish()` included). The scan, spans, stream and
 //! service tests are slices of the differential matrix
-//! (`common::matrix`, crossed in full by `tests/differential.rs`).
+//! (`common::matrix`).
 
 mod common;
 
-use common::matrix::{in_groups, run_knobs, Driver, Flow, Scan};
+use common::matrix::{cells, run_knobs, Driver, Flow, Scan, DRIVERS};
 use common::{in_scan_groups, scan_oracle};
 use recama::hw::ShardPolicy;
 use recama::{
@@ -124,13 +124,14 @@ fn strict_build_is_lossless_or_fails() {
     assert_eq!(engine.len(), PATTERNS.len());
 }
 
+/// One input in chunks of 1, 3 and 9 bytes and whole, under every driver
+/// in the ten cells.
 #[test]
 fn stream_agrees_with_scan_across_chunkings() {
     let input = b"zabbbc_xxx_qrst_abbc_xxxx";
     let flows = [1, 3, 9, input.len()].map(|n| Flow::fixed(input, n));
     let rules = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
-    let drivers = [Driver::Block, Driver::Stream];
-    run_knobs("chunkings", &rules, &flows, &[in_groups(3)], &drivers);
+    run_knobs("chunkings", &rules, &flows, &cells(), &DRIVERS);
 }
 
 /// Regression pin (reset bug): a reset stream must behave exactly like
@@ -194,9 +195,10 @@ fn scheduler_from_engine_serves_flows() {
     assert_eq!(hits, vec![(1, 3)]);
 }
 
-/// Two flows, one with an empty chunk, pushed interleaved into a
-/// three-worker service: each polls its own stream's reports, and the
-/// global sink holds both flows' and nothing else.
+/// Two flows, one with an empty chunk, pushed interleaved into the
+/// service (and every other driver, in the ten cells): each polls its
+/// own stream's reports, and the global sink holds both flows' and
+/// nothing else.
 #[test]
 fn service_reports_match_independent_streams() {
     let flows = [
@@ -204,8 +206,7 @@ fn service_reports_match_independent_streams() {
         Flow::split(b"qrst_abbc", vec![4, 0, 5]),
     ];
     let rules = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
-    let drivers = [Driver::Service(3)];
-    run_knobs("two flows", &rules, &flows, &[in_groups(3)], &drivers);
+    run_knobs("two flows", &rules, &flows, &cells(), &DRIVERS);
 }
 
 /// Many flows pushed, then one barrier: a worker checks out up to four

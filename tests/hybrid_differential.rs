@@ -1,312 +1,179 @@
-//! Differential testing of the hybrid lazy-DFA engine: on random
-//! rulesets mixing pure and counting patterns, random inputs, and random
-//! chunk boundaries, a [`ScanMode::Hybrid`] engine and the
-//! [`ScanMode::Nca`] engine — the same engine without rows, every byte
-//! the edge walk of a row fill beside the counter bank — must both
-//! report the referee's answer: the union of per-[`Pattern`] `find_ends`
-//! results, each pattern scanned alone. The property
-//! runs include pathological state budgets (as small as 1 cached DFA
-//! state, so the subset cache thrashes through flushes) and
-//! counter-heavy rulesets that keep counted tokens live — stepped
-//! exactly beside the DFA rows — on nearly every byte. A second property
-//! pushes the same rulesets through the serving path
-//! ([`Engine::serve_with`]) with the literal prefilter on and off, and a
-//! third churns many short flows over the shard caches they share. One
-//! count-based test bounds the share of the Snort profile's bytes that
-//! counters are live on.
+//! The hybrid lazy-DFA engine's slices of the differential matrix
+//! (`common::matrix`): a [`ScanMode::Hybrid`] engine under every budget
+//! class — down to one cached DFA state, so the subset cache thrashes
+//! through flushes — and the [`ScanMode::Nca`] engine, the same engine
+//! without rows, must both report the per-pattern oracle, on random
+//! rulesets mixing pure and counting rules, through block scans, chunked
+//! streams and the serving path, and at every cut of inputs that keep
+//! counters live. Many short flows churn over the shard caches they
+//! share within the row bound; word-width counters count through long
+//! runs; and one count-based test bounds the share of the Snort
+//! profile's bytes that counters are stepped on. The scan mode is
+//! exposed, and only the hybrid has stats.
+//!
+//! [`ScanMode::Hybrid`]: recama::ScanMode::Hybrid
+//! [`ScanMode::Nca`]: recama::ScanMode::Nca
 
 mod common;
 
-use common::union_of_per_pattern_matches;
-use proptest::prelude::*;
-use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch};
+use common::matrix::{
+    cells, grid, knobs, pin, pool_bytes, run_knobs, run_pool, Driver, Flow, Scan, DRIVERS, POOL,
+    PREFILTERS, SEED,
+};
+use common::{in_scan_groups, Oracle};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use recama::hw::ShardPolicy;
+use recama::workloads::{generate, traffic, BenchmarkId};
+use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch, DEFAULT_STATE_BUDGET};
 
-/// Pattern pool the properties sample rulesets from: the first group is
-/// pure (counter-free after compilation, so every byte is one row load),
-/// the second counts (waking, stepping and exiting counted states beside
-/// the rows).
-const POOL: &[&str] = &[
-    // pure
-    "abc",
-    "x[yz]w",
-    ".*ba",
-    "q(r|s)t",
-    "[0-9][0-9]k",
-    // counting
-    "ab{2,5}c",
-    ".*a.{3}b",
-    "k[0-9]{2,4}z",
-    "(xy){2,3}",
-    "m{3}",
-    // sequential counters, a counter exiting into a pure tail that loops
-    // back, an anchored counter, an unbounded one
-    "a{2,3}c{2,3}",
-    "(ab{2,3}c)+d",
-    "^ab{2,4}c",
-    "a{3,}b",
-    // counting sets at a machine word's width: one bit short of it, the
-    // full word, straddling it, a register just that long, and a queue
-    ".*h.{63}",
-    "h.{64}",
-    "k.{60,66}z",
-    "[^ac][ac]{64}",
-    ".*a.{65}b",
-];
-
-/// Input bytes biased toward the pool's literals so matches and partial
-/// matches actually occur.
-const INPUT_BYTES: &[u8] = b"abcdhxyzwqrstkm0123459_";
-
-fn engine(patterns: &[&str], mode: ScanMode) -> Engine {
-    Engine::builder()
-        .patterns(patterns)
-        .scan_mode(mode)
-        .build()
-        .unwrap()
+/// The second block of thirty pool cases, one per knob cell — the exact
+/// engine and the hybrid at budgets of 1, 7 and 4096 states and in three
+/// scan groups — under every driver.
+#[test]
+fn hybrid_agrees_with_nca_and_per_pattern_union() {
+    run_pool(1);
 }
 
-/// Feeds `input` to a fresh stream of `engine` in chunks of `chunk_len`
-/// and collects the reports.
-fn chunked_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<SetMatch> {
-    let mut stream = engine.stream();
-    let mut out = Vec::new();
-    for chunk in input.chunks(chunk_len.max(1)) {
-        out.extend(stream.feed(chunk));
-    }
-    out
+/// The third block of thirty pool cases: the serving path — checked
+/// push and poll, the literal prefilter's skip / wake-and-replay on or
+/// off, units kept mid-count between checkouts — is one driver of each.
+#[test]
+fn served_hybrid_reports_the_per_pattern_union() {
+    run_pool(2);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
-
-    #[test]
-    fn hybrid_agrees_with_nca_and_per_pattern_union(
-        picks in prop::collection::vec(0usize..POOL.len(), 1..6),
-        input in prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 0..300),
-        budget in prop_oneof![Just(1usize), Just(2), Just(7), Just(4096)],
-        chunk_len in 1usize..40,
-    ) {
-        let mut picks = picks;
-        picks.sort_unstable();
-        picks.dedup();
-        let patterns: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
-
-        let exact = engine(&patterns, ScanMode::Nca);
-        let hybrid = engine(&patterns, ScanMode::Hybrid { state_budget: budget });
-
-        // Block scans agree with each other and with the per-pattern union.
-        let mut exact_scan = exact.scan(&input);
-        let mut hybrid_scan = hybrid.scan(&input);
-        exact_scan.sort();
-        hybrid_scan.sort();
-        prop_assert_eq!(&hybrid_scan, &exact_scan, "hybrid vs exact, budget {}", budget);
-        prop_assert_eq!(
-            &hybrid_scan,
-            &union_of_per_pattern_matches(&patterns, &input),
-            "hybrid vs per-pattern union"
-        );
-
-        // Chunked streaming agrees across modes and with a one-shot feed,
-        // whatever the chunk boundaries.
-        let oneshot = chunked_reports(&hybrid, &input, input.len().max(1));
-        let chunked_hybrid = chunked_reports(&hybrid, &input, chunk_len);
-        let chunked_exact = chunked_reports(&exact, &input, chunk_len);
-        prop_assert_eq!(&chunked_hybrid, &oneshot, "chunk length {} changes reports", chunk_len);
-        prop_assert_eq!(&chunked_hybrid, &chunked_exact, "streamed hybrid vs exact");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// The serving path — `serve_with`, checked push/poll, the literal
-    /// prefilter's skip / wake-and-replay on or off — over the exact
-    /// engine and hybrid engines of every budget class, kept mid-count
-    /// between checkouts on two workers, reports the per-pattern union,
-    /// whatever the chunking.
-    #[test]
-    fn served_hybrid_reports_the_per_pattern_union(
-        picks in prop::collection::vec(0usize..POOL.len(), 1..6),
-        input in prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 0..300),
-        chunk_lens in prop::collection::vec(1usize..40, 1..8),
-    ) {
-        let mut picks = picks;
-        picks.sort_unstable();
-        picks.dedup();
-        let patterns: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
-        let expected = union_of_per_pattern_matches(&patterns, &input);
-
-        let modes = [1usize, 7, 4096].map(|state_budget| ScanMode::Hybrid { state_budget });
-        for mode in [ScanMode::Nca].into_iter().chain(modes) {
-            for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
-                let engine = Engine::builder()
-                    .patterns(&patterns)
-                    .scan_mode(mode)
-                    .prefilter(prefilter)
-                    .build()
-                    .unwrap();
-                let svc = engine.serve_with(2, ServeConfig::default());
-                let flow = svc.try_open_flow().unwrap();
-                let mut rest = &input[..];
-                let mut lens = chunk_lens.iter().cycle();
-                while !rest.is_empty() {
-                    let (chunk, tail) = rest.split_at(rest.len().min(*lens.next().unwrap()));
-                    svc.push_checked(flow, chunk).unwrap();
-                    rest = tail;
+/// Flow churn over shared rows: two-chunk flows are opened, scanned and
+/// closed while others are in flight, on one and on three workers.
+/// Every flow reports the per-pattern oracle of its own bytes; the rows
+/// the service holds stay within `groups × state_budget` at every point,
+/// and serving the same traffic again as new flows adds none under a
+/// roomy budget.
+#[test]
+fn churned_flows_share_bounded_rows_and_report_the_per_pattern_union() {
+    for index in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(SEED ^ index);
+        let rules: Vec<&str> = (0..rng.gen_range(1..6))
+            .map(|_| POOL[rng.gen_range(0..POOL.len())])
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let oracle = Oracle::new(&rules);
+        let inputs: Vec<Vec<u8>> = (0..rng.gen_range(4..8))
+            .map(|_| {
+                let len = rng.gen_range(2..120);
+                pool_bytes(len, &mut rng)
+            })
+            .collect();
+        let cut = rng.gen_range(1..64);
+        for (workers, budget, prefilter) in [1usize, 3]
+            .into_iter()
+            .flat_map(|w| [1usize, 7, 4096].map(|b| (w, b)))
+            .flat_map(|(w, b)| PREFILTERS.map(|p| (w, b, p)))
+        {
+            let engine = (Engine::builder().patterns(&rules))
+                .scan_mode(ScanMode::Hybrid {
+                    state_budget: budget,
+                })
+                .prefilter(prefilter)
+                .build()
+                .unwrap();
+            let what = format!(
+                "{rules:?}, cut {cut}: {workers} worker(s), budget {budget}, {prefilter:?}"
+            );
+            // One cache per scan group, and the budget cuts the groups.
+            let bound = engine.scan_groups().shard_count() * budget;
+            let svc = engine.serve_with(workers, ServeConfig::default());
+            let rows = |at: &str| {
+                let rows = svc.metrics().hybrid.expect("hybrid mode").dfa_states;
+                assert!(rows <= bound, "{what}: {rows} rows > {bound} {at}");
+                rows
+            };
+            // One pass serves every input once, three flows in flight: a
+            // flow gets its second chunk and is closed while its
+            // successors are still being scanned.
+            let pass = || {
+                let mut in_flight = std::collections::VecDeque::new();
+                let mut flows = Vec::new();
+                for input in &inputs {
+                    let split = cut.min(input.len() - 1);
+                    let flow = svc.try_open_flow().unwrap();
+                    svc.push_checked(flow, &input[..split]).unwrap();
+                    in_flight.push_back((flow, &input[split..]));
+                    flows.push(flow);
+                    if in_flight.len() == 3 {
+                        let (flow, rest) = in_flight.pop_front().unwrap();
+                        svc.push_checked(flow, rest).unwrap();
+                        svc.close(flow);
+                        rows("mid-pass");
+                    }
+                }
+                for (flow, rest) in in_flight {
+                    svc.push_checked(flow, rest).unwrap();
+                    svc.close(flow);
                 }
                 svc.barrier();
+                flows
+            };
+            let mut served = pass();
+            let after_one = rows("after one pass");
+            (0..3).for_each(|_| served.extend(pass()));
+            let after_four = rows("after four passes");
+            if budget == 4096 {
+                assert_eq!(after_four, after_one, "{what}: rows grew with flows served");
+            }
+            for (i, flow) in served.into_iter().enumerate() {
                 // Default rule ids are add-order indices: rule == pattern.
-                let mut got: Vec<SetMatch> = svc
-                    .poll_checked(flow)
-                    .unwrap()
-                    .into_iter()
-                    .map(|m| SetMatch { pattern: m.rule as usize, end: m.end as usize })
+                let got: Vec<SetMatch> = (svc.poll_checked(flow).unwrap().into_iter())
+                    .map(|m| SetMatch {
+                        pattern: m.rule as usize,
+                        end: m.end as usize,
+                    })
                     .collect();
-                svc.close(flow);
-                svc.shutdown();
-                got.sort();
-                prop_assert_eq!(
-                    &got, &expected,
-                    "{:?}, prefilter {:?}, chunks {:?}", mode, prefilter, &chunk_lens
-                );
+                let input = &inputs[i % inputs.len()];
+                assert_eq!(got, oracle.stream(input), "{what}: flow {i}");
             }
+            svc.shutdown();
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Flow churn over shared rows: many two-chunk flows are opened,
-    /// scanned and closed while others are in flight, on one and on
-    /// three workers. Every flow reports its own per-pattern union; the
-    /// rows the service holds stay within `shards × state_budget` at
-    /// every point, and serving the same traffic again as new flows adds
-    /// none (roomy budget: exactly none).
-    #[test]
-    fn churned_flows_share_bounded_rows_and_report_the_per_pattern_union(
-        picks in prop::collection::vec(0usize..POOL.len(), 1..6),
-        inputs in prop::collection::vec(
-            prop::collection::vec(prop::sample::select(INPUT_BYTES.to_vec()), 2..120),
-            4..8,
-        ),
-        cut in 1usize..64,
-    ) {
-        let mut picks = picks;
-        picks.sort_unstable();
-        picks.dedup();
-        let patterns: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
-        let expected: Vec<Vec<SetMatch>> = inputs
-            .iter()
-            .map(|input| union_of_per_pattern_matches(&patterns, input))
-            .collect();
-
-        for workers in [1usize, 3] {
-            for budget in [1usize, 7, 4096] {
-                for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
-                    let engine = Engine::builder()
-                        .patterns(&patterns)
-                        .scan_mode(ScanMode::Hybrid { state_budget: budget })
-                        .prefilter(prefilter)
-                        .build()
-                        .unwrap();
-                    // One cache per scan group, and the budget cuts
-                    // the groups: 1 and 7 make several.
-                    let bound = engine.scan_groups().shard_count() * budget;
-                    let svc = engine.serve_with(workers, ServeConfig::default());
-                    let rows = |at: &str| {
-                        let rows = svc.metrics().hybrid.expect("hybrid mode").dfa_states;
-                        assert!(rows <= bound, "{rows} rows > {bound} {at}");
-                        rows
-                    };
-                    // One pass serves every input once, three flows in
-                    // flight: a flow gets its second chunk and is closed
-                    // while its successors are still being scanned.
-                    let pass = || {
-                        let mut in_flight = std::collections::VecDeque::new();
-                        let mut flows = Vec::new();
-                        for (k, input) in inputs.iter().enumerate() {
-                            let split = cut.min(input.len() - 1);
-                            let flow = svc.try_open_flow().unwrap();
-                            svc.push_checked(flow, &input[..split]).unwrap();
-                            in_flight.push_back((flow, k, split));
-                            flows.push(flow);
-                            if in_flight.len() == 3 {
-                                let (flow, k, split) = in_flight.pop_front().unwrap();
-                                svc.push_checked(flow, &inputs[k][split..]).unwrap();
-                                svc.close(flow);
-                                rows("mid-pass");
-                            }
-                        }
-                        for (flow, k, split) in in_flight {
-                            svc.push_checked(flow, &inputs[k][split..]).unwrap();
-                            svc.close(flow);
-                        }
-                        svc.barrier();
-                        flows
-                    };
-                    let mut served = pass();
-                    let after_one = rows("after one pass");
-                    for _ in 0..3 {
-                        served.extend(pass());
-                    }
-                    let after_four = rows("after four passes");
-                    if budget == 4096 {
-                        prop_assert_eq!(after_four, after_one, "rows grew with flows served");
-                    }
-                    for (i, flow) in served.into_iter().enumerate() {
-                        // Default rule ids are add-order indices.
-                        let mut got: Vec<SetMatch> = svc
-                            .poll_checked(flow)
-                            .unwrap()
-                            .into_iter()
-                            .map(|m| SetMatch { pattern: m.rule as usize, end: m.end as usize })
-                            .collect();
-                        got.sort();
-                        prop_assert_eq!(
-                            &got, &expected[i % inputs.len()],
-                            "flow {} of input {}: workers {}, budget {}, prefilter {:?}, cut {}",
-                            i, i % inputs.len(), workers, budget, prefilter, cut
-                        );
-                    }
-                    svc.shutdown();
-                }
-            }
-        }
-    }
-}
-
+/// Counting rules keep counters live across most of the input, so
+/// counted tokens are woken, stepped and retired repeatedly; every cut
+/// point must leave every driver's reports the oracle's in the ten
+/// cells, and a stream's under a budget of 64 states.
 #[test]
 fn counter_fallback_survives_every_chunk_boundary() {
-    // Counting patterns keep counters live across most of the input, so
-    // counted tokens are woken, stepped and retired repeatedly; every cut
-    // point must leave the reports identical to the exact engine's.
-    let patterns = ["ab{2,5}c", ".*a.{3}b", "m{3}", "abc"];
-    let input = b"aabbbc.mmma...b.abbbbbc.mmmm.abcab";
-    let exact = engine(&patterns, ScanMode::Nca);
-    let hybrid = engine(&patterns, ScanMode::Hybrid { state_budget: 64 });
-    let oneshot = chunked_reports(&exact, input, input.len());
-    assert!(!oneshot.is_empty(), "test input must contain matches");
-    for cut in 1..input.len() {
-        let mut stream = hybrid.stream();
-        let mut got: Vec<SetMatch> = stream.feed(&input[..cut]).collect();
-        got.extend(stream.feed(&input[cut..]));
-        assert_eq!(got, oneshot, "cut at {cut}");
-    }
+    let pin = pin("counting");
+    let roomy = [(Scan::Hybrid(64), PrefilterMode::On, ShardPolicy::Single)];
+    run_knobs(
+        "counting",
+        &pin.rules,
+        &pin.flows,
+        &roomy,
+        &[Driver::Stream],
+    );
+    let expected = run_knobs("counting", &pin.rules, &pin.flows, &cells(), &DRIVERS);
+    assert!(
+        !expected[0].stream.is_empty(),
+        "test input must contain matches"
+    );
 }
 
+/// Runs long enough for every token of the word-width rules to reach
+/// its bound: `[ac]` runs of 63 to 66 after a `[^ac]`, and `h`, `k` and
+/// `a` followed by 60 to 70 bytes before the next trigger.
 #[test]
 fn word_width_counters_count_through_long_runs() {
-    // Runs long enough for every token of the pool's word-width rules to
-    // reach its bound: `[ac]` runs of 63 to 66 after a `[^ac]`, and `h`,
-    // `k` and `a` followed by 60 to 70 bytes before the next trigger.
-    let patterns = [
+    let rules: Vec<String> = [
         ".*h.{63}",
         "h.{64}",
         "k.{60,66}z",
         "[^ac][ac]{64}",
         ".*a.{65}b",
-    ];
+    ]
+    .map(String::from)
+    .into();
     let mut input = Vec::new();
     for (i, run) in [63usize, 64, 65, 66, 64].into_iter().enumerate() {
         input.push(b'x');
@@ -317,41 +184,39 @@ fn word_width_counters_count_through_long_runs() {
         input.extend(std::iter::repeat_n(b'y', 60 + i));
         input.extend(b"zb");
     }
-    let expected = union_of_per_pattern_matches(&patterns, &input);
-    for (pattern, source) in patterns.iter().enumerate() {
+    // The exact engine, the hybrid at budgets of 1, 7 and 4096 states,
+    // and three scan groups, under each bank policy. A stream carries
+    // each live word across every byte boundary; every driver takes the
+    // coarser chunks.
+    let knobs = [0, 11, 22, 3, 14].map(knobs);
+    let fine = [1, 5, 7].map(|n| Flow::fixed(&input, n));
+    run_knobs("word width", &rules, &fine, &knobs, &[Driver::Stream]);
+    let flows = [64, input.len()].map(|n| Flow::fixed(&input, n));
+    let expected = run_knobs("word width", &rules, &flows, &knobs, &DRIVERS);
+    for (pattern, source) in rules.iter().enumerate() {
         assert!(
-            expected.iter().any(|m| m.pattern == pattern),
+            expected[0].stream.iter().any(|m| m.pattern == pattern),
             "{source} must match the test input"
         );
     }
-    let modes = [1usize, 7, 4096].map(|state_budget| ScanMode::Hybrid { state_budget });
-    for mode in [ScanMode::Nca].into_iter().chain(modes) {
-        let engine = engine(&patterns, mode);
-        for chunk_len in [1, 7, 64, input.len()] {
-            let mut got = chunked_reports(&engine, &input, chunk_len);
-            got.sort();
-            assert_eq!(got, expected, "{mode:?}, chunks of {chunk_len}");
-        }
-    }
 }
 
+/// A one-state cache cannot hold even the start state's successor:
+/// every byte flushes and re-interns. Correctness must not depend on the
+/// cache ever being warm: pure rules at every cut under every driver in
+/// the ten cells, and block-scanned whole under budgets of 2 and 3.
 #[test]
 fn tiny_budgets_flush_but_stay_exact() {
-    // A one-state cache cannot hold even the start state's successor:
-    // every byte flushes and re-interns. Correctness must not depend on
-    // the cache ever being warm.
-    let patterns = ["abc", "x[yz]w", ".*ba", "q(r|s)t"];
-    let input = b"xabcyxzwbaqrtqstxywabcba";
-    let exact = engine(&patterns, ScanMode::Nca).scan(input);
-    for budget in [1usize, 2, 3] {
-        let hybrid = engine(
-            &patterns,
-            ScanMode::Hybrid {
-                state_budget: budget,
-            },
-        );
-        assert_eq!(hybrid.scan(input), exact, "budget {budget}");
-    }
+    let pin = pin("pure");
+    run_knobs("pure", &pin.rules, &pin.flows, &cells(), &DRIVERS);
+    let data = &pin.flows[0].data;
+    let whole = [Flow::fixed(data, data.len())];
+    let knobs = grid(
+        &[2, 3].map(Scan::Hybrid),
+        &PREFILTERS,
+        &[ShardPolicy::Single],
+    );
+    run_knobs("pure", &pin.rules, &whole, &knobs, &[Driver::Block]);
 }
 
 #[test]
@@ -364,11 +229,11 @@ fn scan_mode_is_exposed_and_defaults_to_hybrid() {
     assert_eq!(
         default_mode,
         ScanMode::Hybrid {
-            state_budget: recama::DEFAULT_STATE_BUDGET
+            state_budget: DEFAULT_STATE_BUDGET
         }
     );
-    let forced = engine(&["abc"], ScanMode::Nca);
-    assert_eq!(forced.scan_mode(), ScanMode::Nca);
+    let forced = Engine::builder().patterns(["abc"]).scan_mode(ScanMode::Nca);
+    assert_eq!(forced.build().unwrap().scan_mode(), ScanMode::Nca);
 }
 
 /// The count-based regression for the counted half of the scan (the
@@ -387,15 +252,13 @@ fn scan_mode_is_exposed_and_defaults_to_hybrid() {
 /// the log scale, so a tree whose counters never sleep fails it.
 #[test]
 fn snort_profile_fallback_is_bounded() {
-    use recama::workloads::{generate, traffic, BenchmarkId};
-
     let ruleset = generate(BenchmarkId::Snort, 0.02, 2022);
     let builder = Engine::builder()
         .patterns(ruleset.pattern_strings())
         // The counts must not depend on the `RECAMA_PREFILTER` leg.
         .prefilter(PrefilterMode::Off)
         .lossy(true);
-    let engine = common::in_scan_groups(builder, 4);
+    let engine = in_scan_groups(builder, 4);
     let units = engine.scan_groups().shard_count() as u64;
     let input = traffic(&ruleset, 256 << 10, 0.0005, 302);
     let sched = engine.scheduler_with(1);
@@ -429,8 +292,12 @@ fn snort_profile_fallback_is_bounded() {
 fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     let patterns = ["abc", "ab{2,3}c"];
     let input = b"zabcz.abbc.abbbc.abc";
+    let engine = |mode| {
+        let builder = Engine::builder().patterns(patterns).scan_mode(mode);
+        builder.build().unwrap()
+    };
 
-    let hybrid = engine(&patterns, ScanMode::Hybrid { state_budget: 128 });
+    let hybrid = engine(ScanMode::Hybrid { state_budget: 128 });
     let sched = hybrid.scheduler();
     sched.push(1, input);
     sched.run();
@@ -446,7 +313,7 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
         "one counted state at most is stepped exactly: {stats:?}"
     );
 
-    let exact = engine(&patterns, ScanMode::Nca);
+    let exact = engine(ScanMode::Nca);
     let sched = exact.scheduler();
     sched.push(1, input);
     sched.run();

@@ -1,10 +1,10 @@
 //! The literal prefilter (MPM) on its own terms. Whether a prefiltered
-//! engine reports what every other driver does is `tests/differential.rs`
-//! (the filter is one axis of its matrix); this suite runs three slices
-//! of that matrix — random rulesets with the filter on and off, required
-//! literals split at every chunk boundary, and a wake that replays the
-//! tail on the stream's parallel path — and referees what the filter
-//! decides. Every `(group, chunk)` verdict — skip, or wake at the first
+//! engine reports what every other driver does is the differential
+//! matrix (`common::matrix`; the filter is one axis of it); this suite
+//! runs three slices of that matrix — a block of random pool cases with
+//! the filter on and off, required literals split at every chunk
+//! boundary, and a wake that replays the tail on the stream's parallel
+//! path — and referees what the filter decides. Every `(group, chunk)` verdict — skip, or wake at the first
 //! literal end — and the bytes the filter walks are checked against
 //! a naive substring search, on short chunks and on chunks long enough
 //! for its lanes; a chunk is walked once whatever the number of scan
@@ -17,10 +17,9 @@
 mod common;
 
 use common::in_scan_groups;
-use common::matrix::{grid, pin, pool_case, run_cells, run_knobs, Driver, Flow, Scan, PREFILTERS};
+use common::matrix::{cells, knobs, pin, run_knobs, run_pool, Flow, DRIVERS, POOL, PREFILTERS};
 use proptest::prelude::*;
-use recama::hw::ShardPolicy;
-use recama::{Engine, PrefilterMode, ServeConfig, DEFAULT_STATE_BUDGET};
+use recama::{Engine, PrefilterMode, ServeConfig};
 
 fn engine(patterns: &[&str], mode: PrefilterMode) -> Engine {
     Engine::builder()
@@ -30,36 +29,28 @@ fn engine(patterns: &[&str], mode: PrefilterMode) -> Engine {
         .unwrap()
 }
 
-/// Forty pool cases — literal-bearing, always-on and `$` rules mixed —
-/// with the filter on and off: block scans, chunked streams and the
-/// scheduler's checkout skipping all report the per-pattern oracle, so
-/// the filtered and unfiltered engines are byte-identical.
+/// The last block of thirty pool cases — literal-bearing, always-on and
+/// `$` rules mixed, one per knob cell, so half with the filter on and
+/// half off — under every driver: the filtered and unfiltered engines
+/// both report the oracle. A build keeps the mode it was given.
 #[test]
 fn prefiltered_agrees_with_unfiltered_and_per_pattern_union() {
-    let drivers = [Driver::Block, Driver::Stream, Driver::Scheduler(2)];
-    for index in 0..40 {
-        let case = pool_case(0xf11e, index);
-        for mode in PREFILTERS {
-            let built = Engine::builder().patterns(&case.rules).prefilter(mode);
-            assert_eq!(built.build().unwrap().prefilter(), mode);
-        }
-        let knobs = grid(&[case.scan], &PREFILTERS, &[case.policy]);
-        let what = format!("pool_case(0xf11e, {index})");
-        run_knobs(&what, &case.rules, &case.flows, &knobs, &drivers);
+    for mode in PREFILTERS {
+        let built = Engine::builder().patterns(POOL).prefilter(mode);
+        assert_eq!(built.build().unwrap().prefilter(), mode);
     }
+    run_pool(3);
 }
 
 /// Boundaries placed inside every required literal: the filter's
 /// automaton state and the replay tail must reassemble matches the
-/// skipped chunks began, in a stream and through the scheduler, where
-/// the cold-unit skip rewinds the parked engine rather than feeding it.
+/// skipped chunks began, under every driver in the ten cells — in the
+/// scheduler and the service, the cold-unit skip rewinds the parked
+/// engine rather than feeding it.
 #[test]
 fn literals_split_across_every_chunk_boundary() {
     let pin = pin("literals");
-    let scan = Scan::Hybrid(DEFAULT_STATE_BUDGET);
-    let knobs = grid(&[scan], &PREFILTERS, &[ShardPolicy::Single]);
-    let drivers = [Driver::Stream, Driver::Scheduler(2)];
-    let expected = run_knobs("literals", &pin.rules, &pin.flows, &knobs, &drivers);
+    let expected = run_knobs("literals", &pin.rules, &pin.flows, &cells(), &DRIVERS);
     assert!(
         !expected[0].stream.is_empty(),
         "test input must contain matches"
@@ -91,7 +82,8 @@ fn a_wake_replays_the_tail_on_the_parallel_stream_path() {
         Flow::fixed(&[b'.'; 2 * LARGE], LARGE),
     ];
     // The multi-group cells, the filter on and off, and the exact engine.
-    let expected = run_cells("parallel wake", &rules, &flows, &[4, 9, 1, 6, 0]);
+    let knobs = [4, 9, 1, 6, 0].map(knobs);
+    let expected = run_knobs("parallel wake", &rules, &flows, &knobs, &DRIVERS);
     assert_eq!(
         expected[0].stream.len(),
         4,
