@@ -135,9 +135,10 @@ pub enum FaultPolicy {
     /// carrying the panic message), while every other flow keeps
     /// flowing. The panicked worker is respawned under
     /// [`restart_budget`](ServeConfig::restart_budget) with exponential
-    /// [`restart_backoff`](ServeConfig::restart_backoff); only when the
-    /// budget is exhausted does the service fall back to fail-stop
-    /// poisoning. The default.
+    /// [`restart_backoff`](ServeConfig::restart_backoff) — a panic in a
+    /// scan a [`barrier`](ServiceHandle::barrier) caller ran costs a
+    /// restart too, with no backoff; only when the budget is exhausted
+    /// does the service fall back to fail-stop poisoning. The default.
     #[default]
     Isolate,
     /// Legacy fail-stop: the first worker panic poisons the whole
@@ -218,7 +219,9 @@ pub struct ServeConfig {
     /// ([`FaultPolicy::Isolate`], the default), or poison the whole
     /// service ([`FaultPolicy::FailStop`], the legacy behavior).
     pub fault_policy: FaultPolicy,
-    /// Under [`FaultPolicy::Isolate`], how many worker respawns the
+    /// Under [`FaultPolicy::Isolate`], how many scan panics — worker
+    /// respawns, and panics in scans a
+    /// [`barrier`](crate::ServiceHandle::barrier) caller ran — the
     /// service tolerates in total before it stops trusting itself and
     /// falls back to fail-stop poisoning (counted in
     /// [`fail_stops`](crate::FaultMetrics::fail_stops)). Default `8`.

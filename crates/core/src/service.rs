@@ -16,13 +16,18 @@
 //! `ServiceCore::step` strings checkout → caught scan → check-in (or
 //! quarantine / fail-stop) together — for a *batch* of up to four units
 //! of one scan group, whose rows it steps in lockstep
-//! ([`ShardStream::feed_lockstep`]) — and two drivers call it:
+//! ([`ShardStream::feed_lockstep`]) — and three callers run it:
 //!
 //! * the resident workers of a [`ServiceHandle`], which park on the
 //!   readiness condvar between bursts and step forever;
+//! * [`ServiceHandle::barrier`], whose caller steps until the service
+//!   has settled instead of sleeping while the workers scan;
 //! * [`FlowScheduler::run`](crate::FlowScheduler::run), the *batch*
 //!   driver in [`sched`](crate::sched), which steps until the readiness
 //!   queue is empty and returns.
+//!
+//! The last two are one loop (`ServiceCore::settle`); they differ only
+//! in what they do with a scan panic they caught.
 //!
 //! A serving deployment wants the first lifecycle — producers that are
 //! pushed back when a flow buffers faster than it scans, and flows that
@@ -169,8 +174,14 @@ pub struct ServiceMetrics {
     pub queue_depth: usize,
     /// High-water mark of the readiness queue since spawn.
     pub queue_depth_peak: usize,
-    /// Units currently checked out by workers.
+    /// Units currently checked out by workers (or a
+    /// [`barrier`](ServiceHandle::barrier) caller).
     pub in_flight: usize,
+    /// Units scanned on a thread inside
+    /// [`barrier`](ServiceHandle::barrier): the caller that waits for the
+    /// service to settle scans ready units itself. The resident workers
+    /// scanned the rest.
+    pub caller_units: u64,
     /// Units scanned in a batch of two or more. A worker checks out up to
     /// [`LOCKSTEP_LANES`](crate::nca::LOCKSTEP_LANES) ready units of one
     /// scan group and epoch at once and steps their rows in lockstep;
@@ -235,8 +246,10 @@ pub struct FaultMetrics {
     /// Flows quarantined after a panic inside one of their scans
     /// (under [`FaultPolicy::Isolate`](crate::FaultPolicy::Isolate)).
     pub quarantined_flows: u64,
-    /// Worker threads respawned after a panic, within
-    /// [`restart_budget`](crate::ServeConfig::restart_budget).
+    /// Scan panics absorbed within
+    /// [`restart_budget`](crate::ServeConfig::restart_budget): a worker
+    /// thread respawned, or a [`barrier`](ServiceHandle::barrier) caller
+    /// whose own scan panicked stepped on.
     pub worker_restarts: u64,
     /// [`try_open_flow`](ServiceHandle::try_open_flow) calls shed by
     /// the [`overload`](crate::ServeConfig::overload) policy.
@@ -382,8 +395,8 @@ impl FaultPlan {
     }
 
     /// Fires the matching fault, if any: sleeps through delays, panics
-    /// with the configured message. Runs on the worker thread, outside
-    /// the service lock, inside its panic protection.
+    /// with the configured message. Runs on the thread that scans,
+    /// outside the service lock, inside its panic protection.
     pub(crate) fn trigger(&self, flow_seq: u64, group: usize, scan: u64) {
         for fault in &self.faults {
             if fault.flow_seq == flow_seq && fault.group == group && fault.scan == scan {
@@ -509,6 +522,7 @@ struct MetricsAcc {
     budget_evictions: u64,
     backpressure: u64,
     queue_peak: usize,
+    caller_units: u64,
     batched_units: u64,
     shard_scan_ns: PerGroup,
     shard_scan_bytes: PerGroup,
@@ -542,15 +556,14 @@ struct ServeState {
     sink: Vec<ServiceEvent>,
     /// Workers drain and exit instead of parking.
     shutdown: bool,
-    /// Threads inside a wait on [`ServiceCore::wake`] (idle workers),
-    /// on [`ServiceCore::space`] in `push_checked`, and on it in
-    /// `barrier`. Counted under the lock around each wait, so whoever
-    /// changes what a waiter waits for — under the same lock — knows
-    /// whether a notify (a futex syscall, waiter or not) has anyone to
-    /// reach.
+    /// Threads inside a wait on [`ServiceCore::wake`] (idle workers,
+    /// and settling callers waiting out units in flight) and on
+    /// [`ServiceCore::space`] in `push_checked`. Counted under the lock
+    /// around each wait, so whoever changes what a waiter waits for —
+    /// under the same lock — knows whether a notify (a futex syscall,
+    /// waiter or not) has anyone to reach.
     parked: usize,
     push_waiters: usize,
-    barrier_waiters: usize,
     /// Set when a worker panicked mid-scan: its `(flow, group)` engine
     /// unit is lost, so that flow can never drain — blocking producers
     /// must panic out instead of waiting forever.
@@ -603,7 +616,6 @@ impl ServeState {
             shutdown: false,
             parked: 0,
             push_waiters: 0,
-            barrier_waiters: 0,
             poisoned: false,
             panic_message: None,
             restarts: 0,
@@ -1236,6 +1248,7 @@ impl ServeState {
             queue_depth: self.ready.len(),
             queue_depth_peak: self.metrics.queue_peak,
             in_flight: self.in_flight,
+            caller_units: self.metrics.caller_units,
             batched_units: self.metrics.batched_units,
             shard_scan_ns: self.metrics.shard_scan_ns.snapshot(groups),
             shard_scan_bytes: self.metrics.shard_scan_bytes.snapshot(groups),
@@ -1340,14 +1353,15 @@ impl ServeUnit {
 pub(crate) struct ServiceCore {
     config: ServeConfig,
     state: Mutex<ServeState>,
-    /// Idle workers wait here ([`ServiceCore::park`]); signalled on
-    /// reload, shutdown and every fault, and — when a worker is parked —
-    /// on push, close, and a check-in that leaves something to do.
+    /// Idle workers, and settling callers with nothing to scan while
+    /// units are out, wait here ([`ServiceCore::park`]); signalled on
+    /// reload, shutdown and every fault, and — when a thread is parked —
+    /// on push, close, and a check-in that leaves something to do or
+    /// settles the last unit.
     wake: Condvar,
-    /// Producers blocked in `push_checked` and `barrier` wait here;
-    /// signalled on eviction, shutdown and every fault, and when a worker
-    /// checks a unit in (bytes were consumed — space freed) while a
-    /// pusher waits, or settles the last one while a barrier does.
+    /// Producers blocked in `push_checked` wait here; signalled on
+    /// eviction, shutdown and every fault, and when a unit is checked in
+    /// (bytes were consumed — space freed) while a pusher waits.
     space: Condvar,
     /// Deterministic fault-injection plan, from
     /// [`EngineBuilder::fault_plan`](crate::EngineBuilder::fault_plan).
@@ -1367,7 +1381,7 @@ enum Step<'g> {
     /// Part of the batch panicked under [`FaultPolicy::Isolate`]: the
     /// flows it lost are quarantined, the rest checked in, the lock
     /// released, and the payloads — one per panic, never none — are the
-    /// driver's to rethrow.
+    /// driver's to charge or rethrow.
     Faulted(Vec<Box<dyn Any + Send>>),
 }
 
@@ -1382,15 +1396,7 @@ impl ServiceCore {
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Waits on `space`. The caller counts itself in `push_waiters` or
-    /// `barrier_waiters` around the call, under the guard it passes.
-    fn wait_space<'g>(&self, guard: MutexGuard<'g, ServeState>) -> MutexGuard<'g, ServeState> {
-        self.space
-            .wait(guard)
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
-
-    /// Parks an idle worker on `wake` — for at most `timeout`, if given —
+    /// Parks an idle thread on `wake` — for at most `timeout`, if given —
     /// counted in `parked` for as long as it waits.
     fn park<'g>(
         &self,
@@ -1420,14 +1426,15 @@ impl ServiceCore {
         }
     }
 
-    /// The one scheduling step both drivers run: check a batch of ready
+    /// The one scheduling step every driver runs: check a batch of ready
     /// units out — up to [`LOCKSTEP_LANES`] of one scan group and epoch,
     /// under one lock acquisition (`ServeState::checkout`) — scan them
     /// **without** the lock, the first segment of each in lockstep and
     /// any later ones unit by unit, and check them all back in under one
     /// acquisition, waking whoever waits on the readiness or space
     /// condvars. The scan time is counted once per batch, against its
-    /// group.
+    /// group; the units of a `caller`'s batch count as
+    /// [`caller_units`](ServiceMetrics::caller_units).
     ///
     /// Panic protection: each unit's planted fault fires alone, before
     /// the lockstep, so a panic there loses that unit's engine only and
@@ -1438,11 +1445,12 @@ impl ServiceCore {
     /// payload. Never is the lock's consistency lost. What happens next
     /// is the fault policy's call: `Isolate` quarantines and hands each
     /// payload back (the resident worker rethrows them into its
-    /// supervisor, which counts a restart per panic; the batch driver
-    /// rethrows the first out of `run()`); `FailStop` poisons the whole
-    /// service, so blocked producers panic out of their waits instead of
-    /// re-blocking on a backlog that will never clear.
-    fn step<'g>(&'g self, mut st: MutexGuard<'g, ServeState>) -> Step<'g> {
+    /// supervisor and a barrier caller charges them itself, a restart
+    /// per panic either way — [`charge_restart`](Self::charge_restart);
+    /// the batch driver rethrows the first out of `run()`); `FailStop`
+    /// poisons the whole service, so blocked producers panic out of their
+    /// waits instead of re-blocking on a backlog that will never clear.
+    fn step<'g>(&'g self, mut st: MutexGuard<'g, ServeState>, caller: bool) -> Step<'g> {
         let mut batch = st.checkout();
         let Some(group) = batch.first().map(|unit| unit.group) else {
             return Step::Idle(st);
@@ -1471,6 +1479,9 @@ impl ServiceCore {
                 if batch.len() > 1 {
                     st.metrics.batched_units += batch.len() as u64;
                 }
+                if caller {
+                    st.metrics.caller_units += batch.len() as u64;
+                }
                 for (unit, (reports, bytes)) in batch.into_iter().zip(results) {
                     st.metrics.shard_scan_bytes.add(group, bytes);
                     st.check_in(unit.id, unit.group, unit.state, reports);
@@ -1493,18 +1504,17 @@ impl ServiceCore {
             }
         }
         // Notify only a waiter that exists and whose predicate can have
-        // changed: a parked worker has a unit to take, or the batch (or
-        // the shutdown) it waits out has settled; a pusher may fit now;
-        // a barrier sees everything consumed. A fault changes more than
-        // that — a quarantine frees buffers, a fail-stop must reach every
-        // blocked producer — and is rare: it notifies everyone.
+        // changed: a parked worker or settling caller has a unit to take,
+        // or the batch (or the shutdown) it waits out has settled; a
+        // pusher may fit now. A fault changes more than that — a
+        // quarantine frees buffers, a fail-stop must reach every blocked
+        // producer — and is rare: it notifies everyone.
         let faulted = !payloads.is_empty() || st.poisoned;
         let settled = st.in_flight == 0;
         if faulted || (st.parked > 0 && (settled || !st.ready.is_empty() || st.shutdown)) {
             self.wake.notify_all();
         }
-        let drained = settled && st.buffered_total == 0;
-        if faulted || st.push_waiters > 0 || (st.barrier_waiters > 0 && drained) {
+        if faulted || st.push_waiters > 0 {
             self.space.notify_all();
         }
         if payloads.is_empty() {
@@ -1514,27 +1524,84 @@ impl ServiceCore {
         }
     }
 
-    /// The batch driver's worker ([`FlowScheduler::run`]): steps until
-    /// the batch has settled — nothing ready, nothing in flight — and
-    /// returns the first scan panic it absorbed on the way, if any. A
-    /// worker that finds the queue empty while siblings still hold units
-    /// waits: a checked-in unit may requeue.
+    /// The stepping loop of a thread that waits for the service to
+    /// settle — the batch driver's worker ([`drain`](Self::drain)) and a
+    /// [`barrier`](ServiceHandle::barrier) caller: step until nothing is
+    /// ready and nothing is in flight. A thread that finds the queue
+    /// empty while others still hold units parks on `wake`: a checked-in
+    /// unit may requeue, and the check-in that settles the last one
+    /// wakes it. `check` runs under the lock before every step; each
+    /// scan panic a step caught goes to `absorb`, under the lock. The
+    /// units it scans count as
+    /// [`caller_units`](ServiceMetrics::caller_units).
+    fn settle(
+        &self,
+        check: impl Fn(&ServeState),
+        mut absorb: impl FnMut(&mut ServeState, Box<dyn Any + Send>),
+    ) {
+        let mut st = self.lock();
+        loop {
+            check(&st);
+            st = match self.step(st, true) {
+                Step::Ran(st) => st,
+                Step::Faulted(payloads) => {
+                    let mut st = self.lock();
+                    for payload in payloads {
+                        absorb(&mut st, payload);
+                    }
+                    st
+                }
+                Step::Idle(st) if st.in_flight == 0 => {
+                    debug_assert_eq!(
+                        st.buffered_total, 0,
+                        "every unconsumed byte belongs to a queued or checked-out unit"
+                    );
+                    return;
+                }
+                Step::Idle(st) => self.park(st, None),
+            };
+        }
+    }
+
+    /// The batch driver's worker ([`FlowScheduler::run`]): settles the
+    /// batch and returns the first scan panic it absorbed on the way,
+    /// if any.
     ///
     /// [`FlowScheduler::run`]: crate::FlowScheduler::run
     pub(crate) fn drain(&self) -> Option<Box<dyn Any + Send>> {
         let mut fault = None;
-        let mut st = self.lock();
-        loop {
-            st = match self.step(st) {
-                Step::Ran(st) => st,
-                Step::Faulted(payloads) => {
-                    fault = fault.or(payloads.into_iter().next());
-                    self.lock()
-                }
-                Step::Idle(st) if st.in_flight == 0 => return fault,
-                Step::Idle(st) => self.park(st, None),
-            };
+        self.settle(
+            |_| {},
+            |_, payload| {
+                fault.get_or_insert(payload);
+            },
+        );
+        fault
+    }
+
+    /// Charges a caught panic to the pool-wide
+    /// [`restart_budget`](ServeConfig::restart_budget): one restart while
+    /// it lasts under [`FaultPolicy::Isolate`]. Once it is spent — or
+    /// under [`FaultPolicy::FailStop`], or while shutting down — the
+    /// payload fail-stops the service and every waiter is woken. Returns
+    /// whether the budget absorbed it. The resident worker's supervisor
+    /// and a [`barrier`](ServiceHandle::barrier) caller whose own scan
+    /// panicked both charge here; only the supervisor then backs off,
+    /// since only it respawns a thread.
+    fn charge_restart(&self, st: &mut ServeState, payload: &(dyn Any + Send)) -> bool {
+        let cfg = &self.config;
+        if cfg.fault_policy == FaultPolicy::FailStop
+            || st.restarts >= cfg.restart_budget
+            || st.shutdown
+        {
+            st.fail_stop(payload);
+            self.wake.notify_all();
+            self.space.notify_all();
+            return false;
         }
+        st.restarts += 1;
+        st.metrics.worker_restarts += 1;
+        true
     }
 }
 
@@ -1553,7 +1620,7 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
         if st.evict_idle(&cfg) {
             core.space.notify_all();
         }
-        let idle = match core.step(st) {
+        let idle = match core.step(st, false) {
             Step::Ran(guard) => {
                 st = guard;
                 continue;
@@ -1573,18 +1640,14 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
 
 /// The worker thread body: reruns [`worker_loop`] across panics.
 ///
-/// Under [`FaultPolicy::Isolate`], each panic of a pass (a batch may
-/// hold several, each already quarantined) costs one restart of the
-/// pool-wide [`restart_budget`](ServeConfig::restart_budget) while it
-/// lasts, after an exponential backoff — starting at
+/// Each panic of a pass (a batch may hold several, each already
+/// quarantined) is charged to the restart budget
+/// ([`ServiceCore::charge_restart`]). While the budget absorbs it, the
+/// loop respawns after an exponential backoff — starting at
 /// [`restart_backoff`](ServeConfig::restart_backoff) and doubling per
-/// restart this thread has absorbed (saturating; exponent capped) —
-/// and the loop respawns. Once the budget is spent — or under
-/// [`FaultPolicy::FailStop`], where `worker_loop` only sees non-scan
-/// panics — the payload fail-stops the whole service and the thread
-/// exits.
+/// restart this thread has absorbed (saturating; exponent capped).
+/// Otherwise the service has fail-stopped and the thread exits.
 fn supervised_worker(core: &ServiceCore) {
-    let cfg = core.config;
     let mut consecutive: u32 = 0;
     loop {
         let payloads = match catch_unwind(AssertUnwindSafe(|| worker_loop(core))) {
@@ -1593,24 +1656,12 @@ fn supervised_worker(core: &ServiceCore) {
             Err(payload) => vec![payload],
         };
         for payload in payloads {
-            let backoff = {
-                let mut st = core.lock();
-                if cfg.fault_policy == FaultPolicy::FailStop
-                    || st.restarts >= cfg.restart_budget
-                    || st.shutdown
-                {
-                    st.fail_stop(payload.as_ref());
-                    drop(st);
-                    core.wake.notify_all();
-                    core.space.notify_all();
-                    return;
-                }
-                st.restarts += 1;
-                st.metrics.worker_restarts += 1;
-                consecutive += 1;
-                cfg.restart_backoff
-                    .saturating_mul(1u32 << (consecutive - 1).min(16))
-            };
+            if !core.charge_restart(&mut core.lock(), payload.as_ref()) {
+                return;
+            }
+            consecutive += 1;
+            let base = core.config.restart_backoff;
+            let backoff = base.saturating_mul(1u32 << (consecutive - 1).min(16));
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
@@ -1982,7 +2033,7 @@ impl ServiceHandle {
                 return Err(ServeError::Stopped);
             }
             st.push_waiters += 1;
-            st = self.core.wait_space(st);
+            st = (self.core.space.wait(st)).unwrap_or_else(|poison| poison.into_inner());
             st.push_waiters -= 1;
         }
     }
@@ -2000,32 +2051,45 @@ impl ServiceHandle {
         self.core.wake_parked(parked);
     }
 
-    /// Blocks until every pushed byte has been consumed by every group
+    /// Returns once every pushed byte has been consumed by every group
     /// — a producer-side flush point before polling for a batch of
     /// results.
+    ///
+    /// The caller does not sleep while there is work: it scans ready
+    /// units on its own thread, with the step the workers run, and
+    /// parks only when nothing is ready and units are still out on
+    /// workers ([`ServiceMetrics::caller_units`] counts its share). A
+    /// scan panic on the caller is handled as a worker's would be: the
+    /// flow is quarantined and the panic costs one restart of the
+    /// [`restart_budget`](crate::ServeConfig::restart_budget), with no
+    /// backoff — or fail-stops the service once the budget is spent.
     ///
     /// # Panics
     ///
     /// Panics if the service is poisoned, or if it is shutting down
     /// (no consuming workers) while work is pending.
     pub fn barrier(&self) {
-        let mut st = self.core.lock();
-        while st.buffered_total > 0 || st.in_flight > 0 {
-            if st.poisoned {
-                panic!(
-                    "ServiceHandle is poisoned: a worker panicked mid-scan ({}), \
-                     so the backlog can never drain",
-                    st.panic_summary()
-                );
-            }
-            assert!(
-                !st.shutdown,
-                "ServiceHandle::barrier would block forever with no workers consuming"
-            );
-            st.barrier_waiters += 1;
-            st = self.core.wait_space(st);
-            st.barrier_waiters -= 1;
-        }
+        let core = &*self.core;
+        core.settle(
+            |st| {
+                if st.buffered_total > 0 || st.in_flight > 0 {
+                    if st.poisoned {
+                        panic!(
+                            "ServiceHandle is poisoned: a worker panicked mid-scan ({}), \
+                             so the backlog can never drain",
+                            st.panic_summary()
+                        );
+                    }
+                    assert!(
+                        !st.shutdown,
+                        "ServiceHandle::barrier would block forever with no workers consuming"
+                    );
+                }
+            },
+            |st, payload| {
+                core.charge_restart(st, payload.as_ref());
+            },
+        );
     }
 
     // ---- consuming --------------------------------------------------

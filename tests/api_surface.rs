@@ -302,6 +302,7 @@ fn pin_service_metrics(m: ServiceMetrics) {
         queue_depth,
         queue_depth_peak,
         in_flight,
+        caller_units,
         batched_units,
         shard_scan_ns,
         shard_scan_bytes,
@@ -315,7 +316,7 @@ fn pin_service_metrics(m: ServiceMetrics) {
     let _: (u64, u64, usize, Vec<(u64, usize)>, u64) =
         (epoch, reloads, flows, epoch_flows, pending_bytes);
     let _: (usize, usize, usize) = (queue_depth, queue_depth_peak, in_flight);
-    let _: u64 = batched_units;
+    let _: (u64, u64) = (caller_units, batched_units);
     let _: (Vec<u64>, Vec<u64>) = (shard_scan_ns, shard_scan_bytes);
     let _: (u64, u64, u64) = (idle_evictions, budget_evictions, backpressure);
     let _: Option<HybridStats> = hybrid;

@@ -525,3 +525,67 @@ fn batch_scheduler_quarantines_the_faulted_flow_and_rethrows_once_settled() {
         assert_eq!(sched.poll(1), stream_oracle(&engine, b".abbc.").0);
     }
 }
+
+/// `barrier()` scans ready units on its own thread, so a scan panic can
+/// land on the caller. It is charged like a worker's: the flow is
+/// quarantined and the panic costs one restart of the budget — or,
+/// with the budget spent, fail-stops the service and the barrier panics
+/// with the poisoned message. The one worker is held in a delayed scan
+/// of flow 0 while flows 1 and 2 are pushed, so the caller scans them.
+#[test]
+fn a_panic_in_a_barrier_callers_scan_is_charged_like_a_workers() {
+    let chunk: &[u8] = b".abbc.k12m.xyz";
+    for restart_budget in [8, 0] {
+        let plan = FaultPlan::new()
+            .delay_at(0, 0, 1, Duration::from_millis(300))
+            .panic_at(1, 0, 1, "injected: caller scan");
+        let engine = engine_with(plan, 1);
+        let svc = engine.serve_with(
+            1,
+            ServeConfig {
+                restart_budget,
+                ..ServeConfig::default()
+            },
+        );
+        let flows: Vec<FlowId> = (0..3).map(|_| svc.try_open_flow().unwrap()).collect();
+        svc.push_checked(flows[0], chunk).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while svc.metrics().in_flight != 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "flow 0 never checked out"
+            );
+            std::thread::yield_now();
+        }
+        svc.push_checked(flows[1], chunk).unwrap();
+        svc.push_checked(flows[2], chunk).unwrap();
+        let settled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.barrier()));
+        let m = svc.metrics();
+        assert!(svc.is_quarantined(flows[1]), "budget {restart_budget}");
+        assert_eq!(m.faults.quarantined_flows, 1);
+        assert!(m.caller_units >= 1, "the caller scanned flow 2: {m:?}");
+        if restart_budget == 0 {
+            let payload = settled.expect_err("a fail-stop panics the barrier");
+            let text = payload.downcast::<String>().expect("formatted panic");
+            assert!(text.contains("poisoned"), "{text}");
+            assert!(text.contains("injected: caller scan"), "{text}");
+            assert!(svc.is_poisoned());
+            assert_eq!(m.faults.fail_stops, 1);
+            assert_eq!(m.faults.worker_restarts, 0);
+            continue;
+        }
+        settled.expect("the budget absorbs the caller's panic");
+        assert!(!svc.is_poisoned());
+        assert_eq!(m.faults.worker_restarts, 1);
+        assert_eq!(m.faults.fail_stops, 0);
+        for i in [0, 2] {
+            svc.close(flows[i]);
+            assert_eq!(
+                svc.poll_checked(flows[i]).unwrap(),
+                scan_oracle(&engine, chunk, 0),
+                "flow {i} must not notice the fault"
+            );
+        }
+        svc.shutdown();
+    }
+}

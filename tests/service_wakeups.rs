@@ -2,15 +2,17 @@
 //!
 //! `ServiceCore::step` notifies a condvar only when somebody waits on it
 //! *and* what they wait for can have changed (`parked`, `push_waiters`,
-//! `barrier_waiters`, counted under the lock). A mistake there is a lost
-//! wake-up: a producer blocked in `push_checked` or `barrier`, or a
-//! worker parked with work queued, that nobody ever wakes. So: two
+//! counted under the lock). A mistake there is a lost wake-up: a
+//! producer blocked in `push_checked`, a `barrier` caller parked while
+//! workers hold the last units, or a worker parked with work queued,
+//! that nobody ever wakes. So: two
 //! workers, four producer threads that really block (a flow budget of a
 //! few bytes), every blocking call in the loop, a watchdog instead of a
 //! hang, and the reports of every flow against a single-threaded scan.
 //! With `--features fault-inject` the same run takes one injected panic,
 //! so the fault path's wake-ups — a quarantine frees buffers a barrier
-//! may be waiting on — are covered too.
+//! may be waiting on, and the panic may land on a barrier's own scan —
+//! are covered too.
 
 mod common;
 
