@@ -15,17 +15,7 @@ use recama_syntax::{normalize_for_nca, Regex, RepeatId, RepeatRewrite};
 use std::time::Instant;
 
 /// Relaxes every counting occurrence except `keep` to `body*`.
-///
-/// # Examples
-///
-/// ```
-/// use recama_analysis::relax_except;
-/// use recama_syntax::{parse, RepeatId};
-/// let r = parse("a{2,3}b{4,5}").unwrap().regex;
-/// assert_eq!(relax_except(&r, RepeatId(0)).to_string(), "a{2,3}b*");
-/// assert_eq!(relax_except(&r, RepeatId(1)).to_string(), "a*b{4,5}");
-/// ```
-pub fn relax_except(regex: &Regex, keep: RepeatId) -> Regex {
+pub(crate) fn relax_except(regex: &Regex, keep: RepeatId) -> Regex {
     regex.rewrite_repeats(&mut |id| {
         if id == keep {
             RepeatRewrite::Keep
@@ -100,9 +90,8 @@ pub(crate) fn relaxed_pass(
     (verdict, stats)
 }
 
-/// The relaxed automaton [`approx_occurrence`] explores (used by tests and
-/// diagnostics).
-pub fn approx_occurrence_nca(regex: &Regex, occ: RepeatId) -> Nca {
+/// The relaxed automaton [`approx_occurrence`] explores.
+pub(crate) fn approx_occurrence_nca(regex: &Regex, occ: RepeatId) -> Nca {
     crate::glushkov_build(&normalize_for_nca(&relax_except(regex, occ)))
 }
 
@@ -113,6 +102,13 @@ mod tests {
 
     fn ast(p: &str) -> Regex {
         parse(p).unwrap().regex
+    }
+
+    #[test]
+    fn relax_except_keeps_one_occurrence() {
+        let r = ast("a{2,3}b{4,5}");
+        assert_eq!(relax_except(&r, RepeatId(0)).to_string(), "a{2,3}b*");
+        assert_eq!(relax_except(&r, RepeatId(1)).to_string(), "a*b{4,5}");
     }
 
     const BUDGET: u64 = 1_000_000;

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 /// Result of a degree query.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegreeAnalysis {
+pub(crate) struct DegreeAnalysis {
     /// The queried state.
     pub state: StateId,
     /// The queried degree d.
@@ -34,7 +34,12 @@ pub struct DegreeAnalysis {
 /// # Panics
 ///
 /// Panics if `d == 0`.
-pub fn degree_at_least(nca: &Nca, state: StateId, d: usize, max_tuples: u64) -> DegreeAnalysis {
+pub(crate) fn degree_at_least(
+    nca: &Nca,
+    state: StateId,
+    d: usize,
+    max_tuples: u64,
+) -> DegreeAnalysis {
     assert!(d >= 1, "degree queries start at 1");
     let start_time = Instant::now();
     let prepared = Prepared::new(nca);

@@ -15,7 +15,7 @@
 //!
 //! * [`analyze_nca`] — exact product-system exploration with per-state and
 //!   per-counter verdicts, witness reconstruction, and pair-count stats;
-//! * [`approx_occurrence`] / [`relax_except`] — the `{m,n}` → `*`
+//! * [`approx_occurrence`] — the `{m,n}` → `*`
 //!   over-approximation (§3.2);
 //! * [`check`] / [`check_occurrence`] — the checker front end with the
 //!   Exact / Approximate / Hybrid / HybridWitness variants of Fig. 2;
@@ -52,12 +52,12 @@ mod exact;
 pub mod hardness;
 mod stats;
 
-pub use approx::{approx_occurrence, approx_occurrence_nca, relax_except};
+pub use approx::approx_occurrence;
 pub use checker::{
     check, check_occurrence, CheckConfig, Method, OccurrenceCheck, OccurrenceVerdict, RegexCheck,
 };
 pub use classify::{classify, Classification, DecidedBy};
-pub use degree::{degree, degree_at_least, DegreeAnalysis};
+pub use degree::degree;
 pub use exact::{analyze_nca, ExactConfig, NcaAnalysis, StopPolicy};
 pub use stats::{AnalysisStats, Verdict};
 

@@ -48,13 +48,8 @@ pub enum Verdict {
 
 impl Verdict {
     /// Whether the verdict is a definitive proof of unambiguity.
-    pub fn is_unambiguous(self) -> bool {
+    pub(crate) fn is_unambiguous(self) -> bool {
         self == Verdict::Unambiguous
-    }
-
-    /// Whether the verdict is a definitive proof of ambiguity.
-    pub fn is_ambiguous(self) -> bool {
-        self == Verdict::Ambiguous
     }
 }
 
@@ -89,7 +84,6 @@ mod tests {
     fn verdict_predicates() {
         assert!(Verdict::Unambiguous.is_unambiguous());
         assert!(!Verdict::Unknown.is_unambiguous());
-        assert!(Verdict::Ambiguous.is_ambiguous());
-        assert!(!Verdict::Unknown.is_ambiguous());
+        assert!(!Verdict::Ambiguous.is_unambiguous());
     }
 }

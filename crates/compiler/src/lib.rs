@@ -28,6 +28,6 @@ mod pipeline;
 pub use codegen::emit;
 pub use pipeline::{
     compile, compile_ruleset, merge_rule_networks, unfold_by_ids, CompileOptions, CompileOutput,
-    CompileReport, ModuleKind, RulesetOutput, BITVECTOR_DEFAULT_CAPACITY, COUNTER_MAX_BOUND,
+    CompileReport, ModuleKind, RulesetOutput, COUNTER_MAX_BOUND,
 };
 pub use recama_analysis::DecidedBy;

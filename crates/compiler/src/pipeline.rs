@@ -23,7 +23,7 @@ use std::collections::HashSet;
 pub const COUNTER_MAX_BOUND: u32 = (1 << 17) - 1;
 
 /// Default physical bit-vector module length (Table 2: 2000-bit vector).
-pub const BITVECTOR_DEFAULT_CAPACITY: u32 = 2000;
+pub(crate) const BITVECTOR_DEFAULT_CAPACITY: u32 = 2000;
 
 /// Compiler configuration.
 #[derive(Debug, Clone, Copy)]

@@ -9,17 +9,18 @@
 //! handles.
 //!
 //! * [`Engine::builder`] collects rules (with optional per-rule ids), a
-//!   [`ShardPolicy`], [`CompileOptions`], a worker count, and a
-//!   [`ServeConfig`];
+//!   [`ShardPolicy`], [`CompileOptions`], the scan and prefilter modes;
 //! * [`EngineBuilder::build`] compiles everything into an [`Engine`] —
 //!   or a structured [`CompileError`] naming the failing rule's index,
 //!   source text, and pipeline phase;
 //! * the `Engine` then hands out the per-use handles:
 //!   [`scan`](Engine::scan) / [`scan_spans`](Engine::scan_spans) for
 //!   block mode, [`stream`](Engine::stream) for one resumable flow,
-//!   [`scheduler`](Engine::scheduler) for batch many-flow scanning, and
-//!   [`serve`](Engine::serve) for long-lived serving with backpressure
-//!   and idle-flow eviction — two drivers over one serving core.
+//!   [`scheduler_with`](Engine::scheduler_with) for batch many-flow
+//!   scanning, and [`serve_with`](Engine::serve_with) for long-lived
+//!   serving with backpressure and idle-flow eviction — two drivers
+//!   over one serving core, each given its worker count (and the
+//!   service its [`ServeConfig`]) where it is started.
 //!
 //! The builder is the only way to compile a ruleset: one merged machine
 //! image is [`ShardPolicy::Single`], a tolerant compile is
@@ -122,49 +123,18 @@ pub struct SkippedRule {
     pub error: ParseError,
 }
 
-/// What the service does when a worker panics mid-scan — the fault
-/// policy of [`ServeConfig::fault_policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FaultPolicy {
-    /// Isolate the fault: the panic **quarantines only the offending
-    /// flow** (its engines are freed, its epoch pin released, its
-    /// already-merged reports stay pollable, and
-    /// [`push_checked`](ServiceHandle::push_checked) /
-    /// [`poll_checked`](ServiceHandle::poll_checked) on it return a
-    /// [`ServeError::Quarantined`](crate::ServeError::Quarantined)
-    /// carrying the panic message), while every other flow keeps
-    /// flowing. The panicked worker is respawned under
-    /// [`restart_budget`](ServeConfig::restart_budget) with exponential
-    /// [`restart_backoff`](ServeConfig::restart_backoff) — a panic in a
-    /// scan a [`barrier`](ServiceHandle::barrier) caller ran costs a
-    /// restart too, with no backoff; only when the budget is exhausted
-    /// does the service fall back to fail-stop poisoning. The default.
-    #[default]
-    Isolate,
-    /// Legacy fail-stop: the first worker panic poisons the whole
-    /// service — every blocking call on every flow then panics with the
-    /// payload summary. This was the only behavior before the
-    /// quarantine layer existed and remains available for callers that
-    /// prefer to die loudly.
-    FailStop,
-}
-
 /// High-watermark overload shedding for an owned [`ServiceHandle`] —
 /// the policy behind [`ServeConfig::overload`].
 ///
-/// When either watermark is reached the service is *overloaded*:
+/// When the watermark is reached the service is *overloaded*:
 /// [`try_open_flow`](ServiceHandle::try_open_flow) sheds new opens
 /// (returning [`ServeError::Overloaded`](crate::ServeError::Overloaded)
 /// and counting
 /// [`shed_opens`](crate::FaultMetrics::shed_opens)) instead of
 /// admitting more traffic into an already-drowning queue. The default
-/// policy disables both watermarks — nothing sheds.
+/// policy disables the watermark — nothing sheds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OverloadPolicy {
-    /// Readiness-queue depth (pending `(flow, group)` scan units) at or
-    /// above which new opens are shed. `None` (default) disables the
-    /// watermark.
-    pub max_queue_depth: Option<usize>,
     /// Buffered-but-unscanned bytes (the service-wide
     /// [`pending_bytes`](crate::ServiceMetrics::pending_bytes)) at or
     /// above which new opens are shed. `None` (default) disables the
@@ -178,10 +148,10 @@ pub struct OverloadPolicy {
     pub evict_on_shed: bool,
 }
 
-/// Configuration of an owned [`ServiceHandle`] (see [`Engine::serve`]):
-/// the per-flow byte budget and idle timeout, plus the
-/// bounded-flow-table, sweep-cadence, fault-tolerance, and
-/// overload-shedding controls the long-lived serving shape needs.
+/// Configuration of an owned [`ServiceHandle`] (see
+/// [`Engine::serve_with`]): the per-flow byte budget and idle timeout,
+/// plus the bounded-flow-table, fault-tolerance, and overload-shedding
+/// controls the long-lived serving shape needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Per-flow input budget in bytes — the admission rule of
@@ -195,11 +165,9 @@ pub struct ServeConfig {
     /// `Pending` still counts as activity. `None` disables idle
     /// eviction. Eviction still scans every buffered byte and resolves
     /// `$`-anchored finishing matches, exactly like an explicit close.
+    /// The idle sweep runs once per `idle_timeout`, so a flow is evicted
+    /// between one and two timeouts after its last push attempt.
     pub idle_timeout: Option<Duration>,
-    /// Cadence of the idle-eviction sweep. `None` (the default) follows
-    /// `idle_timeout`; set it explicitly to sweep more or less often
-    /// than flows time out.
-    pub sweep_interval: Option<Duration>,
     /// Flow-table budget: opening a flow beyond this many live flows
     /// first evicts the least-recently-pushed *drained* open flow
     /// (recorded in [`ServiceMetrics::budget_evictions`]). Sized toward
@@ -214,19 +182,21 @@ pub struct ServeConfig {
     /// `Poll::Pending` (and counts backpressure) once accepting the
     /// chunk would push the service's total buffered bytes past this.
     pub max_buffered_bytes: u64,
-    /// What a worker panic mid-scan does to the service: quarantine the
-    /// offending flow and respawn the worker
-    /// ([`FaultPolicy::Isolate`], the default), or poison the whole
-    /// service ([`FaultPolicy::FailStop`], the legacy behavior).
-    pub fault_policy: FaultPolicy,
-    /// Under [`FaultPolicy::Isolate`], how many scan panics — worker
-    /// respawns, and panics in scans a
-    /// [`barrier`](crate::ServiceHandle::barrier) caller ran — the
-    /// service tolerates in total before it stops trusting itself and
-    /// falls back to fail-stop poisoning (counted in
+    /// How many scan panics the service absorbs. A scan panic
+    /// **quarantines only the offending flow** (its engines are freed,
+    /// its epoch pin released, its already-merged reports stay pollable,
+    /// and [`push_checked`](ServiceHandle::push_checked) /
+    /// [`poll_checked`](ServiceHandle::poll_checked) on it return a
+    /// [`ServeError::Quarantined`](crate::ServeError::Quarantined)
+    /// carrying the panic message) while every other flow keeps
+    /// flowing. Each panic costs one restart: a worker's is respawned
+    /// after [`restart_backoff`](ServeConfig::restart_backoff), a
+    /// [`barrier`](crate::ServiceHandle::barrier) caller's respawns
+    /// nothing. Once the budget is spent the service fails stop: it is
+    /// poisoned and every later call reports it (counted in
     /// [`fail_stops`](crate::FaultMetrics::fail_stops)). Default `8`.
-    /// `0` means the first panic fail-stops (quarantining its flow
-    /// first).
+    /// `0` is fail-stop: the first panic quarantines its flow, then
+    /// poisons the service.
     pub restart_budget: u32,
     /// Base delay before a panicked worker is respawned; it doubles on
     /// every consecutive restart of the same worker seat (capped at
@@ -235,7 +205,7 @@ pub struct ServeConfig {
     /// immediately.
     pub restart_backoff: Duration,
     /// High-watermark overload shedding (see [`OverloadPolicy`]).
-    /// Default: both watermarks disabled — nothing sheds.
+    /// Default: the watermark disabled — nothing sheds.
     pub overload: OverloadPolicy,
 }
 
@@ -244,10 +214,8 @@ impl Default for ServeConfig {
         ServeConfig {
             flow_budget: 1 << 20, // 1 MiB per flow
             idle_timeout: None,
-            sweep_interval: None,
             max_flows: 1 << 20, // ~10^6 concurrent flows
             max_buffered_bytes: 1 << 30,
-            fault_policy: FaultPolicy::Isolate,
             restart_budget: 8,
             restart_backoff: Duration::from_millis(1),
             overload: OverloadPolicy::default(),
@@ -257,35 +225,16 @@ impl Default for ServeConfig {
 
 /// Builder for an [`Engine`] — the single place every compile-time knob
 /// lives. Created by [`Engine::builder`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     rules: Vec<(u64, String)>,
     options: CompileOptions,
     policy: ShardPolicy,
-    workers: usize,
-    serve: ServeConfig,
     lossy: bool,
     scan_mode: ScanMode,
     prefilter: Option<PrefilterMode>,
     #[cfg(feature = "fault-inject")]
     faults: FaultPlan,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> EngineBuilder {
-        EngineBuilder {
-            rules: Vec::new(),
-            options: CompileOptions::default(),
-            policy: ShardPolicy::default(),
-            workers: 1,
-            serve: ServeConfig::default(),
-            lossy: false,
-            scan_mode: ScanMode::default(),
-            prefilter: None,
-            #[cfg(feature = "fault-inject")]
-            faults: FaultPlan::default(),
-        }
-    }
 }
 
 /// The prefilter default when [`EngineBuilder::prefilter`] was never
@@ -344,21 +293,6 @@ impl EngineBuilder {
     /// no report and no scan-time number.
     pub fn shard_policy(mut self, policy: ShardPolicy) -> EngineBuilder {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the worker-thread count [`Engine::scheduler`] and
-    /// [`Engine::serve`] scan with (at least one).
-    pub fn workers(mut self, workers: usize) -> EngineBuilder {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the [`ServeConfig`] new owned handles ([`Engine::serve`],
-    /// [`Engine::into_service`]) start with. Default:
-    /// [`ServeConfig::default`].
-    pub fn serve_config(mut self, config: ServeConfig) -> EngineBuilder {
-        self.serve = config;
         self
     }
 
@@ -436,20 +370,14 @@ impl EngineBuilder {
     /// and phase. A [`lossy`](EngineBuilder::lossy) build never fails:
     /// failing rules land in [`Engine::skipped`].
     pub fn build(self) -> Result<Engine, CompileError> {
-        // Retained (rules cleared) so ServiceHandle::reload_rules can
-        // recompile replacement rules with the same knobs.
-        let mut template = self.clone();
-        template.rules.clear();
         let mut accepted = Vec::with_capacity(self.rules.len());
         let mut ids = Vec::with_capacity(self.rules.len());
-        let mut indices = Vec::with_capacity(self.rules.len());
         let mut skipped = Vec::new();
         for (index, (id, source)) in self.rules.into_iter().enumerate() {
             match recama_syntax::parse(&source) {
                 Ok(parsed) => {
                     accepted.push((source, parsed));
                     ids.push(id);
-                    indices.push(index);
                 }
                 Err(error) if self.lossy => skipped.push(SkippedRule {
                     index,
@@ -477,13 +405,9 @@ impl EngineBuilder {
         Ok(Engine {
             set: Arc::new(set),
             ids: ids.into(),
-            indices,
             skipped,
-            workers: self.workers,
-            serve: self.serve,
             #[cfg(feature = "fault-inject")]
             faults: self.faults,
-            template,
         })
     }
 }
@@ -522,24 +446,16 @@ pub struct Engine {
     /// Rule ids by compiled index (shared with serving epochs, which
     /// translate match reports to stable rule ids).
     ids: Arc<[u64]>,
-    /// Builder add-order index by compiled index (they differ when a
-    /// lossy build skipped rules).
-    indices: Vec<usize>,
     skipped: Vec<SkippedRule>,
-    workers: usize,
-    serve: ServeConfig,
     /// The deterministic fault-injection plan every served handle
     /// inherits (chaos testing only — absent from normal builds).
     #[cfg(feature = "fault-inject")]
     faults: FaultPlan,
-    /// The builder (rules cleared) this engine came from, retained for
-    /// [`ServiceHandle::reload_rules`].
-    template: EngineBuilder,
 }
 
 impl Engine {
     /// Starts a builder with default options (default [`ShardPolicy`]
-    /// — one CAMA bank per shard, one worker, strict compile).
+    /// — one CAMA bank per shard, strict compile).
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -580,12 +496,6 @@ impl Engine {
     /// [`EngineBuilder::rule`], or its builder add-order index).
     pub fn rule_id(&self, i: usize) -> u64 {
         self.ids[i]
-    }
-
-    /// The builder add-order index of compiled rule `i`. Differs from
-    /// `i` only when a lossy build skipped earlier rules.
-    pub fn source_index(&self, i: usize) -> usize {
-        self.indices[i]
     }
 
     /// Rules a [`lossy`](EngineBuilder::lossy) build skipped, in add
@@ -639,12 +549,6 @@ impl Engine {
         self.set.hardware(shard)
     }
 
-    /// The worker-thread count [`scheduler`](Engine::scheduler) and
-    /// [`serve`](Engine::serve) scan with.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// The [`ScanMode`] this engine's scans and streams walk bytes with
     /// (set via [`EngineBuilder::scan_mode`]; defaults to the hybrid
     /// lazy-DFA overlay).
@@ -663,20 +567,6 @@ impl Engine {
     /// layer (per-group automata, spans, per-shard hardware).
     pub fn set(&self) -> &ShardedPatternSet {
         &self.set
-    }
-
-    /// Unwraps the engine into its underlying [`ShardedPatternSet`], for
-    /// callers that only want the compiled set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an owned [`ServiceHandle`] (from [`Engine::serve`]) or
-    /// [`FlowScheduler`] (from [`Engine::scheduler`]) is still sharing
-    /// the set as a live serving epoch.
-    pub fn into_set(self) -> ShardedPatternSet {
-        Arc::try_unwrap(self.set).unwrap_or_else(|_| {
-            panic!("Engine::into_set while a ServiceHandle or FlowScheduler still serves its set")
-        })
     }
 
     // ---- block mode -------------------------------------------------
@@ -714,50 +604,32 @@ impl Engine {
     }
 
     /// A batch many-flow scheduler (`push`/`run`/`poll` cycles) over
-    /// this engine, using the configured
-    /// [`workers`](EngineBuilder::workers): the same serving core as
-    /// [`serve`](Engine::serve), stepped by `run()` on the caller
-    /// instead of by resident workers, with flows addressed by
-    /// caller-chosen `u64` ids and matches by compiled pattern index.
-    pub fn scheduler(&self) -> FlowScheduler {
-        self.scheduler_with(self.workers)
-    }
-
-    /// Like [`scheduler`](Engine::scheduler) with an explicit worker
-    /// count — for sweeps over the parallelism knob.
+    /// this engine, scanning with `workers` threads (at least one): the
+    /// same serving core as [`serve_with`](Engine::serve_with), stepped
+    /// by `run()` on the caller instead of by resident workers, with
+    /// flows addressed by caller-chosen `u64` ids and matches by
+    /// compiled pattern index.
     pub fn scheduler_with(&self, workers: usize) -> FlowScheduler {
         FlowScheduler::new(self, workers)
     }
 
-    /// Spawns an owned, `'static` flow-serving handle over this engine:
-    /// worker threads start (condvar-parked) immediately, live for the
-    /// handle's whole life, and are joined on
+    /// Spawns an owned, `'static` flow-serving handle over this engine
+    /// with `workers` resident worker threads (at least one) and
+    /// `config`: the threads start (condvar-parked) immediately, live
+    /// for the handle's whole life, and are joined on
     /// [`shutdown`](ServiceHandle::shutdown) / `Drop` — no enclosing
     /// scope required, so the service embeds directly in a server's
     /// state. The engine stays usable (and reusable) afterwards; the
     /// handle shares its machine image as serving epoch 0 and swaps in
     /// later engines via [`reload`](ServiceHandle::reload).
-    pub fn serve(&self) -> ServiceHandle {
-        self.serve_with(self.workers, self.serve_config())
-    }
-
-    /// Like [`serve`](Engine::serve) with an explicit worker count and
-    /// [`ServeConfig`].
     pub fn serve_with(&self, workers: usize, config: ServeConfig) -> ServiceHandle {
         ServiceHandle::spawn(self, self.ids_arc(), workers.max(1), config)
     }
 
-    /// Consumes the engine into an owned [`ServiceHandle`] configured
-    /// from the builder ([`EngineBuilder::workers`],
-    /// [`EngineBuilder::serve_config`]).
-    pub fn into_service(self) -> ServiceHandle {
-        self.serve()
-    }
-
-    /// The [`ServeConfig`] new owned handles start with (set via
-    /// [`EngineBuilder::serve_config`]).
-    pub fn serve_config(&self) -> ServeConfig {
-        self.serve
+    /// [`serve_with`](Engine::serve_with) one worker and
+    /// [`ServeConfig::default`].
+    pub fn serve(&self) -> ServiceHandle {
+        self.serve_with(1, ServeConfig::default())
     }
 
     /// The shared machine image (the epoch unit of hot reload).
@@ -768,12 +640,6 @@ impl Engine {
     /// The shared rule-id table (compiled index → stable rule id).
     pub(crate) fn ids_arc(&self) -> Arc<[u64]> {
         Arc::clone(&self.ids)
-    }
-
-    /// The retained builder (rules cleared) for
-    /// [`ServiceHandle::reload_rules`].
-    pub(crate) fn template(&self) -> &EngineBuilder {
-        &self.template
     }
 
     /// The fault-injection plan serving cores inherit (chaos testing).

@@ -302,11 +302,12 @@ mod tests {
     use super::*;
     use crate::set::in_scan_groups;
     use crate::{Engine, PrefilterMode};
+    use std::sync::Arc;
 
     /// `patterns` as `groups` units per flow.
-    fn set_with(patterns: &[&str], groups: usize, mode: PrefilterMode) -> ShardedPatternSet {
+    fn set_with(patterns: &[&str], groups: usize, mode: PrefilterMode) -> Arc<ShardedPatternSet> {
         let builder = Engine::builder().patterns(patterns).prefilter(mode);
-        let set = in_scan_groups(builder, groups).into_set();
+        let set = in_scan_groups(builder, groups).set_arc();
         assert_eq!(set.scan_groups().shard_count(), groups);
         set
     }
@@ -424,7 +425,7 @@ mod tests {
 
     /// Two groups, two windows: "needle" behind `k` and four digits
     /// leads 11 bytes, "magic" behind `q` and one digit leads 7.
-    fn two_windows() -> ShardedPatternSet {
+    fn two_windows() -> Arc<ShardedPatternSet> {
         let set = set_with(&["k\\d{4}needle", "q\\dmagic"], 2, PrefilterMode::On);
         let pf = set.prefilter().unwrap();
         assert_eq!((pf.window(0), pf.window(1)), (11, 7));

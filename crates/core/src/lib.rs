@@ -51,8 +51,7 @@ mod service;
 mod set;
 
 pub use engine::{
-    CompileError, CompilePhase, Engine, EngineBuilder, FaultPolicy, OverloadPolicy, ServeConfig,
-    SkippedRule,
+    CompileError, CompilePhase, Engine, EngineBuilder, OverloadPolicy, ServeConfig, SkippedRule,
 };
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
 pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
@@ -97,18 +96,8 @@ impl Pattern {
     /// constructs outside the supported regular fragment (backreferences,
     /// lookaround, …).
     pub fn compile(pattern: &str) -> Result<Pattern, ParseError> {
-        Pattern::compile_with(pattern, &CompileOptions::default())
-    }
-
-    /// Compiles with explicit [`CompileOptions`] (unfolding threshold,
-    /// bit-vector capacity, analysis budget).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Pattern::compile`].
-    pub fn compile_with(pattern: &str, options: &CompileOptions) -> Result<Pattern, ParseError> {
         let parsed = recama_syntax::parse(pattern)?;
-        let compiled = compile(&parsed.for_stream(), options);
+        let compiled = compile(&parsed.for_stream(), &CompileOptions::default());
         Ok(Pattern {
             parsed,
             compiled,
@@ -194,7 +183,7 @@ mod tests {
     #[test]
     fn unsupported_patterns_error() {
         let err = Pattern::compile(r"(a)\1").unwrap_err();
-        assert!(err.is_unsupported());
+        assert!(matches!(err.kind, recama_syntax::ErrorKind::Unsupported(_)));
     }
 
     #[test]

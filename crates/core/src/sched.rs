@@ -151,8 +151,8 @@ impl Table {
 }
 
 /// A batch scanning scheduler for many concurrent flows over an
-/// [`Engine`]; create one with [`Engine::scheduler`] /
-/// [`Engine::scheduler_with`]. See the [module docs](self) for the
+/// [`Engine`]; create one with [`Engine::scheduler_with`]. See the
+/// [module docs](self) for the
 /// architecture.
 ///
 /// # Examples

@@ -33,7 +33,7 @@
 //! pushed back when a flow buffers faster than it scans, and flows that
 //! go quiet getting evicted instead of leaking engine state:
 //!
-//! * [`Engine::serve`](crate::Engine::serve) returns a `'static`
+//! * [`Engine::serve_with`](crate::Engine::serve_with) returns a `'static`
 //!   [`ServiceHandle`] that owns its worker threads: they spawn on
 //!   construction, park on the readiness condvar while idle, and are
 //!   joined on [`shutdown`](ServiceHandle::shutdown) / `Drop` — no
@@ -43,8 +43,7 @@
 //!   [`try_open_flow`](ServiceHandle::try_open_flow): slot reuse bumps
 //!   the generation, so a stale id held after its flow drained can never
 //!   observe (or pollute) the slot's next tenant;
-//! * [`reload`](ServiceHandle::reload) /
-//!   [`reload_rules`](ServiceHandle::reload_rules) install a new
+//! * [`reload`](ServiceHandle::reload) installs a new
 //!   compiled engine behind an **epoch** counter, without restarting
 //!   the service: new flows start on the new epoch, existing flows
 //!   migrate at their next chunk boundary once drained, in-flight
@@ -53,8 +52,9 @@
 //!   Reports carry **stable rule ids** ([`RuleMatch::rule`]) so
 //!   consumers are insulated from the reshuffled pattern indices of a
 //!   reloaded set;
-//! * the flow table is bounded: idle flows are evicted on a
-//!   configurable sweep cadence, and opening a flow past
+//! * the flow table is bounded: idle flows are evicted by a sweep that
+//!   runs once per [`idle_timeout`](crate::ServeConfig::idle_timeout),
+//!   and opening a flow past
 //!   [`max_flows`](crate::ServeConfig::max_flows) evicts the
 //!   least-recently-pushed drained flow first;
 //! * [`metrics`](ServiceHandle::metrics) snapshots the service
@@ -77,7 +77,7 @@
 //! post-boundary suffix, which `tests/service_reload.rs` pins
 //! differentially.
 
-use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfig};
+use crate::engine::{Engine, ServeConfig};
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PerGroup, PrefilterCounters, PrefilterMetrics};
 use crate::ShardedPatternSet;
@@ -243,8 +243,7 @@ impl ServiceMetrics {
 /// their sum as `service.faults_total`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultMetrics {
-    /// Flows quarantined after a panic inside one of their scans
-    /// (under [`FaultPolicy::Isolate`](crate::FaultPolicy::Isolate)).
+    /// Flows quarantined after a panic inside one of their scans.
     pub quarantined_flows: u64,
     /// Scan panics absorbed within
     /// [`restart_budget`](crate::ServeConfig::restart_budget): a worker
@@ -254,9 +253,8 @@ pub struct FaultMetrics {
     /// [`try_open_flow`](ServiceHandle::try_open_flow) calls shed by
     /// the [`overload`](crate::ServeConfig::overload) policy.
     pub shed_opens: u64,
-    /// Transitions into fail-stop poisoning: every panic under
-    /// explicit [`FaultPolicy::FailStop`](crate::FaultPolicy::FailStop)
-    /// (first counted), or an exhausted restart budget.
+    /// Transitions into fail-stop poisoning: a scan panic past the
+    /// [`restart_budget`](crate::ServeConfig::restart_budget).
     pub fail_stops: u64,
 }
 
@@ -276,10 +274,9 @@ pub enum ServeError {
         /// Summary of the panic payload that quarantined the flow.
         message: String,
     },
-    /// The whole service fail-stopped (explicit
-    /// [`FaultPolicy::FailStop`](crate::FaultPolicy::FailStop), or the
-    /// restart budget ran out). Carries the first panic's payload
-    /// summary — also available as
+    /// The whole service fail-stopped: a scan panicked past the
+    /// [`restart_budget`](crate::ServeConfig::restart_budget). Carries
+    /// the first panic's payload summary — also available as
     /// [`panic_message`](ServiceHandle::panic_message).
     Poisoned {
         /// Summary of the first worker panic payload.
@@ -474,8 +471,7 @@ struct OwnedFlow {
     /// The resolved finishing set of a finished flow, until drained.
     finishing: Vec<RuleMatch>,
     /// The panic payload summary that quarantined this flow, when a
-    /// scan over its bytes panicked under
-    /// [`FaultPolicy::Isolate`](crate::FaultPolicy::Isolate). A
+    /// scan over its bytes panicked. A
     /// quarantined flow is closed, engine-free, and kept addressable
     /// (so pushes/polls can report the condition) until explicitly
     /// closed.
@@ -580,8 +576,6 @@ struct ServeState {
     opened: u64,
     /// When the next idle sweep is due.
     next_sweep: Option<Instant>,
-    /// Evicted flows until drained by [`ServiceHandle::evictions`].
-    evicted: Vec<FlowId>,
     /// Monotone counter behind `OwnedFlow::last_touch`.
     touch: u64,
     /// The last push's verdicts, kept for their capacity.
@@ -622,7 +616,6 @@ impl ServeState {
             #[cfg(feature = "fault-inject")]
             opened: 0,
             next_sweep: None,
-            evicted: Vec::new(),
             touch: 0,
             verdicts: Vec::new(),
             metrics: MetricsAcc::default(),
@@ -766,9 +759,8 @@ impl ServeState {
 
     // ---- fault handling ---------------------------------------------
 
-    /// Poisons the whole service — the fail-stop path (explicit
-    /// [`FaultPolicy::FailStop`], or an exhausted restart budget):
-    /// every blocking call panics from now on. Records the transition
+    /// Poisons the whole service — the fail-stop path of an exhausted
+    /// restart budget: every blocking call panics from now on. Records the transition
     /// and the first panic's payload summary.
     fn fail_stop(&mut self, payload: &(dyn Any + Send)) {
         if !self.poisoned {
@@ -778,8 +770,8 @@ impl ServeState {
         }
     }
 
-    /// Quarantines `id` after a panic inside one of its scans (the
-    /// [`FaultPolicy::Isolate`] path): its queued units leave the
+    /// Quarantines `id` after a panic inside one of its scans: its
+    /// queued units leave the
     /// readiness queue, its remaining engines are freed (hybrid
     /// counters retired), its buffered bytes leave the global gauge,
     /// and its epoch pin is released — so every *other* flow keeps
@@ -815,10 +807,9 @@ impl ServeState {
     /// Whether the [`overload`](crate::ServeConfig::overload)
     /// high-watermark policy sheds new opens right now.
     fn overloaded(&self, cfg: &ServeConfig) -> bool {
-        let o = &cfg.overload;
-        o.max_queue_depth.is_some_and(|hw| self.ready.len() >= hw)
-            || o.max_pending_bytes
-                .is_some_and(|hw| self.buffered_total >= hw)
+        cfg.overload
+            .max_pending_bytes
+            .is_some_and(|hw| self.buffered_total >= hw)
     }
 
     /// The panic summary for poisoned-path messages.
@@ -1143,7 +1134,7 @@ impl ServeState {
     // ---- eviction ---------------------------------------------------
 
     /// Closes every open, drained flow whose last push attempt is older
-    /// than the idle timeout. Due-gated at the sweep cadence. Returns
+    /// than the idle timeout. Due-gated at the timeout. Returns
     /// whether any flow was evicted (the caller frees space).
     fn evict_idle(&mut self, cfg: &ServeConfig) -> bool {
         let Some(timeout) = cfg.idle_timeout else {
@@ -1152,7 +1143,7 @@ impl ServeState {
         let now = Instant::now();
         match self.next_sweep {
             Some(due) if now < due => return false,
-            _ => self.next_sweep = Some(now + cfg.sweep_interval.unwrap_or(timeout)),
+            _ => self.next_sweep = Some(now + timeout),
         }
         // Only fully-drained open flows are idle: a flow with buffered
         // bytes is still being scanned (and check-in refreshes its
@@ -1177,7 +1168,6 @@ impl ServeState {
         let any = !expired.is_empty();
         for id in expired {
             self.close_flow(id);
-            self.evicted.push(id);
             self.metrics.idle_evictions += 1;
         }
         any
@@ -1206,7 +1196,6 @@ impl ServeState {
         }
         let Some((_, id)) = lru else { return false };
         self.close_flow(id);
-        self.evicted.push(id);
         self.metrics.budget_evictions += 1;
         true
     }
@@ -1375,11 +1364,9 @@ pub(crate) struct ServiceCore {
 enum Step<'g> {
     /// Nothing was ready; no unit was checked out.
     Idle(MutexGuard<'g, ServeState>),
-    /// A batch was scanned and checked back in — or, under
-    /// [`FaultPolicy::FailStop`], a panic in it poisoned the service.
+    /// A batch was scanned and checked back in.
     Ran(MutexGuard<'g, ServeState>),
-    /// Part of the batch panicked under [`FaultPolicy::Isolate`]: the
-    /// flows it lost are quarantined, the rest checked in, the lock
+    /// Part of the batch panicked: the flows it lost are quarantined, the rest checked in, the lock
     /// released, and the payloads — one per panic, never none — are the
     /// driver's to charge or rethrow.
     Faulted(Vec<Box<dyn Any + Send>>),
@@ -1442,14 +1429,14 @@ impl ServiceCore {
     /// nothing happened. The lockstep itself runs caught too, but its
     /// lanes share one loop: a panic inside it loses every engine of the
     /// batch, and every flow of the batch is quarantined with its
-    /// payload. Never is the lock's consistency lost. What happens next
-    /// is the fault policy's call: `Isolate` quarantines and hands each
-    /// payload back (the resident worker rethrows them into its
+    /// payload. Never is the lock's consistency lost. Each payload goes
+    /// back to the driver: the resident worker rethrows them into its
     /// supervisor and a barrier caller charges them itself, a restart
-    /// per panic either way — [`charge_restart`](Self::charge_restart);
-    /// the batch driver rethrows the first out of `run()`); `FailStop`
-    /// poisons the whole service, so blocked producers panic out of their
-    /// waits instead of re-blocking on a backlog that will never clear.
+    /// per panic either way — [`charge_restart`](Self::charge_restart),
+    /// which poisons the whole service once the budget is spent, so
+    /// blocked producers panic out of their waits instead of re-blocking
+    /// on a backlog that will never clear; the batch driver rethrows the
+    /// first out of `run()`.
     fn step<'g>(&'g self, mut st: MutexGuard<'g, ServeState>, caller: bool) -> Step<'g> {
         let mut batch = st.checkout();
         let Some(group) = batch.first().map(|unit| unit.group) else {
@@ -1492,16 +1479,11 @@ impl ServiceCore {
         let mut payloads = Vec::new();
         for (flows, payload) in lost {
             st.in_flight -= flows.len();
-            match self.config.fault_policy {
-                FaultPolicy::Isolate => {
-                    let summary = payload_summary(payload.as_ref());
-                    for id in flows {
-                        st.quarantine(id, &summary);
-                    }
-                    payloads.push(payload);
-                }
-                FaultPolicy::FailStop => st.fail_stop(payload.as_ref()),
+            let summary = payload_summary(payload.as_ref());
+            for id in flows {
+                st.quarantine(id, &summary);
             }
+            payloads.push(payload);
         }
         // Notify only a waiter that exists and whose predicate can have
         // changed: a parked worker or settling caller has a unit to take,
@@ -1581,19 +1563,14 @@ impl ServiceCore {
 
     /// Charges a caught panic to the pool-wide
     /// [`restart_budget`](ServeConfig::restart_budget): one restart while
-    /// it lasts under [`FaultPolicy::Isolate`]. Once it is spent — or
-    /// under [`FaultPolicy::FailStop`], or while shutting down — the
+    /// it lasts. Once it is spent — or while shutting down — the
     /// payload fail-stops the service and every waiter is woken. Returns
     /// whether the budget absorbed it. The resident worker's supervisor
     /// and a [`barrier`](ServiceHandle::barrier) caller whose own scan
     /// panicked both charge here; only the supervisor then backs off,
     /// since only it respawns a thread.
     fn charge_restart(&self, st: &mut ServeState, payload: &(dyn Any + Send)) -> bool {
-        let cfg = &self.config;
-        if cfg.fault_policy == FaultPolicy::FailStop
-            || st.restarts >= cfg.restart_budget
-            || st.shutdown
-        {
+        if st.restarts >= self.config.restart_budget || st.shutdown {
             st.fail_stop(payload);
             self.wake.notify_all();
             self.space.notify_all();
@@ -1614,7 +1591,7 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
     let cfg = core.config;
     let mut st = core.lock();
     loop {
-        // Idle sweeps are due-gated at the sweep cadence and run on
+        // Idle sweeps are due-gated at the idle timeout and run on
         // EVERY loop iteration, so sustained load (workers that always
         // find ready work) cannot starve eviction.
         if st.evict_idle(&cfg) {
@@ -1633,8 +1610,7 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
         }
         // Periodic wake so the due-gated sweep keeps running while the
         // service sits fully idle.
-        let cadence = (cfg.idle_timeout).map(|timeout| cfg.sweep_interval.unwrap_or(timeout));
-        st = core.park(idle, cadence);
+        st = core.park(idle, cfg.idle_timeout);
     }
 }
 
@@ -1672,8 +1648,8 @@ fn supervised_worker(core: &ServiceCore) {
 // ---- the owned handle -----------------------------------------------
 
 /// An owned, `'static` many-flow scanning service; create one with
-/// [`Engine::serve`](crate::Engine::serve). See the module docs for the
-/// lifecycle.
+/// [`Engine::serve_with`](crate::Engine::serve_with). See the module
+/// docs for the lifecycle.
 ///
 /// The handle owns its worker threads: they spawn on construction,
 /// park on the readiness condvar while idle, and are joined on
@@ -1682,15 +1658,11 @@ fn supervised_worker(core: &ServiceCore) {
 /// from many producer threads.
 ///
 /// ```
-/// use recama::Engine;
+/// use recama::{Engine, ServeConfig};
 ///
-/// let engine = Engine::builder()
-///     .patterns(["ab{2}c", "xyz"])
-///     .workers(2)
-///     .build()
-///     .unwrap();
+/// let engine = Engine::new(["ab{2}c", "xyz"]).unwrap();
 ///
-/// let svc = engine.serve(); // workers spawn now, parked
+/// let svc = engine.serve_with(2, ServeConfig::default()); // workers spawn now, parked
 /// let flow = svc.try_open_flow().unwrap();
 /// svc.push_checked(flow, b"..ab").unwrap(); // blocks only while over budget
 /// svc.push_checked(flow, b"bc!").unwrap(); // match straddles the chunks
@@ -1707,10 +1679,6 @@ pub struct ServiceHandle {
     pub(crate) core: Arc<ServiceCore>,
     threads: Vec<JoinHandle<()>>,
     workers: usize,
-    /// The engine's builder (rules cleared), so
-    /// [`reload_rules`](ServiceHandle::reload_rules) recompiles with
-    /// the same knobs.
-    template: EngineBuilder,
 }
 
 impl ServiceHandle {
@@ -1760,7 +1728,6 @@ impl ServiceHandle {
             core,
             threads,
             workers,
-            template: engine.template().clone(),
         }
     }
 
@@ -1782,12 +1749,10 @@ impl ServiceHandle {
         self.core.lock().current_epoch
     }
 
-    /// Whether the service fail-stopped: a worker panic was not (or
-    /// could not be) absorbed — explicit
-    /// [`FaultPolicy::FailStop`](crate::FaultPolicy::FailStop), or an
-    /// exhausted [`restart_budget`](crate::ServeConfig::restart_budget)
-    /// — so the service can no longer drain and every blocking call
-    /// panics.
+    /// Whether the service fail-stopped: a scan panic was not absorbed
+    /// — the [`restart_budget`](crate::ServeConfig::restart_budget) was
+    /// spent — so the service can no longer drain and every blocking
+    /// call panics.
     pub fn is_poisoned(&self) -> bool {
         self.core.lock().poisoned
     }
@@ -1801,8 +1766,7 @@ impl ServiceHandle {
         self.core.lock().panic_message.clone()
     }
 
-    /// Whether `flow` is quarantined: a scan over its bytes panicked
-    /// under [`FaultPolicy::Isolate`](crate::FaultPolicy::Isolate), so
+    /// Whether `flow` is quarantined: a scan over its bytes panicked, so
     /// its engines were freed and it accepts no more input. Reports
     /// merged before the fault stay pollable;
     /// [`close`](ServiceHandle::close) acknowledges the quarantine and
@@ -1903,27 +1867,6 @@ impl ServiceHandle {
         epoch
     }
 
-    /// Compiles `rules` with the original engine's builder knobs
-    /// (options, shard policy, scan mode — rules replaced) and installs
-    /// the result via [`reload`](ServiceHandle::reload). Ids default to
-    /// add-order indices; to reload with explicit stable ids, build the
-    /// [`Engine`] yourself (with
-    /// [`EngineBuilder::rule`](crate::EngineBuilder::rule)) and call
-    /// [`reload`](ServiceHandle::reload).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`CompileError`] of the first failing rule; the
-    /// running service is untouched on error.
-    pub fn reload_rules<I>(&self, rules: I) -> Result<u64, CompileError>
-    where
-        I: IntoIterator,
-        I::Item: AsRef<str>,
-    {
-        let engine = self.template.clone().patterns(rules).build()?;
-        Ok(self.reload(&engine))
-    }
-
     // ---- producing --------------------------------------------------
 
     /// Opens a fresh flow on the current epoch and returns its
@@ -1935,7 +1878,7 @@ impl ServiceHandle {
     ///
     /// The open is shed — [`ServeError::Overloaded`] — while the
     /// service is past the [`overload`](crate::ServeConfig::overload)
-    /// high watermark (queue depth or pending bytes), instead of
+    /// high watermark (pending bytes), instead of
     /// admitting a flow the backlog cannot serve. With
     /// [`evict_on_shed`](crate::OverloadPolicy::evict_on_shed) set, a
     /// shed open also evicts the least-recently-pushed drained flow,
@@ -2152,13 +2095,6 @@ impl ServiceHandle {
     /// pinned by `tests/service_reload.rs`.
     pub fn drain_global(&self) -> Vec<ServiceEvent> {
         std::mem::take(&mut self.core.lock().sink)
-    }
-
-    /// Drains the ids of flows evicted (idle sweep or flow-table
-    /// budget) since the last call. Evicted flows behave exactly like
-    /// explicitly [`close`](ServiceHandle::close)d ones.
-    pub fn evictions(&self) -> Vec<FlowId> {
-        std::mem::take(&mut self.core.lock().evicted)
     }
 
     // ---- observability ----------------------------------------------

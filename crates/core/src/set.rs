@@ -103,8 +103,7 @@ impl SetSpan {
 ///
 /// The only way to compile one is
 /// [`Engine::builder`](crate::Engine::builder) (every compile knob lives
-/// there), then [`Engine::set`](crate::Engine::set) or
-/// [`Engine::into_set`](crate::Engine::into_set).
+/// there), then [`Engine::set`](crate::Engine::set).
 ///
 /// # Examples
 ///
@@ -112,12 +111,12 @@ impl SetSpan {
 /// use recama::hw::ShardPolicy;
 /// use recama::Engine;
 ///
-/// let set = Engine::builder()
+/// let engine = Engine::builder()
 ///     .patterns(["ab{2,3}c", "xyz", "k\\d{4}"])
 ///     .shard_policy(ShardPolicy::Fixed(2))
 ///     .build()
-///     .unwrap()
-///     .into_set();
+///     .unwrap();
+/// let set = engine.set();
 /// assert_eq!(set.shard_count(), 2);
 /// // Three small rules fit one group of lazy-DFA rows: a flow scans once.
 /// assert_eq!(set.scan_groups().shard_count(), 1);
@@ -350,7 +349,7 @@ impl ShardedPatternSet {
 
     /// Whether this set consults the literal prefilter (set at build
     /// time via [`EngineBuilder::prefilter`](crate::EngineBuilder)).
-    pub fn prefilter_mode(&self) -> PrefilterMode {
+    pub(crate) fn prefilter_mode(&self) -> PrefilterMode {
         if self.prefilter.is_some() {
             PrefilterMode::On
         } else {
@@ -648,21 +647,22 @@ pub(crate) fn in_scan_groups(builder: crate::EngineBuilder, groups: usize) -> cr
 mod tests {
     use super::*;
     use crate::{Engine, Pattern};
+    use std::sync::Arc;
 
     /// `patterns` in `groups` scan groups, one bank.
-    fn grouped(patterns: &[&str], groups: usize) -> ShardedPatternSet {
-        let set = in_scan_groups(Engine::builder().patterns(patterns), groups).into_set();
+    fn grouped(patterns: &[&str], groups: usize) -> Arc<ShardedPatternSet> {
+        let set = in_scan_groups(Engine::builder().patterns(patterns), groups).set_arc();
         assert_eq!(set.scan_groups().shard_count(), groups);
         set
     }
 
-    fn set_with(patterns: &[&str], policy: ShardPolicy) -> ShardedPatternSet {
+    fn set_with(patterns: &[&str], policy: ShardPolicy) -> Arc<ShardedPatternSet> {
         Engine::builder()
             .patterns(patterns)
             .shard_policy(policy)
             .build()
             .unwrap()
-            .into_set()
+            .set_arc()
     }
 
     #[test]
@@ -818,7 +818,7 @@ mod tests {
             (ShardPolicy::Fixed(5), 1),
         ] {
             let builder = Engine::builder().patterns(patterns).shard_policy(policy);
-            let sharded = in_scan_groups(builder, groups).into_set();
+            let sharded = in_scan_groups(builder, groups).set_arc();
             assert_eq!(sharded.scan_groups().shard_count(), groups);
             // No sort: the order must match too.
             assert_eq!(

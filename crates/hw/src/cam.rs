@@ -12,28 +12,18 @@ use recama_syntax::ByteClass;
 
 /// One physical CAM column: high-nibble mask × low-nibble mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CamColumn {
+pub(crate) struct CamColumn {
     /// Bit `h` set ⇔ symbols with high nibble `h` may match.
-    pub hi_mask: u16,
+    pub(crate) hi_mask: u16,
     /// Bit `l` set ⇔ symbols with low nibble `l` may match.
-    pub lo_mask: u16,
+    pub(crate) lo_mask: u16,
 }
 
 impl CamColumn {
     /// Whether the column matches byte `b`.
-    pub fn matches(&self, b: u8) -> bool {
+    #[cfg(test)]
+    pub(crate) fn matches(&self, b: u8) -> bool {
         self.hi_mask & (1 << (b >> 4)) != 0 && self.lo_mask & (1 << (b & 0xf)) != 0
-    }
-
-    /// The class of bytes this column matches.
-    pub fn to_class(&self) -> ByteClass {
-        let mut c = ByteClass::new();
-        for b in 0..=255u8 {
-            if self.matches(b) {
-                c.insert(b);
-            }
-        }
-        c
     }
 }
 
@@ -43,19 +33,7 @@ impl CamColumn {
 /// high nibbles sharing a pattern form one product column. This yields one
 /// column for genuine product classes (`.`/ranges aligned to nibbles /
 /// singletons) and at most 16 columns in the worst case.
-///
-/// # Examples
-///
-/// ```
-/// use recama_hw::cam::columns_for_class;
-/// use recama_syntax::ByteClass;
-///
-/// assert_eq!(columns_for_class(&ByteClass::ANY).len(), 1);
-/// assert_eq!(columns_for_class(&ByteClass::singleton(b'x')).len(), 1);
-/// // [a-z] spans high nibbles 6 (a–o) and 7 (p–z) with different low sets.
-/// assert_eq!(columns_for_class(&ByteClass::range(b'a', b'z')).len(), 2);
-/// ```
-pub fn columns_for_class(class: &ByteClass) -> Vec<CamColumn> {
+pub(crate) fn columns_for_class(class: &ByteClass) -> Vec<CamColumn> {
     // Low-nibble pattern per high nibble.
     let mut lo_patterns = [0u16; 16];
     for b in class.iter() {
@@ -79,7 +57,7 @@ pub fn columns_for_class(class: &ByteClass) -> Vec<CamColumn> {
 }
 
 /// The number of CAM columns a class costs (the mapper's cost function).
-pub fn column_cost(class: &ByteClass) -> usize {
+pub(crate) fn column_cost(class: &ByteClass) -> usize {
     columns_for_class(class).len().max(1)
 }
 
@@ -91,9 +69,9 @@ mod tests {
         let cols = columns_for_class(class);
         let mut union = ByteClass::new();
         for col in &cols {
-            let cc = col.to_class();
+            let cc: ByteClass = (0..=255u8).filter(|&b| col.matches(b)).collect();
             // Columns never over-match.
-            assert!(cc.is_subset(class), "column over-matches");
+            assert_eq!(cc.intersect(class), cc, "column over-matches");
             union = union.union(&cc);
         }
         assert_eq!(union, *class, "columns must cover the class exactly");

@@ -51,7 +51,7 @@ pub struct EnergyReport {
 
 impl EnergyReport {
     /// Total energy in femtojoules.
-    pub fn total_fj(&self) -> f64 {
+    pub(crate) fn total_fj(&self) -> f64 {
         self.match_fj + self.counter_fj + self.bitvector_fj
     }
 
@@ -81,7 +81,7 @@ pub struct AreaReport {
 
 impl AreaReport {
     /// Total area in µm² (including waste).
-    pub fn total_um2(&self) -> f64 {
+    pub(crate) fn total_um2(&self) -> f64 {
         self.cam_um2 + self.counter_um2 + self.bitvector_um2 + self.waste_um2
     }
 

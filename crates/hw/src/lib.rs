@@ -5,18 +5,19 @@
 //! §4 — as a placement + cycle-level simulation + cost model over the
 //! extended MNRL networks emitted by `recama-compiler`:
 //!
-//! * [`params`] — the Table 2 SPICE scalars (TSMC 28 nm) and the Fig. 5
-//!   bank/array/PE hierarchy constants;
-//! * [`cam`] — the two-nibble CAM product encoding of character classes;
-//! * [`modules`] — functional models of the counter module (Fig. 6) and
-//!   the bit-vector module (Fig. 7);
-//! * [`place()`] — the mapper (module port groups stay within one PE;
-//!   bit-vector segments share physical 2000-bit modules);
-//! * [`shard`] — bank-aware ruleset sharding: order-preserving partition
-//!   of compiled rules into shards that each fit one bank's capacity;
-//! * [`HwSimulator`] — the two-phase cycle simulator (the modified VASim);
-//! * [`cost`] — energy/area reports, with the waste accounting of Fig. 10
-//!   and the pro-rata accounting of Fig. 8.
+//! * [`params`] — the Table 2 SPICE scalars (TSMC 28 nm) and the clock;
+//! * [`place()`] — the mapper over the Fig. 5 bank/array/PE hierarchy
+//!   (module port groups stay within one PE; bit-vector segments share
+//!   physical 2000-bit modules; character classes cost their two-nibble
+//!   CAM product columns);
+//! * [`ShardPlan`] — bank-aware ruleset sharding: order-preserving
+//!   partition of compiled rules into shards that each fit one bank's
+//!   capacity;
+//! * [`HwSimulator`] — the two-phase cycle simulator (the modified VASim),
+//!   with functional models of the counter module (Fig. 6) and the
+//!   bit-vector module (Fig. 7);
+//! * [`energy_report`] / [`area_report`] — energy/area reports, with the
+//!   waste accounting of Fig. 10 and the pro-rata accounting of Fig. 8.
 //!
 //! ## Example
 //!
@@ -34,17 +35,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cam;
-pub mod cost;
-pub mod modules;
+mod cam;
+mod cost;
+mod modules;
 pub mod params;
-pub mod place;
-pub mod shard;
+mod place;
+mod shard;
 mod sim;
-pub mod throughput;
 
 pub use cost::{area_report, energy_report, run, AreaGranularity, AreaReport, EnergyReport, HwRun};
 pub use place::{place, EdgeStats, Loc, Placement};
 pub use shard::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
-pub use sim::{Activity, HwSimulator};
-pub use throughput::{throughput, ThroughputReport};
+pub use sim::HwSimulator;

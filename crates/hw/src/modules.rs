@@ -92,8 +92,9 @@ impl CounterModule {
         out
     }
 
-    /// Current register value (tests/diagnostics).
-    pub fn count(&self) -> u32 {
+    /// Current register value.
+    #[cfg(test)]
+    fn count(&self) -> u32 {
         self.cnt
     }
 
@@ -186,8 +187,9 @@ impl BitVectorModule {
         out
     }
 
-    /// Live token values (tests/diagnostics).
-    pub fn values(&self) -> Vec<u32> {
+    /// Live token values.
+    #[cfg(test)]
+    fn values(&self) -> Vec<u32> {
         (1..=self.size).filter(|&v| self.any_in(v, v)).collect()
     }
 

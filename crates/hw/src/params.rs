@@ -49,32 +49,32 @@ pub const CLOCK_GHZ: f64 = 2.14;
 pub const CYCLE_PS: f64 = 1000.0 / CLOCK_GHZ;
 
 /// STE columns per CAM block.
-pub const STES_PER_CAM_BLOCK: usize = 256;
+pub(crate) const STES_PER_CAM_BLOCK: usize = 256;
 
 /// CAM blocks per processing element (Fig. 5: "two 256-STE CAM arrays").
-pub const CAM_BLOCKS_PER_PE: usize = 2;
+pub(crate) const CAM_BLOCKS_PER_PE: usize = 2;
 
 /// STE columns per PE.
-pub const STES_PER_PE: usize = STES_PER_CAM_BLOCK * CAM_BLOCKS_PER_PE;
+pub(crate) const STES_PER_PE: usize = STES_PER_CAM_BLOCK * CAM_BLOCKS_PER_PE;
 
 /// Counter modules per PE (Fig. 5: "8 counters").
-pub const COUNTERS_PER_PE: usize = 8;
+pub(crate) const COUNTERS_PER_PE: usize = 8;
 
 /// Physical bit-vector modules per PE (Fig. 5: "may contain a bit vector").
-pub const BITVECTORS_PER_PE: usize = 1;
+pub(crate) const BITVECTORS_PER_PE: usize = 1;
 
 /// Bits per physical bit-vector module; segments of several small
 /// repetitions can share one module (§4.3).
-pub const BITS_PER_BITVECTOR: usize = 2000;
+pub(crate) const BITS_PER_BITVECTOR: usize = 2000;
 
 /// Processing elements per processing array (Fig. 5).
-pub const PES_PER_ARRAY: usize = 8;
+pub(crate) const PES_PER_ARRAY: usize = 8;
 
 /// Processing arrays per bank (Fig. 5).
-pub const ARRAYS_PER_BANK: usize = 16;
+pub(crate) const ARRAYS_PER_BANK: usize = 16;
 
 /// STE capacity of a full bank.
-pub const STES_PER_BANK: usize = STES_PER_PE * PES_PER_ARRAY * ARRAYS_PER_BANK;
+pub(crate) const STES_PER_BANK: usize = STES_PER_PE * PES_PER_ARRAY * ARRAYS_PER_BANK;
 
 /// Energy charged per mapped STE column per input byte: every mapped
 /// column participates in the CAM search each cycle.
@@ -89,12 +89,12 @@ pub fn area_per_column_um2() -> f64 {
 
 /// Energy of one bit-vector module access prorated to `bits` allocated
 /// bits (the Fig. 8 micro-benchmark sets the vector length to n).
-pub fn bitvector_energy_fj(bits: usize) -> f64 {
+pub(crate) fn bitvector_energy_fj(bits: usize) -> f64 {
     BITVECTOR_MODULE.energy_fj * bits as f64 / BITS_PER_BITVECTOR as f64
 }
 
 /// Area of `bits` bit-vector bits when prorating (micro-benchmarks).
-pub fn bitvector_area_um2(bits: usize) -> f64 {
+pub(crate) fn bitvector_area_um2(bits: usize) -> f64 {
     BITVECTOR_MODULE.area_um2 * bits as f64 / BITS_PER_BITVECTOR as f64
 }
 

@@ -24,7 +24,7 @@ use crate::params::{
     ARRAYS_PER_BANK, BITS_PER_BITVECTOR, BITVECTORS_PER_PE, COUNTERS_PER_PE, PES_PER_ARRAY,
     STES_PER_BANK,
 };
-use crate::place::{place, Placement};
+use crate::place::place;
 use recama_mnrl::MnrlNetwork;
 
 /// Resource footprint of one rule (or the running total of one shard),
@@ -42,11 +42,7 @@ pub struct RuleCost {
 impl RuleCost {
     /// The footprint of `network`, measured by the mapper itself.
     pub fn of_network(network: &MnrlNetwork) -> RuleCost {
-        RuleCost::of_placement(&place(network))
-    }
-
-    /// The footprint recorded by an existing [`Placement`].
-    pub fn of_placement(p: &Placement) -> RuleCost {
+        let p = place(network);
         RuleCost {
             columns: p.total_columns,
             counters: p.counter_count,
@@ -236,23 +232,6 @@ impl ShardPlan {
     pub fn members(&self, i: usize) -> &[usize] {
         &self.shards[i]
     }
-
-    /// Total number of rules across all shards.
-    pub fn rule_count(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Aggregate cost per shard (indexed like the plan), for reporting.
-    pub fn shard_costs(&self, costs: &[RuleCost]) -> Vec<RuleCost> {
-        self.shards
-            .iter()
-            .map(|members| {
-                members
-                    .iter()
-                    .fold(RuleCost::default(), |acc, &i| acc.plus(&costs[i]))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -318,7 +297,7 @@ mod tests {
         };
         let plan = ShardPlan::plan(&costs, ShardPolicy::Banked(budget));
         assert_eq!(plan.shard_count(), 5); // 2 rules of 6 columns per shard
-        assert_eq!(plan.rule_count(), 10);
+        assert_eq!(plan.shards().concat(), (0..10).collect::<Vec<_>>());
         let mut next = 0usize;
         for (si, members) in plan.shards().iter().enumerate() {
             assert!(!members.is_empty());
@@ -326,7 +305,9 @@ mod tests {
                 assert_eq!(m, next, "shards must be contiguous and ordered");
                 next += 1;
             }
-            let load = plan.shard_costs(&costs)[si];
+            let load = members
+                .iter()
+                .fold(RuleCost::default(), |acc, &i| acc.plus(&costs[i]));
             assert!(load.fits(&budget), "shard {si} overflows: {load:?}");
         }
     }

@@ -51,7 +51,7 @@ struct ModInfo {
 
 /// Per-run activity counters for the energy model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Activity {
+pub(crate) struct Activity {
     /// Input bytes processed.
     pub cycles: u64,
     /// Total STE activations.
@@ -84,9 +84,6 @@ pub struct HwSimulator<'a> {
     activity: Activity,
     /// Per-module active-cycle counts are read from the module models.
     bv_sizes: Vec<u32>,
-    /// Node ids parallel to `stes` / `modules` (for attribution).
-    ste_ids: Vec<String>,
-    mod_ids: Vec<String>,
     /// MNRL report codes parallel to `stes` / `modules` (rule ids in
     /// multi-pattern images).
     ste_report_ids: Vec<Option<u32>>,
@@ -109,8 +106,6 @@ impl<'a> HwSimulator<'a> {
 
         let mut ste_index: HashMap<&str, usize> = HashMap::new();
         let mut mod_index: HashMap<&str, usize> = HashMap::new();
-        let mut ste_ids: Vec<String> = Vec::new();
-        let mut mod_ids: Vec<String> = Vec::new();
         let mut ste_report_ids: Vec<Option<u32>> = Vec::new();
         let mut mod_report_ids: Vec<Option<u32>> = Vec::new();
         for node in network.nodes() {
@@ -118,13 +113,11 @@ impl<'a> HwSimulator<'a> {
                 NodeKind::State { .. } => {
                     let i = ste_index.len();
                     ste_index.insert(node.id.as_str(), i);
-                    ste_ids.push(node.id.clone());
                     ste_report_ids.push(node.report_id);
                 }
                 _ => {
                     let i = mod_index.len();
                     mod_index.insert(node.id.as_str(), i);
-                    mod_ids.push(node.id.clone());
                     mod_report_ids.push(node.report_id);
                 }
             }
@@ -189,8 +182,6 @@ impl<'a> HwSimulator<'a> {
             active: vec![false; n],
             activity: Activity::default(),
             bv_sizes,
-            ste_ids,
-            mod_ids,
             ste_report_ids,
             mod_report_ids,
             last_ste_reports: Vec::new(),
@@ -321,33 +312,15 @@ impl<'a> HwSimulator<'a> {
     }
 
     /// Activity counters for the current run.
-    pub fn activity(&self) -> Activity {
+    pub(crate) fn activity(&self) -> Activity {
         self.activity
-    }
-
-    /// The report node ids that fired in the most recent cycle — the
-    /// accelerator's report vector, attributing each report event to its
-    /// rule (ruleset networks prefix node ids with `r{i}_`).
-    pub fn last_reporters(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .last_ste_reports
-            .iter()
-            .map(|&i| self.ste_ids[i].as_str())
-            .chain(
-                self.last_mod_reports
-                    .iter()
-                    .map(|&i| self.mod_ids[i].as_str()),
-            )
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// The MNRL report codes (rule ids) that fired in the most recent
     /// cycle, deduplicated and ascending — the accelerator's report
     /// vector for multi-pattern machine images, whose reporting nodes are
     /// stamped with their rule id at merge time.
-    pub fn last_report_ids(&self) -> Vec<u32> {
+    fn last_report_ids(&self) -> Vec<u32> {
         let mut out: Vec<u32> = self
             .last_ste_reports
             .iter()
@@ -376,28 +349,9 @@ impl<'a> HwSimulator<'a> {
         out
     }
 
-    /// Runs `input` and returns, for every cycle with reports, the end
-    /// offset and the reporting node ids.
-    pub fn match_details(&mut self, input: &[u8]) -> Vec<(usize, Vec<String>)> {
-        self.reset();
-        let mut out = Vec::new();
-        for (i, &b) in input.iter().enumerate() {
-            if self.step(b) {
-                out.push((
-                    i + 1,
-                    self.last_reporters()
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
-                ));
-            }
-        }
-        out
-    }
-
     /// Per-module (kind, active cycles, bit width) for the energy model:
     /// counters report width 0; bit vectors their segment size.
-    pub fn module_activity(&self) -> Vec<(bool, u64, u32)> {
+    pub(crate) fn module_activity(&self) -> Vec<(bool, u64, u32)> {
         let mut bv_i = 0;
         self.modules
             .iter()

@@ -81,7 +81,7 @@ impl Value {
     }
 
     /// Pretty-prints with two-space indentation.
-    pub fn pretty(&self) -> String {
+    pub(crate) fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
         out

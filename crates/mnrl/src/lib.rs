@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod dot;
 mod json;
 pub mod jsonval;
 mod network;

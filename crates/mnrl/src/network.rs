@@ -60,7 +60,7 @@ impl Port {
     }
 
     /// Parses a port name.
-    pub fn from_name(s: &str) -> Option<Port> {
+    pub(crate) fn from_name(s: &str) -> Option<Port> {
         Some(match s {
             "main" => Port::Main,
             "pre" => Port::Pre,
@@ -75,7 +75,7 @@ impl Port {
     }
 
     /// Whether this is an output port for the given node kind.
-    pub fn is_output_of(self, kind: &NodeKind) -> bool {
+    pub(crate) fn is_output_of(self, kind: &NodeKind) -> bool {
         match kind {
             NodeKind::State { .. } => self == Port::Main,
             NodeKind::Counter { .. } => matches!(self, Port::EnFst | Port::EnOut),
@@ -84,7 +84,7 @@ impl Port {
     }
 
     /// Whether this is an input port for the given node kind.
-    pub fn is_input_of(self, kind: &NodeKind) -> bool {
+    pub(crate) fn is_input_of(self, kind: &NodeKind) -> bool {
         match kind {
             NodeKind::State { .. } => self == Port::Main,
             NodeKind::Counter { .. } => matches!(self, Port::Pre | Port::Fst | Port::Lst),
@@ -127,7 +127,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// Short type tag used in JSON (`state` / `counter` / `bitVector`).
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             NodeKind::State { .. } => "state",
             NodeKind::Counter { .. } => "counter",
@@ -230,11 +230,6 @@ impl MnrlNetwork {
         &self.nodes
     }
 
-    /// Mutable access to nodes (ids must not be changed).
-    pub fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
-
     /// Looks up a node by id.
     pub fn node(&self, id: &str) -> Option<&Node> {
         self.index.get(id).map(|&i| &self.nodes[i])
@@ -259,23 +254,12 @@ impl MnrlNetwork {
         c
     }
 
-    /// Merges another network into this one, prefixing its node ids with
-    /// `prefix` to keep them unique (used to compile whole rulesets into a
-    /// single machine image).
-    pub fn merge_prefixed(&mut self, other: &MnrlNetwork, prefix: &str) {
-        self.merge_impl(other, prefix, None);
-    }
-
     /// Merges another network as rule `rule_id`: node ids are prefixed
     /// with `prefix` and every *reporting* node is stamped with
     /// `report_id = rule_id`, so downstream consumers (hardware report
     /// vectors, the multi-pattern engine) can attribute reports to the
     /// source pattern without parsing node-id prefixes.
     pub fn merge_as_rule(&mut self, other: &MnrlNetwork, prefix: &str, rule_id: u32) {
-        self.merge_impl(other, prefix, Some(rule_id));
-    }
-
-    fn merge_impl(&mut self, other: &MnrlNetwork, prefix: &str, rule_id: Option<u32>) {
         for node in &other.nodes {
             let mut n = node.clone();
             n.id = format!("{prefix}{}", n.id);
@@ -283,9 +267,7 @@ impl MnrlNetwork {
                 c.to = format!("{prefix}{}", c.to);
             }
             if n.report {
-                if let Some(rid) = rule_id {
-                    n.report_id = Some(rid);
-                }
+                n.report_id = Some(rule_id);
             }
             self.add_node(n);
         }
@@ -513,7 +495,7 @@ mod tests {
             report_id: None,
             connections: vec![],
         });
-        a.merge_prefixed(&b, "r1_");
+        a.merge_as_rule(&b, "r1_", 1);
         assert_eq!(a.node_count(), 3);
         assert!(a.node("r1_s0").is_some());
         assert!(a.node("r1_c0").is_some());

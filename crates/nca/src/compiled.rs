@@ -146,7 +146,7 @@ impl CompilePlan {
 
     /// Assembles a plan from explicit per-state modes (used when merging
     /// several automata's plans into one).
-    pub fn from_modes(modes: Vec<StorageMode>) -> CompilePlan {
+    pub(crate) fn from_modes(modes: Vec<StorageMode>) -> CompilePlan {
         CompilePlan { modes }
     }
 
@@ -532,13 +532,6 @@ impl<'a> CompiledEngine<'a> {
     pub fn plan(&self) -> &CompilePlan {
         &self.plan
     }
-
-    /// Number of live tokens at state `q` (for activity statistics).
-    pub fn tokens_at(&self, q: StateId) -> usize {
-        let mut n = 0;
-        self.cur[q.index()].for_each(|_| n += 1);
-        n
-    }
 }
 
 impl Engine for CompiledEngine<'_> {
@@ -792,22 +785,6 @@ mod tests {
         let mut slow = TokenSetEngine::new(&a);
         let input = b"zabbbabbx";
         assert_eq!(fast.match_ends(input), slow.match_ends(input));
-    }
-
-    #[test]
-    fn tokens_at_counts_live_tokens() {
-        let a = nca(".*a{5}");
-        let mut e = CompiledEngine::conservative(&a);
-        e.reset();
-        for &b in b"aaa" {
-            e.step(b);
-        }
-        // The counted state holds tokens with values 1, 2, 3.
-        let counted = (0..a.state_count())
-            .map(|i| StateId(i as u32))
-            .find(|&q| !a.state(q).is_pure())
-            .unwrap();
-        assert_eq!(e.tokens_at(counted), 3);
     }
 }
 

@@ -83,7 +83,7 @@ impl<'a> SubsetWalk<'a> {
 /// # Panics
 ///
 /// Panics if `nca` has counters — unfold first ([`crate::unfold`]).
-pub fn full_dfa_size(nca: &Nca, cap: usize) -> Option<usize> {
+pub(crate) fn full_dfa_size(nca: &Nca, cap: usize) -> Option<usize> {
     let mut walk = SubsetWalk::new(nca);
     let classes: Vec<u8> = walk.alphabet.classes().map(|(_, rep)| rep).collect();
     let mut frontier = vec![walk.start];

@@ -457,9 +457,9 @@ mod tests {
     #[test]
     fn nullable_regex_accepts_at_q0() {
         let a = nca("(ab)*");
-        assert!(a.accepts_empty());
+        assert!(a.state(StateId::INIT).is_final());
         let a2 = nca("ab");
-        assert!(!a2.accepts_empty());
+        assert!(!a2.state(StateId::INIT).is_final());
     }
 
     #[test]

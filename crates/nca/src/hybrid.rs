@@ -976,7 +976,8 @@ impl HybridEngine {
 
     /// Number of live NCA states behind the current configuration: the
     /// pure frontier's subset plus the live counted states.
-    pub fn active_states(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_states(&self) -> usize {
         let pure = match &self.config {
             Config::Rows(rows) => rows.at.generation.read().cache.subset(rows.at.cur).len(),
             Config::Rowless(rowless) => rowless.pure.len(),
@@ -986,7 +987,7 @@ impl HybridEngine {
 
     /// Determinized states the shard's cache holds right now (discovered
     /// since its last flush, by any engine on it); 0 without rows.
-    pub fn discovered_states(&self) -> usize {
+    pub(crate) fn discovered_states(&self) -> usize {
         self.stats().dfa_states
     }
 

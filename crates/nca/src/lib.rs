@@ -15,8 +15,7 @@
 //! * two execution engines behind the [`Engine`] trait:
 //!   [`TokenSetEngine`] (reference semantics) and [`CompiledEngine`]
 //!   (counter registers + bit vectors, the software twin of the augmented
-//!   hardware), plus [`full_dfa_size`], the subset construction that
-//!   counts the DFA blowup of unfolded counting;
+//!   hardware);
 //! * [`unfold`] — the unfolding rewrite with the threshold knob of Fig. 9.
 //!
 //! ## Example
@@ -36,6 +35,7 @@
 
 mod bank;
 mod compiled;
+#[cfg(test)]
 mod dfa;
 mod engine;
 pub mod glushkov;
@@ -46,7 +46,6 @@ mod token;
 mod unfold;
 
 pub use compiled::{CompilePlan, CompiledEngine, StorageMode};
-pub use dfa::full_dfa_size;
 pub use engine::{match_ends, matches, Engine, TokenSetEngine};
 pub use hybrid::{
     HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET, LOCKSTEP_LANES,

@@ -60,12 +60,9 @@ struct Image {
     nca: Nca,
     plan: CompilePlan,
     alphabet: ByteAlphabet,
-    /// Pattern owning each state; `u32::MAX` for the merged `q0`.
-    pattern_of_state: Vec<u32>,
     /// Per state: the pattern it accepts for, or [`NO_PATTERN`]. Shared
     /// with every [`HybridCache`] of the automaton.
     accepting: Arc<[u32]>,
-    pattern_count: usize,
     /// Immutable engine tables, built once here so every
     /// [`MultiNca::engine`] call only allocates mutable state.
     tables: EngineTables,
@@ -105,7 +102,10 @@ impl MultiNca {
     /// # Panics
     ///
     /// Same as [`MultiNca::merge`].
-    pub fn merge_with_alphabet(parts: &[(&Nca, CompilePlan)], alphabet: ByteAlphabet) -> MultiNca {
+    pub(crate) fn merge_with_alphabet(
+        parts: &[(&Nca, CompilePlan)],
+        alphabet: ByteAlphabet,
+    ) -> MultiNca {
         let mut states: Vec<State> = vec![State {
             class: recama_syntax::ByteClass::EMPTY,
             counters: Vec::new(),
@@ -202,9 +202,7 @@ impl MultiNca {
             nca,
             plan,
             alphabet,
-            pattern_of_state,
             accepting,
-            pattern_count: parts.len(),
             tables,
             bank,
         }))
@@ -223,19 +221,6 @@ impl MultiNca {
     /// The shared byte-class alphabet of the whole set.
     pub fn alphabet(&self) -> &ByteAlphabet {
         &self.0.alphabet
-    }
-
-    /// Number of merged patterns.
-    pub fn pattern_count(&self) -> usize {
-        self.0.pattern_count
-    }
-
-    /// The pattern owning state `q` (`None` for the merged `q0`).
-    pub fn pattern_of(&self, q: StateId) -> Option<u32> {
-        match self.0.pattern_of_state[q.index()] {
-            u32::MAX => None,
-            p => Some(p),
-        }
     }
 
     /// How the counter bank of the engines scans counted state `q`, for a
@@ -313,7 +298,7 @@ impl MultiNca {
 /// identically, mirroring the single input decoder that feeds all banks.
 ///
 /// Per-shard reports carry *local* pattern indices; translate them with
-/// [`ShardedMulti::global_pattern`].
+/// [`ShardedMulti::shard_members`].
 #[derive(Debug)]
 pub struct ShardedMulti {
     shards: Vec<MultiNca>,
@@ -321,7 +306,6 @@ pub struct ShardedMulti {
     /// [`ShardStream`] of a shard shares its slice.
     members: Vec<Arc<[u32]>>,
     alphabet: ByteAlphabet,
-    pattern_count: usize,
 }
 
 impl ShardedMulti {
@@ -370,7 +354,6 @@ impl ShardedMulti {
                 .map(|m| m.iter().map(|&i| i as u32).collect())
                 .collect(),
             alphabet,
-            pattern_count: parts.len(),
         }
     }
 
@@ -395,20 +378,10 @@ impl ShardedMulti {
         &self.alphabet
     }
 
-    /// Total number of patterns across all shards.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_count
-    }
-
     /// Global pattern indices of shard `i` (ascending), indexed by the
     /// shard's local pattern index.
     pub fn shard_members(&self, i: usize) -> &[u32] {
         &self.members[i]
-    }
-
-    /// Translates a shard-local pattern index to the global index.
-    pub fn global_pattern(&self, shard: usize, local: u32) -> u32 {
-        self.members[shard][local as usize]
     }
 
     /// One empty [`HybridCache`] per shard, each bounded by
@@ -715,16 +688,11 @@ mod tests {
     fn state_attribution_covers_all_patterns() {
         let patterns = ["ab", "cd{2}"];
         let m = multi(&patterns);
-        assert_eq!(m.pattern_count(), 2);
-        assert_eq!(m.pattern_of(StateId::INIT), None);
-        let mut seen = vec![false; patterns.len()];
-        for qi in 1..m.nca().state_count() {
-            let p = m
-                .pattern_of(StateId(qi as u32))
-                .expect("non-q0 states are owned");
-            seen[p as usize] = true;
+        let accepting = &m.0.accepting;
+        assert_eq!(accepting[StateId::INIT.index()], NO_PATTERN);
+        for p in 0..patterns.len() as u32 {
+            assert!(accepting.contains(&p), "pattern {p} owns no final state");
         }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
@@ -766,7 +734,6 @@ mod tests {
         let m = MultiNca::merge(&[]);
         let mut engine = m.engine();
         assert!(engine.match_reports(b"anything").is_empty());
-        assert_eq!(m.pattern_count(), 0);
     }
 
     fn sharded(patterns: &[&str], shards: &[Vec<usize>]) -> ShardedMulti {
@@ -794,7 +761,7 @@ mod tests {
             for (si, shard) in sm.shards().iter().enumerate() {
                 for r in shard.engine().match_reports(input) {
                     got.push(MultiReport {
-                        pattern: sm.global_pattern(si, r.pattern),
+                        pattern: sm.shard_members(si)[r.pattern as usize],
                         end: r.end,
                     });
                 }
@@ -813,7 +780,7 @@ mod tests {
         for shard in sm.shards() {
             assert_eq!(shard.alphabet().len(), 5, "every shard sees the union");
         }
-        assert_eq!(sm.pattern_count(), 3);
+        assert_eq!(sm.shard_members(0), &[0, 1]);
         assert_eq!(sm.shard_members(1), &[2]);
     }
 

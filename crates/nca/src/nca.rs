@@ -86,7 +86,8 @@ impl GuardAtom {
     }
 
     /// Evaluates the atom on a concrete counter value.
-    pub fn eval(&self, value: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, value: u32) -> bool {
         match *self {
             GuardAtom::Lt(_, n) => value < n,
             GuardAtom::Range(_, lo, hi) => lo <= value && value <= hi,
@@ -172,7 +173,7 @@ impl State {
     }
 
     /// Whether the state is final (`q ∈ dom(F)`).
-    pub fn is_final(&self) -> bool {
+    pub(crate) fn is_final(&self) -> bool {
         !self.accepts.is_empty()
     }
 
@@ -283,14 +284,14 @@ impl Nca {
     }
 
     /// Outgoing transitions of `p`.
-    pub fn transitions_from(&self, p: StateId) -> impl Iterator<Item = &Transition> + '_ {
+    pub(crate) fn transitions_from(&self, p: StateId) -> impl Iterator<Item = &Transition> + '_ {
         self.out[p.index()]
             .iter()
             .map(move |&i| &self.transitions[i as usize])
     }
 
     /// Incoming transitions of `q`.
-    pub fn transitions_into(&self, q: StateId) -> impl Iterator<Item = &Transition> + '_ {
+    pub(crate) fn transitions_into(&self, q: StateId) -> impl Iterator<Item = &Transition> + '_ {
         self.into[q.index()]
             .iter()
             .map(move |&i| &self.transitions[i as usize])
@@ -299,16 +300,6 @@ impl Nca {
     /// Number of states including `q0`.
     pub fn state_count(&self) -> usize {
         self.states.len()
-    }
-
-    /// Number of position states (STE candidates): states except `q0`.
-    pub fn ste_count(&self) -> usize {
-        self.states.len() - 1
-    }
-
-    /// Whether the automaton accepts ε (i.e. `q0` is final).
-    pub fn accepts_empty(&self) -> bool {
-        self.states[0].is_final()
     }
 
     /// Checks the structural invariants:
@@ -388,26 +379,6 @@ impl Nca {
             }
         }
         Ok(())
-    }
-
-    /// Total number of transitions.
-    pub fn transition_count(&self) -> usize {
-        self.transitions.len()
-    }
-
-    /// An upper bound on the number of distinct tokens the automaton can
-    /// produce: Σ over states of Π over their counters of `bound`.
-    /// Saturates at `u64::MAX`.
-    pub fn token_space_bound(&self) -> u64 {
-        let mut total: u64 = 0;
-        for s in &self.states {
-            let mut per: u64 = 1;
-            for c in &s.counters {
-                per = per.saturating_mul(u64::from(self.counter(*c).bound()));
-            }
-            total = total.saturating_add(per);
-        }
-        total
     }
 }
 
@@ -520,15 +491,13 @@ mod tests {
     fn construction_and_accessors() {
         let nca = tiny_nca();
         assert_eq!(nca.state_count(), 2);
-        assert_eq!(nca.ste_count(), 1);
-        assert_eq!(nca.transition_count(), 2);
-        assert!(!nca.accepts_empty());
+        assert_eq!(nca.transitions().len(), 2);
+        assert!(!nca.state(StateId::INIT).is_final());
         assert!(nca.state(StateId(1)).is_final());
         assert!(nca.state(StateId(0)).is_pure());
         assert_eq!(nca.transitions_from(StateId(1)).count(), 1);
         assert_eq!(nca.transitions_into(StateId(1)).count(), 2);
         assert_eq!(nca.counter(CounterId(0)).bound(), 3);
-        assert_eq!(nca.token_space_bound(), 1 + 3);
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl ByteClass {
 
     /// Adds the case-folded counterparts of all ASCII letters in the class
     /// (used for `(?i)` patterns).
-    pub fn case_fold(&self) -> ByteClass {
+    pub(crate) fn case_fold(&self) -> ByteClass {
         let mut out = *self;
         for b in self.iter() {
             if b.is_ascii_lowercase() {
@@ -205,21 +205,6 @@ impl ByteClass {
             }
         }
         out
-    }
-
-    /// Projects the class onto (high-nibble set, low-nibble set) and reports
-    /// whether the class is exactly the product of the two — the condition
-    /// under which the CAMA-style two-nibble CAM encoding stores the class in
-    /// a single column (see `recama-hw`).
-    pub fn nibble_projections(&self) -> (u16, u16, bool) {
-        let mut hi: u16 = 0;
-        let mut lo: u16 = 0;
-        for b in self.iter() {
-            hi |= 1 << (b >> 4);
-            lo |= 1 << (b & 0xf);
-        }
-        let product_size = (hi.count_ones() as usize) * (lo.count_ones() as usize);
-        (hi, lo, product_size == self.len())
     }
 
     /// Raw 256-bit membership words (low byte first).
@@ -456,22 +441,6 @@ mod tests {
         assert!(f.contains(b'z') && f.contains(b'Z'));
         assert!(f.contains(b'0'));
         assert_eq!(f.len(), 5);
-    }
-
-    #[test]
-    fn nibble_projection_product() {
-        // {0x12} is trivially a product set.
-        let (hi, lo, ok) = ByteClass::singleton(0x12).nibble_projections();
-        assert_eq!((hi, lo, ok), (1 << 1, 1 << 2, true));
-        // [0x10-0x1f] = {1} × all-lows: a product set.
-        let (_, _, ok) = ByteClass::range(0x10, 0x1f).nibble_projections();
-        assert!(ok);
-        // {0x12, 0x21} is not a product set (product would include 0x11, 0x22).
-        let (_, _, ok) = ByteClass::from_bytes(&[0x12, 0x21]).nibble_projections();
-        assert!(!ok);
-        // Σ is a product set.
-        let (hi, lo, ok) = ByteClass::ANY.nibble_projections();
-        assert_eq!((hi, lo, ok), (0xffff, 0xffff, true));
     }
 
     #[test]

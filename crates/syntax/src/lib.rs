@@ -10,7 +10,7 @@
 //! * [`ByteClass`] — 256-bit predicates σ ⊆ Σ with the boolean algebra the
 //!   static analysis and the CAM encoder need;
 //! * [`Regex`] — the counting-regex AST of §2 of the paper;
-//! * [`parse`] / [`parse_with`] — a POSIX/PCRE-style parser that classifies
+//! * [`parse`] — a POSIX/PCRE-style parser that classifies
 //!   out-of-fragment constructs (backreferences, lookaround, …) as
 //!   [`ErrorKind::Unsupported`], which is what Table 1's "# supported"
 //!   column counts;
@@ -46,7 +46,5 @@ mod simplify;
 pub use alphabet::{ByteAlphabet, ByteClassSet};
 pub use ast::{Regex, RepeatId, RepeatInfo, RepeatRewrite};
 pub use class::{ByteClass, Iter as ByteClassIter};
-pub use parser::{
-    parse, parse_with, ErrorKind, ParseError, ParseOptions, Parsed, Unsupported, MAX_REPEAT_BOUND,
-};
-pub use simplify::{nonnull, normalize_for_nca, simplify};
+pub use parser::{parse, ErrorKind, ParseError, Parsed, Unsupported};
+pub use simplify::{normalize_for_nca, simplify};

@@ -18,7 +18,7 @@ use std::fmt;
 /// Maximum accepted repetition bound; larger bounds are rejected to keep the
 /// analyses' token spaces within memory (the AP hardware similarly treats
 /// huge bounds as unbounded [paper §5]).
-pub const MAX_REPEAT_BOUND: u32 = 1 << 20;
+pub(crate) const MAX_REPEAT_BOUND: u32 = 1 << 20;
 
 /// What made a pattern unsupported (non-regular or out of fragment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +62,8 @@ pub enum ErrorKind {
         /// Upper bound n (< m).
         max: u32,
     },
-    /// Repetition bound larger than [`MAX_REPEAT_BOUND`].
+    /// Repetition bound larger than 2^20, the largest bound the analyses'
+    /// token spaces are sized for.
     RepeatBoundTooLarge(u64),
 }
 
@@ -73,14 +74,6 @@ pub struct ParseError {
     pub offset: usize,
     /// Classification of the failure.
     pub kind: ErrorKind,
-}
-
-impl ParseError {
-    /// Whether the pattern is valid PCRE but outside the supported regular
-    /// fragment (the paper's "unsupported operators" category).
-    pub fn is_unsupported(&self) -> bool {
-        matches!(self.kind, ErrorKind::Unsupported(_))
-    }
 }
 
 impl fmt::Display for ParseError {
@@ -110,25 +103,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parser configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseOptions {
-    /// Start in case-insensitive mode (as if the pattern began with `(?i)`).
-    pub case_insensitive: bool,
-    /// `.` matches every byte including `\n` (the paper equates `.*` with
-    /// `Σ*`); when false, `.` is `[^\n]`.
-    pub dot_matches_newline: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            case_insensitive: false,
-            dot_matches_newline: true,
-        }
-    }
-}
-
 /// Result of parsing: the counting-regex AST plus edge-anchor information.
 ///
 /// The AST itself never contains anchors; `^`/`$` at the pattern edges are
@@ -154,23 +128,10 @@ impl Parsed {
             Regex::concat(vec![Regex::star(Regex::any()), self.regex.clone()])
         }
     }
-
-    /// The whole-input membership form `Σ*·r·Σ*` (unless anchored): the
-    /// language of inputs that *contain* a match.
-    pub fn for_search(&self) -> Regex {
-        let mut parts = Vec::new();
-        if !self.anchored_start {
-            parts.push(Regex::star(Regex::any()));
-        }
-        parts.push(self.regex.clone());
-        if !self.anchored_end {
-            parts.push(Regex::star(Regex::any()));
-        }
-        Regex::concat(parts)
-    }
 }
 
-/// Parses a pattern with default options.
+/// Parses a pattern. `.` matches every byte, `\n` included (the paper
+/// equates `.*` with `Σ*`); `(?i)` turns on case folding.
 ///
 /// # Errors
 ///
@@ -188,20 +149,10 @@ impl Parsed {
 /// # }
 /// ```
 pub fn parse(pattern: &str) -> Result<Parsed, ParseError> {
-    parse_with(pattern, ParseOptions::default())
-}
-
-/// Parses a pattern with explicit [`ParseOptions`].
-///
-/// # Errors
-///
-/// Same as [`parse`].
-pub fn parse_with(pattern: &str, options: ParseOptions) -> Result<Parsed, ParseError> {
     let mut p = Parser {
         input: pattern.as_bytes(),
         pos: 0,
-        options,
-        ci: options.case_insensitive,
+        ci: false,
         saw_end_anchor: false,
     };
     let anchored_start = p.eat(b'^');
@@ -223,7 +174,6 @@ pub fn parse_with(pattern: &str, options: ParseOptions) -> Result<Parsed, ParseE
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
-    options: ParseOptions,
     ci: bool,
     /// Set when the top level consumed a final `$`.
     saw_end_anchor: bool,
@@ -416,14 +366,7 @@ impl<'a> Parser<'a> {
         let at = self.pos;
         let b = self.bump().expect("caller checked non-empty");
         match b {
-            b'.' => {
-                let c = if self.options.dot_matches_newline {
-                    ByteClass::ANY
-                } else {
-                    ByteClass::singleton(b'\n').complement()
-                };
-                Ok(Regex::Class(c))
-            }
+            b'.' => Ok(Regex::Class(ByteClass::ANY)),
             b'(' => self.parse_group(at),
             b'[' => {
                 let c = self.parse_class(at)?;
@@ -819,7 +762,6 @@ mod tests {
         let p = parse("abc").unwrap();
         assert!(!p.anchored_start && !p.anchored_end);
         assert_eq!(p.for_stream().to_string(), ".*abc");
-        assert_eq!(p.for_search().to_string(), ".*abc.*");
         let p = parse("^abc").unwrap();
         assert_eq!(p.for_stream().to_string(), "abc");
         // Inner anchors are unsupported.
@@ -851,8 +793,14 @@ mod tests {
             parse(r"\bword\b").unwrap_err().kind,
             ErrorKind::Unsupported(Unsupported::WordBoundary)
         ));
-        assert!(parse(r"(a)\1").unwrap_err().is_unsupported());
-        assert!(!parse("a(").unwrap_err().is_unsupported());
+        assert!(matches!(
+            parse(r"(a)\1").unwrap_err().kind,
+            ErrorKind::Unsupported(_)
+        ));
+        assert!(!matches!(
+            parse("a(").unwrap_err().kind,
+            ErrorKind::Unsupported(_)
+        ));
     }
 
     #[test]
@@ -891,15 +839,6 @@ mod tests {
     fn case_insensitive() {
         let p = parse("(?i)abc").unwrap();
         assert_eq!(p.regex.to_string(), "[Aa][Bb][Cc]");
-        let p = parse_with(
-            "ab",
-            ParseOptions {
-                case_insensitive: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(p.regex.to_string(), "[Aa][Bb]");
         // Scoped flag group restores outer mode.
         let p = parse("(?i:a)b").unwrap();
         assert_eq!(p.regex.to_string(), "[Aa]b");
@@ -908,18 +847,8 @@ mod tests {
     #[test]
     fn dot_modes() {
         assert_eq!(ast("."), Regex::any());
-        let p = parse_with(
-            ".",
-            ParseOptions {
-                dot_matches_newline: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            p.regex,
-            Regex::Class(ByteClass::singleton(b'\n').complement())
-        );
+        assert!(ByteClass::ANY.contains(b'\n'));
+        assert_eq!(ast("(?s)."), Regex::any());
     }
 
     #[test]

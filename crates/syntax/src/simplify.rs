@@ -152,7 +152,7 @@ fn simplify_repeat(inner: Regex, min: u32, max: Option<u32>) -> Regex {
 ///
 /// This is the ε-stripping transformation used to normalize nullable
 /// repetition bodies before the Glushkov construction.
-pub fn nonnull(r: &Regex) -> Regex {
+pub(crate) fn nonnull(r: &Regex) -> Regex {
     if !r.nullable() {
         return r.clone();
     }

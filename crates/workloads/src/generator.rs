@@ -404,7 +404,10 @@ mod tests {
                 match class {
                     PatternClass::Unsupported => {
                         let err = parsed.expect_err("intended-unsupported must not parse");
-                        assert!(err.is_unsupported(), "{p}: wrong rejection {err}");
+                        assert!(
+                            matches!(err.kind, recama_syntax::ErrorKind::Unsupported(_)),
+                            "{p}: wrong rejection {err}"
+                        );
                     }
                     _ => {
                         let parsed = parsed.unwrap_or_else(|e| panic!("{p}: {e}"));

@@ -23,7 +23,7 @@
 
 mod generator;
 mod profiles;
-pub mod sample;
+mod sample;
 
 pub use generator::{generate, traffic, PatternClass, Ruleset};
 pub use profiles::{paper_table1, profile, BenchmarkId, Profile, Table1Row};

@@ -9,7 +9,7 @@ use recama_syntax::Regex;
 /// Iteration counts for `*`/`+`/`{m,}` are kept small (geometric); bounded
 /// repetitions sample a count in `[m, min(n, m+4)]` to keep planted matches
 /// short.
-pub fn sample_match(regex: &Regex, rng: &mut impl Rng) -> Option<Vec<u8>> {
+pub(crate) fn sample_match(regex: &Regex, rng: &mut impl Rng) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     if walk(regex, rng, &mut out) {
         Some(out)

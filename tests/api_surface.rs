@@ -1,9 +1,13 @@
-//! Snapshot of `recama`'s exported public surface (the crate root, not
-//! the re-exported sub-crates), without macros or rustdoc JSON:
+//! Snapshot of the exported public surface of `recama` and of its seven
+//! sub-crates, without macros or rustdoc JSON:
 //!
-//! * `ROOT_EXPORTS` is the checked-in listing of every name exported
-//!   from the crate root — reviewed like a lockfile, so adding or
-//!   removing an export is a visible diff in this file;
+//! * one listing per crate (`ROOT_EXPORTS`, `ANALYSIS_EXPORTS`, …) names
+//!   every item its `lib.rs` exports: the names in its `pub use` lists
+//!   (the alias after `as`, otherwise the last path segment), its
+//!   `pub mod`s and its top-level `pub` items. `export_listings_match_lib_rs`
+//!   reads each `lib.rs` and fails when the two differ, so adding or
+//!   removing an export is a visible diff in this file — reviewed like
+//!   a lockfile;
 //! * the `signature pins` below coerce each important method to an
 //!   explicit `fn` pointer type, so changing an exported signature
 //!   fails to *compile* this test rather than silently drifting.
@@ -15,10 +19,10 @@ use recama::compiler::CompileOptions;
 use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama::syntax::ParseError;
 use recama::{
-    CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FaultPolicy, FlowId,
-    FlowMatch, FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, PrefilterMetrics,
-    PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics,
-    SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream, SkippedRule,
+    CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FlowId, FlowMatch,
+    FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, PrefilterMetrics, PrefilterMode,
+    RuleMatch, ServeConfig, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics, SetMatch,
+    SetSpan, ShardedPatternSet, ShardedSetStream, SkippedRule,
 };
 use std::task::Poll;
 use std::time::Duration;
@@ -26,7 +30,7 @@ use std::time::Duration;
 /// Every name exported from the `recama` crate root, sorted. Module
 /// re-exports of the sub-crates (`analysis`, `compiler`, `hw`, `mnrl`,
 /// `nca`, `syntax`, `workloads`) and the `sched` module are listed as
-/// modules, not expanded.
+/// modules, not expanded: each sub-crate has a listing of its own.
 const ROOT_EXPORTS: &[&str] = &[
     "CompileError",
     "CompilePhase",
@@ -35,7 +39,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "EngineBuilder",
     "FaultMetrics",
     "FaultPlan (feature fault-inject only)",
-    "FaultPolicy",
     "FlowId",
     "FlowMatch",
     "FlowScheduler",
@@ -67,11 +70,322 @@ const ROOT_EXPORTS: &[&str] = &[
     "mod workloads",
 ];
 
+const ANALYSIS_EXPORTS: &[&str] = &[
+    "AnalysisStats",
+    "CheckConfig",
+    "Classification",
+    "DecidedBy",
+    "ExactConfig",
+    "Method",
+    "NcaAnalysis",
+    "OccurrenceCheck",
+    "OccurrenceVerdict",
+    "RegexCheck",
+    "StopPolicy",
+    "Verdict",
+    "analyze_nca",
+    "approx_occurrence",
+    "check",
+    "check_occurrence",
+    "classify",
+    "degree",
+    "glushkov_build",
+    "mod hardness",
+];
+
+const COMPILER_EXPORTS: &[&str] = &[
+    "COUNTER_MAX_BOUND",
+    "CompileOptions",
+    "CompileOutput",
+    "CompileReport",
+    "DecidedBy",
+    "ModuleKind",
+    "RulesetOutput",
+    "compile",
+    "compile_ruleset",
+    "emit",
+    "merge_rule_networks",
+    "unfold_by_ids",
+];
+
+const HW_EXPORTS: &[&str] = &[
+    "AreaGranularity",
+    "AreaReport",
+    "EdgeStats",
+    "EnergyReport",
+    "HwRun",
+    "HwSimulator",
+    "Loc",
+    "Placement",
+    "RuleCost",
+    "ShardBudget",
+    "ShardPlan",
+    "ShardPolicy",
+    "area_report",
+    "energy_report",
+    "mod params",
+    "place",
+    "run",
+];
+
+const MNRL_EXPORTS: &[&str] = &[
+    "Connection",
+    "Enable",
+    "MnrlError",
+    "MnrlNetwork",
+    "Node",
+    "NodeKind",
+    "Port",
+    "mod jsonval",
+];
+
+const NCA_EXPORTS: &[&str] = &[
+    "ActionOp",
+    "CompilePlan",
+    "CompiledEngine",
+    "CounterId",
+    "CounterInfo",
+    "DEFAULT_STATE_BUDGET",
+    "Engine",
+    "GuardAtom",
+    "HybridCache",
+    "HybridEngine",
+    "HybridStats",
+    "LOCKSTEP_LANES",
+    "MultiNca",
+    "MultiReport",
+    "Nca",
+    "Prepared",
+    "ScanMode",
+    "ShardStream",
+    "ShardedMulti",
+    "State",
+    "StateId",
+    "StorageMode",
+    "Token",
+    "TokenSetEngine",
+    "Transition",
+    "UnfoldPolicy",
+    "match_ends",
+    "matches",
+    "mod glushkov",
+    "unfold",
+    "unfold_one",
+    "unfolded_leaves",
+];
+
+const SYNTAX_EXPORTS: &[&str] = &[
+    "ByteAlphabet",
+    "ByteClass",
+    "ByteClassIter",
+    "ByteClassSet",
+    "ErrorKind",
+    "ParseError",
+    "Parsed",
+    "Regex",
+    "RepeatId",
+    "RepeatInfo",
+    "RepeatRewrite",
+    "Unsupported",
+    "mod naive",
+    "normalize_for_nca",
+    "parse",
+    "simplify",
+];
+
+const WORKLOADS_EXPORTS: &[&str] = &[
+    "BenchmarkId",
+    "PatternClass",
+    "Profile",
+    "Ruleset",
+    "Table1Row",
+    "generate",
+    "paper_table1",
+    "profile",
+    "traffic",
+];
+
+/// Each crate's `lib.rs` beside the listing it must match.
+const LISTINGS: &[(&str, &str, &[&str])] = &[
+    (
+        "recama",
+        include_str!("../crates/core/src/lib.rs"),
+        ROOT_EXPORTS,
+    ),
+    (
+        "recama-analysis",
+        include_str!("../crates/analysis/src/lib.rs"),
+        ANALYSIS_EXPORTS,
+    ),
+    (
+        "recama-compiler",
+        include_str!("../crates/compiler/src/lib.rs"),
+        COMPILER_EXPORTS,
+    ),
+    (
+        "recama-hw",
+        include_str!("../crates/hw/src/lib.rs"),
+        HW_EXPORTS,
+    ),
+    (
+        "recama-mnrl",
+        include_str!("../crates/mnrl/src/lib.rs"),
+        MNRL_EXPORTS,
+    ),
+    (
+        "recama-nca",
+        include_str!("../crates/nca/src/lib.rs"),
+        NCA_EXPORTS,
+    ),
+    (
+        "recama-syntax",
+        include_str!("../crates/syntax/src/lib.rs"),
+        SYNTAX_EXPORTS,
+    ),
+    (
+        "recama-workloads",
+        include_str!("../crates/workloads/src/lib.rs"),
+        WORKLOADS_EXPORTS,
+    ),
+];
+
+/// The names a `lib.rs` exports, sorted: every `pub use` list entry
+/// (its alias after `as`, otherwise its last path segment; a whole
+/// crate re-exported under an alias is `mod alias`), every `pub mod` as
+/// `mod name`, and every top-level `pub fn`/`struct`/`enum`/`const`/
+/// `type`/`trait`. An export behind `#[cfg(feature = "f")]` is suffixed
+/// ` (feature f only)`.
+fn exports(lib_rs: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut feature: Option<&str> = None;
+    let mut lines = lib_rs.lines();
+    while let Some(line) = lines.next() {
+        if let Some(rest) = line.strip_prefix("#[cfg(feature = \"") {
+            feature = rest.split('"').next();
+            continue;
+        }
+        let mut found = Vec::new();
+        if let Some(tree) = line.strip_prefix("pub use ") {
+            let mut tree = tree.to_string();
+            while !tree.trim_end().ends_with(';') {
+                tree.push_str(lines.next().expect("`pub use` ends with `;`"));
+            }
+            use_tree_names(tree.trim_end().trim_end_matches(';'), true, &mut found);
+        } else if let Some(rest) = line.strip_prefix("pub mod ") {
+            found.push(format!("mod {}", ident(rest)));
+        } else {
+            for kind in ["fn ", "struct ", "enum ", "const ", "type ", "trait "] {
+                if let Some(rest) = line.strip_prefix("pub ").and_then(|l| l.strip_prefix(kind)) {
+                    found.push(ident(rest).to_string());
+                }
+            }
+        }
+        for name in found {
+            names.push(match feature {
+                Some(f) => format!("{name} (feature {f} only)"),
+                None => name,
+            });
+        }
+        feature = None;
+    }
+    names.sort();
+    names
+}
+
+/// The leading identifier of `text`.
+fn ident(text: &str) -> &str {
+    let end = (text.find(|c: char| !c.is_alphanumeric() && c != '_')).unwrap_or(text.len());
+    &text[..end]
+}
+
+/// The names one use tree (`a::b`, `a::{b, c as d}`, `a as b`) brings
+/// in; a `top` tree of one path segment names a crate.
+fn use_tree_names(tree: &str, top: bool, out: &mut Vec<String>) {
+    let tree = tree.trim();
+    if let Some(open) = tree.find('{') {
+        let inner = &tree[open + 1..tree.rfind('}').expect("balanced braces")];
+        let mut depth = 0;
+        let mut start = 0;
+        for (i, c) in inner.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                ',' if depth == 0 => {
+                    use_tree_names(&inner[start..i], false, out);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        use_tree_names(&inner[start..], false, out);
+    } else if let Some((path, alias)) = tree.split_once(" as ") {
+        out.push(match top && !path.contains("::") {
+            true => format!("mod {}", alias.trim()),
+            false => alias.trim().to_string(),
+        });
+    } else if !tree.is_empty() {
+        out.push(tree.rsplit("::").next().unwrap().to_string());
+    }
+}
+
 #[test]
 fn export_listing_is_sorted_and_unique() {
-    assert!(
-        ROOT_EXPORTS.windows(2).all(|w| w[0] < w[1]),
-        "keep ROOT_EXPORTS sorted so diffs stay reviewable"
+    for (krate, _, listing) in LISTINGS {
+        assert!(
+            listing.windows(2).all(|w| w[0] < w[1]),
+            "keep the {krate} listing sorted so diffs stay reviewable"
+        );
+    }
+}
+
+#[test]
+fn export_listings_match_lib_rs() {
+    let mut drift = Vec::new();
+    for (krate, lib_rs, listing) in LISTINGS {
+        let found = exports(lib_rs);
+        let added: Vec<_> = (found.iter())
+            .filter(|n| !listing.contains(&n.as_str()))
+            .collect();
+        let gone: Vec<_> = (listing.iter())
+            .filter(|n| !found.iter().any(|f| f == *n))
+            .collect();
+        if !added.is_empty() || !gone.is_empty() {
+            drift.push(format!(
+                "{krate}: lib.rs exports {added:?} beyond its listing, and no longer {gone:?}"
+            ));
+        }
+    }
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
+}
+
+/// The extraction the listing check relies on, on a `lib.rs` of every
+/// shape the crates use.
+#[test]
+fn exports_reads_every_export_form() {
+    let lib_rs = "//! pub use docs::Ignored;\n\
+                  pub mod sched;\n\
+                  mod private;\n\
+                  pub use recama_nca as nca;\n\
+                  pub use a::{\n    B, c::D as E, I as J,\n    f::{G, H},\n};\n\
+                  #[cfg(feature = \"fault-inject\")]\n\
+                  pub use service::FaultPlan;\n\
+                  pub(crate) fn hidden() {}\n\
+                  pub fn shown(x: u8) {}\n\
+                  pub struct Pattern {\n    pub field: u8,\n}\n";
+    assert_eq!(
+        exports(lib_rs),
+        [
+            "B",
+            "E",
+            "FaultPlan (feature fault-inject only)",
+            "G",
+            "H",
+            "J",
+            "Pattern",
+            "mod nca",
+            "mod sched",
+            "shown",
+        ]
     );
 }
 
@@ -88,8 +402,6 @@ fn engine_builder_signatures() {
     let _: fn(EngineBuilder, Vec<String>) -> EngineBuilder = |b, ps| b.patterns(ps);
     let _: fn(EngineBuilder, CompileOptions) -> EngineBuilder = EngineBuilder::options;
     let _: fn(EngineBuilder, ShardPolicy) -> EngineBuilder = EngineBuilder::shard_policy;
-    let _: fn(EngineBuilder, usize) -> EngineBuilder = EngineBuilder::workers;
-    let _: fn(EngineBuilder, ServeConfig) -> EngineBuilder = EngineBuilder::serve_config;
     let _: fn(EngineBuilder, bool) -> EngineBuilder = EngineBuilder::lossy;
     let _: fn(EngineBuilder, PrefilterMode) -> EngineBuilder = EngineBuilder::prefilter;
     let _: fn(EngineBuilder) -> Result<Engine, CompileError> = EngineBuilder::build;
@@ -101,17 +413,13 @@ fn engine_signatures() {
     let _: fn(&Engine, &[u8]) -> Vec<SetSpan> = |e, h| e.scan_spans(h);
     let _: fn(&Engine, &[u8]) -> bool = |e, h| e.is_match(h);
     let _: for<'a> fn(&'a Engine) -> ShardedSetStream<'a> = |e| e.stream();
-    let _: fn(&Engine) -> FlowScheduler = |e| e.scheduler();
     let _: fn(&Engine, usize) -> FlowScheduler = |e, w| e.scheduler_with(w);
     let _: fn(&Engine) -> ServiceHandle = |e| e.serve();
     let _: fn(&Engine, usize, ServeConfig) -> ServiceHandle = |e, w, c| e.serve_with(w, c);
-    let _: fn(Engine) -> ServiceHandle = Engine::into_service;
-    let _: fn(&Engine) -> ServeConfig = Engine::serve_config;
     let _: fn(&Engine) -> usize = Engine::len;
     let _: fn(&Engine) -> bool = Engine::is_empty;
     let _: for<'a> fn(&'a Engine, usize) -> &'a str = |e, i| e.pattern(i);
     let _: fn(&Engine, usize) -> u64 = Engine::rule_id;
-    let _: fn(&Engine, usize) -> usize = Engine::source_index;
     let _: for<'a> fn(&'a Engine) -> &'a [SkippedRule] = |e| e.skipped();
     let _: fn(&Engine) -> usize = Engine::shard_count;
     // Two partitions, one type: the bank plan and the scan partition.
@@ -120,9 +428,7 @@ fn engine_signatures() {
     let _: for<'a> fn(&'a ShardedPatternSet) -> &'a ShardPlan = |s| s.scan_groups();
     let _: fn(&[RuleCost], &ShardBudget) -> ShardPlan = ShardPlan::next_fit;
     let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
-    let _: fn(&Engine) -> usize = Engine::workers;
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
-    let _: fn(Engine) -> ShardedPatternSet = Engine::into_set;
 }
 
 #[test]
@@ -136,10 +442,8 @@ fn service_handle_signatures() {
     let _: fn(&ServiceHandle) = |s| s.barrier();
     let _: fn(&ServiceHandle, FlowId) -> Vec<RuleMatch> = |s, f| s.finishing(f);
     let _: fn(&ServiceHandle) -> Vec<ServiceEvent> = |s| s.drain_global();
-    let _: fn(&ServiceHandle) -> Vec<FlowId> = |s| s.evictions();
     let _: fn(&ServiceHandle) -> ServiceMetrics = |s| s.metrics();
     let _: fn(&ServiceHandle, &Engine) -> u64 = |s, e| s.reload(e);
-    let _: fn(&ServiceHandle, Vec<String>) -> Result<u64, CompileError> = |s, r| s.reload_rules(r);
     let _: fn(&ServiceHandle) -> u64 = |s| s.epoch();
     let _: fn(&ServiceHandle) -> usize = |s| s.flow_count();
     let _: fn(&ServiceHandle, FlowId) -> Option<u64> = |s, f| s.flow_len(f);
@@ -168,7 +472,7 @@ fn service_handle_signatures() {
 #[test]
 fn flow_scheduler_signatures() {
     // Owned like the handle it drives: no engine borrow, and no public
-    // constructor — `Engine::scheduler{,_with}` is the way in.
+    // constructor — `Engine::scheduler_with` is the way in.
     fn assert_owned<T: Send + Sync + 'static>() {}
     assert_owned::<FlowScheduler>();
 
@@ -220,6 +524,8 @@ fn pin_skipped_rule(s: SkippedRule) -> (usize, u64, String, ParseError) {
     (index, id, pattern, error)
 }
 
+/// The eight settable values of a service: six on [`ServeConfig`], two
+/// on its [`OverloadPolicy`].
 #[allow(dead_code)]
 #[allow(clippy::type_complexity)] // the pin IS the explicit shape
 fn pin_serve_config(
@@ -227,10 +533,8 @@ fn pin_serve_config(
 ) -> (
     usize,
     Option<Duration>,
-    Option<Duration>,
     usize,
     u64,
-    FaultPolicy,
     u32,
     Duration,
     OverloadPolicy,
@@ -238,10 +542,8 @@ fn pin_serve_config(
     let ServeConfig {
         flow_budget,
         idle_timeout,
-        sweep_interval,
         max_flows,
         max_buffered_bytes,
-        fault_policy,
         restart_budget,
         restart_backoff,
         overload,
@@ -249,10 +551,8 @@ fn pin_serve_config(
     (
         flow_budget,
         idle_timeout,
-        sweep_interval,
         max_flows,
         max_buffered_bytes,
-        fault_policy,
         restart_budget,
         restart_backoff,
         overload,
@@ -260,13 +560,12 @@ fn pin_serve_config(
 }
 
 #[allow(dead_code)]
-fn pin_overload_policy(o: OverloadPolicy) -> (Option<usize>, Option<u64>, bool) {
+fn pin_overload_policy(o: OverloadPolicy) -> (Option<u64>, bool) {
     let OverloadPolicy {
-        max_queue_depth,
         max_pending_bytes,
         evict_on_shed,
     } = o;
-    (max_queue_depth, max_pending_bytes, evict_on_shed)
+    (max_pending_bytes, evict_on_shed)
 }
 
 #[allow(dead_code)]
@@ -377,19 +676,6 @@ fn pin_match_types(m: SetMatch, s: SetSpan, f: FlowMatch, p: MatchSpan) -> [usiz
     [
         m.pattern, m.end, s.pattern, s.start, s.end, f.pattern, f.end, p.start,
     ]
-}
-
-#[test]
-fn fault_policy_variants_are_stable() {
-    // Exhaustive match: a new policy variant must be added here (and
-    // documented on ServeConfig) deliberately. Isolate is the default.
-    assert_eq!(FaultPolicy::default(), FaultPolicy::Isolate);
-    for policy in [FaultPolicy::Isolate, FaultPolicy::FailStop] {
-        match policy {
-            FaultPolicy::Isolate => {}
-            FaultPolicy::FailStop => {}
-        }
-    }
 }
 
 #[allow(dead_code)]

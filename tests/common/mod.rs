@@ -10,7 +10,6 @@ use recama::nca::Engine as _;
 use recama::workloads::{generate, BenchmarkId, PatternClass};
 use recama::{
     Engine, EngineBuilder, FlowId, Pattern, RuleMatch, ScanMode, ServiceHandle, SetMatch,
-    ShardedPatternSet,
 };
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
@@ -74,14 +73,14 @@ pub fn tiny_budget() -> ShardPolicy {
 }
 
 /// `patterns` compiled under `policy` with every other knob at its
-/// default ([`ShardPolicy::Single`] is the one merged image).
-pub fn set_with<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> ShardedPatternSet {
+/// default ([`ShardPolicy::Single`] is the one merged image); its set
+/// is [`Engine::set`].
+pub fn set_with<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> Engine {
     Engine::builder()
         .patterns(patterns)
         .shard_policy(policy)
         .build()
         .unwrap()
-        .into_set()
 }
 
 /// The independent oracle of every scan: each pattern of a ruleset

@@ -12,6 +12,7 @@ mod common;
 use common::matrix::{cells, run_knobs, Driver, Flow, Scan, DRIVERS};
 use common::{in_scan_groups, scan_oracle};
 use recama::hw::ShardPolicy;
+use recama::syntax::ErrorKind;
 use recama::{
     CompilePhase, Engine, PrefilterMode, RuleMatch, ServeConfig, ServeError, SetMatch,
     DEFAULT_STATE_BUDGET,
@@ -104,11 +105,10 @@ fn lossy_build_records_skipped_rules_queryably() {
     assert_eq!(skipped[0].index, 1);
     assert_eq!(skipped[0].id, 11);
     assert_eq!(skipped[0].pattern, r"(x)\1");
-    assert!(skipped[0].error.is_unsupported());
-    // Compiled indices remap onto the original add order and ids.
-    assert_eq!(engine.source_index(0), 0);
-    assert_eq!(engine.source_index(1), 2);
-    assert_eq!(engine.rule_id(1), 12);
+    assert!(matches!(skipped[0].error.kind, ErrorKind::Unsupported(_)));
+    // Compiled indices remap onto the original rules and ids.
+    assert_eq!((engine.rule_id(0), engine.pattern(0)), (10, "a{2}"));
+    assert_eq!((engine.rule_id(1), engine.pattern(1)), (12, "b{3}"));
     assert!(engine.is_match(b"bbb"));
 }
 
@@ -179,10 +179,10 @@ fn reset_stream_equals_fresh_stream_including_finish() {
 
 #[test]
 fn scheduler_from_engine_serves_flows() {
-    let builder = Engine::builder().patterns(["ab{2}c", "xyz"]).workers(2);
+    let builder = Engine::builder().patterns(["ab{2}c", "xyz"]);
     let engine = in_scan_groups(builder, 2);
-    assert_eq!(engine.workers(), 2);
-    let sched = engine.scheduler();
+    let sched = engine.scheduler_with(2);
+    assert_eq!(sched.workers(), 2);
     sched.push(7, b"..ab");
     sched.push(9, b"xy");
     sched.run();
@@ -235,10 +235,9 @@ fn batched_units_report_like_streams_and_count_their_scan_once() {
     for workers in [1usize, 2] {
         let builder = Engine::builder()
             .patterns(patterns)
-            .prefilter(recama::PrefilterMode::Off)
-            .workers(workers);
+            .prefilter(recama::PrefilterMode::Off);
         let engine = in_scan_groups(builder, 2);
-        let svc = engine.serve();
+        let svc = engine.serve_with(workers, ServeConfig::default());
         let ids: Vec<_> = flows.iter().map(|_| svc.try_open_flow().unwrap()).collect();
         let started = std::time::Instant::now();
         for (id, data) in ids.iter().zip(&flows) {
@@ -274,15 +273,7 @@ fn batched_units_report_like_streams_and_count_their_scan_once() {
 
 #[test]
 fn blocking_push_streams_a_large_flow_through_a_small_budget() {
-    let engine = Engine::builder()
-        .patterns(["kk"])
-        .workers(2)
-        .serve_config(ServeConfig {
-            flow_budget: 64,
-            ..ServeConfig::default()
-        })
-        .build()
-        .unwrap();
+    let engine = Engine::new(["kk"]).unwrap();
     // 100 chunks of 48 bytes through a 64-byte budget: producers must
     // repeatedly block on the space condvar and be woken by check-ins.
     let chunk = {
@@ -291,7 +282,13 @@ fn blocking_push_streams_a_large_flow_through_a_small_budget() {
         c[21] = b'k';
         c
     };
-    let svc = engine.serve();
+    let svc = engine.serve_with(
+        2,
+        ServeConfig {
+            flow_budget: 64,
+            ..ServeConfig::default()
+        },
+    );
     let flow = svc.try_open_flow().unwrap();
     for _ in 0..100 {
         svc.push_checked(flow, &chunk).unwrap();
@@ -305,28 +302,28 @@ fn blocking_push_streams_a_large_flow_through_a_small_budget() {
 
 #[test]
 fn service_evicts_idle_flows() {
-    let engine = Engine::builder()
-        .patterns(["ab$", "ab"])
-        .workers(1)
-        .serve_config(ServeConfig {
+    let engine = Engine::new(["ab$", "ab"]).unwrap();
+    let svc = engine.serve_with(
+        1,
+        ServeConfig {
             idle_timeout: Some(Duration::from_millis(20)),
             ..ServeConfig::default()
-        })
-        .build()
-        .unwrap();
-    let svc = engine.serve();
+        },
+    );
     let flow = svc.try_open_flow().unwrap();
     assert_eq!(svc.try_push(flow, b"..ab"), Poll::Ready(4));
     svc.barrier();
     // Go quiet: the parked worker's periodic sweep must close the
     // flow. Wait generously for slow CI machines.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut evicted = svc.evictions();
-    while evicted.is_empty() && std::time::Instant::now() < deadline {
+    while svc.metrics().idle_evictions == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
-        evicted = svc.evictions();
     }
-    assert_eq!(evicted, vec![flow]);
+    assert_eq!(svc.metrics().idle_evictions, 1);
+    // The sweep closed this flow (nobody called close()); it stays
+    // tracked while it has reports to poll.
+    assert!(svc.is_live(flow));
+    assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
     // Eviction behaves exactly like close(): reports stay pollable and
     // the $-anchored finishing set resolves at the flow's final byte.
     assert_eq!(
@@ -344,35 +341,44 @@ fn service_evicts_idle_flows() {
 /// must still evict a quiet one.
 #[test]
 fn service_evicts_idle_flows_under_sustained_load() {
-    let engine = Engine::builder()
-        .patterns(["ab"])
-        .workers(1)
-        .serve_config(ServeConfig {
+    let engine = Engine::new(["ab"]).unwrap();
+    let svc = engine.serve_with(
+        1,
+        ServeConfig {
             idle_timeout: Some(Duration::from_millis(20)),
             ..ServeConfig::default()
-        })
-        .build()
-        .unwrap();
-    let svc = engine.serve();
+        },
+    );
     let mut busy = svc.try_open_flow().unwrap();
     let quiet = svc.try_open_flow().unwrap();
     assert_eq!(svc.try_push(quiet, b"..ab"), Poll::Ready(4)); // then silent
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut evicted = svc.evictions();
     // Keep the single worker continuously busy with one flow while the
-    // other sits idle past the timeout.
-    while !evicted.contains(&quiet) && std::time::Instant::now() < deadline {
-        // On a starved 1-core box the producer itself can stall past
-        // the timeout, legitimately evicting the busy flow too: carry
-        // on with a fresh one — only the quiet flow is pinned.
+    // other sits idle past the timeout. Probing the quiet flow with a
+    // push would refresh its activity, so the counter tells: on a
+    // starved 1-core box the producer itself can stall past the
+    // timeout, legitimately evicting the busy flow too — carry on with
+    // a fresh one and count it. The count is read before the push that
+    // would notice a busy eviction, so more evictions than noticed
+    // busy ones means the quiet flow went.
+    let mut busy_evicted = 0;
+    loop {
+        let evicted = svc.metrics().idle_evictions;
         if svc.push_checked(busy, &[b'a'; 4096]) == Err(ServeError::Closed) {
+            busy_evicted += 1;
             busy = svc.try_open_flow().unwrap();
         }
-        evicted.extend(svc.evictions());
+        if evicted > busy_evicted || std::time::Instant::now() >= deadline {
+            break;
+        }
     }
     svc.close(busy);
     svc.barrier();
-    assert!(evicted.contains(&quiet), "the busy worker must still sweep");
+    assert_eq!(
+        svc.push_checked(quiet, b"ab"),
+        Err(ServeError::Closed),
+        "the busy worker must still sweep the quiet flow"
+    );
     assert_eq!(
         svc.poll_checked(quiet).unwrap(),
         vec![RuleMatch { rule: 0, end: 4 }],
@@ -439,12 +445,8 @@ fn engine_and_service_are_send_sync() {
     assert_send_sync::<ServeConfig>();
 
     // Producers really can fan out over one shared handle.
-    let engine = Engine::builder()
-        .patterns(["kk"])
-        .workers(2)
-        .build()
-        .unwrap();
-    let svc = engine.serve();
+    let engine = Engine::new(["kk"]).unwrap();
+    let svc = engine.serve_with(2, ServeConfig::default());
     let flows: Vec<_> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
     std::thread::scope(|scope| {
         let svc = &svc;

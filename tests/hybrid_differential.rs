@@ -298,7 +298,7 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     };
 
     let hybrid = engine(ScanMode::Hybrid { state_budget: 128 });
-    let sched = hybrid.scheduler();
+    let sched = hybrid.scheduler_with(1);
     sched.push(1, input);
     sched.run();
     let stats = sched.hybrid_stats().expect("hybrid mode exposes stats");
@@ -314,7 +314,7 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     );
 
     let exact = engine(ScanMode::Nca);
-    let sched = exact.scheduler();
+    let sched = exact.scheduler_with(1);
     sched.push(1, input);
     sched.run();
     assert_eq!(sched.hybrid_stats(), None, "Nca mode has no overlay");

@@ -91,7 +91,8 @@ fn one_percent_snort_acceptance() {
     // network, valid and placed, with per-pattern report ids, reporting
     // the per-pattern oracle on generated traffic.
     let (patterns, input) = profile_traffic(BenchmarkId::Snort, 0.01, 2022, 600, 4096, 0.001);
-    let set = set_with(&patterns, ShardPolicy::Single);
+    let engine = set_with(&patterns, ShardPolicy::Single);
+    let set = engine.set();
     assert!(
         set.network(0).validate().is_empty(),
         "{:?}",
@@ -141,7 +142,8 @@ fn module_decisions_are_preserved_per_pattern() {
     // Merging must not change what the compiler decided per pattern:
     // compile the same patterns alone and as a set and compare modules.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
-    let set = set_with(&patterns, ShardPolicy::Single);
+    let engine = set_with(&patterns, ShardPolicy::Single);
+    let set = engine.set();
     for (i, p) in patterns.iter().enumerate() {
         let alone = recama::compiler::compile(
             &recama::syntax::parse(p).unwrap().for_stream(),

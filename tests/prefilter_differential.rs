@@ -414,10 +414,10 @@ mod service {
     //! literal set, and the metrics block.
 
     use crate::common::{push_chunked, scan_oracle};
-    use recama::{Engine, PrefilterMode};
+    use recama::{Engine, PrefilterMode, ServeConfig};
 
     fn build(rules: &[(u64, &str)], mode: PrefilterMode) -> Engine {
-        let mut b = Engine::builder().workers(2).prefilter(mode);
+        let mut b = Engine::builder().prefilter(mode);
         for (id, p) in rules {
             b = b.rule(*id, *p);
         }
@@ -441,7 +441,7 @@ mod service {
         let pre: &[u8] = b"..alpha7..omega..del";
         let post: &[u8] = b"ta9..delta5..omega";
 
-        let svc = a.serve();
+        let svc = a.serve_with(2, ServeConfig::default());
         let flow = svc.try_open_flow().unwrap();
         push_chunked(&svc, flow, pre, 0x9e37, 5);
         svc.barrier(); // drained: the cut lands at the pre/post boundary
@@ -475,7 +475,7 @@ mod service {
     #[test]
     fn metrics_block_absent_when_the_filter_is_off() {
         let eng = build(&[(1, "magic")], PrefilterMode::Off);
-        let svc = eng.serve();
+        let svc = eng.serve_with(2, ServeConfig::default());
         let flow = svc.try_open_flow().unwrap();
         svc.push_checked(flow, b"..magic..").unwrap();
         svc.close(flow);
@@ -493,7 +493,7 @@ mod quarantine {
     //! mid-literal across the fault.
 
     use crate::common::scan_oracle;
-    use recama::{Engine, FaultPlan, FlowId, PrefilterMode, ServeError};
+    use recama::{Engine, FaultPlan, FlowId, PrefilterMode, ServeConfig, ServeError};
 
     fn rules() -> [(u64, &'static str); 2] {
         [(1, "needle[0-9]z"), (2, "magicword")]
@@ -512,7 +512,6 @@ mod quarantine {
             Engine::builder()
                 .rule(ra, pa)
                 .rule(rb, pb)
-                .workers(2)
                 .prefilter(PrefilterMode::On)
                 .fault_plan(plan)
                 .build()
@@ -528,7 +527,7 @@ mod quarantine {
                 .unwrap()
         };
 
-        let svc = engine.serve();
+        let svc = engine.serve_with(2, ServeConfig::default());
         let flows: Vec<FlowId> = (0..3).map(|_| svc.try_open_flow().unwrap()).collect();
 
         // Sibling rounds: benign, then a literal cut mid-word twice.

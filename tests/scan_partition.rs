@@ -91,7 +91,7 @@ fn assert_next_fit(engine: &Engine, state_budget: usize, what: &str) {
         .map(|out| out.nca.state_count())
         .collect();
     let groups = engine.scan_groups();
-    assert_eq!(groups.rule_count(), engine.len(), "{what}");
+    assert_eq!(groups.shards().concat().len(), engine.len(), "{what}");
     assert_eq!(
         groups.shards().concat(),
         (0..engine.len()).collect::<Vec<_>>(),

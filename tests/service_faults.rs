@@ -24,12 +24,11 @@ use recama::{
 };
 use std::time::Duration;
 
-fn engine_with(plan: FaultPlan, workers: usize) -> Engine {
+fn engine_with(plan: FaultPlan) -> Engine {
     Engine::builder()
         .rule(10, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(30, "k[0-9]{2,4}m")
-        .workers(workers)
         .fault_plan(plan)
         .build()
         .unwrap()
@@ -64,8 +63,8 @@ fn assert_clean(m: &ServiceMetrics) {
 fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
     let chunks: &[&[u8]] = &[b".abbc.", b"k12m..", b"xyz.ab", b"bc.xyz"];
     let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: flow 1 dies at scan 2");
-    let engine = engine_with(plan, 2);
-    let svc = engine.serve();
+    let engine = engine_with(plan);
+    let svc = engine.serve_with(2, ServeConfig::default());
 
     let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
     drive(&svc, &flows, chunks);
@@ -147,7 +146,7 @@ fn randomized_faults_never_leak_into_sibling_flows() {
     /// Runs the fixed schedule and returns each flow's full drained
     /// output, or `None` for a quarantined flow.
     fn run(workers: usize, plan: FaultPlan, reload_to: &Engine) -> Vec<Option<Vec<RuleMatch>>> {
-        let engine = engine_with(plan, workers);
+        let engine = engine_with(plan);
         let svc = engine.serve_with(
             workers,
             ServeConfig {
@@ -218,7 +217,7 @@ fn randomized_faults_never_leak_into_sibling_flows() {
                 plan = plan.panic_at(flow, 0, scan, format!("chaos f{flow}s{scan}"));
             }
 
-            let reload_to = engine_with(FaultPlan::new(), workers);
+            let reload_to = engine_with(FaultPlan::new());
             let baseline = run(workers, FaultPlan::new(), &reload_to);
             let chaotic = run(workers, plan, &reload_to);
 
@@ -241,20 +240,27 @@ fn randomized_faults_never_leak_into_sibling_flows() {
     }
 }
 
-/// Fault-counter exactness: N injected panics ⇒ exactly N quarantines
-/// and N−(budget excess) restarts — and once the budget is exhausted,
-/// the service fail-stops with the panic payload surfaced.
+/// Fault-counter exactness: budget + 1 injected panics ⇒ exactly that
+/// many quarantines and `budget` restarts — and once the budget is
+/// exhausted, the service fail-stops with the panic payload surfaced.
+/// A budget of 0 is the fail-stop service: its first worker-side panic
+/// quarantines the flow and poisons the service.
 #[test]
 fn exhausted_restart_budget_falls_back_to_fail_stop() {
-    let plan = FaultPlan::new()
-        .panic_at(0, 0, 1, "boom-0")
-        .panic_at(1, 0, 1, "boom-1")
-        .panic_at(2, 0, 1, "boom-2");
-    let engine = engine_with(plan, 2);
+    for budget in [2u32, 0] {
+        fail_stop_after(budget);
+    }
+}
+
+fn fail_stop_after(budget: u32) {
+    let plan = (0..=u64::from(budget)).fold(FaultPlan::new(), |plan, flow| {
+        plan.panic_at(flow, 0, 1, format!("boom-{flow}"))
+    });
+    let engine = engine_with(plan);
     let svc = engine.serve_with(
         2,
         ServeConfig {
-            restart_budget: 2,
+            restart_budget: budget,
             restart_backoff: Duration::from_micros(100),
             ..ServeConfig::default()
         },
@@ -270,9 +276,9 @@ fn exhausted_restart_budget_falls_back_to_fail_stop() {
         }
     }
 
-    // Three panics: the first two consume the budget (restart), the
-    // third fail-stops. No barrier — it would panic mid-drain — so
-    // spin on the metrics instead.
+    // The first `budget` panics consume the budget (restart), the last
+    // fail-stops. No barrier — it would panic mid-drain — so spin on
+    // the metrics instead.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while !svc.is_poisoned() {
         assert!(
@@ -284,11 +290,19 @@ fn exhausted_restart_budget_falls_back_to_fail_stop() {
     }
     let m = svc.metrics();
     assert_eq!(
-        m.faults.quarantined_flows, 3,
-        "every injected panic quarantined its flow"
+        m.faults.quarantined_flows,
+        u64::from(budget) + 1,
+        "budget {budget}: every injected panic quarantined its flow"
     );
-    assert_eq!(m.faults.worker_restarts, 2, "budget of 2 consumed");
-    assert_eq!(m.faults.fail_stops, 1, "the third panic fail-stopped");
+    assert_eq!(
+        m.faults.worker_restarts,
+        u64::from(budget),
+        "budget {budget} consumed"
+    );
+    assert_eq!(
+        m.faults.fail_stops, 1,
+        "budget {budget}: the last panic fail-stopped"
+    );
 
     let message = svc.panic_message().expect("fail-stop records the payload");
     assert!(message.starts_with("boom-"), "{message}");
@@ -296,7 +310,7 @@ fn exhausted_restart_budget_falls_back_to_fail_stop() {
         Err(ServeError::Poisoned { message }) => {
             assert!(message.starts_with("boom-"), "{message}")
         }
-        other => panic!("expected Poisoned, got {other:?}"),
+        other => panic!("budget {budget}: expected Poisoned, got {other:?}"),
     }
     match svc.try_open_flow() {
         Err(ServeError::Poisoned { .. }) => {}
@@ -314,8 +328,8 @@ fn injected_delays_change_timing_but_not_output() {
         .delay_at(0, 0, 1, Duration::from_millis(30))
         .delay_at(2, 0, 2, Duration::from_millis(30));
     assert!(!plan.is_empty());
-    let engine = engine_with(plan, 2);
-    let svc = engine.serve();
+    let engine = engine_with(plan);
+    let svc = engine.serve_with(2, ServeConfig::default());
 
     let flows: Vec<FlowId> = (0..3).map(|_| svc.try_open_flow().unwrap()).collect();
     drive(&svc, &flows, chunks);
@@ -340,14 +354,13 @@ fn injected_delays_change_timing_but_not_output() {
 #[test]
 fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
     let plan = FaultPlan::new().delay_at(1, 0, 1, Duration::from_millis(300));
-    let engine = engine_with(plan, 2);
+    let engine = engine_with(plan);
     let svc = engine.serve_with(
         2,
         ServeConfig {
             overload: OverloadPolicy {
                 max_pending_bytes: Some(1),
                 evict_on_shed: true,
-                ..OverloadPolicy::default()
             },
             ..ServeConfig::default()
         },
@@ -368,8 +381,13 @@ fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
         m.budget_evictions, 1,
         "evict_on_shed reclaims the LRU drained flow"
     );
-    let evicted = svc.evictions();
-    assert_eq!(evicted, vec![idle], "the idle drained flow was the victim");
+    // The one eviction took the idle drained flow: it is closed though
+    // nobody called close().
+    assert_eq!(
+        svc.push_checked(idle, b"x"),
+        Err(ServeError::Closed),
+        "the idle drained flow was the victim"
+    );
 
     svc.barrier(); // the delayed scan completes; backlog drains
     let admitted = svc.try_open_flow().expect("under the watermark again");
@@ -405,8 +423,8 @@ fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
     };
     for faulted in 0..4u64 {
         let plan = FaultPlan::new().panic_at(faulted, 0, 2, "injected: one unit of a batch");
-        let engine = engine_with(plan, 1);
-        let sched = engine.scheduler();
+        let engine = engine_with(plan);
+        let sched = engine.scheduler_with(1);
         for (round, chunk) in chunks.iter().enumerate() {
             for flow in 0..4u64 {
                 if flow != faulted || round < 2 {
@@ -433,8 +451,8 @@ fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
     }
     for workers in [1, 2] {
         let plan = FaultPlan::new().panic_at(2, 0, 2, "injected: flow 2 dies at scan 2");
-        let engine = engine_with(plan, workers);
-        let svc = engine.serve();
+        let engine = engine_with(plan);
+        let svc = engine.serve_with(workers, ServeConfig::default());
         let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
         drive(&svc, &flows, chunks);
         let m = svc.metrics();
@@ -471,8 +489,8 @@ fn batch_scheduler_quarantines_the_faulted_flow_and_rethrows_once_settled() {
     };
     for workers in [1usize, 3] {
         let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: batch flow 1 dies at scan 2");
-        let engine = engine_with(plan, workers);
-        let sched = engine.scheduler();
+        let engine = engine_with(plan);
+        let sched = engine.scheduler_with(workers);
 
         for (round, chunk) in chunks.iter().enumerate() {
             for flow in 0..4u64 {
@@ -539,7 +557,7 @@ fn a_panic_in_a_barrier_callers_scan_is_charged_like_a_workers() {
         let plan = FaultPlan::new()
             .delay_at(0, 0, 1, Duration::from_millis(300))
             .panic_at(1, 0, 1, "injected: caller scan");
-        let engine = engine_with(plan, 1);
+        let engine = engine_with(plan);
         let svc = engine.serve_with(
             1,
             ServeConfig {

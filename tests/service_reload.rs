@@ -24,7 +24,6 @@ fn v1() -> Engine {
         .rule(10, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(30, "k[0-9]{2,4}m")
-        .workers(2)
         .build()
         .unwrap()
 }
@@ -36,7 +35,6 @@ fn v2() -> Engine {
         .rule(40, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(50, "q{2,4}w")
-        .workers(2)
         .build()
         .unwrap()
 }
@@ -45,7 +43,7 @@ fn v2() -> Engine {
 fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
     let a = v1();
     let b = v2();
-    let svc = a.serve();
+    let svc = a.serve_with(2, ServeConfig::default());
 
     // Per-flow (pre, post) halves. The first flow parks a counter rule
     // mid-count at the cut: "..abb" + "bc." concatenated would match
@@ -96,7 +94,7 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
 fn reports_keep_stable_rule_ids_across_the_swap() {
     let a = v1();
     let b = v2();
-    let svc = a.serve();
+    let svc = a.serve_with(2, ServeConfig::default());
     let flow = svc.try_open_flow().unwrap();
 
     svc.push_checked(flow, b".xyz").unwrap(); // rule 20 under engine A (pattern index 1)
@@ -127,7 +125,7 @@ fn reports_keep_stable_rule_ids_across_the_swap() {
 fn retired_epochs_free_when_their_last_flow_lets_go() {
     let a = v1();
     let b = v2();
-    let svc = a.serve();
+    let svc = a.serve_with(2, ServeConfig::default());
 
     let migrator = svc.try_open_flow().unwrap();
     let holdout = svc.try_open_flow().unwrap();
@@ -181,7 +179,7 @@ fn shard_rows_belong_to_their_epoch() {
     // bytes walk the same DFA states. Two scan groups, so two caches
     // per epoch.
     let build = |rules: [(u64, &str); 2]| {
-        let mut builder = Engine::builder().prefilter(PrefilterMode::Off).workers(2);
+        let mut builder = Engine::builder().prefilter(PrefilterMode::Off);
         for (id, rule) in rules {
             builder = builder.rule(id, rule);
         }
@@ -191,7 +189,7 @@ fn shard_rows_belong_to_their_epoch() {
     };
     let a = build([(10, "ab{2,3}c"), (30, "k[0-9]{2,4}m")]);
     let b = build([(40, "ab{2,3}c"), (50, "q{2,4}w")]);
-    let svc = a.serve();
+    let svc = a.serve_with(2, ServeConfig::default());
     let rows = || svc.metrics().hybrid.expect("hybrid by default").dfa_states;
 
     let migrator = svc.try_open_flow().unwrap();
@@ -227,6 +225,7 @@ fn shard_rows_belong_to_their_epoch() {
     svc.close(holdout);
     svc.barrier();
     let after = svc.metrics().hybrid.unwrap();
+    // Epoch 0 is gone, and with it the service's share of its set.
     assert_eq!(svc.metrics().epoch_flows, vec![(1, 1)]);
     assert_eq!(after.dfa_states, rows_b);
     assert_eq!(
@@ -234,9 +233,6 @@ fn shard_rows_belong_to_their_epoch() {
         (scanned.dfa_bytes, scanned.fallback_bytes),
         "the byte counters of retired engines stay"
     );
-    // ... and the service no longer shares the old set (this panics
-    // while an epoch still holds it).
-    drop(a.into_set());
     svc.shutdown();
 }
 
@@ -250,10 +246,9 @@ fn slot_reuse_never_leaks_a_stale_flows_matches() {
     let engine = Engine::builder()
         .rule(1, "ab{2,3}c")
         .rule(2, "xyz$")
-        .workers(2)
         .build()
         .unwrap();
-    let svc = engine.serve();
+    let svc = engine.serve_with(2, ServeConfig::default());
 
     let mut stale: Vec<FlowId> = Vec::new();
     for round in 0u64..50 {
@@ -297,10 +292,9 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
     let engine = Engine::builder()
         .rule(7, "ab{2,3}c")
         .rule(8, "k[0-9]{2,4}m")
-        .workers(3)
         .build()
         .unwrap();
-    let svc = engine.serve();
+    let svc = engine.serve_with(3, ServeConfig::default());
 
     let payloads: &[&[u8]] = &[
         b".abbc.k12m.abbbc",
@@ -344,16 +338,8 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
 /// and by per-epoch rule identity.
 #[test]
 fn mid_traffic_reload_loses_no_matches() {
-    let a = Engine::builder()
-        .rule(1, "ab{2}c")
-        .workers(2)
-        .build()
-        .unwrap();
-    let b = Engine::builder()
-        .rule(1, "ab{2}c")
-        .workers(2)
-        .build()
-        .unwrap();
+    let a = Engine::builder().rule(1, "ab{2}c").build().unwrap();
+    let b = Engine::builder().rule(1, "ab{2}c").build().unwrap();
     let svc = a.serve_with(
         2,
         ServeConfig {
@@ -425,11 +411,7 @@ fn double_close_after_reload() {
 /// per-epoch flow counts never sum past the tracked-flow gauge.
 #[test]
 fn metrics_snapshot_stays_coherent_while_reload_races_pushes() {
-    let a = Engine::builder()
-        .rule(1, "ab{2}c")
-        .workers(2)
-        .build()
-        .unwrap();
+    let a = Engine::builder().rule(1, "ab{2}c").build().unwrap();
     let svc = a.serve_with(2, ServeConfig::default());
 
     std::thread::scope(|scope| {
@@ -449,11 +431,7 @@ fn metrics_snapshot_stays_coherent_while_reload_races_pushes() {
         // Reloader: installs a new epoch as fast as it can compile one.
         scope.spawn(|| {
             for _ in 0..10 {
-                let b = Engine::builder()
-                    .rule(1, "ab{2}c")
-                    .workers(2)
-                    .build()
-                    .unwrap();
+                let b = Engine::builder().rule(1, "ab{2}c").build().unwrap();
                 svc.reload(&b);
             }
         });

@@ -30,13 +30,6 @@ fn builder() -> EngineBuilder {
         .rule(20, "k[0-9]{2,4}m")
         .rule(30, "xyz")
         .rule(40, "h.{9}")
-        .workers(2)
-        .serve_config(ServeConfig {
-            // Two 5-byte chunks do not fit: the second push of a pair
-            // blocks until a worker has consumed the first.
-            flow_budget: 8,
-            ..ServeConfig::default()
-        })
 }
 
 /// Two scan groups, so two workers can hold units of one flow at once.
@@ -122,7 +115,15 @@ fn produce(svc: &ServiceHandle, p: usize) -> Vec<Option<Vec<RuleMatch>>> {
 /// Runs the producers against `engine`'s service under a watchdog and
 /// checks every flow that was not quarantined; returns how many were.
 fn stress(engine: Engine) -> usize {
-    let svc = Arc::new(engine.serve());
+    let svc = Arc::new(engine.serve_with(
+        2,
+        ServeConfig {
+            // Two 5-byte chunks do not fit: the second push of a pair
+            // blocks until a worker has consumed the first.
+            flow_budget: 8,
+            ..ServeConfig::default()
+        },
+    ));
     let start = Arc::new(Barrier::new(PRODUCERS));
     let (done, results) = mpsc::channel();
     for p in 0..PRODUCERS {

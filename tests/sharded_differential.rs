@@ -48,7 +48,8 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
     };
     // Three scan groups beside the banks, for the alphabet check below.
     let builder = Engine::builder().patterns(&patterns);
-    let set = in_scan_groups(builder.shard_policy(ShardPolicy::Banked(budget)), 3).into_set();
+    let engine = in_scan_groups(builder.shard_policy(ShardPolicy::Banked(budget)), 3);
+    let set = engine.set();
     assert!(
         set.shard_count() > 1,
         "tiny budget must force several shards"
