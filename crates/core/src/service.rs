@@ -2321,4 +2321,46 @@ mod tests {
         assert_eq!(handle.poll_checked(old).unwrap().len(), 1);
         assert_eq!(handle.poll_checked(new).unwrap().len(), 1);
     }
+
+    /// A retired epoch lets go of its machine image: once the last flow
+    /// pinned to it has closed, no epoch entry, flow engine or shard
+    /// cache of the service still holds the old set — even while that
+    /// flow's reports wait unpolled.
+    #[test]
+    fn a_retired_epoch_releases_its_set() {
+        let build = |rules: [(u64, &str); 2]| {
+            let mut builder = Engine::builder().prefilter(PrefilterMode::Off);
+            for (id, rule) in rules {
+                builder = builder.rule(id, rule);
+            }
+            let engine = crate::set::in_scan_groups(builder, 2);
+            assert_eq!(engine.scan_groups().shard_count(), 2);
+            engine
+        };
+        let a = build([(10, "ab{2,3}c"), (30, "k[0-9]{2,4}m")]);
+        let b = build([(40, "ab{2,3}c"), (50, "q{2,4}w")]);
+        let svc = a.serve_with(2, ServeConfig::default());
+        let migrator = svc.try_open_flow().unwrap();
+        let holdout = svc.try_open_flow().unwrap();
+        svc.push_checked(migrator, b"abbc.k12m.").unwrap();
+        svc.push_checked(holdout, b"abbc.k12m.").unwrap();
+        svc.barrier();
+        a.scan(b"abbc.k12m.");
+
+        svc.reload(&b);
+        svc.push_checked(migrator, b"qqw.abbc").unwrap();
+        svc.barrier();
+        assert_eq!(svc.poll_checked(migrator).unwrap().len(), 4);
+        // `a`, this count's own clone and the holdout's epoch.
+        assert!(Arc::strong_count(&a.set_arc()) > 2);
+
+        svc.close(holdout);
+        svc.barrier();
+        assert_eq!(svc.metrics().epoch_flows, vec![(1, 1)]);
+        let old = Arc::downgrade(&a.set_arc());
+        drop(a);
+        assert!(old.upgrade().is_none(), "the service still holds epoch 0");
+        assert_eq!(svc.poll_checked(holdout).unwrap().len(), 2);
+        svc.shutdown();
+    }
 }

@@ -5,9 +5,10 @@
 //! faithful to the paper's hardware step, but tens of instructions per
 //! live state per input byte in software. A classical DFA costs **one
 //! table row per byte**, yet determinizing a counting automaton can blow
-//! up exponentially ([`crate::full_dfa_size`]). The paper's hardware does
-//! neither: the STE array keeps running as a plain NFA processor while
-//! the counter and bit-vector modules *beside* it count, and only
+//! up exponentially (the test-only oracle `dfa::full_dfa_size` counts
+//! by how much). The paper's hardware does neither: the STE array keeps
+//! running as a plain NFA processor while the counter and bit-vector
+//! modules *beside* it count, and only
 //! `en`/`out` signals cross between the two (§3.2.1, §4). This module is
 //! wired the same way. The live configuration is a pair `(S, T)`:
 //!
@@ -266,8 +267,8 @@ pub(crate) const ACCEPTS: u32 = 1 << 30;
 
 /// Shared dense-row subset interner: maps sorted NCA state sets to DFA
 /// states and stores one flat `byte_class → next` row per state. Used by
-/// both [`HybridCache`] and the subset walk behind
-/// [`crate::full_dfa_size`].
+/// both [`HybridCache`] and the subset walk behind `dfa::full_dfa_size`,
+/// the full-DFA count the tests hold the cache to.
 ///
 /// A state is named by its *handle*: its dense id times `stride`, which
 /// is the offset of its row. So a row entry holds the handle of its

@@ -4,7 +4,8 @@
 //! * one listing per crate (`ROOT_EXPORTS`, `ANALYSIS_EXPORTS`, …) names
 //!   every item its `lib.rs` exports: the names in its `pub use` lists
 //!   (the alias after `as`, otherwise the last path segment), its
-//!   `pub mod`s and its top-level `pub` items. `export_listings_match_lib_rs`
+//!   `pub mod`s, its top-level `pub` items and its exported macros.
+//!   `export_listings_match_lib_rs`
 //!   reads each `lib.rs` and fails when the two differ, so adding or
 //!   removing an export is a visible diff in this file — reviewed like
 //!   a lockfile;
@@ -252,16 +253,26 @@ const LISTINGS: &[(&str, &str, &[&str])] = &[
 /// The names a `lib.rs` exports, sorted: every `pub use` list entry
 /// (its alias after `as`, otherwise its last path segment; a whole
 /// crate re-exported under an alias is `mod alias`), every `pub mod` as
-/// `mod name`, and every top-level `pub fn`/`struct`/`enum`/`const`/
-/// `type`/`trait`. An export behind `#[cfg(feature = "f")]` is suffixed
-/// ` (feature f only)`.
+/// `mod name`, every other top-level `pub` item by its name (see
+/// [`item_name`]) and every `#[macro_export]` macro as `name!`. An
+/// export behind `#[cfg(feature = "f")]` is suffixed
+/// ` (feature f only)`. A top-level `pub` line of any other form panics,
+/// so no export slips past the listings unread.
 fn exports(lib_rs: &str) -> Vec<String> {
     let mut names = Vec::new();
     let mut feature: Option<&str> = None;
+    let mut macro_export = false;
     let mut lines = lib_rs.lines();
     while let Some(line) = lines.next() {
         if let Some(rest) = line.strip_prefix("#[cfg(feature = \"") {
             feature = rest.split('"').next();
+            continue;
+        }
+        if line == "#[macro_export]" {
+            macro_export = true;
+            continue;
+        }
+        if line.starts_with("#[") || line.starts_with("///") {
             continue;
         }
         let mut found = Vec::new();
@@ -273,11 +284,12 @@ fn exports(lib_rs: &str) -> Vec<String> {
             use_tree_names(tree.trim_end().trim_end_matches(';'), true, &mut found);
         } else if let Some(rest) = line.strip_prefix("pub mod ") {
             found.push(format!("mod {}", ident(rest)));
-        } else {
-            for kind in ["fn ", "struct ", "enum ", "const ", "type ", "trait "] {
-                if let Some(rest) = line.strip_prefix("pub ").and_then(|l| l.strip_prefix(kind)) {
-                    found.push(ident(rest).to_string());
-                }
+        } else if let Some(item) = line.strip_prefix("pub ") {
+            let name = item_name(item).unwrap_or_else(|| panic!("unread export form: {line}"));
+            found.push(name.to_string());
+        } else if let Some(rest) = line.strip_prefix("macro_rules! ") {
+            if macro_export {
+                found.push(format!("{}!", ident(rest)));
             }
         }
         for name in found {
@@ -287,9 +299,32 @@ fn exports(lib_rs: &str) -> Vec<String> {
             });
         }
         feature = None;
+        macro_export = false;
     }
     names.sort();
     names
+}
+
+/// The name a top-level `pub` item (without its `pub `) declares: a
+/// `fn`, `struct`, `enum`, `union`, `trait`, `type`, `const` or
+/// `static` (also `static mut`), the `fn` or `trait` with any of the
+/// `const`/`async`/`unsafe`/`auto`/`extern "abi"` qualifiers. `None`
+/// for any other form.
+fn item_name(item: &str) -> Option<&str> {
+    let mut words = item.split_whitespace();
+    let mut last = "";
+    for word in words.by_ref() {
+        match word {
+            "fn" | "struct" | "enum" | "union" | "trait" | "type" => break,
+            "static" => return words.find(|w| *w != "mut").map(ident),
+            "const" | "async" | "unsafe" | "auto" | "extern" => {}
+            abi if abi.starts_with('"') && last == "extern" => {}
+            name if last == "const" => return Some(ident(name)),
+            _ => return None,
+        }
+        last = word;
+    }
+    words.next().map(ident).filter(|name| !name.is_empty())
 }
 
 /// The leading identifier of `text`.
@@ -371,22 +406,59 @@ fn exports_reads_every_export_form() {
                   pub use service::FaultPlan;\n\
                   pub(crate) fn hidden() {}\n\
                   pub fn shown(x: u8) {}\n\
-                  pub struct Pattern {\n    pub field: u8,\n}\n";
+                  pub struct Pattern {\n    pub field: u8,\n}\n\
+                  pub enum Mode { A }\n\
+                  pub union Word { a: u32 }\n\
+                  pub trait Scan {}\n\
+                  pub unsafe auto trait Marker {}\n\
+                  pub type Id = u64;\n\
+                  pub const LIMIT: usize = 3;\n\
+                  pub static TABLE: [u8; 2] = [0; 2];\n\
+                  pub static mut COUNT: u32 = 0;\n\
+                  pub const fn konst() {}\n\
+                  pub async fn later() {}\n\
+                  pub unsafe fn raw() {}\n\
+                  pub unsafe extern \"C\" fn ffi() {}\n\
+                  macro_rules! local { () => {} }\n\
+                  #[macro_export]\n\
+                  /// Doc.\n\
+                  macro_rules! shout { () => {} }\n";
     assert_eq!(
         exports(lib_rs),
         [
             "B",
+            "COUNT",
             "E",
             "FaultPlan (feature fault-inject only)",
             "G",
             "H",
+            "Id",
             "J",
+            "LIMIT",
+            "Marker",
+            "Mode",
             "Pattern",
+            "Scan",
+            "TABLE",
+            "Word",
+            "ffi",
+            "konst",
+            "later",
             "mod nca",
             "mod sched",
+            "raw",
+            "shout!",
             "shown",
         ]
     );
+}
+
+/// A top-level `pub` line the reader does not know fails the listing
+/// check instead of passing unseen.
+#[test]
+#[should_panic(expected = "unread export form: pub extern crate alloc;")]
+fn exports_rejects_an_unread_export_form() {
+    exports("pub fn shown() {}\npub extern crate alloc;\n");
 }
 
 // ---- signature pins ----------------------------------------------------

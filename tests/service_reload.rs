@@ -225,7 +225,8 @@ fn shard_rows_belong_to_their_epoch() {
     svc.close(holdout);
     svc.barrier();
     let after = svc.metrics().hybrid.unwrap();
-    // Epoch 0 is gone, and with it the service's share of its set.
+    // Epoch 0 is gone. That the service then holds no share of its
+    // set is `service::tests::a_retired_epoch_releases_its_set`.
     assert_eq!(svc.metrics().epoch_flows, vec![(1, 1)]);
     assert_eq!(after.dfa_states, rows_b);
     assert_eq!(
