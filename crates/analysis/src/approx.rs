@@ -42,7 +42,7 @@ pub fn approx_occurrence(regex: &Regex, occ: RepeatId, max_pairs: u64) -> (Verdi
 /// [`StopPolicy::FirstAmbiguity`] for the paper's checker
 /// ([`approx_occurrence`], [`crate::check`]),
 /// [`StopPolicy::FirstBlockAmbiguity`] for the compiler
-/// ([`crate::classify`]). Running to exhaustion is the proof.
+/// ([`crate::classify`](fn@crate::classify)). Running to exhaustion is the proof.
 ///
 /// The proof projects every reachable token pair of the original onto
 /// `occ`'s counter, which needs the relaxed automaton to carry that

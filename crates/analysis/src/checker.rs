@@ -7,7 +7,7 @@
 //! occurrence, abandon the approximation and run the exact algorithm on the
 //! whole regex; otherwise declare the regex counter-unambiguous. The
 //! compiler's form of the same strategy, which wants a verdict per
-//! occurrence rather than per regex, is [`crate::classify`]; both run
+//! occurrence rather than per regex, is [`crate::classify`](fn@crate::classify); both run
 //! their relaxed passes through one routine.
 
 use crate::approx::approx_occurrence;

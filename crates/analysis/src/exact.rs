@@ -16,7 +16,7 @@ use std::time::Instant;
 /// When the exploration may stop.
 ///
 /// The compiler never picks one of these directly: it calls
-/// [`crate::classify`], which runs a relaxed single-occurrence automaton
+/// [`crate::classify`](fn@crate::classify), which runs a relaxed single-occurrence automaton
 /// under [`StopPolicy::FirstBlockAmbiguity`] per occurrence and, only for
 /// what those passes leave open, the whole automaton under
 /// [`StopPolicy::FullClassification`].

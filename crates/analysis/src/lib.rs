@@ -19,7 +19,7 @@
 //!   over-approximation (§3.2);
 //! * [`check`] / [`check_occurrence`] — the checker front end with the
 //!   Exact / Approximate / Hybrid / HybridWitness variants of Fig. 2;
-//! * [`classify`] — the hybrid strategy producing the per-state,
+//! * [`classify`](fn@classify) — the hybrid strategy producing the per-state,
 //!   per-counter, block-level verdicts the compiler selects modules on:
 //!   relaxed per-occurrence proofs first, the exact exploration only for
 //!   what they leave open. It is the only analysis `recama-compiler` runs;

@@ -11,27 +11,33 @@ use recama::analysis::{check, CheckConfig, Method, Verdict};
 use recama::compiler::{compile, CompileOptions, DecidedBy, ModuleKind};
 use recama::hw::{run as hw_run, AreaGranularity};
 use recama::nca::{CompilePlan, CounterId, MultiNca, StateId, UnfoldPolicy};
+use recama::syntax::Parsed;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        Some((cmd, rest)) => match cmd.as_str() {
-            "analyze" => cmd_analyze(rest),
-            "compile" => cmd_compile(rest),
-            "run" => cmd_run(rest),
-            "help" | "--help" | "-h" => {
-                print_usage();
-                ExitCode::SUCCESS
-            }
-            other => {
-                eprintln!("unknown command `{other}`");
-                print_usage();
-                ExitCode::FAILURE
-            }
-        },
-        None => {
+    let Some((cmd, rest)) = args.split_first() else {
+        print_usage();
+        return ExitCode::FAILURE;
+    };
+    let done = match cmd.as_str() {
+        "analyze" => cmd_analyze(rest),
+        "compile" => cmd_compile(rest),
+        "run" => cmd_run(rest),
+        "help" | "--help" | "-h" => {
             print_usage();
+            Ok(())
+        }
+        other => {
+            eprintln!("unknown command `{other}`");
+            print_usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
@@ -48,48 +54,47 @@ USAGE:
     );
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The argument after flag `name`, `None` when the flag is absent; a
+/// flag with nothing after it is an error.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        Some(i) => (args.get(i + 1))
+            .map(|value| Some(value.as_str()))
+            .ok_or_else(|| format!("{name} needs a value")),
+        None => Ok(None),
+    }
 }
 
-fn parse_options(args: &[String]) -> CompileOptions {
+fn parse_options(args: &[String]) -> Result<CompileOptions, String> {
+    let threshold = match flag_value(args, "--threshold")? {
+        Some(k) => {
+            Some((k.parse::<u32>()).map_err(|_| format!("bad --threshold {k:?}: not a number"))?)
+        }
+        None => None,
+    };
     let mut options = CompileOptions::default();
     if args.iter().any(|a| a == "--unfold-all") {
         options.unfold = UnfoldPolicy::All;
-    } else if let Some(k) = flag_value(args, "--threshold") {
-        match k.parse::<u32>() {
-            Ok(k) => options.unfold = UnfoldPolicy::UpTo(k),
-            Err(_) => eprintln!("ignoring bad --threshold {k:?}"),
-        }
+    } else if let Some(k) = threshold {
+        options.unfold = UnfoldPolicy::UpTo(k);
     }
-    options
+    Ok(options)
 }
 
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let Some(pattern) = args.first() else {
-        eprintln!("analyze: missing pattern");
-        return ExitCode::FAILURE;
-    };
-    let method = match flag_value(args, "--method").unwrap_or("hybrid") {
+fn parse(pattern: &str) -> Result<Parsed, String> {
+    recama::syntax::parse(pattern).map_err(|e| format!("parse error: {e}"))
+}
+
+fn cmd_analyze(args: &[String]) -> Result<(), String> {
+    let pattern = args.first().ok_or("analyze: missing pattern")?;
+    let method = match flag_value(args, "--method")?.unwrap_or("hybrid") {
         "exact" => Method::Exact,
         "approx" => Method::Approximate,
         "hybrid" => Method::Hybrid,
         "hybrid-witness" => Method::HybridWitness,
-        other => {
-            eprintln!("unknown method {other:?}");
-            return ExitCode::FAILURE;
-        }
+        other => return Err(format!("unknown method {other:?}")),
     };
-    let parsed = match recama::syntax::parse(pattern) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let parsed = parse(pattern)?;
     let result = check(&parsed.for_stream(), method, &CheckConfig::default());
     println!("pattern:    {pattern}");
     println!("stream re:  {}", parsed.for_stream());
@@ -121,22 +126,14 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         "stats:      {} token pairs, {} edges, {:?}",
         result.stats.pairs_created, result.stats.edges_traversed, result.stats.duration
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_compile(args: &[String]) -> ExitCode {
-    let Some(pattern) = args.first() else {
-        eprintln!("compile: missing pattern");
-        return ExitCode::FAILURE;
-    };
-    let options = parse_options(args);
-    let parsed = match recama::syntax::parse(pattern) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_compile(args: &[String]) -> Result<(), String> {
+    let pattern = args.first().ok_or("compile: missing pattern")?;
+    let options = parse_options(args)?;
+    let out_path = flag_value(args, "--out")?;
+    let parsed = parse(pattern)?;
     let out = compile(&parsed.for_stream(), &options);
     let (states, counters, bitvectors) = out.network.counts_by_type();
     eprintln!(
@@ -183,46 +180,27 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         );
     }
     let json = out.network.to_json();
-    match flag_value(args, "--out") {
+    match out_path {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
         None => println!("{json}"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let Some(pattern) = args.first() else {
-        eprintln!("run: missing pattern");
-        return ExitCode::FAILURE;
-    };
-    let input: Vec<u8> = if let Some(text) = flag_value(args, "--text") {
+fn cmd_run(args: &[String]) -> Result<(), String> {
+    let pattern = args.first().ok_or("run: missing pattern")?;
+    let input: Vec<u8> = if let Some(text) = flag_value(args, "--text")? {
         text.as_bytes().to_vec()
-    } else if let Some(path) = flag_value(args, "--file") {
-        match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    } else if let Some(path) = flag_value(args, "--file")? {
+        std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?
     } else {
-        eprintln!("run: need --text or --file");
-        return ExitCode::FAILURE;
+        return Err("run: need --text or --file".into());
     };
-    let options = parse_options(args);
-    let parsed = match recama::syntax::parse(pattern) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let options = parse_options(args)?;
+    let parsed = parse(pattern)?;
     let out = compile(&parsed.for_stream(), &options);
     let report = hw_run(&out.network, &input, AreaGranularity::WholeModule);
     println!("pattern:      {pattern}");
@@ -241,5 +219,5 @@ fn cmd_run(args: &[String]) -> ExitCode {
         report.area.total_mm2(),
         report.area.waste_um2 / 1e6
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

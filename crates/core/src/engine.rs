@@ -35,8 +35,9 @@ use crate::FlowScheduler;
 use recama_compiler::{CompileOptions, CompileOutput};
 use recama_hw::{ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
-use recama_nca::ScanMode;
+use recama_nca::{ScanMode, TokenSetEngine};
 use recama_syntax::ParseError;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -478,18 +479,18 @@ impl Engine {
 
     /// Number of compiled rules (skipped rules not counted).
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.set.sources.len()
     }
 
     /// Whether the engine has no compiled rules.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.set.sources.is_empty()
     }
 
     /// The source text of compiled rule `i` (the index reported in
     /// [`SetMatch::pattern`]).
     pub fn pattern(&self, i: usize) -> &str {
-        self.set.pattern(i)
+        &self.set.sources[i]
     }
 
     /// The id of compiled rule `i` (explicit via
@@ -507,20 +508,21 @@ impl Engine {
     /// Per-rule compiler outputs (module decisions, analyses, NCAs),
     /// indexed like the compiled rules.
     pub fn outputs(&self) -> &[CompileOutput] {
-        self.set.outputs()
+        &self.set.outputs
     }
 
     /// Number of bank-sized shards — machine images — the ruleset
-    /// compiled into (≥ 1). Not the number of engines a flow runs: that
-    /// is [`scan_groups`](Engine::scan_groups).
+    /// compiled into (≥ 1; no rules compile to one empty shard). Not the
+    /// number of engines a flow runs: that is
+    /// [`scan_groups`](Engine::scan_groups).
     pub fn shard_count(&self) -> usize {
-        self.set.shard_count()
+        self.set.networks.len()
     }
 
     /// The bank plan (which rule lives in which shard's machine image),
     /// as the [`ShardPolicy`] cut it.
     pub fn plan(&self) -> &ShardPlan {
-        self.set.plan()
+        &self.set.plan
     }
 
     /// The scan partition (which rule a flow scans in which group): the
@@ -530,41 +532,48 @@ impl Engine {
     /// the hybrid `state_budget`, one group under [`ScanMode::Nca`] —
     /// and the [`ShardPolicy`] has no say in it.
     pub fn scan_groups(&self) -> &ShardPlan {
-        self.set.scan_groups()
+        &self.set.scan
     }
 
     /// The merged extended-MNRL machine image of shard `shard`;
-    /// reporting nodes carry global rule indices.
+    /// reporting nodes of rule `i` carry `report_id = i`.
     pub fn network(&self, shard: usize) -> &MnrlNetwork {
-        self.set.network(shard)
+        &self.set.networks[shard]
     }
 
     /// All per-shard machine images.
     pub fn networks(&self) -> &[MnrlNetwork] {
-        self.set.networks()
+        &self.set.networks
     }
 
-    /// A hardware simulator for shard `shard`'s machine image.
+    /// A hardware simulator for shard `shard`'s machine image; its
+    /// report vector attributes events to rules by the stamped report
+    /// ids.
     pub fn hardware(&self, shard: usize) -> recama_hw::HwSimulator<'_> {
-        self.set.hardware(shard)
+        recama_hw::HwSimulator::new(&self.set.networks[shard])
     }
 
     /// The [`ScanMode`] this engine's scans and streams walk bytes with
     /// (set via [`EngineBuilder::scan_mode`]; defaults to the hybrid
     /// lazy-DFA overlay).
     pub fn scan_mode(&self) -> ScanMode {
-        self.set.scan_mode()
+        self.set.scan_mode
     }
 
     /// The [`PrefilterMode`] this engine was built with (set via
     /// [`EngineBuilder::prefilter`]; defaults to
     /// [`PrefilterMode::On`]).
     pub fn prefilter(&self) -> PrefilterMode {
-        self.set.prefilter_mode()
+        match self.set.prefilter() {
+            Some(_) => PrefilterMode::On,
+            None => PrefilterMode::Off,
+        }
     }
 
-    /// The underlying sharded set — the escape hatch to every lower
-    /// layer (per-group automata, spans, per-shard hardware).
+    /// The compiled ruleset inside the engine. It exists only so the
+    /// benchmark harness (`harness/`) can reach the per-group automata
+    /// through `set().multi()`; once the harness reads them elsewhere,
+    /// ROADMAP item 21 un-exports the type and deletes this method.
     pub fn set(&self) -> &ShardedPatternSet {
         &self.set
     }
@@ -573,34 +582,58 @@ impl Engine {
 
     /// All matches in `haystack`, in stream order (ascending end,
     /// ascending rule index within one end): a fresh
-    /// [`stream`](Engine::stream) fed the haystack once, keeping of each
-    /// trailing-`$` rule only the matches that end the haystack. Scan
-    /// groups scan in parallel on scoped threads for large inputs;
-    /// reports are byte-identical for any bank plan and any scan
-    /// partition.
+    /// [`stream`](Engine::stream) fed the haystack once — the stream's
+    /// one loop consults the prefilter, fans large haystacks out to one
+    /// scoped thread per scan group and merges the reports in order —
+    /// keeping of each trailing-`$` rule only the matches that end the
+    /// haystack. Reports are byte-identical for any bank plan and any
+    /// scan partition, and per rule they are
+    /// [`Pattern::find_ends`](crate::Pattern::find_ends)'s: search form
+    /// `Σ*·r` unless `^`-anchored, one report per (rule, end).
     pub fn scan(&self, haystack: &[u8]) -> Vec<SetMatch> {
-        self.set.find_ends(haystack)
+        let anchored_end = self.set.anchored_end();
+        self.stream()
+            .feed(haystack)
+            .filter(|m| !anchored_end[m.pattern] || m.end == haystack.len())
+            .collect()
     }
 
     /// Located match spans (`[start, end)` per rule): for every match
     /// end, the rule's reversed automaton runs backward to the earliest
-    /// start (leftmost-longest flavor).
+    /// start (leftmost-longest flavor), as in
+    /// [`Pattern::find_spans`](crate::Pattern::find_spans). Reversed
+    /// automata are built lazily per rule and kept for the engine's
+    /// lifetime.
     pub fn scan_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
-        self.set.find_spans(haystack)
-    }
-
-    /// Whether any rule matches in `haystack`.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        self.set.is_match(haystack)
+        // One backward engine per distinct rule, reused across ends.
+        let mut engines: HashMap<usize, TokenSetEngine<'_>> = HashMap::new();
+        (self.scan(haystack).into_iter())
+            .map(|m| {
+                let engine = (engines.entry(m.pattern))
+                    .or_insert_with(|| TokenSetEngine::new(self.set.reversed_nca(m.pattern)));
+                SetSpan {
+                    pattern: m.pattern,
+                    start: crate::earliest_start(engine, haystack, m.end).0,
+                    end: m.end,
+                }
+            })
+            .collect()
     }
 
     // ---- per-use handles --------------------------------------------
 
-    /// A resumable streaming matcher for ONE flow: feed chunks, drain
-    /// reports, [`finish`](ShardedSetStream::finish) to resolve
-    /// trailing-`$` anchors at end-of-stream.
+    /// A resumable streaming matcher for ONE flow, holding one engine
+    /// state per scan group: feed chunks and drain reports incrementally,
+    /// without re-scanning previous chunks; large chunks are fanned out
+    /// to the group engines on scoped threads.
+    ///
+    /// A stream has no "end" until [`finish`](ShardedSetStream::finish)
+    /// declares one, so trailing-`$` anchors are not applied during
+    /// [`feed`](ShardedSetStream::feed): `$`-anchored rules report every
+    /// candidate end offset, and `finish` says which of them end on the
+    /// final byte.
     pub fn stream(&self) -> ShardedSetStream<'_> {
-        self.set.stream()
+        ShardedSetStream::new(&self.set)
     }
 
     /// A batch many-flow scheduler (`push`/`run`/`poll` cycles) over

@@ -26,8 +26,9 @@
 //! feed it, and check it back in.
 //!
 //! Two invariants make the merge order independent of who scanned what
-//! first. Each unit's reports arrive sorted by `(end, pattern)`
-//! ([`ShardStream::feed_into`]'s contract), so the k-way merge is a
+//! first. Each unit's reports arrive sorted by `(end, pattern)` — an
+//! engine reports ascending ends, and within one end the ascending
+//! global rule indices of its scan group — so the k-way merge is a
 //! merge. And no match of a cold unit ends before its first literal end,
 //! so a cold unit has nothing pending and its position is a formality:
 //! the watermark may step *back* to `replay_start` on a wake without
@@ -35,14 +36,14 @@
 
 use crate::prefilter::{has, ChunkAction};
 use crate::ShardedPatternSet;
-use recama_nca::{HybridStats, MultiReport, ShardStream};
+use recama_nca::{HybridEngine, HybridStats, MultiReport};
 use std::collections::{HashMap, VecDeque};
 
 /// One `(flow, group)` unit.
 struct Unit {
     /// `None` while a driver has the engine checked out; a cold unit is
     /// skipped, never checked out.
-    engine: Option<ShardStream>,
+    engine: Option<Box<HybridEngine>>,
     /// Absolute bytes of the flow this unit has consumed (as of its last
     /// check-in, skip or wake).
     pos: u64,
@@ -77,7 +78,7 @@ impl Flow {
     /// Fresh engines and cold units of `set`, for a stream whose bytes
     /// from absolute offset `base` on they will see.
     pub(crate) fn new(set: &ShardedPatternSet, base: u64) -> Flow {
-        let units = set.group_streams().into_iter().map(|engine| Unit {
+        let units = set.group_streams().map(|engine| Unit {
             engine: Some(engine),
             pos: base,
             pending: VecDeque::new(),
@@ -190,7 +191,7 @@ impl Flow {
 
     /// Takes unit `si`'s engine for a scan, with the absolute position it
     /// stands at.
-    pub(crate) fn checkout(&mut self, si: usize) -> (ShardStream, u64) {
+    pub(crate) fn checkout(&mut self, si: usize) -> (Box<HybridEngine>, u64) {
         let unit = &mut self.units[si];
         let engine = unit.engine.take().expect("a unit is checked out once");
         (engine, unit.pos)
@@ -201,7 +202,7 @@ impl Flow {
     pub(crate) fn check_in(
         &mut self,
         si: usize,
-        engine: ShardStream,
+        engine: Box<HybridEngine>,
         reports: impl IntoIterator<Item = MultiReport>,
     ) -> u64 {
         let base = self.base;
@@ -274,7 +275,7 @@ impl Flow {
     pub(crate) fn hybrid_stats(&self) -> HybridStats {
         let mut total = HybridStats::default();
         for unit in &self.units {
-            if let Some(stats) = unit.engine.as_ref().and_then(ShardStream::hybrid_stats) {
+            if let Some(stats) = unit.engine.as_ref().and_then(|e| e.byte_counters()) {
                 total.merge(&stats);
             }
         }
@@ -308,7 +309,7 @@ mod tests {
     fn set_with(patterns: &[&str], groups: usize, mode: PrefilterMode) -> Arc<ShardedPatternSet> {
         let builder = Engine::builder().patterns(patterns).prefilter(mode);
         let set = in_scan_groups(builder, groups).set_arc();
-        assert_eq!(set.scan_groups().shard_count(), groups);
+        assert_eq!(set.scan.shard_count(), groups);
         set
     }
 
@@ -367,7 +368,7 @@ mod tests {
     #[test]
     fn merge_orders_by_end_then_pattern_and_stops_at_the_watermark() {
         let set = set_with(&["xab", "ab"], 2, PrefilterMode::Off);
-        let groups = set.scan_groups();
+        let groups = &set.scan;
         assert_eq!((groups.members(0), groups.members(1)), (&[0][..], &[1][..]));
         let stream = b"xab.ab";
         let mut flow = Flow::new(&set, 0);

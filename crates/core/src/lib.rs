@@ -26,7 +26,7 @@
 //! use recama::Pattern;
 //!
 //! let pattern = Pattern::compile(r"ab{10,20}c").unwrap();
-//! assert!(pattern.is_match(b"....abbbbbbbbbbbc..."));
+//! assert!(!pattern.find_ends(b"....abbbbbbbbbbbc...").is_empty());
 //! assert_eq!(pattern.find_ends(b"xxabbbbbbbbbbc"), vec![14]);
 //! // One counter module instead of 20 unfolded STEs:
 //! assert_eq!(pattern.network().counts_by_type().1, 1);
@@ -132,11 +132,6 @@ impl Pattern {
             .collect()
     }
 
-    /// Whether `haystack` contains a match.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        !self.find_ends(haystack).is_empty()
-    }
-
     /// The software twin engine (counter registers + bit vectors, §3.2.1),
     /// with storage modes chosen from the static analysis.
     pub fn engine(&self) -> CompiledEngine<'_> {
@@ -160,16 +155,16 @@ mod tests {
     #[test]
     fn pattern_end_to_end() {
         let p = Pattern::compile("a{3,5}b").unwrap();
-        assert!(p.is_match(b"xxaaaabyy"));
-        assert!(!p.is_match(b"aab"));
+        assert!(!p.find_ends(b"xxaaaabyy").is_empty());
+        assert!(p.find_ends(b"aab").is_empty());
         assert_eq!(p.find_ends(b"aaab.aaaaab"), vec![4, 11]);
     }
 
     #[test]
     fn anchored_patterns_respect_anchor() {
         let p = Pattern::compile("^ab{2}").unwrap();
-        assert!(p.is_match(b"abb..."));
-        assert!(!p.is_match(b"xabb"));
+        assert!(!p.find_ends(b"abb...").is_empty());
+        assert!(p.find_ends(b"xabb").is_empty());
     }
 
     #[test]
@@ -240,7 +235,7 @@ impl Pattern {
 /// `end - k`, and the largest `k` wins. The reversed automaton is built
 /// from the raw regex (no `Σ*` prefix), so a configuration that has died
 /// cannot revive and the walk stops there. Shared by
-/// [`Pattern::find_spans`] and [`ShardedPatternSet::find_spans`].
+/// [`Pattern::find_spans`] and [`Engine::scan_spans`].
 pub(crate) fn earliest_start(
     engine: &mut recama_nca::TokenSetEngine<'_>,
     haystack: &[u8],

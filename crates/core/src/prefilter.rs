@@ -39,7 +39,7 @@
 //!   skipped — it still advances the flow's node and the unit's offset.
 //!   On the first candidate the unit turns hot **forever** and its
 //!   engine teleports to `chunk_start + 1 − window` (the group's largest
-//!   lead) via [`ShardStream::restart_at`](recama_nca::ShardStream::restart_at),
+//!   lead) via [`HybridEngine::restart_at`](recama_nca::HybridEngine::restart_at),
 //!   replaying at most `window` tail bytes: any true match ending at or
 //!   after the candidate chunk starts inside the replayed window, and a
 //!   fresh `Σ*` frontier finds all such matches identically — so
@@ -729,10 +729,10 @@ mod tests {
         let builder = (crate::Engine::builder().patterns(&rules)).prefilter(PrefilterMode::On);
         let engine = crate::set::in_scan_groups(builder, 70);
         let set = engine.set();
-        assert_eq!(set.scan_groups().shard_count(), 72);
+        assert_eq!(engine.scan_groups().shard_count(), 72);
         let pf = set.prefilter().unwrap();
         assert_eq!(pf.filterable(), [u64::MAX, (1 << 8) - 1]);
-        let last = &rules[*set.scan_groups().members(71).last().unwrap()];
+        let last = &rules[*engine.scan_groups().members(71).last().unwrap()];
         let chunk = format!("..{last}..");
         let (cold, walked) = walk(pf, &mut 0, pf.filterable(), chunk.as_bytes());
         assert_eq!((cold, walked), (vec![u64::MAX, (1 << 7) - 1], chunk.len()));

@@ -431,7 +431,7 @@ impl fmt::Debug for FlowScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, ShardedPatternSet};
+    use crate::Engine;
 
     /// `patterns` as `groups` units per flow.
     fn sharded(patterns: &[&str], groups: usize) -> Engine {
@@ -442,8 +442,8 @@ mod tests {
 
     /// Per-flow scheduler output must equal an independent stream fed the
     /// same chunks.
-    fn expected_stream(set: &ShardedPatternSet, chunks: &[&[u8]]) -> Vec<SetMatch> {
-        let mut stream = set.stream();
+    fn expected_stream(engine: &Engine, chunks: &[&[u8]]) -> Vec<SetMatch> {
+        let mut stream = engine.stream();
         let mut out = Vec::new();
         for chunk in chunks {
             out.extend(stream.feed(chunk));
@@ -467,8 +467,8 @@ mod tests {
             sched.push(2, flow_b[2]);
             sched.push(1, flow_a[2]);
             sched.run();
-            assert_eq!(sched.poll(1), expected_stream(engine.set(), &flow_a));
-            assert_eq!(sched.poll(2), expected_stream(engine.set(), &flow_b));
+            assert_eq!(sched.poll(1), expected_stream(&engine, &flow_a));
+            assert_eq!(sched.poll(2), expected_stream(&engine, &flow_b));
             assert_eq!(sched.pending_bytes(), 0);
         }
     }

@@ -1,5 +1,5 @@
 //! [`ServiceHandle`]: the owned, long-lived, backpressured many-flow
-//! serving loop over an [`Engine`](crate::Engine) — with epoch-based
+//! serving loop over an [`Engine`] — with epoch-based
 //! hot rule reload, a generational flow table, and a metrics snapshot.
 //!
 //! This module is the crate's **one serving core**. It owns what many
@@ -16,7 +16,7 @@
 //! `ServiceCore::step` strings checkout → caught scan → check-in (or
 //! quarantine / fail-stop) together — for a *batch* of up to four units
 //! of one scan group, whose rows it steps in lockstep
-//! ([`ShardStream::feed_lockstep`]) — and three callers run it:
+//! ([`HybridEngine::feed_lockstep`]) — and three callers run it:
 //!
 //! * the resident workers of a [`ServiceHandle`], which park on the
 //!   readiness condvar between bursts and step forever;
@@ -81,7 +81,7 @@ use crate::engine::{Engine, ServeConfig};
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PerGroup, PrefilterCounters, PrefilterMetrics};
 use crate::ShardedPatternSet;
-use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream, LOCKSTEP_LANES};
+use recama_nca::{HybridEngine, HybridStats, MultiReport, ScanMode, LOCKSTEP_LANES};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -183,7 +183,7 @@ pub struct ServiceMetrics {
     /// scanned the rest.
     pub caller_units: u64,
     /// Units scanned in a batch of two or more. A worker checks out up to
-    /// [`LOCKSTEP_LANES`](crate::nca::LOCKSTEP_LANES) ready units of one
+    /// [`LOCKSTEP_LANES`] ready units of one
     /// scan group and epoch at once and steps their rows in lockstep;
     /// this says whether such batches form.
     pub batched_units: u64,
@@ -1025,13 +1025,19 @@ impl ServeState {
     /// Checks a scanned unit back in: publishes its reports, requeues
     /// it if more bytes arrived while it was out,
     /// merges what became final, and settles `in_flight`.
-    fn check_in(&mut self, id: FlowId, si: usize, state: ShardStream, reports: Vec<MultiReport>) {
+    fn check_in(
+        &mut self,
+        id: FlowId,
+        si: usize,
+        state: Box<HybridEngine>,
+        reports: Vec<MultiReport>,
+    ) {
         // A sibling group's panic may have quarantined the flow — and
         // an acknowledging `close` may even have freed its slot —
         // while this unit was out scanning. Retire the late engine's
         // hybrid counters, drop its now-unmergeable reports, settle.
         if self.flow(id).is_none_or(|f| f.flow.is_freed()) {
-            if let Some(stats) = state.hybrid_stats() {
+            if let Some(stats) = state.byte_counters() {
                 self.hybrid_retired.merge(&stats);
             }
             self.in_flight -= 1;
@@ -1216,13 +1222,13 @@ impl ServeState {
                 hybrid.merge(&e.set.hybrid_cache_stats());
             }
         }
-        let hybrid = match self.current().set.scan_mode() {
+        let hybrid = match self.current().set.scan_mode {
             ScanMode::Hybrid { .. } => Some(hybrid),
             ScanMode::Nca => None,
         };
         // Per-unit vectors are as long as the scan partition, whatever
         // the bank count.
-        let groups = self.current().set.scan_groups().shard_count();
+        let groups = self.current().set.scan.shard_count();
         let prefilter = self.current().set.prefilter().map(|pf| {
             self.metrics
                 .prefilter
@@ -1293,7 +1299,7 @@ struct ServeUnit {
     group: usize,
     /// Absolute flow offset the engine stands at.
     from: u64,
-    state: ShardStream,
+    state: Box<HybridEngine>,
     segments: Vec<Segment>,
     /// The flow's open-order sequence number (fault-injection address).
     #[cfg(feature = "fault-inject")]
@@ -1307,21 +1313,21 @@ struct ServeUnit {
 impl ServeUnit {
     /// Scans every unconsumed byte of a batch's checked-out segments: the
     /// first segment of every unit in lockstep
-    /// ([`ShardStream::feed_lockstep`]), any later ones unit by unit.
+    /// ([`HybridEngine::feed_lockstep`]), any later ones unit by unit.
     /// Returns, per unit, the reports its engine appended and the bytes
     /// it walked. Runs WITHOUT the lock held.
     fn scan(units: &mut [ServeUnit]) -> Vec<(Vec<MultiReport>, u64)> {
         let mut reports = vec![Vec::new(); units.len()];
-        let mut firsts: Vec<(&mut ShardStream, &[u8], &mut Vec<MultiReport>)> = (units.iter_mut())
+        let mut firsts: Vec<(&mut HybridEngine, &[u8], &mut Vec<MultiReport>)> = (units.iter_mut())
             .zip(&mut reports)
             .map(|(unit, out)| {
                 let first = (unit.segments.first()).map_or(&[][..], |seg| {
                     &seg.bytes[(unit.from - seg.start) as usize..]
                 });
-                (&mut unit.state, first, out)
+                (&mut *unit.state, first, out)
             })
             .collect();
-        ShardStream::feed_lockstep(&mut firsts);
+        HybridEngine::feed_lockstep(&mut firsts);
         (units.iter_mut().zip(reports))
             .map(|(unit, mut out)| {
                 let mut at = unit.segments.first().map_or(unit.from, Segment::end);
@@ -2165,7 +2171,7 @@ impl std::fmt::Debug for ServiceHandle {
             "ServiceHandle(epoch {}, {} flows, {} scan groups, {} workers, budget = {} B)",
             st.current_epoch,
             st.occupied(),
-            st.current().set.scan_groups().shard_count(),
+            st.current().set.scan.shard_count(),
             self.workers,
             self.core.config.flow_budget
         )

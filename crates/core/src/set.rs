@@ -4,18 +4,19 @@
 //! The paper's evaluation operates on rulesets (Snort, Suricata,
 //! Protomata, SpamAssassin, ClamAV — Table 1), and deployments of this
 //! class of matcher always compile the full set into shared automata
-//! scanned once per input stream. There is one ruleset type, and it
-//! holds two partitions of its rules, both [`ShardPlan`]s:
+//! scanned once per input stream. The set is what an
+//! [`Engine`](crate::Engine) compiles and asks, and it holds two
+//! partitions of its rules, both [`ShardPlan`]s:
 //!
-//! * the **bank plan** ([`ShardedPatternSet::plan`]) cuts the rules into
-//!   *shards* whose sub-networks each fit one bank
-//!   ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
-//!   capacity). It decides the machine images — `network`, `hardware`,
-//!   placement, energy and area — and nothing else;
-//! * the **scan partition** ([`ShardedPatternSet::scan_groups`]) cuts
-//!   them into *scan groups*, the units a software flow scans. In the
-//!   machine a bank is free parallelism (one decoder shows a symbol to
-//!   every bank), in software every group is one more table walk over
+//! * the **bank plan** ([`Engine::plan`](crate::Engine::plan)) cuts the
+//!   rules into *shards* whose sub-networks each fit one bank
+//!   ([`ShardPolicy`], default = one bank's capacity). It decides the
+//!   machine images — `network`, `hardware`, placement, energy and
+//!   area — and nothing else;
+//! * the **scan partition** ([`Engine::scan_groups`](crate::Engine::scan_groups))
+//!   cuts them into *scan groups*, the units a software flow scans. In
+//!   the machine a bank is free parallelism (one decoder shows a symbol
+//!   to every bank), in software every group is one more table walk over
 //!   the same byte, so the partition is the coarsest order-preserving
 //!   one whose lazy-DFA rows can be expected to fit: next-fit over the
 //!   rules, a rule weighing its NCA's states, a group closing when the
@@ -24,19 +25,19 @@
 //!   shard policy never reaches it.
 //!
 //! One [`MultiNca`](recama_nca::MultiNca) per scan group shares a single
-//! byte-class alphabet computed once over the whole set, and a
-//! [`ShardedSetStream`] feeds each chunk to every group engine that
-//! scans it, one after the other — large chunks in parallel on scoped
-//! threads. What the stream does with a chunk (the literal prefilter's
-//! skip / wake / replay, the ordered merge that keeps the output
-//! **byte-identical** for any partition, the trailing-`$` bookkeeping)
-//! is one flow's (`flow.rs`), the same value the serving core
-//! schedules; the stream is its synchronous driver.
+//! byte-class alphabet computed once over the whole set and reports
+//! global rule indices, and a [`ShardedSetStream`] feeds each chunk to
+//! every group engine that scans it, one after the other — large chunks
+//! in parallel on scoped threads. What the stream does with a chunk (the
+//! literal prefilter's skip / wake / replay, the ordered merge that
+//! keeps the output **byte-identical** for any partition, the
+//! trailing-`$` bookkeeping) is one flow's (`flow.rs`), the same value
+//! the serving core schedules; the stream is its synchronous driver.
 //!
 //! One merged network for the whole set (the shape that fits a single
 //! CAMA bank) is the one-bank plan, `ShardPolicy::Single`. A block scan
-//! ([`ShardedPatternSet::find_ends`]) is a fresh stream fed the haystack
-//! once, so there is one scan loop.
+//! ([`Engine::scan`](crate::Engine::scan)) is a fresh stream fed the
+//! haystack once, so there is one scan loop.
 
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PrefilterMode, SetPrefilter};
@@ -45,11 +46,10 @@ use recama_compiler::{compile, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
 use recama_nca::{
-    CompilePlan, HybridCache, HybridStats, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti,
-    StateId, TokenSetEngine,
+    CompilePlan, HybridCache, HybridEngine, HybridStats, MultiReport, Nca, ScanMode, ShardedMulti,
+    StateId,
 };
 use recama_syntax::Parsed;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -88,64 +88,48 @@ impl SetSpan {
 /// A compiled ruleset: one merged extended-MNRL network **per bank-sized
 /// shard**, one shared software automaton **per scan group** (see the
 /// module docs for the two partitions), and a single byte-class alphabet
-/// shared by every automaton.
+/// shared by every automaton. Every group automaton reports global rule
+/// indices.
 ///
-/// Mirrors [`Pattern`](crate::Pattern)'s API at set granularity —
-/// [`find_ends`] / [`find_spans`] / [`stream`] / [`hardware`] — and its
-/// report semantics exactly: for any bank plan (including the one-bank
-/// `ShardPolicy::Single`) and any scan partition, [`find_ends`] returns
-/// the union of the per-pattern reports in the same order.
-///
-/// [`find_ends`]: ShardedPatternSet::find_ends
-/// [`find_spans`]: ShardedPatternSet::find_spans
-/// [`stream`]: ShardedPatternSet::stream
-/// [`hardware`]: ShardedPatternSet::hardware
-///
-/// The only way to compile one is
-/// [`Engine::builder`](crate::Engine::builder) (every compile knob lives
-/// there), then [`Engine::set`](crate::Engine::set).
+/// The set is the inside of an [`Engine`](crate::Engine), which answers
+/// every question about it; the one thing the set itself lends out is
+/// its software automata.
 ///
 /// # Examples
 ///
 /// ```
-/// use recama::hw::ShardPolicy;
-/// use recama::Engine;
+/// use recama::{Engine, ScanMode};
 ///
 /// let engine = Engine::builder()
 ///     .patterns(["ab{2,3}c", "xyz", "k\\d{4}"])
-///     .shard_policy(ShardPolicy::Fixed(2))
+///     .scan_mode(ScanMode::Hybrid { state_budget: 4 })
 ///     .build()
 ///     .unwrap();
-/// let set = engine.set();
-/// assert_eq!(set.shard_count(), 2);
-/// // Three small rules fit one group of lazy-DFA rows: a flow scans once.
-/// assert_eq!(set.scan_groups().shard_count(), 1);
-/// // Reports are identical for any partition, in the same order.
-/// let matches = set.find_ends(b"zabbc..xyz..k1234");
-/// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
-/// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
-/// // Each shard is its own machine image with global report ids.
-/// assert_eq!(set.network(0).report_ids(), vec![0, 1]);
-/// assert_eq!(set.network(1).report_ids(), vec![2]);
+/// // A budget of four states puts each rule in a scan group of its own,
+/// // and every group reports the global index of its rule.
+/// let groups = engine.set().multi().shards();
+/// assert_eq!(groups.len(), 3);
+/// let reports = groups[2].engine().match_reports(b"k1234");
+/// assert_eq!((reports[0].pattern, reports[0].end), (2, 5));
 /// ```
 #[derive(Debug)]
 pub struct ShardedPatternSet {
-    sources: Vec<String>,
+    pub(crate) sources: Vec<String>,
     parsed: Vec<Parsed>,
-    outputs: Vec<CompileOutput>,
+    pub(crate) outputs: Vec<CompileOutput>,
     anchored_end: Vec<bool>,
     /// The bank plan: which rule lives in which machine image.
-    plan: ShardPlan,
+    pub(crate) plan: ShardPlan,
     /// One merged machine image per shard (reporting nodes carry global
     /// pattern ids).
-    networks: Vec<MnrlNetwork>,
+    pub(crate) networks: Vec<MnrlNetwork>,
     /// The scan partition: which rule a flow scans in which group.
-    scan: ShardPlan,
+    pub(crate) scan: ShardPlan,
     /// One merged automaton per scan group.
     multi: ShardedMulti,
     /// How scans and streams walk input bytes (the hybrid engine with or
     /// without lazy-DFA rows).
-    scan_mode: ScanMode,
+    pub(crate) scan_mode: ScanMode,
     /// Under [`ScanMode::Hybrid`], the lazily determinized rows of each
     /// scan group (empty under [`ScanMode::Nca`]): one cache per group,
     /// shared by every scan, stream and served flow of this set on any
@@ -158,7 +142,7 @@ pub struct ShardedPatternSet {
     /// before running the automata.
     prefilter: Option<SetPrefilter>,
     /// Reversed automata for span location, built per pattern on first
-    /// use (repeated `find_spans` calls must not re-run Glushkov).
+    /// use (repeated span scans must not re-run Glushkov).
     reversed: Vec<OnceLock<Nca>>,
 }
 
@@ -275,94 +259,12 @@ impl ShardedPatternSet {
         }
     }
 
-    /// Number of compiled patterns.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
-
-    /// The source text of pattern `i`.
-    pub fn pattern(&self, i: usize) -> &str {
-        &self.sources[i]
-    }
-
-    /// Per-pattern compiler outputs (module decisions, analyses, NCAs),
-    /// indexed like the patterns.
-    pub fn outputs(&self) -> &[CompileOutput] {
-        &self.outputs
-    }
-
-    /// Number of bank-sized shards, i.e. machine images (≥ 1; the empty
-    /// set compiles to one empty shard). Not the number of engines a
-    /// flow runs: that is [`scan_groups`](ShardedPatternSet::scan_groups).
-    pub fn shard_count(&self) -> usize {
-        self.networks.len()
-    }
-
-    /// The bank plan (which pattern lives in which shard's image).
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Global pattern indices of shard `shard`'s image, ascending.
-    pub fn shard_members(&self, shard: usize) -> &[usize] {
-        self.plan.members(shard)
-    }
-
-    /// The scan partition (which pattern a flow scans in which group):
-    /// what [`multi`](ShardedPatternSet::multi), the prefilter, a
-    /// stream's engines, the serving units and every per-unit metric are
-    /// indexed by. It follows from the rules and the [`ScanMode`] alone
-    /// (see the module docs), never from the
-    /// [`ShardPolicy`](recama_hw::ShardPolicy).
-    pub fn scan_groups(&self) -> &ShardPlan {
-        &self.scan
-    }
-
-    /// The merged extended-MNRL network of shard `shard`. Reporting nodes
-    /// of pattern `i` carry `report_id = i` (global numbering).
-    pub fn network(&self, shard: usize) -> &MnrlNetwork {
-        &self.networks[shard]
-    }
-
-    /// All per-shard machine images.
-    pub fn networks(&self) -> &[MnrlNetwork] {
-        &self.networks
-    }
-
     /// The software automata: one merged `MultiNca` per **scan group**
     /// (`multi().shards()[g]` holds the rules of
-    /// `scan_groups().members(g)`), shared byte-class alphabet.
+    /// `scan_groups().members(g)` and reports their global indices),
+    /// shared byte-class alphabet.
     pub fn multi(&self) -> &ShardedMulti {
         &self.multi
-    }
-
-    /// How this set's scans and streams walk input bytes (set at build
-    /// time via [`EngineBuilder::scan_mode`](crate::EngineBuilder)).
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan_mode
-    }
-
-    /// Whether this set consults the literal prefilter (set at build
-    /// time via [`EngineBuilder::prefilter`](crate::EngineBuilder)).
-    pub(crate) fn prefilter_mode(&self) -> PrefilterMode {
-        if self.prefilter.is_some() {
-            PrefilterMode::On
-        } else {
-            PrefilterMode::Off
-        }
-    }
-
-    /// Number of rules with no usable required literal (their scan
-    /// groups scan every byte). 0 under [`PrefilterMode::Off`].
-    pub fn always_on_rules(&self) -> usize {
-        self.prefilter
-            .as_ref()
-            .map_or(0, SetPrefilter::always_on_rules)
     }
 
     /// The compiled literal prefilter, if the set was built with one.
@@ -370,15 +272,20 @@ impl ShardedPatternSet {
         self.prefilter.as_ref()
     }
 
-    /// One fresh [`ShardStream`] per scan group in this set's
-    /// [`ScanMode`] — the unit the flow scheduler checks out, and what a
-    /// `'static` flow table keeps between scans (see
-    /// [`ServiceHandle`](crate::ServiceHandle)). A hybrid stream scans on
-    /// the group's shared rows.
-    pub(crate) fn group_streams(&self) -> Vec<ShardStream> {
-        (0..self.multi.shard_count())
-            .map(|group| self.multi.shard_stream(group, self.caches.get(group)))
-            .collect()
+    /// One fresh engine per scan group in this set's [`ScanMode`] — the
+    /// units of a flow, each `'static + Send` so a flow table keeps it
+    /// between scans as it is (see
+    /// [`ServiceHandle`](crate::ServiceHandle)). A hybrid engine scans on
+    /// the group's shared rows. Boxed: engines move between workers at
+    /// every checkout and check-in, and an engine is hundreds of bytes
+    /// of inline state.
+    pub(crate) fn group_streams(&self) -> impl Iterator<Item = Box<HybridEngine>> + '_ {
+        (self.multi.shards().iter().enumerate()).map(|(group, multi)| {
+            Box::new(match self.caches.get(group) {
+                Some(cache) => multi.hybrid_engine_on(cache),
+                None => multi.engine(),
+            })
+        })
     }
 
     /// The group caches' half of the hybrid counters — `dfa_states` and
@@ -392,100 +299,15 @@ impl ShardedPatternSet {
         total
     }
 
-    /// All matches in `haystack`, in stream order (ascending end offset,
-    /// ascending pattern within one offset) — byte-identical for any
-    /// partition. A block scan is a fresh [`stream`] fed the haystack
-    /// once: the stream's one loop consults the prefilter (a fresh
-    /// filter state on the only chunk is the block gate — a haystack
-    /// without any required literal of a scan group cannot contain one
-    /// of its matches), fans large haystacks out to one scoped thread
-    /// per group, and merges the reports in order.
-    ///
-    /// Semantics per pattern match
-    /// [`Pattern::find_ends`](crate::Pattern::find_ends): search form
-    /// `Σ*·r` unless `^`-anchored, one report per (pattern, end), and a
-    /// trailing `$` keeps only that pattern's matches ending at the end
-    /// of the haystack.
-    ///
-    /// [`stream`]: ShardedPatternSet::stream
-    pub fn find_ends(&self, haystack: &[u8]) -> Vec<SetMatch> {
-        self.stream()
-            .feed(haystack)
-            .filter(|m| !self.anchored_end[m.pattern] || m.end == haystack.len())
-            .collect()
-    }
-
-    /// Whether any pattern matches in `haystack`.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        !self.find_ends(haystack).is_empty()
-    }
-
-    /// Locates full match spans per pattern: for every reported match
-    /// end, the matching pattern's *reversed* automaton runs backward
-    /// from the end to the earliest start (leftmost-longest flavor), as
-    /// in [`Pattern::find_spans`](crate::Pattern::find_spans). Reversed
-    /// automata are built lazily per pattern and cached for the set's
-    /// lifetime.
-    pub fn find_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
-        let matches = self.find_ends(haystack);
-        if matches.is_empty() {
-            return Vec::new();
-        }
-        // One backward engine per distinct pattern, reused across ends.
-        let mut engines: HashMap<usize, TokenSetEngine<'_>> = HashMap::new();
-        matches
-            .into_iter()
-            .map(|m| {
-                let engine = engines
-                    .entry(m.pattern)
-                    .or_insert_with(|| TokenSetEngine::new(self.reversed_nca(m.pattern)));
-                SetSpan {
-                    pattern: m.pattern,
-                    start: crate::earliest_start(engine, haystack, m.end).0,
-                    end: m.end,
-                }
-            })
-            .collect()
-    }
-
     /// The reversed automaton of pattern `i`, built on first use.
-    fn reversed_nca(&self, i: usize) -> &Nca {
+    pub(crate) fn reversed_nca(&self, i: usize) -> &Nca {
         self.reversed[i].get_or_init(|| Nca::from_regex(&self.parsed[i].regex.reverse()))
-    }
-
-    /// A resumable streaming matcher holding one engine state per scan
-    /// group: feed traffic in chunks and drain reports incrementally,
-    /// without re-scanning previous chunks. Large chunks are fanned out
-    /// to the group engines on scoped threads.
-    ///
-    /// Note that a stream has no "end" until [`finish`] declares one, so
-    /// trailing-`$` anchors are not applied during [`feed`]: `$`-anchored
-    /// patterns report every candidate end offset. Call [`finish`] at
-    /// end-of-stream to learn which `$`-anchored matches actually end on
-    /// the final byte.
-    ///
-    /// [`feed`]: ShardedSetStream::feed
-    /// [`finish`]: ShardedSetStream::finish
-    pub fn stream(&self) -> ShardedSetStream<'_> {
-        ShardedSetStream {
-            set: self,
-            flow: Flow::new(self, 0),
-            verdicts: Vec::new(),
-            merged: Vec::new(),
-        }
     }
 
     /// Whether pattern `i` carries a trailing-`$` anchor (one-shot scans
     /// keep only its matches ending at the end of the haystack).
     pub(crate) fn anchored_end(&self) -> &[bool] {
         &self.anchored_end
-    }
-
-    /// A hardware simulator for shard `shard`'s machine image; its report
-    /// vector attributes events to patterns via the stamped (global)
-    /// report ids.
-    pub fn hardware(&self, shard: usize) -> recama_hw::HwSimulator<'_> {
-        recama_hw::HwSimulator::new(&self.networks[shard])
     }
 }
 
@@ -505,7 +327,7 @@ fn scan_partition(outputs: &[CompileOutput], state_budget: usize) -> ShardPlan {
 }
 
 /// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`];
-/// create one with [`ShardedPatternSet::stream`]. It is the synchronous
+/// create one with [`Engine::stream`](crate::Engine::stream). It is the synchronous
 /// driver of one flow (`flow.rs`): every chunk is admitted, scanned by
 /// the group engines the literal prefilter did not skip — on scoped
 /// threads when the chunk is large — and merged before
@@ -526,7 +348,17 @@ pub struct ShardedSetStream<'a> {
 /// cost more than the scan).
 const PARALLEL_MIN_BYTES: usize = 4096;
 
-impl ShardedSetStream<'_> {
+impl<'a> ShardedSetStream<'a> {
+    /// A fresh stream over `set`, at position 0.
+    pub(crate) fn new(set: &'a ShardedPatternSet) -> ShardedSetStream<'a> {
+        ShardedSetStream {
+            set,
+            flow: Flow::new(set, 0),
+            verdicts: Vec::new(),
+            merged: Vec::new(),
+        }
+    }
+
     /// Consumes `chunk` and returns the matches it completed, in stream
     /// order. End offsets are 1-based and *absolute* (counted from the
     /// start of the stream, across all chunks fed so far).
@@ -541,7 +373,7 @@ impl ShardedSetStream<'_> {
                 replay_from = start;
                 replay.extend_from_slice(bytes);
             });
-        let mut scans: Vec<(usize, ShardStream, u64, Vec<MultiReport>)> = Vec::new();
+        let mut scans: Vec<(usize, Box<HybridEngine>, u64, Vec<MultiReport>)> = Vec::new();
         for (si, verdict) in self.verdicts.iter().enumerate() {
             if *verdict != ChunkAction::Skip {
                 let (engine, from) = self.flow.checkout(si);
@@ -549,7 +381,7 @@ impl ShardedSetStream<'_> {
             }
         }
         // A stream counts from 0, so engine positions are absolute.
-        let scan = |(_, engine, from, reports): &mut (usize, ShardStream, u64, Vec<_>)| {
+        let scan = |(_, engine, from, reports): &mut (usize, Box<HybridEngine>, u64, Vec<_>)| {
             engine.feed_into(&replay[(*from - replay_from) as usize..], reports);
             engine.feed_into(chunk, reports);
         };
@@ -573,7 +405,7 @@ impl ShardedSetStream<'_> {
 
     /// Declares end-of-stream and returns, sorted by pattern, the
     /// `$`-anchored matches that end **exactly at the final byte** — the
-    /// ones a one-shot [`ShardedPatternSet::find_ends`] over the whole
+    /// ones a one-shot [`Engine::scan`](crate::Engine::scan) over the whole
     /// stream would keep. (`feed` reports every candidate end of a
     /// `$`-anchored pattern, because mid-stream the end is unknown; the
     /// non-`$` reports of `feed` plus this finishing set are together
@@ -647,28 +479,26 @@ pub(crate) fn in_scan_groups(builder: crate::EngineBuilder, groups: usize) -> cr
 mod tests {
     use super::*;
     use crate::{Engine, Pattern};
-    use std::sync::Arc;
 
     /// `patterns` in `groups` scan groups, one bank.
-    fn grouped(patterns: &[&str], groups: usize) -> Arc<ShardedPatternSet> {
-        let set = in_scan_groups(Engine::builder().patterns(patterns), groups).set_arc();
-        assert_eq!(set.scan_groups().shard_count(), groups);
-        set
+    fn grouped(patterns: &[&str], groups: usize) -> Engine {
+        let engine = in_scan_groups(Engine::builder().patterns(patterns), groups);
+        assert_eq!(engine.scan_groups().shard_count(), groups);
+        engine
     }
 
-    fn set_with(patterns: &[&str], policy: ShardPolicy) -> Arc<ShardedPatternSet> {
+    fn set_with(patterns: &[&str], policy: ShardPolicy) -> Engine {
         Engine::builder()
             .patterns(patterns)
             .shard_policy(policy)
             .build()
             .unwrap()
-            .set_arc()
     }
 
     #[test]
     fn mirrors_per_pattern_find_ends() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
-        let set = set_with(&patterns, ShardPolicy::Single);
+        let engine = set_with(&patterns, ShardPolicy::Single);
         let haystack = b"abbc.aaa.cab.xyz.abbbc";
         let mut expected: Vec<SetMatch> = Vec::new();
         for (pi, p) in patterns.iter().enumerate() {
@@ -677,29 +507,29 @@ mod tests {
             }
         }
         expected.sort();
-        let mut got = set.find_ends(haystack);
+        let mut got = engine.scan(haystack);
         got.sort();
         assert_eq!(got, expected);
     }
 
     #[test]
     fn network_is_merged_and_valid_with_report_ids() {
-        let set = set_with(&["^a{30}", "[xy]{5}z"], ShardPolicy::Single);
-        assert_eq!(set.shard_count(), 1);
+        let engine = set_with(&["^a{30}", "[xy]{5}z"], ShardPolicy::Single);
+        assert_eq!(engine.shard_count(), 1);
         assert!(
-            set.network(0).validate().is_empty(),
+            engine.network(0).validate().is_empty(),
             "{:?}",
-            set.network(0).validate()
+            engine.network(0).validate()
         );
-        assert_eq!(set.network(0).report_ids(), vec![0, 1]);
+        assert_eq!(engine.network(0).report_ids(), vec![0, 1]);
         // Module decisions surface per pattern.
-        assert_eq!(set.outputs().len(), 2);
+        assert_eq!(engine.outputs().len(), 2);
     }
 
     #[test]
     fn dollar_anchor_filters_set_matches() {
-        let set = set_with(&["ab$", "ab"], ShardPolicy::Single);
-        let got = set.find_ends(b"ab.ab");
+        let engine = set_with(&["ab$", "ab"], ShardPolicy::Single);
+        let got = engine.scan(b"ab.ab");
         // "ab$" only at the final position; "ab" at both.
         assert_eq!(
             got,
@@ -713,8 +543,8 @@ mod tests {
 
     #[test]
     fn stream_positions_are_absolute() {
-        let set = set_with(&["kk"], ShardPolicy::Single);
-        let mut stream = set.stream();
+        let engine = set_with(&["kk"], ShardPolicy::Single);
+        let mut stream = engine.stream();
         assert_eq!(stream.feed(b"....").count(), 0);
         let hits: Vec<SetMatch> = stream.feed(b"kk").collect();
         assert_eq!(hits, vec![SetMatch { pattern: 0, end: 6 }]);
@@ -738,11 +568,11 @@ mod tests {
             SetMatch { pattern: 2, end: 5 },
         ];
 
-        // One engine or two: non-$ feed reports + finish == find_ends.
+        // One engine or two: non-$ feed reports + finish == scan.
         for groups in [1, 2] {
-            let set = grouped(&patterns, groups);
-            assert_eq!(set.find_ends(input), expected, "{groups} groups");
-            let mut stream = set.stream();
+            let engine = grouped(&patterns, groups);
+            assert_eq!(engine.scan(input), expected, "{groups} groups");
+            let mut stream = engine.stream();
             let mut got = Vec::new();
             for chunk in [&b"ab"[..], b".c", b"d", b""] {
                 got.extend(
@@ -765,20 +595,20 @@ mod tests {
 
     #[test]
     fn stream_finish_is_empty_when_no_dollar_match_ends_the_stream() {
-        let set = set_with(&["ab$", "xy"], ShardPolicy::Single);
+        let engine = set_with(&["ab$", "xy"], ShardPolicy::Single);
         // Candidate at 2, but the stream continues past it.
-        let mut stream = set.stream();
+        let mut stream = engine.stream();
         assert_eq!(stream.feed(b"ab").count(), 1);
         assert_eq!(stream.feed(b"xy").count(), 1);
         assert!(stream.finish().is_empty());
         // A never-fed stream finishes empty too.
-        assert!(set.stream().finish().is_empty());
+        assert!(engine.stream().finish().is_empty());
     }
 
     #[test]
     fn hardware_simulator_attributes_reports() {
-        let set = set_with(&["^ab{2}c", "xyz"], ShardPolicy::Single);
-        let mut hw = set.hardware(0);
+        let engine = set_with(&["^ab{2}c", "xyz"], ShardPolicy::Single);
+        let mut hw = engine.hardware(0);
         let ends = hw.match_ends(b"abbc..xyz");
         assert_eq!(ends, vec![4, 9]);
     }
@@ -787,12 +617,12 @@ mod tests {
     fn empty_set_is_well_formed() {
         // Under any policy the empty set compiles to one empty shard.
         for policy in [ShardPolicy::Single, ShardPolicy::default()] {
-            let set = set_with(&[], policy);
-            assert!(set.is_empty());
-            assert_eq!(set.shard_count(), 1);
-            assert!(set.network(0).validate().is_empty());
-            assert!(set.find_ends(b"anything").is_empty());
-            assert_eq!(set.stream().feed(b"xy").count(), 0);
+            let engine = set_with(&[], policy);
+            assert!(engine.is_empty());
+            assert_eq!(engine.shard_count(), 1);
+            assert!(engine.network(0).validate().is_empty());
+            assert!(engine.scan(b"anything").is_empty());
+            assert_eq!(engine.stream().feed(b"xy").count(), 0);
         }
     }
 
@@ -802,7 +632,7 @@ mod tests {
         let single = set_with(&patterns, ShardPolicy::Single);
         assert_eq!(single.scan_groups().shard_count(), 1);
         let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
-        let expected = single.find_ends(haystack);
+        let expected = single.scan(haystack);
         // Neither partition moves a report, together or apart.
         let tight = ShardPolicy::Banked(ShardBudget {
             columns: 4,
@@ -818,11 +648,11 @@ mod tests {
             (ShardPolicy::Fixed(5), 1),
         ] {
             let builder = Engine::builder().patterns(patterns).shard_policy(policy);
-            let sharded = in_scan_groups(builder, groups).set_arc();
+            let sharded = in_scan_groups(builder, groups);
             assert_eq!(sharded.scan_groups().shard_count(), groups);
             // No sort: the order must match too.
             assert_eq!(
-                sharded.find_ends(haystack),
+                sharded.scan(haystack),
                 expected,
                 "policy {policy:?}, {groups} groups"
             );
@@ -832,12 +662,12 @@ mod tests {
     #[test]
     fn sharded_networks_carry_global_report_ids() {
         let patterns = ["^a{30}", "[xy]{5}z", "k\\d{2}"];
-        let set = set_with(&patterns, ShardPolicy::Fixed(2));
-        assert_eq!(set.shard_count(), 2);
+        let engine = set_with(&patterns, ShardPolicy::Fixed(2));
+        assert_eq!(engine.shard_count(), 2);
         let mut all_ids = Vec::new();
-        for si in 0..set.shard_count() {
-            assert!(set.network(si).validate().is_empty());
-            all_ids.extend(set.network(si).report_ids());
+        for si in 0..engine.shard_count() {
+            assert!(engine.network(si).validate().is_empty());
+            all_ids.extend(engine.network(si).report_ids());
         }
         all_ids.sort();
         assert_eq!(all_ids, vec![0, 1, 2]);
@@ -846,11 +676,11 @@ mod tests {
     #[test]
     fn sharded_stream_agrees_with_oneshot() {
         let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
-        let set = grouped(&patterns, 3);
+        let engine = grouped(&patterns, 3);
         let input = b"zabbbc_xxx_qrst_abbc_xxxx";
-        let oneshot = set.find_ends(input);
+        let oneshot = engine.scan(input);
         for chunk_len in [1usize, 2, 7, input.len()] {
-            let mut stream = set.stream();
+            let mut stream = engine.stream();
             let mut got = Vec::new();
             for chunk in input.chunks(chunk_len) {
                 got.extend(stream.feed(chunk));
@@ -863,8 +693,8 @@ mod tests {
     #[test]
     fn find_spans_locates_starts_per_pattern() {
         let patterns = ["ab{2,3}c", "xyz"];
-        let set = set_with(&patterns, ShardPolicy::Single);
-        let spans = set.find_spans(b"zzabbc..xyz..abbbc");
+        let engine = set_with(&patterns, ShardPolicy::Single);
+        let spans = engine.scan_spans(b"zzabbc..xyz..abbbc");
         assert_eq!(
             spans,
             vec![
@@ -907,8 +737,8 @@ mod tests {
         assert_send::<ShardedPatternSet>();
 
         // Engines really do move onto worker threads.
-        let set = set_with(&["kk"], ShardPolicy::Single);
-        let mut stream = set.stream();
+        let engine = set_with(&["kk"], ShardPolicy::Single);
+        let mut stream = engine.stream();
         let hits = std::thread::scope(|scope| {
             scope
                 .spawn(move || stream.feed(b"..kk").count())
@@ -916,7 +746,7 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(hits, 1);
-        let debug = format!("{:?}", set.stream());
+        let debug = format!("{:?}", engine.stream());
         assert!(debug.contains("1 scan groups") && debug.contains("position = 0"));
     }
 }

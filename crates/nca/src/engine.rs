@@ -23,6 +23,17 @@ pub trait Engine {
     fn is_accepting(&self) -> bool;
 
     /// Whole-input membership: resets, consumes `input`, tests acceptance.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use recama_nca::{Engine, Nca, TokenSetEngine};
+    ///
+    /// let nca = Nca::from_regex(&recama_syntax::parse("a{2,4}").unwrap().regex);
+    /// let mut engine = TokenSetEngine::new(&nca);
+    /// assert!(engine.matches(b"aaa"));
+    /// assert!(!engine.matches(b"a"));
+    /// ```
     fn matches(&mut self, input: &[u8]) -> bool {
         self.reset();
         for &b in input {
@@ -121,24 +132,6 @@ impl Engine for TokenSetEngine<'_> {
     }
 }
 
-/// Convenience: whole-input membership via the reference engine.
-///
-/// # Examples
-///
-/// ```
-/// let nca = recama_nca::Nca::from_regex(&recama_syntax::parse("a{2,4}").unwrap().regex);
-/// assert!(recama_nca::matches(&nca, b"aaa"));
-/// assert!(!recama_nca::matches(&nca, b"a"));
-/// ```
-pub fn matches(nca: &Nca, input: &[u8]) -> bool {
-    TokenSetEngine::new(nca).matches(input)
-}
-
-/// Convenience: match-end positions via the reference engine.
-pub fn match_ends(nca: &Nca, input: &[u8]) -> Vec<usize> {
-    TokenSetEngine::new(nca).match_ends(input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,14 +187,15 @@ mod tests {
         let p = parse("ab{2}").unwrap();
         let a = Nca::from_regex(&p.for_stream());
         // "xabbabb": matches of .*ab{2} end at 4 and 7.
-        assert_eq!(match_ends(&a, b"xabbabb"), vec![4, 7]);
+        assert_eq!(TokenSetEngine::new(&a).match_ends(b"xabbabb"), vec![4, 7]);
     }
 
     #[test]
     fn empty_input_and_nullable() {
         let a = nca("(ab)*");
-        assert!(matches(&a, b""));
-        assert_eq!(match_ends(&a, b"abab"), vec![0, 2, 4]);
+        let mut engine = TokenSetEngine::new(&a);
+        assert!(engine.matches(b""));
+        assert_eq!(engine.match_ends(b"abab"), vec![0, 2, 4]);
     }
 
     #[test]
@@ -222,8 +216,9 @@ mod tests {
     #[test]
     fn unbounded_counting_semantics() {
         let a = nca("a{3,}");
-        assert!(!matches(&a, b"aa"));
-        assert!(matches(&a, b"aaa"));
-        assert!(matches(&a, b"aaaaaaaa"));
+        let mut engine = TokenSetEngine::new(&a);
+        assert!(!engine.matches(b"aa"));
+        assert!(engine.matches(b"aaa"));
+        assert!(engine.matches(b"aaaaaaaa"));
     }
 }

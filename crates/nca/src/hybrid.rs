@@ -892,12 +892,6 @@ struct Rowless {
 }
 
 impl HybridEngine {
-    /// Builds an overlay engine over `multi` with a cache of its own,
-    /// holding at most `state_budget` determinized states.
-    pub fn new(multi: &MultiNca, state_budget: usize) -> HybridEngine {
-        HybridEngine::on(multi, &HybridCache::new(multi, state_budget))
-    }
-
     /// Builds an overlay engine over `multi` on the shared `cache`.
     ///
     /// # Panics
@@ -1006,8 +1000,9 @@ impl HybridEngine {
 
     /// This engine's own half of [`HybridEngine::stats`]: the byte
     /// counters. `dfa_states` and `flushes` are 0 — they belong to the
-    /// shard's cache ([`HybridCache::stats`]). `None` without rows.
-    pub(crate) fn byte_counters(&self) -> Option<HybridStats> {
+    /// shard's cache ([`HybridCache::stats`]), which an aggregate counts
+    /// once per shard, not once per flow. `None` without rows.
+    pub fn byte_counters(&self) -> Option<HybridStats> {
         match &self.config {
             Config::Rows(rows) => Some(rows.at.stats),
             Config::Rowless(_) => None,

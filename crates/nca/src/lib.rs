@@ -16,7 +16,7 @@
 //!   [`TokenSetEngine`] (reference semantics) and [`CompiledEngine`]
 //!   (counter registers + bit vectors, the software twin of the augmented
 //!   hardware);
-//! * [`unfold`] — the unfolding rewrite with the threshold knob of Fig. 9.
+//! * [`unfold`](fn@unfold) — the unfolding rewrite with the threshold knob of Fig. 9.
 //!
 //! ## Example
 //!
@@ -46,11 +46,11 @@ mod token;
 mod unfold;
 
 pub use compiled::{CompilePlan, CompiledEngine, StorageMode};
-pub use engine::{match_ends, matches, Engine, TokenSetEngine};
+pub use engine::{Engine, TokenSetEngine};
 pub use hybrid::{
     HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET, LOCKSTEP_LANES,
 };
-pub use multi::{MultiNca, MultiReport, ShardStream, ShardedMulti};
+pub use multi::{MultiNca, MultiReport, ShardedMulti};
 pub use nca::{ActionOp, CounterId, CounterInfo, GuardAtom, Nca, State, StateId, Transition};
 pub use token::{Prepared, Token};
 pub use unfold::{unfold, unfold_one, unfolded_leaves, UnfoldPolicy};

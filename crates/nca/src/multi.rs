@@ -20,7 +20,7 @@
 
 use crate::bank::CounterBank;
 use crate::compiled::{counting_set_eligible, CompilePlan, StorageMode};
-use crate::hybrid::{HybridCache, HybridEngine, HybridStats};
+use crate::hybrid::{HybridCache, HybridEngine};
 use crate::nca::{ActionOp, GuardAtom, Nca, State, StateId, Transition};
 use crate::token::{resolve_transition, SlotSrc, SlotTest};
 use recama_syntax::{ByteAlphabet, ByteClassSet};
@@ -33,7 +33,8 @@ pub(crate) const NO_PATTERN: u32 = u32::MAX;
 /// its last byte at 1-based offset `end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MultiReport {
-    /// Index of the pattern in the merged set.
+    /// Index of the pattern among the parts of the merge
+    /// ([`MultiNca::merge`], [`ShardedMulti::merge`]).
     pub pattern: u32,
     /// 1-based end offset (stream position after the matching byte).
     pub end: u64,
@@ -85,25 +86,30 @@ impl MultiNca {
     ///
     /// Panics if a plan's length does not match its automaton.
     pub fn merge(parts: &[(&Nca, CompilePlan)]) -> MultiNca {
-        MultiNca::merge_with_alphabet(parts, union_alphabet(parts))
+        let all: Vec<usize> = (0..parts.len()).collect();
+        MultiNca::merge_with_alphabet(parts, &all, union_alphabet(parts))
     }
 
-    /// Like [`MultiNca::merge`], but with an externally supplied
-    /// byte-class alphabet — the sharded configuration, where one
-    /// alphabet is computed once over the *whole* pattern set and shared
-    /// by every per-shard automaton, so the input decoder classifies
-    /// each byte once for all shards.
+    /// Like [`MultiNca::merge`], but over the parts named by `members`
+    /// only, each reporting its index in `parts`, and with an externally
+    /// supplied byte-class alphabet — the sharded configuration, where
+    /// one alphabet is computed once over the *whole* pattern set and
+    /// shared by every per-shard automaton, so the input decoder
+    /// classifies each byte once for all shards.
     ///
-    /// `alphabet` must *refine* every state predicate of `parts`: each
-    /// equivalence class is either fully inside or disjoint from every
-    /// state's class. Any alphabet built from a [`ByteClassSet`] that saw
-    /// (at least) all the parts' predicates satisfies this.
+    /// `members` must ascend, so that the ascending report order within
+    /// one step is the order of the indices. `alphabet` must *refine*
+    /// every state predicate of the members: each equivalence class is
+    /// either fully inside or disjoint from every state's class. Any
+    /// alphabet built from a [`ByteClassSet`] that saw (at least) all
+    /// their predicates satisfies this.
     ///
     /// # Panics
     ///
     /// Same as [`MultiNca::merge`].
     pub(crate) fn merge_with_alphabet(
         parts: &[(&Nca, CompilePlan)],
+        members: &[usize],
         alphabet: ByteAlphabet,
     ) -> MultiNca {
         let mut states: Vec<State> = vec![State {
@@ -116,7 +122,8 @@ impl MultiNca {
         let mut modes: Vec<StorageMode> = vec![StorageMode::PureBit];
         let mut pattern_of_state: Vec<u32> = vec![u32::MAX];
 
-        for (pi, (nca, plan)) in parts.iter().enumerate() {
+        for &pi in members {
+            let (nca, plan) = &parts[pi];
             assert_eq!(plan.len(), nca.state_count(), "plan/automaton mismatch");
             // Local state j (j ≥ 1) lands at state_base + j - 1; local
             // counter k lands at counter_base + k.
@@ -249,7 +256,7 @@ impl MultiNca {
     /// The engine gets a [`HybridCache`] of its own; engines that should
     /// share their rows are made with [`MultiNca::hybrid_engine_on`].
     pub fn hybrid_engine(&self, state_budget: usize) -> HybridEngine {
-        HybridEngine::new(self, state_budget)
+        self.hybrid_engine_on(&self.hybrid_cache(state_budget))
     }
 
     /// An empty [`HybridCache`] for this automaton: the determinized
@@ -297,22 +304,21 @@ impl MultiNca {
 /// the alphabet is shared, every part classifies an input byte
 /// identically, mirroring the single input decoder that feeds all banks.
 ///
-/// Per-shard reports carry *local* pattern indices; translate them with
-/// [`ShardedMulti::shard_members`].
+/// Every shard reports the *global* pattern indices of its members, like
+/// the report ids a machine image stamps on its reporting elements, so an
+/// engine of any shard needs no translation.
 #[derive(Debug)]
 pub struct ShardedMulti {
     shards: Vec<MultiNca>,
-    /// Global pattern index per (shard, local pattern index); each
-    /// [`ShardStream`] of a shard shares its slice.
-    members: Vec<Arc<[u32]>>,
     alphabet: ByteAlphabet,
 }
 
 impl ShardedMulti {
-    /// Merges `parts` (indexed globally) into one automaton per shard.
-    /// `shards` must partition `0..parts.len()` with strictly ascending
-    /// members per shard, so that per-shard report order (ascending local
-    /// index within a step) translates to ascending global order.
+    /// Merges `parts` (indexed globally) into one automaton per shard,
+    /// each reporting the global indices of its members. `shards` must
+    /// partition `0..parts.len()` with strictly ascending members per
+    /// shard, so that per-shard reports stay in ascending pattern order
+    /// within a step.
     ///
     /// # Panics
     ///
@@ -337,30 +343,10 @@ impl ShardedMulti {
         );
 
         let alphabet = union_alphabet(parts);
-        let built: Vec<MultiNca> = shards
-            .iter()
-            .map(|members| {
-                let sub: Vec<(&Nca, CompilePlan)> = members
-                    .iter()
-                    .map(|&i| (parts[i].0, parts[i].1.clone()))
-                    .collect();
-                MultiNca::merge_with_alphabet(&sub, alphabet.clone())
-            })
+        let shards = (shards.iter())
+            .map(|members| MultiNca::merge_with_alphabet(parts, members, alphabet.clone()))
             .collect();
-        ShardedMulti {
-            shards: built,
-            members: shards
-                .iter()
-                .map(|m| m.iter().map(|&i| i as u32).collect())
-                .collect(),
-            alphabet,
-        }
-    }
-
-    /// Number of shards (≥ 1 whenever built from a `ShardPlan`-style
-    /// partition; 0 only if `shards` was empty).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        ShardedMulti { shards, alphabet }
     }
 
     /// The per-shard merged automata.
@@ -368,157 +354,20 @@ impl ShardedMulti {
         &self.shards
     }
 
-    /// The merged automaton of shard `i`.
-    pub fn shard(&self, i: usize) -> &MultiNca {
-        &self.shards[i]
-    }
-
     /// The alphabet shared by every shard.
     pub fn alphabet(&self) -> &ByteAlphabet {
         &self.alphabet
     }
 
-    /// Global pattern indices of shard `i` (ascending), indexed by the
-    /// shard's local pattern index.
-    pub fn shard_members(&self, i: usize) -> &[u32] {
-        &self.members[i]
-    }
-
     /// One empty [`HybridCache`] per shard, each bounded by
-    /// `state_budget` — the rows the hybrid [`ShardedMulti::shard_stream`]s
-    /// of a shard share. Whoever owns the set keeps them for as long as
-    /// the rows should stay warm.
+    /// `state_budget` — the rows the hybrid engines of a shard share
+    /// ([`MultiNca::hybrid_engine_on`]). Whoever owns the set keeps them
+    /// for as long as the rows should stay warm.
     pub fn hybrid_caches(&self, state_budget: usize) -> Vec<HybridCache> {
         self.shards
             .iter()
             .map(|m| m.hybrid_cache(state_budget))
             .collect()
-    }
-
-    /// A fresh scanning state for shard `i`, reporting **global** pattern
-    /// indices — the unit a many-flow scheduler checks out. On `cache` —
-    /// shard `i`'s entry of [`ShardedMulti::hybrid_caches`], shared with
-    /// every other stream of that shard — it scans on those lazy-DFA
-    /// rows (see [`crate::HybridEngine`]); without one, without rows
-    /// ([`MultiNca::engine`]).
-    pub fn shard_stream(&self, i: usize, cache: Option<&HybridCache>) -> ShardStream {
-        let multi = &self.shards[i];
-        ShardStream {
-            members: Arc::clone(&self.members[i]),
-            shard: i,
-            engine: Box::new(match cache {
-                Some(cache) => multi.hybrid_engine_on(cache),
-                None => multi.engine(),
-            }),
-        }
-    }
-}
-
-/// A resumable per-shard scanning state: ONE shard's batched engine plus
-/// the shard-local → global report translation, independent of its
-/// sibling shards so each can be advanced on its own.
-///
-/// All shards of a [`ShardedMulti`] scan the *same* logical byte stream;
-/// a `ShardStream` tracks its own position in that stream, so a scheduler
-/// can hand different shards of one flow to different workers and let
-/// them progress at different rates. The stream owns everything it
-/// scans with — its mutable engine state, a handle on the shard's
-/// immutable [`MultiNca`] (and, for a hybrid stream, on the shard's
-/// [`HybridCache`]: the rows stay there, shared, as warm as the shard's
-/// other flows have made them) and the shard's slice of global pattern
-/// indices — so it is `'static + Send`: a serving layer parks it in a
-/// flow table between scans as it is, and it outlives the
-/// [`ShardedMulti`] it came from.
-pub struct ShardStream {
-    members: Arc<[u32]>,
-    shard: usize,
-    /// Boxed: streams move between workers at every checkout/check-in,
-    /// and an engine is hundreds of bytes of inline state.
-    engine: Box<HybridEngine>,
-}
-
-impl ShardStream {
-    /// The shard index this stream advances.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Bytes of the logical stream this shard has consumed.
-    pub fn position(&self) -> u64 {
-        self.engine.position()
-    }
-
-    /// This stream's **own** hybrid-overlay counters — the byte counters;
-    /// `dfa_states` and `flushes` are 0 because they belong to the
-    /// shard's cache ([`HybridCache::stats`]), which an aggregate counts
-    /// once per shard, not once per flow. `None` for a stream without
-    /// rows.
-    pub fn hybrid_stats(&self) -> Option<HybridStats> {
-        self.engine.byte_counters()
-    }
-
-    /// Returns this shard to the start of the stream.
-    pub fn reset(&mut self) {
-        self.restart_at(0);
-    }
-
-    /// Resets this shard's frontier and resumes counting bytes from
-    /// absolute offset `position` — the literal-prefilter wake-up
-    /// primitive (a cold shard's engine skips ahead without scanning the
-    /// skipped bytes).
-    pub fn restart_at(&mut self, position: u64) {
-        self.engine.restart_at(position);
-    }
-
-    /// Consumes `chunk`, appending reports with **global** pattern
-    /// indices and absolute 1-based end offsets to `out`. Appended
-    /// reports are sorted by `(end, pattern)`: ends ascend with the
-    /// stream position, and within one step the engine emits ascending
-    /// local indices, which ascending shard members keep ascending
-    /// globally.
-    pub fn feed_into(&mut self, chunk: &[u8], out: &mut Vec<MultiReport>) {
-        let start = out.len();
-        self.engine.feed_into(chunk, out);
-        self.globalize(&mut out[start..]);
-    }
-
-    /// [`HybridEngine::feed_lockstep`] over streams: each stream consumes
-    /// its own chunk and appends to its own reports exactly as its own
-    /// [`feed_into`](ShardStream::feed_into) would, while the streams of
-    /// one shard on one [`HybridCache`] step their rows in lockstep — the
-    /// batch a serving worker checks out.
-    pub fn feed_lockstep(lanes: &mut [(&mut ShardStream, &[u8], &mut Vec<MultiReport>)]) {
-        if let [(stream, chunk, out)] = lanes {
-            return stream.feed_into(chunk, out);
-        }
-        let starts: Vec<usize> = lanes.iter().map(|(_, _, out)| out.len()).collect();
-        let mut engines: Vec<(&mut HybridEngine, &[u8], &mut Vec<MultiReport>)> = (lanes
-            .iter_mut())
-        .map(|(stream, chunk, out)| (&mut *stream.engine, *chunk, &mut **out))
-        .collect();
-        HybridEngine::feed_lockstep(&mut engines);
-        for ((stream, _, out), start) in lanes.iter_mut().zip(starts) {
-            stream.globalize(&mut out[start..]);
-        }
-    }
-
-    /// Translates the shard-local pattern indices of `reports` to global
-    /// ones.
-    fn globalize(&self, reports: &mut [MultiReport]) {
-        for r in reports {
-            r.pattern = self.members[r.pattern as usize];
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardStream(shard = {}, position = {})",
-            self.shard,
-            self.position()
-        )
     }
 }
 
@@ -758,13 +607,8 @@ mod tests {
         ] {
             let sm = sharded(&patterns, &shards);
             let mut got = Vec::new();
-            for (si, shard) in sm.shards().iter().enumerate() {
-                for r in shard.engine().match_reports(input) {
-                    got.push(MultiReport {
-                        pattern: sm.shard_members(si)[r.pattern as usize],
-                        end: r.end,
-                    });
-                }
+            for shard in sm.shards() {
+                got.extend(shard.engine().match_reports(input));
             }
             got.sort_by_key(|r| (r.end, r.pattern));
             assert_eq!(got, expected, "shards {shards:?}");
@@ -780,8 +624,10 @@ mod tests {
         for shard in sm.shards() {
             assert_eq!(shard.alphabet().len(), 5, "every shard sees the union");
         }
-        assert_eq!(sm.shard_members(0), &[0, 1]);
-        assert_eq!(sm.shard_members(1), &[2]);
+        // A shard reports its members' global indices: shard 1's one rule
+        // is rule 2.
+        let reports = sm.shards()[1].engine().match_reports(b"1234");
+        assert_eq!(reports, [MultiReport { pattern: 2, end: 4 }]);
     }
 
     #[test]
@@ -794,7 +640,7 @@ mod tests {
         }
         class_set.add(&recama_syntax::ByteClass::digit()); // extra refinement
         let parts = [(&nca, CompilePlan::conservative(&nca))];
-        let m = MultiNca::merge_with_alphabet(&parts, class_set.freeze());
+        let m = MultiNca::merge_with_alphabet(&parts, &[0], class_set.freeze());
         let reports = m.engine().match_reports(b"xaab aab");
         assert_eq!(reports.len(), 2);
     }
@@ -817,18 +663,15 @@ mod tests {
         let input = b"abbc.aaa.xyz.cab.k42.abbbc";
         let expected = per_pattern_reports(&patterns, input);
         let sm = sharded(&patterns, &[vec![0, 1], vec![2, 3], vec![4]]);
-        let mut streams: Vec<ShardStream> = (0..sm.shard_count())
-            .map(|si| sm.shard_stream(si, None))
-            .collect();
+        let mut engines: Vec<HybridEngine> = sm.shards().iter().map(MultiNca::engine).collect();
         let mut got = Vec::new();
         // Advance shards at *different* rates and in arbitrary order —
         // each keeps its own position in the logical stream.
-        for (si, stream) in streams.iter_mut().enumerate() {
-            assert_eq!(stream.shard(), si);
+        for (si, engine) in engines.iter_mut().enumerate() {
             for chunk in input.chunks(si + 1) {
-                stream.feed_into(chunk, &mut got);
+                engine.feed_into(chunk, &mut got);
             }
-            assert_eq!(stream.position(), input.len() as u64);
+            assert_eq!(engine.position(), input.len() as u64);
         }
         got.sort_by_key(|r| (r.end, r.pattern));
         assert_eq!(got, expected, "reports carry global pattern ids");
@@ -840,7 +683,6 @@ mod tests {
         fn assert_static_send<T: Send + 'static>() {}
         fn assert_shared<T: Clone + Send + Sync>() {}
         assert_static_send::<HybridEngine>();
-        assert_static_send::<ShardStream>();
         assert_shared::<MultiNca>();
     }
 
@@ -857,18 +699,21 @@ mod tests {
         for hybrid in [false, true] {
             let sm = sharded(&patterns, &[vec![0], vec![1, 2]]);
             let caches = sm.hybrid_caches(crate::DEFAULT_STATE_BUDGET);
-            let mut streams: Vec<ShardStream> = (0..sm.shard_count())
-                .map(|si| sm.shard_stream(si, hybrid.then(|| &caches[si])))
+            let mut engines: Vec<HybridEngine> = (sm.shards().iter().zip(&caches))
+                .map(|(shard, cache)| match hybrid {
+                    true => shard.hybrid_engine_on(cache),
+                    false => shard.engine(),
+                })
                 .collect();
             let mut got = Vec::new();
-            for stream in &mut streams {
-                assert_eq!(stream.hybrid_stats().is_some(), hybrid);
-                stream.feed_into(&input[..cut], &mut got);
+            for engine in &mut engines {
+                assert_eq!(engine.byte_counters().is_some(), hybrid);
+                engine.feed_into(&input[..cut], &mut got);
             }
             drop((sm, caches));
-            for stream in &mut streams {
-                stream.feed_into(&input[cut..], &mut got);
-                assert_eq!(stream.position(), input.len() as u64);
+            for engine in &mut engines {
+                engine.feed_into(&input[cut..], &mut got);
+                assert_eq!(engine.position(), input.len() as u64);
             }
             got.sort_by_key(|r| (r.end, r.pattern));
             assert_eq!(got, expected, "hybrid: {hybrid}");

@@ -32,7 +32,7 @@ pub enum Regex {
     /// ε — the language {""}.
     Empty,
     /// ∅ — the empty language. Never produced by the parser; arises only
-    /// from rewriting and is eliminated by [`crate::simplify`].
+    /// from rewriting and is eliminated by [`crate::simplify`](fn@crate::simplify).
     Void,
     /// A predicate σ ⊆ Σ (character class). Parser invariant: nonempty.
     Class(ByteClass),

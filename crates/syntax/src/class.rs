@@ -160,11 +160,6 @@ impl ByteClass {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether `self ⊆ other`.
-    pub fn is_subset(&self, other: &ByteClass) -> bool {
-        self.intersect(other) == *self
-    }
-
     /// The smallest byte in the class, if any. Used by the witness
     /// reconstruction of the static analysis to pick a concrete symbol from
     /// a predicate intersection.
@@ -400,16 +395,6 @@ mod tests {
         assert_eq!(a.complement().complement(), a);
         assert_eq!(a.union(&a.complement()), ByteClass::ANY);
         assert!(a.intersect(&a.complement()).is_empty());
-    }
-
-    #[test]
-    fn subset() {
-        let small = ByteClass::range(b'a', b'c');
-        let big = ByteClass::range(b'a', b'z');
-        assert!(small.is_subset(&big));
-        assert!(!big.is_subset(&small));
-        assert!(small.is_subset(&small));
-        assert!(ByteClass::EMPTY.is_subset(&small));
     }
 
     #[test]

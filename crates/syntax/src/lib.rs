@@ -14,7 +14,7 @@
 //!   out-of-fragment constructs (backreferences, lookaround, …) as
 //!   [`ErrorKind::Unsupported`], which is what Table 1's "# supported"
 //!   column counts;
-//! * [`simplify`] — the compiler front-end rewrites (§4.2 step 1);
+//! * [`simplify`](fn@simplify) — the compiler front-end rewrites (§4.2 step 1);
 //! * [`normalize_for_nca`] — establishes the Glushkov-with-counters
 //!   precondition (non-nullable repetition bodies);
 //! * [`naive`] — a slow membership oracle used as ground truth in tests.

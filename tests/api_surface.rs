@@ -16,9 +16,13 @@
 //! When an intentional API change lands, update the listing/pins in the
 //! same commit — that is the review hook.
 
-use recama::compiler::CompileOptions;
-use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
-use recama::syntax::ParseError;
+use recama::compiler::{CompileOptions, CompileOutput};
+use recama::hw::{HwSimulator, RuleCost, ShardBudget, ShardPlan, ShardPolicy};
+use recama::mnrl::MnrlNetwork;
+use recama::nca::{
+    CompilePlan, HybridCache, HybridEngine, MultiNca, MultiReport, Nca, ShardedMulti,
+};
+use recama::syntax::{ByteAlphabet, ParseError};
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FlowId, FlowMatch,
     FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, PrefilterMetrics, PrefilterMode,
@@ -158,7 +162,6 @@ const NCA_EXPORTS: &[&str] = &[
     "Nca",
     "Prepared",
     "ScanMode",
-    "ShardStream",
     "ShardedMulti",
     "State",
     "StateId",
@@ -167,8 +170,6 @@ const NCA_EXPORTS: &[&str] = &[
     "TokenSetEngine",
     "Transition",
     "UnfoldPolicy",
-    "match_ends",
-    "matches",
     "mod glushkov",
     "unfold",
     "unfold_one",
@@ -483,7 +484,6 @@ fn engine_builder_signatures() {
 fn engine_signatures() {
     let _: fn(&Engine, &[u8]) -> Vec<SetMatch> = |e, h| e.scan(h);
     let _: fn(&Engine, &[u8]) -> Vec<SetSpan> = |e, h| e.scan_spans(h);
-    let _: fn(&Engine, &[u8]) -> bool = |e, h| e.is_match(h);
     let _: for<'a> fn(&'a Engine) -> ShardedSetStream<'a> = |e| e.stream();
     let _: fn(&Engine, usize) -> FlowScheduler = |e, w| e.scheduler_with(w);
     let _: fn(&Engine) -> ServiceHandle = |e| e.serve();
@@ -497,10 +497,35 @@ fn engine_signatures() {
     // Two partitions, one type: the bank plan and the scan partition.
     let _: for<'a> fn(&'a Engine) -> &'a ShardPlan = |e| e.plan();
     let _: for<'a> fn(&'a Engine) -> &'a ShardPlan = |e| e.scan_groups();
-    let _: for<'a> fn(&'a ShardedPatternSet) -> &'a ShardPlan = |s| s.scan_groups();
     let _: fn(&[RuleCost], &ShardBudget) -> ShardPlan = ShardPlan::next_fit;
     let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
+    // What the benchmark harness reads of the compiled ruleset.
+    let _: for<'a> fn(&'a Engine) -> &'a [CompileOutput] = |e| e.outputs();
+    let _: for<'a> fn(&'a Engine, usize) -> &'a MnrlNetwork = |e, i| e.network(i);
+    let _: for<'a> fn(&'a Engine) -> &'a [MnrlNetwork] = |e| e.networks();
+    let _: for<'a> fn(&'a Engine, usize) -> HwSimulator<'a> = |e, i| e.hardware(i);
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
+    let _: for<'a> fn(&'a Engine) -> &'a ShardedMulti = |e| e.set().multi();
+}
+
+/// The `nca` calls the benchmark harness makes, and the engine calls a
+/// flow's units make: one engine per scan group, fed alone or in
+/// lockstep.
+#[test]
+#[allow(clippy::type_complexity)] // the pin IS the explicit shape
+fn nca_signatures() {
+    let _: fn(&[(&Nca, CompilePlan)], &[Vec<usize>]) -> ShardedMulti = ShardedMulti::merge;
+    let _: fn(&ShardedMulti) -> &[MultiNca] = ShardedMulti::shards;
+    let _: fn(&ShardedMulti) -> &ByteAlphabet = ShardedMulti::alphabet;
+    let _: fn(&MultiNca) -> HybridEngine = MultiNca::engine;
+    let _: fn(&MultiNca, usize) -> HybridEngine = MultiNca::hybrid_engine;
+    let _: fn(&MultiNca, &HybridCache) -> HybridEngine = MultiNca::hybrid_engine_on;
+    let _: fn(&mut HybridEngine, &[u8]) -> Vec<MultiReport> = HybridEngine::match_reports;
+    let _: fn(&mut HybridEngine, &[u8], &mut Vec<MultiReport>) = HybridEngine::feed_into;
+    let _: fn(&mut [(&mut HybridEngine, &[u8], &mut Vec<MultiReport>)]) =
+        HybridEngine::feed_lockstep;
+    let _: fn(&mut HybridEngine, u64) = HybridEngine::restart_at;
+    let _: fn(&HybridEngine) -> Option<HybridStats> = HybridEngine::byte_counters;
 }
 
 #[test]

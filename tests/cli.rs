@@ -91,15 +91,34 @@ fn run_reports_matches_and_costs() {
     assert!(stdout.contains("mm²"), "{stdout}");
 }
 
+/// A bad pattern, and a malformed or missing flag value, fail instead of
+/// falling back to a default.
 #[test]
 fn bad_pattern_fails_cleanly() {
-    let out = recama()
-        .args(["analyze", "a(b"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("parse error"), "{stderr}");
+    for (args, message) in [
+        (&["analyze", "a(b"][..], "parse error"),
+        (
+            &["compile", "^a{4}b", "--threshold", "abc"],
+            "bad --threshold",
+        ),
+        (
+            &["compile", "^a{4}b", "--threshold"],
+            "--threshold needs a value",
+        ),
+        (&["compile", "^a{4}b", "--out"], "--out needs a value"),
+        (
+            &["run", "ab", "--text", "xab", "--threshold", "-1"],
+            "bad --threshold",
+        ),
+        (&["run", "ab", "--text"], "--text needs a value"),
+        (&["analyze", "^a{4}b", "--method"], "--method needs a value"),
+        (&["analyze", "^a{4}b", "--method", "nope"], "unknown method"),
+    ] {
+        let out = recama().args(args).output().expect("binary runs");
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -55,7 +55,9 @@ fn snort_and_suricata_sets_match_per_pattern_union() {
             .patterns(&rules)
             .prefilter(PrefilterMode::On);
         let filtered = filtered.build().unwrap();
-        assert!(filtered.set().always_on_rules() >= 1, "{id:?}/{seed}");
+        let metrics = filtered.serve().metrics();
+        let always_on = metrics.prefilter.expect("the filter is on").always_on_rules;
+        assert!(always_on >= 1, "{id:?}/{seed}");
         let ruleset = generate(id, 0.004, seed);
         let shorter = traffic(&ruleset, 1024, 0.002, seed * 31 + 1);
         let chunks = random_chunks(shorter.len(), &mut StdRng::seed_from_u64(seed));
@@ -92,18 +94,17 @@ fn one_percent_snort_acceptance() {
     // the per-pattern oracle on generated traffic.
     let (patterns, input) = profile_traffic(BenchmarkId::Snort, 0.01, 2022, 600, 4096, 0.001);
     let engine = set_with(&patterns, ShardPolicy::Single);
-    let set = engine.set();
     assert!(
-        set.network(0).validate().is_empty(),
+        engine.network(0).validate().is_empty(),
         "{:?}",
-        set.network(0).validate()
+        engine.network(0).validate()
     );
     let expected_ids: Vec<u32> = (0..patterns.len() as u32).collect();
-    assert_eq!(set.network(0).report_ids(), expected_ids);
+    assert_eq!(engine.network(0).report_ids(), expected_ids);
 
     // Placement covers the merged image.
-    let placement = recama::hw::place(set.network(0));
-    assert_eq!(placement.per_node.len(), set.network(0).node_count());
+    let placement = recama::hw::place(engine.network(0));
+    assert_eq!(placement.per_node.len(), engine.network(0).node_count());
 
     let flows = [Flow::fixed(&input, input.len())];
     let knobs = [(DEFAULT, PrefilterMode::On, ShardPolicy::Single)];
@@ -143,7 +144,6 @@ fn module_decisions_are_preserved_per_pattern() {
     // compile the same patterns alone and as a set and compare modules.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
     let engine = set_with(&patterns, ShardPolicy::Single);
-    let set = engine.set();
     for (i, p) in patterns.iter().enumerate() {
         let alone = recama::compiler::compile(
             &recama::syntax::parse(p).unwrap().for_stream(),
@@ -151,7 +151,7 @@ fn module_decisions_are_preserved_per_pattern() {
         );
         assert_eq!(
             alone.modules,
-            set.outputs()[i].modules,
+            engine.outputs()[i].modules,
             "pattern {p}: module decisions changed under merging"
         );
     }

@@ -49,37 +49,37 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
     // Three scan groups beside the banks, for the alphabet check below.
     let builder = Engine::builder().patterns(&patterns);
     let engine = in_scan_groups(builder.shard_policy(ShardPolicy::Banked(budget)), 3);
-    let set = engine.set();
     assert!(
-        set.shard_count() > 1,
+        engine.shard_count() > 1,
         "tiny budget must force several shards"
     );
     let mut next = 0usize;
-    for si in 0..set.shard_count() {
+    for si in 0..engine.shard_count() {
         // Contiguous, ordered members (the invariant the ordered report
         // merge relies on).
-        for &m in set.shard_members(si) {
+        for &m in engine.plan().members(si) {
             assert_eq!(m, next, "shard members must be contiguous");
             next += 1;
         }
         // Each shard's merged image validates, and — since merging is a
         // disjoint union — its footprint respects the budget unless a
         // single oversize rule got its own shard.
-        let network = set.network(si);
+        let network = engine.network(si);
         assert!(network.validate().is_empty(), "{:?}", network.validate());
         let cost = RuleCost::of_network(network);
         assert!(
-            cost.fits(&budget) || set.shard_members(si).len() == 1,
+            cost.fits(&budget) || engine.plan().members(si).len() == 1,
             "shard {si} overflows the budget with multiple rules: {cost:?}"
         );
     }
-    assert_eq!(next, set.len(), "every pattern must land in some shard");
+    assert_eq!(next, engine.len(), "every pattern must land in some shard");
 
     // The shared alphabet really is shared: every scan group's automaton
     // indexes the same number of byte classes.
-    let class_count = set.multi().alphabet().len();
-    assert!(set.multi().shards().len() >= 3);
-    for group in set.multi().shards() {
+    let multi = engine.set().multi();
+    let class_count = multi.alphabet().len();
+    assert!(multi.shards().len() >= 3);
+    for group in multi.shards() {
         assert_eq!(group.alphabet().len(), class_count);
     }
 }
