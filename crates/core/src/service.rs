@@ -527,6 +527,11 @@ struct MetricsAcc {
     worker_restarts: u64,
     shed_opens: u64,
     fail_stops: u64,
+    /// Notifies of [`ServiceCore::wake`].
+    wakeups: u64,
+    /// Notifies of [`ServiceCore::space`] for a waiting producer (the
+    /// fault paths notify uncounted).
+    space_wakeups: u64,
 }
 
 /// Everything the service lock protects.
@@ -552,13 +557,24 @@ struct ServeState {
     sink: Vec<ServiceEvent>,
     /// Workers drain and exit instead of parking.
     shutdown: bool,
-    /// Threads inside a wait on [`ServiceCore::wake`] (idle workers,
-    /// and settling callers waiting out units in flight) and on
-    /// [`ServiceCore::space`] in `push_checked`. Counted under the lock
-    /// around each wait, so whoever changes what a waiter waits for —
-    /// under the same lock — knows whether a notify (a futex syscall,
-    /// waiter or not) has anyone to reach.
+    /// Threads inside a wait on [`ServiceCore::wake`]: idle workers and
+    /// settling callers. Counted under the lock around each wait, so
+    /// whoever changes what a waiter waits for — under the same lock —
+    /// knows whether a notify (a futex syscall, waiter or not) has
+    /// anyone to reach.
     parked: usize,
+    /// The settling callers among `parked`: they alone wait for
+    /// `in_flight` to reach 0.
+    settlers: usize,
+    /// How many of `parked` a notify of `wake` has already reached:
+    /// every notify sets it to `parked`, every return from a wait —
+    /// notified, timed out or spurious — takes one off, saturating. So
+    /// `parked − signalled` never undercounts the threads still waiting
+    /// unwoken, and a burst of pushes before a worker runs costs one
+    /// notify, not one per push.
+    signalled: usize,
+    /// Producers inside a wait on [`ServiceCore::space`] in
+    /// `push_checked`.
     push_waiters: usize,
     /// Set when a worker panicked mid-scan: its `(flow, group)` engine
     /// unit is lost, so that flow can never drain — blocking producers
@@ -609,6 +625,8 @@ impl ServeState {
             sink: Vec::new(),
             shutdown: false,
             parked: 0,
+            settlers: 0,
+            signalled: 0,
             push_waiters: 0,
             poisoned: false,
             panic_message: None,
@@ -1137,6 +1155,67 @@ impl ServeState {
         self.try_finish(id);
     }
 
+    // ---- who is woken -----------------------------------------------
+    //
+    // The hand-off rules of `ServiceCore::wake` and `ServiceCore::space`,
+    // decided under the lock; the caller notifies when told to.
+
+    /// A push (rule 1): buffers `chunk` as [`try_push_at`](Self::try_push_at)
+    /// does, and also returns whether to notify `wake` — only when the
+    /// push queued a unit and a parked thread has not been signalled.
+    /// A chunk every unit skipped wakes nobody.
+    fn push(&mut self, id: FlowId, chunk: &[u8], cfg: &ServeConfig) -> (Poll<u64>, bool) {
+        let queued = self.ready.len();
+        let result = self.try_push_at(id, chunk, cfg);
+        (result, self.ready.len() > queued && self.signal())
+    }
+
+    /// After a step's check-ins (rule 2): whether to notify `wake`.
+    /// Everyone on a fault or poisoning; otherwise the unsignalled parked
+    /// threads, and only when one of them may now proceed — a unit is
+    /// ready, the service is shutting down, or `in_flight` reached 0
+    /// while a settling caller waits it out. An idle worker does not
+    /// wait for a settle.
+    fn wake_after_step(&mut self, faulted: bool) -> bool {
+        if faulted {
+            self.signal_all();
+            return true;
+        }
+        let settled = self.in_flight == 0 && self.settlers > 0;
+        (settled || self.shutdown || !self.ready.is_empty()) && self.signal()
+    }
+
+    /// Claims a notify of `wake` for the parked threads that no notify
+    /// has reached yet (rule 3); `false` when there are none.
+    fn signal(&mut self) -> bool {
+        debug_assert!(self.signalled <= self.parked);
+        if self.parked == self.signalled {
+            return false;
+        }
+        self.signal_all();
+        true
+    }
+
+    /// Claims a notify of `wake` that reaches every parked thread.
+    fn signal_all(&mut self) {
+        self.signalled = self.parked;
+        self.metrics.wakeups += 1;
+    }
+
+    /// Books a return from a wait on `wake`, whatever ended it.
+    fn unpark(&mut self) {
+        self.parked -= 1;
+        self.signalled = self.signalled.saturating_sub(1);
+        debug_assert!(self.signalled <= self.parked);
+    }
+
+    /// Whether to notify `space`: only while a producer waits on it.
+    fn signal_space(&mut self) -> bool {
+        let waiting = self.push_waiters > 0;
+        self.metrics.space_wakeups += u64::from(waiting);
+        waiting
+    }
+
     // ---- eviction ---------------------------------------------------
 
     /// Closes every open, drained flow whose last push attempt is older
@@ -1348,15 +1427,28 @@ impl ServeUnit {
 pub(crate) struct ServiceCore {
     config: ServeConfig,
     state: Mutex<ServeState>,
-    /// Idle workers, and settling callers with nothing to scan while
-    /// units are out, wait here ([`ServiceCore::park`]); signalled on
-    /// reload, shutdown and every fault, and — when a thread is parked —
-    /// on push, close, and a check-in that leaves something to do or
-    /// settles the last unit.
+    /// Who waits here ([`ServiceCore::park`]): idle workers, for a ready
+    /// unit, shutdown or their sweep timer; and settling callers
+    /// ([`settle`](Self::settle): `barrier()` and the batch driver),
+    /// for a ready unit or for `in_flight` to reach 0. Every notify has
+    /// a parked waiter whose predicate just changed:
+    ///
+    /// 1. a push notifies only if it queued a unit and a parked thread
+    ///    is unsignalled — a chunk every unit skipped wakes nobody;
+    /// 2. a check-in notifies if a unit is ready, if `in_flight` reached
+    ///    0 while a settling caller waits, or on shutdown — again only
+    ///    for an unsignalled parked thread — and on every fault;
+    /// 3. a notify marks every parked thread signalled, and every
+    ///    return from the wait takes one off, so no thread is notified
+    ///    twice in one idle spell.
+    ///
+    /// Nothing else notifies it: an open, a close, a reload or an
+    /// eviction makes no unit ready and settles none.
     wake: Condvar,
-    /// Producers blocked in `push_checked` wait here; signalled on
-    /// eviction, shutdown and every fault, and when a unit is checked in
-    /// (bytes were consumed — space freed) while a pusher waits.
+    /// Producers blocked in `push_checked` wait here for their flow's
+    /// bytes to be consumed (or for it to close); notified on shutdown
+    /// and every fault, and — only while a producer waits — when a unit
+    /// is checked in or an eviction closes a flow.
     space: Condvar,
     /// Deterministic fault-injection plan, from
     /// [`EngineBuilder::fault_plan`](crate::EngineBuilder::fault_plan).
@@ -1390,7 +1482,8 @@ impl ServiceCore {
     }
 
     /// Parks an idle thread on `wake` — for at most `timeout`, if given —
-    /// counted in `parked` for as long as it waits.
+    /// counted in `parked` for as long as it waits, and booked out by
+    /// [`ServeState::unpark`] however the wait ends.
     fn park<'g>(
         &self,
         mut guard: MutexGuard<'g, ServeState>,
@@ -1407,16 +1500,8 @@ impl ServiceCore {
                 .wait(guard)
                 .unwrap_or_else(|poison| poison.into_inner()),
         };
-        guard.parked -= 1;
+        guard.unpark();
         guard
-    }
-
-    /// Wakes the idle workers after a push or a close, if there are any;
-    /// `parked` was read under the lock the caller has just released.
-    fn wake_parked(&self, parked: usize) {
-        if parked > 0 {
-            self.wake.notify_all();
-        }
     }
 
     /// The one scheduling step every driver runs: check a batch of ready
@@ -1491,18 +1576,17 @@ impl ServiceCore {
             }
             payloads.push(payload);
         }
-        // Notify only a waiter that exists and whose predicate can have
-        // changed: a parked worker or settling caller has a unit to take,
-        // or the batch (or the shutdown) it waits out has settled; a
-        // pusher may fit now. A fault changes more than that — a
-        // quarantine frees buffers, a fail-stop must reach every blocked
-        // producer — and is rare: it notifies everyone.
+        // Notify only a waiter whose predicate can have changed (rule 2):
+        // a parked thread not yet signalled has a unit to take, or the
+        // units a settling caller waits out have settled; a pusher may
+        // fit now. A fault changes more than that — a quarantine frees
+        // buffers, a fail-stop must reach every blocked producer — and
+        // is rare: it notifies everyone.
         let faulted = !payloads.is_empty() || st.poisoned;
-        let settled = st.in_flight == 0;
-        if faulted || (st.parked > 0 && (settled || !st.ready.is_empty() || st.shutdown)) {
+        if st.wake_after_step(faulted) {
             self.wake.notify_all();
         }
-        if faulted || st.push_waiters > 0 {
+        if st.signal_space() || faulted {
             self.space.notify_all();
         }
         if payloads.is_empty() {
@@ -1516,11 +1600,11 @@ impl ServiceCore {
     /// settle — the batch driver's worker ([`drain`](Self::drain)) and a
     /// [`barrier`](ServiceHandle::barrier) caller: step until nothing is
     /// ready and nothing is in flight. A thread that finds the queue
-    /// empty while others still hold units parks on `wake`: a checked-in
-    /// unit may requeue, and the check-in that settles the last one
-    /// wakes it. `check` runs under the lock before every step; each
-    /// scan panic a step caught goes to `absorb`, under the lock. The
-    /// units it scans count as
+    /// empty while others still hold units parks on `wake`, counted in
+    /// `settlers`: a checked-in unit may requeue, and the check-in that
+    /// settles the last one wakes it. `check` runs under the lock before
+    /// every step; each scan panic a step caught goes to `absorb`, under
+    /// the lock. The units it scans count as
     /// [`caller_units`](ServiceMetrics::caller_units).
     fn settle(
         &self,
@@ -1546,7 +1630,12 @@ impl ServiceCore {
                     );
                     return;
                 }
-                Step::Idle(st) => self.park(st, None),
+                Step::Idle(mut st) => {
+                    st.settlers += 1;
+                    let mut st = self.park(st, None);
+                    st.settlers -= 1;
+                    st
+                }
             };
         }
     }
@@ -1578,6 +1667,7 @@ impl ServiceCore {
     fn charge_restart(&self, st: &mut ServeState, payload: &(dyn Any + Send)) -> bool {
         if st.restarts >= self.config.restart_budget || st.shutdown {
             st.fail_stop(payload);
+            st.signal_all();
             self.wake.notify_all();
             self.space.notify_all();
             return false;
@@ -1600,7 +1690,7 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
         // Idle sweeps are due-gated at the idle timeout and run on
         // EVERY loop iteration, so sustained load (workers that always
         // find ready work) cannot starve eviction.
-        if st.evict_idle(&cfg) {
+        if st.evict_idle(&cfg) && st.signal_space() {
             core.space.notify_all();
         }
         let idle = match core.step(st, false) {
@@ -1808,6 +1898,7 @@ impl ServiceHandle {
         {
             let mut st = self.core.lock();
             st.shutdown = true;
+            st.signal_all();
         }
         self.core.wake.notify_all();
         self.core.space.notify_all();
@@ -1868,8 +1959,6 @@ impl ServiceHandle {
         st.current_epoch = epoch;
         st.metrics.reloads += 1;
         st.epochs.retain(|e| e.epoch == epoch || e.flows > 0);
-        drop(st);
-        self.core.wake.notify_all();
         epoch
     }
 
@@ -1900,15 +1989,18 @@ impl ServiceHandle {
         if st.overloaded(&self.core.config) {
             st.metrics.shed_opens += 1;
             let evicted = self.core.config.overload.evict_on_shed && st.evict_lru();
-            drop(st);
-            if evicted {
-                self.core.space.notify_all();
+            if evicted && st.signal_space() {
+                drop(st);
+                self.core.space.notify_all(); // a blocked producer's flow may be the one closed
             }
             return Err(ServeError::Overloaded);
         }
+        // A budget eviction may close a blocked producer's flow.
         let id = st.open(&self.core.config);
-        drop(st);
-        self.core.space.notify_all(); // a budget eviction may have freed a blocked producer's flow
+        if st.signal_space() {
+            drop(st);
+            self.core.space.notify_all();
+        }
         Ok(id)
     }
 
@@ -1935,11 +2027,10 @@ impl ServiceHandle {
                 st.panic_summary()
             );
         }
-        let result = st.try_push_at(flow, chunk, &self.core.config);
-        let parked = st.parked;
+        let (result, wake) = st.push(flow, chunk, &self.core.config);
         drop(st);
-        if result.is_ready() {
-            self.core.wake_parked(parked);
+        if wake {
+            self.core.wake.notify_all();
         }
         result
     }
@@ -1969,10 +2060,11 @@ impl ServiceHandle {
                     message: st.panic_summary().to_string(),
                 });
             }
-            if let Poll::Ready(total) = st.try_push_at(flow, chunk, &self.core.config) {
-                let parked = st.parked;
+            if let (Poll::Ready(total), wake) = st.push(flow, chunk, &self.core.config) {
                 drop(st);
-                self.core.wake_parked(parked);
+                if wake {
+                    self.core.wake.notify_all();
+                }
                 return Ok(total);
             }
             if st.flow(flow).is_none_or(|f| f.closed) {
@@ -1993,11 +2085,7 @@ impl ServiceHandle {
     /// stay pollable until drained; the slot is then recycled (the id
     /// goes stale). Closing an unknown or stale id is a no-op.
     pub fn close(&self, flow: FlowId) {
-        let mut st = self.core.lock();
-        st.close_flow(flow);
-        let parked = st.parked;
-        drop(st);
-        self.core.wake_parked(parked);
+        self.core.lock().close_flow(flow);
     }
 
     /// Returns once every pushed byte has been consumed by every group
@@ -2272,6 +2360,105 @@ mod tests {
         assert_eq!(st.buffered_total, 0);
         let flow = st.flow(flow).expect("still open");
         assert_eq!(flow.reports, [RuleMatch { rule: 0, end: 39 }]);
+    }
+
+    #[test]
+    fn a_push_wakes_a_parked_thread_only_for_a_queued_unit() {
+        let cfg = ServeConfig::default();
+        let mut st = state("needle", PrefilterMode::On);
+        let (one, two, three) = (st.open(&cfg), st.open(&cfg), st.open(&cfg));
+        // Nobody parked: a queued unit wakes nobody.
+        assert_eq!(st.push(one, b"needle", &cfg), (Poll::Ready(6), false));
+        drain(&mut st);
+        // An idle worker parks. Every unit skips the chunk: nothing to
+        // hand off.
+        st.parked = 1;
+        assert_eq!(st.push(two, b"........", &cfg), (Poll::Ready(8), false));
+        assert!(st.ready.is_empty());
+        // A candidate queues a unit: one notify.
+        assert_eq!(st.push(two, b".needle.", &cfg), (Poll::Ready(16), true));
+        // Another queued before the worker returns: no second notify.
+        assert_eq!(st.push(three, b"needle", &cfg), (Poll::Ready(6), false));
+        assert_eq!((st.parked, st.signalled, st.metrics.wakeups), (1, 1, 1));
+        // The worker returns, drains, parks again: the next unit wakes it.
+        st.unpark();
+        drain(&mut st);
+        st.parked += 1;
+        assert_eq!(st.push(one, b"x", &cfg), (Poll::Ready(7), true));
+        assert_eq!(st.metrics.wakeups, 2);
+    }
+
+    #[test]
+    fn a_check_in_wakes_an_idle_worker_only_for_a_ready_unit() {
+        let cfg = ServeConfig::default();
+        let mut st = state("ab", PrefilterMode::Off);
+        let flow = st.open(&cfg);
+        // One step: a unit checked out, `meanwhile` pushed while it is
+        // out, the unit checked in with `parked` threads parked, of which
+        // `settlers` settle; whether the step notifies.
+        let step = |st: &mut ServeState, meanwhile: &[u8], parked, settlers| {
+            let mut batch = st.checkout();
+            assert!(st.push(flow, meanwhile, &cfg).0.is_ready());
+            (st.parked, st.settlers, st.signalled) = (parked, settlers, 0);
+            let scanned = ServeUnit::scan(&mut batch);
+            for (unit, (reports, _)) in batch.into_iter().zip(scanned) {
+                st.check_in(unit.id, unit.group, unit.state, reports);
+            }
+            let wake = st.wake_after_step(false);
+            (st.parked, st.settlers, st.signalled) = (0, 0, 0);
+            wake
+        };
+        // The check-in settles: only a settling caller waits for that.
+        assert_eq!(st.push(flow, b"..ab", &cfg), (Poll::Ready(4), false));
+        assert!(
+            !step(&mut st, b"", 1, 0),
+            "an idle worker does not wait out a settle"
+        );
+        assert_eq!(st.metrics.wakeups, 0);
+        assert!(!st.push(flow, b"..ab", &cfg).1);
+        assert!(step(&mut st, b"", 1, 1), "a settling caller does");
+        assert_eq!(st.metrics.wakeups, 1);
+        // Bytes arrived while the unit was out: it requeues, and an idle
+        // worker may take it.
+        assert!(!st.push(flow, b"..ab", &cfg).1);
+        assert!(step(&mut st, b"ab", 1, 0));
+        assert_eq!(st.ready.len(), 1);
+        // Signalled already: not twice in one idle spell.
+        (st.parked, st.signalled) = (1, 1);
+        assert!(!st.wake_after_step(false));
+        // A fault notifies everyone, signalled or not.
+        assert!(st.wake_after_step(true));
+        assert_eq!(st.metrics.wakeups, 3);
+    }
+
+    /// An open, a close and a reload make no unit ready and settle none:
+    /// they never notify `wake`. An open may evict a blocked producer's
+    /// flow, so it notifies `space` — but only while a producer waits.
+    #[test]
+    fn opens_closes_and_reloads_wake_nobody_who_waits_for_something_else() {
+        let engine = Engine::builder()
+            .patterns(["ab"])
+            .prefilter(PrefilterMode::Off)
+            .build()
+            .unwrap();
+        let config = ServeConfig {
+            max_flows: 1,
+            ..ServeConfig::default()
+        };
+        let svc = ServiceHandle::spawn(&engine, engine.ids_arc(), 0, config);
+        let one = svc.try_open_flow().unwrap();
+        assert!(svc.try_push(one, b"ab").is_ready());
+        assert!(svc.core.drain().is_none());
+        svc.core.lock().parked = 1; // an idle worker, never signalled
+        svc.reload(&engine);
+        let two = svc.try_open_flow().unwrap(); // evicts `one`
+        svc.close(two);
+        svc.core.lock().push_waiters = 1; // a blocked producer
+        let three = svc.try_open_flow().unwrap();
+        svc.close(three);
+        let st = svc.core.lock();
+        assert_eq!(st.metrics.budget_evictions, 1);
+        assert_eq!((st.metrics.wakeups, st.metrics.space_wakeups), (0, 1));
     }
 
     #[test]

@@ -9,16 +9,24 @@
 //! workers, four producer threads that really block (a flow budget of a
 //! few bytes), every blocking call in the loop, a watchdog instead of a
 //! hang, and the reports of every flow against a single-threaded scan.
-//! With `--features fault-inject` the same run takes one injected panic,
+//! A second run calls no `barrier` at all — since a barrier caller scans
+//! any flow's ready units, it would rescue a push that failed to wake a
+//! worker — so every byte there reaches a worker through a push's wake.
+//! With `--features fault-inject` the first run takes one injected panic,
 //! so the fault path's wake-ups — a quarantine frees buffers a barrier
 //! may be waiting on, and the panic may land on a barrier's own scan —
-//! are covered too.
+//! are covered too, and a delayed scan pins the wake a settling
+//! `barrier` caller waits for.
 
 mod common;
 
 use recama::{Engine, EngineBuilder, RuleMatch, ServeConfig, ServeError, ServiceHandle};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
+
+/// What one producer thread polled, per flow: `None` for a flow that was
+/// quarantined under it.
+type Polled = Vec<Option<Vec<RuleMatch>>>;
 
 const PRODUCERS: usize = 4;
 const FLOWS_PER_PRODUCER: usize = 6;
@@ -70,9 +78,8 @@ fn oracle(engine: &Engine, chunks: &[Vec<u8>]) -> Vec<RuleMatch> {
 }
 
 /// One producer: its flows one after another, every blocking call of the
-/// handle in the loop. Returns per flow what it polled — `None` for a
-/// flow that was quarantined under it.
-fn produce(svc: &ServiceHandle, p: usize) -> Vec<Option<Vec<RuleMatch>>> {
+/// handle in the loop.
+fn produce(svc: &ServiceHandle, p: usize) -> Polled {
     (0..FLOWS_PER_PRODUCER)
         .map(|f| {
             let flow = svc.try_open_flow().expect("nothing sheds");
@@ -112,11 +119,53 @@ fn produce(svc: &ServiceHandle, p: usize) -> Vec<Option<Vec<RuleMatch>>> {
         .collect()
 }
 
-/// Runs the producers against `engine`'s service under a watchdog and
-/// checks every flow that was not quarantined; returns how many were.
-fn stress(engine: Engine) -> usize {
+/// A producer that never calls `barrier`: it pushes, polls now and then,
+/// and after its last push polls until the flow reports what the oracle
+/// does; then it closes the flow and polls until the finished flow's
+/// slot is recycled. Only the workers scan, so every unit a push queued
+/// reached one through that push's wake or a check-in's.
+fn produce_without_barriers(svc: &ServiceHandle, p: usize, engine: &Engine) -> Polled {
+    (0..FLOWS_PER_PRODUCER)
+        .map(|f| {
+            let flow = svc.try_open_flow().expect("nothing sheds");
+            let chunks = chunks(p, f);
+            let want = oracle(engine, &chunks);
+            let mut got = Vec::new();
+            for (i, chunk) in chunks.iter().enumerate() {
+                svc.push_checked(flow, chunk).expect("push");
+                if i % 3 == 0 {
+                    got.extend(svc.poll_checked(flow).expect("poll"));
+                }
+            }
+            while got.len() < want.len() {
+                got.extend(svc.poll_checked(flow).expect("poll"));
+                std::thread::yield_now();
+            }
+            svc.close(flow);
+            loop {
+                match svc.poll_checked(flow) {
+                    Ok(hits) => got.extend(hits),
+                    Err(ServeError::Closed) => break,
+                    Err(e) => panic!("poll: {e}"),
+                }
+                std::thread::yield_now();
+            }
+            Some(got)
+        })
+        .collect()
+}
+
+/// Runs the producers against `engine`'s service with `workers` workers
+/// under a watchdog and checks every flow that was not quarantined;
+/// returns how many were.
+fn stress(
+    engine: Engine,
+    workers: usize,
+    produce: fn(&ServiceHandle, usize, &Engine) -> Polled,
+) -> usize {
+    let engine = Arc::new(engine);
     let svc = Arc::new(engine.serve_with(
-        2,
+        workers,
         ServeConfig {
             // Two 5-byte chunks do not fit: the second push of a pair
             // blocks until a worker has consumed the first.
@@ -128,11 +177,12 @@ fn stress(engine: Engine) -> usize {
     let (done, results) = mpsc::channel();
     for p in 0..PRODUCERS {
         let (svc, start, done) = (Arc::clone(&svc), Arc::clone(&start), done.clone());
+        let engine = Arc::clone(&engine);
         // Detached on purpose: a lost wake-up must fail the test below,
         // not hang a join.
         std::thread::spawn(move || {
             start.wait();
-            let polled = produce(&svc, p);
+            let polled = produce(&svc, p, &engine);
             drop(svc); // before the report: its receiver takes the handle back
             let _ = done.send((p, polled));
         });
@@ -166,7 +216,24 @@ fn stress(engine: Engine) -> usize {
 #[test]
 fn blocked_producers_and_parked_workers_are_always_woken() {
     for _ in 0..10 {
-        assert_eq!(stress(two_units(builder())), 0);
+        assert_eq!(
+            stress(two_units(builder()), 2, |svc, p, _| produce(svc, p)),
+            0
+        );
+    }
+}
+
+/// No `barrier` anywhere: a push that queued a unit and woke no worker
+/// leaves its flow's reports short forever, and the watchdog fires.
+#[test]
+fn without_barriers_every_queued_unit_reaches_a_worker() {
+    for workers in [1, 2] {
+        for _ in 0..5 {
+            assert_eq!(
+                stress(two_units(builder()), workers, produce_without_barriers),
+                0
+            );
+        }
     }
 }
 
@@ -180,6 +247,38 @@ fn and_across_an_injected_panic() {
     use recama::FaultPlan;
     for _ in 0..10 {
         let plan = FaultPlan::new().panic_at(3, 1, 2, "injected: flow 3 dies at scan 2");
-        assert_eq!(stress(two_units(builder().fault_plan(plan))), 1);
+        let engine = two_units(builder().fault_plan(plan));
+        assert_eq!(stress(engine, 2, |svc, p, _| produce(svc, p)), 1);
     }
+}
+
+/// A `barrier` caller that finds nothing ready while a worker holds the
+/// last unit parks as a settling caller, and the worker's check-in of
+/// that unit — which settles the service — must wake it: the first scan
+/// is held for 50 ms so that the worker, not the caller, has it.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn a_settling_barrier_is_woken_by_the_check_in() {
+    use recama::FaultPlan;
+    let plan = FaultPlan::new().delay_at(0, 0, 1, Duration::from_millis(50));
+    let engine = builder().fault_plan(plan).build().unwrap();
+    assert_eq!(engine.scan_groups().shard_count(), 1);
+    let data = chunks(0, 0).concat();
+    let want = oracle(&engine, std::slice::from_ref(&data));
+    let svc = engine.serve_with(1, ServeConfig::default());
+    let (done, result) = mpsc::channel();
+    // Detached on purpose, as in `stress`.
+    std::thread::spawn(move || {
+        let flow = svc.try_open_flow().unwrap();
+        svc.push_checked(flow, &data).unwrap();
+        while svc.metrics().in_flight == 0 {
+            std::thread::yield_now();
+        }
+        svc.barrier();
+        let _ = done.send(svc.poll_checked(flow).unwrap());
+    });
+    let got = result
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the barrier caller is stuck: lost settle wake-up?");
+    assert_eq!(got, want);
 }
