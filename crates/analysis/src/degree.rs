@@ -74,7 +74,15 @@ pub(crate) fn degree_at_least(
             .iter()
             .map(|t| {
                 let mut v = Vec::new();
-                prepared.for_each_symbolic_successor(t, |_, class, tok| v.push((*class, tok)));
+                prepared.for_each_symbolic_successor(
+                    t.state,
+                    &t.values,
+                    &mut Vec::new(),
+                    |class, state, values| {
+                        let values = values.to_vec();
+                        v.push((*class, Token { state, values }));
+                    },
+                );
                 v
             })
             .collect();

@@ -7,10 +7,31 @@
 //! predicate classes intersect (`σ₁ ∩ σ₂ ≠ ∅`), which also yields a concrete
 //! witness byte (`min(σ₁ ∩ σ₂)`). Symmetric pairs are identified, halving
 //! the space, exactly as Example 3.2 notes.
+//!
+//! # How a pair is stored
+//!
+//! Every token `(q, β)` the exploration meets is interned once in a
+//! `TokenArena`: its state and its valuation (a slice of one flat `u32`
+//! array) sit under a `u32` id, found again through a chained hash table
+//! without allocating. A token's symbolic successors `(σ, id)` are
+//! computed the first time a pair holding it is expanded and reused by
+//! every later pair that holds it. A pair is then two ids: the queue holds
+//! `(u32, u32)`, and the visited set and the witness's parent links are
+//! keyed by the `u64` `a << 32 | b`.
+//!
+//! A pair is oriented by the tokens' order — state, then valuation, the
+//! derived order of [`recama_nca::Token`] — not by id. The smaller token's
+//! successors form the outer loop, so the orientation fixes the order in
+//! which new pairs are queued, and with it where a stop policy halts, the
+//! pair and edge counts of a stopped run and the witness bytes. Ordering
+//! by token keeps all of them what the exploration over owned tokens gave.
 
 use crate::stats::AnalysisStats;
-use recama_nca::{Nca, Prepared, StateId, Token};
+use recama_nca::{Nca, Prepared, StateId};
+use recama_syntax::ByteClass;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::time::Instant;
 
 /// When the exploration may stop.
@@ -156,90 +177,87 @@ pub(crate) fn explore(nca: &Nca, config: &ExactConfig, settled: &[bool]) -> NcaA
     let mut ambiguous_counters = vec![false; nca.counters().len()];
     let mut block_ambiguous_counters = vec![false; nca.counters().len()];
 
-    let mut visited: HashSet<(Token, Token)> = HashSet::new();
-    let mut parents: HashMap<(Token, Token), ((Token, Token), u8)> = HashMap::new();
-    let mut queue: VecDeque<(Token, Token)> = VecDeque::new();
+    let mut tokens = TokenArena::default();
+    let mut visited: HashSet<u64, MulBuild> = HashSet::default();
+    let mut parents: ParentLinks = HashMap::default();
+    let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
     let mut stats = AnalysisStats {
         explorations: 1,
         ..AnalysisStats::default()
     };
 
-    let init = (Token::initial(), Token::initial());
-    visited.insert(init.clone());
+    let init = tokens.intern(StateId::INIT, &[]);
+    visited.insert(pair_key(init, init));
     stats.pairs_created += 1;
-    queue.push_back(init);
+    queue.push_back((init, init));
 
     let mut complete = true;
     let mut witness: Option<Vec<u8>> = None;
-    let mut first_witness_pair: Option<(Token, Token)> = None;
+    let mut first_witness_pair: Option<u64> = None;
 
     // Nothing to classify? (No counters, e.g. after full unfolding, or
     // every counter settled.)
     let nothing_to_classify = unflagged == 0;
 
-    'bfs: while let Some(pair) = queue.pop_front() {
+    'bfs: while let Some((a, b)) = queue.pop_front() {
         if nothing_to_classify {
             break;
         }
-        // Symbolic successors of each component.
-        let mut succ1: Vec<(recama_syntax::ByteClass, Token)> = Vec::new();
-        prepared.for_each_symbolic_successor(&pair.0, |_, class, tok| succ1.push((*class, tok)));
-        let diagonal = pair.0 == pair.1;
-        let succ2: Vec<(recama_syntax::ByteClass, Token)> = if diagonal {
-            succ1.clone()
-        } else {
-            let mut v = Vec::new();
-            prepared.for_each_symbolic_successor(&pair.1, |_, class, tok| v.push((*class, tok)));
-            v
-        };
+        // Symbolic successors of each component; `a` (the smaller token)
+        // drives the outer loop.
+        let succ1 = tokens.expand(&prepared, a);
+        let succ2 = tokens.expand(&prepared, b);
 
-        for (c1, t1) in &succ1 {
-            for (c2, t2) in &succ2 {
+        for i in succ1 {
+            let (c1, t1) = tokens.succs[i];
+            for j in succ2.clone() {
+                let (c2, t2) = tokens.succs[j];
                 stats.edges_traversed += 1;
-                let inter = c1.intersect(c2);
+                let inter = c1.intersect(&c2);
                 if inter.is_empty() {
                     continue;
                 }
-                let key = if t1 <= t2 {
-                    (t1.clone(), t2.clone())
+                let (k0, k1) = if tokens.le(t1, t2) {
+                    (t1, t2)
                 } else {
-                    (t2.clone(), t1.clone())
+                    (t2, t1)
                 };
-                if !visited.insert(key.clone()) {
+                let key = pair_key(k0, k1);
+                if !visited.insert(key) {
                     continue;
                 }
                 stats.pairs_created += 1;
                 if config.witness {
                     let byte = inter.min_byte().expect("nonempty intersection");
-                    parents.insert(key.clone(), (pair.clone(), byte));
+                    parents.insert(key, (pair_key(a, b), byte));
                 }
-                // Ambiguity (Definition 3.1): same state, different valuation.
-                let same_state_ambiguous =
-                    key.0.state == key.1.state && key.0.values != key.1.values;
+                let (s0, v0) = tokens.get(k0);
+                let (s1, v1) = tokens.get(k1);
+                // Ambiguity (Definition 3.1): same state, different
+                // valuation — different ids, since a token is interned once.
+                let same_state_ambiguous = s0 == s1 && k0 != k1;
                 let mut block_ambiguous = false;
                 if same_state_ambiguous {
-                    let q = key.0.state;
-                    let state = nca.state(q);
+                    let state = nca.state(s0);
                     let open = state.counters.iter().any(|c| !settled[c.index()]);
-                    raise(&mut ambiguous_states[q.index()], open, &mut unflagged);
-                    for (slot, (&a, &b)) in key.0.values.iter().zip(&key.1.values).enumerate() {
-                        if a != b {
+                    raise(&mut ambiguous_states[s0.index()], open, &mut unflagged);
+                    for (slot, (&x, &y)) in v0.iter().zip(v1).enumerate() {
+                        if x != y {
                             let c = state.counters[slot].index();
                             raise(&mut ambiguous_counters[c], !settled[c], &mut unflagged);
                         }
                     }
                     if first_witness_pair.is_none() {
-                        first_witness_pair = Some(key.clone());
+                        first_witness_pair = Some(key);
                     }
                 }
                 // Block-level ambiguity: two tokens share a counter (on any
                 // pair of states) but disagree on its value.
-                if key.0 != key.1 {
-                    let s0 = nca.state(key.0.state);
-                    let s1 = nca.state(key.1.state);
-                    for (slot0, c) in s0.counters.iter().enumerate() {
-                        if let Some(slot1) = s1.slot(*c) {
-                            if key.0.values[slot0] != key.1.values[slot1] {
+                if k0 != k1 {
+                    let state1 = nca.state(s1);
+                    for (slot0, c) in nca.state(s0).counters.iter().enumerate() {
+                        if let Some(slot1) = state1.slot(*c) {
+                            if v0[slot0] != v1[slot1] {
                                 let c = c.index();
                                 raise(
                                     &mut block_ambiguous_counters[c],
@@ -273,13 +291,13 @@ pub(crate) fn explore(nca: &Nca, config: &ExactConfig, settled: &[bool]) -> NcaA
                     stats.budget_exhausted = true;
                     break 'bfs;
                 }
-                queue.push_back(key);
+                queue.push_back((k0, k1));
             }
         }
     }
 
     if config.witness {
-        if let Some(found) = &first_witness_pair {
+        if let Some(found) = first_witness_pair {
             witness = Some(reconstruct_witness(&parents, found));
         }
     }
@@ -305,19 +323,182 @@ fn raise(flag: &mut bool, open: bool, unflagged: &mut usize) {
     *flag = true;
 }
 
+/// A product pair as one key: the smaller token's id in the high half.
+fn pair_key(a: u32, b: u32) -> u64 {
+    u64::from(a) << 32 | u64::from(b)
+}
+
 /// Predecessor links of the pair exploration: child pair -> (parent pair,
 /// input byte), enough to replay the path from the initial pair.
-type ParentLinks = HashMap<(Token, Token), ((Token, Token), u8)>;
+type ParentLinks = HashMap<u64, (u64, u8), MulBuild>;
 
-fn reconstruct_witness(parents: &ParentLinks, found: &(Token, Token)) -> Vec<u8> {
+fn reconstruct_witness(parents: &ParentLinks, found: u64) -> Vec<u8> {
     let mut bytes = Vec::new();
-    let mut cur = found.clone();
-    while let Some((parent, byte)) = parents.get(&cur) {
-        bytes.push(*byte);
-        cur = parent.clone();
+    let mut cur = found;
+    while let Some(&(parent, byte)) = parents.get(&cur) {
+        bytes.push(byte);
+        cur = parent;
     }
     bytes.reverse();
     bytes
+}
+
+/// One round of the multiplicative hash: multiply by an odd constant in
+/// 128 bits and fold the halves, so every input bit reaches the low bits
+/// a table index is cut from.
+fn mix(x: u64) -> u64 {
+    let m = u128::from(x) * 0x9E37_79B9_7F4A_7C15;
+    (m as u64) ^ (m >> 64) as u64
+}
+
+/// [`mix`] as a [`Hasher`] for the `u64` pair keys: the standard
+/// SipHash is built to resist chosen keys, and these are token ids the
+/// exploration hands out itself.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix(self.0 ^ x);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type MulBuild = BuildHasherDefault<MulHasher>;
+
+/// No token / not expanded yet.
+const NONE: u32 = u32::MAX;
+
+/// A token id or an offset into the arena's arrays as a `u32`.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n != NONE)
+        .expect("the token arena holds fewer than 2^32 - 1 entries")
+}
+
+/// Every token `(q, β)` the exploration has met, stored once under a
+/// `u32` id, with its symbolic successors once it has been expanded.
+struct TokenArena {
+    /// State of each token.
+    states: Vec<StateId>,
+    /// `values[starts[id]..starts[id + 1]]` is token `id`'s valuation.
+    starts: Vec<u32>,
+    values: Vec<u32>,
+    /// Hash of each token; the table is a chained one, `buckets[h & mask]`
+    /// the first id of a chain and `next[id]` the one after `id`.
+    hashes: Vec<u64>,
+    next: Vec<u32>,
+    buckets: Vec<u32>,
+    /// `succs[expanded[id].0..expanded[id].1]` are token `id`'s symbolic
+    /// successors `(σ, successor id)`, in transition order; `(NONE, 0)`
+    /// until it is expanded.
+    expanded: Vec<(u32, u32)>,
+    succs: Vec<(ByteClass, u32)>,
+    /// The valuation being expanded and the successor being built.
+    current: Vec<u32>,
+    scratch: Vec<u32>,
+}
+
+impl Default for TokenArena {
+    fn default() -> Self {
+        TokenArena {
+            states: Vec::new(),
+            starts: vec![0],
+            values: Vec::new(),
+            hashes: Vec::new(),
+            next: Vec::new(),
+            buckets: vec![NONE; 64],
+            expanded: Vec::new(),
+            succs: Vec::new(),
+            current: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl TokenArena {
+    fn get(&self, id: u32) -> (StateId, &[u32]) {
+        let id = id as usize;
+        let values = &self.values[self.starts[id] as usize..self.starts[id + 1] as usize];
+        (self.states[id], values)
+    }
+
+    /// Whether token `a` orders before or equal to token `b` as
+    /// [`Token`](recama_nca::Token)s do: by state, then valuation.
+    fn le(&self, a: u32, b: u32) -> bool {
+        a == b || self.get(a) <= self.get(b)
+    }
+
+    /// The id of token `(state, values)`, stored on first sight.
+    fn intern(&mut self, state: StateId, values: &[u32]) -> u32 {
+        let hash = values
+            .iter()
+            .fold(mix(u64::from(state.0)), |h, &v| mix(h ^ u64::from(v)));
+        let mask = self.buckets.len() - 1;
+        let mut id = self.buckets[hash as usize & mask];
+        while id != NONE {
+            if self.hashes[id as usize] == hash && self.get(id) == (state, values) {
+                return id;
+            }
+            id = self.next[id as usize];
+        }
+        let id = to_u32(self.states.len());
+        self.states.push(state);
+        self.values.extend_from_slice(values);
+        self.starts.push(to_u32(self.values.len()));
+        self.hashes.push(hash);
+        self.next.push(self.buckets[hash as usize & mask]);
+        self.buckets[hash as usize & mask] = id;
+        self.expanded.push((NONE, 0));
+        if self.states.len() > self.buckets.len() {
+            self.grow();
+        }
+        id
+    }
+
+    /// Doubles the bucket array and relinks every chain.
+    fn grow(&mut self) {
+        self.buckets = vec![NONE; self.buckets.len() * 2];
+        let mask = self.buckets.len() - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            self.next[id] = self.buckets[hash as usize & mask];
+            self.buckets[hash as usize & mask] = id as u32;
+        }
+    }
+
+    /// The range of `succs` holding token `id`'s symbolic successors,
+    /// computed on its first call.
+    fn expand(&mut self, prepared: &Prepared, id: u32) -> Range<usize> {
+        let (start, end) = self.expanded[id as usize];
+        if start != NONE {
+            return start as usize..end as usize;
+        }
+        // The valuation is copied out: interning may grow `values`.
+        let mut current = std::mem::take(&mut self.current);
+        let (state, values) = self.get(id);
+        current.clear();
+        current.extend_from_slice(values);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let start = self.succs.len();
+        prepared.for_each_symbolic_successor(state, &current, &mut scratch, |class, to, values| {
+            let succ = self.intern(to, values);
+            self.succs.push((*class, succ));
+        });
+        self.current = current;
+        self.scratch = scratch;
+        self.expanded[id as usize] = (to_u32(start), to_u32(self.succs.len()));
+        start..self.succs.len()
+    }
 }
 
 #[cfg(test)]

@@ -34,14 +34,9 @@ impl CamColumn {
 /// column for genuine product classes (`.`/ranges aligned to nibbles /
 /// singletons) and at most 16 columns in the worst case.
 pub(crate) fn columns_for_class(class: &ByteClass) -> Vec<CamColumn> {
-    // Low-nibble pattern per high nibble.
-    let mut lo_patterns = [0u16; 16];
-    for b in class.iter() {
-        lo_patterns[(b >> 4) as usize] |= 1 << (b & 0xf);
-    }
-    // Group identical nonzero patterns.
+    // Group identical nonzero low-nibble patterns.
     let mut columns: Vec<CamColumn> = Vec::new();
-    for (h, &lo) in lo_patterns.iter().enumerate() {
+    for (h, &lo) in lo_patterns(class).iter().enumerate() {
         if lo == 0 {
             continue;
         }
@@ -54,6 +49,15 @@ pub(crate) fn columns_for_class(class: &ByteClass) -> Vec<CamColumn> {
         }
     }
     columns
+}
+
+/// The low-nibble pattern of each high nibble `h`: bit `l` set ⇔ byte
+/// `h << 4 | l` is in the class. The bytes of high nibble `h` are 16
+/// consecutive bits of the class's membership words, so each pattern is one
+/// shift of a word.
+fn lo_patterns(class: &ByteClass) -> [u16; 16] {
+    let words = class.words();
+    std::array::from_fn(|h| (words[h / 4] >> (16 * (h % 4))) as u16)
 }
 
 /// The number of CAM columns a class costs (the mapper's cost function).
@@ -134,6 +138,39 @@ mod tests {
         let diag: ByteClass = (0..16u8).map(|i| i << 4 | i).collect();
         assert_eq!(columns_for_class(&diag).len(), 16);
         exact_cover(&diag);
+    }
+
+    #[test]
+    fn lo_patterns_equal_a_byte_by_byte_reference() {
+        let reference = |class: &ByteClass| {
+            let mut rows = [0u16; 16];
+            for b in class.iter() {
+                rows[(b >> 4) as usize] |= 1 << (b & 0xf);
+            }
+            rows
+        };
+        // splitmix64: 256 random classes from four words each.
+        let mut seed = 0x5EED_u64;
+        let mut next = || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut classes = vec![ByteClass::ANY, ByteClass::EMPTY];
+        classes.extend((0..=255u8).map(ByteClass::singleton));
+        for _ in 0..256 {
+            let words = [next(), next(), next(), next()];
+            classes.push(
+                (0..=255u8)
+                    .filter(|&b| words[usize::from(b / 64)] >> (b % 64) & 1 == 1)
+                    .collect(),
+            );
+        }
+        for class in &classes {
+            assert_eq!(lo_patterns(class), reference(class), "{class}");
+        }
     }
 
     #[test]

@@ -90,8 +90,6 @@ impl SlotSrc {
 
 #[derive(Debug, Clone)]
 struct Prog {
-    /// Transition index in the NCA.
-    index: u32,
     to: StateId,
     class: ByteClass,
     guard: Vec<SlotTest>,
@@ -173,16 +171,10 @@ pub(crate) fn resolve_transition(nca: &Nca, t: &Transition) -> (Vec<SlotTest>, V
 impl<'a> Prepared<'a> {
     /// Resolves all transitions of `nca` to slot programs.
     pub fn new(nca: &'a Nca) -> Prepared<'a> {
-        let progs = (0..nca.state_count())
-            .map(|qi| {
-                nca.transitions()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.from.index() == qi)
-                    .map(|(i, t)| Self::compile(nca, i as u32, t))
-                    .collect()
-            })
-            .collect();
+        let mut progs: Vec<Vec<Prog>> = vec![Vec::new(); nca.state_count()];
+        for t in nca.transitions() {
+            progs[t.from.index()].push(Self::compile(nca, t));
+        }
         let accepts = nca
             .states()
             .iter()
@@ -201,10 +193,9 @@ impl<'a> Prepared<'a> {
         }
     }
 
-    fn compile(nca: &Nca, index: u32, t: &Transition) -> Prog {
+    fn compile(nca: &Nca, t: &Transition) -> Prog {
         let (guard, dst) = resolve_transition(nca, t);
         Prog {
-            index,
             to: t.to,
             class: nca.state(t.to).class,
             guard,
@@ -235,29 +226,26 @@ impl<'a> Prepared<'a> {
         }
     }
 
-    /// Calls `f` with `(transition index, σ, successor token)` for every
-    /// *symbolic* successor: guards are evaluated on the concrete valuation,
-    /// but the input predicate σ (the destination class) is left symbolic.
-    /// This is the edge relation the static analysis' product construction
-    /// consumes (§3.1).
+    /// Calls `f` with `(σ, q′, β′)` for every *symbolic* successor of the
+    /// token `(state, values)`: guards are evaluated on the concrete
+    /// valuation, but the input predicate σ (the destination class) is left
+    /// symbolic. This is the edge relation the static analysis' product
+    /// construction consumes (§3.1). `β′` is built in `scratch`, so a
+    /// caller that interns tokens allocates nothing per successor.
     pub fn for_each_symbolic_successor(
         &self,
-        token: &Token,
-        mut f: impl FnMut(u32, &ByteClass, Token),
+        state: StateId,
+        values: &[u32],
+        scratch: &mut Vec<u32>,
+        mut f: impl FnMut(&ByteClass, StateId, &[u32]),
     ) {
-        for prog in &self.progs[token.state.index()] {
-            if !prog.guard.iter().all(|g| g.eval(&token.values)) {
+        for prog in &self.progs[state.index()] {
+            if !prog.guard.iter().all(|g| g.eval(values)) {
                 continue;
             }
-            let values = prog.dst.iter().map(|s| s.eval(&token.values)).collect();
-            f(
-                prog.index,
-                &prog.class,
-                Token {
-                    state: prog.to,
-                    values,
-                },
-            );
+            scratch.clear();
+            scratch.extend(prog.dst.iter().map(|s| s.eval(values)));
+            f(&prog.class, prog.to, scratch);
         }
     }
 
@@ -331,12 +319,19 @@ mod tests {
         let p = Prepared::new(&nca);
         let t0 = Token::initial();
         let mut seen = Vec::new();
-        p.for_each_symbolic_successor(&t0, |_, class, tok| {
-            seen.push((*class, tok));
-        });
+        p.for_each_symbolic_successor(
+            t0.state,
+            &t0.values,
+            &mut Vec::new(),
+            |class, to, values| {
+                seen.push((*class, to, values.to_vec()));
+            },
+        );
         // q0 → Σ-state and q0 → [ab]-state.
         assert_eq!(seen.len(), 2);
-        assert!(seen.iter().any(|(c, _)| c.is_full()));
-        assert!(seen.iter().any(|(c, _)| *c == ByteClass::from_bytes(b"ab")));
+        assert!(seen.iter().any(|(c, _, _)| c.is_full()));
+        assert!(seen
+            .iter()
+            .any(|(c, _, _)| *c == ByteClass::from_bytes(b"ab")));
     }
 }

@@ -4,6 +4,8 @@
 //!   tokens during any execution (Definition 3.1, dynamic check);
 //! * the over-approximation never contradicts the exact analysis;
 //! * ambiguity witnesses replay to ≥ 2 tokens on one state;
+//! * the naive degree oracle (a BFS over sorted token tuples) flags exactly
+//!   the states the product exploration flags;
 //! * the compiled engine driven by analysis verdicts never observes a
 //!   `SingleValue` collision;
 //! * the hybrid classifier the compiler runs reports exactly the exact
@@ -13,8 +15,8 @@
 
 use proptest::prelude::*;
 use recama::analysis::{
-    analyze_nca, approx_occurrence, check, classify, glushkov_build, CheckConfig, DecidedBy,
-    ExactConfig, Method, NcaAnalysis, StopPolicy, Verdict,
+    analyze_nca, approx_occurrence, check, classify, degree, glushkov_build, CheckConfig,
+    DecidedBy, ExactConfig, Method, NcaAnalysis, StopPolicy, Verdict,
 };
 use recama::compiler::{
     compile, compile_ruleset, emit, unfold_by_ids, CompileOptions, ModuleKind, COUNTER_MAX_BOUND,
@@ -132,8 +134,55 @@ fn inputs_upto(alpha: &[u8], maxlen: usize) -> Vec<Vec<u8>> {
     all
 }
 
+/// Tuple budget of each degree query: ample for the small automata here.
+const DEGREE_BUDGET: u64 = 50_000;
+
+/// Checks the product exploration against the independent degree oracle
+/// on `regex`'s normalised automaton: for every counted state `q`,
+/// `degree(q) ≥ 2` exactly when the exact analysis flags `q`, wherever both
+/// run to completion. Returns the first disagreement.
+fn degree_oracle_disagreement(regex: &Regex) -> Option<String> {
+    let nca = glushkov_build(&normalize_for_nca(regex));
+    let analysis = analyze_nca(&nca, &ExactConfig::default());
+    if !analysis.complete {
+        return None;
+    }
+    (0..nca.state_count())
+        .map(|i| StateId(i as u32))
+        .filter(|&q| !nca.state(q).is_pure())
+        .find_map(|q| {
+            let flagged = analysis.ambiguous_states[q.index()];
+            let degree = degree(&nca, q, 2, DEGREE_BUDGET)?;
+            (flagged != (degree == 2))
+                .then(|| format!("{regex}: state {q} has degree {degree}, flagged {flagged}"))
+        })
+}
+
+#[test]
+fn the_degree_oracle_agrees_on_the_paper_examples() {
+    // Example 3.2, Example 2.2's r1, R3's mixed verdicts and Fig. 7 are
+    // ambiguous; Fig. 1 is the unambiguous control.
+    for p in [
+        ".*a{2}",
+        ".*[ab][^a]{3}",
+        "a{3}.*b{2}",
+        "^[ab]*a[ab]{2,4}b",
+        ".*q(w(er){2,3}t){2}y",
+    ] {
+        let regex = parse(p).unwrap().regex;
+        assert_eq!(degree_oracle_disagreement(&regex), None, "{p}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn the_degree_oracle_flags_what_the_exact_analysis_flags(r in arb_regex()) {
+        prop_assume!(Nca::from_regex(&r).state_count() < 60);
+        let disagreement = degree_oracle_disagreement(&r);
+        prop_assert!(disagreement.is_none(), "{}", disagreement.unwrap_or_default());
+    }
 
     #[test]
     fn proven_unambiguous_states_never_hold_two_tokens(r in arb_regex()) {
