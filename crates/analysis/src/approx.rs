@@ -11,16 +11,17 @@
 use crate::exact::{analyze_nca, ExactConfig, StopPolicy};
 use crate::stats::{AnalysisStats, Verdict};
 use recama_nca::Nca;
-use recama_syntax::{normalize_for_nca, Regex, RepeatId, RepeatRewrite};
+use recama_syntax::{normalize_for_nca, Regex, RepeatId};
 use std::time::Instant;
 
 /// Relaxes every counting occurrence except `keep` to `body*`.
 pub(crate) fn relax_except(regex: &Regex, keep: RepeatId) -> Regex {
-    regex.rewrite_repeats(&mut |id| {
+    regex.rewrite_repeats(&mut |id, body, min, max| {
         if id == keep {
-            RepeatRewrite::Keep
+            Regex::repeat(body, min, max)
         } else {
-            RepeatRewrite::Star
+            // r{m,n} ⊆ r* — strictly more behaviors, per §3.2.
+            Regex::star(body)
         }
     })
 }

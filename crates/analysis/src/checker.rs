@@ -290,39 +290,13 @@ pub fn check_occurrence(
 
 /// Unfolds every counting occurrence except `keep` (language-preserving).
 fn unfold_except(regex: &Regex, keep: RepeatId) -> Regex {
-    fn walk(r: &Regex, next: &mut usize, keep: RepeatId) -> Regex {
-        match r {
-            Regex::Empty | Regex::Void | Regex::Class(_) => r.clone(),
-            Regex::Concat(parts) => {
-                Regex::concat(parts.iter().map(|p| walk(p, next, keep)).collect())
-            }
-            Regex::Alt(parts) => Regex::alt(parts.iter().map(|p| walk(p, next, keep)).collect()),
-            Regex::Star(inner) => Regex::star(walk(inner, next, keep)),
-            Regex::Repeat { inner, min, max } => {
-                if Regex::is_plain_iteration(*min, *max) {
-                    return Regex::Repeat {
-                        inner: Box::new(walk(inner, next, keep)),
-                        min: *min,
-                        max: *max,
-                    };
-                }
-                let id = RepeatId(*next);
-                *next += 1;
-                let body = walk(inner, next, keep);
-                if id == keep {
-                    Regex::Repeat {
-                        inner: Box::new(body),
-                        min: *min,
-                        max: *max,
-                    }
-                } else {
-                    recama_nca::unfold_one(body, *min, *max)
-                }
-            }
+    regex.rewrite_repeats(&mut |id, body, min, max| {
+        if id == keep {
+            Regex::repeat(body, min, max)
+        } else {
+            recama_nca::unfold_one(body, min, max)
         }
-    }
-    let mut next = 0;
-    walk(regex, &mut next, keep)
+    })
 }
 
 #[cfg(test)]

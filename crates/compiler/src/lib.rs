@@ -27,7 +27,7 @@ mod pipeline;
 
 pub use codegen::emit;
 pub use pipeline::{
-    compile, compile_ruleset, merge_rule_networks, unfold_by_ids, CompileOptions, CompileOutput,
-    CompileReport, ModuleKind, RulesetOutput, COUNTER_MAX_BOUND,
+    compile, compile_ruleset, merge_rule_networks, CompileOptions, CompileOutput, CompileReport,
+    ModuleKind, RulesetOutput, COUNTER_MAX_BOUND,
 };
 pub use recama_analysis::DecidedBy;

@@ -16,8 +16,7 @@ use crate::codegen;
 use recama_analysis::{classify, AnalysisStats, Classification, DecidedBy, NcaAnalysis};
 use recama_mnrl::MnrlNetwork;
 use recama_nca::{unfold, unfold_one, Nca, UnfoldPolicy};
-use recama_syntax::{normalize_for_nca, Regex, RepeatId};
-use std::collections::HashSet;
+use recama_syntax::{normalize_for_nca, Regex};
 
 /// Largest value the 17-bit hardware counter module can hold (Table 2).
 pub const COUNTER_MAX_BOUND: u32 = (1 << 17) - 1;
@@ -175,14 +174,8 @@ pub fn compile(regex: &Regex, options: &CompileOptions) -> CompileOutput {
             .collect();
         resolve_nesting(&infos, &mut decisions);
 
-        let to_unfold: HashSet<RepeatId> = infos
-            .iter()
-            .zip(&decisions)
-            .filter(|(_, d)| **d == Decision::Unfold)
-            .map(|(i, _)| i.id)
-            .collect();
-
-        if to_unfold.is_empty() {
+        let unfolds = decisions.iter().filter(|&&d| d == Decision::Unfold).count();
+        if unfolds == 0 {
             let modules = decisions
                 .iter()
                 .map(|d| match d {
@@ -202,8 +195,14 @@ pub fn compile(regex: &Regex, options: &CompileOptions) -> CompileOutput {
                 report,
             };
         }
-        report.unfolded_occurrences += to_unfold.len() as u32;
-        current = unfold_by_ids(&normalized, &to_unfold);
+        report.unfolded_occurrences += unfolds as u32;
+        current = normalized.rewrite_repeats(&mut |id, body, min, max| {
+            if decisions[id.0] == Decision::Unfold {
+                unfold_one(body, min, max)
+            } else {
+                Regex::repeat(body, min, max)
+            }
+        });
         if report.iterations >= max_iterations {
             // Safety valve: unfold everything that is left.
             current = unfold(&current, UnfoldPolicy::All);
@@ -244,44 +243,6 @@ fn resolve_nesting(infos: &[recama_syntax::RepeatInfo], decisions: &mut [Decisio
         }
         stack.push(i);
     }
-}
-
-/// Unfolds exactly the counting occurrences in `ids` (numbering per
-/// [`Regex::repeats`] of `regex`); language-preserving.
-pub fn unfold_by_ids(regex: &Regex, ids: &HashSet<RepeatId>) -> Regex {
-    fn walk(r: &Regex, next: &mut usize, ids: &HashSet<RepeatId>) -> Regex {
-        match r {
-            Regex::Empty | Regex::Void | Regex::Class(_) => r.clone(),
-            Regex::Concat(parts) => {
-                Regex::concat(parts.iter().map(|p| walk(p, next, ids)).collect())
-            }
-            Regex::Alt(parts) => Regex::alt(parts.iter().map(|p| walk(p, next, ids)).collect()),
-            Regex::Star(inner) => Regex::star(walk(inner, next, ids)),
-            Regex::Repeat { inner, min, max } => {
-                if Regex::is_plain_iteration(*min, *max) {
-                    return Regex::Repeat {
-                        inner: Box::new(walk(inner, next, ids)),
-                        min: *min,
-                        max: *max,
-                    };
-                }
-                let id = RepeatId(*next);
-                *next += 1;
-                let body = walk(inner, next, ids);
-                if ids.contains(&id) {
-                    unfold_one(body, *min, *max)
-                } else {
-                    Regex::Repeat {
-                        inner: Box::new(body),
-                        min: *min,
-                        max: *max,
-                    }
-                }
-            }
-        }
-    }
-    let mut next = 0;
-    walk(regex, &mut next, ids)
 }
 
 /// Compiles a whole ruleset into one merged network (rule `i` gets node-id

@@ -184,8 +184,8 @@ pub struct ServeConfig {
     /// chunk would push the service's total buffered bytes past this.
     pub max_buffered_bytes: u64,
     /// How many scan panics the service absorbs. A scan panic
-    /// **quarantines only the offending flow** (its engines are freed,
-    /// its epoch pin released, its already-merged reports stay pollable,
+    /// **quarantines only the offending flow** (its engines are freed
+    /// with its hold on their epoch, its already-merged reports stay pollable,
     /// and [`push_checked`](ServiceHandle::push_checked) /
     /// [`poll_checked`](ServiceHandle::poll_checked) on it return a
     /// [`ServeError::Quarantined`](crate::ServeError::Quarantined)
@@ -549,7 +549,7 @@ impl Engine {
     /// A hardware simulator for shard `shard`'s machine image; its
     /// report vector attributes events to rules by the stamped report
     /// ids.
-    pub fn hardware(&self, shard: usize) -> recama_hw::HwSimulator<'_> {
+    pub fn hardware(&self, shard: usize) -> recama_hw::HwSimulator {
         recama_hw::HwSimulator::new(&self.set.networks[shard])
     }
 

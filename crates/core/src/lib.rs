@@ -143,7 +143,7 @@ impl Pattern {
     }
 
     /// A hardware simulator for this pattern's network.
-    pub fn hardware(&self) -> recama_hw::HwSimulator<'_> {
+    pub fn hardware(&self) -> recama_hw::HwSimulator {
         recama_hw::HwSimulator::new(&self.compiled.network)
     }
 }

@@ -48,7 +48,9 @@
 //!   the service: new flows start on the new epoch, existing flows
 //!   migrate at their next chunk boundary once drained, in-flight
 //!   scans drain against the engine they started on, and an old
-//!   epoch's machine image is freed when its last flow lets go of it.
+//!   epoch's machine image goes with the last flow that holds it: the
+//!   service holds only the current epoch, each flow the epoch its
+//!   engines came from, until they are freed.
 //!   Reports carry **stable rule ids** ([`RuleMatch::rule`]) so
 //!   consumers are insulated from the reshuffled pattern indices of a
 //!   reloaded set;
@@ -83,7 +85,7 @@ use crate::prefilter::{ChunkAction, PerGroup, PrefilterCounters, PrefilterMetric
 use crate::ShardedPatternSet;
 use recama_nca::{HybridEngine, HybridStats, MultiReport, ScanMode, LOCKSTEP_LANES};
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::Poll;
@@ -163,9 +165,10 @@ pub struct ServiceMetrics {
     /// Flows currently tracked (open, or closed with undrained
     /// reports).
     pub flows: usize,
-    /// Tracked flows per live epoch, ascending by epoch — old epochs
-    /// disappear from this list when their last flow releases the
-    /// retired machine image.
+    /// Flows holding each epoch, ascending by epoch: the current one
+    /// (listed even when no flow holds it) and every older one a flow
+    /// still holds. A flow lets go of its epoch when its engines are
+    /// freed, so an old epoch leaves this list with its machine image.
     pub epoch_flows: Vec<(u64, usize)>,
     /// Bytes buffered but not yet consumed by every group.
     pub pending_bytes: u64,
@@ -209,11 +212,11 @@ pub struct ServiceMetrics {
     /// in [`ScanMode::Hybrid`]; `None` in pure-NCA mode. The byte
     /// counters are cumulative over every engine that ever scanned
     /// (retired engines plus the live flow table); `dfa_states` and
-    /// `flushes` are read from the installed epochs' per-group caches
-    /// when the snapshot is taken, each group cache counted once — so
-    /// `dfa_states` is what is cached *now* (at most groups ×
-    /// `state_budget` per installed epoch), not what flows long gone
-    /// once built. The interesting roll-up is
+    /// `flushes` are read from the per-group caches of the current epoch
+    /// and of every epoch a flow holds when the snapshot is taken, each
+    /// distinct set's caches counted once — so `dfa_states` is what is
+    /// cached *now* (at most groups × `state_budget` per set), not what
+    /// flows long gone once built. The interesting roll-up is
     /// [`HybridStats::dfa_hit_rate`].
     pub hybrid: Option<HybridStats>,
     /// Literal-prefilter counters — per-group skipped `(flow, group)`
@@ -432,15 +435,13 @@ impl Segment {
 
 /// One engine installed behind the epoch counter. The `Arc`ed machine
 /// image is shared with the [`Engine`] that was reloaded (and any other
-/// handle serving it); the *service's* share is dropped when the entry
-/// leaves `ServeState::epochs`.
+/// handle serving it). The service holds the current epoch, and each flow
+/// the epoch its engines came from, so a reloaded epoch — and the
+/// service's share of its image — goes with the last flow that holds it.
 struct EpochEngine {
     epoch: u64,
     set: Arc<ShardedPatternSet>,
     ids: Arc<[u64]>,
-    /// Flows still pinned to this epoch (their group engines came from
-    /// this set). A non-current epoch with zero flows is retired.
-    flows: usize,
 }
 
 /// A served flow in the slab: its [`Flow`] — engines, positions, pending
@@ -448,11 +449,10 @@ struct EpochEngine {
 /// has: buffered input, scheduling bits, the report queue and the table's
 /// bookkeeping.
 struct OwnedFlow {
-    /// The epoch whose engines this flow holds.
-    epoch: u64,
-    /// Set once the flow's engines were freed and its epoch pin
-    /// released (so slot-free does not release twice).
-    epoch_released: bool,
+    /// The epoch whose engines this flow holds: set at open and at
+    /// migration, taken when the engines are freed (finished or
+    /// quarantined) — reports still waiting to be polled hold no epoch.
+    epoch: Option<Arc<EpochEngine>>,
     /// Freed once a closed flow has fully drained, or on quarantine.
     /// Restarted at migration, at `base` = the flow's length: old `$`
     /// candidates cannot end at the final byte once more bytes arrive,
@@ -486,6 +486,11 @@ struct OwnedFlow {
 }
 
 impl OwnedFlow {
+    /// The number of the epoch this flow holds, while it holds one.
+    fn epoch_no(&self) -> Option<u64> {
+        self.epoch.as_ref().map(|e| e.epoch)
+    }
+
     /// Swaps in `flow` with every unit idle, returning the old one.
     fn rebind(&mut self, flow: Flow) -> Flow {
         self.busy = vec![false; flow.unit_count()];
@@ -542,10 +547,9 @@ struct ServeState {
     /// [`ServeConfig::max_flows`](crate::ServeConfig::max_flows)
     /// bounds.
     open_count: usize,
-    /// Installed engines, ascending by epoch; the last entry is the
-    /// current one. Non-current entries retire when `flows` hits 0.
-    epochs: Vec<EpochEngine>,
-    current_epoch: u64,
+    /// The serving epoch: what new flows open on and drained flows
+    /// migrate to.
+    current: Arc<EpochEngine>,
     /// Readiness queue of `(flow, group)` units with unconsumed bytes.
     ready: VecDeque<(FlowId, usize)>,
     /// Units currently checked out by workers.
@@ -612,13 +616,7 @@ impl ServeState {
             slots: Vec::new(),
             free: Vec::new(),
             open_count: 0,
-            epochs: vec![EpochEngine {
-                epoch: 0,
-                set,
-                ids,
-                flows: 0,
-            }],
-            current_epoch: 0,
+            current: Arc::new(EpochEngine { epoch: 0, set, ids }),
             ready: VecDeque::new(),
             in_flight: 0,
             buffered_total: 0,
@@ -639,34 +637,6 @@ impl ServeState {
             metrics: MetricsAcc::default(),
             hybrid_retired: HybridStats::default(),
         }
-    }
-
-    // ---- epoch bookkeeping ------------------------------------------
-
-    fn current(&self) -> &EpochEngine {
-        self.epochs.last().expect("the current epoch is installed")
-    }
-
-    fn bind_epoch(&mut self, epoch: u64) {
-        self.epochs
-            .iter_mut()
-            .find(|e| e.epoch == epoch)
-            .expect("pinned epochs stay installed")
-            .flows += 1;
-    }
-
-    /// Drops a flow's pin on `epoch`; a retired (non-current) epoch
-    /// with no remaining flows is removed, freeing its machine image —
-    /// the last step of a hot reload.
-    fn release_epoch(&mut self, epoch: u64) {
-        let e = self
-            .epochs
-            .iter_mut()
-            .find(|e| e.epoch == epoch)
-            .expect("pinned epochs stay installed");
-        e.flows -= 1;
-        let current = self.current_epoch;
-        self.epochs.retain(|e| e.epoch == current || e.flows > 0);
     }
 
     // ---- slab -------------------------------------------------------
@@ -694,9 +664,7 @@ impl ServeState {
             // Nothing evictable: the table overshoots, visibly.
             self.metrics.backpressure += 1;
         }
-        let epoch = self.current_epoch;
-        let flow = Flow::new(&self.current().set, 0);
-        self.bind_epoch(epoch);
+        let flow = Flow::new(&self.current.set, 0);
         self.touch += 1;
         #[cfg(feature = "fault-inject")]
         let seq = {
@@ -705,8 +673,7 @@ impl ServeState {
             seq
         };
         let flow = Box::new(OwnedFlow {
-            epoch,
-            epoch_released: false,
+            epoch: Some(Arc::clone(&self.current)),
             busy: vec![false; flow.unit_count()],
             #[cfg(feature = "fault-inject")]
             scans: vec![0; flow.unit_count()],
@@ -753,11 +720,6 @@ impl ServeState {
         if !flow.closed {
             self.open_count -= 1;
         }
-        if !flow.epoch_released {
-            // Flows whose `try_finish` never ran (zero-group sets)
-            // release their epoch pin here.
-            self.release_epoch(flow.epoch);
-        }
     }
 
     /// Frees the slot once the flow is finished with both report
@@ -792,7 +754,7 @@ impl ServeState {
     /// queued units leave the
     /// readiness queue, its remaining engines are freed (hybrid
     /// counters retired), its buffered bytes leave the global gauge,
-    /// and its epoch pin is released — so every *other* flow keeps
+    /// and it lets go of its epoch — so every *other* flow keeps
     /// flowing and a blocked `barrier` still drains. Reports merged
     /// before the fault stay pollable.
     fn quarantine(&mut self, id: FlowId, summary: &str) {
@@ -809,17 +771,12 @@ impl ServeState {
         f.quarantined = Some(summary.to_string());
         let retired = f.flow.free();
         f.segments.clear();
-        let epoch = f.epoch;
-        let release = !f.epoch_released;
-        f.epoch_released = true;
+        f.epoch = None;
         self.buffered_total -= before;
         if was_open {
             self.open_count -= 1;
         }
         self.hybrid_retired.merge(&retired);
-        if release {
-            self.release_epoch(epoch);
-        }
     }
 
     /// Whether the [`overload`](crate::ServeConfig::overload)
@@ -881,26 +838,23 @@ impl ServeState {
 
     /// Migrates a drained flow onto the current epoch at this chunk
     /// boundary: a fresh [`Flow`] whose engines start at `base` = the
-    /// flow's length, old engines (and their epoch pin) released. Called
-    /// only for a non-empty accepted push, so dropping the `$` candidates
-    /// is safe — more bytes are coming. A literal straddling the boundary
-    /// is cut like any match there: the filter restarts with the engines.
+    /// flow's length; the old engines go, and with them the flow's hold on
+    /// their epoch. Called only for a non-empty accepted push, so dropping
+    /// the `$` candidates is safe — more bytes are coming. A literal
+    /// straddling the boundary is cut like any match there: the filter
+    /// restarts with the engines.
     fn maybe_migrate(&mut self, id: FlowId) {
-        let current = self.current_epoch;
         let Some(f) = self.flow(id) else { return };
-        if f.epoch == current || f.closed || !f.flow.drained() {
+        if f.epoch_no() == Some(self.current.epoch) || f.closed || !f.flow.drained() {
             return;
         }
-        let fresh = Flow::new(&self.current().set, f.flow.total());
+        let fresh = Flow::new(&self.current.set, f.flow.total());
+        let current = Arc::clone(&self.current);
         let f = self.flow_mut(id).expect("migrating a live flow");
         let retired = f.rebind(fresh).hybrid_stats();
-        let old_epoch = f.epoch;
         f.segments.clear(); // drained ⇒ already empty
-        f.epoch = current;
-        f.epoch_released = false;
+        f.epoch = Some(current);
         self.hybrid_retired.merge(&retired);
-        self.release_epoch(old_epoch);
-        self.bind_epoch(current);
     }
 
     /// Buffers `chunk` for an open flow and marks its idle units ready —
@@ -910,7 +864,6 @@ impl ServeState {
     fn buffer_chunk(&mut self, id: FlowId, chunk: &[u8]) -> u64 {
         let ServeState {
             slots,
-            epochs,
             ready,
             verdicts,
             metrics,
@@ -921,7 +874,7 @@ impl ServeState {
         if chunk.is_empty() {
             return f.flow.total();
         }
-        let set = &epoch_of(epochs, f.epoch).set;
+        let set = &f.epoch.as_ref().expect("an open flow holds its epoch").set;
         let before = f.flow.buffered();
         let chunk_start = f.flow.total();
         // A woken unit replays bytes before the chunk; where those
@@ -990,12 +943,12 @@ impl ServeState {
         let Some((id, group)) = self.ready.pop_front() else {
             return Vec::new();
         };
-        let epoch = self.flow(id).map(|f| f.epoch);
+        let epoch = self.flow(id).and_then(OwnedFlow::epoch_no);
         let mut batch = vec![self.check_out(id, group)];
         let mut at = 0;
         while batch.len() < LOCKSTEP_LANES && at < self.ready.len().min(BATCH_WINDOW) {
             let (other, g) = self.ready[at];
-            if g == group && self.flow(other).map(|f| f.epoch) == epoch {
+            if g == group && self.flow(other).and_then(OwnedFlow::epoch_no) == epoch {
                 self.ready.remove(at);
                 batch.push(self.check_out(other, g));
             } else {
@@ -1084,21 +1037,14 @@ impl ServeState {
     /// (as stable rule ids) and the global sink, then drops input
     /// segments every unit has consumed.
     fn merge_ready(&mut self, id: FlowId) {
-        let ServeState {
-            slots,
-            epochs,
-            sink,
-            ..
-        } = self;
+        let ServeState { slots, sink, .. } = self;
         let Some(f) = flow_in(slots, id) else { return };
-        if f.flow.is_freed() {
-            // Already finished (engines freed, epoch pin released —
-            // the epoch may since have been retired by a reload) or a
+        let (false, Some(e)) = (f.flow.is_freed(), &f.epoch) else {
+            // Already finished (engines and epoch let go) or a
             // zero-group set: nothing pending to merge. A second
             // `close` on a finished flow lands here.
             return;
-        }
-        let e = epoch_of(epochs, f.epoch);
+        };
         let reports = &mut f.reports;
         let watermark = f.flow.merge(&e.set, |r| {
             let rule = e.ids[r.pattern as usize];
@@ -1116,7 +1062,7 @@ impl ServeState {
 
     /// Frees the engines of a closed, fully-consumed flow, resolves its
     /// `$`-anchored finishing set (as stable rule ids), retires its
-    /// hybrid counters, and releases its epoch pin.
+    /// hybrid counters, and lets go of its epoch.
     fn try_finish(&mut self, id: FlowId) {
         let Some(f) = flow_in(&mut self.slots, id) else {
             return;
@@ -1124,8 +1070,8 @@ impl ServeState {
         if f.flow.is_freed() || !(f.closed && f.flow.drained()) {
             return; // already finished, a zero-group set, or not yet due
         }
-        let epoch = f.epoch;
-        let ids = &epoch_of(&self.epochs, epoch).ids;
+        let Some(epoch) = f.epoch.take() else { return };
+        let ids = &epoch.ids;
         let finals = f.flow.finishing().into_iter().map(|r| RuleMatch {
             rule: ids[r.pattern as usize],
             end: r.end,
@@ -1133,9 +1079,7 @@ impl ServeState {
         f.finishing.extend(finals);
         let retired = f.flow.free();
         f.segments.clear();
-        f.epoch_released = true;
         self.hybrid_retired.merge(&retired);
-        self.release_epoch(epoch);
     }
 
     /// Marks a flow closed and finishes it if already drained. Closing
@@ -1289,35 +1233,42 @@ impl ServeState {
 
     fn snapshot(&self) -> ServiceMetrics {
         // Byte counters: every engine that ever scanned, gone or parked.
-        // `dfa_states` / `flushes`: what the installed epochs' group
-        // caches hold right now, each set counted once (reloading a
-        // clone of the serving engine installs the same set twice).
+        // The installed epochs are the current one and those flows hold;
+        // `dfa_states` / `flushes` are what their group caches hold right
+        // now, each set counted once (reloading a clone of the serving
+        // engine installs the same set twice).
         let mut hybrid = self.hybrid_retired;
+        let mut epochs = BTreeMap::from([(self.current.epoch, (&*self.current, 0))]);
         for f in self.slots.iter().filter_map(|slot| slot.flow.as_deref()) {
             hybrid.merge(&f.flow.hybrid_stats());
-        }
-        for (i, e) in self.epochs.iter().enumerate() {
-            if !self.epochs[..i].iter().any(|o| Arc::ptr_eq(&o.set, &e.set)) {
-                hybrid.merge(&e.set.hybrid_cache_stats());
+            if let Some(e) = &f.epoch {
+                epochs.entry(e.epoch).or_insert((e, 0)).1 += 1;
             }
         }
-        let hybrid = match self.current().set.scan_mode {
+        let mut sets: Vec<&Arc<ShardedPatternSet>> = Vec::new();
+        for (e, _) in epochs.values() {
+            if !sets.iter().any(|&set| Arc::ptr_eq(set, &e.set)) {
+                hybrid.merge(&e.set.hybrid_cache_stats());
+                sets.push(&e.set);
+            }
+        }
+        let hybrid = match self.current.set.scan_mode {
             ScanMode::Hybrid { .. } => Some(hybrid),
             ScanMode::Nca => None,
         };
         // Per-unit vectors are as long as the scan partition, whatever
         // the bank count.
-        let groups = self.current().set.scan.shard_count();
-        let prefilter = self.current().set.prefilter().map(|pf| {
+        let groups = self.current.set.scan.shard_count();
+        let prefilter = self.current.set.prefilter().map(|pf| {
             self.metrics
                 .prefilter
                 .snapshot(groups, pf.always_on_rules())
         });
         ServiceMetrics {
-            epoch: self.current_epoch,
+            epoch: self.current.epoch,
             reloads: self.metrics.reloads,
             flows: self.occupied(),
-            epoch_flows: self.epochs.iter().map(|e| (e.epoch, e.flows)).collect(),
+            epoch_flows: epochs.iter().map(|(&no, &(_, n))| (no, n)).collect(),
             pending_bytes: self.buffered_total,
             queue_depth: self.ready.len(),
             queue_depth_peak: self.metrics.queue_peak,
@@ -1342,18 +1293,13 @@ impl ServeState {
 }
 
 /// The flow `id` addresses, borrowing only the slab — so a caller can
-/// read `epochs` and write the queues beside it.
+/// write the queues beside it.
 fn flow_in(slots: &mut [Slot], id: FlowId) -> Option<&mut OwnedFlow> {
     let slot = slots.get_mut(id.index as usize)?;
     if slot.generation != id.generation {
         return None;
     }
     slot.flow.as_deref_mut()
-}
-
-/// The installed engine a flow pinned to `epoch` scans with.
-fn epoch_of(epochs: &[EpochEngine], epoch: u64) -> &EpochEngine {
-    (epochs.iter().find(|e| e.epoch == epoch)).expect("pinned epochs stay installed")
 }
 
 /// A human-readable summary of a panic payload: `&str` and `String`
@@ -1842,7 +1788,7 @@ impl ServiceHandle {
     /// The current serving epoch (0 until the first
     /// [`reload`](ServiceHandle::reload)).
     pub fn epoch(&self) -> u64 {
-        self.core.lock().current_epoch
+        self.core.lock().current.epoch
     }
 
     /// Whether the service fail-stopped: a scan panic was not absorbed
@@ -1923,8 +1869,10 @@ impl ServiceHandle {
     /// * `(flow, group)` units already checked out keep scanning
     ///   against the engine they started on — the reload never blocks
     ///   on them, and they never see a half-installed set;
-    /// * a retired epoch's machine image is freed when its last
-    ///   pinned flow finishes or migrates;
+    /// * each flow holds the epoch its engines came from until they
+    ///   are freed, so an old epoch's machine image goes with the last
+    ///   flow that holds it — when that flow finishes, is quarantined
+    ///   or migrates, whether or not its reports were polled;
     /// * reports carry stable rule ids ([`RuleMatch::rule`]), so a
     ///   rule kept across the reload keeps its identity even though
     ///   the recompiled set reshuffles pattern indices.
@@ -1949,16 +1897,13 @@ impl ServiceHandle {
     /// ```
     pub fn reload(&self, engine: &Engine) -> u64 {
         let mut st = self.core.lock();
-        let epoch = st.current_epoch + 1;
-        st.epochs.push(EpochEngine {
+        let epoch = st.current.epoch + 1;
+        st.current = Arc::new(EpochEngine {
             epoch,
             set: engine.set_arc(),
             ids: engine.ids_arc(),
-            flows: 0,
         });
-        st.current_epoch = epoch;
         st.metrics.reloads += 1;
-        st.epochs.retain(|e| e.epoch == epoch || e.flows > 0);
         epoch
     }
 
@@ -2257,9 +2202,9 @@ impl std::fmt::Debug for ServiceHandle {
         write!(
             f,
             "ServiceHandle(epoch {}, {} flows, {} scan groups, {} workers, budget = {} B)",
-            st.current_epoch,
+            st.current.epoch,
             st.occupied(),
-            st.current().set.scan.shard_count(),
+            st.current.set.scan.shard_count(),
             self.workers,
             self.core.config.flow_budget
         )
@@ -2516,7 +2461,7 @@ mod tests {
     }
 
     /// A retired epoch lets go of its machine image: once the last flow
-    /// pinned to it has closed, no epoch entry, flow engine or shard
+    /// that held it has closed, no epoch entry, flow engine or shard
     /// cache of the service still holds the old set — even while that
     /// flow's reports wait unpolled.
     #[test]

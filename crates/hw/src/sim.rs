@@ -73,9 +73,7 @@ pub(crate) struct Activity {
 /// let mut hw = HwSimulator::new(&out.network);
 /// assert_eq!(hw.match_ends(b"xabbc_abbbc"), vec![5, 11]);
 /// ```
-pub struct HwSimulator<'a> {
-    #[allow(dead_code)]
-    network: &'a MnrlNetwork,
+pub struct HwSimulator {
     stes: Vec<SteInfo>,
     modules: Vec<ModuleState>,
     mod_info: Vec<ModInfo>,
@@ -94,13 +92,13 @@ pub struct HwSimulator<'a> {
     last_mod_reports: Vec<usize>,
 }
 
-impl<'a> HwSimulator<'a> {
+impl HwSimulator {
     /// Builds a simulator for `network`.
     ///
     /// # Panics
     ///
     /// Panics if the network fails [`MnrlNetwork::validate`].
-    pub fn new(network: &'a MnrlNetwork) -> HwSimulator<'a> {
+    pub fn new(network: &MnrlNetwork) -> HwSimulator {
         let problems = network.validate();
         assert!(problems.is_empty(), "invalid network: {problems:?}");
 
@@ -174,7 +172,6 @@ impl<'a> HwSimulator<'a> {
         }
         let n = stes.len();
         let mut sim = HwSimulator {
-            network,
             stes,
             modules,
             mod_info,

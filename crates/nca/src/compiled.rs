@@ -96,31 +96,14 @@ impl CompilePlan {
         CompilePlan { modes }
     }
 
-    /// Like [`CompilePlan::conservative`], but using counting-set queues
-    /// instead of bit vectors wherever the state qualifies (single counter;
-    /// the only counter-carrying incoming edges are the self-loop increment
-    /// and `x := 1` entries). Non-qualifying counted states keep bit
-    /// vectors / token sets.
-    pub fn counting_sets(nca: &Nca) -> CompilePlan {
-        let modes = nca
-            .states()
-            .iter()
-            .enumerate()
-            .map(|(qi, s)| match s.counters.len() {
-                0 => StorageMode::PureBit,
-                1 if counting_set_eligible(nca, StateId(qi as u32)) => StorageMode::CountingSet,
-                1 => StorageMode::BitVector,
-                _ => StorageMode::TokenSet,
-            })
-            .collect();
-        CompilePlan { modes }
-    }
-
     /// The best statically-known plan: combines the analysis-informed
-    /// [`CompilePlan::with_unambiguous_states`] selection with the
-    /// counting-set queues of [`CompilePlan::counting_sets`] — unambiguous
-    /// counted states store a single valuation, ambiguous eligible states
-    /// get O(1)-increment queues, the rest keep bit vectors / token sets.
+    /// [`CompilePlan::with_unambiguous_states`] selection with counting-set
+    /// queues wherever a state qualifies (single counter; the only
+    /// counter-carrying incoming edges are the self-loop increment and
+    /// `x := 1` entries) — unambiguous counted states store a single
+    /// valuation, ambiguous eligible states get O(1)-increment queues, the
+    /// rest keep bit vectors / token sets. With `|_| false` it is the
+    /// analysis-free queue plan.
     pub fn optimized(nca: &Nca, mut unambiguous: impl FnMut(StateId) -> bool) -> CompilePlan {
         let modes = nca
             .states()
@@ -510,12 +493,6 @@ impl<'a> CompiledEngine<'a> {
         e
     }
 
-    /// Builds the engine with the counting-set plan (queue representation
-    /// for eligible ambiguous states; see [`CompilePlan::counting_sets`]).
-    pub fn counting_sets(nca: &'a Nca) -> CompiledEngine<'a> {
-        CompiledEngine::new(nca, CompilePlan::counting_sets(nca))
-    }
-
     /// Builds the engine with the analysis-free conservative plan.
     pub fn conservative(nca: &'a Nca) -> CompiledEngine<'a> {
         CompiledEngine::new(nca, CompilePlan::conservative(nca))
@@ -819,11 +796,11 @@ mod counting_set_tests {
     #[test]
     fn queue_plan_assigns_counting_sets_to_sigma_bodies() {
         let a = nca(".*a{5}");
-        let plan = CompilePlan::counting_sets(&a);
+        let plan = CompilePlan::optimized(&a, |_| false);
         assert!(plan.iter().any(|(_, m)| m == StorageMode::CountingSet));
         // Multi-state bodies are not eligible.
         let b = nca(".*(ab){3,5}");
-        let planb = CompilePlan::counting_sets(&b);
+        let planb = CompilePlan::optimized(&b, |_| false);
         assert!(planb
             .iter()
             .all(|(_, m)| m != StorageMode::CountingSet || matches!(m, StorageMode::CountingSet)));
@@ -831,7 +808,7 @@ mod counting_set_tests {
         assert!(!planb.iter().any(|(_, m)| m == StorageMode::CountingSet));
         // Unbounded {m,} is excluded (saturation breaks the queue).
         let c = nca(".*a{3,}b");
-        assert!(!CompilePlan::counting_sets(&c)
+        assert!(!CompilePlan::optimized(&c, |_| false)
             .iter()
             .any(|(_, m)| m == StorageMode::CountingSet));
     }
@@ -847,7 +824,7 @@ mod counting_set_tests {
             "(x|y)a{2,4}z",
         ] {
             let a = nca(p);
-            let mut fast = CompiledEngine::counting_sets(&a);
+            let mut fast = CompiledEngine::new(&a, CompilePlan::optimized(&a, |_| false));
             let mut slow = TokenSetEngine::new(&a);
             for w in exhaustive_inputs(b"abxyz", 5) {
                 assert_eq!(fast.matches(&w), slow.matches(&w), "{p} on {w:?}");
@@ -883,7 +860,7 @@ mod counting_set_tests {
         let p = parse("k.{3,9}").unwrap();
         let a = Nca::from_regex(&p.for_stream());
         let input = b"akzzzzk_zzzzzzzzzzk";
-        let mut queue_engine = CompiledEngine::counting_sets(&a);
+        let mut queue_engine = CompiledEngine::new(&a, CompilePlan::optimized(&a, |_| false));
         let mut bits_engine = CompiledEngine::conservative(&a);
         assert_eq!(
             queue_engine.match_ends(input),

@@ -1923,11 +1923,7 @@ mod tests {
             b"kkkzzz.aabaabaabaab.qaaaa",
             b"",
         ];
-        for plan in [
-            queues,
-            CompilePlan::conservative,
-            CompilePlan::counting_sets,
-        ] {
+        for plan in [queues, CompilePlan::conservative] {
             let m = merged_with(&patterns, plan);
             for input in inputs {
                 assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);

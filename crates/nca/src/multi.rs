@@ -767,7 +767,7 @@ mod tests {
             let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
             let queue_parts: Vec<(&Nca, CompilePlan)> = ncas
                 .iter()
-                .map(|n| (n, CompilePlan::counting_sets(n)))
+                .map(|n| (n, CompilePlan::optimized(n, |_| false)))
                 .collect();
             let bits_parts: Vec<(&Nca, CompilePlan)> = ncas
                 .iter()

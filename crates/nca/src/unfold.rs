@@ -47,32 +47,21 @@ impl UnfoldPolicy {
 /// assert_eq!(partial.to_string(), "aaab{2,4}");
 /// ```
 pub fn unfold(regex: &Regex, policy: UnfoldPolicy) -> Regex {
-    match regex {
-        Regex::Empty | Regex::Void | Regex::Class(_) => regex.clone(),
-        Regex::Concat(parts) => Regex::concat(parts.iter().map(|p| unfold(p, policy)).collect()),
-        Regex::Alt(parts) => Regex::alt(parts.iter().map(|p| unfold(p, policy)).collect()),
-        Regex::Star(inner) => Regex::star(unfold(inner, policy)),
-        Regex::Repeat { inner, min, max } => {
-            let body = unfold(inner, policy);
-            if Regex::is_plain_iteration(*min, *max) {
-                return Regex::Repeat {
-                    inner: Box::new(body),
-                    min: *min,
-                    max: *max,
-                };
-            }
-            if !policy.applies(*min, *max) {
-                return Regex::repeat(body, *min, *max);
-            }
-            unfold_one(body, *min, *max)
+    regex.rewrite_repeats(&mut |_, body, min, max| {
+        if policy.applies(min, max) {
+            unfold_one(body, min, max)
+        } else {
+            Regex::repeat(body, min, max)
         }
-    }
+    })
 }
 
 /// Unfolds a single occurrence: `body{min,max}` into a counting-free
 /// concatenation (`body` must already be free of occurrences you want
 /// unfolded). Exposed for callers that unfold selected occurrences by
-/// identity rather than by bound (e.g. the per-occurrence exact analysis).
+/// identity rather than by bound, from a closure over
+/// [`Regex::rewrite_repeats`] (the per-occurrence exact analysis, the
+/// compiler's fallback).
 pub fn unfold_one(body: Regex, min: u32, max: Option<u32>) -> Regex {
     let mut parts: Vec<Regex> = Vec::new();
     match max {

@@ -53,15 +53,6 @@ pub enum Regex {
     },
 }
 
-/// Decision returned by the callback of [`Regex::rewrite_repeats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepeatRewrite {
-    /// Keep the occurrence as written.
-    Keep,
-    /// Relax `r{m,n}` to `r*` (the over-approximation of §3.2).
-    Star,
-}
-
 /// Identifier of one occurrence of bounded repetition inside a regex:
 /// the preorder index among `Repeat` nodes. Stable under cloning; the static
 /// analysis and the compiler use it to refer to "the i-th `{m,n}`".
@@ -337,16 +328,25 @@ impl Regex {
         out
     }
 
-    /// Rewrites counting occurrences in place. `f` is called for every
-    /// counting occurrence (preorder, same numbering as [`Regex::repeats`])
-    /// and decides whether to keep it or relax it to `body*` — the
-    /// over-approximation of §3.2 of the paper. Nested occurrences inside a
-    /// relaxed body keep their numbering and are still visited.
-    pub fn rewrite_repeats(&self, f: &mut impl FnMut(RepeatId) -> RepeatRewrite) -> Regex {
+    /// Rebuilds the regex with every counting occurrence replaced by what
+    /// `f(id, body, min, max)` returns — the one walk behind each per-
+    /// occurrence rewrite: the §3.2 relaxation to `body*`, the unfolding
+    /// of the exact per-occurrence check, the Fig. 9 threshold and the
+    /// compiler's fallback. Occurrences are numbered in preorder, as by
+    /// [`Regex::repeats`] — the numbering the Glushkov construction gives
+    /// its counters, so counter `k` of the automaton is occurrence `k`.
+    /// `body` is already rewritten, so `f` sees a nested occurrence before
+    /// the one around it, and each keeps its preorder number whatever `f`
+    /// made of the other. Plain `*`/`+` iteration is not an occurrence and
+    /// is kept as written.
+    pub fn rewrite_repeats(
+        &self,
+        f: &mut impl FnMut(RepeatId, Regex, u32, Option<u32>) -> Regex,
+    ) -> Regex {
         fn walk(
             r: &Regex,
             next: &mut usize,
-            f: &mut impl FnMut(RepeatId) -> RepeatRewrite,
+            f: &mut impl FnMut(RepeatId, Regex, u32, Option<u32>) -> Regex,
         ) -> Regex {
             match r {
                 Regex::Empty | Regex::Void | Regex::Class(_) => r.clone(),
@@ -355,26 +355,14 @@ impl Regex {
                 }
                 Regex::Alt(parts) => Regex::alt(parts.iter().map(|p| walk(p, next, f)).collect()),
                 Regex::Star(inner) => Regex::star(walk(inner, next, f)),
+                Regex::Repeat { inner, min, max } if Regex::is_plain_iteration(*min, *max) => {
+                    Regex::repeat(walk(inner, next, f), *min, *max)
+                }
                 Regex::Repeat { inner, min, max } => {
-                    if Regex::is_plain_iteration(*min, *max) {
-                        return Regex::Repeat {
-                            inner: Box::new(walk(inner, next, f)),
-                            min: *min,
-                            max: *max,
-                        };
-                    }
                     let id = RepeatId(*next);
                     *next += 1;
                     let body = walk(inner, next, f);
-                    match f(id) {
-                        RepeatRewrite::Keep => Regex::Repeat {
-                            inner: Box::new(body),
-                            min: *min,
-                            max: *max,
-                        },
-                        // r{m,n} ⊆ r* — strictly more behaviors, per §3.2.
-                        RepeatRewrite::Star => Regex::star(body),
-                    }
+                    f(id, body, *min, *max)
                 }
             }
         }
@@ -553,6 +541,17 @@ mod tests {
         assert_eq!(reps[0].body_leaves, 2);
     }
 
+    /// Keeps occurrence `keep` and relaxes every other one to `body*`.
+    fn relax_all_but(r: &Regex, keep: RepeatId) -> Regex {
+        r.rewrite_repeats(&mut |id, body, min, max| {
+            if id == keep {
+                Regex::repeat(body, min, max)
+            } else {
+                Regex::star(body)
+            }
+        })
+    }
+
     #[test]
     fn rewrite_repeats_relaxes_by_id() {
         let r = Regex::concat(vec![
@@ -560,14 +559,7 @@ mod tests {
             Regex::repeat(b(), 1, Some(9)),
         ]);
         // Relax occurrence #1 (the b{1,9}) to b*.
-        let out = r.rewrite_repeats(&mut |id| {
-            if id == RepeatId(1) {
-                RepeatRewrite::Star
-            } else {
-                RepeatRewrite::Keep
-            }
-        });
-        assert_eq!(out.to_string(), "a{2,3}b*");
+        assert_eq!(relax_all_but(&r, RepeatId(0)).to_string(), "a{2,3}b*");
     }
 
     #[test]
@@ -575,23 +567,19 @@ mod tests {
         // ((a{2,3}){4,5}): outer is #0, inner is #1.
         let r = Regex::repeat(Regex::repeat(a(), 2, Some(3)), 4, Some(5));
         // Relax only the outer; the inner keeps counting.
-        let out = r.rewrite_repeats(&mut |id| {
-            if id == RepeatId(0) {
-                RepeatRewrite::Star
-            } else {
-                RepeatRewrite::Keep
-            }
-        });
-        assert_eq!(out.to_string(), "(a{2,3})*");
+        assert_eq!(relax_all_but(&r, RepeatId(1)).to_string(), "(a{2,3})*");
         // Relax only the inner.
-        let out = r.rewrite_repeats(&mut |id| {
-            if id == RepeatId(1) {
-                RepeatRewrite::Star
-            } else {
-                RepeatRewrite::Keep
-            }
+        assert_eq!(relax_all_but(&r, RepeatId(0)).to_string(), "(a*){4,5}");
+        // The inner body is rewritten before its parent is asked.
+        let mut seen = Vec::new();
+        r.rewrite_repeats(&mut |id, body, min, max| {
+            seen.push((id, body.to_string()));
+            Regex::repeat(body, min, max)
         });
-        assert_eq!(out.to_string(), "(a*){4,5}");
+        assert_eq!(
+            seen,
+            [(RepeatId(1), "a".into()), (RepeatId(0), "a{2,3}".into())]
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod parser;
 mod simplify;
 
 pub use alphabet::{ByteAlphabet, ByteClassSet};
-pub use ast::{Regex, RepeatId, RepeatInfo, RepeatRewrite};
+pub use ast::{Regex, RepeatId, RepeatInfo};
 pub use class::{ByteClass, Iter as ByteClassIter};
 pub use parser::{parse, ErrorKind, ParseError, Parsed, Unsupported};
 pub use simplify::{normalize_for_nca, simplify};

@@ -19,14 +19,14 @@ use recama::analysis::{
     DecidedBy, ExactConfig, Method, NcaAnalysis, StopPolicy, Verdict,
 };
 use recama::compiler::{
-    compile, compile_ruleset, emit, unfold_by_ids, CompileOptions, ModuleKind, COUNTER_MAX_BOUND,
+    compile, compile_ruleset, emit, CompileOptions, ModuleKind, COUNTER_MAX_BOUND,
 };
 use recama::nca::{
-    unfold, CompilePlan, CompiledEngine, Engine, Nca, StateId, TokenSetEngine, UnfoldPolicy,
+    unfold, unfold_one, CompilePlan, CompiledEngine, Engine, Nca, StateId, TokenSetEngine,
+    UnfoldPolicy,
 };
-use recama::syntax::{normalize_for_nca, parse, ByteClass, Regex, RepeatId};
+use recama::syntax::{normalize_for_nca, parse, ByteClass, Regex};
 use recama::workloads::{generate, BenchmarkId};
-use std::collections::HashSet;
 
 fn arb_regex() -> impl Strategy<Value = Regex> {
     let leaf = prop::sample::select(vec![
@@ -419,14 +419,14 @@ fn reference_compile(
             let json = emit(&nca, &modules, "regex").to_json();
             return Some((modules, unfolded as u32, json, exact));
         }
-        let to_unfold: HashSet<RepeatId> = infos
-            .iter()
-            .zip(&picks)
-            .filter(|(_, &pick)| pick == Pick::Unfold)
-            .map(|(info, _)| info.id)
-            .collect();
-        unfolded += to_unfold.len();
-        current = unfold_by_ids(&normalized, &to_unfold);
+        unfolded += picks.iter().filter(|&&pick| pick == Pick::Unfold).count();
+        current = normalized.rewrite_repeats(&mut |id, body, min, max| {
+            if picks[id.0] == Pick::Unfold {
+                unfold_one(body, min, max)
+            } else {
+                Regex::repeat(body, min, max)
+            }
+        });
         if iteration >= 12 {
             current = unfold(&current, UnfoldPolicy::All);
         }

@@ -110,7 +110,6 @@ const COMPILER_EXPORTS: &[&str] = &[
     "compile_ruleset",
     "emit",
     "merge_rule_networks",
-    "unfold_by_ids",
 ];
 
 const HW_EXPORTS: &[&str] = &[
@@ -187,7 +186,6 @@ const SYNTAX_EXPORTS: &[&str] = &[
     "Regex",
     "RepeatId",
     "RepeatInfo",
-    "RepeatRewrite",
     "Unsupported",
     "mod naive",
     "normalize_for_nca",
@@ -503,7 +501,7 @@ fn engine_signatures() {
     let _: for<'a> fn(&'a Engine) -> &'a [CompileOutput] = |e| e.outputs();
     let _: for<'a> fn(&'a Engine, usize) -> &'a MnrlNetwork = |e, i| e.network(i);
     let _: for<'a> fn(&'a Engine) -> &'a [MnrlNetwork] = |e| e.networks();
-    let _: for<'a> fn(&'a Engine, usize) -> HwSimulator<'a> = |e, i| e.hardware(i);
+    let _: fn(&Engine, usize) -> HwSimulator = |e, i| e.hardware(i);
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
     let _: for<'a> fn(&'a Engine) -> &'a ShardedMulti = |e| e.set().multi();
 }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use recama::compiler::{compile, CompileOptions};
 use recama::hw::HwSimulator;
-use recama::nca::{unfold, CompiledEngine, Engine, Nca, TokenSetEngine, UnfoldPolicy};
+use recama::nca::{unfold, CompilePlan, CompiledEngine, Engine, Nca, TokenSetEngine, UnfoldPolicy};
 use recama::syntax::{naive, ByteClass, Regex};
 
 /// A strategy for small counting regexes over {a, b, c}.
@@ -54,7 +54,7 @@ proptest! {
         prop_assume!(nca.state_count() < 200);
         let mut token = TokenSetEngine::new(&nca);
         let mut compiled = CompiledEngine::conservative(&nca);
-        let mut queues = CompiledEngine::counting_sets(&nca);
+        let mut queues = CompiledEngine::new(&nca, CompilePlan::optimized(&nca, |_| false));
         let unfolded_nca = Nca::from_regex(&unfold(&r, UnfoldPolicy::All));
         let mut unfolded = TokenSetEngine::new(&unfolded_nca);
         for input in &inputs {

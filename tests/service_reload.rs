@@ -237,6 +237,39 @@ fn shard_rows_belong_to_their_epoch() {
     svc.shutdown();
 }
 
+/// Reloading the serving engine itself installs its set a second time:
+/// the two epochs ride one set's group caches, so `dfa_states` counts
+/// those rows once, whichever epochs the flows hold.
+#[test]
+fn reloading_the_serving_engine_counts_its_rows_once() {
+    let a = v1();
+    let svc = a.serve_with(2, ServeConfig::default());
+    let rows = || svc.metrics().hybrid.expect("hybrid by default").dfa_states;
+    let bytes = b"abbc.k12m.xyz";
+
+    let holdout = svc.try_open_flow().unwrap();
+    svc.push_checked(holdout, bytes).unwrap();
+    svc.barrier();
+    let rows_a = rows();
+    assert!(rows_a > 1, "more than the start state");
+
+    assert_eq!(svc.reload(&a), 1);
+    let fresh = svc.try_open_flow().unwrap();
+    svc.push_checked(fresh, bytes).unwrap();
+    svc.barrier();
+    assert_eq!(svc.metrics().epoch_flows, vec![(0, 1), (1, 1)]);
+    assert_eq!(rows(), rows_a, "the fresh flow rode the holdout's rows");
+    let hits = svc.poll_checked(fresh).unwrap();
+    assert_eq!(hits, scan_oracle(&a, bytes, 0));
+    assert_eq!(svc.poll_checked(holdout).unwrap(), hits);
+
+    svc.close(holdout);
+    svc.barrier();
+    assert_eq!(svc.metrics().epoch_flows, vec![(1, 1)]);
+    assert_eq!(rows(), rows_a, "the set and its rows stay installed");
+    svc.shutdown();
+}
+
 /// The generational ABA guard: a recycled slot must never deliver the
 /// previous tenant's matches to the new tenant, and a stale id must
 /// observe nothing — across many reuse cycles, with matches left
