@@ -378,7 +378,6 @@ mod tests {
         let w = res.witness.expect("witness for ambiguous regex");
         let nca = crate::glushkov_build(&normalize_for_nca(&simplify(&r)));
         let mut eng = recama_nca::TokenSetEngine::new(&nca);
-        use recama_nca::Engine;
         eng.matches(&w);
         assert!(
             eng.observed_degree() >= 2,

@@ -125,7 +125,7 @@ impl NcaAnalysis {
     }
 
     /// Whether state `q` is *proven* counter-unambiguous, i.e. safe for a
-    /// single counter-register (`SingleValue`) in the compiled engine and
+    /// single counter-register (`SingleValue`) in the counter bank and
     /// for a counter module in hardware.
     pub fn state_unambiguous(&self, q: StateId) -> bool {
         self.complete && !self.ambiguous_states[q.index()]
@@ -504,7 +504,7 @@ impl TokenArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recama_nca::{Engine, TokenSetEngine};
+    use recama_nca::TokenSetEngine;
     use recama_syntax::parse;
 
     fn nca(p: &str) -> Nca {

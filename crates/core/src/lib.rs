@@ -64,10 +64,7 @@ pub use service::{
 pub use set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 
 use recama_compiler::{compile, CompileOptions, CompileOutput};
-// The nca `Engine` trait is imported anonymously: only its methods are
-// needed, and the bare name belongs to the crate-level `Engine` facade.
-use recama_nca::Engine as _;
-use recama_nca::{CompilePlan, CompiledEngine, Nca, StateId};
+use recama_nca::{HybridEngine, MultiNca, Nca};
 use recama_syntax::{ParseError, Parsed};
 use std::sync::OnceLock;
 
@@ -77,11 +74,16 @@ use std::sync::OnceLock;
 /// Matching uses *search* semantics like the in-memory accelerators: the
 /// pattern is compiled in its streaming form `Σ*·r` (unless `^`-anchored)
 /// and a match is reported at every byte position where a match of `r`
-/// ends.
+/// ends. The scan runs on the counter bank every ruleset scans on: the
+/// compiled automaton merged alone into a [`MultiNca`], each counted
+/// state a counter module of the storage plan the analysis chose, the
+/// one an [`Engine`] builds for each of its rules.
 #[derive(Debug)]
 pub struct Pattern {
     parsed: Parsed,
     compiled: CompileOutput,
+    /// The compiled automaton alone, under the analysis-informed plan.
+    multi: MultiNca,
     /// Reversed automaton for span location, built on first use (repeated
     /// `find_spans` calls must not re-run the Glushkov construction).
     reversed: OnceLock<Nca>,
@@ -98,9 +100,11 @@ impl Pattern {
     pub fn compile(pattern: &str) -> Result<Pattern, ParseError> {
         let parsed = recama_syntax::parse(pattern)?;
         let compiled = compile(&parsed.for_stream(), &CompileOptions::default());
+        let multi = MultiNca::merge(&[(&compiled.nca, set::storage_plan(&compiled))]);
         Ok(Pattern {
             parsed,
             compiled,
+            multi,
             reversed: OnceLock::new(),
         })
     }
@@ -121,25 +125,22 @@ impl Pattern {
     }
 
     /// End positions (1-based byte offsets) of matches in `haystack`,
-    /// using the analysis-informed software engine. A trailing `$` anchor
-    /// keeps only matches ending at the end of the haystack.
+    /// using the analysis-informed software engine ([`Pattern::engine`]).
+    /// A trailing `$` anchor keeps only matches ending at the end of the
+    /// haystack.
     pub fn find_ends(&self, haystack: &[u8]) -> Vec<usize> {
-        let mut engine = self.engine();
-        engine
-            .match_ends(haystack)
-            .into_iter()
-            .filter(|&e| e > 0 && (!self.parsed.anchored_end || e == haystack.len()))
+        let reports = self.engine().match_reports(haystack).into_iter();
+        let ends = reports.map(|r| r.end as usize);
+        ends.filter(|&e| !self.parsed.anchored_end || e == haystack.len())
             .collect()
     }
 
-    /// The software twin engine (counter registers + bit vectors, §3.2.1),
-    /// with storage modes chosen from the static analysis.
-    pub fn engine(&self) -> CompiledEngine<'_> {
-        let analysis = &self.compiled.analysis;
-        let plan = CompilePlan::with_unambiguous_states(&self.compiled.nca, |q: StateId| {
-            analysis.state_unambiguous(q)
-        });
-        CompiledEngine::new(&self.compiled.nca, plan)
+    /// The software twin engine (counter registers, counting sets and
+    /// bit vectors, §3.2.1), with storage modes chosen from the static
+    /// analysis: the pattern's [`MultiNca`] stepped without rows, whose
+    /// [`HybridEngine::conflicts`] checks the analysis as it runs.
+    pub fn engine(&self) -> HybridEngine {
+        self.multi.engine()
     }
 
     /// A hardware simulator for this pattern's network.

@@ -210,18 +210,8 @@ impl ShardedPatternSet {
 
         // One shared automaton per scan group over a single union
         // alphabet.
-        // The optimized plan keeps the analysis-informed SingleValue
-        // selection and adds counting-set queues for eligible ambiguous
-        // bounded repeats (O(1) increments + O(1) quiescence for the
-        // hybrid overlay).
-        let parts: Vec<(&Nca, CompilePlan)> = outputs
-            .iter()
-            .map(|out| {
-                let analysis = &out.analysis;
-                let plan =
-                    CompilePlan::optimized(&out.nca, |q: StateId| analysis.state_unambiguous(q));
-                (&out.nca, plan)
-            })
+        let parts: Vec<(&Nca, CompilePlan)> = (outputs.iter())
+            .map(|out| (&out.nca, storage_plan(out)))
             .collect();
         let multi = ShardedMulti::merge(&parts, scan.shards());
         let caches = match scan_mode {
@@ -309,6 +299,15 @@ impl ShardedPatternSet {
     pub(crate) fn anchored_end(&self) -> &[bool] {
         &self.anchored_end
     }
+}
+
+/// The counter modules of one compiled rule, as every scan builds them:
+/// the optimized plan keeps the analysis-informed SingleValue selection
+/// and adds counting sets for eligible ambiguous bounded repeats (O(1)
+/// increments and O(1) quiescence for the hybrid overlay).
+pub(crate) fn storage_plan(out: &CompileOutput) -> CompilePlan {
+    let analysis = &out.analysis;
+    CompilePlan::optimized(&out.nca, |q: StateId| analysis.state_unambiguous(q))
 }
 
 /// Next-fit over the rules in index order, a rule weighing its NCA's

@@ -368,7 +368,7 @@ impl HwSimulator {
 mod tests {
     use super::*;
     use recama_compiler::{compile, CompileOptions};
-    use recama_nca::{CompiledEngine, Engine};
+    use recama_nca::TokenSetEngine;
     use recama_syntax::parse;
 
     fn check_equivalence(pattern: &str, inputs: &[&[u8]]) {
@@ -376,7 +376,7 @@ mod tests {
         let stream = parsed.for_stream();
         let out = compile(&stream, &CompileOptions::default());
         let mut hw = HwSimulator::new(&out.network);
-        let mut sw = CompiledEngine::conservative(&out.nca);
+        let mut sw = TokenSetEngine::new(&out.nca);
         for input in inputs {
             let hw_ends = hw.match_ends(input);
             let sw_ends: Vec<usize> = sw
@@ -436,7 +436,7 @@ mod tests {
             },
         );
         let mut hw = HwSimulator::new(&out.network);
-        let mut sw = CompiledEngine::conservative(&out.nca);
+        let mut sw = TokenSetEngine::new(&out.nca);
         for input in [&b"aaa"[..], b"aaaaa", b"xaaaax", b"aa"] {
             let sw_ends: Vec<usize> = sw
                 .match_ends(input)

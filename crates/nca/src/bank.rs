@@ -6,7 +6,8 @@
 //! rows, or without rows as a subset; what is left to step exactly is
 //! `T`, the tokens on counted states — this bank, under both modes the
 //! one implementation of the counting semantics outside the reference
-//! engines. A [`CounterBank`] is built once per [`crate::MultiNca`] and
+//! engine, [`crate::TokenSetEngine`], which shares no plan and no cell
+//! with it. A [`CounterBank`] is built once per [`crate::MultiNca`] and
 //! indexes those states densely `0..k` **in state order**, so ascending
 //! module index is ascending pattern — the per-step report order
 //! contract. Each module's out-edges are compiled flat: the guard of a
@@ -22,8 +23,8 @@
 //! and the word is 0 whenever its module is not live, so that an entry
 //! cannot bring a stale token back. A larger counting set keeps a
 //! [`CountingQueue`] in its cell, and only the bit-vector and token-set
-//! modules that conservative plans and nested counting produce keep
-//! [`Storage`].
+//! modules that conservative plans and nested counting produce — and a
+//! single valuation of several counters — keep [`Storage`].
 //!
 //! # Sleeping
 //!
@@ -76,11 +77,12 @@
 //! survives and is entered, the flat pass puts the entries in first, as
 //! the apply pass does.
 
-use crate::compiled::{CompilePlan, CountingQueue, Storage, StorageMode};
 use crate::multi::MultiReport;
 use crate::nca::{Nca, StateId};
+use crate::plan::{CompilePlan, StorageMode};
 use crate::token::{resolve_guard, resolve_transition, SlotSrc, SlotTest};
 use recama_syntax::ByteAlphabet;
+use std::collections::HashSet;
 
 /// [`CounterBank::module_of`] entry of a pure state.
 pub(crate) const PURE: u32 = u32::MAX;
@@ -654,6 +656,166 @@ impl Cell {
     }
 }
 
+/// A counting set as a sorted queue of token *birth clocks*: the token's
+/// counter value is `clock - birth + 1`, so incrementing every live token
+/// is one clock bump and expiry is popping from the front.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CountingQueue {
+    clock: u64,
+    /// Birth clocks, oldest (largest value) first.
+    births: std::collections::VecDeque<u64>,
+}
+
+impl CountingQueue {
+    fn value_of(&self, birth: u64) -> u32 {
+        (self.clock - birth + 1) as u32
+    }
+
+    /// All tokens increment; tokens past `bound` die.
+    pub(crate) fn shift(&mut self, bound: u32) {
+        self.clock += 1;
+        while let Some(&front) = self.births.front() {
+            if self.value_of(front) > bound {
+                self.births.pop_front();
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// `k` increments at once, for a caller that knows no token passes
+    /// the bound on the way: the whole of [`CountingQueue::shift`] is then
+    /// the clock.
+    fn advance(&mut self, k: u32) {
+        self.clock += u64::from(k);
+    }
+
+    /// Insert a fresh token with value 1 (deduplicated).
+    pub(crate) fn set_first(&mut self) {
+        if self.births.back() != Some(&self.clock) {
+            self.births.push_back(self.clock);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.births.clear();
+    }
+
+    fn is_empty(&self) -> bool {
+        self.births.is_empty()
+    }
+
+    /// Live counter values, largest (oldest token) first.
+    pub(crate) fn values(&self) -> impl Iterator<Item = u32> + '_ {
+        self.births.iter().map(|&b| self.value_of(b))
+    }
+
+    /// Whether some token's value lies in `lo..=hi`. Values descend, so
+    /// the first one not above `hi` decides: O(1) for an exit test
+    /// `m ≤ x ≤ n` against the bound.
+    fn any_in(&self, lo: u32, hi: u32) -> bool {
+        self.values().find(|&v| v <= hi).is_some_and(|v| v >= lo)
+    }
+}
+
+/// The cell of a module that is neither a register nor a counting set:
+/// a bit vector, a token set or a multi-counter single valuation.
+#[derive(Debug, Clone)]
+pub(crate) enum Storage {
+    /// At most one valuation. The buffer outlives the token (`live` says
+    /// whether it holds one), so stepping never allocates or frees.
+    Single {
+        live: bool,
+        values: Vec<u32>,
+    },
+    /// Bit `v` (1-based; bit 0 unused) set iff token with counter value `v`
+    /// is live. Length `bound + 1` bits, word-packed.
+    Bits {
+        words: Vec<u64>,
+        bound: u32,
+    },
+    Tokens(HashSet<Vec<u32>>),
+}
+
+impl Storage {
+    /// The cell of `mode`, for a counter of `bound` (a bit vector's).
+    pub(crate) fn new(mode: StorageMode, bound: u32) -> Storage {
+        match mode {
+            StorageMode::SingleValue => Storage::Single {
+                live: false,
+                values: Vec::new(),
+            },
+            StorageMode::BitVector => Storage::Bits {
+                words: vec![0; ((bound as usize + 1).div_ceil(64)).max(1)],
+                bound,
+            },
+            StorageMode::TokenSet => Storage::Tokens(HashSet::new()),
+            StorageMode::PureBit | StorageMode::CountingSet => {
+                unreachable!("{mode:?} keeps no storage cell")
+            }
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        match self {
+            Storage::Single { live, .. } => *live = false,
+            Storage::Bits { words, .. } => words.iter_mut().for_each(|w| *w = 0),
+            Storage::Tokens(set) => set.clear(),
+        }
+    }
+
+    /// Calls `f` with every live valuation.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&[u32])) {
+        match self {
+            Storage::Single { live: true, values } => f(values),
+            Storage::Single { live: false, .. } => {}
+            Storage::Bits { words, .. } => {
+                for (wi, &w) in words.iter().enumerate() {
+                    bits(w).for_each(|b| f(&[(wi * 64 + b) as u32]));
+                }
+            }
+            Storage::Tokens(set) => set.iter().for_each(|v| f(v)),
+        }
+    }
+
+    /// Inserts a valuation; returns `true` on a SingleValue conflict (two
+    /// distinct valuations on a state the plan claims unambiguous).
+    pub(crate) fn insert(&mut self, values: &[u32]) -> bool {
+        match self {
+            Storage::Single {
+                live,
+                values: existing,
+            } => {
+                if *live && existing.as_slice() == values {
+                    return false;
+                }
+                let conflict = *live;
+                // On a conflict keep the smaller valuation for
+                // determinism; the caller counts it.
+                if !conflict || values < existing.as_slice() {
+                    existing.clear();
+                    existing.extend_from_slice(values);
+                }
+                *live = true;
+                conflict
+            }
+            Storage::Bits { words, bound } => {
+                let v = values[0];
+                debug_assert!(
+                    v >= 1 && v <= *bound,
+                    "counter value {v} out of 1..={bound}"
+                );
+                words[(v / 64) as usize] |= 1 << (v % 64);
+                false
+            }
+            Storage::Tokens(set) => {
+                set.insert(values.to_vec());
+                false
+            }
+        }
+    }
+}
+
 /// The value of a register (`word` false) or a word `k` bytes older,
 /// inside the horizon: no token of a word passes its bound there, so `k`
 /// is below its width.
@@ -668,7 +830,7 @@ fn aged(value: u64, word: bool, k: u32) -> u64 {
 /// Puts the entry value `e` into a register or a word holding `value`;
 /// `first` when nothing was put in on this byte yet. Two valuations on
 /// a register the plan calls unambiguous keep the smaller, as
-/// `Storage::insert` does, and count a conflict.
+/// [`Storage::insert`] does, and count a conflict.
 fn put_value(value: &mut u64, word: bool, e: u64, first: bool, conflicts: &mut u64) {
     if word {
         debug_assert!(!first || *value == 0, "a word is 0 while not live");
@@ -754,7 +916,7 @@ impl BankState {
     /// valuation on one byte — a register, or a multi-counter
     /// single-valuation cell. Both keep the smaller. It stays 0 when the
     /// plan came from a sound analysis: the runtime cross-check of the
-    /// analysis, as in [`crate::CompiledEngine::conflicts`].
+    /// analysis that [`crate::HybridEngine::conflicts`] reports.
     pub(crate) fn conflicts(&self) -> u64 {
         self.conflicts
     }
@@ -1239,7 +1401,7 @@ mod tests {
 
     #[test]
     fn the_horizon_is_tight_and_skip_is_that_many_steps() {
-        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::with_unambiguous_states(n, |_| true);
+        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| true);
         let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
         // A register: asleep to the bound, then stopped by the loop guard
         // (its exit is on 'z', outside the body).
@@ -1319,7 +1481,7 @@ mod tests {
                 .collect();
             let parts: Vec<(&Nca, CompilePlan)> = (picks.iter().zip(&ncas))
                 .map(|(&i, nca)| match FLAT_RULES[i].1 {
-                    true => (nca, CompilePlan::with_unambiguous_states(nca, |_| true)),
+                    true => (nca, CompilePlan::optimized(nca, |_| true)),
                     false => (nca, CompilePlan::optimized(nca, |_| false)),
                 })
                 .collect();
@@ -1439,7 +1601,7 @@ mod tests {
         assert_eq!(sleepers("z(a{2,3}b){2,3}", queues), (2, 0));
         assert_eq!(sleepers("ka{3,}b", queues), (1, 0));
         // Nor does a counter two states hand back and forth.
-        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::with_unambiguous_states(n, |_| true);
+        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| true);
         assert_eq!(sleepers("^k(ab){6}z", single), (2, 0));
         assert_eq!(sleepers("^k[ab]{6}z", single), (1, 1));
     }
@@ -1469,15 +1631,12 @@ mod tests {
         }
     }
 
-    /// The twin of `compiled.rs`'s test of the same name, on the bank:
     /// `.*a{2}` is counter-ambiguous (Example 3.2), so a plan that calls
     /// every state single-valued must conflict on `aaa` — with rows and
     /// without.
     #[test]
     fn single_value_plan_detects_bad_claims() {
-        let multi = merged(".*a{2}", |n| {
-            CompilePlan::with_unambiguous_states(n, |_| true)
-        });
+        let multi = merged(".*a{2}", |n| CompilePlan::optimized(n, |_| true));
         for mut engine in [multi.engine(), multi.hybrid_engine(64)] {
             engine.match_reports(b"aaa");
             assert!(engine.conflicts() > 0, "{engine:?}");

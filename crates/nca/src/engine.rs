@@ -1,6 +1,6 @@
-//! Execution engines and the common [`Engine`] interface.
+//! The reference engine, [`TokenSetEngine`].
 //!
-//! Matching discipline: an engine consumes one byte per step (exactly like
+//! Matching discipline: the engine consumes one byte per step (exactly like
 //! the hardware consumes one symbol per cycle) and can be queried for
 //! acceptance after each step. `matches` decides whole-input membership
 //! `w ∈ ⟦A⟧`; `match_ends` reports every prefix length at which the
@@ -9,32 +9,88 @@
 
 use crate::nca::Nca;
 use crate::token::{Prepared, Token};
-use std::collections::HashSet;
 
-/// A byte-at-a-time automaton executor.
-pub trait Engine {
+/// The reference engine: maintains the exact configuration (set of tokens)
+/// of the nondeterministic semantics of §2 (Definition 2.1). Obviously
+/// correct and used as ground truth for the counter bank, with which it
+/// shares no storage plan and no counter cell; not fast.
+pub struct TokenSetEngine<'a> {
+    prepared: Prepared<'a>,
+    /// The configuration: the live tokens, sorted, each once.
+    config: Vec<Token>,
+    scratch: Vec<Token>,
+    /// Largest number of simultaneous tokens observed on any single state
+    /// since the last reset — a direct dynamic measurement of the
+    /// counter-ambiguity *degree* (Definition 3.1).
+    max_tokens_per_state: usize,
+}
+
+impl<'a> TokenSetEngine<'a> {
+    /// Creates an engine over `nca` in the initial configuration.
+    pub fn new(nca: &'a Nca) -> TokenSetEngine<'a> {
+        let mut e = TokenSetEngine {
+            prepared: Prepared::new(nca),
+            config: Vec::new(),
+            scratch: Vec::new(),
+            max_tokens_per_state: 0,
+        };
+        e.reset();
+        e
+    }
+
+    /// The current configuration: the set of live tokens, sorted.
+    pub fn config(&self) -> &[Token] {
+        &self.config
+    }
+
+    /// See the `TokenSetEngine::max_tokens_per_state` field docs: a dynamic
+    /// lower bound for `degree(q)` maximized over states and inputs seen.
+    pub fn observed_degree(&self) -> usize {
+        self.max_tokens_per_state
+    }
+
     /// Returns to the initial configuration.
-    fn reset(&mut self);
+    pub fn reset(&mut self) {
+        self.config.clear();
+        self.config.push(Token::initial());
+        self.max_tokens_per_state = 0;
+    }
 
     /// Consumes one input byte.
-    fn step(&mut self, byte: u8);
+    pub fn step(&mut self, byte: u8) {
+        self.scratch.clear();
+        for t in &self.config {
+            let scratch = &mut self.scratch;
+            self.prepared
+                .for_each_successor(t, byte, |succ| scratch.push(succ));
+        }
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        std::mem::swap(&mut self.config, &mut self.scratch);
+        // Sorted by state first: the tokens of one state are one run.
+        let runs = self.config.chunk_by(|a, b| a.state == b.state);
+        let degree = runs.map(<[Token]>::len).max().unwrap_or(0);
+        self.max_tokens_per_state = self.max_tokens_per_state.max(degree);
+    }
 
     /// Whether the current configuration contains a final token.
-    fn is_accepting(&self) -> bool;
+    pub fn is_accepting(&self) -> bool {
+        self.config.iter().any(|t| self.prepared.token_accepts(t))
+    }
 
     /// Whole-input membership: resets, consumes `input`, tests acceptance.
     ///
     /// # Examples
     ///
     /// ```
-    /// use recama_nca::{Engine, Nca, TokenSetEngine};
+    /// use recama_nca::{Nca, TokenSetEngine};
     ///
     /// let nca = Nca::from_regex(&recama_syntax::parse("a{2,4}").unwrap().regex);
     /// let mut engine = TokenSetEngine::new(&nca);
     /// assert!(engine.matches(b"aaa"));
     /// assert!(!engine.matches(b"a"));
     /// ```
-    fn matches(&mut self, input: &[u8]) -> bool {
+    pub fn matches(&mut self, input: &[u8]) -> bool {
         self.reset();
         for &b in input {
             self.step(b);
@@ -43,7 +99,7 @@ pub trait Engine {
     }
 
     /// Every prefix length (0..=len) after which the engine accepts.
-    fn match_ends(&mut self, input: &[u8]) -> Vec<usize> {
+    pub fn match_ends(&mut self, input: &[u8]) -> Vec<usize> {
         self.reset();
         let mut ends = Vec::new();
         if self.is_accepting() {
@@ -58,80 +114,6 @@ pub trait Engine {
         ends
     }
 }
-
-/// The reference engine: maintains the exact configuration (set of tokens)
-/// of the nondeterministic semantics of §2. Obviously correct and used as
-/// ground truth for the optimized engines; not fast.
-pub struct TokenSetEngine<'a> {
-    prepared: Prepared<'a>,
-    config: HashSet<Token>,
-    scratch: HashSet<Token>,
-    /// Largest number of simultaneous tokens observed on any single state
-    /// since the last reset — a direct dynamic measurement of the
-    /// counter-ambiguity *degree* (Definition 3.1).
-    max_tokens_per_state: usize,
-}
-
-impl<'a> TokenSetEngine<'a> {
-    /// Creates an engine over `nca` in the initial configuration.
-    pub fn new(nca: &'a Nca) -> TokenSetEngine<'a> {
-        let mut e = TokenSetEngine {
-            prepared: Prepared::new(nca),
-            config: HashSet::new(),
-            scratch: HashSet::new(),
-            max_tokens_per_state: 0,
-        };
-        e.reset();
-        e
-    }
-
-    /// The current configuration (set of live tokens).
-    pub fn config(&self) -> &HashSet<Token> {
-        &self.config
-    }
-
-    /// See the `TokenSetEngine::max_tokens_per_state` field docs: a dynamic
-    /// lower bound for `degree(q)` maximized over states and inputs seen.
-    pub fn observed_degree(&self) -> usize {
-        self.max_tokens_per_state
-    }
-
-    fn record_degree(&mut self) {
-        let mut counts: std::collections::HashMap<crate::nca::StateId, usize> =
-            std::collections::HashMap::new();
-        for t in &self.config {
-            *counts.entry(t.state).or_insert(0) += 1;
-        }
-        if let Some(&m) = counts.values().max() {
-            self.max_tokens_per_state = self.max_tokens_per_state.max(m);
-        }
-    }
-}
-
-impl Engine for TokenSetEngine<'_> {
-    fn reset(&mut self) {
-        self.config.clear();
-        self.config.insert(Token::initial());
-        self.max_tokens_per_state = 0;
-    }
-
-    fn step(&mut self, byte: u8) {
-        self.scratch.clear();
-        for t in &self.config {
-            let scratch = &mut self.scratch;
-            self.prepared.for_each_successor(t, byte, |succ| {
-                scratch.insert(succ);
-            });
-        }
-        std::mem::swap(&mut self.config, &mut self.scratch);
-        self.record_degree();
-    }
-
-    fn is_accepting(&self) -> bool {
-        self.config.iter().any(|t| self.prepared.token_accepts(t))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1012,10 +1012,12 @@ impl HybridEngine {
     /// Number of valuations a counter module the plan declared
     /// single-valued was handed beside the one it kept, since the last
     /// reset — a nonzero value means the plan (or the analysis that
-    /// produced it) is wrong; see [`crate::CompiledEngine::conflicts`].
+    /// produced it) is wrong: the runtime cross-check of the static
+    /// analysis, counted by the counter bank.
     /// The engine with rows may count fewer than the one without: a wake
     /// it does not take (module docs, "What a marked row means") hands
-    /// over nothing.
+    /// over nothing; a check of a plan reads the engine without rows
+    /// ([`MultiNca::engine`]).
     pub fn conflicts(&self) -> u64 {
         self.counters().conflicts()
     }
@@ -1591,10 +1593,10 @@ impl std::fmt::Debug for HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::{CompilePlan, StorageMode};
     use crate::dfa::full_dfa_size;
     use crate::multi::per_pattern_reports;
     use crate::nca::Nca;
+    use crate::plan::{CompilePlan, StorageMode};
     use recama_syntax::parse;
 
     impl HybridEngine {
@@ -1614,7 +1616,7 @@ mod tests {
 
     /// One valuation per counted state: sound on anchored rules only.
     fn single(n: &Nca) -> CompilePlan {
-        CompilePlan::with_unambiguous_states(n, |_| true)
+        CompilePlan::optimized(n, |_| true)
     }
 
     /// A merge, and the patterns it was merged from.

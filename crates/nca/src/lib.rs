@@ -10,30 +10,39 @@
 //!   per-state counter sets, guards, and actions;
 //! * [`glushkov`] — the Glushkov construction with counters (one counter
 //!   per counting occurrence; states carry enclosing counters, Fig. 1);
-//! * [`Token`]/[`Prepared`] — fast token stepping shared by the engines and
-//!   the static analysis;
-//! * two execution engines behind the [`Engine`] trait:
-//!   [`TokenSetEngine`] (reference semantics) and [`CompiledEngine`]
-//!   (counter registers + bit vectors, the software twin of the augmented
-//!   hardware);
+//! * [`Token`]/[`Prepared`] — fast token stepping shared by the reference
+//!   engine and the static analysis;
+//! * [`CompilePlan`] — which counter or bit-vector module each counted
+//!   state gets ([`StorageMode`]);
+//! * two execution engines: [`TokenSetEngine`], the reference semantics
+//!   of Definition 2.1 and the oracle of the tests, and [`HybridEngine`]
+//!   over a [`MultiNca`] — one or many automata merged, their counted
+//!   states a bank of counter modules (the software twin of the augmented
+//!   hardware), their pure states lazily determinized rows or, from
+//!   [`MultiNca::engine`], the subset itself;
 //! * [`unfold`](fn@unfold) — the unfolding rewrite with the threshold knob of Fig. 9.
 //!
 //! ## Example
 //!
 //! ```
-//! use recama_nca::{CompiledEngine, Engine, Nca};
+//! use recama_nca::{CompilePlan, MultiNca, Nca, TokenSetEngine};
 //!
 //! let parsed = recama_syntax::parse(".*ab{3,5}c").unwrap();
 //! let nca = Nca::from_regex(&parsed.regex);
-//! let mut engine = CompiledEngine::conservative(&nca);
-//! assert!(engine.matches(b"xxabbbbc"));
-//! assert!(!engine.matches(b"xxabbc"));
+//! let mut reference = TokenSetEngine::new(&nca);
+//! assert!(reference.matches(b"xxabbbbc"));
+//! assert!(!reference.matches(b"xxabbc"));
+//! // The same automaton on the counter bank: a report at every end.
+//! let multi = MultiNca::merge(&[(&nca, CompilePlan::conservative(&nca))]);
+//! let ends: Vec<u64> = multi.engine().match_reports(b"xxabbbbc").iter().map(|r| r.end).collect();
+//! assert_eq!(ends, [8]);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod bank;
+#[cfg(test)]
 mod compiled;
 #[cfg(test)]
 mod dfa;
@@ -42,15 +51,16 @@ pub mod glushkov;
 mod hybrid;
 mod multi;
 mod nca;
+mod plan;
 mod token;
 mod unfold;
 
-pub use compiled::{CompilePlan, CompiledEngine, StorageMode};
-pub use engine::{Engine, TokenSetEngine};
+pub use engine::TokenSetEngine;
 pub use hybrid::{
     HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET, LOCKSTEP_LANES,
 };
 pub use multi::{MultiNca, MultiReport, ShardedMulti};
 pub use nca::{ActionOp, CounterId, CounterInfo, GuardAtom, Nca, State, StateId, Transition};
+pub use plan::{CompilePlan, StorageMode};
 pub use token::{Prepared, Token};
 pub use unfold::{unfold, unfold_one, unfolded_leaves, UnfoldPolicy};

@@ -19,9 +19,9 @@
 //! walk a row fill makes.
 
 use crate::bank::CounterBank;
-use crate::compiled::{counting_set_eligible, CompilePlan, StorageMode};
 use crate::hybrid::{HybridCache, HybridEngine};
 use crate::nca::{ActionOp, GuardAtom, Nca, State, StateId, Transition};
+use crate::plan::{counting_set_eligible, CompilePlan, StorageMode};
 use crate::token::{resolve_transition, SlotSrc, SlotTest};
 use recama_syntax::{ByteAlphabet, ByteClassSet};
 use std::sync::Arc;
@@ -442,17 +442,16 @@ impl EngineTables {
 }
 
 /// The referee of the unit tests that scan a merge: each of `patterns`
-/// in stream form, scanned alone by a conservative
-/// [`crate::CompiledEngine`], its ends > 0 tagged with its index, in
+/// in stream form, scanned alone by the reference
+/// [`crate::TokenSetEngine`], its ends > 0 tagged with its index, in
 /// stream order — ascending end, ascending pattern within one end. No
-/// merge, row or counter module is involved.
+/// merge, plan, row or counter module is involved.
 #[cfg(test)]
 pub(crate) fn per_pattern_reports<S: AsRef<str>>(patterns: &[S], input: &[u8]) -> Vec<MultiReport> {
-    use crate::engine::Engine;
     let mut expected = Vec::new();
     for (pi, p) in patterns.iter().enumerate() {
         let nca = Nca::from_regex(&recama_syntax::parse(p.as_ref()).unwrap().for_stream());
-        let mut engine = crate::CompiledEngine::conservative(&nca);
+        let mut engine = crate::TokenSetEngine::new(&nca);
         for end in engine.match_ends(input) {
             if end > 0 {
                 expected.push(MultiReport {
@@ -725,7 +724,7 @@ mod tests {
         let patterns = [".*a{3}", "k.{2,5}z"];
         let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
         // One valuation per counted state: sound on these anchored rules.
-        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::with_unambiguous_states(n, |_| true);
+        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| true);
         let anchored = ["^k.{2,5}z", "^(a{2}b){3}", "^a{3}"];
         for (patterns, plan) in [
             (

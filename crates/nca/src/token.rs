@@ -48,7 +48,7 @@ impl fmt::Debug for Token {
     }
 }
 
-/// Slot-resolved guard test (shared with the compiled engine).
+/// Slot-resolved guard test (shared with the counter bank).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SlotTest {
     Lt(usize, u32),
@@ -142,7 +142,7 @@ pub(crate) fn resolve_guard(nca: &Nca, state: StateId, atoms: &[GuardAtom]) -> V
 }
 
 /// Resolves one transition's guard and action to slot programs. Shared by
-/// [`Prepared`] and the compiled engine.
+/// [`Prepared`], the pure edge walk and the counter bank.
 pub(crate) fn resolve_transition(nca: &Nca, t: &Transition) -> (Vec<SlotTest>, Vec<SlotSrc>) {
     let src_state = nca.state(t.from);
     let dst_state = nca.state(t.to);

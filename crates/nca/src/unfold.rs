@@ -106,7 +106,7 @@ pub fn unfolded_leaves(regex: &Regex) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, TokenSetEngine};
+    use crate::engine::TokenSetEngine;
     use crate::nca::Nca;
     use recama_syntax::{naive, parse};
 

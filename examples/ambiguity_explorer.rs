@@ -8,7 +8,7 @@
 
 use recama::analysis::hardness::{subset_sum_regex, target_occurrence};
 use recama::analysis::{check, check_occurrence, CheckConfig, Method, Verdict};
-use recama::nca::{Engine, Nca, TokenSetEngine};
+use recama::nca::{Nca, TokenSetEngine};
 
 fn main() {
     let cfg = CheckConfig::default();

@@ -63,8 +63,7 @@ fn main() {
 
     // Spot-check one hit against the software reference engine.
     if let Some(rule) = out.rules.first() {
-        let mut sw = recama::nca::CompiledEngine::conservative(&rule.nca);
-        use recama::nca::Engine;
+        let mut sw = recama::nca::TokenSetEngine::new(&rule.nca);
         let sw_ends: Vec<usize> = sw
             .match_ends(&sequence)
             .into_iter()

@@ -146,11 +146,9 @@ const MNRL_EXPORTS: &[&str] = &[
 const NCA_EXPORTS: &[&str] = &[
     "ActionOp",
     "CompilePlan",
-    "CompiledEngine",
     "CounterId",
     "CounterInfo",
     "DEFAULT_STATE_BUDGET",
-    "Engine",
     "GuardAtom",
     "HybridCache",
     "HybridEngine",

@@ -6,7 +6,7 @@
 pub mod matrix;
 
 use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
-use recama::nca::Engine as _;
+use recama::nca::{Nca, TokenSetEngine};
 use recama::workloads::{generate, BenchmarkId, PatternClass};
 use recama::{
     Engine, EngineBuilder, FlowId, Pattern, RuleMatch, ScanMode, ServiceHandle, SetMatch,
@@ -84,11 +84,16 @@ pub fn set_with<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> Engine {
 }
 
 /// The independent oracle of every scan: each pattern of a ruleset
-/// compiled and scanned alone ([`Pattern`], its own `CompiledEngine`).
-/// No sharding, prefilter, hybrid rows or flow code is involved. The
-/// patterns compile once and answer any number of inputs.
+/// scanned alone by the reference [`TokenSetEngine`] (Def. 2.1) over
+/// the Glushkov automaton of its stream form. No compiler output, storage
+/// plan, counter bank, sharding, prefilter, hybrid rows or flow code is
+/// involved. The patterns compile once and answer any number of inputs;
+/// [`Pattern`]s are kept for the spans, which scan on the bank and whose
+/// ends the stream check pins.
 pub struct Oracle {
     pub patterns: Vec<Pattern>,
+    /// Per pattern, the automaton of `Σ*·r` (of `r` when `^`-anchored).
+    streams: Vec<Nca>,
 }
 
 impl Oracle {
@@ -97,8 +102,10 @@ impl Oracle {
             let p = p.as_ref();
             Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"))
         };
-        let patterns = patterns.iter().map(compile).collect();
-        Oracle { patterns }
+        let patterns: Vec<Pattern> = patterns.iter().map(compile).collect();
+        let stream = |p: &Pattern| Nca::from_regex(&p.parsed().for_stream());
+        let streams = patterns.iter().map(stream).collect();
+        Oracle { patterns, streams }
     }
 
     /// The oracle of `engine`'s rules.
@@ -112,8 +119,8 @@ impl Oracle {
     /// ascending end, ascending pattern within one end.
     pub fn stream(&self, data: &[u8]) -> Vec<SetMatch> {
         let mut expected = Vec::new();
-        for (pi, pattern) in self.patterns.iter().enumerate() {
-            let ends = pattern.engine().match_ends(data);
+        for (pi, nca) in self.streams.iter().enumerate() {
+            let ends = TokenSetEngine::new(nca).match_ends(data);
             expected.extend(
                 ends.into_iter()
                     .filter(|&end| end > 0)
@@ -124,14 +131,20 @@ impl Oracle {
         expected
     }
 
-    /// The finishing set of a stream that ends after `data`: what each
-    /// trailing-`$` pattern keeps ([`Pattern::find_ends`]), by pattern.
+    /// The finishing set of a stream that ends after `data`: each
+    /// trailing-`$` pattern's match ending at `data.len()` (> 0), by
+    /// pattern.
     pub fn finish(&self, data: &[u8]) -> Vec<SetMatch> {
         let mut expected = Vec::new();
-        for (pi, pattern) in self.patterns.iter().enumerate() {
-            if pattern.parsed().anchored_end {
-                let ends = pattern.find_ends(data).into_iter();
-                expected.extend(ends.map(|end| SetMatch { pattern: pi, end }));
+        for (pi, (pattern, nca)) in self.patterns.iter().zip(&self.streams).enumerate() {
+            if pattern.parsed().anchored_end
+                && !data.is_empty()
+                && TokenSetEngine::new(nca).matches(data)
+            {
+                expected.push(SetMatch {
+                    pattern: pi,
+                    end: data.len(),
+                });
             }
         }
         expected

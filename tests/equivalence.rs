@@ -4,15 +4,39 @@
 //!
 //! 1. the naive membership oracle (substring DP on the AST);
 //! 2. the token-set reference engine (Def. 2.1 semantics);
-//! 3. the compiled counter/bit-vector engine;
+//! 3. the counter bank every scan runs on, the automaton merged alone and
+//!    stepped without rows, under the conservative plan (bit-vector and
+//!    token-set cells) and the analysis-free queue plan (word, queue and
+//!    token-set cells);
 //! 4. the token-set engine on the unfolded (counter-free) automaton;
 //! 5. the hardware simulator on the compiled MNRL network.
 
 use proptest::prelude::*;
 use recama::compiler::{compile, CompileOptions};
 use recama::hw::HwSimulator;
-use recama::nca::{unfold, CompilePlan, CompiledEngine, Engine, Nca, TokenSetEngine, UnfoldPolicy};
+use recama::nca::{unfold, CompilePlan, HybridEngine, MultiNca, Nca, TokenSetEngine, UnfoldPolicy};
 use recama::syntax::{naive, ByteClass, Regex};
+
+/// The plans the bank is checked under: the conservative one and the
+/// analysis-free queue plan.
+fn bank_plans(nca: &Nca) -> [(&'static str, MultiNca); 2] {
+    let merged = |plan| MultiNca::merge(&[(nca, plan)]);
+    [
+        ("conservative bank", merged(CompilePlan::conservative(nca))),
+        (
+            "queue-plan bank",
+            merged(CompilePlan::optimized(nca, |_| false)),
+        ),
+    ]
+}
+
+/// The ends the bank's engine without rows reports on `input`: its
+/// membership is the last end being the input's length. A merge never
+/// reports at 0, so the empty input is the reference's to decide.
+fn bank_ends(engine: &mut HybridEngine, input: &[u8]) -> Vec<usize> {
+    let reports = engine.match_reports(input).into_iter();
+    reports.map(|r| r.end as usize).collect()
+}
 
 /// A strategy for small counting regexes over {a, b, c}.
 fn arb_regex() -> impl Strategy<Value = Regex> {
@@ -53,15 +77,20 @@ proptest! {
         let nca = Nca::from_regex(&r);
         prop_assume!(nca.state_count() < 200);
         let mut token = TokenSetEngine::new(&nca);
-        let mut compiled = CompiledEngine::conservative(&nca);
-        let mut queues = CompiledEngine::new(&nca, CompilePlan::optimized(&nca, |_| false));
+        let mut banks = bank_plans(&nca).map(|(name, multi)| (name, multi.engine()));
         let unfolded_nca = Nca::from_regex(&unfold(&r, UnfoldPolicy::All));
         let mut unfolded = TokenSetEngine::new(&unfolded_nca);
         for input in &inputs {
             let expected = naive::matches(&r, input);
-            prop_assert_eq!(token.matches(input), expected, "token engine on {:?}", input);
-            prop_assert_eq!(compiled.matches(input), expected, "compiled engine on {:?}", input);
-            prop_assert_eq!(queues.matches(input), expected, "counting-set engine on {:?}", input);
+            let mut ends = token.match_ends(input);
+            prop_assert_eq!(ends.last() == Some(&input.len()), expected, "token engine on {:?}", input);
+            // The bank on every prefix, not only on the whole input: a
+            // random input is rarely a member, and a counter rarely at
+            // its bound there.
+            ends.retain(|&end| end > 0);
+            for (name, bank) in &mut banks {
+                prop_assert_eq!(bank_ends(bank, input), ends.clone(), "{} on {:?}", name, input);
+            }
             prop_assert_eq!(unfolded.matches(input), expected, "unfolded automaton on {:?}", input);
         }
     }
@@ -74,8 +103,10 @@ proptest! {
         let out = compile(&stream, &CompileOptions::default());
         prop_assume!(out.nca.state_count() < 200);
         let mut hw = HwSimulator::new(&out.network);
-        let mut sw = CompiledEngine::conservative(&out.nca);
-        let sw_ends: Vec<usize> = sw.match_ends(&input).into_iter().filter(|&e| e > 0).collect();
+        let sw = MultiNca::merge(&[(&out.nca, CompilePlan::conservative(&out.nca))]);
+        let sw_ends: Vec<usize> = (sw.engine().match_reports(&input).iter())
+            .map(|r| r.end as usize)
+            .collect();
         prop_assert_eq!(hw.match_ends(&input), sw_ends);
     }
 
@@ -111,12 +142,18 @@ fn regression_multi_engine_corpus() {
         let r = recama::syntax::parse(p).unwrap().regex;
         let nca = Nca::from_regex(&r);
         let mut token = TokenSetEngine::new(&nca);
-        let mut compiled = CompiledEngine::conservative(&nca);
+        let mut banks = bank_plans(&nca).map(|(name, multi)| (name, multi.engine()));
         let mut queue: Vec<Vec<u8>> = vec![vec![]];
         while let Some(w) = queue.pop() {
             let expected = naive::matches(&r, &w);
             assert_eq!(token.matches(&w), expected, "{p} on {w:?}");
-            assert_eq!(compiled.matches(&w), expected, "{p} on {w:?}");
+            // Every word is enumerated, so membership covers every prefix.
+            for (name, bank) in &mut banks {
+                if !w.is_empty() {
+                    let member = bank_ends(bank, &w).last() == Some(&w.len());
+                    assert_eq!(member, expected, "{name}: {p} on {w:?}");
+                }
+            }
             if w.len() < 7 {
                 for &c in b"ab" {
                     let mut w2 = w.clone();

@@ -4,7 +4,7 @@ use recama::analysis::hardness::{subset_sum_regex, target_occurrence};
 use recama::analysis::{check, check_occurrence, CheckConfig, Method, Verdict};
 use recama::compiler::{compile, CompileOptions, ModuleKind};
 use recama::hw::HwSimulator;
-use recama::nca::{CounterId, Engine, Nca, TokenSetEngine};
+use recama::nca::{CounterId, Nca, TokenSetEngine};
 use recama::syntax::{naive, parse};
 
 fn cfg() -> CheckConfig {
