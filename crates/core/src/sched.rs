@@ -28,9 +28,11 @@
 //!   **(flow, group)** pair, so two workers can advance *different
 //!   groups of the same flow* concurrently;
 //! * [`poll`](FlowScheduler::poll) drains a flow's ordered report queue;
-//!   [`drain_global`](FlowScheduler::drain_global) drains the global
-//!   sink of `(flow, match)` events — both as compiled pattern indices
+//!   [`drain_global`](FlowScheduler::drain_global) polls every flow at
+//!   once, as `(flow, match)` events — both as compiled pattern indices
 //!   ([`SetMatch`]), since a batch scheduler never reloads its rules.
+//!   A report is delivered once, by whichever of the two reads it
+//!   first.
 //!
 //! Per-flow reports are **byte-identical** (same reports, same order) to
 //! feeding that flow's chunks through its own independent
@@ -51,7 +53,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
-/// A match attributed to a flow — the global-sink event type.
+/// A match attributed to a flow, from
+/// [`drain_global`](FlowScheduler::drain_global).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowMatch {
     /// The flow the match occurred on.
@@ -91,44 +94,20 @@ struct Incarnation {
 }
 
 /// The `u64` addressing layer: everything [`FlowScheduler`] keeps beside
-/// the core.
+/// the core — each `u64`'s incarnations. Reports stay in the core's
+/// flow queues (and, once an id reopens, in the carried-over
+/// incarnation) until a poll takes them.
 #[derive(Default)]
 struct Table {
     flows: HashMap<u64, Incarnation>,
-    /// Slab slot index → the `u64` of the slot's latest tenant. The core
-    /// recycles a slot once its flow has drained, so a sink event must
-    /// be attributed before the slot can change hands: [`Table::open`]
-    /// is the only place a slot gets a new tenant, and it absorbs the
-    /// core's sink first.
-    tenants: Vec<u64>,
-    /// Sink events already attributed to their `u64` flow.
-    sink: Vec<FlowMatch>,
 }
 
 impl Table {
-    /// Moves the core's sink into ours, attributing every event to the
-    /// `u64` id of its flow.
-    fn absorb(&mut self, core: &ServiceHandle) {
-        let tenants = &self.tenants;
-        self.sink
-            .extend(core.drain_global().into_iter().map(|ev| FlowMatch {
-                flow: tenants[ev.flow.index() as usize],
-                pattern: ev.rule as usize,
-                end: ev.end as usize,
-            }));
-    }
-
     /// Opens a fresh core flow as `flow`'s current incarnation.
     fn open(&mut self, core: &ServiceHandle, flow: u64) -> FlowId {
-        self.absorb(core);
         let id = core
             .try_open_flow()
             .expect("the batch core neither sheds opens nor fail-stops");
-        let slot = id.index() as usize;
-        if self.tenants.len() <= slot {
-            self.tenants.resize(slot + 1, flow);
-        }
-        self.tenants[slot] = flow;
         let fresh = Incarnation {
             id,
             reports: Vec::new(),
@@ -136,6 +115,20 @@ impl Table {
         };
         self.flows.entry(flow).or_insert(fresh).id = id;
         id
+    }
+
+    /// Drains `flow`'s reports: what earlier incarnations left, then the
+    /// current one's queue.
+    fn poll(&mut self, core: &ServiceHandle, flow: u64) -> Vec<SetMatch> {
+        let Some(inc) = self.flows.get_mut(&flow) else {
+            return Vec::new();
+        };
+        let mut out = std::mem::take(&mut inc.reports);
+        // A stale id, or a quarantined flow with nothing left, polls
+        // empty like any drained flow.
+        out.extend(set_matches(core.poll_checked(inc.id).unwrap_or_default()));
+        self.forget_if_drained(core, flow);
+        out
     }
 
     /// Forgets `flow` once the core has (its slot was freed: finished
@@ -175,8 +168,14 @@ impl Table {
 /// assert_eq!(hits, vec![(0, 6)]); // "abbc" ends at flow-7 offset 6
 /// let hits: Vec<_> = sched.poll(9).iter().map(|m| (m.pattern, m.end)).collect();
 /// assert_eq!(hits, vec![(1, 3)]); // "xyz" ends at flow-9 offset 3
-/// // The global sink saw both, attributed to their flows.
-/// assert_eq!(sched.drain_global().len(), 2);
+/// // Each report leaves once: the polls took both.
+/// assert!(sched.drain_global().is_empty());
+///
+/// // drain_global polls every flow at once, attributing each match.
+/// sched.push(9, b"xyz");
+/// sched.run();
+/// let events: Vec<_> = sched.drain_global().iter().map(|m| (m.flow, m.end)).collect();
+/// assert_eq!(events, vec![(9, 6)]);
 /// ```
 pub struct FlowScheduler {
     /// The serving core, without resident workers: pushes only buffer,
@@ -202,11 +201,6 @@ impl FlowScheduler {
         self.table
             .lock()
             .expect("no scheduler call panics while holding the table lock")
-    }
-
-    /// The worker-pool size [`run`](FlowScheduler::run) uses.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Buffers `chunk` for `flow`, opening the flow on first use. A
@@ -311,18 +305,7 @@ impl FlowScheduler {
     /// and finishing set have all been drained is forgotten, freeing its
     /// table entry.
     pub fn poll(&self, flow: u64) -> Vec<SetMatch> {
-        let mut table = self.table();
-        let Some(inc) = table.flows.get_mut(&flow) else {
-            return Vec::new();
-        };
-        let mut out = std::mem::take(&mut inc.reports);
-        // A stale id, or a quarantined flow with nothing left, polls
-        // empty like any drained flow.
-        out.extend(set_matches(
-            self.handle.poll_checked(inc.id).unwrap_or_default(),
-        ));
-        table.forget_if_drained(&self.handle, flow);
-        out
+        self.table().poll(&self.handle, flow)
     }
 
     /// Drains `flow`'s **finishing set**: the `$`-anchored matches that
@@ -333,7 +316,8 @@ impl FlowScheduler {
     /// reports every `$` candidate mid-flow, because the end is unknown
     /// until close; the non-`$` polled reports plus this set are
     /// together what a one-shot `find_ends` over the whole flow
-    /// returns). Finishing matches do not appear in the global sink.
+    /// returns). [`drain_global`](FlowScheduler::drain_global) leaves
+    /// the finishing set here.
     ///
     /// [`ShardedSetStream::finish`]: crate::ShardedSetStream::finish
     pub fn finishing(&self, flow: u64) -> Vec<SetMatch> {
@@ -347,27 +331,37 @@ impl FlowScheduler {
         out
     }
 
-    /// Drains the global sink: every merged match of every flow, in the
-    /// order the scheduler finalized them.
+    /// Polls every flow at once: drains each flow's reports — earlier
+    /// incarnations' included — as [`FlowMatch`]es attributed to its
+    /// `u64` id, and forgets the flows it leaves finished and drained,
+    /// as [`poll`](FlowScheduler::poll) does.
     ///
     /// # Ordering contract
     ///
     /// Pinned by `tests/service_reload.rs` (and shared with
-    /// [`ServiceHandle::drain_global`](crate::ServiceHandle::drain_global)
-    /// — it is the same sink):
+    /// [`ServiceHandle::drain_global`](crate::ServiceHandle::drain_global)):
     ///
     /// * **within one flow**, events appear in stream order — ascending
     ///   end offset, ascending pattern index within one end — exactly
     ///   the order [`poll`](FlowScheduler::poll) returns them;
-    /// * **across flows**, events interleave in merge-completion order,
-    ///   which follows worker scheduling and is *not* deterministic;
-    /// * each event is delivered **exactly once**: the sink is emptied
-    ///   by the call, and an event is never in both an earlier and a
-    ///   later drain.
+    /// * **across flows**, in ascending `u64` id;
+    /// * each report is delivered **exactly once**, by this call or by
+    ///   `poll`: the scheduler keeps no copy, so after every flow is
+    ///   polled there is nothing left to drain.
     pub fn drain_global(&self) -> Vec<FlowMatch> {
         let mut table = self.table();
-        table.absorb(&self.handle);
-        std::mem::take(&mut table.sink)
+        let mut flows: Vec<u64> = table.flows.keys().copied().collect();
+        flows.sort_unstable();
+        let mut out = Vec::new();
+        for flow in flows {
+            let reports = table.poll(&self.handle, flow).into_iter();
+            out.extend(reports.map(|m| FlowMatch {
+                flow,
+                pattern: m.pattern,
+                end: m.end,
+            }));
+        }
+        out
     }
 
     /// Number of flows currently tracked (open, or closed with undrained
@@ -376,17 +370,12 @@ impl FlowScheduler {
         self.table().flows.len()
     }
 
-    /// Bytes pushed to `flow` so far (`None` for unknown flows). After a
-    /// close + reopen this restarts from the new incarnation's bytes.
-    pub fn flow_len(&self, flow: u64) -> Option<u64> {
-        let id = self.table().flows.get(&flow)?.id;
-        self.handle.flow_len(id)
-    }
-
     /// Total bytes buffered but not yet consumed by every group — the
-    /// scan debt the next [`run`](FlowScheduler::run) clears.
+    /// scan debt the next [`run`](FlowScheduler::run) clears: the
+    /// [`pending_bytes`](crate::ServiceMetrics::pending_bytes) of the
+    /// core's metrics snapshot.
     pub fn pending_bytes(&self) -> u64 {
-        self.handle.pending_bytes()
+        self.handle.metrics().pending_bytes
     }
 
     /// Aggregated hybrid-overlay statistics — byte counters across
@@ -477,32 +466,38 @@ mod tests {
     fn global_sink_attributes_every_match() {
         let engine = sharded(&["kk", "zz"], 2);
         let sched = engine.scheduler_with(2);
+        let at = |flow, pattern, end| FlowMatch { flow, pattern, end };
         sched.push(10, b"akka");
         sched.push(20, b"zz");
+        sched.push(30, b"kk");
         sched.run();
-        let mut global = sched.drain_global();
-        global.sort();
-        assert_eq!(
-            global,
-            vec![
-                FlowMatch {
-                    flow: 10,
-                    pattern: 0,
-                    end: 3
-                },
-                FlowMatch {
-                    flow: 20,
-                    pattern: 1,
-                    end: 2
-                },
-            ]
-        );
+        // A polled report is gone; drain_global takes the rest, flows in
+        // id order.
+        assert_eq!(sched.poll(30), vec![SetMatch { pattern: 0, end: 2 }]);
+        let global = sched.drain_global();
+        assert_eq!(global, vec![at(10, 0, 3), at(20, 1, 2)]);
         assert_eq!(global[0].set_match(), SetMatch { pattern: 0, end: 3 });
-        // The sink drains once.
+        // Each report leaves once: neither a drain nor a poll sees it again.
         assert!(sched.drain_global().is_empty());
-        // Per-flow queues are independent of the sink.
-        assert_eq!(sched.poll(10).len(), 1);
-        assert_eq!(sched.poll(20).len(), 1);
+        assert!(sched.poll(10).is_empty());
+        assert!(sched.poll(20).is_empty());
+
+        // An id reopened before its reports were read carries them over,
+        // ahead of the new incarnation's.
+        sched.push(10, b"kk");
+        sched.close(10);
+        sched.run();
+        sched.push(10, b"zz");
+        sched.close(10);
+        sched.run();
+        assert_eq!(sched.drain_global(), vec![at(10, 0, 6), at(10, 1, 2)]);
+        // Finished and drained: forgotten, like a polled flow.
+        assert_eq!(sched.flow_count(), 2);
+        sched.close(20);
+        sched.close(30);
+        sched.run();
+        assert!(sched.drain_global().is_empty());
+        assert_eq!(sched.flow_count(), 0);
     }
 
     #[test]
@@ -519,7 +514,6 @@ mod tests {
         sched.push(5, b"ab");
         sched.run();
         assert_eq!(sched.poll(5), vec![SetMatch { pattern: 0, end: 2 }]);
-        assert_eq!(sched.flow_len(5), Some(2));
     }
 
     #[test]
@@ -602,7 +596,7 @@ mod tests {
         assert!(sched.poll(1).is_empty());
         assert!(sched.poll(999).is_empty()); // never-opened flow
         sched.close(999); // no-op
-        assert!(sched.drain_global().is_empty());
+        assert!(sched.drain_global().is_empty()); // nothing ever matched
         assert!(format!("{sched:?}").contains("2 workers"));
     }
 

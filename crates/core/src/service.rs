@@ -12,7 +12,9 @@
 //! report merge, `$`-finishing — is the flow's own (`flow.rs`), the same
 //! code [`ShardedSetStream`](crate::ShardedSetStream) drives
 //! synchronously; this module only says where the bytes wait (segments)
-//! and where the reports go (the flow's queue and the global sink).
+//! and where the reports go: the flow's own queue, each report once,
+//! which [`poll_checked`](ServiceHandle::poll_checked) drains for one
+//! flow and [`drain_global`](ServiceHandle::drain_global) for all.
 //! `ServiceCore::step` strings checkout → caught scan → check-in (or
 //! quarantine / fail-stop) together — for a *batch* of up to four units
 //! of one scan group, whose rows it steps in lockstep
@@ -141,8 +143,9 @@ pub struct RuleMatch {
     pub end: u64,
 }
 
-/// A [`RuleMatch`] attributed to its flow, from the global sink
-/// ([`ServiceHandle::drain_global`]).
+/// A [`RuleMatch`] attributed to its flow, from
+/// [`ServiceHandle::drain_global`]. A report leaves the service once:
+/// as an event here or from [`ServiceHandle::poll_checked`], never both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ServiceEvent {
     /// The flow the match belongs to.
@@ -257,7 +260,9 @@ pub struct FaultMetrics {
     /// the [`overload`](crate::ServeConfig::overload) policy.
     pub shed_opens: u64,
     /// Transitions into fail-stop poisoning: a scan panic past the
-    /// [`restart_budget`](crate::ServeConfig::restart_budget).
+    /// [`restart_budget`](crate::ServeConfig::restart_budget). 0 or 1:
+    /// at 1 the service is poisoned for good, and every blocking call
+    /// fails with [`ServeError::Poisoned`] or panics.
     pub fail_stops: u64,
 }
 
@@ -557,8 +562,6 @@ struct ServeState {
     /// Maintained sum of every flow's `buffered()` — O(1)
     /// `pending_bytes` under a million-flow table.
     buffered_total: u64,
-    /// Global sink: every merged match, attributed to its flow.
-    sink: Vec<ServiceEvent>,
     /// Workers drain and exit instead of parking.
     shutdown: bool,
     /// Threads inside a wait on [`ServiceCore::wake`]: idle workers and
@@ -620,7 +623,6 @@ impl ServeState {
             ready: VecDeque::new(),
             in_flight: 0,
             buffered_total: 0,
-            sink: Vec::new(),
             shutdown: false,
             parked: 0,
             settlers: 0,
@@ -1034,11 +1036,10 @@ impl ServeState {
     }
 
     /// Merges what the flow's units have finalized into the flow queue
-    /// (as stable rule ids) and the global sink, then drops input
-    /// segments every unit has consumed.
+    /// (as stable rule ids), then drops input segments every unit has
+    /// consumed.
     fn merge_ready(&mut self, id: FlowId) {
-        let ServeState { slots, sink, .. } = self;
-        let Some(f) = flow_in(slots, id) else { return };
+        let Some(f) = self.flow_mut(id) else { return };
         let (false, Some(e)) = (f.flow.is_freed(), &f.epoch) else {
             // Already finished (engines and epoch let go) or a
             // zero-group set: nothing pending to merge. A second
@@ -1049,11 +1050,6 @@ impl ServeState {
         let watermark = f.flow.merge(&e.set, |r| {
             let rule = e.ids[r.pattern as usize];
             reports.push_back(RuleMatch { rule, end: r.end });
-            sink.push(ServiceEvent {
-                flow: id,
-                rule,
-                end: r.end,
-            });
         });
         while f.segments.front().is_some_and(|seg| seg.end() <= watermark) {
             f.segments.pop_front();
@@ -1720,7 +1716,6 @@ pub struct ServiceHandle {
     /// steps it directly.
     pub(crate) core: Arc<ServiceCore>,
     threads: Vec<JoinHandle<()>>,
-    workers: usize,
 }
 
 impl ServiceHandle {
@@ -1766,41 +1761,14 @@ impl ServiceHandle {
                     .expect("spawn service worker thread")
             })
             .collect();
-        ServiceHandle {
-            core,
-            threads,
-            workers,
-        }
+        ServiceHandle { core, threads }
     }
 
     // ---- lifecycle --------------------------------------------------
 
-    /// The worker-pool size.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The backpressure/eviction configuration.
-    pub fn config(&self) -> ServeConfig {
-        self.core.config
-    }
-
-    /// The current serving epoch (0 until the first
-    /// [`reload`](ServiceHandle::reload)).
-    pub fn epoch(&self) -> u64 {
-        self.core.lock().current.epoch
-    }
-
-    /// Whether the service fail-stopped: a scan panic was not absorbed
-    /// — the [`restart_budget`](crate::ServeConfig::restart_budget) was
-    /// spent — so the service can no longer drain and every blocking
-    /// call panics.
-    pub fn is_poisoned(&self) -> bool {
-        self.core.lock().poisoned
-    }
-
     /// A summary of the first worker panic payload, once the service
-    /// fail-stopped; `None` while healthy. (A quarantined flow's panic
+    /// fail-stopped (counted in [`FaultMetrics::fail_stops`]); `None`
+    /// while healthy. (A quarantined flow's panic
     /// message travels on [`ServeError::Quarantined`] instead — see
     /// [`push_checked`](ServiceHandle::push_checked) /
     /// [`poll_checked`](ServiceHandle::poll_checked).)
@@ -2081,7 +2049,8 @@ impl ServiceHandle {
     /// epoch) — whatever has been merged so far; see
     /// [`barrier`](ServiceHandle::barrier) for a flush point. Once a
     /// finished flow is fully drained its slot is recycled and the id
-    /// goes stale.
+    /// goes stale. A report polled here is gone from
+    /// [`drain_global`](ServiceHandle::drain_global) too.
     ///
     /// # Errors
     ///
@@ -2118,22 +2087,43 @@ impl ServiceHandle {
         out
     }
 
-    /// Drains the global sink: every merged match of every flow, in
-    /// merge-completion order.
+    /// Polls every flow at once: drains each flow's report queue as
+    /// [`ServiceEvent`]s attributed to it, and frees the flows it leaves
+    /// finished and drained, as [`poll_checked`](ServiceHandle::poll_checked)
+    /// does. A `$`-anchored [`finishing`](ServiceHandle::finishing) set
+    /// is not a queued report and stays behind.
     ///
     /// # Ordering contract
     ///
     /// Within one flow, events appear in stream order (ascending end;
-    /// within one end, the epoch's compiled pattern order) — the same
-    /// order [`poll_checked`](ServiceHandle::poll_checked) yields.
-    /// **Across** flows the
-    /// interleaving follows merge completion and is nondeterministic
-    /// under concurrency. Every merged match appears exactly once. This
-    /// is the same contract as
-    /// [`FlowScheduler::drain_global`](crate::FlowScheduler::drain_global),
-    /// pinned by `tests/service_reload.rs`.
+    /// within one end, the epoch's compiled pattern order) — the order
+    /// [`poll_checked`](ServiceHandle::poll_checked) yields; flows follow
+    /// one another in slab-slot order. Every merged match leaves the
+    /// service **exactly once**, through this call or through
+    /// `poll_checked`: the service keeps no copy, so a client that only
+    /// polls leaves nothing here. The same contract holds for
+    /// [`FlowScheduler::drain_global`](crate::FlowScheduler::drain_global);
+    /// `tests/service_reload.rs` pins it.
     pub fn drain_global(&self) -> Vec<ServiceEvent> {
-        std::mem::take(&mut self.core.lock().sink)
+        let mut st = self.core.lock();
+        let mut out = Vec::new();
+        for index in 0..st.slots.len() as u32 {
+            let slot = &mut st.slots[index as usize];
+            let flow = FlowId {
+                index,
+                generation: slot.generation,
+            };
+            let Some(f) = slot.flow.as_deref_mut() else {
+                continue;
+            };
+            out.extend(f.reports.drain(..).map(|m| ServiceEvent {
+                flow,
+                rule: m.rule,
+                end: m.end,
+            }));
+            st.free_if_drained(flow);
+        }
+        out
     }
 
     // ---- observability ----------------------------------------------
@@ -2167,22 +2157,6 @@ impl ServiceHandle {
         self.core.lock().snapshot()
     }
 
-    /// Number of flows currently tracked (open, or closed with
-    /// undrained reports).
-    pub fn flow_count(&self) -> usize {
-        self.core.lock().occupied()
-    }
-
-    /// Bytes pushed to `flow` so far (`None` for stale/unknown ids).
-    pub fn flow_len(&self, flow: FlowId) -> Option<u64> {
-        self.core.lock().flow(flow).map(|f| f.flow.total())
-    }
-
-    /// Total bytes buffered but not yet consumed by every group. O(1).
-    pub fn pending_bytes(&self) -> u64 {
-        self.core.lock().buffered_total
-    }
-
     /// Whether `flow` still addresses a live (tracked) flow — `false`
     /// once the slot was recycled (the ABA guard).
     pub fn is_live(&self, flow: FlowId) -> bool {
@@ -2205,7 +2179,7 @@ impl std::fmt::Debug for ServiceHandle {
             st.current.epoch,
             st.occupied(),
             st.current.set.scan.shard_count(),
-            self.workers,
+            self.threads.len(),
             self.core.config.flow_budget
         )
     }

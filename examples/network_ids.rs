@@ -133,5 +133,11 @@ fn main() {
             pf.always_on_rules
         );
     }
+    // Every report left through its flow's poll, and the service keeps
+    // no second copy: nothing is left for a global drain.
+    assert!(
+        svc.drain_global().is_empty(),
+        "polled reports must not linger in the service"
+    );
     svc.shutdown();
 }

@@ -151,6 +151,12 @@ fn main() {
             pf.always_on_rules
         );
     }
+    // Every report left through its message's poll, and the service
+    // keeps no second copy: nothing is left for a global drain.
+    assert!(
+        svc.drain_global().is_empty(),
+        "polled reports must not linger in the service"
+    );
     svc.shutdown();
     println!("inbox scan: demo rule flags {flagged:?}");
     assert_eq!(flagged, vec![true, false, true]);

@@ -537,12 +537,7 @@ fn service_handle_signatures() {
     let _: fn(&ServiceHandle) -> Vec<ServiceEvent> = |s| s.drain_global();
     let _: fn(&ServiceHandle) -> ServiceMetrics = |s| s.metrics();
     let _: fn(&ServiceHandle, &Engine) -> u64 = |s, e| s.reload(e);
-    let _: fn(&ServiceHandle) -> u64 = |s| s.epoch();
-    let _: fn(&ServiceHandle) -> usize = |s| s.flow_count();
-    let _: fn(&ServiceHandle, FlowId) -> Option<u64> = |s, f| s.flow_len(f);
-    let _: fn(&ServiceHandle) -> u64 = |s| s.pending_bytes();
     let _: fn(&ServiceHandle, FlowId) -> bool = |s, f| s.is_live(f);
-    let _: fn(&ServiceHandle) -> bool = |s| s.is_poisoned();
 
     // One error convention: open, push and poll return ServeError
     // values.
@@ -553,8 +548,6 @@ fn service_handle_signatures() {
         |s, f| s.poll_checked(f);
     let _: fn(&ServiceHandle, FlowId) -> bool = |s, f| s.is_quarantined(f);
     let _: fn(&ServiceHandle) -> Option<String> = |s| s.panic_message();
-    let _: fn(&ServiceHandle) -> usize = |s| s.workers();
-    let _: fn(&ServiceHandle) -> ServeConfig = |s| s.config();
     let _: fn(ServiceHandle) = ServiceHandle::shutdown;
 
     // FlowId is an opaque generational handle.
@@ -576,9 +569,7 @@ fn flow_scheduler_signatures() {
     let _: fn(&FlowScheduler, u64) -> Vec<SetMatch> = |s, f| s.finishing(f);
     let _: fn(&FlowScheduler) -> Vec<FlowMatch> = |s| s.drain_global();
     let _: fn(&FlowScheduler) -> usize = |s| s.flow_count();
-    let _: fn(&FlowScheduler, u64) -> Option<u64> = |s, f| s.flow_len(f);
     let _: fn(&FlowScheduler) -> u64 = |s| s.pending_bytes();
-    let _: fn(&FlowScheduler) -> usize = |s| s.workers();
     let _: fn(&FlowScheduler) -> Option<HybridStats> = |s| s.hybrid_stats();
     let _: fn(&FlowScheduler) -> Option<PrefilterMetrics> = |s| s.prefilter_stats();
 }

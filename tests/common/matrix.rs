@@ -460,8 +460,8 @@ pub fn pin(name: &str) -> Pin {
                 })
                 .collect(),
         ),
-        // Ten flows that each report on the same ends: the sink must
-        // still tell them apart.
+        // Ten flows that each report on the same ends: `drain_global`
+        // must still tell them apart.
         "sink" => (&["kk"], vec![Flow::fixed(b"..kk..kk", 8); 10]),
         _ => panic!("no pin {name}"),
     };
@@ -573,16 +573,20 @@ fn check(
                     workers,
                     |fi, chunk| sched.push(fi as u64, chunk),
                     || sched.run(),
-                    |fi| sched.poll(fi as u64),
+                    |polled| {
+                        for (fi, out) in polled.iter_mut().enumerate().step_by(2) {
+                            out.extend(sched.poll(fi as u64));
+                        }
+                        for m in sched.drain_global() {
+                            polled[m.flow as usize].push(m.set_match());
+                        }
+                    },
                     |fi| sched.close(fi as u64),
                 );
-                let sink = (sched.drain_global().iter())
-                    .map(|m| (m.flow as usize, m.set_match()))
-                    .collect();
                 let finishing = (0..polled.len())
                     .map(|fi| sched.finishing(fi as u64))
                     .collect();
-                agree(polled, finishing, sink, expected, what)?;
+                agree(polled, finishing, expected, what)?;
                 same(sched.pending_bytes(), 0, "every pushed byte is scanned")?;
                 same(sched.flow_count(), 0, "drained flows are forgotten")?;
             }
@@ -606,18 +610,22 @@ fn check(
                         svc.push_checked(ids[fi], chunk).unwrap();
                     },
                     || svc.barrier(),
-                    |fi| as_set(svc.poll_checked(ids[fi]).unwrap()),
+                    |polled| {
+                        for (fi, out) in polled.iter_mut().enumerate().step_by(2) {
+                            out.extend(as_set(svc.poll_checked(ids[fi]).unwrap()));
+                        }
+                        for ev in svc.drain_global() {
+                            let fi = ids.iter().position(|&id| id == ev.flow).unwrap();
+                            polled[fi].push(set_match(ev.rule, ev.end));
+                        }
+                    },
                     |fi| svc.close(ids[fi]),
                 );
-                let sink = (svc.drain_global().iter())
-                    .map(|ev| {
-                        let fi = ids.iter().position(|&id| id == ev.flow).unwrap();
-                        (fi, set_match(ev.rule, ev.end))
-                    })
-                    .collect();
                 let finishing = ids.iter().map(|&id| as_set(svc.finishing(id))).collect();
+                let flows = svc.metrics().flows;
                 svc.shutdown();
-                agree(polled, finishing, sink, expected, what)?;
+                agree(polled, finishing, expected, what)?;
+                same(flows, 0, "drained flows are freed")?;
             }
             Driver::Hardware => {
                 for &fi in &distinct {
@@ -641,17 +649,20 @@ fn check(
 }
 
 /// Pushes every flow's chunks through a flow driver, then closes every
-/// flow, syncs and polls once more; returns what each flow polled. The
+/// flow, syncs and reads once more; returns what each flow read. The
 /// pushes go round by round — chunk `r` of each flow in round `r` —
-/// with `sync` (`run` or `barrier`) and a poll of every flow after every
-/// `every`-th round; or, if the case shuffles, in its seeded
-/// interleaving with a sync and poll after every 17th push.
+/// with `sync` (`run` or `barrier`) and a `read` of every flow after
+/// every `every`-th round; or, if the case shuffles, in its seeded
+/// interleaving with a sync and read after every 17th push. `read`
+/// appends each flow's new reports to its list: the flow drivers poll
+/// the even-numbered flows and take the odd ones from `drain_global`,
+/// so the oracle holds both ways out to every case.
 fn drive(
     case: &Case,
     every: usize,
     push: impl Fn(usize, &[u8]),
     sync: impl Fn(),
-    poll: impl Fn(usize) -> Vec<SetMatch>,
+    read: impl Fn(&mut [Vec<SetMatch>]),
     close: impl Fn(usize),
 ) -> Vec<Vec<SetMatch>> {
     let flows = &case.flows;
@@ -682,43 +693,35 @@ fn drive(
         }
     }
     let mut polled = vec![Vec::new(); flows.len()];
-    let mut sync_and_poll = || {
+    let mut sync_and_read = || {
         sync();
-        for (fi, polled) in polled.iter_mut().enumerate() {
-            polled.extend(poll(fi));
-        }
+        read(&mut polled);
     };
     let mut next = vec![0; flows.len()];
     for (fi, sync_after) in pushes {
         push(fi, chunks[fi][next[fi]]);
         next[fi] += 1;
         if sync_after {
-            sync_and_poll();
+            sync_and_read();
         }
     }
     (0..flows.len()).for_each(close);
-    sync_and_poll();
+    sync_and_read();
     polled
 }
 
-/// A flow driver's answer — per flow what it polled and its finishing
-/// set, and the global sink as `(flow, match)` — against the oracle.
-/// Each flow's sink events are its polled reports, in order.
+/// A flow driver's answer — per flow what it read (polled or drained)
+/// and its finishing set — against the oracle.
 fn agree(
     polled: Vec<Vec<SetMatch>>,
     finishing: Vec<Vec<SetMatch>>,
-    sink: Vec<(usize, SetMatch)>,
     expected: &[Expected],
     what: impl Fn(usize, &str) -> String,
 ) -> Result<(), String> {
     let flows = polled.into_iter().zip(finishing).zip(expected);
     for (fi, ((polled, finishing), want)) in flows.enumerate() {
-        let sunk: Vec<SetMatch> = (sink.iter())
-            .filter(|(flow, _)| *flow == fi)
-            .map(|(_, m)| *m)
-            .collect();
-        same(&sunk, &polled, &what(fi, "sink"))?;
-        same(&polled, &want.stream, &what(fi, "poll"))?;
+        let read = if fi % 2 == 0 { "poll" } else { "drain_global" };
+        same(&polled, &want.stream, &what(fi, read))?;
         same(&finishing, &want.finish, &what(fi, "finishing"))?;
     }
     Ok(())

@@ -182,7 +182,6 @@ fn scheduler_from_engine_serves_flows() {
     let builder = Engine::builder().patterns(["ab{2}c", "xyz"]);
     let engine = in_scan_groups(builder, 2);
     let sched = engine.scheduler_with(2);
-    assert_eq!(sched.workers(), 2);
     sched.push(7, b"..ab");
     sched.push(9, b"xy");
     sched.run();
@@ -196,9 +195,9 @@ fn scheduler_from_engine_serves_flows() {
 }
 
 /// Two flows, one with an empty chunk, pushed interleaved into the
-/// service (and every other driver, in the ten cells): each polls its
-/// own stream's reports, and the global sink holds both flows' and
-/// nothing else.
+/// service (and every other driver, in the ten cells): the first polls
+/// its own stream's reports, and `drain_global` gives the second its
+/// own and nothing else.
 #[test]
 fn service_reports_match_independent_streams() {
     let flows = [
@@ -332,7 +331,7 @@ fn service_evicts_idle_flows() {
     );
     assert_eq!(svc.finishing(flow), vec![RuleMatch { rule: 0, end: 4 }]);
     // Fully drained: the flow entry is gone and its id went stale.
-    assert_eq!(svc.flow_count(), 0);
+    assert_eq!(svc.metrics().flows, 0);
     assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
 }
 

@@ -2,8 +2,9 @@
 //! (`common::matrix`): for a random interleaving of chunks across flows,
 //! any worker-pool size, and any number of scan groups,
 //! [`FlowScheduler`](recama::FlowScheduler) must deliver each flow the
-//! per-pattern oracle of its bytes in stream order, its global sink the
-//! same reports by flow, and its finishing set what the `$` rules keep
+//! per-pattern oracle of its bytes in stream order — by `poll`, or by
+//! `drain_global` attributed to the flow — and its finishing set what
+//! the `$` rules keep
 //! — plus the edge cases a serving layer meets: zero-length chunks, one
 //! flow spread over many workers, many flows on one worker, and flow ids
 //! closed and reopened.
@@ -122,8 +123,9 @@ fn closed_flows_finish_like_their_streams() {
     assert!(expected.iter().any(|want| !want.finish.is_empty()));
 }
 
-/// Ten flows that report on the same ends: each flow's sink events are
-/// its polled reports, under every driver in the ten cells.
+/// Ten flows that report on the same ends: the odd ones, read through
+/// `drain_global`, each get their own reports, attributed to them once,
+/// and the polled even ones theirs, under every driver in the ten cells.
 #[test]
 fn reports_group_by_flow_consistently_between_queue_and_sink() {
     let pin = pin("sink");

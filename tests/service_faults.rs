@@ -71,7 +71,7 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
 
     // The faulted flow (open order 1) is quarantined; nothing else is.
     assert!(svc.is_quarantined(flows[1]));
-    assert!(!svc.is_poisoned());
+    assert_eq!(svc.metrics().faults.fail_stops, 0);
     assert_eq!(svc.panic_message(), None, "quarantine is not a fail-stop");
 
     let m = svc.metrics();
@@ -179,8 +179,9 @@ fn randomized_faults_never_leak_into_sibling_flows() {
             out[i].extend(svc.poll_checked(*flow).unwrap_or_default());
             out[i].extend(svc.finishing(*flow));
         }
-        assert!(
-            !svc.is_poisoned(),
+        assert_eq!(
+            svc.metrics().faults.fail_stops,
+            0,
             "the budget lasts: never globally poisoned"
         );
         svc.shutdown();
@@ -280,7 +281,7 @@ fn fail_stop_after(budget: u32) {
     // fail-stops. No barrier — it would panic mid-drain — so spin on
     // the metrics instead.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !svc.is_poisoned() {
+    while svc.metrics().faults.fail_stops == 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "service never fail-stopped; metrics: {:?}",
@@ -343,7 +344,6 @@ fn injected_delays_change_timing_but_not_output() {
         );
     }
     assert_clean(&svc.metrics());
-    assert!(!svc.is_poisoned());
     svc.shutdown();
 }
 
@@ -587,13 +587,11 @@ fn a_panic_in_a_barrier_callers_scan_is_charged_like_a_workers() {
             let text = payload.downcast::<String>().expect("formatted panic");
             assert!(text.contains("poisoned"), "{text}");
             assert!(text.contains("injected: caller scan"), "{text}");
-            assert!(svc.is_poisoned());
             assert_eq!(m.faults.fail_stops, 1);
             assert_eq!(m.faults.worker_restarts, 0);
             continue;
         }
         settled.expect("the budget absorbs the caller's panic");
-        assert!(!svc.is_poisoned());
         assert_eq!(m.faults.worker_restarts, 1);
         assert_eq!(m.faults.fail_stops, 0);
         for i in [0, 2] {

@@ -1,6 +1,7 @@
 //! Differential pins for the owned [`ServiceHandle`]: hot reload,
 //! epoch retirement, generational flow-table safety, and the
-//! `drain_global` ordering contract.
+//! `drain_global` contract: each report leaves the service once, by
+//! poll or by drain, in stream order per flow.
 //!
 //! The reload contract under test: a flow that migrates across
 //! [`ServiceHandle::reload`] is **cut at the migration boundary** —
@@ -64,7 +65,7 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
     }
     svc.barrier(); // every flow drained: the cut lands at the pre/post boundary
     assert_eq!(svc.reload(&b), 1);
-    assert_eq!(svc.epoch(), 1);
+    assert_eq!(svc.metrics().epoch, 1);
     for (flow, (_, post)) in flows.iter().zip(halves) {
         // The first accepted non-empty push migrates the drained flow.
         common::push_chunked(&svc, *flow, post, 0x5bd1 + flow.index() as u64, 7);
@@ -164,8 +165,9 @@ fn retired_epochs_free_when_their_last_flow_lets_go() {
         svc.poll_checked(flow).unwrap();
         svc.finishing(flow);
     }
-    assert_eq!(svc.metrics().epoch_flows, vec![(1, 0)]);
-    assert_eq!(svc.flow_count(), 0);
+    let m = svc.metrics();
+    assert_eq!(m.epoch_flows, vec![(1, 0)]);
+    assert_eq!(m.flows, 0);
     svc.shutdown();
 }
 
@@ -297,7 +299,6 @@ fn slot_reuse_never_leaks_a_stale_flows_matches() {
                 "stale id {old} delivered matches"
             );
             assert!(svc.finishing(*old).is_empty());
-            assert_eq!(svc.flow_len(*old), None);
             assert!(matches!(svc.try_push(*old, b"abbc"), Poll::Pending));
         }
         // Alternate payloads so a leak is visible as a wrong-rule or
@@ -318,9 +319,9 @@ fn slot_reuse_never_leaks_a_stale_flows_matches() {
     svc.shutdown();
 }
 
-/// Pins the documented `drain_global` ordering contract: per flow, the
-/// sink's events form exactly that flow's stream-order report sequence
-/// (each match exactly once); the cross-flow interleaving is free.
+/// Pins the documented `drain_global` contract: per flow, its events
+/// are exactly that flow's stream-order report sequence, flows follow in
+/// slot order, and a report a poll took never comes out again.
 #[test]
 fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
     let engine = Engine::builder()
@@ -346,9 +347,16 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
     }
     svc.barrier();
 
+    // The first flow is polled: its reports leave through the poll.
+    let polled = svc.poll_checked(flows[0]).unwrap();
+    assert_eq!(polled, scan_oracle(&engine, payloads[0], 0));
     let events = svc.drain_global();
+    assert!(
+        (events.windows(2)).all(|w| w[0].flow.index() <= w[1].flow.index()),
+        "flows follow in slot order"
+    );
     let mut total = 0;
-    for (flow, data) in flows.iter().zip(payloads) {
+    for (flow, data) in flows.iter().zip(payloads).skip(1) {
         let expected = scan_oracle(&engine, data, 0);
         let seen: Vec<RuleMatch> = events
             .iter()
@@ -358,11 +366,108 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
                 end: ev.end,
             })
             .collect();
-        assert_eq!(seen, expected, "flow {flow}: per-flow sink subsequence");
+        assert_eq!(seen, expected, "flow {flow}: its events");
         total += expected.len();
     }
-    assert_eq!(events.len(), total, "every merged match exactly once");
-    assert!(svc.drain_global().is_empty(), "the sink drains");
+    assert_eq!(events.len(), total, "every unpolled match exactly once");
+    assert!(svc.drain_global().is_empty(), "each report leaves once");
+    // Finished and drained: freed, as poll_checked frees them.
+    assert!(flows.iter().all(|flow| !svc.is_live(*flow)));
+    assert_eq!(svc.metrics().flows, 0);
+    svc.shutdown();
+}
+
+/// A client that polls every flow finds nothing left for
+/// `drain_global`, on both drivers: the service keeps no second copy of
+/// a report.
+#[test]
+fn drain_global_is_empty_once_every_flow_is_polled() {
+    let engine = v1();
+    let payloads: &[&[u8]] = &[b".abbc.k12m.xyz", b"k1234m..abbbc", b"xyz.xyz"];
+
+    let svc = engine.serve_with(2, ServeConfig::default());
+    let flows: Vec<FlowId> = payloads
+        .iter()
+        .map(|_| svc.try_open_flow().unwrap())
+        .collect();
+    let mut polled = 0;
+    for (round, seed) in [0x51u64, 0x52].into_iter().enumerate() {
+        for (flow, data) in flows.iter().zip(payloads) {
+            common::push_chunked(&svc, *flow, data, seed + flow.index() as u64, 5);
+        }
+        if round == 1 {
+            flows.iter().for_each(|flow| svc.close(*flow));
+        }
+        svc.barrier();
+        for flow in &flows {
+            polled += svc.poll_checked(*flow).unwrap().len();
+        }
+        assert!(svc.drain_global().is_empty(), "service, round {round}");
+    }
+    assert!(polled > 0);
+    for flow in &flows {
+        svc.finishing(*flow);
+    }
+    assert!(svc.drain_global().is_empty());
+    assert_eq!(svc.metrics().flows, 0);
+    svc.shutdown();
+
+    let sched = engine.scheduler_with(1);
+    let mut polled = 0;
+    for round in 0..2 {
+        for (flow, data) in (0u64..).zip(payloads) {
+            sched.push(flow, data);
+            if round == 1 {
+                sched.close(flow);
+            }
+        }
+        sched.run();
+        for flow in 0..payloads.len() as u64 {
+            polled += sched.poll(flow).len();
+        }
+        assert!(sched.drain_global().is_empty(), "scheduler, round {round}");
+    }
+    assert!(polled > 0);
+}
+
+/// A client that never polls — it reads every flow through
+/// `drain_global` and `finishing` — gets every report exactly once, in
+/// stream order per flow, and leaves the service with no flow behind.
+#[test]
+fn a_drain_only_client_gets_every_report_once_and_leaves_no_flow() {
+    let engine = v1();
+    let payloads: &[&[u8]] = &[b".abbc.k12m.xyz", b"xyz..abbbc", b"nothing", b"k99m.xyz"];
+    let svc = engine.serve_with(2, ServeConfig::default());
+    let flows: Vec<FlowId> = payloads
+        .iter()
+        .map(|_| svc.try_open_flow().unwrap())
+        .collect();
+    let mut got = vec![Vec::new(); flows.len()];
+    // Two halves per flow, drained between them and after close.
+    for half in 0..2 {
+        for (flow, data) in flows.iter().zip(payloads) {
+            let (head, tail) = data.split_at(data.len() / 2);
+            let part = [head, tail][half];
+            common::push_chunked(&svc, *flow, part, 0x77 + flow.index() as u64, 3);
+            if half == 1 {
+                svc.close(*flow);
+            }
+        }
+        svc.barrier();
+        for ev in svc.drain_global() {
+            let fi = flows.iter().position(|&flow| flow == ev.flow).unwrap();
+            got[fi].push(RuleMatch {
+                rule: ev.rule,
+                end: ev.end,
+            });
+        }
+    }
+    for ((flow, data), got) in flows.iter().zip(payloads).zip(&got) {
+        assert_eq!(*got, scan_oracle(&engine, data, 0), "flow {flow}");
+        assert_eq!(svc.finishing(*flow), finish_oracle(&engine, data, 0));
+    }
+    assert!(svc.drain_global().is_empty(), "each report leaves once");
+    assert_eq!(svc.metrics().flows, 0, "no flow outlives its reports");
     svc.shutdown();
 }
 

@@ -205,7 +205,7 @@ fn stress(
     assert_eq!(metrics.in_flight, 0);
     assert!(metrics.backpressure > 0, "no push ever blocked");
     assert_eq!(metrics.faults.quarantined_flows, quarantined as u64);
-    assert!(!svc.is_poisoned());
+    assert_eq!(metrics.faults.fail_stops, 0);
     match Arc::try_unwrap(svc) {
         Ok(svc) => svc.shutdown(),
         Err(_) => panic!("every producer has finished"),
