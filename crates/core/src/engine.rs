@@ -519,12 +519,6 @@ impl Engine {
         self.set.networks.len()
     }
 
-    /// The bank plan (which rule lives in which shard's machine image),
-    /// as the [`ShardPolicy`] cut it.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.set.plan
-    }
-
     /// The scan partition (which rule a flow scans in which group): the
     /// units of a stream, a scheduler or a service handle, and the index
     /// of every per-unit metric. It follows from the rules and the
@@ -553,23 +547,6 @@ impl Engine {
         recama_hw::HwSimulator::new(&self.set.networks[shard])
     }
 
-    /// The [`ScanMode`] this engine's scans and streams walk bytes with
-    /// (set via [`EngineBuilder::scan_mode`]; defaults to the hybrid
-    /// lazy-DFA overlay).
-    pub fn scan_mode(&self) -> ScanMode {
-        self.set.scan_mode
-    }
-
-    /// The [`PrefilterMode`] this engine was built with (set via
-    /// [`EngineBuilder::prefilter`]; defaults to
-    /// [`PrefilterMode::On`]).
-    pub fn prefilter(&self) -> PrefilterMode {
-        match self.set.prefilter() {
-            Some(_) => PrefilterMode::On,
-            None => PrefilterMode::Off,
-        }
-    }
-
     /// The compiled ruleset inside the engine. It exists only so the
     /// benchmark harness (`harness/`) can reach the per-group automata
     /// through `set().multi()`; once the harness reads them elsewhere,
@@ -587,9 +564,9 @@ impl Engine {
     /// scoped thread per scan group and merges the reports in order —
     /// keeping of each trailing-`$` rule only the matches that end the
     /// haystack. Reports are byte-identical for any bank plan and any
-    /// scan partition, and per rule they are
-    /// [`Pattern::find_ends`](crate::Pattern::find_ends)'s: search form
-    /// `Σ*·r` unless `^`-anchored, one report per (rule, end).
+    /// scan partition, and per rule they are what an engine of that rule
+    /// alone reports: search form `Σ*·r` unless `^`-anchored, one report
+    /// per (rule, end).
     pub fn scan(&self, haystack: &[u8]) -> Vec<SetMatch> {
         let anchored_end = self.set.anchored_end();
         self.stream()
@@ -598,12 +575,12 @@ impl Engine {
             .collect()
     }
 
-    /// Located match spans (`[start, end)` per rule): for every match
-    /// end, the rule's reversed automaton runs backward to the earliest
-    /// start (leftmost-longest flavor), as in
-    /// [`Pattern::find_spans`](crate::Pattern::find_spans). Reversed
-    /// automata are built lazily per rule and kept for the engine's
-    /// lifetime.
+    /// Located match spans, one per report of [`scan`](Engine::scan) and
+    /// in its order: for every match end, the rule's reversed automaton
+    /// runs backward to the earliest start (leftmost-longest flavor).
+    /// Automata processors natively report only ends; this is the
+    /// software post-processing step deployments use. Reversed automata
+    /// are built lazily per rule and kept for the engine's lifetime.
     pub fn scan_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
         // One backward engine per distinct rule, reused across ends.
         let mut engines: HashMap<usize, TokenSetEngine<'_>> = HashMap::new();
@@ -613,7 +590,7 @@ impl Engine {
                     .or_insert_with(|| TokenSetEngine::new(self.set.reversed_nca(m.pattern)));
                 SetSpan {
                     pattern: m.pattern,
-                    start: crate::earliest_start(engine, haystack, m.end).0,
+                    start: earliest_start(engine, haystack, m.end).0,
                     end: m.end,
                 }
             })
@@ -680,4 +657,32 @@ impl Engine {
     pub(crate) fn fault_plan_clone(&self) -> FaultPlan {
         self.faults.clone()
     }
+}
+
+/// Runs `engine` — an engine over a *reversed* automaton — backward over
+/// `haystack[..end]` and returns the earliest start of a match ending at
+/// `end` (leftmost-longest flavor), with the number of reversed bytes it
+/// stepped: accepting after `k` reversed bytes means a match starts at
+/// `end - k`, and the largest `k` wins. The reversed automaton is built
+/// from the raw regex (no `Σ*` prefix), so a configuration that has died
+/// cannot revive and the walk stops there.
+pub(crate) fn earliest_start(
+    engine: &mut TokenSetEngine<'_>,
+    haystack: &[u8],
+    end: usize,
+) -> (usize, usize) {
+    engine.reset();
+    let mut start = end; // empty-match fallback
+    let mut stepped = 0;
+    for &b in haystack[..end].iter().rev() {
+        if engine.config().is_empty() {
+            break;
+        }
+        engine.step(b);
+        stepped += 1;
+        if engine.is_accepting() {
+            start = end - stepped;
+        }
+    }
+    (start, stepped)
 }

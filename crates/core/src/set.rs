@@ -8,11 +8,11 @@
 //! [`Engine`](crate::Engine) compiles and asks, and it holds two
 //! partitions of its rules, both [`ShardPlan`]s:
 //!
-//! * the **bank plan** ([`Engine::plan`](crate::Engine::plan)) cuts the
-//!   rules into *shards* whose sub-networks each fit one bank
-//!   ([`ShardPolicy`], default = one bank's capacity). It decides the
-//!   machine images — `network`, `hardware`, placement, energy and
-//!   area — and nothing else;
+//! * the **bank plan** cuts the rules into *shards* whose sub-networks
+//!   each fit one bank ([`ShardPolicy`], default = one bank's
+//!   capacity). It decides the machine images —
+//!   [`Engine::network`](crate::Engine::network), `hardware`,
+//!   placement, energy and area — and nothing else;
 //! * the **scan partition** ([`Engine::scan_groups`](crate::Engine::scan_groups))
 //!   cuts them into *scan groups*, the units a software flow scans. In
 //!   the machine a bank is free parallelism (one decoder shows a symbol
@@ -41,7 +41,6 @@
 
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PrefilterMode, SetPrefilter};
-use crate::MatchSpan;
 use recama_compiler::{compile, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
@@ -63,8 +62,8 @@ pub struct SetMatch {
     pub end: usize,
 }
 
-/// A located match of a pattern set: pattern `pattern` matched the byte
-/// span `[start, end)` — the set-level analogue of [`MatchSpan`].
+/// A located match, as [`Engine::scan_spans`](crate::Engine::scan_spans)
+/// reports it: pattern `pattern` matched the byte span `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SetSpan {
     /// Index of the matching pattern in the set.
@@ -73,16 +72,6 @@ pub struct SetSpan {
     pub start: usize,
     /// End offset (exclusive).
     pub end: usize,
-}
-
-impl SetSpan {
-    /// The span as a [`MatchSpan`].
-    pub fn span(&self) -> MatchSpan {
-        MatchSpan {
-            start: self.start,
-            end: self.end,
-        }
-    }
 }
 
 /// A compiled ruleset: one merged extended-MNRL network **per bank-sized
@@ -118,8 +107,6 @@ pub struct ShardedPatternSet {
     parsed: Vec<Parsed>,
     pub(crate) outputs: Vec<CompileOutput>,
     anchored_end: Vec<bool>,
-    /// The bank plan: which rule lives in which machine image.
-    pub(crate) plan: ShardPlan,
     /// One merged machine image per shard (reporting nodes carry global
     /// pattern ids).
     pub(crate) networks: Vec<MnrlNetwork>,
@@ -238,7 +225,6 @@ impl ShardedPatternSet {
             parsed: parsed_list,
             outputs,
             anchored_end,
-            plan,
             networks,
             scan,
             multi,
@@ -305,7 +291,7 @@ impl ShardedPatternSet {
 /// the optimized plan keeps the analysis-informed SingleValue selection
 /// and adds counting sets for eligible ambiguous bounded repeats (O(1)
 /// increments and O(1) quiescence for the hybrid overlay).
-pub(crate) fn storage_plan(out: &CompileOutput) -> CompilePlan {
+fn storage_plan(out: &CompileOutput) -> CompilePlan {
     let analysis = &out.analysis;
     CompilePlan::optimized(&out.nca, |q: StateId| analysis.state_unambiguous(q))
 }
@@ -477,7 +463,7 @@ pub(crate) fn in_scan_groups(builder: crate::EngineBuilder, groups: usize) -> cr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Pattern};
+    use crate::Engine;
 
     /// `patterns` in `groups` scan groups, one bank.
     fn grouped(patterns: &[&str], groups: usize) -> Engine {
@@ -501,8 +487,8 @@ mod tests {
         let haystack = b"abbc.aaa.cab.xyz.abbbc";
         let mut expected: Vec<SetMatch> = Vec::new();
         for (pi, p) in patterns.iter().enumerate() {
-            for end in Pattern::compile(p).unwrap().find_ends(haystack) {
-                expected.push(SetMatch { pattern: pi, end });
+            for m in Engine::new([p]).unwrap().scan(haystack) {
+                expected.push(SetMatch { pattern: pi, ..m });
             }
         }
         expected.sort();
@@ -714,15 +700,13 @@ mod tests {
                 },
             ]
         );
-        // Agreement with the per-pattern API.
+        // Agreement with each pattern's engine alone.
         for (pi, p) in patterns.iter().enumerate() {
-            let pattern = Pattern::compile(p).unwrap();
-            let expected: Vec<MatchSpan> = pattern.find_spans(b"zzabbc..xyz..abbbc");
-            let got: Vec<MatchSpan> = spans
-                .iter()
-                .filter(|s| s.pattern == pi)
-                .map(|s| s.span())
+            let alone = Engine::new([p]).unwrap().scan_spans(b"zzabbc..xyz..abbbc");
+            let expected: Vec<SetSpan> = (alone.into_iter())
+                .map(|s| SetSpan { pattern: pi, ..s })
                 .collect();
+            let got: Vec<SetSpan> = spans.iter().filter(|s| s.pattern == pi).copied().collect();
             assert_eq!(got, expected, "pattern {p}");
         }
     }

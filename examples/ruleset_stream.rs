@@ -1,9 +1,10 @@
 //! Whole-ruleset streaming: compile a Snort-like ruleset into ONE shared
 //! machine image with `Engine::builder()` (single-shard policy), stream
 //! traffic through it in MTU-sized chunks, and compare against the
-//! loop-over-`Pattern` baseline. How many engines the stream runs is not
-//! the policy's business: the rules are cut into scan groups by whether
-//! their lazy-DFA rows fit the state budget, and these fit one.
+//! baseline that loops over one-rule engines. How many engines the
+//! stream runs is not the policy's business: the rules are cut into scan
+//! groups by whether their lazy-DFA rows fit the state budget, and these
+//! fit one.
 //!
 //! ```sh
 //! cargo run --release --example ruleset_stream
@@ -11,7 +12,7 @@
 
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, Pattern};
+use recama::Engine;
 use std::time::Instant;
 
 fn main() {
@@ -77,12 +78,12 @@ fn main() {
     }
 
     // The loop-over-patterns baseline scans the input once per rule.
-    let baseline: Vec<Pattern> = patterns
+    let baseline: Vec<Engine> = patterns
         .iter()
-        .filter_map(|p| Pattern::compile(p).ok())
+        .filter_map(|p| Engine::new([p]).ok())
         .collect();
     let start = Instant::now();
-    let loop_hits: usize = baseline.iter().map(|p| p.find_ends(&input).len()).sum();
+    let loop_hits: usize = baseline.iter().map(|e| e.scan(&input).len()).sum();
     let loop_time = start.elapsed();
     println!("pattern loop:  {loop_hits} reports in {loop_time:?}");
     println!(

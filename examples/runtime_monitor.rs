@@ -17,7 +17,8 @@
 //! cargo run --example runtime_monitor
 //! ```
 
-use recama::{Engine, Pattern};
+use recama::hw::HwSimulator;
+use recama::Engine;
 
 /// Stable property ids for the monitor's rules (the ids an alert
 /// pipeline would key on).
@@ -55,16 +56,16 @@ fn main() {
 
     // The monitor hardware: one STE + one module per property, no
     // unfolding of the window.
-    for (name, i) in [("violation", 0usize), ("granted", 1)] {
-        let p = Pattern::compile(monitor.pattern(i)).expect("compiles");
-        let (stes, counters, bitvectors) = p.network().counts_by_type();
-        let modules = p.compiled().modules.clone();
+    for (name, i, ends) in [("violation", 0usize, &violations), ("granted", 1, &grants)] {
+        let out = &monitor.outputs()[i];
+        let (stes, counters, bitvectors) = out.network.counts_by_type();
+        let modules = &out.modules;
         println!(
             "{name:10} -> {stes} STEs, {counters} counters, {bitvectors} bit vectors ({modules:?})"
         );
-        // Cross-check the per-property software and hardware streams.
-        let mut hw = p.hardware();
-        assert_eq!(hw.match_ends(trace), p.find_ends(trace));
+        // Cross-check the property's own image against the software scan.
+        let mut hw = HwSimulator::new(&out.network);
+        assert_eq!(&hw.match_ends(trace), ends);
     }
 
     // A monitor is a stream consumer: ticks arrive one at a time, and

@@ -8,8 +8,8 @@
 
 use recama::analysis::Verdict;
 use recama::compiler::{compile, CompileOptions, ModuleKind};
+use recama::hw::HwSimulator;
 use recama::workloads::{generate, BenchmarkId, PatternClass};
-use recama::Pattern;
 
 fn main() {
     let ruleset = generate(BenchmarkId::SpamAssassin, 0.02, 3786);
@@ -85,17 +85,8 @@ fn main() {
     println!("demo-rule match ends in the email: {ends:?}");
     assert!(!ends.is_empty());
 
-    // The single-pattern pipeline agrees, in software and simulated
-    // hardware alike.
-    let pattern = match Pattern::compile(demo) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("demo rule failed to compile: {e}");
-            std::process::exit(1);
-        }
-    };
-    assert_eq!(pattern.find_ends(email), ends, "engine agrees with Pattern");
-    let mut hw = pattern.hardware();
+    // The demo rule's own machine image agrees in simulated hardware.
+    let mut hw = HwSimulator::new(&engine.outputs()[demo_index].network);
     assert_eq!(hw.match_ends(email), ends, "hardware agrees with software");
     println!("hardware simulation agrees ({} reports)", ends.len());
 

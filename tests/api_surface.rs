@@ -25,9 +25,9 @@ use recama::nca::{
 use recama::syntax::{ByteAlphabet, ParseError};
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FlowId, FlowMatch,
-    FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, PrefilterMetrics, PrefilterMode,
-    RuleMatch, ServeConfig, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics, SetMatch,
-    SetSpan, ShardedPatternSet, ShardedSetStream, SkippedRule,
+    FlowScheduler, HybridStats, OverloadPolicy, PrefilterMetrics, PrefilterMode, RuleMatch,
+    ServeConfig, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics, SetMatch, SetSpan,
+    ShardedPatternSet, ShardedSetStream, SkippedRule,
 };
 use std::task::Poll;
 use std::time::Duration;
@@ -48,9 +48,7 @@ const ROOT_EXPORTS: &[&str] = &[
     "FlowMatch",
     "FlowScheduler",
     "HybridStats",
-    "MatchSpan",
     "OverloadPolicy",
-    "Pattern",
     "PrefilterMetrics",
     "PrefilterMode",
     "RuleMatch",
@@ -490,11 +488,9 @@ fn engine_signatures() {
     let _: fn(&Engine, usize) -> u64 = Engine::rule_id;
     let _: for<'a> fn(&'a Engine) -> &'a [SkippedRule] = |e| e.skipped();
     let _: fn(&Engine) -> usize = Engine::shard_count;
-    // Two partitions, one type: the bank plan and the scan partition.
-    let _: for<'a> fn(&'a Engine) -> &'a ShardPlan = |e| e.plan();
+    // The scan partition; the bank plan shows as the machine images.
     let _: for<'a> fn(&'a Engine) -> &'a ShardPlan = |e| e.scan_groups();
     let _: fn(&[RuleCost], &ShardBudget) -> ShardPlan = ShardPlan::next_fit;
-    let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
     // What the benchmark harness reads of the compiled ruleset.
     let _: for<'a> fn(&'a Engine) -> &'a [CompileOutput] = |e| e.outputs();
     let _: for<'a> fn(&'a Engine, usize) -> &'a MnrlNetwork = |e, i| e.network(i);
@@ -756,9 +752,9 @@ fn prefilter_mode_variants_are_stable() {
 }
 
 #[allow(dead_code)]
-fn pin_match_types(m: SetMatch, s: SetSpan, f: FlowMatch, p: MatchSpan) -> [usize; 8] {
+fn pin_match_types(m: SetMatch, s: SetSpan, f: FlowMatch) -> [usize; 7] {
     [
-        m.pattern, m.end, s.pattern, s.start, s.end, f.pattern, f.end, p.start,
+        m.pattern, m.end, s.pattern, s.start, s.end, f.pattern, f.end,
     ]
 }
 

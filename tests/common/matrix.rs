@@ -1,9 +1,9 @@
-//! The differential matrix: one oracle (`Oracle`, each pattern compiled
-//! and scanned alone), one `Case` type, and one runner per way a ruleset
-//! is scanned — a block scan, spans, a chunked stream, the batch
-//! scheduler and the resident service at any number of workers, and
-//! each bank's hardware simulator. Each suite runs its own slice of it,
-//! and no two run the same rules, inputs and knobs:
+//! The differential matrix: one oracle (`Oracle`, each pattern parsed
+//! and scanned alone by the reference engine), one `Case` type, and one
+//! runner per way a ruleset is scanned — a block scan, spans, a chunked
+//! stream, the batch scheduler and the resident service at any number
+//! of workers, and each bank's hardware simulator. Each suite runs its
+//! own slice of it, and no two run the same rules, inputs and knobs:
 //! `tests/differential.rs` crosses every driver with every knob on a
 //! share of the pool cases and on the pins no other suite owns.
 //!
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch, SetSpan};
+use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -524,7 +524,7 @@ fn check(
             Driver::Block => {
                 for &fi in &distinct {
                     let (flow, want) = (&case.flows[fi], &expected[fi]);
-                    let dollar = |m: &&SetMatch| oracle.patterns[m.pattern].parsed().anchored_end;
+                    let dollar = |m: &&SetMatch| oracle.parsed[m.pattern].anchored_end;
                     let mut block: Vec<SetMatch> =
                         want.stream.iter().filter(|m| !dollar(m)).copied().collect();
                     block.extend(&want.finish);
@@ -534,20 +534,12 @@ fn check(
             }
             Driver::Spans => {
                 for &fi in &distinct {
-                    let flow = &case.flows[fi];
-                    let mut want = Vec::new();
-                    for (pattern, p) in oracle.patterns.iter().enumerate() {
-                        let spans = p.find_spans(&flow.data).into_iter();
-                        want.extend(spans.map(|s| SetSpan {
-                            pattern,
-                            start: s.start,
-                            end: s.end,
-                        }));
-                    }
-                    want.sort();
-                    let mut got = engine.scan_spans(&flow.data);
-                    got.sort();
-                    same(got, want, &what(fi, "spans"))?;
+                    let data = &case.flows[fi].data;
+                    same(
+                        engine.scan_spans(data),
+                        oracle.spans(data),
+                        &what(fi, "spans"),
+                    )?;
                 }
             }
             Driver::Stream => {

@@ -7,9 +7,10 @@ pub mod matrix;
 
 use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama::nca::{Nca, TokenSetEngine};
+use recama::syntax::Parsed;
 use recama::workloads::{generate, BenchmarkId, PatternClass};
 use recama::{
-    Engine, EngineBuilder, FlowId, Pattern, RuleMatch, ScanMode, ServiceHandle, SetMatch,
+    Engine, EngineBuilder, FlowId, RuleMatch, ScanMode, ServiceHandle, SetMatch, SetSpan,
 };
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
@@ -85,27 +86,29 @@ pub fn set_with<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> Engine {
 
 /// The independent oracle of every scan: each pattern of a ruleset
 /// scanned alone by the reference [`TokenSetEngine`] (Def. 2.1) over
-/// the Glushkov automaton of its stream form. No compiler output, storage
-/// plan, counter bank, sharding, prefilter, hybrid rows or flow code is
-/// involved. The patterns compile once and answer any number of inputs;
-/// [`Pattern`]s are kept for the spans, which scan on the bank and whose
-/// ends the stream check pins.
+/// the Glushkov automaton of its stream form, and its spans located by
+/// the same engine walking the reversed regex's automaton backward
+/// ([`Oracle::spans`]). Of the library it uses the parser, the Glushkov
+/// construction and that reference engine; no compiler output, storage
+/// plan, counter bank, sharding, prefilter, hybrid rows, flow code or
+/// span-location code is involved. The patterns parse once and answer
+/// any number of inputs.
 pub struct Oracle {
-    pub patterns: Vec<Pattern>,
+    pub parsed: Vec<Parsed>,
     /// Per pattern, the automaton of `Σ*·r` (of `r` when `^`-anchored).
     streams: Vec<Nca>,
 }
 
 impl Oracle {
     pub fn new<S: AsRef<str>>(patterns: &[S]) -> Oracle {
-        let compile = |p: &S| {
+        let parse = |p: &S| {
             let p = p.as_ref();
-            Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"))
+            recama::syntax::parse(p).unwrap_or_else(|e| panic!("{p}: {e}"))
         };
-        let patterns: Vec<Pattern> = patterns.iter().map(compile).collect();
-        let stream = |p: &Pattern| Nca::from_regex(&p.parsed().for_stream());
-        let streams = patterns.iter().map(stream).collect();
-        Oracle { patterns, streams }
+        let parsed: Vec<Parsed> = patterns.iter().map(parse).collect();
+        let stream = |p: &Parsed| Nca::from_regex(&p.for_stream());
+        let streams = parsed.iter().map(stream).collect();
+        Oracle { parsed, streams }
     }
 
     /// The oracle of `engine`'s rules.
@@ -136,11 +139,8 @@ impl Oracle {
     /// pattern.
     pub fn finish(&self, data: &[u8]) -> Vec<SetMatch> {
         let mut expected = Vec::new();
-        for (pi, (pattern, nca)) in self.patterns.iter().zip(&self.streams).enumerate() {
-            if pattern.parsed().anchored_end
-                && !data.is_empty()
-                && TokenSetEngine::new(nca).matches(data)
-            {
+        for (pi, (parsed, nca)) in self.parsed.iter().zip(&self.streams).enumerate() {
+            if parsed.anchored_end && !data.is_empty() && TokenSetEngine::new(nca).matches(data) {
                 expected.push(SetMatch {
                     pattern: pi,
                     end: data.len(),
@@ -148,6 +148,41 @@ impl Oracle {
             }
         }
         expected
+    }
+
+    /// The located matches of a block scan over `data`, in its order
+    /// (ascending end, ascending pattern within one end): each end of
+    /// [`stream`](Oracle::stream) — of a trailing-`$` pattern only the
+    /// one at `data.len()` — spans back to the earliest start from which
+    /// the pattern's reversed automaton, stepped backward from the end,
+    /// accepts.
+    pub fn spans(&self, data: &[u8]) -> Vec<SetSpan> {
+        let ends = self.stream(data).into_iter();
+        let ends = ends.filter(|m| !self.parsed[m.pattern].anchored_end || m.end == data.len());
+        let mut reversed: Vec<Option<Nca>> = self.parsed.iter().map(|_| None).collect();
+        ends.map(|SetMatch { pattern, end }| {
+            let nca = reversed[pattern]
+                .get_or_insert_with(|| Nca::from_regex(&self.parsed[pattern].regex.reverse()));
+            let mut walk = TokenSetEngine::new(nca);
+            let mut start = end;
+            // No `Σ*` loop in the reversed automaton: once every token
+            // has died, none comes back.
+            for (k, &b) in data[..end].iter().rev().enumerate() {
+                if walk.config().is_empty() {
+                    break;
+                }
+                walk.step(b);
+                if walk.is_accepting() {
+                    start = end - k - 1;
+                }
+            }
+            SetSpan {
+                pattern,
+                start,
+                end,
+            }
+        })
+        .collect()
     }
 }
 

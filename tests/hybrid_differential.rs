@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch, DEFAULT_STATE_BUDGET};
+use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch};
 
 /// The second block of thirty pool cases, one per knob cell — the exact
 /// engine and the hybrid at budgets of 1, 7 and 4096 states and in three
@@ -219,21 +219,15 @@ fn tiny_budgets_flush_but_stay_exact() {
     run_knobs("pure", &pin.rules, &whole, &knobs, &[Driver::Block]);
 }
 
+/// The hybrid rows are on by default: a served flow's metrics carry
+/// their counters, which an engine built under `ScanMode::Nca` has none
+/// of.
 #[test]
 fn scan_mode_is_exposed_and_defaults_to_hybrid() {
-    let default_mode = Engine::builder()
-        .patterns(["abc"])
-        .build()
-        .unwrap()
-        .scan_mode();
-    assert_eq!(
-        default_mode,
-        ScanMode::Hybrid {
-            state_budget: DEFAULT_STATE_BUDGET
-        }
-    );
+    let default = Engine::new(["abc"]).unwrap();
+    assert!(default.serve().metrics().hybrid.is_some());
     let forced = Engine::builder().patterns(["abc"]).scan_mode(ScanMode::Nca);
-    assert_eq!(forced.build().unwrap().scan_mode(), ScanMode::Nca);
+    assert!(forced.build().unwrap().serve().metrics().hybrid.is_none());
 }
 
 /// The count-based regression for the counted half of the scan (the

@@ -4,9 +4,9 @@
 use recama::compiler::{compile, compile_ruleset, CompileOptions};
 use recama::hw::{place, run, AreaGranularity, HwSimulator};
 use recama::mnrl::MnrlNetwork;
-use recama::nca::UnfoldPolicy;
+use recama::nca::{CompilePlan, MultiNca, StateId, UnfoldPolicy};
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::Pattern;
+use recama::Engine;
 
 const PATTERNS: &[&str] = &[
     "abc",
@@ -22,26 +22,28 @@ const PATTERNS: &[&str] = &[
     "a{4,}b",
 ];
 
+/// The match ends of `engine`'s rules over `haystack`.
+fn ends(engine: &Engine, haystack: &[u8]) -> Vec<usize> {
+    engine.scan(haystack).iter().map(|m| m.end).collect()
+}
+
 #[test]
 fn every_stage_succeeds_for_the_pattern_zoo() {
     for p in PATTERNS {
-        let pattern = Pattern::compile(p).unwrap_or_else(|e| panic!("{p}: {e}"));
+        let engine = Engine::new([p]).unwrap_or_else(|e| panic!("{p}: {e}"));
+        let network = &engine.outputs()[0].network;
         // Network validates.
-        let problems = pattern.network().validate();
+        let problems = network.validate();
         assert!(problems.is_empty(), "{p}: {problems:?}");
         // JSON round trip is the identity.
-        let json = pattern.network().to_json();
+        let json = network.to_json();
         let back = MnrlNetwork::from_json(&json).unwrap_or_else(|e| panic!("{p}: {e}"));
-        assert_eq!(&back, pattern.network(), "{p}: JSON round trip");
+        assert_eq!(&back, network, "{p}: JSON round trip");
         // Placement covers every node.
-        let placement = place(pattern.network());
-        assert_eq!(
-            placement.per_node.len(),
-            pattern.network().node_count(),
-            "{p}"
-        );
+        let placement = place(network);
+        assert_eq!(placement.per_node.len(), network.node_count(), "{p}");
         // Simulation runs.
-        let mut hw = HwSimulator::new(pattern.network());
+        let mut hw = HwSimulator::new(network);
         let _ = hw.match_ends(b"abcdefgh");
     }
 }
@@ -101,15 +103,15 @@ fn software_engine_and_hardware_agree_on_traffic() {
     let input = traffic(&ruleset, 4096, 0.001, 11);
     let mut checked = 0;
     for (p, _) in ruleset.patterns.iter() {
-        let Ok(pattern) = Pattern::compile(p) else {
+        let Ok(engine) = Engine::new([p]) else {
             continue;
         };
         // Keep the test fast: skip giant unfolded rules.
-        if pattern.network().node_count() > 3000 {
+        if engine.network(0).node_count() > 3000 {
             continue;
         }
-        let sw = pattern.find_ends(&input);
-        let mut hw = pattern.hardware();
+        let sw = ends(&engine, &input);
+        let mut hw = engine.hardware(0);
         let hw_ends = hw.match_ends(&input);
         assert_eq!(sw, hw_ends, "pattern {p}");
         checked += 1;
@@ -129,14 +131,17 @@ fn analysis_informed_engine_reports_no_conflicts() {
     let input = traffic(&ruleset, 2048, 0.002, 23);
     let mut checked = 0;
     for (p, _) in ruleset.patterns.iter() {
-        let Ok(pattern) = Pattern::compile(p) else {
+        let Ok(compiled) = Engine::new([p]) else {
             continue;
         };
-        if pattern.compiled().modules.is_empty() {
+        let out = &compiled.outputs()[0];
+        if out.modules.is_empty() {
             continue;
         }
-        // The bank without rows: the engine with rows may count fewer.
-        let mut engine = pattern.engine();
+        // The rule's bank under the analysis-informed plan, without rows:
+        // the engine with rows may count fewer.
+        let plan = CompilePlan::optimized(&out.nca, |q: StateId| out.analysis.state_unambiguous(q));
+        let mut engine = MultiNca::merge(&[(&out.nca, plan)]).engine();
         engine.match_reports(&input);
         assert_eq!(engine.conflicts(), 0, "pattern {p}");
         checked += 1;
@@ -172,10 +177,10 @@ fn per_rule_report_attribution() {
 
 #[test]
 fn trailing_anchor_filters_match_ends() {
-    let p = Pattern::compile("ab$").unwrap();
-    assert_eq!(p.find_ends(b"ab..ab"), vec![6]);
-    assert!(!p.find_ends(b"xxab").is_empty());
-    assert!(p.find_ends(b"abxx").is_empty());
-    let unanchored = Pattern::compile("ab").unwrap();
-    assert_eq!(unanchored.find_ends(b"ab..ab"), vec![2, 6]);
+    let p = Engine::new(["ab$"]).unwrap();
+    assert_eq!(ends(&p, b"ab..ab"), vec![6]);
+    assert!(!ends(&p, b"xxab").is_empty());
+    assert!(ends(&p, b"abxx").is_empty());
+    let unanchored = Engine::new(["ab"]).unwrap();
+    assert_eq!(ends(&unanchored, b"ab..ab"), vec![2, 6]);
 }

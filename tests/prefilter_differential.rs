@@ -37,7 +37,8 @@ fn engine(patterns: &[&str], mode: PrefilterMode) -> Engine {
 fn prefiltered_agrees_with_unfiltered_and_per_pattern_union() {
     for mode in PREFILTERS {
         let built = Engine::builder().patterns(POOL).prefilter(mode);
-        assert_eq!(built.build().unwrap().prefilter(), mode);
+        let filtered = built.build().unwrap().serve().metrics().prefilter.is_some();
+        assert_eq!(filtered, mode == PrefilterMode::On);
     }
     run_pool(3);
 }
@@ -100,7 +101,7 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
     // `always-on` pin.)
     let patterns = [".*ba", "[xy]{2,5}", "[0-9][0-9][xy]"];
     let on = engine(&patterns, PrefilterMode::On);
-    assert_eq!(on.prefilter(), PrefilterMode::On);
+    assert!(on.serve().metrics().prefilter.is_some());
 
     let input = b"..ba..xyxy..42x..ba";
     let sched = on.scheduler_with(2);

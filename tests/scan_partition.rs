@@ -69,7 +69,6 @@ fn the_policy_cuts_machine_images_and_nothing_a_flow_scans() {
         assert_eq!(scan_side(&engine, &input), expected, "{policy:?}");
 
         let plan = ShardPlan::plan(&costs, policy);
-        assert_eq!(engine.plan(), &plan, "{policy:?}");
         assert_eq!(engine.shard_count(), plan.shard_count(), "{policy:?}");
         for (shard, members) in plan.shards().iter().enumerate() {
             let ids: Vec<u32> = members.iter().map(|&g| g as u32).collect();
