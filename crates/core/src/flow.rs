@@ -1,16 +1,18 @@
 //! [`Flow`]: what one byte stream does with a chunk, written once.
 //!
-//! A flow is one unit per scan group of its set — the group's engine, the
-//! position it has consumed and the reports it has produced — plus what
-//! the units share: where the engines started (`base`), how many bytes
-//! arrived (`total`), the filter's one node and the set of units still
-//! cold, the replay tail and the `$` candidates. It borrows nothing (the
-//! set is an argument) and makes the four decisions every driver needs:
+//! A flow is one unit per scan group of its set — the group's engine
+//! (none while the unit is cold), the position it has consumed and the
+//! reports it has produced — plus what the units share: where the
+//! engines started (`base`), how many bytes arrived (`total`), the
+//! filter's one node and the set of units still cold, the replay tail
+//! and the `$` candidates. It borrows nothing (the set is an argument)
+//! and makes the four decisions every driver needs:
 //!
 //! 1. **admit** — one filter pass over the chunk for every cold unit,
 //!    and what each unit does on its verdict: scan the chunk, skip it
-//!    (`restart_at(end)`), or wake (`restart_at(replay_start)`,
-//!    replaying the tail first);
+//!    (a cold unit is its bit in `cold` and its position, which moves
+//!    past the chunk; it has no engine), or wake (the group's first
+//!    engine, restarted at `replay_start`, replaying the tail first);
 //! 2. **the replay tail** — the last window of bytes, kept exactly as
 //!    long as a unit is cold (a hot unit never wakes again);
 //! 3. **the merge** — one k-way merge of the units' reports by
@@ -41,7 +43,8 @@ use std::collections::{HashMap, VecDeque};
 
 /// One `(flow, group)` unit.
 struct Unit {
-    /// `None` while a driver has the engine checked out; a cold unit is
+    /// `None` while the unit is cold — it gets its engine at its wake —
+    /// or while a driver has the engine checked out; a cold unit is
     /// skipped, never checked out.
     engine: Option<Box<HybridEngine>>,
     /// Absolute bytes of the flow this unit has consumed (as of its last
@@ -75,11 +78,13 @@ pub(crate) struct Flow {
 }
 
 impl Flow {
-    /// Fresh engines and cold units of `set`, for a stream whose bytes
-    /// from absolute offset `base` on they will see.
+    /// The units of `set` for a stream whose bytes from absolute offset
+    /// `base` on they will see: a filterable group's unit starts cold,
+    /// every other group's with a fresh engine.
     pub(crate) fn new(set: &ShardedPatternSet, base: u64) -> Flow {
-        let units = set.group_streams().map(|engine| Unit {
-            engine: Some(engine),
+        let cold = (set.prefilter()).map_or(Vec::new(), |pf| pf.filterable().to_vec());
+        let units = (0..set.scan.shard_count()).map(|si| Unit {
+            engine: (!has(&cold, si)).then(|| set.group_engine(si)),
             pos: base,
             pending: VecDeque::new(),
         });
@@ -88,7 +93,7 @@ impl Flow {
             base,
             total: base,
             node: 0,
-            cold: (set.prefilter()).map_or(Vec::new(), |pf| pf.filterable().to_vec()),
+            cold,
             tail: Vec::new(),
             dollar: HashMap::new(),
         }
@@ -113,17 +118,18 @@ impl Flow {
         self.total - self.watermark()
     }
 
-    /// Whether every engine is parked and caught up — the only state in
-    /// which the stream can end or move to another set.
+    /// Whether every unit is parked (or cold) and caught up — the only
+    /// state in which the stream can end or move to another set.
     pub(crate) fn drained(&self) -> bool {
-        (self.units.iter()).all(|u| u.engine.is_some() && u.pos == self.total)
+        let parked = |si, u: &Unit| u.engine.is_some() || has(&self.cold, si);
+        (self.units.iter().enumerate()).all(|(si, u)| parked(si, u) && u.pos == self.total)
     }
 
     /// Admits `chunk` as the next bytes of the stream, leaves each unit's
     /// verdict in `verdicts` (the caller's, so a push allocates nothing)
     /// and returns the bytes the literal filter walked: one pass for all
-    /// the cold units. A skipped unit is already past the chunk. A woken unit is
-    /// repositioned at its `replay_start`; when any of those lies
+    /// the cold units. A skipped unit is already past the chunk. A woken
+    /// unit gets its engine, at its `replay_start`; when any of those lies
     /// before the chunk, `replay(start, bytes)` is handed the bytes
     /// `[start, chunk start)` from the earliest of them on, to put in
     /// front of the chunk. Units told to scan consume the chunk through
@@ -156,22 +162,24 @@ impl Flow {
         let walked = pf.advance(&mut self.node, chunk, &mut self.cold);
         let mut replay_from = chunk_start;
         for (si, (unit, verdict)) in self.units.iter_mut().zip(&mut *verdicts).enumerate() {
-            let restart = match verdict {
-                Scan => continue,
-                _ if has(&self.cold, si) => end,
-                _ => {
-                    // The first literal end in the flow is at or after
-                    // chunk_start + 1, so every match ending from here on
-                    // starts at or after chunk_start + 1 − window.
-                    let replay_start = (chunk_start + 1).saturating_sub(pf.window(si)).max(base);
-                    replay_from = replay_from.min(replay_start);
-                    *verdict = Wake { replay_start };
-                    replay_start
-                }
-            };
-            let engine = unit.engine.as_mut().expect("cold units hold their engine");
-            engine.restart_at(restart - base);
-            unit.pos = restart;
+            if *verdict == Scan {
+                continue;
+            }
+            debug_assert!(unit.engine.is_none(), "a cold unit holds no engine");
+            if has(&self.cold, si) {
+                unit.pos = end;
+                continue;
+            }
+            // The first literal end in the flow is at or after
+            // chunk_start + 1, so every match ending from here on starts
+            // at or after chunk_start + 1 − window.
+            let replay_start = (chunk_start + 1).saturating_sub(pf.window(si)).max(base);
+            replay_from = replay_from.min(replay_start);
+            *verdict = Wake { replay_start };
+            let mut engine = set.group_engine(si);
+            engine.restart_at(replay_start - base);
+            unit.engine = Some(engine);
+            unit.pos = replay_start;
         }
         if replay_from < chunk_start {
             let tail_start = chunk_start - self.tail.len() as u64;
@@ -192,6 +200,7 @@ impl Flow {
     /// Takes unit `si`'s engine for a scan, with the absolute position it
     /// stands at.
     pub(crate) fn checkout(&mut self, si: usize) -> (Box<HybridEngine>, u64) {
+        debug_assert!(!has(&self.cold, si), "only a hot unit is checked out");
         let unit = &mut self.units[si];
         let engine = unit.engine.take().expect("a unit is checked out once");
         (engine, unit.pos)
@@ -311,6 +320,13 @@ mod tests {
         let set = in_scan_groups(builder, groups).set_arc();
         assert_eq!(set.scan.shard_count(), groups);
         set
+    }
+
+    impl Flow {
+        /// The engines the flow holds while none is checked out.
+        fn engines(&self) -> usize {
+            self.units.iter().filter(|u| u.engine.is_some()).count()
+        }
     }
 
     /// Everything final right now, as `(end, pattern)`.
@@ -479,6 +495,32 @@ mod tests {
             feed(&mut flow, &set, b"..abab..");
             assert_eq!(flow.tail.capacity(), 0);
         }
+    }
+
+    /// A cold unit is its bit and its position: a flow builds a group's
+    /// engine at the group's first candidate, and reports what a flow
+    /// without the filter reports.
+    #[test]
+    fn a_cold_unit_holds_no_engine_until_its_wake() {
+        let set = two_windows();
+        let unfiltered = set_with(&["k\\d{4}needle", "q\\dmagic"], 2, PrefilterMode::Off);
+        let (mut flow, mut reference) = (Flow::new(&set, 0), Flow::new(&unfiltered, 0));
+        assert_eq!((flow.engines(), reference.engines()), (0, 2));
+        let chunks: [&[u8]; 4] = [b"........", b"k1234nee", b"dle.q3mag", b"ic.q1magic"];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            got.extend(feed(&mut flow, &set, chunk).0);
+            want.extend(feed(&mut reference, &unfiltered, chunk).0);
+            let engines = [0, 0, 1, 2][i];
+            assert_eq!(flow.engines(), engines, "after chunk {i}");
+            if engines == 1 {
+                // The needle woke its group, and only it.
+                assert!(flow.units[0].engine.is_some() && flow.cold == [0b10]);
+            }
+        }
+        assert_eq!(got, want);
+        assert_eq!(got, [(19, 0), (27, 1), (35, 1)]);
+        assert!(flow.drained() && reference.drained());
     }
 
     /// After a migration the engines count from `base`: a wake in the

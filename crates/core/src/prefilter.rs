@@ -37,9 +37,11 @@
 //!   While cold, no match of the group's rules can end anywhere (every
 //!   match needs a literal that has not occurred), so the chunk is
 //!   skipped — it still advances the flow's node and the unit's offset.
-//!   On the first candidate the unit turns hot **forever** and its
-//!   engine teleports to `chunk_start + 1 − window` (the group's largest
-//!   lead) via [`HybridEngine::restart_at`](recama_nca::HybridEngine::restart_at),
+//!   A cold unit is that: its bit in the flow's cold set and its offset;
+//!   it has no engine. On the first candidate the unit turns hot
+//!   **forever**, and the group's engine is built and started at
+//!   `chunk_start + 1 − window` (the group's largest lead) via
+//!   [`HybridEngine::restart_at`](recama_nca::HybridEngine::restart_at),
 //!   replaying at most `window` tail bytes: any true match ending at or
 //!   after the candidate chunk starts inside the replayed window, and a
 //!   fresh `Σ*` frontier finds all such matches identically — so
@@ -100,9 +102,9 @@ impl PrefilterMetrics {
     }
 }
 
-/// Auto-resizing per-group counter vector — the one accumulation
-/// primitive shared by the scheduler's and the service's metrics paths
-/// (scan counts, scan bytes, and both prefilter counters all use it).
+/// Auto-resizing per-group counter vector — the serving core's one
+/// accumulation primitive (scan counts, scan bytes, and both prefilter
+/// counters all use it).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PerGroup(Vec<u64>);
 
@@ -124,8 +126,8 @@ impl PerGroup {
     }
 }
 
-/// Mutable prefilter counters for one serving layer (scheduler or
-/// service); snapshotted into [`PrefilterMetrics`].
+/// The serving core's mutable prefilter counters, which both drivers
+/// read through its snapshot, [`PrefilterMetrics`].
 #[derive(Debug, Default)]
 pub(crate) struct PrefilterCounters {
     pub(crate) skipped_units: PerGroup,

@@ -284,8 +284,7 @@ pub enum ServeError {
     },
     /// The whole service fail-stopped: a scan panicked past the
     /// [`restart_budget`](crate::ServeConfig::restart_budget). Carries
-    /// the first panic's payload summary — also available as
-    /// [`panic_message`](ServiceHandle::panic_message).
+    /// the first panic's payload summary, the same text on every call.
     Poisoned {
         /// Summary of the first worker panic payload.
         message: String,
@@ -461,12 +460,12 @@ struct OwnedFlow {
     /// Freed once a closed flow has fully drained, or on quarantine.
     /// Restarted at migration, at `base` = the flow's length: old `$`
     /// candidates cannot end at the final byte once more bytes arrive,
-    /// and fresh engines start cold.
+    /// and the filterable units start cold again.
     flow: Flow,
     segments: VecDeque<Segment>,
     closed: bool,
     /// Per unit: whether it is in the ready queue *or* checked out. A
-    /// cold unit is never queued, so its engine is always parked.
+    /// cold unit is never queued: it has no engine to check out.
     busy: Vec<bool>,
     /// Per unit: scans checked out so far — the fault-injection address.
     /// Resets when the flow migrates to a new epoch.
@@ -1766,22 +1765,11 @@ impl ServiceHandle {
 
     // ---- lifecycle --------------------------------------------------
 
-    /// A summary of the first worker panic payload, once the service
-    /// fail-stopped (counted in [`FaultMetrics::fail_stops`]); `None`
-    /// while healthy. (A quarantined flow's panic
-    /// message travels on [`ServeError::Quarantined`] instead — see
-    /// [`push_checked`](ServiceHandle::push_checked) /
-    /// [`poll_checked`](ServiceHandle::poll_checked).)
-    pub fn panic_message(&self) -> Option<String> {
-        self.core.lock().panic_message.clone()
-    }
-
     /// Whether `flow` is quarantined: a scan over its bytes panicked, so
-    /// its engines were freed and it accepts no more input. Reports
-    /// merged before the fault stay pollable;
-    /// [`close`](ServiceHandle::close) acknowledges the quarantine and
-    /// reclaims the slot.
-    pub fn is_quarantined(&self, flow: FlowId) -> bool {
+    /// its engines were freed and it accepts no more input (what the
+    /// batch driver's `u64` table asks; a client reads it off
+    /// [`ServeError::Quarantined`]).
+    pub(crate) fn is_quarantined(&self, flow: FlowId) -> bool {
         self.core
             .lock()
             .flow(flow)
@@ -2159,7 +2147,7 @@ impl ServiceHandle {
 
     /// Whether `flow` still addresses a live (tracked) flow — `false`
     /// once the slot was recycled (the ABA guard).
-    pub fn is_live(&self, flow: FlowId) -> bool {
+    pub(crate) fn is_live(&self, flow: FlowId) -> bool {
         self.core.lock().flow(flow).is_some()
     }
 }

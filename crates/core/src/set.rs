@@ -248,19 +248,18 @@ impl ShardedPatternSet {
         self.prefilter.as_ref()
     }
 
-    /// One fresh engine per scan group in this set's [`ScanMode`] — the
-    /// units of a flow, each `'static + Send` so a flow table keeps it
+    /// A fresh engine for scan group `group` in this set's [`ScanMode`] —
+    /// a hot unit of a flow, `'static + Send` so a flow table keeps it
     /// between scans as it is (see
     /// [`ServiceHandle`](crate::ServiceHandle)). A hybrid engine scans on
     /// the group's shared rows. Boxed: engines move between workers at
     /// every checkout and check-in, and an engine is hundreds of bytes
     /// of inline state.
-    pub(crate) fn group_streams(&self) -> impl Iterator<Item = Box<HybridEngine>> + '_ {
-        (self.multi.shards().iter().enumerate()).map(|(group, multi)| {
-            Box::new(match self.caches.get(group) {
-                Some(cache) => multi.hybrid_engine_on(cache),
-                None => multi.engine(),
-            })
+    pub(crate) fn group_engine(&self, group: usize) -> Box<HybridEngine> {
+        let multi = &self.multi.shards()[group];
+        Box::new(match self.caches.get(group) {
+            Some(cache) => multi.hybrid_engine_on(cache),
+            None => multi.engine(),
         })
     }
 

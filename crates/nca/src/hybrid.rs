@@ -729,9 +729,6 @@ struct Cursor {
     position: u64,
     /// This engine's byte counters (`dfa_states`, `flushes` stay 0).
     stats: HybridStats,
-    /// No byte was consumed since the last restart: `cur` is the start
-    /// state and `T` is empty.
-    untouched: bool,
     succ_scratch: Vec<u32>,
     entry_scratch: Vec<u32>,
     /// Pure states the last counted step exited into.
@@ -747,7 +744,6 @@ impl Cursor {
             cur: 0,
             position: 0,
             stats: HybridStats::default(),
-            untouched: false,
             succ_scratch: Vec::new(),
             entry_scratch: Vec::new(),
             exits: Vec::new(),
@@ -780,16 +776,10 @@ impl Cursor {
     }
 
     /// The start state, counting bytes from absolute offset `position`.
-    /// (The caller empties `T`.) An engine that is still there, on a
-    /// generation that is still written to, moves its position and takes
-    /// no lock: the serving layer restarts every cold engine of a flow
-    /// once per skipped chunk.
+    /// (The caller empties `T`.)
     fn restart_at(&mut self, position: u64) {
         self.position = position;
-        if !self.untouched || self.generation.is_retired() {
-            self.enter(&[0]);
-            self.untouched = true;
-        }
+        self.enter(&[0]);
     }
 
     /// A byte that rides its row but left the row loops — it accepts,
@@ -947,13 +937,13 @@ impl HybridEngine {
     /// Returns to the initial configuration (only `q0` live, no counted
     /// token, the conflict count rewound) but reports subsequent matches
     /// as if the stream started at absolute offset `position` — the
-    /// primitive behind prefilter wake-up, where a cold shard's engine
-    /// teleports past skipped bytes and resumes with a fresh `Σ*`
-    /// frontier (sound because a fresh frontier at any offset is a subset
-    /// of the true frontier there, and over-approximates nothing the
-    /// search form `Σ*·r` would not restart anyway). The rows and
-    /// cumulative byte counters persist, exactly as with
-    /// [`reset`](HybridEngine::reset).
+    /// primitive behind prefilter wake-up, where a cold group's first
+    /// engine starts at the replay point, after bytes no engine saw, with
+    /// a fresh `Σ*` frontier (sound because a fresh frontier at any
+    /// offset is a subset of the true frontier there, and
+    /// over-approximates nothing the search form `Σ*·r` would not
+    /// restart anyway). The rows and cumulative byte counters persist,
+    /// exactly as with [`reset`](HybridEngine::reset).
     pub fn restart_at(&mut self, position: u64) {
         match &mut self.config {
             Config::Rows(rows) => {
@@ -1236,7 +1226,6 @@ struct Lane<'a> {
 fn feed_lanes(lanes: &mut [Lane<'_>]) {
     for lane in lanes.iter_mut() {
         lane.on.at.catch_up();
-        lane.on.at.untouched &= lane.chunk.is_empty();
     }
     // A copy (512 B) rather than a borrow of the shared handle: the
     // miss paths below need the whole cursor.

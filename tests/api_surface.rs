@@ -533,7 +533,6 @@ fn service_handle_signatures() {
     let _: fn(&ServiceHandle) -> Vec<ServiceEvent> = |s| s.drain_global();
     let _: fn(&ServiceHandle) -> ServiceMetrics = |s| s.metrics();
     let _: fn(&ServiceHandle, &Engine) -> u64 = |s, e| s.reload(e);
-    let _: fn(&ServiceHandle, FlowId) -> bool = |s, f| s.is_live(f);
 
     // One error convention: open, push and poll return ServeError
     // values.
@@ -542,8 +541,6 @@ fn service_handle_signatures() {
         |s, f, c| s.push_checked(f, c);
     let _: fn(&ServiceHandle, FlowId) -> Result<Vec<RuleMatch>, ServeError> =
         |s, f| s.poll_checked(f);
-    let _: fn(&ServiceHandle, FlowId) -> bool = |s, f| s.is_quarantined(f);
-    let _: fn(&ServiceHandle) -> Option<String> = |s| s.panic_message();
     let _: fn(ServiceHandle) = ServiceHandle::shutdown;
 
     // FlowId is an opaque generational handle.

@@ -10,7 +10,8 @@ use recama::nca::{Nca, TokenSetEngine};
 use recama::syntax::Parsed;
 use recama::workloads::{generate, BenchmarkId, PatternClass};
 use recama::{
-    Engine, EngineBuilder, FlowId, RuleMatch, ScanMode, ServiceHandle, SetMatch, SetSpan,
+    Engine, EngineBuilder, FlowId, RuleMatch, ScanMode, ServeError, ServiceHandle, SetMatch,
+    SetSpan,
 };
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
@@ -204,6 +205,15 @@ fn as_rules(engine: &Engine, matches: Vec<SetMatch>, base: u64) -> Vec<RuleMatch
         end: m.end as u64 + base,
     };
     matches.into_iter().map(rule_match).collect()
+}
+
+/// Whether `flow` is quarantined, as its producer learns it: an empty
+/// push, which buffers nothing, is refused with the panic's summary.
+pub fn quarantined(svc: &ServiceHandle, flow: FlowId) -> bool {
+    matches!(
+        svc.push_checked(flow, &[]),
+        Err(ServeError::Quarantined { .. })
+    )
 }
 
 /// Splits `data` into uneven deterministic chunks of 1 to `max_len`

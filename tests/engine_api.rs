@@ -41,15 +41,17 @@ fn builder_scan_matches_per_pattern_baseline() {
     run_knobs("haystack", &PATTERNS, &flows, &knobs, &[Driver::Block]);
 }
 
+/// `a{2,4}` over a run of `a`s ends at bytes with several accepting
+/// starts: only the earliest is the span's.
 #[test]
 fn scan_spans_agree_with_per_pattern_spans() {
-    let haystack = b"zzabbc..xyz..abbbc";
+    let haystack = b"zzabbc..xyz..abbbc..aaaaaa.";
     let flows = [Flow::fixed(haystack, haystack.len())];
     let default = Scan::Hybrid(DEFAULT_STATE_BUDGET);
     let knobs = [(default, PrefilterMode::On, ShardPolicy::default())];
     run_knobs(
         "spans",
-        &["ab{2,3}c", "xyz"],
+        &["ab{2,3}c", "xyz", "a{2,4}"],
         &flows,
         &knobs,
         &[Driver::Spans],
@@ -321,7 +323,7 @@ fn service_evicts_idle_flows() {
     assert_eq!(svc.metrics().idle_evictions, 1);
     // The sweep closed this flow (nobody called close()); it stays
     // tracked while it has reports to poll.
-    assert!(svc.is_live(flow));
+    assert_eq!(svc.metrics().flows, 1);
     assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
     // Eviction behaves exactly like close(): reports stay pollable and
     // the $-anchored finishing set resolves at the flow's final byte.
@@ -406,7 +408,7 @@ fn closed_flows_reject_pushes_until_drained_then_reopen() {
         vec![RuleMatch { rule: 0, end: 2 }]
     );
     // Drained: the id is stale for pushes and polls alike.
-    assert!(!svc.is_live(first));
+    assert_eq!(svc.metrics().flows, 0);
     assert_eq!(svc.push_checked(first, b"ab"), Err(ServeError::Closed));
     assert_eq!(svc.poll_checked(first), Err(ServeError::Closed));
     // The slot reopens for a fresh flow at position 0.

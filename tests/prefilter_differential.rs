@@ -547,7 +547,7 @@ mod quarantine {
             }
         }
         svc.barrier();
-        assert!(svc.is_quarantined(flows[1]));
+        assert!(crate::common::quarantined(&svc, flows[1]));
         assert_eq!(svc.metrics().faults.fail_stops, 0);
 
         // Rounds 2–3: only the siblings; their parked mid-literal state

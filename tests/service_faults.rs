@@ -70,9 +70,12 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
     drive(&svc, &flows, chunks);
 
     // The faulted flow (open order 1) is quarantined; nothing else is.
-    assert!(svc.is_quarantined(flows[1]));
+    assert!(common::quarantined(&svc, flows[1]));
     assert_eq!(svc.metrics().faults.fail_stops, 0);
-    assert_eq!(svc.panic_message(), None, "quarantine is not a fail-stop");
+    assert!(
+        svc.push_checked(flows[0], &[]).is_ok(),
+        "quarantine is not a fail-stop"
+    );
 
     let m = svc.metrics();
     assert_eq!(m.faults.quarantined_flows, 1);
@@ -112,7 +115,7 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
     }
     // Close acknowledges the quarantine and reclaims the slot.
     svc.close(flows[1]);
-    assert!(!svc.is_live(flows[1]));
+    assert_eq!(svc.poll_checked(flows[1]), Err(ServeError::Closed));
 
     // The respawned pool still serves fresh traffic.
     let fresh = svc.try_open_flow().unwrap();
@@ -172,7 +175,9 @@ fn randomized_faults_never_leak_into_sibling_flows() {
                 out[i].extend(svc.poll_checked(*flow).unwrap_or_default());
             }
         }
-        let quarantined: Vec<bool> = flows.iter().map(|f| svc.is_quarantined(*f)).collect();
+        let quarantined: Vec<bool> = (flows.iter())
+            .map(|f| common::quarantined(&svc, *f))
+            .collect();
         for (i, flow) in flows.iter().enumerate() {
             svc.close(*flow);
             svc.barrier();
@@ -305,12 +310,12 @@ fn fail_stop_after(budget: u32) {
         "budget {budget}: the last panic fail-stopped"
     );
 
-    let message = svc.panic_message().expect("fail-stop records the payload");
+    let Err(ServeError::Poisoned { message }) = svc.try_open_flow() else {
+        panic!("budget {budget}: a fail-stopped service opens nothing");
+    };
     assert!(message.starts_with("boom-"), "{message}");
     match svc.push_checked(flows[3], b"more") {
-        Err(ServeError::Poisoned { message }) => {
-            assert!(message.starts_with("boom-"), "{message}")
-        }
+        Err(ServeError::Poisoned { message: again }) => assert_eq!(again, message),
         other => panic!("budget {budget}: expected Poisoned, got {other:?}"),
     }
     match svc.try_open_flow() {
@@ -391,7 +396,7 @@ fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
 
     svc.barrier(); // the delayed scan completes; backlog drains
     let admitted = svc.try_open_flow().expect("under the watermark again");
-    assert!(svc.is_live(admitted));
+    assert_eq!(svc.push_checked(admitted, &[]), Ok(0));
     let m = svc.metrics();
     assert_eq!(m.faults.shed_opens, 1, "no further sheds");
     assert_eq!(m.faults.quarantined_flows, 0);
@@ -459,7 +464,7 @@ fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
         assert_eq!(m.in_flight, 0, "{workers} worker(s)");
         assert_eq!(m.faults.quarantined_flows, 1);
         assert_eq!(m.faults.worker_restarts, 1);
-        assert!(svc.is_quarantined(flows[2]));
+        assert!(common::quarantined(&svc, flows[2]));
         for (i, flow) in flows.iter().enumerate().filter(|&(i, _)| i != 2) {
             svc.close(*flow);
             assert_eq!(
@@ -579,7 +584,10 @@ fn a_panic_in_a_barrier_callers_scan_is_charged_like_a_workers() {
         svc.push_checked(flows[2], chunk).unwrap();
         let settled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.barrier()));
         let m = svc.metrics();
-        assert!(svc.is_quarantined(flows[1]), "budget {restart_budget}");
+        assert!(
+            common::quarantined(&svc, flows[1]),
+            "budget {restart_budget}"
+        );
         assert_eq!(m.faults.quarantined_flows, 1);
         assert!(m.caller_units >= 1, "the caller scanned flow 2: {m:?}");
         if restart_budget == 0 {

@@ -107,7 +107,7 @@ fn produce(svc: &ServiceHandle, p: usize) -> Polled {
             }
             svc.close(flow);
             svc.barrier();
-            quarantined |= svc.is_quarantined(flow);
+            quarantined |= common::quarantined(svc, flow);
             if let Ok(hits) = svc.poll_checked(flow) {
                 got.extend(hits);
             }

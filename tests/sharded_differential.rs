@@ -125,11 +125,18 @@ fn streaming_matches_survive_pathological_boundaries_under_sharding() {
 }
 
 /// Spans of a four-group set and of the one-group set (same code path,
-/// N = 1).
+/// N = 1). One more rule, `a{2,4}`, and one more flow, a run of `a`s,
+/// give ends with several accepting starts: only the earliest is the
+/// span's.
 #[test]
 fn set_spans_equal_per_pattern_spans() {
-    let (rules, input) = profile_traffic(BenchmarkId::Suricata, 0.002, 13, 120, 2048, 0.004);
-    let flows = [Flow::fixed(&input, input.len())];
+    let (mut rules, input) = profile_traffic(BenchmarkId::Suricata, 0.002, 13, 120, 2048, 0.004);
+    rules.push("a{2,4}".into());
+    let run = b"..aaaaaa.aaa.";
+    let flows = [
+        Flow::fixed(&input, input.len()),
+        Flow::fixed(run, run.len()),
+    ];
     for scan in [Scan::Groups(4), Scan::Hybrid(DEFAULT_STATE_BUDGET)] {
         let knobs = [(scan, PrefilterMode::On, ShardPolicy::Single)];
         run_knobs("Suricata seed 13", &rules, &flows, &knobs, &[Driver::Spans]);
