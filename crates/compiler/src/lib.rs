@@ -28,6 +28,6 @@ mod pipeline;
 pub use codegen::emit;
 pub use pipeline::{
     compile, compile_ruleset, merge_rule_networks, CompileOptions, CompileOutput, CompileReport,
-    ModuleKind, RulesetOutput, COUNTER_MAX_BOUND,
+    ModuleKind, RulesetOutput, BITVECTOR_MAX_BOUND, COUNTER_MAX_BOUND,
 };
 pub use recama_analysis::DecidedBy;

@@ -21,17 +21,18 @@ use recama_syntax::{normalize_for_nca, Regex};
 /// Largest value the 17-bit hardware counter module can hold (Table 2).
 pub const COUNTER_MAX_BOUND: u32 = (1 << 17) - 1;
 
-/// Default physical bit-vector module length (Table 2: 2000-bit vector).
-pub(crate) const BITVECTOR_DEFAULT_CAPACITY: u32 = 2000;
+/// Largest repetition bound the 2000-bit bit-vector module supports
+/// (Table 2).
+pub const BITVECTOR_MAX_BOUND: u32 = 2000;
 
-/// Compiler configuration.
+/// Compiler configuration: what a caller chooses. The module sizes are
+/// the hardware's (Table 2), [`COUNTER_MAX_BOUND`] and
+/// [`BITVECTOR_MAX_BOUND`], not options.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
     /// Which counting occurrences to unfold eagerly (the Fig. 9 threshold).
     /// `None` (the default) unfolds nothing beyond the `< 2` rewrites.
     pub unfold: UnfoldPolicy,
-    /// Largest repetition bound a bit-vector module supports.
-    pub bitvector_capacity: u32,
     /// Token-pair budget of *each* product exploration the analysis runs:
     /// per analyze→decide→unfold iteration, one relaxed pass per counting
     /// occurrence (none for a sole occurrence) and at most one exact pass,
@@ -48,7 +49,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             unfold: UnfoldPolicy::None,
-            bitvector_capacity: BITVECTOR_DEFAULT_CAPACITY,
             analysis_budget: 2_000_000,
         }
     }
@@ -164,7 +164,7 @@ pub fn compile(regex: &Regex, options: &CompileOptions) -> CompileOutput {
                     Decision::Counter
                 } else if info.single_class_body.is_some()
                     && info.max.is_some()
-                    && bound <= options.bitvector_capacity
+                    && bound <= BITVECTOR_MAX_BOUND
                 {
                     Decision::BitVector
                 } else {

@@ -124,31 +124,6 @@ pub struct SkippedRule {
     pub error: ParseError,
 }
 
-/// High-watermark overload shedding for an owned [`ServiceHandle`] —
-/// the policy behind [`ServeConfig::overload`].
-///
-/// When the watermark is reached the service is *overloaded*:
-/// [`try_open_flow`](ServiceHandle::try_open_flow) sheds new opens
-/// (returning [`ServeError::Overloaded`](crate::ServeError::Overloaded)
-/// and counting
-/// [`shed_opens`](crate::FaultMetrics::shed_opens)) instead of
-/// admitting more traffic into an already-drowning queue. The default
-/// policy disables the watermark — nothing sheds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct OverloadPolicy {
-    /// Buffered-but-unscanned bytes (the service-wide
-    /// [`pending_bytes`](crate::ServiceMetrics::pending_bytes)) at or
-    /// above which new opens are shed. `None` (default) disables the
-    /// watermark.
-    pub max_pending_bytes: Option<u64>,
-    /// Evict the least-recently-pushed drained open flow whenever an
-    /// open is shed, so sustained overload reclaims capacity instead of
-    /// only refusing work. Evictions are counted in
-    /// [`budget_evictions`](crate::ServiceMetrics::budget_evictions).
-    /// Default `false`.
-    pub evict_on_shed: bool,
-}
-
 /// Configuration of an owned [`ServiceHandle`] (see
 /// [`Engine::serve_with`]): the per-flow byte budget and idle timeout,
 /// plus the bounded-flow-table, fault-tolerance, and overload-shedding
@@ -183,6 +158,15 @@ pub struct ServeConfig {
     /// `Poll::Pending` (and counts backpressure) once accepting the
     /// chunk would push the service's total buffered bytes past this.
     pub max_buffered_bytes: u64,
+    /// High watermark of buffered-but-unscanned bytes (the service-wide
+    /// [`pending_bytes`](crate::ServiceMetrics::pending_bytes)) at or
+    /// above which [`try_open_flow`](ServiceHandle::try_open_flow) sheds
+    /// new opens: it returns
+    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) and
+    /// counts [`shed_opens`](crate::FaultMetrics::shed_opens) instead of
+    /// admitting a flow the backlog cannot serve. Shedding closes no
+    /// flow. `None` (default) disables the watermark.
+    pub max_pending_bytes: Option<u64>,
     /// How many scan panics the service absorbs. A scan panic
     /// **quarantines only the offending flow** (its engines are freed
     /// with its hold on their epoch, its already-merged reports stay pollable,
@@ -190,24 +174,15 @@ pub struct ServeConfig {
     /// [`poll_checked`](ServiceHandle::poll_checked) on it return a
     /// [`ServeError::Quarantined`](crate::ServeError::Quarantined)
     /// carrying the panic message) while every other flow keeps
-    /// flowing. Each panic costs one restart: a worker's is respawned
-    /// after [`restart_backoff`](ServeConfig::restart_backoff), a
-    /// [`barrier`](crate::ServiceHandle::barrier) caller's respawns
-    /// nothing. Once the budget is spent the service fails stop: it is
+    /// flowing. Each panic costs one restart: the worker that caught it
+    /// re-enters its loop at once, a
+    /// [`barrier`](crate::ServiceHandle::barrier) caller steps on. Once
+    /// the budget is spent the service fails stop: it is
     /// poisoned and every later call reports it (counted in
     /// [`fail_stops`](crate::FaultMetrics::fail_stops)). Default `8`.
     /// `0` is fail-stop: the first panic quarantines its flow, then
     /// poisons the service.
     pub restart_budget: u32,
-    /// Base delay before a panicked worker is respawned; it doubles on
-    /// every consecutive restart of the same worker seat (capped at
-    /// 2¹⁶×), so a crash-looping workload degrades into a slow trickle
-    /// instead of a hot spin. Default `1ms`; `Duration::ZERO` respawns
-    /// immediately.
-    pub restart_backoff: Duration,
-    /// High-watermark overload shedding (see [`OverloadPolicy`]).
-    /// Default: the watermark disabled — nothing sheds.
-    pub overload: OverloadPolicy,
 }
 
 impl Default for ServeConfig {
@@ -217,9 +192,8 @@ impl Default for ServeConfig {
             idle_timeout: None,
             max_flows: 1 << 20, // ~10^6 concurrent flows
             max_buffered_bytes: 1 << 30,
+            max_pending_bytes: None,
             restart_budget: 8,
-            restart_backoff: Duration::from_millis(1),
-            overload: OverloadPolicy::default(),
         }
     }
 }
@@ -233,20 +207,9 @@ pub struct EngineBuilder {
     policy: ShardPolicy,
     lossy: bool,
     scan_mode: ScanMode,
-    prefilter: Option<PrefilterMode>,
+    prefilter: PrefilterMode,
     #[cfg(feature = "fault-inject")]
     faults: FaultPlan,
-}
-
-/// The prefilter default when [`EngineBuilder::prefilter`] was never
-/// called: [`PrefilterMode::On`] unless `RECAMA_PREFILTER` disables it.
-fn env_prefilter_mode() -> PrefilterMode {
-    match std::env::var("RECAMA_PREFILTER") {
-        Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false") => {
-            PrefilterMode::Off
-        }
-        _ => PrefilterMode::On,
-    }
 }
 
 impl EngineBuilder {
@@ -277,8 +240,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the [`CompileOptions`] (unfolding threshold, bit-vector
-    /// capacity, analysis budget).
+    /// Sets the [`CompileOptions`] (unfolding threshold, analysis
+    /// budget).
     pub fn options(mut self, options: CompileOptions) -> EngineBuilder {
         self.options = options;
         self
@@ -330,15 +293,9 @@ impl EngineBuilder {
     /// handles then skip any `(flow, group)` unit for which the filter has seen
     /// no candidate — with output byte-identical to
     /// [`PrefilterMode::Off`], which disables the filter entirely (the
-    /// escape hatch, and the measuring stick for the filter's effect).
-    ///
-    /// When this knob is never called, the default also honors the
-    /// `RECAMA_PREFILTER` environment variable (`off`/`0`/`false`
-    /// disable the filter) — the no-recompile operational escape hatch,
-    /// which CI uses to run the whole suite with the filter disabled.
-    /// An explicit call always wins over the environment.
+    /// measuring stick for the filter's effect).
     pub fn prefilter(mut self, mode: PrefilterMode) -> EngineBuilder {
-        self.prefilter = Some(mode);
+        self.prefilter = mode;
         self
     }
 
@@ -401,7 +358,7 @@ impl EngineBuilder {
             &self.options,
             self.policy,
             self.scan_mode,
-            self.prefilter.unwrap_or_else(env_prefilter_mode),
+            self.prefilter,
         );
         Ok(Engine {
             set: Arc::new(set),

@@ -53,9 +53,7 @@ pub mod sched;
 mod service;
 mod set;
 
-pub use engine::{
-    CompileError, CompilePhase, Engine, EngineBuilder, OverloadPolicy, ServeConfig, SkippedRule,
-};
+pub use engine::{CompileError, CompilePhase, Engine, EngineBuilder, ServeConfig, SkippedRule};
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
 pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
 pub use sched::{FlowMatch, FlowScheduler};

@@ -59,8 +59,8 @@ pub enum PrefilterMode {
     #[default]
     On,
     /// Never consult the filter: every unit scans every byte. The
-    /// escape hatch for measuring the filter's effect (and the mode CI
-    /// exercises to pin the identity).
+    /// measuring stick for the filter's effect, and the other half of
+    /// every identity the differential suites pin.
     Off,
 }
 

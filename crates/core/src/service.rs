@@ -253,11 +253,12 @@ pub struct FaultMetrics {
     pub quarantined_flows: u64,
     /// Scan panics absorbed within
     /// [`restart_budget`](crate::ServeConfig::restart_budget): a worker
-    /// thread respawned, or a [`barrier`](ServiceHandle::barrier) caller
-    /// whose own scan panicked stepped on.
+    /// that re-entered its loop, or a [`barrier`](ServiceHandle::barrier)
+    /// caller whose own scan panicked stepped on.
     pub worker_restarts: u64,
-    /// [`try_open_flow`](ServiceHandle::try_open_flow) calls shed by
-    /// the [`overload`](crate::ServeConfig::overload) policy.
+    /// [`try_open_flow`](ServiceHandle::try_open_flow) calls shed at the
+    /// [`max_pending_bytes`](crate::ServeConfig::max_pending_bytes)
+    /// watermark.
     pub shed_opens: u64,
     /// Transitions into fail-stop poisoning: a scan panic past the
     /// [`restart_budget`](crate::ServeConfig::restart_budget). 0 or 1:
@@ -289,8 +290,9 @@ pub enum ServeError {
         /// Summary of the first worker panic payload.
         message: String,
     },
-    /// The [`overload`](crate::ServeConfig::overload) high-watermark
-    /// policy shed this open.
+    /// The open was shed at the
+    /// [`max_pending_bytes`](crate::ServeConfig::max_pending_bytes)
+    /// high watermark.
     Overloaded,
     /// The flow id is closed, stale, or unknown.
     Closed,
@@ -307,7 +309,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Poisoned { message } => {
                 write!(f, "service poisoned by a worker panic: {message}")
             }
-            ServeError::Overloaded => write!(f, "open shed by the overload policy"),
+            ServeError::Overloaded => write!(f, "open shed at the pending-bytes watermark"),
             ServeError::Closed => write!(f, "flow is closed, stale, or unknown"),
             ServeError::Stopped => write!(f, "service has no consuming workers"),
         }
@@ -778,14 +780,6 @@ impl ServeState {
             self.open_count -= 1;
         }
         self.hybrid_retired.merge(&retired);
-    }
-
-    /// Whether the [`overload`](crate::ServeConfig::overload)
-    /// high-watermark policy sheds new opens right now.
-    fn overloaded(&self, cfg: &ServeConfig) -> bool {
-        cfg.overload
-            .max_pending_bytes
-            .is_some_and(|hw| self.buffered_total >= hw)
     }
 
     /// The panic summary for poisoned-path messages.
@@ -1603,8 +1597,7 @@ impl ServiceCore {
     /// payload fail-stops the service and every waiter is woken. Returns
     /// whether the budget absorbed it. The resident worker's supervisor
     /// and a [`barrier`](ServiceHandle::barrier) caller whose own scan
-    /// panicked both charge here; only the supervisor then backs off,
-    /// since only it respawns a thread.
+    /// panicked both charge here.
     fn charge_restart(&self, st: &mut ServeState, payload: &(dyn Any + Send)) -> bool {
         if st.restarts >= self.config.restart_budget || st.shutdown {
             st.fail_stop(payload);
@@ -1622,7 +1615,7 @@ impl ServiceCore {
 /// One supervised pass of the resident worker loop: sweep, step, park
 /// when idle, return on shutdown. The scan panics a step isolated (the
 /// offending flows are already quarantined) end the pass and go back to
-/// [`supervised_worker`], which respawns the loop under the restart
+/// [`supervised_worker`], which re-enters the loop under the restart
 /// budget; a clean shutdown returns none.
 fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
     let cfg = core.config;
@@ -1651,17 +1644,16 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
     }
 }
 
-/// The worker thread body: reruns [`worker_loop`] across panics.
+/// The worker thread body: reruns [`worker_loop`] across panics, on the
+/// same thread.
 ///
 /// Each panic of a pass (a batch may hold several, each already
 /// quarantined) is charged to the restart budget
 /// ([`ServiceCore::charge_restart`]). While the budget absorbs it, the
-/// loop respawns after an exponential backoff — starting at
-/// [`restart_backoff`](ServeConfig::restart_backoff) and doubling per
-/// restart this thread has absorbed (saturating; exponent capped).
-/// Otherwise the service has fail-stopped and the thread exits.
+/// loop is re-entered at once: the flows the panic touched are already
+/// quarantined, so a pause would only stall the flows that did not
+/// fault. Otherwise the service has fail-stopped and the thread exits.
 fn supervised_worker(core: &ServiceCore) {
-    let mut consecutive: u32 = 0;
     loop {
         let payloads = match catch_unwind(AssertUnwindSafe(|| worker_loop(core))) {
             Ok(payloads) if payloads.is_empty() => return, // clean shutdown
@@ -1671,12 +1663,6 @@ fn supervised_worker(core: &ServiceCore) {
         for payload in payloads {
             if !core.charge_restart(&mut core.lock(), payload.as_ref()) {
                 return;
-            }
-            consecutive += 1;
-            let base = core.config.restart_backoff;
-            let backoff = base.saturating_mul(1u32 << (consecutive - 1).min(16));
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
             }
         }
     }
@@ -1873,13 +1859,11 @@ impl ServiceHandle {
     /// # Errors
     ///
     /// The open is shed — [`ServeError::Overloaded`] — while the
-    /// service is past the [`overload`](crate::ServeConfig::overload)
-    /// high watermark (pending bytes), instead of
-    /// admitting a flow the backlog cannot serve. With
-    /// [`evict_on_shed`](crate::OverloadPolicy::evict_on_shed) set, a
-    /// shed open also evicts the least-recently-pushed drained flow,
-    /// so the table self-heals under sustained overload. Poisoning
-    /// surfaces as [`ServeError::Poisoned`].
+    /// service's pending bytes are at or past the
+    /// [`max_pending_bytes`](crate::ServeConfig::max_pending_bytes)
+    /// high watermark, instead of admitting a flow the backlog cannot
+    /// serve. A shed open closes no flow. Poisoning surfaces as
+    /// [`ServeError::Poisoned`].
     pub fn try_open_flow(&self) -> Result<FlowId, ServeError> {
         let mut st = self.core.lock();
         if st.poisoned {
@@ -1887,13 +1871,9 @@ impl ServiceHandle {
                 message: st.panic_summary().to_string(),
             });
         }
-        if st.overloaded(&self.core.config) {
+        let watermark = self.core.config.max_pending_bytes;
+        if watermark.is_some_and(|hw| st.buffered_total >= hw) {
             st.metrics.shed_opens += 1;
-            let evicted = self.core.config.overload.evict_on_shed && st.evict_lru();
-            if evicted && st.signal_space() {
-                drop(st);
-                self.core.space.notify_all(); // a blocked producer's flow may be the one closed
-            }
             return Err(ServeError::Overloaded);
         }
         // A budget eviction may close a blocked producer's flow.
@@ -1999,8 +1979,8 @@ impl ServiceHandle {
     /// workers ([`ServiceMetrics::caller_units`] counts its share). A
     /// scan panic on the caller is handled as a worker's would be: the
     /// flow is quarantined and the panic costs one restart of the
-    /// [`restart_budget`](crate::ServeConfig::restart_budget), with no
-    /// backoff — or fail-stops the service once the budget is spent.
+    /// [`restart_budget`](crate::ServeConfig::restart_budget) — or
+    /// fail-stops the service once the budget is spent.
     ///
     /// # Panics
     ///
@@ -2267,6 +2247,23 @@ mod tests {
         assert_eq!(st.buffered_total, 0);
         let flow = st.flow(flow).expect("still open");
         assert_eq!(flow.reports, [RuleMatch { rule: 0, end: 39 }]);
+
+        // The service-wide budget binds across flows: a flow that
+        // buffers nothing is refused once the total would pass it, and
+        // accepted again once the other flow's bytes are scanned.
+        let cfg = ServeConfig {
+            max_buffered_bytes: 8,
+            ..ServeConfig::default()
+        };
+        let mut st = state("ab", PrefilterMode::Off);
+        let (one, two) = (st.open(&cfg), st.open(&cfg));
+        assert_eq!(st.try_push_at(one, b"123456", &cfg), Poll::Ready(6));
+        assert_eq!(st.try_push_at(two, b"abc", &cfg), Poll::Pending);
+        assert_eq!(st.metrics.backpressure, 1);
+        assert_eq!(st.buffered_total, 6);
+        drain(&mut st);
+        assert_eq!(st.try_push_at(two, b"abc", &cfg), Poll::Ready(3));
+        assert_eq!(st.metrics.backpressure, 1);
     }
 
     #[test]

@@ -161,8 +161,8 @@ fn main() {
     }
     // The fault-tolerance counters a pager would alarm on. A healthy
     // deployment shows zeros: no flow quarantined by a scan panic, no
-    // worker respawned, no open shed by the overload policy, and no
-    // fail-stop transition.
+    // worker restart, no open shed at the pending-bytes watermark, and
+    // no fail-stop transition.
     let faults = metrics.faults;
     println!(
         "fault counters: {} quarantined flow(s), {} worker restart(s), \

@@ -19,7 +19,8 @@ use recama::analysis::{
     DecidedBy, ExactConfig, Method, NcaAnalysis, StopPolicy, Verdict,
 };
 use recama::compiler::{
-    compile, compile_ruleset, emit, CompileOptions, ModuleKind, COUNTER_MAX_BOUND,
+    compile, compile_ruleset, emit, CompileOptions, ModuleKind, BITVECTOR_MAX_BOUND,
+    COUNTER_MAX_BOUND,
 };
 use recama::nca::{
     unfold, unfold_one, CompilePlan, MultiNca, Nca, StateId, TokenSetEngine, UnfoldPolicy,
@@ -378,7 +379,7 @@ fn reference_compile(
                     Pick::Counter
                 } else if info.single_class_body.is_some()
                     && info.max.is_some()
-                    && bound <= options.bitvector_capacity
+                    && bound <= BITVECTOR_MAX_BOUND
                 {
                     Pick::BitVector
                 } else {

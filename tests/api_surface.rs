@@ -20,14 +20,14 @@ use recama::compiler::{CompileOptions, CompileOutput};
 use recama::hw::{HwSimulator, RuleCost, ShardBudget, ShardPlan, ShardPolicy};
 use recama::mnrl::MnrlNetwork;
 use recama::nca::{
-    CompilePlan, HybridCache, HybridEngine, MultiNca, MultiReport, Nca, ShardedMulti,
+    CompilePlan, HybridCache, HybridEngine, MultiNca, MultiReport, Nca, ShardedMulti, UnfoldPolicy,
 };
 use recama::syntax::{ByteAlphabet, ParseError};
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FlowId, FlowMatch,
-    FlowScheduler, HybridStats, OverloadPolicy, PrefilterMetrics, PrefilterMode, RuleMatch,
-    ServeConfig, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics, SetMatch, SetSpan,
-    ShardedPatternSet, ShardedSetStream, SkippedRule,
+    FlowScheduler, HybridStats, PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig,
+    ServeError, ServiceEvent, ServiceHandle, ServiceMetrics, SetMatch, SetSpan, ShardedPatternSet,
+    ShardedSetStream, SkippedRule,
 };
 use std::task::Poll;
 use std::time::Duration;
@@ -48,7 +48,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "FlowMatch",
     "FlowScheduler",
     "HybridStats",
-    "OverloadPolicy",
     "PrefilterMetrics",
     "PrefilterMode",
     "RuleMatch",
@@ -97,6 +96,7 @@ const ANALYSIS_EXPORTS: &[&str] = &[
 ];
 
 const COMPILER_EXPORTS: &[&str] = &[
+    "BITVECTOR_MAX_BOUND",
     "COUNTER_MAX_BOUND",
     "CompileOptions",
     "CompileOutput",
@@ -601,48 +601,37 @@ fn pin_skipped_rule(s: SkippedRule) -> (usize, u64, String, ParseError) {
     (index, id, pattern, error)
 }
 
-/// The eight settable values of a service: six on [`ServeConfig`], two
-/// on its [`OverloadPolicy`].
+/// The six settable values of a service.
 #[allow(dead_code)]
 #[allow(clippy::type_complexity)] // the pin IS the explicit shape
-fn pin_serve_config(
-    c: ServeConfig,
-) -> (
-    usize,
-    Option<Duration>,
-    usize,
-    u64,
-    u32,
-    Duration,
-    OverloadPolicy,
-) {
+fn pin_serve_config(c: ServeConfig) -> (usize, Option<Duration>, usize, u64, Option<u64>, u32) {
     let ServeConfig {
         flow_budget,
         idle_timeout,
         max_flows,
         max_buffered_bytes,
+        max_pending_bytes,
         restart_budget,
-        restart_backoff,
-        overload,
     } = c;
     (
         flow_budget,
         idle_timeout,
         max_flows,
         max_buffered_bytes,
+        max_pending_bytes,
         restart_budget,
-        restart_backoff,
-        overload,
     )
 }
 
+/// The two settable values of a compile; the module sizes are
+/// constants.
 #[allow(dead_code)]
-fn pin_overload_policy(o: OverloadPolicy) -> (Option<u64>, bool) {
-    let OverloadPolicy {
-        max_pending_bytes,
-        evict_on_shed,
+fn pin_compile_options(o: CompileOptions) -> (UnfoldPolicy, u64) {
+    let CompileOptions {
+        unfold,
+        analysis_budget,
     } = o;
-    (max_pending_bytes, evict_on_shed)
+    (unfold, analysis_budget)
 }
 
 #[allow(dead_code)]

@@ -301,40 +301,46 @@ fn blocking_push_streams_a_large_flow_through_a_small_budget() {
     assert_eq!(hits[0], RuleMatch { rule: 0, end: 22 });
 }
 
+/// An idle flow is closed by the sweep like an explicit close, with
+/// the filter on (its unit skips the quiet bytes) and off (every byte
+/// waits for a scan).
 #[test]
 fn service_evicts_idle_flows() {
-    let engine = Engine::new(["ab$", "ab"]).unwrap();
-    let svc = engine.serve_with(
-        1,
-        ServeConfig {
-            idle_timeout: Some(Duration::from_millis(20)),
-            ..ServeConfig::default()
-        },
-    );
-    let flow = svc.try_open_flow().unwrap();
-    assert_eq!(svc.try_push(flow, b"..ab"), Poll::Ready(4));
-    svc.barrier();
-    // Go quiet: the parked worker's periodic sweep must close the
-    // flow. Wait generously for slow CI machines.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while svc.metrics().idle_evictions == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        let builder = Engine::builder().patterns(["ab$", "ab"]).prefilter(mode);
+        let engine = builder.build().unwrap();
+        let svc = engine.serve_with(
+            1,
+            ServeConfig {
+                idle_timeout: Some(Duration::from_millis(20)),
+                ..ServeConfig::default()
+            },
+        );
+        let flow = svc.try_open_flow().unwrap();
+        assert_eq!(svc.try_push(flow, b"..ab"), Poll::Ready(4));
+        svc.barrier();
+        // Go quiet: the parked worker's periodic sweep must close the
+        // flow. Wait generously for slow CI machines.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while svc.metrics().idle_evictions == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(svc.metrics().idle_evictions, 1, "{mode:?}");
+        // The sweep closed this flow (nobody called close()); it stays
+        // tracked while it has reports to poll.
+        assert_eq!(svc.metrics().flows, 1);
+        assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
+        // Eviction behaves exactly like close(): reports stay pollable and
+        // the $-anchored finishing set resolves at the flow's final byte.
+        assert_eq!(
+            svc.poll_checked(flow).unwrap(),
+            vec![RuleMatch { rule: 0, end: 4 }, RuleMatch { rule: 1, end: 4 }]
+        );
+        assert_eq!(svc.finishing(flow), vec![RuleMatch { rule: 0, end: 4 }]);
+        // Fully drained: the flow entry is gone and its id went stale.
+        assert_eq!(svc.metrics().flows, 0);
+        assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
     }
-    assert_eq!(svc.metrics().idle_evictions, 1);
-    // The sweep closed this flow (nobody called close()); it stays
-    // tracked while it has reports to poll.
-    assert_eq!(svc.metrics().flows, 1);
-    assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
-    // Eviction behaves exactly like close(): reports stay pollable and
-    // the $-anchored finishing set resolves at the flow's final byte.
-    assert_eq!(
-        svc.poll_checked(flow).unwrap(),
-        vec![RuleMatch { rule: 0, end: 4 }, RuleMatch { rule: 1, end: 4 }]
-    );
-    assert_eq!(svc.finishing(flow), vec![RuleMatch { rule: 0, end: 4 }]);
-    // Fully drained: the flow entry is gone and its id went stale.
-    assert_eq!(svc.metrics().flows, 0);
-    assert_eq!(svc.push_checked(flow, b"ab"), Err(ServeError::Closed));
 }
 
 /// Regression pin: the idle sweep is due-gated inside the worker loop,

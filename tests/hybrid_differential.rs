@@ -249,7 +249,7 @@ fn snort_profile_fallback_is_bounded() {
     let ruleset = generate(BenchmarkId::Snort, 0.02, 2022);
     let builder = Engine::builder()
         .patterns(ruleset.pattern_strings())
-        // The counts must not depend on the `RECAMA_PREFILTER` leg.
+        // The filter off: every unit scans every byte.
         .prefilter(PrefilterMode::Off)
         .lossy(true);
     let engine = in_scan_groups(builder, 4);

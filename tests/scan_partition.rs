@@ -28,7 +28,10 @@ fn scan_side(engine: &Engine, input: &[u8]) -> (ShardPlan, Vec<SetMatch>, u64, u
         sched.push(1, chunk);
         sched.run();
     }
-    let filter_bytes = sched.prefilter_stats().map_or(0, |pf| pf.filter_bytes);
+    let filter_bytes = sched
+        .prefilter_stats()
+        .expect("the filter is on")
+        .filter_bytes;
     let rows = sched.hybrid_stats().expect("hybrid by default").dfa_states;
     (
         engine.scan_groups().clone(),

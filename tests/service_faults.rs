@@ -19,16 +19,17 @@ mod common;
 
 use common::scan_oracle;
 use recama::{
-    Engine, FaultPlan, FlowId, OverloadPolicy, RuleMatch, ServeConfig, ServeError, ServiceHandle,
+    Engine, FaultPlan, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceHandle,
     ServiceMetrics,
 };
 use std::time::Duration;
 
-fn engine_with(plan: FaultPlan) -> Engine {
+fn engine_with(plan: FaultPlan, mode: PrefilterMode) -> Engine {
     Engine::builder()
         .rule(10, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(30, "k[0-9]{2,4}m")
+        .prefilter(mode)
         .fault_plan(plan)
         .build()
         .unwrap()
@@ -57,13 +58,21 @@ fn assert_clean(m: &ServiceMetrics) {
 }
 
 /// One injected panic quarantines exactly its flow: siblings stay
-/// byte-identical to the oracle, the worker respawns, the service
-/// never poisons, and the faulted flow's error carries the payload.
+/// byte-identical to the oracle, the worker re-enters its loop, the
+/// service never poisons, and the faulted flow's error carries the
+/// payload. With the filter off the faulted flow still buffers bytes
+/// when it is quarantined.
 #[test]
 fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        one_panic_quarantines_one_flow(mode);
+    }
+}
+
+fn one_panic_quarantines_one_flow(mode: PrefilterMode) {
     let chunks: &[&[u8]] = &[b".abbc.", b"k12m..", b"xyz.ab", b"bc.xyz"];
     let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: flow 1 dies at scan 2");
-    let engine = engine_with(plan);
+    let engine = engine_with(plan, mode);
     let svc = engine.serve_with(2, ServeConfig::default());
 
     let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
@@ -117,7 +126,7 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
     svc.close(flows[1]);
     assert_eq!(svc.poll_checked(flows[1]), Err(ServeError::Closed));
 
-    // The respawned pool still serves fresh traffic.
+    // The pool still serves fresh traffic.
     let fresh = svc.try_open_flow().unwrap();
     svc.push_checked(fresh, b".abbc.").unwrap();
     svc.close(fresh);
@@ -149,12 +158,11 @@ fn randomized_faults_never_leak_into_sibling_flows() {
     /// Runs the fixed schedule and returns each flow's full drained
     /// output, or `None` for a quarantined flow.
     fn run(workers: usize, plan: FaultPlan, reload_to: &Engine) -> Vec<Option<Vec<RuleMatch>>> {
-        let engine = engine_with(plan);
+        let engine = engine_with(plan, PrefilterMode::On);
         let svc = engine.serve_with(
             workers,
             ServeConfig {
                 restart_budget: 64,
-                restart_backoff: Duration::ZERO,
                 ..ServeConfig::default()
             },
         );
@@ -223,7 +231,7 @@ fn randomized_faults_never_leak_into_sibling_flows() {
                 plan = plan.panic_at(flow, 0, scan, format!("chaos f{flow}s{scan}"));
             }
 
-            let reload_to = engine_with(FaultPlan::new());
+            let reload_to = engine_with(FaultPlan::new(), PrefilterMode::On);
             let baseline = run(workers, FaultPlan::new(), &reload_to);
             let chaotic = run(workers, plan, &reload_to);
 
@@ -262,12 +270,11 @@ fn fail_stop_after(budget: u32) {
     let plan = (0..=u64::from(budget)).fold(FaultPlan::new(), |plan, flow| {
         plan.panic_at(flow, 0, 1, format!("boom-{flow}"))
     });
-    let engine = engine_with(plan);
+    let engine = engine_with(plan, PrefilterMode::On);
     let svc = engine.serve_with(
         2,
         ServeConfig {
             restart_budget: budget,
-            restart_backoff: Duration::from_micros(100),
             ..ServeConfig::default()
         },
     );
@@ -334,7 +341,7 @@ fn injected_delays_change_timing_but_not_output() {
         .delay_at(0, 0, 1, Duration::from_millis(30))
         .delay_at(2, 0, 2, Duration::from_millis(30));
     assert!(!plan.is_empty());
-    let engine = engine_with(plan);
+    let engine = engine_with(plan, PrefilterMode::On);
     let svc = engine.serve_with(2, ServeConfig::default());
 
     let flows: Vec<FlowId> = (0..3).map(|_| svc.try_open_flow().unwrap()).collect();
@@ -353,25 +360,23 @@ fn injected_delays_change_timing_but_not_output() {
 }
 
 /// Overload shedding: while a (delay-pinned) backlog keeps
-/// `pending_bytes` above the high watermark, `try_open_flow` sheds —
-/// and with `evict_on_shed`, each shed open evicts the LRU drained
-/// flow. Once the backlog drains, opens are admitted again.
+/// `pending_bytes` above the high watermark, `try_open_flow` sheds, and
+/// a shed open closes no flow: a drained flow buffers no bytes, so
+/// closing it could not lower the watermark. Once the backlog drains,
+/// opens are admitted again.
 #[test]
 fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
     let plan = FaultPlan::new().delay_at(1, 0, 1, Duration::from_millis(300));
-    let engine = engine_with(plan);
+    let engine = engine_with(plan, PrefilterMode::On);
     let svc = engine.serve_with(
         2,
         ServeConfig {
-            overload: OverloadPolicy {
-                max_pending_bytes: Some(1),
-                evict_on_shed: true,
-            },
+            max_pending_bytes: Some(1),
             ..ServeConfig::default()
         },
     );
 
-    let idle = svc.try_open_flow().unwrap(); // seq 0: drained, the LRU eviction victim
+    let idle = svc.try_open_flow().unwrap(); // seq 0: drained, the least recently pushed
     let busy = svc.try_open_flow().unwrap(); // seq 1: its first scan stalls 300ms
     svc.push_checked(busy, b".abbc.").unwrap();
 
@@ -382,16 +387,12 @@ fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
     }
     let m = svc.metrics();
     assert_eq!(m.faults.shed_opens, 1);
-    assert_eq!(
-        m.budget_evictions, 1,
-        "evict_on_shed reclaims the LRU drained flow"
-    );
-    // The one eviction took the idle drained flow: it is closed though
-    // nobody called close().
+    assert_eq!(m.budget_evictions, 0, "a shed open evicts nothing");
+    // The idle drained flow is still open and takes input.
     assert_eq!(
         svc.push_checked(idle, b"x"),
-        Err(ServeError::Closed),
-        "the idle drained flow was the victim"
+        Ok(1),
+        "the idle drained flow survives the shed"
     );
 
     svc.barrier(); // the delayed scan completes; backlog drains
@@ -428,7 +429,7 @@ fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
     };
     for faulted in 0..4u64 {
         let plan = FaultPlan::new().panic_at(faulted, 0, 2, "injected: one unit of a batch");
-        let engine = engine_with(plan);
+        let engine = engine_with(plan, PrefilterMode::On);
         let sched = engine.scheduler_with(1);
         for (round, chunk) in chunks.iter().enumerate() {
             for flow in 0..4u64 {
@@ -456,7 +457,7 @@ fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
     }
     for workers in [1, 2] {
         let plan = FaultPlan::new().panic_at(2, 0, 2, "injected: flow 2 dies at scan 2");
-        let engine = engine_with(plan);
+        let engine = engine_with(plan, PrefilterMode::On);
         let svc = engine.serve_with(workers, ServeConfig::default());
         let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
         drive(&svc, &flows, chunks);
@@ -494,7 +495,7 @@ fn batch_scheduler_quarantines_the_faulted_flow_and_rethrows_once_settled() {
     };
     for workers in [1usize, 3] {
         let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: batch flow 1 dies at scan 2");
-        let engine = engine_with(plan);
+        let engine = engine_with(plan, PrefilterMode::On);
         let sched = engine.scheduler_with(workers);
 
         for (round, chunk) in chunks.iter().enumerate() {
@@ -562,7 +563,7 @@ fn a_panic_in_a_barrier_callers_scan_is_charged_like_a_workers() {
         let plan = FaultPlan::new()
             .delay_at(0, 0, 1, Duration::from_millis(300))
             .panic_at(1, 0, 1, "injected: caller scan");
-        let engine = engine_with(plan);
+        let engine = engine_with(plan, PrefilterMode::On);
         let svc = engine.serve_with(
             1,
             ServeConfig {

@@ -20,30 +20,40 @@ use common::{finish_oracle, in_scan_groups, scan_oracle};
 use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServeError};
 use std::task::Poll;
 
-fn v1() -> Engine {
+fn v1(mode: PrefilterMode) -> Engine {
     Engine::builder()
         .rule(10, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(30, "k[0-9]{2,4}m")
+        .prefilter(mode)
         .build()
         .unwrap()
 }
 
-fn v2() -> Engine {
+fn v2(mode: PrefilterMode) -> Engine {
     // Rule 20 survives the reload (same stable id, different compiled
     // index); 10 and 30 are dropped; 40 and 50 are new.
     Engine::builder()
         .rule(40, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(50, "q{2,4}w")
+        .prefilter(mode)
         .build()
         .unwrap()
 }
 
 #[test]
 fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
-    let a = v1();
-    let b = v2();
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        reload_at_flow_boundary(mode);
+    }
+}
+
+/// With the filter on, cold units skip and wake on both sides of the
+/// cut; with it off, every unit scans every byte on both sides.
+fn reload_at_flow_boundary(mode: PrefilterMode) {
+    let a = v1(mode);
+    let b = v2(mode);
     let svc = a.serve_with(2, ServeConfig::default());
 
     // Per-flow (pre, post) halves. The first flow parks a counter rule
@@ -80,12 +90,12 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
         assert_eq!(
             svc.poll_checked(*flow).unwrap(),
             expected,
-            "flow {flow}: reports must equal old-engine(pre) ++ fresh-new-engine(post)"
+            "{mode:?} flow {flow}: reports must equal old-engine(pre) ++ fresh-new-engine(post)"
         );
         assert_eq!(
             svc.finishing(*flow),
             finish_oracle(&b, post, boundary),
-            "flow {flow}: finishing must resolve against the new engine only"
+            "{mode:?} flow {flow}: finishing must resolve against the new engine only"
         );
     }
     svc.shutdown();
@@ -93,8 +103,8 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
 
 #[test]
 fn reports_keep_stable_rule_ids_across_the_swap() {
-    let a = v1();
-    let b = v2();
+    let a = v1(PrefilterMode::On);
+    let b = v2(PrefilterMode::On);
     let svc = a.serve_with(2, ServeConfig::default());
     let flow = svc.try_open_flow().unwrap();
 
@@ -124,8 +134,8 @@ fn reports_keep_stable_rule_ids_across_the_swap() {
 
 #[test]
 fn retired_epochs_free_when_their_last_flow_lets_go() {
-    let a = v1();
-    let b = v2();
+    let a = v1(PrefilterMode::On);
+    let b = v2(PrefilterMode::On);
     let svc = a.serve_with(2, ServeConfig::default());
 
     let migrator = svc.try_open_flow().unwrap();
@@ -244,7 +254,7 @@ fn shard_rows_belong_to_their_epoch() {
 /// those rows once, whichever epochs the flows hold.
 #[test]
 fn reloading_the_serving_engine_counts_its_rows_once() {
-    let a = v1();
+    let a = v1(PrefilterMode::On);
     let svc = a.serve_with(2, ServeConfig::default());
     let rows = || svc.metrics().hybrid.expect("hybrid by default").dfa_states;
     let bytes = b"abbc.k12m.xyz";
@@ -381,7 +391,7 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
 /// a report.
 #[test]
 fn drain_global_is_empty_once_every_flow_is_polled() {
-    let engine = v1();
+    let engine = v1(PrefilterMode::On);
     let payloads: &[&[u8]] = &[b".abbc.k12m.xyz", b"k1234m..abbbc", b"xyz.xyz"];
 
     let svc = engine.serve_with(2, ServeConfig::default());
@@ -434,7 +444,7 @@ fn drain_global_is_empty_once_every_flow_is_polled() {
 /// stream order per flow, and leaves the service with no flow behind.
 #[test]
 fn a_drain_only_client_gets_every_report_once_and_leaves_no_flow() {
-    let engine = v1();
+    let engine = v1(PrefilterMode::On);
     let payloads: &[&[u8]] = &[b".abbc.k12m.xyz", b"xyz..abbbc", b"nothing", b"k99m.xyz"];
     let svc = engine.serve_with(2, ServeConfig::default());
     let flows: Vec<FlowId> = payloads

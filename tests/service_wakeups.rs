@@ -20,7 +20,9 @@
 
 mod common;
 
-use recama::{Engine, EngineBuilder, RuleMatch, ServeConfig, ServeError, ServiceHandle};
+use recama::{
+    Engine, EngineBuilder, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceHandle,
+};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
@@ -225,22 +227,23 @@ fn blocked_producers_and_parked_workers_are_always_woken() {
 
 /// No `barrier` anywhere: a push that queued a unit and woke no worker
 /// leaves its flow's reports short forever, and the watchdog fires.
+/// With the filter off every push queues a unit of both groups.
 #[test]
 fn without_barriers_every_queued_unit_reaches_a_worker() {
-    for workers in [1, 2] {
-        for _ in 0..5 {
-            assert_eq!(
-                stress(two_units(builder()), workers, produce_without_barriers),
-                0
-            );
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        for workers in [1, 2] {
+            for _ in 0..5 {
+                let engine = two_units(builder().prefilter(mode));
+                assert_eq!(stress(engine, workers, produce_without_barriers), 0);
+            }
         }
     }
 }
 
 /// The same run with the second scan of the fourth flow opened panicking
 /// on unit 1: that flow is quarantined — its buffers leave the gauge a
-/// `barrier` may be waiting on — the worker respawns, and everybody else
-/// finishes byte-identically.
+/// `barrier` may be waiting on — the worker re-enters its loop, and
+/// everybody else finishes byte-identically.
 #[cfg(feature = "fault-inject")]
 #[test]
 fn and_across_an_injected_panic() {
