@@ -575,7 +575,10 @@ impl Engine {
     /// same serving core as [`serve_with`](Engine::serve_with), stepped
     /// by `run()` on the caller instead of by resident workers, with
     /// flows addressed by caller-chosen `u64` ids and matches by
-    /// compiled pattern index.
+    /// compiled pattern index. An id maps to one flow from its first
+    /// push until a read finds that flow freed (closed, run and read
+    /// out, or quarantined and closed); pushing to an id still held by a
+    /// closed or quarantined flow panics.
     pub fn scheduler_with(&self, workers: usize) -> FlowScheduler {
         FlowScheduler::new(self, workers)
     }

@@ -56,7 +56,7 @@ mod set;
 pub use engine::{CompileError, CompilePhase, Engine, EngineBuilder, ServeConfig, SkippedRule};
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
 pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
-pub use sched::{FlowMatch, FlowScheduler};
+pub use sched::FlowScheduler;
 #[cfg(feature = "fault-inject")]
 pub use service::FaultPlan;
 pub use service::{

@@ -66,9 +66,9 @@ pub enum PrefilterMode {
 
 /// Prefilter counters, reported beside
 /// [`HybridStats`](crate::HybridStats) by
-/// [`ServiceMetrics`](crate::ServiceMetrics) and
-/// [`FlowScheduler::prefilter_stats`](crate::FlowScheduler::prefilter_stats)
-/// (`None` under [`PrefilterMode::Off`]).
+/// [`ServiceMetrics`](crate::ServiceMetrics), the snapshot that both
+/// `ServiceHandle::metrics` and `FlowScheduler::metrics` return (`None`
+/// under [`PrefilterMode::Off`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefilterMetrics {
     /// Per scan group: `(flow, group)` chunk scans skipped because the unit

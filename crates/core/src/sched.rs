@@ -15,13 +15,17 @@
 //! [`ShardedSetStream`](crate::ShardedSetStream) drives one flow
 //! synchronously. What many flows share — the flow table, the
 //! `(flow, group)` readiness queue, checkout / unlocked scan / check-in,
-//! quarantine — lives once, in the [`ServiceHandle`]'s module; the
-//! long-lived (resident) service steps that core from worker threads.
-//! This module adds only what a *batch* caller needs on top of it:
+//! quarantine, the metrics snapshot — lives once, in the
+//! [`ServiceHandle`]'s module; the long-lived (resident) service steps
+//! that core from worker threads. This module adds only what a *batch*
+//! caller needs on top of it:
 //!
-//! * flows are addressed by caller-chosen `u64` ids, opened on first
-//!   [`push`](FlowScheduler::push) and reusable after they close and
-//!   drain — a small `u64 → FlowId` table kept here;
+//! * flows are addressed by caller-chosen `u64` ids — a `u64 → FlowId`
+//!   table kept here. An id maps to one core flow: the first
+//!   [`push`](FlowScheduler::push) opens it, and a read that finds the
+//!   core flow freed (closed, scanned and read out, or a quarantine
+//!   acknowledged by [`close`](FlowScheduler::close)) forgets the id, so
+//!   the next push opens a fresh flow;
 //! * [`run`](FlowScheduler::run) steps the core until the readiness
 //!   queue is empty, then returns — inline on the caller for one
 //!   worker, on scoped threads otherwise. The work unit is a
@@ -29,10 +33,11 @@
 //!   groups of the same flow* concurrently;
 //! * [`poll`](FlowScheduler::poll) drains a flow's ordered report queue;
 //!   [`drain_global`](FlowScheduler::drain_global) polls every flow at
-//!   once, as `(flow, match)` events — both as compiled pattern indices
+//!   once, as `(flow, match)` pairs — both as compiled pattern indices
 //!   ([`SetMatch`]), since a batch scheduler never reloads its rules.
 //!   A report is delivered once, by whichever of the two reads it
-//!   first.
+//!   first;
+//! * [`metrics`](FlowScheduler::metrics) is the core's snapshot.
 //!
 //! Per-flow reports are **byte-identical** (same reports, same order) to
 //! feeding that flow's chunks through its own independent
@@ -45,102 +50,58 @@
 //! candidates actually landed on the final byte, mirroring
 //! [`ShardedSetStream::finish`](crate::ShardedSetStream::finish).
 
-use crate::prefilter::PrefilterMetrics;
-use crate::service::{FlowId, RuleMatch, ServiceHandle};
+use crate::service::{FlowId, RuleMatch, ServiceHandle, ServiceMetrics};
 use crate::{Engine, SetMatch};
-use recama_nca::HybridStats;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
-/// A match attributed to a flow, from
-/// [`drain_global`](FlowScheduler::drain_global).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FlowMatch {
-    /// The flow the match occurred on.
-    pub flow: u64,
-    /// Index of the matching pattern in the set.
-    pub pattern: usize,
-    /// 1-based end offset, absolute within the flow's byte stream.
-    pub end: usize,
-}
-
-impl FlowMatch {
-    /// The match without its flow attribution.
-    pub fn set_match(&self) -> SetMatch {
-        SetMatch {
-            pattern: self.pattern,
-            end: self.end,
-        }
-    }
-}
-
 /// The batch core reports identity rule ids, so a rule *is* a compiled
 /// pattern index.
-fn set_matches(reports: Vec<RuleMatch>) -> impl Iterator<Item = SetMatch> {
-    reports.into_iter().map(|m| SetMatch {
-        pattern: m.rule as usize,
-        end: m.end as usize,
+fn set_matches(reports: Vec<RuleMatch>) -> Vec<SetMatch> {
+    reports
+        .into_iter()
+        .map(|m| SetMatch {
+            pattern: m.rule as usize,
+            end: m.end as usize,
+        })
+        .collect()
+}
+
+/// The `u64` addressing layer: each id's core flow. Reports stay in the
+/// core's flow queues until a poll takes them.
+type Table = HashMap<u64, FlowId>;
+
+/// Forgets `flow` once the core has freed its flow: finished and read
+/// out, or a quarantine acknowledged.
+fn forget_if_freed(table: &mut Table, core: &ServiceHandle, flow: u64) {
+    if table.get(&flow).is_some_and(|&id| !core.is_live(id)) {
+        table.remove(&flow);
+    }
+}
+
+/// Takes what `take` drains from `flow`'s core flow, and forgets the id
+/// if that freed the flow.
+fn read(
+    table: &mut Table,
+    core: &ServiceHandle,
+    flow: u64,
+    take: impl FnOnce(FlowId) -> Vec<RuleMatch>,
+) -> Vec<SetMatch> {
+    let Some(&id) = table.get(&flow) else {
+        return Vec::new();
+    };
+    let out = set_matches(take(id));
+    forget_if_freed(table, core, flow);
+    out
+}
+
+/// Drains `flow`'s queued reports. A quarantined flow with nothing left
+/// polls empty like any drained flow; it stays held until `close`.
+fn poll(table: &mut Table, core: &ServiceHandle, flow: u64) -> Vec<SetMatch> {
+    read(table, core, flow, |id| {
+        core.poll_checked(id).unwrap_or_default()
     })
-}
-
-/// One `u64`-addressed flow: its current incarnation in the core, plus
-/// what earlier incarnations of the id left undrained — a reopened id
-/// keeps those pollable, ahead of the new incarnation's reports.
-struct Incarnation {
-    id: FlowId,
-    reports: Vec<SetMatch>,
-    finishing: Vec<SetMatch>,
-}
-
-/// The `u64` addressing layer: everything [`FlowScheduler`] keeps beside
-/// the core — each `u64`'s incarnations. Reports stay in the core's
-/// flow queues (and, once an id reopens, in the carried-over
-/// incarnation) until a poll takes them.
-#[derive(Default)]
-struct Table {
-    flows: HashMap<u64, Incarnation>,
-}
-
-impl Table {
-    /// Opens a fresh core flow as `flow`'s current incarnation.
-    fn open(&mut self, core: &ServiceHandle, flow: u64) -> FlowId {
-        let id = core
-            .try_open_flow()
-            .expect("the batch core neither sheds opens nor fail-stops");
-        let fresh = Incarnation {
-            id,
-            reports: Vec::new(),
-            finishing: Vec::new(),
-        };
-        self.flows.entry(flow).or_insert(fresh).id = id;
-        id
-    }
-
-    /// Drains `flow`'s reports: what earlier incarnations left, then the
-    /// current one's queue.
-    fn poll(&mut self, core: &ServiceHandle, flow: u64) -> Vec<SetMatch> {
-        let Some(inc) = self.flows.get_mut(&flow) else {
-            return Vec::new();
-        };
-        let mut out = std::mem::take(&mut inc.reports);
-        // A stale id, or a quarantined flow with nothing left, polls
-        // empty like any drained flow.
-        out.extend(set_matches(core.poll_checked(inc.id).unwrap_or_default()));
-        self.forget_if_drained(core, flow);
-        out
-    }
-
-    /// Forgets `flow` once the core has (its slot was freed: finished
-    /// and drained, or a quarantine acknowledged) and nothing carried
-    /// over from earlier incarnations is left to poll.
-    fn forget_if_drained(&mut self, core: &ServiceHandle, flow: u64) {
-        if self.flows.get(&flow).is_some_and(|inc| {
-            inc.reports.is_empty() && inc.finishing.is_empty() && !core.is_live(inc.id)
-        }) {
-            self.flows.remove(&flow);
-        }
-    }
 }
 
 /// A batch scanning scheduler for many concurrent flows over an
@@ -151,7 +112,7 @@ impl Table {
 /// # Examples
 ///
 /// ```
-/// use recama::Engine;
+/// use recama::{Engine, SetMatch};
 ///
 /// let engine = Engine::builder().patterns(["ab{2}c", "xyz"]).build().unwrap();
 /// let sched = engine.scheduler_with(2);
@@ -174,8 +135,8 @@ impl Table {
 /// // drain_global polls every flow at once, attributing each match.
 /// sched.push(9, b"xyz");
 /// sched.run();
-/// let events: Vec<_> = sched.drain_global().iter().map(|m| (m.flow, m.end)).collect();
-/// assert_eq!(events, vec![(9, 6)]);
+/// assert_eq!(sched.drain_global(), vec![(9, SetMatch { pattern: 1, end: 6 })]);
+/// assert_eq!(sched.metrics().flows, 2);
 /// ```
 pub struct FlowScheduler {
     /// The serving core, without resident workers: pushes only buffer,
@@ -192,7 +153,7 @@ impl FlowScheduler {
         FlowScheduler {
             handle: ServiceHandle::batch(engine),
             workers: workers.max(1),
-            table: Mutex::new(Table::default()),
+            table: Mutex::new(Table::new()),
         }
     }
 
@@ -203,64 +164,53 @@ impl FlowScheduler {
             .expect("no scheduler call panics while holding the table lock")
     }
 
-    /// Buffers `chunk` for `flow`, opening the flow on first use. A
-    /// zero-length chunk opens the flow but schedules no work. Pushing to
-    /// a [`close`](FlowScheduler::close)d-and-drained id reopens it as a
-    /// **fresh** flow (new engine states, positions restarting at 0);
-    /// undrained reports of the previous incarnation stay pollable.
+    /// Buffers `chunk` for `flow`, opening a fresh flow (new engine
+    /// states, positions from 0) when the id is not held. A zero-length
+    /// chunk opens the flow but schedules no work.
+    ///
+    /// An id is held from its first push until a
+    /// [`poll`](FlowScheduler::poll), [`finishing`](FlowScheduler::finishing),
+    /// [`close`](FlowScheduler::close) or
+    /// [`drain_global`](FlowScheduler::drain_global) finds its flow freed:
+    /// closed, [`run`](FlowScheduler::run) and read out, or quarantined
+    /// and closed.
     ///
     /// # Panics
     ///
-    /// Panics if `flow` is closed but has not drained yet — close is a
-    /// promise that no more bytes come — or if it is quarantined (a scan
-    /// over its bytes panicked; [`close`](FlowScheduler::close) it to
-    /// acknowledge, after which the id is reusable).
+    /// Panics if `flow` is held but takes no more bytes: it is closed —
+    /// close is a promise that no more bytes come; `run()` + `poll()` it
+    /// to free the id — or quarantined (a scan over its bytes panicked;
+    /// `close()` it to acknowledge the fault).
     pub fn push(&self, flow: u64, chunk: &[u8]) {
         let mut table = self.table();
-        let id = match table.flows.get(&flow) {
-            Some(inc) => inc.id,
-            None => table.open(&self.handle, flow),
-        };
-        if self.handle.try_push(id, chunk).is_ready() {
-            return;
-        }
-        // The core only turns a batch push away from a closed flow. One
-        // that has finished draining reopens as a fresh incarnation,
-        // carrying what the old one left unpolled.
-        if !self.handle.is_finished(id) {
-            let quarantined = self.handle.is_quarantined(id);
+        let id = *table.entry(flow).or_insert_with(|| {
+            self.handle
+                .try_open_flow()
+                .expect("the batch core neither sheds opens nor fail-stops")
+        });
+        // The batch core has no byte budget: it only turns a push away
+        // from a closed or quarantined flow.
+        if self.handle.try_push(id, chunk).is_pending() {
             drop(table);
-            if quarantined {
-                panic!("push to quarantined flow {flow}: close() it to acknowledge the fault");
-            }
-            panic!("push to closed flow {flow}: run() + poll() it first, or use a new id");
+            panic!(
+                "push to closed or quarantined flow {flow}: run() + poll() it first, \
+                 or close() it if it is quarantined"
+            );
         }
-        let inc = table.flows.get_mut(&flow).expect("looked up above");
-        inc.reports.extend(set_matches(
-            self.handle.poll_checked(id).unwrap_or_default(),
-        ));
-        inc.finishing.extend(set_matches(self.handle.finishing(id)));
-        let id = table.open(&self.handle, flow);
-        let reopened = self.handle.try_push(id, chunk);
-        debug_assert!(reopened.is_ready(), "a fresh flow accepts any chunk");
     }
 
     /// Marks `flow` closed: already-buffered bytes are still scanned by
     /// the next [`run`](FlowScheduler::run), after which the flow's
-    /// engine states are freed. Its reports stay pollable; the id can be
-    /// reused afterwards (see [`push`](FlowScheduler::push)). Closing an
-    /// unknown id is a no-op; closing a quarantined flow acknowledges
-    /// the fault and forgets the flow.
-    ///
-    /// # Panics
-    ///
-    /// [`push`](FlowScheduler::push)ing to a closed flow that has not
-    /// drained yet panics — close is a promise that no more bytes come.
+    /// engine states are freed. Its reports stay pollable, and the id
+    /// stays held until they are read (see
+    /// [`push`](FlowScheduler::push)). Closing an unknown id is a no-op;
+    /// closing a quarantined flow acknowledges the fault and forgets the
+    /// id.
     pub fn close(&self, flow: u64) {
         let mut table = self.table();
-        if let Some(inc) = table.flows.get(&flow) {
-            self.handle.close(inc.id);
-            table.forget_if_drained(&self.handle, flow);
+        if let Some(&id) = table.get(&flow) {
+            self.handle.close(id);
+            forget_if_freed(&mut table, &self.handle, flow);
         }
     }
 
@@ -301,11 +251,10 @@ impl FlowScheduler {
     }
 
     /// Drains `flow`'s ordered report queue (stream order: ascending end,
-    /// ascending pattern within an end). A finished flow whose reports
-    /// and finishing set have all been drained is forgotten, freeing its
-    /// table entry.
+    /// ascending pattern within an end). Forgets the id once this frees
+    /// a closed flow: every report and the finishing set read.
     pub fn poll(&self, flow: u64) -> Vec<SetMatch> {
-        self.table().poll(&self.handle, flow)
+        poll(&mut self.table(), &self.handle, flow)
     }
 
     /// Drains `flow`'s **finishing set**: the `$`-anchored matches that
@@ -317,23 +266,17 @@ impl FlowScheduler {
     /// until close; the non-`$` polled reports plus this set are
     /// together what a one-shot `find_ends` over the whole flow
     /// returns). [`drain_global`](FlowScheduler::drain_global) leaves
-    /// the finishing set here.
+    /// the finishing set here. Forgets the id once this frees the flow,
+    /// as `poll` does.
     ///
     /// [`ShardedSetStream::finish`]: crate::ShardedSetStream::finish
     pub fn finishing(&self, flow: u64) -> Vec<SetMatch> {
-        let mut table = self.table();
-        let Some(inc) = table.flows.get_mut(&flow) else {
-            return Vec::new();
-        };
-        let mut out = std::mem::take(&mut inc.finishing);
-        out.extend(set_matches(self.handle.finishing(inc.id)));
-        table.forget_if_drained(&self.handle, flow);
-        out
+        let core = &self.handle;
+        read(&mut self.table(), core, flow, |id| core.finishing(id))
     }
 
-    /// Polls every flow at once: drains each flow's reports — earlier
-    /// incarnations' included — as [`FlowMatch`]es attributed to its
-    /// `u64` id, and forgets the flows it leaves finished and drained,
+    /// Polls every flow at once: drains each flow's reports as
+    /// `(flow, match)` pairs and forgets the ids whose flows that frees,
     /// as [`poll`](FlowScheduler::poll) does.
     ///
     /// # Ordering contract
@@ -341,78 +284,44 @@ impl FlowScheduler {
     /// Pinned by `tests/service_reload.rs` (and shared with
     /// [`ServiceHandle::drain_global`](crate::ServiceHandle::drain_global)):
     ///
-    /// * **within one flow**, events appear in stream order — ascending
+    /// * **within one flow**, pairs appear in stream order — ascending
     ///   end offset, ascending pattern index within one end — exactly
     ///   the order [`poll`](FlowScheduler::poll) returns them;
     /// * **across flows**, in ascending `u64` id;
     /// * each report is delivered **exactly once**, by this call or by
     ///   `poll`: the scheduler keeps no copy, so after every flow is
     ///   polled there is nothing left to drain.
-    pub fn drain_global(&self) -> Vec<FlowMatch> {
+    pub fn drain_global(&self) -> Vec<(u64, SetMatch)> {
         let mut table = self.table();
-        let mut flows: Vec<u64> = table.flows.keys().copied().collect();
+        let mut flows: Vec<u64> = table.keys().copied().collect();
         flows.sort_unstable();
         let mut out = Vec::new();
         for flow in flows {
-            let reports = table.poll(&self.handle, flow).into_iter();
-            out.extend(reports.map(|m| FlowMatch {
-                flow,
-                pattern: m.pattern,
-                end: m.end,
-            }));
+            let reports = poll(&mut table, &self.handle, flow);
+            out.extend(reports.into_iter().map(|m| (flow, m)));
         }
         out
     }
 
-    /// Number of flows currently tracked (open, or closed with undrained
-    /// reports).
-    pub fn flow_count(&self) -> usize {
-        self.table().flows.len()
-    }
-
-    /// Total bytes buffered but not yet consumed by every group — the
-    /// scan debt the next [`run`](FlowScheduler::run) clears: the
-    /// [`pending_bytes`](crate::ServiceMetrics::pending_bytes) of the
-    /// core's metrics snapshot.
-    pub fn pending_bytes(&self) -> u64 {
-        self.handle.metrics().pending_bytes
-    }
-
-    /// Aggregated hybrid-overlay statistics — byte counters across
-    /// every flow's group engines, live ones and those already freed at
-    /// close + drain, plus the cached states and flushes of the group
-    /// caches the flows share, each counted once — or `None` when the
-    /// engine scans without rows
-    /// ([`ScanMode::Nca`](crate::ScanMode::Nca)), where there is nothing
-    /// to split between rows and counter modules: the
-    /// [`hybrid`](crate::ServiceMetrics::hybrid) block of the core's
-    /// metrics snapshot. The byte counters of engines currently checked
-    /// out by workers are not counted — sample between
-    /// [`run`](FlowScheduler::run)s.
-    pub fn hybrid_stats(&self) -> Option<HybridStats> {
-        self.handle.metrics().hybrid
-    }
-
-    /// Aggregated literal-prefilter counters — skipped `(flow, group)`
-    /// chunk scans per scan group, skipped bytes, cold→hot wake-ups — or
-    /// `None` when the engine was built with
-    /// [`PrefilterMode::Off`](crate::PrefilterMode::Off): the
-    /// [`prefilter`](crate::ServiceMetrics::prefilter) block of the
-    /// core's metrics snapshot. Counters accumulate across
-    /// [`push`](FlowScheduler::push)es for the scheduler's lifetime.
-    pub fn prefilter_stats(&self) -> Option<PrefilterMetrics> {
-        self.handle.metrics().prefilter
+    /// A point-in-time [`ServiceMetrics`] snapshot of the core, as
+    /// [`ServiceHandle::metrics`] returns it: `flows` counts the held
+    /// ids, `pending_bytes` is the scan debt the next
+    /// [`run`](FlowScheduler::run) clears, and `hybrid` / `prefilter`
+    /// are the overlay's and the literal filter's counters. The byte
+    /// counters of engines checked out by workers are not counted —
+    /// sample between `run`s.
+    pub fn metrics(&self) -> ServiceMetrics {
+        self.handle.metrics()
     }
 }
 
 impl fmt::Debug for FlowScheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let metrics = self.metrics();
         write!(
             f,
             "FlowScheduler({} flows, {} workers, {} B pending)",
-            self.flow_count(),
-            self.workers,
-            self.pending_bytes()
+            metrics.flows, self.workers, metrics.pending_bytes
         )
     }
 }
@@ -421,6 +330,7 @@ impl fmt::Debug for FlowScheduler {
 mod tests {
     use super::*;
     use crate::Engine;
+    use std::panic::AssertUnwindSafe;
 
     /// `patterns` as `groups` units per flow.
     fn sharded(patterns: &[&str], groups: usize) -> Engine {
@@ -458,7 +368,7 @@ mod tests {
             sched.run();
             assert_eq!(sched.poll(1), expected_stream(&engine, &flow_a));
             assert_eq!(sched.poll(2), expected_stream(&engine, &flow_b));
-            assert_eq!(sched.pending_bytes(), 0);
+            assert_eq!(sched.metrics().pending_bytes, 0);
         }
     }
 
@@ -466,7 +376,7 @@ mod tests {
     fn global_sink_attributes_every_match() {
         let engine = sharded(&["kk", "zz"], 2);
         let sched = engine.scheduler_with(2);
-        let at = |flow, pattern, end| FlowMatch { flow, pattern, end };
+        let at = |flow, pattern, end| (flow, SetMatch { pattern, end });
         sched.push(10, b"akka");
         sched.push(20, b"zz");
         sched.push(30, b"kk");
@@ -476,28 +386,19 @@ mod tests {
         assert_eq!(sched.poll(30), vec![SetMatch { pattern: 0, end: 2 }]);
         let global = sched.drain_global();
         assert_eq!(global, vec![at(10, 0, 3), at(20, 1, 2)]);
-        assert_eq!(global[0].set_match(), SetMatch { pattern: 0, end: 3 });
         // Each report leaves once: neither a drain nor a poll sees it again.
         assert!(sched.drain_global().is_empty());
         assert!(sched.poll(10).is_empty());
         assert!(sched.poll(20).is_empty());
 
-        // An id reopened before its reports were read carries them over,
-        // ahead of the new incarnation's.
-        sched.push(10, b"kk");
+        // Finished and read out by a drain: forgotten, like a polled flow.
+        assert_eq!(sched.metrics().flows, 3);
         sched.close(10);
-        sched.run();
-        sched.push(10, b"zz");
-        sched.close(10);
-        sched.run();
-        assert_eq!(sched.drain_global(), vec![at(10, 0, 6), at(10, 1, 2)]);
-        // Finished and drained: forgotten, like a polled flow.
-        assert_eq!(sched.flow_count(), 2);
         sched.close(20);
         sched.close(30);
         sched.run();
         assert!(sched.drain_global().is_empty());
-        assert_eq!(sched.flow_count(), 0);
+        assert_eq!(sched.metrics().flows, 0);
     }
 
     #[test]
@@ -509,7 +410,7 @@ mod tests {
         sched.run();
         assert_eq!(sched.poll(5), vec![SetMatch { pattern: 0, end: 4 }]);
         // Finished + drained: the flow entry is gone.
-        assert_eq!(sched.flow_count(), 0);
+        assert_eq!(sched.metrics().flows, 0);
         // Same id again: a fresh stream, positions restart at 1.
         sched.push(5, b"ab");
         sched.run();
@@ -517,23 +418,25 @@ mod tests {
     }
 
     #[test]
-    fn close_then_reopen_before_poll_keeps_old_reports() {
+    fn push_to_a_closed_id_before_its_reports_are_read_panics() {
         let engine = sharded(&["ab"], 1);
         let sched = engine.scheduler_with(1);
         sched.push(5, b"ab");
         sched.close(5);
         sched.run();
-        // Reopen before polling: the undrained report survives, and the
-        // new incarnation's reports queue up behind it.
+        // Closed, scanned, but its report unread: the id is still held.
+        let pushed = std::panic::catch_unwind(AssertUnwindSafe(|| sched.push(5, b"xab")));
+        let payload = pushed.expect_err("a held closed id takes no more bytes");
+        let text = payload.downcast::<String>().expect("formatted panic");
+        assert!(
+            text.contains("flow 5") && text.contains("run() + poll()"),
+            "{text}"
+        );
+        // Reading it out frees the id; the next push opens a fresh flow.
+        assert_eq!(sched.poll(5), vec![SetMatch { pattern: 0, end: 2 }]);
         sched.push(5, b"xab");
         sched.run();
-        assert_eq!(
-            sched.poll(5),
-            vec![
-                SetMatch { pattern: 0, end: 2 },
-                SetMatch { pattern: 0, end: 3 },
-            ]
-        );
+        assert_eq!(sched.poll(5), vec![SetMatch { pattern: 0, end: 3 }]);
     }
 
     #[test]
@@ -560,7 +463,11 @@ mod tests {
         stream.feed(b"d").count();
         assert_eq!(sched.finishing(1), stream.finish());
         assert_eq!(sched.finishing(1), vec![], "finishing drains once");
-        assert_eq!(sched.flow_count(), 0, "fully drained flows are forgotten");
+        assert_eq!(
+            sched.metrics().flows,
+            0,
+            "fully drained flows are forgotten"
+        );
 
         // A flow whose $-candidate is NOT on the final byte finishes empty.
         sched.push(2, b"ab.");
@@ -575,8 +482,8 @@ mod tests {
         let engine = sharded(&["ab"], 1);
         let sched = engine.scheduler_with(2);
         sched.push(1, b"");
-        assert_eq!(sched.flow_count(), 1);
-        assert_eq!(sched.pending_bytes(), 0);
+        let metrics = sched.metrics();
+        assert_eq!((metrics.flows, metrics.pending_bytes), (1, 0));
         sched.run(); // no ready units: returns immediately
         assert!(sched.poll(1).is_empty());
         // Empty chunks interleaved with real ones change nothing.
@@ -604,6 +511,5 @@ mod tests {
     fn scheduler_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FlowScheduler>();
-        assert_send_sync::<FlowMatch>();
     }
 }

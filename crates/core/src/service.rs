@@ -1751,27 +1751,6 @@ impl ServiceHandle {
 
     // ---- lifecycle --------------------------------------------------
 
-    /// Whether `flow` is quarantined: a scan over its bytes panicked, so
-    /// its engines were freed and it accepts no more input (what the
-    /// batch driver's `u64` table asks; a client reads it off
-    /// [`ServeError::Quarantined`]).
-    pub(crate) fn is_quarantined(&self, flow: FlowId) -> bool {
-        self.core
-            .lock()
-            .flow(flow)
-            .is_some_and(|f| f.quarantined.is_some())
-    }
-
-    /// Whether `flow` is closed and fully drained (its engines freed,
-    /// its `$`-finishing set resolved) — the state in which the batch
-    /// driver reopens a `u64` id. A quarantined flow never finishes.
-    pub(crate) fn is_finished(&self, flow: FlowId) -> bool {
-        self.core
-            .lock()
-            .flow(flow)
-            .is_some_and(|f| f.finished() && f.quarantined.is_none())
-    }
-
     /// Shuts the service down: parked workers exit (after draining the
     /// readiness queue) and are joined. Equivalent to dropping the
     /// handle, but explicit about where the join happens.
@@ -2070,8 +2049,9 @@ impl ServiceHandle {
     /// service **exactly once**, through this call or through
     /// `poll_checked`: the service keeps no copy, so a client that only
     /// polls leaves nothing here. The same contract holds for
-    /// [`FlowScheduler::drain_global`](crate::FlowScheduler::drain_global);
-    /// `tests/service_reload.rs` pins it.
+    /// [`FlowScheduler::drain_global`](crate::FlowScheduler::drain_global),
+    /// which yields `(u64, SetMatch)` pairs in ascending `u64` id instead
+    /// of slot order; `tests/service_reload.rs` pins it.
     pub fn drain_global(&self) -> Vec<ServiceEvent> {
         let mut st = self.core.lock();
         let mut out = Vec::new();
@@ -2126,7 +2106,8 @@ impl ServiceHandle {
     }
 
     /// Whether `flow` still addresses a live (tracked) flow — `false`
-    /// once the slot was recycled (the ABA guard).
+    /// once the slot was recycled (the ABA guard; the batch scheduler's
+    /// `u64` table forgets an id on it).
     pub(crate) fn is_live(&self, flow: FlowId) -> bool {
         self.core.lock().flow(flow).is_some()
     }

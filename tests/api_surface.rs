@@ -24,10 +24,10 @@ use recama::nca::{
 };
 use recama::syntax::{ByteAlphabet, ParseError};
 use recama::{
-    CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FlowId, FlowMatch,
-    FlowScheduler, HybridStats, PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig,
-    ServeError, ServiceEvent, ServiceHandle, ServiceMetrics, SetMatch, SetSpan, ShardedPatternSet,
-    ShardedSetStream, SkippedRule,
+    CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FlowId, FlowScheduler,
+    HybridStats, PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent,
+    ServiceHandle, ServiceMetrics, SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream,
+    SkippedRule,
 };
 use std::task::Poll;
 use std::time::Duration;
@@ -45,7 +45,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "FaultMetrics",
     "FaultPlan (feature fault-inject only)",
     "FlowId",
-    "FlowMatch",
     "FlowScheduler",
     "HybridStats",
     "PrefilterMetrics",
@@ -560,11 +559,8 @@ fn flow_scheduler_signatures() {
     let _: fn(&FlowScheduler, u64) = |s, f| s.close(f);
     let _: fn(&FlowScheduler, u64) -> Vec<SetMatch> = |s, f| s.poll(f);
     let _: fn(&FlowScheduler, u64) -> Vec<SetMatch> = |s, f| s.finishing(f);
-    let _: fn(&FlowScheduler) -> Vec<FlowMatch> = |s| s.drain_global();
-    let _: fn(&FlowScheduler) -> usize = |s| s.flow_count();
-    let _: fn(&FlowScheduler) -> u64 = |s| s.pending_bytes();
-    let _: fn(&FlowScheduler) -> Option<HybridStats> = |s| s.hybrid_stats();
-    let _: fn(&FlowScheduler) -> Option<PrefilterMetrics> = |s| s.prefilter_stats();
+    let _: fn(&FlowScheduler) -> Vec<(u64, SetMatch)> = |s| s.drain_global();
+    let _: fn(&FlowScheduler) -> ServiceMetrics = |s| s.metrics();
 }
 
 #[test]
@@ -738,10 +734,8 @@ fn prefilter_mode_variants_are_stable() {
 }
 
 #[allow(dead_code)]
-fn pin_match_types(m: SetMatch, s: SetSpan, f: FlowMatch) -> [usize; 7] {
-    [
-        m.pattern, m.end, s.pattern, s.start, s.end, f.pattern, f.end,
-    ]
+fn pin_match_types(m: SetMatch, s: SetSpan) -> [usize; 5] {
+    [m.pattern, m.end, s.pattern, s.start, s.end]
 }
 
 #[allow(dead_code)]

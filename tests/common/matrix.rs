@@ -569,8 +569,8 @@ fn check(
                         for (fi, out) in polled.iter_mut().enumerate().step_by(2) {
                             out.extend(sched.poll(fi as u64));
                         }
-                        for m in sched.drain_global() {
-                            polled[m.flow as usize].push(m.set_match());
+                        for (flow, m) in sched.drain_global() {
+                            polled[flow as usize].push(m);
                         }
                     },
                     |fi| sched.close(fi as u64),
@@ -579,8 +579,9 @@ fn check(
                     .map(|fi| sched.finishing(fi as u64))
                     .collect();
                 agree(polled, finishing, expected, what)?;
-                same(sched.pending_bytes(), 0, "every pushed byte is scanned")?;
-                same(sched.flow_count(), 0, "drained flows are forgotten")?;
+                let metrics = sched.metrics();
+                same(metrics.pending_bytes, 0, "every pushed byte is scanned")?;
+                same(metrics.flows, 0, "drained flows are forgotten")?;
             }
             Driver::Service(workers) => {
                 let svc = engine.serve_with(workers, ServeConfig::default());

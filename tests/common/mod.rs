@@ -13,6 +13,8 @@ use recama::{
     Engine, EngineBuilder, FlowId, RuleMatch, ScanMode, ServeError, ServiceHandle, SetMatch,
     SetSpan,
 };
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
 /// compile times test-friendly.
@@ -229,5 +231,23 @@ pub fn push_chunked(svc: &ServiceHandle, flow: FlowId, data: &[u8], seed: u64, m
         let end = (offset + len).min(data.len());
         svc.push_checked(flow, &data[offset..end]).unwrap();
         offset = end;
+    }
+}
+
+/// Runs `body` on a detached thread and returns what it returns, or
+/// fails if it has not returned within `limit`: a lost wake-up in the
+/// service then fails the calling test instead of hanging it. A panic
+/// in `body` is rethrown here.
+pub fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = mpsc::channel();
+    // Detached on purpose: a stuck body must fail the caller, not hang a
+    // join.
+    std::thread::spawn(move || {
+        let _ = done.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)));
+    });
+    match result.recv_timeout(limit) {
+        Ok(Ok(value)) => value,
+        Ok(Err(payload)) => std::panic::resume_unwind(payload),
+        Err(_) => panic!("still running after {limit:?}: a lost wake-up?"),
     }
 }

@@ -10,7 +10,7 @@
 mod common;
 
 use common::matrix::{cells, run_knobs, Driver, Flow, Scan, DRIVERS};
-use common::{in_scan_groups, scan_oracle};
+use common::{in_scan_groups, scan_oracle, within};
 use recama::hw::ShardPolicy;
 use recama::syntax::ErrorKind;
 use recama::{
@@ -274,31 +274,33 @@ fn batched_units_report_like_streams_and_count_their_scan_once() {
 
 #[test]
 fn blocking_push_streams_a_large_flow_through_a_small_budget() {
-    let engine = Engine::new(["kk"]).unwrap();
-    // 100 chunks of 48 bytes through a 64-byte budget: producers must
-    // repeatedly block on the space condvar and be woken by check-ins.
-    let chunk = {
-        let mut c = vec![b'.'; 48];
-        c[20] = b'k';
-        c[21] = b'k';
-        c
-    };
-    let svc = engine.serve_with(
-        2,
-        ServeConfig {
-            flow_budget: 64,
-            ..ServeConfig::default()
-        },
-    );
-    let flow = svc.try_open_flow().unwrap();
-    for _ in 0..100 {
-        svc.push_checked(flow, &chunk).unwrap();
-    }
-    svc.close(flow);
-    svc.barrier();
-    let hits = svc.poll_checked(flow).unwrap();
-    assert_eq!(hits.len(), 100);
-    assert_eq!(hits[0], RuleMatch { rule: 0, end: 22 });
+    within(Duration::from_secs(60), || {
+        let engine = Engine::new(["kk"]).unwrap();
+        // 100 chunks of 48 bytes through a 64-byte budget: producers must
+        // repeatedly block on the space condvar and be woken by check-ins.
+        let chunk = {
+            let mut c = vec![b'.'; 48];
+            c[20] = b'k';
+            c[21] = b'k';
+            c
+        };
+        let svc = engine.serve_with(
+            2,
+            ServeConfig {
+                flow_budget: 64,
+                ..ServeConfig::default()
+            },
+        );
+        let flow = svc.try_open_flow().unwrap();
+        for _ in 0..100 {
+            svc.push_checked(flow, &chunk).unwrap();
+        }
+        svc.close(flow);
+        svc.barrier();
+        let hits = svc.poll_checked(flow).unwrap();
+        assert_eq!(hits.len(), 100);
+        assert_eq!(hits[0], RuleMatch { rule: 0, end: 22 });
+    });
 }
 
 /// An idle flow is closed by the sweep like an explicit close, with
@@ -348,56 +350,58 @@ fn service_evicts_idle_flows() {
 /// must still evict a quiet one.
 #[test]
 fn service_evicts_idle_flows_under_sustained_load() {
-    let engine = Engine::new(["ab"]).unwrap();
-    let svc = engine.serve_with(
-        1,
-        ServeConfig {
-            idle_timeout: Some(Duration::from_millis(20)),
-            ..ServeConfig::default()
-        },
-    );
-    let mut busy = svc.try_open_flow().unwrap();
-    let quiet = svc.try_open_flow().unwrap();
-    assert_eq!(svc.try_push(quiet, b"..ab"), Poll::Ready(4)); // then silent
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    // Keep the single worker continuously busy with one flow while the
-    // other sits idle past the timeout. Probing the quiet flow with a
-    // push would refresh its activity, so the counter tells: on a
-    // starved 1-core box the producer itself can stall past the
-    // timeout, legitimately evicting the busy flow too — carry on with
-    // a fresh one and count it. The count is read before the push that
-    // would notice a busy eviction, so more evictions than noticed
-    // busy ones means the quiet flow went.
-    let mut busy_evicted = 0;
-    loop {
-        let evicted = svc.metrics().idle_evictions;
-        if svc.push_checked(busy, &[b'a'; 4096]) == Err(ServeError::Closed) {
-            busy_evicted += 1;
-            busy = svc.try_open_flow().unwrap();
+    within(Duration::from_secs(60), || {
+        let engine = Engine::new(["ab"]).unwrap();
+        let svc = engine.serve_with(
+            1,
+            ServeConfig {
+                idle_timeout: Some(Duration::from_millis(20)),
+                ..ServeConfig::default()
+            },
+        );
+        let mut busy = svc.try_open_flow().unwrap();
+        let quiet = svc.try_open_flow().unwrap();
+        assert_eq!(svc.try_push(quiet, b"..ab"), Poll::Ready(4)); // then silent
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        // Keep the single worker continuously busy with one flow while the
+        // other sits idle past the timeout. Probing the quiet flow with a
+        // push would refresh its activity, so the counter tells: on a
+        // starved 1-core box the producer itself can stall past the
+        // timeout, legitimately evicting the busy flow too — carry on with
+        // a fresh one and count it. The count is read before the push that
+        // would notice a busy eviction, so more evictions than noticed
+        // busy ones means the quiet flow went.
+        let mut busy_evicted = 0;
+        loop {
+            let evicted = svc.metrics().idle_evictions;
+            if svc.push_checked(busy, &[b'a'; 4096]) == Err(ServeError::Closed) {
+                busy_evicted += 1;
+                busy = svc.try_open_flow().unwrap();
+            }
+            if evicted > busy_evicted || std::time::Instant::now() >= deadline {
+                break;
+            }
         }
-        if evicted > busy_evicted || std::time::Instant::now() >= deadline {
-            break;
-        }
-    }
-    svc.close(busy);
-    svc.barrier();
-    assert_eq!(
-        svc.push_checked(quiet, b"ab"),
-        Err(ServeError::Closed),
-        "the busy worker must still sweep the quiet flow"
-    );
-    assert_eq!(
-        svc.poll_checked(quiet).unwrap(),
-        vec![RuleMatch { rule: 0, end: 4 }],
-        "the evicted flow's reports stay pollable"
-    );
+        svc.close(busy);
+        svc.barrier();
+        assert_eq!(
+            svc.push_checked(quiet, b"ab"),
+            Err(ServeError::Closed),
+            "the busy worker must still sweep the quiet flow"
+        );
+        assert_eq!(
+            svc.poll_checked(quiet).unwrap(),
+            vec![RuleMatch { rule: 0, end: 4 }],
+            "the evicted flow's reports stay pollable"
+        );
+    });
 }
 
 /// A `FlowId` is never reopened: closed, it rejects pushes as a value
 /// while it drains, and once drained it goes stale. Reopening means a
 /// new flow — possibly in the same slot, under the next generation,
-/// starting at position 0. (`u64` ids that *do* reopen are the batch
-/// scheduler's; `tests/flow_scheduler.rs` pins those.)
+/// starting at position 0. (`u64` ids that *do* reopen, once read out,
+/// are the batch scheduler's; `tests/flow_scheduler.rs` pins those.)
 #[test]
 fn closed_flows_reject_pushes_until_drained_then_reopen() {
     let engine = Engine::builder().patterns(["ab"]).build().unwrap();

@@ -99,7 +99,7 @@ fn close_and_reopen_cycles_keep_flows_independent() {
             vec![SetMatch { pattern: 0, end: 6 }],
             "incarnation {incarnation}"
         );
-        assert_eq!(sched.flow_count(), 0, "drained flows are forgotten");
+        assert_eq!(sched.metrics().flows, 0, "drained flows are forgotten");
     }
 
     // A flow closed while another stays open: the survivor is unaffected.

@@ -260,7 +260,7 @@ fn snort_profile_fallback_is_bounded() {
         sched.push(1, chunk);
         sched.run();
     }
-    let stats = sched.hybrid_stats().expect("hybrid is the default mode");
+    let stats = sched.metrics().hybrid.expect("hybrid is the default mode");
     let total = stats.dfa_bytes + stats.fallback_bytes;
     assert_eq!(
         total,
@@ -295,7 +295,7 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     let sched = hybrid.scheduler_with(1);
     sched.push(1, input);
     sched.run();
-    let stats = sched.hybrid_stats().expect("hybrid mode exposes stats");
+    let stats = sched.metrics().hybrid.expect("hybrid mode exposes stats");
     assert_eq!(
         stats.dfa_bytes + stats.fallback_bytes,
         input.len() as u64,
@@ -311,5 +311,5 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     let sched = exact.scheduler_with(1);
     sched.push(1, input);
     sched.run();
-    assert_eq!(sched.hybrid_stats(), None, "Nca mode has no overlay");
+    assert_eq!(sched.metrics().hybrid, None, "Nca mode has no overlay");
 }

@@ -111,7 +111,8 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
     sched.run();
 
     let stats = sched
-        .prefilter_stats()
+        .metrics()
+        .prefilter
         .expect("prefilter is on, so stats exist");
     assert_eq!(stats.always_on_rules, patterns.len());
     assert_eq!(
@@ -140,7 +141,7 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     }
     sched.run();
 
-    let stats = sched.prefilter_stats().expect("prefilter is on");
+    let stats = sched.metrics().prefilter.expect("prefilter is on");
     assert_eq!(stats.always_on_rules, 0);
     assert!(
         stats.total_skipped_units() > 0,
@@ -205,7 +206,7 @@ fn check_verdicts(literals: &[String], groups: usize, input: &[u8], chunk_lens: 
         }
         walked += (pass - at) as u64;
         sched.push(1, &input[at..end]);
-        let got = sched.prefilter_stats().expect("the filter is on");
+        let got = sched.metrics().prefilter.expect("the filter is on");
         assert_eq!(
             (
                 got.skipped_units,
@@ -290,7 +291,7 @@ fn the_filter_walks_a_chunk_once_whatever_the_shard_count() {
     let on = in_scan_groups(builder.prefilter(PrefilterMode::On), 4);
     let groups = on.scan_groups().shard_count();
     let sched = on.scheduler_with(1);
-    let stats = || sched.prefilter_stats().expect("the filter is on");
+    let stats = || sched.metrics().prefilter.expect("the filter is on");
     assert_eq!((groups, stats().always_on_rules), (4, 0));
 
     // Benign chunks: four cold units, one pass.
@@ -378,12 +379,16 @@ fn scheduler_and_service_agree_for_every_worker_count_and_filter_mode() {
                 sched.close(fi as u64);
             }
             sched.run();
-            let batch_stats = (sched.hybrid_stats(), sched.prefilter_stats());
+            let batch = sched.metrics();
             for fi in 0..flows.len() {
                 sched.poll(fi as u64);
                 sched.finishing(fi as u64);
             }
-            assert_eq!(sched.flow_count(), 0, "{what}: drained flows are forgotten");
+            assert_eq!(
+                sched.metrics().flows,
+                0,
+                "{what}: drained flows are forgotten"
+            );
 
             // Resident workers: push the same round, barrier().
             let svc = engine.serve_with(workers, ServeConfig::default());
@@ -403,9 +408,12 @@ fn scheduler_and_service_agree_for_every_worker_count_and_filter_mode() {
             let metrics = svc.metrics();
             svc.shutdown();
 
-            assert_eq!(batch_stats.0, metrics.hybrid, "{what}: hybrid block");
-            assert_eq!(batch_stats.1, metrics.prefilter, "{what}: prefilter block");
-            assert_eq!(batch_stats.1.is_some(), mode == PrefilterMode::On);
+            assert_eq!(batch.hybrid, metrics.hybrid, "{what}: hybrid block");
+            assert_eq!(
+                batch.prefilter, metrics.prefilter,
+                "{what}: prefilter block"
+            );
+            assert_eq!(batch.prefilter.is_some(), mode == PrefilterMode::On);
         }
     }
 }

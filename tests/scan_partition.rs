@@ -28,11 +28,9 @@ fn scan_side(engine: &Engine, input: &[u8]) -> (ShardPlan, Vec<SetMatch>, u64, u
         sched.push(1, chunk);
         sched.run();
     }
-    let filter_bytes = sched
-        .prefilter_stats()
-        .expect("the filter is on")
-        .filter_bytes;
-    let rows = sched.hybrid_stats().expect("hybrid by default").dfa_states;
+    let metrics = sched.metrics();
+    let filter_bytes = metrics.prefilter.expect("the filter is on").filter_bytes;
+    let rows = metrics.hybrid.expect("hybrid by default").dfa_states;
     (
         engine.scan_groups().clone(),
         sched.poll(1),
@@ -192,7 +190,7 @@ fn clamav_rows_fit_their_scan_groups() {
         sched.push(1, chunk);
         sched.run();
     }
-    let stats = sched.hybrid_stats().expect("hybrid by default");
+    let stats = sched.metrics().hybrid.expect("hybrid by default");
     assert_eq!(stats.flushes, 0, "{stats:?}");
     assert!(stats.dfa_states > engine.scan_groups().shard_count());
 }

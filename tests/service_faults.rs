@@ -443,7 +443,7 @@ fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
                 round == 1,
                 "flow {faulted} faulted, round {round}"
             );
-            assert_eq!(sched.pending_bytes(), 0);
+            assert_eq!(sched.metrics().pending_bytes, 0);
         }
         for flow in (0..4u64).filter(|&flow| flow != faulted) {
             sched.close(flow);
@@ -515,7 +515,7 @@ fn batch_scheduler_quarantines_the_faulted_flow_and_rethrows_once_settled() {
             // Settled either way: the siblings' units all ran, and the
             // quarantined flow's bytes left the gauge.
             assert_eq!(
-                sched.pending_bytes(),
+                sched.metrics().pending_bytes,
                 0,
                 "{workers} worker(s), round {round}"
             );
@@ -535,15 +535,15 @@ fn batch_scheduler_quarantines_the_faulted_flow_and_rethrows_once_settled() {
         // The faulted flow is still there — not an unknown id: its
         // pre-fault reports poll, it takes no more input, and closing it
         // acknowledges the fault and frees the id for reuse.
-        assert_eq!(sched.flow_count(), 1);
+        assert_eq!(sched.metrics().flows, 1);
         assert_eq!(sched.poll(1), stream_oracle(&engine, chunks[0]).0);
         assert!(sched.poll(1).is_empty());
-        assert_eq!(sched.flow_count(), 1, "quarantined flows wait for close");
+        assert_eq!(sched.metrics().flows, 1, "quarantined flows wait for close");
         let pushed =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.push(1, b"more")));
         assert!(pushed.is_err(), "a quarantined flow takes no more input");
         sched.close(1);
-        assert_eq!(sched.flow_count(), 0);
+        assert_eq!(sched.metrics().flows, 0);
         sched.push(1, b".abbc.");
         sched.run();
         assert_eq!(sched.poll(1), stream_oracle(&engine, b".abbc.").0);
