@@ -6,10 +6,11 @@
 //! RECAMA_SCALE=0.02 RECAMA_TRAFFIC=16384 cargo run --release -p recama-bench --bin fig10
 //! ```
 
-use recama::compiler::{compile_ruleset, CompileOptions};
-use recama::hw::{run, AreaGranularity};
+use recama::compiler::CompileOptions;
+use recama::hw::{run, AreaGranularity, ShardPolicy};
 use recama::nca::UnfoldPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
+use recama::Engine;
 use recama_bench::{banner, scale, seed, traffic_len};
 
 fn main() {
@@ -39,14 +40,20 @@ fn main() {
         let mut best_area = f64::INFINITY;
         let mut unfold_all_area = 0.0;
         for (label, policy) in &thresholds {
-            let out = compile_ruleset(
-                &patterns,
-                &CompileOptions {
+            // The whole ruleset as one machine image; rules outside the
+            // fragment are skipped.
+            let engine = Engine::builder()
+                .patterns(&patterns)
+                .options(CompileOptions {
                     unfold: *policy,
                     ..Default::default()
-                },
-            );
-            let report = run(&out.network, &input, AreaGranularity::WholeModule);
+                })
+                .shard_policy(ShardPolicy::Single)
+                .lossy(true)
+                .build()
+                .expect("lossy builds are infallible");
+            let network = engine.network(0);
+            let report = run(network, &input, AreaGranularity::WholeModule);
             let energy = report.energy.nj_per_byte();
             let area = report.area.total_mm2();
             println!(
@@ -56,7 +63,7 @@ fn main() {
                 energy,
                 area,
                 report.area.waste_um2 / 1e6,
-                out.network.node_count(),
+                network.node_count(),
                 report.match_ends.len()
             );
             best_energy = best_energy.min(energy);

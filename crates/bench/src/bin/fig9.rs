@@ -7,9 +7,11 @@
 //! RECAMA_SCALE=0.02 cargo run --release -p recama-bench --bin fig9
 //! ```
 
-use recama::compiler::{compile_ruleset, CompileOptions};
+use recama::compiler::CompileOptions;
+use recama::hw::ShardPolicy;
 use recama::nca::UnfoldPolicy;
 use recama::workloads::{generate, BenchmarkId};
+use recama::Engine;
 use recama_bench::{banner, scale, seed};
 
 fn main() {
@@ -38,14 +40,20 @@ fn main() {
         let patterns = ruleset.pattern_strings();
         print!("{:<14}", id.name());
         for (_, policy) in &thresholds {
-            let out = compile_ruleset(
-                &patterns,
-                &CompileOptions {
+            // The whole ruleset as one machine image; rules outside the
+            // fragment are skipped.
+            let engine = Engine::builder()
+                .patterns(&patterns)
+                .options(CompileOptions {
                     unfold: *policy,
                     ..Default::default()
-                },
-            );
-            print!(" {:>9}", out.network.node_count());
+                })
+                .shard_policy(ShardPolicy::Single)
+                .lossy(true)
+                .build()
+                .expect("lossy builds are infallible");
+            let network = engine.network(0);
+            print!(" {:>9}", network.node_count());
         }
         println!();
     }

@@ -27,7 +27,7 @@ mod pipeline;
 
 pub use codegen::emit;
 pub use pipeline::{
-    compile, compile_ruleset, merge_rule_networks, CompileOptions, CompileOutput, CompileReport,
-    ModuleKind, RulesetOutput, BITVECTOR_MAX_BOUND, COUNTER_MAX_BOUND,
+    compile, merge_rule_networks, CompileOptions, CompileOutput, CompileReport, ModuleKind,
+    BITVECTOR_MAX_BOUND, COUNTER_MAX_BOUND,
 };
 pub use recama_analysis::DecidedBy;

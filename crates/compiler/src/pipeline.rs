@@ -245,26 +245,28 @@ fn resolve_nesting(infos: &[recama_syntax::RepeatInfo], decisions: &mut [Decisio
     }
 }
 
-/// Compiles a whole ruleset into one merged network (rule `i` gets node-id
-/// prefix `r{i}_`). Patterns that fail to parse are skipped and reported.
-pub struct RulesetOutput {
-    /// Merged network for the entire ruleset.
-    pub network: MnrlNetwork,
-    /// Per-rule outputs (same order as the accepted patterns).
-    pub rules: Vec<CompileOutput>,
-    /// Original pattern index of each accepted rule (parallel to
-    /// `rules`); reporting nodes of rule `k` carry `report_id = k`.
-    pub rule_sources: Vec<usize>,
-    /// (index, error message) of rejected patterns.
-    pub rejected: Vec<(usize, String)>,
-}
-
 /// Merges rule networks into one machine image: each `(prefix_id,
 /// report_id, network)` entry contributes its nodes under the id prefix
-/// `r{prefix_id}_` with reporting nodes stamped `report_id`. The single
-/// merge loop behind [`compile_ruleset`] (source index as prefix, accepted
-/// index as report id) and the per-shard machine images of the `recama`
-/// engine builder (which passes the global rule index for both roles).
+/// `r{prefix_id}_` with reporting nodes stamped `report_id`, so simulator
+/// reports attribute to rules without node-id parsing. The `recama`
+/// engine builder — the one ruleset compile — merges each shard's
+/// machine image with it, passing the global rule index for both roles.
+///
+/// # Examples
+///
+/// ```
+/// use recama_compiler::{compile, merge_rule_networks, CompileOptions};
+/// let outputs: Vec<_> = ["^a{30}", "^[xy]{5}z"]
+///     .iter()
+///     .map(|p| compile(&recama_syntax::parse(p).unwrap().for_stream(), &CompileOptions::default()))
+///     .collect();
+/// let merged = merge_rule_networks(
+///     "ruleset",
+///     outputs.iter().enumerate().map(|(i, out)| (i, i as u32, &out.network)),
+/// );
+/// assert!(merged.validate().is_empty());
+/// assert_eq!(merged.report_ids(), vec![0, 1]);
+/// ```
 pub fn merge_rule_networks<'a>(
     name: &str,
     parts: impl IntoIterator<Item = (usize, u32, &'a MnrlNetwork)>,
@@ -274,40 +276,6 @@ pub fn merge_rule_networks<'a>(
         network.merge_as_rule(part, &format!("r{prefix_id}_"), report_id);
     }
     network
-}
-
-/// Compiles every pattern of a ruleset in streaming form (`Σ*r`) and merges
-/// the networks — the machine image whose size Fig. 9 plots. Every
-/// reporting node of rule `k` (numbering the *accepted* rules) is stamped
-/// with `report_id = k`, so simulator reports attribute to rules without
-/// node-id parsing.
-pub fn compile_ruleset(patterns: &[String], options: &CompileOptions) -> RulesetOutput {
-    let mut rules = Vec::new();
-    let mut rule_sources = Vec::new();
-    let mut rejected = Vec::new();
-    for (i, p) in patterns.iter().enumerate() {
-        match recama_syntax::parse(p) {
-            Ok(parsed) => {
-                rules.push(compile(&parsed.for_stream(), options));
-                rule_sources.push(i);
-            }
-            Err(e) => rejected.push((i, e.to_string())),
-        }
-    }
-    let network = merge_rule_networks(
-        "ruleset",
-        rule_sources
-            .iter()
-            .zip(&rules)
-            .enumerate()
-            .map(|(k, (&src, out))| (src, k as u32, &out.network)),
-    );
-    RulesetOutput {
-        network,
-        rules,
-        rule_sources,
-        rejected,
-    }
 }
 
 #[cfg(test)]
@@ -409,19 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn ruleset_merging_counts_nodes() {
-        let patterns: Vec<String> = vec!["^a{30}".into(), "bad(".into(), "^[xy]{5}z".into()];
-        let out = compile_ruleset(&patterns, &CompileOptions::default());
-        assert_eq!(out.rules.len(), 2);
-        assert_eq!(out.rejected.len(), 1);
-        assert_eq!(out.rejected[0].0, 1);
-        assert!(out.network.node_count() > 0);
-        assert!(out.network.validate().is_empty());
-    }
-
-    #[test]
     fn fig9_monotonicity_nodes_grow_with_threshold() {
-        let patterns: Vec<String> = vec!["^a[bc]{200}d".into(), "^e{64}f".into()];
+        let patterns = ["^a[bc]{200}d", "^e{64}f"];
         let mut last = 0usize;
         for k in [0u32, 10, 100, 1000] {
             let policy = if k == 0 {
@@ -429,14 +386,19 @@ mod tests {
             } else {
                 UnfoldPolicy::UpTo(k)
             };
-            let out = compile_ruleset(
-                &patterns,
-                &CompileOptions {
-                    unfold: policy,
-                    ..Default::default()
-                },
+            let options = CompileOptions {
+                unfold: policy,
+                ..Default::default()
+            };
+            let outputs: Vec<CompileOutput> = patterns
+                .iter()
+                .map(|p| compile(&stream(p), &options))
+                .collect();
+            let merged = merge_rule_networks(
+                "ruleset",
+                (outputs.iter().enumerate()).map(|(i, out)| (i, i as u32, &out.network)),
             );
-            let n = out.network.node_count();
+            let n = merged.node_count();
             assert!(
                 n >= last,
                 "node count must not shrink: {last} -> {n} at k={k}"

@@ -11,8 +11,8 @@
 //! * [`Engine::builder`] collects rules (with optional per-rule ids), a
 //!   [`ShardPolicy`], [`CompileOptions`], the scan and prefilter modes;
 //! * [`EngineBuilder::build`] compiles everything into an [`Engine`] —
-//!   or a structured [`CompileError`] naming the failing rule's index,
-//!   source text, and pipeline phase;
+//!   or a structured [`CompileError`] naming the failing rule's index
+//!   and source text;
 //! * the `Engine` then hands out the per-use handles:
 //!   [`scan`](Engine::scan) / [`scan_spans`](Engine::scan_spans) for
 //!   block mode, [`stream`](Engine::stream) for one resumable flow,
@@ -22,9 +22,15 @@
 //!   over one serving core, each given its worker count (and the
 //!   service its [`ServeConfig`]) where it is started.
 //!
-//! The builder is the only way to compile a ruleset: one merged machine
-//! image is [`ShardPolicy::Single`], a tolerant compile is
-//! [`EngineBuilder::lossy`].
+//! The builder is the only way to compile a ruleset, in one loop: parse
+//! every rule (strictly, or skipping failures under
+//! [`EngineBuilder::lossy`]), [`compile`] each, cut the bank plan and
+//! merge each shard's machine image, then build the scan half from the
+//! per-rule outputs. One merged machine image is [`ShardPolicy::Single`].
+//! The `Engine` keeps the compile-time half — rule texts, parsed rules,
+//! per-rule outputs, machine images, the span automata — and the
+//! [`ShardedPatternSet`] it shares with its streams and serving epochs
+//! holds only what a flow scans.
 
 use crate::prefilter::PrefilterMode;
 #[cfg(feature = "fault-inject")]
@@ -32,44 +38,23 @@ use crate::service::FaultPlan;
 use crate::service::ServiceHandle;
 use crate::set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 use crate::FlowScheduler;
-use recama_compiler::{CompileOptions, CompileOutput};
-use recama_hw::{ShardPlan, ShardPolicy};
+use recama_compiler::{compile, merge_rule_networks, CompileOptions, CompileOutput};
+use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
-use recama_nca::{ScanMode, TokenSetEngine};
-use recama_syntax::ParseError;
+use recama_nca::{Nca, ScanMode, TokenSetEngine};
+use recama_syntax::{ParseError, Parsed};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// The pipeline phase in which compiling a rule failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CompilePhase {
-    /// Parsing / fragment support (`syntax`): the only phase that can
-    /// currently fail — mapping and sharding are total.
-    Parse,
-    /// Module selection and MNRL mapping (`compiler`).
-    Map,
-    /// Bank-aware shard planning (`hw`).
-    Shard,
-}
-
-impl fmt::Display for CompilePhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CompilePhase::Parse => "parse",
-            CompilePhase::Map => "map",
-            CompilePhase::Shard => "shard",
-        })
-    }
-}
-
-/// A structured ruleset-compile failure: which rule (by input index),
-/// its source text, the pipeline [`CompilePhase`] that rejected it, and
-/// the underlying error.
+/// A structured ruleset-compile failure: which rule (by input index)
+/// failed to parse, its source text, and the underlying error. Parsing
+/// is the only step that can fail — compiling, mapping and sharding are
+/// total.
 ///
 /// ```
-/// use recama::{CompilePhase, Engine};
+/// use recama::Engine;
 ///
 /// let err = Engine::builder()
 ///     .patterns(["ok", "bad(", "ok2"])
@@ -77,7 +62,6 @@ impl fmt::Display for CompilePhase {
 ///     .unwrap_err();
 /// assert_eq!(err.index, 1);
 /// assert_eq!(err.pattern, "bad(");
-/// assert_eq!(err.phase, CompilePhase::Parse);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompileError {
@@ -85,8 +69,6 @@ pub struct CompileError {
     pub index: usize,
     /// The rule's source text.
     pub pattern: String,
-    /// The pipeline phase that rejected it.
-    pub phase: CompilePhase,
     /// The underlying parse/support error.
     pub error: ParseError,
 }
@@ -95,8 +77,8 @@ impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "pattern #{} (`{}`) failed in {} phase: {}",
-            self.index, self.pattern, self.phase, self.error
+            "pattern #{} (`{}`) failed to parse: {}",
+            self.index, self.pattern, self.error
         )
     }
 }
@@ -323,18 +305,20 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// On a strict (default) build, the first failing rule aborts the
-    /// build with a [`CompileError`] carrying its index, source text,
-    /// and phase. A [`lossy`](EngineBuilder::lossy) build never fails:
+    /// On a strict (default) build, the first rule that fails to parse
+    /// aborts the build with a [`CompileError`] carrying its index and
+    /// source text. A [`lossy`](EngineBuilder::lossy) build never fails:
     /// failing rules land in [`Engine::skipped`].
     pub fn build(self) -> Result<Engine, CompileError> {
-        let mut accepted = Vec::with_capacity(self.rules.len());
+        let mut sources = Vec::with_capacity(self.rules.len());
+        let mut parsed = Vec::with_capacity(self.rules.len());
         let mut ids = Vec::with_capacity(self.rules.len());
         let mut skipped = Vec::new();
         for (index, (id, source)) in self.rules.into_iter().enumerate() {
             match recama_syntax::parse(&source) {
-                Ok(parsed) => {
-                    accepted.push((source, parsed));
+                Ok(rule) => {
+                    sources.push(source);
+                    parsed.push(rule);
                     ids.push(id);
                 }
                 Err(error) if self.lossy => skipped.push(SkippedRule {
@@ -347,27 +331,59 @@ impl EngineBuilder {
                     return Err(CompileError {
                         index,
                         pattern: source,
-                        phase: CompilePhase::Parse,
                         error,
                     })
                 }
             }
         }
-        let set = ShardedPatternSet::build(
-            accepted,
-            &self.options,
-            self.policy,
-            self.scan_mode,
-            self.prefilter,
-        );
+        let outputs: Vec<CompileOutput> = (parsed.iter())
+            .map(|rule| compile(&rule.for_stream(), &self.options))
+            .collect();
+        let networks = machine_images(&outputs, self.policy);
+        let set = ShardedPatternSet::build(&outputs, &parsed, self.scan_mode, self.prefilter);
         Ok(Engine {
             set: Arc::new(set),
             ids: ids.into(),
+            reversed: parsed.iter().map(|_| OnceLock::new()).collect(),
+            sources,
+            parsed,
+            outputs,
+            networks,
             skipped,
             #[cfg(feature = "fault-inject")]
             faults: self.faults,
         })
     }
+}
+
+/// The bank plan's machine images: `policy` cuts the rules into shards,
+/// costed with the mapper's own estimates, and each shard's rule
+/// networks merge into one image whose reporting nodes carry the
+/// *global* rule index, so hardware reports attribute without remapping.
+fn machine_images(outputs: &[CompileOutput], policy: ShardPolicy) -> Vec<MnrlNetwork> {
+    // The trivial policy never looks at costs, so skip the per-rule
+    // placements there.
+    let plan = if policy == ShardPolicy::Single {
+        ShardPlan::single(outputs.len())
+    } else {
+        let costs: Vec<RuleCost> = (outputs.iter())
+            .map(|out| RuleCost::of_network(&out.network))
+            .collect();
+        ShardPlan::plan(&costs, policy)
+    };
+    (plan.shards().iter().enumerate())
+        .map(|(si, members)| {
+            let name = if plan.shard_count() == 1 {
+                "pattern-set".to_string()
+            } else {
+                format!("pattern-set-shard{si}")
+            };
+            merge_rule_networks(
+                &name,
+                members.iter().map(|&g| (g, g as u32, &outputs[g].network)),
+            )
+        })
+        .collect()
 }
 
 /// A compiled ruleset behind one facade: block scans, span location,
@@ -398,12 +414,24 @@ impl EngineBuilder {
 /// ```
 #[derive(Debug)]
 pub struct Engine {
-    /// Shared so owned [`ServiceHandle`]s can keep the machine image
+    /// The scan half, shared so owned [`ServiceHandle`]s can keep it
     /// alive past the `Engine` (the epoch unit of hot reload).
     set: Arc<ShardedPatternSet>,
     /// Rule ids by compiled index (shared with serving epochs, which
     /// translate match reports to stable rule ids).
     ids: Arc<[u64]>,
+    /// Source text of each compiled rule.
+    sources: Vec<String>,
+    /// The parsed rules, kept for span location.
+    parsed: Vec<Parsed>,
+    /// Reversed automata for span location, built per rule on first use
+    /// (repeated span scans must not re-run Glushkov).
+    reversed: Vec<OnceLock<Nca>>,
+    /// The per-rule compiler outputs the machine images and the scan
+    /// half were built from.
+    outputs: Vec<CompileOutput>,
+    /// One merged machine image per bank-plan shard.
+    networks: Vec<MnrlNetwork>,
     skipped: Vec<SkippedRule>,
     /// The deterministic fault-injection plan every served handle
     /// inherits (chaos testing only — absent from normal builds).
@@ -436,18 +464,18 @@ impl Engine {
 
     /// Number of compiled rules (skipped rules not counted).
     pub fn len(&self) -> usize {
-        self.set.sources.len()
+        self.sources.len()
     }
 
     /// Whether the engine has no compiled rules.
     pub fn is_empty(&self) -> bool {
-        self.set.sources.is_empty()
+        self.sources.is_empty()
     }
 
     /// The source text of compiled rule `i` (the index reported in
     /// [`SetMatch::pattern`]).
     pub fn pattern(&self, i: usize) -> &str {
-        &self.set.sources[i]
+        &self.sources[i]
     }
 
     /// The id of compiled rule `i` (explicit via
@@ -465,7 +493,7 @@ impl Engine {
     /// Per-rule compiler outputs (module decisions, analyses, NCAs),
     /// indexed like the compiled rules.
     pub fn outputs(&self) -> &[CompileOutput] {
-        &self.set.outputs
+        &self.outputs
     }
 
     /// Number of bank-sized shards — machine images — the ruleset
@@ -473,7 +501,7 @@ impl Engine {
     /// number of engines a flow runs: that is
     /// [`scan_groups`](Engine::scan_groups).
     pub fn shard_count(&self) -> usize {
-        self.set.networks.len()
+        self.networks.len()
     }
 
     /// The scan partition (which rule a flow scans in which group): the
@@ -489,22 +517,22 @@ impl Engine {
     /// The merged extended-MNRL machine image of shard `shard`;
     /// reporting nodes of rule `i` carry `report_id = i`.
     pub fn network(&self, shard: usize) -> &MnrlNetwork {
-        &self.set.networks[shard]
+        &self.networks[shard]
     }
 
     /// All per-shard machine images.
     pub fn networks(&self) -> &[MnrlNetwork] {
-        &self.set.networks
+        &self.networks
     }
 
     /// A hardware simulator for shard `shard`'s machine image; its
     /// report vector attributes events to rules by the stamped report
     /// ids.
     pub fn hardware(&self, shard: usize) -> recama_hw::HwSimulator {
-        recama_hw::HwSimulator::new(&self.set.networks[shard])
+        recama_hw::HwSimulator::new(&self.networks[shard])
     }
 
-    /// The compiled ruleset inside the engine. It exists only so the
+    /// The scan half of the compiled ruleset. It exists only so the
     /// benchmark harness (`harness/`) can reach the per-group automata
     /// through `set().multi()`; once the harness reads them elsewhere,
     /// ROADMAP item 21 un-exports the type and deletes this method.
@@ -544,7 +572,7 @@ impl Engine {
         (self.scan(haystack).into_iter())
             .map(|m| {
                 let engine = (engines.entry(m.pattern))
-                    .or_insert_with(|| TokenSetEngine::new(self.set.reversed_nca(m.pattern)));
+                    .or_insert_with(|| TokenSetEngine::new(self.reversed_nca(m.pattern)));
                 SetSpan {
                     pattern: m.pattern,
                     start: earliest_start(engine, haystack, m.end).0,
@@ -590,7 +618,7 @@ impl Engine {
     /// [`shutdown`](ServiceHandle::shutdown) / `Drop` — no enclosing
     /// scope required, so the service embeds directly in a server's
     /// state. The engine stays usable (and reusable) afterwards; the
-    /// handle shares its machine image as serving epoch 0 and swaps in
+    /// handle shares its scan half as serving epoch 0 and swaps in
     /// later engines via [`reload`](ServiceHandle::reload).
     pub fn serve_with(&self, workers: usize, config: ServeConfig) -> ServiceHandle {
         ServiceHandle::spawn(self, self.ids_arc(), workers.max(1), config)
@@ -602,7 +630,12 @@ impl Engine {
         self.serve_with(1, ServeConfig::default())
     }
 
-    /// The shared machine image (the epoch unit of hot reload).
+    /// The reversed automaton of rule `i`, built on first use.
+    pub(crate) fn reversed_nca(&self, i: usize) -> &Nca {
+        self.reversed[i].get_or_init(|| Nca::from_regex(&self.parsed[i].regex.reverse()))
+    }
+
+    /// The shared scan half (the epoch unit of hot reload).
     pub(crate) fn set_arc(&self) -> Arc<ShardedPatternSet> {
         Arc::clone(&self.set)
     }

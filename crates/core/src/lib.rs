@@ -53,7 +53,7 @@ pub mod sched;
 mod service;
 mod set;
 
-pub use engine::{CompileError, CompilePhase, Engine, EngineBuilder, ServeConfig, SkippedRule};
+pub use engine::{CompileError, Engine, EngineBuilder, ServeConfig, SkippedRule};
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
 pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
 pub use sched::FlowScheduler;
@@ -158,7 +158,7 @@ mod span_tests {
         let p = Engine::new(["ab{2,3}c"]).unwrap();
         let mut hay = vec![b'z'; 64 << 10];
         hay.extend_from_slice(b"abbbc");
-        let mut engine = recama_nca::TokenSetEngine::new(p.set().reversed_nca(0));
+        let mut engine = recama_nca::TokenSetEngine::new(p.reversed_nca(0));
         let (start, stepped) = earliest_start(&mut engine, &hay, hay.len());
         assert_eq!(start, hay.len() - 5);
         assert!(stepped <= 5 + 1, "stepped {stepped} reversed bytes");

@@ -1,56 +1,58 @@
-//! [`ShardedPatternSet`]: a whole ruleset compiled into bank-sized
-//! machine images and shared software engines.
+//! [`ShardedPatternSet`]: the scan half of a compiled ruleset — what a
+//! flow scans, and nothing else.
 //!
 //! The paper's evaluation operates on rulesets (Snort, Suricata,
 //! Protomata, SpamAssassin, ClamAV — Table 1), and deployments of this
 //! class of matcher always compile the full set into shared automata
-//! scanned once per input stream. The set is what an
-//! [`Engine`](crate::Engine) compiles and asks, and it holds two
+//! scanned once per input stream. An [`Engine`](crate::Engine) holds two
 //! partitions of its rules, both [`ShardPlan`]s:
 //!
 //! * the **bank plan** cuts the rules into *shards* whose sub-networks
-//!   each fit one bank ([`ShardPolicy`], default = one bank's
-//!   capacity). It decides the machine images —
+//!   each fit one bank ([`ShardPolicy`](recama_hw::ShardPolicy), default
+//!   = one bank's capacity). It decides the machine images —
 //!   [`Engine::network`](crate::Engine::network), `hardware`,
-//!   placement, energy and area — and nothing else;
+//!   placement, energy and area — and nothing else, and it lives on the
+//!   `Engine` with the rule texts and the per-rule compiler outputs;
 //! * the **scan partition** ([`Engine::scan_groups`](crate::Engine::scan_groups))
-//!   cuts them into *scan groups*, the units a software flow scans. In
-//!   the machine a bank is free parallelism (one decoder shows a symbol
-//!   to every bank), in software every group is one more table walk over
-//!   the same byte, so the partition is the coarsest order-preserving
-//!   one whose lazy-DFA rows can be expected to fit: next-fit over the
-//!   rules, a rule weighing its NCA's states, a group closing when the
-//!   next rule would pass the [`ScanMode::Hybrid`] `state_budget`.
-//!   [`ScanMode::Nca`] has no rows to fit and scans one group. The
-//!   shard policy never reaches it.
+//!   cuts them into *scan groups*, the units a software flow scans, and
+//!   it lives here. In the machine a bank is free parallelism (one
+//!   decoder shows a symbol to every bank), in software every group is
+//!   one more table walk over the same byte, so the partition is the
+//!   coarsest order-preserving one whose lazy-DFA rows can be expected
+//!   to fit: next-fit over the rules, a rule weighing its NCA's states, a
+//!   group closing when the next rule would pass the
+//!   [`ScanMode::Hybrid`] `state_budget`. [`ScanMode::Nca`] has no rows
+//!   to fit and scans one group. The shard policy never reaches it.
 //!
-//! One [`MultiNca`](recama_nca::MultiNca) per scan group shares a single
-//! byte-class alphabet computed once over the whole set and reports
-//! global rule indices, and a [`ShardedSetStream`] feeds each chunk to
-//! every group engine that scans it, one after the other — large chunks
-//! in parallel on scoped threads. What the stream does with a chunk (the
-//! literal prefilter's skip / wake / replay, the ordered merge that
-//! keeps the output **byte-identical** for any partition, the
-//! trailing-`$` bookkeeping) is one flow's (`flow.rs`), the same value
-//! the serving core schedules; the stream is its synchronous driver.
+//! The set is what a serving epoch pins through its `Arc`, so it holds
+//! only what a flow scans: the scan partition, one
+//! [`MultiNca`](recama_nca::MultiNca) per scan group with its lazy-DFA
+//! cache, the literal filter, the trailing-`$` flags and the scan mode.
+//! A retired epoch takes no machine image, rule text or per-rule
+//! automaton with it.
 //!
-//! One merged network for the whole set (the shape that fits a single
-//! CAMA bank) is the one-bank plan, `ShardPolicy::Single`. A block scan
+//! The group automata share a single byte-class alphabet computed once
+//! over the whole set and report global rule indices, and a
+//! [`ShardedSetStream`] feeds each chunk to every group engine that
+//! scans it, one after the other — large chunks in parallel on scoped
+//! threads. What the stream does with a chunk (the literal prefilter's
+//! skip / wake / replay, the ordered merge that keeps the output
+//! **byte-identical** for any partition, the trailing-`$` bookkeeping)
+//! is one flow's (`flow.rs`), the same value the serving core schedules;
+//! the stream is its synchronous driver. A block scan
 //! ([`Engine::scan`](crate::Engine::scan)) is a fresh stream fed the
 //! haystack once, so there is one scan loop.
 
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PrefilterMode, SetPrefilter};
-use recama_compiler::{compile, CompileOptions, CompileOutput};
-use recama_hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
-use recama_mnrl::MnrlNetwork;
+use recama_compiler::CompileOutput;
+use recama_hw::{RuleCost, ShardBudget, ShardPlan};
 use recama_nca::{
     CompilePlan, HybridCache, HybridEngine, HybridStats, MultiReport, Nca, ScanMode, ShardedMulti,
     StateId,
 };
 use recama_syntax::Parsed;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A match reported by a pattern set: pattern `pattern` (index into the
 /// compiled set) matched ending at 1-based byte offset `end`.
@@ -74,11 +76,10 @@ pub struct SetSpan {
     pub end: usize,
 }
 
-/// A compiled ruleset: one merged extended-MNRL network **per bank-sized
-/// shard**, one shared software automaton **per scan group** (see the
-/// module docs for the two partitions), and a single byte-class alphabet
-/// shared by every automaton. Every group automaton reports global rule
-/// indices.
+/// The scan half of a compiled ruleset: one shared software automaton
+/// **per scan group** (see the module docs for the partition) over a
+/// single byte-class alphabet, each reporting global rule indices, with
+/// what every flow consults beside them.
 ///
 /// The set is the inside of an [`Engine`](crate::Engine), which answers
 /// every question about it; the one thing the set itself lends out is
@@ -103,13 +104,7 @@ pub struct SetSpan {
 /// ```
 #[derive(Debug)]
 pub struct ShardedPatternSet {
-    pub(crate) sources: Vec<String>,
-    parsed: Vec<Parsed>,
-    pub(crate) outputs: Vec<CompileOutput>,
     anchored_end: Vec<bool>,
-    /// One merged machine image per shard (reporting nodes carry global
-    /// pattern ids).
-    pub(crate) networks: Vec<MnrlNetwork>,
     /// The scan partition: which rule a flow scans in which group.
     pub(crate) scan: ShardPlan,
     /// One merged automaton per scan group.
@@ -128,63 +123,16 @@ pub struct ShardedPatternSet {
     /// outputs, that scans, streams, and the serving layers consult
     /// before running the automata.
     prefilter: Option<SetPrefilter>,
-    /// Reversed automata for span location, built per pattern on first
-    /// use (repeated span scans must not re-run Glushkov).
-    reversed: Vec<OnceLock<Nca>>,
 }
 
 impl ShardedPatternSet {
+    /// The scan half of the rules `parsed`, compiled to `outputs`.
     pub(crate) fn build(
-        accepted: Vec<(String, Parsed)>,
-        options: &CompileOptions,
-        policy: ShardPolicy,
+        outputs: &[CompileOutput],
+        parsed: &[Parsed],
         scan_mode: ScanMode,
         prefilter_mode: PrefilterMode,
     ) -> ShardedPatternSet {
-        let mut sources = Vec::with_capacity(accepted.len());
-        let mut parsed_list = Vec::with_capacity(accepted.len());
-        let mut outputs = Vec::with_capacity(accepted.len());
-        let mut anchored_end = Vec::with_capacity(accepted.len());
-        for (source, parsed) in accepted {
-            let out = compile(&parsed.for_stream(), options);
-            sources.push(source);
-            anchored_end.push(parsed.anchored_end);
-            parsed_list.push(parsed);
-            outputs.push(out);
-        }
-
-        // The bank plan, costed with the mapper's own estimates. The
-        // trivial policy never looks at costs, so skip the per-rule
-        // placements there.
-        let plan = if policy == ShardPolicy::Single {
-            ShardPlan::single(outputs.len())
-        } else {
-            let costs: Vec<RuleCost> = outputs
-                .iter()
-                .map(|out| RuleCost::of_network(&out.network))
-                .collect();
-            ShardPlan::plan(&costs, policy)
-        };
-
-        // One machine image per shard; reporting nodes carry the *global*
-        // pattern index, so hardware reports attribute without remapping.
-        let networks: Vec<MnrlNetwork> = plan
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(si, members)| {
-                let name = if plan.shard_count() == 1 {
-                    "pattern-set".to_string()
-                } else {
-                    format!("pattern-set-shard{si}")
-                };
-                recama_compiler::merge_rule_networks(
-                    &name,
-                    members.iter().map(|&g| (g, g as u32, &outputs[g].network)),
-                )
-            })
-            .collect();
-
         // The scan partition, from the rules alone: how many banks the
         // machine would need says nothing about whether a table-driven
         // engine's rows fit. NCA states bound the determinized rows from
@@ -192,7 +140,7 @@ impl ShardedPatternSet {
         // when the next rule's states would pass the budget.
         let scan = match scan_mode {
             ScanMode::Nca => ShardPlan::single(outputs.len()),
-            ScanMode::Hybrid { state_budget } => scan_partition(&outputs, state_budget),
+            ScanMode::Hybrid { state_budget } => scan_partition(outputs, state_budget),
         };
 
         // One shared automaton per scan group over a single union
@@ -212,26 +160,20 @@ impl ShardedPatternSet {
         // class-indexed filter is exact on extracted literals).
         let prefilter = match prefilter_mode {
             PrefilterMode::On => Some(SetPrefilter::build(
-                &parsed_list,
+                parsed,
                 scan.shards(),
                 multi.alphabet().clone(),
             )),
             PrefilterMode::Off => None,
         };
 
-        let reversed = (0..sources.len()).map(|_| OnceLock::new()).collect();
         ShardedPatternSet {
-            sources,
-            parsed: parsed_list,
-            outputs,
-            anchored_end,
-            networks,
+            anchored_end: parsed.iter().map(|p| p.anchored_end).collect(),
             scan,
             multi,
             scan_mode,
             caches,
             prefilter,
-            reversed,
         }
     }
 
@@ -272,11 +214,6 @@ impl ShardedPatternSet {
             total.merge(&cache.stats());
         }
         total
-    }
-
-    /// The reversed automaton of pattern `i`, built on first use.
-    pub(crate) fn reversed_nca(&self, i: usize) -> &Nca {
-        self.reversed[i].get_or_init(|| Nca::from_regex(&self.parsed[i].regex.reverse()))
     }
 
     /// Whether pattern `i` carries a trailing-`$` anchor (one-shot scans
@@ -408,14 +345,9 @@ impl<'a> ShardedSetStream<'a> {
         self.flow.unit_count()
     }
 
-    /// Total bytes consumed since creation (or the last reset).
+    /// Total bytes consumed since creation.
     pub fn position(&self) -> u64 {
         self.flow.total()
-    }
-
-    /// Restarts the stream at position 0.
-    pub fn reset(&mut self) {
-        self.flow = Flow::new(self.set, 0);
     }
 }
 
@@ -463,6 +395,7 @@ pub(crate) fn in_scan_groups(builder: crate::EngineBuilder, groups: usize) -> cr
 mod tests {
     use super::*;
     use crate::Engine;
+    use recama_hw::ShardPolicy;
 
     /// `patterns` in `groups` scan groups, one bank.
     fn grouped(patterns: &[&str], groups: usize) -> Engine {
@@ -533,8 +466,8 @@ mod tests {
         let hits: Vec<SetMatch> = stream.feed(b"kk").collect();
         assert_eq!(hits, vec![SetMatch { pattern: 0, end: 6 }]);
         assert_eq!(stream.position(), 6);
-        stream.reset();
-        let hits: Vec<SetMatch> = stream.feed(b"kk").collect();
+        // A fresh stream starts again at position 0.
+        let hits: Vec<SetMatch> = engine.stream().feed(b"kk").collect();
         assert_eq!(hits, vec![SetMatch { pattern: 0, end: 2 }]);
     }
 

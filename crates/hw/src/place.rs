@@ -287,7 +287,7 @@ pub fn place(network: &MnrlNetwork) -> Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recama_compiler::{compile, CompileOptions};
+    use recama_compiler::{compile, merge_rule_networks, CompileOptions};
     use recama_syntax::parse;
 
     fn network_for(pattern: &str) -> MnrlNetwork {
@@ -358,9 +358,12 @@ mod tests {
     #[test]
     fn segments_share_physical_module() {
         // Two small bit vectors in one PE share the 2000-bit module.
-        let patterns: Vec<String> = vec!["a{40}".into(), "b{60}".into()];
-        let ruleset = recama_compiler::compile_ruleset(&patterns, &CompileOptions::default());
-        let p = place(&ruleset.network);
+        let networks = [network_for("a{40}"), network_for("b{60}")];
+        let merged = merge_rule_networks(
+            "ruleset",
+            (networks.iter().enumerate()).map(|(i, net)| (i, i as u32, net)),
+        );
+        let p = place(&merged);
         assert_eq!(p.bitvector_segments, 2);
         assert_eq!(p.bitvector_bits_used, 100);
         assert_eq!(p.bitvector_modules, 1, "segments should share one module");

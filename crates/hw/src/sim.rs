@@ -367,9 +367,21 @@ impl HwSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recama_compiler::{compile, CompileOptions};
+    use recama_compiler::{compile, merge_rule_networks, CompileOptions};
     use recama_nca::TokenSetEngine;
     use recama_syntax::parse;
+
+    /// The rules `patterns` merged into one machine image, rule `i`'s
+    /// reporting nodes stamped `i`.
+    fn merged(patterns: &[&str]) -> MnrlNetwork {
+        let networks: Vec<MnrlNetwork> = (patterns.iter())
+            .map(|p| compile(&parse(p).unwrap().for_stream(), &CompileOptions::default()).network)
+            .collect();
+        merge_rule_networks(
+            "ruleset",
+            (networks.iter().enumerate()).map(|(i, net)| (i, i as u32, net)),
+        )
+    }
 
     fn check_equivalence(pattern: &str, inputs: &[&[u8]]) {
         let parsed = parse(pattern).unwrap();
@@ -454,23 +466,16 @@ mod tests {
 
     #[test]
     fn multiple_rules_report_independently() {
-        let patterns: Vec<String> = vec!["^ab{2}c".into(), "xyz".into()];
-        let rs = recama_compiler::compile_ruleset(&patterns, &CompileOptions::default());
-        let mut hw = HwSimulator::new(&rs.network);
+        let network = merged(&["^ab{2}c", "xyz"]);
+        let mut hw = HwSimulator::new(&network);
         let ends = hw.match_ends(b"abbc..xyz");
         assert_eq!(ends, vec![4, 9]);
     }
 
     #[test]
     fn report_ids_attribute_rules() {
-        let patterns: Vec<String> = vec![
-            "^ab{2}c".into(),
-            "xyz".into(),
-            "a{10}".into(),
-            "c..x".into(),
-        ];
-        let rs = recama_compiler::compile_ruleset(&patterns, &CompileOptions::default());
-        let mut hw = HwSimulator::new(&rs.network);
+        let network = merged(&["^ab{2}c", "xyz", "a{10}", "c..x"]);
+        let mut hw = HwSimulator::new(&network);
         let by_rule = hw.match_ends_by_rule(b"abbc..xyz");
         // Rule 0 at 4 (counter module report); rule 3 spans the boundary
         // (c..x at 7); rule 1 at 9.

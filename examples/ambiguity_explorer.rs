@@ -90,7 +90,7 @@ fn main() {
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("engine build failed: {e}");
-            eprintln!("  (phase {:?}, rule index {})", e.phase, e.index);
+            eprintln!("  (rule index {})", e.index);
             std::process::exit(1);
         }
     };

@@ -7,10 +7,11 @@
 //! cargo run --release --example network_ids
 //! ```
 
-use recama::compiler::{compile_ruleset, CompileOptions};
-use recama::hw::{run, AreaGranularity};
+use recama::compiler::CompileOptions;
+use recama::hw::{run, AreaGranularity, ShardPolicy};
 use recama::nca::UnfoldPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
+use recama::Engine;
 
 fn main() {
     // A 1%-scale Snort-like ruleset (58 rules) and 16 KiB of traffic with
@@ -30,17 +31,22 @@ fn main() {
         ("unfold ≤ 50", UnfoldPolicy::UpTo(50)),
         ("unfold all (CAMA baseline)", UnfoldPolicy::All),
     ] {
-        let out = compile_ruleset(
-            &patterns,
-            &CompileOptions {
+        // One machine image for the whole ruleset (one bank plan shard).
+        let design = Engine::builder()
+            .patterns(&patterns)
+            .options(CompileOptions {
                 unfold,
                 ..Default::default()
-            },
-        );
-        let report = run(&out.network, &input, AreaGranularity::WholeModule);
+            })
+            .shard_policy(ShardPolicy::Single)
+            .lossy(true)
+            .build()
+            .expect("lossy builds are infallible");
+        let network = design.network(0);
+        let report = run(network, &input, AreaGranularity::WholeModule);
         println!(
             "{label:38} {:>7} nodes  {:>9.4} nJ/B  {:>8.5} mm²  {} reports",
-            out.network.node_count(),
+            network.node_count(),
             report.energy.nj_per_byte(),
             report.area.total_mm2(),
             report.match_ends.len()
@@ -60,7 +66,7 @@ fn main() {
     // the `Engine` facade, attributing hits to rules. The bank plan cuts
     // the machine images; what a flow scans is cut by whether the
     // lazy-DFA rows fit, so the two counts need not agree.
-    let engine = recama::Engine::builder()
+    let engine = Engine::builder()
         .patterns(&patterns)
         .lossy(true)
         .build()

@@ -7,9 +7,9 @@
 //! cargo run --release --example protein_motifs
 //! ```
 
-use recama::compiler::{compile_ruleset, CompileOptions};
-use recama::hw::{place, run, AreaGranularity};
+use recama::hw::{place, run, AreaGranularity, ShardPolicy};
 use recama::workloads::{generate, traffic, BenchmarkId};
+use recama::Engine;
 
 fn main() {
     let ruleset = generate(BenchmarkId::Protomata, 0.01, 1309);
@@ -17,10 +17,18 @@ fn main() {
     // A synthetic "proteome": 8 KiB of residues with planted motif hits.
     let sequence = traffic(&ruleset, 8 * 1024, 0.001, 42);
 
-    let out = compile_ruleset(&patterns, &CompileOptions::default());
-    let placement = place(&out.network);
-    println!("motifs compiled:       {}", out.rules.len());
-    let (stes, counters, bitvectors) = out.network.counts_by_type();
+    // One engine: its single machine image is what the accelerator runs,
+    // and the same compile scans in software.
+    let engine = Engine::builder()
+        .patterns(&patterns)
+        .shard_policy(ShardPolicy::Single)
+        .lossy(true)
+        .build()
+        .expect("lossy builds are infallible");
+    let network = engine.network(0);
+    let placement = place(network);
+    println!("motifs compiled:       {}", engine.len());
+    let (stes, counters, bitvectors) = network.counts_by_type();
     println!(
         "network:               {stes} STEs, {counters} counters, {bitvectors} bit-vector segments"
     );
@@ -32,7 +40,7 @@ fn main() {
         placement.bitvector_bits_wasted()
     );
 
-    let report = run(&out.network, &sequence, AreaGranularity::WholeModule);
+    let report = run(network, &sequence, AreaGranularity::WholeModule);
     println!(
         "scan of {} residues:  {} motif hits, {:.4} nJ/byte, {:.5} mm²",
         sequence.len(),
@@ -44,11 +52,6 @@ fn main() {
     // Motif *extents* through the facade: the engine locates full
     // `[start, end)` spans (automata report only ends; the reversed-NCA
     // pass recovers starts), which is what an annotation pipeline wants.
-    let engine = recama::Engine::builder()
-        .patterns(&patterns)
-        .lossy(true)
-        .build()
-        .expect("lossy builds are infallible");
     let spans = engine.scan_spans(&sequence);
     println!("located motif spans:   {}", spans.len());
     for s in spans.iter().take(3) {
@@ -62,7 +65,7 @@ fn main() {
     }
 
     // Spot-check one hit against the software reference engine.
-    if let Some(rule) = out.rules.first() {
+    if let Some(rule) = engine.outputs().first() {
         let mut sw = recama::nca::TokenSetEngine::new(&rule.nca);
         let sw_ends: Vec<usize> = sw
             .match_ends(&sequence)

@@ -19,14 +19,14 @@ use recama::analysis::{
     DecidedBy, ExactConfig, Method, NcaAnalysis, StopPolicy, Verdict,
 };
 use recama::compiler::{
-    compile, compile_ruleset, emit, CompileOptions, ModuleKind, BITVECTOR_MAX_BOUND,
-    COUNTER_MAX_BOUND,
+    compile, emit, CompileOptions, ModuleKind, BITVECTOR_MAX_BOUND, COUNTER_MAX_BOUND,
 };
 use recama::nca::{
     unfold, unfold_one, CompilePlan, MultiNca, Nca, StateId, TokenSetEngine, UnfoldPolicy,
 };
 use recama::syntax::{normalize_for_nca, parse, ByteClass, Regex};
 use recama::workloads::{generate, BenchmarkId};
+use recama::Engine;
 
 fn arb_regex() -> impl Strategy<Value = Regex> {
     let leaf = prop::sample::select(vec![
@@ -482,17 +482,16 @@ fn snort_compiles_within_a_counted_number_of_pairs() {
     // the seed-2022 ruleset the benchmark uses.
     for seed in [1, 2, 2022] {
         let patterns = generate(BenchmarkId::Snort, 0.02, seed).pattern_strings();
-        let out = compile_ruleset(&patterns, &CompileOptions::default());
-        let pairs: u64 = out
-            .rules
-            .iter()
+        let engine = Engine::builder()
+            .patterns(&patterns)
+            .lossy(true)
+            .build()
+            .expect("lossy builds are infallible");
+        let pairs: u64 = (engine.outputs().iter())
             .map(|r| r.report.analysis_stats.pairs_created)
             .sum();
         assert!(pairs <= 100_000, "ruleset seed {seed}: {pairs} pairs");
-        assert!(out
-            .rules
-            .iter()
-            .all(|r| !r.report.analysis_stats.budget_exhausted));
+        assert!((engine.outputs().iter()).all(|r| !r.report.analysis_stats.budget_exhausted));
     }
 }
 

@@ -24,8 +24,8 @@ use recama::nca::{
 };
 use recama::syntax::{ByteAlphabet, ParseError};
 use recama::{
-    CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FlowId, FlowScheduler,
-    HybridStats, PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent,
+    CompileError, Engine, EngineBuilder, FaultMetrics, FlowId, FlowScheduler, HybridStats,
+    PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent,
     ServiceHandle, ServiceMetrics, SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream,
     SkippedRule,
 };
@@ -38,7 +38,6 @@ use std::time::Duration;
 /// modules, not expanded: each sub-crate has a listing of its own.
 const ROOT_EXPORTS: &[&str] = &[
     "CompileError",
-    "CompilePhase",
     "DEFAULT_STATE_BUDGET",
     "Engine",
     "EngineBuilder",
@@ -102,9 +101,7 @@ const COMPILER_EXPORTS: &[&str] = &[
     "CompileReport",
     "DecidedBy",
     "ModuleKind",
-    "RulesetOutput",
     "compile",
-    "compile_ruleset",
     "emit",
     "merge_rule_networks",
 ];
@@ -568,7 +565,6 @@ fn stream_signatures() {
     let _: fn(&mut ShardedSetStream<'_>, &[u8]) -> Vec<SetMatch> = |s, c| s.feed(c).collect();
     let _: fn(&ShardedSetStream<'_>) -> u64 = |s| s.position();
     let _: fn(&ShardedSetStream<'_>) -> usize = |s| s.group_count();
-    let _: fn(&mut ShardedSetStream<'_>) = |s| s.reset();
     let _: fn(ShardedSetStream<'_>) -> Vec<SetMatch> = |s| s.finish();
 }
 
@@ -576,14 +572,13 @@ fn stream_signatures() {
 // Destructuring fails to compile if public fields change name or type.
 
 #[allow(dead_code)]
-fn pin_compile_error(e: CompileError) -> (usize, String, CompilePhase, ParseError) {
+fn pin_compile_error(e: CompileError) -> (usize, String, ParseError) {
     let CompileError {
         index,
         pattern,
-        phase,
         error,
     } = e;
-    (index, pattern, phase, error)
+    (index, pattern, error)
 }
 
 #[allow(dead_code)]
@@ -745,19 +740,5 @@ fn pin_serve_error(e: ServeError) -> Option<String> {
         ServeError::Quarantined { message } => Some(message),
         ServeError::Poisoned { message } => Some(message),
         ServeError::Overloaded | ServeError::Closed | ServeError::Stopped => None,
-    }
-}
-
-#[test]
-fn compile_phase_variants_are_stable() {
-    // Matching is exhaustive: a new phase variant must be added here
-    // (and to the docs) deliberately.
-    for phase in [CompilePhase::Parse, CompilePhase::Map, CompilePhase::Shard] {
-        let label = match phase {
-            CompilePhase::Parse => "parse",
-            CompilePhase::Map => "map",
-            CompilePhase::Shard => "shard",
-        };
-        assert_eq!(phase.to_string(), label);
     }
 }

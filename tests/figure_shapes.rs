@@ -5,10 +5,23 @@
 //! pin the claims at reduced scale so `cargo test` guards them.
 
 use recama::analysis::{check, CheckConfig, Method};
-use recama::compiler::{compile, compile_ruleset, CompileOptions};
-use recama::hw::{params, run, AreaGranularity};
+use recama::compiler::{compile, CompileOptions};
+use recama::hw::{params, run, AreaGranularity, ShardPolicy};
 use recama::nca::UnfoldPolicy;
 use recama::workloads::{generate, paper_table1, traffic, BenchmarkId};
+use recama::Engine;
+
+/// `patterns` compiled with `options` into one machine image, rules
+/// outside the fragment skipped.
+fn one_image(patterns: &[String], options: CompileOptions) -> Engine {
+    Engine::builder()
+        .patterns(patterns)
+        .options(options)
+        .shard_policy(ShardPolicy::Single)
+        .lossy(true)
+        .build()
+        .expect("lossy builds are infallible")
+}
 
 /// Table 1 shape: the synthetic rulesets reproduce the published
 /// supported/counting/ambiguous proportions by construction.
@@ -165,14 +178,14 @@ fn fig_9_node_counts() {
         UnfoldPolicy::UpTo(100),
         UnfoldPolicy::All,
     ] {
-        let out = compile_ruleset(
+        let engine = one_image(
             &patterns,
-            &CompileOptions {
+            CompileOptions {
                 unfold: policy,
                 ..Default::default()
             },
         );
-        let n = out.network.node_count();
+        let n = engine.network(0).node_count();
         assert!(n >= last, "monotone in threshold");
         first = first.min(n);
         last = n;
@@ -193,16 +206,16 @@ fn fig_10_application_benchmarks() {
         let rs = generate(id, 0.004, 13);
         let patterns = rs.pattern_strings();
         let input = traffic(&rs, 4096, 0.001, 3);
-        let augmented = compile_ruleset(&patterns, &CompileOptions::default());
-        let baseline = compile_ruleset(
+        let augmented = one_image(&patterns, CompileOptions::default());
+        let baseline = one_image(
             &patterns,
-            &CompileOptions {
+            CompileOptions {
                 unfold: UnfoldPolicy::All,
                 ..Default::default()
             },
         );
-        let run_a = run(&augmented.network, &input, AreaGranularity::WholeModule);
-        let run_b = run(&baseline.network, &input, AreaGranularity::WholeModule);
+        let run_a = run(augmented.network(0), &input, AreaGranularity::WholeModule);
+        let run_b = run(baseline.network(0), &input, AreaGranularity::WholeModule);
         let e_saving = 1.0 - run_a.energy.nj_per_byte() / run_b.energy.nj_per_byte();
         let a_saving = 1.0 - run_a.area.total_mm2() / run_b.area.total_mm2();
         if expect_large_saving {

@@ -1,8 +1,8 @@
 //! End-to-end pipeline integration: parse → analyze → compile → MNRL JSON
 //! round trip → place → simulate, across pattern families and rulesets.
 
-use recama::compiler::{compile, compile_ruleset, CompileOptions};
-use recama::hw::{place, run, AreaGranularity, HwSimulator};
+use recama::compiler::{compile, CompileOptions};
+use recama::hw::{place, run, AreaGranularity, HwSimulator, ShardPolicy};
 use recama::mnrl::MnrlNetwork;
 use recama::nca::{CompilePlan, MultiNca, StateId, UnfoldPolicy};
 use recama::workloads::{generate, traffic, BenchmarkId};
@@ -21,6 +21,18 @@ const PATTERNS: &[&str] = &[
     "head(body){2,3}tail",
     "a{4,}b",
 ];
+
+/// `patterns` compiled with `options` into one machine image, rules
+/// outside the fragment skipped.
+fn one_image(patterns: &[String], options: CompileOptions) -> Engine {
+    Engine::builder()
+        .patterns(patterns)
+        .options(options)
+        .shard_policy(ShardPolicy::Single)
+        .lossy(true)
+        .build()
+        .expect("lossy builds are infallible")
+}
 
 /// The match ends of `engine`'s rules over `haystack`.
 fn ends(engine: &Engine, haystack: &[u8]) -> Vec<usize> {
@@ -83,15 +95,15 @@ fn ruleset_end_to_end_on_all_benchmarks() {
     for id in BenchmarkId::ALL {
         let ruleset = generate(id, 0.002, 99);
         let patterns = ruleset.pattern_strings();
-        let out = compile_ruleset(&patterns, &CompileOptions::default());
+        let engine = one_image(&patterns, CompileOptions::default());
         assert!(
-            out.rules.len() + out.rejected.len() == patterns.len(),
+            engine.len() + engine.skipped().len() == patterns.len(),
             "{id:?}: every pattern accounted for"
         );
-        let problems = out.network.validate();
+        let problems = engine.network(0).validate();
         assert!(problems.is_empty(), "{id:?}: {problems:?}");
         let input = traffic(&ruleset, 2048, 0.002, 5);
-        let report = run(&out.network, &input, AreaGranularity::WholeModule);
+        let report = run(engine.network(0), &input, AreaGranularity::WholeModule);
         assert!(report.energy.nj_per_byte() > 0.0, "{id:?}: energy");
         assert!(report.area.total_mm2() > 0.0, "{id:?}: area");
     }
@@ -167,8 +179,8 @@ fn per_rule_report_attribution() {
     // Ruleset networks stamp every reporting node with its rule id;
     // the simulator's report vector says which rule fired at each cycle.
     let patterns: Vec<String> = vec!["^ab{2}c".into(), "xyz".into(), "q{3}".into()];
-    let out = compile_ruleset(&patterns, &CompileOptions::default());
-    let mut hw = HwSimulator::new(&out.network);
+    let engine = one_image(&patterns, CompileOptions::default());
+    let mut hw = HwSimulator::new(engine.network(0));
     assert_eq!(
         hw.match_ends_by_rule(b"abbc..xyz..qqq"),
         vec![(0, 4), (1, 9), (2, 14)]
