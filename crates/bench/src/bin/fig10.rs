@@ -11,7 +11,7 @@ use recama::hw::{run, AreaGranularity, ShardPolicy};
 use recama::nca::UnfoldPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
 use recama::Engine;
-use recama_bench::{banner, scale, seed, traffic_len};
+use recama_bench::{banner, scale, seed, threshold_label, traffic_len};
 
 fn main() {
     let scale = scale();
@@ -19,13 +19,13 @@ fn main() {
     banner(&format!(
         "Fig. 10: augmented-CAMA energy and area per unfolding threshold (scale {scale}, {input_len} B traffic)"
     ));
-    let thresholds: [(&str, UnfoldPolicy); 6] = [
-        ("unfold 5", UnfoldPolicy::UpTo(5)),
-        ("unfold 10", UnfoldPolicy::UpTo(10)),
-        ("unfold 25", UnfoldPolicy::UpTo(25)),
-        ("unfold 50", UnfoldPolicy::UpTo(50)),
-        ("unfold 100", UnfoldPolicy::UpTo(100)),
-        ("unfold all", UnfoldPolicy::All),
+    let thresholds = [
+        UnfoldPolicy::UpTo(5),
+        UnfoldPolicy::UpTo(10),
+        UnfoldPolicy::UpTo(25),
+        UnfoldPolicy::UpTo(50),
+        UnfoldPolicy::UpTo(100),
+        UnfoldPolicy::All,
     ];
     println!(
         "{:<14} {:<12} {:>12} {:>11} {:>11} {:>9} {:>9}",
@@ -39,13 +39,13 @@ fn main() {
         let mut unfold_all_energy = 0.0;
         let mut best_area = f64::INFINITY;
         let mut unfold_all_area = 0.0;
-        for (label, policy) in &thresholds {
+        for &policy in &thresholds {
             // The whole ruleset as one machine image; rules outside the
             // fragment are skipped.
             let engine = Engine::builder()
                 .patterns(&patterns)
                 .options(CompileOptions {
-                    unfold: *policy,
+                    unfold: policy,
                     ..Default::default()
                 })
                 .shard_policy(ShardPolicy::Single)
@@ -59,7 +59,7 @@ fn main() {
             println!(
                 "{:<14} {:<12} {:>12.5} {:>11.6} {:>11.6} {:>9} {:>9}",
                 id.name(),
-                label,
+                format!("unfold {}", threshold_label(policy)),
                 energy,
                 area,
                 report.area.waste_um2 / 1e6,
@@ -68,7 +68,7 @@ fn main() {
             );
             best_energy = best_energy.min(energy);
             best_area = best_area.min(area);
-            if *label == "unfold all" {
+            if policy == UnfoldPolicy::All {
                 unfold_all_energy = energy;
                 unfold_all_area = area;
             }

@@ -12,40 +12,40 @@ use recama::hw::ShardPolicy;
 use recama::nca::UnfoldPolicy;
 use recama::workloads::{generate, BenchmarkId};
 use recama::Engine;
-use recama_bench::{banner, scale, seed};
+use recama_bench::{banner, scale, seed, threshold_label};
 
 fn main() {
     let scale = scale();
     banner(&format!(
         "Fig. 9: # MNRL nodes vs unfolding threshold (scale {scale})"
     ));
-    let thresholds: [(&str, UnfoldPolicy); 9] = [
-        ("none", UnfoldPolicy::None),
-        ("5", UnfoldPolicy::UpTo(5)),
-        ("10", UnfoldPolicy::UpTo(10)),
-        ("25", UnfoldPolicy::UpTo(25)),
-        ("50", UnfoldPolicy::UpTo(50)),
-        ("100", UnfoldPolicy::UpTo(100)),
-        ("250", UnfoldPolicy::UpTo(250)),
-        ("1000", UnfoldPolicy::UpTo(1000)),
-        ("all", UnfoldPolicy::All),
+    let thresholds = [
+        UnfoldPolicy::None,
+        UnfoldPolicy::UpTo(5),
+        UnfoldPolicy::UpTo(10),
+        UnfoldPolicy::UpTo(25),
+        UnfoldPolicy::UpTo(50),
+        UnfoldPolicy::UpTo(100),
+        UnfoldPolicy::UpTo(250),
+        UnfoldPolicy::UpTo(1000),
+        UnfoldPolicy::All,
     ];
     print!("{:<14}", "benchmark");
-    for (label, _) in &thresholds {
-        print!(" {label:>9}");
+    for &policy in &thresholds {
+        print!(" {:>9}", threshold_label(policy));
     }
     println!();
     for id in BenchmarkId::HARDWARE {
         let ruleset = generate(id, scale, seed());
         let patterns = ruleset.pattern_strings();
         print!("{:<14}", id.name());
-        for (_, policy) in &thresholds {
+        for &policy in &thresholds {
             // The whole ruleset as one machine image; rules outside the
             // fragment are skipped.
             let engine = Engine::builder()
                 .patterns(&patterns)
                 .options(CompileOptions {
-                    unfold: *policy,
+                    unfold: policy,
                     ..Default::default()
                 })
                 .shard_policy(ShardPolicy::Single)

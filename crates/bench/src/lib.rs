@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 
 use recama::analysis::{check, CheckConfig, Method, RegexCheck};
+use recama::nca::UnfoldPolicy;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -127,6 +128,17 @@ fn analyze_one(
             check: None,
             time: start.elapsed(),
         },
+    }
+}
+
+/// The label an unfolding threshold is printed under: `none`, the
+/// threshold itself, or `all`. Figs. 9 and 10 print it from the policy
+/// they compile with, so a label cannot name another threshold.
+pub fn threshold_label(policy: UnfoldPolicy) -> String {
+    match policy {
+        UnfoldPolicy::None => "none".to_string(),
+        UnfoldPolicy::UpTo(threshold) => threshold.to_string(),
+        UnfoldPolicy::All => "all".to_string(),
     }
 }
 

@@ -243,12 +243,12 @@ impl EngineBuilder {
     }
 
     /// Sets the [`ScanMode`] every scan, stream, scheduler, and service
-    /// handle of the built engine walks bytes with. The default,
-    /// [`ScanMode::Hybrid`] with
+    /// handle of the built engine walks bytes with: its one variant,
+    /// [`ScanMode::Hybrid`], carries the row budget, by default
     /// [`DEFAULT_STATE_BUDGET`](recama_nca::DEFAULT_STATE_BUDGET)
-    /// cached DFA states per scan group, overlays a lazy DFA on the pure
-    /// (counter-free) part of the frontier and steps exactly only the
-    /// counter-carrying states that are live. The determinized rows of a
+    /// cached DFA states per scan group. The engine overlays a lazy DFA
+    /// on the pure (counter-free) part of the frontier and steps exactly
+    /// only the counter-carrying states that are live. The rows of a
     /// group are built once and shared by everything the engine scans —
     /// block scans, streams, every flow of a scheduler or service handle
     /// — so the budget bounds the group, not each flow.
@@ -258,11 +258,8 @@ impl EngineBuilder {
     /// a group closes when the next rule would pass the budget (a
     /// heavier rule gets a group of its own), so a ruleset whose rows
     /// fit one cache is scanned once per byte and a larger one is cut
-    /// before its cache starts flushing. [`ScanMode::Nca`] has no rows
-    /// to fit: it scans one group with the same engine without rows,
-    /// every byte the edge walk a row fill makes beside the counter bank.
-    /// Both modes are differentially tested against the patterns
-    /// scanned one by one.
+    /// before its cache starts flushing. Every budget is differentially
+    /// tested against the patterns scanned one by one.
     pub fn scan_mode(mut self, mode: ScanMode) -> EngineBuilder {
         self.scan_mode = mode;
         self
@@ -508,8 +505,8 @@ impl Engine {
     /// units of a stream, a scheduler or a service handle, and the index
     /// of every per-unit metric. It follows from the rules and the
     /// [`ScanMode`] alone — next-fit over the rules' NCA states under
-    /// the hybrid `state_budget`, one group under [`ScanMode::Nca`] —
-    /// and the [`ShardPolicy`] has no say in it.
+    /// the hybrid `state_budget` — and the [`ShardPolicy`] has no say in
+    /// it.
     pub fn scan_groups(&self) -> &ShardPlan {
         &self.set.scan
     }
@@ -545,8 +542,8 @@ impl Engine {
     /// All matches in `haystack`, in stream order (ascending end,
     /// ascending rule index within one end): a fresh
     /// [`stream`](Engine::stream) fed the haystack once — the stream's
-    /// one loop consults the prefilter, fans large haystacks out to one
-    /// scoped thread per scan group and merges the reports in order —
+    /// one loop consults the prefilter, scans each scan group in turn on
+    /// the calling thread and merges the reports in order —
     /// keeping of each trailing-`$` rule only the matches that end the
     /// haystack. Reports are byte-identical for any bank plan and any
     /// scan partition, and per rule they are what an engine of that rule
@@ -586,8 +583,9 @@ impl Engine {
 
     /// A resumable streaming matcher for ONE flow, holding one engine
     /// state per scan group: feed chunks and drain reports incrementally,
-    /// without re-scanning previous chunks; large chunks are fanned out
-    /// to the group engines on scoped threads.
+    /// without re-scanning previous chunks. The group engines scan each
+    /// chunk one after the other on the calling thread; many flows at
+    /// once are [`serve_with`](Engine::serve_with)'s.
     ///
     /// A stream has no "end" until [`finish`](ShardedSetStream::finish)
     /// declares one, so trailing-`$` anchors are not applied during

@@ -85,7 +85,7 @@ use crate::engine::{Engine, ServeConfig};
 use crate::flow::Flow;
 use crate::prefilter::{ChunkAction, PerGroup, PrefilterCounters, PrefilterMetrics};
 use crate::ShardedPatternSet;
-use recama_nca::{HybridEngine, HybridStats, MultiReport, ScanMode, LOCKSTEP_LANES};
+use recama_nca::{HybridEngine, HybridStats, MultiReport, LOCKSTEP_LANES};
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -211,8 +211,9 @@ pub struct ServiceMetrics {
     /// Pushes rejected (`Poll::Pending`) by the per-flow or global byte
     /// budget, plus flow-table overshoots with nothing evictable.
     pub backpressure: u64,
-    /// Aggregate hybrid lazy-DFA counters, when the current epoch scans
-    /// in [`ScanMode::Hybrid`]; `None` in pure-NCA mode. The byte
+    /// Aggregate hybrid lazy-DFA counters: always `Some`, since every
+    /// engine scans on rows. It stays an `Option` only while the
+    /// benchmark harness (`harness/src/run.rs`) unwraps it. The byte
     /// counters are cumulative over every engine that ever scanned
     /// (retired engines plus the live flow table); `dfa_states` and
     /// `flushes` are read from the per-group caches of the current epoch
@@ -1241,10 +1242,6 @@ impl ServeState {
                 sets.push(&e.set);
             }
         }
-        let hybrid = match self.current.set.scan_mode {
-            ScanMode::Hybrid { .. } => Some(hybrid),
-            ScanMode::Nca => None,
-        };
         // Per-unit vectors are as long as the scan partition, whatever
         // the bank count.
         let groups = self.current.set.scan.shard_count();
@@ -1269,7 +1266,7 @@ impl ServeState {
             idle_evictions: self.metrics.idle_evictions,
             budget_evictions: self.metrics.budget_evictions,
             backpressure: self.metrics.backpressure,
-            hybrid,
+            hybrid: Some(hybrid),
             prefilter,
             faults: FaultMetrics {
                 quarantined_flows: self.metrics.quarantined,

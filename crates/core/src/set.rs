@@ -21,21 +21,22 @@
 //!   coarsest order-preserving one whose lazy-DFA rows can be expected
 //!   to fit: next-fit over the rules, a rule weighing its NCA's states, a
 //!   group closing when the next rule would pass the
-//!   [`ScanMode::Hybrid`] `state_budget`. [`ScanMode::Nca`] has no rows
-//!   to fit and scans one group. The shard policy never reaches it.
+//!   [`ScanMode::Hybrid`] `state_budget`. The shard policy never reaches
+//!   it.
 //!
 //! The set is what a serving epoch pins through its `Arc`, so it holds
 //! only what a flow scans: the scan partition, one
 //! [`MultiNca`](recama_nca::MultiNca) per scan group with its lazy-DFA
-//! cache, the literal filter, the trailing-`$` flags and the scan mode.
+//! cache, the literal filter and the trailing-`$` flags.
 //! A retired epoch takes no machine image, rule text or per-rule
 //! automaton with it.
 //!
 //! The group automata share a single byte-class alphabet computed once
 //! over the whole set and report global rule indices, and a
 //! [`ShardedSetStream`] feeds each chunk to every group engine that
-//! scans it, one after the other — large chunks in parallel on scoped
-//! threads. What the stream does with a chunk (the literal prefilter's
+//! scans it, one after the other, on the calling thread (scanning many
+//! flows at once is [`Engine::serve_with`](crate::Engine::serve_with)'s
+//! job). What the stream does with a chunk (the literal prefilter's
 //! skip / wake / replay, the ordered merge that keeps the output
 //! **byte-identical** for any partition, the trailing-`$` bookkeeping)
 //! is one flow's (`flow.rs`), the same value the serving core schedules;
@@ -109,14 +110,10 @@ pub struct ShardedPatternSet {
     pub(crate) scan: ShardPlan,
     /// One merged automaton per scan group.
     multi: ShardedMulti,
-    /// How scans and streams walk input bytes (the hybrid engine with or
-    /// without lazy-DFA rows).
-    pub(crate) scan_mode: ScanMode,
-    /// Under [`ScanMode::Hybrid`], the lazily determinized rows of each
-    /// scan group (empty under [`ScanMode::Nca`]): one cache per group,
-    /// shared by every scan, stream and served flow of this set on any
-    /// thread, and freed with the set — so an epoch of a serving handle
-    /// owns its rows by pinning its `Arc<ShardedPatternSet>`.
+    /// The lazily determinized rows of each scan group: one cache per
+    /// group, shared by every scan, stream and served flow of this set
+    /// on any thread, and freed with the set — so an epoch of a serving
+    /// handle owns its rows by pinning its `Arc<ShardedPatternSet>`.
     caches: Vec<HybridCache>,
     /// The literal prefilter (`None` under [`PrefilterMode::Off`]): one
     /// Aho-Corasick automaton over the shared alphabet, with group-set
@@ -138,10 +135,8 @@ impl ShardedPatternSet {
         // engine's rows fit. NCA states bound the determinized rows from
         // above on every generator in `workloads`, so a group closes
         // when the next rule's states would pass the budget.
-        let scan = match scan_mode {
-            ScanMode::Nca => ShardPlan::single(outputs.len()),
-            ScanMode::Hybrid { state_budget } => scan_partition(outputs, state_budget),
-        };
+        let ScanMode::Hybrid { state_budget } = scan_mode;
+        let scan = scan_partition(outputs, state_budget);
 
         // One shared automaton per scan group over a single union
         // alphabet.
@@ -149,10 +144,7 @@ impl ShardedPatternSet {
             .map(|out| (&out.nca, storage_plan(out)))
             .collect();
         let multi = ShardedMulti::merge(&parts, scan.shards());
-        let caches = match scan_mode {
-            ScanMode::Nca => Vec::new(),
-            ScanMode::Hybrid { state_budget } => multi.hybrid_caches(state_budget),
-        };
+        let caches = multi.hybrid_caches(state_budget);
 
         // Required-literal extraction over the raw rule ASTs, one AC
         // filter for the set, over the same alphabet the engines index
@@ -171,7 +163,6 @@ impl ShardedPatternSet {
             anchored_end: parsed.iter().map(|p| p.anchored_end).collect(),
             scan,
             multi,
-            scan_mode,
             caches,
             prefilter,
         }
@@ -190,24 +181,18 @@ impl ShardedPatternSet {
         self.prefilter.as_ref()
     }
 
-    /// A fresh engine for scan group `group` in this set's [`ScanMode`] —
-    /// a hot unit of a flow, `'static + Send` so a flow table keeps it
+    /// A fresh engine for scan group `group`, on the group's shared rows
+    /// — a hot unit of a flow, `'static + Send` so a flow table keeps it
     /// between scans as it is (see
-    /// [`ServiceHandle`](crate::ServiceHandle)). A hybrid engine scans on
-    /// the group's shared rows. Boxed: engines move between workers at
-    /// every checkout and check-in, and an engine is hundreds of bytes
-    /// of inline state.
+    /// [`ServiceHandle`](crate::ServiceHandle)). Boxed: engines move
+    /// between workers at every checkout and check-in, and an engine is
+    /// hundreds of bytes of inline state.
     pub(crate) fn group_engine(&self, group: usize) -> Box<HybridEngine> {
-        let multi = &self.multi.shards()[group];
-        Box::new(match self.caches.get(group) {
-            Some(cache) => multi.hybrid_engine_on(cache),
-            None => multi.engine(),
-        })
+        Box::new(self.multi.shards()[group].hybrid_engine_on(&self.caches[group]))
     }
 
     /// The group caches' half of the hybrid counters — `dfa_states` and
-    /// `flushes` summed over this set's scan groups, each cache once
-    /// (all zero under [`ScanMode::Nca`]).
+    /// `flushes` summed over this set's scan groups, each cache once.
     pub(crate) fn hybrid_cache_stats(&self) -> HybridStats {
         let mut total = HybridStats::default();
         for cache in &self.caches {
@@ -250,24 +235,20 @@ fn scan_partition(outputs: &[CompileOutput], state_budget: usize) -> ShardPlan {
 /// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`];
 /// create one with [`Engine::stream`](crate::Engine::stream). It is the synchronous
 /// driver of one flow (`flow.rs`): every chunk is admitted, scanned by
-/// the group engines the literal prefilter did not skip — on scoped
-/// threads when the chunk is large — and merged before
+/// the group engines the literal prefilter did not skip, one after the
+/// other on the calling thread, and merged before
 /// [`feed`](ShardedSetStream::feed) returns, so the chunk stays borrowed.
 /// The stream is `Send`, so per-flow states can move onto worker
 /// threads. The `'a` is the set, which the stream borrows.
 pub struct ShardedSetStream<'a> {
     set: &'a ShardedPatternSet,
     flow: Flow,
-    /// The last chunk's verdicts and merged matches, kept for their
-    /// capacity: a chunk every unit skips allocates nothing.
+    /// The last chunk's verdicts, reports and merged matches, kept for
+    /// their capacity: a chunk every unit skips allocates nothing.
     verdicts: Vec<ChunkAction>,
+    reports: Vec<MultiReport>,
     merged: Vec<SetMatch>,
 }
-
-/// Inputs at least this large are fanned out to group engines on scoped
-/// threads; smaller ones are processed sequentially (thread spawn would
-/// cost more than the scan).
-const PARALLEL_MIN_BYTES: usize = 4096;
 
 impl<'a> ShardedSetStream<'a> {
     /// A fresh stream over `set`, at position 0.
@@ -276,6 +257,7 @@ impl<'a> ShardedSetStream<'a> {
             set,
             flow: Flow::new(set, 0),
             verdicts: Vec::new(),
+            reports: Vec::new(),
             merged: Vec::new(),
         }
     }
@@ -294,29 +276,15 @@ impl<'a> ShardedSetStream<'a> {
                 replay_from = start;
                 replay.extend_from_slice(bytes);
             });
-        let mut scans: Vec<(usize, Box<HybridEngine>, u64, Vec<MultiReport>)> = Vec::new();
         for (si, verdict) in self.verdicts.iter().enumerate() {
-            if *verdict != ChunkAction::Skip {
-                let (engine, from) = self.flow.checkout(si);
-                scans.push((si, engine, from, Vec::new()));
+            if *verdict == ChunkAction::Skip {
+                continue;
             }
-        }
-        // A stream counts from 0, so engine positions are absolute.
-        let scan = |(_, engine, from, reports): &mut (usize, Box<HybridEngine>, u64, Vec<_>)| {
-            engine.feed_into(&replay[(*from - replay_from) as usize..], reports);
-            engine.feed_into(chunk, reports);
-        };
-        if scans.len() > 1 && chunk.len() >= PARALLEL_MIN_BYTES {
-            std::thread::scope(|scope| {
-                for unit in &mut scans {
-                    scope.spawn(|| scan(unit));
-                }
-            });
-        } else {
-            scans.iter_mut().for_each(scan);
-        }
-        for (si, engine, _, reports) in scans {
-            self.flow.check_in(si, engine, reports);
+            // A stream counts from 0, so engine positions are absolute.
+            let (mut engine, from) = self.flow.checkout(si);
+            engine.feed_into(&replay[(from - replay_from) as usize..], &mut self.reports);
+            engine.feed_into(chunk, &mut self.reports);
+            self.flow.check_in(si, engine, self.reports.drain(..));
         }
         self.merged.clear();
         let merged = &mut self.merged;

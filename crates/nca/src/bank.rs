@@ -4,8 +4,8 @@
 //!
 //! [`crate::HybridEngine`] keeps the pure part of the frontier on DFA
 //! rows, or without rows as a subset; what is left to step exactly is
-//! `T`, the tokens on counted states — this bank, under both modes the
-//! one implementation of the counting semantics outside the reference
+//! `T`, the tokens on counted states — this bank, with rows or without,
+//! the one implementation of the counting semantics outside the reference
 //! engine, [`crate::TokenSetEngine`], which shares no plan and no cell
 //! with it. A [`CounterBank`] is built once per [`crate::MultiNca`] and
 //! indexes those states densely `0..k` **in state order**, so ascending

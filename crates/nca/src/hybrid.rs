@@ -133,8 +133,8 @@
 //!   is taken;
 //! * **the next byte is in sight and in the mask**: it is the next byte
 //!   of the *same chunk*. The last byte of a chunk, and so every byte of
-//!   [`HybridEngine::step_into`], always takes the wake — the engine
-//!   never waits for input to decide.
+//!   a chunk of one byte, always takes the wake — the engine never waits
+//!   for input to decide.
 //!
 //! Reports are therefore identical under every chunking. The byte
 //! counters [`HybridStats::dfa_bytes`] and [`HybridStats::fallback_bytes`]
@@ -205,13 +205,14 @@
 //!
 //! # Without rows
 //!
-//! [`MultiNca::engine`] makes the same engine with no cache: the
-//! [`ScanMode::Nca`] engine. `S` is then the sorted subset itself, and
+//! [`MultiNca::engine`] makes the same engine with no cache, the
+//! reference the tests and the plan checks hold the rows to; no scan of
+//! a pattern set runs it. `S` is then the sorted subset itself, and
 //! every byte is what a row miss computes — the edge walk out of `S`
 //! that fills a row, the bank step with the entries that walk found,
 //! `S ∪ exits`, the pure accepts. Nothing is looked ahead at and nothing
 //! sleeps; the reports are the same. So the counting semantics have one
-//! implementation under both modes, the bank, and
+//! implementation with rows and without, the bank, and
 //! [`HybridEngine::conflicts`] counts on it in both.
 
 use crate::bank::{has_class, BankState, ClassSet, PURE};
@@ -223,14 +224,11 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 /// Default bound on the determinized states cached per shard.
 pub const DEFAULT_STATE_BUDGET: usize = 4096;
 
-/// How a pattern-set engine walks input bytes.
+/// How a pattern-set engine walks input bytes: always on its scan
+/// groups' lazily determinized rows. The one variant carries the row
+/// budget, which also draws the scan groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
-    /// The hybrid engine without rows ([`MultiNca::engine`]): every byte
-    /// walks the out-edges of the pure frontier, as a row fill does, and
-    /// steps the counter bank beside it — the paper's STE array and
-    /// counter modules without determinized rows.
-    Nca,
     /// The hybrid engine on lazily determinized rows (see
     /// [`HybridEngine`]): the pure frontier advances by one dense table
     /// row per byte, and only live counter-carrying states are stepped
@@ -490,8 +488,8 @@ impl Tables {
 /// The patterns the pure states of the sorted `subset` accept, ascending
 /// and once each. Pure accepting states accept unconditionally, and the
 /// merge lays patterns out in ascending contiguous state ranges, so a
-/// sorted subset yields ascending patterns — the per-step report order
-/// contract of [`HybridEngine::step_into`] — and a repeat is the last one.
+/// sorted subset yields ascending patterns — the per-byte report order
+/// contract of [`HybridEngine::feed_into`] — and a repeat is the last one.
 fn accepted<'a>(accepting: &'a [u32], subset: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
     let mut last = NO_PATTERN;
     subset
@@ -1081,19 +1079,17 @@ impl HybridEngine {
         entry
     }
 
-    /// Consumes one byte, appending one `(pattern, end)` report per
-    /// pattern that accepts at the new offset `end` to `out`, in
-    /// ascending pattern order. That order is a guaranteed contract:
-    /// the merge lays each pattern's states out contiguously in pattern
-    /// order, and the sharded ordered merge (`Flow` in `recama`) relies
-    /// on it to recombine per-shard reports byte-identically.
-    pub fn step_into(&mut self, byte: u8, out: &mut Vec<MultiReport>) {
-        self.feed_into(&[byte], out);
-    }
-
     /// Feeds a whole chunk, appending reports to `out`. Stream position
     /// persists across calls, so chunked feeding is equivalent to one
     /// contiguous scan.
+    ///
+    /// Each byte appends one `(pattern, end)` report per pattern that
+    /// accepts at its offset `end`, in ascending pattern order, so `out`
+    /// is sorted by `(end, pattern)`. That order is a guaranteed
+    /// contract: the merge lays each pattern's states out contiguously in
+    /// pattern order, and the ordered merge of a flow's scan groups
+    /// (`Flow` in `recama`) relies on it to recombine per-group reports
+    /// byte-identically.
     ///
     /// The engine's generation is read-locked once for the call. While
     /// no counted token is live, bytes are classified in 8-byte lanes
@@ -1707,7 +1703,7 @@ mod tests {
             let wakes = entry >= WAKES;
             let next = Wake::resolve(&at.generation.read().wakes, entry).0;
             let fallback_bytes = at.stats.fallback_bytes;
-            h.step_into(b, &mut out);
+            h.feed_into(&[b], &mut out);
             let at = h.at();
             let stepped = at.stats.fallback_bytes > fallback_bytes;
             events.push(Event {
@@ -2448,8 +2444,8 @@ mod tests {
         let mut hybrid = m.hybrid_engine(DEFAULT_STATE_BUDGET);
         let mut sink = Vec::new();
         for &b in input {
-            exact.step_into(b, &mut sink);
-            hybrid.step_into(b, &mut sink);
+            exact.feed_into(&[b], &mut sink);
+            hybrid.feed_into(&[b], &mut sink);
             assert_eq!(hybrid.active_states(), exact.active_states());
         }
     }

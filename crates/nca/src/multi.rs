@@ -243,7 +243,8 @@ impl MultiNca {
     /// Creates an engine over the merged automaton that caches no rows
     /// (see [`crate::HybridEngine`]): every byte steps the pure part of
     /// the frontier through the edge walk a row fill makes, beside the
-    /// bank of counter modules — the [`crate::ScanMode::Nca`] engine.
+    /// bank of counter modules. The reference the tests and the plan
+    /// checks hold the rows to; a pattern set always scans on rows.
     pub fn engine(&self) -> HybridEngine {
         HybridEngine::rowless(self)
     }
@@ -569,7 +570,7 @@ mod tests {
         let mut engine = m.engine();
         let mut out = Vec::new();
         for &b in b"purely unrelated traffic ........." {
-            engine.step_into(b, &mut out);
+            engine.feed_into(&[b], &mut out);
         }
         // Only the Σ* self-loop states (one per unanchored pattern) and
         // occasional literal heads stay live.
@@ -858,7 +859,7 @@ mod tests {
             let before = counted_live(&reference);
             let due = values(&reference).iter().any(|&v| v >= 54);
             frontier += reference.active_states() as u64;
-            reference.step_into(b, &mut expected);
+            reference.feed_into(&[b], &mut expected);
             let woken = values(&reference).contains(&1);
             if woken || due {
                 fallback_bytes += 1;

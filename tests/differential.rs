@@ -3,12 +3,11 @@
 //! service at one and at three workers, and each bank's hardware
 //! simulator — must report what one oracle says: each pattern compiled
 //! and scanned alone (`common::Oracle`). The matrix (`common::matrix`)
-//! crosses those drivers with the scan mode (the exact engine, hybrid
-//! rows under budgets of 1, 7 and 4096 states, and three scan groups),
-//! the literal prefilter on and off, and three bank policies. The chunk
-//! lengths of every flow are part of its case: fixed, random with empty
-//! chunks mixed in, one cut per flow, or large enough for the stream's
-//! scoped threads.
+//! crosses those drivers with the scan partition (hybrid rows under
+//! budgets of 1, 7 and 4096 states, and three scan groups), the literal
+//! prefilter on and off, and three bank policies. The chunk lengths of
+//! every flow are part of its case: fixed, random with empty chunks
+//! mixed in, one cut per flow, or 4 KiB and more.
 //!
 //! Each rules-and-inputs pair runs in one test only. This suite runs the
 //! first block of thirty random pool cases and the pins that belong to
@@ -25,14 +24,14 @@ mod common;
 use common::matrix::{cells, minimise, pin, pool_case, run_knobs, run_pool, Case, Flow};
 use common::matrix::{DRIVERS, SEED};
 
-/// Thirty pool cases, one per knob cell, under every driver.
+/// Thirty pool cases, each knob cell at least once, under every driver.
 #[test]
 fn every_driver_reports_the_oracle_on_random_pool_cases() {
     run_pool(0);
 }
 
 /// The hand-written rules and inputs no other suite owns, each in the
-/// ten cells of scan × prefilter (the policy turning with them): no
+/// eight cells of scan × prefilter (the policy turning with them): no
 /// literal at all, literal-bearing rules beside `$`-anchored and
 /// always-on ones, a wake that replays, the API's rules, and many flows
 /// batched before one barrier.

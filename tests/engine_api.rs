@@ -128,7 +128,7 @@ fn strict_build_is_lossless_or_fails() {
 }
 
 /// One input in chunks of 1, 3 and 9 bytes and whole, under every driver
-/// in the ten cells.
+/// in the eight cells.
 #[test]
 fn stream_agrees_with_scan_across_chunkings() {
     let input = b"zabbbc_xxx_qrst_abbc_xxxx";
@@ -232,7 +232,7 @@ fn a_service_outlives_its_engine() {
 }
 
 /// Two flows, one with an empty chunk, pushed interleaved into the
-/// service (and every other driver, in the ten cells): the first polls
+/// service (and every other driver, in the eight cells): the first polls
 /// its own stream's reports, and `drain_global` gives the second its
 /// own and nothing else.
 #[test]

@@ -115,7 +115,7 @@ fn close_and_reopen_cycles_keep_flows_independent() {
 
 /// Rules 0, 2, 4 and 5 are `$`-anchored, 1 and 3 are not: a closed flow
 /// polls every candidate end and finishes with what the `$` rules keep,
-/// under every driver in the ten cells.
+/// under every driver in the eight cells.
 #[test]
 fn closed_flows_finish_like_their_streams() {
     let pin = pin("dollars");
@@ -125,7 +125,7 @@ fn closed_flows_finish_like_their_streams() {
 
 /// Ten flows that report on the same ends: the odd ones, read through
 /// `drain_global`, each get their own reports, attributed to them once,
-/// and the polled even ones theirs, under every driver in the ten cells.
+/// and the polled even ones theirs, under every driver in the eight cells.
 #[test]
 fn reports_group_by_flow_consistently_between_queue_and_sink() {
     let pin = pin("sink");

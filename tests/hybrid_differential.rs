@@ -1,18 +1,16 @@
 //! The hybrid lazy-DFA engine's slices of the differential matrix
 //! (`common::matrix`): a [`ScanMode::Hybrid`] engine under every budget
 //! class — down to one cached DFA state, so the subset cache thrashes
-//! through flushes — and the [`ScanMode::Nca`] engine, the same engine
-//! without rows, must both report the per-pattern oracle, on random
+//! through flushes — must report the per-pattern oracle, on random
 //! rulesets mixing pure and counting rules, through block scans, chunked
 //! streams and the serving path, and at every cut of inputs that keep
 //! counters live. Many short flows churn over the shard caches they
 //! share within the row bound; word-width counters count through long
 //! runs; and one count-based test bounds the share of the Snort
 //! profile's bytes that counters are stepped on. The scan mode is
-//! exposed, and only the hybrid has stats.
+//! exposed, and its stats reach the scheduler's metrics.
 //!
 //! [`ScanMode::Hybrid`]: recama::ScanMode::Hybrid
-//! [`ScanMode::Nca`]: recama::ScanMode::Nca
 
 mod common;
 
@@ -27,9 +25,9 @@ use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
 use recama::{Engine, PrefilterMode, ScanMode, ServeConfig, SetMatch};
 
-/// The second block of thirty pool cases, one per knob cell — the exact
-/// engine and the hybrid at budgets of 1, 7 and 4096 states and in three
-/// scan groups — under every driver.
+/// The second block of thirty pool cases, each knob cell at least once —
+/// the hybrid at budgets of 1, 7 and 4096 states and in three scan
+/// groups — under every driver.
 #[test]
 fn hybrid_agrees_with_nca_and_per_pattern_union() {
     run_pool(1);
@@ -140,7 +138,7 @@ fn churned_flows_share_bounded_rows_and_report_the_per_pattern_union() {
 
 /// Counting rules keep counters live across most of the input, so
 /// counted tokens are woken, stepped and retired repeatedly; every cut
-/// point must leave every driver's reports the oracle's in the ten
+/// point must leave every driver's reports the oracle's in the eight
 /// cells, and a stream's under a budget of 64 states.
 #[test]
 fn counter_fallback_survives_every_chunk_boundary() {
@@ -184,11 +182,10 @@ fn word_width_counters_count_through_long_runs() {
         input.extend(std::iter::repeat_n(b'y', 60 + i));
         input.extend(b"zb");
     }
-    // The exact engine, the hybrid at budgets of 1, 7 and 4096 states,
-    // and three scan groups, under each bank policy. A stream carries
-    // each live word across every byte boundary; every driver takes the
-    // coarser chunks.
-    let knobs = [0, 11, 22, 3, 14].map(knobs);
+    // The hybrid at budgets of 1, 7 and 4096 states, and three scan
+    // groups, under each bank policy. A stream carries each live word
+    // across every byte boundary; every driver takes the coarser chunks.
+    let knobs = [8, 17, 2, 11].map(knobs);
     let fine = [1, 5, 7].map(|n| Flow::fixed(&input, n));
     run_knobs("word width", &rules, &fine, &knobs, &[Driver::Stream]);
     let flows = [64, input.len()].map(|n| Flow::fixed(&input, n));
@@ -204,7 +201,7 @@ fn word_width_counters_count_through_long_runs() {
 /// A one-state cache cannot hold even the start state's successor:
 /// every byte flushes and re-interns. Correctness must not depend on the
 /// cache ever being warm: pure rules at every cut under every driver in
-/// the ten cells, and block-scanned whole under budgets of 2 and 3.
+/// the eight cells, and block-scanned whole under budgets of 2 and 3.
 #[test]
 fn tiny_budgets_flush_but_stay_exact() {
     let pin = pin("pure");
@@ -220,14 +217,11 @@ fn tiny_budgets_flush_but_stay_exact() {
 }
 
 /// The hybrid rows are on by default: a served flow's metrics carry
-/// their counters, which an engine built under `ScanMode::Nca` has none
-/// of.
+/// their counters.
 #[test]
 fn scan_mode_is_exposed_and_defaults_to_hybrid() {
     let default = Engine::new(["abc"]).unwrap();
     assert!(default.serve().metrics().hybrid.is_some());
-    let forced = Engine::builder().patterns(["abc"]).scan_mode(ScanMode::Nca);
-    assert!(forced.build().unwrap().serve().metrics().hybrid.is_none());
 }
 
 /// The count-based regression for the counted half of the scan (the
@@ -283,15 +277,13 @@ fn snort_profile_fallback_is_bounded() {
 }
 
 #[test]
-fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
+fn scheduler_reports_hybrid_stats() {
     let patterns = ["abc", "ab{2,3}c"];
     let input = b"zabcz.abbc.abbbc.abc";
-    let engine = |mode| {
-        let builder = Engine::builder().patterns(patterns).scan_mode(mode);
-        builder.build().unwrap()
-    };
-
-    let hybrid = engine(ScanMode::Hybrid { state_budget: 128 });
+    let hybrid = (Engine::builder().patterns(patterns))
+        .scan_mode(ScanMode::Hybrid { state_budget: 128 })
+        .build()
+        .unwrap();
     let sched = hybrid.scheduler_with(1);
     sched.push(1, input);
     sched.run();
@@ -306,10 +298,4 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
         (1..=stats.fallback_bytes).contains(&stats.exact_state_steps),
         "one counted state at most is stepped exactly: {stats:?}"
     );
-
-    let exact = engine(ScanMode::Nca);
-    let sched = exact.scheduler_with(1);
-    sched.push(1, input);
-    sched.run();
-    assert_eq!(sched.metrics().hybrid, None, "Nca mode has no overlay");
 }

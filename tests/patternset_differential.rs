@@ -3,7 +3,7 @@
 //! (several seeds, small scale), every driver — block scan, spans,
 //! stream, scheduler, service and each bank's hardware simulator — must
 //! report the per-pattern oracle, for every bank policy, with the
-//! literal prefilter on and off, on the hybrid and the exact scan path;
+//! literal prefilter on and off, in one and in many scan groups;
 //! chunked streaming must report it at every chunk boundary; the merged
 //! image's hardware simulator must report every candidate end; and the
 //! merged MNRL network must validate, place, carry per-pattern report
@@ -30,13 +30,11 @@ const DEFAULT: Scan = Scan::Hybrid(DEFAULT_STATE_BUDGET);
 /// a trailing-`$` rule (one candidate inside the haystack, one on its
 /// final byte) and a rule without a required literal (always-on: its
 /// scan group scans every byte), on its generator's traffic: a flow of
-/// 4 KiB pushed as one large chunk — a multi-group stream fans it out on
-/// scoped threads — and a short one, two shorter flows in random and
-/// fixed chunks, and an empty one. Every driver but spans runs each
-/// sample under
-/// the exact engine, three scan groups and the hybrid under a budget of
-/// 7 or 4096 states, with one (prefilter, bank policy) pair; the six
-/// samples take each pair once. (A budget of 1 flushes on every byte of
+/// 4 KiB pushed as one large chunk and a short one, two shorter flows in
+/// random and fixed chunks, and an empty one. Every driver but spans
+/// runs each sample in three scan groups and under a budget of 7 or 4096
+/// states, with one (prefilter, bank policy) pair; the six samples take
+/// each pair once. (A budget of 1 flushes on every byte of
 /// these rules; the pool and the pins take it.)
 #[test]
 fn snort_and_suricata_sets_match_per_pattern_union() {
@@ -67,8 +65,8 @@ fn snort_and_suricata_sets_match_per_pattern_union() {
             Flow::fixed(&traffic(&ruleset, 512, 0.004, seed * 31 + 2), 13),
             Flow::fixed(b"", 1),
         ];
-        let pair = 5 * (r % 2) + 10 * (r / 2);
-        let knobs = [0, 4, 2 + r % 2].map(|scan| knobs(pair + scan));
+        let pair = 4 * (r % 2) + 8 * (r / 2);
+        let knobs = [3, 1 + r % 2].map(|scan| knobs(pair + scan));
         let what = format!("{id:?} seed {seed}");
         let expected = run_knobs(&what, &rules, &flows, &knobs, &drivers);
         let dollar = rules.len() - 2;
@@ -124,7 +122,7 @@ fn chunked_streaming_agrees_with_oneshot_at_every_boundary() {
 
 /// Boundaries placed inside every match: each rule's planted match is
 /// split across two feeds, under every driver in the one-group cells of
-/// the ten (the three-group ones are the sharded suite's).
+/// the eight (the three-group ones are the sharded suite's).
 #[test]
 fn streaming_matches_survive_pathological_boundaries() {
     let pin = pin("split");

@@ -30,8 +30,8 @@ fn engine(patterns: &[&str], mode: PrefilterMode) -> Engine {
 }
 
 /// The last block of thirty pool cases — literal-bearing, always-on and
-/// `$` rules mixed, one per knob cell, so half with the filter on and
-/// half off — under every driver: the filtered and unfiltered engines
+/// `$` rules mixed, each knob cell at least once, with the filter on and
+/// off — under every driver: the filtered and unfiltered engines
 /// both report the oracle. A build keeps the mode it was given.
 #[test]
 fn prefiltered_agrees_with_unfiltered_and_per_pattern_union() {
@@ -45,7 +45,7 @@ fn prefiltered_agrees_with_unfiltered_and_per_pattern_union() {
 
 /// Boundaries placed inside every required literal: the filter's
 /// automaton state and the replay tail must reassemble matches the
-/// skipped chunks began, under every driver in the ten cells — in the
+/// skipped chunks began, under every driver in the eight cells — in the
 /// scheduler and the service, the cold-unit skip rewinds the parked
 /// engine rather than feeding it.
 #[test]
@@ -58,13 +58,13 @@ fn literals_split_across_every_chunk_boundary() {
     );
 }
 
-/// Chunks of 4 KiB on a multi-group set fan out on scoped threads. Each
-/// rule's literal sits behind a bounded lead, and the first chunk —
-/// benign until its last bytes — ends inside that lead: both units skip
-/// it, then wake on the second chunk and replay the match's start from
-/// the tail, in parallel. Purely benign 4 KiB flows report nothing.
+/// Chunks of 4 KiB on a multi-group set. Each rule's literal sits behind
+/// a bounded lead, and the first chunk — benign until its last bytes —
+/// ends inside that lead: both units skip it, then wake on the second
+/// chunk and replay the match's start from the tail. Purely benign
+/// 4 KiB flows report nothing.
 #[test]
-fn a_wake_replays_the_tail_on_the_parallel_stream_path() {
+fn a_wake_replays_the_tail_on_the_stream_path() {
     const LARGE: usize = 4096;
     let rules: Vec<String> = ["k\\d{4}needle", "q\\d{3}magic", "magic", "hdr[0-9]{2}end"]
         .map(String::from)
@@ -82,9 +82,9 @@ fn a_wake_replays_the_tail_on_the_parallel_stream_path() {
         Flow::fixed(&[b'.'; LARGE], 256),
         Flow::fixed(&[b'.'; 2 * LARGE], LARGE),
     ];
-    // The multi-group cells, the filter on and off, and the exact engine.
-    let knobs = [4, 9, 1, 6, 0].map(knobs);
-    let expected = run_knobs("parallel wake", &rules, &flows, &knobs, &DRIVERS);
+    // The multi-group cells, the filter on and off.
+    let knobs = [3, 7, 0, 4].map(knobs);
+    let expected = run_knobs("wake", &rules, &flows, &knobs, &DRIVERS);
     assert_eq!(
         expected[0].stream.len(),
         4,

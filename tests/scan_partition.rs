@@ -147,9 +147,6 @@ fn scan_groups_are_next_fit_over_nca_states_under_the_state_budget() {
         );
         assert_next_fit(&engine, state_budget, &format!("budget {state_budget}"));
     }
-    // The exact engine has no rows to fit.
-    let exact = lossy(BenchmarkId::Snort, 0.02).scan_mode(ScanMode::Nca);
-    assert_eq!(exact.build().unwrap().scan_groups().shard_count(), 1);
 }
 
 /// ClamAV's signatures are long literals: tens of thousands of NCA

@@ -96,9 +96,8 @@ fn sharded_chunked_streaming_agrees_with_oneshot_at_every_boundary() {
     }
 }
 
-/// Chunks above the parallel-feed threshold take the scoped-thread
-/// fan-out path of a three-group stream; a one-group stream feeds them
-/// in place.
+/// Large chunks: a three-group stream feeds each of them to its three
+/// engines in turn, a one-group stream to its one.
 #[test]
 fn sharded_stream_agrees_with_unsharded_stream_on_large_chunks() {
     let (rules, input) = profile_traffic(BenchmarkId::Snort, 0.004, 5, 400, 3 * 8192, 0.002);
