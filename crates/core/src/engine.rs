@@ -25,8 +25,8 @@
 //! The builder is the only way to compile a ruleset, in one loop: parse
 //! every rule (strictly, or skipping failures under
 //! [`EngineBuilder::lossy`]), [`compile`] each, cut the bank plan and
-//! merge each shard's machine image, then build the scan half from the
-//! per-rule outputs. One merged machine image is [`ShardPolicy::Single`].
+//! merge each shard's machine image, then draw the scan plan and build
+//! the scan half to it. One merged machine image is [`ShardPolicy::Single`].
 //! The `Engine` keeps the compile-time half — rule texts, parsed rules,
 //! per-rule outputs, machine images, the span automata — and the
 //! [`ShardedPatternSet`] it shares with its streams and serving epochs
@@ -36,12 +36,12 @@ use crate::prefilter::PrefilterMode;
 #[cfg(feature = "fault-inject")]
 use crate::service::FaultPlan;
 use crate::service::ServiceHandle;
-use crate::set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
+use crate::set::{ScanMode, ScanPlan, SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 use crate::FlowScheduler;
 use recama_compiler::{compile, merge_rule_networks, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
-use recama_nca::{Nca, ScanMode, TokenSetEngine};
+use recama_nca::{Nca, TokenSetEngine};
 use recama_syntax::{ParseError, Parsed};
 use std::collections::HashMap;
 use std::fmt;
@@ -337,7 +337,8 @@ impl EngineBuilder {
             .map(|rule| compile(&rule.for_stream(), &self.options))
             .collect();
         let networks = machine_images(&outputs, self.policy);
-        let set = ShardedPatternSet::build(&outputs, &parsed, self.scan_mode, self.prefilter);
+        let (plan, literals) = ScanPlan::new(&outputs, &parsed, self.scan_mode, self.prefilter);
+        let set = ShardedPatternSet::build(&outputs, &parsed, plan, literals.as_deref());
         Ok(Engine {
             set: Arc::new(set),
             ids: ids.into(),
@@ -501,14 +502,14 @@ impl Engine {
         self.networks.len()
     }
 
-    /// The scan partition (which rule a flow scans in which group): the
+    /// The scan partition, each group its rules' ascending indices: the
     /// units of a stream, a scheduler or a service handle, and the index
     /// of every per-unit metric. It follows from the rules and the
     /// [`ScanMode`] alone — next-fit over the rules' NCA states under
     /// the hybrid `state_budget` — and the [`ShardPolicy`] has no say in
     /// it.
-    pub fn scan_groups(&self) -> &ShardPlan {
-        &self.set.scan
+    pub fn scan_groups(&self) -> &[Vec<usize>] {
+        &self.set.plan.groups
     }
 
     /// The merged extended-MNRL machine image of shard `shard`;

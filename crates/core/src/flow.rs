@@ -79,11 +79,11 @@ pub(crate) struct Flow {
 
 impl Flow {
     /// The units of `set` for a stream whose bytes from absolute offset
-    /// `base` on they will see: a filterable group's unit starts cold,
-    /// every other group's with a fresh engine.
+    /// `base` on they will see: a unit of a group the plan starts cold
+    /// is cold, every other group's has a fresh engine.
     pub(crate) fn new(set: &ShardedPatternSet, base: u64) -> Flow {
-        let cold = (set.prefilter()).map_or(Vec::new(), |pf| pf.filterable().to_vec());
-        let units = (0..set.scan.shard_count()).map(|si| Unit {
+        let cold = set.plan.cold.clone();
+        let units = (0..set.plan.groups.len()).map(|si| Unit {
             engine: (!has(&cold, si)).then(|| set.group_engine(si)),
             pos: base,
             pending: VecDeque::new(),
@@ -318,7 +318,7 @@ mod tests {
     fn set_with(patterns: &[&str], groups: usize, mode: PrefilterMode) -> Arc<ShardedPatternSet> {
         let builder = Engine::builder().patterns(patterns).prefilter(mode);
         let set = in_scan_groups(builder, groups).set_arc();
-        assert_eq!(set.scan.shard_count(), groups);
+        assert_eq!(set.plan.groups.len(), groups);
         set
     }
 
@@ -384,8 +384,7 @@ mod tests {
     #[test]
     fn merge_orders_by_end_then_pattern_and_stops_at_the_watermark() {
         let set = set_with(&["xab", "ab"], 2, PrefilterMode::Off);
-        let groups = &set.scan;
-        assert_eq!((groups.members(0), groups.members(1)), (&[0][..], &[1][..]));
+        assert_eq!(set.plan.groups, [[0], [1]]);
         let stream = b"xab.ab";
         let mut flow = Flow::new(&set, 0);
         admit(&mut flow, &set, &stream[..4], |_, _| {

@@ -55,14 +55,14 @@ mod set;
 
 pub use engine::{CompileError, Engine, EngineBuilder, ServeConfig, SkippedRule};
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
-pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
+pub use recama_nca::{HybridStats, DEFAULT_STATE_BUDGET};
 pub use sched::FlowScheduler;
 #[cfg(feature = "fault-inject")]
 pub use service::FaultPlan;
 pub use service::{
     FaultMetrics, FlowId, RuleMatch, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics,
 };
-pub use set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
+pub use set::{ScanMode, SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 
 #[cfg(test)]
 mod tests {

@@ -48,6 +48,7 @@
 //!   filtered output is **byte-identical** to unfiltered, pinned by
 //!   `tests/prefilter_differential.rs`.
 
+use crate::set::ScanPlan;
 use recama_syntax::{ByteAlphabet, Parsed, Regex};
 
 /// Whether compiled sets consult the literal prefilter; set at build
@@ -348,7 +349,7 @@ impl Walk {
 pub(crate) struct SetPrefilter {
     alphabet: ByteAlphabet,
     /// `table[row + class]` is the next node's row offset. Empty when no
-    /// filterable group has a literal: nothing to walk.
+    /// cold group has a literal: nothing to walk.
     table: Vec<u32>,
     stride: usize,
     /// The least row offset of a node where a literal ends.
@@ -357,8 +358,6 @@ pub(crate) struct SetPrefilter {
     /// a literal ending there (one bit per scan group: as wide as the plan).
     out: Vec<u64>,
     words: usize,
-    /// The groups without an always-on rule — the units that start cold.
-    filterable: Vec<u64>,
     /// Per scan group, its wake-up replay window: the max lead of its literals.
     windows: Vec<u64>,
     always_on_rules: usize,
@@ -380,30 +379,27 @@ pub(crate) fn has(mask: &[u64], group: usize) -> bool {
 }
 
 impl SetPrefilter {
-    /// Builds the set's automaton from the rules' parse trees and the
-    /// scan partition, over the set's shared byte-class `alphabet`. A group
-    /// with an always-on rule contributes no literal and is never cold.
+    /// Builds the set's automaton from the rules' required `literals`
+    /// (`None`: always-on) and the scan `plan`, over the set's shared
+    /// byte-class `alphabet`. Only the groups that start cold have one.
     pub(crate) fn build(
-        parsed: &[Parsed],
-        groups: &[Vec<usize>],
+        literals: &[Option<Extraction>],
+        plan: &ScanPlan,
         alphabet: ByteAlphabet,
     ) -> SetPrefilter {
         const NONE: u32 = u32::MAX;
-        let extractions: Vec<Option<Extraction>> = parsed.iter().map(extract).collect();
-        let always_on_rules = extractions.iter().filter(|e| e.is_none()).count();
+        let always_on_rules = literals.iter().filter(|e| e.is_none()).count();
         let stride = alphabet.len().max(1);
-        let words = groups.len().div_ceil(64);
-        let mut filterable = vec![0u64; words];
-        let mut windows = vec![0u64; groups.len()];
+        let words = plan.groups.len().div_ceil(64);
+        let mut windows = vec![0u64; plan.groups.len()];
         let mut table: Vec<u32> = vec![NONE; stride];
         let mut out = vec![0u64; words];
         let mut depth = 0;
-        for (si, members) in groups.iter().enumerate() {
-            let lits: Option<Vec<&Extraction>> =
-                members.iter().map(|&g| extractions[g].as_ref()).collect();
-            let Some(lits) = lits else { continue };
-            filterable[si / 64] |= 1 << (si % 64);
-            for ex in lits {
+        for (si, members) in plan.groups.iter().enumerate() {
+            if !has(&plan.cold, si) {
+                continue;
+            }
+            for ex in members.iter().flat_map(|&rule| &literals[rule]) {
                 windows[si] = windows[si].max(ex.lead);
                 depth = depth.max(ex.lit.len());
                 let mut node = 0usize;
@@ -476,17 +472,11 @@ impl SetPrefilter {
             first_hit: first_hit * stride,
             out,
             words,
-            filterable,
             max_window: windows.iter().copied().max().unwrap_or(0),
             windows,
             always_on_rules,
             depth,
         }
-    }
-
-    /// The groups whose units start cold, as mask words.
-    pub(crate) fn filterable(&self) -> &[u64] {
-        &self.filterable
     }
 
     /// Group `si`'s wake-up replay window: no match ending at or after a
@@ -666,14 +656,24 @@ mod tests {
 
     /// The filter of `rules` under the plan `shards`, over an alphabet
     /// with a singleton class per byte `rules` mention — as the NCA
-    /// alphabet would see their singleton predicates.
-    fn filter(rules: &[&str], shards: &[Vec<usize>]) -> SetPrefilter {
-        let parsed: Vec<Parsed> = rules.iter().map(|r| parse(r).unwrap()).collect();
+    /// alphabet would see their singleton predicates — and the shards
+    /// that start cold.
+    fn filter(rules: &[&str], shards: &[Vec<usize>]) -> (SetPrefilter, Vec<u64>) {
+        let literals: Vec<Option<Extraction>> = rules.iter().map(|r| ex(r)).collect();
+        let (groups, cold) = (shards.to_vec(), crate::set::cold_groups(shards, &literals));
+        let plan = ScanPlan {
+            groups,
+            state_budget: 1,
+            cold,
+        };
         let mut classes = recama_syntax::ByteClassSet::new();
         for byte in rules.iter().flat_map(|r| r.bytes()) {
             classes.add(&recama_syntax::ByteClass::singleton(byte));
         }
-        SetPrefilter::build(&parsed, shards, classes.freeze())
+        (
+            SetPrefilter::build(&literals, &plan, classes.freeze()),
+            plan.cold,
+        )
     }
 
     /// Walks `chunk` from `node` for the shards of `cold`: who is still
@@ -686,8 +686,8 @@ mod tests {
 
     #[test]
     fn ac_filter_finds_literals_across_chunks() {
-        let pf = filter(&["abbc", "xyz"], &[vec![0, 1]]);
-        assert_eq!(pf.filterable(), [1], "both rules have literals");
+        let (pf, cold) = filter(&["abbc", "xyz"], &[vec![0, 1]]);
+        assert_eq!(cold, [1], "both rules have literals");
         // From a fresh node, advancing over a whole buffer is the block
         // gate: does any literal occur in it? The walk ends on the byte
         // that woke the last cold shard.
@@ -704,7 +704,7 @@ mod tests {
     fn a_shared_suffix_wakes_both_shards_on_one_byte() {
         // "dle" is a proper suffix of "needle": the node that spells
         // "needle" inherits shard 1 along its failure link.
-        let pf = filter(&["needle", "dle"], &[vec![0], vec![1]]);
+        let (pf, _) = filter(&["needle", "dle"], &[vec![0], vec![1]]);
         assert_eq!((pf.window(0), pf.window(1)), (6, 3));
         let mut node = 0;
         assert_eq!(walk(&pf, &mut node, &[0b11], b"..nee"), (vec![0b11], 5));
@@ -715,7 +715,7 @@ mod tests {
 
     #[test]
     fn a_hot_shard_neither_stops_the_walk_nor_wakes_again() {
-        let pf = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
+        let (pf, _) = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
         // Shard 0 is hot already: its literal ends at byte 3, the walk
         // goes on to shard 1's at byte 8 and its bit stays clear.
         assert_eq!(walk(&pf, &mut 0, &[0b10], b"abc..xyz.."), (vec![0], 8));
@@ -731,14 +731,14 @@ mod tests {
         let builder = (crate::Engine::builder().patterns(&rules)).prefilter(PrefilterMode::On);
         let engine = crate::set::in_scan_groups(builder, 70);
         let set = engine.set();
-        assert_eq!(engine.scan_groups().shard_count(), 72);
-        let pf = set.prefilter().unwrap();
-        assert_eq!(pf.filterable(), [u64::MAX, (1 << 8) - 1]);
-        let last = &rules[*engine.scan_groups().members(71).last().unwrap()];
+        assert_eq!(engine.scan_groups().len(), 72);
+        let (pf, start) = (set.prefilter().unwrap(), &set.plan.cold);
+        assert_eq!(start, &[u64::MAX, (1 << 8) - 1]);
+        let last = &rules[*engine.scan_groups()[71].last().unwrap()];
         let chunk = format!("..{last}..");
-        let (cold, walked) = walk(pf, &mut 0, pf.filterable(), chunk.as_bytes());
+        let (cold, walked) = walk(pf, &mut 0, start, chunk.as_bytes());
         assert_eq!((cold, walked), (vec![u64::MAX, (1 << 7) - 1], chunk.len()));
-        assert!(has(pf.filterable(), 71) && !has(pf.filterable(), 72));
+        assert!(has(start, 71) && !has(start, 72));
 
         // The same through a flow: 71 units skip, the last one wakes.
         let mut flow = crate::flow::Flow::new(set, 0);
@@ -761,11 +761,10 @@ mod tests {
             (&["a*"], &[vec![], vec![0]]),
         ];
         for (rules, shards) in cases {
-            let pf = filter(rules, shards);
+            let (pf, cold) = filter(rules, shards);
             assert!(pf.table.is_empty(), "{rules:?} over {shards:?}");
             assert_eq!(pf.always_on_rules(), rules.len());
-            let cold = pf.filterable();
-            assert_eq!(walk(&pf, &mut 0, cold, b"abxyz"), (cold.to_vec(), 0));
+            assert_eq!(walk(&pf, &mut 0, &cold, b"abxyz"), (cold.clone(), 0));
             let mut tail = Vec::new();
             pf.extend_tail(&mut tail, b"abxyz");
             assert!(tail.is_empty(), "window 0 keeps nothing");
@@ -841,8 +840,8 @@ mod tests {
             let groups = groups.min(rules.len());
             let shards: Vec<Vec<usize>> =
                 (0..groups).map(|g| (g..rules.len()).step_by(groups).collect()).collect();
-            let pf = filter(&rules.iter().map(String::as_str).collect::<Vec<_>>(), &shards);
-            let start = vec![pf.filterable()[0] & !(hot as u64)];
+            let (pf, cold) = filter(&rules.iter().map(String::as_str).collect::<Vec<_>>(), &shards);
+            let start = vec![cold[0] & !(hot as u64)];
             let mut input: Vec<u8> = (input.iter())
                 .map(|&x| if x < letters { b"abc"[x % 3] } else { b'.' })
                 .collect();
@@ -869,7 +868,7 @@ mod tests {
 
     #[test]
     fn a_hot_groups_literal_alone_passes_the_proof() {
-        let pf = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
+        let (pf, _) = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
         let mut chunk = [b'.'; 256];
         for at in [10, 63, 64, 130, 200, 253] {
             chunk[at..at + 3].copy_from_slice(b"abc");
@@ -886,7 +885,7 @@ mod tests {
 
     #[test]
     fn a_cold_literal_ending_in_lane_zeros_carried_prefix_fails_the_proof() {
-        let pf = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
+        let (pf, _) = filter(&["abc", "xyz"], &[vec![0], vec![1]]);
         let mut chunk = vec![b'c'];
         chunk.resize(256, b'.');
         // From the root the chunk is clean ...
@@ -909,20 +908,20 @@ mod tests {
             .lossy(true)
             .build()
             .unwrap();
-        let pf = engine.set().prefilter().unwrap();
+        let (pf, start) = (engine.set().prefilter().unwrap(), &engine.set().plan.cold);
         let chunk = traffic(&ruleset, 2048, 0.0, 2022);
-        let (mut node, mut cold) = (0, pf.filterable().to_vec());
+        let (mut node, mut cold) = (0, start.clone());
         assert!(
             agree(pf, &mut node, &mut cold, &chunk),
             "depth {}",
             pf.depth
         );
-        assert_eq!(cold, pf.filterable(), "benign: nothing woke");
+        assert_eq!(&cold, start, "benign: nothing woke");
     }
 
     #[test]
     fn tail_buffer_keeps_the_window() {
-        let pf = filter(&["ab{2,3}c"], &[vec![0]]); // window 3
+        let (pf, _) = filter(&["ab{2,3}c"], &[vec![0]]); // window 3
         let mut tail = Vec::new();
         pf.extend_tail(&mut tail, b"xy");
         assert_eq!(tail, b"xy");

@@ -264,8 +264,8 @@ impl FlowScheduler {
     /// open or still-draining flows ([`poll`](FlowScheduler::poll)
     /// reports every `$` candidate mid-flow, because the end is unknown
     /// until close; the non-`$` polled reports plus this set are
-    /// together what a one-shot `find_ends` over the whole flow
-    /// returns). [`drain_global`](FlowScheduler::drain_global) leaves
+    /// together what a one-shot [`Engine::scan`](crate::Engine::scan)
+    /// over the whole flow returns). [`drain_global`](FlowScheduler::drain_global) leaves
     /// the finishing set here. Forgets the id once this frees the flow,
     /// as `poll` does.
     ///
@@ -335,7 +335,7 @@ mod tests {
     /// `patterns` as `groups` units per flow.
     fn sharded(patterns: &[&str], groups: usize) -> Engine {
         let engine = crate::set::in_scan_groups(Engine::builder().patterns(patterns), groups);
-        assert_eq!(engine.scan_groups().shard_count(), groups);
+        assert_eq!(engine.scan_groups().len(), groups);
         engine
     }
 

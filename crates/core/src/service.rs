@@ -1244,7 +1244,7 @@ impl ServeState {
         }
         // Per-unit vectors are as long as the scan partition, whatever
         // the bank count.
-        let groups = self.current.set.scan.shard_count();
+        let groups = self.current.set.plan.groups.len();
         let prefilter = self.current.set.prefilter().map(|pf| {
             self.metrics
                 .prefilter
@@ -2124,7 +2124,7 @@ impl std::fmt::Debug for ServiceHandle {
             "ServiceHandle(epoch {}, {} flows, {} scan groups, {} workers, budget = {} B)",
             st.current.epoch,
             st.occupied(),
-            st.current.set.scan.shard_count(),
+            st.current.set.plan.groups.len(),
             self.threads.len(),
             self.core.config.flow_budget
         )
@@ -2409,7 +2409,7 @@ mod tests {
                 builder = builder.rule(id, rule);
             }
             let engine = crate::set::in_scan_groups(builder, 2);
-            assert_eq!(engine.scan_groups().shard_count(), 2);
+            assert_eq!(engine.scan_groups().len(), 2);
             engine
         };
         let a = build([(10, "ab{2,3}c"), (30, "k[0-9]{2,4}m")]);

@@ -5,55 +5,77 @@
 //! Protomata, SpamAssassin, ClamAV — Table 1), and deployments of this
 //! class of matcher always compile the full set into shared automata
 //! scanned once per input stream. An [`Engine`](crate::Engine) holds two
-//! partitions of its rules, both [`ShardPlan`]s:
+//! partitions of its rules:
 //!
 //! * the **bank plan** cuts the rules into *shards* whose sub-networks
-//!   each fit one bank ([`ShardPolicy`](recama_hw::ShardPolicy), default
+//!   each fit one bank ([`ShardPolicy`](crate::hw::ShardPolicy), default
 //!   = one bank's capacity). It decides the machine images —
 //!   [`Engine::network`](crate::Engine::network), `hardware`,
 //!   placement, energy and area — and nothing else, and it lives on the
 //!   `Engine` with the rule texts and the per-rule compiler outputs;
-//! * the **scan partition** ([`Engine::scan_groups`](crate::Engine::scan_groups))
-//!   cuts them into *scan groups*, the units a software flow scans, and
-//!   it lives here. In the machine a bank is free parallelism (one
-//!   decoder shows a symbol to every bank), in software every group is
-//!   one more table walk over the same byte, so the partition is the
-//!   coarsest order-preserving one whose lazy-DFA rows can be expected
-//!   to fit: next-fit over the rules, a rule weighing its NCA's states, a
-//!   group closing when the next rule would pass the
-//!   [`ScanMode::Hybrid`] `state_budget`. The shard policy never reaches
-//!   it.
+//! * the **scan plan** (`ScanPlan`) cuts them into *scan groups*
+//!   ([`Engine::scan_groups`](crate::Engine::scan_groups)), the units a
+//!   software flow scans, and it lives here. In the machine a bank is
+//!   free parallelism (one decoder shows a symbol to every bank), in
+//!   software every group is one more table walk over the same byte, so
+//!   the partition is the coarsest order-preserving one whose lazy-DFA
+//!   rows can be expected to fit: next-fit over the rules, a rule
+//!   weighing its NCA's states, a group closing when the next rule would
+//!   pass the [`ScanMode::Hybrid`] `state_budget`. The shard policy
+//!   never reaches it.
 //!
 //! The set is what a serving epoch pins through its `Arc`, so it holds
-//! only what a flow scans: the scan partition, one
+//! only what a flow scans: the scan plan, one
 //! [`MultiNca`](recama_nca::MultiNca) per scan group with its lazy-DFA
-//! cache, the literal filter and the trailing-`$` flags.
-//! A retired epoch takes no machine image, rule text or per-rule
-//! automaton with it.
+//! cache, the literal filter and the trailing-`$` flags. A retired epoch
+//! takes no machine image, rule text or per-rule automaton with it.
 //!
-//! The group automata share a single byte-class alphabet computed once
-//! over the whole set and report global rule indices, and a
-//! [`ShardedSetStream`] feeds each chunk to every group engine that
-//! scans it, one after the other, on the calling thread (scanning many
-//! flows at once is [`Engine::serve_with`](crate::Engine::serve_with)'s
-//! job). What the stream does with a chunk (the literal prefilter's
-//! skip / wake / replay, the ordered merge that keeps the output
-//! **byte-identical** for any partition, the trailing-`$` bookkeeping)
-//! is one flow's (`flow.rs`), the same value the serving core schedules;
-//! the stream is its synchronous driver. A block scan
-//! ([`Engine::scan`](crate::Engine::scan)) is a fresh stream fed the
-//! haystack once, so there is one scan loop.
+//! The group automata share one byte-class alphabet computed over the
+//! whole set and report global rule indices. A [`ShardedSetStream`]
+//! feeds each chunk to every group engine that scans it, one after the
+//! other, on the calling thread (many flows at once are
+//! [`Engine::serve_with`](crate::Engine::serve_with)'s job). What the
+//! stream does with a chunk (the literal prefilter's skip / wake /
+//! replay, the ordered merge that keeps the output **byte-identical**
+//! for any partition, the trailing-`$` bookkeeping) is one flow's
+//! (`flow.rs`), the value the serving core schedules; the stream is its
+//! synchronous driver. A block scan ([`Engine::scan`](crate::Engine::scan))
+//! is a fresh stream fed the haystack once, so there is one scan loop.
 
 use crate::flow::Flow;
-use crate::prefilter::{ChunkAction, PrefilterMode, SetPrefilter};
+use crate::prefilter::{extract, ChunkAction, Extraction, PrefilterMode, SetPrefilter};
 use recama_compiler::CompileOutput;
-use recama_hw::{RuleCost, ShardBudget, ShardPlan};
 use recama_nca::{
-    CompilePlan, HybridCache, HybridEngine, HybridStats, MultiReport, Nca, ScanMode, ShardedMulti,
-    StateId,
+    CompilePlan, HybridCache, HybridEngine, HybridStats, MultiReport, Nca, ShardedMulti, StateId,
+    DEFAULT_STATE_BUDGET,
 };
 use recama_syntax::Parsed;
 use std::fmt;
+
+/// How a pattern-set engine walks input bytes: always on its scan
+/// groups' lazily determinized rows. The one variant carries the row
+/// budget, which also draws the scan groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanMode {
+    /// The hybrid engine ([`HybridEngine`]): the pure frontier advances
+    /// by one table row per byte, and only live counter-carrying states
+    /// are stepped exactly.
+    Hybrid {
+        /// Determinized states cached per scan group ([`HybridCache`]),
+        /// shared by every flow scanning it; a group that outgrows it is
+        /// flushed. Tiny budgets stay correct but thrash.
+        state_budget: usize,
+    },
+}
+
+impl Default for ScanMode {
+    /// [`ScanMode::Hybrid`] with [`DEFAULT_STATE_BUDGET`].
+    fn default() -> Self {
+        ScanMode::Hybrid {
+            state_budget: DEFAULT_STATE_BUDGET,
+        }
+    }
+}
 
 /// A match reported by a pattern set: pattern `pattern` (index into the
 /// compiled set) matched ending at 1-based byte offset `end`.
@@ -106,8 +128,8 @@ pub struct SetSpan {
 #[derive(Debug)]
 pub struct ShardedPatternSet {
     anchored_end: Vec<bool>,
-    /// The scan partition: which rule a flow scans in which group.
-    pub(crate) scan: ShardPlan,
+    /// What a flow scans, group by group.
+    pub(crate) plan: ScanPlan,
     /// One merged automaton per scan group.
     multi: ShardedMulti,
     /// The lazily determinized rows of each scan group: one cache per
@@ -123,45 +145,30 @@ pub struct ShardedPatternSet {
 }
 
 impl ShardedPatternSet {
-    /// The scan half of the rules `parsed`, compiled to `outputs`.
+    /// The scan half of the rules `parsed`, compiled to `outputs`, cut
+    /// by `plan`, filtering on `literals` (`None`: no filter).
     pub(crate) fn build(
         outputs: &[CompileOutput],
         parsed: &[Parsed],
-        scan_mode: ScanMode,
-        prefilter_mode: PrefilterMode,
+        plan: ScanPlan,
+        literals: Option<&[Option<Extraction>]>,
     ) -> ShardedPatternSet {
-        // The scan partition, from the rules alone: how many banks the
-        // machine would need says nothing about whether a table-driven
-        // engine's rows fit. NCA states bound the determinized rows from
-        // above on every generator in `workloads`, so a group closes
-        // when the next rule's states would pass the budget.
-        let ScanMode::Hybrid { state_budget } = scan_mode;
-        let scan = scan_partition(outputs, state_budget);
-
-        // One shared automaton per scan group over a single union
-        // alphabet.
+        // One shared automaton per scan group, over one union alphabet.
         let parts: Vec<(&Nca, CompilePlan)> = (outputs.iter())
             .map(|out| (&out.nca, storage_plan(out)))
             .collect();
-        let multi = ShardedMulti::merge(&parts, scan.shards());
-        let caches = multi.hybrid_caches(state_budget);
+        let multi = ShardedMulti::merge(&parts, &plan.groups);
+        let caches = multi.hybrid_caches(plan.state_budget);
 
-        // Required-literal extraction over the raw rule ASTs, one AC
-        // filter for the set, over the same alphabet the engines index
-        // with (singleton predicates get singleton classes, so the
+        // One AC filter for the set, over the same alphabet the engines
+        // index with (singleton predicates get singleton classes, so the
         // class-indexed filter is exact on extracted literals).
-        let prefilter = match prefilter_mode {
-            PrefilterMode::On => Some(SetPrefilter::build(
-                parsed,
-                scan.shards(),
-                multi.alphabet().clone(),
-            )),
-            PrefilterMode::Off => None,
-        };
+        let prefilter =
+            literals.map(|lits| SetPrefilter::build(lits, &plan, multi.alphabet().clone()));
 
         ShardedPatternSet {
             anchored_end: parsed.iter().map(|p| p.anchored_end).collect(),
-            scan,
+            plan,
             multi,
             caches,
             prefilter,
@@ -169,8 +176,8 @@ impl ShardedPatternSet {
     }
 
     /// The software automata: one merged `MultiNca` per **scan group**
-    /// (`multi().shards()[g]` holds the rules of
-    /// `scan_groups().members(g)` and reports their global indices),
+    /// (`multi().shards()[g]` holds the rules of `scan_groups()[g]` and
+    /// reports their global indices),
     /// shared byte-class alphabet.
     pub fn multi(&self) -> &ShardedMulti {
         &self.multi
@@ -217,19 +224,73 @@ fn storage_plan(out: &CompileOutput) -> CompilePlan {
     CompilePlan::optimized(&out.nca, |q: StateId| analysis.state_unambiguous(q))
 }
 
+/// What a flow scans together, from the rules alone: how many banks the
+/// machine would need says nothing about whether a table-driven
+/// engine's rows fit.
+#[derive(Debug)]
+pub(crate) struct ScanPlan {
+    /// The scan groups, each its rules' ascending global indices (one
+    /// empty group for no rule).
+    pub(crate) groups: Vec<Vec<usize>>,
+    /// The budget the groups were drawn under, which bounds each cache.
+    pub(crate) state_budget: usize,
+    /// The groups that start cold, one bit each: with the filter on,
+    /// those whose every rule has a literal; empty with it off.
+    pub(crate) cold: Vec<u64>,
+}
+
+impl ScanPlan {
+    /// The plan of the rules `parsed`, compiled to `outputs`, with their
+    /// required literals (`None` under [`PrefilterMode::Off`]).
+    pub(crate) fn new(
+        outputs: &[CompileOutput],
+        parsed: &[Parsed],
+        scan_mode: ScanMode,
+        prefilter: PrefilterMode,
+    ) -> (ScanPlan, Option<Vec<Option<Extraction>>>) {
+        let ScanMode::Hybrid { state_budget } = scan_mode;
+        let states = outputs.iter().map(|out| out.nca.state_count());
+        let groups = next_fit(states, state_budget);
+        let literals = (prefilter == PrefilterMode::On)
+            .then(|| parsed.iter().map(extract).collect::<Vec<_>>());
+        let cold = (literals.as_deref()).map_or(Vec::new(), |lits| cold_groups(&groups, lits));
+        let plan = ScanPlan {
+            groups,
+            state_budget,
+            cold,
+        };
+        (plan, literals)
+    }
+}
+
+/// The groups whose every rule has a literal, one bit each.
+pub(crate) fn cold_groups(groups: &[Vec<usize>], literals: &[Option<Extraction>]) -> Vec<u64> {
+    let mut cold = vec![0u64; groups.len().div_ceil(64)];
+    for (g, members) in groups.iter().enumerate() {
+        if members.iter().all(|&rule| literals[rule].is_some()) {
+            cold[g / 64] |= 1 << (g % 64);
+        }
+    }
+    cold
+}
+
 /// Next-fit over the rules in index order, a rule weighing its NCA's
-/// states and a group holding `state_budget` of them: the bank plan's
-/// packing, with states for columns.
-fn scan_partition(outputs: &[CompileOutput], state_budget: usize) -> ShardPlan {
-    let states = |out: &CompileOutput| RuleCost {
-        columns: out.nca.state_count(),
-        ..RuleCost::default()
-    };
-    let budget = ShardBudget {
-        columns: state_budget,
-        ..ShardBudget::unbounded()
-    };
-    ShardPlan::next_fit(&outputs.iter().map(states).collect::<Vec<_>>(), &budget)
+/// `states` (which bound its determinized rows from above on every
+/// generator in `workloads`): a group closes when the next rule would
+/// take it past `state_budget`, and a heavier rule gets one of its own.
+fn next_fit(states: impl Iterator<Item = usize>, state_budget: usize) -> Vec<Vec<usize>> {
+    let mut groups = Vec::new();
+    let (mut group, mut load) = (Vec::new(), 0);
+    for (rule, weight) in states.enumerate() {
+        if !group.is_empty() && load + weight > state_budget {
+            groups.push(std::mem::take(&mut group));
+            load = 0;
+        }
+        group.push(rule);
+        load += weight;
+    }
+    groups.push(group);
+    groups
 }
 
 /// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`];
@@ -307,8 +368,8 @@ impl<'a> ShardedSetStream<'a> {
         self.flow.finishing().into_iter().map(set_match).collect()
     }
 
-    /// Number of engines this stream advances in lockstep: one per scan
-    /// group of its set.
+    /// Number of units this stream feeds, one after the other: one per
+    /// scan group of its set.
     pub fn group_count(&self) -> usize {
         self.flow.unit_count()
     }
@@ -337,38 +398,35 @@ impl fmt::Debug for ShardedSetStream<'_> {
     }
 }
 
-/// `builder`'s engine cut into at least `groups` scan groups the way a
-/// user gets them: by a hybrid `state_budget` the rules do not fit. A
-/// default build weighs the rules, and the budget is the largest under
-/// which next-fit — the set's own rule — closes that many groups.
-/// (`tests/common/mod.rs` holds the twin for the integration suites.)
+/// `builder`'s engine cut into at least `groups` scan groups by the
+/// largest hybrid `state_budget` under which next-fit closes that many
+/// (`tests/common/mod.rs` holds the twin for the integration suites).
 #[cfg(test)]
 pub(crate) fn in_scan_groups(builder: crate::EngineBuilder, groups: usize) -> crate::Engine {
     let probe = builder.clone().build().unwrap();
-    let total: usize = (probe.outputs().iter())
-        .map(|out| out.nca.state_count())
-        .sum();
-    let state_budget = (1..=total)
+    let states = || probe.outputs().iter().map(|out| out.nca.state_count());
+    let state_budget = (1..=states().sum())
         .rev()
-        .find(|&b| scan_partition(probe.outputs(), b).shard_count() >= groups)
+        .find(|&b| next_fit(states(), b).len() >= groups)
         .expect("no more groups than rules");
     let engine = (builder.scan_mode(ScanMode::Hybrid { state_budget }))
         .build()
         .unwrap();
-    assert!(engine.scan_groups().shard_count() >= groups);
+    assert!(engine.scan_groups().len() >= groups);
     engine
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hw::{ShardBudget, ShardPolicy};
+    use crate::prefilter::has;
     use crate::Engine;
-    use recama_hw::ShardPolicy;
 
     /// `patterns` in `groups` scan groups, one bank.
     fn grouped(patterns: &[&str], groups: usize) -> Engine {
         let engine = in_scan_groups(Engine::builder().patterns(patterns), groups);
-        assert_eq!(engine.scan_groups().shard_count(), groups);
+        assert_eq!(engine.scan_groups().len(), groups);
         engine
     }
 
@@ -498,6 +556,82 @@ mod tests {
         assert_eq!(ends, vec![4, 9]);
     }
 
+    /// `patterns` under the hybrid `state_budget`.
+    fn budgeted(patterns: &[&str], state_budget: usize) -> Engine {
+        let mode = ScanMode::Hybrid { state_budget };
+        Engine::builder()
+            .patterns(patterns)
+            .scan_mode(mode)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_zero_budget_is_a_group_per_rule_on_one_row_each() {
+        let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
+        let (zero, one) = (budgeted(&patterns, 0), budgeted(&patterns, 1));
+        assert_eq!(zero.scan_groups(), [[0], [1], [2], [3]]);
+        assert_eq!(zero.scan_groups(), one.scan_groups());
+        // The caches clamp the budget to one row, as at budget 1.
+        for cache in &zero.set().caches {
+            assert!(
+                format!("{cache:?}").ends_with("state_budget = 1)"),
+                "{cache:?}"
+            );
+        }
+        let haystack = b"abbc.aaa.cab.xyz.abbbc";
+        assert_eq!(zero.scan(haystack), one.scan(haystack));
+        assert_eq!(zero.scan(haystack).len(), 5);
+        assert!(zero.set().hybrid_cache_stats().dfa_states <= 4);
+    }
+
+    #[test]
+    fn a_rule_heavier_than_the_budget_gets_a_group_of_its_own() {
+        let patterns = ["ab", "abcdefghijklmnopqrstuvwxyz", "cd", "ef"];
+        let probe = Engine::new(patterns).unwrap();
+        let states: Vec<usize> = (probe.outputs().iter())
+            .map(|out| out.nca.state_count())
+            .collect();
+        // Room for two short rules, not for the long one.
+        let state_budget = states[0] + states[2];
+        assert!(states[1] > state_budget && states[3] <= states[0]);
+        let engine = budgeted(&patterns, state_budget);
+        assert_eq!(engine.scan_groups(), [vec![0], vec![1], vec![2, 3]]);
+        let haystack = b"..abcdefghijklmnopqrstuvwxyz.cdef";
+        assert_eq!(engine.scan(haystack), probe.scan(haystack));
+        assert_eq!(engine.scan(haystack).len(), 6);
+    }
+
+    #[test]
+    fn the_empty_ruleset_is_one_empty_group() {
+        for state_budget in [0, DEFAULT_STATE_BUDGET] {
+            let engine = budgeted(&[], state_budget);
+            assert_eq!(engine.scan_groups(), [Vec::<usize>::new()]);
+            assert_eq!(engine.set().multi().shards().len(), 1);
+            assert_eq!(engine.stream().group_count(), 1);
+        }
+    }
+
+    #[test]
+    fn a_group_starts_cold_when_the_filter_is_on_and_every_rule_has_a_literal() {
+        // `[ab]{3}` has no literal: the group it joins always scans.
+        let patterns = ["abc", "xyz", "[ab]{3}"];
+        for mode in [PrefilterMode::On, PrefilterMode::Off] {
+            let builder = Engine::builder().patterns(patterns).prefilter(mode);
+            let engine = in_scan_groups(builder, 2);
+            assert_eq!(engine.scan_groups(), [vec![0, 1], vec![2]]);
+            let plan = &engine.set().plan;
+            let cold = [has(&plan.cold, 0), has(&plan.cold, 1)];
+            let on = mode == PrefilterMode::On;
+            assert_eq!(cold, [on, false], "{mode:?}");
+            assert_eq!(engine.set().prefilter().is_some(), on, "{mode:?}");
+            assert_eq!(
+                engine.scan(b"..xyz.bab"),
+                [(1, 5), (2, 9)].map(|(pattern, end)| SetMatch { pattern, end })
+            );
+        }
+    }
+
     #[test]
     fn empty_set_is_well_formed() {
         // Under any policy the empty set compiles to one empty shard.
@@ -515,7 +649,7 @@ mod tests {
     fn sharded_reports_are_byte_identical_to_unsharded() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}"];
         let single = set_with(&patterns, ShardPolicy::Single);
-        assert_eq!(single.scan_groups().shard_count(), 1);
+        assert_eq!(single.scan_groups().len(), 1);
         let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
         let expected = single.scan(haystack);
         // Neither partition moves a report, together or apart.
@@ -534,7 +668,7 @@ mod tests {
         ] {
             let builder = Engine::builder().patterns(patterns).shard_policy(policy);
             let sharded = in_scan_groups(builder, groups);
-            assert_eq!(sharded.scan_groups().shard_count(), groups);
+            assert_eq!(sharded.scan_groups().len(), groups);
             // No sort: the order must match too.
             assert_eq!(
                 sharded.scan(haystack),

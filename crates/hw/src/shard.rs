@@ -5,10 +5,8 @@
 //! bank (Fig. 5), so a deployment partitions the set into *shards* whose
 //! sub-networks each fit one bank. A bank is free parallelism in the
 //! machine — one input decoder shows every symbol to all banks at once —
-//! so the bank plan says nothing about how software should scan: the
-//! software twin groups the same rules by whether its lazy-DFA rows fit
-//! (its *scan groups*, a second [`ShardPlan`] packed by
-//! [`ShardPlan::next_fit`] under a budget of automaton states).
+//! so the bank plan says nothing about how software should scan, which
+//! groups the rules by whether its lazy-DFA rows fit.
 //!
 //! * [`RuleCost`] measures a rule's footprint with the same estimates the
 //!   mapper ([`crate::place()`]) uses: CAM columns under the two-nibble
@@ -108,15 +106,6 @@ impl ShardBudget {
             bitvector_bits: one.bitvector_bits * n as u64,
         }
     }
-
-    /// A budget nothing exceeds (the single-shard degenerate case).
-    pub fn unbounded() -> ShardBudget {
-        ShardBudget {
-            columns: usize::MAX,
-            counters: usize::MAX,
-            bitvector_bits: u64::MAX,
-        }
-    }
 }
 
 /// How to partition a ruleset into shards.
@@ -169,12 +158,10 @@ impl ShardPlan {
         }
     }
 
-    /// Greedy order-preserving packing: a part closes when the next rule
-    /// would overflow `budget`, and a rule that alone exceeds it gets a
-    /// part of its own. [`ShardPolicy::Banked`] packs bank images with
-    /// it; the software twin packs its scan groups with it, a rule
-    /// weighing its automaton's states in `columns`.
-    pub fn next_fit(costs: &[RuleCost], budget: &ShardBudget) -> ShardPlan {
+    /// Greedy order-preserving packing ([`ShardPolicy::Banked`]): a
+    /// shard closes when the next rule would overflow `budget`, and a
+    /// rule that alone exceeds it gets a shard of its own.
+    fn next_fit(costs: &[RuleCost], budget: &ShardBudget) -> ShardPlan {
         let mut shards = Vec::new();
         let mut current = Vec::new();
         let mut load = RuleCost::default();
@@ -227,11 +214,6 @@ impl ShardPlan {
     pub fn shards(&self) -> &[Vec<usize>] {
         &self.shards
     }
-
-    /// Rule indices of shard `i`.
-    pub fn members(&self, i: usize) -> &[usize] {
-        &self.shards[i]
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +260,7 @@ mod tests {
             .collect();
         let plan = ShardPlan::plan(&costs, ShardPolicy::default());
         assert_eq!(plan.shard_count(), 1);
-        assert_eq!(plan.members(0), &[0, 1, 2]);
+        assert_eq!(plan.shards(), &[vec![0, 1, 2]]);
     }
 
     #[test]
@@ -395,7 +377,7 @@ mod tests {
         ] {
             let plan = ShardPlan::plan(&[], policy);
             assert_eq!(plan.shard_count(), 1);
-            assert!(plan.members(0).is_empty());
+            assert!(plan.shards()[0].is_empty());
         }
     }
 }

@@ -224,34 +224,6 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 /// Default bound on the determinized states cached per shard.
 pub const DEFAULT_STATE_BUDGET: usize = 4096;
 
-/// How a pattern-set engine walks input bytes: always on its scan
-/// groups' lazily determinized rows. The one variant carries the row
-/// budget, which also draws the scan groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// The hybrid engine on lazily determinized rows (see
-    /// [`HybridEngine`]): the pure frontier advances by one dense table
-    /// row per byte, and only live counter-carrying states are stepped
-    /// exactly.
-    Hybrid {
-        /// Maximum number of determinized states cached **per shard**,
-        /// shared by every flow scanning that shard (see
-        /// [`HybridCache`]); when a shard exceeds it, its cache is
-        /// flushed and rebuilt from the traffic that is hot. Tiny
-        /// budgets stay correct but thrash.
-        state_budget: usize,
-    },
-}
-
-impl Default for ScanMode {
-    /// [`ScanMode::Hybrid`] with [`DEFAULT_STATE_BUDGET`].
-    fn default() -> Self {
-        ScanMode::Hybrid {
-            state_budget: DEFAULT_STATE_BUDGET,
-        }
-    }
-}
-
 /// Row entry: transition not yet computed.
 pub(crate) const UNKNOWN: u32 = u32::MAX;
 /// Row flag: the transition also wakes counters — the remaining bits

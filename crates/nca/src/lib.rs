@@ -56,9 +56,7 @@ mod token;
 mod unfold;
 
 pub use engine::TokenSetEngine;
-pub use hybrid::{
-    HybridCache, HybridEngine, HybridStats, ScanMode, DEFAULT_STATE_BUDGET, LOCKSTEP_LANES,
-};
+pub use hybrid::{HybridCache, HybridEngine, HybridStats, DEFAULT_STATE_BUDGET, LOCKSTEP_LANES};
 pub use multi::{MultiNca, MultiReport, ShardedMulti};
 pub use nca::{ActionOp, CounterId, CounterInfo, GuardAtom, Nca, State, StateId, Transition};
 pub use plan::{CompilePlan, StorageMode};

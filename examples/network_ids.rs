@@ -81,7 +81,7 @@ fn main() {
             "software engine: {} bank image(s), {} scan group(s), {} reports; \
              hottest rule {:?} with {} hits",
             engine.shard_count(),
-            engine.scan_groups().shard_count(),
+            engine.scan_groups().len(),
             hits.len(),
             engine.pattern(rule),
             count

@@ -43,7 +43,7 @@ fn main() {
     println!(
         "{} bank image(s) for the machine, {} scan group(s) for a software flow",
         engine.shard_count(),
-        engine.scan_groups().shard_count()
+        engine.scan_groups().len()
     );
     let (stes, counters, bitvectors) = engine.network(0).counts_by_type();
     println!("merged network: {stes} STEs + {counters} counters + {bitvectors} bit vectors");

@@ -17,7 +17,7 @@
 //! same commit — that is the review hook.
 
 use recama::compiler::{CompileOptions, CompileOutput};
-use recama::hw::{HwSimulator, RuleCost, ShardBudget, ShardPlan, ShardPolicy};
+use recama::hw::{HwSimulator, ShardPolicy};
 use recama::mnrl::MnrlNetwork;
 use recama::nca::{
     CompilePlan, HybridCache, HybridEngine, MultiNca, MultiReport, Nca, ShardedMulti, UnfoldPolicy,
@@ -152,7 +152,6 @@ const NCA_EXPORTS: &[&str] = &[
     "MultiReport",
     "Nca",
     "Prepared",
-    "ScanMode",
     "ShardedMulti",
     "State",
     "StateId",
@@ -485,8 +484,7 @@ fn engine_signatures() {
     let _: for<'a> fn(&'a Engine) -> &'a [SkippedRule] = |e| e.skipped();
     let _: fn(&Engine) -> usize = Engine::shard_count;
     // The scan partition; the bank plan shows as the machine images.
-    let _: for<'a> fn(&'a Engine) -> &'a ShardPlan = |e| e.scan_groups();
-    let _: fn(&[RuleCost], &ShardBudget) -> ShardPlan = ShardPlan::next_fit;
+    let _: for<'a> fn(&'a Engine) -> &'a [Vec<usize>] = |e| e.scan_groups();
     // What the benchmark harness reads of the compiled ruleset.
     let _: for<'a> fn(&'a Engine) -> &'a [CompileOutput] = |e| e.outputs();
     let _: for<'a> fn(&'a Engine, usize) -> &'a MnrlNetwork = |e, i| e.network(i);

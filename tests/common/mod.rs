@@ -5,7 +5,7 @@
 
 pub mod matrix;
 
-use recama::hw::{RuleCost, ShardBudget, ShardPlan, ShardPolicy};
+use recama::hw::{ShardBudget, ShardPolicy};
 use recama::nca::{Nca, TokenSetEngine};
 use recama::syntax::Parsed;
 use recama::workloads::{generate, BenchmarkId, PatternClass};
@@ -35,26 +35,30 @@ pub fn sample_patterns(id: BenchmarkId, scale: f64, seed: u64, max_mu: u32) -> V
 
 /// `builder`'s engine cut into at least `groups` scan groups — the units
 /// of a flow — the way a user gets them: by a hybrid `state_budget` the
-/// rules do not fit. A default build weighs the rules, and the budget is
-/// the largest under which next-fit, the set's own rule, closes that
+/// rules do not fit. A default build weighs the rules by their NCA
+/// states, and the budget is the largest under which next-fit, the set's
+/// own rule (`scan_partition.rs::assert_next_fit` pins it), closes that
 /// many groups. (The shard policy only cuts machine images; the twin for
 /// `core`'s unit tests is `set::in_scan_groups`.)
 pub fn in_scan_groups(builder: EngineBuilder, groups: usize) -> Engine {
     let probe = builder.clone().build().unwrap();
-    let weights: Vec<RuleCost> = (probe.outputs().iter())
-        .map(|out| RuleCost {
-            columns: out.nca.state_count(),
-            ..RuleCost::default()
-        })
+    let states: Vec<usize> = (probe.outputs().iter())
+        .map(|out| out.nca.state_count())
         .collect();
+    // Next-fit's group count: a group closes when the next rule would
+    // take it past the budget.
     let cut = |state_budget| {
-        let budget = ShardBudget {
-            columns: state_budget,
-            ..ShardBudget::unbounded()
-        };
-        ShardPlan::next_fit(&weights, &budget).shard_count()
+        let (mut groups, mut load) = (1, 0);
+        for (rule, &weight) in states.iter().enumerate() {
+            if rule > 0 && load + weight > state_budget {
+                groups += 1;
+                load = 0;
+            }
+            load += weight;
+        }
+        groups
     };
-    let total: usize = weights.iter().map(|w| w.columns).sum();
+    let total: usize = states.iter().sum();
     let state_budget = (1..=total)
         .rev()
         .find(|&b| cut(b) >= groups)
@@ -62,7 +66,7 @@ pub fn in_scan_groups(builder: EngineBuilder, groups: usize) -> Engine {
     let engine = (builder.scan_mode(ScanMode::Hybrid { state_budget }))
         .build()
         .unwrap();
-    assert!(engine.scan_groups().shard_count() >= groups);
+    assert!(engine.scan_groups().len() >= groups);
     engine
 }
 

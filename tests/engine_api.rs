@@ -33,7 +33,7 @@ fn builder_scan_matches_per_pattern_baseline() {
     for (policy, groups) in cuts {
         let builder = Engine::builder().patterns(PATTERNS).shard_policy(policy);
         let engine = in_scan_groups(builder, groups);
-        assert_eq!(engine.scan_groups().shard_count(), groups);
+        assert_eq!(engine.scan_groups().len(), groups);
     }
     let knobs = cuts.map(|(policy, groups)| (Scan::Groups(groups), PrefilterMode::On, policy));
     let flows = [Flow::fixed(HAYSTACK, HAYSTACK.len())];
@@ -473,7 +473,7 @@ fn empty_engine_is_well_formed() {
     let engine = Engine::new(Vec::<String>::new()).unwrap();
     assert!(engine.is_empty());
     assert_eq!(engine.shard_count(), 1);
-    assert_eq!(engine.scan_groups().shard_count(), 1);
+    assert_eq!(engine.scan_groups().len(), 1);
     assert!(engine.scan(b"anything").is_empty());
     assert!(engine.network(0).validate().is_empty());
     let svc = engine.serve();

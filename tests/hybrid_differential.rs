@@ -80,7 +80,7 @@ fn churned_flows_share_bounded_rows_and_report_the_per_pattern_union() {
                 "{rules:?}, cut {cut}: {workers} worker(s), budget {budget}, {prefilter:?}"
             );
             // One cache per scan group, and the budget cuts the groups.
-            let bound = engine.scan_groups().shard_count() * budget;
+            let bound = engine.scan_groups().len() * budget;
             let svc = engine.serve_with(workers, ServeConfig::default());
             let rows = |at: &str| {
                 let rows = svc.metrics().hybrid.expect("hybrid mode").dfa_states;
@@ -247,7 +247,7 @@ fn snort_profile_fallback_is_bounded() {
         .prefilter(PrefilterMode::Off)
         .lossy(true);
     let engine = in_scan_groups(builder, 4);
-    let units = engine.scan_groups().shard_count() as u64;
+    let units = engine.scan_groups().len() as u64;
     let input = traffic(&ruleset, 256 << 10, 0.0005, 302);
     let sched = engine.scheduler_with(1);
     for chunk in input.chunks(2 << 10) {

@@ -149,7 +149,7 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     );
     assert_eq!(
         stats.total_skipped_bytes(),
-        2 * input.len() as u64 * on.scan_groups().shard_count() as u64,
+        2 * input.len() as u64 * on.scan_groups().len() as u64,
         "every chunk of both flows must be skipped on every unit"
     );
     assert_eq!(stats.candidate_hits, 0);
@@ -174,13 +174,13 @@ fn check_verdicts(literals: &[String], groups: usize, input: &[u8], chunk_lens: 
     // The first offset past `from` at which a literal of `group` ends.
     let first_end = |group: usize, from: usize, upto: usize| {
         (from + 1..=upto).find(|&end| {
-            let members = on.scan_groups().members(group);
+            let members = &on.scan_groups()[group];
             (members.iter()).any(|&g| input[..end].ends_with(literals[g].as_bytes()))
         })
     };
 
     let sched = on.scheduler_with(1);
-    let mut cold = vec![true; on.scan_groups().shard_count()];
+    let mut cold = vec![true; on.scan_groups().len()];
     let (mut units, mut bytes) = (vec![0u64; cold.len()], vec![0u64; cold.len()]);
     let (mut hits, mut walked) = (0u64, 0u64);
     let (mut at, mut lens) = (0usize, chunk_lens.iter().cycle());
@@ -289,7 +289,7 @@ fn the_filter_walks_a_chunk_once_whatever_the_shard_count() {
     let literals = ["alpha", "bravo", "charlie", "delta"];
     let builder = Engine::builder().patterns(literals);
     let on = in_scan_groups(builder.prefilter(PrefilterMode::On), 4);
-    let groups = on.scan_groups().shard_count();
+    let groups = on.scan_groups().len();
     let sched = on.scheduler_with(1);
     let stats = || sched.metrics().prefilter.expect("the filter is on");
     assert_eq!((groups, stats().always_on_rules), (4, 0));

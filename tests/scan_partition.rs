@@ -22,7 +22,7 @@ use recama::{
 /// Everything a policy must not move: the scan partition, the reports,
 /// the bytes the literal filter walked and the rows the caches hold
 /// after `input` went through a one-worker scheduler in 512-byte pushes.
-fn scan_side(engine: &Engine, input: &[u8]) -> (ShardPlan, Vec<SetMatch>, u64, usize) {
+fn scan_side(engine: &Engine, input: &[u8]) -> (Vec<Vec<usize>>, Vec<SetMatch>, u64, usize) {
     let sched = engine.scheduler_with(1);
     for chunk in input.chunks(512) {
         sched.push(1, chunk);
@@ -32,7 +32,7 @@ fn scan_side(engine: &Engine, input: &[u8]) -> (ShardPlan, Vec<SetMatch>, u64, u
     let filter_bytes = metrics.prefilter.expect("the filter is on").filter_bytes;
     let rows = metrics.hybrid.expect("hybrid by default").dfa_states;
     (
-        engine.scan_groups().clone(),
+        engine.scan_groups().to_vec(),
         sched.poll(1),
         filter_bytes,
         rows,
@@ -91,14 +91,14 @@ fn assert_next_fit(engine: &Engine, state_budget: usize, what: &str) {
         .map(|out| out.nca.state_count())
         .collect();
     let groups = engine.scan_groups();
-    assert_eq!(groups.shards().concat().len(), engine.len(), "{what}");
+    assert_eq!(groups.concat().len(), engine.len(), "{what}");
     assert_eq!(
-        groups.shards().concat(),
+        groups.concat(),
         (0..engine.len()).collect::<Vec<_>>(),
         "{what}: ascending, every rule once"
     );
     let weight = |members: &[usize]| members.iter().map(|&g| states[g]).sum::<usize>();
-    for (gi, members) in groups.shards().iter().enumerate() {
+    for (gi, members) in groups.iter().enumerate() {
         assert!(
             !members.is_empty() || engine.is_empty(),
             "{what}: group {gi}"
@@ -109,7 +109,7 @@ fn assert_next_fit(engine: &Engine, state_budget: usize, what: &str) {
             weight(members),
             members.len()
         );
-        if let Some(next) = groups.shards().get(gi + 1) {
+        if let Some(next) = groups.get(gi + 1) {
             assert!(
                 weight(members) + states[next[0]] > state_budget,
                 "{what}: group {gi} closed early"
@@ -117,8 +117,8 @@ fn assert_next_fit(engine: &Engine, state_budget: usize, what: &str) {
         }
     }
     // One automaton, one cache, one stream engine per group.
-    assert_eq!(engine.set().multi().shards().len(), groups.shard_count());
-    assert_eq!(engine.stream().group_count(), groups.shard_count());
+    assert_eq!(engine.set().multi().shards().len(), groups.len());
+    assert_eq!(engine.stream().group_count(), groups.len());
 }
 
 #[test]
@@ -130,7 +130,7 @@ fn scan_groups_are_next_fit_over_nca_states_under_the_state_budget() {
     // The harness's rulesets fit one cache: a flow scans each byte once.
     for id in [BenchmarkId::Snort, BenchmarkId::SpamAssassin] {
         let engine = lossy(id, 0.02).build().unwrap();
-        assert_eq!(engine.scan_groups().shard_count(), 1, "{id:?}");
+        assert_eq!(engine.scan_groups().len(), 1, "{id:?}");
         assert_next_fit(&engine, DEFAULT_STATE_BUDGET, id.name());
     }
     // The same rules under budgets they do not fit, a rule heavier than
@@ -141,10 +141,7 @@ fn scan_groups_are_next_fit_over_nca_states_under_the_state_budget() {
             .scan_mode(mode)
             .build()
             .unwrap();
-        assert!(
-            engine.scan_groups().shard_count() > 1,
-            "budget {state_budget}"
-        );
+        assert!(engine.scan_groups().len() > 1, "budget {state_budget}");
         assert_next_fit(&engine, state_budget, &format!("budget {state_budget}"));
     }
 }
@@ -166,7 +163,7 @@ fn clamav() -> (Ruleset, Engine) {
 fn one_bank_of_clamav_is_more_than_one_scan_group() {
     let (_, engine) = clamav();
     assert_eq!(engine.shard_count(), 1, "the default policy: one bank");
-    assert!(engine.scan_groups().shard_count() > 1);
+    assert!(engine.scan_groups().len() > 1);
     assert_next_fit(&engine, DEFAULT_STATE_BUDGET, "ClamAV 0.02");
 }
 
@@ -189,7 +186,7 @@ fn clamav_rows_fit_their_scan_groups() {
     }
     let stats = sched.metrics().hybrid.expect("hybrid by default");
     assert_eq!(stats.flushes, 0, "{stats:?}");
-    assert!(stats.dfa_states > engine.scan_groups().shard_count());
+    assert!(stats.dfa_states > engine.scan_groups().len());
 }
 
 /// Rules for the byte-identity run: literal-bearing ones in different
@@ -215,7 +212,7 @@ fn a_multi_group_set_reports_the_per_pattern_union() {
 
     for mode in [PrefilterMode::On, PrefilterMode::Off] {
         let engine = in_scan_groups(Engine::builder().patterns(RULES).prefilter(mode), 3);
-        assert!(engine.scan_groups().shard_count() >= 3);
+        assert!(engine.scan_groups().len() >= 3);
         assert_eq!(engine.shard_count(), 1);
         let expected = scan_oracle(&engine, data, 0);
         let finishing = finish_oracle(&engine, data, 0);
@@ -291,7 +288,7 @@ fn per_unit_metrics_are_as_long_as_the_scan_partition() {
     );
     for (engine, banks, groups) in [(&four_banks, 4, 1), (&three_groups, 1, 3)] {
         assert_eq!(
-            (engine.shard_count(), engine.scan_groups().shard_count()),
+            (engine.shard_count(), engine.scan_groups().len()),
             (banks, groups)
         );
         let svc = engine.serve();

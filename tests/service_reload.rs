@@ -196,7 +196,7 @@ fn shard_rows_belong_to_their_epoch() {
             builder = builder.rule(id, rule);
         }
         let engine = in_scan_groups(builder, 2);
-        assert_eq!(engine.scan_groups().shard_count(), 2);
+        assert_eq!(engine.scan_groups().len(), 2);
         engine
     };
     let a = build([(10, "ab{2,3}c"), (30, "k[0-9]{2,4}m")]);

@@ -45,7 +45,7 @@ fn builder() -> EngineBuilder {
 /// Two scan groups, so two workers can hold units of one flow at once.
 fn two_units(builder: EngineBuilder) -> Engine {
     let engine = common::in_scan_groups(builder, 2);
-    assert_eq!(engine.scan_groups().shard_count(), 2);
+    assert_eq!(engine.scan_groups().len(), 2);
     engine
 }
 
@@ -265,7 +265,7 @@ fn a_settling_barrier_is_woken_by_the_check_in() {
     use recama::FaultPlan;
     let plan = FaultPlan::new().delay_at(0, 0, 1, Duration::from_millis(50));
     let engine = builder().fault_plan(plan).build().unwrap();
-    assert_eq!(engine.scan_groups().shard_count(), 1);
+    assert_eq!(engine.scan_groups().len(), 1);
     let data = chunks(0, 0).concat();
     let want = oracle(&engine, std::slice::from_ref(&data));
     let svc = engine.serve_with(1, ServeConfig::default());
