@@ -10,21 +10,19 @@
 //! with it. A [`CounterBank`] is built once per [`crate::MultiNca`] and
 //! indexes those states densely `0..k` **in state order**, so ascending
 //! module index is ascending pattern — the per-step report order
-//! contract. Each module's out-edges are compiled flat: the guard of a
-//! single-counter source is one `lo..=hi` range, the value handed to a
-//! single-counter destination is one [`SlotSrc`], and the destination is
-//! tagged by what it is — a pure state (the token leaves the bank), a
-//! register, a counting set, or general storage.
+//! contract. Every counted state carries one counter (the plan refuses
+//! any other), so each module's out-edges are compiled flat: a guard is
+//! one `lo..=hi` range, the value handed to a destination is one
+//! [`SlotSrc`], and the destination is tagged by what it is — a pure
+//! state (the token leaves the bank), a register or a counting set.
 //!
 //! A flow's share is a [`BankState`], O(k): a live mask, one [`Cell`]
-//! and one `u64` value per module. The value is a register's count, for
-//! a single-valuation counter, or a word, for a counting set whose bound
-//! is at most 64: bit `v − 1` is set exactly when a token has value `v`,
-//! and the word is 0 whenever its module is not live, so that an entry
-//! cannot bring a stale token back. A larger counting set keeps a
-//! [`CountingQueue`] in its cell, and only the bit-vector and token-set
-//! modules that conservative plans and nested counting produce — and a
-//! single valuation of several counters — keep [`Storage`].
+//! and one `u64` value per module — the paper's two modules. The value
+//! is a register's count, for a single-valued counter, or a word, for a
+//! counting set whose bound is at most 64: bit `v − 1` is set exactly
+//! when a token has value `v`, and the word is 0 whenever its module is
+//! not live, so that an entry cannot bring a stale token back. A larger
+//! counting set keeps a [`CountingQueue`] in its cell.
 //!
 //! # Sleeping
 //!
@@ -62,14 +60,14 @@
 //! are walked only for the modules with an exit on the byte's class, and
 //! the accept is one range or mask test. While every live module and
 //! every wake record is flat — read off the live mask on each byte — one
-//! byte is that one pass, then the wake records as `[module, value]`
-//! pairs, then the reports.
+//! byte is that one pass, then the wake records, then the reports. A
+//! record, staged or a wake, is a `[module, value]` pair.
 //!
 //! Otherwise one byte is two passes over edge lists, the only path for
-//! general storage and for hand-offs between modules. The *walk* visits
-//! the live modules in order; each reads only its **own** cell (guards
-//! resolve against source-state counters, a [`crate::nca`] invariant),
-//! stages what it hands to other modules as flat `[module, values…]`
+//! queues above 64, saturating `{m,}` registers and hand-offs between
+//! modules. The *walk* visits the live modules in order; each reads only
+//! its **own** cell (guards resolve against source-state counters, a
+//! [`crate::nca`] invariant), stages what it hands to other modules as
 //! records, and — being the last reader of its cell — takes a counting
 //! set's self-loop in place. The *apply* pass then writes the staged
 //! records, the wake entries first. Both paths give the same tokens,
@@ -82,7 +80,6 @@ use crate::nca::{Nca, StateId};
 use crate::plan::{CompilePlan, StorageMode};
 use crate::token::{resolve_guard, resolve_transition, SlotSrc, SlotTest};
 use recama_syntax::ByteAlphabet;
-use std::collections::HashSet;
 
 /// [`CounterBank::module_of`] entry of a pure state.
 pub(crate) const PURE: u32 = u32::MAX;
@@ -110,20 +107,16 @@ fn value_mask(lo: u32, hi: u32) -> u64 {
     }
 }
 
-/// A conjunction of counter tests over a source valuation.
-#[derive(Debug)]
-enum Guard {
-    /// Single-counter source: the whole conjunction is `lo ≤ x ≤ hi`
-    /// (`lo > hi` when it cannot hold).
-    Range(u32, u32),
-    General(Box<[SlotTest]>),
+/// A conjunction of counter tests over a module's one counter: the whole
+/// conjunction is `lo ≤ x ≤ hi` (`lo > hi` when it cannot hold).
+#[derive(Debug, Clone, Copy)]
+struct Guard {
+    lo: u32,
+    hi: u32,
 }
 
 impl Guard {
-    fn compile(tests: Vec<SlotTest>, single_counter: bool) -> Guard {
-        if !single_counter {
-            return Guard::General(tests.into());
-        }
+    fn compile(tests: Vec<SlotTest>) -> Guard {
         let (mut lo, mut hi) = (0, u32::MAX);
         for test in tests {
             let (l, h) = match test {
@@ -135,14 +128,11 @@ impl Guard {
             };
             (lo, hi) = (lo.max(l), hi.min(h));
         }
-        Guard::Range(lo, hi)
+        Guard { lo, hi }
     }
 
-    fn eval(&self, values: &[u32]) -> bool {
-        match self {
-            Guard::Range(lo, hi) => (*lo..=*hi).contains(&values[0]),
-            Guard::General(tests) => tests.iter().all(|t| t.eval(values)),
-        }
+    fn holds(self, value: u32) -> bool {
+        (self.lo..=self.hi).contains(&value)
     }
 }
 
@@ -155,16 +145,13 @@ enum Dest {
         module: u32,
         value: SlotSrc,
     },
-    /// An `x := 1` entry into a counting set.
+    /// An `x := 1` entry into a counting set, from another module or
+    /// (a star around the repeat) from its own.
     Queue {
         module: u32,
     },
     /// The `x++` self-loop of a counting set.
     QueueLoop,
-    General {
-        module: u32,
-        values: Box<[SlotSrc]>,
-    },
 }
 
 #[derive(Debug)]
@@ -183,7 +170,6 @@ enum CellKind {
     Word,
     /// A larger counting set.
     Queue,
-    General(StorageMode),
 }
 
 #[derive(Debug)]
@@ -191,10 +177,8 @@ struct Module {
     /// The pattern the state reports for.
     pattern: u32,
     kind: CellKind,
-    /// Largest value of the state's first counter.
+    /// Largest value of the state's counter.
     bound: u32,
-    /// Counters the state carries: the width of its records.
-    width: usize,
     /// Finalization predicate, a disjunction (empty: never accepts).
     accept: Box<[Guard]>,
     edges: Box<[Edge]>,
@@ -220,25 +204,13 @@ struct Sleeper {
 }
 
 impl Sleeper {
-    /// The sleeper in module `own`, if it is one: a register or a
-    /// counting set with exactly one incrementing self-edge, taken from
-    /// value 0 up.
-    fn of(
-        own: u32,
-        kind: CellKind,
-        bound: u32,
-        edges: &[Edge],
-        accept: &[Guard],
-    ) -> Option<Sleeper> {
-        if let CellKind::General(_) = kind {
-            return None;
-        }
+    /// The sleeper in module `own`, if it is one: exactly one
+    /// incrementing self-edge, taken from value 0 up.
+    fn of(own: u32, bound: u32, edges: &[Edge], accept: &[Guard]) -> Option<Sleeper> {
         let mut body = None;
         let mut first_due = u32::MAX;
         for edge in edges {
-            let Guard::Range(lo, hi) = edge.guard else {
-                return None;
-            };
+            let Guard { lo, hi } = edge.guard;
             let loop_hi = match edge.dest {
                 // `BankState::step` replaces this guard by the bound.
                 Dest::QueueLoop => Some(bound - 1),
@@ -257,10 +229,7 @@ impl Sleeper {
             }
         }
         for guard in accept {
-            let Guard::Range(lo, _) = *guard else {
-                return None;
-            };
-            first_due = first_due.min(lo);
+            first_due = first_due.min(guard.lo);
         }
         let (loop_classes, loop_hi) = body?;
         Some(Sleeper {
@@ -351,17 +320,12 @@ impl FlatBank {
         let word = match module.kind {
             CellKind::Register => false,
             CellKind::Word => true,
-            _ => return None,
+            CellKind::Queue => return None,
         };
-        if module.width != 1 {
-            return None;
-        }
         let mut body = None;
         let mut exits = Vec::new();
         for edge in module.edges.iter() {
-            let Guard::Range(lo, hi) = edge.guard else {
-                return None;
-            };
+            let Guard { lo, hi } = edge.guard;
             match edge.dest {
                 Dest::Exit(state) => exits.push(FlatExit {
                     classes: edge.classes,
@@ -381,7 +345,7 @@ impl FlatBank {
         let (loop_classes, loop_lo, loop_hi) = body?;
         let (accept_lo, accept_hi) = match *module.accept {
             [] => (1, 0),
-            [Guard::Range(lo, hi)] => (lo, hi),
+            [Guard { lo, hi }] => (lo, hi),
             _ => return None,
         };
         self.records[m] = Flat {
@@ -464,10 +428,10 @@ impl CounterBank {
         }
         let bound_of = |q: StateId| nca.counter(nca.state(q).counters[0]).bound();
         let kind_of = |q: StateId| match plan.mode(q) {
-            StorageMode::SingleValue if nca.state(q).counters.len() == 1 => CellKind::Register,
+            StorageMode::SingleValue => CellKind::Register,
             StorageMode::CountingSet if bound_of(q) <= WORD_BITS => CellKind::Word,
             StorageMode::CountingSet => CellKind::Queue,
-            mode => CellKind::General(mode),
+            StorageMode::PureBit => unreachable!("{q} is counted"),
         };
         let classes_of = |q: StateId| {
             let mut set = ClassSet::default();
@@ -484,28 +448,25 @@ impl CounterBank {
             .map(|q| {
                 let state = nca.state(q);
                 let (kind, bound) = (kind_of(q), bound_of(q));
-                let single_counter = state.counters.len() == 1;
                 let edges: Box<[Edge]> = nca
                     .transitions_from(q)
                     .map(|t| {
                         let (guard, values) = resolve_transition(nca, t);
                         let module = module_of[t.to.index()];
-                        let dest = match (module, kind_of(t.to)) {
-                            (PURE, _) => Dest::Exit(t.to.0),
-                            (_, CellKind::Register) => Dest::Register {
-                                module,
-                                value: values[0],
-                            },
-                            (_, CellKind::Word | CellKind::Queue) if t.to == q => Dest::QueueLoop,
-                            (_, CellKind::Word | CellKind::Queue) => Dest::Queue { module },
-                            (_, CellKind::General(_)) => Dest::General {
-                                module,
-                                values: values.into(),
+                        let dest = match module {
+                            PURE => Dest::Exit(t.to.0),
+                            _ => match kind_of(t.to) {
+                                CellKind::Register => Dest::Register {
+                                    module,
+                                    value: values[0],
+                                },
+                                _ if matches!(values[0], SlotSrc::Inc(_)) => Dest::QueueLoop,
+                                _ => Dest::Queue { module },
                             },
                         };
                         Edge {
                             classes: classes_of(t.to),
-                            guard: Guard::compile(guard, single_counter),
+                            guard: Guard::compile(guard),
                             dest,
                         }
                     })
@@ -519,14 +480,13 @@ impl CounterBank {
                 let accept: Box<[Guard]> = state
                     .accepts
                     .iter()
-                    .map(|conj| Guard::compile(resolve_guard(nca, q, conj), single_counter))
+                    .map(|conj| Guard::compile(resolve_guard(nca, q, conj)))
                     .collect();
                 Module {
                     pattern: pattern_of_state[q.index()],
                     kind,
                     bound,
-                    width: state.counters.len(),
-                    sleeper: Sleeper::of(module_of[q.index()], kind, bound, &edges, &accept),
+                    sleeper: Sleeper::of(module_of[q.index()], bound, &edges, &accept),
                     accept,
                     edges,
                     successor_classes,
@@ -556,9 +516,6 @@ impl CounterBank {
             CellKind::Register => "a register".to_string(),
             CellKind::Word => format!("a {}-bit word", module.bound),
             CellKind::Queue => "a counting-set queue".to_string(),
-            CellKind::General(StorageMode::BitVector) => "a bit vector".to_string(),
-            CellKind::General(StorageMode::TokenSet) => "a token set".to_string(),
-            CellKind::General(_) => "a multi-counter register".to_string(),
         };
         let flat = if self.flat.is_flat(m as usize) {
             " (flat)"
@@ -568,27 +525,17 @@ impl CounterBank {
         Some(cell + flat)
     }
 
-    /// Splits flat `[module, values…]` records.
-    fn records<'r>(&'r self, mut flat: &'r [u32]) -> impl Iterator<Item = (usize, &'r [u32])> {
-        std::iter::from_fn(move || {
-            let (&module, rest) = flat.split_first()?;
-            let (values, rest) = rest.split_at(self.modules[module as usize].width);
-            flat = rest;
-            Some((module as usize, values))
-        })
-    }
-
     /// The classes of the *next* byte on which every token that the wake
     /// records `entries` put in is provably dead without a trace: its
-    /// module does not accept under the entry valuation, and no out-edge
+    /// module does not accept under the entry value, and no out-edge
     /// of it leads to a state whose predicate holds the class. Guards are
     /// ignored, which only shrinks the set. (Bits past the alphabet's
     /// last class are set and never probed.)
     pub(crate) fn quiet_classes(&self, entries: &[u32]) -> ClassSet {
         let mut may_survive = ClassSet::default();
-        for (m, values) in self.records(entries) {
-            let module = &self.modules[m];
-            if module.accept.iter().any(|g| g.eval(values)) {
+        for record in entries.chunks_exact(2) {
+            let module = &self.modules[record[0] as usize];
+            if module.accept.iter().any(|g| g.holds(record[1])) {
                 return ClassSet::default();
             }
             for (word, more) in may_survive.iter_mut().zip(&module.successor_classes) {
@@ -603,8 +550,7 @@ impl CounterBank {
 /// [`BankState::values`].
 #[derive(Clone)]
 enum Cell {
-    /// The one valuation of a single-counter, single-valuation state is
-    /// its value.
+    /// The one token of a single-valued state is its value.
     Register,
     /// A counting set of bound at most [`WORD_BITS`]: bit `v − 1` of its
     /// value is set exactly when a token has value `v`. The value is 0
@@ -613,34 +559,27 @@ enum Cell {
     Word,
     /// A larger counting set; empty whenever the module is not live.
     Queue(CountingQueue),
-    /// Bit vector, token set or multi-counter single valuation; holds
-    /// stale tokens while the module is not live.
-    General(Storage),
 }
 
 impl Cell {
-    /// Calls `f` on every token of the cell whose value is `value`.
+    /// Calls `f` on the value of every token of the cell whose
+    /// [`BankState::values`] entry is `value`.
     #[inline(always)]
-    fn for_each(&self, value: u64, mut f: impl FnMut(&[u32])) {
+    fn for_each(&self, value: u64, mut f: impl FnMut(u32)) {
         match self {
-            Cell::Register => f(&[value as u32]),
-            Cell::Word => bits(value).for_each(|bit| f(&[bit as u32 + 1])),
-            Cell::Queue(queue) => queue.values().for_each(|v| f(&[v])),
-            Cell::General(storage) => storage.for_each(f),
+            Cell::Register => f(value as u32),
+            Cell::Word => bits(value).for_each(|bit| f(bit as u32 + 1)),
+            Cell::Queue(queue) => queue.values().for_each(f),
         }
     }
 
     /// Whether some token satisfies `guard`.
     #[inline(always)]
-    fn any(&self, value: u64, guard: &Guard) -> bool {
-        match (self, guard) {
-            (Cell::Word, Guard::Range(lo, hi)) => value & value_mask(*lo, *hi) != 0,
-            (Cell::Queue(queue), Guard::Range(lo, hi)) => queue.any_in(*lo, *hi),
-            _ => {
-                let mut hit = false;
-                self.for_each(value, |values| hit = hit || guard.eval(values));
-                hit
-            }
+    fn any(&self, value: u64, guard: Guard) -> bool {
+        match self {
+            Cell::Register => guard.holds(value as u32),
+            Cell::Word => value & value_mask(guard.lo, guard.hi) != 0,
+            Cell::Queue(queue) => queue.any_in(guard.lo, guard.hi),
         }
     }
 
@@ -651,7 +590,6 @@ impl Cell {
             Cell::Register => value as u32,
             Cell::Word => WORD_BITS - value.leading_zeros(),
             Cell::Queue(queue) => queue.values().next().expect("live queues hold a token"),
-            Cell::General(_) => unreachable!("general cells are never sleepers"),
         }
     }
 }
@@ -718,104 +656,6 @@ impl CountingQueue {
     }
 }
 
-/// The cell of a module that is neither a register nor a counting set:
-/// a bit vector, a token set or a multi-counter single valuation.
-#[derive(Debug, Clone)]
-pub(crate) enum Storage {
-    /// At most one valuation. The buffer outlives the token (`live` says
-    /// whether it holds one), so stepping never allocates or frees.
-    Single {
-        live: bool,
-        values: Vec<u32>,
-    },
-    /// Bit `v` (1-based; bit 0 unused) set iff token with counter value `v`
-    /// is live. Length `bound + 1` bits, word-packed.
-    Bits {
-        words: Vec<u64>,
-        bound: u32,
-    },
-    Tokens(HashSet<Vec<u32>>),
-}
-
-impl Storage {
-    /// The cell of `mode`, for a counter of `bound` (a bit vector's).
-    pub(crate) fn new(mode: StorageMode, bound: u32) -> Storage {
-        match mode {
-            StorageMode::SingleValue => Storage::Single {
-                live: false,
-                values: Vec::new(),
-            },
-            StorageMode::BitVector => Storage::Bits {
-                words: vec![0; ((bound as usize + 1).div_ceil(64)).max(1)],
-                bound,
-            },
-            StorageMode::TokenSet => Storage::Tokens(HashSet::new()),
-            StorageMode::PureBit | StorageMode::CountingSet => {
-                unreachable!("{mode:?} keeps no storage cell")
-            }
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        match self {
-            Storage::Single { live, .. } => *live = false,
-            Storage::Bits { words, .. } => words.iter_mut().for_each(|w| *w = 0),
-            Storage::Tokens(set) => set.clear(),
-        }
-    }
-
-    /// Calls `f` with every live valuation.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(&[u32])) {
-        match self {
-            Storage::Single { live: true, values } => f(values),
-            Storage::Single { live: false, .. } => {}
-            Storage::Bits { words, .. } => {
-                for (wi, &w) in words.iter().enumerate() {
-                    bits(w).for_each(|b| f(&[(wi * 64 + b) as u32]));
-                }
-            }
-            Storage::Tokens(set) => set.iter().for_each(|v| f(v)),
-        }
-    }
-
-    /// Inserts a valuation; returns `true` on a SingleValue conflict (two
-    /// distinct valuations on a state the plan claims unambiguous).
-    pub(crate) fn insert(&mut self, values: &[u32]) -> bool {
-        match self {
-            Storage::Single {
-                live,
-                values: existing,
-            } => {
-                if *live && existing.as_slice() == values {
-                    return false;
-                }
-                let conflict = *live;
-                // On a conflict keep the smaller valuation for
-                // determinism; the caller counts it.
-                if !conflict || values < existing.as_slice() {
-                    existing.clear();
-                    existing.extend_from_slice(values);
-                }
-                *live = true;
-                conflict
-            }
-            Storage::Bits { words, bound } => {
-                let v = values[0];
-                debug_assert!(
-                    v >= 1 && v <= *bound,
-                    "counter value {v} out of 1..={bound}"
-                );
-                words[(v / 64) as usize] |= 1 << (v % 64);
-                false
-            }
-            Storage::Tokens(set) => {
-                set.insert(values.to_vec());
-                false
-            }
-        }
-    }
-}
-
 /// The value of a register (`word` false) or a word `k` bytes older,
 /// inside the horizon: no token of a word passes its bound there, so `k`
 /// is below its width.
@@ -828,9 +668,9 @@ fn aged(value: u64, word: bool, k: u32) -> u64 {
 }
 
 /// Puts the entry value `e` into a register or a word holding `value`;
-/// `first` when nothing was put in on this byte yet. Two valuations on
-/// a register the plan calls unambiguous keep the smaller, as
-/// [`Storage::insert`] does, and count a conflict.
+/// `first` when nothing was put in on this byte yet. Two values on a
+/// register the plan calls unambiguous keep the smaller, and count a
+/// conflict.
 fn put_value(value: &mut u64, word: bool, e: u64, first: bool, conflicts: &mut u64) {
     if word {
         debug_assert!(!first || *value == 0, "a word is 0 while not live");
@@ -864,7 +704,7 @@ pub(crate) struct BankState {
     /// Bytes skipped since the last step: every live token is that much
     /// older than its cell says.
     pending: u32,
-    /// Valuations a single-valued cell was handed beside the one it kept
+    /// Values a register was handed beside the one it kept
     /// ([`BankState::conflicts`]).
     conflicts: u64,
 }
@@ -876,7 +716,6 @@ impl BankState {
             CellKind::Register => Cell::Register,
             CellKind::Word => Cell::Word,
             CellKind::Queue => Cell::Queue(CountingQueue::default()),
-            CellKind::General(mode) => Cell::General(Storage::new(mode, module.bound)),
         });
         let words = bank.len().div_ceil(64);
         BankState {
@@ -898,24 +737,23 @@ impl BankState {
         self.cells.len()
     }
 
-    /// Every live token as `(module, valuation)`, sorted.
+    /// Every live token as `(module, value)`, sorted.
     #[cfg(test)]
-    pub(crate) fn tokens(&self) -> Vec<(usize, Vec<u32>)> {
+    pub(crate) fn tokens(&self) -> Vec<(usize, u32)> {
         let mut aged = self.clone();
         aged.catch_up();
         let mut tokens = Vec::new();
         for m in live_modules(&aged.live) {
-            (aged.cells[m]).for_each(aged.values[m], |values| tokens.push((m, values.to_vec())));
+            (aged.cells[m]).for_each(aged.values[m], |value| tokens.push((m, value)));
         }
         tokens.sort();
         tokens
     }
 
-    /// How many times, since the last [`BankState::clear`], a cell the
-    /// plan declared single-valued was handed a second, different
-    /// valuation on one byte — a register, or a multi-counter
-    /// single-valuation cell. Both keep the smaller. It stays 0 when the
-    /// plan came from a sound analysis: the runtime cross-check of the
+    /// How many times, since the last [`BankState::clear`], a register —
+    /// the cell of a state the plan declared single-valued — was handed a
+    /// second, different value on one byte. It keeps the smaller. It
+    /// stays 0 when the plan came from a sound analysis: the runtime cross-check of the
     /// analysis that [`crate::HybridEngine::conflicts`] reports.
     pub(crate) fn conflicts(&self) -> u64 {
         self.conflicts
@@ -990,7 +828,6 @@ impl BankState {
                     Cell::Register => self.values[m] = aged(self.values[m], false, k),
                     Cell::Word => self.values[m] = aged(self.values[m], true, k),
                     Cell::Queue(queue) => queue.advance(k),
-                    Cell::General(_) => unreachable!("general cells are never sleepers"),
                 }
             }
         }
@@ -1006,7 +843,7 @@ impl BankState {
     ///   caller to union into its pure frontier;
     /// * `entries` — the wake records of the caller's row: the edges
     ///   from its pure frontier into counted states on this class, as
-    ///   `[module, constant valuation…]` — are put in;
+    ///   `[module, constant value]` — are put in;
     /// * modules accepting after the byte report at offset `end`,
     ///   ascending by pattern, one report per pattern.
     ///
@@ -1021,8 +858,6 @@ impl BankState {
         end: u64,
         out: &mut Vec<MultiReport>,
     ) -> usize {
-        // A flat record is `[module, value]`: up to the first record that
-        // is not flat, pairs are records.
         let flat = &bank.flat;
         let all_flat = (self.live.iter().zip(&flat.mask)).all(|(live, flat)| live & !flat == 0)
             && (entries.chunks_exact(2)).all(|record| flat.is_flat(record[0] as usize));
@@ -1187,30 +1022,21 @@ impl BankState {
                 let mut self_loop = false;
                 for edge in module.edges.iter().filter(|e| has_class(&e.classes, class)) {
                     let (cell, value) = (&self.cells[m], self.values[m]);
-                    match &edge.dest {
+                    match edge.dest {
                         Dest::Exit(state) => {
-                            if cell.any(value, &edge.guard) {
-                                exits.push(*state);
+                            if cell.any(value, edge.guard) {
+                                exits.push(state);
                             }
                         }
                         Dest::QueueLoop => self_loop = true,
                         Dest::Queue { module } => {
-                            if cell.any(value, &edge.guard) {
-                                staged.extend([*module, 1]);
+                            if cell.any(value, edge.guard) {
+                                staged.extend([module, 1]);
                             }
                         }
-                        Dest::Register { module, value: src } => cell.for_each(value, |values| {
-                            if edge.guard.eval(values) {
-                                staged.extend([*module, src.eval(values)]);
-                            }
-                        }),
-                        Dest::General {
-                            module,
-                            values: sources,
-                        } => cell.for_each(value, |values| {
-                            if edge.guard.eval(values) {
-                                staged.push(*module);
-                                staged.extend(sources.iter().map(|s| s.eval(values)));
+                        Dest::Register { module, value: src } => cell.for_each(value, |v| {
+                            if edge.guard.holds(v) {
+                                staged.extend([module, src.eval(&[v])]);
                             }
                         }),
                     }
@@ -1245,23 +1071,17 @@ impl BankState {
                 }
             }
         }
-        for (m, values) in bank.records(staged) {
+        for record in staged.chunks_exact(2) {
+            let (m, e) = (record[0] as usize, u64::from(record[1]));
             let (word, bit) = (&mut self.next_live[m / 64], 1 << (m % 64));
             let first = *word & bit == 0;
             *word |= bit;
             match &mut self.cells[m] {
                 cell @ (Cell::Register | Cell::Word) => {
                     let word = matches!(cell, Cell::Word);
-                    let e = u64::from(values[0]);
                     put_value(&mut self.values[m], word, e, first, &mut self.conflicts);
                 }
                 Cell::Queue(queue) => queue.set_first(),
-                Cell::General(storage) => {
-                    if first {
-                        storage.clear();
-                    }
-                    self.conflicts += u64::from(storage.insert(values));
-                }
             }
         }
         std::mem::swap(&mut self.live, &mut self.next_live);
@@ -1278,7 +1098,7 @@ impl BankState {
                 let reported =
                     out.len() > first_report && out[out.len() - 1].pattern == module.pattern;
                 let (cell, value) = (&self.cells[m], self.values[m]);
-                if !reported && module.accept.iter().any(|g| cell.any(value, g)) {
+                if !reported && module.accept.iter().any(|&g| cell.any(value, g)) {
                     out.push(MultiReport {
                         pattern: module.pattern,
                         end,
@@ -1331,6 +1151,7 @@ fn bits(mut word: u64) -> impl Iterator<Item = usize> {
 mod tests {
     use super::*;
     use crate::multi::MultiNca;
+    use crate::plan::{queues, single};
 
     /// `pattern` in stream form, merged alone under `plan`.
     fn merged(pattern: &str, plan: fn(&Nca) -> CompilePlan) -> MultiNca {
@@ -1343,7 +1164,7 @@ mod tests {
     /// mask unchanged, every token one older.
     fn steps_unseen(state: &mut BankState, bank: &CounterBank, class: usize) -> bool {
         let (live, mut older) = (state.live.clone(), state.tokens());
-        older.iter_mut().for_each(|(_, values)| values[0] += 1);
+        older.iter_mut().for_each(|(_, value)| *value += 1);
         let (mut exits, mut out) = (Vec::new(), Vec::new());
         state.step(bank, class, &[], &mut exits, 0, &mut out);
         exits.is_empty() && out.is_empty() && state.live == live && state.tokens() == older
@@ -1401,8 +1222,6 @@ mod tests {
 
     #[test]
     fn the_horizon_is_tight_and_skip_is_that_many_steps() {
-        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| true);
-        let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
         // A register: asleep to the bound, then stopped by the loop guard
         // (its exit is on 'z', outside the body).
         assert_horizon_is_tight("k[ab]{6}z", single, b'a');
@@ -1412,6 +1231,8 @@ mod tests {
         // until the last token is gone.
         assert_horizon_is_tight("k.{3,6}z", queues, b'z');
         assert_horizon_is_tight("k.{3,6}", queues, b'x');
+        // A set that starts itself over: awake from the value it may.
+        assert_horizon_is_tight("k(.{3,6})+z", queues, b'x');
         // At a word's width: one bit short, the full mask, and a queue.
         assert_horizon_is_tight("h.{63}", queues, b'x');
         assert_horizon_is_tight("h.{64}", queues, b'x');
@@ -1422,7 +1243,6 @@ mod tests {
     /// queue; both are sleepers.
     #[test]
     fn a_counting_set_up_to_64_is_a_flat_word() {
-        let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
         for (pattern, cell) in [
             ("h.{63}", "a 63-bit word (flat)"),
             ("h.{64}", "a 64-bit word (flat)"),
@@ -1481,8 +1301,8 @@ mod tests {
                 .collect();
             let parts: Vec<(&Nca, CompilePlan)> = (picks.iter().zip(&ncas))
                 .map(|(&i, nca)| match FLAT_RULES[i].1 {
-                    true => (nca, CompilePlan::optimized(nca, |_| true)),
-                    false => (nca, CompilePlan::optimized(nca, |_| false)),
+                    true => (nca, single(nca)),
+                    false => (nca, queues(nca)),
                 })
                 .collect();
             let multi = MultiNca::merge(&parts);
@@ -1545,7 +1365,7 @@ mod tests {
     /// `restart_at`, so a later entry holds the one fresh token.
     #[test]
     fn a_word_is_zero_while_its_module_is_not_live() {
-        let multi = merged("h[a-z]{6}", |n| CompilePlan::optimized(n, |_| false));
+        let multi = merged("h[a-z]{6}", queues);
         let bank = multi.bank();
         let (x, digit) = (
             multi.alphabet().class_of(b'x'),
@@ -1558,7 +1378,7 @@ mod tests {
             assert!(!state.any_live());
             assert!(state.values.iter().all(|&v| v == 0), "a stale bit is left");
             step(state, x, &[0, 1]);
-            assert_eq!(state.tokens(), vec![(0, vec![1])]);
+            assert_eq!(state.tokens(), vec![(0, 1)]);
         };
         let mut state = BankState::new(bank);
         assert!(matches!(state.cells[0], Cell::Word));
@@ -1587,7 +1407,6 @@ mod tests {
 
     #[test]
     fn only_registers_and_queues_with_one_counting_loop_sleep() {
-        let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
         // (modules, those that can sleep)
         let sleepers = |pattern, plan| {
             let multi = merged(pattern, plan);
@@ -1596,12 +1415,10 @@ mod tests {
             (modules.len(), sleepers)
         };
         assert_eq!(sleepers("h.{6}", queues), (1, 1));
-        // Bit vectors, token sets and saturating `{m,}` counters do not.
-        assert_eq!(sleepers("h.{6}", CompilePlan::conservative), (1, 0));
-        assert_eq!(sleepers("z(a{2,3}b){2,3}", queues), (2, 0));
-        assert_eq!(sleepers("ka{3,}b", queues), (1, 0));
-        // Nor does a counter two states hand back and forth.
-        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| true);
+        assert_eq!(sleepers("h.{6}", single), (1, 1));
+        // A saturating `{m,}` register does not, nor does a counter two
+        // states hand back and forth.
+        assert_eq!(sleepers("^ka{3,}b", single), (1, 0));
         assert_eq!(sleepers("^k(ab){6}z", single), (2, 0));
         assert_eq!(sleepers("^k[ab]{6}z", single), (1, 1));
     }
@@ -1622,11 +1439,10 @@ mod tests {
             vec![Lt(0, 0)],
             vec![Ge(0, 7), Lt(0, 5)],
         ] {
-            let guard = Guard::compile(tests.clone(), true);
-            assert!(matches!(guard, Guard::Range(..)));
+            let guard = Guard::compile(tests.clone());
             for value in 0..12 {
                 let expected = tests.iter().all(|t| t.eval(&[value]));
-                assert_eq!(guard.eval(&[value]), expected, "{tests:?} on {value}");
+                assert_eq!(guard.holds(value), expected, "{tests:?} on {value}");
             }
         }
     }
@@ -1636,7 +1452,7 @@ mod tests {
     /// without.
     #[test]
     fn single_value_plan_detects_bad_claims() {
-        let multi = merged(".*a{2}", |n| CompilePlan::optimized(n, |_| true));
+        let multi = merged(".*a{2}", single);
         for mut engine in [multi.engine(), multi.hybrid_engine(64)] {
             engine.match_reports(b"aaa");
             assert!(engine.conflicts() > 0, "{engine:?}");

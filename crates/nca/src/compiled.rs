@@ -1,12 +1,15 @@
 //! Storage plans as the counter bank compiles them, against the
-//! reference: each plan's modes, the cells they become, and a one-rule
+//! reference: the plan's modes, the cells they become, and a one-rule
 //! [`MultiNca`]'s engine without rows beside [`TokenSetEngine`] (Def. 2.1),
-//! which shares no plan and no counter cell with it.
+//! which shares no plan and no counter cell with it. The rules here are
+//! `σ{m,n}`-shaped or provably unambiguous; nested and ambiguous
+//! multi-state counting reaches the bank compiled, which the
+//! equivalence suite of the `recama` package drives.
 
 use crate::engine::TokenSetEngine;
 use crate::multi::MultiNca;
 use crate::nca::{Nca, StateId};
-use crate::plan::{CompilePlan, StorageMode};
+use crate::plan::{queues, single, CompilePlan, StorageMode};
 use recama_syntax::parse;
 
 fn nca(p: &str) -> Nca {
@@ -79,56 +82,39 @@ fn agree_with_reference(patterns: &[&str], plan: fn(&Nca) -> CompilePlan, inputs
 
 mod tests {
     use super::*;
-    use crate::bank::Storage;
-
-    #[test]
-    fn conservative_plan_matches_reference() {
-        agree_with_reference(
-            &[
-                "a{2,4}",
-                ".*a{3}",
-                "(ab){2,3}c",
-                "(a{2,3}){2,3}",
-                "a{2,}b",
-                ".*[ab][^a]{3}",
-                "(a|b){2,4}",
-            ],
-            CompilePlan::conservative,
-            &exhaustive_inputs(b"ab", 6),
-        );
-    }
-
-    #[test]
-    fn conservative_plan_modes() {
-        let a = nca(".*a{3}");
-        let plan = CompilePlan::conservative(&a);
-        let n_bitvec = plan
-            .iter()
-            .filter(|(_, m)| *m == StorageMode::BitVector)
-            .count();
-        let n_pure = plan
-            .iter()
-            .filter(|(_, m)| *m == StorageMode::PureBit)
-            .count();
-        assert_eq!(n_bitvec, 1);
-        assert_eq!(n_pure, a.state_count() - 1);
-        // Nested counting yields a TokenSet fallback for two-counter states.
-        let b = nca("(a{2,3}b){2,3}");
-        let planb = CompilePlan::conservative(&b);
-        assert!(planb.iter().any(|(_, m)| m == StorageMode::TokenSet));
-    }
 
     #[test]
     fn single_value_plan_on_unambiguous_regex() {
         // a{4} anchored: counter-unambiguous, so SingleValue everywhere.
         let a = nca("a{4}b");
-        let multi = bank(&a, CompilePlan::optimized(&a, |_| true));
+        let multi = bank(&a, single(&a));
         assert_eq!(only_cell(&multi), "a register (flat)");
         let mut reference = TokenSetEngine::new(&a);
         for w in exhaustive_inputs(b"ab", 7) {
             let (ends, conflicts) = bank_ends(&multi, &w);
             assert_eq!(ends, reference_ends(&mut reference, &w), "on {w:?}");
             assert_eq!(conflicts, 0, "a{{4}}b is counter-unambiguous");
+        }
+        // Registers also take what no counting set can: hand-offs
+        // between the states of a body, and a saturating `{m,}`.
+        agree_with_reference(
+            &["(ab){2,3}c", "a{2,}b", "(a|b){2,4}"],
+            single,
+            &exhaustive_inputs(b"ab", 6),
+        );
+    }
+
+    /// A counted state the plan has no cell for — two counters, or
+    /// ambiguous outside the `σ{m,n}` shape — is refused, naming the
+    /// state.
+    #[test]
+    fn the_plan_refuses_what_only_unfolding_handles() {
+        for (pattern, unambiguous) in [("(a{2,3}b){2,3}", true), (".*(ab){2,3}", false)] {
+            let a = nca(pattern);
+            let refused = std::panic::catch_unwind(|| CompilePlan::optimized(&a, |_| unambiguous));
+            let message = *refused.unwrap_err().downcast::<String>().unwrap();
+            assert!(message.starts_with("state q"), "{pattern}: {message}");
+            assert!(message.ends_with("compile the rule first"), "{pattern}");
         }
     }
 
@@ -141,60 +127,27 @@ mod tests {
         let mut reference = TokenSetEngine::new(&a);
         reference.matches(b"aaa");
         assert!(reference.observed_degree() >= 2);
-        let claimed = bank(&a, CompilePlan::optimized(&a, |_| true));
+        let claimed = bank(&a, single(&a));
         assert!(bank_ends(&claimed, b"aaa").1 > 0);
-        let sound = bank(&a, CompilePlan::conservative(&a));
+        let sound = bank(&a, queues(&a));
         assert_eq!(bank_ends(&sound, b"aaa").1, 0);
     }
 
     #[test]
     fn bitvector_mirrors_paper_ops() {
-        // Σ*σ1σ2{n} from Example 2.2 — the bit-vector case.
+        // Σ*σ1σ2{n} from Example 2.2 — the bit-vector case: a word with
+        // bit `v − 1` set for each live value `v`, set-first/shift/
+        // disjunct as §3.2.1 describes.
         let a = nca(".*[ab][^a]{3}");
-        assert_eq!(
-            only_cell(&bank(&a, CompilePlan::conservative(&a))),
-            "a bit vector"
-        );
-        agree_with_reference(
-            &[".*[ab][^a]{3}"],
-            CompilePlan::conservative,
-            &exhaustive_inputs(b"abx", 5),
-        );
-    }
-
-    #[test]
-    fn single_value_storage_reuses_its_buffer() {
-        let mut s = Storage::new(StorageMode::SingleValue, 0);
-        assert!(!s.insert(&[3, 1]));
-        let Storage::Single { values, .. } = &s else {
-            unreachable!()
-        };
-        let buffer = values.as_ptr();
-        for step in 0..4u32 {
-            s.clear();
-            let mut seen = 0;
-            s.for_each(|_| seen += 1);
-            assert_eq!(seen, 0, "a cleared slot yields no valuation");
-            assert!(!s.insert(&[step, 7]), "first valuation after a clear");
-            assert!(!s.insert(&[step, 7]), "same valuation again");
-            assert!(s.insert(&[step, 9]), "a second valuation is a conflict");
-            assert!(
-                s.insert(&[step, 2]),
-                "and so is a third; the smallest stays"
-            );
-            s.for_each(|v| assert_eq!(v, [step, 2]));
-        }
-        let Storage::Single { values, .. } = &s else {
-            unreachable!()
-        };
-        assert_eq!(values.as_ptr(), buffer, "no reallocation while stepping");
+        assert_eq!(only_cell(&bank(&a, queues(&a))), "a 3-bit word (flat)");
+        agree_with_reference(&[".*[ab][^a]{3}"], queues, &exhaustive_inputs(b"abx", 5));
     }
 
     #[test]
     fn match_ends_agree() {
         let p = parse("ab{2,3}").unwrap();
         let a = Nca::from_regex(&p.for_stream());
-        let multi = bank(&a, CompilePlan::conservative(&a));
+        let multi = bank(&a, queues(&a));
         let input = b"zabbbabbx";
         let ends = reference_ends(&mut TokenSetEngine::new(&a), input);
         assert_eq!(ends, [4, 5, 8]);
@@ -208,19 +161,21 @@ mod counting_set_tests {
 
     #[test]
     fn queue_plan_assigns_counting_sets_to_sigma_bodies() {
+        let modes = |plan: CompilePlan| plan.iter().map(|(_, m)| m).collect::<Vec<_>>();
         let a = nca(".*a{5}");
-        let plan = CompilePlan::optimized(&a, |_| false);
-        assert!(plan.iter().any(|(_, m)| m == StorageMode::CountingSet));
+        let sets = modes(queues(&a))
+            .into_iter()
+            .filter(|&m| m == StorageMode::CountingSet);
+        assert_eq!(sets.count(), 1);
         // Multi-state bodies are not eligible: (ab) body states loop to
-        // each other, not to themselves.
-        let b = nca(".*(ab){3,5}");
-        let planb = CompilePlan::optimized(&b, |_| false);
-        assert!(!planb.iter().any(|(_, m)| m == StorageMode::CountingSet));
-        // Unbounded {m,} is excluded (saturation breaks the queue).
-        let c = nca(".*a{3,}b");
-        assert!(!CompilePlan::optimized(&c, |_| false)
-            .iter()
-            .any(|(_, m)| m == StorageMode::CountingSet));
+        // each other, not to themselves. Nor is unbounded {m,}
+        // (saturation breaks the queue). Both are registers or nothing.
+        for pattern in [".*(ab){3,5}", ".*a{3,}b"] {
+            let b = nca(pattern);
+            assert!(!modes(single(&b)).contains(&StorageMode::CountingSet));
+            let refused = std::panic::catch_unwind(|| queues(&b));
+            assert!(refused.is_err(), "{pattern}");
+        }
     }
 
     #[test]
@@ -233,8 +188,12 @@ mod counting_set_tests {
                 ".*[ab][^a]{3}",
                 "a{2,3}c{2,3}", // chained: entry of the second is guarded
                 "(x|y)a{2,4}z",
+                // A star around the repeat: the set re-enters itself.
+                "(a{2,3})*b",
+                "x(a{1,3})+y",
+                "(a{2,3}|b)*z",
             ],
-            |n| CompilePlan::optimized(n, |_| false),
+            queues,
             &exhaustive_inputs(b"abxyz", 5),
         );
     }
@@ -262,9 +221,9 @@ mod counting_set_tests {
     }
 
     /// A counting set — a word up to bound 64, a queue above — reports
-    /// what a bit vector and the reference do.
+    /// what the reference does.
     #[test]
-    fn counting_set_match_ends_agree_with_bitvector_plan() {
+    fn counting_set_match_ends_agree_with_reference() {
         let mut long = b"ak".to_vec();
         long.extend([b'z'; 62]);
         long.extend(b"k_");
@@ -276,15 +235,15 @@ mod counting_set_tests {
                 "a 9-bit word (flat)",
             ),
             ("k.{60,70}", &long[..], "a counting-set queue"),
+            ("k(.{3,9})+", &b"akzzzzk_zzzzzzzzzzk"[..], "a 9-bit word"),
+            ("k(.{60,70})+", &long[..], "a counting-set queue"),
         ] {
             let a = Nca::from_regex(&parse(pattern).unwrap().for_stream());
-            let queues = bank(&a, CompilePlan::optimized(&a, |_| false));
-            assert_eq!(only_cell(&queues), cell);
-            let bits = bank(&a, CompilePlan::conservative(&a));
+            let multi = bank(&a, queues(&a));
+            assert_eq!(only_cell(&multi), cell);
             let ends = reference_ends(&mut TokenSetEngine::new(&a), input);
             assert!(!ends.is_empty(), "{pattern}");
-            assert_eq!(bank_ends(&queues, input).0, ends, "{pattern}");
-            assert_eq!(bank_ends(&bits, input).0, ends, "{pattern}");
+            assert_eq!(bank_ends(&multi, input).0, ends, "{pattern}");
         }
     }
 }

@@ -40,10 +40,9 @@
 //! position, its byte counters, and `T` as a [`BankState`] — a live mask
 //! and, per counted state of the shard, a `u64` value (a register's
 //! count, or a counting set of bound at most 64 as a word) beside a
-//! cell that holds a counting queue or bit-vector / token-set storage
-//! where the value cannot; never anything per pure state. It borrows
-//! nothing, so a serving layer keeps it in its flow table between
-//! chunks as it is.
+//! cell that holds the counting queue of a larger one; never anything
+//! per pure state. It borrows nothing, so a serving layer keeps it in
+//! its flow table between chunks as it is.
 //!
 //! * **The cache is bounded per shard.** At most `state_budget`
 //!   determinized states are cached for a shard at once, however many
@@ -100,7 +99,7 @@
 //! * **[`WAKES`] set** (bit 31): *this row also wakes counters*: the low
 //!   bits index a side table holding the successor's handle (unflagged)
 //!   plus the entries to fire, precompiled — their source is pure — as
-//!   `(module, constant valuation)` records.
+//!   `[module, constant value]` records.
 //!
 //! So the byte loops test one compare, `entry >= ACCEPTS`, and send
 //! exactly the flagged (and the still-[`UNKNOWN`]) entries to the slow
@@ -154,10 +153,10 @@
 //! `T` were empty, and the bank is not stepped — under three conditions:
 //!
 //! * **every live module is a sleeper**: a register, a counting-set word
-//!   or a counting-set queue with range guards and exactly one
-//!   incrementing self-edge
-//!   (bit vectors, token sets, multi-counter states and saturating
-//!   `{m,}` counters never are — `h` is 0 while one is live);
+//!   or a counting-set queue with exactly one incrementing self-edge
+//!   (saturating `{m,}` registers, and the registers of a body of
+//!   several states, which pass the count between them, never are — `h`
+//!   is 0 while one is live);
 //! * **no module is due**: before the byte no guard but the self-edge's
 //!   can hold of any live token, and after it no accept can. The oldest
 //!   token of a module decides, so `h` is a minimum of subtractions;
@@ -338,8 +337,8 @@ pub struct HybridStats {
     ///   live module is awake on it anyway. A wake whose every token
     ///   provably dies on the next byte of the same chunk, having
     ///   reported nothing, is not taken;
-    /// * a byte with a module live that cannot sleep (a bit vector, a
-    ///   token set, a saturating counter);
+    /// * a byte with a module live that cannot sleep (a saturating
+    ///   counter, a register of a body of several states);
     /// * a byte at or past a live module's first due value: one before
     ///   which a guard other than the counting loop's can hold of its
     ///   oldest token, or after which an accept can;
@@ -402,7 +401,7 @@ struct Wake {
     next: u32,
     /// The edges from the row's subset into counted states on its class,
     /// precompiled — their source is pure — as flat
-    /// `[module, constant valuation…]` records for [`BankState::step`].
+    /// `[module, constant value]` records for [`BankState::step`].
     entries: Box<[u32]>,
     /// Classes of the *next* byte on which every token `entries` puts in
     /// is provably dead, having reported nothing
@@ -564,7 +563,7 @@ struct Shared {
 /// ```
 /// use recama_nca::{CompilePlan, MultiNca, Nca};
 /// let a = Nca::from_regex(&recama_syntax::parse("ab").unwrap().for_stream());
-/// let parts = [(&a, CompilePlan::conservative(&a))];
+/// let parts = [(&a, CompilePlan::optimized(&a, |_| false))];
 /// let multi = MultiNca::merge(&parts);
 /// let cache = multi.hybrid_cache(64);
 /// multi.hybrid_engine_on(&cache).match_reports(b"xabab");
@@ -808,7 +807,7 @@ impl Cursor {
 /// ```
 /// use recama_nca::{CompilePlan, MultiNca, Nca};
 /// let a = Nca::from_regex(&recama_syntax::parse("ab").unwrap().for_stream());
-/// let parts = [(&a, CompilePlan::conservative(&a))];
+/// let parts = [(&a, CompilePlan::optimized(&a, |_| false))];
 /// let multi = MultiNca::merge(&parts);
 /// let reports = multi.hybrid_engine(64).match_reports(b"xabab");
 /// assert_eq!(reports.len(), 2);
@@ -1481,7 +1480,7 @@ impl Rowless {
 /// `subset` — the edge walk of a row fill, and of every byte without
 /// rows: the pure targets go to `next` (sorted, deduplicated), the edges
 /// into counted states to `entries` as wake records
-/// `[module, constant valuation…]`.
+/// `[module, constant value]`.
 fn walk_pure(
     multi: &MultiNca,
     subset: &[u32],
@@ -1505,12 +1504,9 @@ fn walk_pure(
             );
             match bank.module_of[q] {
                 PURE => next.push(q as u32),
-                module => {
-                    // A pure source has no counters to copy: the
-                    // valuation it hands over is a constant.
-                    entries.push(module);
-                    entries.extend(edge.dst.iter().map(|value| value.eval(&[])));
-                }
+                // A pure source has no counter to copy: the value it
+                // hands over is a constant.
+                module => entries.extend([module, edge.dst[0].eval(&[])]),
             }
         }
     }
@@ -1553,7 +1549,7 @@ mod tests {
     use crate::dfa::full_dfa_size;
     use crate::multi::per_pattern_reports;
     use crate::nca::Nca;
-    use crate::plan::{CompilePlan, StorageMode};
+    use crate::plan::{queues, single, CompilePlan, StorageMode};
     use recama_syntax::parse;
 
     impl HybridEngine {
@@ -1564,16 +1560,6 @@ mod tests {
                 Config::Rowless(_) => panic!("an engine without rows has no cursor"),
             }
         }
-    }
-
-    /// Queues where eligible, bit vectors / token sets elsewhere.
-    fn queues(n: &Nca) -> CompilePlan {
-        CompilePlan::optimized(n, |_| false)
-    }
-
-    /// One valuation per counted state: sound on anchored rules only.
-    fn single(n: &Nca) -> CompilePlan {
-        CompilePlan::optimized(n, |_| true)
     }
 
     /// A merge, and the patterns it was merged from.
@@ -1796,12 +1782,10 @@ mod tests {
         // the same byte, enters rule 2's `y{2,3}` from its `Σ*` state.
         let patterns = ["a{2,3}c{2,3}", "x[ab]{2,5}y", "y{2,3}z"];
         let input = b"xabyyz.aacc.xaayz.xbbbbbyy.aaaccc";
-        for plan in [queues, CompilePlan::conservative] {
-            let m = merged_with(&patterns, plan);
-            assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
-            let events = events(&m, input);
-            assert!(events.iter().any(|e| e.wakes && e.exits > 0), "{events:?}");
-        }
+        let m = merged(&patterns);
+        assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
+        let events = events(&m, input);
+        assert!(events.iter().any(|e| e.wakes && e.exits > 0), "{events:?}");
     }
 
     #[test]
@@ -1867,59 +1851,43 @@ mod tests {
 
     #[test]
     fn every_storage_kind_steps_beside_the_rows() {
-        // Nested / multi-counter states (token sets), bit vectors, and
-        // counting-set queues fed from a pure source.
-        let patterns = [
-            "(a{2}b){3}",
-            "(a{2,3}b){2,3}",
-            "k.{2,5}z",
-            ".*a{3}",
-            "q[ab]{2,4}",
-        ];
+        // Counting sets fed from a pure source: words, a queue, and a
+        // set a `+` starts over.
+        let patterns = ["k.{2,5}z", ".*a{3}", "q[ab]{2,4}", "h.{66}", "x(a{2,3})+y"];
+        let mut long = b"h".to_vec();
+        long.extend([b'.'; 70]);
         let inputs: [&[u8]; 4] = [
-            b"aabaabaab.aaabaab.kxxz.aaaa.qab",
+            b"aabaabaab.aaabaab.kxxz.aaaa.qab.xaaaaay.xaay.xaaaaaaay",
             b"aabaaabaabaaab kzzzzzzz qabab aaaaaa",
-            b"kkkzzz.aabaabaabaab.qaaaa",
+            &long,
             b"",
         ];
-        for plan in [queues, CompilePlan::conservative] {
-            let m = merged_with(&patterns, plan);
-            for input in inputs {
-                assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
-            }
+        let m = merged(&patterns);
+        assert!(m.plan().iter().all(|(_, m)| m != StorageMode::SingleValue));
+        for input in inputs {
+            assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
         }
-        // Single-valuation storage: anchored, so unambiguous.
-        let m = merged_with(&["^x[ab]{2,5}y", "^(a{2}b){3}", "^xa{3,}b"], single);
-        for input in [
-            &b"xababy"[..],
-            b"aabaabaab",
-            b"xaaaab",
-            b"xay",
-            b"xaaaaaaay",
-        ] {
+        // Registers: anchored, so unambiguous — with a hand-off between
+        // the two states of a body, and a saturating `{m,}`.
+        let m = merged_with(&["^x[ab]{2,5}y", "^k(ab){3}z", "^xa{3,}b"], single);
+        for input in [&b"xababy"[..], b"kabababz", b"xaaaab", b"xay", b"xaaaaaaay"] {
             assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
             for mut engine in [m.engine(), m.hybrid_engine(DEFAULT_STATE_BUDGET)] {
                 engine.match_reports(input);
                 assert_eq!(engine.conflicts(), 0);
             }
         }
-        // A queue that feeds a queue (the second's entry is guarded by
-        // the first's count), and a two-counter token set entered
-        // straight from a pure state.
-        let patterns = ["a{2,3}c{2,3}", "z(a{2,3}b){2,3}", "plain"];
-        let m = merged_with(&patterns, queues);
+        // A queue that feeds a queue: the second's entry is guarded by
+        // the first's count.
+        let patterns = ["a{2,3}c{2,3}", "plain"];
+        let m = merged(&patterns);
         let modes = |mode| m.plan().iter().filter(|&(_, m)| m == mode).count();
         assert_eq!(modes(StorageMode::CountingSet), 2);
-        assert!(modes(StorageMode::TokenSet) > 0);
-        for plan in [queues, CompilePlan::conservative] {
-            let m = merged_with(&patterns, plan);
-            for input in [
-                &b"aacc.aaaccc.acc.aac.aaacccc"[..],
-                b"zaabaab.zaaabaabaaab.zaab.zabaab",
-                b"aaccaacc zaabaaccaab plain",
-            ] {
-                assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
-            }
+        for input in [
+            &b"aacc.aaaccc.acc.aac.aaacccc"[..],
+            b"aaccaacc aaaccaacc plain",
+        ] {
+            assert_matches_exact(&m, input, DEFAULT_STATE_BUDGET);
         }
         // A register whose token exits to a pure state and comes back in
         // through it.
@@ -1993,7 +1961,7 @@ mod tests {
     #[test]
     fn a_wake_the_next_byte_kills_is_taken_only_on_a_chunks_last_byte() {
         // 'a' after 'x' wakes `[ac]{3}` at value 1; 'b' kills it.
-        for plan in [single, queues, CompilePlan::conservative] {
+        for plan in [single, queues] {
             let m = merged_with(&["[^ac][ac]{3}", "plain"], plan);
             for budget in LOOKAHEAD_BUDGETS {
                 let [ones, twos, threes, sevens, whole] = lookahead_stats(&m, b"xab", budget);
@@ -2054,7 +2022,7 @@ mod tests {
     fn of_two_entries_of_one_wake_only_one_need_die() {
         // After 'x', 'a' wakes both counters; 'd' kills the first only,
         // 'b' both.
-        for plan in [single, queues, CompilePlan::conservative] {
+        for plan in [single, queues] {
             let m = merged_with(&["[^ac][ac]{3}", "[^ad][ad]{3}"], plan);
             for budget in LOOKAHEAD_BUDGETS {
                 let [.., whole] = lookahead_stats(&m, b"xab", budget);
@@ -2113,9 +2081,6 @@ mod tests {
             let stats = chunked_stats(&m, &expected, &input, budget)
                 .map(|s| (s.fallback_bytes, s.slept_bytes, s.exact_state_steps));
             assert_eq!(stats, [(6 + 2, 90 - 7, 7); 5]);
-            // A bit vector is stepped on every byte it is live before.
-            let m = merged_with(&["h.{55}", "plain"], CompilePlan::conservative);
-            assert_eq!(sleep_stats(&m, &input, budget), [(1 + 90, 0, 90); 5]);
         }
     }
 
@@ -2136,8 +2101,6 @@ mod tests {
             let m = merged_with(&["k.{9,14}z", "plain"], single);
             assert_eq!(m.oracle(&input).len(), 2);
             assert_eq!(sleep_stats(&m, &input, budget), [(1 + 3 + 6, 8 + 8, 9); 5]);
-            let m = merged_with(&["k.{9,14}z", "plain"], CompilePlan::conservative);
-            assert!(sleep_stats(&m, &input, budget).iter().all(|s| s.1 == 0));
         }
     }
 
@@ -2158,8 +2121,6 @@ mod tests {
                 assert_eq!(sleep_stats(&m, &input, budget), [(5, 19 + 38, 3); 5]);
             }
         }
-        let m = merged_with(&["[^ac][ac]{40}", "plain"], CompilePlan::conservative);
-        assert!(sleep_stats(&m, &input, 2).iter().all(|s| s.1 == 0));
     }
 
     #[test]
@@ -2199,20 +2160,16 @@ mod tests {
 
     #[test]
     fn nothing_sleeps_beside_a_module_that_cannot() {
-        // 'z' starts both rules; the token set of the second is live on
-        // every byte the counting set of the first is.
-        let patterns = ["z.{6}", "z(a{2,3}b){2,3}"];
-        let m = merged(&patterns);
-        assert_eq!(m.oracle(b"zaabaabx").len(), 2);
+        // 'z' starts both rules; the registers of the second, which hand
+        // their count back and forth, are live on every byte the first
+        // one is.
+        let patterns = ["z.{6}", "z(ab){2,3}"];
+        let m = merged_with(&patterns, single);
+        assert_eq!(m.oracle(b"zababab.").len(), 3);
         for budget in LOOKAHEAD_BUDGETS {
-            assert_eq!(sleep_stats(&m, b"zaabaabx", budget), [(7, 0, 6 + 6); 5]);
+            assert_eq!(sleep_stats(&m, b"zababab.", budget), [(7, 0, 6 + 6); 5]);
             // Alone it sleeps from 1 to 5.
             assert_eq!(sleep_stats(&m, b"zxxxxxx.", budget), [(3, 4, 2); 5]);
-        }
-        // Bit vectors never do.
-        let m = merged_with(&patterns, CompilePlan::conservative);
-        for input in [&b"zaabaabx"[..], b"zxxxxxx."] {
-            assert!(sleep_stats(&m, input, 3).iter().all(|s| s.1 == 0));
         }
     }
 
@@ -2316,7 +2273,7 @@ mod tests {
 
     #[test]
     fn detach_and_restart_with_counted_tokens_live() {
-        let patterns = ["x[ab]{2,5}y", "k.{4}z", "(a{2}b){3}", "plain", "h.{12}"];
+        let patterns = ["x[ab]{2,5}y", "k.{4}z", "ba{2}b", "plain", "h.{12}"];
         let m = merged(&patterns);
         let input = b"xabkab.zaby.aabaabaab.k...z.h.....k......z";
         let expected = m.oracle(input);
@@ -2357,7 +2314,7 @@ mod tests {
 
     /// What an engine holds between chunks, whatever it keeps `S` in: its
     /// position, `S`, and the live modules of `T` with their tokens.
-    type Configuration = (u64, Vec<u32>, Vec<(usize, Vec<u32>)>);
+    type Configuration = (u64, Vec<u32>, Vec<(usize, u32)>);
 
     fn configuration(h: &HybridEngine) -> Configuration {
         let pure = match &h.config {
@@ -2378,33 +2335,32 @@ mod tests {
         let patterns = [
             "h.{55}",
             "x[ab]{2,5}y",
-            "(a{2}b){3}",
+            "ba{2}b",
             "k.{4,9}z",
             "[^ac][ac]{3}",
+            "h.{70}",
             "plain",
         ];
         let input = b"hxabaybaabaabaab.k....zxacab.plain.".repeat(8);
-        for plan in [queues, CompilePlan::conservative] {
-            let m = merged_with(&patterns, plan);
-            let mut engines = [m.engine(), m.hybrid_engine(1), m.hybrid_engine(4096)];
-            let mut got = [Vec::new(), Vec::new(), Vec::new()];
-            let (mut rest, mut lens) = (&input[..], [2usize, 3, 5, 7, 11].iter().cycle());
-            while !rest.is_empty() {
-                let (chunk, tail) = rest.split_at(rest.len().min(*lens.next().unwrap()));
-                rest = tail;
-                for (engine, got) in engines.iter_mut().zip(&mut got) {
-                    engine.feed_into(chunk, got);
-                }
-                let rowless = configuration(&engines[0]);
-                assert!(!rowless.2.is_empty(), "mid-count at {}", rowless.0);
-                for engine in &engines[1..] {
-                    assert_eq!(configuration(engine), rowless, "{engine:?}");
-                }
+        let m = merged(&patterns);
+        let mut engines = [m.engine(), m.hybrid_engine(1), m.hybrid_engine(4096)];
+        let mut got = [Vec::new(), Vec::new(), Vec::new()];
+        let (mut rest, mut lens) = (&input[..], [2usize, 3, 5, 7, 11].iter().cycle());
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(rest.len().min(*lens.next().unwrap()));
+            rest = tail;
+            for (engine, got) in engines.iter_mut().zip(&mut got) {
+                engine.feed_into(chunk, got);
             }
-            assert!(engines[1].stats().flushes > 0);
-            for got in got {
-                assert_eq!(got, m.oracle(&input));
+            let rowless = configuration(&engines[0]);
+            assert!(!rowless.2.is_empty(), "mid-count at {}", rowless.0);
+            for engine in &engines[1..] {
+                assert_eq!(configuration(engine), rowless, "{engine:?}");
             }
+        }
+        assert!(engines[1].stats().flushes > 0);
+        for got in got {
+            assert_eq!(got, m.oracle(&input));
         }
     }
 

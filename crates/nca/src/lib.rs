@@ -12,8 +12,11 @@
 //!   per counting occurrence; states carry enclosing counters, Fig. 1);
 //! * [`Token`]/[`Prepared`] — fast token stepping shared by the reference
 //!   engine and the static analysis;
-//! * [`CompilePlan`] — which counter or bit-vector module each counted
-//!   state gets ([`StorageMode`]);
+//! * [`CompilePlan`] — which of the paper's two modules each counted
+//!   state gets ([`StorageMode`]): a counter (one register) where the
+//!   analysis proves it single-valued, a bit vector (a counting set)
+//!   where it has the `σ{m,n}` shape; a rule needs compiling first for
+//!   anything else;
 //! * two execution engines: [`TokenSetEngine`], the reference semantics
 //!   of Definition 2.1 and the oracle of the tests, and [`HybridEngine`]
 //!   over a [`MultiNca`] — one or many automata merged, their counted
@@ -33,7 +36,8 @@
 //! assert!(reference.matches(b"xxabbbbc"));
 //! assert!(!reference.matches(b"xxabbc"));
 //! // The same automaton on the counter bank: a report at every end.
-//! let multi = MultiNca::merge(&[(&nca, CompilePlan::conservative(&nca))]);
+//! // `b{3,5}` is a counting set: `|_| false` claims no state single-valued.
+//! let multi = MultiNca::merge(&[(&nca, CompilePlan::optimized(&nca, |_| false))]);
 //! let ends: Vec<u64> = multi.engine().match_reports(b"xxabbbbc").iter().map(|r| r.end).collect();
 //! assert_eq!(ends, [8]);
 //! ```

@@ -232,10 +232,9 @@ impl MultiNca {
 
     /// How the counter bank of the engines scans counted state `q`, for a
     /// reader: the cell it keeps per flow — `a register`, `a 55-bit
-    /// word` (a counting set of bound at most 64), `a counting-set
-    /// queue`, `a bit vector`, `a token set` or `a multi-counter
-    /// register` — followed by ` (flat)` when one fixed record steps it
-    /// in place. `None` for a pure state.
+    /// word` (a counting set of bound at most 64) or `a counting-set
+    /// queue` — followed by ` (flat)` when one fixed record steps it in
+    /// place. `None` for a pure state.
     pub fn scan_cell(&self, q: StateId) -> Option<String> {
         self.0.bank.describe(q)
     }
@@ -469,6 +468,7 @@ pub(crate) fn per_pattern_reports<S: AsRef<str>>(patterns: &[S], input: &[u8]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{queues, single};
     use recama_syntax::parse;
 
     fn stream_nca(pattern: &str) -> Nca {
@@ -477,10 +477,7 @@ mod tests {
 
     fn multi(patterns: &[&str]) -> MultiNca {
         let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
-        let parts: Vec<(&Nca, CompilePlan)> = ncas
-            .iter()
-            .map(|n| (n, CompilePlan::conservative(n)))
-            .collect();
+        let parts: Vec<(&Nca, CompilePlan)> = ncas.iter().map(|n| (n, queues(n))).collect();
         let m = MultiNca::merge(&parts);
         // `parts` borrows ncas, which drop here; MultiNca owns its copy.
         m
@@ -587,10 +584,7 @@ mod tests {
 
     fn sharded(patterns: &[&str], shards: &[Vec<usize>]) -> ShardedMulti {
         let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
-        let parts: Vec<(&Nca, CompilePlan)> = ncas
-            .iter()
-            .map(|n| (n, CompilePlan::conservative(n)))
-            .collect();
+        let parts: Vec<(&Nca, CompilePlan)> = ncas.iter().map(|n| (n, queues(n))).collect();
         ShardedMulti::merge(&parts, shards)
     }
 
@@ -639,7 +633,7 @@ mod tests {
             class_set.add(&s.class);
         }
         class_set.add(&recama_syntax::ByteClass::digit()); // extra refinement
-        let parts = [(&nca, CompilePlan::conservative(&nca))];
+        let parts = [(&nca, queues(&nca))];
         let m = MultiNca::merge_with_alphabet(&parts, &[0], class_set.freeze());
         let reports = m.engine().match_reports(b"xaab aab");
         assert_eq!(reports.len(), 2);
@@ -723,16 +717,10 @@ mod tests {
     #[test]
     fn conflicts_stay_zero_with_sound_plans() {
         let patterns = [".*a{3}", "k.{2,5}z"];
-        let queues: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| false);
-        // One valuation per counted state: sound on these anchored rules.
-        let single: fn(&Nca) -> CompilePlan = |n| CompilePlan::optimized(n, |_| true);
-        let anchored = ["^k.{2,5}z", "^(a{2}b){3}", "^a{3}"];
+        // One value per counted state: sound on these anchored rules.
+        let anchored = ["^k.{2,5}z", "^k(ab){3}z", "^a{3}"];
         for (patterns, plan) in [
-            (
-                &patterns[..],
-                CompilePlan::conservative as fn(&Nca) -> CompilePlan,
-            ),
-            (&patterns, queues),
+            (&patterns[..], queues as fn(&Nca) -> CompilePlan),
             (&anchored, single),
         ] {
             let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
@@ -742,6 +730,7 @@ mod tests {
                 &b"aaaa k..z aaa kzzzzz"[..],
                 b"k...z",
                 b"aabaabaab",
+                b"kabababz",
                 b"aaab",
             ] {
                 for mut engine in [m.engine(), m.hybrid_engine(crate::DEFAULT_STATE_BUDGET)] {
@@ -753,11 +742,11 @@ mod tests {
         }
     }
 
-    /// Differential: the counting-set queue cells must report what the
-    /// bit-vector plan and the per-pattern oracle do on bounded-repeat
-    /// rulesets, across chunk boundaries.
+    /// Differential: the counting-set cells must report what the
+    /// per-pattern oracle does on bounded-repeat rulesets, across chunk
+    /// boundaries.
     #[test]
-    fn counting_set_multi_engine_matches_bitvector_plan() {
+    fn counting_set_multi_engine_matches_the_oracle() {
         let rulesets: [&[&str]; 3] = [
             &[".*a{3}", "k.{2,5}z", "ab{2,3}c"],
             &["x[ab]{2,5}y", "a{2,3}c{2,3}", "plain"],
@@ -765,14 +754,8 @@ mod tests {
         ];
         for patterns in rulesets {
             let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
-            let queue_parts: Vec<(&Nca, CompilePlan)> = ncas
-                .iter()
-                .map(|n| (n, CompilePlan::optimized(n, |_| false)))
-                .collect();
-            let bits_parts: Vec<(&Nca, CompilePlan)> = ncas
-                .iter()
-                .map(|n| (n, CompilePlan::conservative(n)))
-                .collect();
+            let queue_parts: Vec<(&Nca, CompilePlan)> =
+                ncas.iter().map(|n| (n, queues(n))).collect();
             let queues = MultiNca::merge(&queue_parts);
             assert!(
                 queues
@@ -781,7 +764,6 @@ mod tests {
                     .any(|(_, m)| m == StorageMode::CountingSet),
                 "{patterns:?}: ruleset must exercise the queue pass"
             );
-            let bits = MultiNca::merge(&bits_parts);
             for input in [
                 &b"aaaa k..z abbc kzzzzz"[..],
                 b"xaby xabababy aacc aaccc plain",
@@ -789,7 +771,6 @@ mod tests {
                 b"",
             ] {
                 let expected = per_pattern_reports(patterns, input);
-                assert_eq!(bits.engine().match_reports(input), expected);
                 assert_eq!(
                     queues.engine().match_reports(input),
                     expected,
@@ -830,10 +811,7 @@ mod tests {
         patterns.push("h.{55}".into());
         let patterns: Vec<&str> = patterns.iter().map(String::as_str).collect();
         let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
-        let parts: Vec<(&Nca, CompilePlan)> = ncas
-            .iter()
-            .map(|n| (n, CompilePlan::optimized(n, |_| false)))
-            .collect();
+        let parts: Vec<(&Nca, CompilePlan)> = ncas.iter().map(|n| (n, queues(n))).collect();
         let m = MultiNca::merge(&parts);
         let mut input = Vec::new();
         for i in 0..40u32 {
@@ -849,7 +827,7 @@ mod tests {
         let counted_live = |engine: &HybridEngine| engine.counters().live_count() as u64;
         let values = |engine: &HybridEngine| {
             let tokens = engine.counters().tokens();
-            tokens.into_iter().map(|(_, v)| v[0]).collect::<Vec<u32>>()
+            tokens.into_iter().map(|(_, v)| v).collect::<Vec<u32>>()
         };
         let mut reference = m.engine();
         let mut expected = Vec::new();
@@ -890,24 +868,5 @@ mod tests {
             frontier > 10 * counted_steps,
             "{frontier} vs {counted_steps}"
         );
-    }
-
-    /// The optimized plan (analysis + counting sets) stays exact on the
-    /// merged engine.
-    #[test]
-    fn optimized_plan_agrees_with_conservative() {
-        let patterns = [".*a{3}", "ab{2,3}c", "x[yz]{2}", "k.{2,5}z"];
-        let ncas: Vec<Nca> = patterns.iter().map(|p| stream_nca(p)).collect();
-        let opt_parts: Vec<(&Nca, CompilePlan)> = ncas
-            .iter()
-            .map(|n| (n, CompilePlan::optimized(n, |_| false)))
-            .collect();
-        let opt = MultiNca::merge(&opt_parts);
-        for input in [&b"aaaa abbc xyz kxxz"[..], b"abbbc k....z aaa"] {
-            assert_eq!(
-                opt.engine().match_reports(input),
-                per_pattern_reports(&patterns, input)
-            );
-        }
     }
 }

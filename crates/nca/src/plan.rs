@@ -1,46 +1,40 @@
 //! Storage plans: which counter or bit-vector module each state of an
 //! automaton gets — the software side of the paper's module choice
 //! (§3.2.1, §4). The counter bank (`bank.rs`) builds its cells from a
-//! plan:
+//! plan, and holds exactly the paper's two modules:
 //!
 //! * pure states get one activity bit (an STE state bit);
-//! * counter-**unambiguous** states get a single counter valuation — the
+//! * counter-**unambiguous** states get a single counter value — the
 //!   O(log M) memory win the static analysis unlocks (counter module);
-//! * counter-**ambiguous** single-counter states get a bit vector indexed
-//!   by counter value, manipulated with set-first/shift/disjunct exactly as
-//!   §3.2.1 describes (bit-vector module), or a counting set where the
-//!   state has the `σ{m,n}` shape;
-//! * anything else (ambiguous nested counting) falls back to an explicit
-//!   token set, which is always sound — the paper handles these residual
-//!   cases by partial unfolding in the compiler.
+//! * counter-**ambiguous** states of the `σ{m,n}` shape get a counting
+//!   set of their live counter values (bit-vector module).
+//!
+//! Everything else the compiler partially unfolds before a plan is made,
+//! so a state with two counters, or an ambiguous one of another shape,
+//! has no cell: [`CompilePlan::optimized`] refuses it.
 //!
 //! A plan that declares a state `SingleValue` on the strength of the
 //! static analysis is *checked* as it runs: every collision of two
-//! distinct valuations is counted in [`crate::HybridEngine::conflicts`]
+//! distinct values is counted in [`crate::HybridEngine::conflicts`]
 //! (tests assert it stays 0), so each scan is a runtime cross-check of
 //! the analysis.
 
-use crate::nca::{Nca, StateId};
+use crate::nca::{ActionOp, Nca, StateId};
 
 /// Storage discipline for one state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageMode {
     /// Pure state: a single activity bit.
     PureBit,
-    /// Counter-unambiguous state: at most one token; stores one valuation.
+    /// Counter-unambiguous state: at most one token; stores one value.
     SingleValue,
-    /// Counter-ambiguous state with exactly one counter of bound `n`:
-    /// a bit vector `v` with `v[i] = 1` iff token `(q, i)` is live.
-    BitVector,
-    /// Counter-ambiguous single-counter state whose only counter-edges are
-    /// a self-loop increment and `x := 1` entries (the `σ{m,n}` shape): a
-    /// *counting set* — a word of bits up to bound 64, else a sorted
-    /// offset queue, the representation of Turoňová et al. [OOPSLA'20]
-    /// that the paper's related work discusses: increments cost O(1) (a
-    /// shared offset bump) instead of a shift over n bits.
+    /// Counter-ambiguous state whose only counter-edges are a self-loop
+    /// increment and `x := 1` entries (the `σ{m,n}` shape): a *counting
+    /// set* — a word of bits up to bound 64, else a sorted offset queue,
+    /// the representation of Turoňová et al. [OOPSLA'20] that the
+    /// paper's related work discusses: increments cost O(1) (a shared
+    /// offset bump) instead of a shift over n bits.
     CountingSet,
-    /// General fallback: explicit set of valuations.
-    TokenSet,
 }
 
 /// Per-state storage assignment: what [`crate::MultiNca::merge`] builds
@@ -51,31 +45,17 @@ pub struct CompilePlan {
 }
 
 impl CompilePlan {
-    /// A plan that is sound without any static analysis: pure states get a
-    /// bit, single-counter states a bit vector, multi-counter states a
-    /// token set. (Bit vectors are always sound for single-counter states;
-    /// it is `SingleValue` that needs the unambiguity proof.)
-    pub fn conservative(nca: &Nca) -> CompilePlan {
-        let modes = nca
-            .states()
-            .iter()
-            .map(|s| match s.counters.len() {
-                0 => StorageMode::PureBit,
-                1 => StorageMode::BitVector,
-                _ => StorageMode::TokenSet,
-            })
-            .collect();
-        CompilePlan { modes }
-    }
-
     /// A plan informed by the static analysis: counted states for which
-    /// `unambiguous(q)` holds store a single valuation (the counter-module
-    /// case); ambiguous states get a counting set wherever they qualify
-    /// (single counter; the only counter-carrying incoming edges are the
-    /// self-loop increment and `x := 1` entries), else a bit vector (one
-    /// counter) or a token set. With `|_| false` it is the analysis-free
-    /// queue plan, with `|_| true` the plan that claims every counted
-    /// state single-valued.
+    /// `unambiguous(q)` holds store a single value (the counter-module
+    /// case), the others a counting set. With `|_| true` it is the plan
+    /// that claims every counted state single-valued, with `|_| false`
+    /// the analysis-free queue plan of `σ{m,n}`-shaped rules.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a counted state that carries more than one counter, or
+    /// that is neither `unambiguous` nor of the `σ{m,n}` shape: compile
+    /// the rule first, which unfolds every such occurrence.
     pub fn optimized(nca: &Nca, mut unambiguous: impl FnMut(StateId) -> bool) -> CompilePlan {
         let modes = nca
             .states()
@@ -83,16 +63,14 @@ impl CompilePlan {
             .enumerate()
             .map(|(qi, s)| {
                 let q = StateId(qi as u32);
-                if s.counters.is_empty() {
-                    StorageMode::PureBit
-                } else if unambiguous(q) {
-                    StorageMode::SingleValue
-                } else if s.counters.len() == 1 && counting_set_eligible(nca, q) {
-                    StorageMode::CountingSet
-                } else if s.counters.len() == 1 {
-                    StorageMode::BitVector
-                } else {
-                    StorageMode::TokenSet
+                match s.counters.len() {
+                    0 => StorageMode::PureBit,
+                    1 if unambiguous(q) => StorageMode::SingleValue,
+                    1 if counting_set_eligible(nca, q) => StorageMode::CountingSet,
+                    n => panic!(
+                        "state {q} carries {n} counter(s) and is neither proven \
+                         single-valued nor a counting set: compile the rule first"
+                    ),
                 }
             })
             .collect();
@@ -129,9 +107,24 @@ impl CompilePlan {
     }
 }
 
-/// Whether a counted state fits the counting-set representation: all
-/// counter-carrying incoming edges are either the self-loop `x<n / x++` or
-/// an entry `x := 1` (the `σ{m,n}` shape after Glushkov).
+/// The analysis-free queue plan of the unit tests: a counting set on
+/// every counted state, for `σ{m,n}`-shaped rules.
+#[cfg(test)]
+pub(crate) fn queues(nca: &Nca) -> CompilePlan {
+    CompilePlan::optimized(nca, |_| false)
+}
+
+/// The unit tests' plan that claims every counted state single-valued:
+/// sound on anchored rules only.
+#[cfg(test)]
+pub(crate) fn single(nca: &Nca) -> CompilePlan {
+    CompilePlan::optimized(nca, |_| true)
+}
+
+/// Whether a counted state fits the counting-set representation: every
+/// incoming edge is either the self-loop `x<n / x++` or an entry
+/// `x := 1` — from another state, or from the state itself where a star
+/// around the repeat starts it over (the `σ{m,n}` shape after Glushkov).
 pub(crate) fn counting_set_eligible(nca: &Nca, q: StateId) -> bool {
     let counter = match nca.state(q).counters.as_slice() {
         [c] => *c,
@@ -141,10 +134,7 @@ pub(crate) fn counting_set_eligible(nca: &Nca, q: StateId) -> bool {
         return false; // saturating {m,} queues would lose sortedness
     }
     nca.transitions_into(q).all(|t| {
-        if t.from == q {
-            t.actions == vec![crate::nca::ActionOp::Inc(counter)]
-        } else {
-            t.actions == vec![crate::nca::ActionOp::Set(counter, 1)]
-        }
+        t.actions == [ActionOp::Set(counter, 1)]
+            || t.from == q && t.actions == [ActionOp::Inc(counter)]
     })
 }

@@ -2,10 +2,11 @@
 # Non-test library lines under crates/*/src, per crate and in total.
 #
 # Counted: every .rs file under crates/<crate>/src except crates/bench
-# (the figure binaries). Not counted: a `#[cfg(test)] mod name { … }`
-# block (from its attribute to the closing brace at the `mod` line's
-# indentation, as rustfmt lays it out), a `#[cfg(test)] mod name;`
-# declaration and the file it pulls in.
+# (the figure binaries). Not counted: any `#[cfg(test)]` item — one that
+# fits on its line (ending in `;` or `}`), or a block from its first line
+# to the closing line at that line's indentation, as rustfmt lays it out
+# — with the doc comments and attributes directly above it, and the file
+# a `#[cfg(test)] mod name;` declaration pulls in.
 #
 # Prints `crate all non_blank` lines and a `total` line. Run from
 # anywhere: `scripts/loc.sh` (or `scripts/loc.sh path/to/repo`).
@@ -34,27 +35,33 @@ test_files() {
     done
 }
 
-# `all non_blank` for the given files, test module blocks cut.
+# `all non_blank` for the given files, `#[cfg(test)]` items cut.
 count() {
     awk '
+        FNR == 1 { flush(); cfg = 0; skip = 0 }
         skip {
-            if ($0 == close_line) skip = 0
+            if ($0 ~ close_re) skip = 0
             next
         }
-        /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = $0; next }
-        held != "" {
-            if (match($0, /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+ \{[[:space:]]*$/)) {
-                indent = $0; sub(/[^[:space:]].*$/, "", indent)
-                close_line = indent "}"
-                skip = 1; held = ""
-                next
-            }
-            if (match($0, /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+;/)) { held = ""; next }
-            all++; if (held ~ /[^[:space:]]/) nonblank++
-            held = ""
+        # Doc comments and attributes wait for the item they are on.
+        /^[[:space:]]*(\/\/\/|#\[)/ {
+            held[n++] = $0
+            if ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) cfg = 1
+            next
         }
-        { all++; if ($0 ~ /[^[:space:]]/) nonblank++ }
-        END { printf "%d %d\n", all, nonblank }
+        cfg {
+            n = 0; cfg = 0
+            if ($0 !~ /[;}][[:space:]]*$/) {
+                indent = $0; sub(/[^[:space:]].*$/, "", indent)
+                close_re = "^" indent "[])}]+;?[[:space:]]*$"
+                skip = 1
+            }
+            next
+        }
+        { flush(); tally($0) }
+        END { flush(); printf "%d %d\n", all, nonblank }
+        function tally(line) { all++; if (line ~ /[^[:space:]]/) nonblank++ }
+        function flush(   i) { for (i = 0; i < n; i++) tally(held[i]); n = 0 }
     ' "$@"
 }
 

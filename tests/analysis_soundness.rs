@@ -6,8 +6,9 @@
 //! * ambiguity witnesses replay to ≥ 2 tokens on one state;
 //! * the naive degree oracle (a BFS over sorted token tuples) flags exactly
 //!   the states the product exploration flags;
-//! * the counter bank driven by analysis verdicts never observes a
-//!   `SingleValue` collision;
+//! * a state the analysis proves unambiguous never holds two tokens, and
+//!   the counter bank of the compiled rule, driven by the analysis
+//!   verdicts, never observes a `SingleValue` collision;
 //! * the hybrid classifier the compiler runs reports exactly the exact
 //!   analysis's verdicts, and `compile()` exactly the networks a
 //!   compile driven by the exact analysis would — at a bounded, counted
@@ -254,12 +255,34 @@ proptest! {
     fn analysis_informed_plan_never_conflicts(r in arb_regex()) {
         let nca = Nca::from_regex(&r);
         prop_assume!(nca.state_count() < 60 && !nca.counters().is_empty());
+        // On the raw automaton, nested counting included: a state the
+        // analysis would make a register never holds two tokens.
         let analysis = analyze_nca(&nca, &ExactConfig::default());
-        let plan = CompilePlan::optimized(&nca, |q: StateId| analysis.state_unambiguous(q));
-        // The bank without rows: the engine with rows may count fewer.
-        let mut engine = MultiNca::merge(&[(&nca, plan)]).engine();
-        for w in inputs_upto(b"abx", 6) {
-            engine.match_reports(&w);
+        let inputs = inputs_upto(b"abx", 6);
+        let mut reference = TokenSetEngine::new(&nca);
+        for w in &inputs {
+            reference.reset();
+            for &b in w {
+                reference.step(b);
+                let mut held = vec![0usize; nca.state_count()];
+                for t in reference.config() {
+                    held[t.state.index()] += 1;
+                }
+                for (q, &n) in (0..).map(StateId).zip(&held) {
+                    prop_assert!(
+                        n < 2 || !analysis.state_unambiguous(q),
+                        "{} held {} tokens on {:?} for {}", q, n, w, r
+                    );
+                }
+            }
+        }
+        // The compiled rule under the plan every scan builds, on the bank
+        // without rows: the engine with rows may count fewer.
+        let out = compile(&r, &CompileOptions::default());
+        let plan = CompilePlan::optimized(&out.nca, |q| out.analysis.state_unambiguous(q));
+        let mut engine = MultiNca::merge(&[(&out.nca, plan)]).engine();
+        for w in &inputs {
+            engine.match_reports(w);
             prop_assert_eq!(engine.conflicts(), 0, "conflict on {:?} for {}", w, r);
         }
     }

@@ -131,7 +131,8 @@ fn no_args_prints_usage() {
 #[test]
 fn compile_says_how_the_scan_steps_each_counter() {
     // `h.{55}`'s counting set fits a machine word, stepped from one flat
-    // record; `.{69}` does not fit, and `{3,}` saturates.
+    // record; `.{69}` does not fit, and `{3,}` saturates. Under a star a
+    // counting set starts itself over, which no flat record does.
     for (pattern, line) in [
         (
             "h.{55}",
@@ -140,6 +141,7 @@ fn compile_says_how_the_scan_steps_each_counter() {
         ),
         ("cgzndh.{69}", "scans as a counting-set queue\n"),
         ("ka{3,}b", "scans as a register\n"),
+        ("(a{2,3})*b", "scans as a 3-bit word\n"),
     ] {
         let out = recama()
             .args(["compile", pattern])

@@ -4,30 +4,26 @@
 //!
 //! 1. the naive membership oracle (substring DP on the AST);
 //! 2. the token-set reference engine (Def. 2.1 semantics);
-//! 3. the counter bank every scan runs on, the automaton merged alone and
-//!    stepped without rows, under the conservative plan (bit-vector and
-//!    token-set cells) and the analysis-free queue plan (word, queue and
-//!    token-set cells);
+//! 3. the counter bank every scan runs on: the regex compiled, as the
+//!    engine compiles a rule — nested and ambiguous multi-state counting
+//!    partially unfolded, registers where the analysis proves a counter
+//!    single-valued, words and queues for the `σ{m,n}` rest — merged
+//!    alone under the engine's plan and stepped without rows;
 //! 4. the token-set engine on the unfolded (counter-free) automaton;
-//! 5. the hardware simulator on the compiled MNRL network.
+//! 5. the hardware simulator on the compiled MNRL network, against the
+//!    bank on the same compiled rule.
 
 use proptest::prelude::*;
-use recama::compiler::{compile, CompileOptions};
+use recama::compiler::{compile, CompileOptions, CompileOutput};
 use recama::hw::HwSimulator;
 use recama::nca::{unfold, CompilePlan, HybridEngine, MultiNca, Nca, TokenSetEngine, UnfoldPolicy};
 use recama::syntax::{naive, ByteClass, Regex};
 
-/// The plans the bank is checked under: the conservative one and the
-/// analysis-free queue plan.
-fn bank_plans(nca: &Nca) -> [(&'static str, MultiNca); 2] {
-    let merged = |plan| MultiNca::merge(&[(nca, plan)]);
-    [
-        ("conservative bank", merged(CompilePlan::conservative(nca))),
-        (
-            "queue-plan bank",
-            merged(CompilePlan::optimized(nca, |_| false)),
-        ),
-    ]
+/// The compiled rule merged alone under the plan every scan builds: the
+/// analysis decides which counted states are single-valued.
+fn engine_bank(out: &CompileOutput) -> MultiNca {
+    let plan = CompilePlan::optimized(&out.nca, |q| out.analysis.state_unambiguous(q));
+    MultiNca::merge(&[(&out.nca, plan)])
 }
 
 /// The ends the bank's engine without rows reports on `input`: its
@@ -77,7 +73,7 @@ proptest! {
         let nca = Nca::from_regex(&r);
         prop_assume!(nca.state_count() < 200);
         let mut token = TokenSetEngine::new(&nca);
-        let mut banks = bank_plans(&nca).map(|(name, multi)| (name, multi.engine()));
+        let mut bank = engine_bank(&compile(&r, &CompileOptions::default())).engine();
         let unfolded_nca = Nca::from_regex(&unfold(&r, UnfoldPolicy::All));
         let mut unfolded = TokenSetEngine::new(&unfolded_nca);
         for input in &inputs {
@@ -88,9 +84,8 @@ proptest! {
             // random input is rarely a member, and a counter rarely at
             // its bound there.
             ends.retain(|&end| end > 0);
-            for (name, bank) in &mut banks {
-                prop_assert_eq!(bank_ends(bank, input), ends.clone(), "{} on {:?}", name, input);
-            }
+            prop_assert_eq!(bank_ends(&mut bank, input), ends, "compiled bank on {:?}", input);
+            prop_assert_eq!(bank.conflicts(), 0, "compiled bank on {:?}", input);
             prop_assert_eq!(unfolded.matches(input), expected, "unfolded automaton on {:?}", input);
         }
     }
@@ -103,10 +98,7 @@ proptest! {
         let out = compile(&stream, &CompileOptions::default());
         prop_assume!(out.nca.state_count() < 200);
         let mut hw = HwSimulator::new(&out.network);
-        let sw = MultiNca::merge(&[(&out.nca, CompilePlan::conservative(&out.nca))]);
-        let sw_ends: Vec<usize> = (sw.engine().match_reports(&input).iter())
-            .map(|r| r.end as usize)
-            .collect();
+        let sw_ends = bank_ends(&mut engine_bank(&out).engine(), &input);
         prop_assert_eq!(hw.match_ends(&input), sw_ends);
     }
 
@@ -137,22 +129,23 @@ fn regression_multi_engine_corpus() {
         "(a+b){2}",
         "(ab?){3}",
         "(a{2}|b){2,4}",
+        "(a{2,3})*b",
+        "(b?a{1,2})+",
     ];
     for p in patterns {
         let r = recama::syntax::parse(p).unwrap().regex;
         let nca = Nca::from_regex(&r);
         let mut token = TokenSetEngine::new(&nca);
-        let mut banks = bank_plans(&nca).map(|(name, multi)| (name, multi.engine()));
+        let mut bank = engine_bank(&compile(&r, &CompileOptions::default())).engine();
         let mut queue: Vec<Vec<u8>> = vec![vec![]];
         while let Some(w) = queue.pop() {
             let expected = naive::matches(&r, &w);
             assert_eq!(token.matches(&w), expected, "{p} on {w:?}");
             // Every word is enumerated, so membership covers every prefix.
-            for (name, bank) in &mut banks {
-                if !w.is_empty() {
-                    let member = bank_ends(bank, &w).last() == Some(&w.len());
-                    assert_eq!(member, expected, "{name}: {p} on {w:?}");
-                }
+            if !w.is_empty() {
+                let member = bank_ends(&mut bank, &w).last() == Some(&w.len());
+                assert_eq!(member, expected, "compiled bank: {p} on {w:?}");
+                assert_eq!(bank.conflicts(), 0, "compiled bank: {p} on {w:?}");
             }
             if w.len() < 7 {
                 for &c in b"ab" {

@@ -1,7 +1,7 @@
 //! End-to-end pipeline integration: parse → analyze → compile → MNRL JSON
 //! round trip → place → simulate, across pattern families and rulesets.
 
-use recama::compiler::{compile, CompileOptions};
+use recama::compiler::{compile, CompileOptions, ModuleKind};
 use recama::hw::{place, run, AreaGranularity, HwSimulator, ShardPolicy};
 use recama::mnrl::MnrlNetwork;
 use recama::nca::{CompilePlan, MultiNca, StateId, UnfoldPolicy};
@@ -162,6 +162,69 @@ fn analysis_informed_engine_reports_no_conflicts() {
         }
     }
     assert!(checked >= 3);
+}
+
+/// The paper's codesign on the rulesets the generators make: every
+/// counter the compiler keeps scans in the cell of its hardware module —
+/// a `Counter` as a register, a `BitVector` as a word (bound ≤ 64) or a
+/// counting-set queue — and no counted state carries two counters.
+#[test]
+fn every_kept_counter_scans_as_its_module() {
+    use BenchmarkId::{ClamAv, Protomata, Snort, SpamAssassin, Suricata};
+    let rulesets = [
+        (Snort, 0.02),
+        (Suricata, 0.02),
+        (Protomata, 0.02),
+        (SpamAssassin, 0.02),
+        (ClamAv, 0.02),
+        (Snort, 0.1),
+        (Suricata, 0.1),
+        (Protomata, 0.1),
+        (SpamAssassin, 0.1),
+    ];
+    let mut total = [0usize; 2];
+    for (id, scale) in rulesets {
+        let ruleset = generate(id, scale, 2022);
+        let engine = Engine::builder()
+            .patterns(ruleset.patterns.iter().map(|(p, _)| p))
+            .lossy(true)
+            .build()
+            .expect("lossy builds are infallible");
+        let mut kept = [0usize; 2];
+        for out in engine.outputs() {
+            let plan = CompilePlan::optimized(&out.nca, |q| out.analysis.state_unambiguous(q));
+            let multi = MultiNca::merge(&[(&out.nca, plan)]);
+            for (q, state) in (0..).map(StateId).zip(out.nca.states()) {
+                let counter = match state.counters[..] {
+                    [] => continue,
+                    [counter] => counter,
+                    _ => panic!("{id:?} {scale}: {q} carries two counters"),
+                };
+                let cell = multi.scan_cell(q).expect("a counted state has a cell");
+                let cell = cell.trim_end_matches(" (flat)");
+                let bound = out.nca.counter(counter).bound();
+                let expected = match out.modules[counter.index()] {
+                    ModuleKind::Counter => "a register".to_string(),
+                    ModuleKind::BitVector if bound <= 64 => format!("a {bound}-bit word"),
+                    ModuleKind::BitVector => "a counting-set queue".to_string(),
+                };
+                assert_eq!(
+                    cell, expected,
+                    "{id:?} {scale}: {q} of {:?}",
+                    out.normalized
+                );
+            }
+            for module in &out.modules {
+                kept[usize::from(*module == ModuleKind::BitVector)] += 1;
+            }
+        }
+        assert!(kept[0] + kept[1] > 0, "{id:?} {scale}: no counter kept");
+        total = [total[0] + kept[0], total[1] + kept[1]];
+    }
+    assert!(
+        total[0] > 0 && total[1] > 0,
+        "both modules in use: {total:?}"
+    );
 }
 
 #[test]
