@@ -80,7 +80,10 @@ pub(crate) struct Flow {
 impl Flow {
     /// The units of `set` for a stream whose bytes from absolute offset
     /// `base` on they will see: a unit of a group the plan starts cold
-    /// is cold, every other group's has a fresh engine.
+    /// is cold, every other group's has a fresh engine — a spare that a
+    /// finished flow left on the set when there is one
+    /// ([`ShardedPatternSet::group_engine`]), so a reopened flow builds
+    /// none.
     pub(crate) fn new(set: &ShardedPatternSet, base: u64) -> Flow {
         let cold = set.plan.cold.clone();
         let units = (0..set.plan.groups.len()).map(|si| Unit {
@@ -297,10 +300,21 @@ impl Flow {
     }
 
     /// Frees the engines and everything kept for them, returning their
-    /// hybrid counters. `total` stays.
-    pub(crate) fn free(&mut self) -> HybridStats {
-        let retired = self.hybrid_stats();
-        self.units = Vec::new();
+    /// hybrid counters. `total` stays. With `spares` — the set the flow
+    /// was created on — each engine goes back to it as a spare for the
+    /// next flow ([`ShardedPatternSet::park`]), its counters taken first;
+    /// without, they are dropped, as a quarantined flow's are: nothing a
+    /// scan panic left behind reaches another flow.
+    pub(crate) fn free(&mut self, spares: Option<&ShardedPatternSet>) -> HybridStats {
+        let mut retired = HybridStats::default();
+        for (si, unit) in std::mem::take(&mut self.units).into_iter().enumerate() {
+            let counters = match (unit.engine, spares) {
+                (Some(engine), Some(set)) => set.park(si, engine),
+                (Some(engine), None) => engine.byte_counters().unwrap_or_default(),
+                (None, _) => continue,
+            };
+            retired.merge(&counters);
+        }
         self.tail = Vec::new();
         self.dollar = HashMap::new();
         retired

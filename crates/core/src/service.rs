@@ -31,6 +31,18 @@
 //! The last two are one loop (`ServiceCore::settle`); they differ only
 //! in what they do with a scan panic they caught.
 //!
+//! Once warm, a step allocates nothing per scan, per report or per batch.
+//! What a batch needs between the lock's two acquisitions — the batch,
+//! each unit's segment list and report buffer — is the scanning thread's
+//! `Scratch`: a resident worker owns one for its life, and a settling
+//! caller takes one from `ServeState::scratches` and puts it back when it
+//! returns (a `thread_local` would die with the batch driver's scoped
+//! threads at every `run()`). The lockstep lanes are an array on the
+//! stack, and a check-in drains the report buffer into the flow, keeping
+//! its capacity. Nor does a reopened flow build engines: a finished
+//! flow's go back to its epoch's set, reset, as spares for the next
+//! (`ShardedPatternSet::group_engine`); a quarantined flow's are dropped.
+//!
 //! A serving deployment wants the first lifecycle — producers that are
 //! pushed back when a flow buffers faster than it scans, and flows that
 //! go quiet getting evicted instead of leaking engine state:
@@ -605,6 +617,9 @@ struct ServeState {
     touch: u64,
     /// The last push's verdicts, kept for their capacity.
     verdicts: Vec<ChunkAction>,
+    /// Scratches of settling callers that returned, for the next ones
+    /// ([`ServiceCore::settle`]): as many as ever settled at once.
+    scratches: Vec<Scratch>,
     metrics: MetricsAcc,
     /// Hybrid byte counters of engines that no longer exist (finished,
     /// migrated or quarantined flows), so the roll-up survives flow
@@ -638,6 +653,7 @@ impl ServeState {
             next_sweep: None,
             touch: 0,
             verdicts: Vec::new(),
+            scratches: Vec::new(),
             metrics: MetricsAcc::default(),
             hybrid_retired: HybridStats::default(),
         }
@@ -773,7 +789,7 @@ impl ServeState {
         let was_open = !f.closed;
         f.closed = true;
         f.quarantined = Some(summary.to_string());
-        let retired = f.flow.free();
+        let retired = f.flow.free(None);
         f.segments.clear();
         f.epoch = None;
         self.buffered_total -= before;
@@ -934,29 +950,30 @@ impl ServeState {
     /// [`ServiceCore::step`] scans in lockstep. The engines own their
     /// handles on the epoch's automaton and rows, so the scan runs
     /// unlocked and survives a concurrent reload. Empty when nothing is
-    /// ready.
-    fn checkout(&mut self) -> Vec<ServeUnit> {
+    /// ready. The batch goes into `scratch.batch`, each unit with buffers
+    /// from the scratch.
+    fn checkout(&mut self, scratch: &mut Scratch) {
+        scratch.batch.clear();
         let Some((id, group)) = self.ready.pop_front() else {
-            return Vec::new();
+            return;
         };
         let epoch = self.flow(id).and_then(OwnedFlow::epoch_no);
-        let mut batch = vec![self.check_out(id, group)];
+        self.check_out(id, group, scratch);
         let mut at = 0;
-        while batch.len() < LOCKSTEP_LANES && at < self.ready.len().min(BATCH_WINDOW) {
+        while scratch.batch.len() < LOCKSTEP_LANES && at < self.ready.len().min(BATCH_WINDOW) {
             let (other, g) = self.ready[at];
             if g == group && self.flow(other).and_then(OwnedFlow::epoch_no) == epoch {
                 self.ready.remove(at);
-                batch.push(self.check_out(other, g));
+                self.check_out(other, g, scratch);
             } else {
                 at += 1;
             }
         }
-        batch
     }
 
     /// Checks the engine of the dequeued unit `(id, si)` out, along with
-    /// the segments it has yet to consume.
-    fn check_out(&mut self, id: FlowId, si: usize) -> ServeUnit {
+    /// the segments it has yet to consume, into the scratch's batch.
+    fn check_out(&mut self, id: FlowId, si: usize, scratch: &mut Scratch) {
         let f = self
             .flow_mut(id)
             .expect("ready unit belongs to a live flow");
@@ -969,35 +986,33 @@ impl ServeState {
             f.scans[si]
         };
         let (state, from) = f.flow.checkout(si);
-        let segments: Vec<Segment> = f
-            .segments
-            .iter()
-            .filter(|seg| seg.end() > from)
-            .cloned()
-            .collect();
+        let mut buffers = scratch.spare.pop().unwrap_or_default();
+        (buffers.segments).extend(f.segments.iter().filter(|seg| seg.end() > from).cloned());
         self.in_flight += 1;
-        ServeUnit {
+        scratch.batch.push(ServeUnit {
             id,
             group: si,
             from,
             state,
-            segments,
+            buffers,
+            scanned: 0,
             #[cfg(feature = "fault-inject")]
             seq,
             #[cfg(feature = "fault-inject")]
             scan_no,
-        }
+        });
     }
 
-    /// Checks a scanned unit back in: publishes its reports, requeues
-    /// it if more bytes arrived while it was out,
-    /// merges what became final, and settles `in_flight`.
+    /// Checks a scanned unit back in: publishes its reports — drained
+    /// out of `reports`, which keeps its capacity for the next scan —
+    /// requeues it if more bytes arrived while it was out, merges what
+    /// became final, and settles `in_flight`.
     fn check_in(
         &mut self,
         id: FlowId,
         si: usize,
         state: Box<HybridEngine>,
-        reports: Vec<MultiReport>,
+        reports: &mut Vec<MultiReport>,
     ) {
         // A sibling group's panic may have quarantined the flow — and
         // an acknowledging `close` may even have freed its slot —
@@ -1007,6 +1022,7 @@ impl ServeState {
             if let Some(stats) = state.byte_counters() {
                 self.hybrid_retired.merge(&stats);
             }
+            reports.clear();
             self.in_flight -= 1;
             return;
         }
@@ -1015,7 +1031,7 @@ impl ServeState {
             .as_deref_mut()
             .expect("flows persist while checked out");
         let before = f.flow.buffered();
-        if f.flow.check_in(si, state, reports) < f.flow.total() {
+        if f.flow.check_in(si, state, reports.drain(..)) < f.flow.total() {
             self.ready.push_back((id, si)); // more bytes arrived meanwhile
         } else {
             f.busy[si] = false;
@@ -1052,7 +1068,10 @@ impl ServeState {
 
     /// Frees the engines of a closed, fully-consumed flow, resolves its
     /// `$`-anchored finishing set (as stable rule ids), retires its
-    /// hybrid counters, and lets go of its epoch.
+    /// hybrid counters, and lets go of its epoch. The engines go back to
+    /// the epoch's set as spares for the flows opened after it, their
+    /// counters moved to `hybrid_retired` first, so each byte is counted
+    /// once.
     fn try_finish(&mut self, id: FlowId) {
         let Some(f) = flow_in(&mut self.slots, id) else {
             return;
@@ -1067,7 +1086,7 @@ impl ServeState {
             end: r.end,
         });
         f.finishing.extend(finals);
-        let retired = f.flow.free();
+        let retired = f.flow.free(Some(&epoch.set));
         f.segments.clear();
         self.hybrid_retired.merge(&retired);
     }
@@ -1300,6 +1319,28 @@ fn payload_summary(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+/// What a scanning thread keeps from one batch to the next, so that a
+/// batch allocates nothing once its buffers have grown: the batch itself
+/// and the buffers of the units not checked out. A resident worker owns
+/// one for its life; a settling caller ([`ServiceCore::settle`]) takes
+/// one from `ServeState::scratches` and puts it back when it returns.
+#[derive(Default)]
+struct Scratch {
+    /// The batch being scanned: at most [`LOCKSTEP_LANES`] units.
+    batch: Vec<ServeUnit>,
+    /// Buffers for the next units checked out.
+    spare: Vec<UnitBuffers>,
+}
+
+/// A checked-out unit's buffers, empty between scans.
+#[derive(Default)]
+struct UnitBuffers {
+    /// The segments the unit has yet to consume.
+    segments: Vec<Segment>,
+    /// The reports its engine appends, drained at check-in.
+    reports: Vec<MultiReport>,
+}
+
 /// A `(flow, group)` unit checked out of the readiness queue: the
 /// group's engine and the input segments it still has to consume —
 /// fully owned, so the scan runs unlocked and survives a concurrent
@@ -1311,7 +1352,10 @@ struct ServeUnit {
     /// Absolute flow offset the engine stands at.
     from: u64,
     state: Box<HybridEngine>,
-    segments: Vec<Segment>,
+    /// Borrowed from the scanning thread's [`Scratch`].
+    buffers: UnitBuffers,
+    /// The bytes the scan walked.
+    scanned: u64,
     /// The flow's open-order sequence number (fault-injection address).
     #[cfg(feature = "fault-inject")]
     seq: u64,
@@ -1324,34 +1368,42 @@ struct ServeUnit {
 impl ServeUnit {
     /// Scans every unconsumed byte of a batch's checked-out segments: the
     /// first segment of every unit in lockstep
-    /// ([`HybridEngine::feed_lockstep`]), any later ones unit by unit.
-    /// Returns, per unit, the reports its engine appended and the bytes
-    /// it walked. Runs WITHOUT the lock held.
-    fn scan(units: &mut [ServeUnit]) -> Vec<(Vec<MultiReport>, u64)> {
-        let mut reports = vec![Vec::new(); units.len()];
-        let mut firsts: Vec<(&mut HybridEngine, &[u8], &mut Vec<MultiReport>)> = (units.iter_mut())
-            .zip(&mut reports)
-            .map(|(unit, out)| {
-                let first = (unit.segments.first()).map_or(&[][..], |seg| {
-                    &seg.bytes[(unit.from - seg.start) as usize..]
-                });
-                (&mut *unit.state, first, out)
-            })
-            .collect();
-        HybridEngine::feed_lockstep(&mut firsts);
-        (units.iter_mut().zip(reports))
-            .map(|(unit, mut out)| {
-                let mut at = unit.segments.first().map_or(unit.from, Segment::end);
-                for seg in unit.segments.iter().skip(1) {
-                    unit.state
-                        .feed_into(&seg.bytes[(at - seg.start) as usize..], &mut out);
-                    at = seg.end();
-                }
-                (out, at - unit.from)
-            })
-            .collect()
+    /// ([`HybridEngine::feed_lockstep`], its lanes in an array on the
+    /// stack), any later ones unit by unit. Leaves in each unit the
+    /// reports its engine appended and the bytes it walked. Runs WITHOUT
+    /// the lock held.
+    fn scan(units: &mut [ServeUnit]) {
+        let n = units.len();
+        debug_assert!(n <= LOCKSTEP_LANES, "a batch fills at most the lanes");
+        let mut firsts = units.iter_mut().map(|unit| {
+            let first = (unit.buffers.segments.first()).map_or(&[][..], |seg| {
+                &seg.bytes[(unit.from - seg.start) as usize..]
+            });
+            (&mut *unit.state, first, &mut unit.buffers.reports)
+        });
+        let mut lane = || firsts.next().expect("one lane per unit");
+        match n {
+            0 => {}
+            1 => HybridEngine::feed_lockstep(&mut [lane()]),
+            2 => HybridEngine::feed_lockstep(&mut [lane(), lane()]),
+            3 => HybridEngine::feed_lockstep(&mut [lane(), lane(), lane()]),
+            _ => HybridEngine::feed_lockstep(&mut [lane(), lane(), lane(), lane()]),
+        }
+        for unit in units {
+            let UnitBuffers { segments, reports } = &mut unit.buffers;
+            let mut at = segments.first().map_or(unit.from, Segment::end);
+            for seg in segments.iter().skip(1) {
+                unit.state
+                    .feed_into(&seg.bytes[(at - seg.start) as usize..], reports);
+                at = seg.end();
+            }
+            unit.scanned = at - unit.from;
+        }
     }
 }
+
+// `ServeUnit::scan` lays out up to four lanes by hand.
+const _: () = assert!(LOCKSTEP_LANES == 4);
 
 /// The shared synchronization core: the state mutex plus the two
 /// condvars. `Arc`ed between a [`ServiceHandle`] and its worker
@@ -1460,8 +1512,14 @@ impl ServiceCore {
     /// blocked producers panic out of their waits instead of re-blocking
     /// on a backlog that will never clear; the batch driver rethrows the
     /// first out of `run()`.
-    fn step<'g>(&'g self, mut st: MutexGuard<'g, ServeState>, caller: bool) -> Step<'g> {
-        let mut batch = st.checkout();
+    fn step<'g>(
+        &'g self,
+        mut st: MutexGuard<'g, ServeState>,
+        caller: bool,
+        scratch: &mut Scratch,
+    ) -> Step<'g> {
+        st.checkout(scratch);
+        let Scratch { batch, spare } = scratch;
         let Some(group) = batch.first().map(|unit| unit.group) else {
             return Step::Idle(st);
         };
@@ -1478,11 +1536,11 @@ impl ServiceCore {
                 .map_err(|payload| lost.push((vec![unit.id], payload)))
                 .is_ok()
         });
-        let scanned = catch_unwind(AssertUnwindSafe(|| ServeUnit::scan(&mut batch)));
+        let scanned = catch_unwind(AssertUnwindSafe(|| ServeUnit::scan(batch)));
         let ns = started.elapsed().as_nanos() as u64;
         let mut st = self.lock();
         match scanned {
-            Ok(results) => {
+            Ok(()) => {
                 if !batch.is_empty() {
                     st.metrics.shard_scan_ns.add(group, ns);
                 }
@@ -1492,12 +1550,17 @@ impl ServiceCore {
                 if caller {
                     st.metrics.caller_units += batch.len() as u64;
                 }
-                for (unit, (reports, bytes)) in batch.into_iter().zip(results) {
-                    st.metrics.shard_scan_bytes.add(group, bytes);
-                    st.check_in(unit.id, unit.group, unit.state, reports);
+                for mut unit in batch.drain(..) {
+                    st.metrics.shard_scan_bytes.add(group, unit.scanned);
+                    st.check_in(unit.id, unit.group, unit.state, &mut unit.buffers.reports);
+                    unit.buffers.segments.clear();
+                    spare.push(unit.buffers);
                 }
             }
-            Err(payload) => lost.push((batch.iter().map(|unit| unit.id).collect(), payload)),
+            Err(payload) => {
+                lost.push((batch.iter().map(|unit| unit.id).collect(), payload));
+                batch.clear(); // the engines go with their quarantined flows
+            }
         }
         let mut payloads = Vec::new();
         for (flows, payload) in lost {
@@ -1537,16 +1600,19 @@ impl ServiceCore {
     /// settles the last one wakes it. `check` runs under the lock before
     /// every step; each scan panic a step caught goes to `absorb`, under
     /// the lock. The units it scans count as
-    /// [`caller_units`](ServiceMetrics::caller_units).
+    /// [`caller_units`](ServiceMetrics::caller_units). It scans with a
+    /// [`Scratch`] from `ServeState::scratches`, and puts it back on
+    /// return.
     fn settle(
         &self,
         check: impl Fn(&ServeState),
         mut absorb: impl FnMut(&mut ServeState, Box<dyn Any + Send>),
     ) {
         let mut st = self.lock();
+        let mut scratch = st.scratches.pop().unwrap_or_default();
         loop {
             check(&st);
-            st = match self.step(st, true) {
+            st = match self.step(st, true, &mut scratch) {
                 Step::Ran(st) => st,
                 Step::Faulted(payloads) => {
                     let mut st = self.lock();
@@ -1555,11 +1621,12 @@ impl ServiceCore {
                     }
                     st
                 }
-                Step::Idle(st) if st.in_flight == 0 => {
+                Step::Idle(mut st) if st.in_flight == 0 => {
                     debug_assert_eq!(
                         st.buffered_total, 0,
                         "every unconsumed byte belongs to a queued or checked-out unit"
                     );
+                    st.scratches.push(scratch);
                     return;
                 }
                 Step::Idle(mut st) => {
@@ -1613,8 +1680,9 @@ impl ServiceCore {
 /// when idle, return on shutdown. The scan panics a step isolated (the
 /// offending flows are already quarantined) end the pass and go back to
 /// [`supervised_worker`], which re-enters the loop under the restart
-/// budget; a clean shutdown returns none.
-fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
+/// budget; a clean shutdown returns none. Every batch is scanned with
+/// the worker's `scratch`.
+fn worker_loop(core: &ServiceCore, scratch: &mut Scratch) -> Vec<Box<dyn Any + Send>> {
     let cfg = core.config;
     let mut st = core.lock();
     loop {
@@ -1624,7 +1692,7 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
         if st.evict_idle(&cfg) && st.signal_space() {
             core.space.notify_all();
         }
-        let idle = match core.step(st, false) {
+        let idle = match core.step(st, false, scratch) {
             Step::Ran(guard) => {
                 st = guard;
                 continue;
@@ -1650,9 +1718,12 @@ fn worker_loop(core: &ServiceCore) -> Vec<Box<dyn Any + Send>> {
 /// loop is re-entered at once: the flows the panic touched are already
 /// quarantined, so a pause would only stall the flows that did not
 /// fault. Otherwise the service has fail-stopped and the thread exits.
+/// The thread's [`Scratch`] lives as long as it does.
 fn supervised_worker(core: &ServiceCore) {
+    let mut scratch = Scratch::default();
     loop {
-        let payloads = match catch_unwind(AssertUnwindSafe(|| worker_loop(core))) {
+        let pass = catch_unwind(AssertUnwindSafe(|| worker_loop(core, &mut scratch)));
+        let payloads = match pass {
             Ok(payloads) if payloads.is_empty() => return, // clean shutdown
             Ok(payloads) => payloads,
             Err(payload) => vec![payload],
@@ -2147,17 +2218,27 @@ mod tests {
         ServeState::new(engine.set_arc(), engine.ids_arc())
     }
 
+    /// Scans a checked-out batch and checks it back in, as a step does;
+    /// returns the bytes each unit walked.
+    fn scan_batch(st: &mut ServeState, scratch: &mut Scratch) -> Vec<u64> {
+        ServeUnit::scan(&mut scratch.batch);
+        let mut walked = Vec::new();
+        for mut unit in scratch.batch.drain(..) {
+            walked.push(unit.scanned);
+            st.check_in(unit.id, unit.group, unit.state, &mut unit.buffers.reports);
+        }
+        walked
+    }
+
     /// What a worker does, on the test's thread: scan every ready unit.
     fn drain(st: &mut ServeState) {
+        let mut scratch = Scratch::default();
         loop {
-            let mut batch = st.checkout();
-            if batch.is_empty() {
+            st.checkout(&mut scratch);
+            if scratch.batch.is_empty() {
                 return;
             }
-            let scanned = ServeUnit::scan(&mut batch);
-            for (unit, (reports, _)) in batch.into_iter().zip(scanned) {
-                st.check_in(unit.id, unit.group, unit.state, reports);
-            }
+            scan_batch(st, &mut scratch);
         }
     }
 
@@ -2279,13 +2360,11 @@ mod tests {
         // out, the unit checked in with `parked` threads parked, of which
         // `settlers` settle; whether the step notifies.
         let step = |st: &mut ServeState, meanwhile: &[u8], parked, settlers| {
-            let mut batch = st.checkout();
+            let mut scratch = Scratch::default();
+            st.checkout(&mut scratch);
             assert!(st.push(flow, meanwhile, &cfg).0.is_ready());
             (st.parked, st.settlers, st.signalled) = (parked, settlers, 0);
-            let scanned = ServeUnit::scan(&mut batch);
-            for (unit, (reports, _)) in batch.into_iter().zip(scanned) {
-                st.check_in(unit.id, unit.group, unit.state, reports);
-            }
+            scan_batch(st, &mut scratch);
             let wake = st.wake_after_step(false);
             (st.parked, st.settlers, st.signalled) = (0, 0, 0);
             wake
@@ -2359,17 +2438,14 @@ mod tests {
             // The queue holds each flow's two units in turn; a checkout
             // skips the other group's.
             let mut st = handle.core.lock();
-            let batch = st.checkout();
-            let units: Vec<(FlowId, usize)> = batch.iter().map(|u| (u.id, u.group)).collect();
+            let mut scratch = Scratch::default();
+            st.checkout(&mut scratch);
+            let units: Vec<(FlowId, usize)> =
+                (scratch.batch.iter()).map(|u| (u.id, u.group)).collect();
             let first_four: Vec<(FlowId, usize)> = flows[..4].iter().map(|&f| (f, 0)).collect();
             assert_eq!(units, first_four);
             assert_eq!(st.in_flight, 4);
-            let mut batch = batch;
-            let scanned = ServeUnit::scan(&mut batch);
-            for (unit, (reports, bytes)) in batch.into_iter().zip(scanned) {
-                assert_eq!(bytes, 13);
-                st.check_in(unit.id, unit.group, unit.state, reports);
-            }
+            assert_eq!(scan_batch(&mut st, &mut scratch), [13; 4]);
             assert_eq!(st.in_flight, 0);
         }
         // The rest go through the step: (four of group 1), (two of each).

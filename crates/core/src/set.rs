@@ -27,8 +27,9 @@
 //! The set is what a serving epoch pins through its `Arc`, so it holds
 //! only what a flow scans: the scan plan, one
 //! [`MultiNca`](recama_nca::MultiNca) per scan group with its lazy-DFA
-//! cache, the literal filter and the trailing-`$` flags. A retired epoch
-//! takes no machine image, rule text or per-rule automaton with it.
+//! cache, the literal filter, the trailing-`$` flags, and the engines
+//! finished flows left for the next ones. A retired epoch takes no
+//! machine image, rule text or per-rule automaton with it.
 //!
 //! The group automata share one byte-class alphabet computed over the
 //! whole set and report global rule indices. A [`ShardedSetStream`]
@@ -51,6 +52,7 @@ use recama_nca::{
 };
 use recama_syntax::Parsed;
 use std::fmt;
+use std::sync::Mutex;
 
 /// How a pattern-set engine walks input bytes: always on its scan
 /// groups' lazily determinized rows. The one variant carries the row
@@ -142,6 +144,13 @@ pub struct ShardedPatternSet {
     /// outputs, that scans, streams, and the serving layers consult
     /// before running the automata.
     prefilter: Option<SetPrefilter>,
+    /// Engines that finished flows gave up, back at the start state with
+    /// their byte counters taken: one list per scan group, which
+    /// [`group_engine`](ShardedPatternSet::group_engine) takes from first.
+    /// Boxed as a flow holds them, so parking and taking one moves a
+    /// pointer and allocates nothing.
+    #[allow(clippy::vec_box)]
+    spares: Vec<Mutex<Vec<Box<HybridEngine>>>>,
 }
 
 impl ShardedPatternSet {
@@ -168,6 +177,7 @@ impl ShardedPatternSet {
 
         ShardedPatternSet {
             anchored_end: parsed.iter().map(|p| p.anchored_end).collect(),
+            spares: plan.groups.iter().map(|_| Mutex::default()).collect(),
             plan,
             multi,
             caches,
@@ -194,8 +204,28 @@ impl ShardedPatternSet {
     /// [`ServiceHandle`](crate::ServiceHandle)). Boxed: engines move
     /// between workers at every checkout and check-in, and an engine is
     /// hundreds of bytes of inline state.
+    ///
+    /// A spare [`park`](ShardedPatternSet::park)ed by a finished flow is
+    /// taken before one is built: it stands where a built one would, and
+    /// its buffers are already grown. An engine is built only when no
+    /// spare is left, so the group's engines — live and spare — never
+    /// outnumber the most the set's flows ever held at once; the spares go
+    /// with the set.
     pub(crate) fn group_engine(&self, group: usize) -> Box<HybridEngine> {
-        Box::new(self.multi.shards()[group].hybrid_engine_on(&self.caches[group]))
+        let spare = lock(&self.spares[group]).pop();
+        spare.unwrap_or_else(|| {
+            Box::new(self.multi.shards()[group].hybrid_engine_on(&self.caches[group]))
+        })
+    }
+
+    /// Takes the engine of group `group` that a finished flow gave up:
+    /// resets it to the start state, keeps it as a spare for the next
+    /// [`group_engine`](ShardedPatternSet::group_engine), and returns the
+    /// byte counters it had, which the caller counts from now on.
+    pub(crate) fn park(&self, group: usize, mut engine: Box<HybridEngine>) -> HybridStats {
+        let counters = engine.recycle().unwrap_or_default();
+        lock(&self.spares[group]).push(engine);
+        counters
     }
 
     /// The group caches' half of the hybrid counters — `dfa_states` and
@@ -213,6 +243,12 @@ impl ShardedPatternSet {
     pub(crate) fn anchored_end(&self) -> &[bool] {
         &self.anchored_end
     }
+}
+
+/// Locks a spare list. A push or a pop leaves the list whole at every
+/// step, so a lock poisoned by a panic elsewhere still guards it.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
 /// The counter modules of one compiled rule, as every scan builds them:

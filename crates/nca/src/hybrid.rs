@@ -928,6 +928,20 @@ impl HybridEngine {
         }
     }
 
+    /// Returns to the configuration a freshly built engine starts in —
+    /// stream position 0, no counted token, conflicts rewound, byte
+    /// counters zeroed — and hands back the byte counters it had (`None`
+    /// without rows). The buffers stay, so an engine given up by one flow
+    /// serves the next without allocating, and its bytes are counted
+    /// once: by whoever takes the counters here.
+    pub fn recycle(&mut self) -> Option<HybridStats> {
+        self.reset();
+        match &mut self.config {
+            Config::Rows(rows) => Some(std::mem::take(&mut rows.at.stats)),
+            Config::Rowless(_) => None,
+        }
+    }
+
     /// Number of live NCA states behind the current configuration: the
     /// pure frontier's subset plus the live counted states.
     #[cfg(test)]
@@ -1112,25 +1126,31 @@ impl HybridEngine {
                 }
                 continue;
             }
-            let mut rows: Vec<Lane<'_>> = (group.iter_mut())
-                .map(|(engine, chunk, out)| {
-                    let HybridEngine {
-                        multi,
-                        config: Config::Rows(on),
-                    } = &mut **engine
-                    else {
-                        unreachable!("every engine of the group is on rows");
-                    };
-                    Lane {
-                        multi,
-                        on,
-                        chunk,
-                        i: 0,
-                        out,
-                    }
-                })
-                .collect();
-            feed_lanes(&mut rows);
+            let n = group.len();
+            let mut rows = (group.iter_mut()).map(|(engine, chunk, out)| {
+                let HybridEngine {
+                    multi,
+                    config: Config::Rows(on),
+                } = &mut **engine
+                else {
+                    unreachable!("every engine of the group is on rows");
+                };
+                Lane {
+                    multi,
+                    on,
+                    chunk,
+                    i: 0,
+                    out,
+                }
+            });
+            // The lanes go in an array on the stack: a lockstep call
+            // allocates nothing.
+            let mut lane = || rows.next().expect("one lane per engine");
+            match n {
+                2 => feed_lanes(&mut [lane(), lane()]),
+                3 => feed_lanes(&mut [lane(), lane(), lane()]),
+                _ => feed_lanes(&mut [lane(), lane(), lane(), lane()]),
+            }
         }
     }
 
@@ -1162,6 +1182,8 @@ impl OnRows {
 /// interleaves at most (module docs, "Many flows at once"): four loads in
 /// flight at once. Eight were slower than four.
 pub const LOCKSTEP_LANES: usize = 4;
+// `feed_lockstep` lays out two to four lanes by hand.
+const _: () = assert!(LOCKSTEP_LANES == 4);
 
 /// One engine's part of a [`feed_lanes`] call: its rows, its chunk and
 /// how far into it it is, and where its reports go.
@@ -2310,6 +2332,39 @@ mod tests {
             "the cuts above do park mid-count"
         );
         assert!(asleep >= 10, "and in the middle of a sleep: {asleep}");
+    }
+
+    /// An engine recycled at any cut — counting, asleep or pure — hands
+    /// back exactly the byte counters it had and then scans the whole
+    /// input as a freshly built engine on the same rows does: the same
+    /// reports, position, configuration and byte counters.
+    #[test]
+    fn a_recycled_engine_is_a_fresh_engine() {
+        let patterns = ["x[ab]{2,5}y", "k.{4}z", "ba{2}b", "plain", "h.{12}"];
+        let m = merged(&patterns);
+        let input = b"xabkab.zaby.aabaabaab.k...z.h.....k......z";
+        let cache = m.hybrid_cache(DEFAULT_STATE_BUDGET);
+        for cut in 0..input.len() {
+            let mut used = m.hybrid_engine_on(&cache);
+            used.feed_into(&input[..cut], &mut Vec::new());
+            let had = used.byte_counters();
+            assert_eq!(used.recycle(), had, "cut at {cut}");
+            let mut fresh = m.hybrid_engine_on(&cache);
+            assert_eq!(configuration(&used), configuration(&fresh));
+            assert_eq!(used.byte_counters(), Some(HybridStats::default()));
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            used.feed_into(input, &mut got);
+            fresh.feed_into(input, &mut want);
+            assert_eq!(got, want, "cut at {cut}");
+            assert_eq!(configuration(&used), configuration(&fresh));
+            assert_eq!(used.byte_counters(), fresh.byte_counters());
+            assert_eq!(used.conflicts(), 0);
+        }
+        assert_eq!(
+            m.engine().recycle(),
+            None,
+            "an engine without rows counts nothing"
+        );
     }
 
     /// What an engine holds between chunks, whatever it keeps `S` in: its

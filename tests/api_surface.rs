@@ -512,6 +512,7 @@ fn nca_signatures() {
         HybridEngine::feed_lockstep;
     let _: fn(&mut HybridEngine, u64) = HybridEngine::restart_at;
     let _: fn(&HybridEngine) -> Option<HybridStats> = HybridEngine::byte_counters;
+    let _: fn(&mut HybridEngine) -> Option<HybridStats> = HybridEngine::recycle;
 }
 
 #[test]

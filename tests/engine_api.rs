@@ -307,6 +307,88 @@ fn batched_units_report_like_streams_and_count_their_scan_once() {
     }
 }
 
+/// A flow that finishes gives its engines back to the set, and the next
+/// flow takes them: a recycled engine must scan as a fresh one. Each wave
+/// closes its flows in the middle of a match — a counter live
+/// (`..abbb`), the rows partway through a literal (`..xq`), a `$`
+/// candidate pending (`..zz`) — and every flow starts with `bc`, which
+/// completes the first two if a reopened flow inherits them. Each flow's
+/// polled reports and finishing set must be what a scan of its bytes
+/// alone reports, on an engine of its own; and without the filter every
+/// byte pushed is counted once per group, as a row byte or a fallback
+/// byte, however often the engines changed hands. (An engine that kept
+/// its position would never let its flow drain: the watchdog fails it.)
+#[test]
+fn recycled_engines_scan_as_fresh_ones() {
+    within(Duration::from_secs(60), recycled_engines_scan_as_fresh);
+}
+
+fn recycled_engines_scan_as_fresh() {
+    let rules = ["ab{3,5}c", "xqbc", "zz$", "k[0-9]{2,4}m"];
+    let dollar = 2; // the rule id of `zz$`
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        let builder = || Engine::builder().patterns(rules).prefilter(mode);
+        let (engine, twin) = (in_scan_groups(builder(), 2), in_scan_groups(builder(), 2));
+        let groups = engine.scan_groups().len() as u64;
+        let svc = engine.serve_with(2, ServeConfig::default());
+        let mut pushed = 0;
+        for wave in 0..3 {
+            let inputs: Vec<Vec<u8>> = ["abbb", "xq", "zz"]
+                .iter()
+                .enumerate()
+                .map(|(i, tail)| {
+                    let body = "..abbbc.k123m.xqbc.zz.".repeat(1 + (wave + i) % 3);
+                    format!("bc{body}{tail}").into_bytes()
+                })
+                .collect();
+            let flows: Vec<_> = inputs
+                .iter()
+                .map(|_| svc.try_open_flow().unwrap())
+                .collect();
+            for (flow, input) in flows.iter().zip(&inputs) {
+                for chunk in input.chunks(7) {
+                    svc.push_checked(*flow, chunk).unwrap();
+                }
+                pushed += input.len() as u64;
+            }
+            for flow in &flows {
+                svc.close(*flow);
+            }
+            svc.barrier();
+            for (flow, input) in flows.iter().zip(&inputs) {
+                let polled = svc.poll_checked(*flow).unwrap();
+                let finishing = svc.finishing(*flow);
+                let what = format!(
+                    "{mode:?}, wave {wave}, {:?}",
+                    String::from_utf8_lossy(input)
+                );
+                assert_eq!(polled, scan_oracle(&engine, input, 0), "{what}");
+                let mut got: Vec<RuleMatch> = (polled.into_iter())
+                    .filter(|m| m.rule != dollar)
+                    .chain(finishing)
+                    .collect();
+                got.sort_by_key(|m| (m.end, m.rule));
+                let want: Vec<RuleMatch> = (twin.scan(input).into_iter())
+                    .map(|m| RuleMatch {
+                        rule: twin.rule_id(m.pattern),
+                        end: m.end as u64,
+                    })
+                    .collect();
+                assert_eq!(got, want, "{what}");
+            }
+            let hybrid = svc.metrics().hybrid.unwrap();
+            if mode == PrefilterMode::Off {
+                assert_eq!(
+                    hybrid.dfa_bytes + hybrid.fallback_bytes,
+                    groups * pushed,
+                    "wave {wave}: each byte once per group"
+                );
+            }
+        }
+        svc.shutdown();
+    }
+}
+
 #[test]
 fn blocking_push_streams_a_large_flow_through_a_small_budget() {
     within(Duration::from_secs(60), || {

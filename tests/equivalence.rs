@@ -34,20 +34,24 @@ fn bank_ends(engine: &mut HybridEngine, input: &[u8]) -> Vec<usize> {
     reports.map(|r| r.end as usize).collect()
 }
 
-/// A strategy for small counting regexes over {a, b, c}.
-fn arb_regex() -> impl Strategy<Value = Regex> {
-    let leaf = prop_oneof![
-        prop::sample::select(vec![
-            Regex::byte(b'a'),
-            Regex::byte(b'b'),
-            Regex::byte(b'c'),
-            Regex::Class(ByteClass::from_bytes(b"ab")),
-            Regex::Class(ByteClass::from_bytes(b"bc")),
-            Regex::Class(ByteClass::singleton(b'a').complement()),
-            Regex::any(),
-        ]),
-        Just(Regex::Empty),
-    ];
+/// The single-byte classes the strategies draw from.
+fn arb_class() -> BoxedStrategy<Regex> {
+    prop::sample::select(vec![
+        Regex::byte(b'a'),
+        Regex::byte(b'b'),
+        Regex::byte(b'c'),
+        Regex::Class(ByteClass::from_bytes(b"ab")),
+        Regex::Class(ByteClass::from_bytes(b"bc")),
+        Regex::Class(ByteClass::singleton(b'a').complement()),
+        Regex::any(),
+    ])
+}
+
+/// Small regexes over {a, b, c} built from every operator. Their
+/// repeats are mostly of nullable or nested bodies, which the compiler
+/// unfolds, so few of them keep a counter ([`arb_counted`] does).
+fn arb_nested() -> BoxedStrategy<Regex> {
+    let leaf = prop_oneof![arb_class(), Just(Regex::Empty)];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 1..3).prop_map(Regex::concat),
@@ -59,6 +63,30 @@ fn arb_regex() -> impl Strategy<Value = Regex> {
             (inner, 1u32..4).prop_map(|(r, m)| Regex::repeat(r, m, Some(m))),
         ]
     })
+}
+
+/// A class or a concatenation of two or three classes — never nullable
+/// — under `{m,n}` with `n` up to 8, alone or between two
+/// [`arb_nested`] regexes: a counting occurrence the compiler keeps as a
+/// register or a bit vector.
+fn arb_counted() -> BoxedStrategy<Regex> {
+    let body = prop_oneof![
+        arb_class(),
+        prop::collection::vec(arb_class(), 2..4).prop_map(Regex::concat),
+    ];
+    let counted = (body, 2u32..9, 0u32..9)
+        .prop_map(|(r, n, m)| Regex::repeat(r, m.min(n), Some(n)))
+        .boxed();
+    prop_oneof![
+        counted.clone(),
+        (arb_nested(), counted, arb_nested()).prop_map(|(a, r, b)| Regex::concat(vec![a, r, b])),
+    ]
+}
+
+/// A strategy for small counting regexes over {a, b, c}: half of them
+/// [`arb_nested`], half [`arb_counted`].
+fn arb_regex() -> BoxedStrategy<Regex> {
+    prop_oneof![arb_nested(), arb_counted()]
 }
 
 fn arb_input() -> impl Strategy<Value = Vec<u8>> {
@@ -116,6 +144,26 @@ proptest! {
         let n = recama::syntax::normalize_for_nca(&r);
         prop_assert_eq!(naive::matches(&n, &input), naive::matches(&r, &input));
     }
+}
+
+/// Half the random regexes carry a counting occurrence that survives
+/// `compile` (the bank is what the property above drives), on a fixed
+/// seed: at least 40 % of 96 draws keep a counter.
+#[test]
+fn most_random_regexes_keep_a_counter_through_compile() {
+    let mut rng = <proptest::TestRng as proptest::SeedableRng>::seed_from_u64(2022);
+    let strategy = arb_regex();
+    let cases = 96;
+    let kept = (0..cases)
+        .filter(|_| {
+            let r = strategy.generate(&mut rng);
+            !compile(&r, &CompileOptions::default())
+                .nca
+                .counters()
+                .is_empty()
+        })
+        .count();
+    assert!(kept * 10 >= cases * 4, "{kept} of {cases} keep a counter");
 }
 
 #[test]

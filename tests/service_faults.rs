@@ -478,6 +478,50 @@ fn a_panic_on_one_unit_of_a_batch_quarantines_that_flow_alone() {
     }
 }
 
+/// A quarantined flow's engines are dropped, never parked for the next
+/// flow: the flows opened after a scan panic on the same service — which
+/// take the spares the finished flows left, and build the rest — report
+/// exactly what the same flows report on a fresh service that never
+/// faulted, `$` finishing sets included.
+#[test]
+fn flows_opened_after_a_quarantine_report_like_a_fresh_services() {
+    let chunks: &[&[u8]] = &[b".abbc.k12", b"m.xyz.abb", b"bc.k1234m", b".abxyz"];
+    for mode in [PrefilterMode::On, PrefilterMode::Off] {
+        let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: flow 1 dies at scan 2");
+        let engine = engine_with(plan, mode);
+        let svc = engine.serve_with(1, ServeConfig::default());
+        let first: Vec<FlowId> = (0..3).map(|_| svc.try_open_flow().unwrap()).collect();
+        drive(&svc, &first, &chunks[..2]);
+        assert!(common::quarantined(&svc, first[1]), "{mode:?}");
+        for flow in &first {
+            svc.close(*flow);
+        }
+        svc.barrier();
+
+        let fresh = engine_with(FaultPlan::new(), mode);
+        let reference = fresh.serve_with(1, ServeConfig::default());
+        let run = |svc: &ServiceHandle| {
+            let flows: Vec<FlowId> = (0..4).map(|_| svc.try_open_flow().unwrap()).collect();
+            drive(svc, &flows, &chunks[2..]);
+            drive(svc, &flows[..2], chunks);
+            for flow in &flows {
+                svc.close(*flow);
+            }
+            svc.barrier();
+            (flows.iter())
+                .map(|&flow| (svc.poll_checked(flow).unwrap(), svc.finishing(flow)))
+                .collect::<Vec<_>>()
+        };
+        let (got, want) = (run(&svc), run(&reference));
+        assert_eq!(got, want, "{mode:?}");
+        assert!(want.iter().any(|(_, finishing)| !finishing.is_empty()));
+        let m = svc.metrics();
+        assert_eq!((m.faults.quarantined_flows, m.faults.fail_stops), (1, 0));
+        svc.shutdown();
+        reference.shutdown();
+    }
+}
+
 /// The batch scheduler runs the same step as the service, so a scan
 /// panic quarantines its flow instead of dropping it: reports merged
 /// before the fault stay pollable, sibling flows are byte-identical to
